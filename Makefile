@@ -6,7 +6,7 @@ FEEDERS ?= 1
 # Zipf skews for the hot-key splitting sweep (split on vs off each).
 THETAS ?= 0.99,1.2,1.5
 
-.PHONY: verify build test vet bench bench-dataplane bench-multistage bench-cluster bench-control bench-harvest bench-hotkey exhibits smoke-examples smoke-cluster
+.PHONY: verify build test vet bench bench-check bench-e2e bench-dataplane bench-multistage bench-cluster bench-control bench-harvest bench-hotkey exhibits smoke-examples smoke-cluster
 
 ## verify: the tier-1 gate — vet, build, test everything.
 verify:
@@ -26,6 +26,21 @@ vet:
 ## bench: data-plane and planner micro-benchmarks.
 bench:
 	$(GO) test -bench . -benchmem -run XXX ./internal/...
+
+## bench-check: compile, vet and test the repository benchmark (the
+## nested bench/ module, which `verify` does not see — an internal/
+## signature it calls can otherwise break it silently), then run it at
+## smoke size with exact per-key output checks.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+	bash bench/run.sh -smoke
+
+## bench-e2e: the repository benchmark as BENCHMARK.json declares it —
+## all four workloads, end-to-end metrics. For a perf claim add
+## `--workload W --trace 1` (per-layer metrics) and compare against the
+## parent commit in alternating pairs (bench/README.md).
+bench-e2e:
+	bash bench/run.sh
 
 ## bench-dataplane: write BENCH_dataplane.json (tuples/sec trajectory),
 ## printing old-vs-new when the file already exists. FEEDERS=N fans the

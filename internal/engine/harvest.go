@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 
-	"repro/internal/route"
 	"repro/internal/stats"
 )
 
@@ -13,8 +12,8 @@ type HarvestMode int
 
 const (
 	// HarvestTouched (default) snapshots only the keys observed during
-	// the finished interval — the legacy per-interval harvest, now
-	// gathered from each tracker's dirty list in O(touched keys).
+	// the finished interval, gathered from each tracker's dirty list in
+	// O(touched keys).
 	HarvestTouched HarvestMode = iota
 	// HarvestFull snapshots the whole tracked population every
 	// interval, untouched keys carrying their last-reported statistics
@@ -84,51 +83,6 @@ func (s *Stage) Harvest() HarvestMode { return s.harvest }
 // Valid until the next EndInterval; nil before the first close or
 // under HarvestTouched.
 func (s *Stage) LastDeltas() []stats.Delta { return s.lastDeltas }
-
-// endIntervalRetained is EndInterval's retained-mode close: each task
-// folds its dirty keys into its persistent aggregate and returns the
-// full-population run as a copy-on-write view — O(touched·log) work
-// plus one linear aggregate pass, no per-interval rebuild — and the
-// driver merges the runs exactly as the legacy path does (MergeRuns
-// copies, so the snapshot never aliases live aggregates).
-func (s *Stage) endIntervalRetained(interval int64) *stats.Snapshot {
-	snap := &stats.Snapshot{Interval: interval, ND: len(s.tasks)}
-	var asg *route.Assignment
-	if ar := s.AssignmentRouter(); ar != nil {
-		asg = ar.Assignment()
-	}
-	runs := make([][]stats.KeyStat, len(s.tasks))
-	if len(s.lastDeltas) != len(s.tasks) {
-		s.lastDeltas = make([]stats.Delta, len(s.tasks))
-	}
-	dones := make([]chan struct{}, len(s.tasks))
-	for d, t := range s.tasks {
-		dones[d] = t.barrierAsync(func(ctx *TaskCtx) {
-			run, delta := ctx.Tracker.EndIntervalRetained(func(ks *stats.KeyStat) {
-				ks.Dest = d
-				if asg != nil {
-					ks.Hash = asg.HashDest(ks.Key)
-				} else {
-					ks.Hash = d
-				}
-			})
-			ctx.Store.EndInterval()
-			ctx.ProcessedTuples = 0
-			ctx.ProcessedCost = 0
-			runs[d] = run
-			s.lastDeltas[d] = delta
-		})
-	}
-	for _, done := range dones {
-		<-done
-	}
-	snap.Keys = stats.MergeRuns(runs)
-	for d := range s.arrivedCost {
-		s.arrivedCost[d] = 0
-		s.arrivedTuples[d] = 0
-	}
-	return snap
-}
 
 // restampRetained re-resolves every retained aggregate entry's hash
 // destination after a ring resize: carried entries keep the stamp of

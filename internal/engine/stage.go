@@ -635,22 +635,26 @@ func (s *Stage) ArrivedTuples() []int64 { return s.arrivedTuples }
 // EndInterval closes the statistics interval on every task and merges
 // the per-task reports into a planner-ready snapshot (step 1 of Fig. 5:
 // instances report to the controller). The harvest runs on all task
-// goroutines concurrently — each task rolls its own tracker window,
-// resolves hash destinations and sorts its report into a run ordered
-// by stats.KeyStatLess — and the driver k-way-merges the sorted runs,
-// so the interval-barrier cost is the slowest single task plus an
-// O(n log ND) merge instead of a serial walk plus a full re-sort.
-// Destinations are taken from the task that actually observed the key;
-// hash destinations from the assignment router when present. Arrival
-// accounting is reset.
+// goroutines concurrently — each task's tracker rolls its own window
+// and hands back its report as a run ordered by stats.KeyStatLess, in a
+// buffer it recycles, and the task's store evicts the buckets leaving
+// the window — and the driver k-way-merges the sorted runs (MergeRuns
+// copies, so the snapshot never aliases a tracker's buffer), so the
+// interval-barrier cost is the slowest single task plus an O(n log ND)
+// merge. Destinations are taken from the task that actually observed
+// the key; hash destinations from the assignment router when present.
+// Arrival accounting is reset.
+//
+// Every harvest mode runs this one path. Under HarvestTouched a task's
+// run is the keys it observed this interval; under the retained modes
+// it is the task's whole tracked population (a copy-on-write view of
+// the tracker's persistent aggregate), and the per-task change sets are
+// additionally published through LastDeltas.
 func (s *Stage) EndInterval(interval int64) *stats.Snapshot {
 	// Idempotent re-fold (zero cells skip): callers that harvest
 	// without a prior CloseInterval/FlushOps still get home-complete
 	// statistics.
 	s.foldSplits()
-	if s.harvest != HarvestTouched {
-		return s.endIntervalRetained(interval)
-	}
 	snap := &stats.Snapshot{Interval: interval, ND: len(s.tasks)}
 	// The assignment is resolved once, outside the thunks: it is an
 	// immutable snapshot, safe for concurrent HashDest reads, and no
@@ -659,27 +663,34 @@ func (s *Stage) EndInterval(interval int64) *stats.Snapshot {
 	if ar := s.AssignmentRouter(); ar != nil {
 		asg = ar.Assignment()
 	}
+	retained := s.harvest != HarvestTouched
+	if retained && len(s.lastDeltas) != len(s.tasks) {
+		s.lastDeltas = make([]stats.Delta, len(s.tasks))
+	}
 	runs := make([][]stats.KeyStat, len(s.tasks))
 	dones := make([]chan struct{}, len(s.tasks))
 	for d, t := range s.tasks {
 		dones[d] = t.barrierAsync(func(ctx *TaskCtx) {
-			got := ctx.Tracker.EndInterval()
-			ctx.Store.EndInterval()
-			ctx.ProcessedTuples = 0
-			ctx.ProcessedCost = 0
-			run := make([]stats.KeyStat, 0, len(got))
-			for k, ks := range got {
-				ks.Key = k
+			stamp := func(ks *stats.KeyStat) {
 				ks.Dest = d
 				if asg != nil {
-					ks.Hash = asg.HashDest(k)
+					ks.Hash = asg.HashDest(ks.Key)
 				} else {
 					ks.Hash = d
 				}
-				run = append(run, ks)
 			}
-			stats.SortByCostDesc(run)
-			runs[d] = run
+			if retained {
+				runs[d], s.lastDeltas[d] = ctx.Tracker.EndIntervalRetained(stamp)
+			} else {
+				run := ctx.Tracker.EndInterval()
+				for i := range run {
+					stamp(&run[i])
+				}
+				runs[d] = run
+			}
+			ctx.Store.EndInterval()
+			ctx.ProcessedTuples = 0
+			ctx.ProcessedCost = 0
 		})
 	}
 	for _, done := range dones {

@@ -26,6 +26,8 @@ func NewSelfJoin(emit bool) *SelfJoin { return &SelfJoin{EmitPairs: emit} }
 // Process implements engine.Operator: probe the key's window, count
 // (and optionally emit) matches, then insert the tuple.
 func (j *SelfJoin) Process(ctx *engine.TaskCtx, t tuple.Tuple) {
+	// Entries is a view into the store, valid until the next call on it:
+	// everything that reads probes comes before the Add below.
 	probes := ctx.Store.Entries(t.Key)
 	j.Matches += int64(len(probes))
 	if j.EmitPairs {

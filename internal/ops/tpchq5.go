@@ -35,6 +35,8 @@ func NewQ5Join(gen *workload.TPCH, region int) *Q5Join {
 
 // Process implements engine.Operator.
 func (q *Q5Join) Process(ctx *engine.TaskCtx, t tuple.Tuple) {
+	// Entries is a view into the store, valid until the next call on it:
+	// both probe loops finish (join only emits) before the Add below.
 	switch v := t.Value.(type) {
 	case workload.Order:
 		// Probe buffered lineitems of this orderkey.

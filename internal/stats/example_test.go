@@ -23,8 +23,7 @@ func ExampleTracker() {
 	tr := stats.NewTracker(2) // w = 2 intervals
 	tr.ObserveKey(7, 3, 1)    // key 7: cost 3, state 1
 	tr.ObserveKey(7, 2, 1)
-	got := tr.EndInterval()
-	ks := got[7]
+	ks := tr.EndInterval()[0] // one key touched: a run of one
 	fmt.Printf("c=%d g=%d S=%d\n", ks.Cost, ks.Freq, ks.Mem)
 	// Output: c=5 g=2 S=2
 }

@@ -1,8 +1,9 @@
 package stats
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/tuple"
 )
@@ -113,7 +114,7 @@ func (d *HotKeyDetector) Update(keys []KeyStat, capacity int64, nd int) ([]HotKe
 	for k, fan := range next {
 		out = append(out, HotKey{Key: k, Fan: fan})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	slices.SortFunc(out, func(a, b HotKey) int { return cmp.Compare(a.Key, b.Key) })
 	return out, changed
 }
 

@@ -48,7 +48,7 @@ func TestTopKMatchesEndInterval(t *testing.T) {
 		// The oracle: TopK over everything, taken immediately before the
 		// roll, must reproduce EndInterval's map exactly.
 		top := a.TopK(nKeys * 4)
-		am, bm := a.EndInterval(), b.EndInterval()
+		am, bm := byKey(a.EndInterval()), byKey(b.EndInterval())
 		if len(top) != len(am) {
 			t.Fatalf("interval %d: TopK sees %d keys, EndInterval %d", interval, len(top), len(am))
 		}

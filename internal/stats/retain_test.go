@@ -234,8 +234,8 @@ func TestRestampRefreshesCarriedEntries(t *testing.T) {
 	}
 }
 
-// The legacy map harvest over the dirty list must equal what a full
-// table scan would have produced — dropped-then-retouched keys count
+// The harvest over the dirty list must equal what a full table scan
+// would have produced — dropped-then-retouched keys count
 // once, dropped keys not at all.
 func TestEndIntervalAfterDropAndRetouch(t *testing.T) {
 	tr := NewTracker(1)
@@ -245,7 +245,7 @@ func TestEndIntervalAfterDropAndRetouch(t *testing.T) {
 	tr.ObserveKey(1, 3, 0) // re-touched: chained twice, must count once
 	tr.DropKey(2)          // gone for good
 	out := tr.EndInterval()
-	if len(out) != 1 || out[1].Cost != 3 || out[1].Freq != 1 {
+	if len(out) != 1 || out[0].Key != 1 || out[0].Cost != 3 || out[0].Freq != 1 {
 		t.Fatalf("EndInterval = %v, want key 1 cost 3 freq 1 only", out)
 	}
 }

@@ -5,18 +5,36 @@
 // balance indicator θ_i(d, F) and the workload-skewness metric
 // max L(d) / L̄ reported throughout §V.
 //
-// The Tracker's interval close is O(Δkeys), not O(tracked keys): first
-// touches chain keys onto a dirty list (an epoch stamp per cell makes
-// the per-interval reset free), EndInterval harvests only that list,
-// and in retained mode EndIntervalRetained merges the harvest into a
-// persistent sorted aggregate whose previous run stays valid as a
+// # Tracker layout
+//
+// A Tracker keeps one open-addressed table of per-key cells. A cell
+// accumulates the in-progress interval (cost, frequency, state size)
+// behind a dirty flag and carries the key's running window sum S(k, w)
+// over the finished intervals. The window
+// itself is a ring of w recycled slabs of (key, state size) records,
+// one slab per finished interval: closing an interval appends the
+// touched keys' records to the slab it reuses and adds them to their
+// cells' sums, after subtracting the records the slab held from w
+// intervals ago. Records carry their cell's incarnation, so the records
+// of a key that was dropped and came back are not subtracted from its
+// new sum.
+//
+// The interval close is O(Δkeys), not O(tracked keys), and allocates
+// nothing once its buffers have grown: first touches chain keys onto a
+// dirty list (the close clears each flag as it visits the cell, so the
+// table is never scanned or reset), and one harvest primitive walks
+// that list, rolls the window and appends
+// the interval's KeyStats, sorted, to a recycled run. EndInterval
+// returns that run; in retained mode EndIntervalRetained merges it into
+// a persistent sorted aggregate whose previous run stays valid as a
 // copy-on-write view until the close after next — together with the
 // interval's retirements this is the Delta the incremental load-report
 // protocol ships instead of the full population.
 package stats
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/tuple"
 )
@@ -107,11 +125,23 @@ func KeyStatLess(a, b KeyStat) bool {
 	return a.Dest < b.Dest
 }
 
+// compareKeyStats is KeyStatLess as a three-way comparison.
+func compareKeyStats(a, b KeyStat) int {
+	if c := cmp.Compare(b.Cost, a.Cost); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Key, b.Key); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Dest, b.Dest)
+}
+
 // SortByCostDesc orders keys by KeyStatLess — descending cost with
 // key-ascending tie-break, the ordering both LLFD and Simple iterate
-// in.
+// in. The order is total, so the result does not depend on the sorting
+// algorithm.
 func SortByCostDesc(keys []KeyStat) {
-	sort.Slice(keys, func(i, j int) bool { return KeyStatLess(keys[i], keys[j]) })
+	slices.SortFunc(keys, compareKeyStats)
 }
 
 // KeySet is a small reusable open-addressing membership set over

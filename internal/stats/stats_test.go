@@ -112,12 +112,21 @@ func TestRouted(t *testing.T) {
 
 // --- Tracker ---------------------------------------------------------
 
+// byKey indexes a close's run by key.
+func byKey(run []KeyStat) map[tuple.Key]KeyStat {
+	m := make(map[tuple.Key]KeyStat, len(run))
+	for _, ks := range run {
+		m[ks.Key] = ks
+	}
+	return m
+}
+
 func TestTrackerAccumulatesInterval(t *testing.T) {
 	tr := NewTracker(1)
 	tr.Observe(tuple.Tuple{Key: 1, Cost: 3, StateSize: 2})
 	tr.Observe(tuple.Tuple{Key: 1, Cost: 2, StateSize: 1})
 	tr.Observe(tuple.Tuple{Key: 2, Cost: 1, StateSize: 1})
-	out := tr.EndInterval()
+	out := byKey(tr.EndInterval())
 	if ks := out[1]; ks.Cost != 5 || ks.Freq != 2 || ks.Mem != 3 {
 		t.Fatalf("key 1 stats = %+v, want cost 5, freq 2, mem 3", ks)
 	}
@@ -131,7 +140,7 @@ func TestTrackerWindowedMemory(t *testing.T) {
 	tr := NewTracker(3)
 	for i := 0; i < 5; i++ {
 		tr.ObserveKey(7, 1, 10)
-		out := tr.EndInterval()
+		out := byKey(tr.EndInterval())
 		want := int64(10 * (i + 1))
 		if want > 30 {
 			want = 30
@@ -175,49 +184,9 @@ func TestTrackerDropAndAdopt(t *testing.T) {
 func TestTrackerAdoptBeforeFirstInterval(t *testing.T) {
 	tr := NewTracker(2)
 	tr.AdoptKey(3, 11)
-	out := tr.EndInterval()
+	out := byKey(tr.EndInterval())
 	if got := out[3].Mem; got != 11 {
 		t.Fatalf("adopted-before-first-interval mem = %d, want 11", got)
-	}
-}
-
-func TestBuildSnapshotResolvesDests(t *testing.T) {
-	perKey := map[tuple.Key]KeyStat{
-		4: {Cost: 2, Freq: 1, Mem: 1},
-		5: {Cost: 6, Freq: 3, Mem: 2},
-	}
-	asg := fakeAsg{dests: map[tuple.Key]int{4: 1, 5: 0}, hashes: map[tuple.Key]int{4: 0, 5: 0}, nd: 2}
-	snap := BuildSnapshot(3, perKey, asg)
-	if snap.Interval != 3 || snap.ND != 2 || len(snap.Keys) != 2 {
-		t.Fatalf("snapshot header wrong: %+v", snap)
-	}
-	// Sorted cost-descending: key 5 first.
-	if snap.Keys[0].Key != 5 || snap.Keys[0].Dest != 0 {
-		t.Fatalf("first key = %+v", snap.Keys[0])
-	}
-	if snap.Keys[1].Key != 4 || snap.Keys[1].Dest != 1 || snap.Keys[1].Hash != 0 {
-		t.Fatalf("second key = %+v", snap.Keys[1])
-	}
-}
-
-type fakeAsg struct {
-	dests, hashes map[tuple.Key]int
-	nd            int
-}
-
-func (f fakeAsg) Dest(k tuple.Key) int     { return f.dests[k] }
-func (f fakeAsg) HashDest(k tuple.Key) int { return f.hashes[k] }
-func (f fakeAsg) Instances() int           { return f.nd }
-
-func TestMergeKeyStats(t *testing.T) {
-	dst := map[tuple.Key]KeyStat{1: {Key: 1, Cost: 2, Freq: 1, Mem: 3}}
-	src := map[tuple.Key]KeyStat{1: {Key: 1, Cost: 5, Freq: 2, Mem: 1}, 2: {Key: 2, Cost: 1, Freq: 1, Mem: 1}}
-	MergeKeyStats(dst, src)
-	if d := dst[1]; d.Cost != 7 || d.Freq != 3 || d.Mem != 4 {
-		t.Fatalf("merged key 1 = %+v", d)
-	}
-	if d := dst[2]; d.Cost != 1 {
-		t.Fatalf("merged key 2 = %+v", d)
 	}
 }
 

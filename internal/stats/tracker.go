@@ -2,7 +2,7 @@ package stats
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/tuple"
 )
@@ -47,32 +47,36 @@ type Tracker struct {
 	// cur accumulates the in-progress interval in an open-addressed
 	// table of value cells: one probe-and-update per observation (a Go
 	// map would cost a hashed access plus a hashed assign), no per-key
-	// cell allocation. Cells persist across intervals, stamped with the
-	// epoch of their last touch; a close consumes only the dirty list
-	// below and "resets" the table by bumping the epoch — O(1) instead
-	// of a capacity-wide clear.
+	// cell allocation. Cells persist across intervals; a close visits
+	// only the cells chained on the dirty list below and clears their
+	// dirty flag, so the table is never scanned or reset.
 	cur cellTab
-	// epoch identifies the in-progress interval (starts at 1 so the
-	// zero value of a fresh cell never matches). A cell whose epoch
-	// differs is stale: its accumulators belong to an already-harvested
-	// interval and are reset on the next touch.
+	// epoch counts the closes taken, plus one: the identifier the next
+	// close's Delta will carry.
 	epoch uint64
 	// dirty chains each key touched this interval, once, at first-touch
 	// time — the close harvests exactly this list instead of scanning
 	// the table's capacity, so interval-close cost is O(touched keys).
+	// DropKey unchains a key it deletes mid-interval, so every chained
+	// key has a live dirty cell and appears exactly once.
 	dirty []tuple.Key
-	// dirtyDropped counts current-epoch cells deleted by DropKey this
-	// interval. While zero (the overwhelmingly common case) the dirty
-	// list holds no duplicates and harvest needs no dedup map; a drop
-	// followed by a re-touch chains the key a second time.
-	dirtyDropped int
-	// hist[j] holds a finished interval's per-key state sizes; the ring
-	// covers the last `window` finished intervals.
-	hist []map[tuple.Key]int64
+	// ring[j] holds one finished interval's per-key state sizes as a
+	// slab of (key, mem) records; the ring covers the last `window`
+	// finished intervals. Each cell carries the running sum of its
+	// records (cell.win), so S(k, w) is one probe: a close adds the
+	// interval's record to the sum and subtracts the evicted slab's. The
+	// slabs are recycled, so rolling the window allocates nothing.
+	ring [][]memRec
 	// next is the ring index the next finished interval lands in.
 	next int
 	// finished counts completed intervals (for Interval stamping).
 	finished int64
+	// run is the recycled output buffer every close harvests the
+	// interval's KeyStats into; ord and ordSpare are the two buffers the
+	// close sorts the touched keys between on the way (see sortCostKeys).
+	run      []KeyStat
+	ord      []costKey
+	ordSpare []costKey
 
 	// Retained-population state (SetRetain). retired records keys
 	// dropped since the last close so the aggregate and any downstream
@@ -91,16 +95,34 @@ type Tracker struct {
 	drop KeySet
 }
 
-// cell is one key's interval accumulator. epoch stamps the interval of
-// the last touch: a live cell with a stale epoch carries already
-//-harvested values and is logically absent from the current interval.
+// cell is one key's interval accumulator. dirty marks a cell touched in
+// the interval in progress (its key is on the tracker's dirty list); a
+// clean cell's cost/freq/mem belong to an already harvested interval
+// and are overwritten by its next touch. win is the key's windowed
+// memory over the finished intervals in the ring, and inc the table
+// incarnation the cell was created under (see memRec). The cell is 48
+// bytes: a probe and its update stay within one cache line.
 type cell struct {
 	key   tuple.Key
-	live  bool
-	epoch uint64
 	cost  int64
 	freq  int64
 	mem   int64
+	win   int64
+	inc   uint32
+	live  bool
+	dirty bool
+}
+
+// memRec is one key's state size in one finished interval, as held in
+// the window ring. inc is the incarnation of the cell it was added to:
+// evicting the record subtracts it from the key's window sum only if
+// the key's present cell is that same cell — a key dropped (migrated
+// away) and adopted or observed again starts a fresh sum, and the
+// records of its previous life must not be subtracted from it.
+type memRec struct {
+	key tuple.Key
+	mem int64
+	inc uint32
 }
 
 // cellTab is a power-of-two open-addressed table with linear probing
@@ -112,6 +134,10 @@ type cellTab struct {
 	mask   uint64
 	n      int
 	growAt int
+	// inc stamps new cells and is bumped by every deletion, so a cell
+	// created after a key was deleted never shares the deleted cell's
+	// incarnation.
+	inc uint32
 }
 
 const cellTabMinSize = 64
@@ -138,6 +164,7 @@ func (t *cellTab) upsert(k tuple.Key) *cell {
 		if !c.live {
 			c.key = k
 			c.live = true
+			c.inc = t.inc
 			t.n++
 			return c
 		}
@@ -150,19 +177,26 @@ func (t *cellTab) upsert(k tuple.Key) *cell {
 
 // lookup returns k's live cell, or nil.
 func (t *cellTab) lookup(k tuple.Key) *cell {
-	if t.n == 0 {
-		return nil
+	if i := t.find(k); i >= 0 {
+		return &t.cells[i]
 	}
-	i := cellHash(k) & t.mask
-	for {
+	return nil
+}
+
+// find returns the index of k's live cell, or -1. The index is valid
+// until the next upsert or del.
+func (t *cellTab) find(k tuple.Key) int {
+	if t.n == 0 {
+		return -1
+	}
+	for i := cellHash(k) & t.mask; ; i = (i + 1) & t.mask {
 		c := &t.cells[i]
 		if !c.live {
-			return nil
+			return -1
 		}
 		if c.key == k {
-			return c
+			return int(i)
 		}
-		i = (i + 1) & t.mask
 	}
 }
 
@@ -199,6 +233,7 @@ func (t *cellTab) del(k tuple.Key) {
 		i = (i + 1) & t.mask
 	}
 	t.n--
+	t.inc++
 	j := i
 	for {
 		j = (j + 1) & t.mask
@@ -214,7 +249,7 @@ func (t *cellTab) del(k tuple.Key) {
 	t.cells[i] = cell{}
 }
 
-// each calls fn for every live cell, current-epoch or stale.
+// each calls fn for every live cell, dirty or clean.
 func (t *cellTab) each(fn func(*cell)) {
 	for i := range t.cells {
 		if t.cells[i].live {
@@ -241,7 +276,7 @@ func NewTracker(w int) *Tracker {
 	return &Tracker{
 		window: w,
 		epoch:  1,
-		hist:   make([]map[tuple.Key]int64, w),
+		ring:   make([][]memRec, w),
 	}
 }
 
@@ -273,13 +308,13 @@ func (t *Tracker) Retain() RetainMode { return t.retain }
 // in-progress interval's epoch plus the closes already taken).
 func (t *Tracker) Epoch() uint64 { return t.epoch }
 
-// touch returns k's current-interval cell, resetting a stale one and
+// touch returns k's current-interval cell, resetting a clean one and
 // chaining the key into the dirty list on its first touch of the
 // interval.
 func (t *Tracker) touch(k tuple.Key) *cell {
 	c := t.cur.upsert(k)
-	if c.epoch != t.epoch {
-		c.epoch = t.epoch
+	if !c.dirty {
+		c.dirty = true
 		c.cost, c.freq, c.mem = 0, 0, 0
 		t.dirty = append(t.dirty, k)
 	}
@@ -312,7 +347,6 @@ func (t *Tracker) ObserveBatch(ts []tuple.Tuple) int64 {
 		tab.init(cellTabMinSize)
 	}
 	cells, mask := tab.cells, tab.mask
-	epoch := t.epoch
 	var total int64
 	for i := range ts {
 		// Grow on demand, sized by live keys — not by batch length,
@@ -327,14 +361,14 @@ func (t *Tracker) ObserveBatch(ts []tuple.Tuple) int64 {
 			c := &cells[j]
 			if c.live {
 				if c.key == k {
-					if c.epoch == epoch {
+					if c.dirty {
 						c.cost += ts[i].Cost
 						c.freq++
 						c.mem += ts[i].StateSize
 					} else {
-						// Stale cell from an already-harvested interval:
+						// Clean cell from an already-harvested interval:
 						// first touch of this interval resets and chains.
-						c.epoch = epoch
+						c.dirty = true
 						c.cost = ts[i].Cost
 						c.freq = 1
 						c.mem = ts[i].StateSize
@@ -347,8 +381,9 @@ func (t *Tracker) ObserveBatch(ts []tuple.Tuple) int64 {
 			}
 			c.key = k
 			c.live = true
+			c.inc = tab.inc
 			tab.n++
-			c.epoch = epoch
+			c.dirty = true
 			c.cost = ts[i].Cost
 			c.freq = 1
 			c.mem = ts[i].StateSize
@@ -380,19 +415,23 @@ func (t *Tracker) AbsorbKey(k tuple.Key, cost, freq, mem int64) {
 // key's state migrates away so the source task stops reporting it; in
 // a retained mode the key is also queued for retirement so the next
 // close removes it from the aggregate (and the delta report tells the
-// controller's mirror to do the same).
+// controller's mirror to do the same). Deleting the cell orphans the
+// key's window records: their incarnation no longer matches any cell.
 func (t *Tracker) DropKey(k tuple.Key) {
 	if c := t.cur.lookup(k); c != nil {
-		if c.epoch == t.epoch {
-			t.dirtyDropped++
+		if c.dirty {
+			// Touched this interval: unchain it, so the close neither
+			// reports the dropped cell nor sees the key twice if it is
+			// touched again. Drops happen per migrated key, almost always
+			// between a close and the next tuple, when the chain is empty.
+			i := slices.Index(t.dirty, k)
+			t.dirty[i] = t.dirty[len(t.dirty)-1]
+			t.dirty = t.dirty[:len(t.dirty)-1]
 		}
 		t.cur.del(k)
 	}
 	if t.retain != RetainOff {
 		t.retired = append(t.retired, k)
-	}
-	for _, h := range t.hist {
-		delete(h, k)
 	}
 }
 
@@ -410,76 +449,63 @@ func (t *Tracker) AdoptKey(k tuple.Key, mem int64) {
 		return
 	}
 	last := (t.next - 1 + t.window) % t.window
-	if t.hist[last] == nil {
-		t.hist[last] = make(map[tuple.Key]int64)
-	}
-	t.hist[last][k] += mem
+	c := t.cur.upsert(k)
+	c.win += mem
+	t.ring[last] = append(t.ring[last], memRec{key: k, mem: mem, inc: c.inc})
 	if t.retain != RetainOff {
 		t.touch(k)
 	}
 }
 
-// harvestDirty calls fn once per key touched this interval, in chain
-// order, skipping keys whose cell was dropped after the touch. The
-// dedup map is only built when a DropKey actually created a possible
-// duplicate this interval.
-func (t *Tracker) harvestDirty(fn func(k tuple.Key, c *cell)) {
-	if t.dirtyDropped == 0 {
-		for _, k := range t.dirty {
-			if c := t.cur.lookup(k); c != nil && c.epoch == t.epoch {
-				fn(k, c)
-			}
-		}
-		return
-	}
-	seen := make(map[tuple.Key]struct{}, len(t.dirty))
+// harvest is the one interval-close primitive every mode runs on. It
+// rolls the state window — the slab from w intervals ago is evicted
+// (the paper's model: state from T_{i-w} is erased after T_i completes)
+// and the finished interval's state sizes take its place — and appends
+// one KeyStat per key touched this interval to the recycled run: cost
+// c(k), frequency g(k) and the windowed memory S(k, w) including the
+// interval just finished, stamped (Dest/Hash) when stamp is non-nil, in
+// KeyStatLess order. Only the interval's dirty keys and the evicted
+// slab's records are visited, nothing is allocated once the buffers
+// have grown to the working set. The run is valid until the next close.
+func (t *Tracker) harvest(stamp func(*KeyStat)) []KeyStat {
+	t.shiftWindow(t.ring[t.next], -1)
+	slab := t.ring[t.next][:0]
+	ord := t.ord[:0]
 	for _, k := range t.dirty {
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
-		if c := t.cur.lookup(k); c != nil && c.epoch == t.epoch {
-			fn(k, c)
-		}
+		i := t.cur.find(k)
+		c := &t.cur.cells[i]
+		c.dirty = false
+		c.win += c.mem
+		slab = append(slab, memRec{key: k, mem: c.mem, inc: c.inc})
+		ord = append(ord, newCostKey(c.cost, uint64(k), i))
 	}
-}
-
-// rollWindow rolls the just-finished interval's state sizes into the
-// ring, evicting the slot from w intervals ago (the paper's model:
-// state from T_{i-w} is erased after T_i completes).
-func (t *Tracker) rollWindow() {
-	slot := make(map[tuple.Key]int64, len(t.dirty))
-	t.harvestDirty(func(k tuple.Key, c *cell) {
-		slot[k] = c.mem
-	})
-	t.hist[t.next] = slot
+	t.ring[t.next] = slab
 	t.next = (t.next + 1) % t.window
 	t.finished++
-}
-
-// closeInterval advances the epoch and clears the per-interval
-// bookkeeping; the stale cells stay in place until their next touch.
-func (t *Tracker) closeInterval() {
+	// Keys are unique within a tracker, so (cost, key) alone is the
+	// KeyStatLess order; the stamp (one Dest per task) cannot change it.
+	ord, t.ordSpare = sortCostKeys(ord, t.ordSpare)
+	run := t.run[:0]
+	for _, o := range ord {
+		c := &t.cur.cells[o.cell]
+		run = append(run, KeyStat{Key: c.key, Cost: c.cost, Freq: c.freq, Mem: c.win})
+		if stamp != nil {
+			stamp(&run[len(run)-1])
+		}
+	}
+	t.ord, t.run = ord, run
 	t.epoch++
 	t.dirty = t.dirty[:0]
-	t.dirtyDropped = 0
-	t.retired = t.retired[:0]
+	return run
 }
 
 // EndInterval closes the current interval, rolls the state window and
-// returns the per-key statistics of the finished interval: cost c(k),
+// returns the per-key statistics of the finished interval — cost c(k),
 // frequency g(k) and the windowed memory S(k, w) including the interval
-// just finished. Only the interval's dirty keys are visited — the
-// close costs O(touched keys), not O(table capacity).
-func (t *Tracker) EndInterval() map[tuple.Key]KeyStat {
-	t.rollWindow()
-	out := make(map[tuple.Key]KeyStat, len(t.dirty))
-	t.harvestDirty(func(k tuple.Key, c *cell) {
-		out[k] = KeyStat{Key: k, Cost: c.cost, Freq: c.freq, Mem: t.WindowedMem(k)}
-	})
-	t.closeInterval()
-	return out
-}
+// just finished — as a run sorted by KeyStatLess. The run lives in a
+// buffer the tracker recycles: it is the caller's to read and to stamp
+// in place (Dest, Hash) until the next close.
+func (t *Tracker) EndInterval() []KeyStat { return t.harvest(nil) }
 
 // Delta is one retained close's change set against the previous close:
 // the keys touched (or adopted) during the finished interval with
@@ -487,7 +513,8 @@ func (t *Tracker) EndInterval() map[tuple.Key]KeyStat {
 // identifying the close. A consumer holding the previous close's run
 // reconstructs the new one exactly by removing Retired ∪ keys(Changed)
 // and merging Changed in under the canonical KeyStatLess order — the
-// controller-side protocol.Mirror does precisely that.
+// controller-side protocol.Mirror does precisely that. Changed is the
+// tracker's recycled harvest run: valid until the next close.
 type Delta struct {
 	Epoch   uint64
 	Changed []KeyStat   // sorted by KeyStatLess
@@ -511,18 +538,8 @@ func (t *Tracker) EndIntervalRetained(stamp func(*KeyStat)) ([]KeyStat, Delta) {
 	if t.retain == RetainOff {
 		panic("stats: EndIntervalRetained requires SetRetain")
 	}
-	t.rollWindow()
-	changed := make([]KeyStat, 0, len(t.dirty))
-	t.harvestDirty(func(k tuple.Key, c *cell) {
-		ks := KeyStat{Key: k, Cost: c.cost, Freq: c.freq, Mem: t.WindowedMem(k)}
-		if stamp != nil {
-			stamp(&ks)
-		}
-		changed = append(changed, ks)
-	})
-	SortByCostDesc(changed)
+	changed := t.harvest(stamp)
 	retired := t.pruneRetired()
-	t.closeInterval()
 	d := Delta{Epoch: t.epoch, Changed: changed, Retired: retired}
 
 	if t.retain == RetainScan {
@@ -542,29 +559,21 @@ func (t *Tracker) EndIntervalRetained(stamp func(*KeyStat)) ([]KeyStat, Delta) {
 	return t.mergeAggregate(changed, retired), d
 }
 
-// pruneRetired deduplicates the interval's retirement queue, drops
-// keys that came back (their live cell means the changed set carries a
-// fresh entry) and returns the survivors in ascending order.
+// pruneRetired empties the interval's retirement queue into a fresh
+// slice: deduplicated, without the keys that came back (their live cell
+// means the changed set carries a fresh entry), in ascending order.
 func (t *Tracker) pruneRetired() []tuple.Key {
 	if len(t.retired) == 0 {
 		return nil
 	}
-	seen := make(map[tuple.Key]struct{}, len(t.retired))
-	out := make([]tuple.Key, 0, len(t.retired))
-	for _, k := range t.retired {
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
-		if t.cur.lookup(k) != nil {
-			continue
-		}
-		out = append(out, k)
-	}
+	out := slices.Clone(t.retired)
+	t.retired = t.retired[:0]
+	slices.Sort(out)
+	out = slices.Compact(out)
+	out = slices.DeleteFunc(out, func(k tuple.Key) bool { return t.cur.lookup(k) != nil })
 	if len(out) == 0 {
 		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -628,8 +637,18 @@ func (t *Tracker) Restamp(stamp func(*KeyStat)) {
 	}
 }
 
+// shiftWindow adds sign × every record of slab to its key's window sum,
+// skipping records whose cell has since been dropped.
+func (t *Tracker) shiftWindow(slab []memRec, sign int64) {
+	for _, r := range slab {
+		if c := t.cur.lookup(r.key); c != nil && c.inc == r.inc {
+			c.win += sign * r.mem
+		}
+	}
+}
+
 // TopK returns the n hottest keys of the interval in progress without
-// closing it: the nonzero-cost subset of the map EndInterval would
+// closing it: the nonzero-cost subset of the run EndInterval would
 // return right now (same cost/freq, same post-roll windowed memory),
 // ordered by SortByCostDesc and cut to n — computed with one bounded
 // min-heap over the interval's dirty keys, O(touched · log n) time and
@@ -642,7 +661,7 @@ func (t *Tracker) TopK(n int) []KeyStat {
 		return nil
 	}
 	// colder orders by the inverse of KeyStatLess (Dest is zero for
-	// every candidate, matching EndInterval's map), so the heap root is
+	// every candidate, matching EndInterval's run), so the heap root is
 	// always the weakest current member.
 	colder := func(a, b KeyStat) bool {
 		if a.Cost != b.Cost {
@@ -650,12 +669,18 @@ func (t *Tracker) TopK(n int) []KeyStat {
 		}
 		return a.Key > b.Key
 	}
+	// EndInterval reports Mem post-roll: the slab the close would evict
+	// no longer counts, the interval's own state does. Take the slab out
+	// of the window sums for the scan and put it back after.
+	t.shiftWindow(t.ring[t.next], -1)
+	defer t.shiftWindow(t.ring[t.next], +1)
 	heap := make([]KeyStat, 0, n)
-	t.harvestDirty(func(_ tuple.Key, c *cell) {
+	for _, k := range t.dirty {
+		c := t.cur.lookup(k)
 		if c.cost == 0 {
-			return
+			continue
 		}
-		ks := KeyStat{Key: c.key, Cost: c.cost, Freq: c.freq, Mem: c.mem}
+		ks := KeyStat{Key: k, Cost: c.cost, Freq: c.freq, Mem: c.win + c.mem}
 		if len(heap) < n {
 			heap = append(heap, ks)
 			for i := len(heap) - 1; i > 0; {
@@ -666,10 +691,10 @@ func (t *Tracker) TopK(n int) []KeyStat {
 				heap[i], heap[p] = heap[p], heap[i]
 				i = p
 			}
-			return
+			continue
 		}
 		if !colder(heap[0], ks) {
-			return
+			continue
 		}
 		heap[0] = ks
 		for i := 0; ; {
@@ -687,114 +712,52 @@ func (t *Tracker) TopK(n int) []KeyStat {
 			heap[i], heap[m] = heap[m], heap[i]
 			i = m
 		}
-	})
+	}
 	if len(heap) == 0 {
 		return nil
-	}
-	// EndInterval reports Mem post-roll: the current interval's state
-	// lands in slot t.next (evicting the interval from w ago) and then
-	// S(k, w) sums the whole ring. Equivalently, for a live cell: its
-	// current mem plus every finished slot except the one about to be
-	// evicted.
-	for i := range heap {
-		for j, h := range t.hist {
-			if j == t.next {
-				continue
-			}
-			heap[i].Mem += h[heap[i].Key]
-		}
 	}
 	SortByCostDesc(heap)
 	return heap
 }
 
 // WindowedMem returns S(k, w) = Σ_{j=i-w+1..i} s_j(k) over the finished
-// intervals currently in the window.
+// intervals currently in the window: one probe, the key's cell carries
+// the sum.
 func (t *Tracker) WindowedMem(k tuple.Key) int64 {
-	var s int64
-	for _, h := range t.hist {
-		s += h[k]
+	if c := t.cur.lookup(k); c != nil {
+		return c.win
 	}
-	return s
+	return 0
 }
 
 // Finished returns the number of completed intervals.
 func (t *Tracker) Finished() int64 { return t.finished }
 
 // Keys returns every key with any recorded history in ascending order.
-// In the default mode that is current-interval observations or
-// windowed memory in a finished slot — stale cells (keys whose last
-// touch was an already-harvested interval and whose window has
+// In the default mode that is current-interval observations or a
+// record in a finished slot of the window — clean cells (keys whose
+// last touch was an already-harvested interval and whose window has
 // drained) are skipped, so a retired key cannot resurrect in scale-in
 // or detector input. In a retained mode the whole tracked population
 // counts as history: scale-in must migrate the aggregate's keys along
 // with everything else a retiring task reports.
 func (t *Tracker) Keys() []tuple.Key {
-	hint := t.cur.n
-	for _, h := range t.hist {
-		if len(h) > hint {
-			hint = len(h)
-		}
-	}
-	seen := make(map[tuple.Key]struct{}, hint)
+	var out []tuple.Key
 	if t.retain == RetainOff {
-		t.cur.each(func(c *cell) {
-			if c.epoch == t.epoch {
-				seen[c.key] = struct{}{}
-			}
-		})
+		out = append(out, t.dirty...)
 	} else {
 		// Every live cell is either dirty this interval or a member of
-		// the retained aggregate (cells leave only through DropKey,
-		// which also retires them).
-		t.cur.each(func(c *cell) { seen[c.key] = struct{}{} })
+		// the retained aggregate (cells leave only through DropKey, which
+		// also retires them).
+		t.cur.each(func(c *cell) { out = append(out, c.key) })
 	}
-	for _, h := range t.hist {
-		for k := range h {
-			seen[k] = struct{}{}
+	for _, slab := range t.ring {
+		for _, r := range slab {
+			if c := t.cur.lookup(r.key); c != nil && c.inc == r.inc {
+				out = append(out, r.key)
+			}
 		}
 	}
-	out := make([]tuple.Key, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Assigner resolves a key's current and hash destinations; the route
-// package's Assignment satisfies it.
-type Assigner interface {
-	Dest(k tuple.Key) int
-	HashDest(k tuple.Key) int
-	Instances() int
-}
-
-// BuildSnapshot merges per-key stats (typically from Tracker.EndInterval,
-// possibly from several tasks) into a planner-ready Snapshot, resolving
-// each key's current and hash destinations through the assignment.
-func BuildSnapshot(interval int64, perKey map[tuple.Key]KeyStat, asg Assigner) *Snapshot {
-	s := &Snapshot{Interval: interval, ND: asg.Instances(), Keys: make([]KeyStat, 0, len(perKey))}
-	for k, ks := range perKey {
-		ks.Key = k
-		ks.Dest = asg.Dest(k)
-		ks.Hash = asg.HashDest(k)
-		s.Keys = append(s.Keys, ks)
-	}
-	SortByCostDesc(s.Keys)
-	return s
-}
-
-// MergeKeyStats adds src's per-key measurements into dst (cost, freq and
-// memory are additive; destinations are resolved later by
-// BuildSnapshot). Used by the controller to merge task-level reports.
-func MergeKeyStats(dst, src map[tuple.Key]KeyStat) {
-	for k, s := range src {
-		d := dst[k]
-		d.Key = k
-		d.Cost += s.Cost
-		d.Freq += s.Freq
-		d.Mem += s.Mem
-		dst[k] = d
-	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
