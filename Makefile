@@ -66,15 +66,18 @@ bench-multistage:
 bench-cluster:
 	$(GO) run ./cmd/benchrunner -dataplane BENCH_dataplane.json -feeders $(FEEDERS) -multistage -cluster
 
-## bench-control: per-interval control-loop overhead micro-bench
-## (loopback vs Codec-over-pipe wire transport, several snapshot
-## sizes, plus whole-interval direct-vs-loop-vs-wire). One hold round
-## is the steady cost a controller-managed stage adds per interval.
-## RebalanceLatency is the migration-mode comparison: p50/p99 feed
-## latency with and without a concurrent plan, pausing vs pause-free —
-## the pause-free protocol's p99 must stay flat across a rebalance.
-## WireCodec isolates the gob codec's per-message cost (the retained
-## staging buffer keeps allocs/msg flat as report populations grow).
+## bench-control: the control path's micro-benchmarks. ControlRound is
+## one commanded round at the repository benchmark's variance shape
+## (~11 000 keys re-drawn per round over 8 instances, a Mixed plan every
+## round) from the trackers' sorted runs to the applied plan, over the
+## loopback and the gob pipe: ns/op, allocations, and ns per harvested
+## key split into merge / plan / report. EngineInterval is a whole
+## interval direct-vs-loop-vs-wire. RebalanceLatency is the
+## migration-mode comparison: p50/p99 feed latency with and without a
+## concurrent plan, pausing vs pause-free — the pause-free protocol's
+## p99 must stay flat across a rebalance. WireCodec isolates the gob
+## codec's per-message cost (the retained staging buffer keeps
+## allocs/msg flat as report populations grow).
 bench-control:
 	$(GO) test -run '^$$' -bench 'ControlRound|EngineInterval|RebalanceLatency|WireCodec' -benchmem -benchtime 1s ./internal/control/
 

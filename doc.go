@@ -72,7 +72,11 @@
 // shuffle instead observe the feeders' interleaving).
 // Statistics harvest (Stage.EndInterval) runs on all task goroutines
 // concurrently, each producing a sorted run that the driver combines
-// with a k-way merge (stats.MergeRuns) into the planner snapshot.
+// with a k-way merge (stats.MergeRuns) into the planner snapshot, in one
+// of two buffers the stage alternates between: a snapshot's keys are
+// valid until the close after next. The control round hands that run on
+// as its report, unsplit and uncopied, and the planners read it in
+// place (README, "Control round").
 //
 // # Streaming interval pipeline
 //

@@ -1,7 +1,6 @@
 package balance
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/stats"
@@ -21,19 +20,20 @@ func (Simple) Name() string { return "Simple" }
 // Plan implements Planner.
 func (Simple) Plan(snap *stats.Snapshot, cfg Config) *Plan {
 	start := time.Now()
-	st := buildState(snap, cfg)
-	st.initInstanceIndex()
+	st := newState()
+	defer st.release()
+	st.load(snap, cfg)
 	for i := range st.keys {
-		st.disassociate(i)
+		st.disassociate(int32(i))
 	}
 	// Pure least-load-first packing: Algorithm 5 has no Adjust step, so
 	// pop candidates in cost order and always take the least-loaded
-	// instance.
-	for st.cand.len() > 0 {
-		i := st.cand.pop(st)
-		st.forceAssign(i)
+	// instance. Nothing reads the per-instance lists, so they are not
+	// built.
+	for len(st.cand) > 0 {
+		st.forceAssign(st.popCand())
 	}
-	return st.finish("Simple", snap, start, cfg)
+	return st.finish("Simple", start, cfg)
 }
 
 // --- LLFD as a standalone planner --------------------------------------
@@ -57,12 +57,12 @@ func (LLFD) Name() string { return "LLFD" }
 // Plan implements Planner.
 func (l LLFD) Plan(snap *stats.Snapshot, cfg Config) *Plan {
 	start := time.Now()
-	st := buildState(snap, cfg)
+	st := newState()
+	defer st.release()
+	st.load(snap, cfg)
 	st.noAdjust = l.NoAdjust
-	st.initInstanceIndex()
-	st.prepare(l.Psi)
-	st.runLLFD(l.Psi)
-	return st.finish("LLFD", snap, start, cfg)
+	st.rebalance(l.Psi)
+	return st.finish("LLFD", start, cfg)
 }
 
 // --- MinTable (Algorithm 2) --------------------------------------------
@@ -79,22 +79,15 @@ func (MinTable) Name() string { return "MinTable" }
 // Plan implements Planner.
 func (MinTable) Plan(snap *stats.Snapshot, cfg Config) *Plan {
 	start := time.Now()
-	st := buildState(snap, cfg)
-	// Phase I: move back all keys in A. The move is virtual — only the
-	// working destination changes; migration is charged at finish time
-	// if the final destination really differs from orig.
+	st := newState()
+	defer st.release()
+	st.load(snap, cfg)
+	// Phase I: move back all keys in A.
 	for i := range st.keys {
-		k := &st.keys[i]
-		if k.cur != k.hash {
-			st.loads[k.cur] -= k.cost
-			k.cur = k.hash
-			st.loads[k.hash] += k.cost
-		}
+		st.moveHome(int32(i))
 	}
-	st.initInstanceIndex()
-	st.prepare(ByCost)
-	st.runLLFD(ByCost)
-	return st.finish("MinTable", snap, start, cfg)
+	st.rebalance(ByCost)
+	return st.finish("MinTable", start, cfg)
 }
 
 // --- MinMig (Algorithm 3) ----------------------------------------------
@@ -112,11 +105,11 @@ func (MinMig) Name() string { return "MinMig" }
 // Plan implements Planner.
 func (MinMig) Plan(snap *stats.Snapshot, cfg Config) *Plan {
 	start := time.Now()
-	st := buildState(snap, cfg)
-	st.initInstanceIndex()
-	st.prepare(ByGamma)
-	st.runLLFD(ByGamma)
-	return st.finish("MinMig", snap, start, cfg)
+	st := newState()
+	defer st.release()
+	st.load(snap, cfg)
+	st.rebalance(ByGamma)
+	return st.finish("MinMig", start, cfg)
 }
 
 // --- Mixed (Algorithm 4) -----------------------------------------------
@@ -157,18 +150,17 @@ func (m Mixed) Plan(snap *stats.Snapshot, cfg Config) *Plan {
 	if trials <= 0 {
 		trials = 32
 	}
-	// Keys currently occupying routing-table entries, ordered by the
-	// cleaning criterion η (paper: smallest S(k,w) first).
-	routed := routedOrderBy(snap, m.Clean)
+	st := newState()
+	defer st.release()
+	// routed lists the keys occupying routing-table entries in the
+	// cleaning criterion η's order (paper: smallest S(k,w) first). The
+	// first trial cleans nothing, so the list waits for the first
+	// overflow.
+	var routed []int32
 	n := 0
 	var plan *Plan
 	for t := 0; t < trials; t++ {
-		st := buildState(snap, cfg)
-		cleanN(st, routed, n)
-		st.initInstanceIndex()
-		st.prepare(ByGamma)
-		st.runLLFD(ByGamma)
-		plan = st.finish("Mixed", snap, start, cfg)
+		plan = st.trial("Mixed", start, snap, cfg, routed[:n])
 		if cfg.TableMax <= 0 {
 			break
 		}
@@ -176,13 +168,18 @@ func (m Mixed) Plan(snap *stats.Snapshot, cfg Config) *Plan {
 		if over <= 0 {
 			break
 		}
+		if t == 0 {
+			st.routed = routedOrderBy(st.routed[:0], snap.Keys, m.Clean)
+			routed = st.routed
+		}
 		// Algorithm 4 line 10 retries with the overused entry count; we
 		// accumulate so successive trials monotonically clean more and
-		// the loop cannot cycle.
-		n += over
-		if n > len(routed) {
-			n = len(routed)
+		// the loop cannot cycle. Once everything is cleaned a retry
+		// would repeat this trial's plan.
+		if n == len(routed) {
+			break
 		}
+		n = min(n+over, len(routed))
 	}
 	plan.GenTime = time.Since(start)
 	return plan
@@ -207,29 +204,19 @@ func (MixedBF) Name() string { return "MixedBF" }
 // Plan implements Planner.
 func (bf MixedBF) Plan(snap *stats.Snapshot, cfg Config) *Plan {
 	start := time.Now()
-	routed := routedOrder(snap)
+	st := newState()
+	defer st.release()
+	st.routed = routedOrderBy(st.routed[:0], snap.Keys, CleanSmallestMem)
+	routed := st.routed
 	stride := 1
 	if bf.MaxTrials > 0 && len(routed) > bf.MaxTrials {
 		stride = (len(routed) + bf.MaxTrials - 1) / bf.MaxTrials
 	}
 	var best *Plan
 	for n := 0; n <= len(routed); n += stride {
-		st := buildState(snap, cfg)
-		cleanN(st, routed, n)
-		st.initInstanceIndex()
-		st.prepare(ByGamma)
-		st.runLLFD(ByGamma)
-		p := st.finish("MixedBF", snap, start, cfg)
-		if better(p, best, cfg) {
+		if p := st.trial("MixedBF", start, snap, cfg, routed[:n]); better(p, best, cfg) {
 			best = p
 		}
-	}
-	if best == nil { // len(routed) == 0 loop still runs once; defensive
-		st := buildState(snap, cfg)
-		st.initInstanceIndex()
-		st.prepare(ByGamma)
-		st.runLLFD(ByGamma)
-		best = st.finish("MixedBF", snap, start, cfg)
 	}
 	best.GenTime = time.Since(start)
 	return best
@@ -252,52 +239,22 @@ func better(p, best *Plan, cfg Config) bool {
 	return p.Table.Len() < best.Table.Len()
 }
 
-// routedOrder returns snapshot indices of keys currently holding
-// routing-table entries (Dest ≠ Hash), ordered by smallest memory first
-// — the Mixed algorithm's cleaning criterion η.
-func routedOrder(snap *stats.Snapshot) []int {
-	return routedOrderBy(snap, CleanSmallestMem)
+// rebalance runs Phase II and the LLFD subroutine under ψ over the
+// working assignment as it stands (after any cleaning).
+func (st *planState) rebalance(psi Criterion) {
+	st.index()
+	st.prepare(psi)
+	st.runLLFD(psi)
 }
 
-// routedOrderBy is routedOrder under an explicit cleaning policy.
-func routedOrderBy(snap *stats.Snapshot, policy CleanPolicy) []int {
-	var idx []int
-	for i, ks := range snap.Keys {
-		if ks.Routed() {
-			idx = append(idx, i)
-		}
+// trial is one Mixed trial on a recycled state: reset the working
+// assignment to the snapshot's, virtually move the cleaned keys back to
+// their hash destinations, run MinMig's phases.
+func (st *planState) trial(name string, start time.Time, snap *stats.Snapshot, cfg Config, cleaned []int32) *Plan {
+	st.load(snap, cfg)
+	for _, i := range cleaned {
+		st.moveHome(i)
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		ka, kb := snap.Keys[idx[a]], snap.Keys[idx[b]]
-		switch policy {
-		case CleanLargestMem:
-			if ka.Mem != kb.Mem {
-				return ka.Mem > kb.Mem
-			}
-		case CleanByKey:
-			// fall through to the key tie-break below
-		default: // CleanSmallestMem
-			if ka.Mem != kb.Mem {
-				return ka.Mem < kb.Mem
-			}
-		}
-		return ka.Key < kb.Key
-	})
-	return idx
-}
-
-// cleanN virtually moves the first n routed keys (in η order) back to
-// their hash destinations in the working state.
-func cleanN(st *planState, routed []int, n int) {
-	if n > len(routed) {
-		n = len(routed)
-	}
-	for _, i := range routed[:n] {
-		k := &st.keys[i]
-		if k.cur != k.hash {
-			st.loads[k.cur] -= k.cost
-			k.cur = k.hash
-			st.loads[k.hash] += k.cost
-		}
-	}
+	st.rebalance(ByGamma)
+	return st.finish(name, start, cfg)
 }

@@ -472,7 +472,7 @@ func TestRoutedOrderSortsBySmallestMemory(t *testing.T) {
 		[5]int64{2, 5, 3, 1, 0}, // routed, mem 3
 		[5]int64{3, 5, 1, 0, 0}, // not routed
 	)
-	idx := routedOrder(snap)
+	idx := routedOrderBy(nil, snap.Keys, CleanSmallestMem)
 	if len(idx) != 2 {
 		t.Fatalf("routedOrder found %d entries, want 2", len(idx))
 	}

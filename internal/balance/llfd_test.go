@@ -14,9 +14,22 @@ import (
 
 func stateFor(t *testing.T, snap *stats.Snapshot, cfg Config) *planState {
 	t.Helper()
-	st := buildState(snap, cfg)
-	st.initInstanceIndex()
+	st := new(planState)
+	st.load(snap, cfg)
+	st.index()
 	return st
+}
+
+// idxOf returns the snapshot index of key k.
+func idxOf(t *testing.T, st *planState, k tuple.Key) int32 {
+	t.Helper()
+	for i := range st.keys {
+		if st.keys[i].Key == k {
+			return int32(i)
+		}
+	}
+	t.Fatalf("key %d not in snapshot", k)
+	return -1
 }
 
 func TestCostHeapPopsDescending(t *testing.T) {
@@ -28,18 +41,17 @@ func TestCostHeapPopsDescending(t *testing.T) {
 		for i, c := range costs {
 			snap.Keys = append(snap.Keys, stats.KeyStat{Key: tuple.Key(i), Cost: int64(c) + 1})
 		}
-		st := buildState(snap, Config{ThetaMax: 0, Beta: 1})
-		st.initInstanceIndex()
+		st := stateFor(t, snap, Config{ThetaMax: 0, Beta: 1})
 		for i := range st.keys {
-			st.disassociate(i)
+			st.disassociate(int32(i))
 		}
 		last := int64(1 << 30)
-		for st.cand.len() > 0 {
-			i := st.cand.pop(st)
-			if st.keys[i].cost > last {
+		for len(st.cand) > 0 {
+			i := st.popCand()
+			if st.keys[i].Cost > last {
 				return false
 			}
-			last = st.keys[i].cost
+			last = st.keys[i].Cost
 		}
 		return true
 	}
@@ -54,15 +66,16 @@ func TestDisassociateUpdatesLoads(t *testing.T) {
 	if st.loads[0] != 10 {
 		t.Fatalf("initial load %d", st.loads[0])
 	}
-	st.disassociate(st.byIdx[1])
+	k1 := idxOf(t, st, 1)
+	st.disassociate(k1)
 	if st.loads[0] != 3 {
 		t.Fatalf("load after disassociate = %d, want 3", st.loads[0])
 	}
-	if st.keys[st.byIdx[1]].cur != -1 {
+	if st.cur[k1] != -1 {
 		t.Fatal("disassociated key still has a destination")
 	}
 	// Double disassociate is a no-op.
-	st.disassociate(st.byIdx[1])
+	st.disassociate(k1)
 	if st.loads[0] != 3 {
 		t.Fatal("double disassociate changed loads")
 	}
@@ -81,21 +94,22 @@ func TestExchangeSetConditions(t *testing.T) {
 	)
 	st := stateFor(t, snap, Config{ThetaMax: 0, Beta: 1})
 	st.lmax = 12
-	arriving := st.byIdx[4]
-	e := st.exchangeSet(arriving, 0, ByCost)
-	if e == nil {
+	e, ok := st.exchangeSet(idxOf(t, st, 4), 0, ByCost)
+	if !ok || len(e) == 0 {
 		t.Fatal("no exchangeable set found")
 	}
 	var sum int64
 	for _, j := range e {
-		k := &st.keys[j]
-		if k.cost >= 5 {
-			t.Fatalf("condition (ii) violated: member cost %d ≥ 5", k.cost)
+		if c := st.keys[j].Cost; c >= 5 {
+			t.Fatalf("condition (ii) violated: member cost %d ≥ 5", c)
 		}
-		if k.cur != 0 {
-			t.Fatalf("condition (i) violated: member on instance %d", k.cur)
+		if st.cur[j] != 0 {
+			t.Fatalf("condition (i) violated: member on instance %d", st.cur[j])
 		}
-		sum += k.cost
+		sum += st.keys[j].Cost
+	}
+	if sum != 5 {
+		t.Fatalf("ψ = cost order must take exactly {3, 2}, took cost %d", sum)
 	}
 	if float64(st.loads[0])+5-float64(sum) > st.lmax {
 		t.Fatal("condition (iii) violated: instance still overloaded")
@@ -112,7 +126,7 @@ func TestExchangeSetImpossible(t *testing.T) {
 	)
 	st := stateFor(t, snap, Config{ThetaMax: 0, Beta: 1})
 	st.lmax = 10
-	if e := st.exchangeSet(st.byIdx[3], 0, ByCost); e != nil {
+	if e, ok := st.exchangeSet(idxOf(t, st, 3), 0, ByCost); ok {
 		t.Fatalf("found impossible exchange set %v", e)
 	}
 }
@@ -163,12 +177,12 @@ func TestPrepareShedsOnlyOverloaded(t *testing.T) {
 	st := stateFor(t, snap, Config{ThetaMax: 0.2, Beta: 1})
 	// L̄ = 15, Lmax = 18: d0 (20) overloaded, d1 (10) not.
 	st.prepare(ByCost)
-	if st.cand.len() == 0 {
+	if len(st.cand) == 0 {
 		t.Fatal("prepare shed nothing from the overloaded instance")
 	}
-	for _, i := range st.cand.idx {
-		if st.keys[i].orig != 0 {
-			t.Fatalf("prepare shed key %d from non-overloaded instance", st.keys[i].key)
+	for _, i := range st.cand {
+		if st.keys[i].Dest != 0 {
+			t.Fatalf("prepare shed key %d from non-overloaded instance", st.keys[i].Key)
 		}
 	}
 }
@@ -189,9 +203,9 @@ func TestInstancesByLoadOrdering(t *testing.T) {
 func TestInstKeysCompactsStaleEntries(t *testing.T) {
 	snap := mk(2, [5]int64{1, 5, 5, 0, 0}, [5]int64{2, 5, 5, 0, 0})
 	st := stateFor(t, snap, Config{ThetaMax: 0, Beta: 1})
-	st.disassociate(st.byIdx[1])
+	st.disassociate(idxOf(t, st, 1))
 	live := st.instKeys(0)
-	if len(live) != 1 || st.keys[live[0]].key != 2 {
+	if len(live) != 1 || st.keys[live[0]].Key != 2 {
 		t.Fatalf("instKeys = %v, want just key 2", live)
 	}
 }
@@ -202,15 +216,15 @@ func TestCleanPoliciesOrderRoutedKeys(t *testing.T) {
 		[5]int64{2, 5, 3, 1, 0},
 		[5]int64{3, 5, 6, 0, 1},
 	)
-	small := routedOrderBy(snap, CleanSmallestMem)
+	small := routedOrderBy(nil, snap.Keys, CleanSmallestMem)
 	if snap.Keys[small[0]].Mem != 3 || snap.Keys[small[2]].Mem != 9 {
 		t.Fatal("CleanSmallestMem not ascending")
 	}
-	large := routedOrderBy(snap, CleanLargestMem)
+	large := routedOrderBy(nil, snap.Keys, CleanLargestMem)
 	if snap.Keys[large[0]].Mem != 9 || snap.Keys[large[2]].Mem != 3 {
 		t.Fatal("CleanLargestMem not descending")
 	}
-	byKey := routedOrderBy(snap, CleanByKey)
+	byKey := routedOrderBy(nil, snap.Keys, CleanByKey)
 	for i := 1; i < len(byKey); i++ {
 		if snap.Keys[byKey[i-1]].Key >= snap.Keys[byKey[i]].Key {
 			t.Fatal("CleanByKey not key-ordered")
@@ -219,37 +233,26 @@ func TestCleanPoliciesOrderRoutedKeys(t *testing.T) {
 }
 
 func TestCriterionLess(t *testing.T) {
-	a := &keyRec{key: 1, cost: 10, g: 2}
-	b := &keyRec{key: 2, cost: 5, g: 7}
-	if !ByCost.less(a, b) {
+	// β = 1: γ = c/S, so the keys' γ are 2, 7 and 7.
+	snap := &stats.Snapshot{ND: 1, Keys: []stats.KeyStat{
+		{Key: 1, Cost: 10, Mem: 5},
+		{Key: 2, Cost: 7, Mem: 1},
+		{Key: 3, Cost: 14, Mem: 2},
+	}}
+	st := stateFor(t, snap, Config{Beta: 1})
+	const a, b, c = 0, 1, 2
+	if !st.less(ByCost, a, b) {
 		t.Fatal("ByCost must prefer the costlier key")
 	}
-	if !ByGamma.less(b, a) {
+	if !st.less(ByGamma, b, a) {
 		t.Fatal("ByGamma must prefer the higher-γ key")
 	}
 	// γ tie falls through to cost.
-	c := &keyRec{key: 3, cost: 8, g: 7}
-	if !ByGamma.less(c, b) {
+	if !st.less(ByGamma, c, b) {
 		t.Fatal("γ tie must break by cost")
 	}
-}
-
-func TestQuickSortKeysSorts(t *testing.T) {
-	f := func(xs []uint32) bool {
-		ks := make([]tuple.Key, len(xs))
-		for i, x := range xs {
-			ks[i] = tuple.Key(x)
-		}
-		sortKeys(ks)
-		for i := 1; i < len(ks); i++ {
-			if ks[i-1] > ks[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
+	if st.less(ByGamma, a, a) {
+		t.Fatal("less must be irreflexive")
 	}
 }
 

@@ -1,0 +1,240 @@
+package balance
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"sync"
+	"testing"
+	"unsafe"
+
+	"repro/internal/route"
+	"repro/internal/stats"
+	"repro/internal/tuple"
+)
+
+// modelSnapshot draws a snapshot built to provoke every tie-break and
+// every corner the planners branch on: few distinct costs (ties in the
+// candidate order and in ψ), zero costs and zero memories, a share of
+// routed keys, and sometimes one instance holding most of the load so
+// that exchange cascades run.
+func modelSnapshot(rng *rand.Rand, nd, nk int) *stats.Snapshot {
+	s := &stats.Snapshot{ND: nd}
+	costs := 1 + rng.Intn(6)
+	mems := 1 + rng.Intn(5)
+	pile := rng.Intn(3) == 0
+	for i := 0; i < nk; i++ {
+		cost := int64(rng.Intn(costs + 1))
+		if rng.Intn(12) == 0 {
+			cost = int64(10 + rng.Intn(90))
+		}
+		hash := rng.Intn(nd)
+		dest := hash
+		if rng.Intn(3) == 0 {
+			dest = rng.Intn(nd)
+		}
+		if pile && rng.Intn(2) == 0 {
+			dest = 0
+		}
+		s.Keys = append(s.Keys, stats.KeyStat{
+			Key: tuple.Key(rng.Intn(1 << 20)), Cost: cost, Freq: cost,
+			Mem: int64(rng.Intn(mems + 1)), Dest: dest, Hash: hash,
+		})
+	}
+	// Keys must be unique for ψ to be total.
+	seen := map[tuple.Key]bool{}
+	uniq := s.Keys[:0]
+	for _, ks := range s.Keys {
+		if !seen[ks.Key] {
+			seen[ks.Key] = true
+			uniq = append(uniq, ks)
+		}
+	}
+	s.Keys = uniq
+	stats.SortByCostDesc(s.Keys)
+	return s
+}
+
+func tableOf(t *route.Table) map[tuple.Key]int {
+	m := map[tuple.Key]int{}
+	t.Each(func(k tuple.Key, d int) { m[k] = d })
+	return m
+}
+
+// samePlan compares everything a Plan reports except the clock.
+func samePlan(got, want *Plan) error {
+	switch {
+	case got.Algorithm != want.Algorithm:
+		return fmt.Errorf("algorithm %q, reference %q", got.Algorithm, want.Algorithm)
+	case !reflect.DeepEqual(tableOf(got.Table), tableOf(want.Table)):
+		return fmt.Errorf("table %v, reference %v", tableOf(got.Table), tableOf(want.Table))
+	case !reflect.DeepEqual(got.Moved, want.Moved):
+		return fmt.Errorf("moved %v, reference %v", got.Moved, want.Moved)
+	case !reflect.DeepEqual(got.MoveDest, want.MoveDest):
+		return fmt.Errorf("move destinations %v, reference %v", got.MoveDest, want.MoveDest)
+	case got.MigrationCost != want.MigrationCost:
+		return fmt.Errorf("migration cost %d, reference %d", got.MigrationCost, want.MigrationCost)
+	case !reflect.DeepEqual(got.Loads, want.Loads):
+		return fmt.Errorf("loads %v, reference %v", got.Loads, want.Loads)
+	case got.MaxTheta != want.MaxTheta || got.OverloadTheta != want.OverloadTheta:
+		return fmt.Errorf("θ %v/%v, reference %v/%v", got.MaxTheta, got.OverloadTheta, want.MaxTheta, want.OverloadTheta)
+	case got.Feasible != want.Feasible:
+		return fmt.Errorf("feasible %v, reference %v", got.Feasible, want.Feasible)
+	}
+	return nil
+}
+
+// TestPlannersMatchReference pins every planner to the reference
+// planner (reference_test.go) on the whole Plan, over random snapshots
+// planned back to back: the recycled state of one plan must not show in
+// the next, whatever planner, size or instance count ran before it.
+func TestPlannersMatchReference(t *testing.T) {
+	planners := []Planner{
+		Simple{},
+		LLFD{}, LLFD{NoAdjust: true}, LLFD{Psi: ByGamma}, LLFD{Psi: ByGamma, NoAdjust: true},
+		MinTable{}, MinMig{},
+		Mixed{}, Mixed{Clean: CleanLargestMem}, Mixed{Clean: CleanByKey},
+		MixedBF{}, MixedBF{MaxTrials: 5},
+	}
+	rng := rand.New(rand.NewSource(19))
+	retried := 0
+	for trial := 0; trial < 400; trial++ {
+		nd := 1 + rng.Intn(16)
+		snap := modelSnapshot(rng, nd, rng.Intn(400))
+		before := append([]stats.KeyStat(nil), snap.Keys...)
+		cfg := Config{
+			ThetaMax: float64(rng.Intn(30)) / 100,
+			TableMax: rng.Intn(3) * (1 + rng.Intn(40)),
+			Beta:     []float64{0.5, 1, 1.5, 2}[rng.Intn(4)],
+		}
+		if rng.Intn(4) == 0 {
+			cfg.MaxTrials = 1 + rng.Intn(3)
+		}
+		if cfg.TableMax > 0 && refPlan(MinMig{}, snap, cfg).Table.Len() > cfg.TableMax {
+			retried++ // Mixed's first trial overflows: it must clean and retry
+		}
+		for _, p := range planners {
+			got, want := p.Plan(snap, cfg), refPlan(p, snap, cfg)
+			if err := samePlan(got, want); err != nil {
+				t.Fatalf("trial %d, %s %+v on %d keys × %d instances, %+v: %v",
+					trial, p.Name(), p, len(snap.Keys), nd, cfg, err)
+			}
+		}
+		if !reflect.DeepEqual(before, snap.Keys) {
+			t.Fatalf("trial %d: a planner wrote to the snapshot", trial)
+		}
+	}
+	if retried < 20 {
+		t.Fatalf("only %d snapshots made Mixed retry; the trial loop is barely covered", retried)
+	}
+}
+
+// TestPlanOutlivesRecycledState pins that a Plan aliases nothing the
+// pool recycles: planning again, on a different snapshot, leaves an
+// earlier plan untouched.
+func TestPlanOutlivesRecycledState(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	cfg := Config{ThetaMax: 0.02, TableMax: 10, Beta: 1.5}
+	first := modelSnapshot(rng, 6, 300)
+	plan := Mixed{}.Plan(first, cfg)
+	want := refPlan(Mixed{}, first, cfg)
+	for i := 0; i < 5; i++ {
+		Mixed{}.Plan(modelSnapshot(rng, 1+rng.Intn(9), 500), cfg)
+	}
+	if err := samePlan(plan, want); err != nil {
+		t.Fatalf("an earlier plan changed under later planning: %v", err)
+	}
+}
+
+// steadySnapshot is the benchmark's control-round shape: nk keys on
+// their hash destinations, most of cost 1–4 with a few hot ones, so a
+// plan moves a handful of keys out of a large population.
+func steadySnapshot(seed int64, nd, nk int) *stats.Snapshot {
+	rng := rand.New(rand.NewSource(seed))
+	s := &stats.Snapshot{ND: nd}
+	for i := 0; i < nk; i++ {
+		cost := int64(1 + rng.Intn(4))
+		if rng.Intn(200) == 0 {
+			cost = int64(50 + rng.Intn(100))
+		}
+		d := rng.Intn(nd)
+		s.Keys = append(s.Keys, stats.KeyStat{
+			Key: tuple.Key(i), Cost: cost, Freq: cost, Mem: cost * int64(1+rng.Intn(5)), Dest: d, Hash: d,
+		})
+	}
+	stats.SortByCostDesc(s.Keys)
+	return s
+}
+
+// allocBytesPerRun is testing.AllocsPerRun for bytes: the average heap
+// bytes f allocates per call.
+func allocBytesPerRun(runs int, f func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestSteadyPlanningAllocatesNoPopulation is the planner's share of the
+// control round's allocation budget: at the benchmark's shape (11k
+// keys re-drawn per plan, 8 instances) a plan allocates its own small
+// result and nothing sized by the population.
+func TestSteadyPlanningAllocatesNoPopulation(t *testing.T) {
+	if raceBuild {
+		t.Skip("sync.Pool drops entries under the race detector")
+	}
+	const nk, nd, rounds = 11000, 8, 4
+	snaps := make([]*stats.Snapshot, rounds)
+	moved := 0
+	cfg := DefaultConfig()
+	for i := range snaps {
+		snaps[i] = steadySnapshot(int64(i), nd, nk)
+		moved += len(Mixed{}.Plan(snaps[i], cfg).Moved) // and grow the pooled state
+	}
+	if moved == 0 {
+		t.Fatal("no snapshot needed a move; the plans are vacuous")
+	}
+	i := 0
+	plan := func() {
+		Mixed{}.Plan(snaps[i%rounds], cfg)
+		i++
+	}
+	bytes, allocs := allocBytesPerRun(20, plan), testing.AllocsPerRun(20, plan)
+	population := float64(nk) * float64(unsafe.Sizeof(stats.KeyStat{}))
+	t.Logf("%.0f B in %.0f allocations per plan (population %.0f B, %d keys moved over %d plans)",
+		bytes, allocs, population, moved, rounds)
+	if bytes > population/16 {
+		t.Fatalf("a steady-state plan allocates %.0f B; the population is %.0f B", bytes, population)
+	}
+}
+
+// TestConcurrentPlannersShareThePool plans from several goroutines at
+// once, as the policy servers of a multi-stage topology do: each takes
+// its own state from the shared pool, so every plan still equals the
+// reference's. Run under -race in CI.
+func TestConcurrentPlannersShareThePool(t *testing.T) {
+	const workers, rounds = 4, 25
+	cfg := Config{ThetaMax: 0.03, TableMax: 20, Beta: 1.5}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(100 + w)))
+			for i := 0; i < rounds; i++ {
+				snap := modelSnapshot(rng, 1+rng.Intn(12), 50+rng.Intn(400))
+				for _, p := range []Planner{Mixed{}, MinTable{}, MixedBF{MaxTrials: 4}} {
+					if err := samePlan(p.Plan(snap, cfg), refPlan(p, snap, cfg)); err != nil {
+						t.Errorf("worker %d round %d, %s: %v", w, i, p.Name(), err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

@@ -5,8 +5,24 @@
 // interval's statistics snapshot.
 //
 // All planners are pure functions over a stats.Snapshot: they never
-// touch live engine state. The engine applies the returned Plan through
-// the controller's pause/migrate/resume protocol.
+// touch live engine state and never write to the snapshot. The engine
+// applies the returned Plan through the controller's
+// pause/migrate/resume protocol.
+//
+// # Planner state
+//
+// A plan reads the snapshot's records in place; what it adds per key is
+// a working destination and, for ψ = ByGamma, a γ slot filled when a
+// comparison first inspects the key. That state, the per-instance key
+// lists and the heaps live in a planState recycled through a package
+// pool — across plans and across Mixed's trials — so steady planning
+// allocates nothing sized by the population; the Plan itself is new
+// memory and never aliases the pool. Phase II and the exchangeable sets
+// take keys in ψ order from a heap over one instance's keys until the
+// instance fits under Lmax, instead of sorting it. ψ and the candidate
+// order are total over unique keys, so the plans are those of a full
+// rebuild with full sorts: reference_test.go keeps that implementation
+// and a randomized model test pins every planner's whole Plan to it.
 package balance
 
 import (
@@ -115,32 +131,6 @@ const (
 	ByGamma
 )
 
-// keyRec is the planner's mutable view of one key.
-type keyRec struct {
-	key  tuple.Key
-	cost int64
-	mem  int64
-	g    float64 // cached γ under the run's β
-	orig int     // F(k): destination before planning (migration baseline)
-	hash int     // h(k)
-	cur  int     // working destination; -1 while in the candidate set
-}
-
-// less orders a before b under the criterion (descending preference).
-func (c Criterion) less(a, b *keyRec) bool {
-	switch c {
-	case ByGamma:
-		if a.g != b.g {
-			return a.g > b.g
-		}
-	default:
-	}
-	if a.cost != b.cost {
-		return a.cost > b.cost
-	}
-	return a.key < b.key
-}
-
 // Planner is the common interface of all rebalance algorithms.
 type Planner interface {
 	// Name identifies the algorithm in reports.
@@ -149,101 +139,6 @@ type Planner interface {
 	Plan(snap *stats.Snapshot, cfg Config) *Plan
 }
 
-// Snapshot conveniences shared by the drivers.
-
-func buildState(snap *stats.Snapshot, cfg Config) *planState {
-	st := &planState{
-		nd:    snap.ND,
-		loads: make([]int64, snap.ND),
-		keys:  make([]keyRec, len(snap.Keys)),
-		byIdx: make(map[tuple.Key]int, len(snap.Keys)),
-	}
-	for i, ks := range snap.Keys {
-		st.keys[i] = keyRec{
-			key:  ks.Key,
-			cost: ks.Cost,
-			mem:  ks.Mem,
-			g:    gamma(ks.Cost, ks.Mem, cfg.Beta),
-			orig: ks.Dest,
-			hash: ks.Hash,
-			cur:  ks.Dest,
-		}
-		st.byIdx[ks.Key] = i
-		st.loads[ks.Dest] += ks.Cost
-		st.total += ks.Cost
-	}
-	st.avg = float64(st.total) / float64(st.nd)
-	st.lmax = (1 + cfg.ThetaMax) * st.avg
-	return st
-}
-
-// finish converts the working state into a Plan.
-func (st *planState) finish(name string, snap *stats.Snapshot, started time.Time, cfg Config) *Plan {
-	p := &Plan{
-		Algorithm: name,
-		Table:     route.NewTable(),
-		MoveDest:  make(map[tuple.Key]int),
-		Loads:     append([]int64(nil), st.loads...),
-	}
-	for i := range st.keys {
-		k := &st.keys[i]
-		if k.cur != k.hash {
-			p.Table.Put(k.key, k.cur)
-		}
-		if k.cur != k.orig {
-			p.Moved = append(p.Moved, k.key)
-			p.MoveDest[k.key] = k.cur
-			p.MigrationCost += k.mem
-		}
-	}
-	sortKeys(p.Moved)
-	p.MaxTheta = stats.MaxTheta(p.Loads)
-	p.OverloadTheta = stats.OverloadTheta(p.Loads)
-	p.Feasible = p.OverloadTheta <= cfg.ThetaMax+thetaSlack
-	if cfg.TableMax > 0 && p.Table.Len() > cfg.TableMax {
-		p.Feasible = false
-	}
-	p.GenTime = time.Since(started)
-	return p
-}
-
 // thetaSlack absorbs integer-rounding: with integer costs, exact θmax
 // feasibility can be off by less than one tuple's weight.
 const thetaSlack = 1e-9
-
-func sortKeys(ks []tuple.Key) {
-	// insertion-free: small helper over sort.Slice kept local to avoid
-	// importing sort in every file.
-	if len(ks) < 2 {
-		return
-	}
-	quickSortKeys(ks)
-}
-
-func quickSortKeys(ks []tuple.Key) {
-	if len(ks) < 12 {
-		for i := 1; i < len(ks); i++ {
-			for j := i; j > 0 && ks[j] < ks[j-1]; j-- {
-				ks[j], ks[j-1] = ks[j-1], ks[j]
-			}
-		}
-		return
-	}
-	pivot := ks[len(ks)/2]
-	lo, hi := 0, len(ks)-1
-	for lo <= hi {
-		for ks[lo] < pivot {
-			lo++
-		}
-		for ks[hi] > pivot {
-			hi--
-		}
-		if lo <= hi {
-			ks[lo], ks[hi] = ks[hi], ks[lo]
-			lo++
-			hi--
-		}
-	}
-	quickSortKeys(ks[:hi+1])
-	quickSortKeys(ks[lo:])
-}

@@ -92,7 +92,8 @@ func runDistributed(t *testing.T, network string, nWorkers int, mutate ...func(*
 	var snaps []*stats.Snapshot
 	c.OnRound(1, func(env control.Env, snap *stats.Snapshot) {
 		mu.Lock()
-		snaps = append(snaps, snap)
+		// A copy: the round's keys live in a buffer the codec recycles.
+		snaps = append(snaps, snap.Clone())
 		mu.Unlock()
 	})
 

@@ -3,38 +3,23 @@ package control_test
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/balance"
 	"repro/internal/control"
+	"repro/internal/controller"
 	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/protocol"
+	"repro/internal/route"
 	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/tuple"
 	"repro/internal/workload"
 )
-
-// holdPolicy never commands: rounds measure pure loop overhead
-// (report marshaling, transport crossing, merge, decide, resume).
-type holdPolicy struct{}
-
-func (holdPolicy) Decide(control.Env, *stats.Snapshot) []control.Command { return nil }
-
-func benchSnapshot(keys, nd int) *stats.Snapshot {
-	snap := &stats.Snapshot{Interval: 1, ND: nd}
-	for i := 0; i < keys; i++ {
-		snap.Keys = append(snap.Keys, stats.KeyStat{
-			Key: tuple.Key(i), Cost: int64(keys - i), Freq: 1, Mem: 2,
-			Dest: i % nd, Hash: i % nd,
-		})
-	}
-	stats.SortByCostDesc(snap.Keys)
-	return snap
-}
 
 // BenchmarkEngineInterval quantifies what the control plane adds to a
 // whole engine interval (10k tuples through a Mixed-managed stage):
@@ -70,35 +55,110 @@ func BenchmarkEngineInterval(b *testing.B) {
 	}
 }
 
-// BenchmarkControlRound measures one hold round of the per-stage
-// control loop — the steady per-interval cost the unified control
-// plane adds — across transports and snapshot sizes. Compare against
-// an interval's data-plane work (tens of thousands of tuples) to see
-// the loop is off the critical path.
+// roundRuns pre-draws the per-task sorted runs of n intervals at the
+// repository benchmark's variance shape: 20 000 tuples over 100 000
+// keys at z = 0.85, each interval's ranks on fresh keys — about 11 000
+// harvested keys, 1.8 tuples apiece, a few of them hot enough to put
+// every interval past θmax. Keys sit on their hash destinations.
+func roundRuns(asg *route.Assignment, n int) [][][]stats.KeyStat {
+	const domain, tuples = 100000, 20000
+	rng := rand.New(rand.NewSource(1))
+	dist := workload.NewZipf(domain, 0.85)
+	rounds := make([][][]stats.KeyStat, n)
+	for r := range rounds {
+		perm := rng.Perm(domain)
+		counts := map[tuple.Key]int64{}
+		for i := 0; i < tuples; i++ {
+			counts[tuple.Key(perm[dist.Rank(rng)-1])]++
+		}
+		runs := make([][]stats.KeyStat, asg.Instances())
+		for k, c := range counts {
+			d := asg.HashDest(k)
+			runs[d] = append(runs[d], stats.KeyStat{Key: k, Cost: c, Freq: c, Mem: c * int64(1+rng.Intn(5)), Dest: d, Hash: d})
+		}
+		for _, run := range runs {
+			stats.SortByCostDesc(run)
+		}
+		rounds[r] = runs
+	}
+	return rounds
+}
+
+// timedPlanner accumulates the time spent planning. Plan runs on the
+// policy server's goroutine while the driver waits inside the round, so
+// the driver may read the sum between rounds.
+type timedPlanner struct {
+	inner balance.Planner
+	spent time.Duration
+	plans int
+}
+
+func (p *timedPlanner) Name() string { return p.inner.Name() }
+
+func (p *timedPlanner) Plan(snap *stats.Snapshot, cfg balance.Config) *balance.Plan {
+	t0 := time.Now()
+	plan := p.inner.Plan(snap, cfg)
+	p.spent += time.Since(t0)
+	p.plans++
+	return plan
+}
+
+// BenchmarkControlRound measures the interval's control path at the
+// repository benchmark's variance shape — ~11 000 keys re-drawn every
+// round over 8 instances, a Mixed plan in every round — from the
+// trackers' sorted runs to the applied plan, over the loopback and over
+// the gob pipe. Besides ns/op and the allocations it reports
+// nanoseconds per harvested key, split into the merge of the runs, the
+// planner, and the report path around them (transport, validation,
+// decide, announce, apply). Run via `make bench-control`.
 func BenchmarkControlRound(b *testing.B) {
-	for _, wire := range []bool{false, true} {
-		for _, keys := range []int{0, 512, 4096} {
-			name := fmt.Sprintf("loopback/keys=%d", keys)
+	const nd = 8
+	for _, transport := range []string{"loopback", "gob-pipe"} {
+		b.Run(transport, func(b *testing.B) {
+			st := engine.NewStage("bench", nd, func(int) engine.Operator { return engine.Discard }, 1,
+				engine.NewAssignmentRouter(topology.NewAssignment(nd)))
+			e := engine.New(func() tuple.Tuple { return tuple.New(0, nil) }, engine.DefaultConfig(), st)
+			defer e.Stop()
+			planner := &timedPlanner{inner: balance.Mixed{}}
 			var opts []control.LoopOption
-			if wire {
-				name = fmt.Sprintf("wire/keys=%d", keys)
+			if transport == "gob-pipe" {
 				opts = append(opts, control.Wire())
 			}
-			b.Run(name, func(b *testing.B) {
-				st := engine.NewStage("bench", 10, func(int) engine.Operator { return engine.Discard }, 1,
-					engine.NewAssignmentRouter(topology.NewAssignment(10)))
-				e := engine.New(func() tuple.Tuple { return tuple.New(0, nil) }, engine.DefaultConfig(), st)
-				defer e.Stop()
-				loop := control.NewLoop(e, 0, []control.Policy{holdPolicy{}}, opts...)
-				defer loop.Close()
-				hook := loop.Hook()
-				snap := benchSnapshot(keys, 10)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					hook(e, 0, snap)
-				}
-			})
-		}
+			loop := control.NewLoop(e, 0, []control.Policy{controller.New(planner, balance.DefaultConfig())}, opts...)
+			defer loop.Close()
+			hook := loop.Hook()
+			rounds := roundRuns(st.AssignmentRouter().Assignment(), 8)
+			// The stage's own arrangement: two merge buffers, alternating.
+			var merged [2][]stats.KeyStat
+			var mergeTime time.Duration
+			keys := 0
+			round := func(i int) {
+				t0 := time.Now()
+				buf := &merged[i&1]
+				*buf = stats.MergeRuns((*buf)[:0], rounds[i%len(rounds)])
+				mergeTime += time.Since(t0)
+				keys += len(*buf)
+				hook(e, 0, &stats.Snapshot{Interval: int64(i), ND: nd, Keys: *buf})
+			}
+			for i := 0; i < 2*len(rounds); i++ { // buffers and pooled state reach their size
+				round(i)
+			}
+			mergeTime, keys, planner.spent, planner.plans = 0, 0, 0, 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				round(i)
+			}
+			b.StopTimer()
+			if planner.plans != b.N {
+				b.Fatalf("%d of %d rounds planned", planner.plans, b.N)
+			}
+			perKey := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / float64(keys) }
+			b.ReportMetric(perKey(b.Elapsed()), "ns/key")
+			b.ReportMetric(perKey(mergeTime), "merge-ns/key")
+			b.ReportMetric(perKey(planner.spent), "plan-ns/key")
+			b.ReportMetric(perKey(b.Elapsed()-mergeTime-planner.spent), "report-ns/key")
+		})
 	}
 }
 

@@ -8,8 +8,8 @@
 //
 //	         stage side (Executor)            controller side (Loop server)
 //	  ┌──────────────────────────┐  LoadReport ┌──────────────────────────┐
-//	1 │ interval snapshot split  │────────────▶│ merge reports → snapshot │
-//	  │ into per-task reports    │   (×ND)     │ Policy.Decide → Commands │ 2
+//	1 │ the interval's snapshot, │────────────▶│ check → the snapshot     │
+//	  │ whole, as the report     │   (×1)      │ Policy.Decide → Commands │ 2
 //	  │                          │ PlanAnnounce│                          │
 //	4 │ pause·migrate per key    │◀────────────│ Rebalance{Plan}          │ 3
 //	  │  └▶ StateTransfer (×Δ)   │────────────▶│   or ScaleOut / ScaleIn  │
@@ -28,6 +28,16 @@
 // loopback (channel-passed messages); the Wire option runs the same
 // bytes through a gob Codec over a synchronous pipe, pinned equivalent
 // by test, so a multi-process deployment only swaps the Conn.
+//
+// Step 1 is one merged LoadReport whose run is the snapshot's own (the
+// loopback passes the pointer; a wire adds a destination column and
+// decodes into a buffer the codec recycles). The server validates it as
+// outside input — destinations inside the stage, canonical order —
+// before any policy sees it; a report that fails, like any other break
+// of the protocol, makes the server hang up, so the executor's round
+// returns as a hold instead of wedging the driver. The snapshot a policy
+// is handed lives until the round after next; one that keeps it longer
+// clones it.
 //
 // With engine.HarvestIncremental, step 1 rides the delta report form:
 // held rounds send only changed and retired keys, which the Loop's

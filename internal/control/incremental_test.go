@@ -27,8 +27,9 @@ func mkEngineH(seed int64, h engine.HarvestMode) (*engine.Engine, *engine.Stage)
 	return e, st
 }
 
-// capturePolicy records every snapshot the controller side decides on,
-// delegating the decision itself.
+// capturePolicy records every snapshot the controller side decides on
+// (a copy: a snapshot's keys are recycled two rounds later), delegating
+// the decision itself.
 type capturePolicy struct {
 	mu    sync.Mutex
 	inner control.Policy
@@ -37,7 +38,7 @@ type capturePolicy struct {
 
 func (c *capturePolicy) Decide(env control.Env, snap *stats.Snapshot) []control.Command {
 	c.mu.Lock()
-	c.snaps = append(c.snaps, snap)
+	c.snaps = append(c.snaps, snap.Clone())
 	c.mu.Unlock()
 	if c.inner != nil {
 		return c.inner.Decide(env, snap)
@@ -81,7 +82,7 @@ func TestMirrorReconstructsStageSnapshots(t *testing.T) {
 	defer e.Stop()
 	var stageSnaps []*stats.Snapshot
 	e.AddSnapshotHook(0, func(_ *engine.Engine, _ int, snap *stats.Snapshot) *engine.Rebalance {
-		stageSnaps = append(stageSnaps, snap)
+		stageSnaps = append(stageSnaps, snap.Clone())
 		return nil
 	})
 	cap := &capturePolicy{inner: mkController()}

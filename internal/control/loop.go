@@ -52,25 +52,37 @@ func NewExecutor(e *engine.Engine, si int, conn Conn) *Executor {
 // the shape the engine records (nil when the round held, or the
 // transport is gone).
 //
-// Under engine.HarvestIncremental the reports are deltas — each task's
-// changed and retired keys against the previous close, O(Δkeys) on the
-// wire — except when the mirror on the other end needs a rebase: the
-// first round, the round after any command, and whenever the
-// controller asks with Resync mid-round.
+// The round's report is the snapshot itself: one merged LoadReport
+// whose Keys are snap.Keys, which must therefore stay untouched until
+// the round returns (the stage's snapshot does, by its lifetime rule).
+// Under engine.HarvestIncremental the reports are per-task deltas
+// instead — each task's changed and retired keys against the previous
+// close, O(Δkeys) on the wire — except when the mirror on the other end
+// needs a rebase: the first round, the round after any command, and
+// whenever the controller asks with Resync mid-round.
 func (x *Executor) RunRound(snap *stats.Snapshot) *engine.Rebalance {
 	st := x.e.Stages[x.si]
 	deltas := st.LastDeltas()
 	incremental := st.Harvest() == engine.HarvestIncremental && len(deltas) == st.Instances()
 	sendFull := func() bool {
+		if !incremental {
+			// The snapshot is the report: its merged run goes out as it
+			// is, by reference on the loopback.
+			return x.conn.Send(&protocol.Message{Report: &protocol.LoadReport{
+				Interval: snap.Interval, Merged: true, Keys: snap.Keys,
+				Tasks: st.Instances(), Capacity: x.e.CapacityOf(x.si),
+				Emitted: x.e.LastEmitted(), Budget: x.e.Cfg.Budget,
+				Routable: st.AssignmentRouter() != nil, Resizable: x.resizable(),
+				Split: st.SplitKeys(),
+			}}) == nil
+		}
+		// The incremental stream rebases the mirror's per-task runs, so
+		// its full rounds stay per task, stamped with the close's epochs.
 		reports := protocol.ReportsFromSnapshot(snap, st.Instances(),
 			x.e.CapacityOf(x.si), x.e.LastEmitted(), x.e.Cfg.Budget,
 			st.AssignmentRouter() != nil, x.resizable(), st.SplitKeys())
-		if incremental {
-			for d := range reports {
-				reports[d].Epoch = deltas[d].Epoch
-			}
-		}
-		for _, r := range reports {
+		for d, r := range reports {
+			r.Epoch = deltas[d].Epoch
 			if x.conn.Send(&protocol.Message{Report: r}) != nil {
 				return false
 			}

@@ -1,0 +1,278 @@
+package control_test
+
+import (
+	"encoding/binary"
+	"net"
+	"runtime"
+	"sync/atomic"
+	"testing"
+	"unsafe"
+
+	"repro/internal/balance"
+	"repro/internal/control"
+	"repro/internal/controller"
+	"repro/internal/engine"
+	"repro/internal/protocol"
+	"repro/internal/stats"
+	"repro/internal/topology"
+	"repro/internal/tuple"
+)
+
+// binaryConn is a control.Conn over the binary socket wire: the framed
+// codec in binary mode, as a cluster worker and its coordinator speak
+// it after the handshake.
+type binaryConn struct {
+	*protocol.Codec
+	c net.Conn
+}
+
+func (b binaryConn) Close() error { return b.c.Close() }
+
+func newBinaryPair() (control.Conn, control.Conn) {
+	a, b := net.Pipe()
+	wrap := func(c net.Conn) control.Conn {
+		codec := protocol.NewFramedCodec(c)
+		codec.EnableBinary()
+		return binaryConn{Codec: codec, c: c}
+	}
+	return wrap(a), wrap(b)
+}
+
+// eagerController plans on the slightest imbalance: every round past
+// the warm-up guard is a commanded round.
+func eagerController() *controller.Controller {
+	ctl := controller.New(balance.Mixed{}, balance.Config{ThetaMax: 0.0005, TableMax: 3000, Beta: 1.5})
+	ctl.MinKeys = 32
+	return ctl
+}
+
+// TestRoundEquivalenceEveryTransport pins the whole-round report on
+// every path a round can take — the direct hook (no protocol at all),
+// the loopback (the report is the snapshot, by reference), the gob pipe
+// and the binary socket wire — with a plan in every round: identical
+// series, identical snapshots on the deciding side round by round,
+// identical routing tables and plan counts.
+func TestRoundEquivalenceEveryTransport(t *testing.T) {
+	const intervals = 16
+	type outcome struct {
+		e     *engine.Engine
+		st    *engine.Stage
+		ctl   *controller.Controller
+		snaps []*stats.Snapshot // what the policy decided on, copied
+	}
+	run := func(pair func() (control.Conn, control.Conn)) outcome {
+		e, st := mkEngine(211)
+		o := outcome{e: e, st: st, ctl: eagerController()}
+		if pair == nil {
+			e.AddSnapshotHook(0, func(e *engine.Engine, si int, snap *stats.Snapshot) *engine.Rebalance {
+				o.snaps = append(o.snaps, snap.Clone())
+				return o.ctl.Maybe(e.Stages[si], snap)
+			})
+			e.Run(intervals)
+			return o
+		}
+		agent, ctrl := pair()
+		x := control.NewExecutor(e, 0, agent)
+		seen := &capturePolicy{inner: o.ctl}
+		srv := control.NewServer(ctrl, []control.Policy{seen})
+		srv.Start()
+		e.AddSnapshotHook(0, func(_ *engine.Engine, _ int, snap *stats.Snapshot) *engine.Rebalance {
+			return x.RunRound(snap)
+		})
+		e.Run(intervals)
+		agent.Close()
+		srv.Close()
+		o.snaps = seen.snaps
+		return o
+	}
+	direct := run(nil)
+	defer direct.e.Stop()
+	if got := direct.ctl.Rebalances(); got < intervals-2 {
+		t.Fatalf("the direct run planned in %d of %d rounds; the pin needs a plan every round", got, intervals)
+	}
+	for name, pair := range map[string]func() (control.Conn, control.Conn){
+		"loopback": control.NewLoopbackPair,
+		"gob pipe": control.NewWirePair,
+		"binary":   newBinaryPair,
+	} {
+		o := run(pair)
+		sameSeries(t, name, direct.e.Recorder.Series, o.e.Recorder.Series)
+		sameSnapshots(t, name+" last", direct.e.LastSnapshots(), o.e.LastSnapshots())
+		sameSnapshots(t, name+" decided-on", direct.snaps, o.snaps)
+		sameTables(t, name, direct.st, o.st)
+		if direct.ctl.Rebalances() != o.ctl.Rebalances() {
+			t.Fatalf("%s: %d plans, direct %d", name, o.ctl.Rebalances(), direct.ctl.Rebalances())
+		}
+		o.e.Stop()
+	}
+}
+
+// countingPolicy counts the rounds that reach a policy.
+type countingPolicy struct{ rounds atomic.Int32 }
+
+func (p *countingPolicy) Decide(control.Env, *stats.Snapshot) []control.Command {
+	p.rounds.Add(1)
+	return nil
+}
+
+// TestHostileMergedReportEndsRound sends the controller side whole-round
+// reports it must not trust — a destination past the stage's instances,
+// a negative one, entries out of canonical order, an entry count the
+// frame cannot hold — over the loopback and the binary wire. Each ends
+// the round with an error on the sender's side: no policy sees the
+// snapshot, nothing indexes a load vector by it, nobody waits forever.
+func TestHostileMergedReportEndsRound(t *testing.T) {
+	valid := func() *protocol.LoadReport {
+		return &protocol.LoadReport{
+			Interval: 3, Merged: true, Tasks: 2, Routable: true,
+			Keys: []stats.KeyStat{
+				{Key: 1, Cost: 9, Dest: 1, Hash: 1},
+				{Key: 2, Cost: 4, Dest: 0, Hash: 0},
+				{Key: 3, Cost: 4, Dest: 1, Hash: 0},
+			},
+		}
+	}
+	hostile := map[string]func(*protocol.LoadReport){
+		"destination past the instances": func(r *protocol.LoadReport) { r.Keys[1].Dest = 2 },
+		"negative destination":           func(r *protocol.LoadReport) { r.Keys[2].Dest = -1 },
+		"out of order":                   func(r *protocol.LoadReport) { r.Keys[0], r.Keys[2] = r.Keys[2], r.Keys[0] },
+		"no instances":                   func(r *protocol.LoadReport) { r.Tasks = 0 },
+	}
+	pairs := map[string]func() (control.Conn, control.Conn){
+		"loopback": control.NewLoopbackPair,
+		"binary":   newBinaryPair,
+	}
+	for pname, pair := range pairs {
+		// The valid report is served: the cases below fail on their
+		// mutation alone.
+		agent, ctrl := pair()
+		pol := &countingPolicy{}
+		srv := control.NewServer(ctrl, []control.Policy{pol})
+		srv.Start()
+		if err := agent.Send(&protocol.Message{Report: valid()}); err != nil {
+			t.Fatal(err)
+		}
+		if m, err := agent.Recv(); err != nil || m.Resume == nil {
+			t.Fatalf("%s: valid round answered %v, %v", pname, m, err)
+		}
+		agent.Close()
+		srv.Close()
+		if pol.rounds.Load() != 1 {
+			t.Fatalf("%s: valid round reached %d policies", pname, pol.rounds.Load())
+		}
+
+		for name, mutate := range hostile {
+			agent, ctrl := pair()
+			pol := &countingPolicy{}
+			srv := control.NewServer(ctrl, []control.Policy{pol})
+			srv.Start()
+			r := valid()
+			mutate(r)
+			// The send itself may fail once the server has hung up.
+			_ = agent.Send(&protocol.Message{Report: r})
+			if m, err := agent.Recv(); err == nil {
+				t.Fatalf("%s, %s: round answered with %s", pname, name, m.Kind())
+			}
+			srv.Close()
+			agent.Close()
+			if pol.rounds.Load() != 0 {
+				t.Fatalf("%s, %s: a policy saw the snapshot", pname, name)
+			}
+		}
+	}
+
+	// A count the frame cannot hold never becomes a report: raw bytes on
+	// the binary wire (kind 3 is a report, flag 8 its merged form).
+	a, b := net.Pipe()
+	codec := protocol.NewFramedCodec(b)
+	codec.EnableBinary()
+	pol := &countingPolicy{}
+	srv := control.NewServer(binaryConn{Codec: codec, c: b}, []control.Policy{pol})
+	srv.Start()
+	frame := []byte{3, 0, 4, 0, 8, 0xff, 0xff, 0x7f}
+	go a.Write(append(binary.BigEndian.AppendUint32(nil, uint32(len(frame))), frame...))
+	if _, err := a.Read(make([]byte, 1)); err == nil {
+		t.Fatal("a report with a count past its frame was answered")
+	}
+	srv.Close()
+	a.Close()
+	if pol.rounds.Load() != 0 {
+		t.Fatal("a policy saw a report with a count past its frame")
+	}
+}
+
+// TestSteadyRoundAllocatesNoPopulation runs the interval's whole control
+// path at the benchmark's shape — 11k keys re-drawn per interval over 8
+// instances, a plan every round — through feed, close (harvest and
+// merge), report, plan and application, and requires that a steady
+// interval allocates nothing sized by the population: the merged run,
+// the report and the planner state are all recycled.
+func TestSteadyRoundAllocatesNoPopulation(t *testing.T) {
+	if raceBuild {
+		t.Skip("sync.Pool drops entries under the race detector")
+	}
+	const nd, keys, domain = 8, 11000, 12500
+	// A stateless operator: the stores' own recycling is pinned in
+	// internal/state, and windowed state would only add its churn here.
+	st := engine.NewStage("op", nd, func(int) engine.Operator { return engine.Discard }, 1,
+		engine.NewAssignmentRouter(topology.NewAssignment(nd)))
+	e := engine.New(func() tuple.Tuple { return tuple.New(0, nil) }, engine.DefaultConfig(), st)
+	defer e.Stop()
+	// The benchmark's controller: hot keys keep every interval past θmax,
+	// while the plans — and the routing table they accumulate — stay small
+	// next to the population, as they are there.
+	ctl := controller.New(balance.Mixed{}, balance.Config{ThetaMax: 0.08, TableMax: 3000, Beta: 1.5})
+	loop := control.NewLoop(e, 0, []control.Policy{ctl})
+	defer loop.Close()
+	hook := loop.Hook()
+
+	batch := make([]tuple.Tuple, keys*2)
+	var seq uint64
+	var interval int64
+	var snapKeys int
+	step := func() {
+		for i := range batch {
+			seq += 0x9e3779b97f4a7c15
+			// Every key of the small domain shows up during the warm-up,
+			// so the trackers stop growing; a tenth of the tuples go to
+			// four keys that change every interval, so every interval is
+			// out of balance in a new place.
+			k := tuple.Key((seq >> 20) % domain)
+			if i < len(batch)/10 {
+				k = tuple.Key((uint64(interval)*7919 + uint64(i%4)*977) % domain)
+			}
+			batch[i] = tuple.New(k, nil)
+		}
+		for lo := 0; lo < len(batch); lo += 1024 { // the emitter's chunk
+			st.FeedBatch(batch[lo:min(lo+1024, len(batch))])
+		}
+		st.Barrier()
+		snap := st.EndInterval(interval)
+		snapKeys = len(snap.Keys)
+		hook(e, 0, snap)
+		interval++
+	}
+	for i := 0; i < 12; i++ { // buffers, tables and the planner pool reach their size
+		step()
+	}
+	before := ctl.Rebalances()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	const rounds = 10
+	for i := 0; i < rounds; i++ {
+		step()
+	}
+	runtime.ReadMemStats(&m1)
+	if got := ctl.Rebalances() - before; got != rounds {
+		t.Fatalf("%d of %d measured rounds were commanded", got, rounds)
+	}
+	perRound := float64(m1.TotalAlloc-m0.TotalAlloc) / rounds
+	population := float64(snapKeys) * float64(unsafe.Sizeof(stats.KeyStat{}))
+	t.Logf("%.0f B per interval; the snapshot is %d keys = %.0f B", perRound, snapKeys, population)
+	if snapKeys < keys/2 {
+		t.Fatalf("only %d keys per snapshot", snapKeys)
+	}
+	if perRound > population/4 {
+		t.Fatalf("a steady commanded interval allocates %.0f B, the snapshot alone is %.0f B", perRound, population)
+	}
+}

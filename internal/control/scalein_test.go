@@ -240,10 +240,8 @@ func TestExecutorRejectsInapplicableCommands(t *testing.T) {
 	defer agent.Close()
 	x := control.NewExecutor(e3, 0, agent)
 	go func() {
-		for i := 0; i < 2; i++ { // the stage's two reports
-			if _, err := ctrl.Recv(); err != nil {
-				return
-			}
+		if m, err := ctrl.Recv(); err != nil || m.Report == nil || !m.Report.Merged { // the round's one report
+			return
 		}
 		ctrl.Send(&protocol.Message{ResizeCmd: &protocol.Resize{Interval: 0, Delta: 5}})
 		if m, err := ctrl.Recv(); err != nil || m.Ack == nil {

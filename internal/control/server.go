@@ -69,13 +69,17 @@ func (s *Server) WireBytes() (sent, rcvd int64) {
 	return 0, 0
 }
 
-// serve is the controller side: for every round it gathers the
-// per-task reports, reassembles the snapshot and stage context, asks
-// each policy to decide, streams the resulting commands to the
+// serve is the controller side: for every round it receives the
+// round's report, checks it, takes the snapshot and stage context from
+// it, asks each policy to decide, streams the resulting commands to the
 // executor (draining the per-command StateTransfer/Ack replies), and
-// closes the round with Resume. It exits when the transport closes.
+// closes the round with Resume. It exits when the transport closes or a
+// peer breaks the protocol, and closes the transport on its way out so
+// the peer's round ends with an error instead of waiting for a reply
+// that will not come.
 func (s *Server) serve() {
 	defer s.wg.Done()
+	defer s.conn.Close()
 	for {
 		env, snap, ok := s.recvRound()
 		if !ok {
@@ -137,30 +141,44 @@ func (s *Server) serve() {
 	}
 }
 
-// recvRound collects one round's load reports, folds them through the
-// delta mirror (requesting one full resync if the mirror cannot apply
-// them), and reconstructs the snapshot and stage context.
+// recvRound receives one round's reports and reconstructs the snapshot
+// and stage context. A merged report is the snapshot — once CheckMerged
+// has passed it, its run becomes the snapshot's keys as it stands, valid
+// as long as the transport keeps it (the stage's own buffer on the
+// loopback, the codec's on a socket: until the round after next either
+// way). Per-task reports are folded through the delta mirror (requesting
+// one full resync if the mirror cannot apply them) and merged.
 func (s *Server) recvRound() (Env, *stats.Snapshot, bool) {
 	reports, ok := s.recvReports()
 	if !ok {
 		return Env{}, nil, false
 	}
-	eff, err := s.mirror.Apply(reports)
-	if err != nil {
-		// Epoch gap or shape change the mirror cannot bridge: ask the
-		// stage to resend the round in full, then retry once. A second
-		// failure is a protocol violation; give up on the transport.
-		if s.conn.Send(&protocol.Message{ResyncReq: &protocol.Resync{Interval: reports[0].Interval}}) != nil {
-			return Env{}, nil, false
-		}
-		if reports, ok = s.recvReports(); !ok {
-			return Env{}, nil, false
-		}
-		if eff, err = s.mirror.Apply(reports); err != nil {
-			return Env{}, nil, false
-		}
-	}
 	r := reports[0]
+	var snap *stats.Snapshot
+	if r.Merged {
+		if r.CheckMerged() != nil {
+			return Env{}, nil, false
+		}
+		snap = &stats.Snapshot{Interval: r.Interval, ND: r.Tasks, Keys: r.Keys}
+	} else {
+		eff, err := s.mirror.Apply(reports)
+		if err != nil {
+			// Epoch gap or shape change the mirror cannot bridge: ask the
+			// stage to resend the round in full, then retry once. A second
+			// failure is a protocol violation; give up on the transport.
+			if s.conn.Send(&protocol.Message{ResyncReq: &protocol.Resync{Interval: r.Interval}}) != nil {
+				return Env{}, nil, false
+			}
+			if reports, ok = s.recvReports(); !ok || reports[0].Merged {
+				return Env{}, nil, false
+			}
+			if eff, err = s.mirror.Apply(reports); err != nil {
+				return Env{}, nil, false
+			}
+			r = reports[0]
+		}
+		snap = protocol.SnapshotFromReports(eff)
+	}
 	env := Env{
 		Interval:  r.Interval,
 		Tasks:     r.Tasks,
@@ -171,22 +189,21 @@ func (s *Server) recvRound() (Env, *stats.Snapshot, bool) {
 		Resizable: r.Resizable,
 		SplitKeys: r.Split,
 	}
-	return env, protocol.SnapshotFromReports(eff), true
+	return env, snap, true
 }
 
-// recvReports collects the per-task reports of one round (the first
-// report's Tasks field says how many are coming).
+// recvReports collects one round's reports: the one merged report, or
+// one per task (the first report's Tasks field says how many are
+// coming; the slice grows as they arrive, never by the peer's claim).
 func (s *Server) recvReports() ([]*protocol.LoadReport, bool) {
 	first, err := s.conn.Recv()
 	if err != nil || first.Report == nil {
 		return nil, false
 	}
-	r := first.Report
-	reports := make([]*protocol.LoadReport, 0, r.Tasks)
-	reports = append(reports, r)
-	for len(reports) < r.Tasks {
+	reports := []*protocol.LoadReport{first.Report}
+	for !first.Report.Merged && len(reports) < first.Report.Tasks {
 		m, err := s.conn.Recv()
-		if err != nil || m.Report == nil {
+		if err != nil || m.Report == nil || m.Report.Merged {
 			return nil, false
 		}
 		reports = append(reports, m.Report)

@@ -40,8 +40,6 @@ type Controller struct {
 	// 10 s intervals for the fast planners).
 	IntervalDuration time.Duration
 
-	// History of applied plans, for tests and reporting.
-	Applied []*balance.Plan
 	// SkippedBalanced counts intervals where no plan was needed.
 	SkippedBalanced int
 	// DeferredApplies counts plans that arrived late.
@@ -56,6 +54,11 @@ type Controller struct {
 	// home until the detector folds it back.
 	SplitPinned int
 
+	// applied counts the plans handed on for application. The plans
+	// themselves are not kept: a controller that plans every interval
+	// would pin every table and migration set for the life of the
+	// process.
+	applied      int
 	pending      *balance.Plan
 	pendingDelay int
 }
@@ -144,7 +147,7 @@ func maxPlanDest(plan *balance.Plan) int {
 
 // Decide implements control.Policy: judge one snapshot and emit the
 // rebalance command the stage's executor should apply. The plan is
-// recorded in Applied at decision time — the executor's application is
+// counted as applied at decision time — the executor's application is
 // unconditional, so decision and application histories coincide.
 func (c *Controller) Decide(env control.Env, snap *stats.Snapshot) []control.Command {
 	plan := c.decide(env.Routable, snap)
@@ -152,7 +155,7 @@ func (c *Controller) Decide(env control.Env, snap *stats.Snapshot) []control.Com
 		return nil
 	}
 	c.guardSplit(plan, env.SplitKeys, snap)
-	c.Applied = append(c.Applied, plan)
+	c.applied++
 	return []control.Command{control.Rebalance{Plan: plan}}
 }
 
@@ -224,7 +227,7 @@ func (c *Controller) apply(stage *engine.Stage, plan *balance.Plan) *engine.Reba
 	if err != nil {
 		return nil
 	}
-	c.Applied = append(c.Applied, plan)
+	c.applied++
 	return &engine.Rebalance{Plan: plan, Moved: moved}
 }
 
@@ -256,4 +259,4 @@ func (c *Controller) StageHook(si int) engine.SnapshotHook {
 }
 
 // Rebalances returns how many plans were applied.
-func (c *Controller) Rebalances() int { return len(c.Applied) }
+func (c *Controller) Rebalances() int { return c.applied }

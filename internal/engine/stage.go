@@ -109,6 +109,11 @@ type Stage struct {
 	// retained close, the control plane's delta-report input.
 	harvest    HarvestMode
 	lastDeltas []stats.Delta
+	// merged holds the merged runs of the last two closes; EndInterval
+	// alternates between them, so a snapshot's keys stay intact until
+	// the close after next.
+	merged [2][]stats.KeyStat
+	closes int
 
 	// stateWire routes every key migration through the state codec:
 	// extracted windows are serialized, and the *decoded* copy is what
@@ -638,12 +643,18 @@ func (s *Stage) ArrivedTuples() []int64 { return s.arrivedTuples }
 // goroutines concurrently — each task's tracker rolls its own window
 // and hands back its report as a run ordered by stats.KeyStatLess, in a
 // buffer it recycles, and the task's store evicts the buckets leaving
-// the window — and the driver k-way-merges the sorted runs (MergeRuns
-// copies, so the snapshot never aliases a tracker's buffer), so the
+// the window — and the driver k-way-merges the sorted runs, so the
 // interval-barrier cost is the slowest single task plus an O(n log ND)
 // merge. Destinations are taken from the task that actually observed
 // the key; hash destinations from the assignment router when present.
 // Arrival accounting is reset.
+//
+// The merge copies into one of two buffers the stage alternates
+// between, so the snapshot never aliases a tracker's buffer and a steady
+// close allocates nothing sized by the population. Its Keys are valid
+// until the close after next (the rule the tracker's runs and the
+// mirror's spares follow): long enough for the control round and
+// Engine.LastSnapshots; whoever keeps a snapshot longer takes a Clone.
 //
 // Every harvest mode runs this one path. Under HarvestTouched a task's
 // run is the keys it observed this interval; under the retained modes
@@ -696,7 +707,10 @@ func (s *Stage) EndInterval(interval int64) *stats.Snapshot {
 	for _, done := range dones {
 		<-done
 	}
-	snap.Keys = stats.MergeRuns(runs)
+	buf := &s.merged[s.closes&1]
+	s.closes++
+	*buf = stats.MergeRuns((*buf)[:0], runs)
+	snap.Keys = *buf
 	for d := range s.arrivedCost {
 		s.arrivedCost[d] = 0
 		s.arrivedTuples[d] = 0

@@ -7,7 +7,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
+	"repro/internal/stats"
 	"repro/internal/tuple"
 )
 
@@ -472,26 +474,48 @@ func (c *Codec) decodeBatchFrame(body []byte) (*Message, error) {
 	return &c.hotMsg, nil
 }
 
-// appendKeyStats encodes a KeyStatWire column run.
+// appendKeyStat encodes one KeyStatWire row: five varints.
+func appendKeyStat(dst []byte, ks KeyStatWire) []byte {
+	dst = binary.AppendUvarint(dst, uint64(ks.Key))
+	dst = appendSvarint(dst, ks.Cost)
+	dst = appendSvarint(dst, ks.Freq)
+	dst = appendSvarint(dst, ks.Mem)
+	return appendSvarint(dst, int64(ks.Hash))
+}
+
+func (c *cursor) keyStat() (ks KeyStatWire, err error) {
+	k, err := c.uvarint()
+	if err != nil {
+		return ks, err
+	}
+	ks.Key = tuple.Key(k)
+	if ks.Cost, err = c.svarint(); err != nil {
+		return ks, err
+	}
+	if ks.Freq, err = c.svarint(); err != nil {
+		return ks, err
+	}
+	if ks.Mem, err = c.svarint(); err != nil {
+		return ks, err
+	}
+	h, err := c.svarint()
+	ks.Hash = int(h)
+	return ks, err
+}
+
+// appendKeyStats encodes a KeyStatWire run.
 func appendKeyStats(dst []byte, ks []KeyStatWire) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(ks)))
 	for i := range ks {
-		dst = binary.AppendUvarint(dst, uint64(ks[i].Key))
-		dst = appendSvarint(dst, ks[i].Cost)
-		dst = appendSvarint(dst, ks[i].Freq)
-		dst = appendSvarint(dst, ks[i].Mem)
-		dst = appendSvarint(dst, int64(ks[i].Hash))
+		dst = appendKeyStat(dst, ks[i])
 	}
 	return dst
 }
 
 func (c *cursor) keyStats() ([]KeyStatWire, error) {
 	n, err := c.count()
-	if err != nil {
+	if err != nil || n == 0 {
 		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
 	}
 	// Each entry costs at least 5 bytes (five varints).
 	if n > c.rem()/5+1 {
@@ -499,27 +523,51 @@ func (c *cursor) keyStats() ([]KeyStatWire, error) {
 	}
 	out := make([]KeyStatWire, n)
 	for i := range out {
-		k, err := c.uvarint()
-		if err != nil {
+		if out[i], err = c.keyStat(); err != nil {
 			return nil, err
 		}
-		out[i].Key = tuple.Key(k)
-		if out[i].Cost, err = c.svarint(); err != nil {
-			return nil, err
-		}
-		if out[i].Freq, err = c.svarint(); err != nil {
-			return nil, err
-		}
-		if out[i].Mem, err = c.svarint(); err != nil {
-			return nil, err
-		}
-		h, err := c.svarint()
-		if err != nil {
-			return nil, err
-		}
-		out[i].Hash = int(h)
 	}
 	return out, nil
+}
+
+// appendMergedKeys encodes a whole-round report's run: a KeyStatWire
+// row plus the entry's destination, one more (one-byte) varint.
+func appendMergedKeys(dst []byte, ks []stats.KeyStat) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(ks)))
+	for i := range ks {
+		k := &ks[i]
+		dst = appendKeyStat(dst, KeyStatWire{Key: k.Key, Cost: k.Cost, Freq: k.Freq, Mem: k.Mem, Hash: k.Hash})
+		dst = appendSvarint(dst, int64(k.Dest))
+	}
+	return dst
+}
+
+// mergedKeys decodes a whole-round run onto buf, which it returns
+// grown: the count is checked against the bytes left before anything is
+// sized by it. Destinations and order are the receiver's to check
+// (LoadReport.CheckMerged) — the frame does not know the stage yet.
+func (c *cursor) mergedKeys(buf []stats.KeyStat) ([]stats.KeyStat, error) {
+	n, err := c.count()
+	if err != nil {
+		return buf, err
+	}
+	// Each entry costs at least 6 bytes (six varints).
+	if n > c.rem()/6 {
+		return buf, c.fail(fmt.Sprintf("merged keystat count %d exceeds frame", n))
+	}
+	buf = slices.Grow(buf, n)[:n]
+	for i := range buf {
+		w, err := c.keyStat()
+		if err != nil {
+			return buf, err
+		}
+		d, err := c.svarint()
+		if err != nil {
+			return buf, err
+		}
+		buf[i] = stats.KeyStat{Key: w.Key, Cost: w.Cost, Freq: w.Freq, Mem: w.Mem, Dest: int(d), Hash: w.Hash}
+	}
+	return buf, nil
 }
 
 func appendKeys(dst []byte, ks []tuple.Key) []byte {
@@ -554,11 +602,13 @@ const (
 	repDelta     = 1 << 0
 	repRoutable  = 1 << 1
 	repResizable = 1 << 2
+	repMerged    = 1 << 3
 )
 
-// appendReport encodes a LoadReport — all three forms (legacy full,
-// epoch-stamped rebase, delta) share the layout; empty sections cost
-// one zero byte each.
+// appendReport encodes a LoadReport — every form (merged round,
+// per-task full, epoch-stamped rebase, delta) shares the layout; empty
+// sections cost one zero byte each, and the merged run is present only
+// behind its flag.
 func appendReport(dst []byte, r *LoadReport) []byte {
 	dst = append(dst, kindReport)
 	dst = appendSvarint(dst, int64(r.TaskID))
@@ -574,7 +624,13 @@ func appendReport(dst []byte, r *LoadReport) []byte {
 	if r.Resizable {
 		flags |= repResizable
 	}
+	if r.Merged {
+		flags |= repMerged
+	}
 	dst = append(dst, flags)
+	if r.Merged {
+		dst = appendMergedKeys(dst, r.Keys)
+	}
 	dst = appendKeyStats(dst, r.Stats)
 	dst = appendKeyStats(dst, r.Changed)
 	dst = appendKeys(dst, r.Retired)
@@ -586,11 +642,15 @@ func appendReport(dst []byte, r *LoadReport) []byte {
 	return dst
 }
 
-// decodeReport allocates fresh slices: load reports outlive the next
-// Recv (the control server collects a round's reports; the mirror
-// retains delta runs), so unlike batches they must not alias codec
-// storage.
-func decodeReport(body []byte) (*Message, error) {
+// decodeReport allocates fresh slices for the per-task forms: those
+// reports outlive the next Recv (the control server collects a round's
+// reports; the mirror retains delta runs), so unlike batches they must
+// not alias codec storage. A merged round is the exception — it is the
+// whole population every interval, and the server is done with it when
+// the round closes — so its run decodes into one of two buffers the
+// codec alternates between: intact until the second following merged
+// report, the stage snapshot's own lifetime.
+func (c *Codec) decodeReport(body []byte) (*Message, error) {
 	cur := &cursor{p: body}
 	r := &LoadReport{}
 	var err error
@@ -612,6 +672,14 @@ func decodeReport(body []byte) (*Message, error) {
 	r.Delta = flags&repDelta != 0
 	r.Routable = flags&repRoutable != 0
 	r.Resizable = flags&repResizable != 0
+	if r.Merged = flags&repMerged != 0; r.Merged {
+		buf := &c.merged[c.mergedN&1]
+		c.mergedN++
+		if *buf, err = cur.mergedKeys((*buf)[:0]); err != nil {
+			return nil, err
+		}
+		r.Keys = *buf
+	}
 	if r.Stats, err = cur.keyStats(); err != nil {
 		return nil, err
 	}
@@ -889,7 +957,8 @@ func (c *Codec) sendBinary(m *Message) error {
 // Flush messages (the data-plane hot path) reuse codec-owned storage —
 // tuples decode into a pooled retained slice, mirroring the engine's
 // recycled feed buffers — and are invalidated by the next Recv on this
-// codec; all control-plane messages are freshly allocated.
+// codec; control-plane messages are freshly allocated, except a merged
+// report's run (see decodeReport).
 func (c *Codec) recvBinary() (*Message, error) {
 	p, err := c.fr.frame()
 	if err != nil {
@@ -917,7 +986,7 @@ func (c *Codec) recvBinary() (*Message, error) {
 		c.hotMsg = Message{FlushReq: &c.hotFlush}
 		return &c.hotMsg, nil
 	case kindReport:
-		return decodeReport(body)
+		return c.decodeReport(body)
 	case kindResync:
 		cur := &cursor{p: body}
 		iv, err := cur.svarint()

@@ -2,12 +2,14 @@ package protocol
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/stats"
 	"repro/internal/tuple"
 )
 
@@ -199,6 +201,8 @@ func TestBinaryHostileInputs(t *testing.T) {
 		"flush short":          {kindFlush, 1, 2, 3},
 		"report cut":           {kindReport, 0x80},
 		"report huge keystats": {kindReport, 2, 4, 6, 0, 0xff, 0xff, 0x7f},
+		"merged huge count":    hostileMergedReports()[0],
+		"merged cut row":       {kindReport, 0, 4, 0, repMerged, 2, 7, 2, 2, 2},
 		"ack cut":              {kindAck, 2},
 		"resume trailing":      {kindResume, 2, 9},
 		"start cut":            {kindStart, 2},
@@ -320,5 +324,109 @@ func BenchmarkTupleBatchCodec(b *testing.B) {
 		msg := &Message{Batch: &TupleBatch{Tuples: benchBatch(batchSize, shape.composite)}}
 		b.Run(shape.name+"/binary", func(b *testing.B) { bench(b, msg, mkBinary) })
 		b.Run(shape.name+"/gob", func(b *testing.B) { bench(b, msg, NewFramedCodec) })
+	}
+}
+
+// mergedReport is a valid whole-round report over 3 instances.
+func mergedReport() *LoadReport {
+	return &LoadReport{
+		Interval: 9, Merged: true, Tasks: 3, Capacity: 100, Emitted: 50, Budget: 60, Routable: true,
+		Keys: []stats.KeyStat{
+			{Key: 4, Cost: 9, Freq: 9, Mem: 20, Dest: 2, Hash: 1},
+			{Key: 1, Cost: 5, Freq: 5, Mem: 7, Dest: 0, Hash: 0},
+			{Key: 8, Cost: 5, Freq: 5, Mem: 0, Dest: 1, Hash: 1},
+		},
+	}
+}
+
+// hostileMergedReports are binary report frames a controller must
+// survive: an entry count the frame cannot hold (the decoder's to
+// refuse), then well-formed frames whose run names an instance the
+// stage does not have, a negative one, and entries out of canonical
+// order (CheckMerged's to refuse). The fuzz corpus under
+// testdata/fuzz/FuzzBinaryHostile carries the same four.
+func hostileMergedReports() [][]byte {
+	frame := func(mutate func(*LoadReport)) []byte {
+		r := mergedReport()
+		mutate(r)
+		return appendReport(nil, r)
+	}
+	return [][]byte{
+		{kindReport, 0, 4, 0, repMerged, 0xff, 0xff, 0x7f},
+		frame(func(r *LoadReport) { r.Keys[1].Dest = 3 }),
+		frame(func(r *LoadReport) { r.Keys[2].Dest = -1 }),
+		frame(func(r *LoadReport) { r.Keys[0], r.Keys[1] = r.Keys[1], r.Keys[0] }),
+	}
+}
+
+// TestMergedReportWire pins the whole-round report on every encoding:
+// what arrives is what was sent, the binary decoder hands out its two
+// buffers alternately — a run stays intact across the next report and
+// is recycled by the one after — and the hostile frames that decode are
+// stopped by CheckMerged.
+func TestMergedReportWire(t *testing.T) {
+	for name, mk := range map[string]func(io.ReadWriter) *Codec{
+		"gob":    NewCodec,
+		"framed": NewFramedCodec,
+		"binary": func(rw io.ReadWriter) *Codec {
+			c := NewFramedCodec(rw)
+			c.EnableBinary()
+			return c
+		},
+	} {
+		var buf bytes.Buffer
+		c := mk(&buf)
+		var got [3]*LoadReport
+		for i := range got {
+			want := mergedReport()
+			want.Interval = int64(i)
+			want.Keys[0].Cost += int64(i)
+			if err := c.Send(&Message{Report: want}); err != nil {
+				t.Fatalf("%s: send: %v", name, err)
+			}
+			m, err := c.Recv()
+			if err != nil {
+				t.Fatalf("%s: recv: %v", name, err)
+			}
+			got[i] = m.Report
+			if !reflect.DeepEqual(got[i], want) {
+				t.Fatalf("%s: report %d arrived as %+v, sent %+v", name, i, got[i], want)
+			}
+			if err := got[i].CheckMerged(); err != nil {
+				t.Fatalf("%s: valid report refused: %v", name, err)
+			}
+			if i == 1 && got[0].Keys[0].Cost != 9 {
+				t.Fatalf("%s: report 0's run was overwritten by report 1", name)
+			}
+		}
+		if name == "binary" && &got[2].Keys[0] != &got[0].Keys[0] {
+			t.Fatalf("binary: report 2 did not recycle report 0's buffer")
+		}
+	}
+
+	for i, frame := range hostileMergedReports() {
+		var stream []byte
+		stream = binary.BigEndian.AppendUint32(stream, uint32(len(frame)))
+		c := NewFramedCodec(readerOnly{bytes.NewReader(append(stream, frame...))})
+		c.EnableBinary()
+		m, err := c.Recv()
+		if i == 0 {
+			if !errors.Is(err, ErrBinaryFrame) {
+				t.Fatalf("count past the frame: decoded %v, err %v", m, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("hostile report %d must decode (the check refuses it): %v", i, err)
+		}
+		if m.Report.CheckMerged() == nil {
+			t.Fatalf("hostile report %d passed the check: %+v", i, m.Report.Keys)
+		}
+	}
+	if (&LoadReport{Tasks: 1}).CheckMerged() == nil {
+		t.Fatal("a per-task report passed as a merged round")
+	}
+	if err := (&LoadReport{Merged: true, Tasks: 2}).CheckMerged(); err != nil {
+		t.Fatalf("an empty round was refused: %v", err)
 	}
 }

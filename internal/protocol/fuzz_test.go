@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/state"
+	"repro/internal/stats"
 	"repro/internal/tuple"
 )
 
@@ -93,7 +94,15 @@ func buildMessage(seed uint64, kind, n int) *Message {
 				Freq: int64(r.intn(1e6)), Mem: int64(r.intn(1e6)), Hash: r.intn(64),
 			}
 		}
-		switch r.intn(3) {
+		switch r.intn(4) {
+		case 3: // the whole round in one merged report
+			rep.Merged = true
+			for i := 0; i < n; i++ {
+				rep.Keys = append(rep.Keys, stats.KeyStat{
+					Key: tuple.Key(r.next()), Cost: int64(r.intn(1e6)), Freq: int64(r.intn(1e6)),
+					Mem: int64(r.intn(1e6)), Dest: r.intn(64), Hash: r.intn(64),
+				})
+			}
 		case 0: // legacy per-interval report
 			for i := 0; i < n; i++ {
 				rep.Stats = append(rep.Stats, wire())
@@ -392,6 +401,9 @@ func FuzzBinaryHostile(f *testing.F) {
 	f.Add([]byte{kindBatch, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{kindBatch, 0, 0, 0, 1, 0, 0, 0, 2, 5})
 	f.Add([]byte{kindReport, 0x80})
+	for _, hostile := range hostileMergedReports() {
+		f.Add(hostile)
+	}
 	f.Add([]byte{kindFlush, 1, 2, 3})
 	f.Add([]byte{0x7f})
 	f.Add([]byte{kindGob, 0xde, 0xad})
@@ -412,6 +424,13 @@ func FuzzBinaryHostile(f *testing.F) {
 			if m.Kind() == "empty" {
 				t.Fatalf("hostile payload decoded to an empty message")
 			}
+			if m.Report != nil && m.Report.Merged && m.Report.CheckMerged() == nil {
+				// What the check passes a controller indexes by.
+				loads := make([]int64, m.Report.Tasks)
+				for _, ks := range m.Report.Keys {
+					loads[ks.Dest] += ks.Cost
+				}
+			}
 		}
 	})
 }
@@ -431,6 +450,9 @@ func normalize(m *Message) *Message {
 		r := *c.Report
 		if r.Stats == nil {
 			r.Stats = []KeyStatWire{}
+		}
+		if r.Keys == nil {
+			r.Keys = []stats.KeyStat{}
 		}
 		if r.Split == nil {
 			r.Split = []tuple.Key{}

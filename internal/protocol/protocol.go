@@ -18,16 +18,26 @@
 //	task       → controller  : Ack               (step 6)
 //	controller → upstream    : Resume            (step 7)
 //
-// LoadReport has two forms. The legacy full form (Epoch 0) re-carries
-// every tracked key's stats each interval. The incremental form stamps
-// each report with the tracker's close epoch and, on held rounds,
-// sends only the delta — Changed (touched keys, cost-sorted) and
-// Retired (dropped keys, ascending) — which the controller-side Mirror
-// folds into its retained per-task runs, handing the rest of the loop
-// effective full reports. Epoch gaps make the mirror reject the round;
-// the controller answers with Resync and the stage resends the same
-// interval in full. O(Δkeys) crosses the wire per steady interval
-// instead of O(keys), bit-identically to the full form.
+// A full round is one LoadReport: the snapshot is the report. The stage
+// side hands over the merged, KeyStatLess-ordered run its interval close
+// produced, each entry carrying its destination (Merged/Keys) — by
+// reference over the loopback, as one more column on the wire — so
+// nothing is split per task on one side and merged back on the other.
+// What arrives is outside input: the controller side runs CheckMerged
+// before any policy sees the snapshot. A decoded report's Keys alias
+// storage the codec recycles and stay intact until the second following
+// report, the stage snapshot's own lifetime.
+//
+// The incremental stream (engine.HarvestIncremental) keeps the per-task
+// shape: every report is stamped with its tracker's close epoch and, on
+// held rounds, carries only the delta — Changed (touched keys,
+// cost-sorted) and Retired (dropped keys, ascending) — which the
+// controller-side Mirror folds into its retained per-task runs, handing
+// the rest of the loop effective full reports. Epoch gaps make the
+// mirror reject the round; the controller answers with Resync and the
+// stage resends the same interval as per-task full reports. O(Δkeys)
+// crosses the wire per steady interval instead of O(keys),
+// bit-identically to the full form.
 package protocol
 
 import (
@@ -56,9 +66,11 @@ type KeyStatWire struct {
 	Hash int
 }
 
-// LoadReport is step 1: one task's interval statistics. The stage
-// context fields (Tasks through Resizable) are stamped identically on
-// every report of a round — they carry the operator-level facts a
+// LoadReport is step 1: the interval's statistics — the whole round in
+// the merged form, one task's share in the per-task forms of the
+// incremental stream. The stage context fields (Tasks through
+// Resizable) are stamped identically on every report of a round — they
+// carry the operator-level facts a
 // remote controller needs to judge utilization (the long-term path)
 // without a second channel: how many tasks reported, the per-task
 // service capacity, what the spout emitted versus its configured
@@ -70,6 +82,14 @@ type LoadReport struct {
 	TaskID   int
 	Interval int64
 	Stats    []KeyStatWire
+
+	// Merged marks the whole-round form: this one report is the round,
+	// and Keys is the stage's snapshot as its interval close merged it —
+	// every task's entries in one stats.KeyStatLess-ordered run, each
+	// with its Dest. Stats, Epoch and the delta fields are unused.
+	// Receivers must CheckMerged before trusting Keys.
+	Merged bool
+	Keys   []stats.KeyStat
 
 	// Epoch, when nonzero, marks the report as part of an incremental
 	// stream: it identifies the task tracker's close this report
@@ -102,6 +122,25 @@ type LoadReport struct {
 	// the controller's plan guard sees the live set without a second
 	// channel.
 	Split []tuple.Key
+}
+
+// CheckMerged validates a whole-round report as outside input: every
+// entry's destination names one of the stage's Tasks instances and the
+// entries are in canonical snapshot order. A controller that skipped
+// this would index its load vector with whatever a peer sent.
+func (r *LoadReport) CheckMerged() error {
+	if !r.Merged {
+		return fmt.Errorf("protocol: report for task %d is not a merged round", r.TaskID)
+	}
+	for i := range r.Keys {
+		if d := r.Keys[i].Dest; d < 0 || d >= r.Tasks {
+			return fmt.Errorf("protocol: merged report entry %d names instance %d of %d", i, d, r.Tasks)
+		}
+		if i > 0 && stats.KeyStatLess(r.Keys[i], r.Keys[i-1]) {
+			return fmt.Errorf("protocol: merged report entry %d is out of order", i)
+		}
+	}
+	return nil
 }
 
 // RouteEntry is one routing-table pair (k, d).
@@ -222,17 +261,17 @@ type Welcome struct {
 // last stage, whose emissions are discarded after the terminal
 // operator runs).
 type StageAssign struct {
-	Stage      int
-	Name       string
-	Op         string
-	Instances  int
-	Window     int
-	Algorithm  string
-	Capacity   int64
-	Budget     int64
-	Harvest    int
-	PauseFree  bool
-	StateWire  bool
+	Stage     int
+	Name      string
+	Op        string
+	Instances int
+	Window    int
+	Algorithm string
+	Capacity  int64
+	Budget    int64
+	Harvest   int
+	PauseFree bool
+	StateWire bool
 	// Control tells the worker to dial a per-stage control connection
 	// back to the coordinator (set when the stage has coordinator-side
 	// policies; planner-less stages skip the control plane entirely).
@@ -489,6 +528,11 @@ type Codec struct {
 	hotMsg   Message
 	hotBatch TupleBatch
 	hotFlush Flush
+
+	// merged are the two buffers binary-mode merged reports decode into
+	// alternately (see decodeReport).
+	merged  [2][]stats.KeyStat
+	mergedN int
 }
 
 // NewCodec wraps a bidirectional stream.
@@ -518,8 +562,9 @@ func (c *Codec) Send(m *Message) error {
 }
 
 // Recv decodes the next message. In binary mode, Batch and FlushReq
-// results alias codec-owned storage and are valid until the next Recv;
-// all other kinds are freshly allocated.
+// results alias codec-owned storage and are valid until the next Recv,
+// and a merged report's Keys until the second following merged report;
+// everything else is freshly allocated.
 func (c *Codec) Recv() (*Message, error) {
 	if c.binary {
 		m, err := c.recvBinary()
@@ -622,31 +667,19 @@ func MergeReports(reports []*LoadReport) map[tuple.Key]stats.KeyStat {
 	return out
 }
 
-// ReportsFromSnapshot partitions an engine-merged snapshot back into
-// the per-task load reports of step 1: report d carries exactly the
-// snapshot records destined to task d, in snapshot order. Because each
-// run is an order-preserving subsequence of a KeyStatLess-sorted
-// slice, SnapshotFromReports reassembles the original snapshot
-// bit-identically through stats.MergeRuns.
+// ReportsFromSnapshot partitions an engine-merged snapshot into per-task
+// load reports — the full rounds of the incremental stream, which rebase
+// the mirror's per-task runs: report d carries exactly the snapshot
+// records destined to task d, in snapshot order, so SnapshotFromReports
+// reassembles the original snapshot bit-identically.
 func ReportsFromSnapshot(snap *stats.Snapshot, tasks int, capacity, emitted, budget int64, routable, resizable bool, split []tuple.Key) []*LoadReport {
 	reports := make([]*LoadReport, tasks)
-	// One backing array for every report's stats, carved into per-task
-	// subslices — the split runs once per stage per interval, so its
-	// allocation count matters.
-	counts := make([]int, tasks)
-	for i := range snap.Keys {
-		counts[snap.Keys[i].Dest]++
-	}
-	backing := make([]KeyStatWire, len(snap.Keys))
-	off := 0
 	for d := range reports {
 		reports[d] = &LoadReport{
 			TaskID: d, Interval: snap.Interval,
-			Stats: backing[off : off : off+counts[d]],
 			Tasks: tasks, Capacity: capacity, Emitted: emitted, Budget: budget,
 			Routable: routable, Resizable: resizable, Split: split,
 		}
-		off += counts[d]
 	}
 	for _, ks := range snap.Keys {
 		r := reports[ks.Dest]
@@ -656,69 +689,34 @@ func ReportsFromSnapshot(snap *stats.Snapshot, tasks int, capacity, emitted, bud
 }
 
 // SnapshotFromReports reassembles a planner-ready snapshot from one
-// round of per-task load reports, the inverse of ReportsFromSnapshot:
-// each report becomes a sorted run (its stats arrive in snapshot
-// order, tagged with the reporting task as destination) and the runs
-// k-way-merge under the canonical KeyStatLess order — so a snapshot
-// that crossed the wire equals the engine's original byte for byte.
+// round of per-task load reports (the mirror's effective full reports):
+// each report's stats, tagged with the reporting task as destination,
+// are a run in snapshot order, and stats.MergeRuns puts the runs in the
+// canonical KeyStatLess order — so a snapshot that crossed the wire per
+// task equals the engine's original byte for byte.
 func SnapshotFromReports(reports []*LoadReport) *stats.Snapshot {
 	snap := &stats.Snapshot{ND: len(reports)}
 	if len(reports) == 0 {
 		return snap
 	}
 	snap.Interval = reports[0].Interval
-	// Merge the wire runs straight into the snapshot ordering. Each
-	// run is wireLess-sorted (cost desc, key asc; Dest constant within
-	// a run), so a k-way select-min with the Dest tie-break yields
-	// exactly SortByCostDesc over the stamped concatenation — without
-	// first materializing per-task KeyStat runs and merging those, which
-	// would touch the whole population twice per round.
-	type cursor struct {
-		head KeyStatWire
-		run  []KeyStatWire
-		dest int
-		i    int
-	}
 	total := 0
-	cs := make([]cursor, 0, len(reports))
 	for _, r := range reports {
 		total += len(r.Stats)
-		if r.TaskID < 0 || r.TaskID >= len(reports) || len(r.Stats) == 0 {
+	}
+	backing := make([]stats.KeyStat, 0, total) // every run, end to end
+	runs := make([][]stats.KeyStat, 0, len(reports))
+	for _, r := range reports {
+		if r.TaskID < 0 || r.TaskID >= len(reports) {
 			continue
 		}
-		cs = append(cs, cursor{head: r.Stats[0], run: r.Stats, dest: r.TaskID})
-	}
-	out := make([]stats.KeyStat, 0, total)
-	for len(cs) > 0 {
-		m := 0
-		for j := 1; j < len(cs); j++ {
-			a, b := &cs[j], &cs[m]
-			if a.head.Cost != b.head.Cost {
-				if a.head.Cost > b.head.Cost {
-					m = j
-				}
-			} else if a.head.Key != b.head.Key {
-				if a.head.Key < b.head.Key {
-					m = j
-				}
-			} else if a.dest < b.dest {
-				m = j
-			}
+		lo := len(backing)
+		for _, s := range r.Stats {
+			backing = append(backing, stats.KeyStat{Key: s.Key, Cost: s.Cost, Freq: s.Freq, Mem: s.Mem, Dest: r.TaskID, Hash: s.Hash})
 		}
-		c := &cs[m]
-		s := &c.head
-		out = append(out, stats.KeyStat{Key: s.Key, Cost: s.Cost, Freq: s.Freq, Mem: s.Mem, Dest: c.dest, Hash: s.Hash})
-		c.i++
-		if c.i == len(c.run) {
-			cs[m] = cs[len(cs)-1]
-			cs = cs[:len(cs)-1]
-			continue
-		}
-		c.head = c.run[c.i]
+		runs = append(runs, backing[lo:])
 	}
-	if len(out) > 0 {
-		snap.Keys = out
-	}
+	snap.Keys = stats.MergeRuns(nil, runs)
 	return snap
 }
 

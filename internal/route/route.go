@@ -101,6 +101,59 @@ func (t *Table) Each(fn func(k tuple.Key, d int)) {
 	}
 }
 
+// tableIndex is a routing table frozen into an open-addressed array: the
+// per-tuple lookup is one multiply and, almost always, one slot — against
+// a Go map's hash call, bucket walk and tophash compare. Slots are at
+// most a quarter full, so a miss, by far the common case, nearly always
+// ends on the first slot it reads — a branch the predictor gets right.
+type tableIndex struct {
+	slots []indexSlot
+	shift uint
+}
+
+type indexSlot struct {
+	key  tuple.Key
+	dest int32
+	used bool
+}
+
+// slot is Fibonacci hashing: the product's high bits, so keys that
+// agree in their low bits (k·2ⁿ) still spread over the array.
+func (ix *tableIndex) slot(k tuple.Key) uint64 {
+	return (uint64(k) * 0x9e3779b97f4a7c15) >> ix.shift
+}
+
+func newTableIndex(m map[tuple.Key]int) tableIndex {
+	bits := uint(1)
+	for 1<<bits < 4*len(m) {
+		bits++
+	}
+	ix := tableIndex{slots: make([]indexSlot, 1<<bits), shift: 64 - bits}
+	mask := uint64(len(ix.slots) - 1)
+	for k, d := range m {
+		i := ix.slot(k)
+		for ix.slots[i].used {
+			i = (i + 1) & mask
+		}
+		ix.slots[i] = indexSlot{key: k, dest: int32(d), used: true}
+	}
+	return ix
+}
+
+// lookup returns k's explicit destination and whether it has one.
+func (ix *tableIndex) lookup(k tuple.Key) (int, bool) {
+	mask := uint64(len(ix.slots) - 1)
+	for i := ix.slot(k); ; i = (i + 1) & mask {
+		s := ix.slots[i]
+		if !s.used {
+			return 0, false
+		}
+		if s.key == k {
+			return int(s.dest), true
+		}
+	}
+}
+
 // Assignment is the full partition function F = (A, h). It is immutable
 // after construction so upstream tasks can share it without locking;
 // rebalancing installs a fresh Assignment.
@@ -109,9 +162,11 @@ type Assignment struct {
 	hash  Hasher
 	// empty caches table.Len() == 0 at construction so the common
 	// hash-only assignment (the Storm baseline, and every pre-rebalance
-	// interval) skips the map probe entirely on the per-tuple path. The
-	// cache is sound because wrapped tables are immutable snapshots.
+	// interval) skips the table probe entirely on the per-tuple path, and
+	// index is the table as the per-tuple path reads it. Both are sound
+	// because wrapped tables are immutable snapshots.
 	empty bool
+	index tableIndex
 	// gen is the publication generation: a counter the publishing
 	// router stamps before the atomic pointer swap that makes this
 	// assignment live, so feeders can tag every routed batch with the
@@ -131,44 +186,48 @@ func NewAssignment(table *Table, hash Hasher) *Assignment {
 	if table == nil {
 		table = NewTable()
 	}
-	return &Assignment{table: table, hash: hash, empty: len(table.m) == 0}
+	a := &Assignment{table: table, hash: hash, empty: len(table.m) == 0}
+	if !a.empty {
+		a.index = newTableIndex(table.m)
+	}
+	return a
 }
 
 // Dest evaluates F(k).
 func (a *Assignment) Dest(k tuple.Key) int {
-	if a.empty {
-		return a.hash.Hash(k)
-	}
-	if d, ok := a.table.m[k]; ok {
-		return d
+	if !a.empty {
+		if d, ok := a.index.lookup(k); ok {
+			return d
+		}
 	}
 	return a.hash.Hash(k)
 }
 
 // DestBatch evaluates F over a whole batch, writing dsts[i] =
-// F(keys[i]). Hoisting the empty-table test and the interface
-// indirection out of the per-tuple call chain is what keeps routing off
-// the profile when the engine feeds tuples hundreds at a time.
+// F(keys[i]): the whole batch goes through the hasher in one call — no
+// interface dispatch per key when it is a BatchHasher — and the routing
+// table's few hits are laid over the result. Hoisting the empty-table
+// test and the interface indirection out of the per-tuple call chain is
+// what keeps routing off the profile when the engine feeds tuples
+// hundreds at a time.
 func (a *Assignment) DestBatch(keys []tuple.Key, dsts []int) {
 	if len(keys) == 0 {
 		return
 	}
 	dsts = dsts[:len(keys)]
-	if a.empty {
-		if bh, ok := a.hash.(BatchHasher); ok {
-			bh.HashBatch(keys, dsts)
-			return
-		}
+	if bh, ok := a.hash.(BatchHasher); ok {
+		bh.HashBatch(keys, dsts)
+	} else {
 		for i, k := range keys {
 			dsts[i] = a.hash.Hash(k)
 		}
+	}
+	if a.empty {
 		return
 	}
 	for i, k := range keys {
-		if d, ok := a.table.m[k]; ok {
+		if d, ok := a.index.lookup(k); ok {
 			dsts[i] = d
-		} else {
-			dsts[i] = a.hash.Hash(k)
 		}
 	}
 }
@@ -181,21 +240,19 @@ func (a *Assignment) DestTuples(ts []tuple.Tuple, dsts []int) {
 		return
 	}
 	dsts = dsts[:len(ts)]
-	if a.empty {
-		if bh, ok := a.hash.(BatchHasher); ok {
-			bh.HashTuples(ts, dsts)
-			return
-		}
+	if bh, ok := a.hash.(BatchHasher); ok {
+		bh.HashTuples(ts, dsts)
+	} else {
 		for i := range ts {
 			dsts[i] = a.hash.Hash(ts[i].Key)
 		}
+	}
+	if a.empty {
 		return
 	}
 	for i := range ts {
-		if d, ok := a.table.m[ts[i].Key]; ok {
+		if d, ok := a.index.lookup(ts[i].Key); ok {
 			dsts[i] = d
-		} else {
-			dsts[i] = a.hash.Hash(ts[i].Key)
 		}
 	}
 }

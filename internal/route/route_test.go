@@ -1,6 +1,7 @@
 package route
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -183,4 +184,47 @@ func TestDestBatchAndDestTuplesMatchDest(t *testing.T) {
 	// Empty batches are no-ops.
 	NewAssignment(nil, ModHasher(3)).DestBatch(nil, nil)
 	NewAssignment(nil, ModHasher(3)).DestTuples(nil, nil)
+}
+
+// TestIndexMatchesTable pins the frozen index every per-tuple path
+// reads against the map it was built from, on random tables of 0, 1 and
+// Amax entries — with keys that agree in their low bits, the worst case
+// for a table indexed by them — through Dest, DestBatch and DestTuples,
+// for keys in the table and not.
+func TestIndexMatchesTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	const nd = 7
+	for _, entries := range []int{0, 1, 2, 37, 3000} {
+		for _, stride := range []tuple.Key{1, 1 << 12, 1 << 40} {
+			tab := NewTable()
+			for tab.Len() < entries {
+				tab.Put(tuple.Key(rng.Intn(4*entries+1))*stride, rng.Intn(nd))
+			}
+			for _, h := range []Hasher{hashring.New(nd, 0), ModHasher(nd)} {
+				a := NewAssignment(tab, h)
+				keys := make([]tuple.Key, 2000)
+				ts := make([]tuple.Tuple, len(keys))
+				for i := range keys {
+					keys[i] = tuple.Key(rng.Intn(6*entries+3)) * stride
+					if rng.Intn(8) == 0 {
+						keys[i] = tuple.Key(rng.Uint64())
+					}
+					ts[i] = tuple.New(keys[i], nil)
+				}
+				batch, tuples := make([]int, len(keys)), make([]int, len(keys))
+				a.DestBatch(keys, batch)
+				a.DestTuples(ts, tuples)
+				for i, k := range keys {
+					want, ok := tab.Lookup(k)
+					if !ok {
+						want = h.Hash(k)
+					}
+					if got := a.Dest(k); got != want || batch[i] != want || tuples[i] != want {
+						t.Fatalf("%d entries, stride %d, key %d (in table: %v): Dest %d, DestBatch %d, DestTuples %d, want %d",
+							entries, stride, k, ok, got, batch[i], tuples[i], want)
+					}
+				}
+			}
+		}
+	}
 }

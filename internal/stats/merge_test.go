@@ -46,13 +46,15 @@ func TestMergeRunsEqualsSortedConcat(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		// Small cost domains force heavy ties; small key domains force
 		// the same key into several runs (the shuffle-stage shape).
-		runs := randomRuns(rng, 1+rng.Intn(8), 40, 1+rng.Intn(30), 1+rng.Intn(5))
+		runs := randomRuns(rng, 1+rng.Intn(24), 40, 1+rng.Intn(30), 1+rng.Intn(5))
 		var concat []KeyStat
 		for _, r := range runs {
 			concat = append(concat, r...)
 		}
 		SortByCostDesc(concat)
-		got := MergeRuns(runs)
+		// Merging onto a recycled buffer must not depend on what the
+		// buffer held.
+		got := MergeRuns(make([]KeyStat, rng.Intn(50), 64)[:0], runs)
 		if len(got) != len(concat) {
 			t.Fatalf("trial %d: merged %d entries, want %d", trial, len(got), len(concat))
 		}
@@ -65,14 +67,18 @@ func TestMergeRunsEqualsSortedConcat(t *testing.T) {
 }
 
 func TestMergeRunsEdgeShapes(t *testing.T) {
-	if got := MergeRuns(nil); got != nil {
+	if got := MergeRuns(nil, nil); got != nil {
 		t.Fatalf("merge of no runs = %v, want nil", got)
 	}
-	if got := MergeRuns([][]KeyStat{nil, {}, nil}); got != nil {
+	if got := MergeRuns(nil, [][]KeyStat{nil, {}, nil}); got != nil {
 		t.Fatalf("merge of empty runs = %v, want nil", got)
 	}
+	kept := []KeyStat{{Key: 9, Cost: 9}}
+	if got := MergeRuns(kept, nil); len(got) != 1 || got[0] != kept[0] {
+		t.Fatalf("merge of no runs onto %v = %v", kept, got)
+	}
 	single := []KeyStat{{Key: 2, Cost: 5}, {Key: 1, Cost: 3}}
-	got := MergeRuns([][]KeyStat{nil, single, nil})
+	got := MergeRuns(nil, [][]KeyStat{nil, single, nil})
 	if len(got) != 2 || got[0] != single[0] || got[1] != single[1] {
 		t.Fatalf("single-run merge = %v, want copy of the run", got)
 	}
@@ -93,5 +99,29 @@ func TestKeyStatLessTotalOrder(t *testing.T) {
 	}
 	if KeyStatLess(a, a) {
 		t.Fatal("KeyStatLess is not irreflexive")
+	}
+}
+
+// The merge compares costs, keys and destinations as unsigned limbs;
+// the mapping must keep int64's order at its ends too.
+func TestMergeRunsExtremeValues(t *testing.T) {
+	const maxI, minI = int64(^uint64(0) >> 1), -int64(^uint64(0)>>1) - 1
+	runs := [][]KeyStat{
+		{{Key: 3, Cost: maxI, Dest: 2}, {Key: ^tuple.Key(0), Cost: 0, Dest: 2}, {Key: 1, Cost: -1, Dest: 2}, {Key: 5, Cost: minI, Dest: 2}},
+		{{Key: 3, Cost: maxI, Dest: -1}, {Key: 0, Cost: 0, Dest: 0}, {Key: 5, Cost: minI, Dest: -7}},
+	}
+	var concat []KeyStat
+	for _, r := range runs {
+		concat = append(concat, r...)
+	}
+	SortByCostDesc(concat)
+	got := MergeRuns(nil, runs)
+	if len(got) != len(concat) {
+		t.Fatalf("merged %d entries, want %d", len(got), len(concat))
+	}
+	for i := range concat {
+		if got[i] != concat[i] {
+			t.Fatalf("entry %d: merge %+v ≠ sort %+v", i, got[i], concat[i])
+		}
 	}
 }

@@ -30,10 +30,19 @@
 // copy-on-write view until the close after next — together with the
 // interval's retirements this is the Delta the incremental load-report
 // protocol ships instead of the full population.
+//
+// # Snapshot
+//
+// A stage's Snapshot is the k-way merge of its tasks' runs (MergeRuns)
+// into a buffer the caller recycles. Everything downstream reads that
+// one run where it lies — the control round ships it as its report, the
+// planners index it — so nobody copies it who does not need to keep it.
 package stats
 
 import (
 	"cmp"
+	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/tuple"
@@ -205,97 +214,106 @@ func (s *KeySet) Has(k tuple.Key) bool {
 	return false
 }
 
+// mergeCursor is one run of a merge. It caches its head as three
+// unsigned limbs whose lexicographic order is KeyStatLess — the cost
+// complemented so that a higher cost sorts first, then the key, then
+// the destination — so a match is one 192-bit comparison. An exhausted
+// run holds the largest value there is and loses every match.
+type mergeCursor struct {
+	cost, key, dest uint64
+	run             []KeyStat
+}
+
+func (c *mergeCursor) load() {
+	if len(c.run) == 0 {
+		c.cost, c.key, c.dest = math.MaxUint64, math.MaxUint64, math.MaxUint64
+		return
+	}
+	h := &c.run[0]
+	// Flipping the sign bit orders int64 as uint64; the complement
+	// reverses it.
+	c.cost, c.key, c.dest = ^(uint64(h.Cost) ^ 1<<63), uint64(h.Key), uint64(h.Dest)^1<<63
+}
+
+// beats is 1 when a's head precedes b's under KeyStatLess and 0
+// otherwise, as the borrow of a − b: no branch, because which of two
+// runs wins a match is a coin flip the predictor loses half the time.
+func (a *mergeCursor) beats(b *mergeCursor) uint64 {
+	_, borrow := bits.Sub64(a.dest, b.dest, 0)
+	_, borrow = bits.Sub64(a.key, b.key, borrow)
+	_, borrow = bits.Sub64(a.cost, b.cost, borrow)
+	return borrow
+}
+
 // MergeRuns k-way-merges per-task sorted runs (each ordered by
-// KeyStatLess) into one slice with the same ordering — the harvest
-// merge Stage.EndInterval uses instead of re-sorting the concatenated
-// runs from scratch. Each run must be sorted; the result is then
-// exactly SortByCostDesc over the concatenation, at the cost of one
-// heap operation per element over a k-sized heap instead of a full
-// O(n log n) comparison sort on the interval-barrier critical path.
-func MergeRuns(runs [][]KeyStat) []KeyStat {
+// KeyStatLess) onto dst, which it returns — the harvest merge
+// Stage.EndInterval uses instead of re-sorting the concatenated runs.
+// The appended entries are exactly SortByCostDesc over the
+// concatenation. The merge is a tournament tree of losers: after the
+// winner's run advances, only the ⌈log₂ k⌉ matches on its path to the
+// root are replayed. The result never aliases a run: callers pass a
+// buffer they recycle (dst[:0]) and the merge allocates only to grow it
+// (and, past 16 runs, the tree).
+func MergeRuns(dst []KeyStat, runs [][]KeyStat) []KeyStat {
 	total := 0
-	live := make([]int, 0, len(runs)) // indices of non-empty runs
-	for i, r := range runs {
-		total += len(r)
+	var fixedRuns [16]mergeCursor
+	cs := fixedRuns[:0]
+	for _, r := range runs {
 		if len(r) > 0 {
-			live = append(live, i)
+			total += len(r)
+			cs = append(cs, mergeCursor{run: r})
+			cs[len(cs)-1].load()
 		}
 	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return append([]KeyStat(nil), runs[live[0]]...)
+	dst = slices.Grow(dst, total)
+	k := len(cs)
+	if k == 0 {
+		return dst
 	}
-	out := make([]KeyStat, 0, total)
-	// At typical stage fan-ins a select-min over cached heads beats the
-	// index heap: the comparisons run on contiguous cursor structs
-	// instead of chasing runs[live[i]][pos[...]] twice per compare, and
-	// the merge is one KeyStat copy per element. The heap takes over
-	// when k is large enough for O(k) selection to lose.
-	if len(live) <= 8 {
-		type cursor struct {
-			head KeyStat
-			run  []KeyStat
-			i    int
-		}
-		cs := make([]cursor, len(live))
-		for j, idx := range live {
-			cs[j] = cursor{head: runs[idx][0], run: runs[idx]}
-		}
-		for len(cs) > 1 {
-			m := 0
-			for j := 1; j < len(cs); j++ {
-				if KeyStatLess(cs[j].head, cs[m].head) {
-					m = j
-				}
+	// losers[n], 1 ≤ n < k, is the run that lost the match at internal
+	// node n; run j's leaf is node k+j and losers[0] the overall winner.
+	// The tree is filled by entering the runs one at a time: a run waits
+	// at the first empty node on its way up and plays whoever arrives
+	// next, so every node ends up holding the loser of its two subtrees.
+	var fixedTree [16]int32
+	losers := fixedTree[:]
+	if k > len(fixedTree) {
+		losers = make([]int32, k)
+	}
+	for n := range losers[:k] {
+		losers[n] = -1
+	}
+	for j := 0; j < k; j++ {
+		w := int32(j)
+		for n := (k + j) / 2; n >= 1; n /= 2 {
+			if losers[n] < 0 {
+				losers[n], w = w, -1
+				break
 			}
-			c := &cs[m]
-			out = append(out, c.head)
-			c.i++
-			if c.i == len(c.run) {
-				cs[m] = cs[len(cs)-1]
-				cs = cs[:len(cs)-1]
-				continue
+			if cs[losers[n]].beats(&cs[w]) != 0 {
+				losers[n], w = w, losers[n]
 			}
-			c.head = c.run[c.i]
 		}
-		return append(out, cs[0].run[cs[0].i:]...)
-	}
-	pos := make([]int, len(runs))
-	// Index heap over live runs, ordered by each run's current head.
-	less := func(a, b int) bool { return KeyStatLess(runs[a][pos[a]], runs[b][pos[b]]) }
-	down := func(i int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			m := i
-			if l < len(live) && less(live[l], live[m]) {
-				m = l
-			}
-			if r < len(live) && less(live[r], live[m]) {
-				m = r
-			}
-			if m == i {
-				return
-			}
-			live[i], live[m] = live[m], live[i]
-			i = m
+		if w >= 0 {
+			losers[0] = w
 		}
 	}
-	for i := len(live)/2 - 1; i >= 0; i-- {
-		down(i)
-	}
-	for len(live) > 0 {
-		top := live[0]
-		out = append(out, runs[top][pos[top]])
-		pos[top]++
-		if pos[top] == len(runs[top]) {
-			live[0] = live[len(live)-1]
-			live = live[:len(live)-1]
+	for ; total > 0; total-- {
+		w := losers[0]
+		c := &cs[w]
+		dst = append(dst, c.run[0])
+		c.run = c.run[1:]
+		c.load()
+		for n := (k + int(w)) / 2; n >= 1; n /= 2 {
+			// The parked loser and the climbing winner trade places when
+			// the loser wins, by mask rather than by branch.
+			l := losers[n]
+			x := (l ^ w) & -int32(cs[l].beats(&cs[w]))
+			losers[n], w = l^x, w^x
 		}
-		down(0)
+		losers[0] = w
 	}
-	return out
+	return dst
 }
 
 // Theta returns the balance indicator θ(d) = |L(d) − L̄| / L̄ for every

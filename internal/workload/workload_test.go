@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -433,6 +434,51 @@ func TestNextBatchMatchesSequentialNext(t *testing.T) {
 				buf[i].Cost != want.Cost || buf[i].StateSize != want.StateSize ||
 				buf[i].Stream != want.Stream {
 				t.Fatalf("%s: draw %d batch %+v ≠ sequential %+v", g.name, i, buf[i], want)
+			}
+		}
+	}
+}
+
+// TestZipfRankMatchesFullSearch pins the guide-table lookup to the
+// search it narrows — the first CDF entry at or above the draw, over
+// the whole CDF — for random draws and for the draws sitting on and
+// next to every guide boundary, so every generator built on Rank emits
+// the stream it always did.
+func TestZipfRankMatchesFullSearch(t *testing.T) {
+	for _, k := range []int{1, 2, 7, 1000, 100000} {
+		for _, z := range []float64{0, 0.5, 0.85, 1, 1.5} {
+			d := NewZipf(k, z)
+			full := func(u float64) int {
+				i := sort.SearchFloat64s(d.cdf, u)
+				if i >= d.K {
+					i = d.K - 1
+				}
+				return i + 1
+			}
+			check := func(u float64) {
+				if got, want := d.rankAt(u), full(u); got != want {
+					t.Fatalf("K=%d z=%v u=%v: rank %d, full search %d", k, z, u, got, want)
+				}
+			}
+			rng := rand.New(rand.NewSource(int64(k)))
+			for i := 0; i < 200000; i++ {
+				check(rng.Float64())
+			}
+			m := len(d.guide) - 1
+			for j := 0; j < m; j += 1 + m/4096 {
+				edge := float64(j) / float64(m)
+				check(edge)
+				check(math.Nextafter(edge, 1))
+				if j > 0 {
+					check(math.Nextafter(edge, 0))
+				}
+			}
+			check(math.Nextafter(1, 0))
+			for _, c := range d.cdf[:min(k, 2000)] { // draws on the CDF's own steps
+				if c < 1 {
+					check(c)
+					check(math.Nextafter(c, 1))
+				}
 			}
 		}
 	}

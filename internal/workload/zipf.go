@@ -9,7 +9,6 @@ package workload
 import (
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // Zipf is a discrete Zipf(z) distribution over ranks 1..K with
@@ -19,6 +18,13 @@ type Zipf struct {
 	K   int
 	Z   float64
 	cdf []float64 // cdf[i] = P(rank ≤ i+1)
+	// guide[j] is the first index whose cdf reaches j/M, for the M =
+	// len(guide)-1 equal slices of [0, 1]: a draw u in slice j can only
+	// land in cdf[guide[j]..guide[j+1]], about one entry wide, so Rank
+	// searches that instead of the whole CDF. M is a power of two, which
+	// makes ⌊u·M⌋ and j/M exact and the narrowed search return the very
+	// index the full one would.
+	guide []int32
 }
 
 // NewZipf precomputes the CDF for K ranks with skew z.
@@ -35,17 +41,38 @@ func NewZipf(k int, z float64) *Zipf {
 	for i := range d.cdf {
 		d.cdf[i] /= sum
 	}
+	m := 1
+	for m < k {
+		m <<= 1
+	}
+	d.guide = make([]int32, m+1)
+	i := 0
+	for j := range d.guide {
+		// cdf[k-1] is sum/sum = 1 ≥ x: the sweep ends inside the CDF.
+		for x := float64(j) / float64(m); i < k-1 && d.cdf[i] < x; {
+			i++
+		}
+		d.guide[j] = int32(i)
+	}
 	return d
 }
 
 // Rank draws a rank in [1, K] (1 = hottest).
-func (d *Zipf) Rank(rng *rand.Rand) int {
-	u := rng.Float64()
-	i := sort.SearchFloat64s(d.cdf, u)
-	if i >= d.K {
-		i = d.K - 1
+func (d *Zipf) Rank(rng *rand.Rand) int { return d.rankAt(rng.Float64()) }
+
+// rankAt returns the rank a uniform draw u ∈ [0, 1) selects: one plus
+// the first index whose cdf is at least u.
+func (d *Zipf) rankAt(u float64) int {
+	j := int(u * float64(len(d.guide)-1))
+	lo, hi := int(d.guide[j]), int(d.guide[j+1])
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); d.cdf[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	return i + 1
+	return lo + 1
 }
 
 // Prob returns P(rank r).
