@@ -128,7 +128,7 @@ func TestFig07aSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure regeneration skipped in -short")
 	}
-	r := Fig07a()
+	r := exhibit(t, "fig07a")
 	if len(r.Rows) != 4 || len(r.Rows[0]) != 6 {
 		t.Fatalf("fig07a shape %dx%d", len(r.Rows), len(r.Rows[0]))
 	}
@@ -138,7 +138,7 @@ func TestFig19Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure regeneration skipped in -short")
 	}
-	r := Fig19()
+	r := exhibit(t, "fig19")
 	if len(r.Rows) != 8 {
 		t.Fatalf("fig19 rows = %d", len(r.Rows))
 	}

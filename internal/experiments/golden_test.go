@@ -1,0 +1,126 @@
+package experiments
+
+import (
+	"flag"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
+	"testing"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/golden/*.csv from this run")
+
+// goldenIDs are the exhibits whose CSV is a function of the seed alone:
+// two runs print the same bytes, so the committed file pins behaviour.
+// The other seven registered exhibits (fig08–12, fig14b, abl-sigma)
+// print measured plan-generation milliseconds and cannot be pinned.
+var goldenIDs = []string{
+	"fig01", "table2", "fig07a", "fig07b", "fig13", "fig14a", "fig15",
+	"fig16", "fig17", "fig18", "fig19", "fig20", "fig21",
+	"abl-adjust", "abl-clean", "abl-psi", "abl-discretize",
+}
+
+// pipelineGoldenIDs are the engine-backed exhibits whose output is the
+// same under streaming inter-stage transfer; they are run a second
+// time under SetPipeline(true) against the same files. fig01 is left
+// out: its shuffle-routed stages may interleave concurrent flushes.
+var pipelineGoldenIDs = []string{"fig13", "fig14a", "fig15", "fig16"}
+
+// exhibitRuns holds one run per exhibit id so the shape tests and the
+// goldens share it; the goldens' subtests run in parallel (fig18 alone
+// is a third of the package's time), hence the Once.
+var exhibitRuns = func() map[string]*exhibitRun {
+	m := map[string]*exhibitRun{}
+	for _, e := range Registry() {
+		m[e.ID] = &exhibitRun{run: e.Run}
+	}
+	return m
+}()
+
+type exhibitRun struct {
+	run  func() *Result
+	once sync.Once
+	r    *Result
+}
+
+// exhibit runs the registered exhibit id once per test binary.
+func exhibit(t *testing.T, id string) *Result {
+	t.Helper()
+	e := exhibitRuns[id]
+	if e == nil {
+		t.Fatalf("exhibit %q is not registered", id)
+	}
+	e.once.Do(func() { e.r = e.run() })
+	return e.r
+}
+
+func goldenPath(id string) string {
+	return filepath.Join("testdata", "golden", id+".csv")
+}
+
+// checkGolden compares got against the committed CSV, printing the
+// first differing line on mismatch.
+func checkGolden(t *testing.T, id, got string) {
+	t.Helper()
+	want, err := os.ReadFile(goldenPath(id))
+	if err != nil {
+		t.Fatalf("%v (generate with: go test ./internal/experiments/ -run TestExhibitGoldens -update)", err)
+	}
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Fatalf("%s differs from %s at line %d:\n- %s\n+ %s", id, goldenPath(id), i+1, w, g)
+		}
+	}
+}
+
+// TestExhibitGoldens regenerates every seed-determined exhibit and
+// compares its CSV byte for byte with the committed one: the
+// bit-identity gate for any change that must not move an exhibit.
+func TestExhibitGoldens(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exhibit regeneration skipped in -short")
+	}
+	for _, id := range goldenIDs {
+		t.Run(id, func(t *testing.T) {
+			t.Parallel()
+			got := exhibit(t, id).CSV()
+			if *update {
+				if err := os.MkdirAll(filepath.Dir(goldenPath(id)), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(goldenPath(id), []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			checkGolden(t, id, got)
+		})
+	}
+}
+
+// TestExhibitGoldensPipelined reruns the engine-backed exhibits with
+// streaming inter-stage transfer against the same files.
+func TestExhibitGoldensPipelined(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exhibit regeneration skipped in -short")
+	}
+	SetPipeline(true)
+	defer SetPipeline(false)
+	for _, id := range pipelineGoldenIDs {
+		t.Run(id, func(t *testing.T) {
+			checkGolden(t, id, exhibitRuns[id].run().CSV())
+		})
+	}
+}

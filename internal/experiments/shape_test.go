@@ -23,7 +23,7 @@ func TestFig13ShapeMixedBeatsStormAtLowF(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhibit regeneration skipped in -short")
 	}
-	r := Fig13()
+	r := exhibit(t, "fig13")
 	// Row 0 is f = 0.1: Storm < Readj < Mixed ≤ Ideal.
 	storm, readj, mixed, ideal := num(t, r, 0, 1), num(t, r, 0, 2), num(t, r, 0, 3), num(t, r, 0, 4)
 	if !(storm < readj && readj < mixed && mixed <= ideal) {
@@ -39,7 +39,7 @@ func TestFig01ShapeBackpressure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhibit regeneration skipped in -short")
 	}
-	r := Fig01()
+	r := exhibit(t, "fig01")
 	storm, mixed, ideal := num(t, r, 0, 2), num(t, r, 1, 2), num(t, r, 2, 2)
 	if !(storm < mixed && mixed < ideal) {
 		t.Fatalf("pipeline ordering broken: storm %v, mixed %v, ideal %v", storm, mixed, ideal)
@@ -55,7 +55,7 @@ func TestAblAdjustShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhibit regeneration skipped in -short")
 	}
-	r := AblAdjust()
+	r := exhibit(t, "abl-adjust")
 	for i := range r.Rows {
 		with, without := num(t, r, i, 1), num(t, r, i, 2)
 		if with >= without {
@@ -68,7 +68,7 @@ func TestAblCleanShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhibit regeneration skipped in -short")
 	}
-	r := AblClean()
+	r := exhibit(t, "abl-clean")
 	paper, inverted := num(t, r, 0, 1), num(t, r, 1, 1)
 	if paper >= inverted {
 		t.Fatalf("smallest-mem cleaning (%v%%) not below largest-mem (%v%%)", paper, inverted)
@@ -86,7 +86,7 @@ func TestAblPsiShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhibit regeneration skipped in -short")
 	}
-	r := AblPsi()
+	r := exhibit(t, "abl-psi")
 	cost, gamma := num(t, r, 0, 1), num(t, r, 1, 1)
 	if gamma >= cost {
 		t.Fatalf("γ selection (%v%%) did not reduce migration vs cost selection (%v%%)", gamma, cost)
@@ -97,7 +97,7 @@ func TestAblDiscretizeShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhibit regeneration skipped in -short")
 	}
-	r := AblDiscretize()
+	r := exhibit(t, "abl-discretize")
 	for i := range r.Rows {
 		naive, hol := num(t, r, i, 1), num(t, r, i, 2)
 		if hol > naive {
@@ -113,7 +113,7 @@ func TestFig17Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhibit regeneration skipped in -short")
 	}
-	r := Fig17()
+	r := exhibit(t, "fig17")
 	// Tightest bound at θ=0.02 must cost at least as much migration as
 	// the most relaxed one.
 	tight := num(t, r, 0, 1)
@@ -127,13 +127,13 @@ func TestFig20Fig21BetaShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhibit regeneration skipped in -short")
 	}
-	r20 := Fig20()
+	r20 := exhibit(t, "fig20")
 	first := num(t, r20, 0, 1)
 	last := num(t, r20, len(r20.Rows)-1, 1)
 	if last >= first {
 		t.Fatalf("β=2 table (%v) not smaller than β=1 table (%v)", last, first)
 	}
-	r21 := Fig21()
+	r21 := exhibit(t, "fig21")
 	m1 := num(t, r21, 0, 1)
 	m2 := num(t, r21, len(r21.Rows)-1, 1)
 	if m2 <= m1 {
