@@ -36,24 +36,15 @@ func main() {
 		listen    = flag.String("listen", "", "listen address (default: ephemeral)")
 		intervals = flag.Int("intervals", 0, "intervals to run (default: topology default, honors REPRO_INTERVALS)")
 		workerBin = flag.String("worker-bin", "", "worker binary to exec -workers subprocesses of (default: workers join externally)")
-		wire      = flag.String("wire", "binary", "wire codec: binary (negotiated per connection, falls back to gob on old peers) or gob (pin the equivalence oracle; REPRO_WIRE=gob does the same)")
 	)
 	flag.Parse()
-	switch *wire {
-	case "binary":
-	case "gob":
-		cluster.SetWireGob(true)
-	default:
-		fmt.Fprintf(os.Stderr, "coordinator: unknown -wire %q (binary or gob)\n", *wire)
-		os.Exit(2)
-	}
-	if err := run(*workers, *topo, *network, *listen, *intervals, *workerBin, *wire); err != nil {
+	if err := run(*workers, *topo, *network, *listen, *intervals, *workerBin); err != nil {
 		fmt.Fprintln(os.Stderr, "coordinator:", err)
 		os.Exit(1)
 	}
 }
 
-func run(workers int, topo, network, listen string, intervals int, workerBin, wire string) error {
+func run(workers int, topo, network, listen string, intervals int, workerBin string) error {
 	spec, err := cluster.LookupTopology(topo)
 	if err != nil {
 		return err
@@ -87,15 +78,10 @@ func run(workers int, topo, network, listen string, intervals int, workerBin, wi
 	// worker subprocess per slot, pointed at our own listener.
 	var procs []*exec.Cmd
 	for i := 0; workerBin != "" && i < workers; i++ {
-		// The wire choice rides along so the whole fleet is pinned: the
-		// handshake would force coordinator-facing edges to gob anyway,
-		// but inter-worker data edges negotiate pairwise and would stay
-		// binary if the workers were not told.
 		cmd := exec.Command(workerBin,
 			"-coordinator", c.Addr(),
 			"-network", network,
-			"-name", fmt.Sprintf("w%d", i),
-			"-wire", wire)
+			"-name", fmt.Sprintf("w%d", i))
 		cmd.Stdout = os.Stdout
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {

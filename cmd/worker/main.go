@@ -3,7 +3,7 @@
 // interval drive over its session socket, and exits on the
 // coordinator's shutdown.
 //
-//	worker -coordinator 127.0.0.1:7400 [-network tcp] [-name w0] [-data 127.0.0.1:0] [-wire binary]
+//	worker -coordinator 127.0.0.1:7400 [-network tcp] [-name w0] [-data 127.0.0.1:0]
 package main
 
 import (
@@ -21,19 +21,10 @@ func main() {
 		network = flag.String("network", "tcp", "socket family: tcp or unix")
 		name    = flag.String("name", "", "worker name (defaults to worker-<pid>)")
 		data    = flag.String("data", "", "data-plane listen address (default: ephemeral)")
-		wire    = flag.String("wire", "binary", "wire codec: binary (negotiated, falls back to gob on old peers) or gob (pin the oracle; REPRO_WIRE=gob does the same)")
 	)
 	flag.Parse()
 	if *coord == "" {
 		fmt.Fprintln(os.Stderr, "worker: -coordinator is required")
-		os.Exit(2)
-	}
-	switch *wire {
-	case "binary":
-	case "gob":
-		cluster.SetWireGob(true)
-	default:
-		fmt.Fprintf(os.Stderr, "worker: unknown -wire %q (binary or gob)\n", *wire)
 		os.Exit(2)
 	}
 	if *name == "" {

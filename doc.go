@@ -4,10 +4,9 @@
 // scheme, the LLFD/MinTable/MinMig/Mixed rebalance planners, the
 // compact 6-dimensional statistics representation with HLHE
 // discretization, a goroutine-based stream-processing engine substrate
-// with generation-stamped pause-free live migration (the Fig. 5
-// pause/migrate/resume protocol remains the pinned oracle), the Readj
-// and PKG baselines, and a benchmark harness regenerating every table
-// and figure of the paper's evaluation.
+// with generation-stamped live key migration (Fig. 5's steps 3–7 with no
+// feed pause), the Readj and PKG baselines, and a harness regenerating
+// every table and figure of the paper's evaluation.
 //
 // Entry points:
 //
@@ -16,8 +15,10 @@
 //     transfer by default) — see Example_topology
 //   - internal/core: the single-stage embedding API (Config,
 //     NewSystem, NewSystemBatch), a thin wrapper over the builder
-//   - cmd/benchrunner: regenerate any exhibit (-exp fig13), or measure
-//     the tuple hot path (-dataplane BENCH_dataplane.json)
+//   - cmd/benchrunner: regenerate any exhibit (-exp fig13); the
+//     seed-determined ones are pinned byte for byte by the goldens under
+//     internal/experiments/testdata/golden
+//   - bench/: the repository benchmark (bash bench/run.sh)
 //   - bench_test.go: the same exhibits as testing.B benchmarks
 //   - examples/: runnable demonstration topologies, all declared
 //     through the builder
@@ -101,10 +102,10 @@
 //     workload NextBatch methods) into a reusable scratch buffer;
 //   - engine.Stage.FeedBatch partitions a whole batch into
 //     per-destination slices against a wait-free atomic load of the
-//     generation-stamped routing assignment (no lock, no paused-key
-//     check on the pause-free default; one lock acquisition on the
-//     pausing oracle) and sends each task at most one channel message
-//     per batch, carved from a refcount-recycled buffer;
+//     generation-stamped routing assignment (no lock; a stage on a
+//     stateful router — PKG, shuffle — routes under one lock
+//     acquisition instead) and sends each task at most one channel
+//     message per batch, carved from a refcount-recycled buffer;
 //   - route.Assignment.DestBatch/DestTuples resolve destinations with
 //     the empty-table test and interface dispatch hoisted out of the
 //     per-tuple loop;
@@ -121,22 +122,23 @@
 // per-tuple path (equivalence is pinned by tests; exhibit outputs are
 // bit-identical).
 //
-// # Pause-free live migration
+// # Live migration
 //
-// Applying a rebalance plan no longer pauses the feed path. The
-// routing assignment and hash-ring LUT are published behind a single
-// atomic pointer with a generation counter; Feed/FeedBatch load it
-// wait-free and stamp batches with the generation they routed under.
-// A plan swaps the new generation in first, the destination buffers
-// new-generation tuples for each moving key in a bounded handoff
-// queue armed before the swap, and the source extracts windowed state
-// and tracker history once its own old-generation watermark passes —
-// per task, no stage-wide drain. topology.PausingMigration() (or
-// engine.Config.PauseFree = false) selects the paper's literal Fig. 5
-// sequence, pinned bit-equivalent by a randomized schedule test and
-// raced by a continuous-plan stress test. engine.Config.FeedLatency
-// records a per-feeder latency histogram (metrics.LatencyHist) merged
-// into metrics.Interval.FeedP50Us/FeedP99Us.
+// Applying a rebalance plan never pauses the feed path. The routing
+// assignment and hash-ring LUT are published behind a single atomic
+// pointer with a generation counter; Feed/FeedBatch load it wait-free
+// and stamp batches with the generation they routed under. A plan
+// (engine.Stage.ApplyPlan) arms a bounded handoff queue at each moving
+// key's destination, publishes the new generation, waits until every
+// feeder pinned under the old one has finished its sends, then extracts
+// windowed state and tracker history at the source and injects and
+// replays at the destination — per key, no stage-wide drain. Every
+// publication waits out the generation it replaces, whether or not it
+// has anything to extract: the two-slot epoch counter is only sound
+// while at most two generations have feeders in flight. A stage
+// migrates live iff it routes by assignment; there is no option.
+// engine.Config.FeedLatency records a per-feeder latency histogram
+// (metrics.LatencyHist) merged into metrics.Interval.FeedP50Us/FeedP99Us.
 //
 // # Hot-key splitting
 //
@@ -152,10 +154,9 @@
 // before snapshots, metrics or downstream flushes — so all observables
 // are pinned bit-identical to the unsplit run. Split keys are pinned
 // against rebalance plans (controller guardSplit + stage backstop,
-// both counting SplitPinned), transitions ride the pause-free
-// machinery, and Build panics if combined with PausingMigration().
-// examples/viralkey demonstrates a flash crowd; make bench-hotkey
-// records the θ-sweep in BENCH_dataplane.json.
+// both counting SplitPinned) and transitions ride the live-migration
+// machinery. examples/viralkey demonstrates a flash crowd; the
+// repository benchmark's hotkey workload measures it.
 //
 // See README.md for the architecture tour; per-exhibit interpretation
 // against the published shapes lives with the runners in

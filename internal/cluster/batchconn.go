@@ -36,8 +36,8 @@ var chunkPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &
 // reflection walk. Sub-batch length prefixes inside the frame keep the
 // chunk sequence intact.
 //
-// On a gob connection (the selectable equivalence oracle, and the
-// fallback for old peers) the PR 9 behavior is kept verbatim: one
+// On a gob connection (the fallback for a peer that does not grant
+// FeatureBinary) the PR 9 behavior is kept verbatim: one
 // TupleBatch message per FeedBatch call, encoded under the mutex — the
 // gob encoder is stateful (it streams type descriptors once), so its
 // encode cannot leave the lock.
@@ -59,8 +59,8 @@ type BatchConn struct {
 // NewBatchConn wraps an established data connection. coalesce is the
 // coalescing byte budget: 0 picks DefCoalesce, negative disables
 // coalescing (every FeedBatch ships its own frame, the PR 9 wire
-// cadence). The budget only applies on binary-wire connections; the gob
-// oracle always ships per chunk.
+// cadence). The budget only applies on binary-wire connections; a gob
+// connection always ships per chunk.
 func NewBatchConn(c *Conn, coalesce int) *BatchConn {
 	switch {
 	case coalesce == 0:

@@ -322,8 +322,8 @@ func TestCrossCodecEquivalence(t *testing.T) {
 	assertNonVacuous(t, local)
 
 	t.Run("gob-oracle", func(t *testing.T) {
-		SetWireGob(true)
-		t.Cleanup(func() { SetWireGob(false) })
+		wireGob.Store(true)
+		t.Cleanup(func() { wireGob.Store(false) })
 		dist := runDistributed(t, "unix", 2)
 		if dist.binaryWire {
 			t.Fatal("gob oracle run negotiated the binary wire")

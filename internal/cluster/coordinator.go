@@ -181,7 +181,6 @@ func (c *Coordinator) Deploy(nWorkers int) error {
 			Algorithm: string(st.Algorithm),
 			Capacity:  st.Capacity,
 			Budget:    c.spec.Budget,
-			PauseFree: true,
 			StateWire: true,
 			Control:   len(c.policies[si]) > 0,
 			Coalesce:  c.spec.Coalesce,

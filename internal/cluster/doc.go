@@ -20,9 +20,9 @@
 // after — by default both sides hold FeatureBinary and switch to the
 // hand-rolled binary codec (zero-reflection encoding for batches,
 // flushes, the interval drive and the control round, plus FeedBatch
-// frame coalescing up to Spec.Coalesce bytes on data edges), while old
-// peers, or processes pinned with SetWireGob / REPRO_WIRE=gob /
-// -wire gob, fall back to the framed gob oracle:
+// frame coalescing up to Spec.Coalesce bytes on data edges), while a
+// peer that does not grant the bit keeps the connection on framed gob
+// (no option selects that; the equivalence suite still pins it):
 //
 //   - the worker session (one per worker, dialed at startup): stage
 //     assignments, interval StartInterval/CloseStage/HarvestReq drive,
@@ -46,7 +46,7 @@
 // shipped arrival accounting, the emission plane is the same
 // engine.Emitter (so chunk boundaries, and hence shuffle routing, are
 // preserved), and every FeedBatch call's chunk boundary survives the
-// wire — as its own TupleBatch message on the gob oracle, as a
+// wire — as its own TupleBatch message on a gob connection, as a
 // length-prefixed sub-batch inside a coalesced binary frame otherwise
 // — so the receiver replays the exact same FeedBatch sequence either
 // way.

@@ -58,7 +58,7 @@ type Spec struct {
 	// to every edge (spout→s0 and each inter-stage connection): 0 takes
 	// DefCoalesce, negative disables coalescing (one wire frame per
 	// FeedBatch chunk — the PR 9 cadence). Only effective on
-	// binary-wire connections; the gob oracle always ships per chunk.
+	// binary-wire connections; a gob connection always ships per chunk.
 	Coalesce int
 }
 

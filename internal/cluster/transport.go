@@ -4,7 +4,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"net"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,8 +13,10 @@ import (
 )
 
 // Proto is the cluster session protocol version, validated on both
-// sides of every Hello/Welcome handshake.
-const Proto = 1
+// sides of every Hello/Welcome handshake. Version 2 is the single-form
+// LoadReport (one report per round, its run carrying destinations) and
+// the binary frame kinds renumbered without resync.
+const Proto = 2
 
 // Feature bits, advertised in Hello.Features and granted (as a subset)
 // in Welcome.Features. The handshake itself always speaks gob, so a
@@ -35,26 +36,11 @@ const (
 const knownFeatures = FeatureBinary
 
 // wireGob, when set, stops this process from offering or granting
-// FeatureBinary: every connection speaks the framed gob wire end to
-// end. It is the equivalence oracle knob — the same role the pausing
-// migration path and store-and-forward play — selectable per process
-// via SetWireGob, the REPRO_WIRE=gob environment variable, or the
-// -wire flag on cmd/worker and cmd/coordinator.
+// FeatureBinary, as a peer that predates the feature would: every
+// connection then speaks the framed gob wire end to end. Nothing outside
+// this package's tests sets it — they use it to keep the negotiated
+// fallback pinned equivalent to the binary wire.
 var wireGob atomic.Bool
-
-func init() {
-	if os.Getenv("REPRO_WIRE") == "gob" {
-		wireGob.Store(true)
-	}
-}
-
-// SetWireGob selects the wire codec for connections this process opens
-// or accepts from now on: true pins the framed gob oracle, false
-// (default) negotiates the binary wire.
-func SetWireGob(v bool) { wireGob.Store(v) }
-
-// WireGob reports whether the gob oracle is pinned.
-func WireGob() bool { return wireGob.Load() }
 
 // offeredFeatures returns the feature bits this process advertises and
 // is willing to grant.

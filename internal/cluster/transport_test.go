@@ -85,9 +85,9 @@ func TestHandshake(t *testing.T) {
 }
 
 // TestHandshakeNegotiation is the codec negotiation matrix: two
-// current peers land on the binary wire; a peer with the gob knob set
-// (or an old peer that never offers the bit) falls back to gob on both
-// sides; corrupt feature bits are rejected with a clean error in
+// current peers land on the binary wire; a process withholding the
+// bit (the package's unexported switch, or an old peer that never
+// offers it) falls back to gob on both sides; corrupt feature bits are rejected with a clean error in
 // either direction.
 func TestHandshakeNegotiation(t *testing.T) {
 	pair := func(t *testing.T) (*Conn, *Conn) {
@@ -146,13 +146,13 @@ func TestHandshakeNegotiation(t *testing.T) {
 	})
 
 	t.Run("gob-knob", func(t *testing.T) {
-		SetWireGob(true)
-		t.Cleanup(func() { SetWireGob(false) })
+		wireGob.Store(true)
+		t.Cleanup(func() { wireGob.Store(false) })
 		a, b := pair(t)
 		defer a.Close()
 		defer b.Close()
 		if a.Binary() || b.Binary() || a.Features() != 0 || b.Features() != 0 {
-			t.Fatalf("gob knob ignored: dial=(%v,%#x) accept=(%v,%#x)",
+			t.Fatalf("gob switch ignored: dial=(%v,%#x) accept=(%v,%#x)",
 				a.Binary(), a.Features(), b.Binary(), b.Features())
 		}
 		exchange(t, a, b)

@@ -28,8 +28,8 @@ func BenchmarkClusterWire(b *testing.B) {
 		{"binary-32k", false, 32 << 10},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
-			SetWireGob(cfg.gob)
-			defer SetWireGob(false)
+			wireGob.Store(cfg.gob)
+			defer wireGob.Store(false)
 			b.ReportAllocs()
 			runWireBench(b, cfg.coalesce)
 		})

@@ -176,8 +176,6 @@ func (w *Worker) assign(a *protocol.StageAssign) error {
 	cfg := engine.DefaultConfig()
 	cfg.Budget = a.Budget
 	cfg.Capacity = a.Capacity
-	cfg.PauseFree = a.PauseFree
-	cfg.Harvest = engine.HarvestMode(a.Harvest)
 	eng := engine.NewBatch(nil, cfg, st)
 	if a.StateWire {
 		st.SetStateWire(true)

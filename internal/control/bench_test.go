@@ -162,14 +162,6 @@ func BenchmarkControlRound(b *testing.B) {
 	}
 }
 
-// BenchmarkRebalanceLatency is the tentpole's headline measurement:
-// the distribution of FeedBatch call latency — p50 and p99, reported
-// as p50-µs / p99-µs — with and without a controller goroutine
-// applying rebalance plans continuously, on the pausing oracle versus
-// the pause-free generation protocol. On the pausing path every plan
-// pauses feeds and drains in-flight sends, so the rebalance case
-// shows a p99 cliff over its steady case; pause-free feeders never
-// block on a plan and p99 stays flat. Run via `make bench-control`.
 // BenchmarkWireCodec measures the gob codec's per-message cost for
 // report traffic at several population sizes — the satellite win here
 // is the retained staging buffer: each Send gob-encodes into a reused
@@ -181,10 +173,10 @@ func BenchmarkWireCodec(b *testing.B) {
 		b.Run(fmt.Sprintf("report/keys=%d", keys), func(b *testing.B) {
 			var buf bytes.Buffer
 			c := protocol.NewCodec(&buf)
-			rep := &protocol.LoadReport{TaskID: 1, Interval: 7, Tasks: 4, Capacity: 1 << 20}
+			rep := &protocol.LoadReport{Interval: 7, Tasks: 4, Capacity: 1 << 20}
 			for i := 0; i < keys; i++ {
-				rep.Stats = append(rep.Stats, protocol.KeyStatWire{
-					Key: tuple.Key(i), Cost: int64(keys - i), Freq: 1, Mem: 2, Hash: i % 4,
+				rep.Keys = append(rep.Keys, stats.KeyStat{
+					Key: tuple.Key(i), Cost: int64(keys - i), Freq: 1, Mem: 2, Dest: i % 4, Hash: i % 4,
 				})
 			}
 			m := &protocol.Message{Report: rep}
@@ -203,91 +195,85 @@ func BenchmarkWireCodec(b *testing.B) {
 	}
 }
 
+// BenchmarkRebalanceLatency measures what a live migration costs the
+// feed path: the distribution of FeedBatch call latency — p50 and p99,
+// reported as p50-µs / p99-µs — with and without a controller goroutine
+// applying rebalance plans continuously. Feeders never block on a plan,
+// so p99 stays flat across the two. Run via `make bench-control`.
 func BenchmarkRebalanceLatency(b *testing.B) {
 	const (
 		nd        = 4
 		keyDomain = 512
 		chunk     = 256
 	)
-	for _, mode := range []string{"pausing", "pausefree"} {
-		for _, load := range []string{"steady", "rebalance"} {
-			b.Run(mode+"/"+load, func(b *testing.B) {
-				st := engine.NewStage("bench", nd, func(int) engine.Operator { return engine.StatefulCount }, 1,
-					engine.NewAssignmentRouter(topology.NewAssignment(nd)))
-				defer st.Stop()
-				if mode == "pausefree" {
-					if err := st.SetPauseFree(true); err != nil {
-						b.Fatal(err)
-					}
-				}
-				pre := make([]tuple.Tuple, keyDomain)
-				for i := range pre {
-					pre[i] = tuple.New(tuple.Key(i), nil)
-				}
-				st.FeedBatch(pre)
-				st.Barrier()
+	for _, load := range []string{"steady", "rebalance"} {
+		b.Run(load, func(b *testing.B) {
+			st := engine.NewStage("bench", nd, func(int) engine.Operator { return engine.StatefulCount }, 1,
+				engine.NewAssignmentRouter(topology.NewAssignment(nd)))
+			defer st.Stop()
+			pre := make([]tuple.Tuple, keyDomain)
+			for i := range pre {
+				pre[i] = tuple.New(tuple.Key(i), nil)
+			}
+			st.FeedBatch(pre)
+			st.Barrier()
 
-				stop := make(chan struct{})
-				var wg sync.WaitGroup
-				if load == "rebalance" {
-					// Controller goroutine: rotate a fifth of the key
-					// domain one instance over, continuously, via the
-					// live-migration entry point (on the pausing oracle
-					// that is pause → drain → migrate → resume; on a
-					// pause-free stage it is the generation protocol).
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for i := 0; ; i++ {
-							select {
-							case <-stop:
-								return
-							default:
-							}
-							asg := st.AssignmentRouter().Assignment()
-							tab := asg.Table().Clone()
-							plan := &balance.Plan{Table: tab, MoveDest: map[tuple.Key]int{}}
-							for k := tuple.Key(i % 5); k < keyDomain; k += 5 {
-								dst := (asg.Dest(k) + 1) % nd
-								tab.Put(k, dst)
-								plan.Moved = append(plan.Moved, k)
-								plan.MoveDest[k] = dst
-							}
-							if _, err := st.ApplyPlanLive(plan); err != nil {
-								b.Error(err)
-								return
-							}
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			if load == "rebalance" {
+				// Controller goroutine: rotate a fifth of the key
+				// domain one instance over, continuously.
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; ; i++ {
+						select {
+						case <-stop:
+							return
+						default:
 						}
-					}()
-				}
+						asg := st.AssignmentRouter().Assignment()
+						tab := asg.Table().Clone()
+						plan := &balance.Plan{Table: tab, MoveDest: map[tuple.Key]int{}}
+						for k := tuple.Key(i % 5); k < keyDomain; k += 5 {
+							dst := (asg.Dest(k) + 1) % nd
+							tab.Put(k, dst)
+							plan.Moved = append(plan.Moved, k)
+							plan.MoveDest[k] = dst
+						}
+						if _, err := st.ApplyPlan(plan, nil); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
 
-				buf := make([]tuple.Tuple, chunk)
-				var seq int
-				var hist metrics.LatencyHist
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for j := range buf {
-						buf[j] = tuple.New(tuple.Key(seq%keyDomain), nil)
-						seq++
-					}
-					t0 := time.Now()
-					st.FeedBatch(buf)
-					hist.Observe(time.Since(t0))
-					// Drain periodically (outside the histogram) so the
-					// measurement is feed-path stall, not steady-state
-					// queue saturation — which would bury both modes
-					// under the same backlog delay.
-					if i%8 == 7 {
-						st.Barrier()
-					}
+			buf := make([]tuple.Tuple, chunk)
+			var seq int
+			var hist metrics.LatencyHist
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range buf {
+					buf[j] = tuple.New(tuple.Key(seq%keyDomain), nil)
+					seq++
 				}
-				b.StopTimer()
-				close(stop)
-				wg.Wait()
-				st.Barrier()
-				b.ReportMetric(hist.QuantileUs(0.5), "p50-µs")
-				b.ReportMetric(hist.QuantileUs(0.99), "p99-µs")
-			})
-		}
+				t0 := time.Now()
+				st.FeedBatch(buf)
+				hist.Observe(time.Since(t0))
+				// Drain periodically (outside the histogram) so the
+				// measurement is feed-path stall, not steady-state
+				// queue saturation.
+				if i%8 == 7 {
+					st.Barrier()
+				}
+			}
+			b.StopTimer()
+			close(stop)
+			wg.Wait()
+			st.Barrier()
+			b.ReportMetric(hist.QuantileUs(0.5), "p50-µs")
+			b.ReportMetric(hist.QuantileUs(0.99), "p99-µs")
+		})
 	}
 }

@@ -11,7 +11,7 @@
 //	1 │ the interval's snapshot, │────────────▶│ check → the snapshot     │
 //	  │ whole, as the report     │   (×1)      │ Policy.Decide → Commands │ 2
 //	  │                          │ PlanAnnounce│                          │
-//	4 │ pause·migrate per key    │◀────────────│ Rebalance{Plan}          │ 3
+//	4 │ migrate per key, live    │◀────────────│ Rebalance{Plan}          │ 3
 //	  │  └▶ StateTransfer (×Δ)   │────────────▶│   or ScaleOut / ScaleIn  │
 //	5 │ Ack when applied         │────────────▶│   as Resize{±1}          │
 //	  │                          │   Resume    │                          │
@@ -21,15 +21,15 @@
 // Policies (rebalance controllers, autoscalers) are pure deciders:
 // they consume one interval's snapshot plus the stage context Env and
 // emit typed Commands. A single per-stage Executor applies every
-// command against the engine — Rebalance through the stage's
-// pause/migrate/resume path, ScaleOut/ScaleIn through the engine's
+// command against the engine — Rebalance through the stage's live
+// migration (Stage.ApplyPlan), ScaleOut/ScaleIn through the engine's
 // generalized ResizeStage — and every step of every command crosses a
 // Conn as a protocol message. The default transport is an in-process
 // loopback (channel-passed messages); the Wire option runs the same
 // bytes through a gob Codec over a synchronous pipe, pinned equivalent
 // by test, so a multi-process deployment only swaps the Conn.
 //
-// Step 1 is one merged LoadReport whose run is the snapshot's own (the
+// Step 1 is one LoadReport whose run is the snapshot's own (the
 // loopback passes the pointer; a wire adds a destination column and
 // decodes into a buffer the codec recycles). The server validates it as
 // outside input — destinations inside the stage, canonical order —
@@ -38,15 +38,6 @@
 // returns as a hold instead of wedging the driver. The snapshot a policy
 // is handed lives until the round after next; one that keeps it longer
 // clones it.
-//
-// With engine.HarvestIncremental, step 1 rides the delta report form:
-// held rounds send only changed and retired keys, which the Loop's
-// protocol.Mirror folds into retained per-task runs before the merge,
-// so policies decide on the same bit-identical snapshot at O(Δkeys)
-// wire and merge cost. An epoch gap makes the Loop send Resync (the
-// Executor resends the round in full); after any command the Executor
-// forces its next report full and the Loop resets its mirror, keeping
-// both ends in step without negotiation.
 package control
 
 import (
@@ -60,8 +51,7 @@ import (
 type Command interface{ isCommand() }
 
 // Rebalance applies a migration plan (new routing table A′ plus the
-// migration set Δ(F, F′)) through the stage's pause → migrate → ack →
-// resume sequence.
+// migration set Δ(F, F′)) through the stage's live migration.
 type Rebalance struct{ Plan *balance.Plan }
 
 // ScaleOut adds one task instance to the stage (the hash ring grows;
@@ -84,7 +74,7 @@ type SplitSpec struct {
 // keys present become (or stay) split at the given fan, keys absent
 // fold back into their home task. Emitted by the contention detector
 // (controller.Splitter); the executor applies it through the stage's
-// pause-free arm/swap/fold machinery.
+// arm/publish/fold machinery.
 type SetSplit struct{ Set []SplitSpec }
 
 func (Rebalance) isCommand() {}

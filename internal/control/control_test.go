@@ -1,6 +1,7 @@
 package control_test
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/balance"
@@ -136,8 +137,10 @@ func TestLoopMatchesDirectController(t *testing.T) {
 }
 
 // TestSnapshotWireRoundTrip pins the report marshaling itself: a
-// harvested snapshot split into per-task reports and reassembled is
-// byte-identical, including Dest/Hash resolution and ordering.
+// harvested snapshot shipped as the round's report over the gob pipe and
+// over the binary wire arrives byte-identical — every entry's
+// statistics, Dest and Hash, in the same order — and passes the
+// receiver's check.
 func TestSnapshotWireRoundTrip(t *testing.T) {
 	e, st := mkEngine(7)
 	defer e.Stop()
@@ -146,7 +149,43 @@ func TestSnapshotWireRoundTrip(t *testing.T) {
 	if len(snap.Keys) == 0 {
 		t.Fatal("empty oracle snapshot")
 	}
-	reports := protocol.ReportsFromSnapshot(snap, st.Instances(), 1000, 8000, 8000, true, true, nil)
-	back := protocol.SnapshotFromReports(reports)
-	sameSnapshots(t, "roundtrip", []*stats.Snapshot{snap}, []*stats.Snapshot{back})
+	for name, pair := range map[string]func() (control.Conn, control.Conn){
+		"gob pipe": control.NewWirePair,
+		"binary":   newBinaryPair,
+	} {
+		a, b := pair()
+		go a.Send(&protocol.Message{Report: &protocol.LoadReport{
+			Interval: snap.Interval, Keys: snap.Keys, Tasks: st.Instances(),
+		}})
+		m, err := b.Recv()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := m.Report.CheckMerged(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		back := &stats.Snapshot{Interval: m.Report.Interval, ND: m.Report.Tasks, Keys: m.Report.Keys}
+		sameSnapshots(t, name, []*stats.Snapshot{snap}, []*stats.Snapshot{back})
+		a.Close()
+		b.Close()
+	}
+}
+
+// capturePolicy records every snapshot the controller side decides on
+// (a copy: a snapshot's keys are recycled two rounds later), delegating
+// the decision itself.
+type capturePolicy struct {
+	mu    sync.Mutex
+	inner control.Policy
+	snaps []*stats.Snapshot
+}
+
+func (c *capturePolicy) Decide(env control.Env, snap *stats.Snapshot) []control.Command {
+	c.mu.Lock()
+	c.snaps = append(c.snaps, snap.Clone())
+	c.mu.Unlock()
+	if c.inner != nil {
+		return c.inner.Decide(env, snap)
+	}
+	return nil
 }

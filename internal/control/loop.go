@@ -19,14 +19,6 @@ type Executor struct {
 	e    *engine.Engine
 	si   int
 	conn Conn
-	// needFull forces the next round's reports to the full form. True
-	// initially (the controller's mirror starts empty) and after any
-	// round that carried a command: the command's side effects
-	// (migrations, resizes, split churn) land in the next close's
-	// delta, but the controller forgets its mirror when it commands —
-	// the symmetric rule that keeps both ends in step without
-	// negotiation — so the stage must rebase it.
-	needFull bool
 	// OnResize, when set, observes every successful Resize actuation
 	// with its delta (+1 scale-out, -1 scale-in), in application order.
 	// The cluster worker records the sequence so the coordinator can
@@ -40,81 +32,40 @@ type Executor struct {
 // executor serves a remote controller (anything answering on conn with
 // the protocol's command messages).
 func NewExecutor(e *engine.Engine, si int, conn Conn) *Executor {
-	return &Executor{e: e, si: si, conn: conn, needFull: true}
+	return &Executor{e: e, si: si, conn: conn}
 }
 
 // RunRound drives one interval's control round: report the interval's
 // statistics (step 1), then serve the controller's command stream —
-// PlanAnnounce applies through the stage's pause/migrate/resume path,
-// Resize through the engine's elastic actuator, each migration
-// reported as a StateTransfer and each command Acked — until Resume
-// closes the round. The return value summarizes what was applied, in
-// the shape the engine records (nil when the round held, or the
-// transport is gone).
+// PlanAnnounce applies through the stage's live migration, Resize
+// through the engine's elastic actuator, each migration reported as a
+// StateTransfer and each command Acked — until Resume closes the round.
+// The return value summarizes what was applied, in the shape the engine
+// records (nil when the round held, or the transport is gone).
 //
-// The round's report is the snapshot itself: one merged LoadReport
-// whose Keys are snap.Keys, which must therefore stay untouched until
-// the round returns (the stage's snapshot does, by its lifetime rule).
-// Under engine.HarvestIncremental the reports are per-task deltas
-// instead — each task's changed and retired keys against the previous
-// close, O(Δkeys) on the wire — except when the mirror on the other end
-// needs a rebase: the first round, the round after any command, and
-// whenever the controller asks with Resync mid-round.
+// The round's report is the snapshot itself: one LoadReport whose Keys
+// are snap.Keys, which must therefore stay untouched until the round
+// returns (the stage's snapshot does, by its lifetime rule).
 func (x *Executor) RunRound(snap *stats.Snapshot) *engine.Rebalance {
 	st := x.e.Stages[x.si]
-	deltas := st.LastDeltas()
-	incremental := st.Harvest() == engine.HarvestIncremental && len(deltas) == st.Instances()
-	sendFull := func() bool {
-		if !incremental {
-			// The snapshot is the report: its merged run goes out as it
-			// is, by reference on the loopback.
-			return x.conn.Send(&protocol.Message{Report: &protocol.LoadReport{
-				Interval: snap.Interval, Merged: true, Keys: snap.Keys,
-				Tasks: st.Instances(), Capacity: x.e.CapacityOf(x.si),
-				Emitted: x.e.LastEmitted(), Budget: x.e.Cfg.Budget,
-				Routable: st.AssignmentRouter() != nil, Resizable: x.resizable(),
-				Split: st.SplitKeys(),
-			}}) == nil
-		}
-		// The incremental stream rebases the mirror's per-task runs, so
-		// its full rounds stay per task, stamped with the close's epochs.
-		reports := protocol.ReportsFromSnapshot(snap, st.Instances(),
-			x.e.CapacityOf(x.si), x.e.LastEmitted(), x.e.Cfg.Budget,
-			st.AssignmentRouter() != nil, x.resizable(), st.SplitKeys())
-		for d, r := range reports {
-			r.Epoch = deltas[d].Epoch
-			if x.conn.Send(&protocol.Message{Report: r}) != nil {
-				return false
-			}
-		}
-		return true
-	}
-	sent := false
-	if incremental && !x.needFull {
-		sent = x.sendDeltas(st, snap, deltas)
-	}
-	if !sent && !sendFull() {
-		x.needFull = true
+	// The merged run goes out as it is, by reference on the loopback.
+	if x.conn.Send(&protocol.Message{Report: &protocol.LoadReport{
+		Interval: snap.Interval, Keys: snap.Keys,
+		Tasks: st.Instances(), Capacity: x.e.CapacityOf(x.si),
+		Emitted: x.e.LastEmitted(), Budget: x.e.Cfg.Budget,
+		Routable: st.AssignmentRouter() != nil, Resizable: x.resizable(),
+		Split: st.SplitKeys(),
+	}}) != nil {
 		return nil
 	}
 	var reb *engine.Rebalance
-	gotCmd := false
 	for {
 		m, err := x.conn.Recv()
 		if err != nil {
-			x.needFull = true
 			return reb
 		}
 		switch {
-		case m.ResyncReq != nil:
-			// The controller's mirror could not apply this round's
-			// deltas; resend the same interval in full.
-			if !sendFull() {
-				x.needFull = true
-				return reb
-			}
 		case m.Plan != nil:
-			gotCmd = true
 			// Inapplicable commands are rejected as holds, not
 			// panics: the executor may serve a remote controller, and
 			// a malformed command must not crash the driver. The Ack
@@ -124,7 +75,7 @@ func (x *Executor) RunRound(snap *stats.Snapshot) *engine.Rebalance {
 				break
 			}
 			plan := protocol.PlanFromAnnounce(m.Plan)
-			moved, err := st.ApplyPlanObserved(plan, x.transferObserver())
+			moved, err := st.ApplyPlan(plan, x.transferObserver())
 			if err != nil {
 				// Same reject-as-hold as the guards above: the router
 				// check raced a topology change, so the plan no longer
@@ -140,7 +91,6 @@ func (x *Executor) RunRound(snap *stats.Snapshot) *engine.Rebalance {
 			}
 			x.ack(m.Plan.Interval)
 		case m.ResizeCmd != nil:
-			gotCmd = true
 			delta := m.ResizeCmd.Delta
 			if !x.canResize(delta) {
 				x.ack(m.ResizeCmd.Interval)
@@ -166,16 +116,10 @@ func (x *Executor) RunRound(snap *stats.Snapshot) *engine.Rebalance {
 			}
 			x.ack(m.ResizeCmd.Interval)
 		case m.Split != nil:
-			gotCmd = true
-			// Reject-as-hold mirrors the plan path: splitting requires
-			// an assignment router and the pause-free protocol, and
-			// ApplySplitSet re-checks both under its own lock. Nothing
-			// is recorded in reb — a split is a routing-layer change,
-			// not a migration.
-			if st.AssignmentRouter() == nil || !st.PauseFree() {
-				x.ack(m.Split.Interval)
-				break
-			}
+			// Reject-as-hold mirrors the plan path: ApplySplitSet refuses
+			// a stage without an assignment router. Nothing is recorded
+			// in reb — a split is a routing-layer change, not a
+			// migration.
 			set := make([]stats.HotKey, 0, len(m.Split.Set))
 			for _, e := range m.Split.Set {
 				set = append(set, stats.HotKey{Key: e.Key, Fan: e.Fan})
@@ -183,53 +127,13 @@ func (x *Executor) RunRound(snap *stats.Snapshot) *engine.Rebalance {
 			_ = st.ApplySplitSet(set)
 			x.ack(m.Split.Interval)
 		case m.Resume != nil:
-			// A commanded round rebases the mirror next interval (the
-			// controller forgot it when it commanded); a held round
-			// keeps the delta stream going.
-			x.needFull = gotCmd
 			return reb
 		default:
 			// Protocol violation: bail out of the round rather than
 			// wedge the driver goroutine.
-			x.needFull = true
 			return reb
 		}
 	}
-}
-
-// sendDeltas reports the round as per-task delta reports built from
-// the stage's last retained close: changed entries, retired keys and
-// the close's epoch, with the stage context every report carries.
-// Returns false if the transport is gone.
-func (x *Executor) sendDeltas(st *engine.Stage, snap *stats.Snapshot, deltas []stats.Delta) bool {
-	tasks := st.Instances()
-	capacity, emitted, budget := x.e.CapacityOf(x.si), x.e.LastEmitted(), x.e.Cfg.Budget
-	routable, resizable, split := st.AssignmentRouter() != nil, x.resizable(), st.SplitKeys()
-	total := 0
-	for d := range deltas {
-		total += len(deltas[d].Changed)
-	}
-	// One backing array carved into per-task Changed slices, as
-	// ReportsFromSnapshot does for full reports.
-	backing := make([]protocol.KeyStatWire, 0, total)
-	for d := range deltas {
-		lo := len(backing)
-		for _, ks := range deltas[d].Changed {
-			backing = append(backing, protocol.KeyStatWire{Key: ks.Key, Cost: ks.Cost, Freq: ks.Freq, Mem: ks.Mem, Hash: ks.Hash})
-		}
-		r := &protocol.LoadReport{
-			TaskID: d, Interval: snap.Interval,
-			Epoch: deltas[d].Epoch, Delta: true,
-			Changed: backing[lo:len(backing):len(backing)],
-			Retired: deltas[d].Retired,
-			Tasks:   tasks, Capacity: capacity, Emitted: emitted, Budget: budget,
-			Routable: routable, Resizable: resizable, Split: split,
-		}
-		if x.conn.Send(&protocol.Message{Report: r}) != nil {
-			return false
-		}
-	}
-	return true
 }
 
 // planFits reports whether every destination a plan announce
@@ -369,8 +273,7 @@ func (l *Loop) Close() {
 // WireBytes reports the cumulative bytes the controller transport has
 // sent and received, when the transport counts them (the gob wire
 // transport does; the in-process loopback moves no bytes and reports
-// zeros). bench-control and the harvest sweep use it to measure
-// control-plane bandwidth.
+// zeros). bench-control uses it to measure control-plane bandwidth.
 func (l *Loop) WireBytes() (sent, rcvd int64) {
 	return l.srv.WireBytes()
 }

@@ -46,7 +46,7 @@ func eagerController() *controller.Controller {
 	return ctl
 }
 
-// TestRoundEquivalenceEveryTransport pins the whole-round report on
+// TestRoundEquivalenceEveryTransport pins the round's report on
 // every path a round can take — the direct hook (no protocol at all),
 // the loopback (the report is the snapshot, by reference), the gob pipe
 // and the binary socket wire — with a plan in every round: identical
@@ -115,8 +115,8 @@ func (p *countingPolicy) Decide(control.Env, *stats.Snapshot) []control.Command 
 	return nil
 }
 
-// TestHostileMergedReportEndsRound sends the controller side whole-round
-// reports it must not trust — a destination past the stage's instances,
+// TestHostileMergedReportEndsRound sends the controller side reports it
+// must not trust — a destination past the stage's instances,
 // a negative one, entries out of canonical order, an entry count the
 // frame cannot hold — over the loopback and the binary wire. Each ends
 // the round with an error on the sender's side: no policy sees the
@@ -124,7 +124,7 @@ func (p *countingPolicy) Decide(control.Env, *stats.Snapshot) []control.Command 
 func TestHostileMergedReportEndsRound(t *testing.T) {
 	valid := func() *protocol.LoadReport {
 		return &protocol.LoadReport{
-			Interval: 3, Merged: true, Tasks: 2, Routable: true,
+			Interval: 3, Tasks: 2, Routable: true,
 			Keys: []stats.KeyStat{
 				{Key: 1, Cost: 9, Dest: 1, Hash: 1},
 				{Key: 2, Cost: 4, Dest: 0, Hash: 0},
@@ -182,14 +182,14 @@ func TestHostileMergedReportEndsRound(t *testing.T) {
 	}
 
 	// A count the frame cannot hold never becomes a report: raw bytes on
-	// the binary wire (kind 3 is a report, flag 8 its merged form).
+	// the binary wire (kind 3 is a report; interval, flags, then the count).
 	a, b := net.Pipe()
 	codec := protocol.NewFramedCodec(b)
 	codec.EnableBinary()
 	pol := &countingPolicy{}
 	srv := control.NewServer(binaryConn{Codec: codec, c: b}, []control.Policy{pol})
 	srv.Start()
-	frame := []byte{3, 0, 4, 0, 8, 0xff, 0xff, 0x7f}
+	frame := []byte{3, 4, 0, 0xff, 0xff, 0x7f}
 	go a.Write(append(binary.BigEndian.AppendUint32(nil, uint32(len(frame))), frame...))
 	if _, err := a.Read(make([]byte, 1)); err == nil {
 		t.Fatal("a report with a count past its frame was answered")
@@ -198,6 +198,74 @@ func TestHostileMergedReportEndsRound(t *testing.T) {
 	a.Close()
 	if pol.rounds.Load() != 0 {
 		t.Fatal("a policy saw a report with a count past its frame")
+	}
+}
+
+// commandOnce emits one resize command in its first round and holds
+// afterwards.
+type commandOnce struct{ done bool }
+
+func (p *commandOnce) Decide(control.Env, *stats.Snapshot) []control.Command {
+	if p.done {
+		return nil
+	}
+	p.done = true
+	return []control.Command{control.ScaleOut{}}
+}
+
+// TestSecondReportInsideRoundEndsIt: a round is one report. A peer that
+// answers a command with another Report — where only StateTransfers and
+// the Ack belong — gets hung up on: its next Recv fails, nobody waits
+// for a reply that will not come. The executor holds the same line from
+// its side: a Report arriving where a command or Resume belongs ends its
+// round.
+func TestSecondReportInsideRoundEndsIt(t *testing.T) {
+	report := func() *protocol.Message {
+		return &protocol.Message{Report: &protocol.LoadReport{
+			Interval: 1, Tasks: 2, Routable: true, Resizable: true,
+			Keys: []stats.KeyStat{{Key: 1, Cost: 9, Dest: 1, Hash: 1}},
+		}}
+	}
+	for name, pair := range map[string]func() (control.Conn, control.Conn){
+		"loopback": control.NewLoopbackPair,
+		"gob pipe": control.NewWirePair,
+		"binary":   newBinaryPair,
+	} {
+		agent, ctrl := pair()
+		srv := control.NewServer(ctrl, []control.Policy{&commandOnce{}})
+		srv.Start()
+		if err := agent.Send(report()); err != nil {
+			t.Fatal(err)
+		}
+		if m, err := agent.Recv(); err != nil || m.ResizeCmd == nil {
+			t.Fatalf("%s: the round's command arrived as %v, %v", name, m, err)
+		}
+		_ = agent.Send(report()) // may fail once the server has hung up
+		if m, err := agent.Recv(); err == nil {
+			t.Fatalf("%s: a second report inside the round was answered with %s", name, m.Kind())
+		}
+		srv.Close()
+		agent.Close()
+
+		// The executor's side: the controller answers the round's report
+		// with a Report of its own.
+		e, _ := mkEngine(5)
+		agent, ctrl = pair()
+		x := control.NewExecutor(e, 0, agent)
+		returned := make(chan *engine.Rebalance, 1)
+		go func() { returned <- x.RunRound(&stats.Snapshot{Interval: 1, ND: 8}) }()
+		if m, err := ctrl.Recv(); err != nil || m.Report == nil {
+			t.Fatalf("%s: the executor opened its round with %v, %v", name, m, err)
+		}
+		if err := ctrl.Send(report()); err != nil {
+			t.Fatal(err)
+		}
+		if reb := <-returned; reb != nil {
+			t.Fatalf("%s: a round broken by a stray report applied %+v", name, reb)
+		}
+		ctrl.Close()
+		agent.Close()
+		e.Stop()
 	}
 }
 

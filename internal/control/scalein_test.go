@@ -240,7 +240,7 @@ func TestExecutorRejectsInapplicableCommands(t *testing.T) {
 	defer agent.Close()
 	x := control.NewExecutor(e3, 0, agent)
 	go func() {
-		if m, err := ctrl.Recv(); err != nil || m.Report == nil || !m.Report.Merged { // the round's one report
+		if m, err := ctrl.Recv(); err != nil || m.Report == nil { // the round's one report
 			return
 		}
 		ctrl.Send(&protocol.Message{ResizeCmd: &protocol.Resize{Interval: 0, Delta: 5}})

@@ -17,12 +17,8 @@ import (
 type Server struct {
 	conn     Conn
 	policies []Policy
-	// mirror is the controller-side retained population model that
-	// turns delta reports back into effective full rounds; it is reset
-	// after any commanded round (the stage rebases it next interval).
-	mirror *protocol.Mirror
 	// OnRound, when set, observes every completed round's stage context
-	// and reassembled snapshot after the policies ran and the round was
+	// and snapshot after the policies ran and the round was
 	// resumed-or-commanded. The cluster coordinator records these to pin
 	// distributed snapshots against the single-process run. Called on
 	// the server goroutine; set before Start.
@@ -34,7 +30,7 @@ type Server struct {
 // NewServer builds a policy server answering on conn. Call Start to
 // launch it and Close to tear it down.
 func NewServer(conn Conn, policies []Policy) *Server {
-	return &Server{conn: conn, policies: policies, mirror: protocol.NewMirror()}
+	return &Server{conn: conn, policies: policies}
 }
 
 // Start launches the server goroutine. It exits when the transport
@@ -124,14 +120,6 @@ func (s *Server) serve() {
 				}
 			}
 		}
-		if len(cmds) > 0 {
-			// Symmetric to the executor's needFull rule: a commanded
-			// round's side effects land in the next close's delta, so
-			// forget the mirror and expect a full rebase. (Commands the
-			// executor rejected as holds still crossed the wire, so both
-			// ends count them identically.)
-			s.mirror.Reset()
-		}
 		if s.conn.Send(&protocol.Message{Resume: &protocol.Resume{Interval: env.Interval}}) != nil {
 			return
 		}
@@ -141,44 +129,23 @@ func (s *Server) serve() {
 	}
 }
 
-// recvRound receives one round's reports and reconstructs the snapshot
-// and stage context. A merged report is the snapshot — once CheckMerged
-// has passed it, its run becomes the snapshot's keys as it stands, valid
-// as long as the transport keeps it (the stage's own buffer on the
+// recvRound receives one round's report — a round is one Recv — and
+// takes the snapshot and stage context from it. Once CheckMerged has
+// passed it, the report's run becomes the snapshot's keys as it stands,
+// valid as long as the transport keeps it (the stage's own buffer on the
 // loopback, the codec's on a socket: until the round after next either
-// way). Per-task reports are folded through the delta mirror (requesting
-// one full resync if the mirror cannot apply them) and merged.
+// way). Anything else in a report's place, or a report that fails the
+// check, ends the serve loop.
 func (s *Server) recvRound() (Env, *stats.Snapshot, bool) {
-	reports, ok := s.recvReports()
-	if !ok {
+	m, err := s.conn.Recv()
+	if err != nil || m.Report == nil {
 		return Env{}, nil, false
 	}
-	r := reports[0]
-	var snap *stats.Snapshot
-	if r.Merged {
-		if r.CheckMerged() != nil {
-			return Env{}, nil, false
-		}
-		snap = &stats.Snapshot{Interval: r.Interval, ND: r.Tasks, Keys: r.Keys}
-	} else {
-		eff, err := s.mirror.Apply(reports)
-		if err != nil {
-			// Epoch gap or shape change the mirror cannot bridge: ask the
-			// stage to resend the round in full, then retry once. A second
-			// failure is a protocol violation; give up on the transport.
-			if s.conn.Send(&protocol.Message{ResyncReq: &protocol.Resync{Interval: r.Interval}}) != nil {
-				return Env{}, nil, false
-			}
-			if reports, ok = s.recvReports(); !ok || reports[0].Merged {
-				return Env{}, nil, false
-			}
-			if eff, err = s.mirror.Apply(reports); err != nil {
-				return Env{}, nil, false
-			}
-			r = reports[0]
-		}
-		snap = protocol.SnapshotFromReports(eff)
+	r := m.Report
+	if r.CheckMerged() != nil {
+		return Env{}, nil, false
 	}
+	snap := &stats.Snapshot{Interval: r.Interval, ND: r.Tasks, Keys: r.Keys}
 	env := Env{
 		Interval:  r.Interval,
 		Tasks:     r.Tasks,
@@ -190,23 +157,4 @@ func (s *Server) recvRound() (Env, *stats.Snapshot, bool) {
 		SplitKeys: r.Split,
 	}
 	return env, snap, true
-}
-
-// recvReports collects one round's reports: the one merged report, or
-// one per task (the first report's Tasks field says how many are
-// coming; the slice grows as they arrive, never by the peer's claim).
-func (s *Server) recvReports() ([]*protocol.LoadReport, bool) {
-	first, err := s.conn.Recv()
-	if err != nil || first.Report == nil {
-		return nil, false
-	}
-	reports := []*protocol.LoadReport{first.Report}
-	for !first.Report.Merged && len(reports) < first.Report.Tasks {
-		m, err := s.conn.Recv()
-		if err != nil || m.Report == nil || m.Report.Merged {
-			return nil, false
-		}
-		reports = append(reports, m.Report)
-	}
-	return reports, true
 }

@@ -9,7 +9,7 @@ import (
 // protocol: each interval it feeds the merged snapshot through a
 // stats.HotKeyDetector and, whenever the split set changes, emits one
 // SetSplit command carrying the complete new set. The stage's executor
-// applies it through the pause-free arm/swap/fold machinery; an
+// applies it through the arm/publish/fold machinery; an
 // unchanged set emits nothing, so steady state costs one detector scan
 // per interval and zero commands.
 //

@@ -76,32 +76,6 @@ func TestFeedBatchMatchesFeedPerTuple(t *testing.T) {
 	}
 }
 
-func TestFeedBatchHoldsPausedKeys(t *testing.T) {
-	st := statefulStage(2, 1)
-	defer st.Stop()
-	held := tuple.Key(7)
-	st.PauseKeys([]tuple.Key{held})
-	batch := []tuple.Tuple{
-		tuple.New(held, "held-1"),
-		tuple.New(8, "flows"),
-		tuple.New(held, "held-2"),
-	}
-	st.FeedBatch(batch)
-	st.Barrier()
-	asg := st.AssignmentRouter().Assignment()
-	if st.StoreOf(asg.Dest(held)).Size(held) != 0 {
-		t.Fatal("paused key's tuples processed before Resume")
-	}
-	if st.StoreOf(asg.Dest(8)).Size(8) != 1 {
-		t.Fatal("unpaused tuple in the batch was blocked")
-	}
-	st.Resume()
-	st.Barrier()
-	if st.StoreOf(asg.Dest(held)).Size(held) != 2 {
-		t.Fatal("held tuples not replayed on Resume")
-	}
-}
-
 func TestFeedBatchOnShuffleAndPKGStages(t *testing.T) {
 	// Non-assignment routers take the per-tuple routing fallback inside
 	// FeedBatch; counts must still balance.
@@ -172,7 +146,7 @@ func TestFeedBatchConcurrentWithApplyPlanLive(t *testing.T) {
 			st.FeedBatch(buf)
 		}
 	}()
-	st.ApplyPlanLive(plan)
+	st.ApplyPlan(plan, nil)
 	wg.Wait()
 	st.Barrier()
 

@@ -3,6 +3,8 @@ package engine
 import (
 	"testing"
 
+	"repro/internal/balance"
+	"repro/internal/route"
 	"repro/internal/tuple"
 )
 
@@ -87,18 +89,24 @@ func BenchmarkFeedBatch(b *testing.B) {
 	st.Barrier()
 }
 
+// BenchmarkMigrateKey moves one key's window back and forth between two
+// idle tasks through the live sequencer: the per-key cost of a plan.
 func BenchmarkMigrateKey(b *testing.B) {
 	st := statefulStage(2, 1)
 	defer st.Stop()
 	k := tuple.Key(1)
 	st.Feed(tuple.New(k, nil))
 	st.Barrier()
-	src := st.AssignmentRouter().Assignment().Dest(k)
-	dst := 1 - src
+	dst := 1 - st.AssignmentRouter().Assignment().Dest(k)
+	plan := &balance.Plan{Table: route.NewTable(), Moved: []tuple.Key{k}, MoveDest: map[tuple.Key]int{}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.migrateKey(k, src, dst)
-		src, dst = dst, src
+		plan.Table.Put(k, dst)
+		plan.MoveDest[k] = dst
+		if _, err := st.ApplyPlan(plan, nil); err != nil {
+			b.Fatal(err)
+		}
+		dst = 1 - dst
 	}
 }

@@ -27,7 +27,7 @@ func checkStateAccounting(t *testing.T, st *Stage, at string) {
 // TestStateVolumeConservedAcrossActuations: a live rebalance, a
 // scale-in and a scale-out each move windowed state between tasks and
 // must neither create nor lose any — the stage-wide state volume is the
-// same before and after, in both migration protocols, and every task's
+// same before and after, and every task's
 // TotalSize stays the sum of its keys' sizes through the closes in
 // between (keys expiring, keys returning, migrated buckets expiring on
 // their new task).
@@ -40,58 +40,53 @@ func checkStateAccounting(t *testing.T, st *Stage, at string) {
 // evicted them one close later). Conservation across a scale-in of such
 // a task is therefore not a property the engine has today.
 func TestStateVolumeConservedAcrossActuations(t *testing.T) {
-	for _, pauseFree := range []bool{true, false} {
-		st := statefulStage(3, 3)
-		if err := st.SetPauseFree(pauseFree); err != nil {
-			t.Fatal(err)
+	st := statefulStage(3, 3)
+	interval := int64(0)
+	run := func(keys int) {
+		for k := 0; k < keys; k++ {
+			st.Feed(tuple.New(tuple.Key(k), nil).WithState(int64(1 + k%4)))
 		}
-		interval := int64(0)
-		run := func(keys int) {
-			for k := 0; k < keys; k++ {
-				st.Feed(tuple.New(tuple.Key(k), nil).WithState(int64(1 + k%4)))
-			}
-			st.Barrier()
-			st.EndInterval(interval)
-			interval++
-			checkStateAccounting(t, st, "after close")
-		}
-		conserved := func(what string, act func() (int64, error)) {
-			t.Helper()
-			before := liveStateTotal(st)
-			if before == 0 {
-				t.Fatalf("%s: no live state; the test is vacuous", what)
-			}
-			if _, err := act(); err != nil {
-				t.Fatalf("%s: %v", what, err)
-			}
-			st.Barrier()
-			if after := liveStateTotal(st); after != before {
-				t.Fatalf("pauseFree=%v %s: stage state volume %d → %d", pauseFree, what, before, after)
-			}
-			checkStateAccounting(t, st, "after "+what)
-		}
-
-		run(400)
-		run(150) // keys 150..399 idle: their buckets start expiring below
-		conserved("ApplyPlanLive", func() (int64, error) {
-			asg := st.AssignmentRouter().Assignment()
-			plan := &balance.Plan{Table: route.NewTable(), MoveDest: map[tuple.Key]int{}}
-			for k := tuple.Key(0); k < 400; k += 5 {
-				dst := (asg.Dest(k) + 1) % st.Instances()
-				plan.Table.Put(k, dst)
-				plan.Moved = append(plan.Moved, k)
-				plan.MoveDest[k] = dst
-			}
-			return st.ApplyPlanLive(plan)
-		})
-		run(400)
-		run(0)
-		conserved("ScaleIn", st.ScaleIn)
-		run(300)
-		conserved("ScaleOut", st.ScaleOut)
-		for i := 0; i < 5; i++ {
-			run(100)
-		}
-		st.Stop()
+		st.Barrier()
+		st.EndInterval(interval)
+		interval++
+		checkStateAccounting(t, st, "after close")
 	}
+	conserved := func(what string, act func() (int64, error)) {
+		t.Helper()
+		before := liveStateTotal(st)
+		if before == 0 {
+			t.Fatalf("%s: no live state; the test is vacuous", what)
+		}
+		if _, err := act(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		st.Barrier()
+		if after := liveStateTotal(st); after != before {
+			t.Fatalf("%s: stage state volume %d → %d", what, before, after)
+		}
+		checkStateAccounting(t, st, "after "+what)
+	}
+
+	run(400)
+	run(150) // keys 150..399 idle: their buckets start expiring below
+	conserved("ApplyPlan", func() (int64, error) {
+		asg := st.AssignmentRouter().Assignment()
+		plan := &balance.Plan{Table: route.NewTable(), MoveDest: map[tuple.Key]int{}}
+		for k := tuple.Key(0); k < 400; k += 5 {
+			dst := (asg.Dest(k) + 1) % st.Instances()
+			plan.Table.Put(k, dst)
+			plan.Moved = append(plan.Moved, k)
+			plan.MoveDest[k] = dst
+		}
+		return st.ApplyPlan(plan, nil)
+	})
+	run(400)
+	run(0)
+	conserved("ScaleIn", st.ScaleIn)
+	run(300)
+	conserved("ScaleOut", st.ScaleOut)
+	for i := 0; i < 5; i++ {
+		run(100)
+	}
+	st.Stop()
 }

@@ -96,30 +96,6 @@ type Config struct {
 	// the equivalence stays testable. Single-stage topologies are
 	// unaffected either way.
 	Pipeline bool
-	// PauseFree selects the generation-epoch live-migration protocol on
-	// every assignment-routed stage (stages with other routers are
-	// unaffected): routing state is published behind an atomic pointer
-	// carrying a generation counter, Feed/FeedBatch load it wait-free
-	// and stamp each batch, and plan application hands migrating keys
-	// over via destination-side buffers instead of pausing the feed.
-	// The hot path loses the paused-key branch and the migration drain
-	// entirely; at interval hooks the observable effects (state,
-	// statistics, routing tables, metrics) are identical to the pausing
-	// protocol, which remains selectable as the equivalence oracle by
-	// leaving this false.
-	PauseFree bool
-	// Harvest selects every stage's interval-close mode. The zero value
-	// (HarvestTouched) is the original per-interval harvest: snapshots
-	// list only the keys observed in the finished interval.
-	// HarvestFull and HarvestIncremental switch the stage to
-	// retained-population snapshots — every tracked key, untouched ones
-	// carrying their last statistics forward — differing only in build
-	// strategy: full rebuild each close (the oracle) versus persistent
-	// sorted aggregates merged with only the interval's dirty keys,
-	// which also publishes per-task deltas for O(Δkeys) load reports.
-	// The two retained modes are pinned bit-identical (series,
-	// snapshots, routing tables, plans).
-	Harvest HarvestMode
 	// FeedLatency enables the per-interval feed-latency histogram:
 	// every FeedBatch call on stage 0 is wall-clock timed into a
 	// per-feeder metrics.LatencyHist, and the interval record reports
@@ -135,7 +111,7 @@ type Config struct {
 // single backed-up instance throttles the whole spout, which is exactly
 // how intra-operator imbalance destroys cluster throughput in §I.
 func DefaultConfig() Config {
-	return Config{Window: 1, Budget: 10000, MaxPendingFactor: 0.5, MigrationFactor: 0.5, PauseFree: true}
+	return Config{Window: 1, Budget: 10000, MaxPendingFactor: 0.5, MigrationFactor: 0.5}
 }
 
 // emitChunk is the spout batch size: large enough to amortize the
@@ -243,14 +219,6 @@ func (e *Engine) init() *Engine {
 		}
 		e.capacity[i] = c
 		e.backlogT[i] = make([]int64, s.Instances())
-		if cfg.PauseFree && s.AssignmentRouter() != nil {
-			// Error impossible: the router check just passed.
-			_ = s.SetPauseFree(true)
-		}
-		if cfg.Harvest != HarvestTouched {
-			// Error impossible at construction time: trackers are fresh.
-			_ = s.SetHarvest(cfg.Harvest)
-		}
 	}
 	return e
 }
@@ -369,8 +337,8 @@ func (e *Engine) RunInterval() {
 	if pipelined {
 		// Cascading close: once stage s's tasks have drained, flushed
 		// their interval hooks and streamed their residual buffers, all
-		// of stage s's output is in stage s+1's queues (or held by its
-		// pause epoch) and s+1 can be closed in turn. Interval
+		// of stage s's output is in stage s+1's queues and s+1 can be
+		// closed in turn. Interval
 		// semantics — which tuples belong to which interval, arrival
 		// accounting, migration safety — match store-and-forward
 		// exactly; only the transfer overlaps processing.
@@ -417,7 +385,7 @@ func (e *Engine) RunInterval() {
 		liveState += target.StoreOf(d).TotalSize()
 	}
 
-	// Controller hooks (may pause/migrate/resume and swap assignments):
+	// Controller hooks (may migrate keys and swap assignments):
 	// the engine-wide OnSnapshot sees every stage, then each stage's
 	// registered hooks fan out with that stage's snapshot. The target
 	// stage's first rebalance is the one the interval metrics record.

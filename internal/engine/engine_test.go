@@ -107,7 +107,7 @@ func TestApplyPlanMigratesState(t *testing.T) {
 		Moved:    []tuple.Key{k},
 		MoveDest: map[tuple.Key]int{k: dst},
 	}
-	moved, err := st.ApplyPlan(plan)
+	moved, err := st.ApplyPlan(plan, nil)
 	if err != nil {
 		t.Fatalf("ApplyPlan: %v", err)
 	}
@@ -129,28 +129,6 @@ func TestApplyPlanMigratesState(t *testing.T) {
 	// Migration penalty charged to both endpoints.
 	if st.MigPenalty[src] != 10 || st.MigPenalty[dst] != 10 {
 		t.Fatalf("migration penalties = %v", st.MigPenalty)
-	}
-}
-
-func TestPauseHoldsAndResumeReplays(t *testing.T) {
-	st := statefulStage(2, 1)
-	defer st.Stop()
-	k := tuple.Key(7)
-	st.PauseKeys([]tuple.Key{k})
-	st.Feed(tuple.New(k, "held"))
-	st.Feed(tuple.New(tuple.Key(8), "flows"))
-	st.Barrier()
-	asg := st.AssignmentRouter().Assignment()
-	if st.StoreOf(asg.Dest(k)).Size(k) != 0 {
-		t.Fatal("paused key's tuple was processed before Resume")
-	}
-	if st.StoreOf(asg.Dest(8)).Size(8) != 1 {
-		t.Fatal("unpaused key was blocked by pause")
-	}
-	st.Resume()
-	st.Barrier()
-	if st.StoreOf(asg.Dest(k)).Size(k) != 1 {
-		t.Fatal("held tuple not replayed on Resume")
 	}
 }
 

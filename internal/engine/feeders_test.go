@@ -193,7 +193,7 @@ func TestConcurrentFeedersWithApplyPlanLive(t *testing.T) {
 			}
 		}(shards[f])
 	}
-	st.ApplyPlanLive(plan)
+	st.ApplyPlan(plan, nil)
 	wg.Wait()
 	st.Barrier()
 

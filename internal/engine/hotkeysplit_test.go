@@ -52,9 +52,6 @@ func TestSplitFoldsBackExactly(t *testing.T) {
 	const nd = 4
 	st, fleet := splitCountStage(nd)
 	defer st.Stop()
-	if err := st.SetPauseFree(true); err != nil {
-		t.Fatal(err)
-	}
 	hot := tuple.Key(7)
 	if err := st.ApplySplitSet([]stats.HotKey{{Key: hot, Fan: 3}}); err != nil {
 		t.Fatal(err)
@@ -117,9 +114,6 @@ func TestSplitFoldsBackExactly(t *testing.T) {
 func TestSplitRetireExtractsResidue(t *testing.T) {
 	st, fleet := splitCountStage(4)
 	defer st.Stop()
-	if err := st.SetPauseFree(true); err != nil {
-		t.Fatal(err)
-	}
 	hot := tuple.Key(3)
 	if err := st.ApplySplitSet([]stats.HotKey{{Key: hot, Fan: 4}}); err != nil {
 		t.Fatal(err)
@@ -158,9 +152,6 @@ func TestSplitRetireExtractsResidue(t *testing.T) {
 func TestSplitPinsKeysAgainstPlans(t *testing.T) {
 	st, _ := splitCountStage(4)
 	defer st.Stop()
-	if err := st.SetPauseFree(true); err != nil {
-		t.Fatal(err)
-	}
 	for k := tuple.Key(0); k < 20; k++ {
 		st.Feed(tuple.New(k, nil))
 	}
@@ -180,7 +171,7 @@ func TestSplitPinsKeysAgainstPlans(t *testing.T) {
 		plan.Moved = append(plan.Moved, k)
 		plan.MoveDest[k] = dst
 	}
-	if _, err := st.ApplyPlan(plan); err != nil {
+	if _, err := st.ApplyPlan(plan, nil); err != nil {
 		t.Fatal(err)
 	}
 	if st.SplitPinned() != 1 {
@@ -212,9 +203,6 @@ func TestSplitStressWithContinuousRebalance(t *testing.T) {
 	)
 	st, fleet := splitCountStage(nd)
 	defer st.Stop()
-	if err := st.SetPauseFree(true); err != nil {
-		t.Fatal(err)
-	}
 
 	// Preload so plans migrate real state.
 	pre := make([]tuple.Tuple, 2*keyDomain)
@@ -254,7 +242,7 @@ func TestSplitStressWithContinuousRebalance(t *testing.T) {
 				plan.Moved = append(plan.Moved, k)
 				plan.MoveDest[k] = dst
 			}
-			if _, err := st.ApplyPlan(plan); err != nil {
+			if _, err := st.ApplyPlan(plan, nil); err != nil {
 				t.Errorf("ApplyPlan: %v", err)
 				return
 			}

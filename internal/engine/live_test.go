@@ -50,13 +50,13 @@ func TestApplyPlanLiveConcurrentWithTraffic(t *testing.T) {
 	tab.Put(hot, dst)
 	for processed.Load() < total/4 {
 	}
-	moved, err := st.ApplyPlanLive(&balance.Plan{
+	moved, err := st.ApplyPlan(&balance.Plan{
 		Table:    tab,
 		Moved:    []tuple.Key{hot},
 		MoveDest: map[tuple.Key]int{hot: dst},
-	})
+	}, nil)
 	if err != nil {
-		t.Fatalf("ApplyPlanLive: %v", err)
+		t.Fatalf("ApplyPlan: %v", err)
 	}
 	if moved == 0 {
 		t.Error("live migration moved no state despite hot-key traffic")
@@ -110,7 +110,7 @@ func TestApplyPlanLiveManyKeysUnderLoad(t *testing.T) {
 			st.Feed(tuple.New(tuple.Key(i%100), nil))
 		}
 	}()
-	st.ApplyPlanLive(plan)
+	st.ApplyPlan(plan, nil)
 	wg.Wait()
 	st.Barrier()
 
@@ -140,7 +140,7 @@ func TestApplyPlanLiveManyKeysUnderLoad(t *testing.T) {
 func TestApplyPlanLiveOnShuffleStageErrors(t *testing.T) {
 	st := NewStage("s", 2, func(int) Operator { return Discard }, 1, NewShuffleRouter(2))
 	defer st.Stop()
-	if _, err := st.ApplyPlanLive(&balance.Plan{}); err == nil {
-		t.Fatal("ApplyPlanLive on shuffle stage did not error")
+	if _, err := st.ApplyPlan(&balance.Plan{}, nil); err == nil {
+		t.Fatal("ApplyPlan on shuffle stage did not error")
 	}
 }

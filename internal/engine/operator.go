@@ -1,7 +1,7 @@
 // Package engine is the distributed-stream-processing substrate the
 // reproduced paper ran on Storm: operators parallelized into task
 // instances, key-partitioned edges, per-interval statistics reporting
-// and the pause/migrate/resume rebalance hooks of Fig. 5.
+// and the live key migration that carries out Fig. 5's rebalance.
 //
 // Execution model. Every task instance is a goroutine consuming a
 // channel of messages (tuples or control thunks), exactly one goroutine
@@ -76,8 +76,8 @@ func (c *TaskCtx) Emit(t tuple.Tuple) {
 
 // flushDown streams the buffered emissions into the downstream stage
 // and resets the buffer. FeedBatch copies tuples out of its argument,
-// so the buffer is immediately reusable; downstream pause epochs are
-// honored exactly as for feeder sends (held tuples replay on Resume).
+// so the buffer is immediately reusable; a downstream migration treats
+// these sends exactly as it treats a feeder's.
 func (c *TaskCtx) flushDown() {
 	c.sink.FeedBatch(c.out)
 	c.out = c.out[:0]

@@ -8,35 +8,64 @@ import (
 	"time"
 
 	"repro/internal/balance"
+	"repro/internal/route"
 	"repro/internal/stats"
 	"repro/internal/tuple"
 	"repro/internal/workload"
 )
 
-// Tests of pause-free migration: the generation-stamped routing path
-// must be bit-identical to the pausing oracle at hook time, and must
+// Tests of live migration: at hook time the generation-stamped sequencer
+// must be bit-identical to a direct move on an idle stage, and it must
 // survive continuous plan application under live traffic with zero
 // tuple loss and no double-delivery (run under -race by the suite).
 
-// TestPauseFreeMatchesPausingOracle pins the tentpole equivalence
-// claim: the same spout and the same randomized plan schedule, run
-// once pause-free and once through the pausing oracle, produce
-// bit-identical interval series, final harvest snapshots, routing
-// tables and state placement.
+// refApplyPlan is the reference ApplyPlan is pinned against: the direct
+// move on an idle stage — each migrating key's window extracted from its
+// owner and injected at its destination, tracker history carried along,
+// the transfer charged to both ends, then the plan's table installed.
+// No arming, no generations, no grace period, no handoff buffers.
+func refApplyPlan(s *Stage, plan *balance.Plan) int64 {
+	ar := s.AssignmentRouter()
+	old := ar.Assignment()
+	var moved int64
+	for _, k := range plan.Moved {
+		src, dst := old.Dest(k), plan.MoveDest[k]
+		if src == dst {
+			continue
+		}
+		sc, dc := s.CtxOf(src), s.CtxOf(dst)
+		m := sc.Store.Extract(k)
+		mem := sc.Tracker.WindowedMem(k)
+		sc.Tracker.DropKey(k)
+		if m.Size > 0 {
+			dc.Store.Inject(m)
+		}
+		if mem > 0 {
+			dc.Tracker.AdoptKey(k, mem)
+		}
+		s.MigPenalty[src] += m.Size
+		s.MigPenalty[dst] += m.Size
+		moved += m.Size
+	}
+	ar.Swap(route.NewAssignment(plan.Table.Clone(), old.Hasher()))
+	return moved
+}
+
+// TestPauseFreeMatchesPausingOracle pins ApplyPlan's hook-time
+// equivalence: the same spout and the same randomized plan schedule,
+// applied once through the live sequencer and once through refApplyPlan,
+// produce bit-identical interval series, final harvest
+// snapshots, routing tables and state placement.
 func TestPauseFreeMatchesPausingOracle(t *testing.T) {
-	run := func(pauseFree bool) (*Engine, *Stage) {
+	run := func(live bool) (*Engine, *Stage) {
 		gen := workload.NewZipfStream(1500, 0.9, 0, 8000, 41)
 		st := statefulStage(4, 2)
 		cfg := DefaultConfig()
 		cfg.Budget = 8000
-		cfg.PauseFree = pauseFree
 		e := NewBatch(gen.NextBatch, cfg, st)
-		if st.PauseFree() != pauseFree {
-			t.Fatalf("stage pause-free = %v, want %v", st.PauseFree(), pauseFree)
-		}
 		// Seeded random plan schedule: each interval (with probability
 		// 3/4) roughly 6% of the harvested keys move to a random other
-		// instance. Both modes see identical snapshots, so identical
+		// instance. Both runs see identical snapshots, so identical
 		// seeds yield identical schedules — the inductive step of the
 		// equivalence pin.
 		rng := rand.New(rand.NewSource(97))
@@ -60,9 +89,12 @@ func TestPauseFreeMatchesPausingOracle(t *testing.T) {
 			if len(plan.Moved) == 0 {
 				return nil
 			}
-			moved, err := stage.ApplyPlan(plan)
+			if !live {
+				return &Rebalance{Plan: plan, Moved: refApplyPlan(stage, plan)}
+			}
+			moved, err := stage.ApplyPlan(plan, nil)
 			if err != nil {
-				t.Fatalf("ApplyPlan(pauseFree=%v): %v", pauseFree, err)
+				t.Fatalf("ApplyPlan: %v", err)
 			}
 			return &Rebalance{Plan: plan, Moved: moved}
 		})
@@ -79,7 +111,7 @@ func TestPauseFreeMatchesPausingOracle(t *testing.T) {
 		a, b := oracle.Recorder.Series[i], live.Recorder.Series[i]
 		a.PlanMs, b.PlanMs = 0, 0
 		if a != b {
-			t.Fatalf("interval %d diverges:\npausing    %+v\npause-free %+v", i, a, b)
+			t.Fatalf("interval %d diverges:\nreference %+v\nlive      %+v", i, a, b)
 		}
 	}
 	os, ls := oracle.LastSnapshots()[0], live.LastSnapshots()[0]
@@ -88,7 +120,7 @@ func TestPauseFreeMatchesPausingOracle(t *testing.T) {
 	}
 	for i := range os.Keys {
 		if os.Keys[i] != ls.Keys[i] {
-			t.Fatalf("snapshot entry %d: pausing %+v, pause-free %+v", i, os.Keys[i], ls.Keys[i])
+			t.Fatalf("snapshot entry %d: reference %+v, live %+v", i, os.Keys[i], ls.Keys[i])
 		}
 	}
 	otab := map[tuple.Key]int{}
@@ -100,16 +132,16 @@ func TestPauseFreeMatchesPausingOracle(t *testing.T) {
 	}
 	for k, d := range otab {
 		if ltab[k] != d {
-			t.Fatalf("table entry %d: pausing %d, pause-free %d", k, d, ltab[k])
+			t.Fatalf("table entry %d: reference %d, live %d", k, d, ltab[k])
 		}
 	}
 	for d := 0; d < 4; d++ {
 		if a, b := ost.StoreOf(d).TotalSize(), lst.StoreOf(d).TotalSize(); a != b {
-			t.Fatalf("instance %d state: pausing %d, pause-free %d", d, a, b)
+			t.Fatalf("instance %d state: reference %d, live %d", d, a, b)
 		}
 	}
 	if lst.AssignmentRouter().Assignment().Gen() == 0 {
-		t.Fatal("pause-free run never advanced the routing generation")
+		t.Fatal("the live run never advanced the routing generation")
 	}
 }
 
@@ -126,7 +158,7 @@ func (f *forwardCountOp) Process(ctx *TaskCtx, tp tuple.Tuple) {
 
 // TestPauseFreeStressContinuousPlans is the -race stress of the
 // generation protocol end to end: four feeder goroutines emit into a
-// pipelined two-stage topology (both stages pause-free) while a
+// pipelined two-stage topology while a
 // controller goroutine applies rebalance plans continuously to both
 // stages. Every tuple must be processed exactly once per stage — zero
 // loss, no double-delivery — and every migrated key's state must sit
@@ -153,11 +185,6 @@ func TestPauseFreeStressContinuousPlans(t *testing.T) {
 	}, 2, newAsgRouter(nd))
 	defer st1.Stop()
 	st0.SetDownstream(st1)
-	for _, st := range []*Stage{st0, st1} {
-		if err := st.SetPauseFree(true); err != nil {
-			t.Fatal(err)
-		}
-	}
 
 	// Preload both stages so every plan migrates real state.
 	pre := make([]tuple.Tuple, 2*keyDomain)
@@ -191,7 +218,7 @@ func TestPauseFreeStressContinuousPlans(t *testing.T) {
 				plan.Moved = append(plan.Moved, k)
 				plan.MoveDest[k] = dst
 			}
-			if _, err := st.ApplyPlan(plan); err != nil {
+			if _, err := st.ApplyPlan(plan, nil); err != nil {
 				t.Errorf("ApplyPlan: %v", err)
 				return
 			}

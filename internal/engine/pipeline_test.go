@@ -305,7 +305,7 @@ func TestPipelineConcurrentWithApplyPlanLive(t *testing.T) {
 			j += c
 		}
 	}()
-	s1.ApplyPlanLive(plan)
+	s1.ApplyPlan(plan, nil)
 	wg.Wait()
 	s0.CloseInterval() // residual task buffers stream downstream
 	s1.Barrier()

@@ -55,7 +55,7 @@ func TestStageScaleInMigratesEverything(t *testing.T) {
 		MoveDest: map[tuple.Key]int{pinned: 2},
 	}
 	plan.Table.Put(pinned, 2)
-	st.ApplyPlan(plan)
+	st.ApplyPlan(plan, nil)
 
 	before := liveStateTotal(st)
 	if st.StoreOf(2).TotalSize() == 0 {

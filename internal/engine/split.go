@@ -12,15 +12,14 @@ package engine
 // is physical: the hot key's work actually executes on Fan goroutines
 // instead of one.
 //
-// Split transitions ride the pause-free migration machinery:
-// publishing a split set is arm-then-swap (cells armed over the task
-// FIFOs before the generation swap, exactly like handoff buffers), and
-// retiring one is swap-then-grace-then-extract (the old generation's
+// Split transitions ride the live-migration machinery: publishing a
+// split set is arm-then-publish (cells armed over the task FIFOs before
+// the generation swap, exactly like handoff buffers), and retiring one
+// extracts only after publish's grace period (the old generation's
 // epoch counter proves no feeder can still pick a retired replica).
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 
 	"repro/internal/route"
@@ -34,16 +33,11 @@ import (
 // Each key's home and replica ring are resolved from the assignment
 // live at apply time, so an announcement composes correctly with a
 // rebalance plan applied earlier in the same control round. Safe to
-// call from a controller goroutine concurrent with feeding. Requires
-// the pause-free protocol (the pausing oracle predates splitting and
-// stays split-free).
+// call from a controller goroutine concurrent with feeding.
 func (s *Stage) ApplySplitSet(set []stats.HotKey) error {
 	ar := s.AssignmentRouter()
 	if ar == nil {
 		return fmt.Errorf("engine: stage %q has no assignment router; cannot split keys", s.Name)
-	}
-	if !s.pauseFree.Load() {
-		return fmt.Errorf("engine: stage %q: hot-key splitting requires pause-free migration", s.Name)
 	}
 	s.migMu.Lock()
 	defer s.migMu.Unlock()
@@ -111,14 +105,15 @@ func (s *Stage) applySplitSetLocked(set []stats.HotKey, ar *AssignmentRouter) {
 	}
 
 	// Publish: same table and hasher, new split set, generation g+1.
+	// The grace period runs even for an add-only set (see publish).
 	next := route.NewAssignment(old.Table(), old.Hasher())
 	next.SetSplits(nst)
-	ar.Swap(next)
+	s.publish(next)
 
 	// Retirements: keys leaving the set (and any replica dropped from a
-	// surviving key's ring) must have their cells extracted — but only
-	// after the grace period proves no old-generation feeder can still
-	// pick a retired replica.
+	// surviving key's ring) must have their cells extracted — the grace
+	// period above proved no old-generation feeder can still pick a
+	// retired replica.
 	type retirement struct {
 		k    tuple.Key
 		home int
@@ -148,10 +143,6 @@ func (s *Stage) applySplitSetLocked(set []stats.HotKey, ar *AssignmentRouter) {
 		return
 	}
 	sort.Slice(rets, func(i, j int) bool { return rets[i].k < rets[j].k })
-	oldSlot := int(old.Gen() & 1)
-	for s.genInflight[oldSlot].Load() != 0 {
-		runtime.Gosched()
-	}
 	for _, r := range rets {
 		var sum splitCell
 		for _, d := range r.reps {

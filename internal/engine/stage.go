@@ -33,52 +33,39 @@ type Stage struct {
 	window int
 	opFn   func(id int) Operator // factory, kept for scale-out
 
-	// Pause/Resume protocol state (steps 3–7 of Fig. 5). paused keys
-	// have their tuples held upstream (cached locally in the paper)
-	// until migration completes. mu guards them so ApplyPlanLive can
-	// run from a controller goroutine concurrent with the feeder.
-	mu     sync.Mutex
-	paused map[tuple.Key]struct{}
-	held   []tuple.Tuple
-	// pausedGen is nonzero while a pause epoch is active (maintained
-	// only by PauseKeys/Resume, under mu; equivalent to len(paused) > 0
-	// there). It is an atomic so the feed paths' fast-path check stays
-	// valid if a future lock-free segment reads it before taking mu.
-	pausedGen atomic.Uint32
-	// inflight counts feed calls that routed under mu but have not yet
-	// finished their channel sends (sends run outside the lock so task
-	// backpressure cannot block pause/resume). ApplyPlanLive drains it
-	// after pausing: once zero, every tuple routed under the old
-	// assignment is in its task queue, so the extraction barriers see a
-	// complete window. Increments happen under mu; the decrement is
-	// atomic and only takes mu to signal when a drainer is waiting.
-	inflight     atomic.Int64
-	draining     atomic.Bool
-	inflightZero *sync.Cond
+	// ar is the router as an *AssignmentRouter, nil for any other scheme
+	// (PKG, shuffle): resolved once at construction, it selects the feed
+	// path. An assignment-routed stage feeds wait-free under generation
+	// stamps and migrates live (see applyMovesLive); any other stage
+	// routes under mu and cannot migrate at all.
+	ar *AssignmentRouter
+	// mu serializes the mutexed feed path's routing and arrival
+	// accounting (stateful routers are not concurrency-safe) and guards
+	// MigPenalty against a migration sequencer running off the driver
+	// goroutine.
+	mu sync.Mutex
 
-	// Pause-free migration state (the default live-migration protocol;
-	// see applyMovesLive). pauseFree selects the wait-free feed paths
-	// and the generation-epoch sequencer over the pause/drain/resume
-	// protocol above. genInflight is a two-slot epoch counter indexed
-	// by assignment generation parity: a feed call increments the slot
-	// of the generation it routed under before sending and decrements
-	// after, so the sequencer's grace period — wait for the *old*
-	// generation's slot to reach zero — proves every tuple routed under
-	// the pre-swap assignment is in its task queue, without feeders
-	// ever taking a lock. migMu serializes migration sequencers (plan
-	// application, scale-out/in state moves); it is never touched by
-	// the feed path. handoffOverflow counts tuples parked beyond
-	// handoffSoftCap across all destination buffers.
-	pauseFree       atomic.Bool
+	// Live-migration state. genInflight is a two-slot epoch counter
+	// indexed by assignment generation parity: a feed call increments
+	// the slot of the generation it routed under before sending and
+	// decrements after, so the grace period publish waits out — the
+	// *old* generation's slot reaching zero — proves every tuple routed
+	// under the pre-swap assignment is in its task queue, without
+	// feeders ever taking a lock. Two slots are enough only because
+	// every publication waits out the generation it replaces: that is
+	// publish's job, and nothing else may swap the assignment. migMu
+	// serializes migration sequencers (plan application, scale-out/in
+	// state moves, split-set changes); it is never touched by the feed
+	// path. handoffOverflow counts tuples parked beyond handoffSoftCap
+	// across all destination buffers.
 	genInflight     [2]atomic.Int64
 	migMu           sync.Mutex
 	handoffOverflow atomic.Int64
 	// splitPinned counts rebalance-plan moves refused because their key
-	// was split at apply time (see applyPlanPauseFree's guard).
+	// was split at apply time (see ApplyPlan's guard).
 	splitPinned atomic.Int64
 
-	// FeedBatch partition scratch, guarded by mu (FeedBatch may be
-	// entered concurrently by the feeder and by Resume's held replay).
+	// FeedBatch partition scratch of the mutexed path, guarded by mu.
 	scratchDst []int
 	scratchOff []int
 
@@ -104,11 +91,6 @@ type Stage struct {
 	// warm.
 	drainBuf []tuple.Tuple
 
-	// harvest selects the interval-close mode (see HarvestMode);
-	// lastDeltas holds the per-task change sets of the most recent
-	// retained close, the control plane's delta-report input.
-	harvest    HarvestMode
-	lastDeltas []stats.Delta
 	// merged holds the merged runs of the last two closes; EndInterval
 	// alternates between them, so a snapshot's keys stay intact until
 	// the close after next.
@@ -137,36 +119,17 @@ func NewStage(name string, nd int, op func(id int) Operator, w int, router Route
 		router:        router,
 		window:        w,
 		opFn:          op,
-		paused:        make(map[tuple.Key]struct{}),
 		arrivedCost:   make([]int64, nd),
 		arrivedTuples: make([]int64, nd),
 		Backlog:       make([]int64, nd),
 		MigPenalty:    make([]int64, nd),
 	}
-	s.inflightZero = sync.NewCond(&s.mu)
+	s.ar, _ = router.(*AssignmentRouter)
 	for i := 0; i < nd; i++ {
 		s.tasks = append(s.tasks, newTask(i, op(i), w, s))
 	}
 	return s
 }
-
-// SetPauseFree selects the migration protocol: true (requires an
-// assignment router) routes feeds through the wait-free generation-
-// stamped paths and applies plans with the handoff protocol; false
-// restores the pause/drain/resume oracle. Must be called while the
-// stage is idle (before feeding, or between intervals) — the engine
-// does so at construction time from Config.PauseFree.
-func (s *Stage) SetPauseFree(on bool) error {
-	if on && s.AssignmentRouter() == nil {
-		return fmt.Errorf("engine: stage %q: pause-free migration requires an assignment router", s.Name)
-	}
-	s.pauseFree.Store(on)
-	return nil
-}
-
-// PauseFree reports whether the pause-free migration protocol is
-// selected.
-func (s *Stage) PauseFree() bool { return s.pauseFree.Load() }
 
 // HandoffOverflow returns the cumulative count of tuples parked beyond
 // a migrating key's soft handoff bound — nonzero means a migration ran
@@ -181,44 +144,29 @@ func (s *Stage) Router() Router { return s.router }
 
 // AssignmentRouter returns the router as an *AssignmentRouter, or nil
 // when the stage uses a different scheme (PKG, shuffle).
-func (s *Stage) AssignmentRouter() *AssignmentRouter {
-	ar, _ := s.router.(*AssignmentRouter)
-	return ar
-}
+func (s *Stage) AssignmentRouter() *AssignmentRouter { return s.ar }
 
-// Feed routes one tuple into the stage. In pause-free mode (the
-// default for assignment-routed stages) the tuple is routed wait-free
-// under the current generation; in pausing mode tuples for paused keys
-// are held (the upstream cache of Fig. 5 step 4) and delivered by
-// Resume. FeedBatch is the batch-oriented fast path; Feed remains for
-// tests and fine-grained callers.
+// Feed routes one tuple into the stage: wait-free under the current
+// generation on an assignment-routed stage, under the stage mutex
+// otherwise. FeedBatch is the batch-oriented fast path; Feed remains
+// for tests and fine-grained callers.
 func (s *Stage) Feed(t tuple.Tuple) {
-	if s.pauseFree.Load() {
-		s.feedLive(s.router.(*AssignmentRouter), t)
+	if s.ar != nil {
+		s.feedLive(s.ar, t)
 		return
 	}
 	s.mu.Lock()
-	if s.pausedGen.Load() != 0 {
-		if _, p := s.paused[t.Key]; p {
-			s.held = append(s.held, t)
-			s.mu.Unlock()
-			return
-		}
-	}
 	d := s.router.Route(t)
 	s.arrivedCost[d] += t.Cost
 	s.arrivedTuples[d]++
-	s.inflight.Add(1)
 	s.mu.Unlock()
 	// Channel send outside the lock: a full task queue must exert
-	// backpressure on the feeder without blocking pause/resume.
+	// backpressure on this feeder without blocking the others.
 	s.tasks[d].send(t, 0)
-	s.sendDone()
 }
 
-// enterGen is the wait-free feed entry of the pause-free protocol: it
-// pins the caller to the current assignment's generation epoch. The
-// seqlock-style dance — load the assignment, raise the generation's
+// enterGen is the wait-free feed entry: it pins the caller to the
+// current assignment's generation epoch. The seqlock-style dance — load the assignment, raise the generation's
 // inflight slot, re-check the pointer — guarantees that once a swap is
 // published and the old slot drains to zero, no feed call can still be
 // routing under the old assignment (a racer that loaded it pre-swap
@@ -238,9 +186,9 @@ func (s *Stage) enterGen(ar *AssignmentRouter) (*route.Assignment, int) {
 	}
 }
 
-// feedLive is Feed's pause-free path: no stage mutex, no paused-key
-// probe — route under the pinned generation, account arrivals
-// atomically, send with the generation stamp, release the epoch. A
+// feedLive is Feed on an assignment-routed stage: no stage mutex —
+// route under the pinned generation, account arrivals atomically, send
+// with the generation stamp, release the epoch. A
 // split key's tuple is physically sent to the next round-robin replica
 // while its arrival stays charged to the home destination F(k), so
 // arrival accounting (and everything modeled from it) reconstructs the
@@ -259,9 +207,9 @@ func (s *Stage) feedLive(ar *AssignmentRouter, t tuple.Tuple) {
 	s.genInflight[slot].Add(-1)
 }
 
-// liveScratch is the pause-free partition scratch: per-call state from
+// liveScratch is feedBatchLive's partition scratch: per-call state from
 // a pool instead of the mu-guarded per-stage fields, since concurrent
-// feeders no longer serialize on anything.
+// feeders serialize on nothing.
 type liveScratch struct {
 	dst    []int
 	bounds []int
@@ -272,9 +220,9 @@ type liveScratch struct {
 
 var liveScratchPool = sync.Pool{New: func() any { return new(liveScratch) }}
 
-// feedBatchLive is FeedBatch's pause-free path: the same
-// partition-into-pooled-buffers scheme, minus the stage mutex and the
-// paused-key branch. The epoch slot is held across the channel sends,
+// feedBatchLive is FeedBatch on an assignment-routed stage: the same
+// partition-into-pooled-buffers scheme as the mutexed path, minus the
+// mutex. The epoch slot is held across the channel sends,
 // so when the migration sequencer observes the old generation's slot
 // at zero, every tuple routed under the old assignment is already in
 // its task's queue — the property the per-key extraction barriers
@@ -390,33 +338,20 @@ func (s *Stage) feedBatchLive(ar *AssignmentRouter, ts []tuple.Tuple) {
 	s.genInflight[slot].Add(-1)
 }
 
-// sendDone retires one in-flight feed call. The fast path is a single
-// atomic decrement; only the send that drops the count to zero while
-// ApplyPlanLive is draining pays for the lock to signal it. (A drainer
-// that starts after our decrement sees inflight == 0 under mu and
-// never waits, so the skipped broadcast cannot be missed.)
-func (s *Stage) sendDone() {
-	if s.inflight.Add(-1) == 0 && s.draining.Load() {
-		s.mu.Lock()
-		s.inflightZero.Broadcast()
-		s.mu.Unlock()
-	}
-}
-
-// FeedBatch routes a whole batch of tuples into the stage under a
-// single lock acquisition: destinations are resolved through the batch
-// routing path, tuples are partitioned into per-destination slices, and
-// each task receives at most one channel message — amortizing the lock,
-// the routing indirection and the channel operations across hundreds of
-// tuples. Tuples are copied out of ts, so the caller may reuse the
-// slice immediately. Pause semantics match Feed: tuples for paused keys
-// are held upstream and delivered by Resume.
+// FeedBatch routes a whole batch of tuples into the stage: destinations
+// are resolved through the batch routing path, tuples are partitioned
+// into per-destination slices, and each task receives at most one
+// channel message — amortizing the routing indirection and the channel
+// operations across hundreds of tuples. Tuples are copied out of ts, so
+// the caller may reuse the slice immediately. An assignment-routed stage
+// takes the wait-free path; any other router (PKG, shuffle) is stateful
+// and routes under the stage mutex.
 func (s *Stage) FeedBatch(ts []tuple.Tuple) {
 	if len(ts) == 0 {
 		return
 	}
-	if s.pauseFree.Load() {
-		s.feedBatchLive(s.router.(*AssignmentRouter), ts)
+	if s.ar != nil {
+		s.feedBatchLive(s.ar, ts)
 		return
 	}
 	s.mu.Lock()
@@ -425,25 +360,8 @@ func (s *Stage) FeedBatch(ts []tuple.Tuple) {
 		s.scratchDst = make([]int, len(ts))
 	}
 	dst := s.scratchDst[:len(ts)]
-	n := len(ts) // tuples routed this call (len(ts) minus any held)
-	if s.pausedGen.Load() != 0 {
-		// Pause epochs are rare and brief: per-tuple slow path.
-		n = 0
-		for i := range ts {
-			if _, p := s.paused[ts[i].Key]; p {
-				s.held = append(s.held, ts[i])
-				dst[i] = -1
-				continue
-			}
-			dst[i] = s.router.Route(ts[i])
-			n++
-		}
-	} else if ar, ok := s.router.(*AssignmentRouter); ok {
-		ar.Assignment().DestTuples(ts, dst)
-	} else {
-		for i := range ts {
-			dst[i] = s.router.Route(ts[i])
-		}
+	for i := range ts {
+		dst[i] = s.router.Route(ts[i])
 	}
 
 	// Count per destination (into bounds[d+1]). bounds is a per-call
@@ -452,9 +370,7 @@ func (s *Stage) FeedBatch(ts []tuple.Tuple) {
 	bounds := make([]int, nd+1)
 	active := 0
 	for _, d := range dst {
-		if d >= 0 {
-			bounds[d+1]++
-		}
+		bounds[d+1]++
 	}
 	for d := 0; d < nd; d++ {
 		if bounds[d+1] > 0 {
@@ -463,42 +379,34 @@ func (s *Stage) FeedBatch(ts []tuple.Tuple) {
 		}
 		bounds[d+1] += bounds[d]
 	}
-	if active == 0 {
-		s.mu.Unlock()
-		return
-	}
 	// Carve contiguous per-destination regions out of a recycled
 	// backing array; the tasks hand it back to the pool once the last
 	// subslice is processed, so steady state allocates nothing per
 	// batch.
 	bb := batchBufPool.Get().(*batchBuf)
-	if cap(bb.data) < n {
-		bb.data = make([]tuple.Tuple, n)
+	if cap(bb.data) < len(ts) {
+		bb.data = make([]tuple.Tuple, len(ts))
 	}
 	bb.refs.Store(int32(active))
-	buf := bb.data[:n]
+	buf := bb.data[:len(ts)]
 	if cap(s.scratchOff) < nd {
 		s.scratchOff = make([]int, nd)
 	}
 	off := s.scratchOff[:nd]
 	copy(off, bounds[:nd])
 	for i := range ts {
-		if d := dst[i]; d >= 0 {
-			buf[off[d]] = ts[i]
-			off[d]++
-			s.arrivedCost[d] += ts[i].Cost
-		}
+		d := dst[i]
+		buf[off[d]] = ts[i]
+		off[d]++
+		s.arrivedCost[d] += ts[i].Cost
 	}
-	s.inflight.Add(1)
 	s.mu.Unlock()
-	// Channel sends outside the lock, as in Feed: a full task queue must
-	// exert backpressure on the feeder without blocking pause/resume.
+	// Channel sends outside the lock, as in Feed.
 	for d := 0; d < nd; d++ {
 		if lo, hi := bounds[d], bounds[d+1]; hi > lo {
 			s.tasks[d].sendBatch(buf[lo:hi:hi], bb, 0)
 		}
 	}
-	s.sendDone()
 }
 
 // Barrier waits until every task has drained its queue.
@@ -589,8 +497,8 @@ func (s *Stage) StartInterval(interval int64) {
 // draining its queue — the per-stage step of the engine's cascading
 // close. All tasks close concurrently; CloseInterval returns when the
 // slowest is done, at which point every tuple this stage emitted this
-// interval is in the downstream stage's queues (or held by its pause
-// epoch) and the downstream stage may be closed in turn.
+// interval is in the downstream stage's queues and the downstream stage
+// may be closed in turn.
 func (s *Stage) CloseInterval() {
 	// Fold split replicas home first: FlushInterval hooks (and the
 	// harvest after them) must see canonical state.
@@ -652,15 +560,9 @@ func (s *Stage) ArrivedTuples() []int64 { return s.arrivedTuples }
 // The merge copies into one of two buffers the stage alternates
 // between, so the snapshot never aliases a tracker's buffer and a steady
 // close allocates nothing sized by the population. Its Keys are valid
-// until the close after next (the rule the tracker's runs and the
-// mirror's spares follow): long enough for the control round and
-// Engine.LastSnapshots; whoever keeps a snapshot longer takes a Clone.
-//
-// Every harvest mode runs this one path. Under HarvestTouched a task's
-// run is the keys it observed this interval; under the retained modes
-// it is the task's whole tracked population (a copy-on-write view of
-// the tracker's persistent aggregate), and the per-task change sets are
-// additionally published through LastDeltas.
+// until the close after next (the rule the tracker's runs follow): long
+// enough for the control round and Engine.LastSnapshots; whoever keeps a
+// snapshot longer takes a Clone.
 func (s *Stage) EndInterval(interval int64) *stats.Snapshot {
 	// Idempotent re-fold (zero cells skip): callers that harvest
 	// without a prior CloseInterval/FlushOps still get home-complete
@@ -671,34 +573,21 @@ func (s *Stage) EndInterval(interval int64) *stats.Snapshot {
 	// immutable snapshot, safe for concurrent HashDest reads, and no
 	// swap can race the harvest (the controller runs after it).
 	var asg *route.Assignment
-	if ar := s.AssignmentRouter(); ar != nil {
-		asg = ar.Assignment()
-	}
-	retained := s.harvest != HarvestTouched
-	if retained && len(s.lastDeltas) != len(s.tasks) {
-		s.lastDeltas = make([]stats.Delta, len(s.tasks))
+	if s.ar != nil {
+		asg = s.ar.Assignment()
 	}
 	runs := make([][]stats.KeyStat, len(s.tasks))
 	dones := make([]chan struct{}, len(s.tasks))
 	for d, t := range s.tasks {
 		dones[d] = t.barrierAsync(func(ctx *TaskCtx) {
-			stamp := func(ks *stats.KeyStat) {
-				ks.Dest = d
+			run := ctx.Tracker.EndInterval()
+			for i := range run {
+				run[i].Dest, run[i].Hash = d, d
 				if asg != nil {
-					ks.Hash = asg.HashDest(ks.Key)
-				} else {
-					ks.Hash = d
+					run[i].Hash = asg.HashDest(run[i].Key)
 				}
 			}
-			if retained {
-				runs[d], s.lastDeltas[d] = ctx.Tracker.EndIntervalRetained(stamp)
-			} else {
-				run := ctx.Tracker.EndInterval()
-				for i := range run {
-					stamp(&run[i])
-				}
-				runs[d] = run
-			}
+			runs[d] = run
 			ctx.Store.EndInterval()
 			ctx.ProcessedTuples = 0
 			ctx.ProcessedCost = 0
@@ -718,112 +607,6 @@ func (s *Stage) EndInterval(interval int64) *stats.Snapshot {
 	return snap
 }
 
-// PauseKeys enters the pause phase for the given keys: subsequent Feed
-// and FeedBatch calls hold their tuples upstream.
-func (s *Stage) PauseKeys(keys []tuple.Key) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, k := range keys {
-		s.paused[k] = struct{}{}
-	}
-	if len(s.paused) > 0 {
-		s.pausedGen.Store(1)
-	}
-}
-
-// Resume exits the pause phase and replays held tuples through the
-// (possibly new) assignment — step 7 of Fig. 5.
-func (s *Stage) Resume() {
-	s.mu.Lock()
-	s.pausedGen.Store(0)
-	clear(s.paused)
-	held := s.held
-	s.held = nil
-	s.mu.Unlock()
-	s.FeedBatch(held)
-}
-
-// ApplyPlanLive executes a rebalance plan while traffic is flowing.
-// In pause-free mode (the default) it runs the generation-epoch
-// handoff protocol of applyMovesLive: the hot path never pauses, and
-// p99 feed latency stays flat across the migration. In pausing mode it
-// runs the Fig. 5 sequence with per-key granularity and no global
-// barrier: migrating keys pause (their tuples held upstream), each
-// key's state is extracted on the source task's goroutine and injected
-// on the destination's via control thunks, so unaffected keys keep
-// processing throughout — the paper's "no interruption of normal
-// processing on the data with keys not covered by Δ(F, F′)". Safe to
-// call from a goroutine other than the feeder. Returns an error (no
-// state touched) on a stage without an assignment router.
-func (s *Stage) ApplyPlanLive(plan *balance.Plan) (int64, error) {
-	return s.ApplyPlanLiveObserved(plan, nil)
-}
-
-// ApplyPlanLiveObserved is ApplyPlanLive with a per-key migration
-// observer (nil behaves exactly like ApplyPlanLive).
-func (s *Stage) ApplyPlanLiveObserved(plan *balance.Plan, obs MigrationObserver) (int64, error) {
-	ar := s.AssignmentRouter()
-	if ar == nil {
-		return 0, fmt.Errorf("engine: stage %q has no assignment router; cannot apply plan", s.Name)
-	}
-	if s.pauseFree.Load() {
-		return s.applyPlanPauseFree(plan, obs, ar), nil
-	}
-	s.PauseKeys(plan.Moved)
-	// Drain in-flight sends: a feed call may have routed tuples under
-	// the pre-pause assignment but not yet enqueued them (sends happen
-	// outside the lock). Waiting for inflight == 0 guarantees those
-	// tuples are in their task queues before the extraction barriers
-	// run, so no migrating key's tuple can land on the old owner after
-	// its state has been extracted.
-	s.mu.Lock()
-	s.draining.Store(true)
-	for s.inflight.Load() > 0 {
-		s.inflightZero.Wait()
-	}
-	s.draining.Store(false)
-	s.mu.Unlock()
-	old := ar.Assignment()
-	var moved int64
-	for _, k := range plan.Moved {
-		src := old.Dest(k)
-		dst := plan.MoveDest[k]
-		if src == dst {
-			continue
-		}
-		// Extract on the source task's goroutine: channel FIFO means
-		// every tuple enqueued before the pause (and drained above) is
-		// processed first, so the extracted window is complete.
-		var m state.Migrated
-		var mem int64
-		s.tasks[src].barrier(func(ctx *TaskCtx) {
-			m = ctx.Store.Extract(k)
-			mem = ctx.Tracker.WindowedMem(k)
-			ctx.Tracker.DropKey(k)
-		})
-		m, mem, payload := s.serializeTransfer(m, mem)
-		s.tasks[dst].barrier(func(ctx *TaskCtx) {
-			if m.Size > 0 {
-				ctx.Store.Inject(m)
-			}
-			if mem > 0 {
-				ctx.Tracker.AdoptKey(k, mem)
-			}
-		})
-		s.mu.Lock()
-		s.MigPenalty[src] += m.Size
-		s.MigPenalty[dst] += m.Size
-		s.mu.Unlock()
-		if obs != nil {
-			obs(k, src, dst, m.Size, payload)
-		}
-		moved += m.Size
-	}
-	ar.Swap(route.NewAssignment(plan.Table.Clone(), old.Hasher()))
-	s.Resume()
-	return moved, nil
-}
-
 // keyMove is one key's migration edge: src still owns the state, the
 // new assignment routes the key to dst.
 type keyMove struct {
@@ -831,10 +614,23 @@ type keyMove struct {
 	src, dst int
 }
 
-// applyPlanPauseFree translates a rebalance plan into key moves and
-// runs them through the generation-epoch sequencer, publishing the
-// plan's table as the new assignment.
-func (s *Stage) applyPlanPauseFree(plan *balance.Plan, obs MigrationObserver, ar *AssignmentRouter) int64 {
+// ApplyPlan executes a rebalance plan — move each migrating key's
+// windowed state and statistics from its current owner to the planned
+// destination and publish the plan's table as the new assignment —
+// through the live-migration sequencer (applyMovesLive). It is safe
+// while traffic is flowing and from a goroutine other than the
+// feeder: the feed path never pauses, and keys outside Δ(F, F′) keep
+// processing throughout. At hook time (between EndInterval and the next
+// Feed) the tasks are idle, the handoff buffers stay empty and the
+// grace period is instantaneous, so the effect is a direct move. obs,
+// when non-nil, observes every key migration. Returns the total state
+// volume moved, or an error (no state touched) on a stage without an
+// assignment router.
+func (s *Stage) ApplyPlan(plan *balance.Plan, obs MigrationObserver) (int64, error) {
+	ar := s.ar
+	if ar == nil {
+		return 0, fmt.Errorf("engine: stage %q has no assignment router; cannot apply plan", s.Name)
+	}
 	s.migMu.Lock()
 	defer s.migMu.Unlock()
 	old := ar.Assignment()
@@ -878,13 +674,32 @@ func (s *Stage) applyPlanPauseFree(plan *balance.Plan, obs MigrationObserver, ar
 	next := route.NewAssignment(tbl, old.Hasher())
 	// The split set rides across plan publications untouched.
 	next.SetSplits(st)
-	return s.applyMovesLive(next, moves, obs, ar)
+	return s.applyMovesLive(next, moves, obs), nil
 }
 
-// applyMovesLive is the pause-free migration sequencer — the epoch
-// protocol that replaces pause/drain/resume. The caller holds migMu
-// (one migration at a time per stage); feeders keep running wait-free
-// throughout. The sequence:
+// publish installs next as the stage's live assignment and waits out
+// the generation it replaces: when it returns, every feed call that
+// routed under the old assignment has finished its channel sends, so
+// each task's queue holds all of its old-generation tuples. Every swap
+// goes through here, whether or not the caller has anything to extract
+// afterwards: genInflight has two slots, indexed by generation parity,
+// and a feeder still pinned under generation g when g+2 is published
+// would be counted in the slot g+2's own feeders use — the sequencer
+// for g+2 → g+3 would then wait on the other slot and extract a key
+// while that feeder is about to enqueue its tuple at the old owner.
+// Only the sequencer waits, never a feeder; with idle tasks the slot is
+// already zero. The caller holds migMu.
+func (s *Stage) publish(next *route.Assignment) {
+	s.ar.Swap(next)
+	oldSlot := int((next.Gen() - 1) & 1)
+	for s.genInflight[oldSlot].Load() != 0 {
+		runtime.Gosched()
+	}
+}
+
+// applyMovesLive is the live-migration sequencer: Fig. 5's steps 3–7
+// without a feed pause. The caller holds migMu (one migration at a time
+// per stage); feeders keep running wait-free throughout. The sequence:
 //
 //  1. Arm: enqueue a control thunk at every destination task opening
 //     empty handoff buffers for the keys it will receive. The thunks
@@ -893,12 +708,10 @@ func (s *Stage) applyPlanPauseFree(plan *balance.Plan, obs MigrationObserver, ar
 //  2. Swap: publish the new assignment with generation g+1. From this
 //     instant feeders route migrating keys straight to their
 //     destinations, where they park in the handoff buffers.
-//  3. Grace period: spin until genInflight[g&1] reaches zero — every
-//     feed call that routed under generation g has finished its
-//     channel sends, so each source task's queue holds all of its
-//     old-generation tuples (the per-slot watermark that replaces the
-//     pausing path's global inflight drain; only the sequencer waits,
-//     never a feeder).
+//  3. Grace period (publish): wait until genInflight[g&1] reaches zero
+//     — every feed call that routed under generation g has finished
+//     its channel sends, so each source task's queue holds all of its
+//     old-generation tuples.
 //  4. Per key, in plan order: a source barrier — FIFO-ordered after
 //     every old-generation tuple, so the window is complete — extracts
 //     the windowed state and tracker history and marks the key
@@ -911,13 +724,9 @@ func (s *Stage) applyPlanPauseFree(plan *balance.Plan, obs MigrationObserver, ar
 //     tuple can remain in flight; the guard exists for paths outside
 //     the epoch accounting).
 //
-// Returns the migrated state volume. Also used by scale-out/in state
-// moves in pause-free mode, with the resized assignment as next.
-func (s *Stage) applyMovesLive(next *route.Assignment, moves []keyMove, obs MigrationObserver, ar *AssignmentRouter) int64 {
-	if len(moves) == 0 {
-		ar.Swap(next)
-		return 0
-	}
+// Returns the migrated state volume. Scale-out/in state moves run
+// through it too, with the resized assignment as next.
+func (s *Stage) applyMovesLive(next *route.Assignment, moves []keyMove, obs MigrationObserver) int64 {
 	perDst := make(map[int][]tuple.Key)
 	for _, mv := range moves {
 		perDst[mv.dst] = append(perDst[mv.dst], mv.k)
@@ -925,12 +734,8 @@ func (s *Stage) applyMovesLive(next *route.Assignment, moves []keyMove, obs Migr
 	for d, keys := range perDst {
 		s.tasks[d].armHandoff(keys)
 	}
-	ar.Swap(next)
+	s.publish(next)
 	newGen := next.Gen()
-	oldSlot := int((newGen - 1) & 1)
-	for s.genInflight[oldSlot].Load() != 0 {
-		runtime.Gosched()
-	}
 	var moved int64
 	for _, mv := range moves {
 		mv := mv
@@ -982,74 +787,6 @@ func (s *Stage) applyMovesLive(next *route.Assignment, moves []keyMove, obs Migr
 // observable wire event, carrying the real payload when migration runs
 // serialized.
 type MigrationObserver = func(k tuple.Key, from, to int, size int64, payload []byte)
-
-// ApplyPlan executes a rebalance plan against live state at hook time
-// (between Barrier/EndInterval and the next Feed): move each key's
-// windowed state and statistics from its current owner to the planned
-// destination and install the new routing table. In pause-free mode
-// the generation-epoch sequencer runs (with idle tasks its handoff
-// buffers stay empty and its grace period is instantaneous, so the
-// effect — and every observable byte of state, statistics and routing
-// — is identical to the pausing oracle); in pausing mode the migrating
-// keys pause and resume around the direct move. Returns the total
-// state volume moved, or an error (no state touched) on a stage
-// without an assignment router.
-func (s *Stage) ApplyPlan(plan *balance.Plan) (int64, error) {
-	return s.ApplyPlanObserved(plan, nil)
-}
-
-// ApplyPlanObserved is ApplyPlan with a per-key migration observer
-// (nil behaves exactly like ApplyPlan).
-func (s *Stage) ApplyPlanObserved(plan *balance.Plan, obs MigrationObserver) (int64, error) {
-	ar := s.AssignmentRouter()
-	if ar == nil {
-		return 0, fmt.Errorf("engine: stage %q has no assignment router; cannot apply plan", s.Name)
-	}
-	if s.pauseFree.Load() {
-		return s.applyPlanPauseFree(plan, obs, ar), nil
-	}
-	s.PauseKeys(plan.Moved)
-	old := ar.Assignment()
-	var moved int64
-	for _, k := range plan.Moved {
-		src := old.Dest(k)
-		dst := plan.MoveDest[k]
-		if src == dst {
-			continue
-		}
-		size, payload := s.migrateKey(k, src, dst)
-		if obs != nil {
-			obs(k, src, dst, size, payload)
-		}
-		moved += size
-	}
-	ar.Swap(route.NewAssignment(plan.Table.Clone(), old.Hasher()))
-	s.Resume()
-	return moved, nil
-}
-
-// migrateKey moves one key's state and tracker history from task src to
-// task dst, charging the transfer volume to both sides' migration
-// penalty (send + receive). Tasks are idle (post-barrier), so ctx
-// access is safe. In state-wire mode the transfer round-trips through
-// the state codec and the serialized window is returned (nil
-// otherwise).
-func (s *Stage) migrateKey(k tuple.Key, src, dst int) (int64, []byte) {
-	sc, dc := s.tasks[src].ctx, s.tasks[dst].ctx
-	m := sc.Store.Extract(k)
-	mem := sc.Tracker.WindowedMem(k)
-	sc.Tracker.DropKey(k)
-	m, mem, payload := s.serializeTransfer(m, mem)
-	if m.Size > 0 {
-		dc.Store.Inject(m)
-	}
-	if mem > 0 {
-		dc.Tracker.AdoptKey(k, mem)
-	}
-	s.MigPenalty[src] += m.Size
-	s.MigPenalty[dst] += m.Size
-	return m.Size, payload
-}
 
 // LiveKeys returns the union of keys holding state on any task.
 func (s *Stage) LiveKeys() []tuple.Key {
@@ -1111,9 +848,7 @@ func (s *Stage) ScaleOutObserved(obs MigrationObserver) (int64, error) {
 	// Keep the old routing table; recompute destinations under the new
 	// hash and migrate keys whose effective destination moved.
 	newAsg := route.NewAssignment(old.Table().Clone(), newHash)
-	moved := s.migrateDelta(old, newAsg, s.LiveKeys(), obs, ar)
-	s.restampRetained()
-	return moved, nil
+	return s.migrateDelta(old, newAsg, s.LiveKeys(), obs), nil
 }
 
 // ScaleIn retires the stage's last task instance live — the mirror of
@@ -1192,7 +927,7 @@ func (s *Stage) ScaleInObserved(obs MigrationObserver) (int64, error) {
 	// construction exactly the keys F used to send to the retiring
 	// instance, each landing on a surviving one.
 	keys := append(s.LiveKeys(), retired...)
-	moved := s.migrateDelta(old, newAsg, keys, obs, ar)
+	moved := s.migrateDelta(old, newAsg, keys, obs)
 
 	// Retire the instance and shrink the per-task bookkeeping. Arrival
 	// accounting was reset by EndInterval; any residual (non-hook-time
@@ -1206,18 +941,15 @@ func (s *Stage) ScaleInObserved(obs MigrationObserver) (int64, error) {
 	s.Backlog[rid-1] += s.Backlog[rid]
 	s.Backlog = s.Backlog[:rid]
 	s.MigPenalty = s.MigPenalty[:rid]
-	s.restampRetained()
 	return moved, nil
 }
 
 // migrateDelta migrates every key in keys whose destination differs
 // between old and next (deduplicated, ascending key order so observer
-// sequences are deterministic), then installs next as the stage's live
-// assignment. Tasks must be idle. In pause-free mode the moves run
-// through the generation-epoch sequencer — scale-out/in reuse the same
-// handoff protocol as plan application, and with idle tasks its effect
-// is identical to the direct move.
-func (s *Stage) migrateDelta(old, next *route.Assignment, keys []tuple.Key, obs MigrationObserver, ar *AssignmentRouter) int64 {
+// sequences are deterministic) through the live-migration sequencer,
+// which installs next as the stage's live assignment. Tasks must be
+// idle.
+func (s *Stage) migrateDelta(old, next *route.Assignment, keys []tuple.Key, obs MigrationObserver) int64 {
 	seen := make(map[tuple.Key]struct{}, len(keys))
 	uniq := keys[:0]
 	for _, k := range keys {
@@ -1227,32 +959,15 @@ func (s *Stage) migrateDelta(old, next *route.Assignment, keys []tuple.Key, obs 
 		}
 	}
 	sort.Slice(uniq, func(i, j int) bool { return uniq[i] < uniq[j] })
-	if s.pauseFree.Load() {
-		moves := make([]keyMove, 0, len(uniq))
-		for _, k := range uniq {
-			if from, to := old.Dest(k), next.Dest(k); from != to {
-				moves = append(moves, keyMove{k: k, src: from, dst: to})
-			}
-		}
-		s.migMu.Lock()
-		defer s.migMu.Unlock()
-		return s.applyMovesLive(next, moves, obs, ar)
-	}
-	var moved int64
+	moves := make([]keyMove, 0, len(uniq))
 	for _, k := range uniq {
-		from := old.Dest(k)
-		to := next.Dest(k)
-		if from == to {
-			continue
+		if from, to := old.Dest(k), next.Dest(k); from != to {
+			moves = append(moves, keyMove{k: k, src: from, dst: to})
 		}
-		size, payload := s.migrateKey(k, from, to)
-		if obs != nil {
-			obs(k, from, to, size, payload)
-		}
-		moved += size
 	}
-	ar.Swap(next)
-	return moved
+	s.migMu.Lock()
+	defer s.migMu.Unlock()
+	return s.applyMovesLive(next, moves, obs)
 }
 
 // Stop terminates all task goroutines (for tests and example

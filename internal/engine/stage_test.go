@@ -71,7 +71,7 @@ func TestRunIntervalAfterStopPanics(t *testing.T) {
 func TestApplyPlanWithoutAssignmentRouterErrors(t *testing.T) {
 	st := NewStage("s", 2, func(int) Operator { return Discard }, 1, NewShuffleRouter(2))
 	defer st.Stop()
-	if _, err := st.ApplyPlan(nil); err == nil {
+	if _, err := st.ApplyPlan(nil, nil); err == nil {
 		t.Fatal("ApplyPlan on shuffle stage did not error")
 	}
 }

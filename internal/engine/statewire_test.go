@@ -92,9 +92,9 @@ func TestStateWireMatchesInMemory(t *testing.T) {
 			if len(plan.Moved) == 0 {
 				return nil
 			}
-			moved, err := stage.ApplyPlanObserved(plan, obs)
+			moved, err := stage.ApplyPlan(plan, obs)
 			if err != nil {
-				t.Fatalf("ApplyPlanObserved(wire=%v): %v", wire, err)
+				t.Fatalf("ApplyPlan(wire=%v): %v", wire, err)
 			}
 			return &Rebalance{Plan: plan, Moved: moved}
 		})
@@ -160,7 +160,7 @@ func TestStateWireMatchesInMemory(t *testing.T) {
 
 // TestStateWireLiveFeeders is the -race stress of serialized-state
 // migration under live traffic: four feeders emit into a pipelined
-// two-stage pause-free topology with StateWire on while a controller
+// two-stage topology with StateWire on while a controller
 // applies rebalance plans continuously. Zero loss, no double-delivery,
 // exact final placement, no codec fallbacks — the serializer runs
 // inside migration barriers with feeders pounding both stages.
@@ -187,9 +187,6 @@ func TestStateWireLiveFeeders(t *testing.T) {
 	defer st1.Stop()
 	st0.SetDownstream(st1)
 	for _, st := range []*Stage{st0, st1} {
-		if err := st.SetPauseFree(true); err != nil {
-			t.Fatal(err)
-		}
 		st.SetStateWire(true)
 	}
 
@@ -228,8 +225,8 @@ func TestStateWireLiveFeeders(t *testing.T) {
 				plan.Moved = append(plan.Moved, k)
 				plan.MoveDest[k] = dst
 			}
-			if _, err := st.ApplyPlanObserved(plan, obs); err != nil {
-				t.Errorf("ApplyPlanObserved: %v", err)
+			if _, err := st.ApplyPlan(plan, obs); err != nil {
+				t.Errorf("ApplyPlan: %v", err)
 				return
 			}
 		}

@@ -32,7 +32,7 @@ type message struct {
 	t    tuple.Tuple   // single tuple; valid when ts == nil and ctrl == nil
 	ts   []tuple.Tuple // tuple batch; ownership passes to the task
 	buf  *batchBuf     // shared backing of ts, refcounted for recycling
-	gen  uint64        // routing generation the sender resolved under (pause-free mode)
+	gen  uint64        // routing generation the sender resolved under (0 on the mutexed path)
 	ctrl func(*TaskCtx)
 	done chan struct{}
 }
@@ -44,10 +44,10 @@ type task struct {
 	ctx   *TaskCtx
 	op    Operator
 	opB   BatchOperator // non-nil when op implements the batch extension
-	stage *Stage        // owning stage, for straggler re-feeds in pause-free mode
+	stage *Stage        // owning stage, for straggler re-feeds during a migration
 	wg    sync.WaitGroup
 
-	// Pause-free migration state, touched only on the task goroutine
+	// Live-migration state, touched only on the task goroutine
 	// (armed/cleared via ctrl thunks, consulted by the processing loop).
 	//
 	// handoff holds per-migrating-key buffers on a *destination* task:
@@ -115,11 +115,6 @@ func newTask(id int, op Operator, window int, stage *Stage) *task {
 			Tracker: stats.NewTracker(window),
 		},
 	}
-	if stage != nil {
-		// A task created by scale-out joins the stage's harvest protocol
-		// from birth; its tracker is fresh, so SetRetain cannot fail.
-		_ = t.ctx.Tracker.SetRetain(stage.harvest.retain())
-	}
 	t.wg.Add(1)
 	go t.loop()
 	return t
@@ -181,7 +176,7 @@ func (t *task) loop() {
 	}
 }
 
-// divert is the pause-free migration slow path, entered only while a
+// divert is the live-migration slow path, entered only while a
 // migration has keys armed or rerouted on this task. It compacts ts in
 // place to the tuples this task should process now: tuples for armed
 // keys are parked in their handoff buffer (replayed after state
@@ -341,7 +336,7 @@ func (t *task) send(tp tuple.Tuple, gen uint64) { t.in <- message{t: tp, gen: ge
 // when non-nil, is the recycled backing array the batch was carved
 // from; the task decrements its refcount after processing. gen is the
 // routing generation the sender resolved the batch under (0 on the
-// legacy pausing path, which never consults it).
+// mutexed path of stages that never migrate).
 func (t *task) sendBatch(ts []tuple.Tuple, buf *batchBuf, gen uint64) {
 	t.in <- message{ts: ts, buf: buf, gen: gen}
 }

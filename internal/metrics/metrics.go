@@ -45,9 +45,9 @@ type Interval struct {
 	// microseconds — the measured (not modeled) cost of routing one
 	// chunk into the first stage. Recorded only when the engine's
 	// feed-latency histogram is enabled (engine.Config.FeedLatency);
-	// zero otherwise. A migration that stalls feeders (the pausing
-	// oracle's drain) shows up here as a p99 cliff; the pause-free
-	// protocol's claim is precisely that it does not.
+	// zero otherwise. A migration that stalled feeders would show up
+	// here as a p99 cliff; live migration's claim is precisely that it
+	// does not.
 	FeedP50Us float64
 	FeedP99Us float64
 }

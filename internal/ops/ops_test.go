@@ -47,7 +47,7 @@ func TestWordCountCorrectAcrossMigration(t *testing.T) {
 	dst := 1 - src
 	tab := route.NewTable()
 	tab.Put(hot, dst)
-	st.ApplyPlan(&balance.Plan{Table: tab, Moved: []tuple.Key{hot}, MoveDest: map[tuple.Key]int{hot: dst}})
+	st.ApplyPlan(&balance.Plan{Table: tab, Moved: []tuple.Key{hot}, MoveDest: map[tuple.Key]int{hot: dst}}, nil)
 	for i := 0; i < 50; i++ {
 		st.Feed(tuple.New(hot, "w"))
 	}

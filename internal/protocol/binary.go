@@ -16,7 +16,7 @@ import (
 // The binary wire format: a hand-rolled, zero-reflection codec for the
 // messages that dominate the wire in steady state — the data plane
 // (TupleBatch, Flush), the per-interval control round (LoadReport, Ack,
-// Resume, Resync) and the interval drive itself (StartInterval,
+// Resume) and the interval drive itself (StartInterval,
 // CloseStage, HarvestReq, HarvestDone — one of each per stage per
 // interval, which matters because a gob fallback frame is
 // self-contained: a fresh encoder re-sends type descriptors and a fresh
@@ -32,8 +32,8 @@ import (
 //
 //	frame    := len(4,BE) kind payload
 //	kind     := 0x00 gob | 0x01 batch | 0x02 flush | 0x03 report
-//	          | 0x04 resync | 0x05 ack | 0x06 resume
-//	          | 0x07 start | 0x08 close | 0x09 harvest | 0x0a harvested
+//	          | 0x04 ack | 0x05 resume
+//	          | 0x06 start | 0x07 close | 0x08 harvest | 0x09 harvested
 //
 // A batch frame coalesces one or more FeedBatch-sized chunks; the
 // sub-batch boundaries are preserved so the receiver replays the exact
@@ -65,7 +65,6 @@ const (
 	kindBatch
 	kindFlush
 	kindReport
-	kindResync
 	kindAck
 	kindResume
 	kindStart
@@ -474,90 +473,53 @@ func (c *Codec) decodeBatchFrame(body []byte) (*Message, error) {
 	return &c.hotMsg, nil
 }
 
-// appendKeyStat encodes one KeyStatWire row: five varints.
-func appendKeyStat(dst []byte, ks KeyStatWire) []byte {
-	dst = binary.AppendUvarint(dst, uint64(ks.Key))
-	dst = appendSvarint(dst, ks.Cost)
-	dst = appendSvarint(dst, ks.Freq)
-	dst = appendSvarint(dst, ks.Mem)
-	return appendSvarint(dst, int64(ks.Hash))
-}
-
-func (c *cursor) keyStat() (ks KeyStatWire, err error) {
-	k, err := c.uvarint()
-	if err != nil {
-		return ks, err
-	}
-	ks.Key = tuple.Key(k)
-	if ks.Cost, err = c.svarint(); err != nil {
-		return ks, err
-	}
-	if ks.Freq, err = c.svarint(); err != nil {
-		return ks, err
-	}
-	if ks.Mem, err = c.svarint(); err != nil {
-		return ks, err
-	}
-	h, err := c.svarint()
-	ks.Hash = int(h)
-	return ks, err
-}
-
-// appendKeyStats encodes a KeyStatWire run.
-func appendKeyStats(dst []byte, ks []KeyStatWire) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(ks)))
-	for i := range ks {
-		dst = appendKeyStat(dst, ks[i])
-	}
-	return dst
-}
-
-func (c *cursor) keyStats() ([]KeyStatWire, error) {
-	n, err := c.count()
-	if err != nil || n == 0 {
-		return nil, err
-	}
-	// Each entry costs at least 5 bytes (five varints).
-	if n > c.rem()/5+1 {
-		return nil, c.fail(fmt.Sprintf("keystat count %d exceeds frame", n))
-	}
-	out := make([]KeyStatWire, n)
-	for i := range out {
-		if out[i], err = c.keyStat(); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// appendMergedKeys encodes a whole-round report's run: a KeyStatWire
-// row plus the entry's destination, one more (one-byte) varint.
-func appendMergedKeys(dst []byte, ks []stats.KeyStat) []byte {
+// appendReportKeys encodes a report's run: six varints per entry (key,
+// cost, frequency, windowed memory, hash destination, destination).
+func appendReportKeys(dst []byte, ks []stats.KeyStat) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(ks)))
 	for i := range ks {
 		k := &ks[i]
-		dst = appendKeyStat(dst, KeyStatWire{Key: k.Key, Cost: k.Cost, Freq: k.Freq, Mem: k.Mem, Hash: k.Hash})
+		dst = binary.AppendUvarint(dst, uint64(k.Key))
+		dst = appendSvarint(dst, k.Cost)
+		dst = appendSvarint(dst, k.Freq)
+		dst = appendSvarint(dst, k.Mem)
+		dst = appendSvarint(dst, int64(k.Hash))
 		dst = appendSvarint(dst, int64(k.Dest))
 	}
 	return dst
 }
 
-// mergedKeys decodes a whole-round run onto buf, which it returns
-// grown: the count is checked against the bytes left before anything is
-// sized by it. Destinations and order are the receiver's to check
+// reportKeys decodes a report's run onto buf, which it returns grown:
+// the count is checked against the bytes left before anything is sized
+// by it. Destinations and order are the receiver's to check
 // (LoadReport.CheckMerged) — the frame does not know the stage yet.
-func (c *cursor) mergedKeys(buf []stats.KeyStat) ([]stats.KeyStat, error) {
+func (c *cursor) reportKeys(buf []stats.KeyStat) ([]stats.KeyStat, error) {
 	n, err := c.count()
 	if err != nil {
 		return buf, err
 	}
 	// Each entry costs at least 6 bytes (six varints).
 	if n > c.rem()/6 {
-		return buf, c.fail(fmt.Sprintf("merged keystat count %d exceeds frame", n))
+		return buf, c.fail(fmt.Sprintf("report entry count %d exceeds frame", n))
 	}
 	buf = slices.Grow(buf, n)[:n]
 	for i := range buf {
-		w, err := c.keyStat()
+		ks := &buf[i]
+		k, err := c.uvarint()
+		if err != nil {
+			return buf, err
+		}
+		ks.Key = tuple.Key(k)
+		if ks.Cost, err = c.svarint(); err != nil {
+			return buf, err
+		}
+		if ks.Freq, err = c.svarint(); err != nil {
+			return buf, err
+		}
+		if ks.Mem, err = c.svarint(); err != nil {
+			return buf, err
+		}
+		h, err := c.svarint()
 		if err != nil {
 			return buf, err
 		}
@@ -565,7 +527,7 @@ func (c *cursor) mergedKeys(buf []stats.KeyStat) ([]stats.KeyStat, error) {
 		if err != nil {
 			return buf, err
 		}
-		buf[i] = stats.KeyStat{Key: w.Key, Cost: w.Cost, Freq: w.Freq, Mem: w.Mem, Dest: int(d), Hash: w.Hash}
+		ks.Hash, ks.Dest = int(h), int(d)
 	}
 	return buf, nil
 }
@@ -599,41 +561,24 @@ func (c *cursor) keys() ([]tuple.Key, error) {
 
 // Report flag bits (one byte on the wire).
 const (
-	repDelta     = 1 << 0
-	repRoutable  = 1 << 1
-	repResizable = 1 << 2
-	repMerged    = 1 << 3
+	repRoutable  = 1 << 0
+	repResizable = 1 << 1
 )
 
-// appendReport encodes a LoadReport — every form (merged round,
-// per-task full, epoch-stamped rebase, delta) shares the layout; empty
-// sections cost one zero byte each, and the merged run is present only
-// behind its flag.
+// appendReport encodes a LoadReport: the interval, the flag byte, the
+// run, the split set, then the stage context scalars.
 func appendReport(dst []byte, r *LoadReport) []byte {
 	dst = append(dst, kindReport)
-	dst = appendSvarint(dst, int64(r.TaskID))
 	dst = appendSvarint(dst, r.Interval)
-	dst = binary.AppendUvarint(dst, r.Epoch)
 	var flags byte
-	if r.Delta {
-		flags |= repDelta
-	}
 	if r.Routable {
 		flags |= repRoutable
 	}
 	if r.Resizable {
 		flags |= repResizable
 	}
-	if r.Merged {
-		flags |= repMerged
-	}
 	dst = append(dst, flags)
-	if r.Merged {
-		dst = appendMergedKeys(dst, r.Keys)
-	}
-	dst = appendKeyStats(dst, r.Stats)
-	dst = appendKeyStats(dst, r.Changed)
-	dst = appendKeys(dst, r.Retired)
+	dst = appendReportKeys(dst, r.Keys)
 	dst = appendKeys(dst, r.Split)
 	dst = appendSvarint(dst, int64(r.Tasks))
 	dst = appendSvarint(dst, r.Capacity)
@@ -642,53 +587,31 @@ func appendReport(dst []byte, r *LoadReport) []byte {
 	return dst
 }
 
-// decodeReport allocates fresh slices for the per-task forms: those
-// reports outlive the next Recv (the control server collects a round's
-// reports; the mirror retains delta runs), so unlike batches they must
-// not alias codec storage. A merged round is the exception — it is the
-// whole population every interval, and the server is done with it when
-// the round closes — so its run decodes into one of two buffers the
-// codec alternates between: intact until the second following merged
-// report, the stage snapshot's own lifetime.
+// decodeReport decodes the run into one of two buffers the codec
+// alternates between — it is the whole population every interval, and
+// the server is done with it when the round closes — so it stays intact
+// until the second following report, the stage snapshot's own lifetime.
+// The rest of the report is freshly allocated.
 func (c *Codec) decodeReport(body []byte) (*Message, error) {
 	cur := &cursor{p: body}
 	r := &LoadReport{}
 	var err error
 	var v int64
-	if v, err = cur.svarint(); err != nil {
-		return nil, err
-	}
-	r.TaskID = int(v)
 	if r.Interval, err = cur.svarint(); err != nil {
-		return nil, err
-	}
-	if r.Epoch, err = cur.uvarint(); err != nil {
 		return nil, err
 	}
 	flags, err := cur.byte()
 	if err != nil {
 		return nil, err
 	}
-	r.Delta = flags&repDelta != 0
 	r.Routable = flags&repRoutable != 0
 	r.Resizable = flags&repResizable != 0
-	if r.Merged = flags&repMerged != 0; r.Merged {
-		buf := &c.merged[c.mergedN&1]
-		c.mergedN++
-		if *buf, err = cur.mergedKeys((*buf)[:0]); err != nil {
-			return nil, err
-		}
-		r.Keys = *buf
-	}
-	if r.Stats, err = cur.keyStats(); err != nil {
+	buf := &c.merged[c.mergedN&1]
+	c.mergedN++
+	if *buf, err = cur.reportKeys((*buf)[:0]); err != nil {
 		return nil, err
 	}
-	if r.Changed, err = cur.keyStats(); err != nil {
-		return nil, err
-	}
-	if r.Retired, err = cur.keys(); err != nil {
-		return nil, err
-	}
+	r.Keys = *buf
 	if r.Split, err = cur.keys(); err != nil {
 		return nil, err
 	}
@@ -914,11 +837,6 @@ func (c *Codec) sendBinary(m *Message) error {
 		b = appendSvarint(b, m.Resume.Interval)
 		c.bin = b
 		return c.writeFrame(b)
-	case m.ResyncReq != nil:
-		b := append(c.bin[:0], kindResync)
-		b = appendSvarint(b, m.ResyncReq.Interval)
-		c.bin = b
-		return c.writeFrame(b)
 	case m.Start != nil:
 		b := append(c.bin[:0], kindStart)
 		b = appendSvarint(b, m.Start.Interval)
@@ -957,7 +875,7 @@ func (c *Codec) sendBinary(m *Message) error {
 // Flush messages (the data-plane hot path) reuse codec-owned storage —
 // tuples decode into a pooled retained slice, mirroring the engine's
 // recycled feed buffers — and are invalidated by the next Recv on this
-// codec; control-plane messages are freshly allocated, except a merged
+// codec; control-plane messages are freshly allocated, except a
 // report's run (see decodeReport).
 func (c *Codec) recvBinary() (*Message, error) {
 	p, err := c.fr.frame()
@@ -987,13 +905,6 @@ func (c *Codec) recvBinary() (*Message, error) {
 		return &c.hotMsg, nil
 	case kindReport:
 		return c.decodeReport(body)
-	case kindResync:
-		cur := &cursor{p: body}
-		iv, err := cur.svarint()
-		if err != nil || cur.rem() != 0 {
-			return nil, cur.fail("resync frame")
-		}
-		return &Message{ResyncReq: &Resync{Interval: iv}}, nil
 	case kindAck:
 		cur := &cursor{p: body}
 		id, err := cur.svarint()

@@ -200,17 +200,19 @@ func TestBinaryHostileInputs(t *testing.T) {
 		"batch bad value tag":  {kindBatch, 0, 0, 0, 1, 0, 0, 0, 1, 1, 2, 2, 2, 2, 0, 0x6f},
 		"flush short":          {kindFlush, 1, 2, 3},
 		"report cut":           {kindReport, 0x80},
-		"report huge keystats": {kindReport, 2, 4, 6, 0, 0xff, 0xff, 0x7f},
+		// Five entries cannot fit six bytes, though the count alone could.
+		"report huge keystats": {kindReport, 2, 0, 5, 1, 2, 3, 4, 5, 6},
 		"merged huge count":    hostileMergedReports()[0],
-		"merged cut row":       {kindReport, 0, 4, 0, repMerged, 2, 7, 2, 2, 2},
-		"ack cut":              {kindAck, 2},
-		"resume trailing":      {kindResume, 2, 9},
-		"start cut":            {kindStart, 2},
-		"close trailing":       {kindClose, 2, 9},
-		"harvest cut":          {kindHarvestReq, 2, 4},
-		"harvested cut float":  {kindHarvestDone, 2, 4, 0, 0, 0, 0, 0, 2, 2, 1, 2, 3},
-		"harvested huge list":  {kindHarvestDone, 2, 4, 0, 0xff, 0xff, 0x7f},
-		"gob garbage":          {kindGob, 0xde, 0xad, 0xbe, 0xef},
+		// One entry in six bytes, but a two-byte hash leaves no destination.
+		"merged cut row":      {kindReport, 4, 0, 1, 7, 2, 2, 2, 0x80, 0x01},
+		"ack cut":             {kindAck, 2},
+		"resume trailing":     {kindResume, 2, 9},
+		"start cut":           {kindStart, 2},
+		"close trailing":      {kindClose, 2, 9},
+		"harvest cut":         {kindHarvestReq, 2, 4},
+		"harvested cut float": {kindHarvestDone, 2, 4, 0, 0, 0, 0, 0, 2, 2, 1, 2, 3},
+		"harvested huge list": {kindHarvestDone, 2, 4, 0, 0xff, 0xff, 0x7f},
+		"gob garbage":         {kindGob, 0xde, 0xad, 0xbe, 0xef},
 	}
 	for name, payload := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -327,10 +329,10 @@ func BenchmarkTupleBatchCodec(b *testing.B) {
 	}
 }
 
-// mergedReport is a valid whole-round report over 3 instances.
+// mergedReport is a valid report over 3 instances.
 func mergedReport() *LoadReport {
 	return &LoadReport{
-		Interval: 9, Merged: true, Tasks: 3, Capacity: 100, Emitted: 50, Budget: 60, Routable: true,
+		Interval: 9, Tasks: 3, Capacity: 100, Emitted: 50, Budget: 60, Routable: true,
 		Keys: []stats.KeyStat{
 			{Key: 4, Cost: 9, Freq: 9, Mem: 20, Dest: 2, Hash: 1},
 			{Key: 1, Cost: 5, Freq: 5, Mem: 7, Dest: 0, Hash: 0},
@@ -352,14 +354,14 @@ func hostileMergedReports() [][]byte {
 		return appendReport(nil, r)
 	}
 	return [][]byte{
-		{kindReport, 0, 4, 0, repMerged, 0xff, 0xff, 0x7f},
+		{kindReport, 4, 0, 0xff, 0xff, 0x7f},
 		frame(func(r *LoadReport) { r.Keys[1].Dest = 3 }),
 		frame(func(r *LoadReport) { r.Keys[2].Dest = -1 }),
 		frame(func(r *LoadReport) { r.Keys[0], r.Keys[1] = r.Keys[1], r.Keys[0] }),
 	}
 }
 
-// TestMergedReportWire pins the whole-round report on every encoding:
+// TestMergedReportWire pins the report on every encoding:
 // what arrives is what was sent, the binary decoder hands out its two
 // buffers alternately — a run stays intact across the next report and
 // is recycled by the one after — and the hostile frames that decode are
@@ -423,10 +425,7 @@ func TestMergedReportWire(t *testing.T) {
 			t.Fatalf("hostile report %d passed the check: %+v", i, m.Report.Keys)
 		}
 	}
-	if (&LoadReport{Tasks: 1}).CheckMerged() == nil {
-		t.Fatal("a per-task report passed as a merged round")
-	}
-	if err := (&LoadReport{Merged: true, Tasks: 2}).CheckMerged(); err != nil {
+	if err := (&LoadReport{Tasks: 2}).CheckMerged(); err != nil {
 		t.Fatalf("an empty round was refused: %v", err)
 	}
 }

@@ -104,7 +104,7 @@ func TestFramedOversizeFrame(t *testing.T) {
 // comparable control-plane bandwidth.
 func TestFramedCountersMatchPlain(t *testing.T) {
 	msgs := []*Message{
-		{Report: &LoadReport{TaskID: 1, Interval: 2, Tasks: 4}},
+		{Report: &LoadReport{Interval: 2, Tasks: 4}},
 		{Resume: &Resume{Interval: 2}},
 	}
 	var plainWire, framedWire bytes.Buffer

@@ -80,47 +80,19 @@ func buildMessage(seed uint64, kind, n int) *Message {
 	switch kind % 19 {
 	case 0:
 		rep := &LoadReport{
-			TaskID: r.intn(32), Interval: int64(r.intn(1000)),
-			Tasks: r.intn(32) + 1, Capacity: int64(r.next() % 1e6),
+			Interval: int64(r.intn(1000)),
+			Tasks:    r.intn(32) + 1, Capacity: int64(r.next() % 1e6),
 			Emitted: int64(r.next() % 1e6), Budget: int64(r.next() % 1e6),
 			Routable: r.intn(2) == 0, Resizable: r.intn(2) == 0,
 		}
 		for i := 0; i < r.intn(n+1); i++ {
 			rep.Split = append(rep.Split, tuple.Key(r.next()))
 		}
-		wire := func() KeyStatWire {
-			return KeyStatWire{
-				Key: tuple.Key(r.next()), Cost: int64(r.intn(1e6)),
-				Freq: int64(r.intn(1e6)), Mem: int64(r.intn(1e6)), Hash: r.intn(64),
-			}
-		}
-		switch r.intn(4) {
-		case 3: // the whole round in one merged report
-			rep.Merged = true
-			for i := 0; i < n; i++ {
-				rep.Keys = append(rep.Keys, stats.KeyStat{
-					Key: tuple.Key(r.next()), Cost: int64(r.intn(1e6)), Freq: int64(r.intn(1e6)),
-					Mem: int64(r.intn(1e6)), Dest: r.intn(64), Hash: r.intn(64),
-				})
-			}
-		case 0: // legacy per-interval report
-			for i := 0; i < n; i++ {
-				rep.Stats = append(rep.Stats, wire())
-			}
-		case 1: // epoch-stamped full rebase
-			rep.Epoch = r.next()%1e6 + 1
-			for i := 0; i < n; i++ {
-				rep.Stats = append(rep.Stats, wire())
-			}
-		default: // delta form (n == 0 is the empty-delta corner)
-			rep.Epoch = r.next()%1e6 + 1
-			rep.Delta = true
-			for i := 0; i < n; i++ {
-				rep.Changed = append(rep.Changed, wire())
-			}
-			for i := 0; i < r.intn(n+1); i++ {
-				rep.Retired = append(rep.Retired, tuple.Key(r.next()))
-			}
+		for i := 0; i < n; i++ {
+			rep.Keys = append(rep.Keys, stats.KeyStat{
+				Key: tuple.Key(r.next()), Cost: int64(r.intn(1e6)), Freq: int64(r.intn(1e6)),
+				Mem: int64(r.intn(1e6)), Dest: r.intn(64), Hash: r.intn(64),
+			})
 		}
 		return &Message{Report: rep}
 	case 1:
@@ -168,7 +140,19 @@ func buildMessage(seed uint64, kind, n int) *Message {
 		}
 		return &Message{Split: ann}
 	case 7:
-		return &Message{ResyncReq: &Resync{Interval: int64(r.intn(1000))}}
+		// A coalesced frame: several FeedBatch chunks behind Bounds (two
+		// or more, so the binary wire hands the Bounds back).
+		b := &TupleBatch{}
+		for chunk := 0; chunk < 2+r.intn(3); chunk++ {
+			for i := 0; i < n%64; i++ {
+				b.Tuples = append(b.Tuples, tuple.Tuple{
+					Key: tuple.Key(r.next()), Cost: int64(r.intn(16) + 1),
+					StateSize: int64(r.intn(16)), Seq: r.next(), EmitTick: int64(r.intn(1000)),
+				})
+			}
+			b.Bounds = append(b.Bounds, len(b.Tuples))
+		}
+		return &Message{Batch: b}
 	case 8:
 		roles := []string{"worker", "control", "data"}
 		return &Message{Hello: &Hello{
@@ -185,8 +169,7 @@ func buildMessage(seed uint64, kind, n int) *Message {
 			Instances: r.intn(32) + 1, Window: r.intn(8),
 			Algorithm: map[int]string{0: "", 1: "Mixed", 2: "Shuffle"}[r.intn(3)],
 			Capacity:  int64(r.next() % 1e6), Budget: int64(r.next() % 1e6),
-			Harvest: r.intn(3), PauseFree: r.intn(2) == 0, StateWire: r.intn(2) == 0,
-			Control:    r.intn(2) == 0,
+			StateWire: r.intn(2) == 0, Control: r.intn(2) == 0,
 			Downstream: map[int]string{0: "", 1: "/tmp/d.sock"}[r.intn(2)],
 			DownStage:  r.intn(8),
 		}}
@@ -257,7 +240,7 @@ func buildMessage(seed uint64, kind, n int) *Message {
 // original exactly — the property the wire transport's equivalence
 // with the loopback rests on. Seeds cover every kind at empty,
 // single-entry and many-entry sizes (empty routing tables, multi-entry
-// Moved sets, delta reports with empty change sets included).
+// Moved sets, reports with an empty run included).
 func FuzzCodecRoundTrip(f *testing.F) {
 	for kind := 0; kind < 19; kind++ {
 		for _, n := range []int{0, 1, 17} {
@@ -424,7 +407,7 @@ func FuzzBinaryHostile(f *testing.F) {
 			if m.Kind() == "empty" {
 				t.Fatalf("hostile payload decoded to an empty message")
 			}
-			if m.Report != nil && m.Report.Merged && m.Report.CheckMerged() == nil {
+			if m.Report != nil && m.Report.CheckMerged() == nil {
 				// What the check passes a controller indexes by.
 				loads := make([]int64, m.Report.Tasks)
 				for _, ks := range m.Report.Keys {
@@ -448,20 +431,11 @@ func normalize(m *Message) *Message {
 	c := *m
 	if c.Report != nil {
 		r := *c.Report
-		if r.Stats == nil {
-			r.Stats = []KeyStatWire{}
-		}
 		if r.Keys == nil {
 			r.Keys = []stats.KeyStat{}
 		}
 		if r.Split == nil {
 			r.Split = []tuple.Key{}
-		}
-		if r.Changed == nil {
-			r.Changed = []KeyStatWire{}
-		}
-		if r.Retired == nil {
-			r.Retired = []tuple.Key{}
 		}
 		c.Report = &r
 	}

@@ -12,32 +12,21 @@
 // speak it unchanged:
 //
 //	task       → controller  : LoadReport        (step 1)
-//	controller → upstream    : PlanAnnounce+Pause (steps 3–4)
+//	controller → upstream    : PlanAnnounce      (steps 3–4)
 //	                           or Resize           (elastic command)
 //	source     → destination : StateTransfer     (step 5)
 //	task       → controller  : Ack               (step 6)
 //	controller → upstream    : Resume            (step 7)
 //
-// A full round is one LoadReport: the snapshot is the report. The stage
-// side hands over the merged, KeyStatLess-ordered run its interval close
-// produced, each entry carrying its destination (Merged/Keys) — by
-// reference over the loopback, as one more column on the wire — so
-// nothing is split per task on one side and merged back on the other.
-// What arrives is outside input: the controller side runs CheckMerged
-// before any policy sees the snapshot. A decoded report's Keys alias
-// storage the codec recycles and stay intact until the second following
-// report, the stage snapshot's own lifetime.
-//
-// The incremental stream (engine.HarvestIncremental) keeps the per-task
-// shape: every report is stamped with its tracker's close epoch and, on
-// held rounds, carries only the delta — Changed (touched keys,
-// cost-sorted) and Retired (dropped keys, ascending) — which the
-// controller-side Mirror folds into its retained per-task runs, handing
-// the rest of the loop effective full reports. Epoch gaps make the
-// mirror reject the round; the controller answers with Resync and the
-// stage resends the same interval as per-task full reports. O(Δkeys)
-// crosses the wire per steady interval instead of O(keys),
-// bit-identically to the full form.
+// A round is one LoadReport: the snapshot is the report. The stage side
+// hands over the merged, KeyStatLess-ordered run its interval close
+// produced, each entry carrying its destination — by reference over the
+// loopback, as one more column on the wire — so nothing is split per
+// task on one side and merged back on the other. What arrives is outside
+// input: the controller side runs CheckMerged before any policy sees the
+// snapshot. A decoded report's Keys alias storage the codec recycles and
+// stay intact until the second following report, the stage snapshot's
+// own lifetime.
 package protocol
 
 import (
@@ -54,64 +43,24 @@ import (
 	"repro/internal/tuple"
 )
 
-// KeyStatWire is the per-key statistics record of a load report: the
-// computation cost and windowed memory consumption of §IV step 1, plus
-// the key's hash destination h(k) so the controller can reconstruct
-// the full planner-facing record without sharing the ring.
-type KeyStatWire struct {
-	Key  tuple.Key
-	Cost int64
-	Freq int64
-	Mem  int64
-	Hash int
-}
-
-// LoadReport is step 1: the interval's statistics — the whole round in
-// the merged form, one task's share in the per-task forms of the
-// incremental stream. The stage context fields (Tasks through
-// Resizable) are stamped identically on every report of a round — they
-// carry the operator-level facts a
-// remote controller needs to judge utilization (the long-term path)
-// without a second channel: how many tasks reported, the per-task
-// service capacity, what the spout emitted versus its configured
-// budget (the backpressure-corrected demand estimate), whether the
-// stage routes by assignment (and so can rebalance), and whether its
-// instance set can change (assignment over a consistent-hash ring, so
-// Resize commands apply).
+// LoadReport is step 1: the interval's statistics, the whole round in one
+// message. Keys is the stage's snapshot as its interval close merged it
+// — every task's entries in one stats.KeyStatLess-ordered run, each with
+// its Dest and its hash destination h(k), so the controller reconstructs
+// the planner-facing record without sharing the ring. Receivers must
+// CheckMerged before trusting Keys. The stage context fields (Tasks
+// through Split) carry the operator-level facts a remote controller
+// needs to judge utilization (the long-term path) without a second
+// channel: how many tasks reported, the per-task service capacity, what
+// the spout emitted versus its configured budget (the
+// backpressure-corrected demand estimate), whether the stage routes by
+// assignment (and so can rebalance), and whether its instance set can
+// change (assignment over a consistent-hash ring, so Resize commands
+// apply).
 type LoadReport struct {
-	TaskID   int
 	Interval int64
-	Stats    []KeyStatWire
+	Keys     []stats.KeyStat
 
-	// Merged marks the whole-round form: this one report is the round,
-	// and Keys is the stage's snapshot as its interval close merged it —
-	// every task's entries in one stats.KeyStatLess-ordered run, each
-	// with its Dest. Stats, Epoch and the delta fields are unused.
-	// Receivers must CheckMerged before trusting Keys.
-	Merged bool
-	Keys   []stats.KeyStat
-
-	// Epoch, when nonzero, marks the report as part of an incremental
-	// stream: it identifies the task tracker's close this report
-	// describes, and the controller folds the report into its Mirror.
-	// A full report (Delta false) carries the task's whole tracked
-	// population in Stats and rebases the mirror at Epoch; a delta
-	// report (Delta true) carries only Changed + Retired against the
-	// mirror's run for Epoch−1 — O(Δkeys) on the wire instead of
-	// O(population). Epoch 0 is the legacy per-interval form, which
-	// bypasses the mirror entirely.
-	Epoch uint64
-	Delta bool
-	// Changed lists the keys touched in the finished interval with
-	// their fresh statistics, in canonical snapshot-run order (cost
-	// descending, key ascending). Only meaningful when Delta is true.
-	Changed []KeyStatWire
-	// Retired lists keys that left the task since the previous close
-	// (migrated away), ascending, deduplicated, never overlapping
-	// Changed. Only meaningful when Delta is true.
-	Retired []tuple.Key
-
-	// Stage context, identical on every report of a round.
 	Tasks     int
 	Capacity  int64
 	Emitted   int64
@@ -124,20 +73,17 @@ type LoadReport struct {
 	Split []tuple.Key
 }
 
-// CheckMerged validates a whole-round report as outside input: every
-// entry's destination names one of the stage's Tasks instances and the
-// entries are in canonical snapshot order. A controller that skipped
-// this would index its load vector with whatever a peer sent.
+// CheckMerged validates a report as outside input: every entry's
+// destination names one of the stage's Tasks instances and the entries
+// are in canonical snapshot order. A controller that skipped this would
+// index its load vector with whatever a peer sent.
 func (r *LoadReport) CheckMerged() error {
-	if !r.Merged {
-		return fmt.Errorf("protocol: report for task %d is not a merged round", r.TaskID)
-	}
 	for i := range r.Keys {
 		if d := r.Keys[i].Dest; d < 0 || d >= r.Tasks {
-			return fmt.Errorf("protocol: merged report entry %d names instance %d of %d", i, d, r.Tasks)
+			return fmt.Errorf("protocol: report entry %d names instance %d of %d", i, d, r.Tasks)
 		}
 		if i > 0 && stats.KeyStatLess(r.Keys[i], r.Keys[i-1]) {
-			return fmt.Errorf("protocol: merged report entry %d is out of order", i)
+			return fmt.Errorf("protocol: report entry %d is out of order", i)
 		}
 	}
 	return nil
@@ -151,7 +97,7 @@ type RouteEntry struct {
 
 // PlanAnnounce is steps 3–4: the new assignment function F′ (as the
 // explicit table A′; the hash part is shared configuration) and the
-// migration set Δ(F, F′). Receipt implies Pause for the keys in Moved.
+// migration set Δ(F, F′); the stage migrates the keys in Moved live.
 // Algorithm and GenTime carry the planner's identity and wall-clock
 // planning latency for reporting (the PlanMs metric).
 type PlanAnnounce struct {
@@ -208,19 +154,9 @@ type Ack struct {
 	Interval int64
 }
 
-// Resume is step 7: the controller releases the paused keys. It also
-// closes a control round: after Resume the stage side returns to
-// normal processing until the next interval's reports.
+// Resume is step 7: it closes a control round. After Resume the stage
+// side returns to normal processing until the next interval's report.
 type Resume struct {
-	Interval int64
-}
-
-// Resync asks the stage side to resend the current round as full
-// reports: the controller's delta mirror hit an epoch it cannot apply
-// (a message was lost, or stage and controller restarted out of step).
-// The stage answers with one full (Delta false) report per task for
-// the same interval and the round proceeds normally.
-type Resync struct {
 	Interval int64
 }
 
@@ -269,8 +205,6 @@ type StageAssign struct {
 	Algorithm string
 	Capacity  int64
 	Budget    int64
-	Harvest   int
-	PauseFree bool
 	StateWire bool
 	// Control tells the worker to dial a per-stage control connection
 	// back to the coordinator (set when the stage has coordinator-side
@@ -411,7 +345,6 @@ type Message struct {
 	State     *StateTransfer
 	Ack       *Ack
 	Resume    *Resume
-	ResyncReq *Resync
 
 	// Cluster session messages (handshake, placement, interval drive,
 	// data plane) — spoken only by internal/cluster's socket transport.
@@ -445,8 +378,6 @@ func (m *Message) Kind() string {
 		return "ack"
 	case m.Resume != nil:
 		return "resume"
-	case m.ResyncReq != nil:
-		return "resync"
 	case m.Hello != nil:
 		return "hello"
 	case m.Welcome != nil:
@@ -481,7 +412,7 @@ func (m *Message) Kind() string {
 // real socket — and the buffer is reused across messages, so
 // steady-state sends allocate nothing. The staging also makes exact
 // per-direction byte counters (SentBytes/RecvBytes) free; bench-control
-// and the harvest sweep read them to report control-plane bandwidth.
+// reads them to report control-plane bandwidth.
 //
 // A framed codec (NewFramedCodec) can additionally switch to the
 // hand-rolled binary wire (binary.go) with EnableBinary, after both
@@ -504,7 +435,7 @@ type Codec struct {
 	rcvd atomic.Int64
 	// Message counters: one increment per wire unit (gob value or
 	// binary frame), so coalesced frames count once however many chunks
-	// they carry. The bench sweep reads them for its allocs/msg column.
+	// they carry.
 	sentMsgs atomic.Int64
 	rcvdMsgs atomic.Int64
 
@@ -522,15 +453,14 @@ type Codec struct {
 	// Retained hot-path message envelopes: Recv in binary mode returns
 	// pointers into these for TupleBatch/Flush, valid until the next
 	// Recv — exactly the aliasing contract BatchConn and the worker's
-	// data loop already live by. Control messages (reports, acks) are
-	// freshly allocated, because the control server retains them across
-	// rounds.
+	// data loop already live by. Control messages are freshly allocated,
+	// except a report's run (merged, below).
 	hotMsg   Message
 	hotBatch TupleBatch
 	hotFlush Flush
 
-	// merged are the two buffers binary-mode merged reports decode into
-	// alternately (see decodeReport).
+	// merged are the two buffers binary-mode reports decode their run
+	// into alternately (see decodeReport).
 	merged  [2][]stats.KeyStat
 	mergedN int
 }
@@ -563,8 +493,8 @@ func (c *Codec) Send(m *Message) error {
 
 // Recv decodes the next message. In binary mode, Batch and FlushReq
 // results alias codec-owned storage and are valid until the next Recv,
-// and a merged report's Keys until the second following merged report;
-// everything else is freshly allocated.
+// and a report's Keys until the second following report; everything
+// else is freshly allocated.
 func (c *Codec) Recv() (*Message, error) {
 	if c.binary {
 		m, err := c.recvBinary()
@@ -636,88 +566,6 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 	n, err := cr.r.Read(p)
 	cr.n.Add(int64(n))
 	return n, err
-}
-
-// ReportFromStats converts a tracker harvest into a LoadReport.
-func ReportFromStats(taskID int, interval int64, perKey map[tuple.Key]stats.KeyStat) *LoadReport {
-	r := &LoadReport{TaskID: taskID, Interval: interval}
-	for k, ks := range perKey {
-		r.Stats = append(r.Stats, KeyStatWire{Key: k, Cost: ks.Cost, Freq: ks.Freq, Mem: ks.Mem, Hash: ks.Hash})
-	}
-	return r
-}
-
-// MergeReports folds task reports into the controller's per-key view,
-// tagging each key with the reporting task as its current destination —
-// the merge the in-process controller performs via stage.EndInterval.
-func MergeReports(reports []*LoadReport) map[tuple.Key]stats.KeyStat {
-	out := make(map[tuple.Key]stats.KeyStat)
-	for _, r := range reports {
-		for _, s := range r.Stats {
-			ks := out[s.Key]
-			ks.Key = s.Key
-			ks.Cost += s.Cost
-			ks.Freq += s.Freq
-			ks.Mem += s.Mem
-			ks.Dest = r.TaskID
-			ks.Hash = s.Hash
-			out[s.Key] = ks
-		}
-	}
-	return out
-}
-
-// ReportsFromSnapshot partitions an engine-merged snapshot into per-task
-// load reports — the full rounds of the incremental stream, which rebase
-// the mirror's per-task runs: report d carries exactly the snapshot
-// records destined to task d, in snapshot order, so SnapshotFromReports
-// reassembles the original snapshot bit-identically.
-func ReportsFromSnapshot(snap *stats.Snapshot, tasks int, capacity, emitted, budget int64, routable, resizable bool, split []tuple.Key) []*LoadReport {
-	reports := make([]*LoadReport, tasks)
-	for d := range reports {
-		reports[d] = &LoadReport{
-			TaskID: d, Interval: snap.Interval,
-			Tasks: tasks, Capacity: capacity, Emitted: emitted, Budget: budget,
-			Routable: routable, Resizable: resizable, Split: split,
-		}
-	}
-	for _, ks := range snap.Keys {
-		r := reports[ks.Dest]
-		r.Stats = append(r.Stats, KeyStatWire{Key: ks.Key, Cost: ks.Cost, Freq: ks.Freq, Mem: ks.Mem, Hash: ks.Hash})
-	}
-	return reports
-}
-
-// SnapshotFromReports reassembles a planner-ready snapshot from one
-// round of per-task load reports (the mirror's effective full reports):
-// each report's stats, tagged with the reporting task as destination,
-// are a run in snapshot order, and stats.MergeRuns puts the runs in the
-// canonical KeyStatLess order — so a snapshot that crossed the wire per
-// task equals the engine's original byte for byte.
-func SnapshotFromReports(reports []*LoadReport) *stats.Snapshot {
-	snap := &stats.Snapshot{ND: len(reports)}
-	if len(reports) == 0 {
-		return snap
-	}
-	snap.Interval = reports[0].Interval
-	total := 0
-	for _, r := range reports {
-		total += len(r.Stats)
-	}
-	backing := make([]stats.KeyStat, 0, total) // every run, end to end
-	runs := make([][]stats.KeyStat, 0, len(reports))
-	for _, r := range reports {
-		if r.TaskID < 0 || r.TaskID >= len(reports) {
-			continue
-		}
-		lo := len(backing)
-		for _, s := range r.Stats {
-			backing = append(backing, stats.KeyStat{Key: s.Key, Cost: s.Cost, Freq: s.Freq, Mem: s.Mem, Dest: r.TaskID, Hash: s.Hash})
-		}
-		runs = append(runs, backing[lo:])
-	}
-	snap.Keys = stats.MergeRuns(nil, runs)
-	return snap
 }
 
 // AnnounceFromPlan marshals a planner result into its wire form: the

@@ -17,7 +17,7 @@ func TestCodecRoundTripAllKinds(t *testing.T) {
 	ca, cb := NewCodec(a), NewCodec(b)
 
 	msgs := []*Message{
-		{Report: &LoadReport{TaskID: 2, Interval: 7, Stats: []KeyStatWire{{Key: 1, Cost: 5, Freq: 3, Mem: 9}}}},
+		{Report: &LoadReport{Interval: 7, Tasks: 3, Keys: []stats.KeyStat{{Key: 1, Cost: 5, Freq: 3, Mem: 9, Dest: 2}}}},
 		{Plan: &PlanAnnounce{Interval: 7, Table: []RouteEntry{{Key: 1, Dest: 3}}, Moved: []RouteEntry{{Key: 1, Dest: 3}}}},
 		{State: &StateTransfer{Key: 1, From: 0, To: 3, Size: 9, Payload: []byte("window")}},
 		{Ack: &Ack{TaskID: 3, Interval: 7}},
@@ -69,22 +69,6 @@ func TestSendRejectsEmpty(t *testing.T) {
 	}
 }
 
-func TestReportFromStatsAndMerge(t *testing.T) {
-	r0 := ReportFromStats(0, 5, map[tuple.Key]stats.KeyStat{
-		1: {Cost: 4, Freq: 2, Mem: 6},
-	})
-	r1 := ReportFromStats(1, 5, map[tuple.Key]stats.KeyStat{
-		2: {Cost: 9, Freq: 3, Mem: 1},
-	})
-	merged := MergeReports([]*LoadReport{r0, r1})
-	if merged[1].Dest != 0 || merged[2].Dest != 1 {
-		t.Fatalf("destinations lost in merge: %+v", merged)
-	}
-	if merged[2].Cost != 9 || merged[1].Mem != 6 {
-		t.Fatalf("values lost in merge: %+v", merged)
-	}
-}
-
 // TestFullProtocolExchange drives the complete Fig. 5 sequence between
 // a controller goroutine and two task goroutines over real pipes: the
 // tasks report, the controller plans with the real Mixed planner,
@@ -129,8 +113,15 @@ func TestFullProtocolExchange(t *testing.T) {
 	runTask := func(ts *taskState, conn net.Conn, peerSend, peerRecv *Codec) {
 		defer wg.Done()
 		c := NewCodec(conn)
-		// Step 1: report.
-		if err := c.Send(&Message{Report: ReportFromStats(ts.id, interval, ts.stats)}); err != nil {
+		// Step 1: report. Each toy task is its own reporter, so its run
+		// is its share of the stage: its keys, destined to itself.
+		rep := &LoadReport{Interval: interval, Tasks: 2}
+		for k, ks := range ts.stats {
+			ks.Key, ks.Dest, ks.Hash = k, ts.id, ts.id // hash home = current owner in this toy setup
+			rep.Keys = append(rep.Keys, ks)
+		}
+		stats.SortByCostDesc(rep.Keys)
+		if err := c.Send(&Message{Report: rep}); err != nil {
 			errs <- err
 			return
 		}
@@ -188,20 +179,16 @@ func TestFullProtocolExchange(t *testing.T) {
 
 	// Controller.
 	cc := []*Codec{NewCodec(c0), NewCodec(c1)}
-	var reports []*LoadReport
+	snap := &stats.Snapshot{Interval: interval, ND: 2}
 	for _, c := range cc {
 		m, err := c.Recv()
 		if err != nil {
 			t.Fatal(err)
 		}
-		reports = append(reports, m.Report)
-	}
-	perKey := MergeReports(reports)
-	snap := &stats.Snapshot{Interval: interval, ND: 2}
-	for k, ks := range perKey {
-		ks.Key = k
-		ks.Hash = ks.Dest // hash home = current owner in this toy setup
-		snap.Keys = append(snap.Keys, ks)
+		if err := m.Report.CheckMerged(); err != nil {
+			t.Fatal(err)
+		}
+		snap.Keys = append(snap.Keys, m.Report.Keys...)
 	}
 	stats.SortByCostDesc(snap.Keys)
 	plan := balance.Mixed{}.Plan(snap, balance.Config{ThetaMax: 0.2, Beta: 1.5})

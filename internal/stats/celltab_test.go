@@ -28,14 +28,16 @@ func TestCellTabMatchesMapModel(t *testing.T) {
 		t.Fatalf("table has %d live cells, model %d", tab.n, len(model))
 	}
 	seen := 0
-	tab.each(func(c *cell) {
-		seen++
-		if model[c.key] != c.cost {
-			t.Fatalf("key %d cost %d, model %d", c.key, c.cost, model[c.key])
+	for i := range tab.cells {
+		if c := &tab.cells[i]; c.live {
+			seen++
+			if model[c.key] != c.cost {
+				t.Fatalf("key %d cost %d, model %d", c.key, c.cost, model[c.key])
+			}
 		}
-	})
+	}
 	if seen != len(model) {
-		t.Fatalf("each visited %d cells, model %d", seen, len(model))
+		t.Fatalf("the table holds %d live cells, model %d", seen, len(model))
 	}
 	// Every model key must still be findable by probe (no broken chains).
 	for k, want := range model {
@@ -68,5 +70,9 @@ func TestCellTabKeyZeroAndGrow(t *testing.T) {
 	if tab.n != 0 {
 		t.Fatal("reset left live cells")
 	}
-	tab.each(func(*cell) { t.Fatal("reset table iterated a cell") })
+	for i := range tab.cells {
+		if tab.cells[i].live {
+			t.Fatal("reset left a live cell")
+		}
+	}
 }

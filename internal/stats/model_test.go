@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -14,83 +13,62 @@ import (
 // TestTrackerMatchesReferenceModel drives a Tracker and the map-based
 // reference through the same random history — batches, split fold-backs,
 // migrations out (DropKey) and in (AdoptKey), including keys that leave
-// and come back inside one window — in all three retain modes, and
-// requires every observable to agree: S(k, w) for every key, Keys, TopK
-// and each close's run (and, in the retained modes, its Delta).
+// and come back inside one window — and requires every observable to
+// agree: S(k, w) for every key, Keys, TopK and each close's run.
 func TestTrackerMatchesReferenceModel(t *testing.T) {
 	const keys = 40
-	stamp := func(ks *KeyStat) { ks.Dest, ks.Hash = 3, int(ks.Key)%7 }
-	for _, mode := range []RetainMode{RetainOff, RetainScan, RetainMerge} {
-		for _, w := range []int{1, 3, 5} {
-			for seed := int64(1); seed <= 4; seed++ {
-				rng := rand.New(rand.NewSource(seed*101 + int64(w)))
-				tr, ref := NewTracker(w), newRefTracker(w)
-				if err := tr.SetRetain(mode); err != nil {
-					t.Fatal(err)
+	for _, w := range []int{1, 3, 5} {
+		for seed := int64(1); seed <= 4; seed++ {
+			rng := rand.New(rand.NewSource(seed*101 + int64(w)))
+			tr, ref := NewTracker(w), newRefTracker(w)
+			for interval := 0; interval < 60; interval++ {
+				at := fmt.Sprintf("w=%d seed=%d interval=%d", w, seed, interval)
+				for op, ops := 0, rng.Intn(30); op < ops; op++ {
+					k := tuple.Key(rng.Intn(keys))
+					switch r := rng.Intn(12); {
+					case r < 6:
+						ts := make([]tuple.Tuple, 1+rng.Intn(40))
+						for i := range ts {
+							ts[i] = tuple.Tuple{Key: tuple.Key(rng.Intn(keys)), Cost: int64(rng.Intn(4)), StateSize: int64(rng.Intn(6))}
+						}
+						if a, b := tr.ObserveBatch(ts), ref.ObserveBatch(ts); a != b {
+							t.Fatalf("%s: ObserveBatch cost %d, reference %d", at, a, b)
+						}
+					case r < 8:
+						c, f, m := int64(rng.Intn(20)), int64(rng.Intn(5)), int64(rng.Intn(30))
+						tr.AbsorbKey(k, c, f, m)
+						ref.AbsorbKey(k, c, f, m)
+					case r < 10:
+						tr.DropKey(k)
+						ref.DropKey(k)
+					default:
+						m := int64(1 + rng.Intn(50))
+						tr.AdoptKey(k, m)
+						ref.AdoptKey(k, m)
+					}
 				}
-				if err := ref.SetRetain(mode); err != nil {
-					t.Fatal(err)
+				for k := tuple.Key(0); k < keys; k++ {
+					if a, b := tr.WindowedMem(k), ref.WindowedMem(k); a != b {
+						t.Fatalf("%s: WindowedMem(%d) = %d, reference %d", at, k, a, b)
+					}
 				}
-				for interval := 0; interval < 60; interval++ {
-					at := fmt.Sprintf("mode=%d w=%d seed=%d interval=%d", mode, w, seed, interval)
-					for op, ops := 0, rng.Intn(30); op < ops; op++ {
-						k := tuple.Key(rng.Intn(keys))
-						switch r := rng.Intn(12); {
-						case r < 6:
-							ts := make([]tuple.Tuple, 1+rng.Intn(40))
-							for i := range ts {
-								ts[i] = tuple.Tuple{Key: tuple.Key(rng.Intn(keys)), Cost: int64(rng.Intn(4)), StateSize: int64(rng.Intn(6))}
-							}
-							if a, b := tr.ObserveBatch(ts), ref.ObserveBatch(ts); a != b {
-								t.Fatalf("%s: ObserveBatch cost %d, reference %d", at, a, b)
-							}
-						case r < 8:
-							c, f, m := int64(rng.Intn(20)), int64(rng.Intn(5)), int64(rng.Intn(30))
-							tr.AbsorbKey(k, c, f, m)
-							ref.AbsorbKey(k, c, f, m)
-						case r < 10:
-							tr.DropKey(k)
-							ref.DropKey(k)
-						default:
-							m := int64(1 + rng.Intn(50))
-							tr.AdoptKey(k, m)
-							ref.AdoptKey(k, m)
-						}
+				if a, b := tr.Keys(), ref.Keys(); !slices.Equal(a, b) {
+					t.Fatalf("%s: Keys = %v, reference %v", at, a, b)
+				}
+				n := 1 + rng.Intn(keys)
+				if a, b := tr.TopK(n), ref.TopK(n); !slices.Equal(a, b) {
+					t.Fatalf("%s: TopK(%d) = %v, reference %v", at, n, a, b)
+				}
+				run, want := tr.EndInterval(), ref.EndInterval()
+				if len(run) != len(want) {
+					t.Fatalf("%s: close reports %d keys, reference %d", at, len(run), len(want))
+				}
+				for i, ks := range run {
+					if ks != want[ks.Key] {
+						t.Fatalf("%s: run[%d] = %+v, reference %+v", at, i, ks, want[ks.Key])
 					}
-					for k := tuple.Key(0); k < keys; k++ {
-						if a, b := tr.WindowedMem(k), ref.WindowedMem(k); a != b {
-							t.Fatalf("%s: WindowedMem(%d) = %d, reference %d", at, k, a, b)
-						}
-					}
-					if a, b := tr.Keys(), ref.Keys(); !slices.Equal(a, b) {
-						t.Fatalf("%s: Keys = %v, reference %v", at, a, b)
-					}
-					n := 1 + rng.Intn(keys)
-					if a, b := tr.TopK(n), ref.TopK(n); !slices.Equal(a, b) {
-						t.Fatalf("%s: TopK(%d) = %v, reference %v", at, n, a, b)
-					}
-					if mode == RetainOff {
-						run, want := tr.EndInterval(), ref.EndInterval()
-						if len(run) != len(want) {
-							t.Fatalf("%s: close reports %d keys, reference %d", at, len(run), len(want))
-						}
-						for i, ks := range run {
-							if ks != want[ks.Key] {
-								t.Fatalf("%s: run[%d] = %+v, reference %+v", at, i, ks, want[ks.Key])
-							}
-							if i > 0 && !KeyStatLess(run[i-1], ks) {
-								t.Fatalf("%s: run[%d] = %+v does not follow %+v", at, i, ks, run[i-1])
-							}
-						}
-						continue
-					}
-					run, d := tr.EndIntervalRetained(stamp)
-					wantRun, wantD := ref.EndIntervalRetained(stamp)
-					if !slices.Equal(run, wantRun) {
-						t.Fatalf("%s: retained run\n got  %v\n want %v", at, run, wantRun)
-					}
-					if d.Epoch != wantD.Epoch || !slices.Equal(d.Changed, wantD.Changed) || !reflect.DeepEqual(d.Retired, wantD.Retired) {
-						t.Fatalf("%s: delta\n got  %+v\n want %+v", at, d, wantD)
+					if i > 0 && !KeyStatLess(run[i-1], ks) {
+						t.Fatalf("%s: run[%d] = %+v does not follow %+v", at, i, ks, run[i-1])
 					}
 				}
 			}
@@ -150,28 +128,19 @@ func TestSteadyStateCloseAllocatesNothing(t *testing.T) {
 	for i := range ts {
 		ts[i] = tuple.New(tuple.Key(uint64(i)*2654435761%700), nil)
 	}
-	for _, mode := range []RetainMode{RetainOff, RetainMerge} {
-		for _, w := range []int{1, 5} {
-			tr := NewTracker(w)
-			if err := tr.SetRetain(mode); err != nil {
-				t.Fatal(err)
+	for _, w := range []int{1, 5} {
+		tr := NewTracker(w)
+		interval := func() {
+			for lo := 0; lo < len(ts); lo += 256 {
+				tr.ObserveBatch(ts[lo : lo+256])
 			}
-			interval := func() {
-				for lo := 0; lo < len(ts); lo += 256 {
-					tr.ObserveBatch(ts[lo : lo+256])
-				}
-				if mode == RetainOff {
-					tr.EndInterval()
-				} else {
-					tr.EndIntervalRetained(nil)
-				}
-			}
-			for i := 0; i < 4*(w+1); i++ {
-				interval()
-			}
-			if n := testing.AllocsPerRun(50, interval); n != 0 {
-				t.Fatalf("mode=%d w=%d: %v allocations per steady-state interval, want 0", mode, w, n)
-			}
+			tr.EndInterval()
+		}
+		for i := 0; i < 4*(w+1); i++ {
+			interval()
+		}
+		if n := testing.AllocsPerRun(50, interval); n != 0 {
+			t.Fatalf("w=%d: %v allocations per steady-state interval, want 0", w, n)
 		}
 	}
 }

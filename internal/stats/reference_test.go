@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/tuple"
@@ -72,13 +71,6 @@ type refTracker struct {
 	hist     []map[tuple.Key]int64
 	next     int
 	finished int64
-
-	retain   RetainMode
-	retired  []tuple.Key
-	aggMap   map[tuple.Key]KeyStat // RetainScan's population
-	agg      []KeyStat             // RetainMerge's sorted aggregate,
-	aggSpare []KeyStat             // double-buffered
-	drop     KeySet
 }
 
 // newRefTracker returns a tracker keeping a state window of w intervals.
@@ -92,24 +84,6 @@ func newRefTracker(w int) *refTracker {
 		epoch:  1,
 		hist:   make([]map[tuple.Key]int64, w),
 	}
-}
-
-// SetRetain selects the tracker's harvest mode. Must be called on a
-// fresh tracker (before the first observation or close): the retained
-// aggregate is built forward from the dirty sets, so switching modes
-// mid-stream would start it from a hole.
-func (t *refTracker) SetRetain(m RetainMode) error {
-	if m == t.retain {
-		return nil
-	}
-	if t.finished != 0 || len(t.dirty) != 0 {
-		return fmt.Errorf("stats: SetRetain on a tracker with history (finished=%d, dirty=%d)", t.finished, len(t.dirty))
-	}
-	t.retain = m
-	if m == RetainScan && t.aggMap == nil {
-		t.aggMap = make(map[tuple.Key]KeyStat)
-	}
-	return nil
 }
 
 // touch returns k's current-interval cell, resetting a stale one and
@@ -161,19 +135,13 @@ func (t *refTracker) AbsorbKey(k tuple.Key, cost, freq, mem int64) {
 }
 
 // DropKey forgets all history for k. The state store calls this when a
-// key's state migrates away so the source task stops reporting it; in
-// a retained mode the key is also queued for retirement so the next
-// close removes it from the aggregate (and the delta report tells the
-// controller's mirror to do the same).
+// key's state migrates away so the source task stops reporting it.
 func (t *refTracker) DropKey(k tuple.Key) {
 	if c := t.cur.lookup(k); c != nil {
 		if c.epoch == t.epoch {
 			t.dirtyDropped++
 		}
 		t.cur.del(k)
-	}
-	if t.retain != RetainOff {
-		t.retired = append(t.retired, k)
 	}
 	for _, h := range t.hist {
 		delete(h, k)
@@ -183,11 +151,7 @@ func (t *refTracker) DropKey(k tuple.Key) {
 // AdoptKey seeds windowed memory for a key that just migrated in, so
 // S(k,w) remains continuous across migration. The memory is recorded in
 // the most recently finished interval slot (or the current one if none
-// has finished yet). In a retained mode the key is additionally
-// touched, so the adopting task's very next close reports it (zero
-// cost, migrated windowed memory) instead of leaving a population gap
-// until its next tuple — the retiring side's DropKey and this touch
-// keep the aggregates coherent across a migration.
+// has finished yet).
 func (t *refTracker) AdoptKey(k tuple.Key, mem int64) {
 	if t.finished == 0 {
 		t.touch(k).mem += mem
@@ -198,9 +162,6 @@ func (t *refTracker) AdoptKey(k tuple.Key, mem int64) {
 		t.hist[last] = make(map[tuple.Key]int64)
 	}
 	t.hist[last][k] += mem
-	if t.retain != RetainOff {
-		t.touch(k)
-	}
 }
 
 // harvestDirty calls fn once per key touched this interval, in chain
@@ -247,7 +208,6 @@ func (t *refTracker) closeInterval() {
 	t.epoch++
 	t.dirty = t.dirty[:0]
 	t.dirtyDropped = 0
-	t.retired = t.retired[:0]
 }
 
 // EndInterval closes the current interval, rolls the state window and
@@ -265,126 +225,14 @@ func (t *refTracker) EndInterval() map[tuple.Key]KeyStat {
 	return out
 }
 
-// EndIntervalRetained closes the current interval in a retained mode:
-// the window rolls exactly as EndInterval's does, and the returned run
-// lists the task's whole tracked population — keys untouched this
-// interval carry their last-reported statistics forward — sorted by
-// KeyStatLess. stamp (optional) resolves Dest/Hash on each changed
-// entry before it enters the aggregate; carried entries keep the stamp
-// of their last change (see Restamp for the resize-time refresh).
-//
-// Under RetainMerge the run is a copy-on-write view of the persistent
-// aggregate: treat it as read-only; it stays valid until the close
-// after next. Under RetainScan (the oracle) the run is rebuilt from
-// scratch. Both modes return byte-identical runs and deltas for
-// identical histories.
-func (t *refTracker) EndIntervalRetained(stamp func(*KeyStat)) ([]KeyStat, Delta) {
-	if t.retain == RetainOff {
-		panic("stats: EndIntervalRetained requires SetRetain")
-	}
-	t.rollWindow()
-	changed := make([]KeyStat, 0, len(t.dirty))
-	t.harvestDirty(func(k tuple.Key, c *refCell) {
-		ks := KeyStat{Key: k, Cost: c.cost, Freq: c.freq, Mem: t.WindowedMem(k)}
-		if stamp != nil {
-			stamp(&ks)
-		}
-		changed = append(changed, ks)
-	})
-	refSortByCostDesc(changed)
-	retired := t.pruneRetired()
-	t.closeInterval()
-	d := Delta{Epoch: t.epoch, Changed: changed, Retired: retired}
-
-	if t.retain == RetainScan {
-		for _, k := range retired {
-			delete(t.aggMap, k)
-		}
-		for _, ks := range changed {
-			t.aggMap[ks.Key] = ks
-		}
-		run := make([]KeyStat, 0, len(t.aggMap))
-		for _, ks := range t.aggMap {
-			run = append(run, ks)
-		}
-		refSortByCostDesc(run)
-		return run, d
-	}
-	return t.mergeAggregate(changed, retired), d
-}
-
-// pruneRetired deduplicates the interval's retirement queue, drops
-// keys that came back (their live cell means the changed set carries a
-// fresh entry) and returns the survivors in ascending order.
-func (t *refTracker) pruneRetired() []tuple.Key {
-	if len(t.retired) == 0 {
-		return nil
-	}
-	seen := make(map[tuple.Key]struct{}, len(t.retired))
-	out := make([]tuple.Key, 0, len(t.retired))
-	for _, k := range t.retired {
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
-		if t.cur.lookup(k) != nil {
-			continue
-		}
-		out = append(out, k)
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// mergeAggregate folds one close's changed/retired sets into the
-// persistent sorted aggregate with a single linear merge into the
-// spare buffer, then swaps buffers. Keys are unique within a task and
-// every entry carries the same Dest, so KeyStatLess is a strict total
-// order and the merge reproduces exactly what a full re-sort would.
-func (t *refTracker) mergeAggregate(changed []KeyStat, retired []tuple.Key) []KeyStat {
-	if len(changed) == 0 && len(retired) == 0 {
-		return t.agg
-	}
-	// The skip scan probes once per retained aggregate entry, so the
-	// Δkey set must stay cache-resident: a compact reusable KeySet over
-	// changed ∪ retired, not a scratch map rebuilt every close.
-	t.drop.Reset(len(changed) + len(retired))
-	for i := range changed {
-		t.drop.Add(changed[i].Key)
-	}
-	for _, k := range retired {
-		t.drop.Add(k)
-	}
-	out := t.aggSpare[:0]
-	i := 0
-	for _, ks := range t.agg {
-		if t.drop.Has(ks.Key) {
-			continue
-		}
-		for i < len(changed) && KeyStatLess(changed[i], ks) {
-			out = append(out, changed[i])
-			i++
-		}
-		out = append(out, ks)
-	}
-	out = append(out, changed[i:]...)
-	t.aggSpare = t.agg
-	t.agg = out
-	return out
-}
-
 // TopK returns the n hottest keys of the interval in progress without
 // closing it: the nonzero-cost subset of the map EndInterval would
 // return right now (same cost/freq, same post-roll windowed memory),
 // ordered by SortByCostDesc and cut to n — computed with one bounded
 // min-heap over the interval's dirty keys, O(touched · log n) time and
-// O(n) allocation. Zero-cost cells are never candidates: a retired or
-// merely-adopted cell carries no load evidence, and surfacing it would
-// let delta retirement resurrect dead keys in the hot-key detector's
-// input. The detector polls TopK every interval.
+// O(n) allocation. Zero-cost cells are never candidates: a merely
+// adopted cell carries no load evidence for the hot-key detector, which
+// polls TopK every interval.
 func (t *refTracker) TopK(n int) []KeyStat {
 	if n <= 0 || len(t.dirty) == 0 {
 		return nil
@@ -466,14 +314,11 @@ func (t *refTracker) WindowedMem(k tuple.Key) int64 {
 	return s
 }
 
-// Keys returns every key with any recorded history in ascending order.
-// In the default mode that is current-interval observations or
-// windowed memory in a finished slot — stale cells (keys whose last
-// touch was an already-harvested interval and whose window has
-// drained) are skipped, so a retired key cannot resurrect in scale-in
-// or detector input. In a retained mode the whole tracked population
-// counts as history: scale-in must migrate the aggregate's keys along
-// with everything else a retiring task reports.
+// Keys returns every key with any recorded history in ascending order:
+// current-interval observations or windowed memory in a finished slot.
+// Stale cells (keys whose last touch was an already-harvested interval
+// and whose window has drained) are skipped, so a retired key cannot
+// resurrect in scale-in or detector input.
 func (t *refTracker) Keys() []tuple.Key {
 	hint := len(t.cur.m)
 	for _, h := range t.hist {
@@ -482,18 +327,11 @@ func (t *refTracker) Keys() []tuple.Key {
 		}
 	}
 	seen := make(map[tuple.Key]struct{}, hint)
-	if t.retain == RetainOff {
-		t.cur.each(func(c *refCell) {
-			if c.epoch == t.epoch {
-				seen[c.key] = struct{}{}
-			}
-		})
-	} else {
-		// Every live cell is either dirty this interval or a member of
-		// the retained aggregate (cells leave only through DropKey,
-		// which also retires them).
-		t.cur.each(func(c *refCell) { seen[c.key] = struct{}{} })
-	}
+	t.cur.each(func(c *refCell) {
+		if c.epoch == t.epoch {
+			seen[c.key] = struct{}{}
+		}
+	})
 	for _, h := range t.hist {
 		for k := range h {
 			seen[k] = struct{}{}

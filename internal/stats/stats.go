@@ -22,14 +22,9 @@
 // The interval close is O(Δkeys), not O(tracked keys), and allocates
 // nothing once its buffers have grown: first touches chain keys onto a
 // dirty list (the close clears each flag as it visits the cell, so the
-// table is never scanned or reset), and one harvest primitive walks
-// that list, rolls the window and appends
-// the interval's KeyStats, sorted, to a recycled run. EndInterval
-// returns that run; in retained mode EndIntervalRetained merges it into
-// a persistent sorted aggregate whose previous run stays valid as a
-// copy-on-write view until the close after next — together with the
-// interval's retirements this is the Delta the incremental load-report
-// protocol ships instead of the full population.
+// table is never scanned or reset), and EndInterval walks that list,
+// rolls the window and returns the interval's KeyStats, sorted, in a
+// recycled run. That run is the harvest: there is no other report form.
 //
 // # Snapshot
 //
@@ -151,67 +146,6 @@ func compareKeyStats(a, b KeyStat) int {
 // algorithm.
 func SortByCostDesc(keys []KeyStat) {
 	slices.SortFunc(keys, compareKeyStats)
-}
-
-// KeySet is a small reusable open-addressing membership set over
-// tuple keys. The incremental close paths probe it once per retained
-// aggregate entry while it holds only the interval's Δkeys, so the
-// table stays a compact power-of-two array (≤ 50% load) that is
-// cache-resident during the O(population) skip scan — several times
-// cheaper per probe than a scratch Go map rebuilt every close.
-type KeySet struct {
-	// One array of (key, used) pairs, not parallel arrays: a probe
-	// touches a single cache line.
-	slots []keySlot
-}
-
-type keySlot struct {
-	k    tuple.Key
-	used bool
-}
-
-// Reset empties the set and sizes it for n keys, reusing the backing
-// array whenever it is already large enough.
-func (s *KeySet) Reset(n int) {
-	want := 8
-	for want < 2*n {
-		want <<= 1
-	}
-	if want <= cap(s.slots) {
-		s.slots = s.slots[:want]
-		for i := range s.slots {
-			s.slots[i] = keySlot{}
-		}
-		return
-	}
-	s.slots = make([]keySlot, want)
-}
-
-// Add inserts k (idempotently).
-func (s *KeySet) Add(k tuple.Key) {
-	mask := uint64(len(s.slots) - 1)
-	i := cellHash(k) & mask
-	for s.slots[i].used {
-		if s.slots[i].k == k {
-			return
-		}
-		i = (i + 1) & mask
-	}
-	s.slots[i] = keySlot{k: k, used: true}
-}
-
-// Has reports whether k was added since the last Reset.
-func (s *KeySet) Has(k tuple.Key) bool {
-	if len(s.slots) == 0 {
-		return false
-	}
-	mask := uint64(len(s.slots) - 1)
-	for i := cellHash(k) & mask; s.slots[i].used; i = (i + 1) & mask {
-		if s.slots[i].k == k {
-			return true
-		}
-	}
-	return false
 }
 
 // mergeCursor is one run of a merge. It caches its head as three

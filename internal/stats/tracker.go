@@ -1,36 +1,9 @@
 package stats
 
 import (
-	"fmt"
 	"slices"
 
 	"repro/internal/tuple"
-)
-
-// RetainMode selects what a Tracker's interval close reports (see
-// SetRetain). The default, RetainOff, reports only the keys touched
-// during the finished interval — the original per-interval harvest.
-// The retained modes additionally carry every previously reported key
-// forward with its last-reported statistics, so the close describes
-// the task's whole tracked population; they differ only in how the
-// retained aggregate is rebuilt, and are pinned bit-identical to each
-// other (RetainScan is the equivalence oracle for RetainMerge).
-type RetainMode int
-
-const (
-	// RetainOff is the legacy per-interval harvest: EndInterval reports
-	// exactly the keys observed since the previous close.
-	RetainOff RetainMode = iota
-	// RetainScan retains the population in a map and rebuilds the full
-	// sorted run from scratch at every close — O(population·log) per
-	// interval, the oracle the merge path is pinned against.
-	RetainScan
-	// RetainMerge retains the population as a persistent sorted
-	// aggregate and folds only the interval's dirty keys in with one
-	// linear merge — O(population) copy plus O(dirty·log dirty) sort,
-	// no full re-sort, and the run handed out is a copy-on-write view
-	// of the aggregate itself.
-	RetainMerge
 )
 
 // Tracker accumulates per-key measurements inside the current interval
@@ -51,9 +24,6 @@ type Tracker struct {
 	// only the cells chained on the dirty list below and clears their
 	// dirty flag, so the table is never scanned or reset.
 	cur cellTab
-	// epoch counts the closes taken, plus one: the identifier the next
-	// close's Delta will carry.
-	epoch uint64
 	// dirty chains each key touched this interval, once, at first-touch
 	// time — the close harvests exactly this list instead of scanning
 	// the table's capacity, so interval-close cost is O(touched keys).
@@ -77,22 +47,6 @@ type Tracker struct {
 	run      []KeyStat
 	ord      []costKey
 	ordSpare []costKey
-
-	// Retained-population state (SetRetain). retired records keys
-	// dropped since the last close so the aggregate and any downstream
-	// delta consumer retire them coherently.
-	retain  RetainMode
-	retired []tuple.Key
-	// aggMap is RetainScan's population (key → last-reported stat).
-	aggMap map[tuple.Key]KeyStat
-	// agg / aggSpare double-buffer RetainMerge's sorted aggregate: each
-	// close merges into the spare and swaps, so the run returned by the
-	// previous close stays valid until the close after next.
-	agg      []KeyStat
-	aggSpare []KeyStat
-	// drop is the merge's reusable Δkey membership set (changed ∪
-	// retired), probed once per retained aggregate entry.
-	drop KeySet
 }
 
 // cell is one key's interval accumulator. dirty marks a cell touched in
@@ -249,15 +203,6 @@ func (t *cellTab) del(k tuple.Key) {
 	t.cells[i] = cell{}
 }
 
-// each calls fn for every live cell, dirty or clean.
-func (t *cellTab) each(fn func(*cell)) {
-	for i := range t.cells {
-		if t.cells[i].live {
-			fn(&t.cells[i])
-		}
-	}
-}
-
 // cellHash is splitmix64, matching the ring's key mixing: fast and
 // well-distributed for the small-integer keys synthetic workloads use.
 func cellHash(k tuple.Key) uint64 {
@@ -275,38 +220,12 @@ func NewTracker(w int) *Tracker {
 	}
 	return &Tracker{
 		window: w,
-		epoch:  1,
 		ring:   make([][]memRec, w),
 	}
 }
 
 // Window returns w.
 func (t *Tracker) Window() int { return t.window }
-
-// SetRetain selects the tracker's harvest mode. Must be called on a
-// fresh tracker (before the first observation or close): the retained
-// aggregate is built forward from the dirty sets, so switching modes
-// mid-stream would start it from a hole.
-func (t *Tracker) SetRetain(m RetainMode) error {
-	if m == t.retain {
-		return nil
-	}
-	if t.finished != 0 || len(t.dirty) != 0 {
-		return fmt.Errorf("stats: SetRetain on a tracker with history (finished=%d, dirty=%d)", t.finished, len(t.dirty))
-	}
-	t.retain = m
-	if m == RetainScan && t.aggMap == nil {
-		t.aggMap = make(map[tuple.Key]KeyStat)
-	}
-	return nil
-}
-
-// Retain returns the tracker's harvest mode.
-func (t *Tracker) Retain() RetainMode { return t.retain }
-
-// Epoch returns the identifier the *next* close will carry (the
-// in-progress interval's epoch plus the closes already taken).
-func (t *Tracker) Epoch() uint64 { return t.epoch }
 
 // touch returns k's current-interval cell, resetting a clean one and
 // chaining the key into the dirty list on its first touch of the
@@ -412,37 +331,30 @@ func (t *Tracker) AbsorbKey(k tuple.Key, cost, freq, mem int64) {
 }
 
 // DropKey forgets all history for k. The state store calls this when a
-// key's state migrates away so the source task stops reporting it; in
-// a retained mode the key is also queued for retirement so the next
-// close removes it from the aggregate (and the delta report tells the
-// controller's mirror to do the same). Deleting the cell orphans the
-// key's window records: their incarnation no longer matches any cell.
+// key's state migrates away so the source task stops reporting it.
+// Deleting the cell orphans the key's window records: their incarnation
+// no longer matches any cell.
 func (t *Tracker) DropKey(k tuple.Key) {
-	if c := t.cur.lookup(k); c != nil {
-		if c.dirty {
-			// Touched this interval: unchain it, so the close neither
-			// reports the dropped cell nor sees the key twice if it is
-			// touched again. Drops happen per migrated key, almost always
-			// between a close and the next tuple, when the chain is empty.
-			i := slices.Index(t.dirty, k)
-			t.dirty[i] = t.dirty[len(t.dirty)-1]
-			t.dirty = t.dirty[:len(t.dirty)-1]
-		}
-		t.cur.del(k)
+	c := t.cur.lookup(k)
+	if c == nil {
+		return
 	}
-	if t.retain != RetainOff {
-		t.retired = append(t.retired, k)
+	if c.dirty {
+		// Touched this interval: unchain it, so the close neither
+		// reports the dropped cell nor sees the key twice if it is
+		// touched again. Drops happen per migrated key, almost always
+		// between a close and the next tuple, when the chain is empty.
+		i := slices.Index(t.dirty, k)
+		t.dirty[i] = t.dirty[len(t.dirty)-1]
+		t.dirty = t.dirty[:len(t.dirty)-1]
 	}
+	t.cur.del(k)
 }
 
 // AdoptKey seeds windowed memory for a key that just migrated in, so
 // S(k,w) remains continuous across migration. The memory is recorded in
 // the most recently finished interval slot (or the current one if none
-// has finished yet). In a retained mode the key is additionally
-// touched, so the adopting task's very next close reports it (zero
-// cost, migrated windowed memory) instead of leaving a population gap
-// until its next tuple — the retiring side's DropKey and this touch
-// keep the aggregates coherent across a migration.
+// has finished yet).
 func (t *Tracker) AdoptKey(k tuple.Key, mem int64) {
 	if t.finished == 0 {
 		t.touch(k).mem += mem
@@ -452,22 +364,20 @@ func (t *Tracker) AdoptKey(k tuple.Key, mem int64) {
 	c := t.cur.upsert(k)
 	c.win += mem
 	t.ring[last] = append(t.ring[last], memRec{key: k, mem: mem, inc: c.inc})
-	if t.retain != RetainOff {
-		t.touch(k)
-	}
 }
 
-// harvest is the one interval-close primitive every mode runs on. It
-// rolls the state window — the slab from w intervals ago is evicted
-// (the paper's model: state from T_{i-w} is erased after T_i completes)
-// and the finished interval's state sizes take its place — and appends
-// one KeyStat per key touched this interval to the recycled run: cost
+// EndInterval closes the current interval and returns the per-key
+// statistics of the finished one as a run sorted by KeyStatLess: cost
 // c(k), frequency g(k) and the windowed memory S(k, w) including the
-// interval just finished, stamped (Dest/Hash) when stamp is non-nil, in
-// KeyStatLess order. Only the interval's dirty keys and the evicted
-// slab's records are visited, nothing is allocated once the buffers
-// have grown to the working set. The run is valid until the next close.
-func (t *Tracker) harvest(stamp func(*KeyStat)) []KeyStat {
+// interval just finished. It rolls the state window — the slab from w
+// intervals ago is evicted (the paper's model: state from T_{i-w} is
+// erased after T_i completes) and the finished interval's state sizes
+// take its place. Only the interval's dirty keys and the evicted slab's
+// records are visited, and nothing is allocated once the buffers have
+// grown to the working set. The run lives in a buffer the tracker
+// recycles: it is the caller's to read and to stamp in place (Dest,
+// Hash) until the next close.
+func (t *Tracker) EndInterval() []KeyStat {
 	t.shiftWindow(t.ring[t.next], -1)
 	slab := t.ring[t.next][:0]
 	ord := t.ord[:0]
@@ -483,158 +393,17 @@ func (t *Tracker) harvest(stamp func(*KeyStat)) []KeyStat {
 	t.next = (t.next + 1) % t.window
 	t.finished++
 	// Keys are unique within a tracker, so (cost, key) alone is the
-	// KeyStatLess order; the stamp (one Dest per task) cannot change it.
+	// KeyStatLess order; the caller's stamp (one Dest per task) cannot
+	// change it.
 	ord, t.ordSpare = sortCostKeys(ord, t.ordSpare)
 	run := t.run[:0]
 	for _, o := range ord {
 		c := &t.cur.cells[o.cell]
 		run = append(run, KeyStat{Key: c.key, Cost: c.cost, Freq: c.freq, Mem: c.win})
-		if stamp != nil {
-			stamp(&run[len(run)-1])
-		}
 	}
 	t.ord, t.run = ord, run
-	t.epoch++
 	t.dirty = t.dirty[:0]
 	return run
-}
-
-// EndInterval closes the current interval, rolls the state window and
-// returns the per-key statistics of the finished interval — cost c(k),
-// frequency g(k) and the windowed memory S(k, w) including the interval
-// just finished — as a run sorted by KeyStatLess. The run lives in a
-// buffer the tracker recycles: it is the caller's to read and to stamp
-// in place (Dest, Hash) until the next close.
-func (t *Tracker) EndInterval() []KeyStat { return t.harvest(nil) }
-
-// Delta is one retained close's change set against the previous close:
-// the keys touched (or adopted) during the finished interval with
-// their fresh statistics, the keys retired since, and the epoch
-// identifying the close. A consumer holding the previous close's run
-// reconstructs the new one exactly by removing Retired ∪ keys(Changed)
-// and merging Changed in under the canonical KeyStatLess order — the
-// controller-side protocol.Mirror does precisely that. Changed is the
-// tracker's recycled harvest run: valid until the next close.
-type Delta struct {
-	Epoch   uint64
-	Changed []KeyStat   // sorted by KeyStatLess
-	Retired []tuple.Key // ascending, deduplicated, re-added keys pruned
-}
-
-// EndIntervalRetained closes the current interval in a retained mode:
-// the window rolls exactly as EndInterval's does, and the returned run
-// lists the task's whole tracked population — keys untouched this
-// interval carry their last-reported statistics forward — sorted by
-// KeyStatLess. stamp (optional) resolves Dest/Hash on each changed
-// entry before it enters the aggregate; carried entries keep the stamp
-// of their last change (see Restamp for the resize-time refresh).
-//
-// Under RetainMerge the run is a copy-on-write view of the persistent
-// aggregate: treat it as read-only; it stays valid until the close
-// after next. Under RetainScan (the oracle) the run is rebuilt from
-// scratch. Both modes return byte-identical runs and deltas for
-// identical histories.
-func (t *Tracker) EndIntervalRetained(stamp func(*KeyStat)) ([]KeyStat, Delta) {
-	if t.retain == RetainOff {
-		panic("stats: EndIntervalRetained requires SetRetain")
-	}
-	changed := t.harvest(stamp)
-	retired := t.pruneRetired()
-	d := Delta{Epoch: t.epoch, Changed: changed, Retired: retired}
-
-	if t.retain == RetainScan {
-		for _, k := range retired {
-			delete(t.aggMap, k)
-		}
-		for _, ks := range changed {
-			t.aggMap[ks.Key] = ks
-		}
-		run := make([]KeyStat, 0, len(t.aggMap))
-		for _, ks := range t.aggMap {
-			run = append(run, ks)
-		}
-		SortByCostDesc(run)
-		return run, d
-	}
-	return t.mergeAggregate(changed, retired), d
-}
-
-// pruneRetired empties the interval's retirement queue into a fresh
-// slice: deduplicated, without the keys that came back (their live cell
-// means the changed set carries a fresh entry), in ascending order.
-func (t *Tracker) pruneRetired() []tuple.Key {
-	if len(t.retired) == 0 {
-		return nil
-	}
-	out := slices.Clone(t.retired)
-	t.retired = t.retired[:0]
-	slices.Sort(out)
-	out = slices.Compact(out)
-	out = slices.DeleteFunc(out, func(k tuple.Key) bool { return t.cur.lookup(k) != nil })
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// mergeAggregate folds one close's changed/retired sets into the
-// persistent sorted aggregate with a single linear merge into the
-// spare buffer, then swaps buffers. Keys are unique within a task and
-// every entry carries the same Dest, so KeyStatLess is a strict total
-// order and the merge reproduces exactly what a full re-sort would.
-func (t *Tracker) mergeAggregate(changed []KeyStat, retired []tuple.Key) []KeyStat {
-	if len(changed) == 0 && len(retired) == 0 {
-		return t.agg
-	}
-	// The skip scan probes once per retained aggregate entry, so the
-	// Δkey set must stay cache-resident: a compact reusable KeySet over
-	// changed ∪ retired, not a scratch map rebuilt every close.
-	t.drop.Reset(len(changed) + len(retired))
-	for i := range changed {
-		t.drop.Add(changed[i].Key)
-	}
-	for _, k := range retired {
-		t.drop.Add(k)
-	}
-	out := t.aggSpare[:0]
-	i := 0
-	for _, ks := range t.agg {
-		if t.drop.Has(ks.Key) {
-			continue
-		}
-		for i < len(changed) && KeyStatLess(changed[i], ks) {
-			out = append(out, changed[i])
-			i++
-		}
-		out = append(out, ks)
-	}
-	out = append(out, changed[i:]...)
-	t.aggSpare = t.agg
-	t.agg = out
-	return out
-}
-
-// Restamp re-resolves each retained aggregate entry's stamp (Dest and
-// hash destination) in place. The stage calls it after a ring resize:
-// carried entries keep the stamp of their last change, and a
-// grown/shrunk ring moves hash destinations of keys that never
-// migrate. Order is preserved — the stamp never changes Cost, Key or
-// Dest-within-a-task, the components KeyStatLess orders by.
-func (t *Tracker) Restamp(stamp func(*KeyStat)) {
-	if stamp == nil {
-		return
-	}
-	switch t.retain {
-	case RetainScan:
-		for k, ks := range t.aggMap {
-			stamp(&ks)
-			t.aggMap[k] = ks
-		}
-	case RetainMerge:
-		for i := range t.agg {
-			stamp(&t.agg[i])
-		}
-	}
 }
 
 // shiftWindow adds sign × every record of slab to its key's window sum,
@@ -652,10 +421,9 @@ func (t *Tracker) shiftWindow(slab []memRec, sign int64) {
 // return right now (same cost/freq, same post-roll windowed memory),
 // ordered by SortByCostDesc and cut to n — computed with one bounded
 // min-heap over the interval's dirty keys, O(touched · log n) time and
-// O(n) allocation. Zero-cost cells are never candidates: a retired or
-// merely-adopted cell carries no load evidence, and surfacing it would
-// let delta retirement resurrect dead keys in the hot-key detector's
-// input. The detector polls TopK every interval.
+// O(n) allocation. Zero-cost cells are never candidates: a merely
+// adopted cell carries no load evidence for the hot-key detector, which
+// polls TopK every interval.
 func (t *Tracker) TopK(n int) []KeyStat {
 	if n <= 0 || len(t.dirty) == 0 {
 		return nil
@@ -733,24 +501,13 @@ func (t *Tracker) WindowedMem(k tuple.Key) int64 {
 // Finished returns the number of completed intervals.
 func (t *Tracker) Finished() int64 { return t.finished }
 
-// Keys returns every key with any recorded history in ascending order.
-// In the default mode that is current-interval observations or a
-// record in a finished slot of the window — clean cells (keys whose
-// last touch was an already-harvested interval and whose window has
-// drained) are skipped, so a retired key cannot resurrect in scale-in
-// or detector input. In a retained mode the whole tracked population
-// counts as history: scale-in must migrate the aggregate's keys along
-// with everything else a retiring task reports.
+// Keys returns every key with any recorded history in ascending order:
+// current-interval observations or a record in a finished slot of the
+// window. Clean cells (keys whose last touch was an already-harvested
+// interval and whose window has drained) are skipped, so a retired key
+// cannot resurrect in scale-in or detector input.
 func (t *Tracker) Keys() []tuple.Key {
-	var out []tuple.Key
-	if t.retain == RetainOff {
-		out = append(out, t.dirty...)
-	} else {
-		// Every live cell is either dirty this interval or a member of
-		// the retained aggregate (cells leave only through DropKey, which
-		// also retires them).
-		t.cur.each(func(c *cell) { out = append(out, c.key) })
-	}
+	out := append([]tuple.Key(nil), t.dirty...)
 	for _, slab := range t.ring {
 		for _, r := range slab {
 			if c := t.cur.lookup(r.key); c != nil && c.inc == r.inc {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/ops"
 	"repro/internal/tuple"
 	"repro/internal/workload"
@@ -200,19 +199,4 @@ func TestHotKeySplitComposesWithRebalance(t *testing.T) {
 	if got := sys.Stage(0).SplitPinned(); got != 0 {
 		t.Fatalf("stage pinned %d moves the controller's guard should have stripped", got)
 	}
-}
-
-// TestHotKeySplitPanicsUnderPausingMigration pins the Build-time
-// validation: the split protocol rides the pause-free machinery, so
-// combining HotKeySplit with PausingMigration is a declaration error.
-func TestHotKeySplitPanicsUnderPausingMigration(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Build accepted HotKeySplit + PausingMigration")
-		}
-	}()
-	New(PausingMigration()).
-		Stage("wc", func(int) engine.Operator { return engine.StatefulCount },
-			HotKeySplit(2, 1.0)).
-		Build()
 }

@@ -18,9 +18,8 @@
 // pipeline by default (stage s+1 consumes while stage s is still
 // processing); StoreAndForward selects the legacy barrier transfer,
 // which the equivalence tests pin against. Assignment-routed stages
-// likewise migrate pause-free by default (generation-stamped routing,
-// no feed pause; see engine.Config.PauseFree), with PausingMigration
-// selecting the pausing oracle. Every stage may carry its
+// migrate live (generation-stamped routing, no feed pause; see
+// engine.Stage.ApplyPlan). Every stage may carry its
 // own control loop — the builder assembles the stage's policies (the
 // algorithm-derived rebalance controller plus any WithPolicy
 // additions, e.g. longterm.AutoScaler) into one control.Loop per
@@ -232,33 +231,6 @@ func WireControl() Option {
 	return func(b *Builder) { b.wire = true }
 }
 
-// PausingMigration opts the whole topology out of pause-free live
-// migration: assignment-routed stages fall back to the legacy
-// pause → drain → migrate → resume sequence for every applied plan.
-// The pausing path is the pinned equivalence oracle the pause-free
-// default is tested against (engine.Config.PauseFree), the same role
-// StoreAndForward plays for the streaming pipeline.
-func PausingMigration() Option {
-	return func(b *Builder) { b.ecfg.PauseFree = false }
-}
-
-// IncrementalHarvest switches every stage's interval close to the
-// incremental path: trackers harvest only keys touched since the last
-// close, merge them into a persistent sorted aggregate, and controller
-// loops ride O(Δkeys) delta load reports instead of re-sending the
-// full key population each interval. Snapshots, plans and series are
-// pinned bit-identical to the default full harvest.
-func IncrementalHarvest() Option {
-	return func(b *Builder) { b.ecfg.Harvest = engine.HarvestIncremental }
-}
-
-// FullHarvest keeps the retained aggregate but rebuilds and re-sorts
-// it from a full tracker scan every close — the O(keys) equivalence
-// oracle the incremental merge is pinned against.
-func FullHarvest() Option {
-	return func(b *Builder) { b.ecfg.Harvest = engine.HarvestFull }
-}
-
 // AdvanceEach installs a per-interval workload callback
 // (engine.AdvanceWorkload): fn runs after every interval so generators
 // can fluctuate or shift their distributions.
@@ -402,11 +374,9 @@ func Target() StageOption { return func(s *stageSpec) { s.target = true } }
 // out round-robin on the wait-free feed path; replicas hold commutative
 // deltas that fold into the key's home before every harvest, so all
 // observables stay bit-identical to an unsplit run. threshold ≤ 0
-// defaults to 1 (split when one key alone saturates a task). Requires
-// pause-free migration — Build panics if the topology selected
-// PausingMigration — and composes with a rebalance algorithm: split
-// keys are pinned to their home while split, everything else
-// rebalances normally.
+// defaults to 1 (split when one key alone saturates a task). Composes
+// with a rebalance algorithm: split keys are pinned to their home while
+// split, everything else rebalances normally.
 func HotKeySplit(maxKeys int, threshold float64) StageOption {
 	return func(s *stageSpec) {
 		s.splitOn = true
@@ -512,9 +482,6 @@ func (b *Builder) Build() *System {
 			// PlannerFor panics on an unknown algorithm — here, while
 			// nothing has been built yet.
 			s.planner, s.plannerOn = PlannerFor(s.alg, s.compactR, s.sigma), true
-		}
-		if s.splitOn && !b.ecfg.PauseFree {
-			panic(fmt.Sprintf("topology: stage %q: HotKeySplit requires pause-free migration (incompatible with PausingMigration)", s.name))
 		}
 	}
 	if target < 0 {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/ops"
 	"repro/internal/pkgpart"
+	"repro/internal/route"
 	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/tuple"
@@ -386,11 +387,10 @@ func TestStageNamedAndControllerNamed(t *testing.T) {
 	}
 }
 
-// TestPauseFreeDefaults pins the migration-mode defaulting:
-// assignment-routed stages come up pause-free, router families without
-// an assignment (shuffle) stay on the legacy path, and
-// PausingMigration opts the whole topology back onto the pausing
-// oracle.
+// TestPauseFreeDefaults pins which stages migrate live: exactly the
+// assignment-routed ones, with no option involved — a plan applied to
+// one goes through the generation-stamped sequencer, and a stage on any
+// other router family (shuffle) refuses it.
 func TestPauseFreeDefaults(t *testing.T) {
 	op := func(int) engine.Operator { return engine.Discard }
 	def := topology.New().
@@ -398,18 +398,14 @@ func TestPauseFreeDefaults(t *testing.T) {
 		Stage("sh", op, topology.Instances(2), topology.WithRouter(engine.NewShuffleRouter(2))).
 		Build()
 	defer def.Stop()
-	if !def.Stage(0).PauseFree() {
-		t.Fatal("assignment-routed stage did not default to pause-free migration")
+	plan := &balance.Plan{Table: route.NewTable(), MoveDest: map[tuple.Key]int{}}
+	if _, err := def.Stage(0).ApplyPlan(plan, nil); err != nil {
+		t.Fatalf("assignment-routed stage refused a plan: %v", err)
 	}
-	if def.Stage(1).PauseFree() {
-		t.Fatal("shuffle stage claims pause-free migration")
+	if def.Stage(0).AssignmentRouter().Assignment().Gen() == 0 {
+		t.Fatal("the plan did not advance the routing generation")
 	}
-
-	pausing := topology.New(topology.PausingMigration()).
-		Stage("a", op, topology.Instances(2)).
-		Build()
-	defer pausing.Stop()
-	if pausing.Stage(0).PauseFree() {
-		t.Fatal("PausingMigration did not disable pause-free migration")
+	if _, err := def.Stage(1).ApplyPlan(plan, nil); err == nil {
+		t.Fatal("shuffle stage accepted a plan")
 	}
 }
