@@ -126,7 +126,7 @@ func NewStage(name string, nd int, op func(id int) Operator, w int, router Route
 	}
 	s.ar, _ = router.(*AssignmentRouter)
 	for i := 0; i < nd; i++ {
-		s.tasks = append(s.tasks, newTask(i, op(i), w, s))
+		s.tasks = append(s.tasks, newTask(i, op(i), w, s, 0))
 	}
 	return s
 }
@@ -833,10 +833,14 @@ func (s *Stage) ScaleOutObserved(obs MigrationObserver) (int64, error) {
 	newHash := ring.Grow()
 
 	id := len(s.tasks)
-	nt := newTask(id, s.opFn(id), s.window, s)
-	// The new instance joins the running interval: it inherits the
-	// pipelined sink and emission tick its siblings got at wiring /
-	// StartInterval time.
+	// The new instance joins the running interval: it takes its store
+	// clock from task 0 (every store closes in step; the barrier orders
+	// the read after the task's last close) and inherits the pipelined
+	// sink and emission tick its siblings got at wiring / StartInterval
+	// time.
+	var clock int64
+	s.tasks[0].barrier(func(ctx *TaskCtx) { clock = ctx.Store.Interval() })
+	nt := newTask(id, s.opFn(id), s.window, s, clock)
 	nt.ctx.sink = s.down
 	nt.ctx.emitTick = s.curTick
 	s.tasks = append(s.tasks, nt)

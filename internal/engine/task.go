@@ -99,7 +99,10 @@ func (c *splitCell) zero() bool {
 // exercise real channel backpressure under pathological skew.
 const taskQueueDepth = 4096
 
-func newTask(id int, op Operator, window int, stage *Stage) *task {
+// newTask starts instance id of stage. interval is the stage's clock —
+// the number of intervals its siblings' stores have closed, 0 for a new
+// stage — so a task added by scale-out keeps the same window they do.
+func newTask(id int, op Operator, window int, stage *Stage, interval int64) *task {
 	opB, _ := op.(BatchOperator)
 	folder, _ := op.(SplitFolder)
 	t := &task{
@@ -111,7 +114,7 @@ func newTask(id int, op Operator, window int, stage *Stage) *task {
 		stage:  stage,
 		ctx: &TaskCtx{
 			ID:      id,
-			Store:   state.NewStore(window),
+			Store:   state.NewStoreAt(window, interval),
 			Tracker: stats.NewTracker(window),
 		},
 	}

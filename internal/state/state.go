@@ -28,9 +28,9 @@
 //
 // Buckets stay in arrival order and expire from the front, as they
 // always have: a bucket injected with an interval ahead of the store's
-// own clock (a task created by scale-out starts at interval 0) holds
-// its place at the front until the clock passes it, and keeps whatever
-// was appended behind it alive until then.
+// own clock (a decoded transfer may claim any interval) holds its place
+// at the front until the clock passes it, and keeps whatever was
+// appended behind it alive until then.
 package state
 
 import (
@@ -171,12 +171,17 @@ type Store struct {
 }
 
 // NewStore creates a store with a retention window of w intervals
-// (w < 1 clamps to 1).
-func NewStore(w int) *Store {
+// (w < 1 clamps to 1), its clock at interval 0.
+func NewStore(w int) *Store { return NewStoreAt(w, 0) }
+
+// NewStoreAt is NewStore with the clock already at interval: the store
+// of a task that joins a running stage, which must expire its buckets —
+// and stamp the ones it later hands back — on its siblings' clock.
+func NewStoreAt(w int, interval int64) *Store {
 	if w < 1 {
 		w = 1
 	}
-	return &Store{window: w, opened: make([][]int32, w+1)}
+	return &Store{window: w, interval: interval, opened: make([][]int32, w+1)}
 }
 
 // Window returns w.
