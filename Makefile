@@ -50,21 +50,21 @@ bench-e2e:
 ## one commanded round at the repository benchmark's variance shape
 ## (~11 000 keys re-drawn per round over 8 instances, a Mixed plan every
 ## round) from the trackers' sorted runs to the applied plan, over the
-## loopback and the gob pipe: ns/op, allocations, and ns per harvested
-## key split into merge / plan / report. EngineInterval is a whole
-## interval direct-vs-loop-vs-wire. RebalanceLatency is p50/p99 feed
-## latency with and without a concurrent plan: live migration's p99
-## must stay flat across a rebalance. WireCodec isolates the gob
-## codec's per-message cost (the retained staging buffer keeps
-## allocs/msg flat as report populations grow).
+## loopback and over a framed gob pipe (what a cluster peer without the
+## binary wire gets): ns/op, allocations, and ns per harvested key split
+## into merge / plan / report. EngineInterval is a whole interval with
+## the controller on the stage directly, behind the loopback loop, and
+## behind the framed gob pipe. RebalanceLatency is p50/p99 feed latency
+## with and without a concurrent plan: live migration's p99 must stay
+## flat across a rebalance. WireCodec isolates the framed gob codec's
+## per-message cost (the retained staging buffer keeps allocs/msg flat
+## as report populations grow).
 bench-control:
 	$(GO) test -run '^$$' -bench 'ControlRound|EngineInterval|RebalanceLatency|WireCodec' -benchmem -benchtime 1s ./internal/control/
 
-## exhibits: regenerate every paper exhibit. PIPELINE=1 runs them with
-## streaming inter-stage transfer (key-partitioned exhibit outputs do
-## not change; fig01's shuffle stages may interleave on multicore).
+## exhibits: regenerate every paper exhibit.
 exhibits:
-	$(GO) run ./cmd/benchrunner $(if $(PIPELINE),-pipeline)
+	$(GO) run ./cmd/benchrunner
 
 ## smoke-examples: run every example topology end to end with a
 ## 2-interval budget (compiling ./examples/... is not enough — the

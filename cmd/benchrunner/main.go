@@ -8,9 +8,6 @@
 //	benchrunner -exp fig07a,fig12
 //	benchrunner -list          # list exhibit ids
 //	benchrunner -csv DIR       # also write each exhibit as DIR/<id>.csv
-//	benchrunner -pipeline      # run the exhibits with streaming
-//	                           # inter-stage transfer (A/B against the
-//	                           # default store-and-forward run)
 //
 // Output rows correspond to the x-axis points of the paper's plots;
 // columns to its series; README.md documents how each exhibit maps to
@@ -32,13 +29,11 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "comma-separated exhibit ids, or 'all'")
-		list     = flag.Bool("list", false, "list exhibit ids and exit")
-		csvDir   = flag.String("csv", "", "also write each exhibit as CSV into this directory")
-		pipeline = flag.Bool("pipeline", false, "run the exhibits with streaming inter-stage transfer (outputs match the default store-and-forward run on key-partitioned stages; fig01's shuffle stages may interleave on multicore)")
+		exp    = flag.String("exp", "all", "comma-separated exhibit ids, or 'all'")
+		list   = flag.Bool("list", false, "list exhibit ids and exit")
+		csvDir = flag.String("csv", "", "also write each exhibit as CSV into this directory")
 	)
 	flag.Parse()
-	experiments.SetPipeline(*pipeline)
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
 			fmt.Fprintln(os.Stderr, "benchrunner:", err)

@@ -20,8 +20,8 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/topology"
 	"repro/internal/tuple"
 	"repro/internal/workload"
 )
@@ -118,14 +118,14 @@ func replayTrace(path, alg string, nd, intervals, budget int, theta float64, win
 	fmt.Printf("replaying %s (%d tuples) under %s, N_D=%d, theta=%.2f\n\n",
 		path, tr.Len(), alg, nd, theta)
 
-	sys := core.NewSystem(core.Config{
-		Instances: nd,
-		Window:    window,
-		ThetaMax:  theta,
-		Algorithm: core.Algorithm(alg),
-		Budget:    int64(budget),
-		MinKeys:   32,
-	}, tr.Spout(), func(int) engine.Operator { return engine.StatefulCount })
+	sys := topology.New(topology.Spout(tr.Spout()), topology.Budget(int64(budget))).
+		Stage("operator", func(int) engine.Operator { return engine.StatefulCount },
+			topology.Instances(nd),
+			topology.Window(window),
+			topology.WithAlgorithm(topology.Algorithm(alg)),
+			topology.Theta(theta),
+			topology.MinKeys(32)).
+		Build()
 	defer sys.Stop()
 
 	fmt.Println("interval  throughput  latency_ms  skewness  rebalanced  migration%  table")
@@ -137,8 +137,8 @@ func replayTrace(path, alg string, nd, intervals, budget int, theta float64, win
 	}
 	fmt.Printf("\nmean throughput %.0f tuples/s, mean latency %.1f ms\n",
 		sys.Recorder().MeanThroughput(), sys.Recorder().MeanLatency())
-	if sys.Controller != nil {
-		fmt.Printf("rebalances: %d\n", sys.Controller.Rebalances())
+	if sys.Controller(0) != nil {
+		fmt.Printf("rebalances: %d\n", sys.Rebalances())
 	}
 	return nil
 }

@@ -10,11 +10,9 @@
 //
 // Entry points:
 //
-//   - internal/topology: the declarative builder for multi-stage
-//     systems (per-stage routing, planners, capacity; pipelined
-//     transfer by default) — see Example_topology
-//   - internal/core: the single-stage embedding API (Config,
-//     NewSystem, NewSystemBatch), a thin wrapper over the builder
+//   - internal/topology: the declarative builder, for one stage or
+//     many (per-stage routing, planners, capacity) — see
+//     Example_topology
 //   - cmd/benchrunner: regenerate any exhibit (-exp fig13); the
 //     seed-determined ones are pinned byte for byte by the goldens under
 //     internal/experiments/testdata/golden
@@ -38,10 +36,8 @@
 // Every stage may carry its own controller — the engine fans each
 // stage's harvest snapshot out to per-stage hooks
 // (engine.AddSnapshotHook), so a two-stage topology can rebalance both
-// stages independently. Topologies with two or more stages run the
-// streaming inter-stage pipeline by default;
-// topology.StoreAndForward() keeps the legacy barrier transfer, which
-// remains the equivalence-test oracle.
+// stages independently. Stages stream to each other (see "Streaming
+// interval pipeline" below).
 //
 // # Unified elastic control plane
 //
@@ -50,14 +46,15 @@
 // consume interval snapshots and emit typed commands — Rebalance,
 // ScaleOut, ScaleIn — applied by a single per-stage Executor whose
 // every step crosses the transport as a protocol message (LoadReport,
-// PlanAnnounce, Resize, StateTransfer, Ack, Resume). The default
-// transport is an in-process loopback; topology.WireControl() runs the
-// identical rounds through the gob Codec over a pipe, pinned
-// equivalent, so a multi-process deployment only swaps the connection.
+// PlanAnnounce, Resize, StateTransfer, Ack, Resume). In process the
+// transport is a loopback; across processes it is the cluster's framed
+// codec over a socket (internal/cluster), and the tests pin the two
+// equivalent by running the rounds over a framed pipe.
 // ScaleIn is a real actuator (engine.Stage.ScaleIn — drain the
 // retiring task, shrink the hash ring, migrate its keys' windowed
 // state and statistics to the survivors live), the mirror of ScaleOut;
-// engine.ResizeStage(si, ±1) resizes any stage, not just the target.
+// engine.ResizeStage(si, ±1, obs) resizes any stage, not just the
+// target.
 // Attach extra policies per stage with topology.WithPolicy (the §VII
 // composition: a Mixed rebalancer for short-term fluctuations plus
 // longterm.AutoScaler answering sustained shifts elastically).
@@ -81,16 +78,15 @@
 //
 // # Streaming interval pipeline
 //
-// Multi-stage topologies run pipelined under engine.Config.Pipeline:
-// each upstream task streams its emitted tuples into the downstream
-// stage's FeedBatch in emitChunk-sized batches from its own goroutine,
-// so stage s+1 consumes and processes while stage s is still working,
-// and the interval ends with a cascading close (barrier stage s, flush
-// residual emission buffers downstream, close stage s+1). Backpressure
-// scans every stage's backlog, EmitTick is stamped at emission time,
-// and the store-and-forward driver remains selectable — its
-// equivalence (interval series, snapshots, routing tables, exhibit
-// outputs) is pinned by tests.
+// Stages stream to each other: each upstream task flushes its emitted
+// tuples into the downstream stage's FeedBatch in emitChunk-sized
+// batches from its own goroutine, so stage s+1 consumes and processes
+// while stage s is still working, and the interval ends with a
+// cascading close (barrier stage s, flush residual emission buffers
+// downstream, close stage s+1). Backpressure scans every stage's
+// backlog and EmitTick is stamped at emission time. A store-and-forward
+// reference lives in the tests, which pin the interval series,
+// snapshots and routing tables equal.
 //
 // # Batched data plane
 //

@@ -26,10 +26,8 @@ func main() {
 	// Two-stage topology: skewed stateful join, then a 25-key nation
 	// aggregation. Each stage carries its own Mixed controller — the
 	// join absorbs the FK skew, the aggregation its (mild) nation
-	// imbalance. With two stages the builder defaults to the streaming
-	// inter-stage pipeline: the aggregation consumes mid-interval while
-	// the join is still working (topology.StoreAndForward would select
-	// the legacy barrier transfer).
+	// imbalance. The stages stream to each other: the aggregation
+	// consumes mid-interval while the join is still working.
 	sys := topology.New(
 		topology.Spout(gen.Next),
 		topology.Budget(20000),

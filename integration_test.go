@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/longterm"
 	"repro/internal/topology"
@@ -40,9 +39,11 @@ func TestTraceRoundTripThroughSystem(t *testing.T) {
 	}
 	tr.Loop = true
 
-	sys := core.NewSystem(core.Config{
-		Instances: 8, Budget: 10000, ThetaMax: 0.08, MinKeys: 16,
-	}, tr.Spout(), func(int) engine.Operator { return engine.StatefulCount })
+	sys := topology.New(topology.Spout(tr.Spout()), topology.Budget(10000)).
+		Stage("operator", func(int) engine.Operator { return engine.StatefulCount },
+			topology.Instances(8), topology.WithAlgorithm(topology.AlgMixed),
+			topology.Theta(0.08), topology.MinKeys(16)).
+		Build()
 	defer sys.Stop()
 	sys.Run(8)
 
@@ -54,12 +55,12 @@ func TestTraceRoundTripThroughSystem(t *testing.T) {
 	// their stores; the barrier inside Run synchronizes reads).
 	var stateTotal int64
 	for d := 0; d < 8; d++ {
-		stateTotal += sys.Stage.StoreOf(d).TotalSize()
+		stateTotal += sys.Stage(0).StoreOf(d).TotalSize()
 	}
 	if stateTotal == 0 {
 		t.Fatal("no state accumulated from trace replay")
 	}
-	if sys.Controller.Rebalances() == 0 {
+	if sys.Rebalances() == 0 {
 		t.Fatal("bursty trace never triggered a rebalance")
 	}
 	if emitted == 0 {
@@ -71,34 +72,35 @@ func TestTraceRoundTripThroughSystem(t *testing.T) {
 // algorithm over the same fluctuating stream with a counting operator
 // and checks no tuple is lost or double-counted across migrations.
 func TestAllPlannersEndToEndKeepCorrectCounts(t *testing.T) {
-	algs := []core.Algorithm{
-		core.AlgMixed, core.AlgMinTable, core.AlgMinMig,
-		core.AlgCompact, core.AlgReadj, core.AlgSimple, core.AlgLLFD,
+	algs := []topology.Algorithm{
+		topology.AlgMixed, topology.AlgMinTable, topology.AlgMinMig,
+		topology.AlgCompact, topology.AlgReadj, topology.AlgSimple, topology.AlgLLFD,
 	}
 	for _, alg := range algs {
 		gen := workload.NewZipfStream(1000, 1.0, 0.8, 5000, 11)
 		var counts atomic.Int64
-		sys := core.NewSystem(core.Config{
-			Instances: 5, Budget: 5000, ThetaMax: 0.05, TableMax: -1, MinKeys: 16,
-			Algorithm: alg,
-		}, gen.Next, func(int) engine.Operator {
-			return engine.OperatorFunc(func(ctx *engine.TaskCtx, tp tuple.Tuple) {
-				counts.Add(1) // shared across instances, hence atomic
-				engine.StatefulCount.Process(ctx, tp)
-			})
-		})
-		ar := sys.Stage.AssignmentRouter()
+		sys := topology.New(topology.Spout(gen.Next), topology.Budget(5000)).
+			Stage("operator", func(int) engine.Operator {
+				return engine.OperatorFunc(func(ctx *engine.TaskCtx, tp tuple.Tuple) {
+					counts.Add(1) // shared across instances, hence atomic
+					engine.StatefulCount.Process(ctx, tp)
+				})
+			},
+				topology.Instances(5), topology.WithAlgorithm(alg),
+				topology.Theta(0.05), topology.TableMax(-1), topology.MinKeys(16)).
+			Build()
+		ar := sys.Stage(0).AssignmentRouter()
 		sys.Engine.AdvanceWorkload = func(int64) { gen.Advance(ar.Assignment()) }
 		sys.Run(6)
 		var emitted int64
 		for _, m := range sys.Recorder().Series {
 			emitted += m.Emitted
 		}
-		sys.Stage.Barrier()
+		sys.Stage(0).Barrier()
 		if got := counts.Load(); got != emitted {
 			t.Fatalf("%s: processed %d of %d emitted tuples", alg, got, emitted)
 		}
-		if sys.Controller.Rebalances() == 0 {
+		if sys.Rebalances() == 0 {
 			t.Fatalf("%s: no rebalances on a z=1 stream at θ=0.05", alg)
 		}
 		sys.Stop()

@@ -323,7 +323,7 @@ func (c *Coordinator) RunInterval() error {
 			return fmt.Errorf("cluster: harvest stage %d: unexpected reply %s", si, m.Kind())
 		}
 		// Replay the round's resizes on the model arrays — the same
-		// surgery Stage.ScaleOut/ScaleIn and ResizeStageObserved perform.
+		// surgery Stage.ScaleOut/ScaleIn and Engine.ResizeStage perform.
 		for _, d := range hd.Resizes {
 			if d > 0 {
 				c.backlog[si] = append(c.backlog[si], 0)

@@ -23,9 +23,10 @@ import (
 
 // BenchmarkEngineInterval quantifies what the control plane adds to a
 // whole engine interval (10k tuples through a Mixed-managed stage):
-// "direct" drives the legacy in-process hook, "loop" and "wire" the
-// unified command path over each transport. The direct-vs-loop delta
-// is the honest price of speaking the protocol every interval.
+// "direct" drives the controller on the stage with no protocol, "loop"
+// the command path over the in-process loopback and "wire" over the
+// framed gob pipe. The direct-vs-loop delta is the honest price of
+// speaking the protocol every interval.
 func BenchmarkEngineInterval(b *testing.B) {
 	run := func(b *testing.B, wiring string) {
 		gen := workload.NewZipfStream(10000, 0.85, 0, 10000, 17)
@@ -37,15 +38,13 @@ func BenchmarkEngineInterval(b *testing.B) {
 		ctl := mkController()
 		switch wiring {
 		case "direct":
-			e.AddSnapshotHook(0, ctl.StageHook(0))
+			e.AddSnapshotHook(0, directHook(ctl))
 		case "loop":
 			loop := control.NewLoop(e, 0, []control.Policy{ctl})
 			defer loop.Close()
 			e.AddSnapshotHook(0, loop.Hook())
 		case "wire":
-			loop := control.NewLoop(e, 0, []control.Policy{ctl}, control.Wire())
-			defer loop.Close()
-			e.AddSnapshotHook(0, loop.Hook())
+			defer loopOver(e, 0, []control.Policy{ctl}, newGobPair)()
 		}
 		b.ResetTimer()
 		e.Run(b.N)
@@ -107,7 +106,7 @@ func (p *timedPlanner) Plan(snap *stats.Snapshot, cfg balance.Config) *balance.P
 // repository benchmark's variance shape — ~11 000 keys re-drawn every
 // round over 8 instances, a Mixed plan in every round — from the
 // trackers' sorted runs to the applied plan, over the loopback and over
-// the gob pipe. Besides ns/op and the allocations it reports
+// the framed gob pipe. Besides ns/op and the allocations it reports
 // nanoseconds per harvested key, split into the merge of the runs, the
 // planner, and the report path around them (transport, validation,
 // decide, announce, apply). Run via `make bench-control`.
@@ -120,13 +119,16 @@ func BenchmarkControlRound(b *testing.B) {
 			e := engine.New(func() tuple.Tuple { return tuple.New(0, nil) }, engine.DefaultConfig(), st)
 			defer e.Stop()
 			planner := &timedPlanner{inner: balance.Mixed{}}
-			var opts []control.LoopOption
+			pair := control.NewLoopbackPair
 			if transport == "gob-pipe" {
-				opts = append(opts, control.Wire())
+				pair = newGobPair
 			}
-			loop := control.NewLoop(e, 0, []control.Policy{controller.New(planner, balance.DefaultConfig())}, opts...)
-			defer loop.Close()
-			hook := loop.Hook()
+			agent, ctrl := pair()
+			defer agent.Close()
+			x := control.NewExecutor(e, 0, agent)
+			srv := control.NewServer(ctrl, []control.Policy{controller.New(planner, balance.DefaultConfig())})
+			srv.Start()
+			defer srv.Close()
 			rounds := roundRuns(st.AssignmentRouter().Assignment(), 8)
 			// The stage's own arrangement: two merge buffers, alternating.
 			var merged [2][]stats.KeyStat
@@ -138,7 +140,7 @@ func BenchmarkControlRound(b *testing.B) {
 				*buf = stats.MergeRuns((*buf)[:0], rounds[i%len(rounds)])
 				mergeTime += time.Since(t0)
 				keys += len(*buf)
-				hook(e, 0, &stats.Snapshot{Interval: int64(i), ND: nd, Keys: *buf})
+				x.RunRound(&stats.Snapshot{Interval: int64(i), ND: nd, Keys: *buf})
 			}
 			for i := 0; i < 2*len(rounds); i++ { // buffers and pooled state reach their size
 				round(i)
@@ -172,7 +174,7 @@ func BenchmarkWireCodec(b *testing.B) {
 	for _, keys := range []int{0, 64, 1024} {
 		b.Run(fmt.Sprintf("report/keys=%d", keys), func(b *testing.B) {
 			var buf bytes.Buffer
-			c := protocol.NewCodec(&buf)
+			c := protocol.NewFramedCodec(&buf)
 			rep := &protocol.LoadReport{Interval: 7, Tasks: 4, Capacity: 1 << 20}
 			for i := 0; i < keys; i++ {
 				rep.Keys = append(rep.Keys, stats.KeyStat{

@@ -24,10 +24,10 @@
 // command against the engine — Rebalance through the stage's live
 // migration (Stage.ApplyPlan), ScaleOut/ScaleIn through the engine's
 // generalized ResizeStage — and every step of every command crosses a
-// Conn as a protocol message. The default transport is an in-process
-// loopback (channel-passed messages); the Wire option runs the same
-// bytes through a gob Codec over a synchronous pipe, pinned equivalent
-// by test, so a multi-process deployment only swaps the Conn.
+// Conn as a protocol message. In process the Conn is a loopback
+// (channel-passed messages); a multi-process deployment only swaps it
+// for cluster.Conn, the framed codec over a socket, and the tests pin
+// the two equivalent by running a round over a framed pipe.
 //
 // Step 1 is one LoadReport whose run is the snapshot's own (the
 // loopback passes the pointer; a wire adds a destination column and

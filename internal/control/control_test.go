@@ -35,6 +35,14 @@ func mkController() *controller.Controller {
 	return ctl
 }
 
+// directHook is the direct path the control loop is pinned against: the
+// controller decides and applies on the stage itself, no protocol.
+func directHook(ctl *controller.Controller) engine.SnapshotHook {
+	return func(e *engine.Engine, si int, snap *stats.Snapshot) *engine.Rebalance {
+		return ctl.Maybe(e.Stages[si], snap)
+	}
+}
+
 // stripWallClock zeroes the only nondeterministic series field
 // (plan-generation wall time) so two independent runs compare exactly.
 func stripWallClock(series []metrics.Interval) []metrics.Interval {
@@ -101,18 +109,18 @@ func TestLoopMatchesDirectController(t *testing.T) {
 			eDirect, stDirect := mkEngine(101)
 			defer eDirect.Stop()
 			ctlDirect := mkController()
-			eDirect.AddSnapshotHook(0, ctlDirect.StageHook(0))
+			eDirect.AddSnapshotHook(0, directHook(ctlDirect))
 
 			eLoop, stLoop := mkEngine(101)
 			defer eLoop.Stop()
 			ctlLoop := mkController()
-			var opts []control.LoopOption
 			if transport == "wire" {
-				opts = append(opts, control.Wire())
+				defer loopOver(eLoop, 0, []control.Policy{ctlLoop}, newGobPair)()
+			} else {
+				loop := control.NewLoop(eLoop, 0, []control.Policy{ctlLoop})
+				defer loop.Close()
+				eLoop.AddSnapshotHook(0, loop.Hook())
 			}
-			loop := control.NewLoop(eLoop, 0, []control.Policy{ctlLoop}, opts...)
-			defer loop.Close()
-			eLoop.AddSnapshotHook(0, loop.Hook())
 
 			eDirect.Run(20)
 			eLoop.Run(20)
@@ -150,7 +158,7 @@ func TestSnapshotWireRoundTrip(t *testing.T) {
 		t.Fatal("empty oracle snapshot")
 	}
 	for name, pair := range map[string]func() (control.Conn, control.Conn){
-		"gob pipe": control.NewWirePair,
+		"gob pipe": newGobPair,
 		"binary":   newBinaryPair,
 	} {
 		a, b := pair()

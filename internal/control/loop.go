@@ -96,7 +96,7 @@ func (x *Executor) RunRound(snap *stats.Snapshot) *engine.Rebalance {
 				x.ack(m.ResizeCmd.Interval)
 				break
 			}
-			if _, err := x.e.ResizeStageObserved(x.si, delta, x.transferObserver()); err != nil {
+			if _, err := x.e.ResizeStage(x.si, delta, x.transferObserver()); err != nil {
 				// Reject-as-hold: the resize stopped being applicable
 				// between canResize and actuation. Ack keeps the round
 				// in step; nothing moved.
@@ -207,41 +207,20 @@ func (x *Executor) ack(interval int64) {
 
 // Loop wires a complete per-stage control loop in one process: the
 // stage-side Executor, the controller-side policy Server on its own
-// goroutine, and the Conn pair between them (loopback by default, the
-// gob wire transport with Wire). Register Hook with the engine's
-// per-stage snapshot fan-out; Close tears the server down.
+// goroutine, and the loopback Conn pair between them. Register Hook
+// with the engine's per-stage snapshot fan-out; Close tears the server
+// down.
 type Loop struct {
 	x    *Executor
 	srv  *Server
 	once sync.Once
 }
 
-// LoopOption configures NewLoop.
-type LoopOption func(*loopCfg)
-
-type loopCfg struct{ wire bool }
-
-// Wire selects the gob-Codec-over-pipe transport instead of the
-// in-process loopback: every control message is fully serialized and
-// parsed, exactly as across a process boundary. Pinned equivalent to
-// the loopback by test; used to prove multi-process readiness and to
-// measure true wire cost.
-func Wire() LoopOption { return func(c *loopCfg) { c.wire = true } }
-
 // NewLoop builds the control loop for stage si of e, running the given
 // policies in order on the controller side, and starts the policy
 // server. The caller owns the returned loop and must Close it.
-func NewLoop(e *engine.Engine, si int, policies []Policy, opts ...LoopOption) *Loop {
-	var cfg loopCfg
-	for _, o := range opts {
-		o(&cfg)
-	}
-	var agent, ctrl Conn
-	if cfg.wire {
-		agent, ctrl = NewWirePair()
-	} else {
-		agent, ctrl = NewLoopbackPair()
-	}
+func NewLoop(e *engine.Engine, si int, policies []Policy) *Loop {
+	agent, ctrl := NewLoopbackPair()
 	l := &Loop{x: NewExecutor(e, si, agent), srv: NewServer(ctrl, policies)}
 	l.srv.Start()
 	return l
@@ -268,12 +247,4 @@ func (l *Loop) Close() {
 		l.x.conn.Close()
 		l.srv.Close()
 	})
-}
-
-// WireBytes reports the cumulative bytes the controller transport has
-// sent and received, when the transport counts them (the gob wire
-// transport does; the in-process loopback moves no bytes and reports
-// zeros). bench-control uses it to measure control-plane bandwidth.
-func (l *Loop) WireBytes() (sent, rcvd int64) {
-	return l.srv.WireBytes()
 }

@@ -18,24 +18,46 @@ import (
 	"repro/internal/tuple"
 )
 
-// binaryConn is a control.Conn over the binary socket wire: the framed
-// codec in binary mode, as a cluster worker and its coordinator speak
-// it after the handshake.
-type binaryConn struct {
+// framedConn is a control.Conn over the socket wire: the framed codec a
+// cluster worker and its coordinator speak — gob, as a peer without
+// FeatureBinary gets it, or binary once the handshake agreed on it.
+type framedConn struct {
 	*protocol.Codec
 	c net.Conn
 }
 
-func (b binaryConn) Close() error { return b.c.Close() }
+func (f framedConn) Close() error { return f.c.Close() }
 
-func newBinaryPair() (control.Conn, control.Conn) {
+func newFramedPair(binary bool) (control.Conn, control.Conn) {
 	a, b := net.Pipe()
 	wrap := func(c net.Conn) control.Conn {
 		codec := protocol.NewFramedCodec(c)
-		codec.EnableBinary()
-		return binaryConn{Codec: codec, c: c}
+		if binary {
+			codec.EnableBinary()
+		}
+		return framedConn{Codec: codec, c: c}
 	}
 	return wrap(a), wrap(b)
+}
+
+func newGobPair() (control.Conn, control.Conn)    { return newFramedPair(false) }
+func newBinaryPair() (control.Conn, control.Conn) { return newFramedPair(true) }
+
+// loopOver wires stage si's control loop the way control.NewLoop does,
+// but over the given transport, registers it with the engine and
+// returns its teardown.
+func loopOver(e *engine.Engine, si int, policies []control.Policy, pair func() (control.Conn, control.Conn)) (stop func()) {
+	agent, ctrl := pair()
+	x := control.NewExecutor(e, si, agent)
+	srv := control.NewServer(ctrl, policies)
+	srv.Start()
+	e.AddSnapshotHook(si, func(_ *engine.Engine, _ int, snap *stats.Snapshot) *engine.Rebalance {
+		return x.RunRound(snap)
+	})
+	return func() {
+		agent.Close()
+		srv.Close()
+	}
 }
 
 // eagerController plans on the slightest imbalance: every round past
@@ -71,17 +93,10 @@ func TestRoundEquivalenceEveryTransport(t *testing.T) {
 			e.Run(intervals)
 			return o
 		}
-		agent, ctrl := pair()
-		x := control.NewExecutor(e, 0, agent)
 		seen := &capturePolicy{inner: o.ctl}
-		srv := control.NewServer(ctrl, []control.Policy{seen})
-		srv.Start()
-		e.AddSnapshotHook(0, func(_ *engine.Engine, _ int, snap *stats.Snapshot) *engine.Rebalance {
-			return x.RunRound(snap)
-		})
+		stop := loopOver(e, 0, []control.Policy{seen}, pair)
 		e.Run(intervals)
-		agent.Close()
-		srv.Close()
+		stop()
 		o.snaps = seen.snaps
 		return o
 	}
@@ -92,7 +107,7 @@ func TestRoundEquivalenceEveryTransport(t *testing.T) {
 	}
 	for name, pair := range map[string]func() (control.Conn, control.Conn){
 		"loopback": control.NewLoopbackPair,
-		"gob pipe": control.NewWirePair,
+		"gob pipe": newGobPair,
 		"binary":   newBinaryPair,
 	} {
 		o := run(pair)
@@ -187,7 +202,7 @@ func TestHostileMergedReportEndsRound(t *testing.T) {
 	codec := protocol.NewFramedCodec(b)
 	codec.EnableBinary()
 	pol := &countingPolicy{}
-	srv := control.NewServer(binaryConn{Codec: codec, c: b}, []control.Policy{pol})
+	srv := control.NewServer(framedConn{Codec: codec, c: b}, []control.Policy{pol})
 	srv.Start()
 	frame := []byte{3, 4, 0, 0xff, 0xff, 0x7f}
 	go a.Write(append(binary.BigEndian.AppendUint32(nil, uint32(len(frame))), frame...))
@@ -228,7 +243,7 @@ func TestSecondReportInsideRoundEndsIt(t *testing.T) {
 	}
 	for name, pair := range map[string]func() (control.Conn, control.Conn){
 		"loopback": control.NewLoopbackPair,
-		"gob pipe": control.NewWirePair,
+		"gob pipe": newGobPair,
 		"binary":   newBinaryPair,
 	} {
 		agent, ctrl := pair()

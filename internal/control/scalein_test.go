@@ -59,34 +59,36 @@ func (f *countingFleet) total() int64 {
 	return s
 }
 
-// buildScaleInTopology declares the stress topology: a shuffle parse
-// stage streaming into a counted, Mixed-rebalanced sink whose control
-// loop carries the autoscaler — a pipelined 2-stage system where the
-// *non-target* downstream stage resizes live.
-func buildScaleInTopology(fleet *countingFleet, scaler *longterm.AutoScaler, opts ...topology.Option) *topology.System {
+// scaleInStages declares the stress topology's data plane: a shuffle
+// parse stage streaming into a counted sink, which takes countOpts on
+// top of its size — a 2-stage system whose *non-target* downstream
+// stage resizes live.
+func scaleInStages(fleet *countingFleet, countOpts ...topology.StageOption) *topology.System {
 	gen := workload.NewZipfStream(600, 0.9, 0.5, 2000, 77)
 	fwd := engine.OperatorFunc(func(ctx *engine.TaskCtx, t tuple.Tuple) {
 		ctx.Emit(tuple.New(t.Key, nil))
 	})
-	base := []topology.Option{
-		topology.Spout(gen.Next),
-		topology.Budget(2000),
-		topology.Pipelined(),
-	}
-	return topology.New(append(base, opts...)...).
+	return topology.New(topology.Spout(gen.Next), topology.Budget(2000)).
 		Stage("parse", func(int) engine.Operator { return fwd },
 			topology.Instances(4),
 			topology.Capacity(4000),
 			topology.Target(),
 		).
-		Stage("count", fleet.factory,
+		Stage("count", fleet.factory, append([]topology.StageOption{
 			topology.Instances(6),
 			topology.Capacity(2000), // 2000 tuples over 6×2000: ~17% utilization
-			topology.WithAlgorithm(topology.AlgMixed),
-			topology.Theta(0.08), topology.MinKeys(32),
-			topology.WithPolicy(scaler),
-		).
+		}, countOpts...)...).
 		Build()
+}
+
+// buildScaleInTopology is the stress topology as the builder manages
+// it: the counted sink Mixed-rebalanced, its control loop carrying the
+// autoscaler.
+func buildScaleInTopology(fleet *countingFleet, scaler *longterm.AutoScaler) *topology.System {
+	return scaleInStages(fleet,
+		topology.WithAlgorithm(topology.AlgMixed),
+		topology.Theta(0.08), topology.MinKeys(32),
+		topology.WithPolicy(scaler))
 }
 
 // TestScaleInLivePipelined is the acceptance stress (run under -race
@@ -146,21 +148,24 @@ func TestScaleInLivePipelined(t *testing.T) {
 }
 
 // TestScaleInLoopbackEqualsWire pins the two transports against each
-// other on the full elastic scenario: identical series, identical
-// final instance counts, identical routing tables, identical applied
-// histories.
+// other on the full elastic scenario — the builder's loopback loop
+// against the same policies hand-wired over the framed gob pipe:
+// identical series, identical final instance counts, identical routing
+// tables, identical applied histories.
 func TestScaleInLoopbackEqualsWire(t *testing.T) {
-	run := func(opts ...topology.Option) (*topology.System, *countingFleet, *longterm.AutoScaler) {
-		fleet := &countingFleet{}
-		scaler := &longterm.AutoScaler{Detector: longterm.NewDetector(), MinInstances: 2}
-		sys := buildScaleInTopology(fleet, scaler, opts...)
-		sys.Run(30)
-		return sys, fleet, scaler
-	}
-	lb, lbFleet, lbScaler := run()
+	lbFleet := &countingFleet{}
+	lbScaler := &longterm.AutoScaler{Detector: longterm.NewDetector(), MinInstances: 2}
+	lb := buildScaleInTopology(lbFleet, lbScaler)
 	defer lb.Stop()
-	w, wFleet, wScaler := run(topology.WireControl())
+	lb.Run(30)
+
+	wFleet := &countingFleet{}
+	wScaler := &longterm.AutoScaler{Detector: longterm.NewDetector(), MinInstances: 2}
+	wCtl := mkController() // the builder's controller for AlgMixed, Theta(0.08), MinKeys(32)
+	w := scaleInStages(wFleet)
 	defer w.Stop()
+	defer loopOver(w.Engine, 1, []control.Policy{wCtl, wScaler}, newGobPair)()
+	w.Run(30)
 
 	sameSeries(t, "loopback-vs-wire", lb.Recorder().Series, w.Recorder().Series)
 	sameSnapshots(t, "loopback-vs-wire", lb.Engine.LastSnapshots(), w.Engine.LastSnapshots())
@@ -172,7 +177,7 @@ func TestScaleInLoopbackEqualsWire(t *testing.T) {
 		t.Fatalf("scale histories diverged: in %d/%d out %d/%d",
 			lbScaler.ScaleIns, wScaler.ScaleIns, lbScaler.ScaleOuts, wScaler.ScaleOuts)
 	}
-	if a, b := lb.Rebalances(), w.Rebalances(); a != b {
+	if a, b := lb.Rebalances(), wCtl.Rebalances(); a != b {
 		t.Fatalf("rebalance counts diverged: %d vs %d", a, b)
 	}
 	lb.StageNamed("count").Barrier()

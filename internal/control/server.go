@@ -9,7 +9,7 @@ import (
 
 // Server is the controller side of the per-stage control loop, detached
 // from any particular transport: it answers an Executor over a Conn —
-// the in-process loopback, the gob pipe, or a cluster socket — running
+// the in-process loopback or a cluster socket — running
 // the given policies each round. Loop composes one with an Executor for
 // the single-process case; the cluster coordinator runs one per remote
 // stage, which is how the distributed control plane reuses the exact
@@ -48,21 +48,6 @@ func (s *Server) Close() {
 		s.conn.Close()
 		s.wg.Wait()
 	})
-}
-
-// WireBytes reports the cumulative bytes the server's transport has
-// sent and received, when the transport counts them (the gob wire and
-// socket transports do; the in-process loopback moves no bytes and
-// reports zeros).
-func (s *Server) WireBytes() (sent, rcvd int64) {
-	type counter interface {
-		SentBytes() int64
-		RecvBytes() int64
-	}
-	if c, ok := s.conn.(counter); ok {
-		return c.SentBytes(), c.RecvBytes()
-	}
-	return 0, 0
 }
 
 // serve is the controller side: for every round it receives the

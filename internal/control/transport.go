@@ -2,16 +2,16 @@ package control
 
 import (
 	"fmt"
-	"net"
 	"sync"
 
 	"repro/internal/protocol"
 )
 
-// Conn is one side of a bidirectional control-message link. The
-// protocol Codec over any net.Conn satisfies the Send/Recv half; the
-// in-process loopback passes the same *protocol.Message values through
-// channels. Close unblocks the peer's pending Recv with an error.
+// Conn is one side of a bidirectional control-message link. In process
+// it is the loopback, which passes *protocol.Message values through
+// channels; across processes it is cluster.Conn, the framed protocol
+// Codec over a socket. Close unblocks the peer's pending Recv with an
+// error.
 type Conn interface {
 	Send(*protocol.Message) error
 	Recv() (*protocol.Message, error)
@@ -69,7 +69,8 @@ const loopbackBuffer = 64
 
 // NewLoopbackPair returns two connected in-process Conns: messages
 // Sent on one arrive at the other's Recv as the same pointer values,
-// with no serialization. It is the control plane's default transport.
+// with no serialization. It is the control plane's in-process
+// transport.
 func NewLoopbackPair() (Conn, Conn) {
 	ab := make(chan *protocol.Message, loopbackBuffer)
 	ba := make(chan *protocol.Message, loopbackBuffer)
@@ -77,30 +78,4 @@ func NewLoopbackPair() (Conn, Conn) {
 	once := new(sync.Once)
 	return &chanConn{out: ab, in: ba, done: done, once: once},
 		&chanConn{out: ba, in: ab, done: done, once: once}
-}
-
-// pipeConn frames messages with the gob Codec over a real byte-stream
-// connection — the wire transport.
-type pipeConn struct {
-	*protocol.Codec
-	c net.Conn
-}
-
-func (p *pipeConn) Close() error { return p.c.Close() }
-
-// NewWirePair returns two Conns speaking the gob wire format over an
-// in-memory synchronous pipe — every message is fully encoded and
-// decoded, exactly as it would be across a process boundary. The
-// control loop is pinned to behave identically over NewLoopbackPair
-// and NewWirePair; a real deployment substitutes its own net.Conn via
-// WrapConn.
-func NewWirePair() (Conn, Conn) {
-	a, b := net.Pipe()
-	return WrapConn(a), WrapConn(b)
-}
-
-// WrapConn frames control messages over an established network
-// connection with the protocol Codec.
-func WrapConn(c net.Conn) Conn {
-	return &pipeConn{Codec: protocol.NewCodec(c), c: c}
 }

@@ -207,8 +207,9 @@ func (c *Controller) guardSplit(plan *balance.Plan, split []tuple.Key, snap *sta
 // Maybe evaluates one snapshot and rebalances the stage directly if
 // needed, returning what it did (nil when balanced or not applicable).
 // It is the in-process shortcut around the protocol path — same
-// decision core, same application primitive — used by unit tests and
-// hand-wired engines.
+// decision core, same application primitive — and the reference the
+// control loop is pinned against: a test that wants it registers a
+// closure over Maybe with engine.AddSnapshotHook.
 func (c *Controller) Maybe(stage *engine.Stage, snap *stats.Snapshot) *engine.Rebalance {
 	plan := c.decide(stage.AssignmentRouter() != nil, snap)
 	if plan == nil {
@@ -229,33 +230,6 @@ func (c *Controller) apply(stage *engine.Stage, plan *balance.Plan) *engine.Reba
 	}
 	c.applied++
 	return &engine.Rebalance{Plan: plan, Moved: moved}
-}
-
-// Hook adapts the controller to the engine-wide OnSnapshot callback,
-// managing only the engine's target stage, via the direct Maybe path.
-// Topologies built through the topology builder run the controller as
-// a control.Policy on the unified loop instead.
-func (c *Controller) Hook() engine.SnapshotHook {
-	return func(e *engine.Engine, si int, snap *stats.Snapshot) *engine.Rebalance {
-		if si != e.Target {
-			return nil
-		}
-		return c.Maybe(e.Stages[si], snap)
-	}
-}
-
-// StageHook adapts the controller to the engine's per-stage snapshot
-// fan-out: the returned hook manages exactly stage si, regardless of
-// which stage the engine records metrics for. Register it with
-// engine.AddSnapshotHook(si, ...); one controller must manage one
-// stage only (its pending-plan state is per-operator).
-func (c *Controller) StageHook(si int) engine.SnapshotHook {
-	return func(e *engine.Engine, idx int, snap *stats.Snapshot) *engine.Rebalance {
-		if idx != si {
-			return nil
-		}
-		return c.Maybe(e.Stages[idx], snap)
-	}
 }
 
 // Rebalances returns how many plans were applied.

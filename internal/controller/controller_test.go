@@ -94,16 +94,37 @@ func TestControllerCustomTrigger(t *testing.T) {
 	}
 }
 
+// directHook is the direct path: the controller decides and applies on
+// the stage itself, registered like any other per-stage hook.
+func directHook(c *Controller) engine.SnapshotHook {
+	return func(e *engine.Engine, si int, snap *stats.Snapshot) *engine.Rebalance {
+		return c.Maybe(e.Stages[si], snap)
+	}
+}
+
+// TestControllerHookTargetsOnlyTargetStage: a controller registered on
+// one stage is handed that stage's snapshots only — the engine's
+// per-stage fan-out is the filter, the hook carries none.
 func TestControllerHookTargetsOnlyTargetStage(t *testing.T) {
-	st := newStage(2)
+	s0, s1 := newStage(2), newStage(2)
 	c := New(balance.Mixed{}, balance.Config{ThetaMax: 0.08, Beta: 1.5})
 	e := engine.New(func() tuple.Tuple { return tuple.New(1, nil) },
-		engine.Config{Window: 1, Budget: 100, MaxPendingFactor: 2, MigrationFactor: 1}, st)
+		engine.Config{Budget: 100, MaxPendingFactor: 2, MigrationFactor: 1}, s0, s1)
 	defer e.Stop()
-	e.OnSnapshot = c.Hook()
-	hook := c.Hook()
-	if r := hook(e, 1, &stats.Snapshot{}); r != nil {
-		t.Fatal("hook acted on non-target stage")
+	var seen []int
+	hook := directHook(c)
+	e.AddSnapshotHook(0, func(e *engine.Engine, si int, snap *stats.Snapshot) *engine.Rebalance {
+		seen = append(seen, si)
+		return hook(e, si, snap)
+	})
+	e.Run(3)
+	if len(seen) != 3 {
+		t.Fatalf("hook ran %d times over 3 intervals", len(seen))
+	}
+	for _, si := range seen {
+		if si != 0 {
+			t.Fatalf("hook registered on stage 0 ran for stage %d", si)
+		}
 	}
 }
 
@@ -112,7 +133,7 @@ func TestControllerHookTargetsOnlyTargetStage(t *testing.T) {
 func TestControllerEndToEndReducesSkew(t *testing.T) {
 	run := func(withController bool) float64 {
 		st := newStage(4)
-		cfg := engine.Config{Window: 1, Budget: 2000, MaxPendingFactor: 2, MigrationFactor: 1}
+		cfg := engine.Config{Budget: 2000, MaxPendingFactor: 2, MigrationFactor: 1}
 		var n uint64
 		// 10 hot keys cover most of the load.
 		e := engine.New(func() tuple.Tuple {
@@ -125,7 +146,7 @@ func TestControllerEndToEndReducesSkew(t *testing.T) {
 		defer e.Stop()
 		if withController {
 			c := New(balance.Mixed{}, balance.Config{ThetaMax: 0.08, Beta: 1.5})
-			e.OnSnapshot = c.Hook()
+			e.AddSnapshotHook(0, directHook(c))
 		}
 		e.Run(10)
 		// Average skew over the last 5 intervals.
@@ -221,7 +242,7 @@ func TestStalePlanDroppedAfterScaleIn(t *testing.T) {
 		t.Fatal("slow plan applied immediately")
 	}
 	// The instance set shrinks while the plan is in generation.
-	st.ScaleIn()
+	st.ScaleIn(nil)
 
 	// Interval 1: the pending plan lands — computed for 3 instances,
 	// released against 2. It must be dropped, not applied.

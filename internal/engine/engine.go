@@ -44,10 +44,6 @@ func BatchSpout(s Spout) SpoutBatch {
 // that with Capacity = spout budget / ND for the target stage, so any
 // imbalance immediately shows up as backlog, throttling and latency.
 type Config struct {
-	// Window is the state window w in intervals, carried for reference
-	// only: stages take their actual window from NewStage's w
-	// parameter, and the engine never reads this field.
-	Window int
 	// Budget is the spout's tuple budget per interval at full rate.
 	Budget int64
 	// Capacity is a task's service capacity in cost units per interval;
@@ -80,22 +76,6 @@ type Config struct {
 	// while order-dependent routers (PKG, shuffle) observe the feeders'
 	// nondeterministic interleaving.
 	Feeders int
-	// Pipeline selects streaming inter-stage transfer: each task
-	// flushes its emitted tuples straight into the next stage in
-	// emitChunk-sized batches as they fill, from its own goroutine, so
-	// stage s+1 consumes and processes while stage s is still working.
-	// The interval then ends with a cascading close — barrier stage s,
-	// flush each task's residual emission buffer downstream, close
-	// stage s+1 — instead of the driver's store-and-forward
-	// Barrier/DrainEmitted/FeedBatch sequence. The emitted multiset,
-	// per-stage arrival totals, harvest snapshots and routing tables
-	// are identical either way; only arrival *order* at downstream
-	// stages changes, which none of those observe (order-dependent
-	// downstream routers — PKG, shuffle — see the interleaving, as they
-	// do under Feeders > 1). False keeps the store-and-forward path, so
-	// the equivalence stays testable. Single-stage topologies are
-	// unaffected either way.
-	Pipeline bool
 	// FeedLatency enables the per-interval feed-latency histogram:
 	// every FeedBatch call on stage 0 is wall-clock timed into a
 	// per-feeder metrics.LatencyHist, and the interval record reports
@@ -111,7 +91,7 @@ type Config struct {
 // single backed-up instance throttles the whole spout, which is exactly
 // how intra-operator imbalance destroys cluster throughput in §I.
 func DefaultConfig() Config {
-	return Config{Window: 1, Budget: 10000, MaxPendingFactor: 0.5, MigrationFactor: 0.5}
+	return Config{Budget: 10000, MaxPendingFactor: 0.5, MigrationFactor: 0.5}
 }
 
 // emitChunk is the spout batch size: large enough to amortize the
@@ -159,28 +139,20 @@ type Engine struct {
 	// under study; downstream stages still execute and consume).
 	Target   int
 	Recorder *metrics.Recorder
-	// OnSnapshot is the engine-wide controller hook, invoked for every
-	// stage at each interval end with the harvested statistics. Hooks
-	// registered per stage with AddSnapshotHook run after it; prefer
-	// those for topologies where more than one stage is
-	// controller-managed.
-	OnSnapshot SnapshotHook
 	// AdvanceWorkload, when set, is invoked after each interval so the
 	// generator can shift its distribution (fluctuation, bursts).
 	AdvanceWorkload func(interval int64)
 
 	// stageHooks is the per-stage snapshot fan-out: stageHooks[si] are
 	// invoked with stage si's snapshot only, letting every stage carry
-	// its own controller (the engine-wide OnSnapshot can only filter by
-	// Target). Maintained by AddSnapshotHook; nil until the first
-	// registration.
+	// its own controller. Maintained by AddSnapshotHook; nil until the
+	// first registration.
 	stageHooks [][]SnapshotHook
 
 	interval  int64
 	capacity  []int64 // per stage
 	backlogT  [][]int64
 	lastEmit  int64
-	wired     bool // inter-stage sinks currently wired for Cfg.Pipeline
 	stopped   bool
 	snapshots []*stats.Snapshot // last interval's, per stage (for tests)
 	// emitter is the emission plane (spout draw → chunked FeedBatch into
@@ -219,6 +191,13 @@ func (e *Engine) init() *Engine {
 		}
 		e.capacity[i] = c
 		e.backlogT[i] = make([]int64, s.Instances())
+		// Operators stream to each other: every stage but the last
+		// emits into its successor. The last stage's sink is the
+		// caller's (a capture, a cluster data connection) and is left
+		// alone.
+		if i+1 < len(stages) {
+			s.SetDownstream(stages[i+1])
+		}
 	}
 	return e
 }
@@ -241,8 +220,8 @@ func (e *Engine) SetStageCapacity(si int, c int64) {
 }
 
 // AddSnapshotHook registers a per-stage controller hook: h is invoked
-// at each interval end with stage si's harvested snapshot, after the
-// engine-wide OnSnapshot. Each stage can carry any number of hooks
+// at each interval end with stage si's harvested snapshot. Each stage
+// can carry any number of hooks
 // (they run in registration order), so multi-stage topologies can put
 // an independent controller on every stage. Call before the first
 // RunInterval or between intervals; the hook list is read on the
@@ -277,29 +256,16 @@ func (e *Engine) Run(n int) {
 }
 
 // RunInterval drives one full logical interval: throttled emission,
-// pipelined processing, statistics harvest, controller hook, metrics.
+// streaming processing, statistics harvest, controller hook, metrics.
 func (e *Engine) RunInterval() {
 	if e.stopped {
 		panic("engine: RunInterval after Stop")
 	}
 	target := e.Stages[e.Target]
 
-	// (Un)wire the inter-stage emission sinks when the mode changed
-	// since the last interval; publish the interval index every task
-	// stamps on emitted tuples. Tasks are idle here (the previous
-	// interval ended with barriers), and the emission sends below give
-	// them the happens-before edge on both writes.
-	pipelined := e.Cfg.Pipeline && len(e.Stages) > 1
-	if pipelined != e.wired {
-		for si := 0; si+1 < len(e.Stages); si++ {
-			var next *Stage
-			if pipelined {
-				next = e.Stages[si+1]
-			}
-			e.Stages[si].SetDownstream(next)
-		}
-		e.wired = pipelined
-	}
+	// Publish the interval index every task stamps on emitted tuples.
+	// Tasks are idle here (the previous interval ended with barriers),
+	// and the emission sends below give them the happens-before edge.
 	for _, s := range e.Stages {
 		s.StartInterval(e.interval)
 	}
@@ -323,10 +289,10 @@ func (e *Engine) RunInterval() {
 	// FeedBatch copies the tuples into per-destination messages, and the
 	// scratch is immediately reusable for the next chunk. With
 	// Cfg.Feeders > 1 the budget is split across N feeder goroutines
-	// before the fan-out. Under Cfg.Pipeline every downstream stage is
-	// consuming concurrently from the first chunk on — its tasks receive
-	// upstream flushes mid-interval — so the emission loop below drives
-	// the whole topology, not just stage 0.
+	// before the fan-out. Every downstream stage is consuming
+	// concurrently from the first chunk on — its tasks receive upstream
+	// flushes mid-interval — so the emission loop below drives the whole
+	// topology, not just stage 0.
 	if got := e.emit(emitN); got < emitN {
 		// The spout ended early (finite batch sources); record the true
 		// emission so the model and metrics charge what actually
@@ -334,32 +300,11 @@ func (e *Engine) RunInterval() {
 		emitN = got
 		e.lastEmit = got
 	}
-	if pipelined {
-		// Cascading close: once stage s's tasks have drained, flushed
-		// their interval hooks and streamed their residual buffers, all
-		// of stage s's output is in stage s+1's queues and s+1 can be
-		// closed in turn. Interval
-		// semantics — which tuples belong to which interval, arrival
-		// accounting, migration safety — match store-and-forward
-		// exactly; only the transfer overlaps processing.
-		for si := 0; si < len(e.Stages); si++ {
-			e.Stages[si].CloseInterval()
-		}
-	} else {
-		// Store-and-forward: run each stage to completion, concatenate
-		// every task's emissions on the driver, and only then feed the
-		// next stage. EmitTick is stamped at emission time by
-		// TaskCtx.Emit, and DrainEmitted's buffer is reused across
-		// intervals, so this legacy path allocates nothing per interval
-		// once warm.
-		for si := 0; si < len(e.Stages); si++ {
-			e.Stages[si].Barrier()
-			e.Stages[si].FlushOps()
-			out := e.Stages[si].DrainEmitted()
-			if si+1 < len(e.Stages) {
-				e.Stages[si+1].FeedBatch(out)
-			}
-		}
+	// Cascading close: once stage s's tasks have drained, flushed their
+	// interval hooks and streamed their residual buffers, all of stage
+	// s's output is in stage s+1's queues and s+1 can be closed in turn.
+	for _, s := range e.Stages {
+		s.CloseInterval()
 	}
 
 	// Capture arrival accounting before EndInterval resets it, then run
@@ -385,24 +330,16 @@ func (e *Engine) RunInterval() {
 		liveState += target.StoreOf(d).TotalSize()
 	}
 
-	// Controller hooks (may migrate keys and swap assignments):
-	// the engine-wide OnSnapshot sees every stage, then each stage's
-	// registered hooks fan out with that stage's snapshot. The target
-	// stage's first rebalance is the one the interval metrics record.
+	// Controller hooks (may migrate keys and swap assignments): each
+	// stage's registered hooks run with that stage's snapshot. The
+	// target stage's first rebalance is the one the interval metrics
+	// record.
 	var reb *Rebalance
-	if e.OnSnapshot != nil || e.stageHooks != nil {
-		record := func(si int, r *Rebalance) {
-			if si == e.Target && r != nil && reb == nil {
-				reb = r
-			}
-		}
+	if e.stageHooks != nil {
 		for si := range e.Stages {
-			if e.OnSnapshot != nil {
-				record(si, e.OnSnapshot(e, si, e.snapshots[si]))
-			}
-			if e.stageHooks != nil {
-				for _, h := range e.stageHooks[si] {
-					record(si, h(e, si, e.snapshots[si]))
+			for _, h := range e.stageHooks[si] {
+				if r := h(e, si, e.snapshots[si]); r != nil && si == e.Target && reb == nil {
+					reb = r
 				}
 			}
 		}
@@ -583,27 +520,22 @@ func StepModel(p ModelParams, backlog, backlogT, migPenalty, cost, tuples []int6
 // −1 live scale-in) and keeps the model's bookkeeping in step — the
 // generalized elastic actuator (any stage, both directions) behind the
 // unified control plane's ScaleOut/ScaleIn commands. Capacity per task
-// stays fixed: resizing changes headroom, not per-instance speed.
-// Returns an error — with no state touched — on an invalid delta or a
-// stage whose router cannot resize (no assignment router, non-ring
-// hasher, retiring the only instance).
-func (e *Engine) ResizeStage(si, delta int) (int64, error) {
-	return e.ResizeStageObserved(si, delta, nil)
-}
-
-// ResizeStageObserved is ResizeStage with a per-key migration observer
-// forwarded to the stage actuator (nil behaves like ResizeStage).
-func (e *Engine) ResizeStageObserved(si, delta int, obs MigrationObserver) (int64, error) {
+// stays fixed: resizing changes headroom, not per-instance speed. obs,
+// when non-nil, observes every key migration. Returns an error — with
+// no state touched — on an invalid delta or a stage whose router cannot
+// resize (no assignment router, non-ring hasher, retiring the only
+// instance).
+func (e *Engine) ResizeStage(si, delta int, obs MigrationObserver) (int64, error) {
 	switch delta {
 	case 1:
-		moved, err := e.Stages[si].ScaleOutObserved(obs)
+		moved, err := e.Stages[si].ScaleOut(obs)
 		if err != nil {
 			return 0, err
 		}
 		e.backlogT[si] = append(e.backlogT[si], 0)
 		return moved, nil
 	case -1:
-		moved, err := e.Stages[si].ScaleInObserved(obs)
+		moved, err := e.Stages[si].ScaleIn(obs)
 		if err != nil {
 			return 0, err
 		}
@@ -617,13 +549,6 @@ func (e *Engine) ResizeStageObserved(si, delta int, obs MigrationObserver) (int6
 	default:
 		return 0, fmt.Errorf("engine: ResizeStage delta must be ±1 (got %d)", delta)
 	}
-}
-
-// ScaleOutTarget adds an instance to the target stage (Fig. 15
-// scenario); it is ResizeStage(Target, +1), kept for callers of the
-// pre-ResizeStage API.
-func (e *Engine) ScaleOutTarget() (int64, error) {
-	return e.ResizeStage(e.Target, 1)
 }
 
 // Stop terminates all stage goroutines.

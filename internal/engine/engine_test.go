@@ -144,7 +144,7 @@ func TestScaleOutPreservesStateAndCorrectness(t *testing.T) {
 	for d := 0; d < 3; d++ {
 		before += st.StoreOf(d).TotalSize()
 	}
-	moved, err := st.ScaleOut()
+	moved, err := st.ScaleOut(nil)
 	if err != nil {
 		t.Fatalf("ScaleOut: %v", err)
 	}
@@ -257,13 +257,13 @@ func TestEngineOnSnapshotHookSeesLoad(t *testing.T) {
 	var sawKeys int
 	e := New(func() tuple.Tuple { return tuple.New(tuple.Key(rand.Intn(10)), nil) }, cfg, st)
 	defer e.Stop()
-	e.OnSnapshot = func(_ *Engine, si int, snap *stats.Snapshot) *Rebalance {
+	e.AddSnapshotHook(0, func(_ *Engine, si int, snap *stats.Snapshot) *Rebalance {
 		sawKeys = len(snap.Keys)
 		return nil
-	}
+	})
 	e.Run(1)
 	if sawKeys == 0 {
-		t.Fatal("OnSnapshot hook saw no keys")
+		t.Fatal("snapshot hook saw no keys")
 	}
 }
 

@@ -40,17 +40,14 @@ type TaskCtx struct {
 	// Tracker accumulates the per-key statistics the controller
 	// harvests at interval boundaries.
 	Tracker *stats.Tracker
-	// out gathers tuples emitted downstream during the interval. With a
-	// sink wired (pipelined execution) it is the emission chunk buffer:
-	// streamed into the downstream stage whenever it fills to emitChunk
-	// and at interval close, so it never grows past one chunk. Without a
-	// sink it accumulates for the driver's DrainEmitted.
+	// out is the emission chunk buffer: streamed into the sink whenever
+	// it fills to emitChunk and at interval close, so it never grows
+	// past one chunk. Without a sink it collects the interval's
+	// emissions until the close discards them.
 	out []tuple.Tuple
-	// sink is the downstream edge pipelined emissions flush into — the
-	// next stage in process, or a cluster data connection to its remote
-	// host. It is nil under store-and-forward execution (the driver
-	// drains out instead) and on the last stage (whose emissions are
-	// discarded at interval close, as the driver's drain-and-drop does).
+	// sink is the downstream edge emissions flush into — the next stage
+	// in process, or a cluster data connection to its remote host. It is
+	// nil on a last stage nobody listens to.
 	sink BatchSink
 	// emitTick is the interval index stamped on emitted tuples,
 	// maintained by Stage.StartInterval.
@@ -62,10 +59,9 @@ type TaskCtx struct {
 }
 
 // Emit sends a tuple to the next stage, stamped with the emitting
-// interval. Under pipelined execution a full chunk flushes straight
-// into the downstream stage from the emitting task's goroutine;
-// otherwise tuples collect until the driver drains them at the
-// interval barrier.
+// interval. A full chunk flushes straight into the downstream stage
+// from the emitting task's goroutine; the rest follows at the interval
+// close.
 func (c *TaskCtx) Emit(t tuple.Tuple) {
 	t.EmitTick = c.emitTick
 	c.out = append(c.out, t)

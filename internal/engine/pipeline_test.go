@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,17 +13,54 @@ import (
 	"repro/internal/workload"
 )
 
-// Tests of the streaming inter-stage pipeline: Cfg.Pipeline must change
-// cost, not semantics — the downstream multiset, per-interval metrics,
-// harvest snapshots and backpressure behavior stay identical to the
-// store-and-forward driver, and task-goroutine flushes must survive
-// live migration of the downstream stage under -race.
+// Tests of the streaming inter-stage transfer: overlapping the transfer
+// with processing must change cost, not semantics — the downstream
+// multiset, per-interval metrics, harvest snapshots and backpressure
+// behavior stay identical to a store-and-forward run, and
+// task-goroutine flushes must survive live migration of the downstream
+// stage under -race.
+
+// holdOp keeps every tuple of the interval and emits them all at the
+// interval flush.
+type holdOp struct{ held []tuple.Tuple }
+
+func (h *holdOp) Process(_ *TaskCtx, t tuple.Tuple) { h.held = append(h.held, t) }
+func (h *holdOp) FlushInterval(ctx *TaskCtx) {
+	for _, t := range h.held {
+		ctx.Emit(t)
+	}
+	h.held = h.held[:0]
+}
+
+// refStoreAndForward is the barrier transfer the engine used to have,
+// as the reference the streaming transfer is pinned against: between
+// every two stages sits a one-instance relay that holds the interval's
+// tuples until its own close — which the cascading close reaches only
+// after the stage before it has run to completion — so the stage after
+// it gets its whole input at once, after upstream finished. The relays
+// have unbounded capacity, so they never show in the throttle. Stage si
+// of the topology is Stages[2*si] of the returned engine.
+func refStoreAndForward(spout SpoutBatch, cfg Config, stages ...*Stage) *Engine {
+	var all []*Stage
+	for i, s := range stages {
+		if i > 0 {
+			all = append(all, NewStage("hold", 1, func(int) Operator { return &holdOp{} }, 1, NewShuffleRouter(1)))
+		}
+		all = append(all, s)
+	}
+	e := NewBatch(spout, cfg, all...)
+	for i := 1; i < len(all); i += 2 {
+		e.SetStageCapacity(i, math.MaxInt64/2)
+	}
+	return e
+}
 
 // mkTwoStageEngine builds a map→count topology over a seeded Zipf draw:
 // stage 0 forwards a derived tuple per input, stage 1 counts arrivals
-// per key into windowed state. Returns the engine, both stages and the
-// downstream counting fleet.
-func mkTwoStageEngine(pipelined bool) (*Engine, *Stage, *Stage, []*countingOp) {
+// per key into windowed state; ref selects the store-and-forward
+// reference. Returns the engine, both stages and the downstream
+// counting fleet.
+func mkTwoStageEngine(ref bool) (*Engine, *Stage, *Stage, []*countingOp) {
 	const nd = 4
 	gen := workload.NewZipfStream(1500, 0.9, 0, 8000, 29)
 	fwd := OperatorFunc(func(ctx *TaskCtx, tp tuple.Tuple) {
@@ -36,21 +74,22 @@ func mkTwoStageEngine(pipelined bool) (*Engine, *Stage, *Stage, []*countingOp) {
 	}, 2, newAsgRouter(nd))
 	cfg := DefaultConfig()
 	cfg.Budget = 8000
-	cfg.Pipeline = pipelined
-	e := NewBatch(gen.NextBatch, cfg, s0, s1)
-	return e, s0, s1, fleet
+	if ref {
+		return refStoreAndForward(gen.NextBatch, cfg, s0, s1), s0, s1, fleet
+	}
+	return NewBatch(gen.NextBatch, cfg, s0, s1), s0, s1, fleet
 }
 
-// TestPipelineMatchesStoreAndForward pins the tentpole equivalence
-// claim: with Cfg.Pipeline the per-interval metric series, the harvest
+// TestPipelineMatchesStoreAndForward pins the equivalence claim: under
+// the streaming transfer the per-interval metric series, the harvest
 // snapshots of both stages and the downstream tuple multiset equal the
-// store-and-forward run over identical seeds.
+// store-and-forward reference over identical seeds.
 func TestPipelineMatchesStoreAndForward(t *testing.T) {
-	sf, _, _, sfFleet := mkTwoStageEngine(false)
+	sf, _, _, sfFleet := mkTwoStageEngine(true)
 	defer sf.Stop()
 	sf.Run(5)
 
-	pl, _, _, plFleet := mkTwoStageEngine(true)
+	pl, _, _, plFleet := mkTwoStageEngine(false)
 	defer pl.Stop()
 	pl.Run(5)
 
@@ -61,7 +100,7 @@ func TestPipelineMatchesStoreAndForward(t *testing.T) {
 		}
 	}
 	for si := 0; si < 2; si++ {
-		sa, sb := sf.LastSnapshots()[si], pl.LastSnapshots()[si]
+		sa, sb := sf.LastSnapshots()[2*si], pl.LastSnapshots()[si]
 		if len(sa.Keys) != len(sb.Keys) {
 			t.Fatalf("stage %d snapshot sizes %d ≠ %d", si, len(sb.Keys), len(sa.Keys))
 		}
@@ -78,33 +117,6 @@ func TestPipelineMatchesStoreAndForward(t *testing.T) {
 	for k, n := range want {
 		if got[k] != n {
 			t.Fatalf("key %d reached stage 1 %d times pipelined, %d store-and-forward", k, got[k], n)
-		}
-	}
-}
-
-// TestPipelineSingleStageFallsBackToLegacy pins that Cfg.Pipeline on a
-// single-stage topology is a no-op: the store-and-forward close runs
-// and emissions are drained (and dropped) exactly as before.
-func TestPipelineSingleStageFallsBackToLegacy(t *testing.T) {
-	mk := func(pipelined bool) *Engine {
-		st := statefulStage(2, 1)
-		cfg := DefaultConfig()
-		cfg.Budget = 2000
-		cfg.Pipeline = pipelined
-		var n uint64
-		return New(func() tuple.Tuple {
-			n++
-			return tuple.New(tuple.Key(n%100), nil)
-		}, cfg, st)
-	}
-	a, b := mk(false), mk(true)
-	defer a.Stop()
-	defer b.Stop()
-	a.Run(3)
-	b.Run(3)
-	for i := range a.Recorder.Series {
-		if a.Recorder.Series[i] != b.Recorder.Series[i] {
-			t.Fatalf("single-stage interval %d diverges under Pipeline", i)
 		}
 	}
 }
@@ -127,17 +139,14 @@ func TestBackpressureScansAllStages(t *testing.T) {
 		}, cfg, s0, s1)
 		return e, s1
 	}
-	for _, pipelined := range []bool{false, true} {
-		e, s1 := mk()
-		e.Cfg.Pipeline = pipelined
-		// A downstream backlog of 2000 against threshold 500 must
-		// throttle emission to 500/2000 of the budget: 250 tuples.
-		s1.Backlog[0] = 2000
-		e.RunInterval()
-		e.Stop()
-		if got := e.LastEmitted(); got != 250 {
-			t.Fatalf("pipelined=%v: downstream backlog 2000 emitted %d, want 250", pipelined, got)
-		}
+	e, s1 := mk()
+	// A downstream backlog of 2000 against threshold 500 must throttle
+	// emission to 500/2000 of the budget: 250 tuples.
+	s1.Backlog[0] = 2000
+	e.RunInterval()
+	e.Stop()
+	if got := e.LastEmitted(); got != 250 {
+		t.Fatalf("downstream backlog 2000 emitted %d, want 250", got)
 	}
 }
 
@@ -171,73 +180,30 @@ func TestBackpressureSingleStageUnchanged(t *testing.T) {
 	}
 }
 
-// emitTickRecorder accumulates the EmitTick histogram of arriving
-// tuples; instances share one map under a mutex (arrival order is not
-// under test, the stamps are).
-type emitTickRecorder struct {
-	mu    *sync.Mutex
-	ticks map[int64]int64
-}
-
-func (r emitTickRecorder) Process(ctx *TaskCtx, t tuple.Tuple) {
-	r.mu.Lock()
-	r.ticks[t.EmitTick]++
-	r.mu.Unlock()
-}
-
 // TestEmitTickStampedAtEmission pins the emission-time stamp: tuples a
-// stage emits carry the interval they were emitted in, on both
-// transfer paths (previously the driver stamped them post hoc while
-// concatenating).
+// stage emits carry the interval they were emitted in.
 func TestEmitTickStampedAtEmission(t *testing.T) {
-	for _, pipelined := range []bool{false, true} {
-		fwd := OperatorFunc(func(ctx *TaskCtx, tp tuple.Tuple) { ctx.Emit(tuple.New(tp.Key, nil)) })
-		s0 := NewStage("map", 2, func(int) Operator { return fwd }, 1, newAsgRouter(2))
-		rec := emitTickRecorder{mu: &sync.Mutex{}, ticks: make(map[int64]int64)}
-		s1 := NewStage("sink", 2, func(int) Operator { return rec }, 1, newAsgRouter(2))
-		cfg := DefaultConfig()
-		cfg.Budget = 600
-		cfg.Pipeline = pipelined
-		var n uint64
-		e := New(func() tuple.Tuple {
-			n++
-			return tuple.New(tuple.Key(n%40), nil)
-		}, cfg, s0, s1)
-		e.Run(3)
-		e.Stop()
-		for tick := int64(0); tick < 3; tick++ {
-			if got := rec.ticks[tick]; got != 600 {
-				t.Fatalf("pipelined=%v: %d tuples stamped with interval %d, want 600 (%v)",
-					pipelined, got, tick, rec.ticks)
-			}
+	fwd := OperatorFunc(func(ctx *TaskCtx, tp tuple.Tuple) { ctx.Emit(tuple.New(tp.Key, nil)) })
+	s0 := NewStage("map", 2, func(int) Operator { return fwd }, 1, newAsgRouter(2))
+	var out captureSink
+	s0.SetSink(&out)
+	cfg := DefaultConfig()
+	cfg.Budget = 600
+	var n uint64
+	e := New(func() tuple.Tuple {
+		n++
+		return tuple.New(tuple.Key(n%40), nil)
+	}, cfg, s0)
+	e.Run(3)
+	e.Stop()
+	ticks := make(map[int64]int64)
+	for _, tp := range out.got {
+		ticks[tp.EmitTick]++
+	}
+	for tick := int64(0); tick < 3; tick++ {
+		if got := ticks[tick]; got != 600 {
+			t.Fatalf("%d tuples stamped with interval %d, want 600 (%v)", got, tick, ticks)
 		}
-	}
-}
-
-// TestDrainEmittedReusesBuffer pins the legacy path's allocation
-// behavior: successive drains of comparable volume reuse one backing
-// array instead of reallocating the concatenation every interval.
-func TestDrainEmittedReusesBuffer(t *testing.T) {
-	fwd := OperatorFunc(func(ctx *TaskCtx, tp tuple.Tuple) { ctx.Emit(tp) })
-	st := NewStage("f", 2, func(int) Operator { return fwd }, 1, newAsgRouter(2))
-	defer st.Stop()
-	feed := func() []tuple.Tuple {
-		for i := 0; i < 100; i++ {
-			st.Feed(tuple.New(tuple.Key(i), nil))
-		}
-		st.Barrier()
-		return st.DrainEmitted()
-	}
-	first := feed()
-	if len(first) != 100 {
-		t.Fatalf("drained %d, want 100", len(first))
-	}
-	second := feed()
-	if len(second) != 100 {
-		t.Fatalf("drained %d, want 100", len(second))
-	}
-	if &first[0] != &second[0] {
-		t.Fatal("second drain did not reuse the first drain's backing array")
 	}
 }
 

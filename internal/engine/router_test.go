@@ -65,9 +65,9 @@ func TestEngineScaleOutTarget(t *testing.T) {
 	}, cfg, st)
 	defer e.Stop()
 	e.Run(2)
-	moved, err := e.ScaleOutTarget()
+	moved, err := e.ResizeStage(e.Target, +1, nil)
 	if err != nil {
-		t.Fatalf("ScaleOutTarget: %v", err)
+		t.Fatalf("ResizeStage(Target, +1): %v", err)
 	}
 	if st.Instances() != 4 {
 		t.Fatalf("instances = %d", st.Instances())

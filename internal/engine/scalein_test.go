@@ -63,7 +63,7 @@ func TestStageScaleInMigratesEverything(t *testing.T) {
 	}
 
 	var transferred int64
-	moved, errScaleIn := st.ScaleInObserved(func(k tuple.Key, from, to int, size int64, payload []byte) {
+	moved, errScaleIn := st.ScaleIn(func(k tuple.Key, from, to int, size int64, payload []byte) {
 		if from != 2 {
 			t.Fatalf("key %d migrated from surviving instance %d during scale-in", k, from)
 		}
@@ -73,7 +73,7 @@ func TestStageScaleInMigratesEverything(t *testing.T) {
 		transferred += size
 	})
 	if errScaleIn != nil {
-		t.Fatalf("ScaleInObserved: %v", errScaleIn)
+		t.Fatalf("ScaleIn: %v", errScaleIn)
 	}
 
 	if st.Instances() != 2 {
@@ -123,7 +123,7 @@ func TestStageScaleInCarriesTrackerHistory(t *testing.T) {
 	defer st.Stop()
 	const keys = 120
 	feedInterval(st, 0, keys)
-	st.ScaleIn()
+	st.ScaleIn(nil)
 
 	// Next interval: feed the same keys again and harvest. Every key's
 	// windowed memory must span both intervals (2 units) — including
@@ -164,11 +164,11 @@ func TestEngineResizeStageRoundTrip(t *testing.T) {
 	}, cfg, st)
 	defer e.Stop()
 	e.Run(2)
-	if moved, err := e.ResizeStage(0, +1); err != nil || moved == 0 {
+	if moved, err := e.ResizeStage(0, +1, nil); err != nil || moved == 0 {
 		t.Fatalf("scale-out moved nothing (moved=%d, err=%v)", moved, err)
 	}
 	e.Run(2)
-	if moved, err := e.ResizeStage(0, -1); err != nil || moved == 0 {
+	if moved, err := e.ResizeStage(0, -1, nil); err != nil || moved == 0 {
 		t.Fatalf("scale-in moved nothing (moved=%d, err=%v)", moved, err)
 	}
 	if st.Instances() != 3 {
@@ -190,13 +190,13 @@ func TestEngineResizeStageRoundTrip(t *testing.T) {
 func TestScaleInGuards(t *testing.T) {
 	shuffle := NewStage("sh", 2, func(int) Operator { return Discard }, 1, NewShuffleRouter(2))
 	defer shuffle.Stop()
-	if _, err := shuffle.ScaleIn(); err == nil {
+	if _, err := shuffle.ScaleIn(nil); err == nil {
 		t.Fatal("shuffle scale-in did not error")
 	}
 
 	single := statefulStage(1, 1)
 	defer single.Stop()
-	if _, err := single.ScaleIn(); err == nil {
+	if _, err := single.ScaleIn(nil); err == nil {
 		t.Fatal("single-instance scale-in did not error")
 	}
 	if single.Instances() != 1 {

@@ -264,19 +264,6 @@ func mergeSplitCell(t *task, ctx *TaskCtx, k tuple.Key, c splitCell) {
 	}
 }
 
-// clearSplits folds back and retires the entire split set — the
-// actuator resizes run before touching the ring, since a replica set
-// anchored to a changing instance count would go stale. The detector
-// re-splits survivors on the next interval's evidence.
-func (s *Stage) clearSplits(ar *AssignmentRouter) {
-	if ar == nil || ar.Assignment().Splits() == nil {
-		return
-	}
-	s.migMu.Lock()
-	defer s.migMu.Unlock()
-	s.applySplitSetLocked(nil, ar)
-}
-
 // SplitKeys returns the currently split keys in ascending order (nil
 // when none). The control plane stamps them into load reports so the
 // controller's plan guard sees the live set.

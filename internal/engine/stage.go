@@ -3,7 +3,7 @@ package engine
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -80,16 +80,12 @@ type Stage struct {
 	Backlog    []int64
 	MigPenalty []int64
 
-	// down is the pipelined emission sink (nil when store-and-forward
-	// or last stage): the next stage in process, or a cluster data
-	// connection to its remote host. curTick is the current interval
-	// index. Both are propagated to tasks created later by ScaleOut.
+	// down is the emission sink (nil on a last stage nobody listens
+	// to): the next stage in process, or a cluster data connection to
+	// its remote host. curTick is the current interval index. Both are
+	// propagated to tasks created later by ScaleOut.
 	down    BatchSink
 	curTick int64
-	// drainBuf is DrainEmitted's reused concatenation buffer, so the
-	// legacy store-and-forward path allocates nothing per interval once
-	// warm.
-	drainBuf []tuple.Tuple
 
 	// merged holds the merged runs of the last two closes; EndInterval
 	// alternates between them, so a snapshot's keys stay intact until
@@ -146,23 +142,10 @@ func (s *Stage) Router() Router { return s.router }
 // when the stage uses a different scheme (PKG, shuffle).
 func (s *Stage) AssignmentRouter() *AssignmentRouter { return s.ar }
 
-// Feed routes one tuple into the stage: wait-free under the current
-// generation on an assignment-routed stage, under the stage mutex
-// otherwise. FeedBatch is the batch-oriented fast path; Feed remains
-// for tests and fine-grained callers.
+// Feed routes one tuple into the stage: FeedBatch of one, for tests
+// and fine-grained callers.
 func (s *Stage) Feed(t tuple.Tuple) {
-	if s.ar != nil {
-		s.feedLive(s.ar, t)
-		return
-	}
-	s.mu.Lock()
-	d := s.router.Route(t)
-	s.arrivedCost[d] += t.Cost
-	s.arrivedTuples[d]++
-	s.mu.Unlock()
-	// Channel send outside the lock: a full task queue must exert
-	// backpressure on this feeder without blocking the others.
-	s.tasks[d].send(t, 0)
+	s.FeedBatch([]tuple.Tuple{t})
 }
 
 // enterGen is the wait-free feed entry: it pins the caller to the
@@ -186,27 +169,6 @@ func (s *Stage) enterGen(ar *AssignmentRouter) (*route.Assignment, int) {
 	}
 }
 
-// feedLive is Feed on an assignment-routed stage: no stage mutex —
-// route under the pinned generation, account arrivals atomically, send
-// with the generation stamp, release the epoch. A
-// split key's tuple is physically sent to the next round-robin replica
-// while its arrival stays charged to the home destination F(k), so
-// arrival accounting (and everything modeled from it) reconstructs the
-// unsplit run.
-func (s *Stage) feedLive(ar *AssignmentRouter, t tuple.Tuple) {
-	a, slot := s.enterGen(ar)
-	d := a.Dest(t.Key)
-	atomic.AddInt64(&s.arrivedCost[d], t.Cost)
-	atomic.AddInt64(&s.arrivedTuples[d], 1)
-	if st := a.Splits(); st != nil {
-		if sp, ok := st.Lookup(t.Key); ok {
-			d = sp.Pick()
-		}
-	}
-	s.tasks[d].send(t, a.Gen())
-	s.genInflight[slot].Add(-1)
-}
-
 // liveScratch is feedBatchLive's partition scratch: per-call state from
 // a pool instead of the mu-guarded per-stage fields, since concurrent
 // feeders serialize on nothing.
@@ -222,11 +184,16 @@ var liveScratchPool = sync.Pool{New: func() any { return new(liveScratch) }}
 
 // feedBatchLive is FeedBatch on an assignment-routed stage: the same
 // partition-into-pooled-buffers scheme as the mutexed path, minus the
-// mutex. The epoch slot is held across the channel sends,
-// so when the migration sequencer observes the old generation's slot
-// at zero, every tuple routed under the old assignment is already in
-// its task's queue — the property the per-key extraction barriers
-// build on.
+// mutex — route under the pinned generation, account arrivals
+// atomically, send with the generation stamp, release the epoch. The
+// epoch slot is held across the channel sends, so when the migration
+// sequencer observes the old generation's slot at zero, every tuple
+// routed under the old assignment is already in its task's queue — the
+// property the per-key extraction barriers build on. A split key's
+// tuple is physically sent to the next round-robin replica while its
+// arrival stays charged to the home destination F(k), so arrival
+// accounting (and everything modeled from it) reconstructs the unsplit
+// run.
 func (s *Stage) feedBatchLive(ar *AssignmentRouter, ts []tuple.Tuple) {
 	a, slot := s.enterGen(ar)
 	nd := len(s.tasks)
@@ -401,7 +368,8 @@ func (s *Stage) FeedBatch(ts []tuple.Tuple) {
 		s.arrivedCost[d] += ts[i].Cost
 	}
 	s.mu.Unlock()
-	// Channel sends outside the lock, as in Feed.
+	// Channel sends outside the lock: a full task queue must exert
+	// backpressure on this feeder without blocking the others.
 	for d := 0; d < nd; d++ {
 		if lo, hi := bounds[d], bounds[d+1]; hi > lo {
 			s.tasks[d].sendBatch(buf[lo:hi:hi], bb, 0)
@@ -416,12 +384,11 @@ func (s *Stage) Barrier() {
 	}
 }
 
-// SetDownstream wires (or, with nil, unwires) the stage's pipelined
-// emission sink: every task's Emit streams into next.FeedBatch in
-// emitChunk-sized batches from the task's own goroutine, instead of
-// accumulating for the driver's DrainEmitted. Must be called while
-// tasks are idle; the engine does so before the first pipelined
-// interval.
+// SetDownstream wires (or, with nil, unwires) the stage's emission
+// sink: every task's Emit streams into next.FeedBatch in
+// emitChunk-sized batches from the task's own goroutine. Must be called
+// while tasks are idle; the engine does so for every stage but the last
+// when it is assembled.
 func (s *Stage) SetDownstream(next *Stage) {
 	if next == nil {
 		// Guard the typed-nil trap: assigning a nil *Stage into the
@@ -432,7 +399,7 @@ func (s *Stage) SetDownstream(next *Stage) {
 	s.SetSink(next)
 }
 
-// SetSink wires the stage's pipelined emissions into an arbitrary
+// SetSink wires the stage's emissions into an arbitrary
 // BatchSink — the generalization of SetDownstream the cluster runtime
 // uses to point a stage's output at a data connection crossing a
 // process boundary. Must be called while tasks are idle.
@@ -491,7 +458,7 @@ func (s *Stage) StartInterval(interval int64) {
 	}
 }
 
-// CloseInterval is the pipelined interval close: every task runs its
+// CloseInterval is the interval close: every task runs its
 // operator's FlushInterval hook (when implemented) and flushes its
 // residual emission buffer downstream, on its own goroutine, after
 // draining its queue — the per-stage step of the engine's cascading
@@ -510,32 +477,6 @@ func (s *Stage) CloseInterval() {
 	for _, d := range dones {
 		<-d
 	}
-}
-
-// FlushOps invokes FlushInterval on every task whose operator
-// implements engine.IntervalFlusher, on the task goroutine.
-func (s *Stage) FlushOps() {
-	s.foldSplits()
-	for _, t := range s.tasks {
-		if f, ok := t.op.(IntervalFlusher); ok {
-			t.barrier(func(ctx *TaskCtx) { f.FlushInterval(ctx) })
-		}
-	}
-}
-
-// DrainEmitted collects and clears the tuples emitted downstream by all
-// tasks during this interval. Call after Barrier. The returned slice is
-// backed by a per-stage buffer reused across intervals (steady state
-// allocates nothing) and is valid until the next DrainEmitted call;
-// Stage.FeedBatch copies out of it, so feeding it onward is safe.
-func (s *Stage) DrainEmitted() []tuple.Tuple {
-	out := s.drainBuf[:0]
-	for _, t := range s.tasks {
-		out = append(out, t.ctx.out...)
-		t.ctx.out = t.ctx.out[:0]
-	}
-	s.drainBuf = out
-	return out
 }
 
 // ArrivedCost returns this interval's per-task arrived cost (valid
@@ -565,8 +506,7 @@ func (s *Stage) ArrivedTuples() []int64 { return s.arrivedTuples }
 // snapshot longer takes a Clone.
 func (s *Stage) EndInterval(interval int64) *stats.Snapshot {
 	// Idempotent re-fold (zero cells skip): callers that harvest
-	// without a prior CloseInterval/FlushOps still get home-complete
-	// statistics.
+	// without a prior CloseInterval still get home-complete statistics.
 	s.foldSplits()
 	snap := &stats.Snapshot{Interval: interval, ND: len(s.tasks)}
 	// The assignment is resolved once, outside the thunks: it is an
@@ -636,24 +576,13 @@ func (s *Stage) ApplyPlan(plan *balance.Plan, obs MigrationObserver) (int64, err
 	old := ar.Assignment()
 	st := old.Splits()
 	tbl := plan.Table.Clone()
-	moves := make([]keyMove, 0, len(plan.Moved))
-	for _, k := range plan.Moved {
-		if st != nil {
-			if _, split := st.Lookup(k); split {
-				continue // pinned below; never a state move while split
-			}
-		}
-		if src, dst := old.Dest(k), plan.MoveDest[k]; src != dst {
-			moves = append(moves, keyMove{k: k, src: src, dst: dst})
-		}
-	}
 	if st != nil {
 		// A split key cannot migrate: its replica ring and home-charged
 		// accounting are anchored to Home. The controller strips such
 		// moves before planning around them (controller.SplitPinned);
 		// this is the stage-level backstop for raw callers — patch the
-		// incoming table so F(k) keeps resolving to the split home, and
-		// count every pin.
+		// incoming table so F(k) keeps resolving to the split home (which
+		// makes the key's move a no-op below), and count every pin.
 		hash := old.Hasher()
 		st.Each(func(sp *route.Split) {
 			cur := hash.Hash(sp.Key)
@@ -674,7 +603,25 @@ func (s *Stage) ApplyPlan(plan *balance.Plan, obs MigrationObserver) (int64, err
 	next := route.NewAssignment(tbl, old.Hasher())
 	// The split set rides across plan publications untouched.
 	next.SetSplits(st)
-	return s.applyMovesLive(next, moves, obs), nil
+	return s.actuate(next, plan.Moved, obs), nil
+}
+
+// actuate is the one way F changes: install next as the stage's live
+// assignment and move every key in keys whose destination differs
+// between the current assignment and next — Δ(F, F′) — through the
+// live-migration sequencer. keys are unique and in move order, which is
+// the order observers see the transfers in. A rebalance plan, a
+// scale-out and a scale-in are each a different next and key set, with
+// task creation or retirement around the call. The caller holds migMu.
+func (s *Stage) actuate(next *route.Assignment, keys []tuple.Key, obs MigrationObserver) int64 {
+	old := s.ar.Assignment()
+	moves := make([]keyMove, 0, len(keys))
+	for _, k := range keys {
+		if src, dst := old.Dest(k), next.Dest(k); src != dst {
+			moves = append(moves, keyMove{k: k, src: src, dst: dst})
+		}
+	}
+	return s.applyMovesLive(next, moves, obs)
 }
 
 // publish installs next as the stage's live assignment and waits out
@@ -724,8 +671,7 @@ func (s *Stage) publish(next *route.Assignment) {
 //     tuple can remain in flight; the guard exists for paths outside
 //     the epoch accounting).
 //
-// Returns the migrated state volume. Scale-out/in state moves run
-// through it too, with the resized assignment as next.
+// Returns the migrated state volume.
 func (s *Stage) applyMovesLive(next *route.Assignment, moves []keyMove, obs MigrationObserver) int64 {
 	perDst := make(map[int][]tuple.Key)
 	for _, mv := range moves {
@@ -788,58 +734,56 @@ func (s *Stage) applyMovesLive(next *route.Assignment, moves []keyMove, obs Migr
 // serialized.
 type MigrationObserver = func(k tuple.Key, from, to int, size int64, payload []byte)
 
-// LiveKeys returns the union of keys holding state on any task.
+// LiveKeys returns the keys holding state on any task, ascending.
 func (s *Stage) LiveKeys() []tuple.Key {
-	seen := make(map[tuple.Key]struct{})
 	var out []tuple.Key
 	for _, t := range s.tasks {
-		for _, k := range t.ctx.Store.Keys() {
-			if _, ok := seen[k]; !ok {
-				seen[k] = struct{}{}
-				out = append(out, k)
-			}
-		}
+		out = append(out, t.ctx.Store.Keys()...)
 	}
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// resizeRing returns the consistent-hash ring a resize regrows, or an
+// error when the stage's router cannot resize.
+func (s *Stage) resizeRing(what string) (*hashring.Ring, error) {
+	if s.ar == nil {
+		return nil, fmt.Errorf("engine: stage %q: %s requires an assignment router", s.Name, what)
+	}
+	ring, ok := s.ar.Assignment().Hasher().(*hashring.Ring)
+	if !ok {
+		return nil, fmt.Errorf("engine: stage %q: %s requires a consistent-hash ring hasher", s.Name, what)
+	}
+	return ring, nil
 }
 
 // ScaleOut adds one task instance and regrows the consistent-hash
 // ring. Keys whose overall destination F(k) changes under the new ring
-// have their state migrated immediately so processing stays correct;
-// rebalancing toward θmax is then the controller's job on subsequent
-// intervals (the Fig. 15 scenario). Returns the migrated volume, or an
-// error (no state touched) when the stage's router cannot scale.
-func (s *Stage) ScaleOut() (int64, error) {
-	return s.ScaleOutObserved(nil)
-}
-
-// ScaleOutObserved is ScaleOut with a per-key migration observer (nil
-// behaves exactly like ScaleOut). Migrations run in ascending key
-// order so the observed transfer sequence is deterministic.
-func (s *Stage) ScaleOutObserved(obs MigrationObserver) (int64, error) {
-	ar := s.AssignmentRouter()
-	if ar == nil {
-		return 0, fmt.Errorf("engine: stage %q: scale-out requires an assignment router", s.Name)
+// have their state migrated immediately, in ascending key order, so
+// processing stays correct; rebalancing toward θmax is then the
+// controller's job on subsequent intervals (the Fig. 15 scenario). obs,
+// when non-nil, observes every key migration. Returns the migrated
+// volume, or an error (no state touched) when the stage's router cannot
+// scale.
+func (s *Stage) ScaleOut(obs MigrationObserver) (int64, error) {
+	ring, err := s.resizeRing("scale-out")
+	if err != nil {
+		return 0, err
 	}
-	if _, ok := ar.Assignment().Hasher().(*hashring.Ring); !ok {
-		return 0, fmt.Errorf("engine: stage %q: scale-out requires a consistent-hash ring hasher", s.Name)
-	}
+	s.migMu.Lock()
+	defer s.migMu.Unlock()
 	// Fold back and retire every split before the ring changes: replica
 	// rings are anchored to the pre-resize instance count. The detector
 	// re-splits on the next interval's evidence.
-	s.clearSplits(ar)
-	old := ar.Assignment()
-	ring := old.Hasher().(*hashring.Ring)
-	newHash := ring.Grow()
+	s.applySplitSetLocked(nil, s.ar)
 
-	id := len(s.tasks)
 	// The new instance joins the running interval: it takes its store
 	// clock from task 0 (every store closes in step; the barrier orders
-	// the read after the task's last close) and inherits the pipelined
-	// sink and emission tick its siblings got at wiring / StartInterval
-	// time.
+	// the read after the task's last close) and inherits the sink and
+	// emission tick its siblings got at wiring / StartInterval time.
 	var clock int64
 	s.tasks[0].barrier(func(ctx *TaskCtx) { clock = ctx.Store.Interval() })
+	id := len(s.tasks)
 	nt := newTask(id, s.opFn(id), s.window, s, clock)
 	nt.ctx.sink = s.down
 	nt.ctx.emitTick = s.curTick
@@ -849,10 +793,9 @@ func (s *Stage) ScaleOutObserved(obs MigrationObserver) (int64, error) {
 	s.Backlog = append(s.Backlog, 0)
 	s.MigPenalty = append(s.MigPenalty, 0)
 
-	// Keep the old routing table; recompute destinations under the new
-	// hash and migrate keys whose effective destination moved.
-	newAsg := route.NewAssignment(old.Table().Clone(), newHash)
-	return s.migrateDelta(old, newAsg, s.LiveKeys(), obs), nil
+	// Keep the routing table; only keys on the new instance's arcs move.
+	next := route.NewAssignment(s.ar.Assignment().Table().Clone(), ring.Grow())
+	return s.actuate(next, s.LiveKeys(), obs), nil
 }
 
 // ScaleIn retires the stage's last task instance live — the mirror of
@@ -861,77 +804,55 @@ func (s *Stage) ScaleOutObserved(obs MigrationObserver) (int64, error) {
 // the retiring instance's arcs move; survivors keep theirs), routing
 // table entries pointing at the retiring instance are dropped so those
 // keys fall back to the shrunk ring, and every key the retiring task
-// still stores or reports migrates to its surviving destination with
-// windowed state and tracker history intact. The retired goroutine is
-// stopped and all per-task bookkeeping shrinks; its residual model
-// backlog folds into the last surviving instance (scale-in fires under
-// sustained *low* utilization, where that backlog is ~0), while its
-// accumulated send-side migration penalty retires with it — the
-// decommissioned instance has no future intervals to charge.
+// still stores or reports migrates to its surviving destination, in
+// ascending key order, with windowed state and tracker history intact.
+// The retired goroutine is stopped and all per-task bookkeeping shrinks;
+// its residual model backlog folds into the last surviving instance
+// (scale-in fires under sustained *low* utilization, where that backlog
+// is ~0), while its accumulated send-side migration penalty retires with
+// it — the decommissioned instance has no future intervals to charge.
 //
 // Must be called while tasks are idle (between EndInterval and the
-// next Feed — controller-hook time). Returns the migrated volume, or
-// an error (no state touched) when the stage cannot retire an
-// instance.
-func (s *Stage) ScaleIn() (int64, error) {
-	return s.ScaleInObserved(nil)
-}
-
-// ScaleInObserved is ScaleIn with a per-key migration observer (nil
-// behaves exactly like ScaleIn).
-func (s *Stage) ScaleInObserved(obs MigrationObserver) (int64, error) {
-	ar := s.AssignmentRouter()
-	if ar == nil {
-		return 0, fmt.Errorf("engine: stage %q has no assignment router; cannot scale in", s.Name)
+// next Feed — controller-hook time). obs, when non-nil, observes every
+// key migration. Returns the migrated volume, or an error (no state
+// touched) when the stage cannot retire an instance.
+func (s *Stage) ScaleIn(obs MigrationObserver) (int64, error) {
+	ring, err := s.resizeRing("scale-in")
+	if err != nil {
+		return 0, err
 	}
 	if len(s.tasks) < 2 {
 		return 0, fmt.Errorf("engine: stage %q cannot retire its only instance", s.Name)
 	}
-	if _, ok := ar.Assignment().Hasher().(*hashring.Ring); !ok {
-		return 0, fmt.Errorf("engine: stage %q: scale-in requires a consistent-hash ring hasher", s.Name)
-	}
+	s.migMu.Lock()
+	defer s.migMu.Unlock()
 	// As in scale-out: the split set folds back before the ring shrinks
 	// (a replica ring could otherwise reference the retiring instance).
-	s.clearSplits(ar)
-	old := ar.Assignment()
-	ring := old.Hasher().(*hashring.Ring)
+	s.applySplitSetLocked(nil, s.ar)
 	rid := len(s.tasks) - 1
 	retiring := s.tasks[rid]
 
-	// Drain the retiring task and enumerate everything it still owns:
-	// keys holding windowed state plus keys with tracker history only
-	// (state already expired, statistics still reported).
-	var retired []tuple.Key
-	retiring.barrier(func(ctx *TaskCtx) {
-		seen := make(map[tuple.Key]struct{})
-		for _, k := range ctx.Store.Keys() {
-			seen[k] = struct{}{}
-		}
-		for _, k := range ctx.Tracker.Keys() {
-			seen[k] = struct{}{}
-		}
-		retired = make([]tuple.Key, 0, len(seen))
-		for k := range seen {
-			retired = append(retired, k)
-		}
-	})
+	// Drain the retiring task, then enumerate the keys it holds tracker
+	// history for only (state already expired, statistics still
+	// reported) plus everything the stage stores.
+	var keys []tuple.Key
+	retiring.barrier(func(ctx *TaskCtx) { keys = ctx.Tracker.Keys() })
+	keys = append(keys, s.LiveKeys()...)
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
 
 	// The new assignment: table entries pointing at the retiring
 	// instance are dropped (their keys fall back to the shrunk ring);
-	// everything else is untouched, so surviving placements hold.
-	nt := old.Table().Clone()
+	// everything else is untouched, so surviving placements hold. By
+	// ring construction the keys that move are exactly those F used to
+	// send to the retiring instance, each landing on a surviving one.
+	nt := s.ar.Assignment().Table().Clone()
 	for _, k := range nt.Keys() {
 		if d, _ := nt.Lookup(k); d == rid {
 			nt.Delete(k)
 		}
 	}
-	newAsg := route.NewAssignment(nt, ring.Shrink())
-
-	// Migrate every key whose effective destination moved — by ring
-	// construction exactly the keys F used to send to the retiring
-	// instance, each landing on a surviving one.
-	keys := append(s.LiveKeys(), retired...)
-	moved := s.migrateDelta(old, newAsg, keys, obs)
+	moved := s.actuate(route.NewAssignment(nt, ring.Shrink()), keys, obs)
 
 	// Retire the instance and shrink the per-task bookkeeping. Arrival
 	// accounting was reset by EndInterval; any residual (non-hook-time
@@ -946,32 +867,6 @@ func (s *Stage) ScaleInObserved(obs MigrationObserver) (int64, error) {
 	s.Backlog = s.Backlog[:rid]
 	s.MigPenalty = s.MigPenalty[:rid]
 	return moved, nil
-}
-
-// migrateDelta migrates every key in keys whose destination differs
-// between old and next (deduplicated, ascending key order so observer
-// sequences are deterministic) through the live-migration sequencer,
-// which installs next as the stage's live assignment. Tasks must be
-// idle.
-func (s *Stage) migrateDelta(old, next *route.Assignment, keys []tuple.Key, obs MigrationObserver) int64 {
-	seen := make(map[tuple.Key]struct{}, len(keys))
-	uniq := keys[:0]
-	for _, k := range keys {
-		if _, dup := seen[k]; !dup {
-			seen[k] = struct{}{}
-			uniq = append(uniq, k)
-		}
-	}
-	sort.Slice(uniq, func(i, j int) bool { return uniq[i] < uniq[j] })
-	moves := make([]keyMove, 0, len(uniq))
-	for _, k := range uniq {
-		if from, to := old.Dest(k), next.Dest(k); from != to {
-			moves = append(moves, keyMove{k: k, src: from, dst: to})
-		}
-	}
-	s.migMu.Lock()
-	defer s.migMu.Unlock()
-	return s.applyMovesLive(next, moves, obs)
 }
 
 // Stop terminates all task goroutines (for tests and example

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/route"
@@ -20,28 +21,67 @@ func (f *flushOp) FlushInterval(ctx *TaskCtx) {
 	ctx.Emit(tuple.New(99, "flush"))
 }
 
+// captureSink collects everything a stage emits, for tests that read a
+// stage's output directly.
+type captureSink struct {
+	mu  sync.Mutex
+	got []tuple.Tuple
+}
+
+func (c *captureSink) FeedBatch(ts []tuple.Tuple) {
+	c.mu.Lock()
+	c.got = append(c.got, ts...)
+	c.mu.Unlock()
+}
+
 func TestFlushOpsRunsOnIntervalFlushers(t *testing.T) {
 	op := &flushOp{}
 	st := NewStage("f", 1, func(int) Operator { return op }, 1, newAsgRouter(1))
 	defer st.Stop()
+	var out captureSink
+	st.SetSink(&out)
 	st.Feed(tuple.New(1, nil))
-	st.Barrier()
-	st.FlushOps()
+	st.CloseInterval()
 	if op.flushed != 1 {
 		t.Fatalf("flushed %d times, want 1", op.flushed)
 	}
-	out := st.DrainEmitted()
-	if len(out) != 1 || out[0].Key != 99 {
-		t.Fatalf("flush emission lost: %v", out)
+	if len(out.got) != 1 || out.got[0].Key != 99 {
+		t.Fatalf("flush emission lost: %v", out.got)
 	}
 }
 
 func TestFlushOpsSkipsPlainOperators(t *testing.T) {
 	st := NewStage("p", 1, func(int) Operator { return Discard }, 1, newAsgRouter(1))
 	defer st.Stop()
-	st.FlushOps() // must not panic or emit
-	if out := st.DrainEmitted(); len(out) != 0 {
-		t.Fatalf("plain operator emitted %d tuples on flush", len(out))
+	var out captureSink
+	st.SetSink(&out)
+	st.CloseInterval() // must not panic or emit
+	if len(out.got) != 0 {
+		t.Fatalf("plain operator emitted %d tuples on flush", len(out.got))
+	}
+}
+
+// TestLastStageSinkSurvivesRunInterval pins construction-time wiring:
+// the engine points every stage but the last at its successor once, and
+// never touches the last stage's sink — a caller's SetSink there (the
+// cluster worker's data connection) keeps receiving across intervals.
+func TestLastStageSinkSurvivesRunInterval(t *testing.T) {
+	fwd := OperatorFunc(func(ctx *TaskCtx, tp tuple.Tuple) { ctx.Emit(tp) })
+	s0 := NewStage("a", 2, func(int) Operator { return fwd }, 1, newAsgRouter(2))
+	s1 := NewStage("b", 2, func(int) Operator { return fwd }, 1, newAsgRouter(2))
+	var out captureSink
+	s1.SetSink(&out)
+	cfg := DefaultConfig()
+	cfg.Budget = 300
+	var n uint64
+	e := New(func() tuple.Tuple {
+		n++
+		return tuple.New(tuple.Key(n%40), nil)
+	}, cfg, s0, s1)
+	defer e.Stop()
+	e.Run(3)
+	if len(out.got) != 900 {
+		t.Fatalf("last stage's sink received %d tuples over 3 intervals, want 900", len(out.got))
 	}
 }
 
@@ -81,7 +121,7 @@ func TestScaleOutWithoutRingErrors(t *testing.T) {
 	r := NewAssignmentRouter(route.NewAssignment(route.NewTable(), route.ModHasher(2)))
 	st := NewStage("s", 2, func(int) Operator { return Discard }, 1, r)
 	defer st.Stop()
-	if _, err := st.ScaleOut(); err == nil {
+	if _, err := st.ScaleOut(nil); err == nil {
 		t.Fatal("ScaleOut without a ring did not error")
 	}
 	if st.Instances() != 2 {

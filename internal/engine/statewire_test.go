@@ -62,8 +62,8 @@ func TestStateWireMatchesInMemory(t *testing.T) {
 				if round == 6 {
 					delta = -1
 				}
-				if _, err := e.ResizeStageObserved(si, delta, obs); err != nil {
-					t.Fatalf("ResizeStageObserved(%d): %v", delta, err)
+				if _, err := e.ResizeStage(si, delta, obs); err != nil {
+					t.Fatalf("ResizeStage(%d): %v", delta, err)
 				}
 				reb := &Rebalance{}
 				if delta > 0 {

@@ -21,15 +21,13 @@ type batchBuf struct {
 
 var batchBufPool = sync.Pool{New: func() any { return new(batchBuf) }}
 
-// message is the unit of the task actor protocol: a batch of tuples, a
-// single tuple, or a control thunk to execute on the task goroutine.
-// Batches are the hot path — one channel operation amortized across
-// hundreds of tuples; the single-tuple form keeps the legacy Feed path
-// allocation-free. Control thunks with a done channel double as
-// barriers: because the input channel is FIFO, acknowledging the thunk
-// proves every earlier tuple has been fully processed.
+// message is the unit of the task actor protocol: a batch of tuples —
+// one channel operation amortized across hundreds of them — or a
+// control thunk to execute on the task goroutine. Control thunks with a
+// done channel double as barriers: because the input channel is FIFO,
+// acknowledging the thunk proves every earlier tuple has been fully
+// processed.
 type message struct {
-	t    tuple.Tuple   // single tuple; valid when ts == nil and ctrl == nil
 	ts   []tuple.Tuple // tuple batch; ownership passes to the task
 	buf  *batchBuf     // shared backing of ts, refcounted for recycling
 	gen  uint64        // routing generation the sender resolved under (0 on the mutexed path)
@@ -132,7 +130,7 @@ func (t *task) loop() {
 			if m.done != nil {
 				close(m.done)
 			}
-		case m.ts != nil:
+		default:
 			ts := m.ts
 			if len(t.handoff)+len(t.reroute) != 0 {
 				ts = t.divert(ts, m.gen)
@@ -154,27 +152,6 @@ func (t *task) loop() {
 			if m.buf != nil && m.buf.refs.Add(-1) == 0 {
 				batchBufPool.Put(m.buf)
 			}
-		default:
-			if len(t.handoff)+len(t.reroute) != 0 {
-				if buf, ok := t.handoff[m.t.Key]; ok {
-					t.bufferHandoff(buf, m.t)
-					continue
-				}
-				if _, ok := t.reroute[m.t.Key]; ok {
-					t.stage.Feed(m.t)
-					continue
-				}
-			}
-			if len(t.split) != 0 {
-				if c, ok := t.split[m.t.Key]; ok {
-					t.absorbOne(c, m.t)
-					continue
-				}
-			}
-			t.op.Process(t.ctx, m.t)
-			t.ctx.Tracker.Observe(m.t)
-			t.ctx.ProcessedTuples++
-			t.ctx.ProcessedCost += m.t.Cost
 		}
 	}
 }
@@ -331,9 +308,6 @@ func (t *task) replayHandoff(ctx *TaskCtx, k tuple.Key) {
 	ctx.ProcessedTuples += int64(len(buf))
 }
 
-// send enqueues a tuple.
-func (t *task) send(tp tuple.Tuple, gen uint64) { t.in <- message{t: tp, gen: gen} }
-
 // sendBatch enqueues a batch; the slice must not be touched by the
 // sender afterwards (ownership transfers to the task goroutine). buf,
 // when non-nil, is the recycled backing array the batch was carved
@@ -367,11 +341,10 @@ func (t *task) barrierAsync(fn func(*TaskCtx)) chan struct{} {
 	return done
 }
 
-// closeInterval enqueues the pipelined interval-close thunk: drain the
-// queue, run the operator's FlushInterval hook when implemented, then
-// flush the residual emission buffer downstream — or discard it on a
-// sink-less last stage, matching the driver's store-and-forward
-// drain-and-drop. Running on the task goroutine serializes the
+// closeInterval enqueues the interval-close thunk: drain the queue,
+// run the operator's FlushInterval hook when implemented, then flush
+// the residual emission buffer downstream — or discard it on a last
+// stage nobody listens to. Running on the task goroutine serializes the
 // residual flush with the task's own mid-interval flushes. Returns the
 // done channel so the stage can close all tasks concurrently.
 func (t *task) closeInterval() chan struct{} {

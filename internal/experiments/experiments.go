@@ -101,24 +101,6 @@ func Registry() []struct {
 	}
 }
 
-// usePipeline selects streaming inter-stage transfer for the
-// engine-backed exhibits (fig01's three-operator topology and the
-// systems of figs 13–16). On key-partitioned stages exhibit outputs
-// are identical under both transfer modes — every printed quantity is
-// an arrival-order-independent aggregate — and cmd/benchrunner's
-// -pipeline flag flips this so the claim stays checkable end to end
-// (run the exhibits both ways and diff). The one caveat is fig01's
-// shuffle-routed stages: shuffle destinations depend on arrival
-// order, which concurrent upstream flushes interleave, so its
-// per-instance split (not its printed totals, in practice) can vary
-// on multicore hosts — the same caveat Feeders > 1 carries.
-var usePipeline bool
-
-// SetPipeline switches the engine-backed exhibits between streaming
-// (true) and store-and-forward (false, the default) inter-stage
-// transfer.
-func SetPipeline(on bool) { usePipeline = on }
-
 // Defaults mirror Tab. II's bold entries.
 const (
 	defK      = 100000

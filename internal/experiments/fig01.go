@@ -3,7 +3,6 @@ package experiments
 import (
 	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/topology"
 	"repro/internal/tuple"
@@ -25,7 +24,7 @@ func Fig01() *Result {
 		Notes:  "hash skew inside operator 2 throttles operator 1 (backpushing) and starves operator 3",
 	}
 	const budget = 9000
-	for _, alg := range []core.Algorithm{core.AlgStorm, core.AlgMixed, core.AlgIdeal} {
+	for _, alg := range []topology.Algorithm{topology.AlgStorm, topology.AlgMixed, topology.AlgIdeal} {
 		emitted, thr, sunk := runPipeline(alg, budget)
 		r.Rows = append(r.Rows, []string{string(alg), f0(emitted), f0(thr), f0(sunk)})
 	}
@@ -38,7 +37,7 @@ type sinkCounter struct{ n *atomic.Int64 }
 
 func (s sinkCounter) Process(ctx *engine.TaskCtx, t tuple.Tuple) { s.n.Add(1) }
 
-func runPipeline(alg core.Algorithm, budget int64) (emitted, thr, sunk float64) {
+func runPipeline(alg topology.Algorithm, budget int64) (emitted, thr, sunk float64) {
 	gen := workload.NewZipfStream(300, 1.0, 0.5, budget, 67)
 
 	// Operator 1: balanced pass-through map (shuffle-routed).
@@ -61,16 +60,11 @@ func runPipeline(alg core.Algorithm, budget int64) (emitted, thr, sunk float64) 
 	var sinkN atomic.Int64
 	sinkOp := func(int) engine.Operator { return sinkCounter{&sinkN} }
 
-	// The exhibits run store-and-forward unless the harness selected
-	// streaming transfer (cmd/benchrunner -pipeline): exhibit outputs
-	// must stay independent of the host's core count, and this
-	// topology's shuffle stages would otherwise observe mid-interval
-	// interleaving on multicore.
-	mode := topology.StoreAndForward()
-	if usePipeline {
-		mode = topology.Pipelined()
-	}
-	sys := topology.New(topology.Spout(gen.Next), topology.Budget(budget), mode).
+	// The shuffle stages see the streaming transfer's mid-interval
+	// interleaving, and the output still does not depend on it: every
+	// tuple costs 1, so a round-robin's per-destination totals are the
+	// same in any arrival order.
+	sys := topology.New(topology.Spout(gen.Next), topology.Budget(budget)).
 		Stage("op1-map", mapOp,
 			topology.Instances(3), topology.WithAlgorithm(topology.AlgIdeal)).
 		Stage("op2-keyed", countAndForward,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/balance"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/ops"
@@ -30,13 +29,13 @@ const (
 	// baseCost is the per-tuple service cost; it scales capacity so
 	// migration volumes are a visible fraction of service capacity.
 	// PKG's partial-result coordination overhead is charged by
-	// core.PKGOverhead against its capacity.
+	// topology.PKGOverhead against its capacity.
 	baseCost = 8
 )
 
 // realSpec configures one system run.
 type realSpec struct {
-	alg      core.Algorithm
+	alg      topology.Algorithm
 	theta    float64
 	window   int
 	next     func() tuple.Tuple // raw generator draw
@@ -48,18 +47,12 @@ type realSpec struct {
 }
 
 // buildSystem assembles the stage/engine/controller per spec through
-// the topology builder. The transfer mode is explicit (usePipeline):
-// exhibit outputs must not depend on where the builder's multi-stage
-// default would land, and these systems are single-stage anyway.
+// the topology builder.
 func buildSystem(s realSpec) *topology.System {
 	cost := int64(baseCost)
 	nd := s.nd
 	if nd == 0 {
 		nd = realND
-	}
-	mode := topology.StoreAndForward()
-	if usePipeline {
-		mode = topology.Pipelined()
 	}
 	spout := func() tuple.Tuple {
 		t := s.next()
@@ -76,7 +69,7 @@ func buildSystem(s realSpec) *topology.System {
 		topology.Capacity(int64(baseCost) * realBudget / int64(nd)),
 		topology.MinKeys(32),
 	}
-	if s.alg == core.AlgReadj {
+	if s.alg == topology.AlgReadj {
 		// Run the fixed-σ planner, or the tuned variant when asked
 		// (the paper's best-σ reporting).
 		p := balance.Planner(readj.Planner{Sigma: s.sigma})
@@ -87,7 +80,7 @@ func buildSystem(s realSpec) *topology.System {
 		}
 		sopts = append(sopts, topology.WithPlanner(p))
 	}
-	sys := topology.New(topology.Spout(spout), topology.Budget(realBudget), mode).
+	sys := topology.New(topology.Spout(spout), topology.Budget(realBudget)).
 		Stage("operator", s.op, sopts...).
 		Build()
 	if s.advance != nil {
@@ -124,7 +117,7 @@ func Fig13() *Result {
 	// K = 1e4 puts meaningful mass on the hot keys (Fig. 7(b)) so hash
 	// placement matters; z, θmax at Tab. II defaults.
 	const k = 10000
-	run := func(alg core.Algorithm, f float64) (float64, float64) {
+	run := func(alg topology.Algorithm, f float64) (float64, float64) {
 		gen := workload.NewZipfStream(k, defZ, f, realBudget, 43)
 		sp := realSpec{
 			alg: alg, theta: defTheta, window: 1,
@@ -154,10 +147,10 @@ func Fig13() *Result {
 		return thr / float64(n), lat / float64(n)
 	}
 	for _, f := range []float64{0.1, 0.5, 0.9, 1.3, 1.7, 2.0} {
-		sThr, sLat := run(core.AlgStorm, f)
-		rThr, rLat := run(core.AlgReadj, f)
-		mThr, mLat := run(core.AlgMixed, f)
-		iThr, iLat := run(core.AlgIdeal, f)
+		sThr, sLat := run(topology.AlgStorm, f)
+		rThr, rLat := run(topology.AlgReadj, f)
+		mThr, mLat := run(topology.AlgMixed, f)
+		iThr, iLat := run(topology.AlgIdeal, f)
 		r.Rows = append(r.Rows, []string{
 			fmt.Sprintf("%.1f", f),
 			f0(sThr), f0(rThr), f0(mThr), f0(iThr),
@@ -176,7 +169,7 @@ func (m modAsg) Instances() int       { return m.nd }
 
 // fig14 runs one dataset across algorithms × θmax, reporting mean
 // throughput (the bar chart of Fig. 14).
-func fig14(id, title string, algs []core.Algorithm, mkSpec func(alg core.Algorithm, theta float64) realSpec) *Result {
+func fig14(id, title string, algs []topology.Algorithm, mkSpec func(alg topology.Algorithm, theta float64) realSpec) *Result {
 	r := &Result{
 		ID:     id,
 		Title:  title,
@@ -199,9 +192,9 @@ func fig14(id, title string, algs []core.Algorithm, mkSpec func(alg core.Algorit
 
 // Fig14a regenerates Fig. 14(a): word count on the Social feed.
 func Fig14a() *Result {
-	algs := []core.Algorithm{core.AlgStorm, core.AlgReadj, core.AlgMixed, core.AlgPKG, core.AlgMinTable}
+	algs := []topology.Algorithm{topology.AlgStorm, topology.AlgReadj, topology.AlgMixed, topology.AlgPKG, topology.AlgMinTable}
 	return fig14("fig14a", "Throughput on Social data (word count)", algs,
-		func(alg core.Algorithm, th float64) realSpec {
+		func(alg topology.Algorithm, th float64) realSpec {
 			gen := workload.NewSocial(30000, defZ, 0.002, 47)
 			fleet := ops.NewWordCountFleet()
 			return realSpec{
@@ -217,9 +210,9 @@ func Fig14a() *Result {
 // Fig14b regenerates Fig. 14(b): self-join over the Stock tape. PKG is
 // excluded, as in the paper: key splitting breaks join semantics.
 func Fig14b() *Result {
-	algs := []core.Algorithm{core.AlgStorm, core.AlgReadj, core.AlgMixed, core.AlgMinTable}
+	algs := []topology.Algorithm{topology.AlgStorm, topology.AlgReadj, topology.AlgMixed, topology.AlgMinTable}
 	return fig14("fig14b", "Throughput on Stock data (windowed self-join)", algs,
-		func(alg core.Algorithm, th float64) realSpec {
+		func(alg topology.Algorithm, th float64) realSpec {
 			gen := workload.NewStock(0, defZ, 53)
 			fleet := ops.NewSelfJoinFleet(false)
 			return realSpec{
@@ -252,7 +245,7 @@ func Fig15() *Result {
 		spec  realSpec
 		grow  bool
 	}
-	mk := func(alg core.Algorithm, th float64, tuned bool) realSpec {
+	mk := func(alg topology.Algorithm, th float64, tuned bool) realSpec {
 		gen := workload.NewSocial(30000, defZ, 0.002, 59)
 		fleet := ops.NewWordCountFleet()
 		return realSpec{
@@ -261,15 +254,15 @@ func Fig15() *Result {
 			op: fleet.Factory, sigma: 0.1, useTuned: tuned,
 		}
 	}
-	pkgSpec := mk(core.AlgPKG, 0.1, false)
+	pkgSpec := mk(topology.AlgPKG, 0.1, false)
 	pkgSpec.nd = realND // PKG is theta-insensitive; runs at final size
 	sers := []series{
-		{"Mixed th=0.1", mk(core.AlgMixed, 0.1, false), true},
-		{"Readj th=0.1", mk(core.AlgReadj, 0.1, true), true},
-		{"Mixed th=0.2", mk(core.AlgMixed, 0.2, false), true},
-		{"Readj th=0.2", mk(core.AlgReadj, 0.2, true), true},
+		{"Mixed th=0.1", mk(topology.AlgMixed, 0.1, false), true},
+		{"Readj th=0.1", mk(topology.AlgReadj, 0.1, true), true},
+		{"Mixed th=0.2", mk(topology.AlgMixed, 0.2, false), true},
+		{"Readj th=0.2", mk(topology.AlgReadj, 0.2, true), true},
 		{"PKG", pkgSpec, false},
-		{"Storm", mk(core.AlgStorm, 0.1, false), true},
+		{"Storm", mk(topology.AlgStorm, 0.1, false), true},
 	}
 	cols := make([][]float64, len(sers))
 	for i, se := range sers {
@@ -277,7 +270,7 @@ func Fig15() *Result {
 		sys := buildSystem(se.spec)
 		sys.Run(pre)
 		if se.grow {
-			sys.Engine.ResizeStage(0, +1)
+			sys.Engine.ResizeStage(0, +1, nil)
 		}
 		sys.Run(post)
 		for _, m := range sys.Recorder().Series {
@@ -307,16 +300,16 @@ func Fig16() *Result {
 	}
 	type series struct {
 		label string
-		alg   core.Algorithm
+		alg   topology.Algorithm
 		theta float64
 	}
 	sers := []series{
-		{"Mixed th=0.1", core.AlgMixed, 0.1},
-		{"Readj th=0.1", core.AlgReadj, 0.1},
-		{"MinTable th=0.1", core.AlgMinTable, 0.1},
-		{"Storm", core.AlgStorm, 0.1},
-		{"Mixed th=0.2", core.AlgMixed, 0.2},
-		{"Readj th=0.2", core.AlgReadj, 0.2},
+		{"Mixed th=0.1", topology.AlgMixed, 0.1},
+		{"Readj th=0.1", topology.AlgReadj, 0.1},
+		{"MinTable th=0.1", topology.AlgMinTable, 0.1},
+		{"Storm", topology.AlgStorm, 0.1},
+		{"Mixed th=0.2", topology.AlgMixed, 0.2},
+		{"Readj th=0.2", topology.AlgReadj, 0.2},
 	}
 	cols := make([][]float64, len(sers))
 	for i, se := range sers {

@@ -21,12 +21,6 @@ var goldenIDs = []string{
 	"abl-adjust", "abl-clean", "abl-psi", "abl-discretize",
 }
 
-// pipelineGoldenIDs are the engine-backed exhibits whose output is the
-// same under streaming inter-stage transfer; they are run a second
-// time under SetPipeline(true) against the same files. fig01 is left
-// out: its shuffle-routed stages may interleave concurrent flushes.
-var pipelineGoldenIDs = []string{"fig13", "fig14a", "fig15", "fig16"}
-
 // exhibitRuns holds one run per exhibit id so the shape tests and the
 // goldens share it; the goldens' subtests run in parallel (fig18 alone
 // is a third of the package's time), hence the Once.
@@ -106,21 +100,6 @@ func TestExhibitGoldens(t *testing.T) {
 				return
 			}
 			checkGolden(t, id, got)
-		})
-	}
-}
-
-// TestExhibitGoldensPipelined reruns the engine-backed exhibits with
-// streaming inter-stage transfer against the same files.
-func TestExhibitGoldensPipelined(t *testing.T) {
-	if testing.Short() {
-		t.Skip("exhibit regeneration skipped in -short")
-	}
-	SetPipeline(true)
-	defer SetPipeline(false)
-	for _, id := range pipelineGoldenIDs {
-		t.Run(id, func(t *testing.T) {
-			checkGolden(t, id, exhibitRuns[id].run().CSV())
 		})
 	}
 }

@@ -7,9 +7,9 @@ import (
 	"repro/internal/balance"
 	"repro/internal/control"
 	"repro/internal/controller"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/stats"
+	"repro/internal/topology"
 	"repro/internal/tuple"
 )
 
@@ -101,7 +101,7 @@ func TestAutoScalerGrowsUnderSustainedShift(t *testing.T) {
 		return tuple.New(tuple.Key(n%5000), nil)
 	}
 	st := engine.NewStage("op", 8, func(int) engine.Operator { return engine.StatefulCount }, 1,
-		engine.NewAssignmentRouter(core.NewAssignment(8)))
+		engine.NewAssignmentRouter(topology.NewAssignment(8)))
 	cfg := engine.DefaultConfig()
 	cfg.Budget = rate
 	cfg.Capacity = 1000
@@ -145,7 +145,7 @@ func TestAutoScalerAppliesScaleIn(t *testing.T) {
 		return tuple.New(tuple.Key(n%100), nil)
 	}
 	st := engine.NewStage("op", 4, func(int) engine.Operator { return engine.StatefulCount }, 1,
-		engine.NewAssignmentRouter(core.NewAssignment(4)))
+		engine.NewAssignmentRouter(topology.NewAssignment(4)))
 	cfg := engine.DefaultConfig()
 	cfg.Budget = 400 // 10% utilization at capacity 1000
 	cfg.Capacity = 1000

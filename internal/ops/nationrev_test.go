@@ -43,10 +43,10 @@ func TestNationRevenueOrderInsensitive(t *testing.T) {
 	}
 }
 
-// runQ5Feeders drives the 2-stage Q5 topology with the given transfer
-// mode and spout parallelism and returns the aggregation fleet's
-// per-nation totals in µ-units.
-func runQ5Feeders(pipelined bool, feeders int) map[int]int64 {
+// runQ5Feeders drives the 2-stage Q5 topology, streaming or under the
+// store-and-forward reference, at the given spout parallelism and
+// returns the aggregation fleet's per-nation totals in µ-units.
+func runQ5Feeders(ref bool, feeders int) map[int]int64 {
 	cfg := workload.DefaultTPCHConfig()
 	cfg.Customers, cfg.Suppliers, cfg.OrderPool = 2000, 200, 800
 	gen := workload.NewTPCH(cfg)
@@ -54,9 +54,8 @@ func runQ5Feeders(pipelined bool, feeders int) map[int]int64 {
 	aggs := NewNationRevenueFleet()
 	s0 := engine.NewStage("q5join", 4, joins.Factory, 2, asgRouter(4))
 	s1 := engine.NewStage("q5agg", 2, aggs.Factory, 2, asgRouter(2))
-	ecfg := engine.Config{Window: 2, Budget: 12000, MaxPendingFactor: 2, MigrationFactor: 1,
-		Pipeline: pipelined, Feeders: feeders}
-	e := engine.New(gen.Next, ecfg, s0, s1)
+	ecfg := engine.Config{Budget: 12000, MaxPendingFactor: 2, MigrationFactor: 1, Feeders: feeders}
+	e := newEngine(ref, gen.Next, ecfg, s0, s1)
 	e.Run(4)
 	e.Stop()
 	out := make(map[int]int64)
@@ -71,12 +70,12 @@ func runQ5Feeders(pipelined bool, feeders int) map[int]int64 {
 }
 
 // TestNationRevenuePipelinedFeedersMatchStoreAndForward pins the
-// end-to-end guarantee: a pipelined multi-feeder Q5 run reproduces the
-// serial store-and-forward totals exactly, µ-unit for µ-unit, even
+// end-to-end guarantee: a streaming multi-feeder Q5 run reproduces the
+// serial store-and-forward reference's totals exactly, µ-unit for µ-unit, even
 // though the aggregation instances see the contributions in a
 // completely different order.
 func TestNationRevenuePipelinedFeedersMatchStoreAndForward(t *testing.T) {
-	ref := runQ5Feeders(false, 1)
+	ref := runQ5Feeders(true, 1)
 	var nonzero int
 	for _, v := range ref {
 		if v != 0 {
@@ -87,14 +86,13 @@ func TestNationRevenuePipelinedFeedersMatchStoreAndForward(t *testing.T) {
 		t.Fatal("store-and-forward run produced no revenue; the pin is vacuous")
 	}
 	for _, mode := range []struct {
-		name      string
-		pipelined bool
-		feeders   int
+		name    string
+		feeders int
 	}{
-		{"pipelined", true, 1},
-		{"pipelined+3feeders", true, 3},
+		{"pipelined", 1},
+		{"pipelined+3feeders", 3},
 	} {
-		got := runQ5Feeders(mode.pipelined, mode.feeders)
+		got := runQ5Feeders(false, mode.feeders)
 		for n, want := range ref {
 			if got[n] != want {
 				t.Fatalf("%s: nation %d revenue %d µ-units, store-and-forward %d", mode.name, n, got[n], want)

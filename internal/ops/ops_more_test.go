@@ -17,12 +17,13 @@ func TestPartialCountPublishesOncePerKeyPerInterval(t *testing.T) {
 	st := engine.NewStage("partial", 1, parts.Factory, 1,
 		engine.PKGRouter{R: pkgpart.NewRouter(1)})
 	defer st.Stop()
+	var sink captureSink
+	st.SetSink(&sink)
 	for i := 0; i < 100; i++ {
 		st.Feed(tuple.New(tuple.Key(i%4), nil))
 	}
-	st.Barrier()
-	st.FlushOps()
-	out := st.DrainEmitted()
+	st.CloseInterval()
+	out := sink.take()
 	if len(out) != 4 {
 		t.Fatalf("flush emitted %d partials, want 4 (one per key)", len(out))
 	}
@@ -41,8 +42,8 @@ func TestPartialCountPublishesOncePerKeyPerInterval(t *testing.T) {
 		t.Fatalf("Published = %d", parts.Instances[0].Published)
 	}
 	// Second flush with no new tuples publishes nothing.
-	st.FlushOps()
-	if extra := st.DrainEmitted(); len(extra) != 0 {
+	st.CloseInterval()
+	if extra := sink.take(); len(extra) != 0 {
 		t.Fatalf("idle flush emitted %d partials", len(extra))
 	}
 }

@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/balance"
@@ -9,12 +10,43 @@ import (
 	"repro/internal/hashring"
 	"repro/internal/pkgpart"
 	"repro/internal/route"
+	"repro/internal/stats"
 	"repro/internal/tuple"
 	"repro/internal/workload"
 )
 
 func asgRouter(nd int) *engine.AssignmentRouter {
 	return engine.NewAssignmentRouter(route.NewAssignment(route.NewTable(), hashring.New(nd, 0)))
+}
+
+// captureSink collects what a stage emits, for tests that read an
+// operator's output directly; take hands it over and starts afresh.
+type captureSink struct {
+	mu  sync.Mutex
+	got []tuple.Tuple
+}
+
+func (c *captureSink) FeedBatch(ts []tuple.Tuple) {
+	c.mu.Lock()
+	c.got = append(c.got, ts...)
+	c.mu.Unlock()
+}
+
+func (c *captureSink) take() []tuple.Tuple {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := c.got
+	c.got = nil
+	return out
+}
+
+// directHook is the controller on the stage itself, no protocol: the
+// reference path the control loop is pinned against, here so operator
+// tests can rebalance a hand-wired engine.
+func directHook(ctl *controller.Controller) engine.SnapshotHook {
+	return func(e *engine.Engine, si int, snap *stats.Snapshot) *engine.Rebalance {
+		return ctl.Maybe(e.Stages[si], snap)
+	}
 }
 
 func TestWordCountCountsPerKey(t *testing.T) {
@@ -97,11 +129,13 @@ func TestSelfJoinEmitsPairs(t *testing.T) {
 	fleet := NewSelfJoinFleet(true)
 	st := engine.NewStage("join", 1, fleet.Factory, 2, asgRouter(1))
 	defer st.Stop()
+	var sink captureSink
+	st.SetSink(&sink)
 	st.Feed(tuple.New(1, "a"))
 	st.Feed(tuple.New(1, "b"))
 	st.Feed(tuple.New(1, "c"))
-	st.Barrier()
-	out := st.DrainEmitted()
+	st.CloseInterval()
+	out := sink.take()
 	if len(out) != 3 { // 0 + 1 + 2
 		t.Fatalf("emitted %d join tuples, want 3", len(out))
 	}
@@ -125,7 +159,7 @@ func TestPKGPartialMergePipelineCorrectness(t *testing.T) {
 	e := engine.New(func() tuple.Tuple {
 		n++
 		return tuple.New(tuple.Key(n%7), nil)
-	}, engine.Config{Window: 1, Budget: 700, MaxPendingFactor: 2, MigrationFactor: 1}, s0, s1)
+	}, engine.Config{Budget: 700, MaxPendingFactor: 2, MigrationFactor: 1}, s0, s1)
 	defer e.Stop()
 	e.Run(3)
 	for k := tuple.Key(0); k < 7; k++ {
@@ -163,7 +197,7 @@ func TestQ5PipelineProducesRevenue(t *testing.T) {
 	aggs := NewNationRevenueFleet()
 	s0 := engine.NewStage("q5join", 4, joins.Factory, 2, asgRouter(4))
 	s1 := engine.NewStage("q5agg", 2, aggs.Factory, 2, asgRouter(2))
-	e := engine.New(gen.Next, engine.Config{Window: 2, Budget: 20000, MaxPendingFactor: 2, MigrationFactor: 1}, s0, s1)
+	e := engine.New(gen.Next, engine.Config{Budget: 20000, MaxPendingFactor: 2, MigrationFactor: 1}, s0, s1)
 	defer e.Stop()
 	e.Run(3)
 	if joins.TotalJoined() == 0 {
@@ -189,11 +223,13 @@ func TestQ5JoinRegionFilter(t *testing.T) {
 	joins := NewQ5JoinFleet(gen, 0)
 	st := engine.NewStage("q5", 1, joins.Factory, 2, asgRouter(1))
 	defer st.Stop()
+	var sink captureSink
+	st.SetSink(&sink)
 	for i := 0; i < 5000; i++ {
 		st.Feed(gen.Next())
 	}
-	st.Barrier()
-	for _, o := range st.DrainEmitted() {
+	st.CloseInterval()
+	for _, o := range sink.take() {
 		nation := int(o.Key)
 		if workload.RegionOfNation(nation) != 0 {
 			t.Fatalf("join emitted nation %d outside region 0", nation)
@@ -209,10 +245,10 @@ func TestQ5RebalanceKeepsResultsFlowing(t *testing.T) {
 	gen := workload.NewTPCH(cfg)
 	joins := NewQ5JoinFleet(gen, 2)
 	s0 := engine.NewStage("q5join", 4, joins.Factory, 2, asgRouter(4))
-	e := engine.New(gen.Next, engine.Config{Window: 2, Budget: 10000, MaxPendingFactor: 2, MigrationFactor: 1}, s0)
+	e := engine.New(gen.Next, engine.Config{Budget: 10000, MaxPendingFactor: 2, MigrationFactor: 1}, s0)
 	defer e.Stop()
 	ctl := controller.New(balance.Mixed{}, balance.Config{ThetaMax: 0.08, TableMax: 3000, Beta: 1.5})
-	e.OnSnapshot = ctl.Hook()
+	e.AddSnapshotHook(0, directHook(ctl))
 	e.AdvanceWorkload = func(int64) { gen.Advance() }
 	e.Run(6)
 	if ctl.Rebalances() == 0 {

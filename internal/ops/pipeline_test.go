@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/balance"
@@ -13,13 +14,54 @@ import (
 	"repro/internal/workload"
 )
 
-// Pinned equivalence tests of the streaming inter-stage pipeline on the
-// paper's real multi-stage topologies: with engine Cfg.Pipeline the
-// interval metric series, the harvest snapshots of every stage and the
-// controller's routing table must reproduce the store-and-forward run
-// bit-identically. (Downstream float aggregates are not compared — they
-// are arrival-order-dependent sums — but every exhibit-relevant
-// quantity is.)
+// Pinned equivalence tests of the streaming inter-stage transfer on the
+// paper's real multi-stage topologies: the interval metric series, the
+// harvest snapshots of every stage and the controller's routing table
+// must reproduce a store-and-forward run bit-identically. (Downstream
+// float aggregates are not compared — they are arrival-order-dependent
+// sums — but every exhibit-relevant quantity is.)
+
+// holdOp keeps every tuple of the interval and emits them all at the
+// interval flush.
+type holdOp struct{ held []tuple.Tuple }
+
+func (h *holdOp) Process(_ *engine.TaskCtx, t tuple.Tuple) { h.held = append(h.held, t) }
+func (h *holdOp) FlushInterval(ctx *engine.TaskCtx) {
+	for _, t := range h.held {
+		ctx.Emit(t)
+	}
+	h.held = h.held[:0]
+}
+
+// refStoreAndForward is the barrier transfer the engine used to have,
+// as the reference the streaming transfer is pinned against: between
+// the two stages sits a one-instance relay that holds the interval's
+// tuples until its own close — which the cascading close reaches only
+// after s0 has run to completion — so s1 gets its whole input at once,
+// after upstream finished. The relay has unbounded capacity, so it
+// never shows in the throttle; s1 is Stages[2] of the returned engine.
+func refStoreAndForward(spout engine.Spout, cfg engine.Config, s0, s1 *engine.Stage) *engine.Engine {
+	hold := engine.NewStage("hold", 1, func(int) engine.Operator { return &holdOp{} }, 1, engine.NewShuffleRouter(1))
+	e := engine.New(spout, cfg, s0, hold, s1)
+	e.SetStageCapacity(1, math.MaxInt64/2)
+	return e
+}
+
+// newEngine assembles s0 → s1 under the streaming transfer, or under
+// the store-and-forward reference.
+func newEngine(ref bool, spout engine.Spout, cfg engine.Config, s0, s1 *engine.Stage) *engine.Engine {
+	if ref {
+		return refStoreAndForward(spout, cfg, s0, s1)
+	}
+	return engine.New(spout, cfg, s0, s1)
+}
+
+// topologySnapshots drops the reference's relay from the final
+// snapshots, leaving the topology's own two stages.
+func topologySnapshots(e *engine.Engine) []*stats.Snapshot {
+	snaps := e.LastSnapshots()
+	return []*stats.Snapshot{snaps[0], snaps[len(snaps)-1]}
+}
 
 // assertSeriesEqual compares two interval series field by field,
 // zeroing PlanMs (measured wall-clock plan-generation time, real
@@ -73,10 +115,10 @@ func assertTablesEqual(t *testing.T, sf, pl *engine.Stage) {
 }
 
 // runQ5 drives the 2-stage Q5 topology (skewed windowed join under the
-// Mixed controller → per-nation revenue aggregation) for n intervals
-// with the given transfer mode and returns the engine (stopped), the
-// join stage and the join fleet.
-func runQ5(pipelined bool, n int) (*engine.Engine, *engine.Stage, *Q5JoinFleet) {
+// Mixed controller → per-nation revenue aggregation) for n intervals,
+// streaming or under the store-and-forward reference, and returns the
+// engine (stopped), the join stage and the join fleet.
+func runQ5(ref bool, n int) (*engine.Engine, *engine.Stage, *Q5JoinFleet) {
 	cfg := workload.DefaultTPCHConfig()
 	cfg.Customers, cfg.Suppliers, cfg.OrderPool = 2000, 200, 800
 	gen := workload.NewTPCH(cfg)
@@ -84,11 +126,11 @@ func runQ5(pipelined bool, n int) (*engine.Engine, *engine.Stage, *Q5JoinFleet) 
 	aggs := NewNationRevenueFleet()
 	s0 := engine.NewStage("q5join", 4, joins.Factory, 2, asgRouter(4))
 	s1 := engine.NewStage("q5agg", 2, aggs.Factory, 2, asgRouter(2))
-	ecfg := engine.Config{Window: 2, Budget: 12000, MaxPendingFactor: 2, MigrationFactor: 1, Pipeline: pipelined}
-	e := engine.New(gen.Next, ecfg, s0, s1)
+	ecfg := engine.Config{Budget: 12000, MaxPendingFactor: 2, MigrationFactor: 1}
+	e := newEngine(ref, gen.Next, ecfg, s0, s1)
 	ctl := controller.New(balance.Mixed{}, balance.Config{ThetaMax: 0.08, TableMax: 3000, Beta: 1.5})
 	ctl.MinKeys = 32
-	e.OnSnapshot = ctl.Hook()
+	e.AddSnapshotHook(0, directHook(ctl))
 	e.AdvanceWorkload = func(i int64) {
 		if i%3 == 0 {
 			gen.Advance()
@@ -103,11 +145,11 @@ func runQ5(pipelined bool, n int) (*engine.Engine, *engine.Stage, *Q5JoinFleet) 
 // on the 2-stage TPC-H Q5 topology, rebalancing and FK drift included.
 func TestQ5PipelinedMatchesStoreAndForward(t *testing.T) {
 	const intervals = 8
-	sf, sfJoin, sfFleet := runQ5(false, intervals)
-	pl, plJoin, plFleet := runQ5(true, intervals)
+	sf, sfJoin, sfFleet := runQ5(true, intervals)
+	pl, plJoin, plFleet := runQ5(false, intervals)
 
 	assertSeriesEqual(t, sf.Recorder.Series, pl.Recorder.Series)
-	assertSnapshotsEqual(t, sf.LastSnapshots(), pl.LastSnapshots())
+	assertSnapshotsEqual(t, topologySnapshots(sf), topologySnapshots(pl))
 	assertTablesEqual(t, sfJoin, plJoin)
 	if a, b := sfFleet.TotalJoined(), plFleet.TotalJoined(); a != b {
 		t.Fatalf("join results diverge: store-and-forward %d, pipelined %d", a, b)
@@ -119,18 +161,18 @@ func TestQ5PipelinedMatchesStoreAndForward(t *testing.T) {
 
 // runPKG drives the 2-stage split-key counting topology (PKG-routed
 // partial counts flushing per interval → keyed merge) for n intervals
-// and returns the engine, both stages and the merge fleet.
-func runPKG(pipelined bool, n int) (*engine.Engine, *MergeCountFleet) {
+// and returns the engine and the merge fleet.
+func runPKG(ref bool, n int) (*engine.Engine, *MergeCountFleet) {
 	parts := NewPartialCountFleet()
 	merges := NewMergeCountFleet()
 	s0 := engine.NewStage("partial", 3, parts.Factory, 1,
 		engine.PKGRouter{R: pkgpart.NewRouter(3)})
 	s1 := engine.NewStage("merge", 2, merges.Factory, 1, asgRouter(2))
 	var seq uint64
-	e := engine.New(func() tuple.Tuple {
+	e := newEngine(ref, func() tuple.Tuple {
 		seq++
 		return tuple.New(tuple.Key(seq%11), nil)
-	}, engine.Config{Window: 1, Budget: 1100, MaxPendingFactor: 2, MigrationFactor: 1, Pipeline: pipelined}, s0, s1)
+	}, engine.Config{Budget: 1100, MaxPendingFactor: 2, MigrationFactor: 1}, s0, s1)
 	e.Run(n)
 	e.Stop()
 	return e, merges
@@ -139,15 +181,15 @@ func runPKG(pipelined bool, n int) (*engine.Engine, *MergeCountFleet) {
 // TestPKGPipelinedMatchesStoreAndForward pins the tentpole equivalence
 // on the PartialCount→MergeCount topology: the interval-flush emission
 // path (IntervalFlusher hooks run inside the cascading close) must
-// deliver exactly the partials the store-and-forward drain did, and the
+// deliver exactly the partials a store-and-forward drain does, and the
 // merged totals — integer sums, order-independent — must agree exactly.
 func TestPKGPipelinedMatchesStoreAndForward(t *testing.T) {
 	const intervals = 5
-	sf, sfMerges := runPKG(false, intervals)
-	pl, plMerges := runPKG(true, intervals)
+	sf, sfMerges := runPKG(true, intervals)
+	pl, plMerges := runPKG(false, intervals)
 
 	assertSeriesEqual(t, sf.Recorder.Series, pl.Recorder.Series)
-	assertSnapshotsEqual(t, sf.LastSnapshots(), pl.LastSnapshots())
+	assertSnapshotsEqual(t, topologySnapshots(sf), topologySnapshots(pl))
 	for k := tuple.Key(0); k < 11; k++ {
 		a, b := sfMerges.TotalCount(k), plMerges.TotalCount(k)
 		if a != b {

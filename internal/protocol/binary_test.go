@@ -368,7 +368,6 @@ func hostileMergedReports() [][]byte {
 // stopped by CheckMerged.
 func TestMergedReportWire(t *testing.T) {
 	for name, mk := range map[string]func(io.ReadWriter) *Codec{
-		"gob":    NewCodec,
 		"framed": NewFramedCodec,
 		"binary": func(rw io.ReadWriter) *Codec {
 			c := NewFramedCodec(rw)

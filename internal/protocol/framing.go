@@ -20,10 +20,8 @@ import (
 // truncation error wrapping io.ErrUnexpectedEOF, never as a silently
 // short message.
 //
-// The framed layer sits beneath the Codec, so SentBytes/RecvBytes keep
-// counting gob payload bytes only (frame headers excluded) — the
-// counters stay comparable between loopback, pipe and socket
-// transports.
+// The framed layer sits beneath the Codec, so SentBytes/RecvBytes
+// count payload bytes only (frame headers excluded).
 
 // maxFrame bounds a single framed message. Nothing the control or data
 // plane sends approaches it; its job is to turn a corrupted or hostile
@@ -183,9 +181,8 @@ func (s *framedSource) ReadByte() (byte, error) {
 }
 
 // NewFramedCodec wraps a byte stream in length framing and returns a
-// Codec speaking gob over it. It is the socket-transport variant of
-// NewCodec: same message encoding, same counters, plus frame
-// boundaries so truncation is always detected and shutdown is clean.
+// Codec speaking gob over it: frame boundaries mean truncation is always
+// detected and shutdown is clean.
 func NewFramedCodec(rw io.ReadWriter) *Codec {
 	c := &Codec{w: &frameWriter{w: rw}}
 	c.fr = &frameReader{r: rw}

@@ -98,42 +98,3 @@ func TestFramedOversizeFrame(t *testing.T) {
 		t.Fatalf("oversize write: %v, want ErrFrameTooLarge", err)
 	}
 }
-
-// TestFramedCountersMatchPlain: the framed codec's byte counters count
-// gob payload only, so loopback, pipe and socket transports report
-// comparable control-plane bandwidth.
-func TestFramedCountersMatchPlain(t *testing.T) {
-	msgs := []*Message{
-		{Report: &LoadReport{Interval: 2, Tasks: 4}},
-		{Resume: &Resume{Interval: 2}},
-	}
-	var plainWire, framedWire bytes.Buffer
-	plain := NewCodec(&plainWire)
-	framed := NewFramedCodec(&framedWire)
-	for _, m := range msgs {
-		if err := plain.Send(m); err != nil {
-			t.Fatalf("plain send: %v", err)
-		}
-		if err := framed.Send(m); err != nil {
-			t.Fatalf("framed send: %v", err)
-		}
-	}
-	if plain.SentBytes() != framed.SentBytes() {
-		t.Fatalf("sent counters differ: plain %d, framed %d", plain.SentBytes(), framed.SentBytes())
-	}
-	rc := NewFramedCodec(readerOnly{bytes.NewReader(framedWire.Bytes())})
-	for range msgs {
-		if _, err := rc.Recv(); err != nil {
-			t.Fatalf("recv: %v", err)
-		}
-	}
-	if rc.RecvBytes() != plain.SentBytes() {
-		t.Fatalf("recv counter %d, want %d", rc.RecvBytes(), plain.SentBytes())
-	}
-	// And the framed stream carries exactly one 4-byte header per
-	// message beyond the gob payload.
-	if int64(framedWire.Len()) != plain.SentBytes()+int64(len(msgs)*frameHeaderLen) {
-		t.Fatalf("framed wire %d bytes, want payload %d + %d headers",
-			framedWire.Len(), plain.SentBytes(), len(msgs)*frameHeaderLen)
-	}
-}

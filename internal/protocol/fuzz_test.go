@@ -236,7 +236,7 @@ func buildMessage(seed uint64, kind, n int) *Message {
 }
 
 // FuzzCodecRoundTrip drives arbitrary messages of every kind through
-// the gob codec and requires the decoded value to reproduce the
+// the framed codec, gob and binary, and requires the decoded value to reproduce the
 // original exactly — the property the wire transport's equivalence
 // with the loopback rests on. Seeds cover every kind at empty,
 // single-entry and many-entry sizes (empty routing tables, multi-entry
@@ -253,7 +253,6 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		}
 		n %= 1 << 12
 		for name, mk := range map[string]func(io.ReadWriter) *Codec{
-			"plain":  func(rw io.ReadWriter) *Codec { return NewCodec(rw) },
 			"framed": NewFramedCodec,
 			"binary": func(rw io.ReadWriter) *Codec {
 				c := NewFramedCodec(rw)

@@ -405,18 +405,17 @@ func (m *Message) Kind() string {
 	}
 }
 
-// Codec frames Messages over a byte stream. The default encoding is
-// gob: each message is staged in one retained encode buffer and written
-// with a single Write — gob would otherwise issue several small writes
-// per message (type descriptors, then the value), each a syscall on a
-// real socket — and the buffer is reused across messages, so
-// steady-state sends allocate nothing. The staging also makes exact
-// per-direction byte counters (SentBytes/RecvBytes) free; bench-control
-// reads them to report control-plane bandwidth.
+// Codec frames Messages over a byte stream (NewFramedCodec is the
+// constructor). The default encoding is gob inside length framing: each
+// message is staged in one retained encode buffer and written with a
+// single Write — gob would otherwise issue several small writes per
+// message (type descriptors, then the value), each a syscall on a real
+// socket — and the buffer is reused across messages, so steady-state
+// sends allocate nothing. The staging also makes exact per-direction
+// byte counters (SentBytes/RecvBytes) free.
 //
-// A framed codec (NewFramedCodec) can additionally switch to the
-// hand-rolled binary wire (binary.go) with EnableBinary, after both
-// sides agreed in the cluster handshake: data-plane and steady-state
+// EnableBinary switches the codec to the hand-rolled binary wire
+// (binary.go) after both sides agreed in the cluster handshake: data-plane and steady-state
 // control frames take the zero-reflection columnar encoding, everything
 // else rides as a self-contained gob frame behind a kind byte. The
 // switch is safe mid-stream because the framed gob decoder reads from a
@@ -439,7 +438,7 @@ type Codec struct {
 	sentMsgs atomic.Int64
 	rcvdMsgs atomic.Int64
 
-	// Binary-wire state (framed codecs only). bin is the retained
+	// Binary-wire state. bin is the retained
 	// encode scratch; tup/bounds are the retained decode storage that
 	// successive hot-path batches reuse (the receive-side mirror of the
 	// engine's pooled feed buffers); strs interns stream labels.
@@ -463,14 +462,6 @@ type Codec struct {
 	// into alternately (see decodeReport).
 	merged  [2][]stats.KeyStat
 	mergedN int
-}
-
-// NewCodec wraps a bidirectional stream.
-func NewCodec(rw io.ReadWriter) *Codec {
-	c := &Codec{w: rw}
-	c.enc = gob.NewEncoder(&c.buf)
-	c.dec = gob.NewDecoder(&countingReader{r: rw, n: &c.rcvd})
-	return c
 }
 
 // Send encodes one message.
@@ -511,17 +502,11 @@ func (c *Codec) Recv() (*Message, error) {
 	return &m, nil
 }
 
-// EnableBinary switches a framed codec to the binary wire. Call it on
-// both sides at the same stream position (after the Hello/Welcome
-// exchange agreed on FeatureBinary); every message from then on is a
-// kind-dispatched binary frame. Panics on a non-framed codec — the
-// binary wire only exists inside length framing.
-func (c *Codec) EnableBinary() {
-	if c.fr == nil {
-		panic("protocol: EnableBinary on a non-framed codec")
-	}
-	c.binary = true
-}
+// EnableBinary switches the codec to the binary wire. Call it on both
+// sides at the same stream position (after the Hello/Welcome exchange
+// agreed on FeatureBinary); every message from then on is a
+// kind-dispatched binary frame.
+func (c *Codec) EnableBinary() { c.binary = true }
 
 // Binary reports whether the codec is speaking the binary wire.
 func (c *Codec) Binary() bool { return c.binary }
@@ -556,17 +541,6 @@ func (c *Codec) SentMsgs() int64 { return c.sentMsgs.Load() }
 
 // RecvMsgs returns the number of wire units read so far.
 func (c *Codec) RecvMsgs() int64 { return c.rcvdMsgs.Load() }
-
-type countingReader struct {
-	r io.Reader
-	n *atomic.Int64
-}
-
-func (cr *countingReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.n.Add(int64(n))
-	return n, err
-}
 
 // AnnounceFromPlan marshals a planner result into its wire form: the
 // routing table in ascending key order, the migration set in plan

@@ -14,7 +14,7 @@ func TestCodecRoundTripAllKinds(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
-	ca, cb := NewCodec(a), NewCodec(b)
+	ca, cb := NewFramedCodec(a), NewFramedCodec(b)
 
 	msgs := []*Message{
 		{Report: &LoadReport{Interval: 7, Tasks: 3, Keys: []stats.KeyStat{{Key: 1, Cost: 5, Freq: 3, Mem: 9, Dest: 2}}}},
@@ -50,8 +50,8 @@ func TestCodecRoundTripAllKinds(t *testing.T) {
 	a2, b2 := net.Pipe()
 	defer a2.Close()
 	defer b2.Close()
-	go NewCodec(a2).Send(msgs[2])
-	got, err := NewCodec(b2).Recv()
+	go NewFramedCodec(a2).Send(msgs[2])
+	got, err := NewFramedCodec(b2).Recv()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestSendRejectsEmpty(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
-	if err := NewCodec(a).Send(&Message{}); err == nil {
+	if err := NewFramedCodec(a).Send(&Message{}); err == nil {
 		t.Fatal("empty message accepted")
 	}
 }
@@ -112,7 +112,7 @@ func TestFullProtocolExchange(t *testing.T) {
 	// Task goroutines.
 	runTask := func(ts *taskState, conn net.Conn, peerSend, peerRecv *Codec) {
 		defer wg.Done()
-		c := NewCodec(conn)
+		c := NewFramedCodec(conn)
 		// Step 1: report. Each toy task is its own reporter, so its run
 		// is its share of the stage: its keys, destined to itself.
 		rep := &LoadReport{Interval: interval, Tasks: 2}
@@ -174,11 +174,11 @@ func TestFullProtocolExchange(t *testing.T) {
 	}
 
 	wg.Add(2)
-	go runTask(tasks[0], t0, NewCodec(d01a), nil)
-	go runTask(tasks[1], t1, nil, NewCodec(d01b))
+	go runTask(tasks[0], t0, NewFramedCodec(d01a), nil)
+	go runTask(tasks[1], t1, nil, NewFramedCodec(d01b))
 
 	// Controller.
-	cc := []*Codec{NewCodec(c0), NewCodec(c1)}
+	cc := []*Codec{NewFramedCodec(c0), NewFramedCodec(c1)}
 	snap := &stats.Snapshot{Interval: interval, ND: 2}
 	for _, c := range cc {
 		m, err := c.Recv()

@@ -11,11 +11,9 @@ import (
 )
 
 // Example_topology declares a two-stage system through the builder: a
-// keyed map under the Mixed rebalancer feeding a counting sink. With
-// two stages the builder defaults to the streaming inter-stage
-// pipeline — the sink consumes mid-interval while the map is still
-// processing (topology.StoreAndForward would select the legacy barrier
-// transfer).
+// keyed map under the Mixed rebalancer feeding a counting sink. The
+// stages stream to each other — the sink consumes mid-interval while
+// the map is still processing.
 func Example_topology() {
 	gen := workload.NewZipfStream(500, 0.9, 0, 1000, 7)
 	var sunk atomic.Int64
@@ -45,10 +43,33 @@ func Example_topology() {
 
 	sys.Run(3)
 	fmt.Println("stages:", sys.Stages())
-	fmt.Println("pipelined:", sys.Engine.Cfg.Pipeline)
 	fmt.Println("tuples through both stages:", sunk.Load())
 	// Output:
 	// stages: 2
-	// pipelined: true
 	// tuples through both stages: 3000
+}
+
+// ExamplePlannerFor shows planner selection by algorithm name.
+func ExamplePlannerFor() {
+	for _, alg := range []topology.Algorithm{topology.AlgMixed, topology.AlgMinTable, topology.AlgReadj} {
+		fmt.Println(topology.PlannerFor(alg, 0, 0).Name())
+	}
+	// Output:
+	// Mixed
+	// MinTable
+	// Readj
+}
+
+// ExampleNewAssignment demonstrates the default partition function: an
+// empty routing table over a consistent-hash ring, so every key routes
+// to its hash home.
+func ExampleNewAssignment() {
+	a := topology.NewAssignment(4)
+	fmt.Println("instances:", a.Instances())
+	fmt.Println("table size:", a.Table().Len())
+	fmt.Println("F(k) == h(k):", a.Dest(12345) == a.HashDest(12345))
+	// Output:
+	// instances: 4
+	// table size: 0
+	// F(k) == h(k): true
 }

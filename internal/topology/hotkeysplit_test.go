@@ -115,7 +115,7 @@ func TestHotKeySplitEquivalencePKGPair(t *testing.T) {
 				if split {
 					sOpts = append(sOpts, HotKeySplit(3, 1.0))
 				}
-				sys := New(SpoutBatch(gen.NextBatch), Budget(budget), StoreAndForward()).
+				sys := New(SpoutBatch(gen.NextBatch), Budget(budget)).
 					Stage("partial", pf.Factory, sOpts...).
 					Stage("merge", mf.Factory, Instances(3)).
 					Build()

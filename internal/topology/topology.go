@@ -14,21 +14,15 @@
 //	defer sys.Stop()
 //	sys.Run(25)
 //
-// Topologies with two or more stages run the streaming inter-stage
-// pipeline by default (stage s+1 consumes while stage s is still
-// processing); StoreAndForward selects the legacy barrier transfer,
-// which the equivalence tests pin against. Assignment-routed stages
-// migrate live (generation-stamped routing, no feed pause; see
-// engine.Stage.ApplyPlan). Every stage may carry its
-// own control loop — the builder assembles the stage's policies (the
-// algorithm-derived rebalance controller plus any WithPolicy
-// additions, e.g. longterm.AutoScaler) into one control.Loop per
-// managed stage, applying rebalance, scale-out and live scale-in
-// commands over protocol messages (WireControl selects the serialized
-// wire transport, pinned equivalent to the loopback default).
-//
-// core.NewSystem and core.NewSystemBatch are thin wrappers over this
-// builder for the single-stage case.
+// Stages stream to each other (stage s+1 consumes while stage s is
+// still processing). Assignment-routed stages migrate live
+// (generation-stamped routing, no feed pause; see
+// engine.Stage.ApplyPlan). Every stage may carry its own control loop —
+// the builder assembles the stage's policies (the algorithm-derived
+// rebalance controller plus any WithPolicy additions, e.g.
+// longterm.AutoScaler) into one control.Loop per managed stage, applying
+// rebalance, scale-out and live scale-in commands over protocol
+// messages on the in-process loopback.
 package topology
 
 import (
@@ -52,8 +46,7 @@ import (
 
 // Algorithm names a rebalance strategy (or split-key baseline) for one
 // stage: it selects both the input router and, where one exists, the
-// planner the stage's controller runs. core.Algorithm aliases this
-// type, so the two are interchangeable.
+// planner the stage's controller runs.
 type Algorithm string
 
 // The supported strategies. AlgStorm is hash-only with no rebalancing
@@ -78,8 +71,6 @@ const (
 const PKGOverhead = 1.125
 
 // The paper's Tab. II defaults, applied to zero-valued parameters.
-// Exported so core.Config.withDefaults documents and applies the same
-// values without a second copy of the literals.
 const (
 	DefInstances  = 10
 	DefWindow     = 1
@@ -153,8 +144,6 @@ type Builder struct {
 	spout   engine.Spout
 	spoutB  engine.SpoutBatch
 	ecfg    engine.Config
-	pipe    *bool // explicit transfer-mode choice; nil = default
-	wire    bool  // control loops speak the gob wire transport
 	advance func(interval int64)
 	stages  []*stageSpec
 }
@@ -201,36 +190,6 @@ func MigrationFactor(f float64) Option { return func(b *Builder) { b.ecfg.Migrat
 // get the paper's 10 ms merge-period floor automatically.)
 func LatencyFloorMs(ms float64) Option { return func(b *Builder) { b.ecfg.LatencyFloorMs = ms } }
 
-// Pipelined forces streaming inter-stage transfer on. It is already
-// the default for topologies with two or more stages; the option
-// exists to make the choice explicit at call sites that depend on it.
-func Pipelined() Option {
-	on := true
-	return func(b *Builder) { b.pipe = &on }
-}
-
-// StoreAndForward selects the legacy barrier transfer: each stage runs
-// to completion and the driver forwards its emissions to the next
-// stage afterwards. It is the equivalence-test oracle the streaming
-// pipeline is pinned against, and the mode to pick when a downstream
-// order-dependent consumer has not been audited for mid-interval
-// interleaving.
-func StoreAndForward() Option {
-	off := false
-	return func(b *Builder) { b.pipe = &off }
-}
-
-// WireControl runs every stage's control loop over the gob
-// Codec-over-pipe transport instead of the in-process loopback: each
-// control message (load reports, plan announcements, resizes, state
-// transfers, acks, resume) is fully serialized and parsed per round.
-// Behavior is pinned identical to the loopback default; the option
-// exists to prove multi-process readiness end to end and to measure
-// true wire cost.
-func WireControl() Option {
-	return func(b *Builder) { b.wire = true }
-}
-
 // AdvanceEach installs a per-interval workload callback
 // (engine.AdvanceWorkload): fn runs after every interval so generators
 // can fluctuate or shift their distributions.
@@ -262,8 +221,6 @@ type stageSpec struct {
 	splitMax   int
 	splitRatio float64
 	policies   []control.Policy
-	hooks      []engine.SnapshotHook
-	hookers    []StageHooker
 }
 
 // StageOption is a per-stage construction option for Builder.Stage.
@@ -396,33 +353,6 @@ func WithPolicy(p control.Policy) StageOption {
 	return func(s *stageSpec) { s.policies = append(s.policies, p) }
 }
 
-// WithHook registers a raw per-stage snapshot hook, for callers that
-// need direct engine access the command vocabulary does not model.
-// Hooks bypass the control plane: they run after the stage's control
-// loop, in registration order, on the driver goroutine. The hook is
-// invoked with this stage's snapshots only; beware adapters that
-// filter on the engine's recording target internally
-// (controller.Controller.Hook) — on a non-target stage they no-op
-// silently. Policies should prefer WithPolicy, which routes through
-// the unified command path.
-func WithHook(h engine.SnapshotHook) StageOption {
-	return func(s *stageSpec) { s.hooks = append(s.hooks, h) }
-}
-
-// StageHooker is any adapter that can bind a snapshot hook to a stage
-// index — controller.Controller can, for hand-wired setups.
-type StageHooker interface {
-	StageHook(si int) engine.SnapshotHook
-}
-
-// WithStageHook registers h.StageHook(si) with this stage's own index,
-// resolved at Build time — unlike WithHook, the caller cannot bind the
-// wrong position when stages are later inserted or reordered. Like
-// WithHook it bypasses the control plane; prefer WithPolicy.
-func WithStageHook(h StageHooker) StageOption {
-	return func(s *stageSpec) { s.hookers = append(s.hookers, h) }
-}
-
 // System is a built topology: the engine plus the per-stage
 // controllers and control loops the builder created.
 type System struct {
@@ -434,11 +364,8 @@ type System struct {
 }
 
 // Build resolves defaults and assembles the engine, stages and
-// controllers. Topologies with two or more stages run the streaming
-// inter-stage pipeline unless StoreAndForward (or Pipelined) made the
-// choice explicit. Build panics on an empty or inconsistent
-// declaration — topology shape is a programming error, not an input
-// error.
+// controllers. Build panics on an empty or inconsistent declaration —
+// topology shape is a programming error, not an input error.
 func (b *Builder) Build() *System {
 	if len(b.stages) == 0 {
 		panic("topology: Build with no stages")
@@ -489,15 +416,6 @@ func (b *Builder) Build() *System {
 	}
 
 	ecfg := b.ecfg
-	// Pipeline by default for multi-stage topologies: the audited
-	// consumers (float aggregations, exhibit metrics) are
-	// arrival-order-insensitive; StoreAndForward stays selectable as
-	// the equivalence oracle.
-	if b.pipe != nil {
-		ecfg.Pipeline = *b.pipe
-	} else {
-		ecfg.Pipeline = len(b.stages) >= 2
-	}
 	if b.stages[target].alg == AlgPKG {
 		// PKG's split keys require a downstream merge of partial results
 		// every period p (the paper settled on p = 10 ms); the latency
@@ -569,19 +487,9 @@ func (b *Builder) Build() *System {
 		}
 		policies = append(policies, s.policies...)
 		if len(policies) > 0 {
-			var lopts []control.LoopOption
-			if b.wire {
-				lopts = append(lopts, control.Wire())
-			}
-			loop := control.NewLoop(e, si, policies, lopts...)
+			loop := control.NewLoop(e, si, policies)
 			sys.loops[si] = loop
 			e.AddSnapshotHook(si, loop.Hook())
-		}
-		for _, h := range s.hooks {
-			e.AddSnapshotHook(si, h)
-		}
-		for _, h := range s.hookers {
-			e.AddSnapshotHook(si, h.StageHook(si))
 		}
 	}
 	return sys

@@ -3,6 +3,7 @@ package topology_test
 import (
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/balance"
 	"repro/internal/controller"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/ops"
 	"repro/internal/pkgpart"
+	"repro/internal/readj"
 	"repro/internal/route"
 	"repro/internal/stats"
 	"repro/internal/topology"
@@ -21,8 +23,17 @@ import (
 // bit-identically to the same topology hand-wired from engine.NewStage,
 // engine.New and controller.New — interval metric series, final harvest
 // snapshots and the controllers' routing tables all equal. The
-// hand-wired forms below replicate what the examples and core.NewSystem
-// did before the builder existed.
+// hand-wired forms below replicate what the examples did before the
+// builder existed, with the controller on the stage directly.
+
+// directHook is the direct path the builder's control loop is pinned
+// against: the controller decides and applies on the stage itself, no
+// protocol.
+func directHook(ctl *controller.Controller) engine.SnapshotHook {
+	return func(e *engine.Engine, si int, snap *stats.Snapshot) *engine.Rebalance {
+		return ctl.Maybe(e.Stages[si], snap)
+	}
+}
 
 // assertSeriesEqual compares two interval series field by field,
 // zeroing PlanMs (measured wall-clock plan-generation time, real
@@ -80,7 +91,7 @@ func assertTablesEqual(t *testing.T, want, got *engine.Stage) {
 
 // TestBuilderSingleStageMatchesHandWired pins the single-stage Mixed
 // system: builder output vs the engine.NewStage + engine.New +
-// controller.New wiring core.NewSystem used to spell out.
+// controller.New wiring spelled out.
 func TestBuilderSingleStageMatchesHandWired(t *testing.T) {
 	const intervals = 10
 	mkGen := func() *workload.ZipfStream { return workload.NewZipfStream(5000, 1.0, 0.8, 8000, 23) }
@@ -95,7 +106,7 @@ func TestBuilderSingleStageMatchesHandWired(t *testing.T) {
 	hw := engine.New(hwGen.Next, hwCfg, hwStage)
 	hwCtl := controller.New(balance.Mixed{}, balance.Config{ThetaMax: 0.08, TableMax: 3000, Beta: 1.5})
 	hwCtl.MinKeys = 32
-	hw.OnSnapshot = hwCtl.Hook()
+	hw.AddSnapshotHook(0, directHook(hwCtl))
 	hwAr := hwStage.AssignmentRouter()
 	hw.AdvanceWorkload = func(int64) { hwGen.Advance(hwAr.Assignment()) }
 	hw.Run(intervals)
@@ -123,10 +134,9 @@ func TestBuilderSingleStageMatchesHandWired(t *testing.T) {
 	}
 }
 
-// TestBuilderQ5MatchesHandWired pins the 2-stage TPC-H Q5 topology
-// under streaming transfer: the builder's pipelined-by-default wiring
-// must reproduce the hand-wired engine.New(…, s0, s1) run exactly,
-// rebalancing and FK drift included.
+// TestBuilderQ5MatchesHandWired pins the 2-stage TPC-H Q5 topology: the
+// builder's wiring must reproduce the hand-wired engine.New(…, s0, s1)
+// run exactly, rebalancing and FK drift included.
 func TestBuilderQ5MatchesHandWired(t *testing.T) {
 	const intervals = 8
 	mkGen := func() *workload.TPCH {
@@ -135,8 +145,7 @@ func TestBuilderQ5MatchesHandWired(t *testing.T) {
 		return workload.NewTPCH(cfg)
 	}
 
-	// Hand-wired, Pipeline set explicitly (the builder defaults to it
-	// for ≥2 stages — that default is pinned separately below).
+	// Hand-wired.
 	hwGen := mkGen()
 	hwJoins := ops.NewQ5JoinFleet(hwGen, 2)
 	hwAggs := ops.NewNationRevenueFleet()
@@ -146,11 +155,10 @@ func TestBuilderQ5MatchesHandWired(t *testing.T) {
 		engine.NewAssignmentRouter(topology.NewAssignment(2)))
 	ecfg := engine.DefaultConfig()
 	ecfg.Budget = 12000
-	ecfg.Pipeline = true
 	hw := engine.New(hwGen.Next, ecfg, s0, s1)
 	hwCtl := controller.New(balance.Mixed{}, balance.Config{ThetaMax: 0.08, TableMax: 3000, Beta: 1.5})
 	hwCtl.MinKeys = 32
-	hw.OnSnapshot = hwCtl.Hook()
+	hw.AddSnapshotHook(0, directHook(hwCtl))
 	hw.AdvanceWorkload = func(i int64) {
 		if i%3 == 0 {
 			hwGen.Advance()
@@ -178,9 +186,6 @@ func TestBuilderQ5MatchesHandWired(t *testing.T) {
 	).Stage("q5agg", bAggs.Factory,
 		topology.Instances(2), topology.Window(2),
 	).Build()
-	if !sys.Engine.Cfg.Pipeline {
-		t.Fatal("2-stage topology did not default to pipelined transfer")
-	}
 	sys.Run(intervals)
 	sys.Stop()
 
@@ -219,7 +224,7 @@ func TestBuilderPKGMatchesHandWired(t *testing.T) {
 	h1 := engine.NewStage("merge", 2, hwMerges.Factory, 1,
 		engine.NewAssignmentRouter(topology.NewAssignment(2)))
 	hw := engine.New(mkSpout(), engine.Config{
-		Window: 1, Budget: 1100, MaxPendingFactor: 2, MigrationFactor: 1, Pipeline: true}, h0, h1)
+		Budget: 1100, MaxPendingFactor: 2, MigrationFactor: 1}, h0, h1)
 	hw.Run(intervals)
 	hw.Stop()
 
@@ -252,41 +257,10 @@ func TestBuilderPKGMatchesHandWired(t *testing.T) {
 	}
 }
 
-// TestPipelineDefaults pins the transfer-mode defaulting: single-stage
-// topologies stay store-and-forward, multi-stage default to streaming,
-// and both explicit options win over the default.
-func TestPipelineDefaults(t *testing.T) {
-	op := func(int) engine.Operator { return engine.Discard }
-	one := topology.New().Stage("a", op, topology.Instances(2)).Build()
-	defer one.Stop()
-	if one.Engine.Cfg.Pipeline {
-		t.Fatal("single-stage topology defaulted to pipelined transfer")
-	}
-	two := topology.New().
-		Stage("a", op, topology.Instances(2)).
-		Stage("b", op, topology.Instances(2)).Build()
-	defer two.Stop()
-	if !two.Engine.Cfg.Pipeline {
-		t.Fatal("2-stage topology did not default to pipelined transfer")
-	}
-	sf := topology.New(topology.StoreAndForward()).
-		Stage("a", op, topology.Instances(2)).
-		Stage("b", op, topology.Instances(2)).Build()
-	defer sf.Stop()
-	if sf.Engine.Cfg.Pipeline {
-		t.Fatal("StoreAndForward did not override the multi-stage default")
-	}
-	pl := topology.New(topology.Pipelined()).Stage("a", op, topology.Instances(2)).Build()
-	defer pl.Stop()
-	if !pl.Engine.Cfg.Pipeline {
-		t.Fatal("Pipelined did not override the single-stage default")
-	}
-}
-
 // TestPerStageCapacityAndPKGShave pins the per-stage capacity plumbing:
 // explicit Capacity reaches the stage's slot of the performance model,
 // other stages keep the Budget-derived default, and an AlgPKG stage
-// pays the PKGOverhead shave exactly as core.NewSystem charged it.
+// pays the PKGOverhead shave.
 func TestPerStageCapacityAndPKGShave(t *testing.T) {
 	op := func(int) engine.Operator { return engine.Discard }
 	sys := topology.New(topology.Budget(1000)).
@@ -317,10 +291,10 @@ func TestPerStageCapacityAndPKGShave(t *testing.T) {
 
 // TestTwoControllersRebalanceBothStages is the tentpole lift: one
 // engine, two stages, each with its own independent Mixed controller,
-// both rebalancing over a skewed fluctuating stream while the pipelined
+// both rebalancing over a skewed fluctuating stream while the streaming
 // transfer and a 2-way spout fan-out keep every concurrency path hot.
-// Run under -race (CI does) to stress pipelined flushes × two-stage
-// plan application.
+// Run under -race (CI does) to stress task-goroutine flushes ×
+// two-stage plan application.
 func TestTwoControllersRebalanceBothStages(t *testing.T) {
 	gen := workload.NewZipfStream(2000, 1.0, 0.8, 8000, 31)
 	var forwarded atomic.Int64
@@ -408,4 +382,224 @@ func TestPauseFreeDefaults(t *testing.T) {
 	if _, err := def.Stage(1).ApplyPlan(plan, nil); err == nil {
 		t.Fatal("shuffle stage accepted a plan")
 	}
+}
+
+// The tests below pin what a single-operator system — the paper's own
+// setting — gets from the builder: the Tab. II defaults, every
+// algorithm's planner and router, the knobs that must reach the
+// controller, the stores and the engine, and the equivalences between
+// the ways of feeding it.
+
+// countStage builds the one-operator system: a StatefulCount stage
+// fed by gen.
+func countStage(gen *workload.ZipfStream, budget int64, opts ...topology.StageOption) *topology.System {
+	return topology.New(topology.Spout(gen.Next), topology.Budget(budget)).
+		Stage("operator", func(int) engine.Operator { return engine.StatefulCount }, opts...).
+		Build()
+}
+
+func TestDefaultsMatchTableII(t *testing.T) {
+	if topology.DefInstances != 10 || topology.DefWindow != 1 || topology.DefTheta != 0.08 ||
+		topology.DefTableMax != 3000 || topology.DefBeta != 1.5 || topology.DefBudget != 10000 {
+		t.Fatal("builder defaults drifted from Tab. II")
+	}
+	sys := countStage(workload.NewZipfStream(100, 0.85, 0, 100, 1), 0,
+		topology.WithAlgorithm(topology.AlgMixed))
+	defer sys.Stop()
+	if nd, w := sys.Stage(0).Instances(), sys.Stage(0).StoreOf(0).Window(); nd != 10 || w != 1 {
+		t.Fatalf("default stage has %d instances, window %d", nd, w)
+	}
+	want := balance.Config{ThetaMax: 0.08, TableMax: 3000, Beta: 1.5}
+	if got := sys.Controller(0).Cfg; got != want || sys.Engine.Cfg.Budget != 10000 {
+		t.Fatalf("default controller config %+v, budget %d", got, sys.Engine.Cfg.Budget)
+	}
+}
+
+func TestPlannerForCoversAllAlgorithms(t *testing.T) {
+	for _, a := range []topology.Algorithm{topology.AlgMixed, topology.AlgMixedBF, topology.AlgMinTable,
+		topology.AlgMinMig, topology.AlgLLFD, topology.AlgSimple, topology.AlgCompact, topology.AlgReadj} {
+		if topology.PlannerFor(a, 0, 0) == nil {
+			t.Fatalf("no planner for %s", a)
+		}
+	}
+	for _, a := range []topology.Algorithm{topology.AlgStorm, topology.AlgPKG, topology.AlgIdeal} {
+		if topology.PlannerFor(a, 0, 0) != nil {
+			t.Fatalf("planner for migration-free scheme %s", a)
+		}
+	}
+}
+
+func TestPlannerForPanicsOnUnknown(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("unknown algorithm did not panic")
+		}
+	}()
+	topology.PlannerFor("bogus", 0, 0)
+}
+
+func TestUnboundedTableReachesController(t *testing.T) {
+	sys := countStage(workload.NewZipfStream(100, 0.85, 0, 100, 1), 100,
+		topology.Instances(2), topology.WithAlgorithm(topology.AlgMixed), topology.TableMax(-1))
+	defer sys.Stop()
+	if got := sys.Controller(0).Cfg.TableMax; got != 0 {
+		t.Fatalf("negative TableMax mapped to %d, want 0 (unbounded)", got)
+	}
+}
+
+func TestStormBaselineNeverRebalances(t *testing.T) {
+	sys := countStage(workload.NewZipfStream(5000, 0.85, 1.0, 4000, 1), 4000,
+		topology.Instances(4), topology.WithAlgorithm(topology.AlgStorm))
+	defer sys.Stop()
+	sys.Run(5)
+	if sys.Controller(0) != nil || sys.Loop(0) != nil {
+		t.Fatal("Storm baseline has a controller")
+	}
+	if sys.Stage(0).AssignmentRouter().Assignment().Table().Len() != 0 {
+		t.Fatal("Storm baseline grew a routing table")
+	}
+}
+
+func TestPKGAndIdealExposeNoPartitionFunction(t *testing.T) {
+	for _, alg := range []topology.Algorithm{topology.AlgPKG, topology.AlgIdeal} {
+		gen := workload.NewZipfStream(1000, 0.85, 0, 1000, 2)
+		sys := topology.New(topology.Spout(gen.Next), topology.Budget(1000)).
+			Stage("operator", func(int) engine.Operator { return engine.Discard },
+				topology.Instances(4), topology.WithAlgorithm(alg)).
+			Build()
+		sys.Run(2)
+		if _, ok := sys.Dest(0, tuple.Key(1)); ok {
+			t.Fatalf("%s should not expose a key-deterministic destination", alg)
+		}
+		sys.Stop()
+	}
+}
+
+func TestMixedBeatsStormOnSkewedThroughput(t *testing.T) {
+	// The headline claim, end to end: on a skewed fluctuating stream,
+	// Mixed sustains higher throughput and lower latency than hash-only.
+	run := func(alg topology.Algorithm) (float64, float64) {
+		// Discriminating regime: strong skew (z = 1) over few keys, so
+		// the hot keys' hash placement dominates instance load — the
+		// imbalance mixed routing exists to fix (Fig. 7(b)).
+		gen := workload.NewZipfStream(500, 1.0, 0.5, 8000, 3)
+		sys := countStage(gen, 8000,
+			topology.Instances(8), topology.WithAlgorithm(alg), topology.MinKeys(10))
+		defer sys.Stop()
+		ar := sys.Stage(0).AssignmentRouter()
+		sys.Engine.AdvanceWorkload = func(int64) { gen.Advance(ar.Assignment()) }
+		sys.Run(20)
+		var thr, lat float64
+		for _, m := range sys.Recorder().Series[10:] {
+			thr += m.Throughput
+			lat += m.LatencyMs
+		}
+		return thr / 10, lat / 10
+	}
+	stormThr, stormLat := run(topology.AlgStorm)
+	mixedThr, mixedLat := run(topology.AlgMixed)
+	if mixedThr <= stormThr {
+		t.Fatalf("Mixed throughput %.0f not above Storm %.0f", mixedThr, stormThr)
+	}
+	if mixedLat >= stormLat {
+		t.Fatalf("Mixed latency %.1f not below Storm %.1f", mixedLat, stormLat)
+	}
+}
+
+func TestNewAssignmentPureHash(t *testing.T) {
+	a := topology.NewAssignment(8)
+	if a.Table().Len() != 0 || a.Instances() != 8 {
+		t.Fatalf("NewAssignment = table %d, nd %d", a.Table().Len(), a.Instances())
+	}
+}
+
+func TestSpoutBatchMatchesPerTuple(t *testing.T) {
+	// The batch-spout wiring must reproduce the per-tuple system's
+	// metrics exactly when fed the same generator sequence.
+	run := func(batch bool) []metrics.Interval {
+		gen := workload.NewZipfStream(5000, 0.85, 0, 5000, 21)
+		spout := topology.Spout(gen.Next)
+		if batch {
+			spout = topology.SpoutBatch(gen.NextBatch)
+		}
+		sys := topology.New(spout, topology.Budget(5000)).
+			Stage("operator", func(int) engine.Operator { return engine.StatefulCount },
+				topology.Instances(6), topology.WithAlgorithm(topology.AlgMixed), topology.MinKeys(32)).
+			Build()
+		defer sys.Stop()
+		sys.Run(6)
+		return sys.Recorder().Series
+	}
+	assertSeriesEqual(t, run(false), run(true))
+}
+
+func TestPlanIntervalPlumbedToController(t *testing.T) {
+	sys := countStage(workload.NewZipfStream(100, 0.85, 0, 100, 1), 100,
+		topology.Instances(2), topology.WithAlgorithm(topology.AlgMixed), topology.PlanInterval(5*time.Second))
+	defer sys.Stop()
+	if got := sys.Controller(0).IntervalDuration; got != 5*time.Second {
+		t.Fatalf("IntervalDuration = %v", got)
+	}
+}
+
+func TestReadjStageUsesConfiguredSigma(t *testing.T) {
+	gen := workload.NewZipfStream(1000, 1.0, 0.5, 2000, 5)
+	sys := countStage(gen, 2000,
+		topology.Instances(4), topology.WithAlgorithm(topology.AlgReadj),
+		topology.ReadjSigma(0.05), topology.MinKeys(16))
+	defer sys.Stop()
+	if p, ok := sys.Controller(0).Planner.(readj.Planner); !ok || p.Sigma != 0.05 {
+		t.Fatalf("Readj stage plans with %+v, want σ = 0.05", sys.Controller(0).Planner)
+	}
+	ar := sys.Stage(0).AssignmentRouter()
+	sys.Engine.AdvanceWorkload = func(int64) { gen.Advance(ar.Assignment()) }
+	sys.Run(8)
+	if sys.Rebalances() == 0 {
+		t.Fatal("Readj stage never rebalanced")
+	}
+}
+
+func TestWindowPropagatesToStores(t *testing.T) {
+	sys := countStage(workload.NewZipfStream(50, 0.85, 0, 100, 2), 100,
+		topology.Instances(2), topology.Window(4))
+	defer sys.Stop()
+	st := sys.Stage(0)
+	if w := st.StoreOf(0).Window(); w != 4 {
+		t.Fatalf("store window = %d, want 4", w)
+	}
+	// State observed in interval 0 must survive 4 intervals.
+	k := tuple.Key(7)
+	st.Feed(tuple.New(k, nil))
+	st.Barrier()
+	d, _ := sys.Dest(0, k)
+	sys.Run(3)
+	if st.StoreOf(d).Size(k) == 0 {
+		t.Fatal("windowed state evicted too early")
+	}
+}
+
+// TestFeedersPreserveExhibitMetrics is the pinned end-to-end
+// determinism test of the parallel runtime: a Feeders = 4 run of the
+// full system (routing, windowed state, statistics harvest, Mixed
+// rebalancing, workload fluctuation) must reproduce the Feeders = 1
+// interval series — every exhibit-relevant metric — the final harvest
+// snapshot and the routing table the controller built, exactly.
+func TestFeedersPreserveExhibitMetrics(t *testing.T) {
+	run := func(feeders int) *topology.System {
+		gen := workload.NewZipfStream(3000, 0.9, 1.0, 10000, 41)
+		sys := topology.New(topology.SpoutBatch(gen.NextBatch), topology.Budget(10000), topology.Feeders(feeders)).
+			Stage("operator", func(int) engine.Operator { return engine.StatefulCount },
+				topology.Instances(8), topology.Window(2),
+				topology.WithAlgorithm(topology.AlgMixed), topology.MinKeys(64)).
+			Build()
+		defer sys.Stop()
+		ar := sys.Stage(0).AssignmentRouter()
+		sys.Engine.AdvanceWorkload = func(int64) { gen.Advance(ar.Assignment()) }
+		sys.Run(12)
+		return sys
+	}
+	serial, parallel := run(1), run(4)
+	assertSeriesEqual(t, serial.Recorder().Series, parallel.Recorder().Series)
+	assertSnapshotsEqual(t, serial.Engine.LastSnapshots(), parallel.Engine.LastSnapshots())
+	assertTablesEqual(t, serial.Stage(0), parallel.Stage(0))
 }
