@@ -100,9 +100,8 @@ func (c *Conn) SetName(n string) { c.name = n }
 
 // Stat returns the connection's byte and message counters for the
 // shutdown table. Byte counters count codec payload only — frame
-// headers are excluded — so they are directly comparable with the
-// in-process wire transport's; message counters count wire units
-// (coalesced frames count once).
+// headers are excluded; message counters count wire units (coalesced
+// frames count once).
 func (c *Conn) Stat() protocol.ConnStat {
 	return protocol.ConnStat{
 		Name: c.name,

@@ -5,8 +5,8 @@
 // control.Policy it emits the resulting plan as a Rebalance command,
 // which the stage's control.Executor drives through the pause →
 // migrate → ack → resume sequence (steps 3–7) over protocol messages;
-// the legacy Maybe entry point applies the same decision directly
-// against the stage for tests and hand-wired engines.
+// Maybe applies the same decision directly against the stage, the
+// reference the tests pin the control loop against.
 package controller
 
 import (
