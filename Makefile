@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: verify build test vet loc bench bench-check bench-e2e bench-control exhibits smoke-examples smoke-cluster
+.PHONY: verify build test vet loc bench bench-check bench-e2e bench-control bench-wire exhibits smoke-examples smoke-cluster
 
 ## verify: the tier-1 gate — vet, build, test everything — plus a vet of
 ## the nested bench/ module, which tier-1 never compiles: an internal/
@@ -61,6 +61,17 @@ bench-e2e:
 ## as report populations grow).
 bench-control:
 	$(GO) test -run '^$$' -bench 'ControlRound|EngineInterval|RebalanceLatency|WireCodec' -benchmem -benchtime 1s ./internal/control/
+
+## bench-wire: the wire path's micro-benchmarks. TupleBatchCodec is one
+## 256-tuple batch through Send and Recv per codec (the binary rows must
+## report 0 allocs/op in both directions); ClusterWire is whole intervals
+## of a 2-stage topology on two workers over a unix socket, per wire
+## configuration. BENCHTIME=1x (CI) only checks that they still build,
+## run and allocate nothing.
+BENCHTIME ?= 1s
+bench-wire:
+	$(GO) test -run '^$$' -bench 'TupleBatchCodec' -benchmem -benchtime $(BENCHTIME) ./internal/protocol/
+	$(GO) test -run '^$$' -bench 'ClusterWire' -benchmem -benchtime $(BENCHTIME) ./internal/cluster/
 
 ## exhibits: regenerate every paper exhibit.
 exhibits:

@@ -401,12 +401,18 @@ func (c *Coordinator) Processed(si int) int64 { return c.processed[si] }
 func (c *Coordinator) Shutdown() ([]*protocol.Stats, error) {
 	var all []*protocol.Stats
 	var firstErr error
+	// The accept loop registers control connections under mu, and a
+	// session cut short has no control round behind it to order them.
+	c.mu.Lock()
+	ctlConns := append([]*Conn(nil), c.ctlConns...)
+	servers := append([]*control.Server(nil), c.servers...)
+	c.mu.Unlock()
 	// Own connections first: the spout data plane and the per-stage
 	// control sockets (counted from the coordinator's side).
 	if c.spout != nil {
 		own := &protocol.Stats{Worker: "coordinator"}
 		own.Conns = append(own.Conns, c.spout.Stat())
-		for si, cc := range c.ctlConns {
+		for si, cc := range ctlConns {
 			if cc != nil {
 				s := cc.Stat()
 				s.Name = fmt.Sprintf("control s%d (%s)", si, c.spec.Stages[si].Name)
@@ -433,7 +439,7 @@ func (c *Coordinator) Shutdown() ([]*protocol.Stats, error) {
 		}
 		w.conn.Close()
 	}
-	for _, srv := range c.servers {
+	for _, srv := range servers {
 		if srv != nil {
 			srv.Close()
 		}

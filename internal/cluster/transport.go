@@ -13,10 +13,10 @@ import (
 )
 
 // Proto is the cluster session protocol version, validated on both
-// sides of every Hello/Welcome handshake. Version 2 is the single-form
-// LoadReport (one report per round, its run carrying destinations) and
-// the binary frame kinds renumbered without resync.
-const Proto = 2
+// sides of every Hello/Welcome handshake. Version 3 is the row-per-tuple
+// batch sub-frame and the plan, resize, split and state frame kinds; a
+// version-2 peer would read rows as columns, so it is refused.
+const Proto = 3
 
 // Feature bits, advertised in Hello.Features and granted (as a subset)
 // in Welcome.Features. The handshake itself always speaks gob, so a

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/protocol"
 	"repro/internal/tuple"
@@ -355,25 +356,30 @@ func TestBatchConnConcurrentFeed(t *testing.T) {
 	}
 }
 
+// TestHandshakeProtoMismatch refuses a newer peer and the previous
+// version alike: a version-2 peer lays batch rows out as columns, so
+// there is nothing to fall back to.
 func TestHandshakeProtoMismatch(t *testing.T) {
 	ln, err := Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
 	defer ln.Close()
-	go func() {
-		// A raw framed client announcing the wrong protocol version.
-		nc, err := net.Dial("tcp", ln.Addr())
-		if err != nil {
-			return
+	for _, proto := range []int{Proto + 1, 2} {
+		go func() {
+			// A raw framed client announcing the wrong protocol version.
+			nc, err := net.Dial("tcp", ln.Addr())
+			if err != nil {
+				return
+			}
+			defer nc.Close()
+			codec := protocol.NewFramedCodec(nc)
+			_ = codec.Send(&protocol.Message{Hello: &protocol.Hello{Proto: proto, Role: "worker", Features: FeatureBinary}})
+			_, _ = codec.Recv()
+		}()
+		if _, _, err := ln.Accept(); err == nil {
+			t.Fatalf("accept of a version-%d peer succeeded", proto)
 		}
-		defer nc.Close()
-		codec := protocol.NewFramedCodec(nc)
-		_ = codec.Send(&protocol.Message{Hello: &protocol.Hello{Proto: Proto + 1, Role: "worker"}})
-		_, _ = codec.Recv()
-	}()
-	if _, _, err := ln.Accept(); err == nil {
-		t.Fatal("accept with mismatched proto succeeded")
 	}
 }
 
@@ -528,5 +534,66 @@ func TestBatchConnFlushBarrier(t *testing.T) {
 			bc.Close()
 			<-done
 		})
+	}
+}
+
+// TestWorkerReportsCutDataFrame pins the data plane's failure path: a
+// frame whose second chunk is cut closes the connection, and the worker
+// says so — Run returns within a bound with ErrBinaryFrame under the
+// connection's name, instead of leaving the sender's next flush to fail
+// with a bare EOF. The chunk ahead of the cut one is already in the
+// stage: the streamed receive feeds as it decodes.
+func TestWorkerReportsCutDataFrame(t *testing.T) {
+	c, err := NewCoordinator(testSpec(t), "unix", filepath.Join(t.TempDir(), "coord.sock"))
+	if err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	defer c.Shutdown()
+	w, err := NewWorker("unix", c.Addr(), filepath.Join(t.TempDir(), "w0.sock"), "w0")
+	if err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- w.Run() }()
+	if err := c.Deploy(1); err != nil {
+		t.Fatalf("deploy: %v", err)
+	}
+
+	dc, _, err := Dial("unix", w.dataLn.Addr(), &protocol.Hello{Role: "data", Worker: "rogue", Stage: 0})
+	if err != nil {
+		t.Fatalf("dial data listener: %v", err)
+	}
+	defer dc.Close()
+	if !dc.Binary() {
+		t.Fatal("the data connection was not granted the binary wire")
+	}
+	// The parse stage's input shape: a post, with the topics it names.
+	post := []tuple.Key{7}
+	whole := []tuple.Tuple{tuple.New(1, post), tuple.New(2, post), tuple.New(3, post)}
+	frame := protocol.AppendBatchHeader(nil)
+	for range 2 {
+		if frame, err = protocol.AppendBatchChunk(frame, whole); err != nil {
+			t.Fatal(err)
+		}
+	}
+	protocol.PatchBatchHeader(frame, 2)
+	if err := dc.SendFrame(frame[:len(frame)-3]); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+
+	select {
+	case err := <-done:
+		if !errors.Is(err, protocol.ErrBinaryFrame) || !strings.Contains(err.Error(), "data rogue→s0") {
+			t.Fatalf("Run returned %v; want ErrBinaryFrame naming the connection", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run did not return after a cut data frame")
+	}
+	var fed int64
+	for _, n := range w.Stage(0).ArrivedTuples() {
+		fed += n
+	}
+	if fed != int64(len(whole)) {
+		t.Fatalf("stage 0 was fed %d tuples, want the first chunk's %d", fed, len(whole))
 	}
 }

@@ -50,6 +50,7 @@ type Worker struct {
 	stages    map[int]*hostedStage
 	dataConns []*Conn
 	closed    bool
+	dataErr   error // first data-plane failure, see failData
 
 	wg sync.WaitGroup // data-plane goroutines
 }
@@ -89,9 +90,21 @@ func RunWorker(network, coord, dataAddr, name string) error {
 }
 
 // Run serves the coordinator session until Shutdown (nil) or a
-// transport/protocol error. Teardown runs in every case.
+// transport/protocol error — the session's, or the first one an inbound
+// data connection latched (failData), which ends the session too.
+// Teardown runs in every case.
 func (w *Worker) Run() error {
 	defer w.teardown()
+	err := w.serveSession()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.dataErr != nil {
+		return w.dataErr
+	}
+	return err
+}
+
+func (w *Worker) serveSession() error {
 	for {
 		m, err := w.session.Recv()
 		if err != nil {
@@ -323,8 +336,8 @@ func (w *Worker) acceptData() {
 
 // serveData is one inbound data connection: TupleBatch feeds the
 // stage, Flush echoes back (the sender's delivery barrier — by the
-// time the echo is sent, every prior batch has been fed). Exits on
-// EOF (clean shutdown frame) or any error.
+// time the echo is sent, every prior batch has been fed). It exits on
+// EOF (clean shutdown frame) or, through failData, on any error.
 func (w *Worker) serveData(c *Conn, hello *protocol.Hello) {
 	defer w.wg.Done()
 	defer c.Close()
@@ -336,27 +349,49 @@ func (w *Worker) serveData(c *Conn, hello *protocol.Hello) {
 	if c.Welcome(hello.Stage) != nil {
 		return
 	}
+	feed := st.FeedBatch
 	for {
-		m, err := c.Recv()
-		if err != nil {
-			return
-		}
+		// Replay the sender's FeedBatch call sequence: a coalesced frame
+		// carries its chunk boundaries, and feeding chunk by chunk keeps
+		// shuffle routing and arrival accounting bit-identical to the
+		// uncoalesced wire. Each chunk is fed as soon as it is decoded,
+		// out of the codec's one-chunk buffer (FeedBatch copies it out
+		// before returning), so when a frame fails at a later chunk its
+		// earlier chunks are already in the stage — the connection and
+		// the interval end all the same.
+		m, err := c.RecvBatches(feed)
 		switch {
-		case m.Batch != nil:
-			// Replay the sender's FeedBatch call sequence: a coalesced
-			// frame carries its chunk boundaries in Bounds, and feeding
-			// chunk by chunk keeps shuffle routing and arrival accounting
-			// bit-identical to the uncoalesced wire. The decoded tuples
-			// live in the codec's pooled buffer (valid until the next
-			// Recv); FeedBatch copies them out before returning.
-			m.Batch.Chunks(st.FeedBatch)
+		case err != nil:
+			if !errors.Is(err, io.EOF) {
+				w.failData(c, err)
+			}
+			return
 		case m.FlushReq != nil:
-			if c.Send(&protocol.Message{FlushReq: m.FlushReq}) != nil {
+			if err := c.Send(&protocol.Message{FlushReq: m.FlushReq}); err != nil {
+				w.failData(c, err)
 				return
 			}
 		default:
+			w.failData(c, fmt.Errorf("unexpected message %s", m.Kind()))
 			return
 		}
+	}
+}
+
+// failData latches the first failure of an inbound data connection,
+// named, and closes the session so Run stops waiting on the coordinator
+// and returns it: the tuples that connection still owed the stage are
+// lost, and without this the only trace would be the sender's next flush
+// failing with EOF.
+func (w *Worker) failData(c *Conn, err error) {
+	w.mu.Lock()
+	first := w.dataErr == nil && !w.closed // past teardown the cut is the worker's own
+	if first {
+		w.dataErr = fmt.Errorf("cluster: worker %s: %s: %w", w.name, c.Name(), err)
+	}
+	w.mu.Unlock()
+	if first {
+		w.session.Close()
 	}
 }
 
@@ -377,9 +412,12 @@ func (w *Worker) waitStage(si int) *engine.Stage {
 }
 
 // teardown closes the worker's own dialed connections first (releasing
-// downstream hosts' inbound loops), then the data plane, then stops
-// the stages — strictly after every feeder goroutine has exited, so no
-// FeedBatch races a stopping stage.
+// downstream hosts' inbound loops), then the data plane — the listener
+// and every inbound connection, so a peer that is still holding its end
+// open (the coordinator's spout edge, when this worker is the one
+// giving up) cannot keep Run from returning — then stops the stages,
+// strictly after every feeder goroutine has exited, so no FeedBatch
+// races a stopping stage.
 func (w *Worker) teardown() {
 	w.mu.Lock()
 	w.closed = true
@@ -398,6 +436,12 @@ func (w *Worker) teardown() {
 		}
 	}
 	w.dataLn.Close()
+	w.mu.Lock()
+	inbound := w.dataConns
+	w.mu.Unlock()
+	for _, c := range inbound {
+		c.Close()
+	}
 	w.wg.Wait()
 	for _, h := range stages {
 		h.st.Stop()

@@ -8,24 +8,23 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"time"
 
 	"repro/internal/stats"
 	"repro/internal/tuple"
 )
 
-// The binary wire format: a hand-rolled, zero-reflection codec for the
-// messages that dominate the wire in steady state — the data plane
-// (TupleBatch, Flush), the per-interval control round (LoadReport, Ack,
-// Resume) and the interval drive itself (StartInterval,
-// CloseStage, HarvestReq, HarvestDone — one of each per stage per
-// interval, which matters because a gob fallback frame is
-// self-contained: a fresh encoder re-sends type descriptors and a fresh
-// decoder recompiles its engines, several thousand allocations per
-// frame). Everything else (handshake, placement, plans,
-// state transfers — messages sent once per session or once per command)
-// rides as a self-contained gob stream behind a per-frame kind
-// dispatch, so no message kind ever needs a binary encoding to cross
-// the wire.
+// The binary wire format: a hand-rolled, zero-reflection codec for
+// every message a steady-state interval sends — the data plane
+// (TupleBatch, Flush), the interval drive (StartInterval, CloseStage,
+// HarvestReq, HarvestDone) and the whole control round (LoadReport,
+// PlanAnnounce, Resize, SplitAnnounce, StateTransfer, Ack, Resume). It
+// matters for the small ones too: a gob fallback frame is
+// self-contained — a fresh encoder re-sends type descriptors and a
+// fresh decoder recompiles its engines, several thousand allocations
+// per frame — and a plan with its transfers goes out most intervals.
+// What is sent once per session (handshake, placement, shutdown stats)
+// rides as a self-contained gob stream behind the same kind dispatch.
 //
 // Every frame (inside the 4-byte length framing of framing.go) begins
 // with one kind byte:
@@ -34,6 +33,7 @@ import (
 //	kind     := 0x00 gob | 0x01 batch | 0x02 flush | 0x03 report
 //	          | 0x04 ack | 0x05 resume
 //	          | 0x06 start | 0x07 close | 0x08 harvest | 0x09 harvested
+//	          | 0x0a plan | 0x0b resize | 0x0c split | 0x0d state
 //
 // A batch frame coalesces one or more FeedBatch-sized chunks; the
 // sub-batch boundaries are preserved so the receiver replays the exact
@@ -42,15 +42,23 @@ import (
 // equivalence pins depend on):
 //
 //	batch    := nsub(4,BE) sub*
-//	sub      := ntuples(4,BE) keys costs states seqs ticks streams values
+//	sub      := ntuples(4,BE) row{ntuples}
+//	row      := key cost state seq tick streamlen stream value
 //
-// Columns are varint-packed: keys and seqs as uvarints, costs, state
-// sizes and emit ticks as zigzag varints (steady-state values are tiny
-// — cost 1, state 1 — so most columns are one byte per tuple). Streams
-// are length-prefixed strings (almost always empty: one zero byte);
-// values carry a one-byte type tag covering the registered basic types,
-// with a per-value self-contained gob blob as the escape hatch for
-// exotic application types.
+// A row is one tuple, so encode and decode are each one pass that
+// touches every tuple once. Fields are varint-packed: keys and seqs as
+// uvarints, costs, state sizes and emit ticks as zigzag varints
+// (steady-state values are tiny — cost 1, state 1 — so most fields are
+// one byte). The stream is a length-prefixed string (almost always
+// empty: one zero byte); the value carries a one-byte type tag covering
+// the registered basic types, with a per-value self-contained gob blob
+// as the escape hatch for exotic application types.
+//
+//	plan     := interval algolen algo gentime table moved
+//	table, moved := n (key dest){n}
+//	resize   := interval delta
+//	split    := interval n (key fan){n}
+//	state    := key from to size paylen payload
 //
 // Decode never trusts a length: every count is bounds-checked against
 // the remaining payload before any allocation, and every error path
@@ -71,7 +79,10 @@ const (
 	kindClose
 	kindHarvestReq
 	kindHarvestDone
-	kindMax
+	kindPlan
+	kindResize
+	kindSplit
+	kindState
 )
 
 // batchHeaderLen is the fixed-width batch frame header: the kind byte
@@ -83,7 +94,7 @@ const batchHeaderLen = 5
 const subHeaderLen = 4
 
 // ErrBinaryFrame tags every decode failure of the binary codec: a
-// truncated column, a hostile count, an unknown kind or value tag.
+// truncated row, a hostile count, an unknown kind or value tag.
 var ErrBinaryFrame = errors.New("protocol: malformed binary frame")
 
 // Value type tags for tuple.Value. The tagged set covers every concrete
@@ -107,82 +118,133 @@ const (
 // only encode interface-typed data through a concrete wrapper field.
 type valueBox struct{ V any }
 
-// appendUvarint/appendSvarint are the column primitives. Signed values
-// are zigzag-mapped so small negatives stay small on the wire.
+// appendUvarint is binary.AppendUvarint with the one- and two-byte
+// cases — nearly every steady-state field — inlined ahead of the loop.
+func appendUvarint(dst []byte, v uint64) []byte {
+	if v < 1<<7 {
+		return append(dst, byte(v))
+	}
+	if v < 1<<14 {
+		return append(dst, byte(v)|0x80, byte(v>>7))
+	}
+	return binary.AppendUvarint(dst, v)
+}
+
+// appendSvarint zigzag-maps signed values so small negatives stay small
+// on the wire.
 func appendSvarint(dst []byte, v int64) []byte {
-	return binary.AppendUvarint(dst, uint64(v)<<1^uint64(v>>63))
+	return appendUvarint(dst, uint64(v)<<1^uint64(v>>63))
 }
 
 func unzig(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// cursor is the bounds-checked decode reader over one frame payload.
+// uvarintAt decodes the uvarint at p[off:] and returns it with the
+// offset past it. A truncated or overlong varint returns an offset past
+// len(p), and so does any call that starts there: a row reads its
+// fields back to back and checks once.
+func uvarintAt(p []byte, off int) (uint64, int) {
+	if off >= len(p) {
+		return 0, len(p) + 1
+	}
+	if p[off] < 0x80 {
+		return uint64(p[off]), off + 1
+	}
+	if off+1 < len(p) && p[off+1] < 0x80 {
+		return uint64(p[off]&0x7f) | uint64(p[off+1])<<7, off + 2
+	}
+	v, n := binary.Uvarint(p[off:])
+	if n <= 0 {
+		return 0, len(p) + 1
+	}
+	return v, off + n
+}
+
+// cursor is the bounds-checked decode reader over one frame payload. Its
+// first failure sticks: err records it, the rest of the payload is
+// dropped and every later read returns zero, so a decoder reads its
+// fields in sequence and asks done once. Nothing is sized by a count
+// that count has not checked against the bytes left, and a count that
+// fails is zero.
 type cursor struct {
 	p   []byte
 	off int
+	err error
 }
 
 func (c *cursor) rem() int { return len(c.p) - c.off }
 
-func (c *cursor) fail(what string) error {
-	return fmt.Errorf("%w: %s at offset %d of %d", ErrBinaryFrame, what, c.off, len(c.p))
+func (c *cursor) fail(format string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf("%w: %s at offset %d of %d", ErrBinaryFrame, fmt.Sprintf(format, args...), c.off, len(c.p))
+	}
+	c.off = len(c.p)
 }
 
-func (c *cursor) byte() (byte, error) {
+// done ends a frame's decode: its first failure, or bytes left over.
+func (c *cursor) done() error {
+	if c.err == nil && c.rem() != 0 {
+		c.fail("%d trailing bytes", c.rem())
+	}
+	return c.err
+}
+
+func (c *cursor) byte() byte {
 	if c.off >= len(c.p) {
-		return 0, c.fail("truncated byte")
+		c.fail("truncated byte")
+		return 0
 	}
 	b := c.p[c.off]
 	c.off++
-	return b, nil
+	return b
 }
 
-func (c *cursor) take(n int) ([]byte, error) {
+// take returns the next n bytes, or nil (and fails) if they are not there.
+func (c *cursor) take(n int) []byte {
 	if n < 0 || c.rem() < n {
-		return nil, c.fail(fmt.Sprintf("truncated %d-byte field", n))
+		c.fail("truncated %d-byte field", n)
+		return nil
 	}
-	b := c.p[c.off : c.off+n]
+	b := c.p[c.off : c.off+n : c.off+n]
 	c.off += n
-	return b, nil
+	return b
 }
 
-func (c *cursor) u32() (int, error) {
-	b, err := c.take(4)
-	if err != nil {
-		return 0, err
+func (c *cursor) u32() int {
+	if b := c.take(4); b != nil {
+		return int(binary.BigEndian.Uint32(b))
 	}
-	return int(binary.BigEndian.Uint32(b)), nil
+	return 0
 }
 
-func (c *cursor) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(c.p[c.off:])
-	if n <= 0 {
-		return 0, c.fail("bad uvarint")
+func (c *cursor) u64() uint64 {
+	if b := c.take(8); b != nil {
+		return binary.BigEndian.Uint64(b)
 	}
-	c.off += n
-	return v, nil
+	return 0
 }
 
-func (c *cursor) svarint() (int64, error) {
-	u, err := c.uvarint()
-	if err != nil {
-		return 0, err
+func (c *cursor) uvarint() uint64 {
+	v, off := uvarintAt(c.p, c.off)
+	if off > len(c.p) {
+		c.fail("bad uvarint")
+		return 0
 	}
-	return unzig(u), nil
+	c.off = off
+	return v
 }
 
-// count reads a uvarint element count and sanity-checks it against the
-// remaining bytes: every element costs at least one byte on the wire,
-// so a count exceeding the remainder is hostile and must fail before
-// any allocation sized from it.
-func (c *cursor) count() (int, error) {
-	v, err := c.uvarint()
-	if err != nil {
-		return 0, err
+func (c *cursor) svarint() int64 { return unzig(c.uvarint()) }
+
+// count reads the count of a list whose elements cost at least min bytes
+// each on the wire: one the remaining bytes cannot hold is hostile and
+// fails before any allocation is sized from it.
+func (c *cursor) count(min int) int {
+	v := c.uvarint()
+	if v > uint64(c.rem()/min) {
+		c.fail("count %d of %d-byte elements exceeds %d remaining bytes", v, min, c.rem())
+		return 0
 	}
-	if v > uint64(c.rem()) {
-		return 0, c.fail(fmt.Sprintf("count %d exceeds %d remaining bytes", v, c.rem()))
-	}
-	return int(v), nil
+	return int(v)
 }
 
 // appendValue encodes one tuple.Value. The error path is reachable only
@@ -223,80 +285,38 @@ func appendValue(dst []byte, v any) ([]byte, error) {
 	}
 }
 
-func (c *cursor) value() (any, error) {
-	tag, err := c.byte()
-	if err != nil {
-		return nil, err
-	}
-	switch tag {
+// value decodes one tuple.Value; the caller checks c.err.
+func (c *cursor) value() any {
+	switch tag := c.byte(); tag {
 	case valNil:
-		return nil, nil
+		return nil
 	case valInt64:
 		return c.svarint()
 	case valInt:
-		v, err := c.svarint()
-		return int(v), err
+		return int(c.svarint())
 	case valUint64:
 		return c.uvarint()
 	case valFloat64:
-		b, err := c.take(8)
-		if err != nil {
-			return nil, err
-		}
-		return math.Float64frombits(binary.BigEndian.Uint64(b)), nil
+		return math.Float64frombits(c.u64())
 	case valString:
-		n, err := c.count()
-		if err != nil {
-			return nil, err
-		}
-		b, err := c.take(n)
-		if err != nil {
-			return nil, err
-		}
-		return string(b), nil
+		return string(c.take(c.count(1)))
 	case valBytes:
-		n, err := c.count()
-		if err != nil {
-			return nil, err
-		}
-		b, err := c.take(n)
-		if err != nil {
-			return nil, err
-		}
-		return append([]byte(nil), b...), nil
+		return append([]byte(nil), c.take(c.count(1))...)
 	case valKey:
-		v, err := c.uvarint()
-		return tuple.Key(v), err
+		return tuple.Key(c.uvarint())
 	case valKeys:
-		n, err := c.count()
-		if err != nil {
-			return nil, err
-		}
-		out := make([]tuple.Key, n)
-		for i := range out {
-			v, err := c.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			out[i] = tuple.Key(v)
-		}
-		return out, nil
+		return c.keys()
 	case valGob:
-		n, err := c.count()
-		if err != nil {
-			return nil, err
-		}
-		b, err := c.take(n)
-		if err != nil {
-			return nil, err
-		}
 		var box valueBox
-		if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&box); err != nil {
-			return nil, fmt.Errorf("%w: gob value: %v", ErrBinaryFrame, err)
+		if b := c.take(c.count(1)); c.err == nil {
+			if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&box); err != nil {
+				c.fail("gob value: %v", err)
+			}
 		}
-		return box.V, nil
+		return box.V
 	default:
-		return nil, c.fail(fmt.Sprintf("unknown value tag %#x", tag))
+		c.fail("unknown value tag %#x", tag)
+		return nil
 	}
 }
 
@@ -315,51 +335,44 @@ func PatchBatchHeader(frame []byte, nsub int) {
 }
 
 // AppendBatchChunk appends one FeedBatch chunk as a sub-batch:
-// fixed-width tuple count, then the varint-packed columns. It touches
-// no shared codec state, so senders encode concurrently outside any
-// connection lock and serialize only the socket write.
+// fixed-width tuple count, then one varint-packed row per tuple. It
+// touches no shared codec state, so senders encode concurrently outside
+// any connection lock and serialize only the socket write.
 func AppendBatchChunk(dst []byte, ts []tuple.Tuple) ([]byte, error) {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(ts)))
-	for i := range ts {
-		dst = binary.AppendUvarint(dst, uint64(ts[i].Key))
-	}
-	for i := range ts {
-		dst = appendSvarint(dst, ts[i].Cost)
-	}
-	for i := range ts {
-		dst = appendSvarint(dst, ts[i].StateSize)
-	}
-	for i := range ts {
-		dst = binary.AppendUvarint(dst, ts[i].Seq)
-	}
-	for i := range ts {
-		dst = appendSvarint(dst, ts[i].EmitTick)
-	}
-	for i := range ts {
-		dst = binary.AppendUvarint(dst, uint64(len(ts[i].Stream)))
-		dst = append(dst, ts[i].Stream...)
-	}
 	var err error
 	for i := range ts {
-		if dst, err = appendValue(dst, ts[i].Value); err != nil {
+		t := &ts[i]
+		dst = appendUvarint(dst, uint64(t.Key))
+		dst = appendSvarint(dst, t.Cost)
+		dst = appendSvarint(dst, t.StateSize)
+		dst = appendUvarint(dst, t.Seq)
+		dst = appendSvarint(dst, t.EmitTick)
+		dst = appendUvarint(dst, uint64(len(t.Stream)))
+		dst = append(dst, t.Stream...)
+		if t.Value == nil {
+			dst = append(dst, valNil)
+		} else if dst, err = appendValue(dst, t.Value); err != nil {
 			return nil, err
 		}
 	}
 	return dst, nil
 }
 
+// minRowLen is the least a tuple costs on the wire: five varints, the
+// stream length and the value tag.
+const minRowLen = 7
+
 // decodeBatchChunk decodes one sub-batch into dst (appending), returning
-// the grown slice. Tuples land in codec-retained storage; every field
-// of every appended tuple is written, so no zeroing is needed.
-func (c *Codec) decodeBatchChunk(cur *cursor, dst []tuple.Tuple) ([]tuple.Tuple, error) {
-	nt, err := cur.u32()
-	if err != nil {
-		return dst, err
-	}
-	// Each tuple costs at least 6 bytes (one per varint column plus the
-	// value tag); reject hostile counts before sizing the buffer.
-	if nt < 0 || nt > cur.rem()/6+1 {
-		return dst, cur.fail(fmt.Sprintf("tuple count %d exceeds frame", nt))
+// the grown slice; the caller checks cur.err. Tuples land in
+// codec-retained storage; every field of every appended tuple is
+// written, so no zeroing is needed.
+func (c *Codec) decodeBatchChunk(cur *cursor, dst []tuple.Tuple) []tuple.Tuple {
+	nt := cur.u32()
+	// Reject hostile counts before sizing the buffer.
+	if nt < 0 || nt > cur.rem()/minRowLen+1 {
+		cur.fail("tuple count %d exceeds frame", nt)
+		return dst
 	}
 	base := len(dst)
 	if cap(dst) < base+nt {
@@ -369,50 +382,69 @@ func (c *Codec) decodeBatchChunk(cur *cursor, dst []tuple.Tuple) ([]tuple.Tuple,
 	}
 	dst = dst[:base+nt]
 	sub := dst[base:]
+	p, off := cur.p, cur.off
 	for i := range sub {
-		v, err := cur.uvarint()
-		if err != nil {
-			return dst, err
+		t := &sub[i]
+		// The one-byte case of each varint is spelled out here: a helper
+		// that falls back to the general decoder is past the compiler's
+		// inlining budget, and six calls are an eighth of a row's cost.
+		var key, cost, size, seq, tick, slen uint64
+		if off < len(p) && p[off] < 0x80 {
+			key, off = uint64(p[off]), off+1
+		} else {
+			key, off = uvarintAt(p, off)
 		}
-		sub[i].Key = tuple.Key(v)
+		if off < len(p) && p[off] < 0x80 {
+			cost, off = uint64(p[off]), off+1
+		} else {
+			cost, off = uvarintAt(p, off)
+		}
+		if off < len(p) && p[off] < 0x80 {
+			size, off = uint64(p[off]), off+1
+		} else {
+			size, off = uvarintAt(p, off)
+		}
+		if off < len(p) && p[off] < 0x80 {
+			seq, off = uint64(p[off]), off+1
+		} else {
+			seq, off = uvarintAt(p, off)
+		}
+		if off < len(p) && p[off] < 0x80 {
+			tick, off = uint64(p[off]), off+1
+		} else {
+			tick, off = uvarintAt(p, off)
+		}
+		if off < len(p) && p[off] < 0x80 {
+			slen, off = uint64(p[off]), off+1
+		} else {
+			slen, off = uvarintAt(p, off)
+		}
+		if off > len(p) {
+			cur.fail("truncated row %d of %d", i, nt)
+			return dst
+		}
+		if slen > uint64(len(p)-off) {
+			cur.off = off
+			cur.fail("stream length %d exceeds %d remaining bytes", slen, len(p)-off)
+			return dst
+		}
+		t.Key, t.Cost, t.StateSize = tuple.Key(key), unzig(cost), unzig(size)
+		t.Seq, t.EmitTick = seq, unzig(tick)
+		t.Stream = c.internStream(p[off : off+int(slen)])
+		off += int(slen)
+		if off < len(p) && p[off] == valNil {
+			t.Value = nil
+			off++
+			continue
+		}
+		cur.off = off
+		if t.Value = cur.value(); cur.err != nil {
+			return dst
+		}
+		off = cur.off
 	}
-	for i := range sub {
-		if sub[i].Cost, err = cur.svarint(); err != nil {
-			return dst, err
-		}
-	}
-	for i := range sub {
-		if sub[i].StateSize, err = cur.svarint(); err != nil {
-			return dst, err
-		}
-	}
-	for i := range sub {
-		if sub[i].Seq, err = cur.uvarint(); err != nil {
-			return dst, err
-		}
-	}
-	for i := range sub {
-		if sub[i].EmitTick, err = cur.svarint(); err != nil {
-			return dst, err
-		}
-	}
-	for i := range sub {
-		n, err := cur.count()
-		if err != nil {
-			return dst, err
-		}
-		b, err := cur.take(n)
-		if err != nil {
-			return dst, err
-		}
-		sub[i].Stream = c.internStream(b)
-	}
-	for i := range sub {
-		if sub[i].Value, err = cur.value(); err != nil {
-			return dst, err
-		}
-	}
-	return dst, nil
+	cur.off = off
+	return dst
 }
 
 // internStream maps a decoded stream label to a shared string. Stream
@@ -436,32 +468,33 @@ func (c *Codec) internStream(b []byte) string {
 	return s
 }
 
-// decodeBatchFrame decodes a batch frame body into the codec's retained
-// tuple buffer. With one sub-batch the message carries no Bounds (the
-// uncoalesced form round-trips exactly); with several, Bounds lists the
-// sub-batch end offsets so the receiver replays the sender's FeedBatch
-// call sequence.
-func (c *Codec) decodeBatchFrame(body []byte) (*Message, error) {
-	cur := &cursor{p: body}
-	nsub, err := cur.u32()
-	if err != nil {
-		return nil, err
-	}
+// decodeBatchFrame decodes a batch frame body chunk by chunk into the
+// codec's retained tuple buffer; the caller checks cur.done. With a
+// feed, each chunk goes to it as soon as it is decoded and the next
+// overwrites it, so the buffer stays one chunk long; a frame that fails
+// at a later chunk has fed its earlier ones. Without one the chunks
+// accumulate into the retained hot batch: with one sub-batch it
+// carries no Bounds (the uncoalesced form round-trips exactly); with
+// several, Bounds lists the sub-batch end offsets so the receiver
+// replays the sender's FeedBatch call sequence.
+func (c *Codec) decodeBatchFrame(cur *cursor, feed func([]tuple.Tuple)) {
+	nsub := cur.u32()
 	if nsub < 0 || nsub > cur.rem()/subHeaderLen+1 {
-		return nil, cur.fail(fmt.Sprintf("sub-batch count %d exceeds frame", nsub))
+		cur.fail("sub-batch count %d exceeds frame", nsub)
+		return
 	}
 	tup := c.tup[:0]
 	bounds := c.bounds[:0]
 	for i := 0; i < nsub; i++ {
-		if tup, err = c.decodeBatchChunk(cur, tup); err != nil {
-			c.tup = tup
-			return nil, err
+		if tup = c.decodeBatchChunk(cur, tup); cur.err != nil {
+			break
 		}
-		bounds = append(bounds, len(tup))
-	}
-	if cur.rem() != 0 {
-		c.tup = tup
-		return nil, cur.fail(fmt.Sprintf("%d trailing bytes", cur.rem()))
+		if feed != nil {
+			feed(tup)
+			tup = tup[:0]
+		} else {
+			bounds = append(bounds, len(tup))
+		}
 	}
 	c.tup, c.bounds = tup, bounds
 	c.hotBatch.Tuples = tup
@@ -469,8 +502,6 @@ func (c *Codec) decodeBatchFrame(body []byte) (*Message, error) {
 	if nsub != 1 {
 		c.hotBatch.Bounds = bounds
 	}
-	c.hotMsg = Message{Batch: &c.hotBatch}
-	return &c.hotMsg, nil
 }
 
 // appendReportKeys encodes a report's run: six varints per entry (key,
@@ -489,47 +520,22 @@ func appendReportKeys(dst []byte, ks []stats.KeyStat) []byte {
 	return dst
 }
 
-// reportKeys decodes a report's run onto buf, which it returns grown:
-// the count is checked against the bytes left before anything is sized
-// by it. Destinations and order are the receiver's to check
+// reportKeys decodes a report's run onto buf, which it returns grown.
+// Destinations and order are the receiver's to check
 // (LoadReport.CheckMerged) — the frame does not know the stage yet.
-func (c *cursor) reportKeys(buf []stats.KeyStat) ([]stats.KeyStat, error) {
-	n, err := c.count()
-	if err != nil {
-		return buf, err
-	}
-	// Each entry costs at least 6 bytes (six varints).
-	if n > c.rem()/6 {
-		return buf, c.fail(fmt.Sprintf("report entry count %d exceeds frame", n))
-	}
+func (c *cursor) reportKeys(buf []stats.KeyStat) []stats.KeyStat {
+	n := c.count(6) // six varints per entry
 	buf = slices.Grow(buf, n)[:n]
 	for i := range buf {
 		ks := &buf[i]
-		k, err := c.uvarint()
-		if err != nil {
-			return buf, err
-		}
-		ks.Key = tuple.Key(k)
-		if ks.Cost, err = c.svarint(); err != nil {
-			return buf, err
-		}
-		if ks.Freq, err = c.svarint(); err != nil {
-			return buf, err
-		}
-		if ks.Mem, err = c.svarint(); err != nil {
-			return buf, err
-		}
-		h, err := c.svarint()
-		if err != nil {
-			return buf, err
-		}
-		d, err := c.svarint()
-		if err != nil {
-			return buf, err
-		}
-		ks.Hash, ks.Dest = int(h), int(d)
+		ks.Key = tuple.Key(c.uvarint())
+		ks.Cost = c.svarint()
+		ks.Freq = c.svarint()
+		ks.Mem = c.svarint()
+		ks.Hash = int(c.svarint())
+		ks.Dest = int(c.svarint())
 	}
-	return buf, nil
+	return buf
 }
 
 func appendKeys(dst []byte, ks []tuple.Key) []byte {
@@ -540,23 +546,16 @@ func appendKeys(dst []byte, ks []tuple.Key) []byte {
 	return dst
 }
 
-func (c *cursor) keys() ([]tuple.Key, error) {
-	n, err := c.count()
-	if err != nil {
-		return nil, err
-	}
+func (c *cursor) keys() []tuple.Key {
+	n := c.count(1)
 	if n == 0 {
-		return nil, nil
+		return nil
 	}
 	out := make([]tuple.Key, n)
 	for i := range out {
-		v, err := c.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = tuple.Key(v)
+		out[i] = tuple.Key(c.uvarint())
 	}
-	return out, nil
+	return out
 }
 
 // Report flag bits (one byte on the wire).
@@ -592,46 +591,21 @@ func appendReport(dst []byte, r *LoadReport) []byte {
 // the server is done with it when the round closes — so it stays intact
 // until the second following report, the stage snapshot's own lifetime.
 // The rest of the report is freshly allocated.
-func (c *Codec) decodeReport(body []byte) (*Message, error) {
-	cur := &cursor{p: body}
-	r := &LoadReport{}
-	var err error
-	var v int64
-	if r.Interval, err = cur.svarint(); err != nil {
-		return nil, err
-	}
-	flags, err := cur.byte()
-	if err != nil {
-		return nil, err
-	}
+func (c *Codec) decodeReport(cur *cursor) *LoadReport {
+	r := &LoadReport{Interval: cur.svarint()}
+	flags := cur.byte()
 	r.Routable = flags&repRoutable != 0
 	r.Resizable = flags&repResizable != 0
 	buf := &c.merged[c.mergedN&1]
 	c.mergedN++
-	if *buf, err = cur.reportKeys((*buf)[:0]); err != nil {
-		return nil, err
-	}
+	*buf = cur.reportKeys((*buf)[:0])
 	r.Keys = *buf
-	if r.Split, err = cur.keys(); err != nil {
-		return nil, err
-	}
-	if v, err = cur.svarint(); err != nil {
-		return nil, err
-	}
-	r.Tasks = int(v)
-	if r.Capacity, err = cur.svarint(); err != nil {
-		return nil, err
-	}
-	if r.Emitted, err = cur.svarint(); err != nil {
-		return nil, err
-	}
-	if r.Budget, err = cur.svarint(); err != nil {
-		return nil, err
-	}
-	if cur.rem() != 0 {
-		return nil, cur.fail(fmt.Sprintf("%d trailing bytes", cur.rem()))
-	}
-	return &Message{Report: r}, nil
+	r.Split = cur.keys()
+	r.Tasks = int(cur.svarint())
+	r.Capacity = cur.svarint()
+	r.Emitted = cur.svarint()
+	r.Budget = cur.svarint()
+	return r
 }
 
 // appendInt64s/appendInts encode a count-prefixed zigzag-varint list.
@@ -651,40 +625,28 @@ func appendInts(dst []byte, vs []int) []byte {
 	return dst
 }
 
-func (c *cursor) int64s() ([]int64, error) {
-	n, err := c.count()
-	if err != nil {
-		return nil, err
-	}
+func (c *cursor) int64s() []int64 {
+	n := c.count(1)
 	if n == 0 {
-		return nil, nil
+		return nil
 	}
 	vs := make([]int64, n)
 	for i := range vs {
-		if vs[i], err = c.svarint(); err != nil {
-			return nil, err
-		}
+		vs[i] = c.svarint()
 	}
-	return vs, nil
+	return vs
 }
 
-func (c *cursor) ints() ([]int, error) {
-	n, err := c.count()
-	if err != nil {
-		return nil, err
-	}
+func (c *cursor) ints() []int {
+	n := c.count(1)
 	if n == 0 {
-		return nil, nil
+		return nil
 	}
 	vs := make([]int, n)
 	for i := range vs {
-		v, err := c.svarint()
-		if err != nil {
-			return nil, err
-		}
-		vs[i] = int(v)
+		vs[i] = int(c.svarint())
 	}
-	return vs, nil
+	return vs
 }
 
 // HarvestDone flag bits (one byte on the wire).
@@ -722,79 +684,105 @@ func appendHarvestDone(dst []byte, h *HarvestDone) []byte {
 
 // decodeHarvestDone allocates fresh: the coordinator folds the summary
 // into its metrics row after further Recvs on the session may have run.
-func decodeHarvestDone(body []byte) (*Message, error) {
-	cur := &cursor{p: body}
-	h := &HarvestDone{}
-	var err error
-	var v int64
-	if v, err = cur.svarint(); err != nil {
-		return nil, err
-	}
-	h.Stage = int(v)
-	if h.Interval, err = cur.svarint(); err != nil {
-		return nil, err
-	}
-	flags, err := cur.byte()
-	if err != nil {
-		return nil, err
-	}
-	h.Rebalanced = flags&hdRebalanced != 0
-	if h.ArrivedCost, err = cur.int64s(); err != nil {
-		return nil, err
-	}
-	if h.ArrivedTuples, err = cur.int64s(); err != nil {
-		return nil, err
-	}
-	if h.MigPenalty, err = cur.int64s(); err != nil {
-		return nil, err
-	}
-	if h.Resizes, err = cur.ints(); err != nil {
-		return nil, err
-	}
-	if v, err = cur.svarint(); err != nil {
-		return nil, err
-	}
-	h.Instances = int(v)
-	if h.LiveState, err = cur.svarint(); err != nil {
-		return nil, err
-	}
-	fb, err := cur.take(8)
-	if err != nil {
-		return nil, err
-	}
-	h.PlanMs = math.Float64frombits(binary.BigEndian.Uint64(fb))
-	if v, err = cur.svarint(); err != nil {
-		return nil, err
-	}
-	h.TableSize = int(v)
-	if h.Moved, err = cur.svarint(); err != nil {
-		return nil, err
-	}
-	if v, err = cur.svarint(); err != nil {
-		return nil, err
-	}
-	h.ScaledOut = int(v)
-	if v, err = cur.svarint(); err != nil {
-		return nil, err
-	}
-	h.ScaledIn = int(v)
-	if h.Processed, err = cur.svarint(); err != nil {
-		return nil, err
-	}
-	if cur.rem() != 0 {
-		return nil, cur.fail(fmt.Sprintf("%d trailing bytes", cur.rem()))
-	}
-	return &Message{Harvested: h}, nil
+func decodeHarvestDone(cur *cursor) *HarvestDone {
+	h := &HarvestDone{Stage: int(cur.svarint()), Interval: cur.svarint()}
+	h.Rebalanced = cur.byte()&hdRebalanced != 0
+	h.ArrivedCost = cur.int64s()
+	h.ArrivedTuples = cur.int64s()
+	h.MigPenalty = cur.int64s()
+	h.Resizes = cur.ints()
+	h.Instances = int(cur.svarint())
+	h.LiveState = cur.svarint()
+	h.PlanMs = math.Float64frombits(cur.u64())
+	h.TableSize = int(cur.svarint())
+	h.Moved = cur.svarint()
+	h.ScaledOut = int(cur.svarint())
+	h.ScaledIn = int(cur.svarint())
+	h.Processed = cur.svarint()
+	return h
 }
 
-// sendBinary dispatches one message under the binary wire: hot kinds
-// take the hand-rolled encoding through the retained scratch buffer
-// (amortized zero allocations per message); everything else becomes a
-// self-contained gob stream behind kindGob.
+// appendPairs/pairs carry a list of (key, small integer) entries: a
+// plan's routes (key, destination), a split set (key, fan).
+func appendPairs[T any](dst []byte, es []T, get func(T) (tuple.Key, int)) []byte {
+	dst = appendUvarint(dst, uint64(len(es)))
+	for _, e := range es {
+		k, v := get(e)
+		dst = appendSvarint(appendUvarint(dst, uint64(k)), int64(v))
+	}
+	return dst
+}
+
+func pairs[T any](c *cursor, mk func(tuple.Key, int) T) []T {
+	n := c.count(2) // two varints per entry
+	if n == 0 {
+		return nil
+	}
+	es := make([]T, n)
+	for i := range es {
+		es[i] = mk(tuple.Key(c.uvarint()), int(c.svarint()))
+	}
+	return es
+}
+
+func routePair(e RouteEntry) (tuple.Key, int) { return e.Key, e.Dest }
+func splitPair(e SplitEntry) (tuple.Key, int) { return e.Key, e.Fan }
+func mkRoute(k tuple.Key, d int) RouteEntry   { return RouteEntry{Key: k, Dest: d} }
+func mkSplit(k tuple.Key, f int) SplitEntry   { return SplitEntry{Key: k, Fan: f} }
+
+func appendPlan(dst []byte, a *PlanAnnounce) []byte {
+	dst = appendSvarint(append(dst, kindPlan), a.Interval)
+	dst = appendUvarint(dst, uint64(len(a.Algorithm)))
+	dst = append(dst, a.Algorithm...)
+	dst = appendSvarint(dst, int64(a.GenTime))
+	dst = appendPairs(dst, a.Table, routePair)
+	return appendPairs(dst, a.Moved, routePair)
+}
+
+func decodePlan(cur *cursor) *PlanAnnounce {
+	a := &PlanAnnounce{Interval: cur.svarint()}
+	a.Algorithm = string(cur.take(cur.count(1)))
+	a.GenTime = time.Duration(cur.svarint())
+	a.Table = pairs(cur, mkRoute)
+	a.Moved = pairs(cur, mkRoute)
+	return a
+}
+
+func appendState(dst []byte, s *StateTransfer) []byte {
+	dst = appendUvarint(append(dst, kindState), uint64(s.Key))
+	dst = appendSvarint(dst, int64(s.From))
+	dst = appendSvarint(dst, int64(s.To))
+	dst = appendSvarint(dst, s.Size)
+	dst = appendUvarint(dst, uint64(len(s.Payload)))
+	return append(dst, s.Payload...)
+}
+
+// decodeState decodes into the retained envelope: a plan's transfers
+// arrive one frame per moved key, and the controller side only counts
+// them. Payload aliases the frame.
+func (c *Codec) decodeState(cur *cursor) *StateTransfer {
+	s := &c.hotState
+	s.Key = tuple.Key(cur.uvarint())
+	s.From = int(cur.svarint())
+	s.To = int(cur.svarint())
+	s.Size = cur.svarint()
+	s.Payload = nil
+	if n := cur.count(1); n > 0 {
+		s.Payload = cur.take(n)
+	}
+	return s
+}
+
+// sendBinary dispatches one message under the binary wire: every kind an
+// interval sends takes the hand-rolled encoding through the retained
+// scratch buffer (amortized zero allocations per message); the
+// once-per-session kinds become a self-contained gob stream behind
+// kindGob.
 func (c *Codec) sendBinary(m *Message) error {
+	b := c.bin[:0]
 	switch {
 	case m.Batch != nil:
-		b := AppendBatchHeader(c.bin[:0])
+		b = AppendBatchHeader(b)
 		nsub := 0
 		var err error
 		if n := len(m.Batch.Bounds); n > 0 {
@@ -816,48 +804,31 @@ func (c *Codec) sendBinary(m *Message) error {
 			nsub = 1
 		}
 		PatchBatchHeader(b, nsub)
-		c.bin = b
-		return c.writeFrame(b)
 	case m.FlushReq != nil:
-		b := append(c.bin[:0], kindFlush)
-		b = binary.BigEndian.AppendUint64(b, m.FlushReq.Seq)
-		c.bin = b
-		return c.writeFrame(b)
+		b = binary.BigEndian.AppendUint64(append(b, kindFlush), m.FlushReq.Seq)
 	case m.Report != nil:
-		c.bin = appendReport(c.bin[:0], m.Report)
-		return c.writeFrame(c.bin)
+		b = appendReport(b, m.Report)
 	case m.Ack != nil:
-		b := append(c.bin[:0], kindAck)
-		b = appendSvarint(b, int64(m.Ack.TaskID))
-		b = appendSvarint(b, m.Ack.Interval)
-		c.bin = b
-		return c.writeFrame(b)
+		b = appendSvarints(b, kindAck, int64(m.Ack.TaskID), m.Ack.Interval)
 	case m.Resume != nil:
-		b := append(c.bin[:0], kindResume)
-		b = appendSvarint(b, m.Resume.Interval)
-		c.bin = b
-		return c.writeFrame(b)
+		b = appendSvarints(b, kindResume, m.Resume.Interval)
 	case m.Start != nil:
-		b := append(c.bin[:0], kindStart)
-		b = appendSvarint(b, m.Start.Interval)
-		b = appendSvarint(b, m.Start.Emit)
-		c.bin = b
-		return c.writeFrame(b)
+		b = appendSvarints(b, kindStart, m.Start.Interval, m.Start.Emit)
 	case m.Close != nil:
-		b := append(c.bin[:0], kindClose)
-		b = appendSvarint(b, int64(m.Close.Stage))
-		c.bin = b
-		return c.writeFrame(b)
+		b = appendSvarints(b, kindClose, int64(m.Close.Stage))
 	case m.Harvest != nil:
-		b := append(c.bin[:0], kindHarvestReq)
-		b = appendSvarint(b, int64(m.Harvest.Stage))
-		b = appendSvarint(b, m.Harvest.Interval)
-		b = appendSvarint(b, m.Harvest.Emit)
-		c.bin = b
-		return c.writeFrame(b)
+		b = appendSvarints(b, kindHarvestReq, int64(m.Harvest.Stage), m.Harvest.Interval, m.Harvest.Emit)
 	case m.Harvested != nil:
-		c.bin = appendHarvestDone(c.bin[:0], m.Harvested)
-		return c.writeFrame(c.bin)
+		b = appendHarvestDone(b, m.Harvested)
+	case m.Plan != nil:
+		b = appendPlan(b, m.Plan)
+	case m.ResizeCmd != nil:
+		b = appendSvarints(b, kindResize, m.ResizeCmd.Interval, int64(m.ResizeCmd.Delta))
+	case m.Split != nil:
+		b = appendSvarint(append(b, kindSplit), m.Split.Interval)
+		b = appendPairs(b, m.Split.Set, splitPair)
+	case m.State != nil:
+		b = appendState(b, m.State)
 	default:
 		// Rare frame: self-contained gob stream (fresh encoder, so the
 		// frame carries its own type descriptors and the decoder needs
@@ -869,15 +840,27 @@ func (c *Codec) sendBinary(m *Message) error {
 		}
 		return c.writeFrame(c.buf.Bytes())
 	}
+	c.bin = b
+	return c.writeFrame(b)
 }
 
-// recvBinary reads one frame and dispatches on its kind byte. Batch and
-// Flush messages (the data-plane hot path) reuse codec-owned storage —
-// tuples decode into a pooled retained slice, mirroring the engine's
-// recycled feed buffers — and are invalidated by the next Recv on this
-// codec; control-plane messages are freshly allocated, except a
+// appendSvarints encodes a frame that is its kind and a few scalars.
+func appendSvarints(dst []byte, kind byte, vs ...int64) []byte {
+	dst = append(dst, kind)
+	for _, v := range vs {
+		dst = appendSvarint(dst, v)
+	}
+	return dst
+}
+
+// recvBinary reads one frame and dispatches on its kind byte; with a
+// feed it hands a batch frame's chunks to it (decodeBatchFrame) and
+// returns the batch empty. Batch, Flush and StateTransfer messages reuse
+// codec-owned storage — tuples decode into a pooled retained slice,
+// mirroring the engine's recycled feed buffers — and are invalidated by
+// the next Recv on this codec; the rest are freshly allocated, except a
 // report's run (see decodeReport).
-func (c *Codec) recvBinary() (*Message, error) {
+func (c *Codec) recvBinary(feed func([]tuple.Tuple)) (*Message, error) {
 	p, err := c.fr.frame()
 	if err != nil {
 		return nil, err
@@ -886,79 +869,51 @@ func (c *Codec) recvBinary() (*Message, error) {
 	if len(p) == 0 {
 		return nil, fmt.Errorf("%w: empty frame", ErrBinaryFrame)
 	}
-	kind, body := p[0], p[1:]
-	switch kind {
+	cur := &cursor{p: p[1:]}
+	m := &c.hotMsg
+	switch kind := p[0]; kind {
 	case kindGob:
-		var m Message
-		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&m); err != nil {
+		m = &Message{}
+		if err := gob.NewDecoder(bytes.NewReader(cur.p)).Decode(m); err != nil {
 			return nil, fmt.Errorf("%w: gob frame: %v", ErrBinaryFrame, err)
 		}
-		return &m, nil
+		if m.Kind() == "empty" {
+			return nil, fmt.Errorf("%w: gob frame carries no message", ErrBinaryFrame)
+		}
+		return m, nil
 	case kindBatch:
-		return c.decodeBatchFrame(body)
+		c.decodeBatchFrame(cur, feed)
+		*m = Message{Batch: &c.hotBatch}
 	case kindFlush:
-		if len(body) != 8 {
-			return nil, fmt.Errorf("%w: flush frame has %d payload bytes, want 8", ErrBinaryFrame, len(body))
-		}
-		c.hotFlush.Seq = binary.BigEndian.Uint64(body)
-		c.hotMsg = Message{FlushReq: &c.hotFlush}
-		return &c.hotMsg, nil
+		c.hotFlush.Seq = cur.u64()
+		*m = Message{FlushReq: &c.hotFlush}
+	case kindState:
+		*m = Message{State: c.decodeState(cur)}
 	case kindReport:
-		return c.decodeReport(body)
+		m = &Message{Report: c.decodeReport(cur)}
 	case kindAck:
-		cur := &cursor{p: body}
-		id, err := cur.svarint()
-		if err != nil {
-			return nil, err
-		}
-		iv, err := cur.svarint()
-		if err != nil || cur.rem() != 0 {
-			return nil, cur.fail("ack frame")
-		}
-		return &Message{Ack: &Ack{TaskID: int(id), Interval: iv}}, nil
+		m = &Message{Ack: &Ack{TaskID: int(cur.svarint()), Interval: cur.svarint()}}
 	case kindResume:
-		cur := &cursor{p: body}
-		iv, err := cur.svarint()
-		if err != nil || cur.rem() != 0 {
-			return nil, cur.fail("resume frame")
-		}
-		return &Message{Resume: &Resume{Interval: iv}}, nil
+		m = &Message{Resume: &Resume{Interval: cur.svarint()}}
 	case kindStart:
-		cur := &cursor{p: body}
-		iv, err := cur.svarint()
-		if err != nil {
-			return nil, err
-		}
-		emit, err := cur.svarint()
-		if err != nil || cur.rem() != 0 {
-			return nil, cur.fail("start frame")
-		}
-		return &Message{Start: &StartInterval{Interval: iv, Emit: emit}}, nil
+		m = &Message{Start: &StartInterval{Interval: cur.svarint(), Emit: cur.svarint()}}
 	case kindClose:
-		cur := &cursor{p: body}
-		st, err := cur.svarint()
-		if err != nil || cur.rem() != 0 {
-			return nil, cur.fail("close frame")
-		}
-		return &Message{Close: &CloseStage{Stage: int(st)}}, nil
+		m = &Message{Close: &CloseStage{Stage: int(cur.svarint())}}
 	case kindHarvestReq:
-		cur := &cursor{p: body}
-		st, err := cur.svarint()
-		if err != nil {
-			return nil, err
-		}
-		iv, err := cur.svarint()
-		if err != nil {
-			return nil, err
-		}
-		emit, err := cur.svarint()
-		if err != nil || cur.rem() != 0 {
-			return nil, cur.fail("harvest frame")
-		}
-		return &Message{Harvest: &HarvestReq{Stage: int(st), Interval: iv, Emit: emit}}, nil
+		m = &Message{Harvest: &HarvestReq{Stage: int(cur.svarint()), Interval: cur.svarint(), Emit: cur.svarint()}}
 	case kindHarvestDone:
-		return decodeHarvestDone(body)
+		m = &Message{Harvested: decodeHarvestDone(cur)}
+	case kindPlan:
+		m = &Message{Plan: decodePlan(cur)}
+	case kindResize:
+		m = &Message{ResizeCmd: &Resize{Interval: cur.svarint(), Delta: int(cur.svarint())}}
+	case kindSplit:
+		m = &Message{Split: &SplitAnnounce{Interval: cur.svarint(), Set: pairs(cur, mkSplit)}}
 	default:
 		return nil, fmt.Errorf("%w: unknown frame kind %#x", ErrBinaryFrame, kind)
 	}
+	if err := cur.done(); err != nil {
+		return nil, err
+	}
+	return m, nil
 }

@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"io"
 	"reflect"
@@ -187,7 +186,7 @@ func TestBinaryModeSwitch(t *testing.T) {
 
 // TestBinaryHostileInputs feeds corrupt frames to the binary decoder
 // and requires clean errors — wrong kinds, hostile counts, truncated
-// columns, trailing garbage — never a panic or a giant allocation.
+// rows, trailing garbage — never a panic or a giant allocation.
 func TestBinaryHostileInputs(t *testing.T) {
 	cases := map[string][]byte{
 		"empty frame":          {},
@@ -195,7 +194,14 @@ func TestBinaryHostileInputs(t *testing.T) {
 		"batch no header":      {kindBatch},
 		"batch huge nsub":      {kindBatch, 0xff, 0xff, 0xff, 0xff},
 		"batch huge ntuples":   {kindBatch, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff},
-		"batch cut column":     {kindBatch, 0, 0, 0, 1, 0, 0, 0, 2, 5},
+		"batch cut row":        {kindBatch, 0, 0, 0, 1, 0, 0, 0, 2, 5},
+		"batch count boundary": batchCountBoundary,
+		"plan huge routes":     hostilePlanRoutes,
+		"plan cut route":       {kindPlan, 2, 0, 0, 1, 7},
+		"resize trailing":      {kindResize, 2, 2, 9},
+		"split huge set":       {kindSplit, 2, 0x7f, 1, 4},
+		"state huge payload":   hostileStatePayload,
+		"state trailing":       {kindState, 1, 0, 2, 8, 1, 0xaa, 0xbb},
 		"batch trailing bytes": append(mustBatchFrame(t), 0xaa),
 		"batch bad value tag":  {kindBatch, 0, 0, 0, 1, 0, 0, 0, 1, 1, 2, 2, 2, 2, 0, 0x6f},
 		"flush short":          {kindFlush, 1, 2, 3},
@@ -216,10 +222,7 @@ func TestBinaryHostileInputs(t *testing.T) {
 	}
 	for name, payload := range cases {
 		t.Run(name, func(t *testing.T) {
-			var stream []byte
-			stream = append(stream, byte(len(payload)>>24), byte(len(payload)>>16), byte(len(payload)>>8), byte(len(payload)))
-			stream = append(stream, payload...)
-			c := NewFramedCodec(readerOnly{bytes.NewReader(stream)})
+			c := NewFramedCodec(readerOnly{bytes.NewReader(framed(payload))})
 			c.EnableBinary()
 			if m, err := c.Recv(); err == nil {
 				t.Fatalf("hostile frame decoded as %s", m.Kind())
@@ -227,6 +230,29 @@ func TestBinaryHostileInputs(t *testing.T) {
 				t.Fatalf("hostile frame read as clean EOF: %v", err)
 			}
 		})
+	}
+}
+
+// A tuple costs at least seven bytes (five varints, the stream length,
+// the value tag), so twelve bytes hold one whole row: a count of three
+// — which a six-byte minimum would let through to the row decoder — is
+// refused before the buffer is sized by it.
+var batchCountBoundary = []byte{kindBatch, 0, 0, 0, 1, 0, 0, 0, 3, 1, 2, 2, 0, 2, 0, 0, 1, 2, 2, 0, 2}
+
+// The hostile frames of the control round's kinds (the fuzz corpus
+// carries the same two): a plan whose route count the frame cannot hold,
+// a state transfer whose payload length runs past the frame.
+var (
+	hostilePlanRoutes   = []byte{kindPlan, 2, 0, 0, 0xff, 0xff, 0x03, 1, 2, 3, 4}
+	hostileStatePayload = []byte{kindState, 1, 0, 2, 8, 0x40, 0xaa, 0xbb}
+)
+
+// TestBatchCountBound pins which check refuses the boundary count.
+func TestBatchCountBound(t *testing.T) {
+	c := NewFramedCodec(readerOnly{bytes.NewReader(framed(batchCountBoundary))})
+	c.EnableBinary()
+	if _, err := c.Recv(); !errors.Is(err, ErrBinaryFrame) || !strings.Contains(err.Error(), "tuple count 3 exceeds frame") {
+		t.Fatalf("count 3 over 12 bytes: %v; want the count check to refuse it", err)
 	}
 }
 
@@ -281,8 +307,16 @@ func BenchmarkTupleBatchCodec(b *testing.B) {
 	const batchSize = 256
 
 	bench := func(b *testing.B, msg *Message, mk func(io.ReadWriter) *Codec) {
+		// Each sub-benchmark sends (and receives) once before the timer
+		// starts, so the retained buffers are grown and -benchtime 1x
+		// reports the steady state: 0 allocs/op on the scalar binary
+		// rows.
 		b.Run("encode", func(b *testing.B) {
 			c := mk(discardRW{})
+			if err := c.Send(msg); err != nil {
+				b.Fatal(err)
+			}
+			sent := c.SentBytes()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -290,12 +324,18 @@ func BenchmarkTupleBatchCodec(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(c.SentBytes())/float64(b.N)/batchSize, "bytes/tuple")
+			b.ReportMetric(float64(c.SentBytes()-sent)/float64(b.N)/batchSize, "bytes/tuple")
 		})
 		b.Run("roundtrip", func(b *testing.B) {
 			var buf bytes.Buffer
 			send := mk(&buf)
 			recv := mk(readerOnly{&buf})
+			if err := send.Send(msg); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := recv.Recv(); err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -406,9 +446,7 @@ func TestMergedReportWire(t *testing.T) {
 	}
 
 	for i, frame := range hostileMergedReports() {
-		var stream []byte
-		stream = binary.BigEndian.AppendUint32(stream, uint32(len(frame)))
-		c := NewFramedCodec(readerOnly{bytes.NewReader(append(stream, frame...))})
+		c := NewFramedCodec(readerOnly{bytes.NewReader(framed(frame))})
 		c.EnableBinary()
 		m, err := c.Recv()
 		if i == 0 {
@@ -426,5 +464,8 @@ func TestMergedReportWire(t *testing.T) {
 	}
 	if err := (&LoadReport{Tasks: 2}).CheckMerged(); err != nil {
 		t.Fatalf("an empty round was refused: %v", err)
+	}
+	if (&LoadReport{Tasks: -1}).CheckMerged() == nil {
+		t.Fatal("a report of -1 instances passed the check")
 	}
 }

@@ -3,13 +3,13 @@
 // of the unified control plane — and a codec for exchanging them over
 // any net.Conn-like transport. The codec's default encoding is gob;
 // framed codecs can additionally switch to a hand-rolled binary wire
-// (binary.go: kind-dispatched frames, zero-reflection columnar
-// encoding for the steady-state message set, gob fallback for rare
-// kinds) after both peers agree in a handshake. The in-process engine
-// speaks this protocol through internal/control's loopback transport;
-// the same bytes flow over a real network boundary (the Codec-over-pipe
-// transport is pinned equivalent), so a multi-process deployment can
-// speak it unchanged:
+// (binary.go: kind-dispatched frames, zero-reflection row-per-tuple
+// encoding for everything an interval sends, gob fallback for the
+// once-per-session kinds) after both peers agree in a handshake. The
+// in-process engine speaks this protocol through internal/control's
+// loopback transport; the same bytes flow over a real network boundary
+// (the Codec-over-pipe transport is pinned equivalent), so a
+// multi-process deployment can speak it unchanged:
 //
 //	task       → controller  : LoadReport        (step 1)
 //	controller → upstream    : PlanAnnounce      (steps 3–4)
@@ -73,11 +73,15 @@ type LoadReport struct {
 	Split []tuple.Key
 }
 
-// CheckMerged validates a report as outside input: every entry's
-// destination names one of the stage's Tasks instances and the entries
-// are in canonical snapshot order. A controller that skipped this would
-// index its load vector with whatever a peer sent.
+// CheckMerged validates a report as outside input: the instance count is
+// not negative, every entry's destination names one of the stage's Tasks
+// instances and the entries are in canonical snapshot order. A controller
+// that skipped this would index its load vector with whatever a peer
+// sent.
 func (r *LoadReport) CheckMerged() error {
+	if r.Tasks < 0 {
+		return fmt.Errorf("protocol: report names %d instances", r.Tasks)
+	}
 	for i := range r.Keys {
 		if d := r.Keys[i].Dest; d < 0 || d >= r.Tasks {
 			return fmt.Errorf("protocol: report entry %d names instance %d of %d", i, d, r.Tasks)
@@ -415,13 +419,14 @@ func (m *Message) Kind() string {
 // byte counters (SentBytes/RecvBytes) free.
 //
 // EnableBinary switches the codec to the hand-rolled binary wire
-// (binary.go) after both sides agreed in the cluster handshake: data-plane and steady-state
-// control frames take the zero-reflection columnar encoding, everything
-// else rides as a self-contained gob frame behind a kind byte. The
-// switch is safe mid-stream because the framed gob decoder reads from a
-// source that implements io.ByteReader — gob never wraps it in bufio,
-// so it consumes exactly its own message bytes and the next frame is
-// intact for the binary dispatcher.
+// (binary.go) after both sides agreed in the cluster handshake: the
+// data plane, the interval drive and the control round take the
+// zero-reflection field-by-field encoding, everything else rides as a
+// self-contained gob frame behind a kind byte. The switch is safe
+// mid-stream because the framed gob decoder reads from a source that
+// implements io.ByteReader — gob never wraps it in bufio, so it consumes
+// exactly its own message bytes and the next frame is intact for the
+// binary dispatcher.
 //
 // Send and Recv are each single-caller (the control loop's contract);
 // the counters may be read from any goroutine.
@@ -450,13 +455,14 @@ type Codec struct {
 	strs   map[string]string
 
 	// Retained hot-path message envelopes: Recv in binary mode returns
-	// pointers into these for TupleBatch/Flush, valid until the next
-	// Recv — exactly the aliasing contract BatchConn and the worker's
-	// data loop already live by. Control messages are freshly allocated,
-	// except a report's run (merged, below).
+	// pointers into these for TupleBatch/Flush/StateTransfer, valid
+	// until the next Recv — exactly the aliasing contract BatchConn and
+	// the worker's data loop already live by. The other control messages
+	// are freshly allocated, except a report's run (merged, below).
 	hotMsg   Message
 	hotBatch TupleBatch
 	hotFlush Flush
+	hotState StateTransfer
 
 	// merged are the two buffers binary-mode reports decode their run
 	// into alternately (see decodeReport).
@@ -482,13 +488,33 @@ func (c *Codec) Send(m *Message) error {
 	return err
 }
 
-// Recv decodes the next message. In binary mode, Batch and FlushReq
-// results alias codec-owned storage and are valid until the next Recv,
-// and a report's Keys until the second following report; everything
-// else is freshly allocated.
-func (c *Codec) Recv() (*Message, error) {
+// Recv decodes the next message. In binary mode, Batch, FlushReq and
+// State results alias codec-owned storage and are valid until the next
+// Recv, and a report's Keys until the second following report;
+// everything else is freshly allocated.
+func (c *Codec) Recv() (*Message, error) { return c.recv(nil) }
+
+// RecvBatches is Recv for the receiving end of a data connection: every
+// TupleBatch goes to feed chunk by chunk, in send order, and the first
+// message that is not one is returned. On the binary wire a chunk is fed
+// as soon as it is decoded, out of a buffer the next chunk overwrites
+// (feed must not keep the slice), so a frame that turns out malformed
+// at a later chunk has already fed its earlier ones when the error
+// comes back.
+func (c *Codec) RecvBatches(feed func([]tuple.Tuple)) (*Message, error) {
+	for {
+		m, err := c.recv(feed)
+		if err != nil || m.Batch == nil {
+			return m, err
+		}
+	}
+}
+
+// recv decodes the next message; with a feed, a batch comes back
+// already fed.
+func (c *Codec) recv(feed func([]tuple.Tuple)) (*Message, error) {
 	if c.binary {
-		m, err := c.recvBinary()
+		m, err := c.recvBinary(feed)
 		if err == nil {
 			c.rcvdMsgs.Add(1)
 		}
@@ -499,6 +525,9 @@ func (c *Codec) Recv() (*Message, error) {
 		return nil, err
 	}
 	c.rcvdMsgs.Add(1)
+	if feed != nil && m.Batch != nil {
+		m.Batch.Chunks(feed)
+	}
 	return &m, nil
 }
 
