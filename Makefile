@@ -62,15 +62,19 @@ bench-e2e:
 bench-control:
 	$(GO) test -run '^$$' -bench 'ControlRound|EngineInterval|RebalanceLatency|WireCodec' -benchmem -benchtime 1s ./internal/control/
 
-## bench-wire: the wire path's micro-benchmarks. TupleBatchCodec is one
-## 256-tuple batch through Send and Recv per codec (the binary rows must
-## report 0 allocs/op in both directions); ClusterWire is whole intervals
-## of a 2-stage topology on two workers over a unix socket, per wire
-## configuration. BENCHTIME=1x (CI) only checks that they still build,
-## run and allocate nothing.
+## bench-wire: the receive path's micro-benchmarks. TupleBatchCodec is
+## one 256-tuple batch through Send and Recv per codec and chunk shape
+## (engine, app, scalar, composite; the binary rows but composite must
+## report 0 allocs/op in both directions); DestTuples is the
+## feeder's routing kernel on warm 1 024-tuple Zipf chunks with an empty
+## routing table, a 32-entry one, and a split set (ns/tuple);
+## ClusterWire is whole intervals of a 2-stage topology on two workers
+## over a unix socket, per wire configuration. BENCHTIME=1x (CI) only
+## checks that they still build, run and allocate nothing.
 BENCHTIME ?= 1s
 bench-wire:
 	$(GO) test -run '^$$' -bench 'TupleBatchCodec' -benchmem -benchtime $(BENCHTIME) ./internal/protocol/
+	$(GO) test -run '^$$' -bench 'DestTuples' -benchmem -benchtime $(BENCHTIME) ./internal/route/
 	$(GO) test -run '^$$' -bench 'ClusterWire' -benchmem -benchtime $(BENCHTIME) ./internal/cluster/
 
 ## exhibits: regenerate every paper exhibit.

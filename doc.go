@@ -102,12 +102,14 @@
 //     stateful router — PKG, shuffle — routes under one lock
 //     acquisition instead) and sends each task at most one channel
 //     message per batch, carved from a refcount-recycled buffer;
-//   - route.Assignment.DestBatch/DestTuples resolve destinations with
-//     the empty-table test and interface dispatch hoisted out of the
-//     per-tuple loop;
+//   - route.Assignment.DestBatch/DestTuples resolve destinations in
+//     one pass, each key probing the frozen routing table and going to
+//     the ring only on a miss, with the empty-table test and interface
+//     dispatch hoisted out of the per-tuple loop;
 //   - hashring.Ring precomputes a dense power-of-two lookup table at
 //     construction, making the consistent-hash lookup an O(1) masked
-//     array index (bit-identical to the exact ring search);
+//     array index plus, in the buckets that hold ring points, a scan
+//     of one or two of them (bit-identical to the exact ring search);
 //   - stats.Tracker accumulates per-key cells in an open-addressed
 //     value-cell table with a batch entry point (ObserveBatch), so a
 //     tuple costs one probe-and-update and a new key costs no

@@ -13,10 +13,11 @@ import (
 )
 
 // Proto is the cluster session protocol version, validated on both
-// sides of every Hello/Welcome handshake. Version 3 is the row-per-tuple
-// batch sub-frame and the plan, resize, split and state frame kinds; a
-// version-2 peer would read rows as columns, so it is refused.
-const Proto = 3
+// sides of every Hello/Welcome handshake. Version 4 is the flagged batch
+// sub-frame, whose rows carry only the fields that vary inside their
+// chunk; a version-3 peer would read every row as carrying every field,
+// so it is refused, as is anything older.
+const Proto = 4
 
 // Feature bits, advertised in Hello.Features and granted (as a subset)
 // in Welcome.Features. The handshake itself always speaks gob, so a

@@ -108,6 +108,58 @@ func TestSplitFoldsBackExactly(t *testing.T) {
 	t.Fatalf("split key missing from harvest")
 }
 
+// TestSplitBatchSpreadsEvenly pins the feed path's slot claim: however
+// the batch is sized and wherever the key's round-robin cursor stands,
+// the n split tuples of one FeedBatch call spread over the fan replicas
+// with each receiving ⌊n/fan⌋ or ⌈n/fan⌉ of them.
+func TestSplitBatchSpreadsEvenly(t *testing.T) {
+	const nd, fan = 5, 3
+	st, _ := splitCountStage(nd)
+	defer st.Stop()
+	hot := tuple.Key(11)
+	if err := st.ApplySplitSet([]stats.HotKey{{Key: hot, Fan: fan}}); err != nil {
+		t.Fatal(err)
+	}
+	sp, _ := st.AssignmentRouter().Assignment().Splits().Lookup(hot)
+	absorbed := func() []int64 {
+		st.Barrier()
+		got := make([]int64, nd)
+		for d, tk := range st.tasks {
+			if c := tk.cell(hot); c != nil {
+				got[d] = c.freq
+			}
+		}
+		return got
+	}
+	before := absorbed()
+	for _, n := range []int{1, 2, 3, 4, 7, 10, 64, 101} {
+		batch := make([]tuple.Tuple, 0, 2*n)
+		for i := 0; i < n; i++ {
+			batch = append(batch, tuple.New(hot, nil), tuple.New(tuple.Key(100+i), nil))
+		}
+		st.FeedBatch(batch)
+		after := absorbed()
+		var sum int64
+		for d := range after {
+			got := after[d] - before[d]
+			sum += got
+			if !containsDest(sp.Replicas, d) {
+				if got != 0 {
+					t.Fatalf("batch of %d: instance %d outside the replicas %v absorbed %d", n, d, sp.Replicas, got)
+				}
+				continue
+			}
+			if lo, hi := int64(n/fan), int64((n+fan-1)/fan); got < lo || got > hi {
+				t.Fatalf("batch of %d over %d replicas: instance %d absorbed %d, want %d..%d", n, fan, d, got, lo, hi)
+			}
+		}
+		if sum != int64(n) {
+			t.Fatalf("batch of %d: replicas absorbed %d", n, sum)
+		}
+		before = after
+	}
+}
+
 // TestSplitRetireExtractsResidue pins the swap-grace-extract path: a
 // key leaving the split set mid-interval has its unfolded replica
 // residue merged home immediately, not lost.

@@ -148,13 +148,8 @@ func (s *Stage) applySplitSetLocked(set []stats.HotKey, ar *AssignmentRouter) {
 		for _, d := range r.reps {
 			t := s.tasks[d]
 			t.barrier(func(*TaskCtx) {
-				if c, ok := t.split[r.k]; ok {
-					sum.delta += c.delta
-					sum.cost += c.cost
-					sum.freq += c.freq
-					sum.mem += c.mem
-					delete(t.split, r.k)
-				}
+				c := t.retireSplit(r.k)
+				sum.add(&c)
 			})
 		}
 		if sum.zero() {
@@ -187,37 +182,28 @@ func (s *Stage) foldSplits() {
 	}
 	// Collect concurrently: each task drains its own cells under a
 	// barrier thunk (FIFO puts the drain after every enqueued tuple).
-	perTask := make([]map[tuple.Key]splitCell, len(s.tasks))
+	perTask := make([][]splitCell, len(s.tasks))
 	dones := make([]chan struct{}, 0, len(s.tasks))
 	for i, t := range s.tasks {
-		i, t := i, t
 		dones = append(dones, t.barrierAsync(func(*TaskCtx) {
-			if len(t.split) == 0 {
-				return
-			}
-			m := make(map[tuple.Key]splitCell, len(t.split))
-			for k, c := range t.split {
-				if c.zero() {
-					continue
+			for j := range t.split {
+				c := &t.split[j]
+				if !c.zero() {
+					perTask[i] = append(perTask[i], *c)
+					*c = splitCell{key: c.key}
 				}
-				m[k] = *c
-				*c = splitCell{}
 			}
-			perTask[i] = m
 		}))
 	}
 	for _, d := range dones {
 		<-d
 	}
 	agg := make(map[tuple.Key]splitCell)
-	for _, m := range perTask {
-		for k, c := range m {
-			a := agg[k]
-			a.delta += c.delta
-			a.cost += c.cost
-			a.freq += c.freq
-			a.mem += c.mem
-			agg[k] = a
+	for _, cs := range perTask {
+		for j := range cs {
+			a := agg[cs[j].key]
+			a.add(&cs[j])
+			agg[cs[j].key] = a
 		}
 	}
 	if len(agg) == 0 {

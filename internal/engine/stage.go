@@ -178,6 +178,7 @@ type liveScratch struct {
 	off    []int
 	cost   []int64
 	tup    []int64
+	claim  []uint64 // per split key: its tuples in the batch, then its next round-robin position
 }
 
 var liveScratchPool = sync.Pool{New: func() any { return new(liveScratch) }}
@@ -206,27 +207,44 @@ func (s *Stage) feedBatchLive(ar *AssignmentRouter, ts []tuple.Tuple) {
 	st := a.Splits()
 	if st != nil {
 		// Hot keys present: charge arrivals at each tuple's home
-		// destination (dst as routed — the unsplit attribution), then
-		// remap split tuples' physical destination to the round-robin
-		// replica. Cold batches never enter this block: the split check
-		// costs one nil test per batch.
+		// destination (dst as routed — the unsplit attribution) and mark
+		// each split tuple with its key's index, then claim each split
+		// key's round-robin positions for the batch with one atomic add
+		// and remap the marked tuples' physical destination to their
+		// positions' replicas, in tuple order. Cold batches never enter
+		// this block: the split check costs one nil test per batch.
 		if cap(sc.cost) < nd {
 			sc.cost = make([]int64, nd)
 		}
 		if cap(sc.tup) < nd {
 			sc.tup = make([]int64, nd)
 		}
-		cost, tup := sc.cost[:nd], sc.tup[:nd]
-		for i := range cost {
-			cost[i] = 0
-			tup[i] = 0
+		if cap(sc.claim) < st.Len() {
+			sc.claim = make([]uint64, st.Len())
 		}
+		cost, tup, claim := sc.cost[:nd], sc.tup[:nd], sc.claim[:st.Len()]
+		clear(cost)
+		clear(tup)
+		clear(claim)
 		for i := range ts {
 			d := dst[i]
 			cost[d] += ts[i].Cost
 			tup[d]++
-			if sp, ok := st.Lookup(ts[i].Key); ok {
-				dst[i] = sp.Pick()
+			if j := st.Index(ts[i].Key); j >= 0 {
+				claim[j]++
+				dst[i] = ^j
+			}
+		}
+		for j, n := range claim {
+			if n > 0 {
+				claim[j] = st.At(j).Claim(int(n))
+			}
+		}
+		for i, d := range dst {
+			if d < 0 {
+				reps := st.At(^d).Replicas
+				dst[i] = reps[claim[^d]%uint64(len(reps))]
+				claim[^d]++
 			}
 		}
 		for d := 0; d < nd; d++ {

@@ -67,21 +67,23 @@ type task struct {
 
 	// Hot-key split state, likewise confined to the task goroutine.
 	// split holds one commutative delta cell per split key this task
-	// replicates: tuples for those keys are absorbed into the cell
-	// (operator delta + arrival sums) instead of processed, and the
-	// interval-close fold drains the cells back to each key's home
-	// task. folder caches the operator's SplitFolder assertion.
-	split  map[tuple.Key]*splitCell
+	// replicates — a few, so a slice scanned per tuple: tuples for those
+	// keys are absorbed into the cell (operator delta + arrival sums)
+	// instead of processed, and the interval-close fold drains the cells
+	// back to each key's home task. folder caches the operator's
+	// SplitFolder assertion.
+	split  []splitCell
 	folder SplitFolder
 }
 
 // splitCell accumulates one split key's replica-side contribution
 // since the last fold: the operator's commutative delta plus the
 // cost/frequency/state sums the home task's tracker and processed-work
-// accounting will absorb. Every field is a plain integer sum, so
-// folding replicas in any order reconstructs exactly the cell an
-// unsplit run would have accumulated.
+// accounting will absorb. Every sum is a plain integer, so folding
+// replicas in any order reconstructs exactly the cell an unsplit run
+// would have accumulated.
 type splitCell struct {
+	key   tuple.Key
 	delta int64
 	cost  int64
 	freq  int64
@@ -90,6 +92,24 @@ type splitCell struct {
 
 func (c *splitCell) zero() bool {
 	return c.delta == 0 && c.cost == 0 && c.freq == 0 && c.mem == 0
+}
+
+// add folds o's sums into c.
+func (c *splitCell) add(o *splitCell) {
+	c.delta += o.delta
+	c.cost += o.cost
+	c.freq += o.freq
+	c.mem += o.mem
+}
+
+// cell returns the task's delta cell for split key k, or nil.
+func (t *task) cell(k tuple.Key) *splitCell {
+	for i := range t.split {
+		if t.split[i].key == k {
+			return &t.split[i]
+		}
+	}
+	return nil
 }
 
 // taskQueueDepth sizes each instance's input channel. Deep enough that
@@ -206,7 +226,7 @@ func (t *task) divert(ts []tuple.Tuple, gen uint64) []tuple.Tuple {
 func (t *task) absorbSplit(ts []tuple.Tuple) []tuple.Tuple {
 	keep := ts[:0]
 	for i := range ts {
-		if c, ok := t.split[ts[i].Key]; ok {
+		if c := t.cell(ts[i].Key); c != nil {
 			t.absorbOne(c, ts[i])
 			continue
 		}
@@ -232,15 +252,22 @@ func (t *task) absorbOne(c *splitCell, tp tuple.Tuple) {
 // Already-armed keys keep their cell (fan growth re-arms survivors).
 func (t *task) armSplit(keys []tuple.Key) {
 	t.in <- message{ctrl: func(*TaskCtx) {
-		if t.split == nil {
-			t.split = make(map[tuple.Key]*splitCell)
-		}
 		for _, k := range keys {
-			if _, ok := t.split[k]; !ok {
-				t.split[k] = new(splitCell)
+			if t.cell(k) == nil {
+				t.split = append(t.split, splitCell{key: k})
 			}
 		}
 	}}
+}
+
+// retireSplit removes key k's delta cell and returns what it held.
+func (t *task) retireSplit(k tuple.Key) (c splitCell) {
+	if p := t.cell(k); p != nil {
+		c = *p
+		*p = t.split[len(t.split)-1]
+		t.split = t.split[:len(t.split)-1]
+	}
+	return c
 }
 
 // bufferHandoff parks one tuple in key k's handoff buffer. The buffer
@@ -291,7 +318,7 @@ func (t *task) replayHandoff(ctx *TaskCtx, k tuple.Key) {
 	// flight (a non-split key's migration and a split announcement can
 	// land in the same control round): absorb instead of processing so
 	// the replica contract holds for the parked tuples too.
-	if c, ok := t.split[k]; ok {
+	if c := t.cell(k); c != nil {
 		for i := range buf {
 			t.absorbOne(c, buf[i])
 		}

@@ -33,13 +33,13 @@ type Ring struct {
 
 	// lut is a dense power-of-two successor table built at construction,
 	// making Hash an O(1) masked array index on the hot path. Bucket i
-	// covers the hash range [i<<shift, (i+1)<<shift): buckets containing
-	// no ring point store the owning instance directly (every hash in
-	// such a bucket has the same clockwise successor), buckets containing
-	// one or more points store -1 and fall back to the exact binary
-	// search over the ring. With lutFactor× more buckets than points the
-	// fast path covers the vast majority of lookups while results stay
-	// bit-identical to the search.
+	// covers the hash range [i<<shift, (i+1)<<shift). A bucket containing
+	// no ring point stores the owning instance directly (every hash in
+	// such a bucket has the same clockwise successor). A bucket containing
+	// points stores ^j, where j is the index of its first point: the
+	// successor is one of its points or the first point after it, so the
+	// lookup scans forward from j — with lutFactor× more buckets than
+	// points, one or two points. Results are exactly the binary search's.
 	lut   []int32
 	shift uint
 }
@@ -92,7 +92,8 @@ const (
 // buildLUT precomputes the successor table from the sorted point list.
 // It walks points and buckets together from high hash to low, so every
 // empty bucket is stamped with the instance of the first point above it
-// (wrapping to points[0] past the top of the circle).
+// (wrapping to points[0] past the top of the circle), and every other
+// bucket with the complement of its first point's index.
 func (r *Ring) buildLUT() {
 	bits := uint(1)
 	for 1<<bits < len(r.points)*lutFactor && bits < maxLUTBits {
@@ -108,11 +109,11 @@ func (r *Ring) buildLUT() {
 		for ; b > pb; b-- {
 			lut[b] = succ
 		}
-		lut[pb] = -1 // bucket holds ring points: exact search decides
 		for pi >= 0 && int(r.points[pi].hash>>shift) == pb {
 			succ = int32(r.points[pi].inst)
 			pi--
 		}
+		lut[pb] = ^int32(pi + 1)
 		b = pb - 1
 	}
 	for ; b >= 0; b-- {
@@ -146,12 +147,35 @@ func (r *Ring) Shrink() *Ring {
 func (r *Ring) Instances() int { return r.n }
 
 // Hash returns the default destination instance for key k.
-func (r *Ring) Hash(k tuple.Key) int {
-	h := mix(uint64(k))
-	if d := r.lut[h>>r.shift]; d >= 0 {
+func (r *Ring) Hash(k tuple.Key) int { return r.Owner(Position(k)) }
+
+// Position returns key k's hash position on the circle. Position and
+// Owner are Hash in two calls that each inline, for a caller that
+// routes a batch in its own loop.
+func Position(k tuple.Key) uint64 { return mix(uint64(k)) }
+
+// Owner returns the instance owning hash position h: the bucket's
+// instance, or a forward scan from the bucket's first point.
+func (r *Ring) Owner(h uint64) int {
+	d := r.lut[h>>r.shift]
+	if d >= 0 {
 		return int(d)
 	}
-	return r.searchHash(h)
+	return r.scan(^d, h)
+}
+
+// scan returns the instance of the first point at or after index i
+// whose hash is ≥ h, wrapping past the last point. From a bucket's
+// first point that is one of the bucket's points or the one after them.
+func (r *Ring) scan(i int32, h uint64) int {
+	ps := r.points
+	for int(i) < len(ps) && ps[i].hash < h {
+		i++
+	}
+	if int(i) == len(ps) {
+		i = 0
+	}
+	return ps[i].inst
 }
 
 // HashBatch resolves a whole batch of keys in one call, writing
@@ -159,35 +183,24 @@ func (r *Ring) Hash(k tuple.Key) int {
 // with no per-key interface dispatch, which is what the batched
 // routing path (route.Assignment.DestBatch) wants.
 func (r *Ring) HashBatch(keys []tuple.Key, dsts []int) {
-	lut, shift := r.lut, r.shift
+	dsts = dsts[:len(keys)]
 	for i, k := range keys {
-		h := mix(uint64(k))
-		if d := lut[h>>shift]; d >= 0 {
-			dsts[i] = int(d)
-		} else {
-			dsts[i] = r.searchHash(h)
-		}
+		dsts[i] = r.Owner(mix(uint64(k)))
 	}
 }
 
 // HashTuples is HashBatch straight off a tuple slice: dsts[i] =
 // Hash(ts[i].Key) without a separate key-extraction pass.
 func (r *Ring) HashTuples(ts []tuple.Tuple, dsts []int) {
-	lut, shift := r.lut, r.shift
+	dsts = dsts[:len(ts)]
 	for i := range ts {
-		h := mix(uint64(ts[i].Key))
-		if d := lut[h>>shift]; d >= 0 {
-			dsts[i] = int(d)
-		} else {
-			dsts[i] = r.searchHash(h)
-		}
+		dsts[i] = r.Owner(mix(uint64(ts[i].Key)))
 	}
 }
 
-// searchHash is the exact ring lookup: binary search for the first
-// point with hash ≥ h, wrapping. The LUT fast path delegates here for
-// the rare buckets that contain ring points; Grow rebuilds from the
-// exact point list, so the LUT is purely an acceleration structure.
+// searchHash is the exact ring lookup, kept as the reference the LUT is
+// tested against: binary search for the first point with hash ≥ h,
+// wrapping.
 func (r *Ring) searchHash(h uint64) int {
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {

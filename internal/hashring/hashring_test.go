@@ -1,6 +1,7 @@
 package hashring
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -95,27 +96,40 @@ func TestNewPanicsOnZeroInstances(t *testing.T) {
 }
 
 func TestLUTMatchesBinarySearch(t *testing.T) {
-	// The LUT is an acceleration structure only: for every key, the O(1)
-	// path must return exactly what the exact ring search would.
-	for _, nd := range []int{1, 2, 3, 10, 40, 64} {
-		r := New(nd, 0)
+	// The LUT is an acceleration structure only: for every key, and for
+	// hash positions on and beside every ring point — where bucket
+	// boundaries and the forward scan matter most — it must return
+	// exactly what the binary search over the ring would. Grown and
+	// shrunk rings rebuild theirs, so they are checked too.
+	check := func(name string, r *Ring) {
 		for k := tuple.Key(0); k < 20000; k++ {
-			h := mix(uint64(k))
-			if got, want := r.Hash(k), r.searchHash(h); got != want {
-				t.Fatalf("nd=%d key %d: LUT hash %d ≠ search %d", nd, k, got, want)
+			if got, want := r.Hash(k), r.searchHash(mix(uint64(k))); got != want {
+				t.Fatalf("%s: key %d: LUT hash %d ≠ search %d", name, k, got, want)
+			}
+		}
+		for _, p := range r.points {
+			for _, h := range []uint64{p.hash - 1, p.hash, p.hash + 1} {
+				if got, want := r.Owner(h), r.searchHash(h); got != want {
+					t.Fatalf("%s: hash %#x: LUT %d ≠ search %d", name, h, got, want)
+				}
+			}
+		}
+		for _, h := range []uint64{0, 1, 1<<63 - 1, 1 << 63, ^uint64(0)} {
+			if got, want := r.Owner(h), r.searchHash(h); got != want {
+				t.Fatalf("%s: hash %#x: LUT %d ≠ search %d", name, h, got, want)
 			}
 		}
 	}
-	// Adversarial hashes: values landing exactly on and around ring
-	// points, where bucket boundaries matter most.
-	r := New(10, 0)
-	for _, p := range r.points {
-		for _, h := range []uint64{p.hash - 1, p.hash, p.hash + 1} {
-			if got, want := r.lut[h>>r.shift], int32(-1); got != want && int(got) != r.searchHash(h) {
-				t.Fatalf("hash %#x: LUT bucket %d disagrees with search %d", h, got, r.searchHash(h))
-			}
+	for _, nd := range []int{1, 2, 3, 4, 8, 10, 64} {
+		r := New(nd, 0)
+		check(fmt.Sprintf("nd=%d", nd), r)
+		check(fmt.Sprintf("nd=%d grown", nd), r.Grow())
+		if nd > 1 {
+			check(fmt.Sprintf("nd=%d shrunk", nd), r.Shrink())
 		}
 	}
+	// A ring coarser than its LUT's cap packs several points per bucket.
+	check("crowded", New(1<<(maxLUTBits-6), 0))
 }
 
 func TestLUTSizedToRing(t *testing.T) {

@@ -2,43 +2,36 @@ package protocol
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/tuple"
 )
 
-// refColumnarAppend is the sub-batch encoder the row layout replaced:
-// the same varints, one column at a time. It survives as the size
-// reference — a row frame must be exactly as long, field for field.
-func refColumnarAppend(dst []byte, ts []tuple.Tuple) []byte {
+// refRowAppend is the sub-batch encoder the flagged layout replaced:
+// every field in every row. It survives as the size reference — a
+// flagged chunk is at most its flags byte longer, and shorter whenever
+// it hoists a field.
+func refRowAppend(dst []byte, ts []tuple.Tuple) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(ts)))
 	for i := range ts {
-		dst = binary.AppendUvarint(dst, uint64(ts[i].Key))
-	}
-	for i := range ts {
-		dst = binary.AppendVarint(dst, ts[i].Cost)
-	}
-	for i := range ts {
-		dst = binary.AppendVarint(dst, ts[i].StateSize)
-	}
-	for i := range ts {
-		dst = binary.AppendUvarint(dst, ts[i].Seq)
-	}
-	for i := range ts {
-		dst = binary.AppendVarint(dst, ts[i].EmitTick)
-	}
-	for i := range ts {
-		dst = binary.AppendUvarint(dst, uint64(len(ts[i].Stream)))
-		dst = append(dst, ts[i].Stream...)
-	}
-	for i := range ts {
+		t := &ts[i]
+		dst = binary.AppendUvarint(dst, uint64(t.Key))
+		dst = binary.AppendVarint(dst, t.Cost)
+		dst = binary.AppendVarint(dst, t.StateSize)
+		dst = binary.AppendUvarint(dst, t.Seq)
+		dst = binary.AppendVarint(dst, t.EmitTick)
+		dst = binary.AppendUvarint(dst, uint64(len(t.Stream)))
+		dst = append(dst, t.Stream...)
 		var err error
-		if dst, err = appendValue(dst, ts[i].Value); err != nil {
+		if dst, err = appendValue(dst, t.Value); err != nil {
 			panic(err)
 		}
 	}
@@ -55,9 +48,12 @@ func init() { gob.Register(rowBlob{}) }
 // inlined one- and two-byte cases decide.
 var varintEdges = []uint64{0, 1, 0x7f, 0x80, 0x3fff, 0x4000, 1<<63 - 1, 1 << 63, math.MaxUint64}
 
-// rowTuple draws one tuple: fields from the varint edges or small
-// steady-state values, a stream label on some, every value tag in turn.
-func rowTuple(r *fuzzRNG) tuple.Tuple {
+// rowChunk draws one chunk of n tuples. Each field is, per chunk, either
+// shared by every tuple or drawn per tuple — from the varint edges or
+// small steady-state values, a stream label on some, every value tag in
+// turn — and the seqs either never decrease or are drawn at random, so
+// every flag is drawn both set and clear.
+func rowChunk(r *fuzzRNG, n int) []tuple.Tuple {
 	u := func() uint64 {
 		if r.intn(3) == 0 {
 			return varintEdges[r.intn(len(varintEdges))]
@@ -67,31 +63,59 @@ func rowTuple(r *fuzzRNG) tuple.Tuple {
 	// Signed fields: the same edges as zigzag images, so min-int64 and
 	// ±0x40 (where a zigzag varint grows a byte) are drawn.
 	s := func() int64 { return unzig(u()) }
-	t := tuple.Tuple{Key: tuple.Key(u()), Cost: s(), StateSize: s(), Seq: u(), EmitTick: s()}
-	t.Stream = []string{"", "", "counts", "R", string(make([]byte, 200))}[r.intn(5)]
-	switch r.intn(10) {
-	case 0:
-		t.Value = nil
-	case 1:
-		t.Value = s()
-	case 2:
-		t.Value = int(s())
-	case 3:
-		t.Value = u()
-	case 4:
-		t.Value = math.Float64frombits(r.next())
-	case 5:
-		t.Value = "payload"
-	case 6:
-		t.Value = []byte{1, 2, 3}
-	case 7:
-		t.Value = tuple.Key(u())
-	case 8:
-		t.Value = []tuple.Key{tuple.Key(u()), tuple.Key(u())}
-	default:
-		t.Value = rowBlob{A: int(r.next() % 1000)}
+	stream := func() string { return []string{"", "", "counts", "R", string(make([]byte, 200))}[r.intn(5)] }
+	value := func() any {
+		switch r.intn(10) {
+		case 0:
+			return nil
+		case 1:
+			return s()
+		case 2:
+			return int(s())
+		case 3:
+			return u()
+		case 4:
+			return math.Float64frombits(r.next())
+		case 5:
+			return "payload"
+		case 6:
+			return []byte{1, 2, 3}
+		case 7:
+			return tuple.Key(u())
+		case 8:
+			return []tuple.Key{tuple.Key(u()), tuple.Key(u())}
+		default:
+			return rowBlob{A: int(r.next() % 1000)}
+		}
 	}
-	return t
+	shared := r.intn(32) // bit f: field f is shared by the chunk
+	first := tuple.Tuple{Cost: s(), StateSize: s(), EmitTick: s(), Stream: stream()}
+	nilValues := shared&16 != 0
+	ts := make([]tuple.Tuple, n)
+	for i := range ts {
+		t := first
+		t.Key, t.Seq = tuple.Key(u()), u()
+		if shared&1 == 0 {
+			t.Cost = s()
+		}
+		if shared&2 == 0 {
+			t.StateSize = s()
+		}
+		if shared&4 == 0 {
+			t.EmitTick = s()
+		}
+		if shared&8 == 0 {
+			t.Stream = stream()
+		}
+		if !nilValues {
+			t.Value = value()
+		}
+		ts[i] = t
+	}
+	if r.intn(2) == 0 {
+		slices.SortFunc(ts, func(a, b tuple.Tuple) int { return cmp.Compare(a.Seq, b.Seq) })
+	}
+	return ts
 }
 
 // sameTuples compares field by field with NaN-safe float comparison.
@@ -121,10 +145,7 @@ func randomFrame(r *fuzzRNG, nchunks int) ([]byte, [][]tuple.Tuple) {
 	chunks := make([][]tuple.Tuple, nchunks)
 	frame := AppendBatchHeader(nil)
 	for i := range chunks {
-		chunks[i] = make([]tuple.Tuple, r.intn(12))
-		for j := range chunks[i] {
-			chunks[i][j] = rowTuple(r)
-		}
+		chunks[i] = rowChunk(r, r.intn(12))
 		var err error
 		if frame, err = AppendBatchChunk(frame, chunks[i]); err != nil {
 			panic(err)
@@ -139,23 +160,45 @@ func framed(payload []byte) []byte {
 	return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
 }
 
-// TestBatchRowRoundTrip is the row layout's model test: random frames of
-// 1–40 chunks over every value tag, non-empty streams and the varint
-// edges decode to their input, cost exactly the bytes the columnar
-// layout did, and reach the callback decoder and Recv as the same chunk
-// sequence.
+// TestBatchRowRoundTrip is the flagged layout's model test: random
+// frames of 1–40 chunks, each mixing shared and varying fields, over
+// every value tag, non-empty streams, rising and unordered seqs and the
+// varint edges, decode to their input; no chunk is more than its flags
+// byte longer than the every-field row, and one that hoists a field is
+// not longer at all; and the frames reach the callback decoder and Recv
+// as the same chunk sequence. Every flag is drawn set and clear.
 func TestBatchRowRoundTrip(t *testing.T) {
 	r := &fuzzRNG{s: 0x70a5}
+	var set, cleared byte
 	for round := 0; round < 200; round++ {
 		nchunks := 1 + r.intn(40)
 		frame, chunks := randomFrame(r, nchunks)
 
-		ref := AppendBatchHeader(nil)
-		for _, ch := range chunks {
-			ref = refColumnarAppend(ref, ch)
+		ref, hoisted := AppendBatchHeader(nil), false
+		for i, ch := range chunks {
+			ref = refRowAppend(ref, ch)
+			sub, err := AppendBatchChunk(nil, ch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refLen := len(refRowAppend(nil, ch))
+			if len(sub) > refLen+1 {
+				t.Fatalf("round %d chunk %d: %d bytes, every-field rows %d", round, i, len(sub), refLen)
+			}
+			if len(ch) == 0 {
+				continue
+			}
+			flags := sub[subHeaderLen-1]
+			set, cleared = set|flags, cleared|^flags
+			if len(ch) >= 2 && flags&^subSeqDelta != 0 {
+				hoisted = true
+				if len(sub) > refLen {
+					t.Fatalf("round %d chunk %d hoists %#x but is %d bytes, every-field rows %d", round, i, flags, len(sub), refLen)
+				}
+			}
 		}
-		if len(frame) != len(ref) {
-			t.Fatalf("round %d: row frame is %d bytes, columnar reference %d", round, len(frame), len(ref))
+		if len(frame) > len(ref)+nchunks || hoisted && len(frame) >= len(ref)+nchunks {
+			t.Fatalf("round %d: frame is %d bytes, every-field rows %d + %d flags bytes (hoisted: %v)", round, len(frame), len(ref), nchunks, hoisted)
 		}
 
 		recv := NewFramedCodec(readerOnly{bytes.NewReader(framed(frame))})
@@ -192,15 +235,37 @@ func TestBatchRowRoundTrip(t *testing.T) {
 			}
 		}
 	}
+	if set != subKnown || cleared&subKnown != subKnown {
+		t.Fatalf("flags drawn set %#x, clear %#x; want every bit of %#x both ways", set, cleared&subKnown, subKnown)
+	}
 }
 
-// TestBatchRowTruncation cuts a valid frame's payload at every byte
+// TestBatchRowTruncation cuts valid frames' payloads at every byte
 // offset (the length prefix rewritten to match, as a hostile sender
 // would): whatever is left must fail as ErrBinaryFrame, under Recv and
-// under the callback decoder alike.
+// under the callback decoder alike. One frame mixes chunk shapes; the
+// other is one engine-shaped chunk, every flag set.
 func TestBatchRowTruncation(t *testing.T) {
 	r := &fuzzRNG{s: 0xc07}
-	frame, _ := randomFrame(r, 5)
+	mixed, _ := randomFrame(r, 5)
+	chunk := make([]tuple.Tuple, 40)
+	for i := range chunk {
+		chunk[i] = tuple.Tuple{Key: tuple.Key(r.next() >> (r.next() % 64)), Cost: 1, StateSize: 1, Seq: uint64(i * i * i), EmitTick: 3}
+	}
+	engine, err := AppendBatchChunk(AppendBatchHeader(nil), chunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	PatchBatchHeader(engine, 1)
+	if engine[batchHeaderLen+subHeaderLen-1] != subKnown {
+		t.Fatalf("engine-shaped chunk encoded with flags %#x", engine[batchHeaderLen+subHeaderLen-1])
+	}
+	for _, frame := range [][]byte{mixed, engine} {
+		truncate(t, frame)
+	}
+}
+
+func truncate(t *testing.T, frame []byte) {
 	for cut := 0; cut < len(frame); cut++ {
 		for _, feed := range []func([]tuple.Tuple){nil, func([]tuple.Tuple) {}} {
 			c := NewFramedCodec(readerOnly{bytes.NewReader(framed(frame[:cut]))})
@@ -226,12 +291,39 @@ func TestBatchRowTruncation(t *testing.T) {
 	}
 }
 
+// TestHostileCountReservesLittle: a tuple count is checked only against
+// minRowLen bytes a row, a 36th of a decoded tuple, so a 64 KiB frame can
+// claim some 32 000 rows. Claiming them — or every row a 32-bit count
+// names — over rows that do not decode must fail as ErrBinaryFrame
+// having allocated well under what the count would size.
+func TestHostileCountReservesLittle(t *testing.T) {
+	const body = 64 << 10
+	rows := bytes.Repeat([]byte{0xff}, body) // an overlong key varint
+	for _, nt := range []uint32{body / minRowLen, math.MaxUint32} {
+		payload := binary.BigEndian.AppendUint32(AppendBatchHeader(nil), nt)
+		PatchBatchHeader(payload, 1)
+		payload = append(append(payload, 0), rows...)
+		c := NewFramedCodec(readerOnly{bytes.NewReader(framed(payload))})
+		c.EnableBinary()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := c.Recv()
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrBinaryFrame) {
+			t.Fatalf("count %d: %v; want ErrBinaryFrame", nt, err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Fatalf("count %d over a %d-byte frame allocated %d bytes", nt, len(payload), n)
+		}
+	}
+}
+
 // TestScalarWireAllocatesNothing pins the steady state of both
 // directions: a scalar batch (nil and small-int64 values, interned
 // stream labels) is sent, received and streamed to a feed without one
 // allocation once the retained buffers have grown.
 func TestScalarWireAllocatesNothing(t *testing.T) {
-	msg := &Message{Batch: &TupleBatch{Tuples: benchBatch(256, false)}}
+	msg := &Message{Batch: &TupleBatch{Tuples: benchBatch(256, "scalar")}}
 	var buf bytes.Buffer
 	send, recv := binaryPair(&buf)
 	flush := &Message{FlushReq: &Flush{Seq: 1}}

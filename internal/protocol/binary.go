@@ -42,17 +42,26 @@ import (
 // equivalence pins depend on):
 //
 //	batch    := nsub(4,BE) sub*
-//	sub      := ntuples(4,BE) row{ntuples}
-//	row      := key cost state seq tick streamlen stream value
+//	sub      := ntuples(4,BE) flags(1) [cost] [state] [tick] [streamlen stream] row{ntuples}
+//	row      := key seq [cost] [state] [tick] [streamlen stream] [value]
 //
-// A row is one tuple, so encode and decode are each one pass that
-// touches every tuple once. Fields are varint-packed: keys and seqs as
-// uvarints, costs, state sizes and emit ticks as zigzag varints
-// (steady-state values are tiny — cost 1, state 1 — so most fields are
-// one byte). The stream is a length-prefixed string (almost always
-// empty: one zero byte); the value carries a one-byte type tag covering
-// the registered basic types, with a per-value self-contained gob blob
-// as the escape hatch for exotic application types.
+// A row is one tuple, so decode is one pass that touches every tuple
+// once (encode first scans a chunk for its flags), and a row carries
+// only what varies inside its chunk. The flags byte says what the
+// encoder found constant: a field every tuple of the chunk shares
+// (cost, state size, emit tick, stream) is written once in the
+// sub-batch header instead of in every row; a chunk of nil values
+// leaves the value out of its rows; a chunk whose seqs never decrease
+// sends each seq as the delta from the row before. The engine's own
+// chunks — cost 1, state 1, one emit tick, one stream, nil values,
+// rising seqs — are a key and a one-byte delta per tuple, and no chunk
+// is more than the flags byte longer than a row that carried every
+// field. Fields are varint-packed: keys and seqs as
+// uvarints, costs, state sizes and emit ticks as zigzag varints. The
+// stream is a length-prefixed string; the value carries a one-byte
+// type tag covering the registered basic types, with a per-value
+// self-contained gob blob as the escape hatch for exotic application
+// types.
 //
 //	plan     := interval algolen algo gentime table moved
 //	table, moved := n (key dest){n}
@@ -90,8 +99,24 @@ const (
 // coalescing sender seals the frame.
 const batchHeaderLen = 5
 
-// subHeaderLen is the fixed-width per-sub-batch header (tuple count).
-const subHeaderLen = 4
+// subHeaderLen is the fixed-width per-sub-batch header (tuple count and
+// flags).
+const subHeaderLen = 5
+
+// Sub-batch flag bits. The first four hoist a field every tuple of the
+// chunk shares into the sub-batch header; subNil drops the value from
+// every row; subSeqDelta makes a row's seq the delta from the previous
+// row's (the first row's from zero).
+const (
+	subCost byte = 1 << iota
+	subState
+	subTick
+	subStream
+	subNil
+	subSeqDelta
+
+	subKnown = subCost | subState | subTick | subStream | subNil | subSeqDelta
+)
 
 // ErrBinaryFrame tags every decode failure of the binary codec: a
 // truncated row, a hostile count, an unknown kind or value tag.
@@ -335,21 +360,56 @@ func PatchBatchHeader(frame []byte, nsub int) {
 }
 
 // AppendBatchChunk appends one FeedBatch chunk as a sub-batch:
-// fixed-width tuple count, then one varint-packed row per tuple. It
-// touches no shared codec state, so senders encode concurrently outside
-// any connection lock and serialize only the socket write.
+// fixed-width tuple count, the flags byte and the fields it hoists,
+// then one varint-packed row per tuple of what the flags leave varying.
+// It touches no shared codec state, so senders encode concurrently
+// outside any connection lock and serialize only the socket write.
 func AppendBatchChunk(dst []byte, ts []tuple.Tuple) ([]byte, error) {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(ts)))
+	if len(ts) == 0 {
+		return append(dst, 0), nil
+	}
+	h := &ts[0]
+	flags := chunkFlags(ts)
+	dst = append(dst, flags)
+	if flags&subCost != 0 {
+		dst = appendSvarint(dst, h.Cost)
+	}
+	if flags&subState != 0 {
+		dst = appendSvarint(dst, h.StateSize)
+	}
+	if flags&subTick != 0 {
+		dst = appendSvarint(dst, h.EmitTick)
+	}
+	if flags&subStream != 0 {
+		dst = append(appendUvarint(dst, uint64(len(h.Stream))), h.Stream...)
+	}
+	var prev uint64
 	var err error
 	for i := range ts {
 		t := &ts[i]
 		dst = appendUvarint(dst, uint64(t.Key))
-		dst = appendSvarint(dst, t.Cost)
-		dst = appendSvarint(dst, t.StateSize)
-		dst = appendUvarint(dst, t.Seq)
-		dst = appendSvarint(dst, t.EmitTick)
-		dst = appendUvarint(dst, uint64(len(t.Stream)))
-		dst = append(dst, t.Stream...)
+		if flags&subSeqDelta != 0 {
+			dst = appendUvarint(dst, t.Seq-prev)
+			prev = t.Seq
+		} else {
+			dst = appendUvarint(dst, t.Seq)
+		}
+		if flags&subCost == 0 {
+			dst = appendSvarint(dst, t.Cost)
+		}
+		if flags&subState == 0 {
+			dst = appendSvarint(dst, t.StateSize)
+		}
+		if flags&subTick == 0 {
+			dst = appendSvarint(dst, t.EmitTick)
+		}
+		if flags&subStream == 0 {
+			dst = append(appendUvarint(dst, uint64(len(t.Stream))), t.Stream...)
+		}
+		if flags&subNil != 0 {
+			continue
+		}
 		if t.Value == nil {
 			dst = append(dst, valNil)
 		} else if dst, err = appendValue(dst, t.Value); err != nil {
@@ -359,9 +419,48 @@ func AppendBatchChunk(dst []byte, ts []tuple.Tuple) ([]byte, error) {
 	return dst, nil
 }
 
-// minRowLen is the least a tuple costs on the wire: five varints, the
-// stream length and the value tag.
-const minRowLen = 7
+// chunkFlags scans a non-empty chunk for what its rows can leave out.
+func chunkFlags(ts []tuple.Tuple) byte {
+	h := &ts[0]
+	flags := subKnown
+	if h.Value != nil {
+		flags &^= subNil
+	}
+	// A flag once cleared is not tested again: a field that alternates
+	// would otherwise mispredict its branch every other tuple.
+	for i := 1; i < len(ts) && flags != 0; i++ {
+		t := &ts[i]
+		if flags&subCost != 0 && t.Cost != h.Cost {
+			flags &^= subCost
+		}
+		if flags&subState != 0 && t.StateSize != h.StateSize {
+			flags &^= subState
+		}
+		if flags&subTick != 0 && t.EmitTick != h.EmitTick {
+			flags &^= subTick
+		}
+		if flags&subStream != 0 && t.Stream != h.Stream {
+			flags &^= subStream
+		}
+		if flags&subNil != 0 && t.Value != nil {
+			flags &^= subNil
+		}
+		if flags&subSeqDelta != 0 && t.Seq < ts[i-1].Seq {
+			flags &^= subSeqDelta
+		}
+	}
+	return flags
+}
+
+// minRowLen is the least a tuple costs on the wire: its key and its seq,
+// every other field hoisted into the sub-batch header.
+const minRowLen = 2
+
+// rowReserve caps the tuples a sub-batch reserves before its rows
+// decode. The count is checked against minRowLen bytes a row, and a
+// decoded tuple is 36 times that, so the count alone must not size the
+// buffer: rows past the reservation grow it as they decode.
+const rowReserve = 4096
 
 // decodeBatchChunk decodes one sub-batch into dst (appending), returning
 // the grown slice; the caller checks cur.err. Tuples land in
@@ -369,82 +468,95 @@ const minRowLen = 7
 // written, so no zeroing is needed.
 func (c *Codec) decodeBatchChunk(cur *cursor, dst []tuple.Tuple) []tuple.Tuple {
 	nt := cur.u32()
-	// Reject hostile counts before sizing the buffer.
-	if nt < 0 || nt > cur.rem()/minRowLen+1 {
+	flags := cur.byte()
+	if flags&^subKnown != 0 {
+		cur.fail("unknown sub-batch flags %#x", flags)
+		return dst
+	}
+	var h tuple.Tuple // the hoisted fields
+	if flags&subCost != 0 {
+		h.Cost = cur.svarint()
+	}
+	if flags&subState != 0 {
+		h.StateSize = cur.svarint()
+	}
+	if flags&subTick != 0 {
+		h.EmitTick = cur.svarint()
+	}
+	if flags&subStream != 0 {
+		h.Stream = c.internStream(cur.take(cur.count(1)))
+	}
+	// Reject hostile counts before decoding a row.
+	if nt > cur.rem()/minRowLen {
 		cur.fail("tuple count %d exceeds frame", nt)
 		return dst
 	}
-	base := len(dst)
-	if cap(dst) < base+nt {
-		grown := make([]tuple.Tuple, base, base+nt+base/2)
-		copy(grown, dst)
-		dst = grown
+	var prev uint64
+	for done := 0; done < nt && cur.err == nil; {
+		n := min(nt-done, rowReserve)
+		dst = slices.Grow(dst, n)
+		sub := dst[len(dst) : len(dst)+n]
+		dst = dst[:len(dst)+n]
+		prev = c.rows(cur, sub, flags, &h, prev, done, nt)
+		done += n
 	}
-	dst = dst[:base+nt]
-	sub := dst[base:]
-	p, off := cur.p, cur.off
+	return dst
+}
+
+// rows decodes a chunk's rows into sub: the fields flags leaves in them,
+// the rest from h. It returns the last seq; rows0 and nt number the rows
+// for the error. Every row carries a key and a seq, so their one-byte
+// case is spelled out (a helper that falls back to the general decoder
+// is past the compiler's inlining budget): the engine chunk's round trip
+// in BenchmarkTupleBatchCodec is a fifth faster for it. What else a row
+// carries goes through the cursor.
+func (c *Codec) rows(cur *cursor, sub []tuple.Tuple, flags byte, h *tuple.Tuple, prev uint64, rows0, nt int) uint64 {
+	p := cur.p
 	for i := range sub {
-		t := &sub[i]
-		// The one-byte case of each varint is spelled out here: a helper
-		// that falls back to the general decoder is past the compiler's
-		// inlining budget, and six calls are an eighth of a row's cost.
-		var key, cost, size, seq, tick, slen uint64
+		var key, seq uint64
+		off := cur.off
 		if off < len(p) && p[off] < 0x80 {
 			key, off = uint64(p[off]), off+1
 		} else {
 			key, off = uvarintAt(p, off)
 		}
 		if off < len(p) && p[off] < 0x80 {
-			cost, off = uint64(p[off]), off+1
-		} else {
-			cost, off = uvarintAt(p, off)
-		}
-		if off < len(p) && p[off] < 0x80 {
-			size, off = uint64(p[off]), off+1
-		} else {
-			size, off = uvarintAt(p, off)
-		}
-		if off < len(p) && p[off] < 0x80 {
 			seq, off = uint64(p[off]), off+1
 		} else {
 			seq, off = uvarintAt(p, off)
 		}
-		if off < len(p) && p[off] < 0x80 {
-			tick, off = uint64(p[off]), off+1
-		} else {
-			tick, off = uvarintAt(p, off)
-		}
-		if off < len(p) && p[off] < 0x80 {
-			slen, off = uint64(p[off]), off+1
-		} else {
-			slen, off = uvarintAt(p, off)
-		}
 		if off > len(p) {
-			cur.fail("truncated row %d of %d", i, nt)
-			return dst
-		}
-		if slen > uint64(len(p)-off) {
-			cur.off = off
-			cur.fail("stream length %d exceeds %d remaining bytes", slen, len(p)-off)
-			return dst
-		}
-		t.Key, t.Cost, t.StateSize = tuple.Key(key), unzig(cost), unzig(size)
-		t.Seq, t.EmitTick = seq, unzig(tick)
-		t.Stream = c.internStream(p[off : off+int(slen)])
-		off += int(slen)
-		if off < len(p) && p[off] == valNil {
-			t.Value = nil
-			off++
-			continue
+			cur.fail("truncated row %d of %d", rows0+i, nt)
+			return prev
 		}
 		cur.off = off
-		if t.Value = cur.value(); cur.err != nil {
-			return dst
+		if flags&subSeqDelta != 0 {
+			seq += prev
+			prev = seq
 		}
-		off = cur.off
+		t := &sub[i]
+		t.Key, t.Seq, t.Cost, t.StateSize, t.EmitTick, t.Stream = tuple.Key(key), seq, h.Cost, h.StateSize, h.EmitTick, h.Stream
+		if flags&subCost == 0 {
+			t.Cost = cur.svarint()
+		}
+		if flags&subState == 0 {
+			t.StateSize = cur.svarint()
+		}
+		if flags&subTick == 0 {
+			t.EmitTick = cur.svarint()
+		}
+		if flags&subStream == 0 {
+			t.Stream = c.internStream(cur.take(cur.count(1)))
+		}
+		t.Value = nil
+		if flags&subNil == 0 {
+			t.Value = cur.value()
+		}
+		if cur.err != nil {
+			break
+		}
 	}
-	cur.off = off
-	return dst
+	return prev
 }
 
 // internStream maps a decoded stream label to a shared string. Stream

@@ -193,9 +193,12 @@ func TestBinaryHostileInputs(t *testing.T) {
 		"unknown kind":         {0x7f},
 		"batch no header":      {kindBatch},
 		"batch huge nsub":      {kindBatch, 0xff, 0xff, 0xff, 0xff},
-		"batch huge ntuples":   {kindBatch, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff},
-		"batch cut row":        {kindBatch, 0, 0, 0, 1, 0, 0, 0, 2, 5},
+		"batch huge ntuples":   {kindBatch, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff, 0},
+		"batch cut row":        batchCutRow,
 		"batch count boundary": batchCountBoundary,
+		"batch unknown flags":  batchUnknownFlags,
+		"batch header stream":  batchHeaderStream,
+		"batch cut at flags":   batchCutAtFlags,
 		"plan huge routes":     hostilePlanRoutes,
 		"plan cut route":       {kindPlan, 2, 0, 0, 1, 7},
 		"resize trailing":      {kindResize, 2, 2, 9},
@@ -203,7 +206,7 @@ func TestBinaryHostileInputs(t *testing.T) {
 		"state huge payload":   hostileStatePayload,
 		"state trailing":       {kindState, 1, 0, 2, 8, 1, 0xaa, 0xbb},
 		"batch trailing bytes": append(mustBatchFrame(t), 0xaa),
-		"batch bad value tag":  {kindBatch, 0, 0, 0, 1, 0, 0, 0, 1, 1, 2, 2, 2, 2, 0, 0x6f},
+		"batch bad value tag":  {kindBatch, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 2, 2, 2, 2, 0, 0x6f},
 		"flush short":          {kindFlush, 1, 2, 3},
 		"report cut":           {kindReport, 0x80},
 		// Five entries cannot fit six bytes, though the count alone could.
@@ -233,11 +236,23 @@ func TestBinaryHostileInputs(t *testing.T) {
 	}
 }
 
-// A tuple costs at least seven bytes (five varints, the stream length,
-// the value tag), so twelve bytes hold one whole row: a count of three
-// — which a six-byte minimum would let through to the row decoder — is
-// refused before the buffer is sized by it.
-var batchCountBoundary = []byte{kindBatch, 0, 0, 0, 1, 0, 0, 0, 3, 1, 2, 2, 0, 2, 0, 0, 1, 2, 2, 0, 2}
+// The hostile batch frames the fuzz corpus under
+// testdata/fuzz/FuzzBinaryHostile carries too. Each is one sub-batch.
+var (
+	// Two engine-shaped tuples (keys 5 and 300, seqs 7 and 9, every
+	// other field hoisted), cut before the second row's seq delta.
+	batchCutRow = []byte{kindBatch, 0, 0, 0, 1, 0, 0, 0, 2, subKnown, 2, 2, 0, 0, 5, 7, 0xac, 0x02}
+	// A tuple costs at least two bytes (its key and its seq), so the
+	// five bytes behind the header hold two rows: a count of three is
+	// refused before a row is decoded.
+	batchCountBoundary = []byte{kindBatch, 0, 0, 0, 1, 0, 0, 0, 3, subKnown, 2, 2, 0, 0, 1, 1, 2, 1, 7}
+	// A flag bit this codec does not know.
+	batchUnknownFlags = []byte{kindBatch, 0, 0, 0, 1, 0, 0, 0, 1, 0x40, 1, 1}
+	// A hoisted stream whose length runs past the frame.
+	batchHeaderStream = []byte{kindBatch, 0, 0, 0, 1, 0, 0, 0, 1, subStream, 9, 'R', 1, 1}
+	// Flags that hoist fields the frame ends before.
+	batchCutAtFlags = []byte{kindBatch, 0, 0, 0, 1, 0, 0, 0, 1, subKnown}
+)
 
 // The hostile frames of the control round's kinds (the fuzz corpus
 // carries the same two): a plan whose route count the frame cannot hold,
@@ -252,7 +267,24 @@ func TestBatchCountBound(t *testing.T) {
 	c := NewFramedCodec(readerOnly{bytes.NewReader(framed(batchCountBoundary))})
 	c.EnableBinary()
 	if _, err := c.Recv(); !errors.Is(err, ErrBinaryFrame) || !strings.Contains(err.Error(), "tuple count 3 exceeds frame") {
-		t.Fatalf("count 3 over 12 bytes: %v; want the count check to refuse it", err)
+		t.Fatalf("count 3 over 5 bytes of rows: %v; want the count check to refuse it", err)
+	}
+}
+
+// TestBatchFrameChecks pins which check refuses each hostile sub-batch.
+func TestBatchFrameChecks(t *testing.T) {
+	for frame, want := range map[*[]byte]string{
+		&batchCutRow:        "truncated row 1 of 2",
+		&batchUnknownFlags:  "unknown sub-batch flags 0x40",
+		&batchHeaderStream:  "count 9 of 1-byte elements exceeds 3 remaining bytes",
+		&batchCutAtFlags:    "bad uvarint",
+		&batchCountBoundary: "tuple count 3 exceeds frame",
+	} {
+		c := NewFramedCodec(readerOnly{bytes.NewReader(framed(*frame))})
+		c.EnableBinary()
+		if _, err := c.Recv(); !errors.Is(err, ErrBinaryFrame) || !strings.Contains(err.Error(), want) {
+			t.Errorf("% x: %v; want ErrBinaryFrame %q", *frame, err, want)
+		}
 	}
 }
 
@@ -267,13 +299,16 @@ func mustBatchFrame(t *testing.T) []byte {
 	return frame
 }
 
-// benchBatch builds a realistic steady-state batch: socialpipe-shaped
-// tuples (small keys, cost 1, a stream tag on some). Scalar batches
-// carry only nil and small-int64 values (the count→topk edge's shape),
-// so a zero-alloc decode is possible; composite batches add
-// []tuple.Key values (the parse→count edge), which inherently allocate
-// one slice per value on decode.
-func benchBatch(n int, composite bool) []tuple.Tuple {
+// benchBatch builds a realistic steady-state batch of one shape, every
+// tuple of small key, cost 1, state 1, one emit tick and a rising seq.
+// An engine batch is the cluster edge's own (one stream, nil values):
+// a key and a seq delta a row. An app batch is an application edge's
+// (one stream, a small int64 value on every tuple): key, seq and value
+// vary. Scalar batches mix two streams and nil with small-int64 values
+// (the count→topk edge), so a zero-alloc decode is possible; composite
+// batches add []tuple.Key values (the parse→count edge), which
+// inherently allocate one slice per value on decode.
+func benchBatch(n int, shape string) []tuple.Tuple {
 	r := &fuzzRNG{s: 0x5eed}
 	ts := make([]tuple.Tuple, n)
 	for i := range ts {
@@ -282,10 +317,14 @@ func benchBatch(n int, composite bool) []tuple.Tuple {
 			Seq: uint64(i), EmitTick: 7,
 		}
 		switch {
+		case shape == "engine":
+		case shape == "app":
+			ts[i].Stream = "counts"
+			ts[i].Value = int64(r.next() % 100)
 		case i%2 == 0:
 			ts[i].Stream = "counts"
 			ts[i].Value = int64(r.next() % 100)
-		case composite:
+		case shape == "composite":
 			ts[i].Value = []tuple.Key{tuple.Key(r.next() % 4096), tuple.Key(r.next() % 4096)}
 		}
 	}
@@ -359,13 +398,10 @@ func BenchmarkTupleBatchCodec(b *testing.B) {
 		c.EnableBinary()
 		return c
 	}
-	for _, shape := range []struct {
-		name      string
-		composite bool
-	}{{"scalar", false}, {"composite", true}} {
-		msg := &Message{Batch: &TupleBatch{Tuples: benchBatch(batchSize, shape.composite)}}
-		b.Run(shape.name+"/binary", func(b *testing.B) { bench(b, msg, mkBinary) })
-		b.Run(shape.name+"/gob", func(b *testing.B) { bench(b, msg, NewFramedCodec) })
+	for _, shape := range []string{"engine", "app", "scalar", "composite"} {
+		msg := &Message{Batch: &TupleBatch{Tuples: benchBatch(batchSize, shape)}}
+		b.Run(shape+"/binary", func(b *testing.B) { bench(b, msg, mkBinary) })
+		b.Run(shape+"/gob", func(b *testing.B) { bench(b, msg, NewFramedCodec) })
 	}
 }
 

@@ -5,7 +5,11 @@ import (
 	"encoding/gob"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -379,9 +383,12 @@ func FuzzBinaryHostile(f *testing.F) {
 		f.Add(wire.Bytes()[frameHeaderLen:]) // strip the length prefix
 	}
 	f.Add([]byte{kindBatch, 0xff, 0xff, 0xff, 0xff})
-	f.Add([]byte{kindBatch, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff})
-	f.Add([]byte{kindBatch, 0, 0, 0, 1, 0, 0, 0, 2, 5})
+	f.Add([]byte{kindBatch, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff, 0})
+	f.Add(batchCutRow)
 	f.Add(batchCountBoundary)
+	f.Add(batchUnknownFlags)
+	f.Add(batchHeaderStream)
+	f.Add(batchCutAtFlags)
 	f.Add(hostilePlanRoutes)
 	f.Add(hostileStatePayload)
 	f.Add([]byte{kindReport, 0x80})
@@ -416,6 +423,43 @@ func FuzzBinaryHostile(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestHostileBatchSeedsCommitted keeps the batch seeds of the fuzz
+// corpus equal to the frames binary_test.go names, and the cut row equal
+// to what the encoder writes for its two tuples, one byte short — so a
+// layout change that breaks one fails here instead of leaving a seed
+// that no longer reaches the check it was written for.
+func TestHostileBatchSeedsCommitted(t *testing.T) {
+	full := AppendBatchHeader(nil)
+	full, err := AppendBatchChunk(full, []tuple.Tuple{
+		{Key: 5, Cost: 1, StateSize: 1, Seq: 7},
+		{Key: 300, Cost: 1, StateSize: 1, Seq: 9},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	PatchBatchHeader(full, 1)
+	if !bytes.Equal(batchCutRow, full[:len(full)-1]) {
+		t.Fatalf("batchCutRow is % x; the encoder cut one byte short writes % x", batchCutRow, full[:len(full)-1])
+	}
+	for name, want := range map[string][]byte{
+		"seed-cut-row":                  batchCutRow,
+		"seed-count-boundary":           batchCountBoundary,
+		"seed-unknown-flags":            batchUnknownFlags,
+		"seed-header-stream-past-frame": batchHeaderStream,
+		"seed-cut-after-flags":          batchCutAtFlags,
+	} {
+		b, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzBinaryHostile", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, lit, _ := strings.Cut(strings.TrimSpace(string(b)), "\n")
+		got, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+		if err != nil || got != string(want) {
+			t.Fatalf("%s holds %q (%v), want %q", name, got, err, want)
+		}
+	}
 }
 
 // readerOnly hides any Write method so NewFramedCodec's writer half is

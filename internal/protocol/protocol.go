@@ -3,9 +3,11 @@
 // of the unified control plane — and a codec for exchanging them over
 // any net.Conn-like transport. The codec's default encoding is gob;
 // framed codecs can additionally switch to a hand-rolled binary wire
-// (binary.go: kind-dispatched frames, zero-reflection row-per-tuple
-// encoding for everything an interval sends, gob fallback for the
-// once-per-session kinds) after both peers agree in a handshake. The
+// (binary.go: kind-dispatched frames, zero-reflection encoding for
+// everything an interval sends — tuple batches as one row per tuple
+// carrying only the fields that vary inside its chunk — gob fallback
+// for the once-per-session kinds) after both peers agree in a
+// handshake. The
 // in-process engine speaks this protocol through internal/control's
 // loopback transport; the same bytes flow over a real network boundary
 // (the Codec-over-pipe transport is pinned equivalent), so a

@@ -24,17 +24,6 @@ type Hasher interface {
 	Instances() int
 }
 
-// BatchHasher is an optional Hasher extension: HashBatch writes
-// dsts[i] = Hash(keys[i]) for a whole batch in one call, letting the
-// implementation keep its fast path in a tight loop instead of paying
-// an interface dispatch per key. *hashring.Ring implements it, along
-// with the tuple-slice form used by the engine's feeder (which saves a
-// key-extraction pass over the batch).
-type BatchHasher interface {
-	HashBatch(keys []tuple.Key, dsts []int)
-	HashTuples(ts []tuple.Tuple, dsts []int)
-}
-
 // ModHasher is a trivial Hasher (k mod n) used by unit tests and by
 // planner micro-benchmarks where ring lookups would dominate.
 type ModHasher int
@@ -167,6 +156,10 @@ type Assignment struct {
 	// because wrapped tables are immutable snapshots.
 	empty bool
 	index tableIndex
+	// ring is hash when it is the consistent-hash ring — always, outside
+	// tests — so the batch paths inline its lookup instead of calling
+	// through the Hasher interface per tuple.
+	ring *hashring.Ring
 	// gen is the publication generation: a counter the publishing
 	// router stamps before the atomic pointer swap that makes this
 	// assignment live, so feeders can tag every routed batch with the
@@ -190,6 +183,7 @@ func NewAssignment(table *Table, hash Hasher) *Assignment {
 	if !a.empty {
 		a.index = newTableIndex(table.m)
 	}
+	a.ring, _ = hash.(*hashring.Ring)
 	return a
 }
 
@@ -204,30 +198,27 @@ func (a *Assignment) Dest(k tuple.Key) int {
 }
 
 // DestBatch evaluates F over a whole batch, writing dsts[i] =
-// F(keys[i]): the whole batch goes through the hasher in one call — no
-// interface dispatch per key when it is a BatchHasher — and the routing
-// table's few hits are laid over the result. Hoisting the empty-table
-// test and the interface indirection out of the per-tuple call chain is
-// what keeps routing off the profile when the engine feeds tuples
-// hundreds at a time.
+// F(keys[i]) in one pass: each key probes the frozen table and goes to
+// the ring only on a miss, both inlined, with no interface dispatch per
+// key. Hoisting the empty-table test and the hasher indirection out of
+// the per-tuple call chain is what keeps routing off the profile when
+// the engine feeds tuples hundreds at a time.
 func (a *Assignment) DestBatch(keys []tuple.Key, dsts []int) {
-	if len(keys) == 0 {
-		return
-	}
 	dsts = dsts[:len(keys)]
-	if bh, ok := a.hash.(BatchHasher); ok {
-		bh.HashBatch(keys, dsts)
-	} else {
+	switch {
+	case a.ring == nil:
 		for i, k := range keys {
-			dsts[i] = a.hash.Hash(k)
+			dsts[i] = a.Dest(k)
 		}
-	}
-	if a.empty {
-		return
-	}
-	for i, k := range keys {
-		if d, ok := a.index.lookup(k); ok {
-			dsts[i] = d
+	case a.empty:
+		a.ring.HashBatch(keys, dsts)
+	default:
+		for i, k := range keys {
+			if d, ok := a.index.lookup(k); ok {
+				dsts[i] = d
+			} else {
+				dsts[i] = a.ring.Owner(hashring.Position(k))
+			}
 		}
 	}
 }
@@ -236,23 +227,22 @@ func (a *Assignment) DestBatch(keys []tuple.Key, dsts []int) {
 // F(ts[i].Key) with no separate key-extraction pass — the form the
 // engine's batched feeder uses.
 func (a *Assignment) DestTuples(ts []tuple.Tuple, dsts []int) {
-	if len(ts) == 0 {
-		return
-	}
 	dsts = dsts[:len(ts)]
-	if bh, ok := a.hash.(BatchHasher); ok {
-		bh.HashTuples(ts, dsts)
-	} else {
+	switch {
+	case a.ring == nil:
 		for i := range ts {
-			dsts[i] = a.hash.Hash(ts[i].Key)
+			dsts[i] = a.Dest(ts[i].Key)
 		}
-	}
-	if a.empty {
-		return
-	}
-	for i := range ts {
-		if d, ok := a.index.lookup(ts[i].Key); ok {
-			dsts[i] = d
+	case a.empty:
+		a.ring.HashTuples(ts, dsts)
+	default:
+		for i := range ts {
+			k := ts[i].Key
+			if d, ok := a.index.lookup(k); ok {
+				dsts[i] = d
+			} else {
+				dsts[i] = a.ring.Owner(hashring.Position(k))
+			}
 		}
 	}
 }

@@ -149,35 +149,53 @@ func TestInstances(t *testing.T) {
 	}
 }
 
+// TestDestBatchAndDestTuplesMatchDest pins both one-pass batch kernels
+// against per-key Dest: on a fixed table and on random ones of 0–500
+// entries, over the ring (the inlined probe-then-hash loop, or the
+// ring's own batch loop when the table is empty) and over a hasher that
+// is not a ring (the per-key fallback), at every batch size up to past a
+// chunk's length. Slots past the batch stay untouched.
 func TestDestBatchAndDestTuplesMatchDest(t *testing.T) {
-	// Both batch forms must agree with per-key Dest, with and without
-	// routing-table entries, over a real ring hasher.
-	tab := NewTable()
+	rng := rand.New(rand.NewSource(27))
+	const nd, maxBatch = 5, 300
+	fixed := NewTable()
 	for k := tuple.Key(0); k < 50; k += 7 {
-		tab.Put(k, int(k)%5)
+		fixed.Put(k, int(k)%nd)
 	}
-	for _, a := range []*Assignment{
-		NewAssignment(tab, hashring.New(5, 0)),
-		NewAssignment(NewTable(), hashring.New(5, 0)), // empty-table fast path
-	} {
-		const n = 300
-		keys := make([]tuple.Key, n)
-		ts := make([]tuple.Tuple, n)
-		for i := range keys {
-			keys[i] = tuple.Key(i * 13)
-			ts[i] = tuple.New(keys[i], nil)
+	tables := []*Table{fixed}
+	for _, entries := range []int{0, 1, 32, 500} {
+		tab := NewTable()
+		for tab.Len() < entries {
+			tab.Put(tuple.Key(rng.Intn(2000)), rng.Intn(nd))
 		}
-		got := make([]int, n)
-		a.DestBatch(keys, got)
-		for i, k := range keys {
-			if want := a.Dest(k); got[i] != want {
-				t.Fatalf("DestBatch[%d] key %d = %d, want %d", i, k, got[i], want)
-			}
-		}
-		a.DestTuples(ts, got)
-		for i, k := range keys {
-			if want := a.Dest(k); got[i] != want {
-				t.Fatalf("DestTuples[%d] key %d = %d, want %d", i, k, got[i], want)
+		tables = append(tables, tab)
+	}
+	keys := make([]tuple.Key, maxBatch)
+	ts := make([]tuple.Tuple, maxBatch)
+	batch, tuples := make([]int, maxBatch), make([]int, maxBatch)
+	for _, tab := range tables {
+		for _, h := range []Hasher{hashring.New(nd, 0), ModHasher(nd)} {
+			a := NewAssignment(tab, h)
+			for n := 0; n <= maxBatch; n++ {
+				for i := 0; i < n; i++ {
+					keys[i] = tuple.Key(rng.Intn(2000))
+					ts[i] = tuple.New(keys[i], nil)
+				}
+				for i := range batch {
+					batch[i], tuples[i] = -1, -1
+				}
+				a.DestBatch(keys[:n], batch)
+				a.DestTuples(ts[:n], tuples)
+				for i := 0; i < maxBatch; i++ {
+					want := -1
+					if i < n {
+						want = a.Dest(keys[i])
+					}
+					if batch[i] != want || tuples[i] != want {
+						t.Fatalf("%d entries, %T, batch of %d, slot %d: DestBatch %d, DestTuples %d, want %d",
+							tab.Len(), h, n, i, batch[i], tuples[i], want)
+					}
+				}
 			}
 		}
 	}

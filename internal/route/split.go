@@ -1,7 +1,8 @@
 package route
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/tuple"
@@ -40,12 +41,11 @@ func NewSplit(k tuple.Key, home, fan, nd int) *Split {
 	return &Split{Key: k, Home: home, Replicas: reps}
 }
 
-// Pick returns the next replica in round-robin order. It is wait-free
-// (one atomic add) and safe for concurrent feeders.
-func (s *Split) Pick() int {
-	i := s.ctr.Add(1) - 1
-	return s.Replicas[i%uint64(len(s.Replicas))]
-}
+// Claim reserves n consecutive round-robin slots and returns the first:
+// slot s sends its tuple to Replicas[s % Fan()]. A feeder claims a whole
+// batch's worth of a key's tuples with one atomic add, so concurrent
+// feeders never share a slot.
+func (s *Split) Claim(n int) uint64 { return s.ctr.Add(uint64(n)) - uint64(n) }
 
 // Fan returns the replica count.
 func (s *Split) Fan() int { return len(s.Replicas) }
@@ -53,41 +53,63 @@ func (s *Split) Fan() int { return len(s.Replicas) }
 // SplitTable is the set of currently split keys. Like Table it is an
 // immutable snapshot once published through an Assignment; transitions
 // install a fresh table via the same atomic pointer swap that
-// publishes routing generations.
+// publishes routing generations. A split set holds a few keys
+// (topology.HotKeySplit's maxKeys), so it is an array in ascending key
+// order, scanned, not hashed.
 type SplitTable struct {
-	m map[tuple.Key]*Split
+	splits []*Split
 }
 
 // NewSplitTable returns an empty split table.
-func NewSplitTable() *SplitTable {
-	return &SplitTable{m: make(map[tuple.Key]*Split)}
-}
+func NewSplitTable() *SplitTable { return &SplitTable{} }
 
 // Put inserts or replaces the split for s.Key.
-func (t *SplitTable) Put(s *Split) { t.m[s.Key] = s }
+func (t *SplitTable) Put(s *Split) {
+	i, ok := slices.BinarySearchFunc(t.splits, s.Key, func(x *Split, k tuple.Key) int { return cmp.Compare(x.Key, k) })
+	if ok {
+		t.splits[i] = s
+	} else {
+		t.splits = slices.Insert(t.splits, i, s)
+	}
+}
+
+// Index returns the position of k's split in ascending key order, or -1
+// when k is not split: the per-tuple test of the feed path.
+func (t *SplitTable) Index(k tuple.Key) int {
+	for i, s := range t.splits {
+		if s.Key == k {
+			return i
+		}
+	}
+	return -1
+}
+
+// At returns the split at position i of ascending key order.
+func (t *SplitTable) At(i int) *Split { return t.splits[i] }
 
 // Lookup returns the split for k and whether one exists.
 func (t *SplitTable) Lookup(k tuple.Key) (*Split, bool) {
-	s, ok := t.m[k]
-	return s, ok
+	if i := t.Index(k); i >= 0 {
+		return t.splits[i], true
+	}
+	return nil, false
 }
 
 // Len returns the number of split keys.
-func (t *SplitTable) Len() int { return len(t.m) }
+func (t *SplitTable) Len() int { return len(t.splits) }
 
 // Keys returns the split keys in ascending order.
 func (t *SplitTable) Keys() []tuple.Key {
-	ks := make([]tuple.Key, 0, len(t.m))
-	for k := range t.m {
-		ks = append(ks, k)
+	ks := make([]tuple.Key, len(t.splits))
+	for i, s := range t.splits {
+		ks[i] = s.Key
 	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
 	return ks
 }
 
-// Each calls fn for every split in unspecified order.
+// Each calls fn for every split in ascending key order.
 func (t *SplitTable) Each(fn func(*Split)) {
-	for _, s := range t.m {
+	for _, s := range t.splits {
 		fn(s)
 	}
 }

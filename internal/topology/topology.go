@@ -333,7 +333,10 @@ func Target() StageOption { return func(s *stageSpec) { s.target = true } }
 // observables stay bit-identical to an unsplit run. threshold ≤ 0
 // defaults to 1 (split when one key alone saturates a task). Composes
 // with a rebalance algorithm: split keys are pinned to their home while
-// split, everything else rebalances normally.
+// split, everything else rebalances normally. maxKeys is meant to be a
+// handful (the in-tree topologies use 3 or 4): the feed path finds a
+// tuple's split, and a task a split tuple's replica cell, by scanning
+// the split keys, so every tuple costs O(maxKeys).
 func HotKeySplit(maxKeys int, threshold float64) StageOption {
 	return func(s *stageSpec) {
 		s.splitOn = true
