@@ -135,8 +135,6 @@
 // has anything to extract: the two-slot epoch counter is only sound
 // while at most two generations have feeders in flight. A stage
 // migrates live iff it routes by assignment; there is no option.
-// engine.Config.FeedLatency records a per-feeder latency histogram
-// (metrics.LatencyHist) merged into metrics.Interval.FeedP50Us/FeedP99Us.
 //
 // # Hot-key splitting
 //

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -166,9 +167,12 @@ func runDistributed(t *testing.T, network string, nWorkers int, mutate ...func(*
 // runLocal is the pinned single-process reference: the same Spec
 // through topology.Build, with count-stage snapshots captured at the
 // same post-round point.
-func runLocal(t *testing.T) *distributedRun {
+func runLocal(t *testing.T, mutate ...func(*Spec)) *distributedRun {
 	t.Helper()
 	spec := testSpec(t)
+	for _, m := range mutate {
+		m(spec)
+	}
 	sys := spec.BuildLocal()
 	defer sys.Stop()
 
@@ -364,7 +368,7 @@ func TestDistributedWorkerCounts(t *testing.T) {
 
 // TestSpecResolveMatchesTopologyDefaults guards the dual derivation:
 // the Spec's resolved defaults must equal what topology.Build would
-// apply, or the coordinator's model drifts from the reference.
+// apply, or the workers' stages drift from the reference.
 func TestSpecResolveMatchesTopologyDefaults(t *testing.T) {
 	s := &Spec{
 		Name:   "t",
@@ -383,11 +387,52 @@ func TestSpecResolveMatchesTopologyDefaults(t *testing.T) {
 	if s.Budget != topology.DefBudget {
 		t.Fatalf("budget = %d, want %d", s.Budget, topology.DefBudget)
 	}
-	def := engine.DefaultConfig()
-	if s.MaxPendingFactor != def.MaxPendingFactor || s.MigrationFactor != def.MigrationFactor {
-		t.Fatalf("factors = %v/%v, want engine defaults", s.MaxPendingFactor, s.MigrationFactor)
-	}
 	if st.Capacity != s.Budget/int64(st.Instances) {
 		t.Fatalf("capacity = %d", st.Capacity)
+	}
+}
+
+// TestDownstreamThrottleMatchesLocal pins backpressure driven by a stage
+// other than the target across the wire: with the topk stage
+// under-provisioned, its backlog — shipped by the worker hosting it —
+// throttles the spout, and the series still matches the single-process
+// engine row for row.
+func TestDownstreamThrottleMatchesLocal(t *testing.T) {
+	// At 1000 the throttle lands between the budget and its 10% floor
+	// (the default capacity never throttles this pipeline).
+	starve := func(s *Spec) { s.Stages[2].Capacity = 1000 }
+	local := runLocal(t, starve)
+	budget := testSpec(t).Budget
+	throttled := false
+	for _, m := range local.series {
+		if m.Emitted < budget {
+			throttled = true
+		}
+	}
+	if !throttled {
+		t.Fatal("no interval emitted below the budget: the throttle case is vacuous")
+	}
+	for _, network := range []string{"unix", "tcp"} {
+		t.Run(network, func(t *testing.T) {
+			dist := runDistributed(t, network, 3, starve)
+			compareRuns(t, network, dist, local)
+		})
+	}
+}
+
+// TestCoordinatorRefusesPKG pins the supported subset: a PKG stage's
+// capacity shave and latency floor exist only in the builder, so the
+// coordinator refuses the spec, naming the stage, instead of silently
+// diverging from BuildLocal.
+func TestCoordinatorRefusesPKG(t *testing.T) {
+	spec := testSpec(t)
+	spec.Stages[1].Algorithm = topology.AlgPKG
+	c, err := NewCoordinator(spec, "unix", filepath.Join(t.TempDir(), "coord.sock"))
+	if err == nil {
+		c.Shutdown()
+		t.Fatal("coordinator accepted a PKG stage")
+	}
+	if !strings.Contains(err.Error(), `"count"`) || !strings.Contains(err.Error(), string(topology.AlgPKG)) {
+		t.Fatalf("error %q does not name the stage and its algorithm", err)
 	}
 }

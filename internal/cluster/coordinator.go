@@ -11,6 +11,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/protocol"
 	"repro/internal/stats"
+	"repro/internal/topology"
 )
 
 // registerTimeout bounds how long Deploy waits for the worker fleet to
@@ -27,10 +28,12 @@ type workerSess struct {
 }
 
 // Coordinator drives a distributed topology: it owns the Spec, the
-// spout, the per-stage control policies and the interval clock, and
-// replays the engine's throttle and queueing model over arrival
-// accounting shipped back by the workers — bit-identical to a
-// single-process run of the same Spec.
+// spout, the per-stage control policies and the interval clock. The
+// workers end each interval on their stages with the engine's own
+// sequence and ship back the finished rows and backlogs; the
+// coordinator records the target stage's row and throttles the spout
+// on the backlogs — bit-identical to a single-process run of the same
+// Spec.
 type Coordinator struct {
 	spec   *Spec
 	target int
@@ -50,8 +53,7 @@ type Coordinator struct {
 
 	placement []int
 	capacity  []int64
-	backlog   [][]int64
-	backlogT  [][]int64
+	backlog   [][]int64 // per stage, as its worker last shipped it
 	processed []int64
 
 	spout    *BatchConn
@@ -63,9 +65,15 @@ type Coordinator struct {
 // NewCoordinator opens the coordinator's listener (network "tcp" or
 // "unix") and starts accepting worker registrations and control
 // connections in the background. The spec is resolved (defaults
-// normalized) and its per-stage policies instantiated here, so the
+// normalized), checked against the subset the cluster supports
+// (StageSpec), and its per-stage policies instantiated here, so the
 // caller can read controllers after the run.
 func NewCoordinator(spec *Spec, network, addr string) (*Coordinator, error) {
+	for _, st := range spec.Stages {
+		if st.Algorithm == topology.AlgPKG {
+			return nil, fmt.Errorf("cluster: stage %q: algorithm %s is not supported: the cluster applies neither its capacity shave nor its latency floor", st.Name, st.Algorithm)
+		}
+	}
 	ln, err := Listen(network, addr)
 	if err != nil {
 		return nil, err
@@ -206,16 +214,14 @@ func (c *Coordinator) Deploy(nWorkers int) error {
 	c.spout = NewBatchConn(sc, c.spec.Coalesce)
 	c.em = engine.NewEmitter(c.spout, c.spec.SpoutB, nil, 1, false)
 
-	// The coordinator-side model state: per-stage capacity and backlog
-	// arrays, exactly what engine.init derives.
+	// The throttle's inputs: per-stage capacity, exactly what the
+	// workers' engines derive, and backlogs, empty until the first
+	// harvest.
 	c.capacity = make([]int64, len(stages))
 	c.backlog = make([][]int64, len(stages))
-	c.backlogT = make([][]int64, len(stages))
 	c.processed = make([]int64, len(stages))
 	for si, st := range stages {
 		c.capacity[si] = st.Capacity
-		c.backlog[si] = make([]int64, st.Instances)
-		c.backlogT[si] = make([]int64, st.Instances)
 	}
 	return nil
 }
@@ -263,7 +269,8 @@ func (c *Coordinator) Run(n int) error {
 // RunInterval drives one full logical interval over the cluster — the
 // engine's RunInterval spelled as a message sequence:
 //
-//  1. throttle the budget against the coordinator's backlog model;
+//  1. throttle the budget against the backlogs the workers shipped at
+//     the last harvest;
 //  2. StartInterval on every worker (acked: all stages are open before
 //     the first tuple flows);
 //  3. emit through the engine's own Emitter into the spout data
@@ -271,14 +278,13 @@ func (c *Coordinator) Run(n int) error {
 //  4. CloseStage per stage in pipeline order — each worker closes the
 //     stage and flushes its downstream connection before acking, which
 //     is the cascading close over sockets;
-//  5. HarvestReq per stage in order: the worker ends the interval,
-//     runs its control round against this coordinator's policy server,
-//     and ships back arrival accounting; the coordinator replays
-//     resizes on its backlog arrays and steps the identical queueing
-//     model, recording the target stage's metrics row.
+//  5. HarvestReq per stage in order: the worker ends the stage's
+//     interval (engine.EndStage, with the control round against this
+//     coordinator's policy server) and ships back the row and backlog;
+//     the target stage's row is recorded.
 func (c *Coordinator) RunInterval() error {
 	workers := c.workers
-	emitN := engine.ThrottleBudget(c.spec.Budget, c.spec.MaxPendingFactor, c.capacity, c.backlog)
+	emitN := engine.ThrottleBudget(c.spec.Budget, engine.DefaultConfig().MaxPendingFactor, c.capacity, c.backlog)
 	for _, w := range workers {
 		if err := w.conn.Send(&protocol.Message{Start: &protocol.StartInterval{Interval: c.interval, Emit: emitN}}); err != nil {
 			return fmt.Errorf("cluster: start interval %d on %s: %w", c.interval, w.name, err)
@@ -308,7 +314,6 @@ func (c *Coordinator) RunInterval() error {
 	}
 
 	var row metrics.Interval
-	var rowSet bool
 	for si := range c.spec.Stages {
 		w := workers[c.placement[si]]
 		if err := w.conn.Send(&protocol.Message{Harvest: &protocol.HarvestReq{Stage: si, Interval: c.interval, Emit: emitN}}); err != nil {
@@ -322,44 +327,13 @@ func (c *Coordinator) RunInterval() error {
 		if hd == nil || hd.Stage != si {
 			return fmt.Errorf("cluster: harvest stage %d: unexpected reply %s", si, m.Kind())
 		}
-		// Replay the round's resizes on the model arrays — the same
-		// surgery Stage.ScaleOut/ScaleIn and Engine.ResizeStage perform.
-		for _, d := range hd.Resizes {
-			if d > 0 {
-				c.backlog[si] = append(c.backlog[si], 0)
-				c.backlogT[si] = append(c.backlogT[si], 0)
-			} else if n := len(c.backlog[si]); n > 1 {
-				c.backlog[si][n-2] += c.backlog[si][n-1]
-				c.backlog[si] = c.backlog[si][:n-1]
-				c.backlogT[si][n-2] += c.backlogT[si][n-1]
-				c.backlogT[si] = c.backlogT[si][:n-1]
-			}
-		}
-		if len(c.backlog[si]) != hd.Instances {
-			return fmt.Errorf("cluster: stage %d: model has %d instances, worker reports %d", si, len(c.backlog[si]), hd.Instances)
-		}
-		p := engine.ModelParams{Capacity: c.capacity[si], MigrationFactor: c.spec.MigrationFactor}
-		m2 := engine.StepModel(p, c.backlog[si], c.backlogT[si], hd.MigPenalty, hd.ArrivedCost, hd.ArrivedTuples)
+		c.backlog[si] = hd.Backlog
 		c.processed[si] = hd.Processed
 		if si == c.target {
-			m2.Index = c.interval
-			m2.Emitted = emitN
-			m2.ScaleOuts = hd.ScaledOut
-			m2.ScaleIns = hd.ScaledIn
-			if hd.Rebalanced {
-				m2.Rebalanced = true
-				m2.PlanMs = hd.PlanMs
-				m2.TableSize = hd.TableSize
-				if hd.LiveState > 0 {
-					m2.MigrationPct = 100 * float64(hd.Moved) / float64(hd.LiveState)
-				}
-			}
-			row, rowSet = m2, true
+			row = hd.Row
 		}
 	}
-	if rowSet {
-		c.rec.Add(row)
-	}
+	c.rec.Add(row)
 	c.interval++
 	if c.spec.Advance != nil {
 		c.spec.Advance(c.interval)

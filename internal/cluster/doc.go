@@ -25,8 +25,9 @@
 // (no option selects that; the equivalence suite still pins it):
 //
 //   - the worker session (one per worker, dialed at startup): stage
-//     assignments, interval StartInterval/CloseStage/HarvestReq drive,
-//     shutdown and the final byte-count Stats;
+//     assignments, interval StartInterval/CloseStage/HarvestReq drive
+//     (a HarvestDone answers with the stage's finished metrics row and
+//     backlog), shutdown and the final byte-count Stats;
 //   - control connections (one per stage, dialed by the hosting
 //     worker): the stage's control.Executor answers a coordinator-side
 //     control.Server — exactly the Fig. 5 rounds the single-process
@@ -41,13 +42,16 @@
 // snapshots, same routing tables — with live rebalances, scale-out,
 // scale-in and hot-key splits applied mid-run over the sockets, and
 // zero tuple loss. The equivalence holds because every decision point
-// reuses the exact single-process code over wire inputs: the
-// coordinator runs engine.ThrottleBudget and engine.StepModel over
-// shipped arrival accounting, the emission plane is the same
-// engine.Emitter (so chunk boundaries, and hence shuffle routing, are
-// preserved), and every FeedBatch call's chunk boundary survives the
-// wire — as its own TupleBatch message on a gob connection, as a
-// length-prefixed sub-batch inside a coalesced binary frame otherwise
-// — so the receiver replays the exact same FeedBatch sequence either
-// way.
+// reuses the exact single-process code: each worker ends its stage's
+// interval with engine.Engine.EndStage — the harvest, control round,
+// resizes and queueing model a single-process engine runs — and the
+// coordinator throttles with engine.ThrottleBudget over the backlogs the
+// workers ship; the emission plane is the same engine.Emitter (so chunk
+// boundaries, and hence shuffle routing, are preserved), and every
+// FeedBatch call's chunk boundary survives the wire — as its own
+// TupleBatch message on a gob connection, as a length-prefixed
+// sub-batch inside a coalesced binary frame otherwise — so the
+// receiver replays the exact same FeedBatch sequence either way. What
+// the cluster does not model (a PKG stage's capacity shave and latency
+// floor) it refuses up front; StageSpec lists the supported subset.
 package cluster

@@ -18,6 +18,14 @@ import (
 // worker processes resolve it from the shared registry (RegisterOp),
 // so the same binary-side factory builds identical instances on
 // whichever host the stage lands on.
+//
+// The subset: every Algorithm except topology.AlgPKG, whose capacity
+// shave and latency floor the cluster does not apply (NewCoordinator
+// refuses it); the builder's default Beta, CompactR and ReadjSigma and
+// no PlanInterval; no WithRouter, WithRouterFactory, WithPlanner or
+// HotKeySplit (a policy in Policies may still split); and the engine's
+// default model (engine.DefaultConfig: its max-pending and migration
+// factors, no latency floor, one feeder).
 type StageSpec struct {
 	Name      string
 	Op        string
@@ -50,10 +58,6 @@ type Spec struct {
 	SpoutB  engine.SpoutBatch
 	Advance func(interval int64)
 	Stages  []StageSpec
-	// MaxPendingFactor and MigrationFactor parameterize the coordinator's
-	// throttle and queueing model; zero values take engine.DefaultConfig.
-	MaxPendingFactor float64
-	MigrationFactor  float64
 	// Coalesce is the data-plane frame-coalescing byte budget, applied
 	// to every edge (spout→s0 and each inter-stage connection): 0 takes
 	// DefCoalesce, negative disables coalescing (one wire frame per
@@ -63,19 +67,12 @@ type Spec struct {
 }
 
 // resolve normalizes the spec in place to the same defaults the
-// topology builder applies, so the coordinator's model, the workers'
+// topology builder applies, so the coordinator's throttle, the workers'
 // stages and BuildLocal's reference system all derive identical
 // numbers. Returns the target stage index.
 func (s *Spec) resolve() int {
 	if s.Budget == 0 {
 		s.Budget = topology.DefBudget
-	}
-	def := engine.DefaultConfig()
-	if s.MaxPendingFactor == 0 {
-		s.MaxPendingFactor = def.MaxPendingFactor
-	}
-	if s.MigrationFactor == 0 {
-		s.MigrationFactor = def.MigrationFactor
 	}
 	target := -1
 	for i := range s.Stages {
@@ -139,8 +136,6 @@ func (s *Spec) BuildLocal() *topology.System {
 	b := topology.New(
 		topology.SpoutBatch(s.SpoutB),
 		topology.Budget(s.Budget),
-		topology.MaxPending(s.MaxPendingFactor),
-		topology.MigrationFactor(s.MigrationFactor),
 		topology.AdvanceEach(s.Advance),
 	)
 	for _, st := range s.Stages {

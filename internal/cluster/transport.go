@@ -13,11 +13,13 @@ import (
 )
 
 // Proto is the cluster session protocol version, validated on both
-// sides of every Hello/Welcome handshake. Version 4 is the flagged batch
-// sub-frame, whose rows carry only the fields that vary inside their
-// chunk; a version-3 peer would read every row as carrying every field,
-// so it is refused, as is anything older.
-const Proto = 4
+// sides of every Hello/Welcome handshake. Version 5 is the harvest reply
+// that carries the stage's finished metrics row and post-model backlog;
+// a version-4 peer ships arrival arrays for the coordinator to model
+// instead. Version 4 introduced the flagged batch sub-frame, whose rows
+// carry only the fields that vary inside their chunk. Older peers are
+// refused.
+const Proto = 5
 
 // Feature bits, advertised in Hello.Features and granted (as a subset)
 // in Welcome.Features. The handshake itself always speaks gob, so a

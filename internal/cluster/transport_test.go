@@ -357,16 +357,16 @@ func TestBatchConnConcurrentFeed(t *testing.T) {
 }
 
 // TestHandshakeProtoMismatch refuses a newer peer and the older versions
-// alike: a version-3 peer writes every field in every batch row and a
-// version-2 peer lays them out as columns, so there is nothing to fall
-// back to.
+// alike: a version-4 peer ships arrival arrays in its harvest reply, a
+// version-3 peer writes every field in every batch row and a version-2
+// peer lays them out as columns, so there is nothing to fall back to.
 func TestHandshakeProtoMismatch(t *testing.T) {
 	ln, err := Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
 	defer ln.Close()
-	for _, proto := range []int{Proto + 1, 3, 2} {
+	for _, proto := range []int{Proto + 1, 4, 3, 2} {
 		go func() {
 			// A raw framed client announcing the wrong protocol version.
 			nc, err := net.Dial("tcp", ln.Addr())

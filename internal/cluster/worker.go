@@ -14,21 +14,17 @@ import (
 )
 
 // hostedStage is one pipeline stage living on this worker: the stage
-// itself wrapped in a single-stage engine (the executor's actuation
-// surface), plus the stage's wiring — the downstream data connection
-// (nil for the last stage) and the control connection with its
-// executor (nil for stages without coordinator-side policies).
+// itself wrapped in a single-stage engine (which ends its intervals and
+// carries its control round as a snapshot hook), plus the stage's
+// wiring — the downstream data connection (nil for the last stage) and
+// the control connection (nil for stages without coordinator-side
+// policies).
 type hostedStage struct {
 	si   int
 	st   *engine.Stage
 	eng  *engine.Engine
-	x    *control.Executor
 	ctrl *Conn
 	down *BatchConn
-	// resizes records the current round's applied instance-count deltas
-	// in actuation order (via Executor.OnResize), shipped in HarvestDone
-	// so the coordinator replays the same backlog array surgery.
-	resizes []int
 	// processed accumulates the stage's arrived-tuple total across
 	// intervals — the zero-loss account HarvestDone reports.
 	processed int64
@@ -180,9 +176,9 @@ func (w *Worker) stage(si int) *hostedStage {
 // assign builds one stage exactly as the topology builder would — same
 // router resolution, same engine config — then wires its data and
 // control planes. The stage lives inside its own single-stage engine:
-// that is the executor's actuation surface (capacity, resize,
-// last-emitted) detached from any driver loop, which the coordinator
-// replaces.
+// the executor's actuation surface (capacity, resize, last-emitted) and
+// the interval end (EndStage), detached from the emission and close
+// that the coordinator drives.
 func (w *Worker) assign(a *protocol.StageAssign) error {
 	r := topology.RouterFor(topology.Algorithm(a.Algorithm), a.Instances)
 	st := engine.NewStage(a.Name, a.Instances, MustOp(a.Op), a.Window, r)
@@ -216,8 +212,7 @@ func (w *Worker) assign(a *protocol.StageAssign) error {
 		}
 		cc.SetName(fmt.Sprintf("control s%d", a.Stage))
 		h.ctrl = cc
-		h.x = control.NewExecutor(eng, 0, cc)
-		h.x.OnResize = func(delta int) { h.resizes = append(h.resizes, delta) }
+		eng.AddSnapshotHook(0, control.NewExecutor(eng, 0, cc).Hook())
 	}
 	w.mu.Lock()
 	w.stages[a.Stage] = h
@@ -226,58 +221,24 @@ func (w *Worker) assign(a *protocol.StageAssign) error {
 	return nil
 }
 
-// harvest ends one stage's interval in exactly the single-process
-// order: record the true emission, capture arrival accounting, harvest
-// statistics (EndInterval), measure pre-rebalance live state, run the
-// control round, then copy-and-zero the migration penalties StepModel
-// would have consumed. The coordinator feeds the shipped arrays to the
-// identical model code.
+// harvest ends one stage's interval with the engine's own sequence
+// (EndStage: harvest, control round, queueing model) after recording
+// the true emission, and answers with the finished row, the post-model
+// backlog the coordinator throttles on, and the zero-loss account.
 func (w *Worker) harvest(req *protocol.HarvestReq) (*protocol.HarvestDone, error) {
 	h := w.stage(req.Stage)
 	if h == nil {
 		return nil, fmt.Errorf("cluster: worker %s: harvest for unassigned stage %d", w.name, req.Stage)
 	}
-	h.eng.SetLastEmitted(req.Emit)
-	cost := append([]int64(nil), h.st.ArrivedCost()...)
-	tuples := append([]int64(nil), h.st.ArrivedTuples()...)
-	snap := h.st.EndInterval(req.Interval)
-	var liveState int64
-	for d := 0; d < h.st.Instances(); d++ {
-		liveState += h.st.StoreOf(d).TotalSize()
-	}
-	h.resizes = h.resizes[:0]
-	var reb *engine.Rebalance
-	if h.x != nil {
-		reb = h.x.RunRound(snap)
-	}
-	mig := append([]int64(nil), h.st.MigPenalty...)
-	for i := range h.st.MigPenalty {
-		h.st.MigPenalty[i] = 0
-	}
-	for _, t := range tuples {
+	for _, t := range h.st.ArrivedTuples() {
 		h.processed += t
 	}
-	done := &protocol.HarvestDone{
-		Stage:         h.si,
-		Interval:      req.Interval,
-		ArrivedCost:   cost,
-		ArrivedTuples: tuples,
-		MigPenalty:    mig,
-		Resizes:       append([]int(nil), h.resizes...),
-		Instances:     h.st.Instances(),
-		LiveState:     liveState,
-		Processed:     h.processed,
-	}
-	if reb != nil {
-		done.ScaledOut, done.ScaledIn = reb.ScaledOut, reb.ScaledIn
-		if reb.Plan != nil {
-			done.Rebalanced = true
-			done.PlanMs = float64(reb.Plan.GenTime.Microseconds()) / 1000
-			done.TableSize = reb.Plan.TableSize()
-			done.Moved = reb.Moved
-		}
-	}
-	return done, nil
+	h.eng.SetLastEmitted(req.Emit)
+	row := h.eng.EndStage(0, req.Interval)
+	return &protocol.HarvestDone{
+		Stage: h.si, Interval: req.Interval, Row: row,
+		Backlog: h.st.Backlog, Processed: h.processed,
+	}, nil
 }
 
 // Stage returns the hosted stage's engine.Stage, or nil — test access

@@ -19,12 +19,6 @@ type Executor struct {
 	e    *engine.Engine
 	si   int
 	conn Conn
-	// OnResize, when set, observes every successful Resize actuation
-	// with its delta (+1 scale-out, -1 scale-in), in application order.
-	// The cluster worker records the sequence so the coordinator can
-	// replay the same backlog reshaping on its model state. Called on
-	// the round-driving goroutine; set before the first round.
-	OnResize func(delta int)
 }
 
 // NewExecutor binds an executor to stage si of e, speaking over conn.
@@ -111,9 +105,6 @@ func (x *Executor) RunRound(snap *stats.Snapshot) *engine.Rebalance {
 			} else {
 				reb.ScaledIn++
 			}
-			if x.OnResize != nil {
-				x.OnResize(delta)
-			}
 			x.ack(m.ResizeCmd.Interval)
 		case m.Split != nil:
 			// Reject-as-hold mirrors the plan path: ApplySplitSet refuses
@@ -133,6 +124,19 @@ func (x *Executor) RunRound(snap *stats.Snapshot) *engine.Rebalance {
 			// wedge the driver goroutine.
 			return reb
 		}
+	}
+}
+
+// Hook adapts the executor to the engine's snapshot fan-out: register
+// it with engine.AddSnapshotHook(si, x.Hook()). It runs one control
+// round per interval on the driver goroutine (tasks are idle
+// post-harvest, so plan application and resize are barrier-safe).
+func (x *Executor) Hook() engine.SnapshotHook {
+	return func(e *engine.Engine, idx int, snap *stats.Snapshot) *engine.Rebalance {
+		if idx != x.si {
+			return nil
+		}
+		return x.RunRound(snap)
 	}
 }
 
@@ -226,18 +230,9 @@ func NewLoop(e *engine.Engine, si int, policies []Policy) *Loop {
 	return l
 }
 
-// Hook adapts the loop to the engine's snapshot fan-out: register it
-// with engine.AddSnapshotHook(si, loop.Hook()). It runs one control
-// round per interval on the driver goroutine (tasks are idle
-// post-harvest, so plan application and resize are barrier-safe).
-func (l *Loop) Hook() engine.SnapshotHook {
-	return func(e *engine.Engine, idx int, snap *stats.Snapshot) *engine.Rebalance {
-		if idx != l.x.si {
-			return nil
-		}
-		return l.x.RunRound(snap)
-	}
-}
+// Hook is the loop's executor hook (Executor.Hook): register it with
+// engine.AddSnapshotHook(si, loop.Hook()).
+func (l *Loop) Hook() engine.SnapshotHook { return l.x.Hook() }
 
 // Close shuts the transport down and waits for the policy server to
 // exit, so policy state is safe to read afterwards. Safe to call more

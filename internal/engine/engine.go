@@ -76,13 +76,6 @@ type Config struct {
 	// while order-dependent routers (PKG, shuffle) observe the feeders'
 	// nondeterministic interleaving.
 	Feeders int
-	// FeedLatency enables the per-interval feed-latency histogram:
-	// every FeedBatch call on stage 0 is wall-clock timed into a
-	// per-feeder metrics.LatencyHist, and the interval record reports
-	// the merged p50/p99 (Interval.FeedP50Us / FeedP99Us). Off by
-	// default: the measurement itself costs two clock reads per chunk,
-	// and the engine's own latency model is unaffected either way.
-	FeedLatency bool
 }
 
 // DefaultConfig returns the model used across the experiments. The
@@ -151,7 +144,6 @@ type Engine struct {
 
 	interval  int64
 	capacity  []int64 // per stage
-	backlogT  [][]int64
 	lastEmit  int64
 	stopped   bool
 	snapshots []*stats.Snapshot // last interval's, per stage (for tests)
@@ -180,7 +172,7 @@ func NewBatch(spout SpoutBatch, cfg Config, stages ...*Stage) *Engine {
 func (e *Engine) init() *Engine {
 	cfg, stages := e.Cfg, e.Stages
 	e.capacity = make([]int64, len(stages))
-	e.backlogT = make([][]int64, len(stages))
+	e.snapshots = make([]*stats.Snapshot, len(stages))
 	for i, s := range stages {
 		c := cfg.Capacity
 		if c == 0 {
@@ -190,7 +182,6 @@ func (e *Engine) init() *Engine {
 			}
 		}
 		e.capacity[i] = c
-		e.backlogT[i] = make([]int64, s.Instances())
 		// Operators stream to each other: every stage but the last
 		// emits into its successor. The last stage's sink is the
 		// caller's (a capture, a cluster data connection) and is left
@@ -256,13 +247,12 @@ func (e *Engine) Run(n int) {
 }
 
 // RunInterval drives one full logical interval: throttled emission,
-// streaming processing, statistics harvest, controller hook, metrics.
+// streaming processing, the cascading close, then EndStage on every
+// stage, recording the target stage's row.
 func (e *Engine) RunInterval() {
 	if e.stopped {
 		panic("engine: RunInterval after Stop")
 	}
-	target := e.Stages[e.Target]
-
 	// Publish the interval index every task stamps on emitted tuples.
 	// Tasks are idle here (the previous interval ended with barriers),
 	// and the emission sends below give them the happens-before edge.
@@ -297,7 +287,6 @@ func (e *Engine) RunInterval() {
 		// The spout ended early (finite batch sources); record the true
 		// emission so the model and metrics charge what actually
 		// arrived.
-		emitN = got
 		e.lastEmit = got
 	}
 	// Cascading close: once stage s's tasks have drained, flushed their
@@ -307,60 +296,61 @@ func (e *Engine) RunInterval() {
 		s.CloseInterval()
 	}
 
-	// Capture arrival accounting before EndInterval resets it, then run
-	// the performance model per stage.
-	type arr struct{ cost, tuples []int64 }
-	arrived := make([]arr, len(e.Stages))
-	for si, s := range e.Stages {
-		arrived[si] = arr{
-			cost:   append([]int64(nil), s.ArrivedCost()...),
-			tuples: append([]int64(nil), s.ArrivedTuples()...),
+	// End the interval stage by stage. A fresh snapshot slice per
+	// interval: callers may keep the previous LastSnapshots.
+	e.snapshots = make([]*stats.Snapshot, len(e.Stages))
+	for si := range e.Stages {
+		if m := e.EndStage(si, e.interval); si == e.Target {
+			e.Recorder.Add(m)
 		}
 	}
 
-	// Harvest statistics (also resets arrival accounting).
-	e.snapshots = make([]*stats.Snapshot, len(e.Stages))
-	for si, s := range e.Stages {
-		e.snapshots[si] = s.EndInterval(e.interval)
+	e.interval++
+	if e.AdvanceWorkload != nil {
+		e.AdvanceWorkload(e.interval)
 	}
+}
+
+// EndStage ends the given interval on stage si once its input is
+// closed: capture the arrival accounting, harvest the statistics
+// (Stage.EndInterval), measure the live state, run the stage's snapshot
+// hooks, step its queueing model, and return the stage's row.
+// RunInterval calls it for
+// every stage after the cascading close; a cluster worker calls it on
+// the single-stage engine hosting a remote stage, so both end an
+// interval with this one sequence. The row's Emitted is LastEmitted;
+// its rebalance fields record the first hook that reported an action.
+func (e *Engine) EndStage(si int, interval int64) metrics.Interval {
+	s := e.Stages[si]
+	cost := append([]int64(nil), s.ArrivedCost()...)
+	tuples := append([]int64(nil), s.ArrivedTuples()...)
+	snap := s.EndInterval(interval) // resets the arrival accounting
+	e.snapshots[si] = snap
 
 	// Pre-rebalance live state volume for migration percentage.
 	var liveState int64
-	for d := 0; d < target.Instances(); d++ {
-		liveState += target.StoreOf(d).TotalSize()
+	for d := 0; d < s.Instances(); d++ {
+		liveState += s.StoreOf(d).TotalSize()
 	}
 
-	// Controller hooks (may migrate keys and swap assignments): each
-	// stage's registered hooks run with that stage's snapshot. The
-	// target stage's first rebalance is the one the interval metrics
-	// record.
+	// Controller hooks may migrate keys, swap assignments and resize the
+	// stage; the model below charges what they did.
 	var reb *Rebalance
 	if e.stageHooks != nil {
-		for si := range e.Stages {
-			for _, h := range e.stageHooks[si] {
-				if r := h(e, si, e.snapshots[si]); r != nil && si == e.Target && reb == nil {
-					reb = r
-				}
+		for _, h := range e.stageHooks[si] {
+			if r := h(e, si, snap); r != nil && reb == nil {
+				reb = r
 			}
 		}
 	}
 
-	m := e.model(e.Target, arrived[e.Target].cost, arrived[e.Target].tuples)
-	// Other stages still advance their backlog models so multi-stage
-	// pipelines throttle realistically.
-	for si := range e.Stages {
-		if si != e.Target {
-			e.model(si, arrived[si].cost, arrived[si].tuples)
-		}
-	}
-	m.Index = e.interval
-	m.Emitted = emitN
-	if e.Cfg.FeedLatency && e.emitter != nil && e.emitter.HasLatency() {
-		var merged metrics.LatencyHist
-		e.emitter.DrainLatency(&merged)
-		m.FeedP50Us = merged.QuantileUs(0.50)
-		m.FeedP99Us = merged.QuantileUs(0.99)
-	}
+	m := StepModel(ModelParams{
+		Capacity:        e.capacity[si],
+		MigrationFactor: e.Cfg.MigrationFactor,
+		LatencyFloorMs:  e.Cfg.LatencyFloorMs,
+	}, s.Backlog, s.backlogT, s.MigPenalty, cost, tuples)
+	m.Index = interval
+	m.Emitted = e.lastEmit
 	if reb != nil {
 		m.ScaleOuts = reb.ScaledOut
 		m.ScaleIns = reb.ScaledIn
@@ -373,24 +363,7 @@ func (e *Engine) RunInterval() {
 			}
 		}
 	}
-	e.Recorder.Add(m)
-
-	e.interval++
-	if e.AdvanceWorkload != nil {
-		e.AdvanceWorkload(e.interval)
-	}
-}
-
-// model advances stage si's queueing model for one interval and
-// returns the interval metrics (throughput, latency, skewness).
-func (e *Engine) model(si int, cost, tuples []int64) metrics.Interval {
-	s := e.Stages[si]
-	p := ModelParams{
-		Capacity:        e.capacity[si],
-		MigrationFactor: e.Cfg.MigrationFactor,
-		LatencyFloorMs:  e.Cfg.LatencyFloorMs,
-	}
-	return StepModel(p, s.Backlog, e.backlogT[si], s.MigPenalty, cost, tuples)
+	return m
 }
 
 // ModelParams are the per-stage constants of the queueing model:
@@ -413,7 +386,7 @@ type ModelParams struct {
 // backlog[si] describe stage si; a non-positive threshold exempts the
 // stage), floored at 10% of the budget. It is the engine's throttle
 // step detached from the engine so a cluster coordinator — which holds
-// the stages' backlog arrays but not the stages — computes the
+// the backlogs its workers ship but not the stages — computes the
 // bit-identical emission decision.
 func ThrottleBudget(budget int64, maxPendingFactor float64, capacity []int64, backlog [][]int64) int64 {
 	emitN := budget
@@ -452,9 +425,9 @@ func ThrottleBudget(budget int64, maxPendingFactor float64, capacity []int64, ba
 // before any resize: shorter arrays pad with zero-arrival instances, a
 // longer tail (retired instances) folds into the last survivor — its
 // already-processed work must stay in the throughput account, and its
-// keys' future tuples route to survivors anyway. Exported so a cluster
-// coordinator can run the identical model over arrival accounting that
-// crossed the wire.
+// keys' future tuples route to survivors anyway. Exported so a driver
+// that spells the interval sequence out itself steps the identical
+// model.
 func StepModel(p ModelParams, backlog, backlogT, migPenalty, cost, tuples []int64) metrics.Interval {
 	n := len(backlog)
 	for len(cost) < n {
@@ -517,9 +490,9 @@ func StepModel(p ModelParams, backlog, backlogT, migPenalty, cost, tuples []int6
 }
 
 // ResizeStage changes stage si's instance set by delta (+1 scale-out,
-// −1 live scale-in) and keeps the model's bookkeeping in step — the
-// generalized elastic actuator (any stage, both directions) behind the
-// unified control plane's ScaleOut/ScaleIn commands. Capacity per task
+// −1 live scale-in) — the generalized elastic actuator (any stage, both
+// directions) behind the unified control plane's ScaleOut/ScaleIn
+// commands. The stage reshapes its own model arrays. Capacity per task
 // stays fixed: resizing changes headroom, not per-instance speed. obs,
 // when non-nil, observes every key migration. Returns an error — with
 // no state touched — on an invalid delta or a stage whose router cannot
@@ -528,24 +501,9 @@ func StepModel(p ModelParams, backlog, backlogT, migPenalty, cost, tuples []int6
 func (e *Engine) ResizeStage(si, delta int, obs MigrationObserver) (int64, error) {
 	switch delta {
 	case 1:
-		moved, err := e.Stages[si].ScaleOut(obs)
-		if err != nil {
-			return 0, err
-		}
-		e.backlogT[si] = append(e.backlogT[si], 0)
-		return moved, nil
+		return e.Stages[si].ScaleOut(obs)
 	case -1:
-		moved, err := e.Stages[si].ScaleIn(obs)
-		if err != nil {
-			return 0, err
-		}
-		bt := e.backlogT[si]
-		last := len(bt) - 1
-		// The retired instance's residual tuple backlog folds into the
-		// last survivor, matching the stage's cost-backlog fold.
-		bt[last-1] += bt[last]
-		e.backlogT[si] = bt[:last]
-		return moved, nil
+		return e.Stages[si].ScaleIn(obs)
 	default:
 		return 0, fmt.Errorf("engine: ResizeStage delta must be ±1 (got %d)", delta)
 	}

@@ -3,9 +3,7 @@ package engine
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/tuple"
 )
 
@@ -83,7 +81,7 @@ func (e *Engine) emit(emitN int64) int64 {
 		if e.Cfg.Feeders <= 1 || len(e.SpoutShards) == 0 {
 			sb = e.batchSpout()
 		}
-		e.emitter = NewEmitter(e.Stages[0], sb, e.SpoutShards, e.Cfg.Feeders, e.Cfg.FeedLatency)
+		e.emitter = NewEmitter(e.Stages[0], sb, e.SpoutShards, e.Cfg.Feeders, false)
 	}
 	return e.emitter.Emit(e.interval, emitN)
 }
@@ -102,16 +100,15 @@ type Emitter struct {
 	sb      SpoutBatch
 	shards  []SpoutBatch
 	scratch [][]tuple.Tuple
-	// hists are the per-feeder feed-latency histograms (index 0 for the
-	// serial path); nil when latency measurement is off.
-	hists []metrics.LatencyHist
 }
 
 // NewEmitter builds an emission plane over sink. feeders ≤ 1 selects
 // the serial path; with feeders > 1, shards (len == feeders) gives
 // each feeder its own partitioned draw source, or nil wraps sb in a
 // mutex sharder (ShardSpout), preserving the drawn multiset exactly.
-func NewEmitter(sink BatchSink, sb SpoutBatch, shards []SpoutBatch, feeders int, feedLatency bool) *Emitter {
+// The last parameter is unused; it stays until the repository
+// benchmark, which passes false, stops passing it.
+func NewEmitter(sink BatchSink, sb SpoutBatch, shards []SpoutBatch, feeders int, _ bool) *Emitter {
 	if feeders < 1 {
 		feeders = 1
 	}
@@ -127,9 +124,6 @@ func NewEmitter(sink BatchSink, sb SpoutBatch, shards []SpoutBatch, feeders int,
 		}
 	}
 	em.scratch = make([][]tuple.Tuple, feeders)
-	if feedLatency {
-		em.hists = make([]metrics.LatencyHist, feeders)
-	}
 	return em
 }
 
@@ -144,31 +138,6 @@ func (em *Emitter) Emit(interval, emitN int64) int64 {
 	return em.emitSerial(interval, emitN)
 }
 
-// HasLatency reports whether feed-latency histograms are collected.
-func (em *Emitter) HasLatency() bool { return em.hists != nil }
-
-// DrainLatency merges the interval's per-feeder feed-latency
-// histograms into dst and resets them.
-func (em *Emitter) DrainLatency(dst *metrics.LatencyHist) {
-	for f := range em.hists {
-		dst.Merge(&em.hists[f])
-		em.hists[f].Reset()
-	}
-}
-
-// feedTimed routes one chunk into the sink, wall-clock timing the feed
-// call into hist when the feed-latency histogram is enabled (hist is
-// owned by the calling feeder; no synchronization needed).
-func (em *Emitter) feedTimed(buf []tuple.Tuple, hist *metrics.LatencyHist) {
-	if hist == nil {
-		em.sink.FeedBatch(buf)
-		return
-	}
-	t0 := time.Now()
-	em.sink.FeedBatch(buf)
-	hist.Observe(time.Since(t0))
-}
-
 // emitSerial is the single-feeder emission loop, byte-for-byte the
 // pre-fan-out engine behavior: one goroutine, one scratch buffer,
 // emitChunk-sized draws.
@@ -176,10 +145,6 @@ func (em *Emitter) emitSerial(interval, emitN int64) int64 {
 	sb := em.sb
 	if cap(em.scratch[0]) < emitChunk {
 		em.scratch[0] = make([]tuple.Tuple, emitChunk)
-	}
-	var hist *metrics.LatencyHist
-	if em.hists != nil {
-		hist = &em.hists[0]
 	}
 	for j := int64(0); j < emitN; {
 		c := emitN - j
@@ -191,7 +156,7 @@ func (em *Emitter) emitSerial(interval, emitN int64) int64 {
 		for i := 0; i < got; i++ {
 			buf[i].EmitTick = interval
 		}
-		em.feedTimed(buf[:got], hist)
+		em.sink.FeedBatch(buf[:got])
 		j += int64(got)
 		if int64(got) < c {
 			return j
@@ -225,12 +190,8 @@ func (em *Emitter) emitParallel(interval, emitN int64) int64 {
 		if cap(em.scratch[f]) < emitChunk {
 			em.scratch[f] = make([]tuple.Tuple, emitChunk)
 		}
-		var hist *metrics.LatencyHist
-		if em.hists != nil {
-			hist = &em.hists[f]
-		}
 		wg.Add(1)
-		go func(sb SpoutBatch, scratch []tuple.Tuple, q int64, hist *metrics.LatencyHist) {
+		go func(sb SpoutBatch, scratch []tuple.Tuple, q int64) {
 			defer wg.Done()
 			for j := int64(0); j < q; {
 				c := q - j
@@ -242,14 +203,14 @@ func (em *Emitter) emitParallel(interval, emitN int64) int64 {
 				for i := 0; i < got; i++ {
 					buf[i].EmitTick = interval
 				}
-				em.feedTimed(buf[:got], hist)
+				em.sink.FeedBatch(buf[:got])
 				j += int64(got)
 				total.Add(int64(got))
 				if int64(got) < c {
 					return
 				}
 			}
-		}(em.shards[f], em.scratch[f], q, hist)
+		}(em.shards[f], em.scratch[f], q)
 	}
 	wg.Wait()
 	return total.Load()

@@ -76,9 +76,12 @@ type Stage struct {
 
 	// Backlog is the queued-but-unprocessed cost carried across
 	// intervals by the performance model; MigPenalty is capacity
-	// consumed by state transfer in the next interval.
+	// consumed by state transfer in the next interval. backlogT is the
+	// same queue counted in tuples. ScaleOut and ScaleIn reshape all
+	// three with the task slice.
 	Backlog    []int64
 	MigPenalty []int64
+	backlogT   []int64
 
 	// down is the emission sink (nil on a last stage nobody listens
 	// to): the next stage in process, or a cluster data connection to
@@ -119,6 +122,7 @@ func NewStage(name string, nd int, op func(id int) Operator, w int, router Route
 		arrivedTuples: make([]int64, nd),
 		Backlog:       make([]int64, nd),
 		MigPenalty:    make([]int64, nd),
+		backlogT:      make([]int64, nd),
 	}
 	s.ar, _ = router.(*AssignmentRouter)
 	for i := 0; i < nd; i++ {
@@ -810,6 +814,7 @@ func (s *Stage) ScaleOut(obs MigrationObserver) (int64, error) {
 	s.arrivedTuples = append(s.arrivedTuples, 0)
 	s.Backlog = append(s.Backlog, 0)
 	s.MigPenalty = append(s.MigPenalty, 0)
+	s.backlogT = append(s.backlogT, 0)
 
 	// Keep the routing table; only keys on the new instance's arcs move.
 	next := route.NewAssignment(s.ar.Assignment().Table().Clone(), ring.Grow())
@@ -883,6 +888,8 @@ func (s *Stage) ScaleIn(obs MigrationObserver) (int64, error) {
 	s.arrivedTuples = s.arrivedTuples[:rid]
 	s.Backlog[rid-1] += s.Backlog[rid]
 	s.Backlog = s.Backlog[:rid]
+	s.backlogT[rid-1] += s.backlogT[rid]
+	s.backlogT = s.backlogT[:rid]
 	s.MigPenalty = s.MigPenalty[:rid]
 	return moved, nil
 }

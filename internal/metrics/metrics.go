@@ -40,16 +40,6 @@ type Interval struct {
 	// of other stages are recorded in their policies' histories.
 	ScaleOuts int
 	ScaleIns  int
-	// FeedP50Us / FeedP99Us are the median and 99th-percentile
-	// wall-clock feed-call latencies of this interval's emission, in
-	// microseconds — the measured (not modeled) cost of routing one
-	// chunk into the first stage. Recorded only when the engine's
-	// feed-latency histogram is enabled (engine.Config.FeedLatency);
-	// zero otherwise. A migration that stalled feeders would show up
-	// here as a p99 cliff; live migration's claim is precisely that it
-	// does not.
-	FeedP50Us float64
-	FeedP99Us float64
 }
 
 // Recorder accumulates a per-interval series.

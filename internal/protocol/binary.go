@@ -720,19 +720,11 @@ func (c *Codec) decodeReport(cur *cursor) *LoadReport {
 	return r
 }
 
-// appendInt64s/appendInts encode a count-prefixed zigzag-varint list.
+// appendInt64s encodes a count-prefixed zigzag-varint list.
 func appendInt64s(dst []byte, vs []int64) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(vs)))
 	for _, v := range vs {
 		dst = appendSvarint(dst, v)
-	}
-	return dst
-}
-
-func appendInts(dst []byte, vs []int) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(vs)))
-	for _, v := range vs {
-		dst = appendSvarint(dst, int64(v))
 	}
 	return dst
 }
@@ -749,67 +741,48 @@ func (c *cursor) int64s() []int64 {
 	return vs
 }
 
-func (c *cursor) ints() []int {
-	n := c.count(1)
-	if n == 0 {
-		return nil
-	}
-	vs := make([]int, n)
-	for i := range vs {
-		vs[i] = int(c.svarint())
-	}
-	return vs
-}
-
 // HarvestDone flag bits (one byte on the wire).
 const (
 	hdRebalanced byte = 1 << iota
 )
 
 // appendHarvestDone encodes the per-interval stage-close summary: the
-// scalar fields as zigzag varints (PlanMs as raw float bits — it is a
-// measured duration, not a small integer), the per-instance arrays as
-// count-prefixed varint lists.
+// integers as zigzag varints, the row's measurements as raw float bits
+// (they are ratios and durations, not small integers), the backlog as a
+// count-prefixed varint list.
 func appendHarvestDone(dst []byte, h *HarvestDone) []byte {
-	dst = append(dst, kindHarvestDone)
-	dst = appendSvarint(dst, int64(h.Stage))
-	dst = appendSvarint(dst, h.Interval)
+	r := &h.Row
+	dst = appendSvarints(dst, kindHarvestDone, int64(h.Stage), h.Interval, r.Index)
 	var flags byte
-	if h.Rebalanced {
+	if r.Rebalanced {
 		flags |= hdRebalanced
 	}
 	dst = append(dst, flags)
-	dst = appendInt64s(dst, h.ArrivedCost)
-	dst = appendInt64s(dst, h.ArrivedTuples)
-	dst = appendInt64s(dst, h.MigPenalty)
-	dst = appendInts(dst, h.Resizes)
-	dst = appendSvarint(dst, int64(h.Instances))
-	dst = appendSvarint(dst, h.LiveState)
-	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(h.PlanMs))
-	dst = appendSvarint(dst, int64(h.TableSize))
-	dst = appendSvarint(dst, h.Moved)
-	dst = appendSvarint(dst, int64(h.ScaledOut))
-	dst = appendSvarint(dst, int64(h.ScaledIn))
-	dst = appendSvarint(dst, h.Processed)
-	return dst
+	for _, f := range [...]float64{r.Throughput, r.LatencyMs, r.Skewness, r.MaxTheta, r.MigrationPct, r.PlanMs} {
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(f))
+	}
+	for _, v := range [...]int64{int64(r.TableSize), r.Emitted, int64(r.ScaleOuts), int64(r.ScaleIns)} {
+		dst = appendSvarint(dst, v)
+	}
+	dst = appendInt64s(dst, h.Backlog)
+	return appendSvarint(dst, h.Processed)
 }
 
-// decodeHarvestDone allocates fresh: the coordinator folds the summary
-// into its metrics row after further Recvs on the session may have run.
+// decodeHarvestDone allocates fresh: the coordinator throttles on the
+// backlog after further Recvs on the session may have run.
 func decodeHarvestDone(cur *cursor) *HarvestDone {
 	h := &HarvestDone{Stage: int(cur.svarint()), Interval: cur.svarint()}
-	h.Rebalanced = cur.byte()&hdRebalanced != 0
-	h.ArrivedCost = cur.int64s()
-	h.ArrivedTuples = cur.int64s()
-	h.MigPenalty = cur.int64s()
-	h.Resizes = cur.ints()
-	h.Instances = int(cur.svarint())
-	h.LiveState = cur.svarint()
-	h.PlanMs = math.Float64frombits(cur.u64())
-	h.TableSize = int(cur.svarint())
-	h.Moved = cur.svarint()
-	h.ScaledOut = int(cur.svarint())
-	h.ScaledIn = int(cur.svarint())
+	r := &h.Row
+	r.Index = cur.svarint()
+	r.Rebalanced = cur.byte()&hdRebalanced != 0
+	for _, f := range [...]*float64{&r.Throughput, &r.LatencyMs, &r.Skewness, &r.MaxTheta, &r.MigrationPct, &r.PlanMs} {
+		*f = math.Float64frombits(cur.u64())
+	}
+	r.TableSize = int(cur.svarint())
+	r.Emitted = cur.svarint()
+	r.ScaleOuts = int(cur.svarint())
+	r.ScaleIns = int(cur.svarint())
+	h.Backlog = cur.int64s()
 	h.Processed = cur.svarint()
 	return h
 }

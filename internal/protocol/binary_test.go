@@ -219,8 +219,8 @@ func TestBinaryHostileInputs(t *testing.T) {
 		"start cut":           {kindStart, 2},
 		"close trailing":      {kindClose, 2, 9},
 		"harvest cut":         {kindHarvestReq, 2, 4},
-		"harvested cut float": {kindHarvestDone, 2, 4, 0, 0, 0, 0, 0, 2, 2, 1, 2, 3},
-		"harvested huge list": {kindHarvestDone, 2, 4, 0, 0xff, 0xff, 0x7f},
+		"harvested cut float": harvestedCutRow,
+		"harvested huge list": harvestedBacklogPastFrame,
 		"gob garbage":         {kindGob, 0xde, 0xad, 0xbe, 0xef},
 	}
 	for name, payload := range cases {
@@ -261,6 +261,36 @@ var (
 	hostilePlanRoutes   = []byte{kindPlan, 2, 0, 0, 0xff, 0xff, 0x03, 1, 2, 3, 4}
 	hostileStatePayload = []byte{kindState, 1, 0, 2, 8, 0x40, 0xaa, 0xbb}
 )
+
+// The hostile harvest replies the fuzz corpus carries too. The row is
+// stage, interval and index varints, a flags byte, six 8-byte floats
+// and four varints; the backlog list follows it.
+var (
+	// A frame cut two bytes into the row's first float.
+	harvestedCutRow = []byte{kindHarvestDone, 2, 4, 4, 0, 0x40, 0x59}
+	// A whole row, then a backlog count of 2^21-1 with three bytes left.
+	harvestedBacklogPastFrame = append(append([]byte{kindHarvestDone, 2, 4, 4, 1}, make([]byte, 6*8)...),
+		0, 0, 0, 0, 0xff, 0xff, 0x7f, 1, 2, 3)
+)
+
+// TestHarvestedHostileBounds pins which check refuses each hostile
+// harvest reply: the float read for the cut row, the count bound for the
+// backlog.
+func TestHarvestedHostileBounds(t *testing.T) {
+	for _, tc := range []struct {
+		payload []byte
+		want    string
+	}{
+		{harvestedCutRow, "truncated 8-byte field"},
+		{harvestedBacklogPastFrame, "count 2097151 of 1-byte elements exceeds 3 remaining bytes"},
+	} {
+		c := NewFramedCodec(readerOnly{bytes.NewReader(framed(tc.payload))})
+		c.EnableBinary()
+		if _, err := c.Recv(); !errors.Is(err, ErrBinaryFrame) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("% x: err = %v, want %q", tc.payload, err, tc.want)
+		}
+	}
+}
 
 // TestBatchCountBound pins which check refuses the boundary count.
 func TestBatchCountBound(t *testing.T) {

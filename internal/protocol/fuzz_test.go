@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/state"
 	"repro/internal/stats"
 	"repro/internal/tuple"
@@ -187,21 +188,22 @@ func buildMessage(seed uint64, kind, n int) *Message {
 			Stage: r.intn(8), Interval: int64(r.intn(1000)), Emit: int64(r.next() % 1e6),
 		}}
 	case 14:
+		// Finite floats only: a NaN never equals itself, so the exact
+		// comparison could not pass.
 		hd := &HarvestDone{
 			Stage: r.intn(8), Interval: int64(r.intn(1000)),
-			Instances: r.intn(32) + 1, LiveState: int64(r.next() % 1e9),
-			Rebalanced: r.intn(2) == 0, PlanMs: float64(r.intn(1e6)) / 1000,
-			TableSize: r.intn(4096), Moved: int64(r.next() % 1e6),
-			ScaledOut: r.intn(2), ScaledIn: r.intn(2),
+			Row: metrics.Interval{
+				Index: int64(r.intn(1000)), Throughput: float64(r.next()%1e9) / 7,
+				LatencyMs: float64(r.intn(1e6)) / 1000, Skewness: 1 + float64(r.intn(1e4))/1000,
+				MaxTheta: float64(r.intn(1e4)) / 1000, MigrationPct: float64(r.intn(1e5)) / 1000,
+				PlanMs: float64(r.intn(1e6)) / 1000, TableSize: r.intn(4096),
+				Emitted: int64(r.next() % 1e6), Rebalanced: r.intn(2) == 0,
+				ScaleOuts: r.intn(2), ScaleIns: r.intn(2),
+			},
 			Processed: int64(r.next() % 1e9),
 		}
 		for i := 0; i < n%64; i++ {
-			hd.ArrivedCost = append(hd.ArrivedCost, int64(r.next()%1e6))
-			hd.ArrivedTuples = append(hd.ArrivedTuples, int64(r.next()%1e6))
-			hd.MigPenalty = append(hd.MigPenalty, int64(r.next()%1e6))
-		}
-		for i := 0; i < r.intn(4); i++ {
-			hd.Resizes = append(hd.Resizes, 1-2*r.intn(2))
+			hd.Backlog = append(hd.Backlog, int64(r.next()%1e6))
 		}
 		return &Message{Harvested: hd}
 	case 15:
@@ -389,6 +391,8 @@ func FuzzBinaryHostile(f *testing.F) {
 	f.Add(batchUnknownFlags)
 	f.Add(batchHeaderStream)
 	f.Add(batchCutAtFlags)
+	f.Add(harvestedCutRow)
+	f.Add(harvestedBacklogPastFrame)
 	f.Add(hostilePlanRoutes)
 	f.Add(hostileStatePayload)
 	f.Add([]byte{kindReport, 0x80})
@@ -425,11 +429,11 @@ func FuzzBinaryHostile(f *testing.F) {
 	})
 }
 
-// TestHostileBatchSeedsCommitted keeps the batch seeds of the fuzz
-// corpus equal to the frames binary_test.go names, and the cut row equal
-// to what the encoder writes for its two tuples, one byte short — so a
-// layout change that breaks one fails here instead of leaving a seed
-// that no longer reaches the check it was written for.
+// TestHostileBatchSeedsCommitted keeps the batch and harvest seeds of
+// the fuzz corpus equal to the frames binary_test.go names, and the cut
+// row equal to what the encoder writes for its two tuples, one byte
+// short — so a layout change that breaks one fails here instead of
+// leaving a seed that no longer reaches the check it was written for.
 func TestHostileBatchSeedsCommitted(t *testing.T) {
 	full := AppendBatchHeader(nil)
 	full, err := AppendBatchChunk(full, []tuple.Tuple{
@@ -444,11 +448,13 @@ func TestHostileBatchSeedsCommitted(t *testing.T) {
 		t.Fatalf("batchCutRow is % x; the encoder cut one byte short writes % x", batchCutRow, full[:len(full)-1])
 	}
 	for name, want := range map[string][]byte{
-		"seed-cut-row":                  batchCutRow,
-		"seed-count-boundary":           batchCountBoundary,
-		"seed-unknown-flags":            batchUnknownFlags,
-		"seed-header-stream-past-frame": batchHeaderStream,
-		"seed-cut-after-flags":          batchCutAtFlags,
+		"seed-cut-row":                      batchCutRow,
+		"seed-count-boundary":               batchCountBoundary,
+		"seed-unknown-flags":                batchUnknownFlags,
+		"seed-header-stream-past-frame":     batchHeaderStream,
+		"seed-cut-after-flags":              batchCutAtFlags,
+		"seed-harvested-cut-row":            harvestedCutRow,
+		"seed-harvested-backlog-past-frame": harvestedBacklogPastFrame,
 	} {
 		b, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzBinaryHostile", name))
 		if err != nil {
@@ -509,17 +515,8 @@ func normalize(m *Message) *Message {
 	}
 	if c.Harvested != nil {
 		h := *c.Harvested
-		if h.ArrivedCost == nil {
-			h.ArrivedCost = []int64{}
-		}
-		if h.ArrivedTuples == nil {
-			h.ArrivedTuples = []int64{}
-		}
-		if h.MigPenalty == nil {
-			h.MigPenalty = []int64{}
-		}
-		if h.Resizes == nil {
-			h.Resizes = []int{}
+		if h.Backlog == nil {
+			h.Backlog = []int64{}
 		}
 		c.Harvested = &h
 	}

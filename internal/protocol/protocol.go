@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"repro/internal/balance"
+	"repro/internal/metrics"
 	"repro/internal/route"
 	"repro/internal/stats"
 	"repro/internal/tuple"
@@ -256,29 +257,19 @@ type HarvestReq struct {
 	Emit     int64
 }
 
-// HarvestDone closes a stage's interval from the worker side: the
-// arrival accounting and migration penalties the coordinator's
-// queueing model consumes, the control round's outcome (rebalance /
-// resize metadata for the metrics row), and the cumulative processed
-// tuple count for zero-loss accounting. Resizes lists the round's
-// applied instance-count deltas in order (+1/−1) so the coordinator
-// replays the same backlog array surgery the engine performs.
+// HarvestDone closes a stage's interval from the worker side: Row is
+// the stage's finished metrics row — the worker ran the whole interval
+// end (harvest, control round, resizes, queueing model) on its stage, as
+// a single-process engine does — Backlog is the stage's post-model
+// per-instance backlog, which the coordinator throttles the next
+// interval on, and Processed is the stage's cumulative arrived-tuple
+// count for zero-loss accounting.
 type HarvestDone struct {
-	Stage         int
-	Interval      int64
-	ArrivedCost   []int64
-	ArrivedTuples []int64
-	MigPenalty    []int64
-	Resizes       []int
-	Instances     int
-	LiveState     int64
-	Rebalanced    bool
-	PlanMs        float64
-	TableSize     int
-	Moved         int64
-	ScaledOut     int
-	ScaledIn      int
-	Processed     int64
+	Stage     int
+	Interval  int64
+	Row       metrics.Interval
+	Backlog   []int64
+	Processed int64
 }
 
 // TupleBatch is the data plane: one or more FeedBatch-sized chunks of
