@@ -50,27 +50,27 @@ bench-e2e:
 ## one commanded round at the repository benchmark's variance shape
 ## (~11 000 keys re-drawn per round over 8 instances, a Mixed plan every
 ## round) from the trackers' sorted runs to the applied plan, over the
-## loopback and over a framed gob pipe (what a cluster peer without the
-## binary wire gets): ns/op, allocations, and ns per harvested key split
+## loopback and over a framed pipe (the codec a cluster control
+## connection speaks): ns/op, allocations, and ns per harvested key split
 ## into merge / plan / report. EngineInterval is a whole interval with
 ## the controller on the stage directly, behind the loopback loop, and
-## behind the framed gob pipe. RebalanceLatency is p50/p99 feed latency
+## behind the framed pipe. RebalanceLatency is p50/p99 feed latency
 ## with and without a concurrent plan: live migration's p99 must stay
-## flat across a rebalance. WireCodec isolates the framed gob codec's
-## per-message cost (the retained staging buffer keeps allocs/msg flat
-## as report populations grow).
+## flat across a rebalance. WireCodec isolates the report frame's
+## per-message cost (the retained buffers keep allocs/msg flat as report
+## populations grow).
 bench-control:
 	$(GO) test -run '^$$' -bench 'ControlRound|EngineInterval|RebalanceLatency|WireCodec' -benchmem -benchtime 1s ./internal/control/
 
 ## bench-wire: the receive path's micro-benchmarks. TupleBatchCodec is
-## one 256-tuple batch through Send and Recv per codec and chunk shape
-## (engine, app, scalar, composite; the binary rows but composite must
-## report 0 allocs/op in both directions); DestTuples is the
+## one 256-tuple batch through Send and Recv per chunk shape (engine,
+## app, scalar, composite; every row but composite must report
+## 0 allocs/op in both directions); DestTuples is the
 ## feeder's routing kernel on warm 1 024-tuple Zipf chunks with an empty
 ## routing table, a 32-entry one, and a split set (ns/tuple);
 ## ClusterWire is whole intervals of a 2-stage topology on two workers
-## over a unix socket, per wire configuration. BENCHTIME=1x (CI) only
-## checks that they still build, run and allocate nothing.
+## over a unix socket. BENCHTIME=1x (CI) only checks that they still
+## build, run and allocate nothing.
 BENCHTIME ?= 1s
 bench-wire:
 	$(GO) test -run '^$$' -bench 'TupleBatchCodec' -benchmem -benchtime $(BENCHTIME) ./internal/protocol/

@@ -8,11 +8,11 @@ import (
 	"repro/internal/tuple"
 )
 
-// DefCoalesce is the default frame-coalescing byte budget: FeedBatch
-// chunks accumulate into one wire frame until the frame would exceed
-// this many bytes, then the frame ships. 32 KiB keeps frames well under
-// typical socket buffer sizes while amortizing the per-frame syscall
-// across dozens of steady-state chunks.
+// DefCoalesce is the frame-coalescing byte budget: FeedBatch chunks
+// accumulate into one wire frame until the frame reaches this many
+// bytes, then the frame ships. 32 KiB keeps frames well under typical
+// socket buffer sizes while amortizing the per-frame syscall across
+// dozens of steady-state chunks.
 const DefCoalesce = 32 << 10
 
 // chunkPool recycles per-call encode scratch so concurrent FeedBatch
@@ -26,21 +26,14 @@ var chunkPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &
 // round-robin shuffle routing plus arrival accounting stay bit-for-bit
 // identical across the process boundary.
 //
-// On a binary-wire connection each chunk is encoded OUTSIDE the mutex
-// into pooled scratch (protocol.AppendBatchChunk touches no shared
-// state), then appended under the lock to a pending coalesced frame:
-// multiple chunks aggregate into one wire frame up to the coalescing
-// byte budget, force-flushed at the interval barrier by Flush. Only the
-// append-and-maybe-write is serialized, so upstream task goroutines
-// fanning into one edge no longer convoy behind each other's gob
-// reflection walk. Sub-batch length prefixes inside the frame keep the
-// chunk sequence intact.
-//
-// On a gob connection (the fallback for a peer that does not grant
-// FeatureBinary) the PR 9 behavior is kept verbatim: one
-// TupleBatch message per FeedBatch call, encoded under the mutex — the
-// gob encoder is stateful (it streams type descriptors once), so its
-// encode cannot leave the lock.
+// Each chunk is encoded OUTSIDE the mutex into pooled scratch
+// (protocol.AppendBatchChunk touches no shared state), then appended
+// under the lock to a pending coalesced frame: multiple chunks
+// aggregate into one wire frame up to DefCoalesce bytes, force-flushed
+// at the interval barrier by Flush. Only the append-and-maybe-write is
+// serialized, so upstream task goroutines fanning into one edge do not
+// convoy behind each other's encoding. Sub-batch length prefixes inside
+// the frame keep the chunk sequence intact.
 //
 // Errors latch: the first failure poisons the connection and every
 // later call becomes a no-op, surfaced at the next Flush — the data
@@ -51,25 +44,12 @@ type BatchConn struct {
 	mu      sync.Mutex
 	seq     uint64
 	err     error
-	budget  int    // coalescing byte budget; 0 = ship every chunk immediately
-	pending []byte // coalesced binary frame under construction
+	pending []byte // coalesced frame under construction
 	nsub    int    // chunks in pending
 }
 
-// NewBatchConn wraps an established data connection. coalesce is the
-// coalescing byte budget: 0 picks DefCoalesce, negative disables
-// coalescing (every FeedBatch ships its own frame, the PR 9 wire
-// cadence). The budget only applies on binary-wire connections; a gob
-// connection always ships per chunk.
-func NewBatchConn(c *Conn, coalesce int) *BatchConn {
-	switch {
-	case coalesce == 0:
-		coalesce = DefCoalesce
-	case coalesce < 0:
-		coalesce = 0
-	}
-	return &BatchConn{c: c, budget: coalesce}
-}
+// NewBatchConn wraps an established data connection.
+func NewBatchConn(c *Conn) *BatchConn { return &BatchConn{c: c} }
 
 // FeedBatch sends one batch downstream. The tuples are fully encoded
 // before return, so the caller's slice is immediately reusable — the
@@ -78,15 +58,6 @@ func NewBatchConn(c *Conn, coalesce int) *BatchConn {
 // into the same edge).
 func (b *BatchConn) FeedBatch(ts []tuple.Tuple) {
 	if len(ts) == 0 {
-		return
-	}
-	if !b.c.Binary() {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		if b.err != nil {
-			return
-		}
-		b.err = b.c.Send(&protocol.Message{Batch: &protocol.TupleBatch{Tuples: ts}})
 		return
 	}
 	sp := chunkPool.Get().(*[]byte)
@@ -104,7 +75,7 @@ func (b *BatchConn) FeedBatch(ts []tuple.Tuple) {
 			}
 			b.pending = append(b.pending, chunk...)
 			b.nsub++
-			if b.budget == 0 || len(b.pending) >= b.budget {
+			if len(b.pending) >= DefCoalesce {
 				b.flushPendingLocked()
 			}
 		}

@@ -62,7 +62,6 @@ type distributedRun struct {
 	stores     []storeSnap
 	processed  []int64
 	stats      []string // byte-table connection names
-	binaryWire bool     // what the spout edge actually negotiated
 }
 
 type storeSnap struct {
@@ -121,7 +120,7 @@ func runDistributed(t *testing.T, network string, nWorkers int, mutate ...func(*
 	}
 
 	// Capture worker-side state while the stages are still alive.
-	r := &distributedRun{rebalances: c.Rebalances(), binaryWire: c.spout.c.Binary()}
+	r := &distributedRun{rebalances: c.Rebalances()}
 	r.series = append(r.series, c.Recorder().Series...)
 	countStage := workers[c.Placement()[1]].Stage(1)
 	if countStage == nil {
@@ -311,42 +310,6 @@ func TestDistributedMatchesLocal(t *testing.T) {
 			dist := runDistributed(t, network, 3)
 			assertNonVacuous(t, dist)
 			compareRuns(t, network, dist, local)
-		})
-	}
-}
-
-// TestCrossCodecEquivalence is the cross-codec pin: the same run over
-// the binary wire (coalescing off, 4 KB, and the default budget) and
-// over the framed gob oracle produces bit-identical series, snapshots,
-// routing tables and stores — all equal to the in-process reference.
-// Each run asserts which codec the connections actually negotiated, so
-// the matrix cannot silently collapse onto one wire.
-func TestCrossCodecEquivalence(t *testing.T) {
-	local := runLocal(t)
-	assertNonVacuous(t, local)
-
-	t.Run("gob-oracle", func(t *testing.T) {
-		wireGob.Store(true)
-		t.Cleanup(func() { wireGob.Store(false) })
-		dist := runDistributed(t, "unix", 2)
-		if dist.binaryWire {
-			t.Fatal("gob oracle run negotiated the binary wire")
-		}
-		assertNonVacuous(t, dist)
-		compareRuns(t, "gob-oracle", dist, local)
-	})
-
-	for _, co := range []struct {
-		name     string
-		coalesce int
-	}{{"coalesce-off", -1}, {"coalesce-4k", 4 << 10}} {
-		t.Run(co.name, func(t *testing.T) {
-			dist := runDistributed(t, "unix", 2, func(s *Spec) { s.Coalesce = co.coalesce })
-			if !dist.binaryWire {
-				t.Fatal("binary wire not negotiated")
-			}
-			assertNonVacuous(t, dist)
-			compareRuns(t, co.name, dist, local)
 		})
 	}
 }

@@ -189,9 +189,7 @@ func (c *Coordinator) Deploy(nWorkers int) error {
 			Algorithm: string(st.Algorithm),
 			Capacity:  st.Capacity,
 			Budget:    c.spec.Budget,
-			StateWire: true,
 			Control:   len(c.policies[si]) > 0,
-			Coalesce:  c.spec.Coalesce,
 		}
 		if si+1 < len(stages) {
 			a.Downstream = workers[c.placement[si+1]].dataAddr
@@ -211,7 +209,7 @@ func (c *Coordinator) Deploy(nWorkers int) error {
 		return fmt.Errorf("cluster: dial spout data plane: %w", err)
 	}
 	sc.SetName("data spout→s0")
-	c.spout = NewBatchConn(sc, c.spec.Coalesce)
+	c.spout = NewBatchConn(sc)
 	c.em = engine.NewEmitter(c.spout, c.spec.SpoutB, nil, 1, false)
 
 	// The throttle's inputs: per-stage capacity, exactly what the

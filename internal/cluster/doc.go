@@ -15,14 +15,12 @@
 //
 // Three connection kinds tie the processes together, all built on the
 // length-framed protocol.NewFramedCodec over TCP or unix sockets and
-// opening with a Hello/Welcome handshake. The handshake itself always
-// speaks gob; feature bits in it negotiate the wire for everything
-// after — by default both sides hold FeatureBinary and switch to the
-// hand-rolled binary codec (zero-reflection encoding for batches,
-// flushes, the interval drive and the control round, plus FeedBatch
-// frame coalescing up to Spec.Coalesce bytes on data edges), while a
-// peer that does not grant the bit keeps the connection on framed gob
-// (no option selects that; the equivalence suite still pins it):
+// opening with a Hello/Welcome handshake that checks the protocol
+// version (Proto). Every connection speaks the hand-rolled binary codec
+// from its first byte — zero-reflection encoding for batches, flushes,
+// the interval drive and the control round, a self-contained gob frame
+// for the handshake and the other once-per-session messages — with
+// FeedBatch frame coalescing up to DefCoalesce bytes on data edges:
 //
 //   - the worker session (one per worker, dialed at startup): stage
 //     assignments, interval StartInterval/CloseStage/HarvestReq drive
@@ -48,10 +46,9 @@
 // coordinator throttles with engine.ThrottleBudget over the backlogs the
 // workers ship; the emission plane is the same engine.Emitter (so chunk
 // boundaries, and hence shuffle routing, are preserved), and every
-// FeedBatch call's chunk boundary survives the wire — as its own
-// TupleBatch message on a gob connection, as a length-prefixed
-// sub-batch inside a coalesced binary frame otherwise — so the
-// receiver replays the exact same FeedBatch sequence either way. What
-// the cluster does not model (a PKG stage's capacity shave and latency
-// floor) it refuses up front; StageSpec lists the supported subset.
+// FeedBatch call's chunk boundary survives the wire as a length-prefixed
+// sub-batch inside a coalesced frame, so the receiver replays the exact
+// same FeedBatch sequence. What the cluster does not model (a PKG
+// stage's capacity shave and latency floor) it refuses up front;
+// StageSpec lists the supported subset.
 package cluster

@@ -58,12 +58,6 @@ type Spec struct {
 	SpoutB  engine.SpoutBatch
 	Advance func(interval int64)
 	Stages  []StageSpec
-	// Coalesce is the data-plane frame-coalescing byte budget, applied
-	// to every edge (spout→s0 and each inter-stage connection): 0 takes
-	// DefCoalesce, negative disables coalescing (one wire frame per
-	// FeedBatch chunk — the PR 9 cadence). Only effective on
-	// binary-wire connections; a gob connection always ships per chunk.
-	Coalesce int
 }
 
 // resolve normalizes the spec in place to the same defaults the

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/protocol"
@@ -13,46 +12,16 @@ import (
 )
 
 // Proto is the cluster session protocol version, validated on both
-// sides of every Hello/Welcome handshake. Version 5 is the harvest reply
-// that carries the stage's finished metrics row and post-model backlog;
-// a version-4 peer ships arrival arrays for the coordinator to model
-// instead. Version 4 introduced the flagged batch sub-frame, whose rows
-// carry only the fields that vary inside their chunk. Older peers are
-// refused.
-const Proto = 5
-
-// Feature bits, advertised in Hello.Features and granted (as a subset)
-// in Welcome.Features. The handshake itself always speaks gob, so a
-// peer that predates a feature simply never offers or grants its bit
-// and the connection falls back cleanly.
-const (
-	// FeatureBinary switches the connection to the hand-rolled binary
-	// wire (internal/protocol's kind-dispatched frames) immediately
-	// after the Welcome. Both sides must hold the bit: the dialer
-	// offers it, the accepter grants it back.
-	FeatureBinary uint32 = 1 << 0
-)
-
-// knownFeatures is every bit this build understands. A Hello carrying
-// bits outside this set is from a newer or corrupt peer; the accepter
-// rejects it with a clean error rather than guessing.
-const knownFeatures = FeatureBinary
-
-// wireGob, when set, stops this process from offering or granting
-// FeatureBinary, as a peer that predates the feature would: every
-// connection then speaks the framed gob wire end to end. Nothing outside
-// this package's tests sets it — they use it to keep the negotiated
-// fallback pinned equivalent to the binary wire.
-var wireGob atomic.Bool
-
-// offeredFeatures returns the feature bits this process advertises and
-// is willing to grant.
-func offeredFeatures() uint32 {
-	if wireGob.Load() {
-		return 0
-	}
-	return FeatureBinary
-}
+// sides of every Hello/Welcome handshake. Version 6 speaks the binary
+// wire from the first byte: the Hello and Welcome travel as
+// self-contained gob frames behind the kind byte, where every earlier
+// version sent them as a gob stream and then negotiated the binary wire.
+// Version 5 is the harvest reply that carries the stage's finished
+// metrics row and post-model backlog; a version-4 peer ships arrival
+// arrays for the coordinator to model instead. Version 4 introduced the
+// flagged batch sub-frame, whose rows carry only the fields that vary
+// inside their chunk. Older peers are refused.
+const Proto = 6
 
 // handshakeTimeout bounds the Hello/Welcome exchange (and nothing
 // else: established connections block indefinitely — the interval
@@ -60,10 +29,12 @@ func offeredFeatures() uint32 {
 const handshakeTimeout = 10 * time.Second
 
 func init() {
-	// Tuple values cross the wire as gob interface values; register the
-	// concrete types the in-tree workloads and operators put there.
-	// Applications with custom value types add theirs via
-	// state.RegisterValue (the same registry).
+	// Migrated windows (state.Codec payloads) carry their entries' values
+	// as gob interface values, and so does the codec's escape hatch for a
+	// tuple value outside its tagged set; register the concrete types the
+	// in-tree workloads and operators put there. Applications with
+	// custom value types add theirs via state.RegisterValue (the same
+	// registry).
 	gob.Register(int(0))
 	gob.Register(int64(0))
 	gob.Register(uint64(0))
@@ -74,8 +45,8 @@ func init() {
 	gob.Register([]tuple.Key(nil))
 }
 
-// Conn is one established cluster connection: the framed gob codec
-// over a TCP or unix socket, with per-direction byte counters and a
+// Conn is one established cluster connection: the framed codec over a
+// TCP or unix socket, with per-direction byte counters and a
 // clean-shutdown close. It satisfies control.Conn, so a coordinator's
 // control.Server and a worker's control.Executor speak over it
 // unchanged.
@@ -84,15 +55,7 @@ type Conn struct {
 	c    net.Conn
 	name string
 	once sync.Once
-	// offered holds the peer's Hello feature bits on an accepted
-	// connection, pending the Welcome; features holds the negotiated
-	// set once the handshake completes.
-	offered  uint32
-	features uint32
 }
-
-// Features returns the feature bits both sides agreed to.
-func (c *Conn) Features() uint32 { return c.features }
 
 // Name returns the label the connection reports byte counters under.
 func (c *Conn) Name() string { return c.name }
@@ -132,7 +95,6 @@ func (c *Conn) Close() error {
 func Dial(network, addr string, hello *protocol.Hello) (*Conn, *protocol.Welcome, error) {
 	h := *hello
 	h.Proto = Proto
-	h.Features = offeredFeatures()
 	nc, err := net.DialTimeout(network, addr, handshakeTimeout)
 	if err != nil {
 		return nil, nil, err
@@ -155,14 +117,6 @@ func Dial(network, addr string, hello *protocol.Hello) (*Conn, *protocol.Welcome
 	if m.Welcome.Proto != Proto {
 		nc.Close()
 		return nil, nil, fmt.Errorf("cluster: protocol version mismatch: ours %d, peer %d", Proto, m.Welcome.Proto)
-	}
-	if granted := m.Welcome.Features; granted&^h.Features != 0 {
-		nc.Close()
-		return nil, nil, fmt.Errorf("cluster: handshake: peer granted feature bits %#x we never offered (%#x)", granted, h.Features)
-	}
-	c.features = m.Welcome.Features
-	if c.features&FeatureBinary != 0 {
-		c.EnableBinary()
 	}
 	_ = nc.SetDeadline(time.Time{})
 	return c, m.Welcome, nil
@@ -218,11 +172,6 @@ func (l *Listener) Accept() (*Conn, *protocol.Hello, error) {
 		nc.Close()
 		return nil, nil, fmt.Errorf("cluster: protocol version mismatch: ours %d, peer %d", Proto, m.Hello.Proto)
 	}
-	if unknown := m.Hello.Features &^ knownFeatures; unknown != 0 {
-		nc.Close()
-		return nil, nil, fmt.Errorf("cluster: handshake: unknown feature bits %#x in hello (known %#x)", unknown, knownFeatures)
-	}
-	c.offered = m.Hello.Features
 	_ = nc.SetDeadline(time.Time{})
 	c.name = m.Hello.Role
 	return c, m.Hello, nil
@@ -230,18 +179,7 @@ func (l *Listener) Accept() (*Conn, *protocol.Hello, error) {
 
 // Welcome completes an accepted handshake, assigning the connection an
 // id (workers get their registration index; control and data
-// connections echo their stage) and granting the intersection of the
-// peer's offered features with this process's own. The Welcome itself
-// still travels as gob; any granted codec switches on immediately
-// after, so both sides change modes at the same stream position.
+// connections echo their stage).
 func (c *Conn) Welcome(id int) error {
-	granted := c.offered & offeredFeatures()
-	if err := c.Send(&protocol.Message{Welcome: &protocol.Welcome{Proto: Proto, ID: id, Features: granted}}); err != nil {
-		return err
-	}
-	c.features = granted
-	if granted&FeatureBinary != 0 {
-		c.EnableBinary()
-	}
-	return nil
+	return c.Send(&protocol.Message{Welcome: &protocol.Welcome{Proto: Proto, ID: id}})
 }

@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"path/filepath"
@@ -81,208 +83,23 @@ func TestHandshake(t *testing.T) {
 			if err != nil || m.Start == nil || m.Start.Emit != 99 {
 				t.Fatalf("recv = %v, %v", m, err)
 			}
+			batch := &protocol.Message{Batch: &protocol.TupleBatch{Tuples: []tuple.Tuple{tuple.New(9, int64(1))}}}
+			if err := sc.Send(batch); err != nil {
+				t.Fatalf("send on the accepted end: %v", err)
+			}
+			if m, err := r.c.Recv(); err != nil || m.Batch == nil || m.Batch.Tuples[0].Key != 9 {
+				t.Fatalf("recv on the dialed end = %v, %v", m, err)
+			}
 		})
 	}
-}
-
-// TestHandshakeNegotiation is the codec negotiation matrix: two
-// current peers land on the binary wire; a process withholding the
-// bit (the package's unexported switch, or an old peer that never
-// offers it) falls back to gob on both sides; corrupt feature bits are rejected with a clean error in
-// either direction.
-func TestHandshakeNegotiation(t *testing.T) {
-	pair := func(t *testing.T) (*Conn, *Conn) {
-		t.Helper()
-		ln, err := Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("listen: %v", err)
-		}
-		defer ln.Close()
-		var dialed *Conn
-		var dialErr error
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			dialed, _, dialErr = Dial("tcp", ln.Addr(), &protocol.Hello{Role: "data"})
-		}()
-		sc, _, err := ln.Accept()
-		if err != nil {
-			t.Fatalf("accept: %v", err)
-		}
-		if err := sc.Welcome(0); err != nil {
-			t.Fatalf("welcome: %v", err)
-		}
-		wg.Wait()
-		if dialErr != nil {
-			t.Fatalf("dial: %v", dialErr)
-		}
-		return dialed, sc
-	}
-
-	exchange := func(t *testing.T, a, b *Conn) {
-		t.Helper()
-		batch := &protocol.Message{Batch: &protocol.TupleBatch{Tuples: []tuple.Tuple{tuple.New(9, int64(1))}}}
-		if err := a.Send(batch); err != nil {
-			t.Fatalf("send: %v", err)
-		}
-		m, err := b.Recv()
-		if err != nil || m.Batch == nil || m.Batch.Tuples[0].Key != 9 {
-			t.Fatalf("recv = %v, %v", m, err)
-		}
-	}
-
-	t.Run("binary-binary", func(t *testing.T) {
-		a, b := pair(t)
-		defer a.Close()
-		defer b.Close()
-		if !a.Binary() || !b.Binary() {
-			t.Fatalf("binary not negotiated: dial=%v accept=%v", a.Binary(), b.Binary())
-		}
-		if a.Features() != FeatureBinary || b.Features() != FeatureBinary {
-			t.Fatalf("features: dial=%#x accept=%#x", a.Features(), b.Features())
-		}
-		exchange(t, a, b)
-		exchange(t, b, a)
-	})
-
-	t.Run("gob-knob", func(t *testing.T) {
-		wireGob.Store(true)
-		t.Cleanup(func() { wireGob.Store(false) })
-		a, b := pair(t)
-		defer a.Close()
-		defer b.Close()
-		if a.Binary() || b.Binary() || a.Features() != 0 || b.Features() != 0 {
-			t.Fatalf("gob switch ignored: dial=(%v,%#x) accept=(%v,%#x)",
-				a.Binary(), a.Features(), b.Binary(), b.Features())
-		}
-		exchange(t, a, b)
-		exchange(t, b, a)
-	})
-
-	t.Run("old-peer-gob-only", func(t *testing.T) {
-		// An old peer never sets feature bits in its Hello; the accepter
-		// must grant nothing and keep speaking framed gob both ways.
-		ln, err := Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("listen: %v", err)
-		}
-		defer ln.Close()
-		done := make(chan error, 1)
-		go func() {
-			nc, err := net.Dial("tcp", ln.Addr())
-			if err != nil {
-				done <- err
-				return
-			}
-			defer nc.Close()
-			codec := protocol.NewFramedCodec(nc)
-			if err := codec.Send(&protocol.Message{Hello: &protocol.Hello{Proto: Proto, Role: "data"}}); err != nil {
-				done <- err
-				return
-			}
-			m, err := codec.Recv()
-			if err != nil {
-				done <- err
-				return
-			}
-			if m.Welcome == nil || m.Welcome.Features != 0 {
-				done <- fmt.Errorf("welcome = %+v, want zero features", m.Welcome)
-				return
-			}
-			// Speak gob after the handshake, both directions.
-			if err := codec.Send(&protocol.Message{FlushReq: &protocol.Flush{Seq: 5}}); err != nil {
-				done <- err
-				return
-			}
-			m, err = codec.Recv()
-			if err != nil || m.FlushReq == nil || m.FlushReq.Seq != 5 {
-				done <- fmt.Errorf("echo = %v, %v", m, err)
-				return
-			}
-			done <- nil
-		}()
-		sc, hello, err := ln.Accept()
-		if err != nil {
-			t.Fatalf("accept: %v", err)
-		}
-		defer sc.Close()
-		if hello.Features != 0 {
-			t.Fatalf("old peer hello features = %#x", hello.Features)
-		}
-		if err := sc.Welcome(0); err != nil {
-			t.Fatalf("welcome: %v", err)
-		}
-		if sc.Binary() {
-			t.Fatal("accepter switched to binary against a gob-only peer")
-		}
-		m, err := sc.Recv()
-		if err != nil || m.FlushReq == nil {
-			t.Fatalf("recv = %v, %v", m, err)
-		}
-		if err := sc.Send(&protocol.Message{FlushReq: m.FlushReq}); err != nil {
-			t.Fatalf("echo: %v", err)
-		}
-		if err := <-done; err != nil {
-			t.Fatalf("old peer: %v", err)
-		}
-	})
-
-	t.Run("corrupt-hello-bits", func(t *testing.T) {
-		ln, err := Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("listen: %v", err)
-		}
-		defer ln.Close()
-		go func() {
-			nc, err := net.Dial("tcp", ln.Addr())
-			if err != nil {
-				return
-			}
-			defer nc.Close()
-			codec := protocol.NewFramedCodec(nc)
-			_ = codec.Send(&protocol.Message{Hello: &protocol.Hello{Proto: Proto, Role: "data", Features: 0xff00}})
-			_, _ = codec.Recv()
-		}()
-		if _, _, err := ln.Accept(); err == nil {
-			t.Fatal("accept with unknown feature bits succeeded")
-		} else if !strings.Contains(err.Error(), "feature bits") {
-			t.Fatalf("error does not name the feature bits: %v", err)
-		}
-	})
-
-	t.Run("corrupt-welcome-bits", func(t *testing.T) {
-		// A broken accepter granting bits that were never offered must
-		// fail the dial cleanly.
-		nl, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("listen: %v", err)
-		}
-		defer nl.Close()
-		go func() {
-			nc, err := nl.Accept()
-			if err != nil {
-				return
-			}
-			defer nc.Close()
-			codec := protocol.NewFramedCodec(nc)
-			if _, err := codec.Recv(); err != nil {
-				return
-			}
-			_ = codec.Send(&protocol.Message{Welcome: &protocol.Welcome{Proto: Proto, ID: 0, Features: 1 << 9}})
-		}()
-		if _, _, err := Dial("tcp", nl.Addr().String(), &protocol.Hello{Role: "data"}); err == nil {
-			t.Fatal("dial accepting unoffered feature bits succeeded")
-		} else if !strings.Contains(err.Error(), "feature bits") {
-			t.Fatalf("error does not name the feature bits: %v", err)
-		}
-	})
 }
 
 // TestBatchConnConcurrentFeed stresses the encode-outside-mutex path:
 // many goroutines feed one coalescing BatchConn while the receiver
 // replays chunks. Every chunk must arrive intact and in per-sender
-// order — chunks interleave across senders but never tear.
+// order — chunks interleave across senders but never tear — and the
+// feed is several DefCoalesce budgets long, so frames fill and ship
+// mid-stream, not only at the Flush.
 func TestBatchConnConcurrentFeed(t *testing.T) {
 	const senders, chunksPer, perChunk = 8, 200, 17
 	ln, err := Listen("tcp", "127.0.0.1:0")
@@ -306,10 +123,8 @@ func TestBatchConnConcurrentFeed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	if !dc.Binary() {
-		t.Fatal("binary wire not negotiated")
-	}
-	bc := NewBatchConn(dc, 4<<10) // small budget: force mid-stream frame flushes
+	before := dc.SentMsgs() // the Hello
+	bc := NewBatchConn(dc)
 
 	var wg sync.WaitGroup
 	for g := 0; g < senders; g++ {
@@ -329,6 +144,10 @@ func TestBatchConnConcurrentFeed(t *testing.T) {
 	wg.Wait()
 	if err := bc.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
+	}
+	// Everything sent since the Hello but the flush request is data.
+	if frames := dc.SentMsgs() - before - 1; frames < 2 {
+		t.Fatalf("%d chunks shipped in %d data frames; want frames filled and shipped mid-stream", senders*chunksPer, frames)
 	}
 	bc.Close()
 	<-done
@@ -357,16 +176,19 @@ func TestBatchConnConcurrentFeed(t *testing.T) {
 }
 
 // TestHandshakeProtoMismatch refuses a newer peer and the older versions
-// alike: a version-4 peer ships arrival arrays in its harvest reply, a
-// version-3 peer writes every field in every batch row and a version-2
-// peer lays them out as columns, so there is nothing to fall back to.
+// alike: a version-5 peer opens with a gob-stream Hello and negotiates
+// the binary wire after it, a version-4 peer ships arrival arrays in its
+// harvest reply, a version-3 peer writes every field in every batch row
+// and a version-2 peer lays them out as columns, so there is nothing to
+// fall back to. The gob-stream Hello every version up to 5 actually
+// sends is refused at once, not after the handshake timeout.
 func TestHandshakeProtoMismatch(t *testing.T) {
 	ln, err := Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
 	defer ln.Close()
-	for _, proto := range []int{Proto + 1, 4, 3, 2} {
+	for _, proto := range []int{Proto + 1, 5, 4, 3, 2} {
 		go func() {
 			// A raw framed client announcing the wrong protocol version.
 			nc, err := net.Dial("tcp", ln.Addr())
@@ -375,12 +197,34 @@ func TestHandshakeProtoMismatch(t *testing.T) {
 			}
 			defer nc.Close()
 			codec := protocol.NewFramedCodec(nc)
-			_ = codec.Send(&protocol.Message{Hello: &protocol.Hello{Proto: proto, Role: "worker", Features: FeatureBinary}})
+			_ = codec.Send(&protocol.Message{Hello: &protocol.Hello{Proto: proto, Role: "worker"}})
 			_, _ = codec.Recv()
 		}()
 		if _, _, err := ln.Accept(); err == nil {
 			t.Fatalf("accept of a version-%d peer succeeded", proto)
 		}
+	}
+
+	// A Hello as a length-framed gob stream, which is how every peer up
+	// to version 5 opened its connection.
+	var hello bytes.Buffer
+	if err := gob.NewEncoder(&hello).Encode(&protocol.Message{Hello: &protocol.Hello{Proto: 5, Role: "worker", Worker: "w0"}}); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		nc, err := net.Dial("tcp", ln.Addr())
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		_, _ = nc.Write(append(binary.BigEndian.AppendUint32(nil, uint32(hello.Len())), hello.Bytes()...))
+		_, _ = io.Copy(io.Discard, nc) // hold the connection open until the accepter hangs up
+	}()
+	start := time.Now()
+	if _, _, err := ln.Accept(); err == nil {
+		t.Fatal("accept of a gob-stream hello succeeded")
+	} else if d := time.Since(start); d > handshakeTimeout/10 {
+		t.Fatalf("a gob-stream hello was refused after %v (%v); want well inside the %v handshake timeout", d, err, handshakeTimeout)
 	}
 }
 
@@ -493,7 +337,7 @@ func TestBatchConnFlushBarrier(t *testing.T) {
 			if err != nil {
 				t.Fatalf("dial: %v", err)
 			}
-			bc := NewBatchConn(dc, 0)
+			bc := NewBatchConn(dc)
 
 			// Chunk boundaries must be preserved: one FeedBatch = one
 			// received batch, in order.
@@ -565,9 +409,6 @@ func TestWorkerReportsCutDataFrame(t *testing.T) {
 		t.Fatalf("dial data listener: %v", err)
 	}
 	defer dc.Close()
-	if !dc.Binary() {
-		t.Fatal("the data connection was not granted the binary wire")
-	}
 	// The parse stage's input shape: a post, with the topics it names.
 	post := []tuple.Key{7}
 	whole := []tuple.Tuple{tuple.New(1, post), tuple.New(2, post), tuple.New(3, post)}

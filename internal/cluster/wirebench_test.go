@@ -12,53 +12,18 @@ import (
 )
 
 // BenchmarkClusterWire drives the 2-stage forwarding topology on two
-// in-process workers over a unix socket, once per wire configuration —
-// the in-package twin of benchrunner's -cluster sweep, here so the
-// socket data plane can be CPU/heap-profiled with the standard test
+// in-process workers over a unix socket — whole intervals of the socket
+// data plane, here so it can be CPU/heap-profiled with the standard test
 // flags.
 func BenchmarkClusterWire(b *testing.B) {
 	registerWireBenchOps()
-	for _, cfg := range []struct {
-		name     string
-		gob      bool
-		coalesce int
-	}{
-		{"gob", true, -1},
-		{"binary-off", false, -1},
-		{"binary-32k", false, 32 << 10},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			wireGob.Store(cfg.gob)
-			defer wireGob.Store(false)
-			b.ReportAllocs()
-			runWireBench(b, cfg.coalesce)
-		})
-	}
-}
-
-var wireBenchOpsDone bool
-
-func registerWireBenchOps() {
-	if wireBenchOpsDone {
-		return
-	}
-	wireBenchOpsDone = true
-	RegisterOp("wirebench/fwd", func(int) engine.Operator {
-		return engine.OperatorFunc(func(ctx *engine.TaskCtx, t tuple.Tuple) {
-			ctx.Emit(tuple.New(t.Key, nil))
-		})
-	})
-	RegisterOp("wirebench/sink", func(int) engine.Operator { return engine.Discard })
-}
-
-func runWireBench(b *testing.B, coalesce int) {
+	b.ReportAllocs()
 	const msBudget = 2000
 	gen := workload.NewZipfStream(10000, 0.85, 0, msBudget, 17)
 	spec := &Spec{
-		Name:     "wirebench",
-		Budget:   msBudget,
-		SpoutB:   gen.NextBatch,
-		Coalesce: coalesce,
+		Name:   "wirebench",
+		Budget: msBudget,
+		SpoutB: gen.NextBatch,
 		Stages: []StageSpec{
 			{Name: "ms-map", Op: "wirebench/fwd", Instances: 8},
 			{Name: "ms-sink", Op: "wirebench/sink", Instances: 8},
@@ -98,4 +63,19 @@ func runWireBench(b *testing.B, coalesce int) {
 		}
 	}
 	_ = os.RemoveAll(dir)
+}
+
+var wireBenchOpsDone bool
+
+func registerWireBenchOps() {
+	if wireBenchOpsDone {
+		return
+	}
+	wireBenchOpsDone = true
+	RegisterOp("wirebench/fwd", func(int) engine.Operator {
+		return engine.OperatorFunc(func(ctx *engine.TaskCtx, t tuple.Tuple) {
+			ctx.Emit(tuple.New(t.Key, nil))
+		})
+	})
+	RegisterOp("wirebench/sink", func(int) engine.Operator { return engine.Discard })
 }

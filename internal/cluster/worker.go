@@ -186,9 +186,7 @@ func (w *Worker) assign(a *protocol.StageAssign) error {
 	cfg.Budget = a.Budget
 	cfg.Capacity = a.Capacity
 	eng := engine.NewBatch(nil, cfg, st)
-	if a.StateWire {
-		st.SetStateWire(true)
-	}
+	st.SetStateWire(true)
 	h := &hostedStage{si: a.Stage, st: st, eng: eng}
 	if a.Downstream != "" {
 		dc, _, err := Dial(w.network, a.Downstream, &protocol.Hello{
@@ -199,7 +197,7 @@ func (w *Worker) assign(a *protocol.StageAssign) error {
 			return fmt.Errorf("cluster: worker %s: stage %d: dial downstream s%d: %w", w.name, a.Stage, a.DownStage, err)
 		}
 		dc.SetName(fmt.Sprintf("data s%d→s%d", a.Stage, a.DownStage))
-		h.down = NewBatchConn(dc, a.Coalesce)
+		h.down = NewBatchConn(dc)
 		st.SetSink(h.down)
 	}
 	if a.Control {

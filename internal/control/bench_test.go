@@ -25,8 +25,8 @@ import (
 // whole engine interval (10k tuples through a Mixed-managed stage):
 // "direct" drives the controller on the stage with no protocol, "loop"
 // the command path over the in-process loopback and "wire" over the
-// framed gob pipe. The direct-vs-loop delta is the honest price of
-// speaking the protocol every interval.
+// framed pipe. The direct-vs-loop delta is the honest price of speaking
+// the protocol every interval.
 func BenchmarkEngineInterval(b *testing.B) {
 	run := func(b *testing.B, wiring string) {
 		gen := workload.NewZipfStream(10000, 0.85, 0, 10000, 17)
@@ -44,7 +44,7 @@ func BenchmarkEngineInterval(b *testing.B) {
 			defer loop.Close()
 			e.AddSnapshotHook(0, loop.Hook())
 		case "wire":
-			defer loopOver(e, 0, []control.Policy{ctl}, newGobPair)()
+			defer loopOver(e, 0, []control.Policy{ctl}, newFramedPair)()
 		}
 		b.ResetTimer()
 		e.Run(b.N)
@@ -106,13 +106,13 @@ func (p *timedPlanner) Plan(snap *stats.Snapshot, cfg balance.Config) *balance.P
 // repository benchmark's variance shape — ~11 000 keys re-drawn every
 // round over 8 instances, a Mixed plan in every round — from the
 // trackers' sorted runs to the applied plan, over the loopback and over
-// the framed gob pipe. Besides ns/op and the allocations it reports
-// nanoseconds per harvested key, split into the merge of the runs, the
-// planner, and the report path around them (transport, validation,
-// decide, announce, apply). Run via `make bench-control`.
+// the framed pipe the cluster speaks. Besides ns/op and the allocations
+// it reports nanoseconds per harvested key, split into the merge of the
+// runs, the planner, and the report path around them (transport,
+// validation, decide, announce, apply). Run via `make bench-control`.
 func BenchmarkControlRound(b *testing.B) {
 	const nd = 8
-	for _, transport := range []string{"loopback", "gob-pipe"} {
+	for _, transport := range []string{"loopback", "framed-pipe"} {
 		b.Run(transport, func(b *testing.B) {
 			st := engine.NewStage("bench", nd, func(int) engine.Operator { return engine.Discard }, 1,
 				engine.NewAssignmentRouter(topology.NewAssignment(nd)))
@@ -120,8 +120,8 @@ func BenchmarkControlRound(b *testing.B) {
 			defer e.Stop()
 			planner := &timedPlanner{inner: balance.Mixed{}}
 			pair := control.NewLoopbackPair
-			if transport == "gob-pipe" {
-				pair = newGobPair
+			if transport == "framed-pipe" {
+				pair = newFramedPair
 			}
 			agent, ctrl := pair()
 			defer agent.Close()
@@ -164,10 +164,10 @@ func BenchmarkControlRound(b *testing.B) {
 	}
 }
 
-// BenchmarkWireCodec measures the gob codec's per-message cost for
-// report traffic at several population sizes — the satellite win here
-// is the retained staging buffer: each Send gob-encodes into a reused
-// bytes.Buffer and hits the transport with one Write, so steady-state
+// BenchmarkWireCodec measures the framed codec's per-message cost for
+// the report frame at several population sizes: each Send encodes into
+// the retained scratch and hits the transport with one Write, and Recv
+// decodes the run into one of two retained buffers, so steady-state
 // allocations per message stay flat as reports grow. Run with
 // -benchmem; B/msg is the encoded wire size.
 func BenchmarkWireCodec(b *testing.B) {

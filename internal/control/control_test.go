@@ -115,7 +115,7 @@ func TestLoopMatchesDirectController(t *testing.T) {
 			defer eLoop.Stop()
 			ctlLoop := mkController()
 			if transport == "wire" {
-				defer loopOver(eLoop, 0, []control.Policy{ctlLoop}, newGobPair)()
+				defer loopOver(eLoop, 0, []control.Policy{ctlLoop}, newFramedPair)()
 			} else {
 				loop := control.NewLoop(eLoop, 0, []control.Policy{ctlLoop})
 				defer loop.Close()
@@ -145,10 +145,9 @@ func TestLoopMatchesDirectController(t *testing.T) {
 }
 
 // TestSnapshotWireRoundTrip pins the report marshaling itself: a
-// harvested snapshot shipped as the round's report over the gob pipe and
-// over the binary wire arrives byte-identical — every entry's
-// statistics, Dest and Hash, in the same order — and passes the
-// receiver's check.
+// harvested snapshot shipped as the round's report over the framed wire
+// arrives byte-identical — every entry's statistics, Dest and Hash, in
+// the same order — and passes the receiver's check.
 func TestSnapshotWireRoundTrip(t *testing.T) {
 	e, st := mkEngine(7)
 	defer e.Stop()
@@ -157,26 +156,21 @@ func TestSnapshotWireRoundTrip(t *testing.T) {
 	if len(snap.Keys) == 0 {
 		t.Fatal("empty oracle snapshot")
 	}
-	for name, pair := range map[string]func() (control.Conn, control.Conn){
-		"gob pipe": newGobPair,
-		"binary":   newBinaryPair,
-	} {
-		a, b := pair()
-		go a.Send(&protocol.Message{Report: &protocol.LoadReport{
-			Interval: snap.Interval, Keys: snap.Keys, Tasks: st.Instances(),
-		}})
-		m, err := b.Recv()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if err := m.Report.CheckMerged(); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		back := &stats.Snapshot{Interval: m.Report.Interval, ND: m.Report.Tasks, Keys: m.Report.Keys}
-		sameSnapshots(t, name, []*stats.Snapshot{snap}, []*stats.Snapshot{back})
-		a.Close()
-		b.Close()
+	a, b := newFramedPair()
+	defer a.Close()
+	defer b.Close()
+	go a.Send(&protocol.Message{Report: &protocol.LoadReport{
+		Interval: snap.Interval, Keys: snap.Keys, Tasks: st.Instances(),
+	}})
+	m, err := b.Recv()
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err := m.Report.CheckMerged(); err != nil {
+		t.Fatal(err)
+	}
+	back := &stats.Snapshot{Interval: m.Report.Interval, ND: m.Report.Tasks, Keys: m.Report.Keys}
+	sameSnapshots(t, "framed pipe", []*stats.Snapshot{snap}, []*stats.Snapshot{back})
 }
 
 // capturePolicy records every snapshot the controller side decides on

@@ -19,8 +19,7 @@ import (
 )
 
 // framedConn is a control.Conn over the socket wire: the framed codec a
-// cluster worker and its coordinator speak — gob, as a peer without
-// FeatureBinary gets it, or binary once the handshake agreed on it.
+// cluster worker and its coordinator speak.
 type framedConn struct {
 	*protocol.Codec
 	c net.Conn
@@ -28,20 +27,12 @@ type framedConn struct {
 
 func (f framedConn) Close() error { return f.c.Close() }
 
-func newFramedPair(binary bool) (control.Conn, control.Conn) {
+// newFramedPair returns the two ends of a control connection over a
+// synchronous in-memory pipe, every message fully serialized.
+func newFramedPair() (control.Conn, control.Conn) {
 	a, b := net.Pipe()
-	wrap := func(c net.Conn) control.Conn {
-		codec := protocol.NewFramedCodec(c)
-		if binary {
-			codec.EnableBinary()
-		}
-		return framedConn{Codec: codec, c: c}
-	}
-	return wrap(a), wrap(b)
+	return framedConn{Codec: protocol.NewFramedCodec(a), c: a}, framedConn{Codec: protocol.NewFramedCodec(b), c: b}
 }
-
-func newGobPair() (control.Conn, control.Conn)    { return newFramedPair(false) }
-func newBinaryPair() (control.Conn, control.Conn) { return newFramedPair(true) }
 
 // loopOver wires stage si's control loop the way control.NewLoop does,
 // but over the given transport, registers it with the engine and
@@ -70,8 +61,8 @@ func eagerController() *controller.Controller {
 
 // TestRoundEquivalenceEveryTransport pins the round's report on
 // every path a round can take — the direct hook (no protocol at all),
-// the loopback (the report is the snapshot, by reference), the gob pipe
-// and the binary socket wire — with a plan in every round: identical
+// the loopback (the report is the snapshot, by reference) and the framed
+// socket wire — with a plan in every round: identical
 // series, identical snapshots on the deciding side round by round,
 // identical routing tables and plan counts.
 func TestRoundEquivalenceEveryTransport(t *testing.T) {
@@ -106,9 +97,8 @@ func TestRoundEquivalenceEveryTransport(t *testing.T) {
 		t.Fatalf("the direct run planned in %d of %d rounds; the pin needs a plan every round", got, intervals)
 	}
 	for name, pair := range map[string]func() (control.Conn, control.Conn){
-		"loopback": control.NewLoopbackPair,
-		"gob pipe": newGobPair,
-		"binary":   newBinaryPair,
+		"loopback":    control.NewLoopbackPair,
+		"framed pipe": newFramedPair,
 	} {
 		o := run(pair)
 		sameSeries(t, name, direct.e.Recorder.Series, o.e.Recorder.Series)
@@ -122,20 +112,24 @@ func TestRoundEquivalenceEveryTransport(t *testing.T) {
 	}
 }
 
-// countingPolicy counts the rounds that reach a policy.
+// countingPolicy counts the rounds that reach a policy. It sizes the
+// snapshot's load vector, as controller.Controller does every round.
 type countingPolicy struct{ rounds atomic.Int32 }
 
-func (p *countingPolicy) Decide(control.Env, *stats.Snapshot) []control.Command {
+func (p *countingPolicy) Decide(_ control.Env, snap *stats.Snapshot) []control.Command {
 	p.rounds.Add(1)
+	snap.Loads()
 	return nil
 }
 
 // TestHostileMergedReportEndsRound sends the controller side reports it
 // must not trust — a destination past the stage's instances,
-// a negative one, entries out of canonical order, an entry count the
-// frame cannot hold — over the loopback and the binary wire. Each ends
-// the round with an error on the sender's side: no policy sees the
-// snapshot, nothing indexes a load vector by it, nobody waits forever.
+// a negative one, entries out of canonical order, an instance count a
+// load vector must not be sized by, an entry count the frame cannot
+// hold — over the loopback and the framed wire. Each ends the round with
+// an error on the sender's side: no policy sees the snapshot, nothing
+// sizes or indexes a load vector by it, the server does not panic and
+// nobody waits forever.
 func TestHostileMergedReportEndsRound(t *testing.T) {
 	valid := func() *protocol.LoadReport {
 		return &protocol.LoadReport{
@@ -152,10 +146,11 @@ func TestHostileMergedReportEndsRound(t *testing.T) {
 		"negative destination":           func(r *protocol.LoadReport) { r.Keys[2].Dest = -1 },
 		"out of order":                   func(r *protocol.LoadReport) { r.Keys[0], r.Keys[2] = r.Keys[2], r.Keys[0] },
 		"no instances":                   func(r *protocol.LoadReport) { r.Tasks = 0 },
+		"instances past MaxTasks":        func(r *protocol.LoadReport) { r.Tasks = 1 << 40 },
 	}
 	pairs := map[string]func() (control.Conn, control.Conn){
-		"loopback": control.NewLoopbackPair,
-		"binary":   newBinaryPair,
+		"loopback":    control.NewLoopbackPair,
+		"framed pipe": newFramedPair,
 	}
 	for pname, pair := range pairs {
 		// The valid report is served: the cases below fail on their
@@ -197,12 +192,10 @@ func TestHostileMergedReportEndsRound(t *testing.T) {
 	}
 
 	// A count the frame cannot hold never becomes a report: raw bytes on
-	// the binary wire (kind 3 is a report; interval, flags, then the count).
+	// the wire (kind 3 is a report; interval, flags, then the count).
 	a, b := net.Pipe()
-	codec := protocol.NewFramedCodec(b)
-	codec.EnableBinary()
 	pol := &countingPolicy{}
-	srv := control.NewServer(framedConn{Codec: codec, c: b}, []control.Policy{pol})
+	srv := control.NewServer(framedConn{Codec: protocol.NewFramedCodec(b), c: b}, []control.Policy{pol})
 	srv.Start()
 	frame := []byte{3, 4, 0, 0xff, 0xff, 0x7f}
 	go a.Write(append(binary.BigEndian.AppendUint32(nil, uint32(len(frame))), frame...))
@@ -242,9 +235,8 @@ func TestSecondReportInsideRoundEndsIt(t *testing.T) {
 		}}
 	}
 	for name, pair := range map[string]func() (control.Conn, control.Conn){
-		"loopback": control.NewLoopbackPair,
-		"gob pipe": newGobPair,
-		"binary":   newBinaryPair,
+		"loopback":    control.NewLoopbackPair,
+		"framed pipe": newFramedPair,
 	} {
 		agent, ctrl := pair()
 		srv := control.NewServer(ctrl, []control.Policy{&commandOnce{}})

@@ -149,7 +149,7 @@ func TestScaleInLivePipelined(t *testing.T) {
 
 // TestScaleInLoopbackEqualsWire pins the two transports against each
 // other on the full elastic scenario — the builder's loopback loop
-// against the same policies hand-wired over the framed gob pipe:
+// against the same policies hand-wired over the framed pipe:
 // identical series, identical final instance counts, identical routing
 // tables, identical applied histories.
 func TestScaleInLoopbackEqualsWire(t *testing.T) {
@@ -164,7 +164,7 @@ func TestScaleInLoopbackEqualsWire(t *testing.T) {
 	wCtl := mkController() // the builder's controller for AlgMixed, Theta(0.08), MinKeys(32)
 	w := scaleInStages(wFleet)
 	defer w.Stop()
-	defer loopOver(w.Engine, 1, []control.Policy{wCtl, wScaler}, newGobPair)()
+	defer loopOver(w.Engine, 1, []control.Policy{wCtl, wScaler}, newFramedPair)()
 	w.Run(30)
 
 	sameSeries(t, "loopback-vs-wire", lb.Recorder().Series, w.Recorder().Series)

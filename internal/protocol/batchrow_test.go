@@ -202,7 +202,6 @@ func TestBatchRowRoundTrip(t *testing.T) {
 		}
 
 		recv := NewFramedCodec(readerOnly{bytes.NewReader(framed(frame))})
-		recv.EnableBinary()
 		m, err := recv.Recv()
 		if err != nil {
 			t.Fatalf("round %d: Recv: %v", round, err)
@@ -213,7 +212,6 @@ func TestBatchRowRoundTrip(t *testing.T) {
 		// The callback decoder, with a flush behind the frame to stop it.
 		stream := append(framed(frame), framed([]byte{kindFlush, 0, 0, 0, 0, 0, 0, 0, 9})...)
 		fed := NewFramedCodec(readerOnly{bytes.NewReader(stream)})
-		fed.EnableBinary()
 		var viaFeed [][]tuple.Tuple
 		m, err = fed.RecvBatches(func(ts []tuple.Tuple) { viaFeed = append(viaFeed, append([]tuple.Tuple(nil), ts...)) })
 		if err != nil || m.FlushReq == nil || m.FlushReq.Seq != 9 {
@@ -269,7 +267,6 @@ func truncate(t *testing.T, frame []byte) {
 	for cut := 0; cut < len(frame); cut++ {
 		for _, feed := range []func([]tuple.Tuple){nil, func([]tuple.Tuple) {}} {
 			c := NewFramedCodec(readerOnly{bytes.NewReader(framed(frame[:cut]))})
-			c.EnableBinary()
 			var m *Message
 			var err error
 			if feed == nil {
@@ -304,7 +301,6 @@ func TestHostileCountReservesLittle(t *testing.T) {
 		PatchBatchHeader(payload, 1)
 		payload = append(append(payload, 0), rows...)
 		c := NewFramedCodec(readerOnly{bytes.NewReader(framed(payload))})
-		c.EnableBinary()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		_, err := c.Recv()
@@ -355,15 +351,13 @@ func TestScalarWireAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestControlRoundSendsNoGob pins the gob-free round: on a binary codec
-// a plan, a resize, a split set and a state transfer each leave as their
+// TestControlRoundSendsNoGob pins the gob-free round: a plan, a resize, a split set and a state transfer each leave as their
 // own frame kind, never behind kindGob.
 func TestControlRoundSendsNoGob(t *testing.T) {
 	for _, kind := range []int{1, 2, 3, 6} {
 		for _, n := range []int{0, 1, 17} {
 			var wire bytes.Buffer
 			c := NewFramedCodec(&wire)
-			c.EnableBinary()
 			m := buildMessage(uint64(kind*53+n), kind, n)
 			if err := c.Send(m); err != nil {
 				t.Fatalf("send %s: %v", m.Kind(), err)

@@ -14,17 +14,18 @@ import (
 	"repro/internal/tuple"
 )
 
-// The binary wire format: a hand-rolled, zero-reflection codec for
-// every message a steady-state interval sends — the data plane
-// (TupleBatch, Flush), the interval drive (StartInterval, CloseStage,
-// HarvestReq, HarvestDone) and the whole control round (LoadReport,
-// PlanAnnounce, Resize, SplitAnnounce, StateTransfer, Ack, Resume). It
-// matters for the small ones too: a gob fallback frame is
-// self-contained — a fresh encoder re-sends type descriptors and a
-// fresh decoder recompiles its engines, several thousand allocations
-// per frame — and a plan with its transfers goes out most intervals.
-// What is sent once per session (handshake, placement, shutdown stats)
-// rides as a self-contained gob stream behind the same kind dispatch.
+// The wire format, spoken by every Codec from its first byte: a
+// hand-rolled, zero-reflection codec for every message a steady-state
+// interval sends — the data plane (TupleBatch, Flush), the interval
+// drive (StartInterval, CloseStage, HarvestReq, HarvestDone) and the
+// whole control round (LoadReport, PlanAnnounce, Resize, SplitAnnounce,
+// StateTransfer, Ack, Resume). It matters for the small ones too: a gob
+// frame is self-contained — a fresh encoder re-sends type descriptors
+// and a fresh decoder recompiles its engines, several thousand
+// allocations per frame — and a plan with its transfers goes out most
+// intervals. What is sent once per session (the Hello/Welcome handshake,
+// placement, shutdown stats) rides as a self-contained gob stream behind
+// the same kind dispatch, so the handshake needs no codec of its own.
 //
 // Every frame (inside the 4-byte length framing of framing.go) begins
 // with one kind byte:
@@ -74,9 +75,7 @@ import (
 // returns ErrBinaryFrame-wrapped errors — hostile input can make the
 // codec fail, never panic or over-allocate.
 
-// Frame kind bytes. kindGob must be zero: a binary-mode peer that
-// accidentally feeds a gob stream to the dispatcher fails cleanly on
-// the length framing, not silently.
+// Frame kind bytes.
 const (
 	kindGob byte = iota
 	kindBatch
@@ -125,7 +124,7 @@ var ErrBinaryFrame = errors.New("protocol: malformed binary frame")
 // Value type tags for tuple.Value. The tagged set covers every concrete
 // type the in-tree workloads and operators put in tuples; anything else
 // falls back to a per-value gob blob (tag valGob), which requires the
-// type to be gob-registered exactly as the all-gob wire does.
+// type to be gob-registered (state.RegisterValue).
 const (
 	valNil byte = iota
 	valInt64
@@ -858,13 +857,12 @@ func (c *Codec) decodeState(cur *cursor) *StateTransfer {
 	return s
 }
 
-// sendBinary dispatches one message under the binary wire: every kind an
-// interval sends takes the hand-rolled encoding through the retained
-// scratch buffer (amortized zero allocations per message); the
+// appendMessage appends one message's frame to b: every kind an interval
+// sends takes the hand-rolled encoding (into the codec's retained
+// scratch, so amortized zero allocations per message); the
 // once-per-session kinds become a self-contained gob stream behind
 // kindGob.
-func (c *Codec) sendBinary(m *Message) error {
-	b := c.bin[:0]
+func appendMessage(b []byte, m *Message) ([]byte, error) {
 	switch {
 	case m.Batch != nil:
 		b = AppendBatchHeader(b)
@@ -874,17 +872,17 @@ func (c *Codec) sendBinary(m *Message) error {
 			start := 0
 			for _, end := range m.Batch.Bounds {
 				if end < start || end > len(m.Batch.Tuples) {
-					return fmt.Errorf("protocol: batch bounds %v out of range", m.Batch.Bounds)
+					return nil, fmt.Errorf("protocol: batch bounds %v out of range", m.Batch.Bounds)
 				}
 				if b, err = AppendBatchChunk(b, m.Batch.Tuples[start:end]); err != nil {
-					return err
+					return nil, err
 				}
 				start = end
 				nsub++
 			}
 		} else {
 			if b, err = AppendBatchChunk(b, m.Batch.Tuples); err != nil {
-				return err
+				return nil, err
 			}
 			nsub = 1
 		}
@@ -918,15 +916,13 @@ func (c *Codec) sendBinary(m *Message) error {
 		// Rare frame: self-contained gob stream (fresh encoder, so the
 		// frame carries its own type descriptors and the decoder needs
 		// no cross-frame state).
-		c.buf.Reset()
-		c.buf.WriteByte(kindGob)
-		if err := gob.NewEncoder(&c.buf).Encode(m); err != nil {
-			return err
+		buf := bytes.NewBuffer(append(b, kindGob))
+		if err := gob.NewEncoder(buf).Encode(m); err != nil {
+			return nil, err
 		}
-		return c.writeFrame(c.buf.Bytes())
+		b = buf.Bytes()
 	}
-	c.bin = b
-	return c.writeFrame(b)
+	return b, nil
 }
 
 // appendSvarints encodes a frame that is its kind and a few scalars.
@@ -938,22 +934,19 @@ func appendSvarints(dst []byte, kind byte, vs ...int64) []byte {
 	return dst
 }
 
-// recvBinary reads one frame and dispatches on its kind byte; with a
+// recvFrame reads one frame and dispatches on its kind byte; with a
 // feed it hands a batch frame's chunks to it (decodeBatchFrame) and
 // returns the batch empty. Batch, Flush and StateTransfer messages reuse
 // codec-owned storage — tuples decode into a pooled retained slice,
 // mirroring the engine's recycled feed buffers — and are invalidated by
 // the next Recv on this codec; the rest are freshly allocated, except a
 // report's run (see decodeReport).
-func (c *Codec) recvBinary(feed func([]tuple.Tuple)) (*Message, error) {
+func (c *Codec) recvFrame(feed func([]tuple.Tuple)) (*Message, error) {
 	p, err := c.fr.frame()
 	if err != nil {
 		return nil, err
 	}
 	c.rcvd.Add(int64(len(p)))
-	if len(p) == 0 {
-		return nil, fmt.Errorf("%w: empty frame", ErrBinaryFrame)
-	}
 	cur := &cursor{p: p[1:]}
 	m := &c.hotMsg
 	switch kind := p[0]; kind {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"net"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,38 +13,46 @@ import (
 	"repro/internal/tuple"
 )
 
-// binaryPair returns a sender and receiver codec speaking the binary
-// wire over one in-memory stream.
+// binaryPair returns a sender and receiver codec over one in-memory
+// stream.
 func binaryPair(buf *bytes.Buffer) (*Codec, *Codec) {
-	send := NewFramedCodec(buf)
-	recv := NewFramedCodec(readerOnly{buf})
-	send.EnableBinary()
-	recv.EnableBinary()
-	return send, recv
+	return NewFramedCodec(buf), NewFramedCodec(readerOnly{buf})
 }
 
-// TestBinaryRoundTripAllKinds drives every message kind through the
-// binary wire — hand-rolled hot kinds and gob-fallback rare kinds alike
-// — and requires exact reproduction.
+// TestBinaryRoundTripAllKinds drives every message kind through a framed
+// codec pair over a synchronous pipe — hand-rolled hot kinds and
+// gob-frame rare kinds alike, the sender on its own goroutine as on a
+// socket — and requires exact reproduction.
 func TestBinaryRoundTripAllKinds(t *testing.T) {
-	var buf bytes.Buffer
-	send, recv := binaryPair(&buf)
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	send, recv := NewFramedCodec(a), NewFramedCodec(b)
+	var msgs []*Message
 	for kind := 0; kind < 19; kind++ {
 		for _, n := range []int{0, 1, 33} {
-			orig := buildMessage(uint64(kind*131+n), kind, n)
-			if err := send.Send(orig); err != nil {
-				t.Fatalf("send %s (n=%d): %v", orig.Kind(), n, err)
+			msgs = append(msgs, buildMessage(uint64(kind*131+n), kind, n))
+		}
+	}
+	go func() {
+		for _, m := range msgs {
+			if err := send.Send(m); err != nil {
+				t.Errorf("send %s: %v", m.Kind(), err)
+				a.Close() // fail the receiver instead of leaving it waiting
+				return
 			}
-			got, err := recv.Recv()
-			if err != nil {
-				t.Fatalf("recv %s (n=%d): %v", orig.Kind(), n, err)
-			}
-			if got.Kind() != orig.Kind() {
-				t.Fatalf("kind %s decoded as %s", orig.Kind(), got.Kind())
-			}
-			if !reflect.DeepEqual(normalize(orig), normalize(got)) {
-				t.Fatalf("%s (n=%d) altered:\n sent %#v\n got  %#v", orig.Kind(), n, orig, got)
-			}
+		}
+	}()
+	for i, orig := range msgs {
+		got, err := recv.Recv()
+		if err != nil {
+			t.Fatalf("recv %d (%s): %v", i, orig.Kind(), err)
+		}
+		if got.Kind() != orig.Kind() {
+			t.Fatalf("kind %s decoded as %s", orig.Kind(), got.Kind())
+		}
+		if !reflect.DeepEqual(normalize(orig), normalize(got)) {
+			t.Fatalf("%s (message %d) altered:\n sent %#v\n got  %#v", orig.Kind(), i, orig, got)
 		}
 	}
 }
@@ -146,44 +155,6 @@ func TestBinaryCoalescedBounds(t *testing.T) {
 	}
 }
 
-// TestBinaryModeSwitch pins the handshake pattern: a stream that starts
-// in gob (Hello/Welcome) and switches both sides to binary afterwards
-// keeps decoding cleanly — the framed gob decoder must not read ahead
-// past its own messages.
-func TestBinaryModeSwitch(t *testing.T) {
-	var buf bytes.Buffer
-	send := NewFramedCodec(&buf)
-	recv := NewFramedCodec(readerOnly{&buf})
-
-	// Handshake in gob, then data in binary — all queued on one stream
-	// before the receiver starts, the worst case for readahead.
-	if err := send.Send(&Message{Hello: &Hello{Proto: 1, Role: "data", Features: 1}}); err != nil {
-		t.Fatalf("send hello: %v", err)
-	}
-	send.EnableBinary()
-	batch := &Message{Batch: &TupleBatch{Tuples: []tuple.Tuple{tuple.New(7, int64(9))}}}
-	if err := send.Send(batch); err != nil {
-		t.Fatalf("send batch: %v", err)
-	}
-	if err := send.Send(&Message{FlushReq: &Flush{Seq: 3}}); err != nil {
-		t.Fatalf("send flush: %v", err)
-	}
-
-	m, err := recv.Recv()
-	if err != nil || m.Hello == nil {
-		t.Fatalf("recv hello = %v, %v", m, err)
-	}
-	recv.EnableBinary()
-	m, err = recv.Recv()
-	if err != nil || m.Batch == nil || m.Batch.Tuples[0].Key != 7 {
-		t.Fatalf("recv batch = %v, %v", m, err)
-	}
-	m, err = recv.Recv()
-	if err != nil || m.FlushReq == nil || m.FlushReq.Seq != 3 {
-		t.Fatalf("recv flush = %v, %v", m, err)
-	}
-}
-
 // TestBinaryHostileInputs feeds corrupt frames to the binary decoder
 // and requires clean errors — wrong kinds, hostile counts, truncated
 // rows, trailing garbage — never a panic or a giant allocation.
@@ -226,7 +197,6 @@ func TestBinaryHostileInputs(t *testing.T) {
 	for name, payload := range cases {
 		t.Run(name, func(t *testing.T) {
 			c := NewFramedCodec(readerOnly{bytes.NewReader(framed(payload))})
-			c.EnableBinary()
 			if m, err := c.Recv(); err == nil {
 				t.Fatalf("hostile frame decoded as %s", m.Kind())
 			} else if errors.Is(err, io.EOF) && len(payload) > 0 {
@@ -285,7 +255,6 @@ func TestHarvestedHostileBounds(t *testing.T) {
 		{harvestedBacklogPastFrame, "count 2097151 of 1-byte elements exceeds 3 remaining bytes"},
 	} {
 		c := NewFramedCodec(readerOnly{bytes.NewReader(framed(tc.payload))})
-		c.EnableBinary()
 		if _, err := c.Recv(); !errors.Is(err, ErrBinaryFrame) || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("% x: err = %v, want %q", tc.payload, err, tc.want)
 		}
@@ -295,7 +264,6 @@ func TestHarvestedHostileBounds(t *testing.T) {
 // TestBatchCountBound pins which check refuses the boundary count.
 func TestBatchCountBound(t *testing.T) {
 	c := NewFramedCodec(readerOnly{bytes.NewReader(framed(batchCountBoundary))})
-	c.EnableBinary()
 	if _, err := c.Recv(); !errors.Is(err, ErrBinaryFrame) || !strings.Contains(err.Error(), "tuple count 3 exceeds frame") {
 		t.Fatalf("count 3 over 5 bytes of rows: %v; want the count check to refuse it", err)
 	}
@@ -311,7 +279,6 @@ func TestBatchFrameChecks(t *testing.T) {
 		&batchCountBoundary: "tuple count 3 exceeds frame",
 	} {
 		c := NewFramedCodec(readerOnly{bytes.NewReader(framed(*frame))})
-		c.EnableBinary()
 		if _, err := c.Recv(); !errors.Is(err, ErrBinaryFrame) || !strings.Contains(err.Error(), want) {
 			t.Errorf("% x: %v; want ErrBinaryFrame %q", *frame, err, want)
 		}
@@ -367,21 +334,19 @@ type discardRW struct{}
 func (discardRW) Read(p []byte) (int, error)  { return 0, io.EOF }
 func (discardRW) Write(p []byte) (int, error) { return len(p), nil }
 
-// BenchmarkTupleBatchCodec measures the data-plane hot path per codec:
-// one 256-tuple TupleBatch encoded and decoded per iteration. The
-// binary wire must run amortized zero allocations per message in both
-// directions (pooled scratch, retained decode storage); gob is the
-// baseline it replaces.
+// BenchmarkTupleBatchCodec measures the data-plane hot path per chunk
+// shape: one 256-tuple TupleBatch encoded and decoded per iteration. The
+// scalar shapes must run amortized zero allocations per message in both
+// directions (pooled scratch, retained decode storage).
 func BenchmarkTupleBatchCodec(b *testing.B) {
 	const batchSize = 256
 
-	bench := func(b *testing.B, msg *Message, mk func(io.ReadWriter) *Codec) {
+	bench := func(b *testing.B, msg *Message) {
 		// Each sub-benchmark sends (and receives) once before the timer
 		// starts, so the retained buffers are grown and -benchtime 1x
-		// reports the steady state: 0 allocs/op on the scalar binary
-		// rows.
+		// reports the steady state: 0 allocs/op on the scalar rows.
 		b.Run("encode", func(b *testing.B) {
-			c := mk(discardRW{})
+			c := NewFramedCodec(discardRW{})
 			if err := c.Send(msg); err != nil {
 				b.Fatal(err)
 			}
@@ -397,8 +362,7 @@ func BenchmarkTupleBatchCodec(b *testing.B) {
 		})
 		b.Run("roundtrip", func(b *testing.B) {
 			var buf bytes.Buffer
-			send := mk(&buf)
-			recv := mk(readerOnly{&buf})
+			send, recv := binaryPair(&buf)
 			if err := send.Send(msg); err != nil {
 				b.Fatal(err)
 			}
@@ -423,15 +387,9 @@ func BenchmarkTupleBatchCodec(b *testing.B) {
 		})
 	}
 
-	mkBinary := func(rw io.ReadWriter) *Codec {
-		c := NewFramedCodec(rw)
-		c.EnableBinary()
-		return c
-	}
 	for _, shape := range []string{"engine", "app", "scalar", "composite"} {
 		msg := &Message{Batch: &TupleBatch{Tuples: benchBatch(batchSize, shape)}}
-		b.Run(shape+"/binary", func(b *testing.B) { bench(b, msg, mkBinary) })
-		b.Run(shape+"/gob", func(b *testing.B) { bench(b, msg, NewFramedCodec) })
+		b.Run(shape, func(b *testing.B) { bench(b, msg) })
 	}
 }
 
@@ -450,9 +408,11 @@ func mergedReport() *LoadReport {
 // hostileMergedReports are binary report frames a controller must
 // survive: an entry count the frame cannot hold (the decoder's to
 // refuse), then well-formed frames whose run names an instance the
-// stage does not have, a negative one, and entries out of canonical
-// order (CheckMerged's to refuse). The fuzz corpus under
-// testdata/fuzz/FuzzBinaryHostile carries the same four.
+// stage does not have, a negative one, entries out of canonical order,
+// and an instance count past MaxTasks with no entries, which a
+// controller would size its load vector by (CheckMerged's to refuse).
+// The fuzz corpus under testdata/fuzz/FuzzBinaryHostile carries the same
+// five.
 func hostileMergedReports() [][]byte {
 	frame := func(mutate func(*LoadReport)) []byte {
 		r := mergedReport()
@@ -464,56 +424,46 @@ func hostileMergedReports() [][]byte {
 		frame(func(r *LoadReport) { r.Keys[1].Dest = 3 }),
 		frame(func(r *LoadReport) { r.Keys[2].Dest = -1 }),
 		frame(func(r *LoadReport) { r.Keys[0], r.Keys[1] = r.Keys[1], r.Keys[0] }),
+		frame(func(r *LoadReport) { r.Keys, r.Tasks = nil, 1<<40 }),
 	}
 }
 
-// TestMergedReportWire pins the report on every encoding:
-// what arrives is what was sent, the binary decoder hands out its two
-// buffers alternately — a run stays intact across the next report and
-// is recycled by the one after — and the hostile frames that decode are
-// stopped by CheckMerged.
+// TestMergedReportWire pins the report on the wire: what arrives is what
+// was sent, the decoder hands out its two buffers alternately — a run
+// stays intact across the next report and is recycled by the one after —
+// and the hostile frames that decode are stopped by CheckMerged.
 func TestMergedReportWire(t *testing.T) {
-	for name, mk := range map[string]func(io.ReadWriter) *Codec{
-		"framed": NewFramedCodec,
-		"binary": func(rw io.ReadWriter) *Codec {
-			c := NewFramedCodec(rw)
-			c.EnableBinary()
-			return c
-		},
-	} {
-		var buf bytes.Buffer
-		c := mk(&buf)
-		var got [3]*LoadReport
-		for i := range got {
-			want := mergedReport()
-			want.Interval = int64(i)
-			want.Keys[0].Cost += int64(i)
-			if err := c.Send(&Message{Report: want}); err != nil {
-				t.Fatalf("%s: send: %v", name, err)
-			}
-			m, err := c.Recv()
-			if err != nil {
-				t.Fatalf("%s: recv: %v", name, err)
-			}
-			got[i] = m.Report
-			if !reflect.DeepEqual(got[i], want) {
-				t.Fatalf("%s: report %d arrived as %+v, sent %+v", name, i, got[i], want)
-			}
-			if err := got[i].CheckMerged(); err != nil {
-				t.Fatalf("%s: valid report refused: %v", name, err)
-			}
-			if i == 1 && got[0].Keys[0].Cost != 9 {
-				t.Fatalf("%s: report 0's run was overwritten by report 1", name)
-			}
+	var buf bytes.Buffer
+	send, recv := binaryPair(&buf)
+	var got [3]*LoadReport
+	for i := range got {
+		want := mergedReport()
+		want.Interval = int64(i)
+		want.Keys[0].Cost += int64(i)
+		if err := send.Send(&Message{Report: want}); err != nil {
+			t.Fatalf("send: %v", err)
 		}
-		if name == "binary" && &got[2].Keys[0] != &got[0].Keys[0] {
-			t.Fatalf("binary: report 2 did not recycle report 0's buffer")
+		m, err := recv.Recv()
+		if err != nil {
+			t.Fatalf("recv: %v", err)
 		}
+		got[i] = m.Report
+		if !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("report %d arrived as %+v, sent %+v", i, got[i], want)
+		}
+		if err := got[i].CheckMerged(); err != nil {
+			t.Fatalf("valid report refused: %v", err)
+		}
+		if i == 1 && got[0].Keys[0].Cost != 9 {
+			t.Fatalf("report 0's run was overwritten by report 1")
+		}
+	}
+	if &got[2].Keys[0] != &got[0].Keys[0] {
+		t.Fatalf("report 2 did not recycle report 0's buffer")
 	}
 
 	for i, frame := range hostileMergedReports() {
 		c := NewFramedCodec(readerOnly{bytes.NewReader(framed(frame))})
-		c.EnableBinary()
 		m, err := c.Recv()
 		if i == 0 {
 			if !errors.Is(err, ErrBinaryFrame) {
@@ -525,13 +475,18 @@ func TestMergedReportWire(t *testing.T) {
 			t.Fatalf("hostile report %d must decode (the check refuses it): %v", i, err)
 		}
 		if m.Report.CheckMerged() == nil {
-			t.Fatalf("hostile report %d passed the check: %+v", i, m.Report.Keys)
+			t.Fatalf("hostile report %d passed the check: %d instances, %+v", i, m.Report.Tasks, m.Report.Keys)
 		}
 	}
 	if err := (&LoadReport{Tasks: 2}).CheckMerged(); err != nil {
 		t.Fatalf("an empty round was refused: %v", err)
 	}
-	if (&LoadReport{Tasks: -1}).CheckMerged() == nil {
-		t.Fatal("a report of -1 instances passed the check")
+	if err := (&LoadReport{Tasks: MaxTasks}).CheckMerged(); err != nil {
+		t.Fatalf("a round of MaxTasks instances was refused: %v", err)
+	}
+	for _, n := range []int{-1, MaxTasks + 1} {
+		if (&LoadReport{Tasks: n}).CheckMerged() == nil {
+			t.Fatalf("a report of %d instances passed the check", n)
+		}
 	}
 }

@@ -2,16 +2,14 @@ package protocol
 
 import (
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
-	"sync/atomic"
 )
 
-// Length framing for the socket transport. The gob Codec already
-// stages every message into one retained buffer and issues exactly one
-// Write per Send; the framed layer prefixes that write with a 4-byte
+// Length framing for the socket transport. The Codec stages every
+// message into one retained buffer and issues exactly one Write per
+// Send; the framed layer prefixes that write with a 4-byte
 // big-endian length so a socket reader can distinguish a cleanly
 // closed stream from one cut mid-message. A zero-length frame is the
 // clean-shutdown marker: the peer announced it is done, and the reader
@@ -61,134 +59,57 @@ func (fw *frameWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// frameReader reassembles framed messages and serves their payload
-// bytes to the gob decoder. The payload buffer is retained across
-// frames, so steady-state reads allocate nothing.
+// frameReader reassembles framed messages. The payload buffer is
+// retained across frames, so steady-state reads allocate nothing.
 type frameReader struct {
 	r    io.Reader
 	buf  []byte
-	off  int
-	n    int
 	done bool
 	hdr  [frameHeaderLen]byte
 }
 
-func (fr *frameReader) Read(p []byte) (int, error) {
+// frame returns the next whole frame payload, never empty. The returned
+// slice aliases the retained buffer and is valid until the next frame.
+// A clean EOF at a frame boundary, or the shutdown marker, is a closed
+// stream and reports io.EOF from then on; an EOF inside the header or
+// the body is a truncation error wrapping io.ErrUnexpectedEOF.
+func (fr *frameReader) frame() ([]byte, error) {
 	if fr.done {
-		return 0, io.EOF
+		return nil, io.EOF
 	}
-	for fr.off == fr.n {
-		if err := fr.fill(); err != nil {
-			return 0, err
-		}
-		if fr.done {
-			return 0, io.EOF
-		}
-	}
-	n := copy(p, fr.buf[fr.off:fr.n])
-	fr.off += n
-	return n, nil
-}
-
-// fill reads the next frame into the retained buffer. A clean EOF at a
-// frame boundary is a closed stream; an EOF inside the header or the
-// body is a truncation error.
-func (fr *frameReader) fill() error {
 	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		if err == io.EOF {
 			// Stream closed between frames without the shutdown marker:
 			// still a clean end (the peer's process exited).
 			fr.done = true
-			return nil
+			return nil, io.EOF
 		}
-		return fmt.Errorf("protocol: truncated frame header: %w", io.ErrUnexpectedEOF)
+		return nil, fmt.Errorf("protocol: truncated frame header: %w", io.ErrUnexpectedEOF)
 	}
 	size := binary.BigEndian.Uint32(fr.hdr[:])
 	if size == 0 {
 		// Clean-shutdown marker.
 		fr.done = true
-		return nil
+		return nil, io.EOF
 	}
 	if size > maxFrame {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, size)
+		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, size)
 	}
 	if cap(fr.buf) < int(size) {
 		fr.buf = make([]byte, size)
 	}
 	fr.buf = fr.buf[:size]
 	if n, err := io.ReadFull(fr.r, fr.buf); err != nil {
-		return fmt.Errorf("protocol: truncated frame (%d of %d bytes): %w", n, size, io.ErrUnexpectedEOF)
+		return nil, fmt.Errorf("protocol: truncated frame (%d of %d bytes): %w", n, size, io.ErrUnexpectedEOF)
 	}
-	fr.off, fr.n = 0, int(size)
-	return nil
-}
-
-// frame returns the next whole frame payload. The returned slice
-// aliases the retained buffer and is valid until the next frame or
-// Read. io.EOF marks a clean shutdown; truncation surfaces as an
-// io.ErrUnexpectedEOF-wrapped error, exactly like Read.
-func (fr *frameReader) frame() ([]byte, error) {
-	if fr.done {
-		return nil, io.EOF
-	}
-	for fr.off == fr.n {
-		if err := fr.fill(); err != nil {
-			return nil, err
-		}
-		if fr.done {
-			return nil, io.EOF
-		}
-	}
-	p := fr.buf[fr.off:fr.n]
-	fr.off = fr.n
-	return p, nil
-}
-
-// framedSource feeds the gob decoder from a frameReader. It implements
-// io.ByteReader so gob reads it directly instead of wrapping it in a
-// bufio.Reader — bufio would read ahead past the current message's
-// frames, which breaks the gob→binary mode switch after the handshake
-// (the binary dispatcher needs the next frame untouched). Bytes served
-// are counted into the codec's receive counter.
-type framedSource struct {
-	fr *frameReader
-	n  *atomic.Int64
-}
-
-func (s *framedSource) Read(p []byte) (int, error) {
-	n, err := s.fr.Read(p)
-	s.n.Add(int64(n))
-	return n, err
-}
-
-func (s *framedSource) ReadByte() (byte, error) {
-	fr := s.fr
-	if fr.done {
-		return 0, io.EOF
-	}
-	for fr.off == fr.n {
-		if err := fr.fill(); err != nil {
-			return 0, err
-		}
-		if fr.done {
-			return 0, io.EOF
-		}
-	}
-	b := fr.buf[fr.off]
-	fr.off++
-	s.n.Add(1)
-	return b, nil
+	return fr.buf, nil
 }
 
 // NewFramedCodec wraps a byte stream in length framing and returns a
-// Codec speaking gob over it: frame boundaries mean truncation is always
-// detected and shutdown is clean.
+// Codec speaking the binary wire over it from the first byte: frame
+// boundaries mean truncation is always detected and shutdown is clean.
 func NewFramedCodec(rw io.ReadWriter) *Codec {
-	c := &Codec{w: &frameWriter{w: rw}}
-	c.fr = &frameReader{r: rw}
-	c.enc = gob.NewEncoder(&c.buf)
-	c.dec = gob.NewDecoder(&framedSource{fr: c.fr, n: &c.rcvd})
-	return c
+	return &Codec{w: &frameWriter{w: rw}, fr: &frameReader{r: rw}}
 }
 
 // WriteShutdownFrame writes the zero-length clean-shutdown marker,

@@ -3,7 +3,6 @@ package protocol
 import (
 	"bytes"
 	"encoding/gob"
-	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -173,7 +172,7 @@ func buildMessage(seed uint64, kind, n int) *Message {
 			Instances: r.intn(32) + 1, Window: r.intn(8),
 			Algorithm: map[int]string{0: "", 1: "Mixed", 2: "Shuffle"}[r.intn(3)],
 			Capacity:  int64(r.next() % 1e6), Budget: int64(r.next() % 1e6),
-			StateWire: r.intn(2) == 0, Control: r.intn(2) == 0,
+			Control:    r.intn(2) == 0,
 			Downstream: map[int]string{0: "", 1: "/tmp/d.sock"}[r.intn(2)],
 			DownStage:  r.intn(8),
 		}}
@@ -241,7 +240,7 @@ func buildMessage(seed uint64, kind, n int) *Message {
 }
 
 // FuzzCodecRoundTrip drives arbitrary messages of every kind through
-// the framed codec, gob and binary, and requires the decoded value to reproduce the
+// the framed codec and requires the decoded value to reproduce the
 // original exactly — the property the wire transport's equivalence
 // with the loopback rests on. Seeds cover every kind at empty,
 // single-entry and many-entry sizes (empty routing tables, multi-entry
@@ -257,47 +256,38 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			n = -n
 		}
 		n %= 1 << 12
-		for name, mk := range map[string]func(io.ReadWriter) *Codec{
-			"framed": NewFramedCodec,
-			"binary": func(rw io.ReadWriter) *Codec {
-				c := NewFramedCodec(rw)
-				c.EnableBinary()
-				return c
-			},
-		} {
-			orig := buildMessage(seed, kind, n)
+		orig := buildMessage(seed, kind, n)
 
-			var buf bytes.Buffer
-			c := mk(&buf)
-			if err := c.Send(orig); err != nil {
-				t.Fatalf("%s send %s: %v", name, orig.Kind(), err)
-			}
-			got, err := c.Recv()
-			if err != nil {
-				t.Fatalf("%s recv %s: %v", name, orig.Kind(), err)
-			}
-			if got.Kind() != orig.Kind() {
-				t.Fatalf("%s: kind %s decoded as %s", name, orig.Kind(), got.Kind())
-			}
-			// Gob does not distinguish nil from empty slices; normalize
-			// before the exact comparison.
-			if !reflect.DeepEqual(normalize(orig), normalize(got)) {
-				t.Fatalf("%s round trip altered the message:\n sent %#v\n got  %#v", name, orig, got)
-			}
+		var buf bytes.Buffer
+		c := NewFramedCodec(&buf)
+		if err := c.Send(orig); err != nil {
+			t.Fatalf("send %s: %v", orig.Kind(), err)
+		}
+		got, err := c.Recv()
+		if err != nil {
+			t.Fatalf("recv %s: %v", orig.Kind(), err)
+		}
+		if got.Kind() != orig.Kind() {
+			t.Fatalf("kind %s decoded as %s", orig.Kind(), got.Kind())
+		}
+		// Neither a gob frame nor the binary decoder distinguishes nil
+		// from empty slices; normalize before the exact comparison.
+		if !reflect.DeepEqual(normalize(orig), normalize(got)) {
+			t.Fatalf("round trip altered the message:\n sent %#v\n got  %#v", orig, got)
+		}
 
-			// A second message on the same stream must also survive (gob
-			// streams carry type state across values).
-			orig2 := buildMessage(seed^0xabcdef, kind+1, n/2+1)
-			if err := c.Send(orig2); err != nil {
-				t.Fatalf("%s second send: %v", name, err)
-			}
-			got2, err := c.Recv()
-			if err != nil {
-				t.Fatalf("%s second recv: %v", name, err)
-			}
-			if !reflect.DeepEqual(normalize(orig2), normalize(got2)) {
-				t.Fatalf("%s second round trip altered the message:\n sent %#v\n got  %#v", name, orig2, got2)
-			}
+		// A second message on the same stream must also survive (it
+		// reuses the buffers the first one grew).
+		orig2 := buildMessage(seed^0xabcdef, kind+1, n/2+1)
+		if err := c.Send(orig2); err != nil {
+			t.Fatalf("second send: %v", err)
+		}
+		got2, err := c.Recv()
+		if err != nil {
+			t.Fatalf("second recv: %v", err)
+		}
+		if !reflect.DeepEqual(normalize(orig2), normalize(got2)) {
+			t.Fatalf("second round trip altered the message:\n sent %#v\n got  %#v", orig2, got2)
 		}
 	})
 }
@@ -305,9 +295,9 @@ func FuzzCodecRoundTrip(f *testing.F) {
 // FuzzFramedTruncation cuts a framed stream at an arbitrary byte
 // offset and replays the prefix: the reader must deliver only intact
 // messages (bit-identical to the originals) followed by either a clean
-// EOF (cut on a frame boundary) or a truncation error — never a
-// corrupt or phantom message. This is the short-read safety property
-// of the socket transport.
+// EOF (cut on a frame boundary) or an error — never a corrupt or
+// phantom message. This is the short-read safety property of the socket
+// transport.
 func FuzzFramedTruncation(f *testing.F) {
 	for kind := 0; kind < 19; kind++ {
 		f.Add(uint64(kind*7+1), kind, 5, kind*13)
@@ -317,54 +307,43 @@ func FuzzFramedTruncation(f *testing.F) {
 			n = -n
 		}
 		n %= 1 << 10
-		for _, mode := range []string{"gob", "binary"} {
-			var wire bytes.Buffer
-			sender := NewFramedCodec(&wire)
-			if mode == "binary" {
-				sender.EnableBinary()
+		var wire bytes.Buffer
+		sender := NewFramedCodec(&wire)
+		msgs := make([]*Message, 3)
+		for i := range msgs {
+			msgs[i] = buildMessage(seed+uint64(i), kind+i, n)
+			if err := sender.Send(msgs[i]); err != nil {
+				t.Fatalf("send %d: %v", i, err)
 			}
-			msgs := make([]*Message, 3)
-			for i := range msgs {
-				msgs[i] = buildMessage(seed+uint64(i), kind+i, n)
-				if err := sender.Send(msgs[i]); err != nil {
-					t.Fatalf("%s send %d: %v", mode, i, err)
-				}
-			}
-			full := wire.Bytes()
-			c := cut
-			if c < 0 {
-				c = -c
-			}
-			c %= len(full) + 1
+		}
+		full := wire.Bytes()
+		c := cut
+		if c < 0 {
+			c = -c
+		}
+		c %= len(full) + 1
 
-			rc := NewFramedCodec(readerOnly{bytes.NewReader(full[:c])})
-			if mode == "binary" {
-				rc.EnableBinary()
+		rc := NewFramedCodec(readerOnly{bytes.NewReader(full[:c])})
+		decoded := 0
+		for {
+			// Any error ends the replay — a truncation, or a decode error
+			// on what a cut left of a frame; what must never happen is a
+			// silent wrong message.
+			got, err := rc.Recv()
+			if err != nil {
+				break
 			}
-			decoded := 0
-			for {
-				got, err := rc.Recv()
-				if err != nil {
-					if err != io.EOF && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, ErrFrameTooLarge) {
-						// gob- or binary-level errors on a truncated tail are
-						// fine too; what must never happen is a silent wrong
-						// message.
-						_ = err
-					}
-					break
-				}
-				if decoded >= len(msgs) {
-					t.Fatalf("%s: decoded %d messages from a %d-message stream", mode, decoded+1, len(msgs))
-				}
-				if !reflect.DeepEqual(normalize(msgs[decoded]), normalize(got)) {
-					t.Fatalf("%s: prefix cut at %d delivered a corrupt message %d:\n sent %#v\n got  %#v",
-						mode, c, decoded, msgs[decoded], got)
-				}
-				decoded++
+			if decoded >= len(msgs) {
+				t.Fatalf("decoded %d messages from a %d-message stream", decoded+1, len(msgs))
 			}
-			if c == len(full) && decoded != len(msgs) {
-				t.Fatalf("%s: full stream decoded only %d of %d messages", mode, decoded, len(msgs))
+			if !reflect.DeepEqual(normalize(msgs[decoded]), normalize(got)) {
+				t.Fatalf("prefix cut at %d delivered a corrupt message %d:\n sent %#v\n got  %#v",
+					c, decoded, msgs[decoded], got)
 			}
+			decoded++
+		}
+		if c == len(full) && decoded != len(msgs) {
+			t.Fatalf("full stream decoded only %d of %d messages", decoded, len(msgs))
 		}
 	})
 }
@@ -378,7 +357,6 @@ func FuzzBinaryHostile(f *testing.F) {
 	for _, kind := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 15, 16} {
 		var wire bytes.Buffer
 		c := NewFramedCodec(&wire)
-		c.EnableBinary()
 		if err := c.Send(buildMessage(uint64(kind)*977, kind, 9)); err != nil {
 			f.Fatalf("seed kind %d: %v", kind, err)
 		}
@@ -407,7 +385,6 @@ func FuzzBinaryHostile(f *testing.F) {
 			return
 		}
 		c := NewFramedCodec(readerOnly{bytes.NewReader(framed(payload))})
-		c.EnableBinary()
 		for {
 			m, err := c.Recv()
 			if err != nil {
@@ -416,21 +393,19 @@ func FuzzBinaryHostile(f *testing.F) {
 			if m.Kind() == "empty" {
 				t.Fatalf("hostile payload decoded to an empty message")
 			}
-			if m.Report != nil && m.Report.CheckMerged() == nil && m.Report.Tasks < 1<<20 {
-				// What the check passes a controller indexes by (an
-				// instance count is not bounded above by the frame, so
-				// the harness stops short of sizing a vector by 2^60).
-				loads := make([]int64, m.Report.Tasks)
-				for _, ks := range m.Report.Keys {
-					loads[ks.Dest] += ks.Cost
-				}
+			if m.Report != nil && m.Report.CheckMerged() == nil {
+				// What the check passes a controller sizes its load
+				// vector by and indexes, every round.
+				snap := stats.Snapshot{ND: m.Report.Tasks, Keys: m.Report.Keys}
+				snap.Loads()
 			}
 		}
 	})
 }
 
-// TestHostileBatchSeedsCommitted keeps the batch and harvest seeds of
-// the fuzz corpus equal to the frames binary_test.go names, and the cut
+// TestHostileBatchSeedsCommitted keeps the batch, harvest and
+// instance-count seeds of the fuzz corpus equal to the frames
+// binary_test.go names, and the cut
 // row equal to what the encoder writes for its two tuples, one byte
 // short — so a layout change that breaks one fails here instead of
 // leaving a seed that no longer reaches the check it was written for.
@@ -455,6 +430,7 @@ func TestHostileBatchSeedsCommitted(t *testing.T) {
 		"seed-cut-after-flags":              batchCutAtFlags,
 		"seed-harvested-cut-row":            harvestedCutRow,
 		"seed-harvested-backlog-past-frame": harvestedBacklogPastFrame,
+		"seed-report-huge-tasks":            hostileMergedReports()[4],
 	} {
 		b, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzBinaryHostile", name))
 		if err != nil {

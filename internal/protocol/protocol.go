@@ -1,13 +1,11 @@
 // Package protocol defines the wire messages of the elastic control
 // workflow — the rebalance sequence of Fig. 5 plus the resize commands
 // of the unified control plane — and a codec for exchanging them over
-// any net.Conn-like transport. The codec's default encoding is gob;
-// framed codecs can additionally switch to a hand-rolled binary wire
-// (binary.go: kind-dispatched frames, zero-reflection encoding for
-// everything an interval sends — tuple batches as one row per tuple
-// carrying only the fields that vary inside its chunk — gob fallback
-// for the once-per-session kinds) after both peers agree in a
-// handshake. The
+// any net.Conn-like transport: a hand-rolled binary wire (binary.go:
+// kind-dispatched frames, zero-reflection encoding for everything an
+// interval sends — tuple batches as one row per tuple carrying only the
+// fields that vary inside its chunk — and a self-contained gob frame for
+// the once-per-session kinds). The
 // in-process engine speaks this protocol through internal/control's
 // loopback transport; the same bytes flow over a real network boundary
 // (the Codec-over-pipe transport is pinned equivalent), so a
@@ -32,8 +30,6 @@
 package protocol
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"sync/atomic"
@@ -76,14 +72,21 @@ type LoadReport struct {
 	Split []tuple.Key
 }
 
+// MaxTasks bounds a report's instance count. A controller sizes its load
+// vector by Tasks every round (stats.Snapshot.Loads), and a report with
+// no keys says nothing else about it, so without a bound one report could
+// make the controller allocate by any number a peer sent. The stages in
+// the tree run tens of instances.
+const MaxTasks = 1 << 16
+
 // CheckMerged validates a report as outside input: the instance count is
-// not negative, every entry's destination names one of the stage's Tasks
-// instances and the entries are in canonical snapshot order. A controller
-// that skipped this would index its load vector with whatever a peer
-// sent.
+// in [0, MaxTasks], every entry's destination names one of the stage's
+// Tasks instances and the entries are in canonical snapshot order. A
+// controller that skipped this would index its load vector with whatever
+// a peer sent.
 func (r *LoadReport) CheckMerged() error {
-	if r.Tasks < 0 {
-		return fmt.Errorf("protocol: report names %d instances", r.Tasks)
+	if r.Tasks < 0 || r.Tasks > MaxTasks {
+		return fmt.Errorf("protocol: report names %d instances (at most %d)", r.Tasks, MaxTasks)
 	}
 	for i := range r.Keys {
 		if d := r.Keys[i].Dest; d < 0 || d >= r.Tasks {
@@ -179,22 +182,14 @@ type Hello struct {
 	Worker   string
 	Stage    int
 	DataAddr string
-	// Features advertises the dialer's optional wire capabilities as a
-	// bit set (see internal/cluster's FeatureBinary). The accepting side
-	// answers with the intersection it agreed to; both sides switch any
-	// negotiated codec on only after the Welcome, so the handshake
-	// itself always speaks plain gob and old peers interoperate.
-	Features uint32
 }
 
 // Welcome answers a Hello: the accepting side confirms the protocol
-// version, assigns the connection an id (for workers, their
-// registration index), and echoes the subset of the dialer's offered
-// feature bits it accepts.
+// version and assigns the connection an id (for workers, their
+// registration index).
 type Welcome struct {
-	Proto    int
-	ID       int
-	Features uint32
+	Proto int
+	ID    int
 }
 
 // StageAssign places one pipeline stage on a worker: everything the
@@ -212,17 +207,12 @@ type StageAssign struct {
 	Algorithm string
 	Capacity  int64
 	Budget    int64
-	StateWire bool
 	// Control tells the worker to dial a per-stage control connection
 	// back to the coordinator (set when the stage has coordinator-side
 	// policies; planner-less stages skip the control plane entirely).
 	Control    bool
 	Downstream string
 	DownStage  int
-	// Coalesce is the downstream edge's frame-coalescing byte budget:
-	// 0 picks the cluster default, negative disables coalescing (one
-	// wire frame per FeedBatch chunk).
-	Coalesce int
 }
 
 // StartInterval opens interval Interval on every stage a worker hosts.
@@ -314,9 +304,8 @@ type Shutdown struct {
 }
 
 // ConnStat is one connection's byte and message counters, by name. A
-// message is one codec unit on the wire — one gob value or one binary
-// frame — so with frame coalescing SentMsgs counts coalesced frames,
-// not the FeedBatch chunks packed inside them.
+// message is one frame on the wire, so with frame coalescing SentMsgs
+// counts coalesced frames, not the FeedBatch chunks packed inside them.
 type ConnStat struct {
 	Name     string
 	Sent     int64
@@ -403,97 +392,77 @@ func (m *Message) Kind() string {
 }
 
 // Codec frames Messages over a byte stream (NewFramedCodec is the
-// constructor). The default encoding is gob inside length framing: each
-// message is staged in one retained encode buffer and written with a
-// single Write — gob would otherwise issue several small writes per
-// message (type descriptors, then the value), each a syscall on a real
-// socket — and the buffer is reused across messages, so steady-state
-// sends allocate nothing. The staging also makes exact per-direction
-// byte counters (SentBytes/RecvBytes) free.
-//
-// EnableBinary switches the codec to the hand-rolled binary wire
-// (binary.go) after both sides agreed in the cluster handshake: the
-// data plane, the interval drive and the control round take the
-// zero-reflection field-by-field encoding, everything else rides as a
-// self-contained gob frame behind a kind byte. The switch is safe
-// mid-stream because the framed gob decoder reads from a source that
-// implements io.ByteReader — gob never wraps it in bufio, so it consumes
-// exactly its own message bytes and the next frame is intact for the
-// binary dispatcher.
+// constructor) in the binary wire of binary.go: the data plane, the
+// interval drive and the control round take the zero-reflection
+// field-by-field encoding, and everything else rides as a self-contained
+// gob frame behind a kind byte. Each message is encoded into one
+// retained buffer and written with a single Write — one syscall on a
+// real socket — and the buffers are reused across messages, so
+// steady-state sends allocate nothing. The staging also makes exact
+// per-direction byte counters (SentBytes/RecvBytes) free.
 //
 // Send and Recv are each single-caller (the control loop's contract);
 // the counters may be read from any goroutine.
 type Codec struct {
-	enc  *gob.Encoder
-	dec  *gob.Decoder
 	w    io.Writer
-	buf  bytes.Buffer
+	fr   *frameReader
 	sent atomic.Int64
 	rcvd atomic.Int64
-	// Message counters: one increment per wire unit (gob value or
-	// binary frame), so coalesced frames count once however many chunks
-	// they carry.
+	// Message counters: one increment per frame, so coalesced frames
+	// count once however many chunks they carry.
 	sentMsgs atomic.Int64
 	rcvdMsgs atomic.Int64
 
-	// Binary-wire state. bin is the retained
-	// encode scratch; tup/bounds are the retained decode storage that
-	// successive hot-path batches reuse (the receive-side mirror of the
-	// engine's pooled feed buffers); strs interns stream labels.
-	fr     *frameReader
-	binary bool
+	// bin is the retained encode scratch; tup/bounds are the retained
+	// decode storage that successive hot-path batches reuse (the
+	// receive-side mirror of the engine's pooled feed buffers); strs
+	// interns stream labels.
 	bin    []byte
 	tup    []tuple.Tuple
 	bounds []int
 	strs   map[string]string
 
-	// Retained hot-path message envelopes: Recv in binary mode returns
-	// pointers into these for TupleBatch/Flush/StateTransfer, valid
-	// until the next Recv — exactly the aliasing contract BatchConn and
-	// the worker's data loop already live by. The other control messages
-	// are freshly allocated, except a report's run (merged, below).
+	// Retained hot-path message envelopes: Recv returns pointers into
+	// these for TupleBatch/Flush/StateTransfer, valid until the next
+	// Recv — exactly the aliasing contract BatchConn and the worker's
+	// data loop already live by. The other control messages are freshly
+	// allocated, except a report's run (merged, below).
 	hotMsg   Message
 	hotBatch TupleBatch
 	hotFlush Flush
 	hotState StateTransfer
 
-	// merged are the two buffers binary-mode reports decode their run
-	// into alternately (see decodeReport).
+	// merged are the two buffers reports decode their run into
+	// alternately (see decodeReport).
 	merged  [2][]stats.KeyStat
 	mergedN int
 }
 
-// Send encodes one message.
+// Send encodes one message and writes it as one frame.
 func (c *Codec) Send(m *Message) error {
 	if m.Kind() == "empty" {
 		return fmt.Errorf("protocol: refusing to send empty message")
 	}
-	if c.binary {
-		return c.sendBinary(m)
-	}
-	c.buf.Reset()
-	if err := c.enc.Encode(m); err != nil {
+	b, err := appendMessage(c.bin[:0], m)
+	if err != nil {
 		return err
 	}
-	n, err := c.w.Write(c.buf.Bytes())
-	c.sent.Add(int64(n))
-	c.sentMsgs.Add(1)
-	return err
+	c.bin = b
+	return c.SendFrame(b)
 }
 
-// Recv decodes the next message. In binary mode, Batch, FlushReq and
-// State results alias codec-owned storage and are valid until the next
-// Recv, and a report's Keys until the second following report;
-// everything else is freshly allocated.
+// Recv decodes the next message. Batch, FlushReq and State results alias
+// codec-owned storage and are valid until the next Recv, and a report's
+// Keys until the second following report; everything else is freshly
+// allocated.
 func (c *Codec) Recv() (*Message, error) { return c.recv(nil) }
 
 // RecvBatches is Recv for the receiving end of a data connection: every
 // TupleBatch goes to feed chunk by chunk, in send order, and the first
-// message that is not one is returned. On the binary wire a chunk is fed
-// as soon as it is decoded, out of a buffer the next chunk overwrites
-// (feed must not keep the slice), so a frame that turns out malformed
-// at a later chunk has already fed its earlier ones when the error
-// comes back.
+// message that is not one is returned. A chunk is fed as soon as it is
+// decoded, out of a buffer the next chunk overwrites (feed must not keep
+// the slice), so a frame that turns out malformed at a later chunk has
+// already fed its earlier ones when the error comes back.
 func (c *Codec) RecvBatches(feed func([]tuple.Tuple)) (*Message, error) {
 	for {
 		m, err := c.recv(feed)
@@ -506,45 +475,23 @@ func (c *Codec) RecvBatches(feed func([]tuple.Tuple)) (*Message, error) {
 // recv decodes the next message; with a feed, a batch comes back
 // already fed.
 func (c *Codec) recv(feed func([]tuple.Tuple)) (*Message, error) {
-	if c.binary {
-		m, err := c.recvBinary(feed)
-		if err == nil {
-			c.rcvdMsgs.Add(1)
-		}
-		return m, err
+	m, err := c.recvFrame(feed)
+	if err == nil {
+		c.rcvdMsgs.Add(1)
 	}
-	var m Message
-	if err := c.dec.Decode(&m); err != nil {
-		return nil, err
-	}
-	c.rcvdMsgs.Add(1)
-	if feed != nil && m.Batch != nil {
-		m.Batch.Chunks(feed)
-	}
-	return &m, nil
+	return m, err
 }
 
-// EnableBinary switches the codec to the binary wire. Call it on both
-// sides at the same stream position (after the Hello/Welcome exchange
-// agreed on FeatureBinary); every message from then on is a
-// kind-dispatched binary frame.
-func (c *Codec) EnableBinary() { c.binary = true }
+// EnableBinary does nothing.
+//
+// Deprecated: every Codec speaks the binary wire from its first byte.
+func (c *Codec) EnableBinary() {}
 
-// Binary reports whether the codec is speaking the binary wire.
-func (c *Codec) Binary() bool { return c.binary }
-
-// SendFrame writes one pre-encoded binary frame (kind byte included),
-// built with AppendBatchHeader/AppendBatchChunk/PatchBatchHeader. It is
-// the coalescing sender's path: the frame body is encoded outside any
-// lock and only this write needs serializing.
+// SendFrame writes one pre-encoded frame (kind byte included), such as a
+// batch built with AppendBatchHeader/AppendBatchChunk/PatchBatchHeader.
+// It is the coalescing sender's path: the frame body is encoded outside
+// any lock and only this write needs serializing.
 func (c *Codec) SendFrame(p []byte) error {
-	if !c.binary {
-		return fmt.Errorf("protocol: SendFrame on a non-binary codec")
-	}
-	return c.writeFrame(p)
-}
-
-func (c *Codec) writeFrame(p []byte) error {
 	n, err := c.w.Write(p)
 	c.sent.Add(int64(n))
 	c.sentMsgs.Add(1)
@@ -557,11 +504,11 @@ func (c *Codec) SentBytes() int64 { return c.sent.Load() }
 // RecvBytes returns the total bytes read from the stream so far.
 func (c *Codec) RecvBytes() int64 { return c.rcvd.Load() }
 
-// SentMsgs returns the number of wire units written so far — gob
-// values or binary frames, each coalesced frame counting once.
+// SentMsgs returns the number of frames written so far, each coalesced
+// frame counting once.
 func (c *Codec) SentMsgs() int64 { return c.sentMsgs.Load() }
 
-// RecvMsgs returns the number of wire units read so far.
+// RecvMsgs returns the number of frames decoded so far.
 func (c *Codec) RecvMsgs() int64 { return c.rcvdMsgs.Load() }
 
 // AnnounceFromPlan marshals a planner result into its wire form: the

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -10,56 +11,6 @@ import (
 	"repro/internal/tuple"
 )
 
-func TestCodecRoundTripAllKinds(t *testing.T) {
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	ca, cb := NewFramedCodec(a), NewFramedCodec(b)
-
-	msgs := []*Message{
-		{Report: &LoadReport{Interval: 7, Tasks: 3, Keys: []stats.KeyStat{{Key: 1, Cost: 5, Freq: 3, Mem: 9, Dest: 2}}}},
-		{Plan: &PlanAnnounce{Interval: 7, Table: []RouteEntry{{Key: 1, Dest: 3}}, Moved: []RouteEntry{{Key: 1, Dest: 3}}}},
-		{State: &StateTransfer{Key: 1, From: 0, To: 3, Size: 9, Payload: []byte("window")}},
-		{Ack: &Ack{TaskID: 3, Interval: 7}},
-		{Resume: &Resume{Interval: 7}},
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for _, m := range msgs {
-			if err := ca.Send(m); err != nil {
-				t.Errorf("send %s: %v", m.Kind(), err)
-				return
-			}
-		}
-	}()
-	wantKinds := []string{"report", "plan", "state", "ack", "resume"}
-	for i, want := range wantKinds {
-		got, err := cb.Recv()
-		if err != nil {
-			t.Fatalf("recv %d: %v", i, err)
-		}
-		if got.Kind() != want {
-			t.Fatalf("message %d kind = %s, want %s", i, got.Kind(), want)
-		}
-	}
-	wg.Wait()
-
-	// Payload fidelity spot checks on a fresh pipe.
-	a2, b2 := net.Pipe()
-	defer a2.Close()
-	defer b2.Close()
-	go NewFramedCodec(a2).Send(msgs[2])
-	got, err := NewFramedCodec(b2).Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got.State.Payload) != "window" || got.State.Size != 9 {
-		t.Fatalf("state transfer corrupted: %+v", got.State)
-	}
-}
-
 func TestSendRejectsEmpty(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
@@ -67,6 +18,65 @@ func TestSendRejectsEmpty(t *testing.T) {
 	if err := NewFramedCodec(a).Send(&Message{}); err == nil {
 		t.Fatal("empty message accepted")
 	}
+}
+
+// TestCodecRoundTripAllKinds runs a connection's life on two fresh codecs
+// over a pipe: the handshake in both directions from the first byte, with
+// no mode to switch afterwards, then the control-plane round on the same
+// stream. Every message must arrive whole and in order.
+func TestCodecRoundTripAllKinds(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	ca, cb := NewFramedCodec(a), NewFramedCodec(b)
+
+	recvWant := func(c *Codec, want *Message) {
+		t.Helper()
+		got, err := c.Recv()
+		if err != nil {
+			t.Fatalf("recv %s: %v", want.Kind(), err)
+		}
+		if !reflect.DeepEqual(normalize(got), normalize(want)) {
+			t.Fatalf("%s altered:\n sent %#v\n got  %#v", want.Kind(), want, got)
+		}
+	}
+	sendAsync := func(c *Codec, conn net.Conn, msgs ...*Message) *sync.WaitGroup {
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, m := range msgs {
+				if err := c.Send(m); err != nil {
+					t.Errorf("send %s: %v", m.Kind(), err)
+					conn.Close() // fail the receiver instead of leaving it waiting
+					return
+				}
+			}
+		}()
+		return &wg
+	}
+
+	hello := &Message{Hello: &Hello{Proto: 6, Role: "control", Worker: "w0", Stage: 1, DataAddr: "127.0.0.1:9"}}
+	welcome := &Message{Welcome: &Welcome{Proto: 6, ID: 2}}
+	wg := sendAsync(ca, a, hello)
+	recvWant(cb, hello)
+	wg.Wait()
+	wg = sendAsync(cb, b, welcome)
+	recvWant(ca, welcome)
+	wg.Wait()
+
+	round := []*Message{
+		{Report: &LoadReport{Interval: 7, Tasks: 3, Keys: []stats.KeyStat{{Key: 1, Cost: 5, Freq: 3, Mem: 9, Dest: 2}}}},
+		{Plan: &PlanAnnounce{Interval: 7, Table: []RouteEntry{{Key: 1, Dest: 3}}, Moved: []RouteEntry{{Key: 1, Dest: 3}}}},
+		{State: &StateTransfer{Key: 1, From: 0, To: 3, Size: 9, Payload: []byte("window")}},
+		{Ack: &Ack{TaskID: 3, Interval: 7}},
+		{Resume: &Resume{Interval: 7}},
+	}
+	wg = sendAsync(ca, a, round...)
+	for _, want := range round {
+		recvWant(cb, want)
+	}
+	wg.Wait()
 }
 
 // TestFullProtocolExchange drives the complete Fig. 5 sequence between
@@ -152,7 +162,8 @@ func TestFullProtocolExchange(t *testing.T) {
 					errs <- err
 					return
 				}
-				ts.owned[sm.State.Key] = sm.State.Payload
+				// A received payload aliases the codec's frame buffer.
+				ts.owned[sm.State.Key] = append([]byte(nil), sm.State.Payload...)
 			}
 		}
 		// Step 6: ack.
