@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: verify build test vet loc bench bench-check bench-e2e bench-control bench-wire exhibits smoke-examples smoke-cluster
+.PHONY: verify build test vet loc bench bench-check bench-e2e bench-control bench-wire bench-engine exhibits smoke-examples smoke-cluster
 
 ## verify: the tier-1 gate — vet, build, test everything — plus a vet of
 ## the nested bench/ module, which tier-1 never compiles: an internal/
@@ -67,7 +67,8 @@ bench-control:
 ## app, scalar, composite; every row but composite must report
 ## 0 allocs/op in both directions); DestTuples is the
 ## feeder's routing kernel on warm 1 024-tuple Zipf chunks with an empty
-## routing table, a 32-entry one, and a split set (ns/tuple);
+## routing table, a 32-entry one, a split set beside it, and the hotkey
+## shape (one key at 40 % split beside 80 entries) (ns/tuple);
 ## ClusterWire is whole intervals of a 2-stage topology on two workers
 ## over a unix socket. BENCHTIME=1x (CI) only checks that they still
 ## build, run and allocate nothing.
@@ -76,6 +77,15 @@ bench-wire:
 	$(GO) test -run '^$$' -bench 'TupleBatchCodec' -benchmem -benchtime $(BENCHTIME) ./internal/protocol/
 	$(GO) test -run '^$$' -bench 'DestTuples' -benchmem -benchtime $(BENCHTIME) ./internal/route/
 	$(GO) test -run '^$$' -bench 'ClusterWire' -benchmem -benchtime $(BENCHTIME) ./internal/cluster/
+
+## bench-engine: the hot-key interval's micro-benchmarks, each beside
+## its baseline. FeedBatchSplit is FeedBatch at the hotkey workload's
+## shape (8 tasks, an 80-entry table, one key at 40 % split 4 ways);
+## MigratePlan applies a 12-key plan over 8 idle tasks, MigrateKey a
+## one-key plan over 2. BENCHTIME=1x (CI) only checks that they still
+## build and run.
+bench-engine:
+	$(GO) test -run '^$$' -bench 'FeedBatch|Migrate' -benchmem -benchtime $(BENCHTIME) ./internal/engine/
 
 ## exhibits: regenerate every paper exhibit.
 exhibits:

@@ -68,13 +68,13 @@
 // identical to a serial run, and so is every exhibit metric on
 // key-partitioned stages (order-dependent routers like PKG and
 // shuffle instead observe the feeders' interleaving).
-// Statistics harvest (Stage.EndInterval) runs on all task goroutines
-// concurrently, each producing a sorted run that the driver combines
-// with a k-way merge (stats.MergeRuns) into the planner snapshot, in one
-// of two buffers the stage alternates between: a snapshot's keys are
-// valid until the close after next. The control round hands that run on
-// as its report, unsplit and uncopied, and the planners read it in
-// place (README, "Control round").
+// Statistics harvest runs on all task goroutines concurrently, queued
+// behind each task's close, each producing a sorted run that the driver
+// combines with a k-way merge (stats.MergeRuns) into the planner
+// snapshot, in one of two buffers the stage alternates between: a
+// snapshot's keys are valid until the close after next. The control
+// round hands that run on as its report, unsplit and uncopied, and the
+// planners read it in place (README, "Control round").
 //
 // # Streaming interval pipeline
 //
@@ -105,7 +105,8 @@
 //   - route.Assignment.DestBatch/DestTuples resolve destinations in
 //     one pass, each key probing the frozen routing table and going to
 //     the ring only on a miss, with the empty-table test and interface
-//     dispatch hoisted out of the per-tuple loop;
+//     dispatch hoisted out of the per-tuple loop; with hot keys split,
+//     the same probe marks a split key's tuples for fan-out;
 //   - hashring.Ring precomputes a dense power-of-two lookup table at
 //     construction, making the consistent-hash lookup an O(1) masked
 //     array index plus, in the buckets that hold ring points, a scan
@@ -129,12 +130,13 @@
 // (engine.Stage.ApplyPlan) arms a bounded handoff queue at each moving
 // key's destination, publishes the new generation, waits until every
 // feeder pinned under the old one has finished its sends, then extracts
-// windowed state and tracker history at the source and injects and
-// replays at the destination — per key, no stage-wide drain. Every
-// publication waits out the generation it replaces, whether or not it
-// has anything to extract: the two-slot epoch counter is only sound
-// while at most two generations have feeders in flight. A stage
-// migrates live iff it routes by assignment; there is no option.
+// windowed state and tracker history at the sources and injects and
+// replays at the destinations — one barrier per task and phase, all
+// tasks concurrently, no stage-wide drain. Every publication waits out
+// the generation it replaces, whether or not it has anything to
+// extract: the two-slot epoch counter is only sound while at most two
+// generations have feeders in flight. A stage migrates live iff it
+// routes by assignment; there is no option.
 //
 // # Hot-key splitting
 //

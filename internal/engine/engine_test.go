@@ -20,6 +20,22 @@ func statefulStage(nd, w int) *Stage {
 	return NewStage("s", nd, func(int) Operator { return StatefulCount }, w, newAsgRouter(nd))
 }
 
+// Stage accessors only this package's tests read.
+
+// CtxOf returns task d's execution context, for tests that inspect
+// operator state at barriers.
+func (s *Stage) CtxOf(d int) *TaskCtx { return s.tasks[d].ctx }
+
+// HandoffOverflow returns the cumulative count of tuples parked beyond
+// a migrating key's soft handoff bound.
+func (s *Stage) HandoffOverflow() int64 { return s.handoffOverflow.Load() }
+
+// Router returns the stage's input router.
+func (s *Stage) Router() Router { return s.router }
+
+// StateWire reports whether serialized-state migration is selected.
+func (s *Stage) StateWire() bool { return s.stateWire.Load() }
+
 func TestStageRoutesByAssignment(t *testing.T) {
 	st := statefulStage(4, 1)
 	defer st.Stop()

@@ -141,3 +141,27 @@ func TestEveryPublicationWaitsOutTheOldGeneration(t *testing.T) {
 			})
 	})
 }
+
+// TestHandoffOverflowCountsBeyondSoftCap pins the handoff buffer's soft
+// bound: tuples parked for a migrating key past handoffSoftCap are kept
+// and replayed, and each one past the cap is counted on the stage.
+func TestHandoffOverflowCountsBeyondSoftCap(t *testing.T) {
+	st := statefulStage(2, 1)
+	defer st.Stop()
+	k := tuple.Key(5)
+	tk := st.tasks[st.AssignmentRouter().Assignment().Dest(k)]
+	tk.barrier(func(*TaskCtx) { tk.handoff = map[tuple.Key][]tuple.Tuple{k: nil} })
+	const extra = 7
+	batch := make([]tuple.Tuple, handoffSoftCap+extra)
+	for i := range batch {
+		batch[i] = tuple.New(k, nil)
+	}
+	st.FeedBatch(batch)
+	tk.barrier(func(ctx *TaskCtx) { tk.replayHandoff(ctx, k) })
+	if got := st.HandoffOverflow(); got != extra {
+		t.Fatalf("HandoffOverflow = %d, want %d", got, extra)
+	}
+	if got := st.CtxOf(tk.id).ProcessedTuples; got != int64(len(batch)) {
+		t.Fatalf("replayed %d of %d parked tuples", got, len(batch))
+	}
+}

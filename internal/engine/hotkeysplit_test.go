@@ -299,7 +299,7 @@ func TestSplitStressWithContinuousRebalance(t *testing.T) {
 				return
 			}
 			if i%4 == 3 {
-				st.CloseInterval() // exercise the mid-churn fold too
+				st.foldSplits() // exercise the mid-churn fold too
 			}
 		}
 	}()
@@ -392,5 +392,112 @@ func TestSplitStressWithContinuousRebalance(t *testing.T) {
 	}
 	if want := int64(len(pre)) + total; totalState != want {
 		t.Fatalf("total state %d, want %d", totalState, want)
+	}
+}
+
+// TestPublishedSplitKernelMatchesReference pins the feeder's one-probe
+// kernel on the assignments the stage itself publishes — by
+// ApplySplitSet and by ApplyPlan with a split set riding along —
+// against per-tuple Dest plus SplitTable.Index, and the home charge it
+// relies on: every split's Home is F(k).
+func TestPublishedSplitKernelMatchesReference(t *testing.T) {
+	const nd, domain = 8, 300
+	st, _ := splitCountStage(nd)
+	defer st.Stop()
+	check := func(step string) {
+		t.Helper()
+		a := st.AssignmentRouter().Assignment()
+		sp := a.Splits()
+		ts := make([]tuple.Tuple, 2*domain)
+		for i := range ts {
+			ts[i] = tuple.New(tuple.Key(i%domain), nil)
+		}
+		dst := make([]int, len(ts))
+		a.DestTuples(ts, dst)
+		for i := range ts {
+			k := ts[i].Key
+			want := a.Dest(k)
+			if sp != nil {
+				if j := sp.Index(k); j >= 0 {
+					if h := sp.At(j).Home; h != want {
+						t.Fatalf("%s: split key %d has home %d, F(k) = %d", step, k, h, want)
+					}
+					want = ^j
+				}
+			}
+			if dst[i] != want {
+				t.Fatalf("%s: key %d: DestTuples %d, want %d", step, k, dst[i], want)
+			}
+		}
+	}
+	// plan moves 80 keys, stride apart, one instance over.
+	plan := func(stride tuple.Key) {
+		asg := st.AssignmentRouter().Assignment()
+		tab := asg.Table().Clone()
+		p := &balance.Plan{Table: tab, MoveDest: map[tuple.Key]int{}}
+		for k := tuple.Key(0); k < 80*stride; k += stride {
+			dst := (asg.Dest(k) + 1) % nd
+			tab.Put(k, dst)
+			p.Moved = append(p.Moved, k)
+			p.MoveDest[k] = dst
+		}
+		if _, err := st.ApplyPlan(p, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("initial")
+	plan(2)
+	check("plan without splits")
+	// Key 4 is in the table, key 299 is not.
+	if err := st.ApplySplitSet([]stats.HotKey{{Key: 4, Fan: 4}, {Key: 299, Fan: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	check("split set")
+	plan(1) // moves key 4 too: pinned to its home
+	if st.SplitPinned() != 1 {
+		t.Fatalf("SplitPinned = %d, want 1", st.SplitPinned())
+	}
+	check("plan with splits")
+	if err := st.ApplySplitSet([]stats.HotKey{{Key: 6, Fan: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	check("split set replaced")
+	if err := st.ApplySplitSet(nil); err != nil {
+		t.Fatal(err)
+	}
+	check("split set retired")
+}
+
+// TestCloseQueuesOneHarvest pins the harvest CloseInterval queues: the
+// next EndInterval returns it, a second close in between queues no
+// second one, and an EndInterval with no close before it harvests on
+// its own.
+func TestCloseQueuesOneHarvest(t *testing.T) {
+	st, _ := splitCountStage(4)
+	defer st.Stop()
+	hot := tuple.Key(9)
+	if err := st.ApplySplitSet([]stats.HotKey{{Key: hot, Fan: 4}}); err != nil {
+		t.Fatal(err)
+	}
+	freq := func(snap *stats.Snapshot) (n int64) {
+		for _, ks := range snap.Keys {
+			n += ks.Freq
+		}
+		return n
+	}
+	for i := 0; i < 100; i++ {
+		st.Feed(tuple.New(hot, i))
+		st.Feed(tuple.New(tuple.Key(i%10), i))
+	}
+	st.CloseInterval()
+	st.CloseInterval()
+	if got := freq(st.EndInterval(0)); got != 200 {
+		t.Fatalf("closed twice: harvested %d tuples, fed 200", got)
+	}
+	for i := 0; i < 50; i++ {
+		st.Feed(tuple.New(hot, i))
+	}
+	if got := freq(st.EndInterval(1)); got != 50 {
+		t.Fatalf("no close: harvested %d tuples, fed 50", got)
 	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -318,5 +319,196 @@ func TestPauseFreeStressContinuousPlans(t *testing.T) {
 		if totalState != want {
 			t.Fatalf("stage %d total state %d, want %d", si, totalState, want)
 		}
+	}
+}
+
+// TestPlanTasksSendAndReceive pins a plan whose tasks both send and
+// receive — k1 A→B, k2 B→A, k3 A→C, so A and B each extract before they
+// inject — applied back and forth under four concurrent feeders. The
+// first application runs on an idle stage against an exact per-key
+// reference; the rest race the feeders. Every tuple must be counted
+// exactly once, every key's state must sit at F′(k), the observer must
+// see the moves in plan order, and MigPenalty must charge each move's
+// state to both its ends.
+func TestPlanTasksSendAndReceive(t *testing.T) {
+	const (
+		nd        = 4
+		feeders   = 4
+		keyDomain = 60
+		chunk     = 64
+		minChunks = 8
+		rounds    = 8
+	)
+	fleet := make([]*countingOp, nd)
+	st := NewStage("sr", nd, func(id int) Operator {
+		fleet[id] = &countingOp{counts: make(map[tuple.Key]int64)}
+		return fleet[id]
+	}, 2, newAsgRouter(nd))
+	defer st.Stop()
+
+	// A homes k1 and k3, B homes k2, C is a third instance.
+	asg := st.AssignmentRouter().Assignment()
+	byHome := make([][]tuple.Key, nd)
+	for k := tuple.Key(0); k < keyDomain; k++ {
+		byHome[asg.Dest(k)] = append(byHome[asg.Dest(k)], k)
+	}
+	const A, B, C = 0, 1, 2
+	if len(byHome[A]) < 2 || len(byHome[B]) < 1 {
+		t.Fatalf("key domain too small for the plan: %v", byHome)
+	}
+	k1, k2, k3 := byHome[A][0], byHome[B][0], byHome[A][1]
+	type move struct {
+		k        tuple.Key
+		src, dst int
+	}
+	forward := []move{{k1, A, B}, {k2, B, A}, {k3, A, C}}
+	backward := []move{{k1, B, A}, {k2, A, B}, {k3, C, A}}
+
+	// apply runs one direction of the plan and checks what only the
+	// applying goroutine can see: observer order, MigPenalty against the
+	// per-key sizes (want, or the observed sizes when want is nil), and
+	// the returned volume.
+	apply := func(moves []move, want map[tuple.Key]int64) {
+		cur := st.AssignmentRouter().Assignment()
+		tab := cur.Table().Clone()
+		plan := &balance.Plan{Table: tab, MoveDest: map[tuple.Key]int{}}
+		for _, mv := range moves {
+			tab.Put(mv.k, mv.dst)
+			plan.Moved = append(plan.Moved, mv.k)
+			plan.MoveDest[mv.k] = mv.dst
+		}
+		clear(st.MigPenalty)
+		var seen []move
+		sizes := make(map[tuple.Key]int64)
+		moved, err := st.ApplyPlan(plan, func(k tuple.Key, from, to int, size int64, _ []byte) {
+			seen = append(seen, move{k, from, to})
+			sizes[k] = size
+		})
+		if err != nil {
+			t.Errorf("ApplyPlan: %v", err)
+			return
+		}
+		if !slices.Equal(seen, moves) {
+			t.Errorf("observer saw %v, plan order is %v", seen, moves)
+			return
+		}
+		if want == nil {
+			want = sizes
+		}
+		penalty := make([]int64, nd)
+		var total int64
+		for _, mv := range moves {
+			if sizes[mv.k] != want[mv.k] {
+				t.Errorf("key %d moved %d state units, want %d", mv.k, sizes[mv.k], want[mv.k])
+			}
+			penalty[mv.src] += want[mv.k]
+			penalty[mv.dst] += want[mv.k]
+			total += want[mv.k]
+		}
+		if !slices.Equal(st.MigPenalty, penalty) {
+			t.Errorf("MigPenalty %v, per-key reference %v", st.MigPenalty, penalty)
+		}
+		if moved != total {
+			t.Errorf("ApplyPlan moved %d, per-key reference %d", moved, total)
+		}
+	}
+
+	// Preload distinct state per key, then the idle round.
+	pre := make([]tuple.Tuple, 0, 4*keyDomain)
+	for k := tuple.Key(0); k < keyDomain; k++ {
+		for i := 0; i <= int(k%4); i++ {
+			pre = append(pre, tuple.New(k, nil).WithState(int64(1+k%3)))
+		}
+	}
+	st.FeedBatch(pre)
+	st.Barrier()
+	want := make(map[tuple.Key]int64)
+	for _, mv := range forward {
+		want[mv.k] = st.StoreOf(mv.src).Size(mv.k)
+	}
+	apply(forward, want)
+	if t.Failed() {
+		return
+	}
+
+	stop := make(chan struct{})
+	var ctlWg sync.WaitGroup
+	ctlWg.Add(1)
+	go func() {
+		defer ctlWg.Done()
+		defer close(stop)
+		for i := 0; i < rounds && !t.Failed(); i++ {
+			if i%2 == 0 {
+				apply(backward, nil)
+			} else {
+				apply(forward, nil)
+			}
+		}
+	}()
+	var seq atomic.Uint64
+	shards := ShardSpout(func(dst []tuple.Tuple) int {
+		for i := range dst {
+			n := seq.Add(1) - 1
+			dst[i] = tuple.New(tuple.Key(n%keyDomain), n)
+		}
+		return len(dst)
+	}, feeders)
+	var wg sync.WaitGroup
+	for f := 0; f < feeders; f++ {
+		wg.Add(1)
+		go func(sb SpoutBatch) {
+			defer wg.Done()
+			buf := make([]tuple.Tuple, chunk)
+			for j := 0; ; j++ {
+				if j >= minChunks {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+				}
+				st.FeedBatch(buf[:sb(buf[:chunk])])
+				time.Sleep(time.Millisecond)
+			}
+		}(shards[f])
+	}
+	ctlWg.Wait()
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	st.Barrier()
+
+	fed := make(map[tuple.Key]int64)
+	var wantState int64
+	for _, tp := range pre {
+		fed[tp.Key]++
+		wantState += tp.StateSize
+	}
+	total := int64(seq.Load())
+	for n := int64(0); n < total; n++ {
+		fed[tuple.Key(n%keyDomain)]++
+	}
+	wantState += total
+	got := mergedCounts(fleet)
+	for k := tuple.Key(0); k < keyDomain; k++ {
+		if got[k] != fed[k] {
+			t.Fatalf("key %d processed %d times, fed %d (loss or double-delivery)", k, got[k], fed[k])
+		}
+	}
+	cur := st.AssignmentRouter().Assignment()
+	var state int64
+	for k := tuple.Key(0); k < keyDomain; k++ {
+		home := cur.Dest(k)
+		for d := 0; d < nd; d++ {
+			sz := st.StoreOf(d).Size(k)
+			state += sz
+			if d != home && sz != 0 {
+				t.Fatalf("key %d left %d state units on instance %d (F′(k) = %d)", k, sz, d, home)
+			}
+		}
+	}
+	if state != wantState {
+		t.Fatalf("total state %d, want %d", state, wantState)
 	}
 }

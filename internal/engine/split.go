@@ -166,9 +166,10 @@ func (s *Stage) applySplitSetLocked(set []stats.HotKey, ar *AssignmentRouter) {
 // each key's home task — the fold-back step of the split protocol,
 // run before interval flush and statistics harvest so the home task's
 // canonical state, tracker cell and processed-work accounting end the
-// interval exactly as an unsplit run's would. Keys stay armed; a cell
-// already drained (or never fed) contributes nothing, which makes the
-// fold idempotent across the close/flush/harvest call sites.
+// interval exactly as an unsplit run's would. The merges are queued,
+// not awaited: FIFO runs them before whatever the caller enqueues next
+// (the close, the harvest). Keys stay armed; a drained or never-fed
+// cell contributes nothing, so a second fold is harmless.
 func (s *Stage) foldSplits() {
 	ar := s.AssignmentRouter()
 	if ar == nil {
@@ -210,7 +211,7 @@ func (s *Stage) foldSplits() {
 		return
 	}
 	// Merge per home task, keys ascending, all homes concurrently —
-	// deterministic per-task merge order, one barrier round total.
+	// deterministic per-task merge order.
 	asg := ar.Assignment()
 	perHome := make(map[int][]tuple.Key)
 	for k := range agg {
@@ -220,19 +221,14 @@ func (s *Stage) foldSplits() {
 		}
 		perHome[home] = append(perHome[home], k)
 	}
-	mdones := make([]chan struct{}, 0, len(perHome))
 	for home, keys := range perHome {
-		home, keys := home, keys
 		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 		t := s.tasks[home]
-		mdones = append(mdones, t.barrierAsync(func(ctx *TaskCtx) {
+		t.in <- message{ctrl: func(ctx *TaskCtx) {
 			for _, k := range keys {
 				mergeSplitCell(t, ctx, k, agg[k])
 			}
-		}))
-	}
-	for _, d := range mdones {
-		<-d
+		}}
 	}
 }
 

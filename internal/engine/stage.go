@@ -96,6 +96,10 @@ type Stage struct {
 	merged [2][]stats.KeyStat
 	closes int
 
+	// harvest is the statistics harvest CloseInterval queued behind its
+	// close, collected by the next EndInterval; nil when none is pending.
+	harvest *harvest
+
 	// stateWire routes every key migration through the state codec:
 	// extracted windows are serialized, and the *decoded* copy is what
 	// the destination injects — the cross-process migration path, also
@@ -131,16 +135,8 @@ func NewStage(name string, nd int, op func(id int) Operator, w int, router Route
 	return s
 }
 
-// HandoffOverflow returns the cumulative count of tuples parked beyond
-// a migrating key's soft handoff bound — nonzero means a migration ran
-// long enough that a destination buffer outgrew one queue depth.
-func (s *Stage) HandoffOverflow() int64 { return s.handoffOverflow.Load() }
-
 // Instances returns ND.
 func (s *Stage) Instances() int { return len(s.tasks) }
-
-// Router returns the stage's input router.
-func (s *Stage) Router() Router { return s.router }
 
 // AssignmentRouter returns the router as an *AssignmentRouter, or nil
 // when the stage uses a different scheme (PKG, shuffle).
@@ -183,6 +179,7 @@ type liveScratch struct {
 	cost   []int64
 	tup    []int64
 	claim  []uint64 // per split key: its tuples in the batch, then its next round-robin position
+	pos    []int32  // the batch's split tuples, by index
 }
 
 var liveScratchPool = sync.Pool{New: func() any { return new(liveScratch) }}
@@ -210,47 +207,50 @@ func (s *Stage) feedBatchLive(ar *AssignmentRouter, ts []tuple.Tuple) {
 	a.DestTuples(ts, dst)
 	st := a.Splits()
 	if st != nil {
-		// Hot keys present: charge arrivals at each tuple's home
-		// destination (dst as routed — the unsplit attribution) and mark
-		// each split tuple with its key's index, then claim each split
-		// key's round-robin positions for the batch with one atomic add
-		// and remap the marked tuples' physical destination to their
-		// positions' replicas, in tuple order. Cold batches never enter
-		// this block: the split check costs one nil test per batch.
+		// Hot keys present: DestTuples marked each split tuple ^j, j its
+		// key's position in st. Charge every arrival at its home — F(k),
+		// which for a split key is Split.Home — recording where the split
+		// tuples sit, then claim each split key's round-robin positions
+		// for the batch with one atomic add and remap only the recorded
+		// tuples to their positions' replicas, in tuple order. Cold
+		// batches never enter this block: one nil test per batch.
+		ns := st.Len()
 		if cap(sc.cost) < nd {
 			sc.cost = make([]int64, nd)
 		}
 		if cap(sc.tup) < nd {
 			sc.tup = make([]int64, nd)
 		}
-		if cap(sc.claim) < st.Len() {
-			sc.claim = make([]uint64, st.Len())
+		if cap(sc.claim) < ns {
+			sc.claim = make([]uint64, ns)
 		}
-		cost, tup, claim := sc.cost[:nd], sc.tup[:nd], sc.claim[:st.Len()]
+		cost, tup, claim := sc.cost[:nd], sc.tup[:nd], sc.claim[:ns]
 		clear(cost)
 		clear(tup)
 		clear(claim)
+		pos := sc.pos[:0]
 		for i := range ts {
 			d := dst[i]
+			if d < 0 {
+				claim[^d]++
+				pos = append(pos, int32(i))
+				d = st.At(^d).Home
+			}
 			cost[d] += ts[i].Cost
 			tup[d]++
-			if j := st.Index(ts[i].Key); j >= 0 {
-				claim[j]++
-				dst[i] = ^j
-			}
 		}
 		for j, n := range claim {
 			if n > 0 {
 				claim[j] = st.At(j).Claim(int(n))
 			}
 		}
-		for i, d := range dst {
-			if d < 0 {
-				reps := st.At(^d).Replicas
-				dst[i] = reps[claim[^d]%uint64(len(reps))]
-				claim[^d]++
-			}
+		for _, i := range pos {
+			j := ^dst[i]
+			reps := st.At(j).Replicas
+			dst[i] = reps[claim[j]%uint64(len(reps))]
+			claim[j]++
 		}
+		sc.pos = pos
 		for d := 0; d < nd; d++ {
 			if tup[d] > 0 {
 				atomic.AddInt64(&s.arrivedTuples[d], tup[d])
@@ -439,9 +439,6 @@ func (s *Stage) SetSink(sink BatchSink) {
 // oracle. Must be called while the stage is idle.
 func (s *Stage) SetStateWire(on bool) { s.stateWire.Store(on) }
 
-// StateWire reports whether serialized-state migration is selected.
-func (s *Stage) StateWire() bool { return s.stateWire.Load() }
-
 // StateWireErrs returns the cumulative count of state-codec failures
 // (each fell back to the in-memory reference move).
 func (s *Stage) StateWireErrs() int64 { return s.codecErrs.Load() }
@@ -487,18 +484,63 @@ func (s *Stage) StartInterval(interval int64) {
 // close. All tasks close concurrently; CloseInterval returns when the
 // slowest is done, at which point every tuple this stage emitted this
 // interval is in the downstream stage's queues and the downstream stage
-// may be closed in turn.
+// may be closed in turn. Each task's statistics harvest is queued right
+// behind its close thunk, runs while the driver closes the next stage,
+// and is collected by the next EndInterval: the close ends the
+// interval's statistics, so a second close before that EndInterval
+// queues no second harvest.
 func (s *Stage) CloseInterval() {
 	// Fold split replicas home first: FlushInterval hooks (and the
-	// harvest after them) must see canonical state.
+	// harvest after them) must see canonical state. The fold's merge
+	// thunks are FIFO-ordered ahead of the close thunks below.
 	s.foldSplits()
+	queue := s.harvest == nil
 	dones := make([]chan struct{}, len(s.tasks))
 	for i, t := range s.tasks {
 		dones[i] = t.closeInterval()
+		if queue {
+			s.queueHarvest(i)
+		}
 	}
 	for _, d := range dones {
 		<-d
 	}
+}
+
+// harvest is one interval's statistics harvest in flight: a run and a
+// done channel per task, collected by EndInterval.
+type harvest struct {
+	runs [][]stats.KeyStat
+	done []chan struct{}
+}
+
+// queueHarvest enqueues task d's share of the stage's pending harvest,
+// opening one if none is pending: the task's tracker rolls its window
+// and hands back its report as a run ordered by stats.KeyStatLess, in
+// a buffer it recycles, and its store evicts the buckets leaving the
+// window.
+func (s *Stage) queueHarvest(d int) {
+	if s.harvest == nil {
+		s.harvest = &harvest{runs: make([][]stats.KeyStat, len(s.tasks)), done: make([]chan struct{}, len(s.tasks))}
+	}
+	h := s.harvest
+	var asg *route.Assignment // immutable: safe for concurrent HashDest reads
+	if s.ar != nil {
+		asg = s.ar.Assignment()
+	}
+	h.done[d] = s.tasks[d].barrierAsync(func(ctx *TaskCtx) {
+		run := ctx.Tracker.EndInterval()
+		for i := range run {
+			run[i].Dest, run[i].Hash = d, d
+			if asg != nil {
+				run[i].Hash = asg.HashDest(run[i].Key)
+			}
+		}
+		h.runs[d] = run
+		ctx.Store.EndInterval()
+		ctx.ProcessedTuples = 0
+		ctx.ProcessedCost = 0
+	})
 }
 
 // ArrivedCost returns this interval's per-task arrived cost (valid
@@ -511,10 +553,9 @@ func (s *Stage) ArrivedTuples() []int64 { return s.arrivedTuples }
 // EndInterval closes the statistics interval on every task and merges
 // the per-task reports into a planner-ready snapshot (step 1 of Fig. 5:
 // instances report to the controller). The harvest runs on all task
-// goroutines concurrently — each task's tracker rolls its own window
-// and hands back its report as a run ordered by stats.KeyStatLess, in a
-// buffer it recycles, and the task's store evicts the buckets leaving
-// the window — and the driver k-way-merges the sorted runs, so the
+// goroutines concurrently (see queueHarvest) — queued by the preceding
+// CloseInterval, or here, after a split fold, when no close preceded —
+// and the driver waits for it and k-way-merges the sorted runs, so the
 // interval-barrier cost is the slowest single task plus an O(n log ND)
 // merge. Destinations are taken from the task that actually observed
 // the key; hash destinations from the assignment router when present.
@@ -527,40 +568,21 @@ func (s *Stage) ArrivedTuples() []int64 { return s.arrivedTuples }
 // enough for the control round and Engine.LastSnapshots; whoever keeps a
 // snapshot longer takes a Clone.
 func (s *Stage) EndInterval(interval int64) *stats.Snapshot {
-	// Idempotent re-fold (zero cells skip): callers that harvest
-	// without a prior CloseInterval still get home-complete statistics.
-	s.foldSplits()
-	snap := &stats.Snapshot{Interval: interval, ND: len(s.tasks)}
-	// The assignment is resolved once, outside the thunks: it is an
-	// immutable snapshot, safe for concurrent HashDest reads, and no
-	// swap can race the harvest (the controller runs after it).
-	var asg *route.Assignment
-	if s.ar != nil {
-		asg = s.ar.Assignment()
+	if s.harvest == nil {
+		s.foldSplits()
+		for d := range s.tasks {
+			s.queueHarvest(d)
+		}
 	}
-	runs := make([][]stats.KeyStat, len(s.tasks))
-	dones := make([]chan struct{}, len(s.tasks))
-	for d, t := range s.tasks {
-		dones[d] = t.barrierAsync(func(ctx *TaskCtx) {
-			run := ctx.Tracker.EndInterval()
-			for i := range run {
-				run[i].Dest, run[i].Hash = d, d
-				if asg != nil {
-					run[i].Hash = asg.HashDest(run[i].Key)
-				}
-			}
-			runs[d] = run
-			ctx.Store.EndInterval()
-			ctx.ProcessedTuples = 0
-			ctx.ProcessedCost = 0
-		})
-	}
-	for _, done := range dones {
+	h := s.harvest
+	s.harvest = nil
+	for _, done := range h.done {
 		<-done
 	}
+	snap := &stats.Snapshot{Interval: interval, ND: len(s.tasks)}
 	buf := &s.merged[s.closes&1]
 	s.closes++
-	*buf = stats.MergeRuns((*buf)[:0], runs)
+	*buf = stats.MergeRuns((*buf)[:0], h.runs)
 	snap.Keys = *buf
 	for d := range s.arrivedCost {
 		s.arrivedCost[d] = 0
@@ -574,6 +596,13 @@ func (s *Stage) EndInterval(interval int64) *stats.Snapshot {
 type keyMove struct {
 	k        tuple.Key
 	src, dst int
+}
+
+// transfer is one key move's state in flight (payload: state-wire mode).
+type transfer struct {
+	m       state.Migrated
+	mem     int64
+	payload []byte
 }
 
 // ApplyPlan executes a rebalance plan — move each migrating key's
@@ -681,69 +710,108 @@ func (s *Stage) publish(next *route.Assignment) {
 //     — every feed call that routed under generation g has finished
 //     its channel sends, so each source task's queue holds all of its
 //     old-generation tuples.
-//  4. Per key, in plan order: a source barrier — FIFO-ordered after
-//     every old-generation tuple, so the window is complete — extracts
-//     the windowed state and tracker history and marks the key
-//     rerouted (any straggler is forwarded by generation check, not
-//     processed); then a destination barrier injects the state and
-//     replays the handoff buffer in arrival order. No tuple is lost or
-//     double-processed: each lives either before the extraction point
-//     at the source or after the injection point at the destination.
-//  5. Cleanup: retire the straggler guards (by step 3 no matching
+//  4. Extract, one barrier per source task, all sources concurrently:
+//     FIFO-ordered after every old-generation tuple, so each window is
+//     complete, the thunk extracts the windowed state and tracker
+//     history of all the task's outgoing keys and marks them rerouted
+//     (any straggler is forwarded by generation check, not processed).
+//     The driver then serializes the states in move order.
+//  5. Inject, one barrier per destination task, all concurrently: the
+//     thunk injects each incoming key's state and replays its handoff
+//     buffer in arrival order. No tuple is lost or double-processed:
+//     each lives either before the extraction point at the source or
+//     after the injection point at the destination.
+//  6. Account in move order: migration penalties and observer calls.
+//  7. Cleanup: retire the straggler guards (by step 3 no matching
 //     tuple can remain in flight; the guard exists for paths outside
 //     the epoch accounting).
 //
+// A plan costs two barrier rounds however many keys it moves; a task
+// that both sends and receives extracts all before it injects any.
 // Returns the migrated state volume.
 func (s *Stage) applyMovesLive(next *route.Assignment, moves []keyMove, obs MigrationObserver) int64 {
-	perDst := make(map[int][]tuple.Key)
-	for _, mv := range moves {
-		perDst[mv.dst] = append(perDst[mv.dst], mv.k)
+	perSrc := make([][]int, len(s.tasks)) // move indices, in move order
+	perDst := make([][]int, len(s.tasks))
+	for i, mv := range moves {
+		perSrc[mv.src] = append(perSrc[mv.src], i)
+		perDst[mv.dst] = append(perDst[mv.dst], i)
 	}
-	for d, keys := range perDst {
-		s.tasks[d].armHandoff(keys)
-	}
+	s.eachTask(perDst, false, func(t *task, _ *TaskCtx, i int) {
+		if t.handoff == nil {
+			t.handoff = make(map[tuple.Key][]tuple.Tuple)
+		}
+		if _, ok := t.handoff[moves[i].k]; !ok {
+			t.handoff[moves[i].k] = nil
+		}
+	})
 	s.publish(next)
 	newGen := next.Gen()
-	var moved int64
-	for _, mv := range moves {
-		mv := mv
-		var m state.Migrated
-		var mem int64
-		src, dst := s.tasks[mv.src], s.tasks[mv.dst]
-		src.barrier(func(ctx *TaskCtx) {
-			m = ctx.Store.Extract(mv.k)
-			mem = ctx.Tracker.WindowedMem(mv.k)
-			ctx.Tracker.DropKey(mv.k)
-			if src.reroute == nil {
-				src.reroute = make(map[tuple.Key]uint64)
-			}
-			src.reroute[mv.k] = newGen
-		})
-		m, mem, payload := s.serializeTransfer(m, mem)
-		dst.barrier(func(ctx *TaskCtx) {
-			if m.Size > 0 {
-				ctx.Store.Inject(m)
-			}
-			if mem > 0 {
-				ctx.Tracker.AdoptKey(mv.k, mem)
-			}
-			dst.replayHandoff(ctx, mv.k)
-		})
-		s.mu.Lock()
-		s.MigPenalty[mv.src] += m.Size
-		s.MigPenalty[mv.dst] += m.Size
-		s.mu.Unlock()
-		if obs != nil {
-			obs(mv.k, mv.src, mv.dst, m.Size, payload)
+	xs := make([]transfer, len(moves))
+	s.eachTask(perSrc, true, func(t *task, ctx *TaskCtx, i int) {
+		k := moves[i].k
+		xs[i].m = ctx.Store.Extract(k)
+		xs[i].mem = ctx.Tracker.WindowedMem(k)
+		ctx.Tracker.DropKey(k)
+		if t.reroute == nil {
+			t.reroute = make(map[tuple.Key]uint64)
 		}
-		moved += m.Size
+		t.reroute[k] = newGen
+	})
+	for i := range xs {
+		x := &xs[i]
+		x.m, x.mem, x.payload = s.serializeTransfer(x.m, x.mem)
 	}
-	for _, mv := range moves {
-		mv := mv
-		src := s.tasks[mv.src]
-		src.barrierAsync(func(*TaskCtx) { delete(src.reroute, mv.k) })
+	s.eachTask(perDst, true, func(t *task, ctx *TaskCtx, i int) {
+		k, x := moves[i].k, &xs[i]
+		if x.m.Size > 0 {
+			ctx.Store.Inject(x.m)
+		}
+		if x.mem > 0 {
+			ctx.Tracker.AdoptKey(k, x.mem)
+		}
+		t.replayHandoff(ctx, k)
+	})
+	var moved int64
+	s.mu.Lock()
+	for i, mv := range moves {
+		s.MigPenalty[mv.src] += xs[i].m.Size
+		s.MigPenalty[mv.dst] += xs[i].m.Size
+		moved += xs[i].m.Size
 	}
+	s.mu.Unlock()
+	if obs != nil {
+		for i, mv := range moves {
+			obs(mv.k, mv.src, mv.dst, xs[i].m.Size, xs[i].payload)
+		}
+	}
+	s.eachTask(perSrc, false, func(t *task, _ *TaskCtx, i int) { delete(t.reroute, moves[i].k) })
 	return moved
+}
+
+// eachTask queues one control thunk on every task d that perTask[d]
+// names moves for, running fn for each of them in order; with wait it
+// returns once every task has run its thunk, all tasks concurrently.
+func (s *Stage) eachTask(perTask [][]int, wait bool, fn func(t *task, ctx *TaskCtx, i int)) {
+	var dones []chan struct{}
+	for d, idx := range perTask {
+		if len(idx) == 0 {
+			continue
+		}
+		t := s.tasks[d]
+		thunk := func(ctx *TaskCtx) {
+			for _, i := range idx {
+				fn(t, ctx, i)
+			}
+		}
+		if wait {
+			dones = append(dones, t.barrierAsync(thunk))
+		} else {
+			t.in <- message{ctrl: thunk}
+		}
+	}
+	for _, d := range dones {
+		<-d
+	}
 }
 
 // MigrationObserver is notified of every key migration an actuation
@@ -909,7 +977,3 @@ func (s *Stage) Stop() {
 // StoreOf returns task d's state store. Only safe while tasks are idle
 // (between a barrier and the next Feed).
 func (s *Stage) StoreOf(d int) *state.Store { return s.tasks[d].ctx.Store }
-
-// CtxOf returns task d's execution context, for tests and examples that
-// inspect operator state at barriers.
-func (s *Stage) CtxOf(d int) *TaskCtx { return s.tasks[d].ctx }

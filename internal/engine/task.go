@@ -246,9 +246,9 @@ func (t *task) absorbOne(c *splitCell, tp tuple.Tuple) {
 }
 
 // armSplit enqueues the control thunk that opens delta cells for keys
-// on this (replica) task. Like armHandoff it is called *before* the
-// assignment swap that publishes the split, so channel FIFO guarantees
-// the cells exist before the first split-routed tuple is dequeued.
+// on this (replica) task. It is called *before* the assignment swap
+// that publishes the split, so channel FIFO guarantees the cells exist
+// before the first split-routed tuple is dequeued.
 // Already-armed keys keep their cell (fan growth re-arms survivors).
 func (t *task) armSplit(keys []tuple.Key) {
 	t.in <- message{ctrl: func(*TaskCtx) {
@@ -280,24 +280,6 @@ func (t *task) bufferHandoff(buf []tuple.Tuple, tp tuple.Tuple) {
 		t.stage.handoffOverflow.Add(1)
 	}
 	t.handoff[tp.Key] = append(buf, tp)
-}
-
-// armHandoff enqueues the control thunk that opens empty handoff
-// buffers for keys on this (destination) task. The migration sequencer
-// calls it *before* swapping the routing generation: channel FIFO then
-// guarantees the buffers exist before the first new-generation tuple
-// for any of these keys is dequeued.
-func (t *task) armHandoff(keys []tuple.Key) {
-	t.in <- message{ctrl: func(*TaskCtx) {
-		if t.handoff == nil {
-			t.handoff = make(map[tuple.Key][]tuple.Tuple)
-		}
-		for _, k := range keys {
-			if _, ok := t.handoff[k]; !ok {
-				t.handoff[k] = nil
-			}
-		}
-	}}
 }
 
 // replayHandoff drains and retires key k's handoff buffer through the

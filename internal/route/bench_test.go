@@ -10,68 +10,90 @@ import (
 	"repro/internal/workload"
 )
 
-// BenchmarkDestTuples is the feeder's routing kernel on warm 1 024-tuple
-// chunks of the repository benchmark's pipe input (Zipf z=0.85 over
-// 1 000 keys, 4 instances): DestTuples with an empty table, with a
-// 32-entry table of the hottest keys, and with that table plus a split
-// set of the 4 hottest keys — the per-tuple split test and the per-key
-// slot claim the feeder runs after it.
-func BenchmarkDestTuples(b *testing.B) {
-	const nd, chunk, keys = 4, 1024, 1000
-	gen := workload.NewZipfStream(keys, 0.85, 0, chunk, 1)
+// zipfChunks draws 64 warm 1 024-tuple chunks of a Zipf stream and
+// returns them with the stream's keys ordered by load, heaviest first.
+func zipfChunks(keys int, z float64) ([][]tuple.Tuple, []tuple.Key) {
+	const chunk = 1024
+	gen := workload.NewZipfStream(keys, z, 0, chunk, 1)
 	chunks := make([][]tuple.Tuple, 64)
+	load := make(map[tuple.Key]int)
 	for i := range chunks {
 		chunks[i] = make([]tuple.Tuple, chunk)
 		gen.NextBatch(chunks[i])
-	}
-	hot := make(map[tuple.Key]int)
-	for _, c := range chunks {
-		for i := range c {
-			hot[c[i].Key]++
+		for _, t := range chunks[i] {
+			load[t.Key]++
 		}
 	}
-	byLoad := make([]tuple.Key, 0, len(hot))
-	for k := range hot {
+	byLoad := make([]tuple.Key, 0, len(load))
+	for k := range load {
 		byLoad = append(byLoad, k)
 	}
 	slices.SortFunc(byLoad, func(a, b tuple.Key) int {
-		return cmp.Or(cmp.Compare(hot[b], hot[a]), cmp.Compare(a, b))
+		return cmp.Or(cmp.Compare(load[b], load[a]), cmp.Compare(a, b))
 	})
+	return chunks, byLoad
+}
 
-	ring := hashring.New(nd, 0)
+// splitAssignment returns an assignment over ring with a table of the
+// keys ranked [skip, skip+entries) and a split set of the top nsplit
+// keys, each fanned over fan instances from its home.
+func splitAssignment(ring *hashring.Ring, byLoad []tuple.Key, skip, entries, nsplit, fan int) *Assignment {
+	nd := ring.Instances()
 	table := NewTable()
-	for i, k := range byLoad[:32] {
+	for i, k := range byLoad[skip : skip+entries] {
 		table.Put(k, i%nd)
 	}
-	splits := NewSplitTable()
-	for _, k := range byLoad[:4] {
-		d, _ := table.Lookup(k)
-		splits.Put(NewSplit(k, d, 2, nd))
+	a := NewAssignment(table, ring)
+	if nsplit > 0 {
+		splits := NewSplitTable()
+		for _, k := range byLoad[:nsplit] {
+			splits.Put(NewSplit(k, a.Dest(k), fan, nd))
+		}
+		a.SetSplits(splits)
 	}
-	withSplits := NewAssignment(table, ring)
-	withSplits.SetSplits(splits)
+	return a
+}
 
+// BenchmarkDestTuples is the feeder's routing kernel on warm 1 024-tuple
+// chunks. The pipe rows use the repository benchmark's pipe input (Zipf
+// z=0.85 over 1 000 keys, 4 instances): an empty table, a 32-entry table
+// of the hottest keys, and that table plus a split set of the 4 hottest
+// keys. The hotkey row uses its hotkey input (z=1.5 over 10 000 keys, 8
+// instances): the top key, ≈ 40 % of the tuples, split 4 ways beside an
+// 80-entry table. A split row adds what the feeder runs after the
+// probe: counting each split key's marked tuples and claiming their
+// round-robin slots.
+func BenchmarkDestTuples(b *testing.B) {
+	const chunk = 1024
+	pipe, pipeLoad := zipfChunks(1000, 0.85)
+	hot, hotLoad := zipfChunks(10000, 1.5)
+	ring4, ring8 := hashring.New(4, 0), hashring.New(8, 0)
 	for _, bc := range []struct {
-		name string
-		a    *Assignment
+		name   string
+		chunks [][]tuple.Tuple
+		a      *Assignment
 	}{
-		{"empty", NewAssignment(nil, ring)},
-		{"table32", NewAssignment(table, ring)},
-		{"split4", withSplits},
+		{"empty", pipe, NewAssignment(nil, ring4)},
+		{"table32", pipe, splitAssignment(ring4, pipeLoad, 0, 32, 0, 0)},
+		{"split4", pipe, splitAssignment(ring4, pipeLoad, 0, 32, 4, 2)},
+		{"hotkey-split1-table80", hot, splitAssignment(ring8, hotLoad, 1, 80, 1, 4)},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			dsts := make([]int, chunk)
-			slot := make([]uint64, splits.Len())
+			var slot []uint64
+			if st := bc.a.Splits(); st != nil {
+				slot = make([]uint64, st.Len())
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ts := chunks[i%len(chunks)]
+				ts := bc.chunks[i%len(bc.chunks)]
 				bc.a.DestTuples(ts, dsts)
 				if st := bc.a.Splits(); st != nil {
 					clear(slot)
-					for j := range ts {
-						if s := st.Index(ts[j].Key); s >= 0 {
-							slot[s]++
+					for _, d := range dsts {
+						if d < 0 {
+							slot[^d]++
 						}
 					}
 					for s, n := range slot {

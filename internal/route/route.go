@@ -112,21 +112,38 @@ func (ix *tableIndex) slot(k tuple.Key) uint64 {
 	return (uint64(k) * 0x9e3779b97f4a7c15) >> ix.shift
 }
 
-func newTableIndex(m map[tuple.Key]int) tableIndex {
+// newTableIndex freezes m — and, when splits is non-nil, the split keys
+// with it — into one index. A split key's slot holds ^j, its position j
+// in the split set's ascending key order, instead of its destination:
+// the feeder's one probe then yields either F(k) or the split it must
+// fan out. The split keys go in first, so a table entry for the same
+// key sits later in its probe sequence and is never reached.
+func newTableIndex(m map[tuple.Key]int, splits *SplitTable) tableIndex {
+	var sp []*Split
+	if splits != nil {
+		sp = splits.splits
+	}
 	bits := uint(1)
-	for 1<<bits < 4*len(m) {
+	for 1<<bits < 4*(len(m)+len(sp)) {
 		bits++
 	}
 	ix := tableIndex{slots: make([]indexSlot, 1<<bits), shift: 64 - bits}
-	mask := uint64(len(ix.slots) - 1)
+	for j, s := range sp {
+		ix.put(s.Key, ^j)
+	}
 	for k, d := range m {
-		i := ix.slot(k)
-		for ix.slots[i].used {
-			i = (i + 1) & mask
-		}
-		ix.slots[i] = indexSlot{key: k, dest: int32(d), used: true}
+		ix.put(k, d)
 	}
 	return ix
+}
+
+func (ix *tableIndex) put(k tuple.Key, d int) {
+	mask := uint64(len(ix.slots) - 1)
+	i := ix.slot(k)
+	for ix.slots[i].used {
+		i = (i + 1) & mask
+	}
+	ix.slots[i] = indexSlot{key: k, dest: int32(d), used: true}
 }
 
 // lookup returns k's explicit destination and whether it has one.
@@ -156,6 +173,10 @@ type Assignment struct {
 	// because wrapped tables are immutable snapshots.
 	empty bool
 	index tableIndex
+	// probe is the index DestTuples reads: index itself, or — once
+	// SetSplits attaches a split set — the table and the split keys
+	// frozen together, so a split tuple costs the feeder one probe.
+	probe tableIndex
 	// ring is hash when it is the consistent-hash ring — always, outside
 	// tests — so the batch paths inline its lookup instead of calling
 	// through the Hasher interface per tuple.
@@ -181,8 +202,9 @@ func NewAssignment(table *Table, hash Hasher) *Assignment {
 	}
 	a := &Assignment{table: table, hash: hash, empty: len(table.m) == 0}
 	if !a.empty {
-		a.index = newTableIndex(table.m)
+		a.index = newTableIndex(table.m, nil)
 	}
+	a.probe = a.index
 	a.ring, _ = hash.(*hashring.Ring)
 	return a
 }
@@ -223,22 +245,30 @@ func (a *Assignment) DestBatch(keys []tuple.Key, dsts []int) {
 	}
 }
 
-// DestTuples is DestBatch straight off a tuple slice: dsts[i] =
-// F(ts[i].Key) with no separate key-extraction pass — the form the
-// engine's batched feeder uses.
+// DestTuples is DestBatch straight off a tuple slice, with no separate
+// key-extraction pass — the form the engine's batched feeder uses:
+// dsts[i] = F(ts[i].Key), except that with a split set attached a split
+// key's tuple gets ^j, j being the key's position in the split set
+// (SplitTable.At), from the same single probe.
 func (a *Assignment) DestTuples(ts []tuple.Tuple, dsts []int) {
 	dsts = dsts[:len(ts)]
 	switch {
 	case a.ring == nil:
 		for i := range ts {
-			dsts[i] = a.Dest(ts[i].Key)
+			k := ts[i].Key
+			dsts[i] = a.hash.Hash(k)
+			if len(a.probe.slots) != 0 {
+				if d, ok := a.probe.lookup(k); ok {
+					dsts[i] = d
+				}
+			}
 		}
-	case a.empty:
+	case len(a.probe.slots) == 0:
 		a.ring.HashTuples(ts, dsts)
 	default:
 		for i := range ts {
 			k := ts[i].Key
-			if d, ok := a.index.lookup(k); ok {
+			if d, ok := a.probe.lookup(k); ok {
 				dsts[i] = d
 			} else {
 				dsts[i] = a.ring.Owner(hashring.Position(k))
@@ -258,15 +288,19 @@ func (a *Assignment) Gen() uint64 { return a.gen }
 // nil when no key is split.
 func (a *Assignment) Splits() *SplitTable { return a.splits }
 
-// SetSplits attaches a split set. Like StampGen it may only be called
-// before the atomic store that publishes the assignment; an empty
-// table is normalized to nil so the feed path's cold check stays a
-// nil test.
+// SetSplits attaches a split set and freezes it into the index
+// DestTuples probes. Like StampGen it may only be called before the
+// atomic store that publishes the assignment; an empty table is
+// normalized to nil so the feed path's cold check stays a nil test.
 func (a *Assignment) SetSplits(st *SplitTable) {
 	if st != nil && st.Len() == 0 {
 		st = nil
 	}
 	a.splits = st
+	a.probe = a.index
+	if st != nil {
+		a.probe = newTableIndex(a.table.m, st)
+	}
 }
 
 // StampGen records the publication generation. It is called exactly

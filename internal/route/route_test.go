@@ -246,3 +246,69 @@ func TestIndexMatchesTable(t *testing.T) {
 		}
 	}
 }
+
+// TestDestTuplesMarksSplits pins the one-probe split kernel against its
+// reference, per-key Dest plus SplitTable.Index: with a split set
+// attached, DestTuples writes ^j for a tuple of split key j and F(k) for
+// every other, while Dest and DestBatch keep resolving F(k) for all
+// keys. Random tables of 0, 1 and 80 entries, split keys inside and
+// outside the table, over the ring and over a hasher that is not one.
+func TestDestTuplesMarksSplits(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	const nd, domain = 8, 400
+	for _, entries := range []int{0, 1, 80} {
+		tab := NewTable()
+		for tab.Len() < entries {
+			tab.Put(tuple.Key(rng.Intn(domain)), rng.Intn(nd))
+		}
+		for _, h := range []Hasher{hashring.New(nd, 0), ModHasher(nd)} {
+			for _, nsplit := range []int{1, 2, 5} {
+				a := NewAssignment(tab, h)
+				st := NewSplitTable()
+				tabKeys := tab.Keys()
+				for st.Len() < nsplit {
+					k := tuple.Key(domain + rng.Intn(domain)) // outside the table
+					if len(tabKeys) > 0 && rng.Intn(2) == 0 {
+						k = tabKeys[rng.Intn(len(tabKeys))] // inside it
+					}
+					st.Put(NewSplit(k, a.Dest(k), 4, nd))
+				}
+				a.SetSplits(st)
+				ts := make([]tuple.Tuple, 1500)
+				keys := make([]tuple.Key, len(ts))
+				for i := range ts {
+					keys[i] = tuple.Key(rng.Intn(2 * domain))
+					if rng.Intn(3) == 0 {
+						keys[i] = st.At(rng.Intn(st.Len())).Key
+					}
+					ts[i] = tuple.New(keys[i], nil)
+				}
+				tuples, batch := make([]int, len(ts)), make([]int, len(ts))
+				a.DestTuples(ts, tuples)
+				a.DestBatch(keys, batch)
+				for i, k := range keys {
+					f, ok := tab.Lookup(k)
+					if !ok {
+						f = h.Hash(k)
+					}
+					want := f
+					if j := st.Index(k); j >= 0 {
+						want = ^j
+					}
+					if tuples[i] != want || a.Dest(k) != f || batch[i] != f {
+						t.Fatalf("%d entries, %T, %d splits, key %d: DestTuples %d (want %d), Dest %d, DestBatch %d (want %d)",
+							entries, h, nsplit, k, tuples[i], want, a.Dest(k), batch[i], f)
+					}
+				}
+				// Detaching the set restores the plain kernel.
+				a.SetSplits(nil)
+				a.DestTuples(ts, tuples)
+				for i, k := range keys {
+					if tuples[i] != a.Dest(k) {
+						t.Fatalf("%d entries, %T: key %d still marked after SetSplits(nil)", entries, h, k)
+					}
+				}
+			}
+		}
+	}
+}

@@ -55,7 +55,8 @@ func (s *Split) Fan() int { return len(s.Replicas) }
 // install a fresh table via the same atomic pointer swap that
 // publishes routing generations. A split set holds a few keys
 // (topology.HotKeySplit's maxKeys), so it is an array in ascending key
-// order, scanned, not hashed.
+// order; the feed path finds a tuple's split through the assignment's
+// probe index (Assignment.SetSplits), not here.
 type SplitTable struct {
 	splits []*Split
 }
@@ -74,7 +75,7 @@ func (t *SplitTable) Put(s *Split) {
 }
 
 // Index returns the position of k's split in ascending key order, or -1
-// when k is not split: the per-tuple test of the feed path.
+// when k is not split.
 func (t *SplitTable) Index(k tuple.Key) int {
 	for i, s := range t.splits {
 		if s.Key == k {
