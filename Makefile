@@ -78,14 +78,17 @@ bench-wire:
 	$(GO) test -run '^$$' -bench 'DestTuples' -benchmem -benchtime $(BENCHTIME) ./internal/route/
 	$(GO) test -run '^$$' -bench 'ClusterWire' -benchmem -benchtime $(BENCHTIME) ./internal/cluster/
 
-## bench-engine: the hot-key interval's micro-benchmarks, each beside
-## its baseline. FeedBatchSplit is FeedBatch at the hotkey workload's
-## shape (8 tasks, an 80-entry table, one key at 40 % split 4 ways);
-## MigratePlan applies a 12-key plan over 8 idle tasks, MigrateKey a
-## one-key plan over 2. BENCHTIME=1x (CI) only checks that they still
-## build and run.
+## bench-engine: the engine's interval micro-benchmarks. FeedBatchSplit
+## is FeedBatch at the hotkey workload's shape (8 tasks, an 80-entry
+## table, one key at 40 % split 4 ways); MigratePlan applies a 12-key
+## plan over 8 idle tasks, MigrateKey a one-key plan over 2;
+## TaskInterval is whole intervals of the tasks' store and tracker work
+## at pipe-local's shape (4 tasks) and variance's (8), 128-tuple slices
+## round-robin across the tasks so their working sets compete for the
+## caches, reporting add, observe and close ns per tuple. BENCHTIME=1x
+## (CI) only checks that they still build and run.
 bench-engine:
-	$(GO) test -run '^$$' -bench 'FeedBatch|Migrate' -benchmem -benchtime $(BENCHTIME) ./internal/engine/
+	$(GO) test -run '^$$' -bench 'FeedBatch|Migrate|TaskInterval' -benchmem -benchtime $(BENCHTIME) ./internal/engine/
 
 ## exhibits: regenerate every paper exhibit.
 exhibits:

@@ -111,10 +111,10 @@
 //     construction, making the consistent-hash lookup an O(1) masked
 //     array index plus, in the buckets that hold ring points, a scan
 //     of one or two of them (bit-identical to the exact ring search);
-//   - stats.Tracker accumulates per-key cells in an open-addressed
-//     value-cell table with a batch entry point (ObserveBatch), so a
-//     tuple costs one probe-and-update and a new key costs no
-//     allocation.
+//   - a task's state.Store and stats.Tracker are two faces of one key
+//     directory (state.Dir): ObserveBatch finds each key's record where
+//     the operator's Add left it, and a new key allocates nothing but
+//     its entry run.
 //
 // Batching changes cost, not semantics: routing decisions, interval
 // boundaries and the migration protocol are exactly those of the

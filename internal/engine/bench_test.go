@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/balance"
 	"repro/internal/route"
+	"repro/internal/state"
 	"repro/internal/stats"
 	"repro/internal/tuple"
 )
@@ -178,5 +181,111 @@ func BenchmarkMigratePlan(b *testing.B) {
 		if _, err := st.ApplyPlan(plan, nil); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// sizeOp is the repository benchmark's counting operator reduced to its
+// store traffic: one Add of the tuple's state size per tuple.
+type sizeOp struct{}
+
+func (sizeOp) Process(ctx *TaskCtx, t tuple.Tuple) {
+	ctx.Store.Add(t.Key, state.Entry{Size: t.StateSize})
+}
+
+func (sizeOp) ProcessBatch(ctx *TaskCtx, ts []tuple.Tuple) {
+	for i := range ts {
+		ctx.Store.Add(ts[i].Key, state.Entry{Size: ts[i].StateSize})
+	}
+}
+
+// taskShape is one BENCHMARK.json workload's per-task share: each of nd
+// tasks re-draws `touched` of its `keys` keys every interval and sees
+// `tuples` tuples over them.
+type taskShape struct {
+	name                         string
+	nd, keys, touched, tuples, w int
+}
+
+// The two shapes the repository benchmark runs: pipe-local's 40 tuples
+// on every key with w = 1 over 4 tasks, and variance's ~1 400 of a
+// task's 12 500 keys re-drawn every interval at 1.8 tuples per key with
+// w = 5 over 8.
+var taskShapes = []taskShape{
+	{name: "pipe_4x250x40_w1", nd: 4, keys: 250, touched: 250, tuples: 10000, w: 1},
+	{name: "variance_8x1400of12500x1.8_w5", nd: 8, keys: 12500, touched: 1400, tuples: 2520, w: 5},
+}
+
+// draw pre-generates a ring of intervals: ring[i][d] is task d's tuples
+// in interval i, every drawn key at least once, shuffled.
+func (sh taskShape) draw(seed int64) [][][]tuple.Tuple {
+	const ring = 16
+	rng := rand.New(rand.NewSource(seed))
+	out := make([][][]tuple.Tuple, ring)
+	for i := range out {
+		out[i] = make([][]tuple.Tuple, sh.nd)
+		for d := range out[i] {
+			picked := rng.Perm(sh.keys)[:sh.touched]
+			ts := make([]tuple.Tuple, sh.tuples)
+			for j := range ts {
+				k := picked[j%sh.touched]
+				if j >= sh.touched {
+					k = picked[rng.Intn(sh.touched)]
+				}
+				ts[j] = tuple.New(tuple.Key(d*sh.keys+k), nil)
+			}
+			rng.Shuffle(len(ts), func(a, b int) { ts[a], ts[b] = ts[b], ts[a] })
+			out[i][d] = ts
+		}
+	}
+	return out
+}
+
+// BenchmarkTaskInterval times whole intervals of a stage's store and
+// tracker work with the tasks' working sets competing for the caches as
+// they do in a run: 128-tuple slices fed round-robin across the tasks,
+// each slice through the operator's Adds and then the tracker's
+// ObserveBatch, as the task loop does, on one goroutine; then the
+// stage's close (the harvest on every task and the merge). One op is one
+// interval; add, observe and close are reported per tuple of it.
+func BenchmarkTaskInterval(b *testing.B) {
+	const slice = 128
+	for _, sh := range taskShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			ring := sh.draw(1)
+			st := NewStage("bench", sh.nd, func(int) Operator { return sizeOp{} }, sh.w, newAsgRouter(sh.nd))
+			defer st.Stop()
+			var iv int64
+			run := func(in [][]tuple.Tuple) (add, obs, end time.Duration) {
+				for lo := 0; lo < sh.tuples; lo += slice {
+					for d, t := range st.tasks {
+						chunk := in[d][lo:min(lo+slice, sh.tuples)]
+						t0 := time.Now()
+						sizeOp{}.ProcessBatch(t.ctx, chunk)
+						t1 := time.Now()
+						t.ctx.Tracker.ObserveBatch(chunk)
+						add += t1.Sub(t0)
+						obs += time.Since(t1)
+					}
+				}
+				t0 := time.Now()
+				st.EndInterval(iv)
+				iv++
+				return add, obs, time.Since(t0)
+			}
+			for i := 0; i < 4*(sh.w+1); i++ {
+				run(ring[i%len(ring)])
+			}
+			var add, obs, end time.Duration
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a, o, e := run(ring[i%len(ring)])
+				add, obs, end = add+a, obs+o, end+e
+			}
+			n := float64(b.N * sh.nd * sh.tuples)
+			b.ReportMetric(float64(add)/n, "add-ns/tuple")
+			b.ReportMetric(float64(obs)/n, "observe-ns/tuple")
+			b.ReportMetric(float64(end)/n, "close-ns/tuple")
+		})
 	}
 }

@@ -5,8 +5,49 @@ import (
 
 	"repro/internal/balance"
 	"repro/internal/route"
+	"repro/internal/stats"
 	"repro/internal/tuple"
 )
+
+// checkOneOwner asserts that every key has one owner: each key holding
+// live state is stored on exactly one task — F(k), or Split.Home for a
+// split key — and snap, the merged snapshot of the close just run (nil
+// after an actuation), lists each key once. Call it with the stage's
+// tasks drained: after a close, or after an actuation and a Barrier.
+func checkOneOwner(t *testing.T, st *Stage, snap *stats.Snapshot, at string) {
+	t.Helper()
+	asg := st.AssignmentRouter().Assignment()
+	splits := asg.Splits()
+	if splits == nil {
+		splits = route.NewSplitTable()
+	}
+	owner := make(map[tuple.Key]int)
+	for d := 0; d < st.Instances(); d++ {
+		for _, k := range st.StoreOf(d).Keys() {
+			if o, dup := owner[k]; dup {
+				t.Fatalf("%s: key %d stored on tasks %d and %d", at, k, o, d)
+			}
+			owner[k] = d
+			home := asg.Dest(k)
+			if sp, ok := splits.Lookup(k); ok {
+				home = sp.Home
+			}
+			if d != home {
+				t.Fatalf("%s: key %d stored on task %d, its owner is %d", at, k, d, home)
+			}
+		}
+	}
+	if snap == nil {
+		return
+	}
+	seen := make(map[tuple.Key]bool, len(snap.Keys))
+	for _, ks := range snap.Keys {
+		if seen[ks.Key] {
+			t.Fatalf("%s: the snapshot lists key %d twice", at, ks.Key)
+		}
+		seen[ks.Key] = true
+	}
+}
 
 // checkStateAccounting asserts the store-level invariant on every task:
 // TotalSize is exactly the sum of the per-key sizes.
@@ -33,7 +74,7 @@ func checkStateAccounting(t *testing.T, st *Stage, at string) {
 // their new task).
 //
 // The task a scale-out creates starts its store on its siblings' clock
-// (state.NewStoreAt), so the buckets it receives expire on time and the
+// (state.NewDir), so the buckets it receives expire on time and the
 // ones it later hands back carry interval numbers its siblings' windows
 // still hold: retiring the scaled-out task again loses nothing either.
 func TestStateVolumeConservedAcrossActuations(t *testing.T) {
@@ -44,9 +85,10 @@ func TestStateVolumeConservedAcrossActuations(t *testing.T) {
 			st.Feed(tuple.New(tuple.Key(k), nil).WithState(int64(1 + k%4)))
 		}
 		st.Barrier()
-		st.EndInterval(interval)
+		snap := st.EndInterval(interval)
 		interval++
 		checkStateAccounting(t, st, "after close")
+		checkOneOwner(t, st, snap, "after close")
 	}
 	conserved := func(what string, act func(MigrationObserver) (int64, error)) {
 		t.Helper()
@@ -62,6 +104,7 @@ func TestStateVolumeConservedAcrossActuations(t *testing.T) {
 			t.Fatalf("%s: stage state volume %d → %d", what, before, after)
 		}
 		checkStateAccounting(t, st, "after "+what)
+		checkOneOwner(t, st, nil, "after "+what)
 	}
 
 	run(400)

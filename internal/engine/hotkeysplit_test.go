@@ -349,6 +349,7 @@ func TestSplitStressWithContinuousRebalance(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.CloseInterval()
+	st.Barrier() // the harvest queued behind the close writes the stores
 
 	fedPerKey := make(map[tuple.Key]int64)
 	for i := range pre {
@@ -393,6 +394,8 @@ func TestSplitStressWithContinuousRebalance(t *testing.T) {
 	if want := int64(len(pre)) + total; totalState != want {
 		t.Fatalf("total state %d, want %d", totalState, want)
 	}
+	checkOneOwner(t, st, nil, "after the plans")
+	checkOneOwner(t, st, st.EndInterval(0), "after the close")
 }
 
 // TestPublishedSplitKernelMatchesReference pins the feeder's one-probe

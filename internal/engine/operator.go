@@ -35,10 +35,13 @@ type BatchSink interface {
 type TaskCtx struct {
 	// ID is the task instance id within its operator (0..ND-1).
 	ID int
-	// Store is the instance's windowed state store.
+	// Store is the instance's windowed state store: the state face of
+	// the task's key directory.
 	Store *state.Store
 	// Tracker accumulates the per-key statistics the controller
-	// harvests at interval boundaries.
+	// harvests at interval boundaries: the statistics face of the same
+	// directory, whose close (Tracker.EndInterval) also expires the
+	// store's buckets.
 	Tracker *stats.Tracker
 	// out is the emission chunk buffer: streamed into the sink whenever
 	// it fills to emitChunk and at interval close, so it never grows

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
@@ -270,6 +271,7 @@ func TestPauseFreeStressContinuousPlans(t *testing.T) {
 	// then finish stage 1.
 	st0.Barrier()
 	st0.CloseInterval()
+	st0.Barrier() // the harvest queued behind the close writes the stores
 	st1.Barrier()
 
 	fedPerKey := make(map[tuple.Key]int64)
@@ -303,6 +305,8 @@ func TestPauseFreeStressContinuousPlans(t *testing.T) {
 	// Placement: every key's state sits exactly at its current home on
 	// both stages, and volumes add up to the fed totals.
 	for si, st := range []*Stage{st0, st1} {
+		checkOneOwner(t, st, nil, fmt.Sprintf("stage %d after the plans", si))
+		checkOneOwner(t, st, st.EndInterval(0), fmt.Sprintf("stage %d after the close", si))
 		cur := st.AssignmentRouter().Assignment()
 		var totalState int64
 		for k := tuple.Key(0); k < keyDomain; k++ {
@@ -430,6 +434,7 @@ func TestPlanTasksSendAndReceive(t *testing.T) {
 	if t.Failed() {
 		return
 	}
+	checkOneOwner(t, st, nil, "after the idle plan")
 
 	stop := make(chan struct{})
 	var ctlWg sync.WaitGroup
@@ -511,4 +516,6 @@ func TestPlanTasksSendAndReceive(t *testing.T) {
 	if state != wantState {
 		t.Fatalf("total state %d, want %d", state, wantState)
 	}
+	checkOneOwner(t, st, nil, "after the plans")
+	checkOneOwner(t, st, st.EndInterval(0), "after the close")
 }

@@ -515,10 +515,11 @@ type harvest struct {
 }
 
 // queueHarvest enqueues task d's share of the stage's pending harvest,
-// opening one if none is pending: the task's tracker rolls its window
-// and hands back its report as a run ordered by stats.KeyStatLess, in
-// a buffer it recycles, and its store evicts the buckets leaving the
-// window.
+// opening one if none is pending: the task's directory closes the
+// interval — its tracker face rolls the window and hands back its
+// report as a run ordered by stats.KeyStatLess, in a buffer it
+// recycles, and its store face evicts the buckets leaving the window in
+// the same pass.
 func (s *Stage) queueHarvest(d int) {
 	if s.harvest == nil {
 		s.harvest = &harvest{runs: make([][]stats.KeyStat, len(s.tasks)), done: make([]chan struct{}, len(s.tasks))}
@@ -537,7 +538,6 @@ func (s *Stage) queueHarvest(d int) {
 			}
 		}
 		h.runs[d] = run
-		ctx.Store.EndInterval()
 		ctx.ProcessedTuples = 0
 		ctx.ProcessedCost = 0
 	})
@@ -736,40 +736,51 @@ func (s *Stage) applyMovesLive(next *route.Assignment, moves []keyMove, obs Migr
 		perSrc[mv.src] = append(perSrc[mv.src], i)
 		perDst[mv.dst] = append(perDst[mv.dst], i)
 	}
-	s.eachTask(perDst, false, func(t *task, _ *TaskCtx, i int) {
+	s.eachTask(perDst, false, func(t *task, _ *TaskCtx, idx []int) {
 		if t.handoff == nil {
 			t.handoff = make(map[tuple.Key][]tuple.Tuple)
 		}
-		if _, ok := t.handoff[moves[i].k]; !ok {
-			t.handoff[moves[i].k] = nil
+		for _, i := range idx {
+			if _, ok := t.handoff[moves[i].k]; !ok {
+				t.handoff[moves[i].k] = nil
+			}
 		}
 	})
 	s.publish(next)
 	newGen := next.Gen()
 	xs := make([]transfer, len(moves))
-	s.eachTask(perSrc, true, func(t *task, ctx *TaskCtx, i int) {
-		k := moves[i].k
-		xs[i].m = ctx.Store.Extract(k)
-		xs[i].mem = ctx.Tracker.WindowedMem(k)
-		ctx.Tracker.DropKey(k)
+	s.eachTask(perSrc, true, func(t *task, ctx *TaskCtx, idx []int) {
+		keys := make([]tuple.Key, len(idx))
+		for j, i := range idx {
+			keys[j] = moves[i].k
+		}
+		// One pass over the directory's records takes every outgoing
+		// key's state and statistics.
+		ctx.Store.Dir().Move(keys, func(j int, m state.Migrated, mem int64) {
+			xs[idx[j]].m, xs[idx[j]].mem = m, mem
+		})
 		if t.reroute == nil {
 			t.reroute = make(map[tuple.Key]uint64)
 		}
-		t.reroute[k] = newGen
+		for _, k := range keys {
+			t.reroute[k] = newGen
+		}
 	})
 	for i := range xs {
 		x := &xs[i]
 		x.m, x.mem, x.payload = s.serializeTransfer(x.m, x.mem)
 	}
-	s.eachTask(perDst, true, func(t *task, ctx *TaskCtx, i int) {
-		k, x := moves[i].k, &xs[i]
-		if x.m.Size > 0 {
-			ctx.Store.Inject(x.m)
+	s.eachTask(perDst, true, func(t *task, ctx *TaskCtx, idx []int) {
+		for _, i := range idx {
+			k, x := moves[i].k, &xs[i]
+			if x.m.Size > 0 {
+				ctx.Store.Inject(x.m)
+			}
+			if x.mem > 0 {
+				ctx.Tracker.AdoptKey(k, x.mem)
+			}
+			t.replayHandoff(ctx, k)
 		}
-		if x.mem > 0 {
-			ctx.Tracker.AdoptKey(k, x.mem)
-		}
-		t.replayHandoff(ctx, k)
 	})
 	var moved int64
 	s.mu.Lock()
@@ -784,25 +795,26 @@ func (s *Stage) applyMovesLive(next *route.Assignment, moves []keyMove, obs Migr
 			obs(mv.k, mv.src, mv.dst, xs[i].m.Size, xs[i].payload)
 		}
 	}
-	s.eachTask(perSrc, false, func(t *task, _ *TaskCtx, i int) { delete(t.reroute, moves[i].k) })
+	s.eachTask(perSrc, false, func(t *task, _ *TaskCtx, idx []int) {
+		for _, i := range idx {
+			delete(t.reroute, moves[i].k)
+		}
+	})
 	return moved
 }
 
 // eachTask queues one control thunk on every task d that perTask[d]
-// names moves for, running fn for each of them in order; with wait it
-// returns once every task has run its thunk, all tasks concurrently.
-func (s *Stage) eachTask(perTask [][]int, wait bool, fn func(t *task, ctx *TaskCtx, i int)) {
+// names moves for, running fn on that task's moves (in order); with
+// wait it returns once every task has run its thunk, all tasks
+// concurrently.
+func (s *Stage) eachTask(perTask [][]int, wait bool, fn func(t *task, ctx *TaskCtx, idx []int)) {
 	var dones []chan struct{}
 	for d, idx := range perTask {
 		if len(idx) == 0 {
 			continue
 		}
 		t := s.tasks[d]
-		thunk := func(ctx *TaskCtx) {
-			for _, i := range idx {
-				fn(t, ctx, i)
-			}
-		}
+		thunk := func(ctx *TaskCtx) { fn(t, ctx, idx) }
 		if wait {
 			dones = append(dones, t.barrierAsync(thunk))
 		} else {

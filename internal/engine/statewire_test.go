@@ -268,6 +268,7 @@ func TestStateWireLiveFeeders(t *testing.T) {
 
 	st0.Barrier()
 	st0.CloseInterval()
+	st0.Barrier() // the harvest queued behind the close writes the stores
 	st1.Barrier()
 
 	if payloads.Load() == 0 {

@@ -117,12 +117,15 @@ func (t *task) cell(k tuple.Key) *splitCell {
 // exercise real channel backpressure under pathological skew.
 const taskQueueDepth = 4096
 
-// newTask starts instance id of stage. interval is the stage's clock —
-// the number of intervals its siblings' stores have closed, 0 for a new
-// stage — so a task added by scale-out keeps the same window they do.
+// newTask starts instance id of stage on a key directory of its own,
+// whose two faces are the task's store and tracker. interval is the
+// stage's clock — the number of intervals its siblings' directories
+// have closed, 0 for a new stage — so a task added by scale-out keeps
+// the same window they do.
 func newTask(id int, op Operator, window int, stage *Stage, interval int64) *task {
 	opB, _ := op.(BatchOperator)
 	folder, _ := op.(SplitFolder)
+	dir := state.NewDir(window, interval)
 	t := &task{
 		id:     id,
 		in:     make(chan message, taskQueueDepth),
@@ -132,8 +135,8 @@ func newTask(id int, op Operator, window int, stage *Stage, interval int64) *tas
 		stage:  stage,
 		ctx: &TaskCtx{
 			ID:      id,
-			Store:   state.NewStoreAt(window, interval),
-			Tracker: stats.NewTracker(window),
+			Store:   dir.Store(),
+			Tracker: stats.TrackerOf(dir),
 		},
 	}
 	t.wg.Add(1)

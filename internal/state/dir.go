@@ -1,0 +1,797 @@
+package state
+
+import (
+	"cmp"
+	"math/bits"
+	"slices"
+
+	"repro/internal/tuple"
+)
+
+// Dir is one task's key directory: the one table and the one ring of
+// per-interval record lists behind both the task's state store (Store,
+// the state face) and its statistics tracker (stats.Tracker, the
+// statistics face). A Dir serves one task goroutine and is not
+// synchronized. The package comment describes the layout.
+type Dir struct {
+	window int
+	// interval is the interval in progress; closes counts the closes so
+	// far (the statistics face's finished intervals, see AdoptKey).
+	interval, closes int64
+	// total is Σ of the live buckets' sizes, live the keys holding one.
+	total int64
+	live  int
+	// slots is the power-of-two open-addressed key table (linear probing,
+	// backward-shift deletion, grown at 3/4 load) over the key record
+	// slab; free lists released records, runs released entry runs.
+	slots     []slot
+	mask      uint64
+	n, growAt int
+	keys      []keyRec
+	free      []int32
+	runs      runPool
+	// lists[iv mod (w+1)] holds retained interval iv's records, lists[cur]
+	// the interval in progress's. future holds buckets injected ahead of
+	// the clock, held the buckets the window has passed that wait behind
+	// an older front bucket (see Store).
+	lists        [][]rec
+	cur          int
+	future, held []rec
+	// base numbers the current list's first record in the running count
+	// of records ever appended to a current list (modulo 2³²), the
+	// numbering of the slots' cur hints.
+	base uint32
+	// Recycled scratch of the close and of removals.
+	tallies []Tally
+	sel     []int32
+	picks   []pick
+	parts   []part
+}
+
+// keyRec is one key's record in one cache line (the key is in its slot
+// and records): the entry run, run[head:] live, oldest bucket first,
+// and the window sum S(k, w). Bucket positions count entries modulo 2³²
+// (ent is the run's end), so moving the run moves no record. nrec counts
+// the key's records — one per retained interval, a few more while
+// transfers arrive — but the one its slot's hint names, which the close
+// counts so a first touch need not reach this line; the key lives while
+// it has either.
+type keyRec struct {
+	run    []Entry
+	ent    uint32
+	head   int32
+	nrec   uint16
+	bits   uint8 // kOpen, kBoxed
+	pend   int64 // the open bucket's size so far
+	sealed int64 // the other live buckets' size
+	win    int64
+}
+
+const (
+	kOpen  uint8 = 1 << iota // the newest bucket is the interval in progress's and takes the Adds
+	kBoxed                   // an entry since the run was claimed carried a Value: zero dead entries
+)
+
+// hasState reports whether the key holds a live bucket (none is empty).
+func (kr *keyRec) hasState() bool { return int(kr.head) < len(kr.run) }
+
+// rec is one (key, interval) record: a bucket's place in the key's run
+// (start, n entries, size; the open bucket's are filled in at the
+// close) and/or the interval's statistics — fStat while it is in
+// progress, fTracked once it counts in the key's window sum. A record
+// that is neither is dead (ref 0).
+type rec struct {
+	ref   int32 // key record index + 1; 0 when dead
+	n     int32
+	start uint32
+	flags uint8
+	key   tuple.Key
+	iv    int64
+	size  int64
+	cost  int64
+	freq  int64
+	mem   int64
+}
+
+const (
+	fBucket uint8 = 1 << iota
+	fOpen
+	fStat
+	fTracked
+	fCounted // counted in its key's nrec
+
+	bucketFlags = fBucket | fOpen
+	statFlags   = fStat | fTracked
+)
+
+// Tally is one key's c(k), g(k) and S(k, w) for a closed interval; the
+// statistics face sorts a close's tallies into its run.
+type Tally struct {
+	Key             tuple.Key
+	Cost, Freq, Mem int64
+}
+
+// slot is one cell of the key table: ref is the key's record index plus
+// one, zero for an empty cell. cur numbers the key's record for the
+// interval in progress (see Dir.base), a hint valid when it falls in the
+// current list on a record naming the key: an old hint costs no read.
+type slot struct {
+	key tuple.Key
+	ref int32
+	cur uint32
+}
+
+// pick is one bucket claimed by a removal: rel is its start relative to
+// the key's run, i the removed key's index.
+type pick struct {
+	i   int32
+	rel uint32
+	r   rec
+}
+
+// part is one bucket of a merge: own entries (a), then incoming (b).
+type part struct {
+	iv   int64
+	size int64
+	a, b []Entry
+}
+
+const (
+	tabMinSize = 64
+	// Runs come in power-of-two capacities from 1<<minRunClass entries
+	// up; those of up to 1<<maxPooledClass are recycled through the pool,
+	// larger ones (a hot key's) are left to the garbage collector rather
+	// than kept for a cold key that would never fill them.
+	minRunClass    = 2
+	maxPooledClass = 6
+)
+
+// runPool recycles entry runs by capacity class: pool[c] holds released
+// runs of capacity 1<<c, none of whose entries holds a value.
+type runPool [maxPooledClass + 1][][]Entry
+
+// get returns an empty run with room for at least n entries.
+func (p *runPool) get(n int) []Entry {
+	c := max(bits.Len(uint(n-1)), minRunClass)
+	if c <= maxPooledClass {
+		if k := len(p[c]); k > 0 {
+			run := p[c][k-1]
+			p[c][k-1] = nil
+			p[c] = p[c][:k-1]
+			return run
+		}
+	}
+	return make([]Entry, 0, 1<<c)
+}
+
+// put takes back a run that no key uses any more.
+func (p *runPool) put(run []Entry) {
+	if c := bits.Len(uint(cap(run))) - 1; c >= minRunClass && c <= maxPooledClass {
+		p[c] = append(p[c], run[:0])
+	}
+}
+
+// NewDir creates a directory with a retention window of w intervals
+// (w < 1 clamps to 1), its clock at interval: a task that joins a
+// running stage takes its siblings' clock, so its buckets expire — and
+// the ones it hands back are stamped — on theirs.
+func NewDir(w int, interval int64) *Dir {
+	if w < 1 {
+		w = 1
+	}
+	d := &Dir{window: w, interval: interval, lists: make([][]rec, w+1)}
+	d.cur = d.listOf(interval)
+	return d
+}
+
+// Store returns the directory's state face.
+func (d *Dir) Store() *Store { return (*Store)(d) }
+
+// Window returns w.
+func (d *Dir) Window() int { return d.window }
+
+// listOf returns the ring position of interval iv's list (a decoded
+// transfer may carry any interval, including a negative one).
+func (d *Dir) listOf(iv int64) int {
+	n := int64(len(d.lists))
+	return int((iv%n + n) % n)
+}
+
+// keyHash is splitmix64, the mixing the hash ring uses: fast and
+// well-distributed over small-integer keys.
+func keyHash(k tuple.Key) uint64 {
+	x := uint64(k) + 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
+// find returns k's record index, or -1.
+func (d *Dir) find(k tuple.Key) int32 {
+	if d.n == 0 {
+		return -1
+	}
+	for i := keyHash(k) & d.mask; ; i = (i + 1) & d.mask {
+		sl := d.slots[i]
+		if sl.ref == 0 {
+			return -1
+		}
+		if sl.key == k {
+			return sl.ref - 1
+		}
+	}
+}
+
+// acquire returns k's slot and record index, claiming a key record
+// (recycled when one is free) and the slot if the key has none. The
+// caller gives a new key its first record.
+func (d *Dir) acquire(k tuple.Key) (uint64, int32) {
+	if d.n >= d.growAt {
+		d.grow()
+	}
+	i := keyHash(k) & d.mask
+	for ; d.slots[i].ref != 0; i = (i + 1) & d.mask {
+		if d.slots[i].key == k {
+			return i, d.slots[i].ref - 1
+		}
+	}
+	var idx int32
+	if n := len(d.free); n > 0 {
+		idx = d.free[n-1]
+		d.free = d.free[:n-1]
+	} else {
+		idx = int32(len(d.keys))
+		d.keys = append(d.keys, keyRec{})
+	}
+	d.slots[i] = slot{key: k, ref: idx + 1, cur: d.base - 1}
+	d.n++
+	return i, idx
+}
+
+// grow creates the key table or doubles it, rehashing the slots.
+func (d *Dir) grow() {
+	old := d.slots
+	size := tabMinSize
+	if len(old) > 0 {
+		size = 2 * len(old)
+	}
+	d.slots = make([]slot, size)
+	d.mask = uint64(size - 1)
+	d.growAt = size * 3 / 4
+	for _, sl := range old {
+		if sl.ref == 0 {
+			continue
+		}
+		i := keyHash(sl.key) & d.mask
+		for d.slots[i].ref != 0 {
+			i = (i + 1) & d.mask
+		}
+		d.slots[i] = sl
+	}
+}
+
+// drop retires one of key k's records and releases the key with its
+// last.
+func (d *Dir) drop(k tuple.Key, idx int32) {
+	if d.keys[idx].nrec--; d.keys[idx].nrec == 0 {
+		d.release(k, idx)
+	}
+}
+
+// release returns key idx, which no counted record names any more, to
+// the free list, its run (which holds no value) to the pool, and removes
+// its key from the table, shifting displaced successors back into the
+// hole — unless its slot's hint names a live record of the interval in
+// progress, which keeps the key until the close counts it.
+func (d *Dir) release(k tuple.Key, idx int32) {
+	kr := &d.keys[idx]
+	i := keyHash(k) & d.mask
+	for d.slots[i].ref != idx+1 {
+		i = (i + 1) & d.mask
+	}
+	if c := d.lists[d.cur]; uint(d.slots[i].cur-d.base) < uint(len(c)) && c[d.slots[i].cur-d.base].ref == idx+1 {
+		return
+	}
+	for j := i; ; {
+		j = (j + 1) & d.mask
+		if d.slots[j].ref == 0 {
+			break
+		}
+		h := keyHash(d.slots[j].key) & d.mask
+		if (j-h)&d.mask >= (j-i)&d.mask {
+			d.slots[i] = d.slots[j]
+			i = j
+		}
+	}
+	d.slots[i] = slot{}
+	d.n--
+	if kr.run != nil {
+		d.runs.put(kr.run)
+	}
+	*kr = keyRec{}
+	d.free = append(d.free, idx)
+}
+
+// push appends r to list li, counting it on its key.
+func (d *Dir) push(li int, r rec) {
+	r.flags |= fCounted
+	d.lists[li] = append(d.lists[li], r)
+	d.keys[r.ref-1].nrec++
+}
+
+// curRec returns the record for the interval in progress of key k, in
+// slot si, creating it on the key's first touch of the interval. The
+// pointer is valid until the current list next grows.
+func (d *Dir) curRec(k tuple.Key, si uint64) *rec {
+	sl, c := &d.slots[si], d.lists[d.cur]
+	if p := uint(sl.cur - d.base); p < uint(len(c)) && c[p].ref == sl.ref {
+		return &c[p]
+	}
+	sl.cur = d.base + uint32(len(c))
+	d.lists[d.cur] = append(c, rec{ref: sl.ref, key: k, iv: d.interval})
+	return &d.lists[d.cur][len(c)]
+}
+
+// bucketRec returns a record of key k (in slot si) for the interval in
+// progress that holds no bucket yet: the key's current record, or a new
+// one beside it.
+func (d *Dir) bucketRec(k tuple.Key, si uint64) *rec {
+	if r := d.curRec(k, si); r.flags&fBucket == 0 {
+		return r
+	}
+	d.push(d.cur, rec{ref: d.slots[si].ref, key: k, iv: d.interval})
+	return &d.lists[d.cur][len(d.lists[d.cur])-1]
+}
+
+// open starts the bucket for the interval in progress of key k, in slot
+// si, at the end of its run.
+func (d *Dir) open(k tuple.Key, si uint64, idx int32) {
+	kr := &d.keys[idx]
+	if !kr.hasState() {
+		d.live++
+	}
+	kr.bits |= kOpen
+	r := d.bucketRec(k, si)
+	r.flags |= bucketFlags
+	r.start = kr.ent
+}
+
+// reserve makes room for n more entries at the end of kr's run, which
+// has too little. When at least a quarter of the run has expired and
+// the rest fits, the live entries slide down in place — a slide moves
+// at most three entries for each one the space it frees will take, and
+// keeps a steady key's capacity within 4/3 of its live peak. Otherwise
+// they move to a run of (at least) the next capacity class and the old
+// run returns to the pool.
+func (d *Dir) reserve(kr *keyRec, n int) {
+	old, live := kr.run, kr.run[kr.head:]
+	if len(live)+n <= cap(old) && 4*int(kr.head) >= len(old) {
+		kr.run, kr.head = old[:copy(old, live)], 0
+		if kr.bits&kBoxed != 0 {
+			clear(old[len(live):])
+		}
+		return
+	}
+	to := d.runs.get(max(len(live)+n, cap(old)+1))
+	kr.run, kr.head = to[:copy(to[:len(live)], live)], 0
+	if kr.bits&kBoxed != 0 {
+		clear(old)
+	}
+	d.runs.put(old)
+}
+
+// front reports whether r is the key's oldest live bucket.
+func (kr *keyRec) front(r *rec) bool {
+	return r.start == kr.ent-uint32(len(kr.run)-int(kr.head))
+}
+
+// pop expires the key's front bucket r, zeroing its entries if they may
+// hold values; a key left without a live bucket gives its run back.
+func (d *Dir) pop(kr *keyRec, r *rec) {
+	end := int(kr.head) + int(r.n)
+	if kr.bits&kBoxed != 0 {
+		clear(kr.run[kr.head:end])
+	}
+	kr.head = int32(end)
+	kr.sealed -= r.size
+	d.total -= r.size
+	if end == len(kr.run) {
+		d.live--
+		d.runs.put(kr.run)
+		kr.run, kr.head, kr.bits = nil, 0, kr.bits&^kBoxed
+	}
+}
+
+// Close ends the interval in progress for both faces, visiting two
+// lists. The list leaving the window (interval i−w as i closes) leaves
+// its keys' window sums, its buckets expire and keys nothing else names
+// are released; the current list seals its open buckets and adds to its
+// keys' sums, yielding one tally per touched key — unsorted, in a buffer
+// the next close reuses. The leaving list's storage then serves the new
+// interval, joined by the buckets injected for it. A steady close
+// allocates nothing.
+func (d *Dir) Close() []Tally {
+	leave := d.listOf(d.interval + 1)
+	l := d.lists[leave]
+	for i := range l {
+		r := &l[i]
+		if r.ref == 0 {
+			continue
+		}
+		kr := &d.keys[r.ref-1]
+		if r.flags&fTracked != 0 {
+			kr.win -= r.mem
+		}
+		if r.flags&fBucket != 0 {
+			if !kr.front(r) {
+				// An older bucket (one injected ahead of the clock) still
+				// leads the run: this one waits behind it.
+				d.held = append(d.held, rec{ref: r.ref, n: r.n, start: r.start, flags: fBucket | fCounted, key: r.key, iv: r.iv, size: r.size})
+				continue
+			}
+			d.pop(kr, r)
+		}
+		d.drop(r.key, r.ref-1)
+	}
+	c := d.lists[d.cur]
+	tallies := d.tallies[:0]
+	for i := range c {
+		r := &c[i]
+		if r.ref == 0 {
+			continue
+		}
+		kr := &d.keys[r.ref-1]
+		if r.flags&fCounted == 0 {
+			r.flags |= fCounted
+			kr.nrec++
+		}
+		if r.flags&fOpen != 0 {
+			r.n, r.size = int32(kr.ent-r.start), kr.pend
+			kr.sealed += kr.pend
+			kr.pend, kr.bits = 0, kr.bits&^kOpen
+			r.flags &^= fOpen
+		}
+		if r.flags&fStat != 0 {
+			kr.win += r.mem
+			r.flags = r.flags&^fStat | fTracked
+			tallies = append(tallies, Tally{Key: r.key, Cost: r.cost, Freq: r.freq, Mem: kr.win})
+		}
+	}
+	d.tallies = tallies
+	d.interval++
+	d.closes++
+	d.cur, d.base = leave, d.base+uint32(len(c))
+	l = l[:0]
+	if len(d.future) > 0 {
+		keep := d.future[:0]
+		for _, r := range d.future {
+			if r.iv > d.interval {
+				keep = append(keep, r)
+				continue
+			}
+			if kr := &d.keys[r.ref-1]; r.start+uint32(r.n) == kr.ent {
+				// The key's newest bucket: it takes the interval's Adds.
+				r.flags |= fOpen
+				kr.bits, kr.pend = kr.bits|kOpen, r.size
+				kr.sealed -= r.size
+			}
+			l = append(l, r)
+		}
+		d.future = keep
+	}
+	d.lists[leave] = l
+	d.expireHeld()
+	return tallies
+}
+
+// expireHeld expires every held bucket the window has passed that now
+// leads its key's run, until none does.
+func (d *Dir) expireHeld() {
+	oldest := d.interval - int64(d.window)
+	for again := len(d.held) > 0; again; {
+		again = false
+		keep := d.held[:0]
+		for _, r := range d.held {
+			if kr := &d.keys[r.ref-1]; r.iv < oldest && kr.front(&r) {
+				d.pop(kr, &r)
+				d.drop(r.key, r.ref-1)
+				again = true
+				continue
+			}
+			keep = append(keep, r)
+		}
+		d.held = keep
+	}
+}
+
+// stat returns k's statistics record for the interval in progress.
+func (d *Dir) stat(k tuple.Key) *rec {
+	si, _ := d.acquire(k)
+	r := d.curRec(k, si)
+	r.flags |= fStat
+	return r
+}
+
+// ObserveBatch charges every tuple's cost and state size to its key in
+// the interval in progress and returns the batch's total cost — the
+// statistics face's per-tuple path: the key's slot, then the record its
+// hint names, which the operator's Add has usually just touched.
+func (d *Dir) ObserveBatch(ts []tuple.Tuple) int64 {
+	var total int64
+	slots, mask, c, base := d.slots, d.mask, d.lists[d.cur], d.base
+	for i := range ts {
+		// The probe and the hint check inline; a miss takes stat.
+		var r *rec
+		k := ts[i].Key
+		for j := keyHash(k) & mask; len(slots) > 0; j = (j + 1) & mask {
+			sl := &slots[j]
+			if sl.ref == 0 {
+				break
+			}
+			if sl.key == k {
+				if p := uint(sl.cur - base); p < uint(len(c)) && c[p].ref == sl.ref {
+					r = &c[p]
+					r.flags |= fStat
+				}
+				break
+			}
+		}
+		if r == nil {
+			r = d.stat(k)
+			slots, mask, c = d.slots, d.mask, d.lists[d.cur]
+		}
+		r.cost += ts[i].Cost
+		r.freq++
+		r.mem += ts[i].StateSize
+		total += ts[i].Cost
+	}
+	return total
+}
+
+// AbsorbKey folds an already-aggregated (cost, freq, mem) contribution
+// into k's record for the interval in progress.
+func (d *Dir) AbsorbKey(k tuple.Key, cost, freq, mem int64) {
+	if cost == 0 && freq == 0 && mem == 0 {
+		return
+	}
+	r := d.stat(k)
+	r.cost += cost
+	r.freq += freq
+	r.mem += mem
+}
+
+// AdoptKey seeds S(k, w) for a key that just migrated in with a record
+// in the last finished interval — or, before the directory's first
+// close, in the interval in progress.
+func (d *Dir) AdoptKey(k tuple.Key, mem int64) {
+	if d.closes == 0 {
+		d.stat(k).mem += mem
+		return
+	}
+	_, idx := d.acquire(k)
+	d.push(d.listOf(d.interval-1), rec{ref: idx + 1, flags: fTracked, key: k, iv: d.interval - 1, mem: mem})
+	d.keys[idx].win += mem
+}
+
+// WindowedMem returns S(k, w) over the finished intervals in the window.
+func (d *Dir) WindowedMem(k tuple.Key) int64 {
+	if idx := d.find(k); idx >= 0 {
+		return d.keys[idx].win
+	}
+	return 0
+}
+
+// DropKey forgets k's statistics: its window sum and every statistics
+// record, so the key is neither reported nor listed until it is touched
+// or adopted again. Its buckets stay.
+func (d *Dir) DropKey(k tuple.Key) { d.remove([]tuple.Key{k}, statFlags, nil) }
+
+// Keys returns, ascending, every key with statistics: touched in the
+// interval in progress or recorded in a finished interval of the window.
+func (d *Dir) Keys() []tuple.Key {
+	var out []tuple.Key
+	for _, l := range d.lists {
+		for i := range l {
+			if l[i].ref != 0 && l[i].flags&(fStat|fTracked) != 0 {
+				out = append(out, l[i].key)
+			}
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// Move removes distinct keys from both faces in one pass over the
+// records — Store.Extract, WindowedMem and DropKey for each — and hands
+// fn each key's state and window sum, in keys order.
+func (d *Dir) Move(keys []tuple.Key, fn func(i int, m Migrated, mem int64)) {
+	d.remove(keys, bucketFlags|statFlags, fn)
+}
+
+// remove claims keys' buckets and/or statistics (strip: bucketFlags,
+// statFlags) in one pass over every list, then settles each key: its
+// buckets leave as a Migrated in run order, its window sum as mem, and
+// a key nothing names any more is released.
+func (d *Dir) remove(keys []tuple.Key, strip uint8, fn func(i int, m Migrated, mem int64)) {
+	if len(d.sel) < len(d.keys) {
+		d.sel = make([]int32, len(d.keys)+len(d.keys)/4)
+	}
+	sel, picks, claimed := d.sel, d.picks[:0], false
+	for i, k := range keys {
+		if idx := d.find(k); idx >= 0 {
+			sel[idx], claimed = int32(i+1), true
+		}
+	}
+	// One pass claims the records and drops the dead ones of every list
+	// — the current list's only from its end, as slot hints name its
+	// positions — so migrations between closes do not lengthen a list.
+	for li := -2; claimed && li < len(d.lists); li++ {
+		l := &d.future
+		if li == -1 {
+			l = &d.held
+		} else if li >= 0 {
+			l = &d.lists[li]
+		}
+		for j := range *l {
+			r := &(*l)[j]
+			if r.ref == 0 || sel[r.ref-1] == 0 || r.flags&strip == 0 {
+				continue
+			}
+			kr := &d.keys[r.ref-1]
+			if r.flags&strip&fBucket != 0 {
+				picks = append(picks, pick{i: sel[r.ref-1] - 1, rel: r.start - (kr.ent - uint32(len(kr.run))), r: *r})
+				r.n, r.start, r.size = 0, 0, 0
+			}
+			if r.flags&strip&statFlags != 0 {
+				r.cost, r.freq, r.mem = 0, 0, 0
+			}
+			if r.flags &^= strip; r.flags&^fCounted == 0 {
+				if r.ref = 0; r.flags != 0 {
+					kr.nrec-- // a key left with none is released below
+				}
+			}
+		}
+		if li != d.cur {
+			*l = slices.DeleteFunc(*l, func(r rec) bool { return r.ref == 0 })
+		}
+		for n := len(*l); n > 0 && (*l)[n-1].ref == 0; n-- {
+			*l = (*l)[:n-1]
+		}
+	}
+	slices.SortFunc(picks, func(a, b pick) int {
+		if c := cmp.Compare(a.i, b.i); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.rel, b.rel)
+	})
+	d.picks = picks
+	for i, k := range keys {
+		idx := d.find(k)
+		if idx < 0 {
+			if fn != nil {
+				fn(i, Migrated{Key: k}, 0)
+			}
+			continue
+		}
+		sel[idx] = 0
+		kr := &d.keys[idx]
+		m, mem := Migrated{Key: k}, int64(0)
+		if strip&fBucket != 0 && kr.hasState() {
+			n := 0
+			for n < len(picks) && picks[n].i == int32(i) {
+				n++
+			}
+			m.buckets = make([]bucket, n)
+			for j, p := range picks[:n] {
+				cnt, size := int(p.r.n), p.r.size
+				if p.r.flags&fOpen != 0 {
+					cnt, size = int(kr.ent-p.r.start), kr.pend
+				}
+				a := int(p.rel)
+				m.buckets[j] = bucket{interval: p.r.iv, entries: kr.run[a : a+cnt : a+cnt], size: size}
+			}
+			picks = picks[n:]
+			m.Size = kr.sealed + kr.pend
+			d.total -= m.Size
+			d.live--
+			// The entries leave with the migrated state.
+			kr.run, kr.head, kr.sealed, kr.pend, kr.bits = nil, 0, 0, 0, 0
+		}
+		if strip&fStat != 0 {
+			mem, kr.win = kr.win, 0
+		}
+		if kr.nrec == 0 {
+			d.release(k, idx)
+		}
+		if fn != nil {
+			fn(i, m, mem)
+		}
+	}
+}
+
+// inject merges a migrated key state into the directory; see
+// Store.Inject.
+func (d *Dir) inject(m Migrated) {
+	in := m.buckets
+	if len(in) == 0 {
+		return
+	}
+	var own []bucket
+	if idx := d.find(m.Key); idx >= 0 && d.keys[idx].hasState() {
+		d.remove([]tuple.Key{m.Key}, bucketFlags, func(_ int, o Migrated, _ int64) { own = o.buckets })
+	}
+	// Merge the key's own buckets and the incoming ones by interval,
+	// walking both lists as ascending.
+	parts := d.parts[:0]
+	for i, j := 0, 0; i < len(own) || j < len(in); {
+		switch {
+		case j == len(in) || (i < len(own) && own[i].interval < in[j].interval):
+			parts = append(parts, part{iv: own[i].interval, size: own[i].size, a: own[i].entries})
+			i++
+		case i == len(own) || own[i].interval > in[j].interval:
+			parts = append(parts, part{iv: in[j].interval, size: in[j].size, b: in[j].entries})
+			j++
+		default:
+			parts = append(parts, part{iv: own[i].interval, size: own[i].size + in[j].size, a: own[i].entries, b: in[j].entries})
+			i++
+			j++
+		}
+	}
+	// Buckets at the front that the window has already passed expire on
+	// arrival.
+	oldest := d.interval - int64(d.window)
+	first, n := 0, 0
+	for first < len(parts) && parts[first].iv < oldest {
+		first++
+	}
+	for _, p := range parts[first:] {
+		n += len(p.a) + len(p.b)
+	}
+	if n > 0 {
+		d.install(m.Key, parts[first:], n)
+	}
+	clear(parts)
+	d.parts = parts[:0]
+}
+
+// install gives key k, which holds no live bucket, the buckets parts
+// (n entries in all) in a fresh run, each on a record in the list of
+// its interval: the current list (the newest bucket, if current, stays
+// open), future, or held for a bucket the window has passed.
+func (d *Dir) install(k tuple.Key, parts []part, n int) {
+	si, idx := d.acquire(k)
+	kr := &d.keys[idx]
+	kr.run, kr.head = d.runs.get(n), 0
+	kr.bits |= kBoxed // the transfer's entries may carry values
+	d.live++
+	oldest := d.interval - int64(d.window)
+	for j, p := range parts {
+		if len(p.a)+len(p.b) == 0 {
+			continue // a hostile payload's bucket without entries holds no run position
+		}
+		r := rec{ref: idx + 1, flags: fBucket | fCounted, start: kr.ent, n: int32(len(p.a) + len(p.b)), key: k, iv: p.iv, size: p.size}
+		kr.run = append(append(kr.run, p.a...), p.b...)
+		kr.ent += uint32(r.n)
+		d.total += p.size
+		switch {
+		case p.iv == d.interval:
+			c := d.bucketRec(k, si)
+			c.flags |= fBucket
+			c.start, c.n, c.size = r.start, r.n, r.size
+			if j == len(parts)-1 {
+				c.flags |= fOpen
+				kr.bits, kr.pend = kr.bits|kOpen, p.size
+				continue
+			}
+		case p.iv > d.interval:
+			d.future = append(d.future, r)
+			kr.nrec++
+		case p.iv >= oldest:
+			d.push(d.listOf(p.iv), r)
+		default:
+			d.held = append(d.held, r)
+			kr.nrec++
+		}
+		kr.sealed += p.size
+	}
+}

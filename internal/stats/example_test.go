@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/stats"
+	"repro/internal/tuple"
 )
 
 // ExampleTheta computes the balance indicator of §II-A for the paper's
@@ -21,8 +22,10 @@ func ExampleTheta() {
 // tuples, close the interval, read c(k), g(k) and S(k, w).
 func ExampleTracker() {
 	tr := stats.NewTracker(2) // w = 2 intervals
-	tr.ObserveKey(7, 3, 1)    // key 7: cost 3, state 1
-	tr.ObserveKey(7, 2, 1)
+	tr.ObserveBatch([]tuple.Tuple{
+		{Key: 7, Cost: 3, StateSize: 1},
+		{Key: 7, Cost: 2, StateSize: 1},
+	})
 	ks := tr.EndInterval()[0] // one key touched: a run of one
 	fmt.Printf("c=%d g=%d S=%d\n", ks.Cost, ks.Freq, ks.Mem)
 	// Output: c=5 g=2 S=2

@@ -27,7 +27,7 @@ type HotKey struct {
 //
 // The detector is deliberately snapshot-driven: it consumes the sorted
 // per-interval key statistics the control plane already harvests
-// (Snapshot.Keys, or Tracker.TopK for a single task) and keeps only
+// (Snapshot.Keys, or one task's Tracker.EndInterval run) and keeps only
 // the active set as state, so it drops into a control.Policy without
 // touching the data plane.
 type HotKeyDetector struct {
@@ -66,7 +66,7 @@ func NewHotKeyDetector(maxSplit int, enterRatio float64) *HotKeyDetector {
 }
 
 // Update consumes one finished interval's per-key statistics (sorted
-// by KeyStatLess — Snapshot.Keys or Tracker.TopK output) and returns
+// by KeyStatLess — Snapshot.Keys or a Tracker.EndInterval run) and returns
 // the new split set (sorted by key) plus whether it differs from the
 // previous interval's. capacity is the per-task service capacity the
 // cost thresholds are relative to; nd bounds each key's fan. A

@@ -1,85 +1,6 @@
 package stats
 
-import (
-	"math/rand"
-	"testing"
-
-	"repro/internal/tuple"
-)
-
-// TestTopKMatchesEndInterval pins TopK's contract: on an identically
-// fed twin tracker, TopK(n) must equal the first n entries of
-// SortByCostDesc over EndInterval's full map — same cost, frequency
-// and post-roll windowed memory — across interval rolls, key churn and
-// every n from under- to over-sized.
-func TestTopKMatchesEndInterval(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	a, b := NewTracker(3), NewTracker(3)
-	for interval := 0; interval < 7; interval++ {
-		nKeys := 20 + rng.Intn(180)
-		for i := 0; i < 3000; i++ {
-			k := tuple.Key(rng.Intn(nKeys))
-			cost, mem := int64(1+rng.Intn(9)), int64(rng.Intn(4))
-			a.ObserveKey(k, cost, mem)
-			b.ObserveKey(k, cost, mem)
-		}
-		for _, n := range []int{1, 5, nKeys / 2, nKeys, nKeys * 2} {
-			got := a.TopK(n)
-			full := make([]KeyStat, 0, nKeys)
-			// Replay EndInterval's view without closing a: the twin b
-			// closes for real below, so compare against its map on the
-			// final n only after the roll. Mid-loop, compare heap output
-			// against a full sort of another TopK call with huge n —
-			// TopK(∞) must itself match EndInterval, checked below.
-			full = append(full, a.TopK(nKeys*4)...)
-			want := full
-			if n < len(full) {
-				want = full[:n]
-			}
-			if len(got) != len(want) {
-				t.Fatalf("interval %d TopK(%d): %d entries, want %d", interval, n, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("interval %d TopK(%d)[%d] = %+v, want %+v", interval, n, i, got[i], want[i])
-				}
-			}
-		}
-		// The oracle: TopK over everything, taken immediately before the
-		// roll, must reproduce EndInterval's map exactly.
-		top := a.TopK(nKeys * 4)
-		am, bm := byKey(a.EndInterval()), byKey(b.EndInterval())
-		if len(top) != len(am) {
-			t.Fatalf("interval %d: TopK sees %d keys, EndInterval %d", interval, len(top), len(am))
-		}
-		for _, ks := range top {
-			if am[ks.Key] != ks {
-				t.Fatalf("interval %d key %d: TopK %+v, EndInterval %+v", interval, ks.Key, ks, am[ks.Key])
-			}
-		}
-		// And the twin trackers agree (sanity that feeding was identical).
-		if len(am) != len(bm) {
-			t.Fatalf("twin trackers diverged: %d vs %d keys", len(am), len(bm))
-		}
-		for k, ks := range am {
-			if bm[k] != ks {
-				t.Fatalf("twin trackers diverged on key %d", k)
-			}
-		}
-	}
-}
-
-// TestTopKEmptyAndZero covers the degenerate corners.
-func TestTopKEmptyAndZero(t *testing.T) {
-	tr := NewTracker(2)
-	if got := tr.TopK(5); got != nil {
-		t.Fatalf("TopK on empty tracker = %v, want nil", got)
-	}
-	tr.ObserveKey(1, 10, 0)
-	if got := tr.TopK(0); got != nil {
-		t.Fatalf("TopK(0) = %v, want nil", got)
-	}
-}
+import "testing"
 
 // TestHotKeyDetectorHysteresis pins the enter/exit band: a key splits
 // at EnterRatio × capacity, stays split while above the exit

@@ -5,7 +5,7 @@ import "math"
 // costKey is one harvested key in radix-sortable form: w[0] is the key
 // and w[1] the order-reversing image of its int64 cost, so ascending
 // (w[1], w[0]) is KeyStatLess — descending cost, ascending key — for
-// keys that are unique within the run. cell locates the key's cell.
+// keys that are unique within the run. cell locates the key's tally.
 type costKey struct {
 	w    [2]uint64
 	cell int32

@@ -7,24 +7,18 @@
 //
 // # Tracker layout
 //
-// A Tracker keeps one open-addressed table of per-key cells. A cell
-// accumulates the in-progress interval (cost, frequency, state size)
-// behind a dirty flag and carries the key's running window sum S(k, w)
-// over the finished intervals. The window
-// itself is a ring of w recycled slabs of (key, state size) records,
-// one slab per finished interval: closing an interval appends the
-// touched keys' records to the slab it reuses and adds them to their
-// cells' sums, after subtracting the records the slab held from w
-// intervals ago. Records carry their cell's incarnation, so the records
-// of a key that was dropped and came back are not subtracted from its
-// new sum.
-//
-// The interval close is O(Δkeys), not O(tracked keys), and allocates
-// nothing once its buffers have grown: first touches chain keys onto a
-// dirty list (the close clears each flag as it visits the cell, so the
-// table is never scanned or reset), and EndInterval walks that list,
-// rolls the window and returns the interval's KeyStats, sorted, in a
-// recycled run. That run is the harvest: there is no other report form.
+// A Tracker is the statistics face of a task's key directory
+// (state.Dir), the structure the task's state store is the other face
+// of: one key table whose key records carry the running window sum
+// S(k, w), and one ring of w+1 per-interval record lists whose records
+// carry each interval's cost, frequency and state size beside the
+// store's bucket. The first touch of a key in an interval appends its
+// record to the current list, which is the close's harvest input; the
+// close subtracts the list leaving the window from its keys' sums, adds
+// the current one's, and yields one unsorted tally per touched key.
+// EndInterval radix-sorts the tallies into a recycled run of KeyStats:
+// O(touched keys) per close, no allocation once the buffers have
+// grown. That run is the harvest: there is no other report form.
 //
 // # Snapshot
 //

@@ -123,9 +123,9 @@ func byKey(run []KeyStat) map[tuple.Key]KeyStat {
 
 func TestTrackerAccumulatesInterval(t *testing.T) {
 	tr := NewTracker(1)
-	tr.Observe(tuple.Tuple{Key: 1, Cost: 3, StateSize: 2})
-	tr.Observe(tuple.Tuple{Key: 1, Cost: 2, StateSize: 1})
-	tr.Observe(tuple.Tuple{Key: 2, Cost: 1, StateSize: 1})
+	observe(tr, 1, 3, 2)
+	observe(tr, 1, 2, 1)
+	observe(tr, 2, 1, 1)
 	out := byKey(tr.EndInterval())
 	if ks := out[1]; ks.Cost != 5 || ks.Freq != 2 || ks.Mem != 3 {
 		t.Fatalf("key 1 stats = %+v, want cost 5, freq 2, mem 3", ks)
@@ -139,7 +139,7 @@ func TestTrackerWindowedMemory(t *testing.T) {
 	// w = 3: S(k, 3) sums the last three finished intervals.
 	tr := NewTracker(3)
 	for i := 0; i < 5; i++ {
-		tr.ObserveKey(7, 1, 10)
+		observe(tr, 7, 1, 10)
 		out := byKey(tr.EndInterval())
 		want := int64(10 * (i + 1))
 		if want > 30 {
@@ -153,7 +153,7 @@ func TestTrackerWindowedMemory(t *testing.T) {
 
 func TestTrackerWindowEviction(t *testing.T) {
 	tr := NewTracker(2)
-	tr.ObserveKey(1, 1, 5)
+	observe(tr, 1, 1, 5)
 	tr.EndInterval()
 	tr.EndInterval() // key 1 idle
 	if got := tr.WindowedMem(1); got != 5 {
@@ -167,7 +167,7 @@ func TestTrackerWindowEviction(t *testing.T) {
 
 func TestTrackerDropAndAdopt(t *testing.T) {
 	src, dst := NewTracker(2), NewTracker(2)
-	src.ObserveKey(9, 4, 7)
+	observe(src, 9, 4, 7)
 	src.EndInterval()
 	dst.EndInterval() // keep clocks aligned
 	mem := src.WindowedMem(9)
