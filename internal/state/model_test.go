@@ -111,6 +111,74 @@ func uncleared(d *Dir) string {
 	return ""
 }
 
+// TestStoreMatchesReferenceModel drives the state face alone — two
+// tasks' stores, each beside the map-based reference — through random
+// adds, closes and migrations, half of them through the codec, and
+// requires every observable to agree after every step. Task B's clock is
+// allowed to fall behind A's, so A receives buckets already older than
+// its window (evicted on arrival) and B receives buckets ahead of its
+// clock (the fresh-task-after-scale-out case, which holds the front of
+// the run).
+func TestStoreMatchesReferenceModel(t *testing.T) {
+	const keys = 24
+	for _, w := range []int{1, 5} {
+		for seed := int64(1); seed <= 6; seed++ {
+			rng := rand.New(rand.NewSource(seed*31 + int64(w)))
+			a, b := newTask("A", w), newTask("B", w)
+			skew := seed%2 == 0 // let B's clock lag on even seeds
+			var val int64
+			for op := 0; op < 4000; op++ {
+				at := fmt.Sprintf("w=%d seed=%d op=%d", w, seed, op)
+				p, q := a, b
+				if rng.Intn(2) == 0 {
+					p, q = b, a
+				}
+				k := tuple.Key(rng.Intn(keys))
+				switch r := rng.Intn(20); {
+				case r < 12:
+					e := Entry{Size: int64(rng.Intn(9))}
+					if k%2 == 0 { // odd keys stay value-free: the no-zeroing path
+						val++
+						e.Value = val
+					}
+					p.d.Store().Add(k, e)
+					p.rs.Add(k, e)
+				case r < 15:
+					a.d.Store().EndInterval()
+					a.rs.EndInterval()
+					if !skew || rng.Intn(3) > 0 {
+						b.d.Store().EndInterval()
+						b.rs.EndInterval()
+					}
+				default:
+					m, rm := p.d.Store().Extract(k), p.rs.Extract(k)
+					if m.Key != rm.Key || m.Size != rm.Size || len(m.buckets) != len(rm.buckets) {
+						t.Fatalf("%s: Extract(%d) = {%d %d, %d buckets}, reference {%d %d, %d buckets}",
+							at, k, m.Key, m.Size, len(m.buckets), rm.Key, rm.Size, len(rm.buckets))
+					}
+					if r < 18 {
+						payload, err := Codec{}.Encode(m, 7)
+						if err != nil {
+							t.Fatalf("%s: encode: %v", at, err)
+						}
+						var mem int64
+						if m, mem, err = (Codec{}).Decode(payload); err != nil || mem != 7 {
+							t.Fatalf("%s: decode: mem %d, err %v", at, mem, err)
+						}
+					}
+					q.d.Store().Inject(m)
+					q.rs.Inject(rm)
+				}
+				a.check(t, keys, at)
+				b.check(t, keys, at)
+			}
+			if a.d.Store().Interval() == b.d.Store().Interval() && skew {
+				t.Fatalf("w=%d seed=%d: clocks never diverged", w, seed)
+			}
+		}
+	}
+}
+
 // TestDirMatchesReferenceModels drives two tasks' directories through
 // both faces — operator Adds followed by the batch's observation,
 // Adds and observations alone, split fold-backs, closes, and

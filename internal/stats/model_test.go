@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -8,6 +9,69 @@ import (
 
 	"repro/internal/tuple"
 )
+
+// TestTrackerMatchesReferenceModel drives a Tracker and the map-based
+// reference through the same random history — batches, split fold-backs,
+// migrations out (DropKey) and in (AdoptKey), including keys that leave
+// and come back inside one window — and requires every observable to
+// agree: S(k, w) for every key, Keys, and each close's run, which must
+// also come out in KeyStatLess order.
+func TestTrackerMatchesReferenceModel(t *testing.T) {
+	const keys = 40
+	for _, w := range []int{1, 3, 5} {
+		for seed := int64(1); seed <= 4; seed++ {
+			rng := rand.New(rand.NewSource(seed*101 + int64(w)))
+			tr, ref := NewTracker(w), newRefTracker(w)
+			for interval := 0; interval < 60; interval++ {
+				at := fmt.Sprintf("w=%d seed=%d interval=%d", w, seed, interval)
+				for op, ops := 0, rng.Intn(30); op < ops; op++ {
+					k := tuple.Key(rng.Intn(keys))
+					switch r := rng.Intn(12); {
+					case r < 6:
+						ts := make([]tuple.Tuple, 1+rng.Intn(40))
+						for i := range ts {
+							ts[i] = tuple.Tuple{Key: tuple.Key(rng.Intn(keys)), Cost: int64(rng.Intn(4)), StateSize: int64(rng.Intn(6))}
+						}
+						if a, b := tr.ObserveBatch(ts), ref.ObserveBatch(ts); a != b {
+							t.Fatalf("%s: ObserveBatch cost %d, reference %d", at, a, b)
+						}
+					case r < 8:
+						c, f, m := int64(rng.Intn(20)), int64(rng.Intn(5)), int64(rng.Intn(30))
+						tr.AbsorbKey(k, c, f, m)
+						ref.AbsorbKey(k, c, f, m)
+					case r < 10:
+						tr.DropKey(k)
+						ref.DropKey(k)
+					default:
+						m := int64(1 + rng.Intn(50))
+						tr.AdoptKey(k, m)
+						ref.AdoptKey(k, m)
+					}
+				}
+				for k := tuple.Key(0); k < keys; k++ {
+					if a, b := tr.WindowedMem(k), ref.WindowedMem(k); a != b {
+						t.Fatalf("%s: WindowedMem(%d) = %d, reference %d", at, k, a, b)
+					}
+				}
+				if a, b := tr.Keys(), ref.Keys(); !slices.Equal(a, b) {
+					t.Fatalf("%s: Keys = %v, reference %v", at, a, b)
+				}
+				run, want := tr.EndInterval(), ref.EndInterval()
+				if len(run) != len(want) {
+					t.Fatalf("%s: close reports %d keys, reference %d", at, len(run), len(want))
+				}
+				for i, ks := range run {
+					if ks != want[ks.Key] {
+						t.Fatalf("%s: run[%d] = %+v, reference %+v", at, i, ks, want[ks.Key])
+					}
+					if i > 0 && !KeyStatLess(run[i-1], ks) {
+						t.Fatalf("%s: run[%d] = %+v does not follow %+v", at, i, ks, run[i-1])
+					}
+				}
+			}
+		}
+	}
+}
 
 // TestSortCostKeys pins the radix order to KeyStatLess over the whole
 // value range: negative and extreme costs, keys that differ in every
