@@ -1,16 +1,21 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/balance"
 	"repro/internal/control"
+	"repro/internal/controller"
 	"repro/internal/engine"
 	"repro/internal/metrics"
+	"repro/internal/protocol"
 	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/tuple"
@@ -58,7 +63,9 @@ type distributedRun struct {
 	series     []metrics.Interval
 	snaps      []*stats.Snapshot // count-stage wire snapshots, one per round
 	rebalances int
-	table      map[tuple.Key]int
+	planner    string            // the count stage controller's planner, if any
+	splits     int               // split-set changes the count stage's splitter announced
+	table      map[tuple.Key]int // nil unless the count stage is assignment-routed
 	stores     []storeSnap
 	processed  []int64
 	stats      []string // byte-table connection names
@@ -122,16 +129,19 @@ func runDistributed(t *testing.T, network string, nWorkers int, mutate ...func(*
 	// Capture worker-side state while the stages are still alive.
 	r := &distributedRun{rebalances: c.Rebalances()}
 	r.series = append(r.series, c.Recorder().Series...)
+	if ctl := c.Controller(1); ctl != nil {
+		r.planner = ctl.Planner.Name()
+	}
+	for _, p := range c.policies[1] {
+		if sp, ok := p.(*controller.Splitter); ok {
+			r.splits = sp.Announced
+		}
+	}
 	countStage := workers[c.Placement()[1]].Stage(1)
 	if countStage == nil {
 		t.Fatal("count stage not hosted where placement says")
 	}
-	r.table = map[tuple.Key]int{}
-	countStage.AssignmentRouter().Assignment().Table().Each(func(k tuple.Key, d int) { r.table[k] = d })
-	for d := 0; d < countStage.Instances(); d++ {
-		st := countStage.StoreOf(d)
-		r.stores = append(r.stores, storeSnap{total: st.TotalSize(), keys: st.KeyCount()})
-	}
+	r.captureStage(countStage)
 	if errs := countStage.StateWireErrs(); errs != 0 {
 		t.Fatalf("state codec errors on count stage: %d", errs)
 	}
@@ -186,14 +196,27 @@ func runLocal(t *testing.T, mutate ...func(*Spec)) *distributedRun {
 
 	r := &distributedRun{rebalances: sys.Rebalances(), snaps: snaps}
 	r.series = append(r.series, sys.Recorder().Series...)
-	count := sys.StageNamed("count")
-	r.table = map[tuple.Key]int{}
-	count.AssignmentRouter().Assignment().Table().Each(func(k tuple.Key, d int) { r.table[k] = d })
+	if ctl := sys.Controller(1); ctl != nil {
+		r.planner = ctl.Planner.Name()
+	}
+	if sp := sys.Splitter(1); sp != nil {
+		r.splits = sp.Announced
+	}
+	r.captureStage(sys.StageNamed("count"))
+	return r
+}
+
+// captureStage records the count stage's routing table (when it routes
+// by assignment) and its per-instance stores.
+func (r *distributedRun) captureStage(count *engine.Stage) {
+	if ar := count.AssignmentRouter(); ar != nil {
+		r.table = map[tuple.Key]int{}
+		ar.Assignment().Table().Each(func(k tuple.Key, d int) { r.table[k] = d })
+	}
 	for d := 0; d < count.Instances(); d++ {
 		st := count.StoreOf(d)
 		r.stores = append(r.stores, storeSnap{total: st.TotalSize(), keys: st.KeyCount()})
 	}
-	return r
 }
 
 // sortedKeys returns the snapshot's key stats sorted by key —
@@ -242,6 +265,12 @@ func compareRuns(t *testing.T, name string, got, want *distributedRun) {
 
 	if got.rebalances != want.rebalances {
 		t.Errorf("%s: %d rebalances, want %d", name, got.rebalances, want.rebalances)
+	}
+	if got.planner != want.planner || got.splits != want.splits {
+		t.Errorf("%s: planner %q with %d split announcements, want %q with %d", name, got.planner, got.splits, want.planner, want.splits)
+	}
+	if (got.table == nil) != (want.table == nil) {
+		t.Fatalf("%s: routing table present %v, want %v", name, got.table != nil, want.table != nil)
 	}
 
 	// Final routing table and per-instance stores.
@@ -329,29 +358,33 @@ func TestDistributedWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestSpecResolveMatchesTopologyDefaults guards the dual derivation:
-// the Spec's resolved defaults must equal what topology.Build would
-// apply, or the workers' stages drift from the reference.
+// TestSpecResolveMatchesTopologyDefaults pins the defaults a cluster
+// deploys with: the builder's own resolver fills in Tab. II, and the
+// capacity the coordinator throttles on and ships is the builder's
+// saturation default.
 func TestSpecResolveMatchesTopologyDefaults(t *testing.T) {
 	s := &Spec{
 		Name:   "t",
 		SpoutB: func(dst []tuple.Tuple) int { return 0 },
 		Stages: []StageSpec{{Name: "a", Op: "social/parse"}},
 	}
-	target := s.resolve()
-	if target != 0 {
-		t.Fatalf("target = %d", target)
+	r, target, err := s.Resolve(true)
+	if err != nil || target != 0 {
+		t.Fatalf("target = %d, err = %v", target, err)
 	}
-	st := s.Stages[0]
+	st := r.Stages[0]
 	if st.Instances != topology.DefInstances || st.Window != topology.DefWindow ||
-		st.Theta != topology.DefTheta || st.TableMax != topology.DefTableMax {
+		st.Theta != topology.DefTheta || st.TableMax != topology.DefTableMax || !st.Target {
 		t.Fatalf("resolved stage = %+v, want topology defaults", st)
 	}
-	if s.Budget != topology.DefBudget {
-		t.Fatalf("budget = %d, want %d", s.Budget, topology.DefBudget)
+	if r.Budget != topology.DefBudget {
+		t.Fatalf("budget = %d, want %d", r.Budget, topology.DefBudget)
 	}
-	if st.Capacity != s.Budget/int64(st.Instances) {
+	if st.Capacity != r.Budget/int64(st.Instances) {
 		t.Fatalf("capacity = %d", st.Capacity)
+	}
+	if s.Stages[0].Instances != 0 || s.Budget != 0 {
+		t.Fatal("Resolve wrote its defaults into the caller's declaration")
 	}
 }
 
@@ -383,19 +416,165 @@ func TestDownstreamThrottleMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestCoordinatorRefusesPKG pins the supported subset: a PKG stage's
-// capacity shave and latency floor exist only in the builder, so the
-// coordinator refuses the spec, naming the stage, instead of silently
-// diverging from BuildLocal.
-func TestCoordinatorRefusesPKG(t *testing.T) {
-	spec := testSpec(t)
-	spec.Stages[1].Algorithm = topology.AlgPKG
-	c, err := NewCoordinator(spec, "unix", filepath.Join(t.TempDir(), "coord.sock"))
-	if err == nil {
-		c.Shutdown()
-		t.Fatal("coordinator accepted a PKG stage")
+// TestDistributedRunsWholeDeclaration pins the declarations a cluster
+// used to refuse, each bit-identical to BuildLocal on series, snapshots,
+// tables and stores over 3 workers: the count stage under AlgPKG (the
+// latency floor shows in LatencyMs, the capacity shave in the
+// throttle), under HotKeySplit, and with a WithPlanner override; and
+// the whole pipeline with throttling off.
+func TestDistributedRunsWholeDeclaration(t *testing.T) {
+	budget := testSpec(t).Budget
+	emittedBelow := func(r *distributedRun) bool {
+		for _, m := range r.series {
+			if m.Emitted < budget {
+				return true
+			}
+		}
+		return false
 	}
-	if !strings.Contains(err.Error(), `"count"`) || !strings.Contains(err.Error(), string(topology.AlgPKG)) {
-		t.Fatalf("error %q does not name the stage and its algorithm", err)
+	rows := []struct {
+		name   string
+		mutate func(*Spec)
+		check  func(*distributedRun) string // what makes the row vacuous, or ""
+	}{
+		{"pkg", func(s *Spec) {
+			// One parse task keeps the count stage's input order — which
+			// PKG's two-choice routing depends on — the same in both runs;
+			// its capacity leaves the throttle to the count stage.
+			s.Stages[0].Instances, s.Stages[0].Capacity = 1, 20000
+			s.Stages[1].Algorithm = topology.AlgPKG
+			s.Stages[1].Capacity = 1000 // 888 after the shave: below the 1000 words a task gets
+		}, func(r *distributedRun) string {
+			for _, m := range r.series {
+				if m.LatencyMs < 10 {
+					return fmt.Sprintf("interval %d latency %.2f ms is below PKG's 10 ms floor", m.Index, m.LatencyMs)
+				}
+			}
+			if !emittedBelow(r) {
+				return "the shaved capacity never throttled the spout"
+			}
+			return ""
+		}},
+		{"hotkeysplit", func(s *Spec) {
+			s.Stages[1].SplitKeys, s.Stages[1].SplitRatio = 3, 0.2
+		}, func(r *distributedRun) string {
+			if r.splits == 0 {
+				return "no key was split"
+			}
+			return ""
+		}},
+		{"planner", func(s *Spec) {
+			s.Stages[1].Planner = balance.MinTable{}
+		}, func(r *distributedRun) string {
+			if r.planner != (balance.MinTable{}).Name() || r.rebalances == 0 {
+				return fmt.Sprintf("planner %q applied %d plans", r.planner, r.rebalances)
+			}
+			return ""
+		}},
+		{"maxpending-off", func(s *Spec) {
+			s.MaxPending = -1
+			s.Stages[2].Capacity = 1000 // throttles when on (TestDownstreamThrottleMatchesLocal)
+		}, func(r *distributedRun) string {
+			if emittedBelow(r) {
+				return "the spout was throttled with throttling off"
+			}
+			return ""
+		}},
 	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			local := runLocal(t, row.mutate)
+			if msg := row.check(local); msg != "" {
+				t.Fatalf("local: %s", msg)
+			}
+			dist := runDistributed(t, "unix", 3, row.mutate)
+			compareRuns(t, row.name, dist, local)
+		})
+	}
+}
+
+// TestInvalidDeclarationRefused pins where a bad declaration fails: the
+// one resolver names the stage, BuildLocal panics with that error,
+// NewCoordinator returns it before it listens, and a worker handed an
+// operator its binary never registered ends its session naming it.
+func TestInvalidDeclarationRefused(t *testing.T) {
+	op := func(int) engine.Operator { return engine.Discard }
+	rows := []struct {
+		name    string
+		mutate  func(*Spec)
+		want    string
+		inLocal bool // also invalid in one process
+	}{
+		{"duplicate name", func(s *Spec) { s.Stages[2].Name = "count" }, `duplicate stage name "count"`, true},
+		{"two targets", func(s *Spec) { s.Stages[2].Target = true }, `"count" and "topk" both marked Target`, true},
+		{"unknown algorithm", func(s *Spec) { s.Stages[1].Algorithm = "bogus" }, `stage "count": topology: unknown algorithm "bogus"`, true},
+		{"unknown op", func(s *Spec) { s.Stages[2].Op = "social/none" }, `stage "topk": unknown operator "social/none"`, true},
+		{"factory only", func(s *Spec) { s.Stages[2].Op, s.Stages[2].Factory = "", op }, `stage "topk" has only an in-process operator factory`, false},
+		{"feeders", func(s *Spec) { s.Feeders = 2 }, "Feeders = 2", false},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			spec := testSpec(t)
+			row.mutate(spec)
+			addr := filepath.Join(t.TempDir(), "coord.sock")
+			c, err := NewCoordinator(spec, "unix", addr)
+			if err == nil {
+				c.Shutdown()
+				t.Fatal("coordinator accepted the declaration")
+			}
+			if !strings.Contains(err.Error(), row.want) {
+				t.Fatalf("coordinator: %q does not say %q", err, row.want)
+			}
+			if _, serr := os.Stat(addr); !errors.Is(serr, os.ErrNotExist) {
+				t.Fatalf("coordinator listened before refusing: %v", serr)
+			}
+			func() {
+				defer func() {
+					got := recover()
+					if !row.inLocal {
+						if got != nil {
+							t.Fatalf("BuildLocal panicked on a valid in-process declaration: %v", got)
+						}
+						return
+					}
+					if e, ok := got.(error); !ok || e.Error() != err.Error() {
+						t.Fatalf("BuildLocal panicked with %v, want the coordinator's %q", got, err)
+					}
+				}()
+				spec.BuildLocal().Stop()
+			}()
+		})
+	}
+
+	t.Run("worker unknown op", func(t *testing.T) {
+		ln, err := Listen("unix", filepath.Join(t.TempDir(), "coord.sock"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		sess := make(chan *Conn, 1)
+		go func() {
+			conn, _, err := ln.Accept()
+			if err == nil && conn.Welcome(0) == nil {
+				sess <- conn
+			}
+			close(sess)
+		}()
+		w, err := NewWorker("unix", ln.Addr(), filepath.Join(t.TempDir(), "w0.sock"), "w0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn := <-sess
+		if conn == nil {
+			t.Fatal("no worker session")
+		}
+		defer conn.Close()
+		assign := &protocol.StageAssign{Name: "s", Op: "social/none", Instances: 1, Window: 1, Capacity: 1, Budget: 1}
+		if err := conn.Send(&protocol.Message{Assign: assign}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Run(); err == nil || !strings.Contains(err.Error(), `unknown operator "social/none"`) {
+			t.Fatalf("worker Run = %v, want the unknown operator named", err)
+		}
+	})
 }

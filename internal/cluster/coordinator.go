@@ -11,7 +11,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/protocol"
 	"repro/internal/stats"
-	"repro/internal/topology"
 )
 
 // registerTimeout bounds how long Deploy waits for the worker fleet to
@@ -62,33 +61,32 @@ type Coordinator struct {
 	rec      *metrics.Recorder
 }
 
-// NewCoordinator opens the coordinator's listener (network "tcp" or
-// "unix") and starts accepting worker registrations and control
-// connections in the background. The spec is resolved (defaults
-// normalized), checked against the subset the cluster supports
-// (StageSpec), and its per-stage policies instantiated here, so the
-// caller can read controllers after the run.
+// NewCoordinator validates and resolves the declaration
+// (Spec.Resolve), then opens the coordinator's listener (network "tcp"
+// or "unix") and starts accepting worker registrations and control
+// connections in the background. An invalid declaration is an error
+// before anything listens. Each stage's policies are assembled here
+// (StageSpec.BuildPolicies), so the caller can read controllers after
+// the run.
 func NewCoordinator(spec *Spec, network, addr string) (*Coordinator, error) {
-	for _, st := range spec.Stages {
-		if st.Algorithm == topology.AlgPKG {
-			return nil, fmt.Errorf("cluster: stage %q: algorithm %s is not supported: the cluster applies neither its capacity shave nor its latency floor", st.Name, st.Algorithm)
-		}
+	r, target, err := spec.Resolve(true)
+	if err != nil {
+		return nil, err
 	}
 	ln, err := Listen(network, addr)
 	if err != nil {
 		return nil, err
 	}
-	c := &Coordinator{spec: spec, ln: ln, rec: &metrics.Recorder{}}
+	c := &Coordinator{spec: r, target: target, ln: ln, rec: &metrics.Recorder{}}
 	c.cond = sync.NewCond(&c.mu)
-	c.target = spec.resolve()
-	n := len(spec.Stages)
+	n := len(r.Stages)
 	c.policies = make([][]control.Policy, n)
 	c.ctls = make([]*controller.Controller, n)
 	c.onRound = make([]func(control.Env, *stats.Snapshot), n)
 	c.servers = make([]*control.Server, n)
 	c.ctlConns = make([]*Conn, n)
-	for si := range spec.Stages {
-		c.policies[si], c.ctls[si] = spec.Policies(si)
+	for si := range r.Stages {
+		c.policies[si], c.ctls[si], _ = r.Stages[si].BuildPolicies()
 	}
 	c.acceptWG.Add(1)
 	go c.accept()
@@ -188,6 +186,7 @@ func (c *Coordinator) Deploy(nWorkers int) error {
 			Window:    st.Window,
 			Algorithm: string(st.Algorithm),
 			Capacity:  st.Capacity,
+			Target:    st.Target,
 			Budget:    c.spec.Budget,
 			Control:   len(c.policies[si]) > 0,
 		}
@@ -212,14 +211,13 @@ func (c *Coordinator) Deploy(nWorkers int) error {
 	c.spout = NewBatchConn(sc)
 	c.em = engine.NewEmitter(c.spout, c.spec.SpoutB, nil, 1, false)
 
-	// The throttle's inputs: per-stage capacity, exactly what the
-	// workers' engines derive, and backlogs, empty until the first
-	// harvest.
+	// The throttle's inputs: per-stage capacity, the model the workers'
+	// stages run under, and backlogs, empty until the first harvest.
 	c.capacity = make([]int64, len(stages))
 	c.backlog = make([][]int64, len(stages))
 	c.processed = make([]int64, len(stages))
-	for si, st := range stages {
-		c.capacity[si] = st.Capacity
+	for si := range stages {
+		c.capacity[si] = stages[si].Model().Capacity
 	}
 	return nil
 }
@@ -282,7 +280,7 @@ func (c *Coordinator) Run(n int) error {
 //     the target stage's row is recorded.
 func (c *Coordinator) RunInterval() error {
 	workers := c.workers
-	emitN := engine.ThrottleBudget(c.spec.Budget, engine.DefaultConfig().MaxPendingFactor, c.capacity, c.backlog)
+	emitN := engine.ThrottleBudget(c.spec.Budget, c.spec.MaxPending, c.capacity, c.backlog)
 	for _, w := range workers {
 		if err := w.conn.Send(&protocol.Message{Start: &protocol.StartInterval{Interval: c.interval, Emit: emitN}}); err != nil {
 			return fmt.Errorf("cluster: start interval %d on %s: %w", c.interval, w.name, err)

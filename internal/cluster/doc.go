@@ -48,7 +48,10 @@
 // boundaries, and hence shuffle routing, are preserved), and every
 // FeedBatch call's chunk boundary survives the wire as a length-prefixed
 // sub-batch inside a coalesced frame, so the receiver replays the exact
-// same FeedBatch sequence. What the cluster does not model (a PKG
-// stage's capacity shave and latency floor) it refuses up front;
-// StageSpec lists the supported subset.
+// same FeedBatch sequence. The declaration is the topology builder's
+// own (Spec is topology.Spec): the coordinator resolves it and
+// assembles each stage's policies, and each worker builds its stage,
+// with the same functions BuildLocal calls, so every builder option —
+// PKG's capacity shave and latency floor, HotKeySplit, WithPlanner —
+// runs over the wire.
 package cluster

@@ -12,16 +12,19 @@ import (
 )
 
 // Proto is the cluster session protocol version, validated on both
-// sides of every Hello/Welcome handshake. Version 6 speaks the binary
-// wire from the first byte: the Hello and Welcome travel as
-// self-contained gob frames behind the kind byte, where every earlier
-// version sent them as a gob stream and then negotiated the binary wire.
+// sides of every Hello/Welcome handshake. Version 7's StageAssign says
+// whether the stage is the recorded one, which decides a PKG stage's
+// latency floor; a version-6 worker would build it without. Version 6
+// speaks the binary wire from the first byte: the Hello and Welcome
+// travel as self-contained gob frames behind the kind byte, where every
+// earlier version sent them as a gob stream and then negotiated the
+// binary wire.
 // Version 5 is the harvest reply that carries the stage's finished
 // metrics row and post-model backlog; a version-4 peer ships arrival
 // arrays for the coordinator to model instead. Version 4 introduced the
 // flagged batch sub-frame, whose rows carry only the fields that vary
 // inside their chunk. Older peers are refused.
-const Proto = 6
+const Proto = 7
 
 // handshakeTimeout bounds the Hello/Welcome exchange (and nothing
 // else: established connections block indefinitely — the interval

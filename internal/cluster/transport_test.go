@@ -176,7 +176,8 @@ func TestBatchConnConcurrentFeed(t *testing.T) {
 }
 
 // TestHandshakeProtoMismatch refuses a newer peer and the older versions
-// alike: a version-5 peer opens with a gob-stream Hello and negotiates
+// alike: a version-6 worker would build a PKG target without its
+// latency floor, a version-5 peer opens with a gob-stream Hello and negotiates
 // the binary wire after it, a version-4 peer ships arrival arrays in its
 // harvest reply, a version-3 peer writes every field in every batch row
 // and a version-2 peer lays them out as columns, so there is nothing to
@@ -188,7 +189,7 @@ func TestHandshakeProtoMismatch(t *testing.T) {
 		t.Fatalf("listen: %v", err)
 	}
 	defer ln.Close()
-	for _, proto := range []int{Proto + 1, 5, 4, 3, 2} {
+	for _, proto := range []int{Proto + 1, 6, 5, 4, 3, 2} {
 		go func() {
 			// A raw framed client announcing the wrong protocol version.
 			nc, err := net.Dial("tcp", ln.Addr())

@@ -173,19 +173,27 @@ func (w *Worker) stage(si int) *hostedStage {
 	return w.stages[si]
 }
 
-// assign builds one stage exactly as the topology builder would — same
-// router resolution, same engine config — then wires its data and
+// assign builds one stage with the topology builder's own per-stage
+// constructor (StageSpec.NewStage and Model), then wires its data and
 // control planes. The stage lives inside its own single-stage engine:
 // the executor's actuation surface (capacity, resize, last-emitted) and
 // the interval end (EndStage), detached from the emission and close
-// that the coordinator drives.
+// that the coordinator drives. An operator this binary has not
+// registered ends the session with an error naming it.
 func (w *Worker) assign(a *protocol.StageAssign) error {
-	r := topology.RouterFor(topology.Algorithm(a.Algorithm), a.Instances)
-	st := engine.NewStage(a.Name, a.Instances, MustOp(a.Op), a.Window, r)
-	cfg := engine.DefaultConfig()
-	cfg.Budget = a.Budget
-	cfg.Capacity = a.Capacity
-	eng := engine.NewBatch(nil, cfg, st)
+	spec := topology.StageSpec{
+		Name: a.Name, Op: a.Op, Instances: a.Instances, Window: a.Window,
+		Algorithm: topology.Algorithm(a.Algorithm), Capacity: a.Capacity, Target: a.Target,
+	}
+	st, err := spec.NewStage()
+	if err != nil {
+		return fmt.Errorf("cluster: worker %s: %w", w.name, err)
+	}
+	m := spec.Model()
+	eng := engine.NewBatch(nil, engine.Config{
+		Budget: a.Budget, Capacity: m.Capacity,
+		MigrationFactor: m.MigrationFactor, LatencyFloorMs: m.LatencyFloorMs,
+	}, st)
 	st.SetStateWire(true)
 	h := &hostedStage{si: a.Stage, st: st, eng: eng}
 	if a.Downstream != "" {

@@ -46,58 +46,68 @@ type realSpec struct {
 	useTuned bool    // tune Readj σ per plan (paper's best-σ reporting)
 }
 
-// buildSystem assembles the stage/engine/controller per spec through
-// the topology builder.
-func buildSystem(s realSpec) *topology.System {
+// buildSpec declares the system per spec: one "operator" stage under
+// the spec's algorithm, fed by the generator at baseCost per tuple.
+func buildSpec(s realSpec) *topology.Spec {
 	cost := int64(baseCost)
 	nd := s.nd
 	if nd == 0 {
 		nd = realND
 	}
-	spout := func() tuple.Tuple {
-		t := s.next()
-		t.Cost = cost
-		return t
-	}
-	sopts := []topology.StageOption{
-		topology.Instances(nd),
-		topology.Window(s.window),
-		topology.WithAlgorithm(s.alg),
-		topology.Theta(s.theta),
-		topology.TableMax(defNA),
-		topology.Beta(defBeta),
-		topology.Capacity(int64(baseCost) * realBudget / int64(nd)),
-		topology.MinKeys(32),
+	st := topology.StageSpec{
+		Name:      "operator",
+		Factory:   s.op,
+		Instances: nd,
+		Window:    s.window,
+		Algorithm: s.alg,
+		Theta:     s.theta,
+		TableMax:  defNA,
+		Capacity:  int64(baseCost) * realBudget / int64(nd),
+		MinKeys:   32,
 	}
 	if s.alg == topology.AlgReadj {
 		// Run the fixed-σ planner, or the tuned variant when asked
 		// (the paper's best-σ reporting).
-		p := balance.Planner(readj.Planner{Sigma: s.sigma})
+		st.Planner = readj.Planner{Sigma: s.sigma}
 		if s.useTuned {
-			p = plannerFunc{"ReadjTuned", func(sn *stats.Snapshot, c balance.Config) *balance.Plan {
+			st.Planner = plannerFunc{"ReadjTuned", func(sn *stats.Snapshot, c balance.Config) *balance.Plan {
 				return readj.Tune(sn, c, nil)
 			}}
 		}
-		sopts = append(sopts, topology.WithPlanner(p))
 	}
-	sys := topology.New(topology.Spout(spout), topology.Budget(realBudget)).
-		Stage("operator", s.op, sopts...).
-		Build()
+	spec := &topology.Spec{
+		Budget: realBudget,
+		SpoutB: engine.BatchSpout(func() tuple.Tuple {
+			t := s.next()
+			t.Cost = cost
+			return t
+		}),
+		Stages: []topology.StageSpec{st},
+	}
 	if s.advance != nil {
-		sys.Engine.AdvanceWorkload = func(int64) { s.advance() }
+		spec.Advance = func(int64) { s.advance() }
 	}
-	return sys
+	return spec
+}
+
+// runner runs a declaration for some intervals and returns the recorded
+// stage's series. runLocal is the exhibits' runner; a test swaps in one
+// that deploys the same declaration on a cluster.
+type runner func(spec *topology.Spec, intervals int) []metrics.Interval
+
+func runLocal(spec *topology.Spec, intervals int) []metrics.Interval {
+	sys := spec.BuildLocal()
+	defer sys.Stop()
+	sys.Run(intervals)
+	return sys.Recorder().Series
 }
 
 // steadyState runs the spec and returns mean throughput (tuples/s) and
 // latency (ms) after warm-up.
-func steadyState(s realSpec, intervals int) (float64, float64) {
-	sys := buildSystem(s)
-	defer sys.Stop()
-	sys.Run(intervals)
+func steadyState(run runner, s realSpec, intervals int) (float64, float64) {
 	var thr, lat float64
 	n := 0
-	for _, m := range sys.Recorder().Series[realWarmup:] {
+	for _, m := range run(buildSpec(s), intervals)[realWarmup:] {
 		thr += m.Throughput
 		lat += m.LatencyMs
 		n++
@@ -125,7 +135,7 @@ func Fig13() *Result {
 			op:    func(int) engine.Operator { return engine.StatefulCount },
 			sigma: 0.1,
 		}
-		sys := buildSystem(sp)
+		sys := buildSpec(sp).BuildLocal()
 		defer sys.Stop()
 		// Fluctuation swaps frequencies between keys on *different task
 		// instances* of the system under test (§V), so the live
@@ -169,7 +179,7 @@ func (m modAsg) Instances() int       { return m.nd }
 
 // fig14 runs one dataset across algorithms × θmax, reporting mean
 // throughput (the bar chart of Fig. 14).
-func fig14(id, title string, algs []topology.Algorithm, mkSpec func(alg topology.Algorithm, theta float64) realSpec) *Result {
+func fig14(run runner, id, title string, algs []topology.Algorithm, mkSpec func(alg topology.Algorithm, theta float64) realSpec) *Result {
 	r := &Result{
 		ID:     id,
 		Title:  title,
@@ -182,7 +192,7 @@ func fig14(id, title string, algs []topology.Algorithm, mkSpec func(alg topology
 	for _, th := range []float64{0.02, 0.08, 0.15, 0.3} {
 		row := []string{fmt.Sprintf("%.2f", th)}
 		for _, a := range algs {
-			thr, _ := steadyState(mkSpec(a, th), realIntervals)
+			thr, _ := steadyState(run, mkSpec(a, th), realIntervals)
 			row = append(row, f0(thr))
 		}
 		r.Rows = append(r.Rows, row)
@@ -191,9 +201,11 @@ func fig14(id, title string, algs []topology.Algorithm, mkSpec func(alg topology
 }
 
 // Fig14a regenerates Fig. 14(a): word count on the Social feed.
-func Fig14a() *Result {
+func Fig14a() *Result { return fig14a(runLocal) }
+
+func fig14a(run runner) *Result {
 	algs := []topology.Algorithm{topology.AlgStorm, topology.AlgReadj, topology.AlgMixed, topology.AlgPKG, topology.AlgMinTable}
-	return fig14("fig14a", "Throughput on Social data (word count)", algs,
+	return fig14(run, "fig14a", "Throughput on Social data (word count)", algs,
 		func(alg topology.Algorithm, th float64) realSpec {
 			gen := workload.NewSocial(30000, defZ, 0.002, 47)
 			fleet := ops.NewWordCountFleet()
@@ -211,7 +223,7 @@ func Fig14a() *Result {
 // excluded, as in the paper: key splitting breaks join semantics.
 func Fig14b() *Result {
 	algs := []topology.Algorithm{topology.AlgStorm, topology.AlgReadj, topology.AlgMixed, topology.AlgMinTable}
-	return fig14("fig14b", "Throughput on Stock data (windowed self-join)", algs,
+	return fig14(runLocal, "fig14b", "Throughput on Stock data (windowed self-join)", algs,
 		func(alg topology.Algorithm, th float64) realSpec {
 			gen := workload.NewStock(0, defZ, 53)
 			fleet := ops.NewSelfJoinFleet(false)
@@ -267,7 +279,7 @@ func Fig15() *Result {
 	cols := make([][]float64, len(sers))
 	for i, se := range sers {
 		r.Header = append(r.Header, se.label)
-		sys := buildSystem(se.spec)
+		sys := buildSpec(se.spec).BuildLocal()
 		sys.Run(pre)
 		if se.grow {
 			sys.Engine.ResizeStage(0, +1, nil)
@@ -330,12 +342,9 @@ func Fig16() *Result {
 			op:    fleet.Factory,
 			sigma: 0.1, useTuned: true,
 		}
-		sys := buildSystem(sp)
-		sys.Run(intervals)
-		for _, m := range sys.Recorder().Series {
+		for _, m := range runLocal(buildSpec(sp), intervals) {
 			cols[i] = append(cols[i], m.Throughput)
 		}
-		sys.Stop()
 		r.Header = append(r.Header, se.label)
 	}
 	for t := 0; t < intervals; t += 2 {
@@ -350,5 +359,3 @@ func Fig16() *Result {
 
 func f0(x float64) string { return fmt.Sprintf("%.0f", x) }
 func f1(x float64) string { return fmt.Sprintf("%.1f", x) }
-
-var _ = metrics.F

@@ -192,11 +192,12 @@ type Welcome struct {
 	ID    int
 }
 
-// StageAssign places one pipeline stage on a worker: everything the
-// worker needs to build the stage locally — operator (by registered
-// name), instance count, window, routing algorithm, capacity — plus
-// the data-plane address of the downstream stage's host (empty for the
-// last stage, whose emissions are discarded after the terminal
+// StageAssign places one pipeline stage on a worker: the resolved
+// stage declaration's plain fields (topology.StageSpec: operator by
+// registered name, instance count, window, routing algorithm, declared
+// capacity, whether it is the recorded stage) and the spout budget,
+// plus the data-plane address of the downstream stage's host (empty
+// for the last stage, whose emissions are discarded after the terminal
 // operator runs).
 type StageAssign struct {
 	Stage     int
@@ -206,6 +207,7 @@ type StageAssign struct {
 	Window    int
 	Algorithm string
 	Capacity  int64
+	Target    bool
 	Budget    int64
 	// Control tells the worker to dial a per-stage control connection
 	// back to the coordinator (set when the stage has coordinator-side

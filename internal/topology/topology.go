@@ -14,6 +14,19 @@
 //	defer sys.Stop()
 //	sys.Run(25)
 //
+// The builder fills in a Spec, the same declaration in plain data. A
+// Spec names its operators by registered name (RegisterOp), so one
+// value runs in this process or, through cluster.NewCoordinator, across
+// worker processes:
+//
+//	spec := &topology.Spec{Budget: 20000, SpoutB: gen.NextBatch,
+//		Stages: []topology.StageSpec{
+//			{Name: "join", Op: "q/join", Instances: 10, Window: 5,
+//				Algorithm: topology.AlgMixed, MinKeys: 64},
+//			{Name: "agg", Op: "q/agg", Instances: 4, Window: 5},
+//		}}
+//	sys := spec.BuildLocal()
+//
 // Stages stream to each other (stage s+1 consumes while stage s is
 // still processing). Assignment-routed stages migrate live
 // (generation-stamped routing, no feed pause; see
@@ -29,7 +42,6 @@ import (
 	"fmt"
 	"os"
 	"strconv"
-	"time"
 
 	"repro/internal/balance"
 	"repro/internal/compact"
@@ -91,8 +103,17 @@ func NewAssignment(nd int) *route.Assignment {
 // PlannerFor instantiates the planner for an algorithm name. AlgStorm,
 // AlgPKG and AlgIdeal have no planner (they never migrate) and return
 // nil. compactR and readjSigma parameterize AlgCompact and AlgReadj;
-// zero values take the Tab. II defaults.
+// zero values take the Tab. II defaults. PlannerFor panics on an
+// unknown name.
 func PlannerFor(alg Algorithm, compactR int64, readjSigma float64) balance.Planner {
+	p, err := plannerFor(alg, compactR, readjSigma)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+func plannerFor(alg Algorithm, compactR int64, readjSigma float64) (balance.Planner, error) {
 	if compactR == 0 {
 		compactR = DefCompactR
 	}
@@ -101,32 +122,32 @@ func PlannerFor(alg Algorithm, compactR int64, readjSigma float64) balance.Plann
 	}
 	switch alg {
 	case AlgMixed:
-		return balance.Mixed{}
+		return balance.Mixed{}, nil
 	case AlgMixedBF:
-		return balance.MixedBF{}
+		return balance.MixedBF{}, nil
 	case AlgMinTable:
-		return balance.MinTable{}
+		return balance.MinTable{}, nil
 	case AlgMinMig:
-		return balance.MinMig{}
+		return balance.MinMig{}, nil
 	case AlgLLFD:
-		return balance.LLFD{}
+		return balance.LLFD{}, nil
 	case AlgSimple:
-		return balance.Simple{}
+		return balance.Simple{}, nil
 	case AlgCompact:
-		return compact.Planner{R: compactR}
+		return compact.Planner{R: compactR}, nil
 	case AlgReadj:
-		return readj.Planner{Sigma: readjSigma}
+		return readj.Planner{Sigma: readjSigma}, nil
 	case AlgStorm, AlgPKG, AlgIdeal:
-		return nil
+		return nil, nil
 	default:
-		panic(fmt.Sprintf("topology: unknown algorithm %q", alg))
+		return nil, fmt.Errorf("topology: unknown algorithm %q", alg)
 	}
 }
 
-// RouterFor builds the stage input router matching an algorithm:
+// routerFor builds the stage input router matching an algorithm:
 // load-aware two-choice for AlgPKG, round-robin shuffle for AlgIdeal,
 // and the mixed hash/routing-table assignment for everything else.
-func RouterFor(alg Algorithm, nd int) engine.Router {
+func routerFor(alg Algorithm, nd int) engine.Router {
 	switch alg {
 	case AlgPKG:
 		return engine.PKGRouter{R: pkgpart.NewRouter(nd)}
@@ -137,191 +158,120 @@ func RouterFor(alg Algorithm, nd int) engine.Router {
 	}
 }
 
-// Builder accumulates a topology declaration: topology-level options
+// Builder accumulates a declaration, a Spec: topology-level options
 // from New, then one Stage call per operator in pipeline order, then
 // Build. The zero value is not usable; start with New.
 type Builder struct {
-	spout   engine.Spout
-	spoutB  engine.SpoutBatch
-	ecfg    engine.Config
-	advance func(interval int64)
-	stages  []*stageSpec
+	spec Spec
 }
 
 // Option is a topology-level construction option for New.
-type Option func(*Builder)
+type Option func(*Spec)
 
 // New starts a topology declaration. Engine-model parameters default to
 // engine.DefaultConfig (budget 10000, max-pending factor 0.5,
 // migration factor 0.5).
 func New(opts ...Option) *Builder {
-	b := &Builder{ecfg: engine.DefaultConfig()}
+	b := &Builder{}
 	for _, o := range opts {
-		o(b)
+		o(&b.spec)
 	}
 	return b
 }
 
-// Spout sets the per-tuple input source.
-func Spout(s engine.Spout) Option { return func(b *Builder) { b.spout = s } }
+// Spout sets the per-tuple input source. A SpoutBatch given as well is
+// preferred.
+func Spout(s engine.Spout) Option {
+	return func(sp *Spec) {
+		if sp.SpoutB == nil && s != nil {
+			sp.SpoutB = engine.BatchSpout(s)
+		}
+	}
+}
 
 // SpoutBatch sets a batch-capable input source, preferred over Spout on
 // the emission hot path (the engine draws straight into its reusable
 // scratch buffer).
-func SpoutBatch(s engine.SpoutBatch) Option { return func(b *Builder) { b.spoutB = s } }
+func SpoutBatch(s engine.SpoutBatch) Option { return func(sp *Spec) { sp.SpoutB = s } }
 
 // Budget sets the spout's per-interval tuple budget.
-func Budget(n int64) Option { return func(b *Builder) { b.ecfg.Budget = n } }
+func Budget(n int64) Option { return func(s *Spec) { s.Budget = n } }
 
 // Feeders sets the spout parallelism: how many goroutines emit each
 // interval's tuples concurrently (engine.Config.Feeders).
-func Feeders(n int) Option { return func(b *Builder) { b.ecfg.Feeders = n } }
+func Feeders(n int) Option { return func(s *Spec) { s.Feeders = n } }
 
 // MaxPending sets the backpressure threshold factor
 // (engine.Config.MaxPendingFactor); 0 disables throttling.
-func MaxPending(f float64) Option { return func(b *Builder) { b.ecfg.MaxPendingFactor = f } }
-
-// MigrationFactor sets how much service capacity one unit of migrated
-// state consumes in the following interval.
-func MigrationFactor(f float64) Option { return func(b *Builder) { b.ecfg.MigrationFactor = f } }
-
-// LatencyFloorMs sets an additive latency term for schemes with extra
-// coordination. (Stages built with WithAlgorithm(AlgPKG) as the target
-// get the paper's 10 ms merge-period floor automatically.)
-func LatencyFloorMs(ms float64) Option { return func(b *Builder) { b.ecfg.LatencyFloorMs = ms } }
+func MaxPending(f float64) Option {
+	return func(s *Spec) {
+		if f == 0 {
+			f = -1 // Spec.MaxPending's "off": its zero is the default
+		}
+		s.MaxPending = f
+	}
+}
 
 // AdvanceEach installs a per-interval workload callback
 // (engine.AdvanceWorkload): fn runs after every interval so generators
 // can fluctuate or shift their distributions.
-func AdvanceEach(fn func(interval int64)) Option {
-	return func(b *Builder) { b.advance = fn }
-}
-
-// stageSpec is one declared stage, defaults unresolved until Build.
-type stageSpec struct {
-	name       string
-	op         func(id int) engine.Operator
-	instances  int
-	window     int
-	alg        Algorithm
-	router     engine.Router
-	routerFn   func(nd int) engine.Router
-	planner    balance.Planner
-	plannerOn  bool // WithPlanner given (overrides the alg-derived one)
-	theta      float64
-	tableMax   int
-	beta       float64
-	compactR   int64
-	sigma      float64
-	minKeys    int
-	planEvery  time.Duration
-	capacity   int64
-	target     bool
-	splitOn    bool
-	splitMax   int
-	splitRatio float64
-	policies   []control.Policy
-}
+func AdvanceEach(fn func(interval int64)) Option { return func(s *Spec) { s.Advance = fn } }
 
 // StageOption is a per-stage construction option for Builder.Stage.
-type StageOption func(*stageSpec)
+type StageOption func(*StageSpec)
 
 // Stage appends one operator stage to the topology, in pipeline order:
 // the first Stage call consumes the spout, each later one consumes the
-// previous stage's emissions. op is the per-instance operator factory.
+// previous stage's emissions. op is the per-instance operator factory
+// (StageSpec.Factory).
 func (b *Builder) Stage(name string, op func(id int) engine.Operator, opts ...StageOption) *Builder {
-	s := &stageSpec{name: name, op: op}
+	st := StageSpec{Name: name, Factory: op}
 	for _, o := range opts {
-		o(s)
+		o(&st)
 	}
-	b.stages = append(b.stages, s)
+	b.spec.Stages = append(b.spec.Stages, st)
 	return b
 }
 
 // Instances sets the stage's parallelism ND. Default 10.
-func Instances(n int) StageOption { return func(s *stageSpec) { s.instances = n } }
+func Instances(n int) StageOption { return func(s *StageSpec) { s.Instances = n } }
 
 // Window sets the stage's state window w in intervals. Default 1.
-func Window(w int) StageOption { return func(s *stageSpec) { s.window = w } }
+func Window(w int) StageOption { return func(s *StageSpec) { s.Window = w } }
 
 // WithAlgorithm selects the stage's partitioning scheme and — for the
 // rebalancing strategies — its planner: the stage gets the matching
 // router (assignment, PKG or shuffle) and, when the algorithm
-// rebalances, its own controller. An AlgPKG target stage additionally
-// pays the paper's coordination costs (merge-period latency floor,
-// PKGOverhead capacity shave). Without this option the stage routes by
-// plain assignment (hash + table) and no controller is created.
-func WithAlgorithm(a Algorithm) StageOption { return func(s *stageSpec) { s.alg = a } }
-
-// WithRouter installs an explicit input router, overriding the
-// algorithm-derived one. Unlike WithAlgorithm(AlgPKG), a raw PKG
-// router carries no capacity or latency model adjustments.
-func WithRouter(r engine.Router) StageOption { return func(s *stageSpec) { s.router = r } }
-
-// WithRouterFactory installs a router constructor resolved at Build
-// time with the stage's resolved instance count — unlike WithRouter,
-// the caller does not repeat the Instances value (or the DefInstances
-// default) when constructing the router by hand. An explicit
-// WithRouter wins if both are given.
-func WithRouterFactory(f func(nd int) engine.Router) StageOption {
-	return func(s *stageSpec) { s.routerFn = f }
-}
-
-// PKGRouting selects split-key partial routing (load-aware
-// two-choice, pkgpart) for this stage, sized to the stage's resolved
-// instance count. It is the builder-native form of hand-wiring
-// engine.PKGRouter via WithRouter, and — like WithRouter — carries no
-// capacity or latency model adjustments; use WithAlgorithm(AlgPKG)
-// on the target stage for the paper-calibrated PKG cost model.
-func PKGRouting() StageOption {
-	return WithRouterFactory(func(nd int) engine.Router {
-		return engine.PKGRouter{R: pkgpart.NewRouter(nd)}
-	})
-}
+// rebalances, its own controller. An AlgPKG stage additionally pays
+// the paper's coordination costs (StageSpec.Model: the PKGOverhead
+// capacity shave, and the merge-period latency floor on the target).
+// Without this option the stage routes by plain assignment (hash +
+// table) and no controller is created.
+func WithAlgorithm(a Algorithm) StageOption { return func(s *StageSpec) { s.Algorithm = a } }
 
 // WithPlanner installs an explicit rebalance planner for the stage's
-// controller, overriding the algorithm-derived one. Pass nil to
-// suppress the controller entirely (e.g. an assignment-routed stage
-// that must never migrate).
-func WithPlanner(p balance.Planner) StageOption {
-	return func(s *stageSpec) { s.planner, s.plannerOn = p, true }
-}
+// controller, overriding the algorithm-derived one.
+func WithPlanner(p balance.Planner) StageOption { return func(s *StageSpec) { s.Planner = p } }
 
 // Theta sets the stage controller's imbalance tolerance θmax.
 // Default 0.08.
-func Theta(x float64) StageOption { return func(s *stageSpec) { s.theta = x } }
+func Theta(x float64) StageOption { return func(s *StageSpec) { s.Theta = x } }
 
 // TableMax sets the stage's routing-table bound Amax. Default 3000;
 // negative means unbounded.
-func TableMax(n int) StageOption { return func(s *stageSpec) { s.tableMax = n } }
-
-// Beta sets the γ exponent of the migration-priority index.
-// Default 1.5.
-func Beta(x float64) StageOption { return func(s *stageSpec) { s.beta = x } }
-
-// CompactR sets the discretization degree for AlgCompact. Default 8.
-func CompactR(r int64) StageOption { return func(s *stageSpec) { s.compactR = r } }
-
-// ReadjSigma sets Readj's hot-key threshold. Default 0.1.
-func ReadjSigma(x float64) StageOption { return func(s *stageSpec) { s.sigma = x } }
+func TableMax(n int) StageOption { return func(s *StageSpec) { s.TableMax = n } }
 
 // MinKeys delays the stage's rebalancing until its snapshot has seen
 // this many keys (warm-up guard).
-func MinKeys(n int) StageOption { return func(s *stageSpec) { s.minKeys = n } }
-
-// PlanInterval models plan-generation latency for the stage's
-// controller: plans slower than this wall-clock duration per logical
-// interval apply late (controller deferral). Zero disables the
-// staleness model.
-func PlanInterval(d time.Duration) StageOption { return func(s *stageSpec) { s.planEvery = d } }
+func MinKeys(n int) StageOption { return func(s *StageSpec) { s.MinKeys = n } }
 
 // Capacity overrides the stage's per-task service capacity in cost
 // units per interval (0 = saturation, Budget/Instances).
-func Capacity(c int64) StageOption { return func(s *stageSpec) { s.capacity = c } }
+func Capacity(c int64) StageOption { return func(s *StageSpec) { s.Capacity = c } }
 
 // Target marks this stage as the one whose metrics the engine records
 // (the operator under study). Default: the first stage.
-func Target() StageOption { return func(s *stageSpec) { s.target = true } }
+func Target() StageOption { return func(s *StageSpec) { s.Target = true } }
 
 // HotKeySplit arms contention-aware hot-key splitting on this stage: a
 // detector policy (controller.Splitter) watches the interval snapshots
@@ -338,11 +288,7 @@ func Target() StageOption { return func(s *stageSpec) { s.target = true } }
 // tuple's split, and a task a split tuple's replica cell, by scanning
 // the split keys, so every tuple costs O(maxKeys).
 func HotKeySplit(maxKeys int, threshold float64) StageOption {
-	return func(s *stageSpec) {
-		s.splitOn = true
-		s.splitMax = maxKeys
-		s.splitRatio = threshold
-	}
+	return func(s *StageSpec) { s.SplitKeys, s.SplitRatio = max(maxKeys, 1), threshold }
 }
 
 // WithPolicy attaches an additional control.Policy to this stage's
@@ -353,7 +299,7 @@ func HotKeySplit(maxKeys int, threshold float64) StageOption {
 // protocol messages. This is how long-term policies
 // (longterm.AutoScaler) layer on top of the short-term rebalancer.
 func WithPolicy(p control.Policy) StageOption {
-	return func(s *stageSpec) { s.policies = append(s.policies, p) }
+	return func(s *StageSpec) { s.Policies = append(s.Policies, p) }
 }
 
 // System is a built topology: the engine plus the per-stage
@@ -366,137 +312,9 @@ type System struct {
 	byName    map[string]int
 }
 
-// Build resolves defaults and assembles the engine, stages and
-// controllers. Build panics on an empty or inconsistent declaration —
-// topology shape is a programming error, not an input error.
-func (b *Builder) Build() *System {
-	if len(b.stages) == 0 {
-		panic("topology: Build with no stages")
-	}
-	if b.ecfg.Budget == 0 {
-		b.ecfg.Budget = DefBudget
-	}
-	// Validate the declaration and resolve every panicking lookup
-	// before constructing anything: engine.NewStage spawns task
-	// goroutines, and a panic after that (duplicate name, unknown
-	// algorithm) would leak them past a recovering caller.
-	names := make(map[string]int, len(b.stages))
-	target := -1
-	for si, s := range b.stages {
-		if _, dup := names[s.name]; dup {
-			panic(fmt.Sprintf("topology: duplicate stage name %q", s.name))
-		}
-		names[s.name] = si
-		if s.target {
-			if target >= 0 {
-				panic(fmt.Sprintf("topology: stages %q and %q both marked Target", b.stages[target].name, s.name))
-			}
-			target = si
-		}
-		if s.instances == 0 {
-			s.instances = DefInstances
-		}
-		if s.window == 0 {
-			s.window = DefWindow
-		}
-		if s.theta == 0 {
-			s.theta = DefTheta
-		}
-		if s.tableMax == 0 {
-			s.tableMax = DefTableMax
-		}
-		if s.beta == 0 {
-			s.beta = DefBeta
-		}
-		if !s.plannerOn && s.alg != "" {
-			// PlannerFor panics on an unknown algorithm — here, while
-			// nothing has been built yet.
-			s.planner, s.plannerOn = PlannerFor(s.alg, s.compactR, s.sigma), true
-		}
-	}
-	if target < 0 {
-		target = 0
-	}
-
-	ecfg := b.ecfg
-	if b.stages[target].alg == AlgPKG {
-		// PKG's split keys require a downstream merge of partial results
-		// every period p (the paper settled on p = 10 ms); the latency
-		// floor models p/2 + ack waiting.
-		ecfg.LatencyFloorMs = 10
-	}
-
-	stages := make([]*engine.Stage, len(b.stages))
-	for si, s := range b.stages {
-		r := s.router
-		if r == nil && s.routerFn != nil {
-			r = s.routerFn(s.instances)
-		}
-		if r == nil {
-			r = RouterFor(s.alg, s.instances)
-		}
-		stages[si] = engine.NewStage(s.name, s.instances, s.op, s.window, r)
-	}
-
-	e := engine.New(b.spout, ecfg, stages...)
-	if b.spoutB != nil {
-		e.SpoutB = b.spoutB
-	}
-	e.Target = target
-	e.AdvanceWorkload = b.advance
-
-	sys := &System{
-		Engine:    e,
-		ctls:      make([]*controller.Controller, len(b.stages)),
-		splitters: make([]*controller.Splitter, len(b.stages)),
-		loops:     make([]*control.Loop, len(b.stages)),
-		byName:    names,
-	}
-	for si, s := range b.stages {
-		if c := s.capacity; c != 0 {
-			e.SetStageCapacity(si, c)
-		}
-		if s.alg == AlgPKG {
-			// PKGOverhead shaves the equivalent service capacity (§V:
-			// merging "leads to additional response time increase and
-			// overall processing throughput reduction").
-			c := s.capacity
-			if c == 0 {
-				c = ecfg.Budget / int64(s.instances)
-			}
-			e.SetStageCapacity(si, int64(float64(c)/PKGOverhead))
-		}
-
-		// The stage's control loop: the builder-created rebalance
-		// controller (when the algorithm has a planner) followed by any
-		// WithPolicy additions, all speaking commands through one
-		// per-stage executor over protocol messages.
-		var policies []control.Policy
-		if p := s.planner; p != nil {
-			tm := s.tableMax
-			if tm < 0 {
-				tm = 0 // balance.Config treats ≤0 as unbounded
-			}
-			ctl := controller.New(p, balance.Config{ThetaMax: s.theta, TableMax: tm, Beta: s.beta})
-			ctl.MinKeys = s.minKeys
-			ctl.IntervalDuration = s.planEvery
-			policies = append(policies, ctl)
-			sys.ctls[si] = ctl
-		}
-		if s.splitOn {
-			sp := controller.NewSplitter(s.splitMax, s.splitRatio)
-			policies = append(policies, sp)
-			sys.splitters[si] = sp
-		}
-		policies = append(policies, s.policies...)
-		if len(policies) > 0 {
-			loop := control.NewLoop(e, si, policies)
-			sys.loops[si] = loop
-			e.AddSnapshotHook(si, loop.Hook())
-		}
-	}
-	return sys
-}
+// Build assembles the declaration (Spec.BuildLocal). It panics on an
+// empty or inconsistent declaration with the error Spec.Resolve names.
+func (b *Builder) Build() *System { return b.spec.BuildLocal() }
 
 // Run executes n intervals.
 func (s *System) Run(n int) { s.Engine.Run(n) }

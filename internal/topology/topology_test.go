@@ -3,7 +3,6 @@ package topology_test
 import (
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/balance"
 	"repro/internal/controller"
@@ -11,7 +10,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/ops"
 	"repro/internal/pkgpart"
-	"repro/internal/readj"
 	"repro/internal/route"
 	"repro/internal/stats"
 	"repro/internal/topology"
@@ -203,10 +201,11 @@ func TestBuilderQ5MatchesHandWired(t *testing.T) {
 }
 
 // TestBuilderPKGMatchesHandWired pins the PKG partial→merge topology:
-// builder-native split-key routing (PKGRouting, resolved to the
-// stage's instance count at Build time), the IntervalFlusher emission
-// path, and a keyed merge stage — bit-identical to hand-wiring
-// engine.PKGRouter over pkgpart directly.
+// WithAlgorithm(AlgPKG) on the partial stage (split-key routing sized to
+// the stage's instance count, the PKGOverhead capacity shave and, as
+// the target, the merge-period latency floor), the IntervalFlusher
+// emission path, and a keyed merge stage — bit-identical to
+// hand-wiring engine.PKGRouter over pkgpart with the same model.
 func TestBuilderPKGMatchesHandWired(t *testing.T) {
 	const intervals = 5
 	mkSpout := func() engine.Spout {
@@ -224,7 +223,9 @@ func TestBuilderPKGMatchesHandWired(t *testing.T) {
 	h1 := engine.NewStage("merge", 2, hwMerges.Factory, 1,
 		engine.NewAssignmentRouter(topology.NewAssignment(2)))
 	hw := engine.New(mkSpout(), engine.Config{
-		Budget: 1100, MaxPendingFactor: 2, MigrationFactor: 1}, h0, h1)
+		Budget: 1100, MaxPendingFactor: 2, MigrationFactor: 0.5, LatencyFloorMs: 10}, h0, h1)
+	base := int64(1100 / 3)
+	hw.SetStageCapacity(0, int64(float64(base)/topology.PKGOverhead))
 	hw.Run(intervals)
 	hw.Stop()
 
@@ -234,10 +235,9 @@ func TestBuilderPKGMatchesHandWired(t *testing.T) {
 		topology.Spout(mkSpout()),
 		topology.Budget(1100),
 		topology.MaxPending(2),
-		topology.MigrationFactor(1),
 	).Stage("partial", bParts.Factory,
 		topology.Instances(3),
-		topology.PKGRouting(),
+		topology.WithAlgorithm(topology.AlgPKG),
 	).Stage("merge", bMerges.Factory,
 		topology.Instances(2),
 	).Build()
@@ -369,7 +369,7 @@ func TestPauseFreeDefaults(t *testing.T) {
 	op := func(int) engine.Operator { return engine.Discard }
 	def := topology.New().
 		Stage("a", op, topology.Instances(2)).
-		Stage("sh", op, topology.Instances(2), topology.WithRouter(engine.NewShuffleRouter(2))).
+		Stage("sh", op, topology.Instances(2), topology.WithAlgorithm(topology.AlgIdeal)).
 		Build()
 	defer def.Stop()
 	plan := &balance.Plan{Table: route.NewTable(), MoveDest: map[tuple.Key]int{}}
@@ -531,32 +531,6 @@ func TestSpoutBatchMatchesPerTuple(t *testing.T) {
 		return sys.Recorder().Series
 	}
 	assertSeriesEqual(t, run(false), run(true))
-}
-
-func TestPlanIntervalPlumbedToController(t *testing.T) {
-	sys := countStage(workload.NewZipfStream(100, 0.85, 0, 100, 1), 100,
-		topology.Instances(2), topology.WithAlgorithm(topology.AlgMixed), topology.PlanInterval(5*time.Second))
-	defer sys.Stop()
-	if got := sys.Controller(0).IntervalDuration; got != 5*time.Second {
-		t.Fatalf("IntervalDuration = %v", got)
-	}
-}
-
-func TestReadjStageUsesConfiguredSigma(t *testing.T) {
-	gen := workload.NewZipfStream(1000, 1.0, 0.5, 2000, 5)
-	sys := countStage(gen, 2000,
-		topology.Instances(4), topology.WithAlgorithm(topology.AlgReadj),
-		topology.ReadjSigma(0.05), topology.MinKeys(16))
-	defer sys.Stop()
-	if p, ok := sys.Controller(0).Planner.(readj.Planner); !ok || p.Sigma != 0.05 {
-		t.Fatalf("Readj stage plans with %+v, want σ = 0.05", sys.Controller(0).Planner)
-	}
-	ar := sys.Stage(0).AssignmentRouter()
-	sys.Engine.AdvanceWorkload = func(int64) { gen.Advance(ar.Assignment()) }
-	sys.Run(8)
-	if sys.Rebalances() == 0 {
-		t.Fatal("Readj stage never rebalanced")
-	}
 }
 
 func TestWindowPropagatesToStores(t *testing.T) {
