@@ -6,12 +6,15 @@ GO ?= go
 
 ## verify: the tier-1 gate — vet, build, test everything — plus a vet of
 ## the nested bench/ module, which tier-1 never compiles: an internal/
-## signature change must not break it silently.
+## signature change must not break it silently. The cluster binaries must
+## not link encoding/gob: the wire has one encoding.
 verify:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
 	cd bench && $(GO) vet ./...
+	@deps=$$($(GO) list -deps ./cmd/worker ./cmd/coordinator) || exit 1; \
+	if echo "$$deps" | grep -qx encoding/gob; then echo "encoding/gob is linked into cmd/worker or cmd/coordinator"; exit 1; fi
 
 build:
 	$(GO) build ./...

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/balance"
 	"repro/internal/control"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/protocol"
+	"repro/internal/state"
 	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/tuple"
@@ -142,9 +144,6 @@ func runDistributed(t *testing.T, network string, nWorkers int, mutate ...func(*
 		t.Fatal("count stage not hosted where placement says")
 	}
 	r.captureStage(countStage)
-	if errs := countStage.StateWireErrs(); errs != 0 {
-		t.Fatalf("state codec errors on count stage: %d", errs)
-	}
 	for si := range spec.Stages {
 		r.processed = append(r.processed, c.Processed(si))
 	}
@@ -496,7 +495,8 @@ func TestDistributedRunsWholeDeclaration(t *testing.T) {
 // TestInvalidDeclarationRefused pins where a bad declaration fails: the
 // one resolver names the stage, BuildLocal panics with that error,
 // NewCoordinator returns it before it listens, and a worker handed an
-// operator its binary never registered ends its session naming it.
+// operator its binary never registered, or a stage shape no declaration
+// resolves to, ends its session naming it instead of building it.
 func TestInvalidDeclarationRefused(t *testing.T) {
 	op := func(int) engine.Operator { return engine.Discard }
 	rows := []struct {
@@ -511,6 +511,9 @@ func TestInvalidDeclarationRefused(t *testing.T) {
 		{"unknown op", func(s *Spec) { s.Stages[2].Op = "social/none" }, `stage "topk": unknown operator "social/none"`, true},
 		{"factory only", func(s *Spec) { s.Stages[2].Op, s.Stages[2].Factory = "", op }, `stage "topk" has only an in-process operator factory`, false},
 		{"feeders", func(s *Spec) { s.Feeders = 2 }, "Feeders = 2", false},
+		{"negative instances", func(s *Spec) { s.Stages[1].Instances = -1 }, `stage "count": -1 instances`, true},
+		{"instances past MaxTasks", func(s *Spec) { s.Stages[2].Instances = protocol.MaxTasks + 1 }, `stage "topk": 65537 instances`, true},
+		{"negative window", func(s *Spec) { s.Stages[0].Window = -3 }, `stage "parse": a window of -3 intervals`, true},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -546,35 +549,126 @@ func TestInvalidDeclarationRefused(t *testing.T) {
 		})
 	}
 
-	t.Run("worker unknown op", func(t *testing.T) {
-		ln, err := Listen("unix", filepath.Join(t.TempDir(), "coord.sock"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ln.Close()
-		sess := make(chan *Conn, 1)
-		go func() {
-			conn, _, err := ln.Accept()
-			if err == nil && conn.Welcome(0) == nil {
-				sess <- conn
+	for _, row := range []struct {
+		name   string
+		mutate func(*protocol.StageAssign)
+		want   string
+	}{
+		{"unknown op", func(a *protocol.StageAssign) { a.Op = "social/none" }, `unknown operator "social/none"`},
+		{"negative instances", func(a *protocol.StageAssign) { a.Instances = -1 }, `stage "s": -1 instances`},
+		{"2^32 instances", func(a *protocol.StageAssign) { a.Instances = 1 << 32 }, `stage "s": 4294967296 instances`},
+		{"zero window", func(a *protocol.StageAssign) { a.Window = 0 }, `stage "s": a window of 0 intervals`},
+	} {
+		t.Run("worker "+row.name, func(t *testing.T) {
+			ln, err := Listen("unix", filepath.Join(t.TempDir(), "coord.sock"))
+			if err != nil {
+				t.Fatal(err)
 			}
-			close(sess)
-		}()
-		w, err := NewWorker("unix", ln.Addr(), filepath.Join(t.TempDir(), "w0.sock"), "w0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		conn := <-sess
-		if conn == nil {
-			t.Fatal("no worker session")
-		}
-		defer conn.Close()
-		assign := &protocol.StageAssign{Name: "s", Op: "social/none", Instances: 1, Window: 1, Capacity: 1, Budget: 1}
-		if err := conn.Send(&protocol.Message{Assign: assign}); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Run(); err == nil || !strings.Contains(err.Error(), `unknown operator "social/none"`) {
-			t.Fatalf("worker Run = %v, want the unknown operator named", err)
-		}
-	})
+			defer ln.Close()
+			sess := make(chan *Conn, 1)
+			go func() {
+				conn, _, err := ln.Accept()
+				if err == nil && conn.Welcome(0) == nil {
+					sess <- conn
+				}
+				close(sess)
+			}()
+			w, err := NewWorker("unix", ln.Addr(), filepath.Join(t.TempDir(), "w0.sock"), "w0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn := <-sess
+			if conn == nil {
+				t.Fatal("no worker session")
+			}
+			defer conn.Close()
+			assign := &protocol.StageAssign{Name: "s", Op: "social/count", Instances: 1, Window: 1, Capacity: 1, Budget: 1}
+			row.mutate(assign)
+			if err := conn.Send(&protocol.Message{Assign: assign}); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Run(); err == nil || !strings.Contains(err.Error(), row.want) {
+				t.Fatalf("worker Run = %v, want %q", err, row.want)
+			}
+			// The session's last word is the error, as a Shutdown's reason.
+			if m, err := conn.Recv(); err != nil || m.Bye == nil || !strings.Contains(m.Bye.Reason, row.want) {
+				t.Fatalf("the coordinator's side read %v, %v; want a Shutdown saying %q", m, err, row.want)
+			}
+		})
+	}
+}
+
+// structCount stores a struct value, which has no wire encoding.
+type structCount struct{ N int }
+
+func init() {
+	RegisterOp("test/structcount", func(int) engine.Operator { return structCountOp{} })
+}
+
+type structCountOp struct{}
+
+func (structCountOp) Process(ctx *engine.TaskCtx, t tuple.Tuple) {
+	ctx.Store.Add(t.Key, state.Entry{Value: structCount{N: 1}, Size: t.StateSize})
+}
+
+// TestUnencodableStateEndsRun: a stage whose operator stores a value
+// outside the wire's value tags cannot migrate a key to another
+// process. Its first migration — by a plan, or by a scale-out on a
+// stage that never plans — ends the worker's session with an error
+// naming the stage, the key and the type, and the coordinator's run
+// returns that error within bounded time instead of hanging.
+func TestUnencodableStateEndsRun(t *testing.T) {
+	for _, row := range []struct {
+		name   string
+		mutate func(*StageSpec)
+	}{
+		{"plan", func(st *StageSpec) { st.Policies = nil }},
+		{"scale-out", func(st *StageSpec) { st.Algorithm = topology.AlgStorm }},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			spec := testSpec(t)
+			spec.Stages[1].Op = "test/structcount"
+			row.mutate(&spec.Stages[1])
+			dir := t.TempDir()
+			c, err := NewCoordinator(spec, "unix", filepath.Join(dir, "coord.sock"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			errs := make(chan error, 2)
+			for i := 0; i < 2; i++ {
+				w, err := NewWorker("unix", c.Addr(), filepath.Join(dir, fmt.Sprintf("w%d.sock", i)), fmt.Sprintf("w%d", i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				go func() { errs <- w.Run() }()
+			}
+			if err := c.Deploy(2); err != nil {
+				t.Fatal(err)
+			}
+			run := make(chan error, 1)
+			go func() { run <- c.Run(testIntervals) }()
+			const want = "cluster.structCount"
+			select {
+			case err := <-run:
+				if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), `stage "count"`) {
+					t.Fatalf("coordinator Run = %v, want the error naming stage count and %s", err, want)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("the coordinator's run did not end")
+			}
+			c.Shutdown()
+			var failed int
+			for i := 0; i < 2; i++ {
+				if err := <-errs; err != nil {
+					if !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "key ") {
+						t.Fatalf("worker Run = %v, want the key and %s named", err, want)
+					}
+					failed++
+				}
+			}
+			if failed != 1 {
+				t.Fatalf("%d workers failed, want the count stage's host alone", failed)
+			}
+		})
+	}
 }

@@ -241,8 +241,17 @@ func (c *Coordinator) waitWorkers(n int) ([]*workerSess, error) {
 	return append([]*workerSess(nil), c.workers[:n]...), nil
 }
 
-func (c *Coordinator) recvAck(w *workerSess) error {
+// recv reads w's next session message; a Shutdown carries its error.
+func (c *Coordinator) recv(w *workerSess) (*protocol.Message, error) {
 	m, err := w.conn.Recv()
+	if err == nil && m.Bye != nil {
+		return nil, fmt.Errorf("worker %s ended its session: %s", w.name, m.Bye.Reason)
+	}
+	return m, err
+}
+
+func (c *Coordinator) recvAck(w *workerSess) error {
+	m, err := c.recv(w)
 	if err != nil {
 		return err
 	}
@@ -315,7 +324,7 @@ func (c *Coordinator) RunInterval() error {
 		if err := w.conn.Send(&protocol.Message{Harvest: &protocol.HarvestReq{Stage: si, Interval: c.interval, Emit: emitN}}); err != nil {
 			return fmt.Errorf("cluster: harvest stage %d: %w", si, err)
 		}
-		m, err := w.conn.Recv()
+		m, err := c.recv(w)
 		if err != nil {
 			return fmt.Errorf("cluster: harvest stage %d: %w", si, err)
 		}

@@ -17,9 +17,8 @@
 // length-framed protocol.NewFramedCodec over TCP or unix sockets and
 // opening with a Hello/Welcome handshake that checks the protocol
 // version (Proto). Every connection speaks the hand-rolled binary codec
-// from its first byte — zero-reflection encoding for batches, flushes,
-// the interval drive and the control round, a self-contained gob frame
-// for the handshake and the other once-per-session messages — with
+// from its first byte — a zero-reflection frame kind for every message,
+// the handshake's included, and the only encoding on the wire — with
 // FeedBatch frame coalescing up to DefCoalesce bytes on data edges:
 //
 //   - the worker session (one per worker, dialed at startup): stage
@@ -30,7 +29,8 @@
 //     worker): the stage's control.Executor answers a coordinator-side
 //     control.Server — exactly the Fig. 5 rounds the single-process
 //     loops run, serialized over the socket, with migrated state
-//     crossing as state.Codec payloads in StateTransfer messages;
+//     crossing as state.Codec payloads in StateTransfer messages (a
+//     value outside the wire's value tags ends the worker's session);
 //   - data connections (spout → stage 0, stage si → stage si+1 across
 //     process boundaries): TupleBatch streams into the remote stage's
 //     FeedBatch, with Flush echoes as delivery barriers.

@@ -1,52 +1,34 @@
 package cluster
 
 import (
-	"encoding/gob"
 	"fmt"
 	"net"
 	"sync"
 	"time"
 
 	"repro/internal/protocol"
-	"repro/internal/tuple"
 )
 
 // Proto is the cluster session protocol version, validated on both
-// sides of every Hello/Welcome handshake. Version 7's StageAssign says
-// whether the stage is the recorded one, which decides a PKG stage's
-// latency floor; a version-6 worker would build it without. Version 6
-// speaks the binary wire from the first byte: the Hello and Welcome
-// travel as self-contained gob frames behind the kind byte, where every
-// earlier version sent them as a gob stream and then negotiated the
-// binary wire.
+// sides of every Hello/Welcome handshake. Version 8 speaks one encoding:
+// versions 6 and 7 sent the session messages as gob frames behind kind
+// byte 0x00, now unknown, and migrated state as a gob stream. Version 7's
+// StageAssign says whether the stage is the recorded one, which decides
+// a PKG stage's latency floor; a version-6 worker would build it
+// without. Version 6 speaks the binary wire from the first byte, where
+// every earlier version sent its Hello as a gob stream and then
+// negotiated the binary wire.
 // Version 5 is the harvest reply that carries the stage's finished
 // metrics row and post-model backlog; a version-4 peer ships arrival
 // arrays for the coordinator to model instead. Version 4 introduced the
 // flagged batch sub-frame, whose rows carry only the fields that vary
 // inside their chunk. Older peers are refused.
-const Proto = 7
+const Proto = 8
 
 // handshakeTimeout bounds the Hello/Welcome exchange (and nothing
 // else: established connections block indefinitely — the interval
 // clock, not a timer, paces the session).
 const handshakeTimeout = 10 * time.Second
-
-func init() {
-	// Migrated windows (state.Codec payloads) carry their entries' values
-	// as gob interface values, and so does the codec's escape hatch for a
-	// tuple value outside its tagged set; register the concrete types the
-	// in-tree workloads and operators put there. Applications with
-	// custom value types add theirs via state.RegisterValue (the same
-	// registry).
-	gob.Register(int(0))
-	gob.Register(int64(0))
-	gob.Register(uint64(0))
-	gob.Register(float64(0))
-	gob.Register("")
-	gob.Register([]byte(nil))
-	gob.Register(tuple.Key(0))
-	gob.Register([]tuple.Key(nil))
-}
 
 // Conn is one established cluster connection: the framed codec over a
 // TCP or unix socket, with per-direction byte counters and a

@@ -176,20 +176,23 @@ func TestBatchConnConcurrentFeed(t *testing.T) {
 }
 
 // TestHandshakeProtoMismatch refuses a newer peer and the older versions
-// alike: a version-6 worker would build a PKG target without its
-// latency floor, a version-5 peer opens with a gob-stream Hello and negotiates
-// the binary wire after it, a version-4 peer ships arrival arrays in its
-// harvest reply, a version-3 peer writes every field in every batch row
-// and a version-2 peer lays them out as columns, so there is nothing to
-// fall back to. The gob-stream Hello every version up to 5 actually
-// sends is refused at once, not after the handshake timeout.
+// alike: a version-7 peer sends its session messages as gob frames and
+// its migrated state as a gob stream, a version-6 worker would build a
+// PKG target without its latency floor, a version-5 peer opens with a
+// gob-stream Hello and negotiates the binary wire after it, a version-4
+// peer ships arrival arrays in its harvest reply, a version-3 peer
+// writes every field in every batch row and a version-2 peer lays them
+// out as columns, so there is nothing to fall back to. The Hello a
+// version-6 or -7 peer actually sends (a gob frame behind kind byte
+// 0x00) and the gob-stream Hello of every version up to 5 are refused at
+// once, not after the handshake timeout.
 func TestHandshakeProtoMismatch(t *testing.T) {
 	ln, err := Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
 	defer ln.Close()
-	for _, proto := range []int{Proto + 1, 6, 5, 4, 3, 2} {
+	for _, proto := range []int{Proto + 1, 7, 6, 5, 4, 3, 2} {
 		go func() {
 			// A raw framed client announcing the wrong protocol version.
 			nc, err := net.Dial("tcp", ln.Addr())
@@ -207,25 +210,31 @@ func TestHandshakeProtoMismatch(t *testing.T) {
 	}
 
 	// A Hello as a length-framed gob stream, which is how every peer up
-	// to version 5 opened its connection.
-	var hello bytes.Buffer
-	if err := gob.NewEncoder(&hello).Encode(&protocol.Message{Hello: &protocol.Hello{Proto: 5, Role: "worker", Worker: "w0"}}); err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		nc, err := net.Dial("tcp", ln.Addr())
-		if err != nil {
-			return
+	// to version 5 opened its connection, and as the gob frame behind
+	// kind byte 0x00 that versions 6 and 7 sent.
+	for _, old := range []struct {
+		proto int
+		kind  []byte
+	}{{5, nil}, {6, []byte{0x00}}, {7, []byte{0x00}}} {
+		hello := bytes.NewBuffer(old.kind)
+		if err := gob.NewEncoder(hello).Encode(&protocol.Message{Hello: &protocol.Hello{Proto: old.proto, Role: "worker", Worker: "w0"}}); err != nil {
+			t.Fatal(err)
 		}
-		defer nc.Close()
-		_, _ = nc.Write(append(binary.BigEndian.AppendUint32(nil, uint32(hello.Len())), hello.Bytes()...))
-		_, _ = io.Copy(io.Discard, nc) // hold the connection open until the accepter hangs up
-	}()
-	start := time.Now()
-	if _, _, err := ln.Accept(); err == nil {
-		t.Fatal("accept of a gob-stream hello succeeded")
-	} else if d := time.Since(start); d > handshakeTimeout/10 {
-		t.Fatalf("a gob-stream hello was refused after %v (%v); want well inside the %v handshake timeout", d, err, handshakeTimeout)
+		go func() {
+			nc, err := net.Dial("tcp", ln.Addr())
+			if err != nil {
+				return
+			}
+			defer nc.Close()
+			_, _ = nc.Write(append(binary.BigEndian.AppendUint32(nil, uint32(hello.Len())), hello.Bytes()...))
+			_, _ = io.Copy(io.Discard, nc) // hold the connection open until the accepter hangs up
+		}()
+		start := time.Now()
+		if _, _, err := ln.Accept(); err == nil {
+			t.Fatalf("accept of a version-%d gob hello succeeded", old.proto)
+		} else if d := time.Since(start); d > handshakeTimeout/10 {
+			t.Fatalf("a version-%d gob hello was refused after %v (%v); want well inside the %v handshake timeout", old.proto, d, err, handshakeTimeout)
+		}
 	}
 }
 

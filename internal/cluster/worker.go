@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -24,6 +25,7 @@ type hostedStage struct {
 	st   *engine.Stage
 	eng  *engine.Engine
 	ctrl *Conn
+	exec *control.Executor // the control round's actuator; nil when ctrl is
 	down *BatchConn
 	// processed accumulates the stage's arrived-tuple total across
 	// intervals — the zero-loss account HarvestDone reports.
@@ -85,17 +87,18 @@ func RunWorker(network, coord, dataAddr, name string) error {
 	return w.Run()
 }
 
-// Run serves the coordinator session until Shutdown (nil) or a
-// transport/protocol error — the session's, or the first one an inbound
-// data connection latched (failData), which ends the session too.
-// Teardown runs in every case.
+// Run serves the coordinator session until Shutdown (nil) or an error —
+// the session's, a stage's, or the first one an inbound data connection
+// latched (failData) — which it sends as a Shutdown's reason, if the
+// session still carries one. Teardown runs in every case.
 func (w *Worker) Run() error {
 	defer w.teardown()
 	err := w.serveSession()
 	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.dataErr != nil {
-		return w.dataErr
+	err = cmp.Or(w.dataErr, err)
+	w.mu.Unlock()
+	if err != nil {
+		_ = w.session.Send(&protocol.Message{Bye: &protocol.Shutdown{Reason: err.Error()}})
 	}
 	return err
 }
@@ -217,8 +220,8 @@ func (w *Worker) assign(a *protocol.StageAssign) error {
 			return fmt.Errorf("cluster: worker %s: stage %d: dial control: %w", w.name, a.Stage, err)
 		}
 		cc.SetName(fmt.Sprintf("control s%d", a.Stage))
-		h.ctrl = cc
-		eng.AddSnapshotHook(0, control.NewExecutor(eng, 0, cc).Hook())
+		h.ctrl, h.exec = cc, control.NewExecutor(eng, 0, cc)
+		eng.AddSnapshotHook(0, h.exec.Hook())
 	}
 	w.mu.Lock()
 	w.stages[a.Stage] = h
@@ -230,7 +233,8 @@ func (w *Worker) assign(a *protocol.StageAssign) error {
 // harvest ends one stage's interval with the engine's own sequence
 // (EndStage: harvest, control round, queueing model) after recording
 // the true emission, and answers with the finished row, the post-model
-// backlog the coordinator throttles on, and the zero-loss account.
+// backlog the coordinator throttles on, and the zero-loss account. A
+// migration whose state could not be encoded ends the session instead.
 func (w *Worker) harvest(req *protocol.HarvestReq) (*protocol.HarvestDone, error) {
 	h := w.stage(req.Stage)
 	if h == nil {
@@ -241,6 +245,9 @@ func (w *Worker) harvest(req *protocol.HarvestReq) (*protocol.HarvestDone, error
 	}
 	h.eng.SetLastEmitted(req.Emit)
 	row := h.eng.EndStage(0, req.Interval)
+	if h.exec != nil && h.exec.Err() != nil {
+		return nil, fmt.Errorf("cluster: worker %s: %w", w.name, h.exec.Err())
+	}
 	return &protocol.HarvestDone{
 		Stage: h.si, Interval: req.Interval, Row: row,
 		Backlog: h.st.Backlog, Processed: h.processed,

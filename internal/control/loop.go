@@ -1,6 +1,7 @@
 package control
 
 import (
+	"cmp"
 	"sync"
 
 	"repro/internal/engine"
@@ -19,6 +20,7 @@ type Executor struct {
 	e    *engine.Engine
 	si   int
 	conn Conn
+	err  error // the first actuation error (Err)
 }
 
 // NewExecutor binds an executor to stage si of e, speaking over conn.
@@ -70,13 +72,7 @@ func (x *Executor) RunRound(snap *stats.Snapshot) *engine.Rebalance {
 			}
 			plan := protocol.PlanFromAnnounce(m.Plan)
 			moved, err := st.ApplyPlan(plan, x.transferObserver())
-			if err != nil {
-				// Same reject-as-hold as the guards above: the router
-				// check raced a topology change, so the plan no longer
-				// applies. Nothing was migrated; Ack and move on.
-				x.ack(m.Plan.Interval)
-				break
-			}
+			x.err = cmp.Or(x.err, err)
 			if reb == nil {
 				reb = &engine.Rebalance{}
 			}
@@ -90,13 +86,8 @@ func (x *Executor) RunRound(snap *stats.Snapshot) *engine.Rebalance {
 				x.ack(m.ResizeCmd.Interval)
 				break
 			}
-			if _, err := x.e.ResizeStage(x.si, delta, x.transferObserver()); err != nil {
-				// Reject-as-hold: the resize stopped being applicable
-				// between canResize and actuation. Ack keeps the round
-				// in step; nothing moved.
-				x.ack(m.ResizeCmd.Interval)
-				break
-			}
+			_, err := x.e.ResizeStage(x.si, delta, x.transferObserver())
+			x.err = cmp.Or(x.err, err)
 			if reb == nil {
 				reb = &engine.Rebalance{}
 			}
@@ -126,6 +117,11 @@ func (x *Executor) RunRound(snap *stats.Snapshot) *engine.Rebalance {
 		}
 	}
 }
+
+// Err returns the first error an actuation returned: past the guards, a
+// key whose state failed to encode (engine.Stage.ApplyPlan), though the
+// command applied and the round stayed in step. A worker ends on it.
+func (x *Executor) Err() error { return x.err }
 
 // Hook adapts the executor to the engine's snapshot fan-out: register
 // it with engine.AddSnapshotHook(si, x.Hook()). It runs one control

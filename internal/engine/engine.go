@@ -497,7 +497,7 @@ func StepModel(p ModelParams, backlog, backlogT, migPenalty, cost, tuples []int6
 // when non-nil, observes every key migration. Returns an error — with
 // no state touched — on an invalid delta or a stage whose router cannot
 // resize (no assignment router, non-ring hasher, retiring the only
-// instance).
+// instance), and the stage's state-wire failure (ApplyPlan).
 func (e *Engine) ResizeStage(si, delta int, obs MigrationObserver) (int64, error) {
 	switch delta {
 	case 1:

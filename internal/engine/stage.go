@@ -104,12 +104,8 @@ type Stage struct {
 	// extracted windows are serialized, and the *decoded* copy is what
 	// the destination injects — the cross-process migration path, also
 	// selectable in process so its equivalence with the in-memory
-	// reference stays pinned by test. codecErrs counts codec failures
-	// (the transfer falls back to the in-memory reference so no state is
-	// lost; nonzero means an operator shipped an unregistered value
-	// type).
+	// reference stays pinned by test.
 	stateWire atomic.Bool
-	codecErrs atomic.Int64
 
 	stopped bool
 }
@@ -439,31 +435,20 @@ func (s *Stage) SetSink(sink BatchSink) {
 // oracle. Must be called while the stage is idle.
 func (s *Stage) SetStateWire(on bool) { s.stateWire.Store(on) }
 
-// StateWireErrs returns the cumulative count of state-codec failures
-// (each fell back to the in-memory reference move).
-func (s *Stage) StateWireErrs() int64 { return s.codecErrs.Load() }
-
-// serializeTransfer routes one extracted transfer through the state
-// codec when state-wire mode is on: the caller injects the returned
-// Migrated/mem (a decoded copy sharing nothing with the source store)
-// and ships the returned payload in its StateTransfer message. With
-// state-wire off — or on a codec failure, which is counted — the
-// original references pass through and the payload is nil.
-func (s *Stage) serializeTransfer(m state.Migrated, mem int64) (state.Migrated, int64, []byte) {
-	if !s.stateWire.Load() {
-		return m, mem, nil
+// serializeTransfer round-trips x through the state codec, so the
+// destination injects a decoded copy and x.payload rides in the key's
+// StateTransfer. On an error x keeps the source's references.
+func (s *Stage) serializeTransfer(x *transfer) error {
+	p, err := state.Codec{}.Encode(x.m, x.mem)
+	if err == nil {
+		var m state.Migrated
+		var mem int64
+		if m, mem, err = (state.Codec{}).Decode(p); err == nil {
+			x.m, x.mem, x.payload = m, mem, p
+			return nil
+		}
 	}
-	p, err := state.Codec{}.Encode(m, mem)
-	if err != nil {
-		s.codecErrs.Add(1)
-		return m, mem, nil
-	}
-	dm, dmem, err := state.Codec{}.Decode(p)
-	if err != nil {
-		s.codecErrs.Add(1)
-		return m, mem, nil
-	}
-	return dm, dmem, p
+	return fmt.Errorf("engine: stage %q: key %d: %w", s.Name, x.m.Key, err)
 }
 
 // StartInterval publishes the interval index tasks stamp on emitted
@@ -616,7 +601,7 @@ type transfer struct {
 // grace period is instantaneous, so the effect is a direct move. obs,
 // when non-nil, observes every key migration. Returns the total state
 // volume moved, or an error (no state touched) on a stage without an
-// assignment router.
+// assignment router, or the plan applied with applyMovesLive's error.
 func (s *Stage) ApplyPlan(plan *balance.Plan, obs MigrationObserver) (int64, error) {
 	ar := s.ar
 	if ar == nil {
@@ -654,7 +639,7 @@ func (s *Stage) ApplyPlan(plan *balance.Plan, obs MigrationObserver) (int64, err
 	next := route.NewAssignment(tbl, old.Hasher())
 	// The split set rides across plan publications untouched.
 	next.SetSplits(st)
-	return s.actuate(next, plan.Moved, obs), nil
+	return s.actuate(next, plan.Moved, obs)
 }
 
 // actuate is the one way F changes: install next as the stage's live
@@ -664,7 +649,7 @@ func (s *Stage) ApplyPlan(plan *balance.Plan, obs MigrationObserver) (int64, err
 // the order observers see the transfers in. A rebalance plan, a
 // scale-out and a scale-in are each a different next and key set, with
 // task creation or retirement around the call. The caller holds migMu.
-func (s *Stage) actuate(next *route.Assignment, keys []tuple.Key, obs MigrationObserver) int64 {
+func (s *Stage) actuate(next *route.Assignment, keys []tuple.Key, obs MigrationObserver) (int64, error) {
 	old := s.ar.Assignment()
 	moves := make([]keyMove, 0, len(keys))
 	for _, k := range keys {
@@ -728,8 +713,10 @@ func (s *Stage) publish(next *route.Assignment) {
 //
 // A plan costs two barrier rounds however many keys it moves; a task
 // that both sends and receives extracts all before it injects any.
-// Returns the migrated state volume.
-func (s *Stage) applyMovesLive(next *route.Assignment, moves []keyMove, obs MigrationObserver) int64 {
+// Returns the migrated state volume, and in state-wire mode the first
+// key whose state failed to encode: it moved by reference, to exactly
+// one owner, but could not have crossed a process boundary.
+func (s *Stage) applyMovesLive(next *route.Assignment, moves []keyMove, obs MigrationObserver) (int64, error) {
 	perSrc := make([][]int, len(s.tasks)) // move indices, in move order
 	perDst := make([][]int, len(s.tasks))
 	for i, mv := range moves {
@@ -766,9 +753,13 @@ func (s *Stage) applyMovesLive(next *route.Assignment, moves []keyMove, obs Migr
 			t.reroute[k] = newGen
 		}
 	})
-	for i := range xs {
-		x := &xs[i]
-		x.m, x.mem, x.payload = s.serializeTransfer(x.m, x.mem)
+	var err error
+	if s.stateWire.Load() {
+		for i := range xs {
+			if e := s.serializeTransfer(&xs[i]); err == nil {
+				err = e
+			}
+		}
 	}
 	s.eachTask(perDst, true, func(t *task, ctx *TaskCtx, idx []int) {
 		for _, i := range idx {
@@ -800,7 +791,7 @@ func (s *Stage) applyMovesLive(next *route.Assignment, moves []keyMove, obs Migr
 			delete(t.reroute, moves[i].k)
 		}
 	})
-	return moved
+	return moved, err
 }
 
 // eachTask queues one control thunk on every task d that perTask[d]
@@ -829,7 +820,8 @@ func (s *Stage) eachTask(perTask [][]int, wait bool, fn func(t *task, ctx *TaskC
 // MigrationObserver is notified of every key migration an actuation
 // performs (plan application, scale-out, scale-in): key, source task,
 // destination task, the migrated state volume, and — in state-wire
-// mode — the serialized window that crossed the codec (nil otherwise).
+// mode — the serialized window that crossed the codec (nil otherwise,
+// and for a key whose state failed to encode).
 // The control plane's executor uses it to emit one
 // protocol.StateTransfer per migration — step 5 of Fig. 5 as an
 // observable wire event, carrying the real payload when migration runs
@@ -866,7 +858,7 @@ func (s *Stage) resizeRing(what string) (*hashring.Ring, error) {
 // controller's job on subsequent intervals (the Fig. 15 scenario). obs,
 // when non-nil, observes every key migration. Returns the migrated
 // volume, or an error (no state touched) when the stage's router cannot
-// scale.
+// scale, or the move applied with applyMovesLive's error.
 func (s *Stage) ScaleOut(obs MigrationObserver) (int64, error) {
 	ring, err := s.resizeRing("scale-out")
 	if err != nil {
@@ -898,7 +890,7 @@ func (s *Stage) ScaleOut(obs MigrationObserver) (int64, error) {
 
 	// Keep the routing table; only keys on the new instance's arcs move.
 	next := route.NewAssignment(s.ar.Assignment().Table().Clone(), ring.Grow())
-	return s.actuate(next, s.LiveKeys(), obs), nil
+	return s.actuate(next, s.LiveKeys(), obs)
 }
 
 // ScaleIn retires the stage's last task instance live — the mirror of
@@ -918,7 +910,8 @@ func (s *Stage) ScaleOut(obs MigrationObserver) (int64, error) {
 // Must be called while tasks are idle (between EndInterval and the
 // next Feed — controller-hook time). obs, when non-nil, observes every
 // key migration. Returns the migrated volume, or an error (no state
-// touched) when the stage cannot retire an instance.
+// touched) when the stage cannot retire an instance, or the move
+// applied with applyMovesLive's error.
 func (s *Stage) ScaleIn(obs MigrationObserver) (int64, error) {
 	ring, err := s.resizeRing("scale-in")
 	if err != nil {
@@ -955,7 +948,7 @@ func (s *Stage) ScaleIn(obs MigrationObserver) (int64, error) {
 			nt.Delete(k)
 		}
 	}
-	moved := s.actuate(route.NewAssignment(nt, ring.Shrink()), keys, obs)
+	moved, err := s.actuate(route.NewAssignment(nt, ring.Shrink()), keys, obs)
 
 	// Retire the instance and shrink the per-task bookkeeping. Arrival
 	// accounting was reset by EndInterval; any residual (non-hook-time
@@ -971,7 +964,7 @@ func (s *Stage) ScaleIn(obs MigrationObserver) (int64, error) {
 	s.backlogT[rid-1] += s.backlogT[rid]
 	s.backlogT = s.backlogT[:rid]
 	s.MigPenalty = s.MigPenalty[:rid]
-	return moved, nil
+	return moved, err
 }
 
 // Stop terminates all task goroutines (for tests and example

@@ -2,23 +2,17 @@ package engine
 
 import (
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/balance"
-	"repro/internal/state"
 	"repro/internal/stats"
 	"repro/internal/tuple"
 	"repro/internal/workload"
 )
-
-func init() {
-	// The serialized path gob-encodes stored Entry values; the tests
-	// here store int64 payloads (and nil, which needs no registration).
-	state.RegisterValue(int64(0))
-}
 
 // Tests of serialized-state migration (StateWire mode): with the mode
 // on, every migrated key's windowed state crosses a full
@@ -31,8 +25,8 @@ func init() {
 // serialized-state migration and once through the in-memory reference,
 // and requires identical interval series, harvest snapshots, routing
 // tables and state placement. The wire run must actually serialize:
-// at least one observed migration carries a non-nil payload, and the
-// codec error counter stays zero.
+// at least one observed migration carries a non-nil payload, and no
+// ApplyPlan or ResizeStage returns a state-wire error.
 func TestStateWireMatchesInMemory(t *testing.T) {
 	run := func(wire bool) (*Engine, *Stage, int64) {
 		gen := workload.NewZipfStream(1500, 0.9, 0, 8000, 53)
@@ -99,9 +93,6 @@ func TestStateWireMatchesInMemory(t *testing.T) {
 			return &Rebalance{Plan: plan, Moved: moved}
 		})
 		e.Run(8)
-		if errs := st.StateWireErrs(); errs != 0 {
-			t.Fatalf("wire=%v: %d codec round-trip failures fell back to reference state", wire, errs)
-		}
 		return e, st, payloads
 	}
 
@@ -162,7 +153,7 @@ func TestStateWireMatchesInMemory(t *testing.T) {
 // migration under live traffic: four feeders emit into a pipelined
 // two-stage topology with StateWire on while a controller
 // applies rebalance plans continuously. Zero loss, no double-delivery,
-// exact final placement, no codec fallbacks — the serializer runs
+// exact final placement, no state-wire error — the serializer runs
 // inside migration barriers with feeders pounding both stages.
 func TestStateWireLiveFeeders(t *testing.T) {
 	const (
@@ -274,11 +265,6 @@ func TestStateWireLiveFeeders(t *testing.T) {
 	if payloads.Load() == 0 {
 		t.Fatal("no migration carried a serialized payload; the stress is vacuous")
 	}
-	for si, st := range []*Stage{st0, st1} {
-		if errs := st.StateWireErrs(); errs != 0 {
-			t.Fatalf("stage %d: %d codec round-trip failures fell back to reference state", si, errs)
-		}
-	}
 
 	fedPerKey := make(map[tuple.Key]int64)
 	for i := range pre {
@@ -319,5 +305,55 @@ func TestStateWireLiveFeeders(t *testing.T) {
 		if want := int64(len(pre)) + total; totalState != want {
 			t.Fatalf("stage %d total state %d, want %d", si, totalState, want)
 		}
+	}
+}
+
+// unencodable is a state value outside the wire's value tags.
+type unencodable struct{ N int }
+
+// TestStateWireEncodeFailure: a plan that moves a key whose state holds
+// a value outside the value tags is applied all the same — the key's
+// state lands on its destination by reference, once, beside a key that
+// crossed the codec — and ApplyPlan returns an error naming the stage,
+// the key and the value's type.
+func TestStateWireEncodeFailure(t *testing.T) {
+	st := statefulStage(4, 2)
+	defer st.Stop()
+	st.SetStateWire(true)
+	st.FeedBatch([]tuple.Tuple{
+		tuple.New(7, unencodable{N: 1}), tuple.New(7, int64(2)), tuple.New(3, int64(3)), tuple.New(3, "x"),
+	})
+	st.Barrier()
+	asg := st.AssignmentRouter().Assignment()
+	plan := &balance.Plan{Table: asg.Table().Clone(), MoveDest: map[tuple.Key]int{}}
+	for _, k := range []tuple.Key{7, 3} {
+		dst := (asg.Dest(k) + 1) % 4
+		plan.Table.Put(k, dst)
+		plan.Moved = append(plan.Moved, k)
+		plan.MoveDest[k] = dst
+	}
+	payloads := map[tuple.Key][]byte{}
+	moved, err := st.ApplyPlan(plan, func(k tuple.Key, from, to int, size int64, payload []byte) {
+		payloads[k] = payload
+	})
+	if err == nil {
+		t.Fatal("a key holding an unencodable value migrated without an error")
+	}
+	for _, want := range []string{`stage "s"`, "key 7", "engine.unencodable"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name %s", err, want)
+		}
+	}
+	if moved != 4 || payloads[7] != nil || payloads[3] == nil {
+		t.Fatalf("moved %d units, payloads %v; want 4, key 7 by reference and key 3 encoded", moved, payloads)
+	}
+	checkOneOwner(t, st, nil, "after the failed encode")
+	for _, k := range []tuple.Key{7, 3} {
+		if got := st.StoreOf(plan.MoveDest[k]).Size(k); got != 2 {
+			t.Fatalf("key %d holds %d units on its destination, want 2", k, got)
+		}
+	}
+	if got := st.StoreOf(plan.MoveDest[7]).Entries(7)[0].Value; got != (unencodable{N: 1}) {
+		t.Fatalf("key 7's first entry arrived as %#v", got)
 	}
 }

@@ -4,14 +4,15 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
 	"slices"
 	"testing"
 
+	"repro/internal/state"
 	"repro/internal/tuple"
 )
 
@@ -31,18 +32,12 @@ func refRowAppend(dst []byte, ts []tuple.Tuple) []byte {
 		dst = binary.AppendUvarint(dst, uint64(len(t.Stream)))
 		dst = append(dst, t.Stream...)
 		var err error
-		if dst, err = appendValue(dst, t.Value); err != nil {
+		if dst, err = tuple.AppendValue(dst, t.Value); err != nil {
 			panic(err)
 		}
 	}
 	return dst
 }
-
-// rowBlob is an application value type outside the tagged set: it
-// crosses the wire through the per-value gob escape hatch.
-type rowBlob struct{ A int }
-
-func init() { gob.Register(rowBlob{}) }
 
 // varintEdges sit on both sides of every encoded-length boundary the
 // inlined one- and two-byte cases decide.
@@ -62,10 +57,10 @@ func rowChunk(r *fuzzRNG, n int) []tuple.Tuple {
 	}
 	// Signed fields: the same edges as zigzag images, so min-int64 and
 	// ±0x40 (where a zigzag varint grows a byte) are drawn.
-	s := func() int64 { return unzig(u()) }
+	s := func() int64 { v := u(); return int64(v>>1) ^ -int64(v&1) }
 	stream := func() string { return []string{"", "", "counts", "R", string(make([]byte, 200))}[r.intn(5)] }
 	value := func() any {
-		switch r.intn(10) {
+		switch r.intn(9) {
 		case 0:
 			return nil
 		case 1:
@@ -82,10 +77,8 @@ func rowChunk(r *fuzzRNG, n int) []tuple.Tuple {
 			return []byte{1, 2, 3}
 		case 7:
 			return tuple.Key(u())
-		case 8:
-			return []tuple.Key{tuple.Key(u()), tuple.Key(u())}
 		default:
-			return rowBlob{A: int(r.next() % 1000)}
+			return []tuple.Key{tuple.Key(u()), tuple.Key(u())}
 		}
 	}
 	shared := r.intn(32) // bit f: field f is shared by the chunk
@@ -292,25 +285,50 @@ func truncate(t *testing.T, frame []byte) {
 // minRowLen bytes a row, a 36th of a decoded tuple, so a 64 KiB frame can
 // claim some 32 000 rows. Claiming them — or every row a 32-bit count
 // names — over rows that do not decode must fail as ErrBinaryFrame
-// having allocated well under what the count would size.
+// having allocated well under what the count would size. So must a
+// worker's Stats and a StageAssign claiming 2^32 entries, and a
+// migrated key's state payload claiming 2^32 buckets or entries.
 func TestHostileCountReservesLittle(t *testing.T) {
 	const body = 64 << 10
 	rows := bytes.Repeat([]byte{0xff}, body) // an overlong key varint
+	bounded := func(what string, decode func() error) {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := decode()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s decoded", what)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Fatalf("%s allocated %d bytes", what, n)
+		}
+	}
+	recv := func(payload []byte) func() error {
+		return func() error {
+			_, err := NewFramedCodec(readerOnly{bytes.NewReader(framed(payload))}).Recv()
+			if !errors.Is(err, ErrBinaryFrame) {
+				return fmt.Errorf("%v; want ErrBinaryFrame", err)
+			}
+			return err
+		}
+	}
 	for _, nt := range []uint32{body / minRowLen, math.MaxUint32} {
 		payload := binary.BigEndian.AppendUint32(AppendBatchHeader(nil), nt)
 		PatchBatchHeader(payload, 1)
 		payload = append(append(payload, 0), rows...)
-		c := NewFramedCodec(readerOnly{bytes.NewReader(framed(payload))})
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, err := c.Recv()
-		runtime.ReadMemStats(&after)
-		if !errors.Is(err, ErrBinaryFrame) {
-			t.Fatalf("count %d: %v; want ErrBinaryFrame", nt, err)
-		}
-		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
-			t.Fatalf("count %d over a %d-byte frame allocated %d bytes", nt, len(payload), n)
-		}
+		bounded(fmt.Sprintf("tuple count %d", nt), recv(payload))
+	}
+	bounded("stats", recv(append(hostileStatsCount, rows...)))
+	bounded("assign", recv(append(hostileAssignName, rows...)))
+	for what, payload := range map[string][]byte{
+		"state buckets": {1, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x10},
+		"state entries": {1, 0, 0, 1, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x10},
+	} {
+		bounded(what, func() error {
+			_, _, err := state.Codec{}.Decode(append(payload, rows...))
+			return err
+		})
 	}
 }
 
@@ -351,10 +369,18 @@ func TestScalarWireAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestControlRoundSendsNoGob pins the gob-free round: a plan, a resize, a split set and a state transfer each leave as their
-// own frame kind, never behind kindGob.
+// TestControlRoundSendsNoGob pins the one encoding: every message kind
+// leaves as a frame kind of its own, the session's included, and none
+// behind 0x00, the gob frame of versions 6 and 7.
 func TestControlRoundSendsNoGob(t *testing.T) {
-	for _, kind := range []int{1, 2, 3, 6} {
+	want := map[string]byte{
+		"report": kindReport, "plan": kindPlan, "resize": kindResize, "state": kindState,
+		"ack": kindAck, "resume": kindResume, "split": kindSplit, "batch": kindBatch,
+		"hello": kindHello, "welcome": kindWelcome, "assign": kindAssign, "start": kindStart,
+		"close": kindClose, "harvest": kindHarvestReq, "harvested": kindHarvestDone,
+		"flush": kindFlush, "shutdown": kindShutdown, "stats": kindStats,
+	}
+	for kind := 0; kind < 19; kind++ {
 		for _, n := range []int{0, 1, 17} {
 			var wire bytes.Buffer
 			c := NewFramedCodec(&wire)
@@ -362,8 +388,8 @@ func TestControlRoundSendsNoGob(t *testing.T) {
 			if err := c.Send(m); err != nil {
 				t.Fatalf("send %s: %v", m.Kind(), err)
 			}
-			if k := wire.Bytes()[frameHeaderLen]; k == kindGob {
-				t.Fatalf("%s (n=%d) went out as a gob frame", m.Kind(), n)
+			if k := wire.Bytes()[frameHeaderLen]; k == 0 || k != want[m.Kind()] {
+				t.Fatalf("%s (n=%d) went out as kind %#x, want %#x", m.Kind(), n, k, want[m.Kind()])
 			}
 		}
 	}

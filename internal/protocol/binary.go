@@ -1,9 +1,7 @@
 package protocol
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
@@ -19,22 +17,21 @@ import (
 // interval sends — the data plane (TupleBatch, Flush), the interval
 // drive (StartInterval, CloseStage, HarvestReq, HarvestDone) and the
 // whole control round (LoadReport, PlanAnnounce, Resize, SplitAnnounce,
-// StateTransfer, Ack, Resume). It matters for the small ones too: a gob
-// frame is self-contained — a fresh encoder re-sends type descriptors
-// and a fresh decoder recompiles its engines, several thousand
-// allocations per frame — and a plan with its transfers goes out most
-// intervals. What is sent once per session (the Hello/Welcome handshake,
-// placement, shutdown stats) rides as a self-contained gob stream behind
-// the same kind dispatch, so the handshake needs no codec of its own.
+// StateTransfer, Ack, Resume) — and for what is sent once per session
+// (the Hello/Welcome handshake, placement, shutdown and its stats). It
+// is the only encoding the cluster speaks: any peer that connects can
+// send the handshake, so it is decoded like every other frame.
 //
 // Every frame (inside the 4-byte length framing of framing.go) begins
 // with one kind byte:
 //
 //	frame    := len(4,BE) kind payload
-//	kind     := 0x00 gob | 0x01 batch | 0x02 flush | 0x03 report
+//	kind     := 0x01 batch | 0x02 flush | 0x03 report
 //	          | 0x04 ack | 0x05 resume
 //	          | 0x06 start | 0x07 close | 0x08 harvest | 0x09 harvested
 //	          | 0x0a plan | 0x0b resize | 0x0c split | 0x0d state
+//	          | 0x0e hello | 0x0f welcome | 0x10 assign | 0x11 shutdown
+//	          | 0x12 stats
 //
 // A batch frame coalesces one or more FeedBatch-sized chunks; the
 // sub-batch boundaries are preserved so the receiver replays the exact
@@ -59,16 +56,25 @@ import (
 // is more than the flags byte longer than a row that carried every
 // field. Fields are varint-packed: keys and seqs as
 // uvarints, costs, state sizes and emit ticks as zigzag varints. The
-// stream is a length-prefixed string; the value carries a one-byte
-// type tag covering the registered basic types, with a per-value
-// self-contained gob blob as the escape hatch for exotic application
-// types.
+// stream is a length-prefixed string; the value is tuple.AppendValue's
+// one-byte type tag and body (nil, int64, int, uint64, float64, string,
+// []byte, tuple.Key, []tuple.Key). A value of any other type is an
+// encode error naming it.
 //
-//	plan     := interval algolen algo gentime table moved
+//	plan     := interval algo gentime table moved
 //	table, moved := n (key dest){n}
 //	resize   := interval delta
 //	split    := interval n (key fan){n}
 //	state    := key from to size paylen payload
+//	hello    := proto role worker stage dataaddr
+//	welcome  := proto id
+//	assign   := stage instances window capacity budget downstage flags
+//	            name op algorithm downstream
+//	shutdown := reason
+//	stats    := worker n (name sent rcvd sentmsgs rcvdmsgs){n}
+//
+// Keys and counts are uvarints, other integers zigzag varints (assign's
+// flags: 1 Target, 2 Control), strings length-prefixed.
 //
 // Decode never trusts a length: every count is bounds-checked against
 // the remaining payload before any allocation, and every error path
@@ -77,8 +83,7 @@ import (
 
 // Frame kind bytes.
 const (
-	kindGob byte = iota
-	kindBatch
+	kindBatch byte = iota + 1
 	kindFlush
 	kindReport
 	kindAck
@@ -91,6 +96,11 @@ const (
 	kindResize
 	kindSplit
 	kindState
+	kindHello
+	kindWelcome
+	kindAssign
+	kindShutdown
+	kindStats
 )
 
 // batchHeaderLen is the fixed-width batch frame header: the kind byte
@@ -121,27 +131,6 @@ const (
 // truncated row, a hostile count, an unknown kind or value tag.
 var ErrBinaryFrame = errors.New("protocol: malformed binary frame")
 
-// Value type tags for tuple.Value. The tagged set covers every concrete
-// type the in-tree workloads and operators put in tuples; anything else
-// falls back to a per-value gob blob (tag valGob), which requires the
-// type to be gob-registered (state.RegisterValue).
-const (
-	valNil byte = iota
-	valInt64
-	valInt
-	valUint64
-	valFloat64
-	valString
-	valBytes
-	valKey
-	valKeys
-	valGob
-)
-
-// valueBox wraps an interface value for the gob escape hatch: gob can
-// only encode interface-typed data through a concrete wrapper field.
-type valueBox struct{ V any }
-
 // appendUvarint is binary.AppendUvarint with the one- and two-byte
 // cases — nearly every steady-state field — inlined ahead of the loop.
 func appendUvarint(dst []byte, v uint64) []byte {
@@ -160,189 +149,35 @@ func appendSvarint(dst []byte, v int64) []byte {
 	return appendUvarint(dst, uint64(v)<<1^uint64(v>>63))
 }
 
-func unzig(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+// cursor is the decode reader over one frame payload: tuple.Reader's
+// bounds-checked reads (the value tags among them), plus the frame's own.
+type cursor struct{ tuple.Reader }
 
-// uvarintAt decodes the uvarint at p[off:] and returns it with the
-// offset past it. A truncated or overlong varint returns an offset past
-// len(p), and so does any call that starts there: a row reads its
-// fields back to back and checks once.
-func uvarintAt(p []byte, off int) (uint64, int) {
-	if off >= len(p) {
-		return 0, len(p) + 1
-	}
-	if p[off] < 0x80 {
-		return uint64(p[off]), off + 1
-	}
-	if off+1 < len(p) && p[off+1] < 0x80 {
-		return uint64(p[off]&0x7f) | uint64(p[off+1])<<7, off + 2
-	}
-	v, n := binary.Uvarint(p[off:])
-	if n <= 0 {
-		return 0, len(p) + 1
-	}
-	return v, off + n
-}
-
-// cursor is the bounds-checked decode reader over one frame payload. Its
-// first failure sticks: err records it, the rest of the payload is
-// dropped and every later read returns zero, so a decoder reads its
-// fields in sequence and asks done once. Nothing is sized by a count
-// that count has not checked against the bytes left, and a count that
-// fails is zero.
-type cursor struct {
-	p   []byte
-	off int
-	err error
-}
-
-func (c *cursor) rem() int { return len(c.p) - c.off }
-
-func (c *cursor) fail(format string, args ...any) {
-	if c.err == nil {
-		c.err = fmt.Errorf("%w: %s at offset %d of %d", ErrBinaryFrame, fmt.Sprintf(format, args...), c.off, len(c.p))
-	}
-	c.off = len(c.p)
-}
-
-// done ends a frame's decode: its first failure, or bytes left over.
+// done ends a frame's decode: its first failure, or bytes left over, as
+// an ErrBinaryFrame.
 func (c *cursor) done() error {
-	if c.err == nil && c.rem() != 0 {
-		c.fail("%d trailing bytes", c.rem())
+	if c.Err == nil && c.Rem() != 0 {
+		c.Fail("%d trailing bytes", c.Rem())
 	}
-	return c.err
-}
-
-func (c *cursor) byte() byte {
-	if c.off >= len(c.p) {
-		c.fail("truncated byte")
-		return 0
+	if c.Err != nil {
+		return fmt.Errorf("%w: %v", ErrBinaryFrame, c.Err)
 	}
-	b := c.p[c.off]
-	c.off++
-	return b
-}
-
-// take returns the next n bytes, or nil (and fails) if they are not there.
-func (c *cursor) take(n int) []byte {
-	if n < 0 || c.rem() < n {
-		c.fail("truncated %d-byte field", n)
-		return nil
-	}
-	b := c.p[c.off : c.off+n : c.off+n]
-	c.off += n
-	return b
+	return nil
 }
 
 func (c *cursor) u32() int {
-	if b := c.take(4); b != nil {
+	if b := c.Take(4); b != nil {
 		return int(binary.BigEndian.Uint32(b))
 	}
 	return 0
 }
 
-func (c *cursor) u64() uint64 {
-	if b := c.take(8); b != nil {
-		return binary.BigEndian.Uint64(b)
-	}
-	return 0
+// appendString and str carry a length-prefixed string.
+func appendString(dst []byte, s string) []byte {
+	return append(appendUvarint(dst, uint64(len(s))), s...)
 }
 
-func (c *cursor) uvarint() uint64 {
-	v, off := uvarintAt(c.p, c.off)
-	if off > len(c.p) {
-		c.fail("bad uvarint")
-		return 0
-	}
-	c.off = off
-	return v
-}
-
-func (c *cursor) svarint() int64 { return unzig(c.uvarint()) }
-
-// count reads the count of a list whose elements cost at least min bytes
-// each on the wire: one the remaining bytes cannot hold is hostile and
-// fails before any allocation is sized from it.
-func (c *cursor) count(min int) int {
-	v := c.uvarint()
-	if v > uint64(c.rem()/min) {
-		c.fail("count %d of %d-byte elements exceeds %d remaining bytes", v, min, c.rem())
-		return 0
-	}
-	return int(v)
-}
-
-// appendValue encodes one tuple.Value. The error path is reachable only
-// through the gob escape hatch (an unregistered exotic type).
-func appendValue(dst []byte, v any) ([]byte, error) {
-	switch x := v.(type) {
-	case nil:
-		return append(dst, valNil), nil
-	case int64:
-		return appendSvarint(append(dst, valInt64), x), nil
-	case int:
-		return appendSvarint(append(dst, valInt), int64(x)), nil
-	case uint64:
-		return binary.AppendUvarint(append(dst, valUint64), x), nil
-	case float64:
-		return binary.BigEndian.AppendUint64(append(dst, valFloat64), math.Float64bits(x)), nil
-	case string:
-		dst = binary.AppendUvarint(append(dst, valString), uint64(len(x)))
-		return append(dst, x...), nil
-	case []byte:
-		dst = binary.AppendUvarint(append(dst, valBytes), uint64(len(x)))
-		return append(dst, x...), nil
-	case tuple.Key:
-		return binary.AppendUvarint(append(dst, valKey), uint64(x)), nil
-	case []tuple.Key:
-		dst = binary.AppendUvarint(append(dst, valKeys), uint64(len(x)))
-		for _, k := range x {
-			dst = binary.AppendUvarint(dst, uint64(k))
-		}
-		return dst, nil
-	default:
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&valueBox{V: v}); err != nil {
-			return nil, fmt.Errorf("protocol: binary codec cannot carry tuple value %T: %w", v, err)
-		}
-		dst = binary.AppendUvarint(append(dst, valGob), uint64(buf.Len()))
-		return append(dst, buf.Bytes()...), nil
-	}
-}
-
-// value decodes one tuple.Value; the caller checks c.err.
-func (c *cursor) value() any {
-	switch tag := c.byte(); tag {
-	case valNil:
-		return nil
-	case valInt64:
-		return c.svarint()
-	case valInt:
-		return int(c.svarint())
-	case valUint64:
-		return c.uvarint()
-	case valFloat64:
-		return math.Float64frombits(c.u64())
-	case valString:
-		return string(c.take(c.count(1)))
-	case valBytes:
-		return append([]byte(nil), c.take(c.count(1))...)
-	case valKey:
-		return tuple.Key(c.uvarint())
-	case valKeys:
-		return c.keys()
-	case valGob:
-		var box valueBox
-		if b := c.take(c.count(1)); c.err == nil {
-			if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&box); err != nil {
-				c.fail("gob value: %v", err)
-			}
-		}
-		return box.V
-	default:
-		c.fail("unknown value tag %#x", tag)
-		return nil
-	}
-}
+func (c *cursor) str() string { return string(c.Take(c.Count(1))) }
 
 // AppendBatchHeader begins a batch frame: the kind byte plus a zeroed
 // fixed-width sub-batch count, patched by PatchBatchHeader when the
@@ -409,9 +244,7 @@ func AppendBatchChunk(dst []byte, ts []tuple.Tuple) ([]byte, error) {
 		if flags&subNil != 0 {
 			continue
 		}
-		if t.Value == nil {
-			dst = append(dst, valNil)
-		} else if dst, err = appendValue(dst, t.Value); err != nil {
+		if dst, err = tuple.AppendValue(dst, t.Value); err != nil {
 			return nil, err
 		}
 	}
@@ -462,36 +295,36 @@ const minRowLen = 2
 const rowReserve = 4096
 
 // decodeBatchChunk decodes one sub-batch into dst (appending), returning
-// the grown slice; the caller checks cur.err. Tuples land in
+// the grown slice; the caller checks cur.Err. Tuples land in
 // codec-retained storage; every field of every appended tuple is
 // written, so no zeroing is needed.
 func (c *Codec) decodeBatchChunk(cur *cursor, dst []tuple.Tuple) []tuple.Tuple {
 	nt := cur.u32()
-	flags := cur.byte()
+	flags := cur.Byte()
 	if flags&^subKnown != 0 {
-		cur.fail("unknown sub-batch flags %#x", flags)
+		cur.Fail("unknown sub-batch flags %#x", flags)
 		return dst
 	}
 	var h tuple.Tuple // the hoisted fields
 	if flags&subCost != 0 {
-		h.Cost = cur.svarint()
+		h.Cost = cur.Varint()
 	}
 	if flags&subState != 0 {
-		h.StateSize = cur.svarint()
+		h.StateSize = cur.Varint()
 	}
 	if flags&subTick != 0 {
-		h.EmitTick = cur.svarint()
+		h.EmitTick = cur.Varint()
 	}
 	if flags&subStream != 0 {
-		h.Stream = c.internStream(cur.take(cur.count(1)))
+		h.Stream = c.internStream(cur.Take(cur.Count(1)))
 	}
 	// Reject hostile counts before decoding a row.
-	if nt > cur.rem()/minRowLen {
-		cur.fail("tuple count %d exceeds frame", nt)
+	if nt > cur.Rem()/minRowLen {
+		cur.Fail("tuple count %d exceeds frame", nt)
 		return dst
 	}
 	var prev uint64
-	for done := 0; done < nt && cur.err == nil; {
+	for done := 0; done < nt && cur.Err == nil; {
 		n := min(nt-done, rowReserve)
 		dst = slices.Grow(dst, n)
 		sub := dst[len(dst) : len(dst)+n]
@@ -510,25 +343,25 @@ func (c *Codec) decodeBatchChunk(cur *cursor, dst []tuple.Tuple) []tuple.Tuple {
 // in BenchmarkTupleBatchCodec is a fifth faster for it. What else a row
 // carries goes through the cursor.
 func (c *Codec) rows(cur *cursor, sub []tuple.Tuple, flags byte, h *tuple.Tuple, prev uint64, rows0, nt int) uint64 {
-	p := cur.p
+	p := cur.P
 	for i := range sub {
 		var key, seq uint64
-		off := cur.off
+		off := cur.Off
 		if off < len(p) && p[off] < 0x80 {
 			key, off = uint64(p[off]), off+1
 		} else {
-			key, off = uvarintAt(p, off)
+			key, off = tuple.UvarintAt(p, off)
 		}
 		if off < len(p) && p[off] < 0x80 {
 			seq, off = uint64(p[off]), off+1
 		} else {
-			seq, off = uvarintAt(p, off)
+			seq, off = tuple.UvarintAt(p, off)
 		}
 		if off > len(p) {
-			cur.fail("truncated row %d of %d", rows0+i, nt)
+			cur.Fail("truncated row %d of %d", rows0+i, nt)
 			return prev
 		}
-		cur.off = off
+		cur.Off = off
 		if flags&subSeqDelta != 0 {
 			seq += prev
 			prev = seq
@@ -536,22 +369,22 @@ func (c *Codec) rows(cur *cursor, sub []tuple.Tuple, flags byte, h *tuple.Tuple,
 		t := &sub[i]
 		t.Key, t.Seq, t.Cost, t.StateSize, t.EmitTick, t.Stream = tuple.Key(key), seq, h.Cost, h.StateSize, h.EmitTick, h.Stream
 		if flags&subCost == 0 {
-			t.Cost = cur.svarint()
+			t.Cost = cur.Varint()
 		}
 		if flags&subState == 0 {
-			t.StateSize = cur.svarint()
+			t.StateSize = cur.Varint()
 		}
 		if flags&subTick == 0 {
-			t.EmitTick = cur.svarint()
+			t.EmitTick = cur.Varint()
 		}
 		if flags&subStream == 0 {
-			t.Stream = c.internStream(cur.take(cur.count(1)))
+			t.Stream = c.internStream(cur.Take(cur.Count(1)))
 		}
 		t.Value = nil
 		if flags&subNil == 0 {
-			t.Value = cur.value()
+			t.Value = cur.Value()
 		}
-		if cur.err != nil {
+		if cur.Err != nil {
 			break
 		}
 	}
@@ -590,14 +423,14 @@ func (c *Codec) internStream(b []byte) string {
 // replays the sender's FeedBatch call sequence.
 func (c *Codec) decodeBatchFrame(cur *cursor, feed func([]tuple.Tuple)) {
 	nsub := cur.u32()
-	if nsub < 0 || nsub > cur.rem()/subHeaderLen+1 {
-		cur.fail("sub-batch count %d exceeds frame", nsub)
+	if nsub < 0 || nsub > cur.Rem()/subHeaderLen+1 {
+		cur.Fail("sub-batch count %d exceeds frame", nsub)
 		return
 	}
 	tup := c.tup[:0]
 	bounds := c.bounds[:0]
 	for i := 0; i < nsub; i++ {
-		if tup = c.decodeBatchChunk(cur, tup); cur.err != nil {
+		if tup = c.decodeBatchChunk(cur, tup); cur.Err != nil {
 			break
 		}
 		if feed != nil {
@@ -635,38 +468,18 @@ func appendReportKeys(dst []byte, ks []stats.KeyStat) []byte {
 // Destinations and order are the receiver's to check
 // (LoadReport.CheckMerged) — the frame does not know the stage yet.
 func (c *cursor) reportKeys(buf []stats.KeyStat) []stats.KeyStat {
-	n := c.count(6) // six varints per entry
+	n := c.Count(6) // six varints per entry
 	buf = slices.Grow(buf, n)[:n]
 	for i := range buf {
 		ks := &buf[i]
-		ks.Key = tuple.Key(c.uvarint())
-		ks.Cost = c.svarint()
-		ks.Freq = c.svarint()
-		ks.Mem = c.svarint()
-		ks.Hash = int(c.svarint())
-		ks.Dest = int(c.svarint())
+		ks.Key = tuple.Key(c.Uvarint())
+		ks.Cost = c.Varint()
+		ks.Freq = c.Varint()
+		ks.Mem = c.Varint()
+		ks.Hash = int(c.Varint())
+		ks.Dest = int(c.Varint())
 	}
 	return buf
-}
-
-func appendKeys(dst []byte, ks []tuple.Key) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(ks)))
-	for _, k := range ks {
-		dst = binary.AppendUvarint(dst, uint64(k))
-	}
-	return dst
-}
-
-func (c *cursor) keys() []tuple.Key {
-	n := c.count(1)
-	if n == 0 {
-		return nil
-	}
-	out := make([]tuple.Key, n)
-	for i := range out {
-		out[i] = tuple.Key(c.uvarint())
-	}
-	return out
 }
 
 // Report flag bits (one byte on the wire).
@@ -689,7 +502,7 @@ func appendReport(dst []byte, r *LoadReport) []byte {
 	}
 	dst = append(dst, flags)
 	dst = appendReportKeys(dst, r.Keys)
-	dst = appendKeys(dst, r.Split)
+	dst = tuple.AppendKeys(dst, r.Split)
 	dst = appendSvarint(dst, int64(r.Tasks))
 	dst = appendSvarint(dst, r.Capacity)
 	dst = appendSvarint(dst, r.Emitted)
@@ -703,19 +516,19 @@ func appendReport(dst []byte, r *LoadReport) []byte {
 // until the second following report, the stage snapshot's own lifetime.
 // The rest of the report is freshly allocated.
 func (c *Codec) decodeReport(cur *cursor) *LoadReport {
-	r := &LoadReport{Interval: cur.svarint()}
-	flags := cur.byte()
+	r := &LoadReport{Interval: cur.Varint()}
+	flags := cur.Byte()
 	r.Routable = flags&repRoutable != 0
 	r.Resizable = flags&repResizable != 0
 	buf := &c.merged[c.mergedN&1]
 	c.mergedN++
 	*buf = cur.reportKeys((*buf)[:0])
 	r.Keys = *buf
-	r.Split = cur.keys()
-	r.Tasks = int(cur.svarint())
-	r.Capacity = cur.svarint()
-	r.Emitted = cur.svarint()
-	r.Budget = cur.svarint()
+	r.Split = cur.Keys()
+	r.Tasks = int(cur.Varint())
+	r.Capacity = cur.Varint()
+	r.Emitted = cur.Varint()
+	r.Budget = cur.Varint()
 	return r
 }
 
@@ -729,13 +542,13 @@ func appendInt64s(dst []byte, vs []int64) []byte {
 }
 
 func (c *cursor) int64s() []int64 {
-	n := c.count(1)
+	n := c.Count(1)
 	if n == 0 {
 		return nil
 	}
 	vs := make([]int64, n)
 	for i := range vs {
-		vs[i] = c.svarint()
+		vs[i] = c.Varint()
 	}
 	return vs
 }
@@ -770,19 +583,19 @@ func appendHarvestDone(dst []byte, h *HarvestDone) []byte {
 // decodeHarvestDone allocates fresh: the coordinator throttles on the
 // backlog after further Recvs on the session may have run.
 func decodeHarvestDone(cur *cursor) *HarvestDone {
-	h := &HarvestDone{Stage: int(cur.svarint()), Interval: cur.svarint()}
+	h := &HarvestDone{Stage: int(cur.Varint()), Interval: cur.Varint()}
 	r := &h.Row
-	r.Index = cur.svarint()
-	r.Rebalanced = cur.byte()&hdRebalanced != 0
+	r.Index = cur.Varint()
+	r.Rebalanced = cur.Byte()&hdRebalanced != 0
 	for _, f := range [...]*float64{&r.Throughput, &r.LatencyMs, &r.Skewness, &r.MaxTheta, &r.MigrationPct, &r.PlanMs} {
-		*f = math.Float64frombits(cur.u64())
+		*f = math.Float64frombits(cur.U64())
 	}
-	r.TableSize = int(cur.svarint())
-	r.Emitted = cur.svarint()
-	r.ScaleOuts = int(cur.svarint())
-	r.ScaleIns = int(cur.svarint())
+	r.TableSize = int(cur.Varint())
+	r.Emitted = cur.Varint()
+	r.ScaleOuts = int(cur.Varint())
+	r.ScaleIns = int(cur.Varint())
 	h.Backlog = cur.int64s()
-	h.Processed = cur.svarint()
+	h.Processed = cur.Varint()
 	return h
 }
 
@@ -798,13 +611,13 @@ func appendPairs[T any](dst []byte, es []T, get func(T) (tuple.Key, int)) []byte
 }
 
 func pairs[T any](c *cursor, mk func(tuple.Key, int) T) []T {
-	n := c.count(2) // two varints per entry
+	n := c.Count(2) // two varints per entry
 	if n == 0 {
 		return nil
 	}
 	es := make([]T, n)
 	for i := range es {
-		es[i] = mk(tuple.Key(c.uvarint()), int(c.svarint()))
+		es[i] = mk(tuple.Key(c.Uvarint()), int(c.Varint()))
 	}
 	return es
 }
@@ -815,18 +628,16 @@ func mkRoute(k tuple.Key, d int) RouteEntry   { return RouteEntry{Key: k, Dest: 
 func mkSplit(k tuple.Key, f int) SplitEntry   { return SplitEntry{Key: k, Fan: f} }
 
 func appendPlan(dst []byte, a *PlanAnnounce) []byte {
-	dst = appendSvarint(append(dst, kindPlan), a.Interval)
-	dst = appendUvarint(dst, uint64(len(a.Algorithm)))
-	dst = append(dst, a.Algorithm...)
+	dst = appendString(appendSvarint(append(dst, kindPlan), a.Interval), a.Algorithm)
 	dst = appendSvarint(dst, int64(a.GenTime))
 	dst = appendPairs(dst, a.Table, routePair)
 	return appendPairs(dst, a.Moved, routePair)
 }
 
 func decodePlan(cur *cursor) *PlanAnnounce {
-	a := &PlanAnnounce{Interval: cur.svarint()}
-	a.Algorithm = string(cur.take(cur.count(1)))
-	a.GenTime = time.Duration(cur.svarint())
+	a := &PlanAnnounce{Interval: cur.Varint()}
+	a.Algorithm = cur.str()
+	a.GenTime = time.Duration(cur.Varint())
 	a.Table = pairs(cur, mkRoute)
 	a.Moved = pairs(cur, mkRoute)
 	return a
@@ -846,22 +657,19 @@ func appendState(dst []byte, s *StateTransfer) []byte {
 // them. Payload aliases the frame.
 func (c *Codec) decodeState(cur *cursor) *StateTransfer {
 	s := &c.hotState
-	s.Key = tuple.Key(cur.uvarint())
-	s.From = int(cur.svarint())
-	s.To = int(cur.svarint())
-	s.Size = cur.svarint()
+	s.Key = tuple.Key(cur.Uvarint())
+	s.From = int(cur.Varint())
+	s.To = int(cur.Varint())
+	s.Size = cur.Varint()
 	s.Payload = nil
-	if n := cur.count(1); n > 0 {
-		s.Payload = cur.take(n)
+	if n := cur.Count(1); n > 0 {
+		s.Payload = cur.Take(n)
 	}
 	return s
 }
 
-// appendMessage appends one message's frame to b: every kind an interval
-// sends takes the hand-rolled encoding (into the codec's retained
-// scratch, so amortized zero allocations per message); the
-// once-per-session kinds become a self-contained gob stream behind
-// kindGob.
+// appendMessage appends one message's frame to b, into the codec's
+// retained scratch, so amortized zero allocations per message.
 func appendMessage(b []byte, m *Message) ([]byte, error) {
 	switch {
 	case m.Batch != nil:
@@ -912,17 +720,70 @@ func appendMessage(b []byte, m *Message) ([]byte, error) {
 		b = appendPairs(b, m.Split.Set, splitPair)
 	case m.State != nil:
 		b = appendState(b, m.State)
+	case m.Hello != nil:
+		h := m.Hello
+		b = appendString(appendString(appendSvarints(b, kindHello, int64(h.Proto)), h.Role), h.Worker)
+		b = appendString(appendSvarint(b, int64(h.Stage)), h.DataAddr)
+	case m.Welcome != nil:
+		b = appendSvarints(b, kindWelcome, int64(m.Welcome.Proto), int64(m.Welcome.ID))
+	case m.Assign != nil:
+		b = appendAssign(b, m.Assign)
+	case m.Bye != nil:
+		b = appendString(append(b, kindShutdown), m.Bye.Reason)
+	case m.ConnStats != nil:
+		b = appendStats(b, m.ConnStats)
 	default:
-		// Rare frame: self-contained gob stream (fresh encoder, so the
-		// frame carries its own type descriptors and the decoder needs
-		// no cross-frame state).
-		buf := bytes.NewBuffer(append(b, kindGob))
-		if err := gob.NewEncoder(buf).Encode(m); err != nil {
-			return nil, err
-		}
-		b = buf.Bytes()
+		return nil, fmt.Errorf("protocol: refusing to send empty message")
 	}
 	return b, nil
+}
+
+func appendAssign(dst []byte, a *StageAssign) []byte {
+	var flags int64
+	if a.Target {
+		flags |= 1
+	}
+	if a.Control {
+		flags |= 2
+	}
+	dst = appendSvarints(dst, kindAssign, int64(a.Stage), int64(a.Instances), int64(a.Window), a.Capacity, a.Budget, int64(a.DownStage), flags)
+	for _, s := range [...]string{a.Name, a.Op, a.Algorithm, a.Downstream} {
+		dst = appendString(dst, s)
+	}
+	return dst
+}
+
+// decodeAssign checks the frame; the worker checks the stage (NewStage).
+func decodeAssign(cur *cursor) *StageAssign {
+	a := &StageAssign{Stage: int(cur.Varint()), Instances: int(cur.Varint()), Window: int(cur.Varint()),
+		Capacity: cur.Varint(), Budget: cur.Varint(), DownStage: int(cur.Varint())}
+	flags := cur.Varint()
+	a.Target, a.Control = flags&1 != 0, flags&2 != 0
+	a.Name, a.Op, a.Algorithm, a.Downstream = cur.str(), cur.str(), cur.str(), cur.str()
+	return a
+}
+
+// appendStats encodes a worker's table: a name, four counters a row.
+func appendStats(dst []byte, s *Stats) []byte {
+	dst = appendUvarint(appendString(append(dst, kindStats), s.Worker), uint64(len(s.Conns)))
+	for _, cs := range s.Conns {
+		dst = appendString(dst, cs.Name)
+		for _, v := range [...]int64{cs.Sent, cs.Rcvd, cs.SentMsgs, cs.RcvdMsgs} {
+			dst = appendSvarint(dst, v)
+		}
+	}
+	return dst
+}
+
+func decodeStats(cur *cursor) *Stats {
+	s := &Stats{Worker: cur.str()}
+	if n := cur.Count(5); n > 0 { // a name length and four counters
+		s.Conns = make([]ConnStat, n)
+		for i := range s.Conns {
+			s.Conns[i] = ConnStat{Name: cur.str(), Sent: cur.Varint(), Rcvd: cur.Varint(), SentMsgs: cur.Varint(), RcvdMsgs: cur.Varint()}
+		}
+	}
+	return s
 }
 
 // appendSvarints encodes a frame that is its kind and a few scalars.
@@ -947,46 +808,47 @@ func (c *Codec) recvFrame(feed func([]tuple.Tuple)) (*Message, error) {
 		return nil, err
 	}
 	c.rcvd.Add(int64(len(p)))
-	cur := &cursor{p: p[1:]}
+	cur := &cursor{tuple.Reader{P: p[1:]}}
 	m := &c.hotMsg
 	switch kind := p[0]; kind {
-	case kindGob:
-		m = &Message{}
-		if err := gob.NewDecoder(bytes.NewReader(cur.p)).Decode(m); err != nil {
-			return nil, fmt.Errorf("%w: gob frame: %v", ErrBinaryFrame, err)
-		}
-		if m.Kind() == "empty" {
-			return nil, fmt.Errorf("%w: gob frame carries no message", ErrBinaryFrame)
-		}
-		return m, nil
 	case kindBatch:
 		c.decodeBatchFrame(cur, feed)
 		*m = Message{Batch: &c.hotBatch}
 	case kindFlush:
-		c.hotFlush.Seq = cur.u64()
+		c.hotFlush.Seq = cur.U64()
 		*m = Message{FlushReq: &c.hotFlush}
 	case kindState:
 		*m = Message{State: c.decodeState(cur)}
 	case kindReport:
 		m = &Message{Report: c.decodeReport(cur)}
 	case kindAck:
-		m = &Message{Ack: &Ack{TaskID: int(cur.svarint()), Interval: cur.svarint()}}
+		m = &Message{Ack: &Ack{TaskID: int(cur.Varint()), Interval: cur.Varint()}}
 	case kindResume:
-		m = &Message{Resume: &Resume{Interval: cur.svarint()}}
+		m = &Message{Resume: &Resume{Interval: cur.Varint()}}
 	case kindStart:
-		m = &Message{Start: &StartInterval{Interval: cur.svarint(), Emit: cur.svarint()}}
+		m = &Message{Start: &StartInterval{Interval: cur.Varint(), Emit: cur.Varint()}}
 	case kindClose:
-		m = &Message{Close: &CloseStage{Stage: int(cur.svarint())}}
+		m = &Message{Close: &CloseStage{Stage: int(cur.Varint())}}
 	case kindHarvestReq:
-		m = &Message{Harvest: &HarvestReq{Stage: int(cur.svarint()), Interval: cur.svarint(), Emit: cur.svarint()}}
+		m = &Message{Harvest: &HarvestReq{Stage: int(cur.Varint()), Interval: cur.Varint(), Emit: cur.Varint()}}
 	case kindHarvestDone:
 		m = &Message{Harvested: decodeHarvestDone(cur)}
 	case kindPlan:
 		m = &Message{Plan: decodePlan(cur)}
 	case kindResize:
-		m = &Message{ResizeCmd: &Resize{Interval: cur.svarint(), Delta: int(cur.svarint())}}
+		m = &Message{ResizeCmd: &Resize{Interval: cur.Varint(), Delta: int(cur.Varint())}}
 	case kindSplit:
-		m = &Message{Split: &SplitAnnounce{Interval: cur.svarint(), Set: pairs(cur, mkSplit)}}
+		m = &Message{Split: &SplitAnnounce{Interval: cur.Varint(), Set: pairs(cur, mkSplit)}}
+	case kindHello:
+		m = &Message{Hello: &Hello{Proto: int(cur.Varint()), Role: cur.str(), Worker: cur.str(), Stage: int(cur.Varint()), DataAddr: cur.str()}}
+	case kindWelcome:
+		m = &Message{Welcome: &Welcome{Proto: int(cur.Varint()), ID: int(cur.Varint())}}
+	case kindAssign:
+		m = &Message{Assign: decodeAssign(cur)}
+	case kindShutdown:
+		m = &Message{Bye: &Shutdown{Reason: cur.str()}}
+	case kindStats:
+		m = &Message{ConnStats: decodeStats(cur)}
 	default:
 		return nil, fmt.Errorf("%w: unknown frame kind %#x", ErrBinaryFrame, kind)
 	}

@@ -20,9 +20,9 @@ func binaryPair(buf *bytes.Buffer) (*Codec, *Codec) {
 }
 
 // TestBinaryRoundTripAllKinds drives every message kind through a framed
-// codec pair over a synchronous pipe — hand-rolled hot kinds and
-// gob-frame rare kinds alike, the sender on its own goroutine as on a
-// socket — and requires exact reproduction.
+// codec pair over a synchronous pipe — the interval's kinds and the
+// session's alike, the sender on its own goroutine as on a socket — and
+// requires exact reproduction.
 func TestBinaryRoundTripAllKinds(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
@@ -57,8 +57,9 @@ func TestBinaryRoundTripAllKinds(t *testing.T) {
 	}
 }
 
-// TestBinaryValueTags round-trips every tagged tuple.Value type plus
-// the gob escape hatch, including negative and boundary numerics.
+// TestBinaryValueTags round-trips every tagged tuple.Value type,
+// including negative and boundary numerics, and refuses to send a value
+// outside the tags, naming its type.
 func TestBinaryValueTags(t *testing.T) {
 	values := []any{
 		nil,
@@ -102,6 +103,11 @@ func TestBinaryValueTags(t *testing.T) {
 		if !reflect.DeepEqual(v, g) {
 			t.Fatalf("value %d: sent %#v (%T), got %#v (%T)", i, v, v, g, g)
 		}
+	}
+	type point struct{ X, Y int }
+	err = send.Send(&Message{Batch: &TupleBatch{Tuples: []tuple.Tuple{{Value: point{1, 2}}}}})
+	if err == nil || !strings.Contains(err.Error(), "protocol.point") {
+		t.Fatalf("sending a struct value: %v; want an error naming protocol.point", err)
 	}
 }
 
@@ -192,7 +198,13 @@ func TestBinaryHostileInputs(t *testing.T) {
 		"harvest cut":         {kindHarvestReq, 2, 4},
 		"harvested cut float": harvestedCutRow,
 		"harvested huge list": harvestedBacklogPastFrame,
-		"gob garbage":         {kindGob, 0xde, 0xad, 0xbe, 0xef},
+		// Kind 0x00, the gob frame of versions 6 and 7, is unknown.
+		"gob garbage":      {0x00, 0xde, 0xad, 0xbe, 0xef},
+		"hello cut":        {kindHello, 16, 6, 'w', 'o', 'r'},
+		"welcome trailing": {kindWelcome, 16, 2, 9},
+		"assign huge name": hostileAssignName,
+		"shutdown cut":     {kindShutdown, 4, 'd'},
+		"stats huge count": hostileStatsCount,
 	}
 	for name, payload := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -230,6 +242,14 @@ var (
 var (
 	hostilePlanRoutes   = []byte{kindPlan, 2, 0, 0, 0xff, 0xff, 0x03, 1, 2, 3, 4}
 	hostileStatePayload = []byte{kindState, 1, 0, 2, 8, 0x40, 0xaa, 0xbb}
+)
+
+// The hostile session frames the fuzz corpus carries too: a StageAssign
+// whose name claims 2^32 bytes (its six integers and flags zero), and a
+// worker's Stats claiming 2^32 connections.
+var (
+	hostileAssignName = []byte{kindAssign, 0, 0, 0, 0, 0, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x10, 'c'}
+	hostileStatsCount = []byte{kindStats, 2, 'w', '0', 0x80, 0x80, 0x80, 0x80, 0x10, 1, 2, 3, 4, 5}
 )
 
 // The hostile harvest replies the fuzz corpus carries too. The row is

@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"bytes"
-	"encoding/gob"
 	"io"
 	"os"
 	"path/filepath"
@@ -17,14 +16,6 @@ import (
 	"repro/internal/stats"
 	"repro/internal/tuple"
 )
-
-func init() {
-	// Interface-typed payload fields (tuple.Value, state.Entry.Value)
-	// need their concrete types registered, exactly as a cluster
-	// deployment registers them at startup.
-	gob.Register(int64(0))
-	gob.Register([]tuple.Key(nil))
-}
 
 // windowPayload builds a real serialized window via state.Codec: a
 // store filled deterministically from the rng, one key extracted and
@@ -47,7 +38,7 @@ func windowPayload(r *fuzzRNG, n int) []byte {
 
 // fuzzRNG is a tiny deterministic splitmix64 over the fuzz input, so
 // one (seed, shape) pair expands into arbitrary message contents
-// without the fuzzer having to guess gob framing bytes.
+// without the fuzzer having to guess framing bytes.
 type fuzzRNG struct{ s uint64 }
 
 func (r *fuzzRNG) next() uint64 {
@@ -119,7 +110,7 @@ func buildMessage(seed uint64, kind, n int) *Message {
 		if n > 0 {
 			if r.intn(2) == 0 {
 				// A real serialized window, as the cross-process
-				// migration path ships: gob-encoded buckets of entries.
+				// migration path ships: buckets of tagged entries.
 				payload = windowPayload(r, n)
 			} else {
 				payload = make([]byte, n%4096)
@@ -270,8 +261,8 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if got.Kind() != orig.Kind() {
 			t.Fatalf("kind %s decoded as %s", orig.Kind(), got.Kind())
 		}
-		// Neither a gob frame nor the binary decoder distinguishes nil
-		// from empty slices; normalize before the exact comparison.
+		// The decoder does not distinguish nil from empty slices;
+		// normalize before the exact comparison.
 		if !reflect.DeepEqual(normalize(orig), normalize(got)) {
 			t.Fatalf("round trip altered the message:\n sent %#v\n got  %#v", orig, got)
 		}
@@ -351,8 +342,9 @@ func FuzzFramedTruncation(f *testing.F) {
 // FuzzBinaryHostile hands the binary decoder a raw attacker-controlled
 // frame payload: whatever the bytes, Recv must return a message or an
 // error — never panic, never attempt an allocation sized from an
-// unvalidated count. Seeds cover a valid frame of every binary kind
-// plus known-hostile shapes (giant counts, cut rows, bad tags).
+// unvalidated count — and so must state.Codec on a state frame's
+// payload. Seeds cover a valid frame of every kind plus known-hostile
+// shapes (giant counts, cut rows, bad tags).
 func FuzzBinaryHostile(f *testing.F) {
 	for _, kind := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 15, 16} {
 		var wire bytes.Buffer
@@ -379,7 +371,19 @@ func FuzzBinaryHostile(f *testing.F) {
 	}
 	f.Add([]byte{kindFlush, 1, 2, 3})
 	f.Add([]byte{0x7f})
-	f.Add([]byte{kindGob, 0xde, 0xad})
+	f.Add([]byte{0x00, 0xde, 0xad}) // the gob frame of versions 6 and 7
+	for _, kind := range []int{9, 10, 17, 18} {
+		var wire bytes.Buffer
+		c := NewFramedCodec(&wire)
+		if err := c.Send(buildMessage(uint64(kind)*977, kind, 9)); err != nil {
+			f.Fatalf("seed kind %d: %v", kind, err)
+		}
+		f.Add(wire.Bytes()[frameHeaderLen:])
+	}
+	f.Add(hostileAssignName)
+	f.Add(hostileStatsCount)
+	f.Add(stateWindowFrame())
+	f.Add(hostileStateBuckets)
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		if len(payload) > maxFrame {
 			return
@@ -392,6 +396,9 @@ func FuzzBinaryHostile(f *testing.F) {
 			}
 			if m.Kind() == "empty" {
 				t.Fatalf("hostile payload decoded to an empty message")
+			}
+			if m.State != nil {
+				_, _, _ = state.Codec{}.Decode(m.State.Payload)
 			}
 			if m.Report != nil && m.Report.CheckMerged() == nil {
 				// What the check passes a controller sizes its load
@@ -431,6 +438,10 @@ func TestHostileBatchSeedsCommitted(t *testing.T) {
 		"seed-harvested-cut-row":            harvestedCutRow,
 		"seed-harvested-backlog-past-frame": harvestedBacklogPastFrame,
 		"seed-report-huge-tasks":            hostileMergedReports()[4],
+		"seed-assign-huge-name":             hostileAssignName,
+		"seed-stats-huge-count":             hostileStatsCount,
+		"seed-state-window":                 stateWindowFrame(),
+		"seed-state-huge-buckets":           hostileStateBuckets,
 	} {
 		b, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzBinaryHostile", name))
 		if err != nil {
@@ -451,8 +462,28 @@ type readerOnly struct{ r io.Reader }
 func (ro readerOnly) Read(p []byte) (int, error)  { return ro.r.Read(p) }
 func (ro readerOnly) Write(p []byte) (int, error) { return len(p), nil }
 
-// normalize maps nil slices to empty ones so gob's nil/empty collapse
-// does not fail the exact comparison.
+// stateWindowFrame is a state frame carrying a real two-bucket window
+// (state.Codec), the seed the corpus's state payloads grow from.
+func stateWindowFrame() []byte {
+	st := state.NewStore(2)
+	st.Add(9, state.Entry{Value: int64(5), Size: 2})
+	st.Add(9, state.Entry{Value: "w", Size: 1})
+	st.EndInterval()
+	st.Add(9, state.Entry{Value: []tuple.Key{1, 2}, Size: 3})
+	p, err := state.Codec{}.Encode(st.Extract(9), 6)
+	if err != nil {
+		panic(err)
+	}
+	return appendState(nil, &StateTransfer{Key: 9, From: 0, To: 1, Size: 6, Payload: p})
+}
+
+// hostileStateBuckets is a state frame whose payload claims 2^32
+// buckets after its key, size and memory.
+var hostileStateBuckets = []byte{kindState, 9, 0, 2, 12, 11, 9, 12, 12, 0x80, 0x80, 0x80, 0x80, 0x10, 1, 2, 3}
+
+// normalize maps nil slices to empty ones where the decoder hands back
+// retained storage, which is empty but not nil once it has grown, or
+// leaves an empty list out.
 func normalize(m *Message) *Message {
 	c := *m
 	if c.Report != nil {
@@ -460,27 +491,7 @@ func normalize(m *Message) *Message {
 		if r.Keys == nil {
 			r.Keys = []stats.KeyStat{}
 		}
-		if r.Split == nil {
-			r.Split = []tuple.Key{}
-		}
 		c.Report = &r
-	}
-	if c.Split != nil {
-		s := *c.Split
-		if s.Set == nil {
-			s.Set = []SplitEntry{}
-		}
-		c.Split = &s
-	}
-	if c.Plan != nil {
-		p := *c.Plan
-		if p.Table == nil {
-			p.Table = []RouteEntry{}
-		}
-		if p.Moved == nil {
-			p.Moved = []RouteEntry{}
-		}
-		c.Plan = &p
 	}
 	if c.State != nil {
 		s := *c.State
@@ -489,26 +500,12 @@ func normalize(m *Message) *Message {
 		}
 		c.State = &s
 	}
-	if c.Harvested != nil {
-		h := *c.Harvested
-		if h.Backlog == nil {
-			h.Backlog = []int64{}
-		}
-		c.Harvested = &h
-	}
 	if c.Batch != nil {
 		b := *c.Batch
 		if b.Tuples == nil {
 			b.Tuples = []tuple.Tuple{}
 		}
 		c.Batch = &b
-	}
-	if c.ConnStats != nil {
-		s := *c.ConnStats
-		if s.Conns == nil {
-			s.Conns = []ConnStat{}
-		}
-		c.ConnStats = &s
 	}
 	return &c
 }

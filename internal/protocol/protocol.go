@@ -2,10 +2,9 @@
 // workflow — the rebalance sequence of Fig. 5 plus the resize commands
 // of the unified control plane — and a codec for exchanging them over
 // any net.Conn-like transport: a hand-rolled binary wire (binary.go:
-// kind-dispatched frames, zero-reflection encoding for everything an
-// interval sends — tuple batches as one row per tuple carrying only the
-// fields that vary inside its chunk — and a self-contained gob frame for
-// the once-per-session kinds). The
+// kind-dispatched frames, a zero-reflection encoding for every message —
+// tuple batches as one row per tuple carrying only the fields that vary
+// inside its chunk — and the only encoding the cluster speaks). The
 // in-process engine speaks this protocol through internal/control's
 // loopback transport; the same bytes flow over a real network boundary
 // (the Codec-over-pipe transport is pinned equivalent), so a
@@ -394,10 +393,9 @@ func (m *Message) Kind() string {
 }
 
 // Codec frames Messages over a byte stream (NewFramedCodec is the
-// constructor) in the binary wire of binary.go: the data plane, the
-// interval drive and the control round take the zero-reflection
-// field-by-field encoding, and everything else rides as a self-contained
-// gob frame behind a kind byte. Each message is encoded into one
+// constructor) in the binary wire of binary.go: every message kind has
+// its own zero-reflection field-by-field encoding behind a kind byte.
+// Each message is encoded into one
 // retained buffer and written with a single Write — one syscall on a
 // real socket — and the buffers are reused across messages, so
 // steady-state sends allocate nothing. The staging also makes exact
@@ -442,9 +440,6 @@ type Codec struct {
 
 // Send encodes one message and writes it as one frame.
 func (c *Codec) Send(m *Message) error {
-	if m.Kind() == "empty" {
-		return fmt.Errorf("protocol: refusing to send empty message")
-	}
 	b, err := appendMessage(c.bin[:0], m)
 	if err != nil {
 		return err

@@ -1,8 +1,7 @@
 package state
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/tuple"
@@ -15,74 +14,60 @@ import (
 // the key's tracked windowed-memory figure, so the destination's
 // statistics tracker adopts the key with the same Mem the source
 // reported — keeping cross-process load reports bit-identical to the
-// in-memory reference path.
+// in-memory reference path. A payload stands alone (a decoding process
+// has seen no other), integers as varints, signed ones zigzag:
 //
-// Each payload is a self-contained gob stream (fresh encoder and
-// decoder per call): a decoding process has never seen the encoder's
-// type state, so nothing may be amortized across payloads. Entry
-// values are interface-typed; operators whose state values are not
-// already gob-registered basic types must call RegisterValue once at
-// startup on each side.
+//	payload := key size mem nbuckets (interval size nentries (size value)*)*
 //
-// This codec deliberately stays gob even on binary-wire connections
-// (the payload crosses inside a kind-dispatched gob frame): state
-// transfers happen once per migrated key per rebalance, not per
-// interval, and gob's self-describing stream is the right safety
-// trade for arbitrary operator state. The binary wire reserves its
-// hand-rolled encodings for the per-interval message set.
+// An entry's value takes the tuple batch's value tags (tuple.AppendValue);
+// a value outside them is an encode error naming its type.
 type Codec struct{}
-
-// wireBucket mirrors bucket with exported fields for encoding.
-type wireBucket struct {
-	Interval int64
-	Entries  []Entry
-	Size     int64
-}
-
-// wireTransfer is the on-wire form of one key's migrating state.
-type wireTransfer struct {
-	Key     tuple.Key
-	Size    int64
-	Mem     int64
-	Buckets []wireBucket
-}
 
 // Encode serializes a Migrated plus the key's tracked windowed memory.
 func (Codec) Encode(m Migrated, mem int64) ([]byte, error) {
-	wt := wireTransfer{Key: m.Key, Size: m.Size, Mem: mem}
-	if len(m.buckets) > 0 {
-		wt.Buckets = make([]wireBucket, len(m.buckets))
-		for i, b := range m.buckets {
-			wt.Buckets[i] = wireBucket{Interval: b.interval, Entries: b.entries, Size: b.size}
+	p := binary.AppendUvarint(nil, uint64(m.Key))
+	p = binary.AppendVarint(binary.AppendVarint(p, m.Size), mem)
+	p = binary.AppendUvarint(p, uint64(len(m.buckets)))
+	for _, b := range m.buckets {
+		p = binary.AppendVarint(binary.AppendVarint(p, b.interval), b.size)
+		p = binary.AppendUvarint(p, uint64(len(b.entries)))
+		for _, e := range b.entries {
+			var err error
+			if p, err = tuple.AppendValue(binary.AppendVarint(p, e.Size), e.Value); err != nil {
+				return nil, fmt.Errorf("state: encode: %w", err)
+			}
 		}
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&wt); err != nil {
-		return nil, fmt.Errorf("state: encode transfer for key %d: %w", m.Key, err)
-	}
-	return buf.Bytes(), nil
+	return p, nil
 }
 
 // Decode reconstructs a Migrated and the traveling windowed-memory
 // figure from an Encode payload. The returned Migrated owns fresh
-// bucket storage: injecting it never aliases the source store.
+// bucket storage: injecting it never aliases the source store. Every
+// count is checked against the bytes that remain before anything is
+// sized by it.
 func (Codec) Decode(p []byte) (Migrated, int64, error) {
-	var wt wireTransfer
-	if err := gob.NewDecoder(bytes.NewReader(p)).Decode(&wt); err != nil {
-		return Migrated{}, 0, fmt.Errorf("state: decode transfer: %w", err)
-	}
-	m := Migrated{Key: wt.Key, Size: wt.Size}
-	if len(wt.Buckets) > 0 {
-		m.buckets = make([]bucket, len(wt.Buckets))
-		for i, b := range wt.Buckets {
-			m.buckets[i] = bucket{interval: b.Interval, entries: b.Entries, size: b.Size}
+	r := tuple.Reader{P: p}
+	m := Migrated{Key: tuple.Key(r.Uvarint()), Size: r.Varint()}
+	mem := r.Varint()
+	if n := r.Count(3); n > 0 { // interval, size, entry count
+		m.buckets = make([]bucket, n)
+		for i := range m.buckets {
+			b := &m.buckets[i]
+			b.interval, b.size = r.Varint(), r.Varint()
+			if ne := r.Count(2); ne > 0 { // size, value tag
+				b.entries = make([]Entry, ne)
+				for j := range b.entries {
+					b.entries[j] = Entry{Size: r.Varint(), Value: r.Value()}
+				}
+			}
 		}
 	}
-	return m, wt.Mem, nil
+	if r.Err == nil && r.Rem() > 0 {
+		r.Fail("%d trailing bytes", r.Rem())
+	}
+	if r.Err != nil {
+		return Migrated{}, 0, fmt.Errorf("state: decode transfer: %w", r.Err)
+	}
+	return m, mem, nil
 }
-
-// RegisterValue registers a concrete Entry.Value type with gob so it
-// can cross a process boundary inside a serialized window. Calling it
-// again with the same type is a no-op; wrap it so operator packages
-// need not import encoding/gob.
-func RegisterValue(v any) { gob.Register(v) }

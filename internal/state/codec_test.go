@@ -7,11 +7,6 @@ import (
 	"repro/internal/tuple"
 )
 
-func init() {
-	RegisterValue(int64(0))
-	RegisterValue("")
-}
-
 // fillStore populates a store with a deterministic multi-interval
 // window for several keys.
 func fillStore(w, intervals int) *Store {

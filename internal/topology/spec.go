@@ -8,6 +8,7 @@ import (
 	"repro/internal/control"
 	"repro/internal/controller"
 	"repro/internal/engine"
+	"repro/internal/protocol"
 )
 
 // Spec declares a topology in plain data: the spout's budget and model,
@@ -140,6 +141,9 @@ func (s *Spec) Resolve(remote bool) (*Spec, int, error) {
 		if st.TableMax == 0 {
 			st.TableMax = DefTableMax
 		}
+		if err := st.checkShape(); err != nil {
+			return nil, 0, err
+		}
 		if st.Capacity == 0 {
 			st.Capacity = max(r.Budget/int64(st.Instances), 1)
 		}
@@ -151,10 +155,25 @@ func (s *Spec) Resolve(remote bool) (*Spec, int, error) {
 	return &r, target, nil
 }
 
+// checkShape bounds what a resolved stage spawns: Resolve checks a
+// declaration with it, and NewStage a StageAssign from the wire.
+func (st *StageSpec) checkShape() error {
+	if st.Instances < 1 || st.Instances > protocol.MaxTasks {
+		return fmt.Errorf("topology: stage %q: %d instances (1 to %d)", st.Name, st.Instances, protocol.MaxTasks)
+	}
+	if st.Window < 1 {
+		return fmt.Errorf("topology: stage %q: a window of %d intervals (at least 1)", st.Name, st.Window)
+	}
+	return nil
+}
+
 // NewStage builds the resolved stage: its operators (Factory, else the
 // registered Op) behind the router its Algorithm selects. The error
-// names an unregistered Op.
+// names an unregistered Op or a shape checkShape refuses.
 func (st *StageSpec) NewStage() (*engine.Stage, error) {
+	if err := st.checkShape(); err != nil {
+		return nil, err
+	}
 	op := st.Factory
 	if op == nil {
 		var err error
