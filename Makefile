@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: verify build test vet loc bench bench-check bench-e2e bench-control bench-wire bench-engine exhibits smoke-examples smoke-cluster
+.PHONY: verify build test vet loc bench bench-check bench-e2e bench-control bench-wire bench-engine bench-workload exhibits smoke-examples smoke-cluster
 
 ## verify: the tier-1 gate — vet, build, test everything — plus a vet of
 ## the nested bench/ module, which tier-1 never compiles: an internal/
@@ -92,6 +92,18 @@ bench-wire:
 ## (CI) only checks that they still build and run.
 bench-engine:
 	$(GO) test -run '^$$' -bench 'FeedBatch|Migrate|TaskInterval' -benchmem -benchtime $(BENCHTIME) ./internal/engine/
+
+## bench-workload: the workload generators' micro-benchmarks.
+## ZipfNextBatch draws one interval and then crosses its boundary
+## (Advance) at the repository benchmark's three generator shapes:
+## pipe (pipe-local and pipe-cluster: K 1 000, z 0.85, 40 000 tuples),
+## variance (K 100 000, f 1, 20 000 tuples, re-ranked every interval)
+## and hotkey (K 10 000, z 1.5, 10 000 tuples), in ns/tuple, each row at
+## 0 allocs/op. ZipfAdvance is one re-rank at K 100 000 (0 allocs/op)
+## and ExpectedCounts the per-rank expected counts the stream memoizes
+## for it. BENCHTIME=1x (CI) only checks that they still build and run.
+bench-workload:
+	$(GO) test -run '^$$' -bench 'ZipfNextBatch|ZipfAdvance|ExpectedCounts' -benchmem -benchtime $(BENCHTIME) ./internal/workload/
 
 ## exhibits: regenerate every paper exhibit.
 exhibits:

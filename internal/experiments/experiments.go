@@ -142,10 +142,22 @@ type planSim struct {
 	stream *workload.ZipfStream
 	asg    *route.Assignment
 	w      int
-	// win holds the last w intervals' per-key state contributions
-	// (state ∝ tuple count for the unit-cost synthetic workload).
-	win      []map[tuple.Key]int64
+	// win holds the last w intervals' loads, oldest first, as the keys
+	// with a nonzero expected count; mem[k] is key k's sum over them, its
+	// windowed state contribution (state ∝ tuple count for the unit-cost
+	// synthetic workload). The stream's keys are [0, K), so mem and cost
+	// (the current interval's counts, zero between snapshots) are
+	// indexed by key.
+	win      [][]keyCount
+	mem      []int64
+	cost     []int64
 	interval int64
+}
+
+// keyCount is one key's expected tuple count in one interval.
+type keyCount struct {
+	key tuple.Key
+	n   int64
 }
 
 func newPlanSim(k int, z, f float64, nd, w int, seed int64) *planSim {
@@ -160,6 +172,8 @@ func newPlanSimBudget(k int, z, f float64, nd, w int, seed, budget int64) *planS
 		stream: workload.NewZipfStream(k, z, f, budget, seed),
 		asg:    route.NewAssignment(route.NewTable(), hashring.New(nd, 0)),
 		w:      w,
+		mem:    make([]int64, k),
+		cost:   make([]int64, k),
 	}
 }
 
@@ -173,25 +187,57 @@ func stateWeight(k tuple.Key) int64 {
 	return 1 + int64((uint64(k)*2654435761)>>30%4)
 }
 
-// snapshot builds the planner input for the current interval.
+// snapshot builds the planner input for the current interval, moving
+// the window on by the stream's current expected load. Keys come out in
+// stats.SortByCostDesc's order without a comparison sort: a walk over
+// the key domain visits them in ascending key order, and each lands at
+// the next free slot of its cost's run, the runs laid out by descending
+// cost.
 func (s *planSim) snapshot() *stats.Snapshot {
-	load := s.stream.ExpectedLoad()
-	s.win = append(s.win, load)
-	if len(s.win) > s.w {
-		s.win = s.win[len(s.win)-s.w:]
-	}
-	snap := &stats.Snapshot{Interval: s.interval, ND: s.asg.Instances()}
-	for k, c := range load {
-		var mem int64
-		for _, m := range s.win {
-			mem += m[k]
+	ranked, counts := s.stream.RankLoad()
+	var load []keyCount
+	if len(s.win) == s.w {
+		// The oldest interval leaves the window; its list is recycled.
+		load = s.win[0]
+		for _, kc := range load {
+			s.mem[kc.key] -= kc.n
 		}
-		snap.Keys = append(snap.Keys, stats.KeyStat{
-			Key: k, Cost: c, Freq: c, Mem: mem * stateWeight(k),
-			Dest: s.asg.Dest(k), Hash: s.asg.HashDest(k),
-		})
+		s.win = append(s.win[:0], s.win[1:]...)
 	}
-	stats.SortByCostDesc(snap.Keys)
+	load = load[:0]
+	var maxCost int64
+	for r, c := range counts {
+		if c > 0 {
+			k := ranked[r]
+			load = append(load, keyCount{k, c})
+			s.mem[k] += c
+			s.cost[k] = c
+			maxCost = max(maxCost, c)
+		}
+	}
+	s.win = append(s.win, load)
+	// next[c] is where the next key of cost c goes.
+	next := make([]int, maxCost+1)
+	for _, kc := range load {
+		next[kc.n]++
+	}
+	at := 0
+	for c := maxCost; c > 0; c-- {
+		next[c], at = at, at+next[c]
+	}
+	snap := &stats.Snapshot{Interval: s.interval, ND: s.asg.Instances(), Keys: make([]stats.KeyStat, len(load))}
+	for i, c := range s.cost {
+		if c == 0 {
+			continue
+		}
+		k := tuple.Key(i)
+		snap.Keys[next[c]] = stats.KeyStat{
+			Key: k, Cost: c, Freq: c, Mem: s.mem[k] * stateWeight(k),
+			Dest: s.asg.Dest(k), Hash: s.asg.HashDest(k),
+		}
+		next[c]++
+		s.cost[i] = 0
+	}
 	return snap
 }
 

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/balance"
+	"repro/internal/stats"
 	"repro/internal/tuple"
 )
 
@@ -88,6 +90,62 @@ func TestPlanSimWindowedMemory(t *testing.T) {
 	// interval's windowed memory must be roughly double the first's.
 	if s2.TotalMem() <= s1.TotalMem() {
 		t.Fatalf("windowed memory did not accumulate: %d then %d", s1.TotalMem(), s2.TotalMem())
+	}
+}
+
+// refSnapshots is the plainest statement of planSim's snapshot: per-key
+// maps for the window, summed key by key, then sorted by comparison.
+type refSnapshots struct {
+	w   int
+	win []map[tuple.Key]int64
+}
+
+func (r *refSnapshots) snapshot(sim *planSim) []stats.KeyStat {
+	keys, counts := sim.stream.RankLoad()
+	load := map[tuple.Key]int64{}
+	for i, c := range counts {
+		if c > 0 {
+			load[keys[i]] = c
+		}
+	}
+	r.win = append(r.win, load)
+	if len(r.win) > r.w {
+		r.win = r.win[len(r.win)-r.w:]
+	}
+	var out []stats.KeyStat
+	for k, c := range load {
+		var mem int64
+		for _, m := range r.win {
+			mem += m[k]
+		}
+		out = append(out, stats.KeyStat{
+			Key: k, Cost: c, Freq: c, Mem: mem * stateWeight(k),
+			Dest: sim.asg.Dest(k), Hash: sim.asg.HashDest(k),
+		})
+	}
+	stats.SortByCostDesc(out)
+	return out
+}
+
+// The snapshot's window accumulator and its counting placement must
+// give exactly the map-and-sort reference, across fluctuating
+// intervals, applied plans, a budget change and windows of 1 and 3.
+func TestPlanSimSnapshotMatchesReference(t *testing.T) {
+	for _, w := range []int{1, 3} {
+		sim := newPlanSim(5000, 0.85, 1.0, 4, w, 3)
+		ref := &refSnapshots{w: w}
+		for round := 0; round < 8; round++ {
+			if round == 5 {
+				sim.stream.PerInterval = 40000
+			}
+			want := ref.snapshot(sim)
+			snap := sim.snapshot()
+			if !slices.Equal(snap.Keys, want) {
+				t.Fatalf("w=%d round %d: snapshot differs from the map-and-sort reference", w, round)
+			}
+			sim.apply(balance.Mixed{}.Plan(snap, defCfg()))
+			sim.advance()
+		}
 	}
 }
 

@@ -24,8 +24,11 @@ func hashSkewnessCDF(k, nd, intervals int, seed int64) []float64 {
 	var sample []float64
 	for i := 0; i < intervals; i++ {
 		loads := make([]int64, nd)
-		for key, c := range stream.ExpectedLoad() {
-			loads[asg.Dest(key)] += c
+		keys, counts := stream.RankLoad()
+		for r, c := range counts {
+			if c > 0 {
+				loads[asg.Dest(keys[r])] += c
+			}
 		}
 		sample = append(sample, stats.Skewness(loads))
 		stream.Advance(asg)

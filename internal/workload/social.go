@@ -47,9 +47,6 @@ func NewSocial(keys int, z, drift float64, seed int64) *Social {
 	return s
 }
 
-// K returns the vocabulary size.
-func (s *Social) K() int { return s.dist.K }
-
 // Next draws one feed word as a unit-cost tuple; Value carries the
 // word string for the word-count example application.
 func (s *Social) Next() tuple.Tuple {
@@ -68,7 +65,12 @@ func (s *Social) Next() tuple.Tuple {
 
 // NextBatch fills dst with the next len(dst) feed words, identical in
 // sequence to successive Next calls. Always returns len(dst).
-func (s *Social) NextBatch(dst []tuple.Tuple) int { return batchDraw(dst, s.Next) }
+func (s *Social) NextBatch(dst []tuple.Tuple) int {
+	for i := range dst {
+		dst[i] = s.Next()
+	}
+	return len(dst)
+}
 
 // Advance drifts the distribution slowly: DriftFrac·K random adjacent
 // rank swaps. Adjacent swaps change each key's frequency only
@@ -82,17 +84,4 @@ func (s *Social) Advance() {
 		a := s.rng.Intn(len(s.perm) - 1)
 		s.perm[a], s.perm[a+1] = s.perm[a+1], s.perm[a]
 	}
-}
-
-// ExpectedLoad returns expected per-key costs for an interval of n
-// tuples under the current permutation.
-func (s *Social) ExpectedLoad(n int64) map[tuple.Key]int64 {
-	counts := s.dist.ExpectedCounts(n)
-	out := make(map[tuple.Key]int64, 4096)
-	for r, c := range counts {
-		if c > 0 {
-			out[s.perm[r]] = c
-		}
-	}
-	return out
 }

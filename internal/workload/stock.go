@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/tuple"
 )
@@ -21,10 +22,17 @@ type Stock struct {
 	// boundary; BurstFactor scales a bursting symbol's draw weight.
 	BurstProb   float64
 	BurstFactor float64
-	// bursts maps key → remaining burst intervals.
-	bursts map[tuple.Key]int
-	// burstKeys caches the bursting keys for the weighted sampler.
-	seq uint64
+	// bursts holds the bursting symbols in ignition order, so a draw
+	// among them depends on the seed alone (a map's range order would
+	// not).
+	bursts []burst
+	seq    uint64
+}
+
+// burst is one bursting symbol and its remaining intervals.
+type burst struct {
+	key  tuple.Key
+	left int
 }
 
 // StockKeys is the symbol count from the paper.
@@ -42,7 +50,6 @@ func NewStock(keys int, z float64, seed int64) *Stock {
 		perm:        make([]tuple.Key, keys),
 		BurstProb:   0.6,
 		BurstFactor: 40,
-		bursts:      make(map[tuple.Key]int),
 	}
 	for i := range s.perm {
 		s.perm[i] = tuple.Key(i)
@@ -50,9 +57,6 @@ func NewStock(keys int, z float64, seed int64) *Stock {
 	rng.Shuffle(keys, func(i, j int) { s.perm[i], s.perm[j] = s.perm[j], s.perm[i] })
 	return s
 }
-
-// K returns the symbol count.
-func (s *Stock) K() int { return s.dist.K }
 
 // Next draws one trade. Bursting symbols intercept a share of draws
 // proportional to their boosted weight; Value carries a synthetic
@@ -64,14 +68,7 @@ func (s *Stock) Next() tuple.Tuple {
 	// With probability proportional to the boost mass, emit a bursting
 	// symbol; otherwise draw from the base tape.
 	if len(s.bursts) > 0 && s.rng.Float64() < s.burstShare() {
-		i := s.rng.Intn(len(s.bursts))
-		for bk := range s.bursts {
-			if i == 0 {
-				k = bk
-				break
-			}
-			i--
-		}
+		k = s.bursts[s.rng.Intn(len(s.bursts))].key
 	} else {
 		k = s.perm[s.dist.Rank(s.rng)-1]
 	}
@@ -84,7 +81,12 @@ func (s *Stock) Next() tuple.Tuple {
 
 // NextBatch fills dst with the next len(dst) trades, identical in
 // sequence to successive Next calls. Always returns len(dst).
-func (s *Stock) NextBatch(dst []tuple.Tuple) int { return batchDraw(dst, s.Next) }
+func (s *Stock) NextBatch(dst []tuple.Tuple) int {
+	for i := range dst {
+		dst[i] = s.Next()
+	}
+	return len(dst)
+}
 
 // burstShare approximates the fraction of the tape the active bursts
 // occupy: each burst contributes BurstFactor times a mid-rank weight.
@@ -100,39 +102,28 @@ func (s *Stock) burstShare() float64 {
 // Advance rolls burst lifetimes and possibly ignites a new burst — the
 // "abrupt and unexpected" regime.
 func (s *Stock) Advance() {
-	for k, left := range s.bursts {
-		if left <= 1 {
-			delete(s.bursts, k)
-		} else {
-			s.bursts[k] = left - 1
+	live := s.bursts[:0]
+	for _, b := range s.bursts {
+		if b.left > 1 {
+			b.left--
+			live = append(live, b)
 		}
 	}
+	s.bursts = live
 	if s.rng.Float64() < s.BurstProb {
 		// Pick a symbol outside the top 10% so the burst really shifts load.
 		r := s.dist.K/10 + s.rng.Intn(s.dist.K-s.dist.K/10)
-		s.bursts[s.perm[r]] = 1 + s.rng.Intn(3)
+		b := burst{key: s.perm[r], left: 1 + s.rng.Intn(3)}
+		// A symbol that ignites again while bursting restarts its burst
+		// in place.
+		i := slices.IndexFunc(s.bursts, func(o burst) bool { return o.key == b.key })
+		if i < 0 {
+			s.bursts = append(s.bursts, b)
+		} else {
+			s.bursts[i] = b
+		}
 	}
 }
 
-// ActiveBursts returns the currently bursting symbols (for tests).
+// ActiveBursts returns how many symbols are bursting this interval.
 func (s *Stock) ActiveBursts() int { return len(s.bursts) }
-
-// ExpectedLoad returns expected per-key costs for an interval of n
-// tuples, including burst boosts.
-func (s *Stock) ExpectedLoad(n int64) map[tuple.Key]int64 {
-	share := s.burstShare()
-	base := s.dist.ExpectedCounts(int64(float64(n) * (1 - share)))
-	out := make(map[tuple.Key]int64, s.dist.K)
-	for r, c := range base {
-		if c > 0 {
-			out[s.perm[r]] = c
-		}
-	}
-	if len(s.bursts) > 0 {
-		per := int64(share * float64(n) / float64(len(s.bursts)))
-		for k := range s.bursts {
-			out[k] += per
-		}
-	}
-	return out
-}

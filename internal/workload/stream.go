@@ -39,6 +39,13 @@ type ZipfStream struct {
 	// load computations during fluctuation.
 	PerInterval int64
 	seq         uint64
+	// counts memoizes dist.ExpectedCounts(countsFor): PerInterval is
+	// exported and callers reassign it, so the memo is keyed on the n it
+	// was computed for rather than filled once.
+	counts    []int64
+	countsFor int64
+	// delta is Advance's per-instance load change, kept across calls.
+	delta []float64
 }
 
 // NewZipfStream builds a stream over the integer key domain [0, K) with
@@ -62,9 +69,6 @@ func NewZipfStream(k int, z, f float64, perInterval int64, seed int64) *ZipfStre
 	return s
 }
 
-// K returns the key-domain size.
-func (s *ZipfStream) K() int { return s.dist.K }
-
 // Next draws one unit-cost tuple from the current interval's
 // distribution.
 func (s *ZipfStream) Next() tuple.Tuple {
@@ -76,32 +80,34 @@ func (s *ZipfStream) Next() tuple.Tuple {
 }
 
 // NextBatch fills dst from the current interval's distribution,
-// identical in sequence to len(dst) successive Next calls — the form
-// the engine's batch spout path consumes. Always returns len(dst).
-func (s *ZipfStream) NextBatch(dst []tuple.Tuple) int { return batchDraw(dst, s.Next) }
-
-// batchDraw is the shared batch-draw adapter behind every generator's
-// NextBatch: fill dst by successive draws, preserving the per-tuple
-// sequence exactly.
-func batchDraw(dst []tuple.Tuple, next func() tuple.Tuple) int {
+// identical tuple for tuple to len(dst) successive Next calls — the
+// form the engine's batch spout path consumes. Always returns len(dst).
+func (s *ZipfStream) NextBatch(dst []tuple.Tuple) int {
+	d, rng, perm, seq := s.dist, s.rng, s.perm, s.seq
 	for i := range dst {
-		dst[i] = next()
+		seq++
+		dst[i] = tuple.Tuple{Key: perm[d.rankAt(rng.Float64())-1], Cost: 1, StateSize: 1, Seq: seq}
 	}
+	s.seq = seq
 	return len(dst)
 }
 
-// ExpectedLoad returns the expected per-key costs for one interval
-// under the current rank permutation: cost(perm[r]) = E[count of rank
-// r+1] with unit tuple cost.
-func (s *ZipfStream) ExpectedLoad() map[tuple.Key]int64 {
-	counts := s.dist.ExpectedCounts(s.PerInterval)
-	out := make(map[tuple.Key]int64, len(counts))
-	for r, c := range counts {
-		if c > 0 {
-			out[s.perm[r]] = c
-		}
+// RankLoad returns the current interval's expected load by rank, the
+// planner-facing load shape without sampling noise: keys[r] carries
+// counts[r] = E[count of rank r+1] of PerInterval unit-cost tuples.
+// Both slices belong to the stream and must not be modified; Advance
+// rewrites keys in place.
+func (s *ZipfStream) RankLoad() (keys []tuple.Key, counts []int64) {
+	return s.perm, s.expectedCounts()
+}
+
+// expectedCounts returns dist.ExpectedCounts(PerInterval), recomputed
+// only when PerInterval has changed since the last call.
+func (s *ZipfStream) expectedCounts() []int64 {
+	if s.counts == nil || s.countsFor != s.PerInterval {
+		s.counts, s.countsFor = s.dist.ExpectedCounts(s.PerInterval), s.PerInterval
 	}
-	return out
+	return s.counts
 }
 
 // Advance applies the paper's fluctuation procedure at an interval
@@ -127,10 +133,14 @@ func (s *ZipfStream) Advance(asg Assigner) {
 	}
 	// Fresh perturbation of the stable base distribution.
 	copy(s.perm, s.base)
-	counts := s.dist.ExpectedCounts(s.PerInterval)
+	counts := s.expectedCounts()
 	avg := float64(s.PerInterval) / float64(nd)
 	target := s.F * avg
-	delta := make([]float64, nd)
+	if cap(s.delta) < nd {
+		s.delta = make([]float64, nd)
+	}
+	delta := s.delta[:nd]
+	clear(delta)
 	// Hot ranks carry the load, so swaps that involve one reach the
 	// fluctuation target in few steps; purely random pairs would need
 	// O(K) swaps on large domains. Half the draws come from the head.
@@ -170,16 +180,6 @@ func (s *ZipfStream) Advance(asg Assigner) {
 			return
 		}
 	}
-}
-
-// HottestKeys returns the n currently hottest keys (for tests).
-func (s *ZipfStream) HottestKeys(n int) []tuple.Key {
-	if n > len(s.perm) {
-		n = len(s.perm)
-	}
-	out := make([]tuple.Key, n)
-	copy(out, s.perm[:n])
-	return out
 }
 
 func abs(x float64) float64 {

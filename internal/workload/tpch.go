@@ -179,4 +179,9 @@ func (t *TPCH) Next() tuple.Tuple {
 
 // NextBatch fills dst with the next len(dst) fact tuples, identical in
 // sequence to successive Next calls. Always returns len(dst).
-func (t *TPCH) NextBatch(dst []tuple.Tuple) int { return batchDraw(dst, t.Next) }
+func (t *TPCH) NextBatch(dst []tuple.Tuple) int {
+	for i := range dst {
+		dst[i] = t.Next()
+	}
+	return len(dst)
+}

@@ -109,13 +109,6 @@ func (t *Trace) Spout() func() tuple.Tuple {
 	}
 }
 
-// BatchSpout adapts the trace to the engine's batch spout contract,
-// looping like Spout. It always fills dst entirely.
-func (t *Trace) BatchSpout() func(dst []tuple.Tuple) int {
-	sp := t.Spout()
-	return func(dst []tuple.Tuple) int { return batchDraw(dst, sp) }
-}
-
 // WriteTrace records a tuple sequence as CSV, the inverse of ReadTrace
 // (numeric keys only; string-keyed tuples round-trip through their
 // hashed key).

@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -86,13 +87,115 @@ type fixedAsg int
 func (f fixedAsg) Dest(k tuple.Key) int { return int(uint64(k) % uint64(f)) }
 func (f fixedAsg) Instances() int       { return int(f) }
 
-func TestZipfStreamDeterministic(t *testing.T) {
-	a := NewZipfStream(1000, 0.85, 1.0, 10000, 3)
-	b := NewZipfStream(1000, 0.85, 1.0, 10000, 3)
-	for i := 0; i < 500; i++ {
-		if a.Next().Key != b.Next().Key {
-			t.Fatal("same-seed streams diverged")
+// K returns the key-domain size.
+func (s *ZipfStream) K() int { return s.dist.K }
+
+// K returns the vocabulary size.
+func (s *Social) K() int { return s.dist.K }
+
+// K returns the symbol count.
+func (s *Stock) K() int { return s.dist.K }
+
+// HottestKeys returns the n currently hottest keys.
+func (s *ZipfStream) HottestKeys(n int) []tuple.Key {
+	if n > len(s.perm) {
+		n = len(s.perm)
+	}
+	out := make([]tuple.Key, n)
+	copy(out, s.perm[:n])
+	return out
+}
+
+// ExpectedLoad returns the expected per-key costs for one interval
+// under the current rank permutation.
+func (s *ZipfStream) ExpectedLoad() map[tuple.Key]int64 {
+	keys, counts := s.RankLoad()
+	out := make(map[tuple.Key]int64, len(counts))
+	for r, c := range counts {
+		if c > 0 {
+			out[keys[r]] = c
 		}
+	}
+	return out
+}
+
+// ExpectedLoad returns expected per-key costs for an interval of n
+// tuples under the current permutation.
+func (s *Social) ExpectedLoad(n int64) map[tuple.Key]int64 {
+	counts := s.dist.ExpectedCounts(n)
+	out := make(map[tuple.Key]int64, 4096)
+	for r, c := range counts {
+		if c > 0 {
+			out[s.perm[r]] = c
+		}
+	}
+	return out
+}
+
+// ExpectedLoad returns expected per-key costs for an interval of n
+// tuples, including burst boosts.
+func (s *Stock) ExpectedLoad(n int64) map[tuple.Key]int64 {
+	share := s.burstShare()
+	base := s.dist.ExpectedCounts(int64(float64(n) * (1 - share)))
+	out := make(map[tuple.Key]int64, s.dist.K)
+	for r, c := range base {
+		if c > 0 {
+			out[s.perm[r]] = c
+		}
+	}
+	if len(s.bursts) > 0 {
+		per := int64(share * float64(n) / float64(len(s.bursts)))
+		for _, b := range s.bursts {
+			out[b.key] += per
+		}
+	}
+	return out
+}
+
+// generator is one workload family behind the draw and interval-boundary
+// calls the engine makes on it.
+type generator struct {
+	name    string
+	next    func() tuple.Tuple
+	batch   func([]tuple.Tuple) int
+	advance func()
+}
+
+// newGenerators builds one of each generator family from seed.
+func newGenerators(seed int64) []generator {
+	z := NewZipfStream(1000, 0.85, 1.0, 10000, seed)
+	so := NewSocial(2000, 0.85, 0.002, seed)
+	st := NewStock(0, 0.85, seed)
+	cfg := DefaultTPCHConfig()
+	cfg.Seed = seed
+	tp := NewTPCH(cfg)
+	return []generator{
+		{"zipf", z.Next, z.NextBatch, func() { z.Advance(fixedAsg(4)) }},
+		{"social", so.Next, so.NextBatch, so.Advance},
+		{"stock", st.Next, st.NextBatch, st.Advance},
+		{"tpch", tp.Next, tp.NextBatch, tp.Advance},
+	}
+}
+
+// TestGeneratorsDeterministicGivenSeed pins README's determinism
+// contract: two generators built from one seed emit the same tuples,
+// field for field, across interval boundaries. Stock once drew its
+// bursting symbol in a map's range order and failed this.
+func TestGeneratorsDeterministicGivenSeed(t *testing.T) {
+	as, bs := newGenerators(7), newGenerators(7)
+	for g := range as {
+		a, b := as[g], bs[g]
+		t.Run(a.name, func(t *testing.T) {
+			for iv := 0; iv < 50; iv++ {
+				for i := 0; i < 2000; i++ {
+					if x, y := a.next(), b.next(); x != y {
+						t.Fatalf("interval %d draw %d: %+v ≠ %+v", iv, i, x, y)
+					}
+				}
+				a.advance()
+				b.advance()
+			}
+		})
 	}
 }
 
@@ -212,11 +315,7 @@ func TestStockBurstsShiftLoadAbruptly(t *testing.T) {
 	for i := 0; i < 50000; i++ {
 		counts[s.Next().Key]++
 	}
-	var burstKey tuple.Key
-	for k := range s.bursts {
-		burstKey = k
-		break
-	}
+	burstKey := s.bursts[0].key
 	if counts[burstKey] < 500 {
 		t.Fatalf("bursting symbol drew only %d of 50000 tuples", counts[burstKey])
 	}
@@ -351,11 +450,7 @@ func TestStockExpectedLoadIncludesBursts(t *testing.T) {
 		t.Fatal("no burst after Advance with probability 1")
 	}
 	load := s.ExpectedLoad(10000)
-	var burstKey tuple.Key
-	for k := range s.bursts {
-		burstKey = k
-	}
-	if load[burstKey] == 0 {
+	if load[s.bursts[len(s.bursts)-1].key] == 0 {
 		t.Fatal("expected load omits the bursting symbol")
 	}
 	var total int64
@@ -398,43 +493,54 @@ func TestNewZipfPanicsOnZeroK(t *testing.T) {
 
 // Batch draws must replicate the per-tuple draw sequence exactly: the
 // engine's batched emission path relies on this to keep experiment
-// outputs identical to the per-tuple path.
+// outputs identical to the per-tuple path. The comparison is whole
+// tuples, across interval boundaries and, for the Zipf stream, a
+// PerInterval change (its Advance reads the memoized expected counts).
 func TestNextBatchMatchesSequentialNext(t *testing.T) {
-	type gen struct {
-		name  string
-		next  func() tuple.Tuple
-		batch func([]tuple.Tuple) int
-	}
+	seqs, batches := newGenerators(5), newGenerators(5)
 	za := NewZipfStream(1000, 0.85, 1.0, 10000, 5)
 	zb := NewZipfStream(1000, 0.85, 1.0, 10000, 5)
-	sa := NewSocial(2000, 0.85, 0.002, 5)
-	sb := NewSocial(2000, 0.85, 0.002, 5)
-	ka := NewStock(0, 0.85, 5)
-	kb := NewStock(0, 0.85, 5)
-	ca := DefaultTPCHConfig()
-	ca.Seed = 5
-	cb := DefaultTPCHConfig()
-	cb.Seed = 5
-	ta := NewTPCH(ca)
-	tb := NewTPCH(cb)
-	gens := []gen{
-		{"zipf", za.Next, zb.NextBatch},
-		{"social", sa.Next, sb.NextBatch},
-		{"stock", ka.Next, kb.NextBatch},
-		{"tpch", ta.Next, tb.NextBatch},
-	}
-	for _, g := range gens {
-		buf := make([]tuple.Tuple, 257)
-		if got := g.batch(buf); got != len(buf) {
-			t.Fatalf("%s: NextBatch returned %d, want %d", g.name, got, len(buf))
-		}
-		for i := range buf {
-			want := g.next()
-			if buf[i].Key != want.Key || buf[i].Seq != want.Seq ||
-				buf[i].Cost != want.Cost || buf[i].StateSize != want.StateSize ||
-				buf[i].Stream != want.Stream {
-				t.Fatalf("%s: draw %d batch %+v ≠ sequential %+v", g.name, i, buf[i], want)
+	zipfAdvance := func(s *ZipfStream) func() {
+		iv := 0
+		return func() {
+			if iv++; iv == 2 {
+				s.PerInterval = 3000
 			}
+			s.Advance(fixedAsg(4))
+		}
+	}
+	seqs = append(seqs, generator{"zipf-budget", za.Next, nil, zipfAdvance(za)})
+	batches = append(batches, generator{"zipf-budget", nil, zb.NextBatch, zipfAdvance(zb)})
+	for g, seq := range seqs {
+		bat := batches[g]
+		for iv, n := range []int{257, 1, 0, 4096} {
+			buf := make([]tuple.Tuple, n)
+			for i := range buf {
+				buf[i] = tuple.Tuple{Key: 99, Value: "stale", Stream: "x", EmitTick: 9}
+			}
+			if got := bat.batch(buf); got != n {
+				t.Fatalf("%s: NextBatch returned %d, want %d", seq.name, got, n)
+			}
+			for i := range buf {
+				if want := seq.next(); buf[i] != want {
+					t.Fatalf("%s: interval %d draw %d batch %+v ≠ sequential %+v", seq.name, iv, i, buf[i], want)
+				}
+			}
+			seq.advance()
+			bat.advance()
+		}
+	}
+}
+
+// The memoized expected counts follow PerInterval, which callers
+// reassign between intervals.
+func TestExpectedCountsMemoFollowsPerInterval(t *testing.T) {
+	s := NewZipfStream(1000, 0.85, 1.0, 10000, 5)
+	for _, n := range []int64{10000, 10000, 3000, 0, 3000} {
+		s.PerInterval = n
+		s.Advance(fixedAsg(4))
+		if _, got := s.RankLoad(); !slices.Equal(got, s.dist.ExpectedCounts(n)) {
+			t.Fatalf("PerInterval %d: memoized counts differ from ExpectedCounts", n)
 		}
 	}
 }
@@ -443,11 +549,17 @@ func TestNextBatchMatchesSequentialNext(t *testing.T) {
 // search it narrows — the first CDF entry at or above the draw, over
 // the whole CDF — for random draws and for the draws sitting on and
 // next to every guide boundary, so every generator built on Rank emits
-// the stream it always did.
+// the stream it always did. K = 1 000 and 100 000 get four slices per
+// rank; K = 10⁶ is past the cap and gets about one.
 func TestZipfRankMatchesFullSearch(t *testing.T) {
-	for _, k := range []int{1, 2, 7, 1000, 100000} {
+	for _, k := range []int{1, 2, 7, 1000, 100000, 1000000} {
 		for _, z := range []float64{0, 0.5, 0.85, 1, 1.5} {
 			d := NewZipf(k, z)
+			// M is the smallest power of two that is ≥ K and ≥ min(4K, cap).
+			big := func(m int) bool { return m >= k && m >= min(4*k, maxGuide) }
+			if m := len(d.guide) - 1; m&(m-1) != 0 || !big(m) || big(m/2) {
+				t.Fatalf("K=%d: guide has %d slices", k, m)
+			}
 			full := func(u float64) int {
 				i := sort.SearchFloat64s(d.cdf, u)
 				if i >= d.K {

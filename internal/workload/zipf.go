@@ -20,12 +20,26 @@ type Zipf struct {
 	cdf []float64 // cdf[i] = P(rank ≤ i+1)
 	// guide[j] is the first index whose cdf reaches j/M, for the M =
 	// len(guide)-1 equal slices of [0, 1]: a draw u in slice j can only
-	// land in cdf[guide[j]..guide[j+1]], about one entry wide, so Rank
-	// searches that instead of the whole CDF. M is a power of two, which
-	// makes ⌊u·M⌋ and j/M exact and the narrowed search return the very
-	// index the full one would.
+	// land in cdf[guide[j]..guide[j+1]], so Rank searches that instead of
+	// the whole CDF (Chen and Asau's indexed search). M is a power of
+	// two, which makes ⌊u·M⌋ and j/M exact and the narrowed search return
+	// the very index the full one would.
+	//
+	// M is the smallest power of two ≥ 4·K, capped at 2¹⁹ slices but
+	// never below the smallest power of two ≥ K. Past the head a rank's
+	// probability is under 1/K, so at one slice per rank the tail's
+	// slices each span several CDF steps, and for z ≤ 1 much of the mass
+	// lies there: at K = 1 000, z = 0.85, 26 % of draws land in a window
+	// of two or more entries. At four slices per rank 0.1 % do, and most
+	// windows are empty, so the search loop does not run. The cap is
+	// there because past it the guide (4 bytes a slice) outgrows the
+	// caches the CDF already competes for: at K = 10⁶ a 4× guide made a
+	// draw slower, not faster (≈ 50 → 56 ns on a 2-vCPU Xeon).
 	guide []int32
 }
+
+// maxGuide caps the guide's slice count (see Zipf.guide).
+const maxGuide = 1 << 19
 
 // NewZipf precomputes the CDF for K ranks with skew z.
 func NewZipf(k int, z float64) *Zipf {
@@ -42,6 +56,9 @@ func NewZipf(k int, z float64) *Zipf {
 		d.cdf[i] /= sum
 	}
 	m := 1
+	for m < 4*k && m < maxGuide {
+		m <<= 1
+	}
 	for m < k {
 		m <<= 1
 	}
