@@ -57,13 +57,11 @@ bench-e2e:
 ## connection speaks): ns/op, allocations, and ns per harvested key split
 ## into merge / plan / report. EngineInterval is a whole interval with
 ## the controller on the stage directly, behind the loopback loop, and
-## behind the framed pipe. RebalanceLatency is p50/p99 feed latency
-## with and without a concurrent plan: live migration's p99 must stay
-## flat across a rebalance. WireCodec isolates the report frame's
+## behind the framed pipe. WireCodec isolates the report frame's
 ## per-message cost (the retained buffers keep allocs/msg flat as report
 ## populations grow).
 bench-control:
-	$(GO) test -run '^$$' -bench 'ControlRound|EngineInterval|RebalanceLatency|WireCodec' -benchmem -benchtime 1s ./internal/control/
+	$(GO) test -run '^$$' -bench 'ControlRound|EngineInterval|WireCodec' -benchmem -benchtime 1s ./internal/control/
 
 ## bench-wire: the receive path's micro-benchmarks. TupleBatchCodec is
 ## one 256-tuple batch through Send and Recv per chunk shape (engine,

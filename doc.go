@@ -4,8 +4,8 @@
 // scheme, the LLFD/MinTable/MinMig/Mixed rebalance planners, the
 // compact 6-dimensional statistics representation with HLHE
 // discretization, a goroutine-based stream-processing engine substrate
-// with generation-stamped live key migration (Fig. 5's steps 3–7 with no
-// feed pause), the Readj and PKG baselines, and a harness regenerating
+// with key migration at the interval barrier (Fig. 5's steps 3–7 on a
+// sealed stage), the Readj and PKG baselines, and a harness regenerating
 // every table and figure of the paper's evaluation.
 //
 // Entry points:
@@ -97,10 +97,9 @@
 //   - the engine draws tuples through a batch spout (engine.SpoutBatch,
 //     workload NextBatch methods) into a reusable scratch buffer;
 //   - engine.Stage.FeedBatch partitions a whole batch into
-//     per-destination slices against a wait-free atomic load of the
-//     generation-stamped routing assignment (no lock; a stage on a
-//     stateful router — PKG, shuffle — routes under one lock
-//     acquisition instead) and sends each task at most one channel
+//     per-destination slices against one atomic load of the routing
+//     assignment (no lock; a stage on a stateful router — PKG,
+//     shuffle — routes under one lock acquisition instead) and sends each task at most one channel
 //     message per batch, carved from a refcount-recycled buffer;
 //   - route.Assignment.DestBatch/DestTuples resolve destinations in
 //     one pass, each key probing the frozen routing table and going to
@@ -121,22 +120,17 @@
 // per-tuple path (equivalence is pinned by tests; exhibit outputs are
 // bit-identical).
 //
-// # Live migration
+// # Migration at the interval barrier
 //
-// Applying a rebalance plan never pauses the feed path. The routing
-// assignment and hash-ring LUT are published behind a single atomic
-// pointer with a generation counter; Feed/FeedBatch load it wait-free
-// and stamp batches with the generation they routed under. A plan
-// (engine.Stage.ApplyPlan) arms a bounded handoff queue at each moving
-// key's destination, publishes the new generation, waits until every
-// feeder pinned under the old one has finished its sends, then extracts
-// windowed state and tracker history at the sources and injects and
-// replays at the destinations — one barrier per task and phase, all
-// tasks concurrently, no stage-wide drain. Every publication waits out
-// the generation it replaces, whether or not it has anything to
-// extract: the two-slot epoch counter is only sound while at most two
-// generations have feeders in flight. A stage migrates live iff it
-// routes by assignment; there is no option.
+// Every actuation — a rebalance plan (engine.Stage.ApplyPlan), a split
+// set, a resize — runs between intervals, as the paper's Fig. 5 control
+// point does: StartInterval opens a stage, CloseInterval seals it, and
+// an actuation on an open stage returns an error without touching
+// anything. On the sealed stage a plan extracts windowed state and
+// tracker history at the sources and injects it at the destinations —
+// one barrier per task and phase, all tasks concurrently — then swaps
+// the new assignment in for the next interval's feeders. A stage
+// migrates iff it routes by assignment; there is no option.
 //
 // # Hot-key splitting
 //
@@ -152,8 +146,8 @@
 // before snapshots, metrics or downstream flushes — so all observables
 // are pinned bit-identical to the unsplit run. Split keys are pinned
 // against rebalance plans (controller guardSplit + stage backstop,
-// both counting SplitPinned) and transitions ride the live-migration
-// machinery. examples/viralkey demonstrates a flash crowd; the
+// both counting SplitPinned) and transitions run at the interval
+// barrier like every actuation. examples/viralkey demonstrates a flash crowd; the
 // repository benchmark's hotkey workload measures it.
 //
 // See README.md for the architecture tour; per-exhibit interpretation

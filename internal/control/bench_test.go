@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 
@@ -12,7 +11,6 @@ import (
 	"repro/internal/control"
 	"repro/internal/controller"
 	"repro/internal/engine"
-	"repro/internal/metrics"
 	"repro/internal/protocol"
 	"repro/internal/route"
 	"repro/internal/stats"
@@ -193,89 +191,6 @@ func BenchmarkWireCodec(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(c.SentBytes())/float64(b.N), "B/msg")
-		})
-	}
-}
-
-// BenchmarkRebalanceLatency measures what a live migration costs the
-// feed path: the distribution of FeedBatch call latency — p50 and p99,
-// reported as p50-µs / p99-µs — with and without a controller goroutine
-// applying rebalance plans continuously. Feeders never block on a plan,
-// so p99 stays flat across the two. Run via `make bench-control`.
-func BenchmarkRebalanceLatency(b *testing.B) {
-	const (
-		nd        = 4
-		keyDomain = 512
-		chunk     = 256
-	)
-	for _, load := range []string{"steady", "rebalance"} {
-		b.Run(load, func(b *testing.B) {
-			st := engine.NewStage("bench", nd, func(int) engine.Operator { return engine.StatefulCount }, 1,
-				engine.NewAssignmentRouter(topology.NewAssignment(nd)))
-			defer st.Stop()
-			pre := make([]tuple.Tuple, keyDomain)
-			for i := range pre {
-				pre[i] = tuple.New(tuple.Key(i), nil)
-			}
-			st.FeedBatch(pre)
-			st.Barrier()
-
-			stop := make(chan struct{})
-			var wg sync.WaitGroup
-			if load == "rebalance" {
-				// Controller goroutine: rotate a fifth of the key
-				// domain one instance over, continuously.
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; ; i++ {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						asg := st.AssignmentRouter().Assignment()
-						tab := asg.Table().Clone()
-						plan := &balance.Plan{Table: tab, MoveDest: map[tuple.Key]int{}}
-						for k := tuple.Key(i % 5); k < keyDomain; k += 5 {
-							dst := (asg.Dest(k) + 1) % nd
-							tab.Put(k, dst)
-							plan.Moved = append(plan.Moved, k)
-							plan.MoveDest[k] = dst
-						}
-						if _, err := st.ApplyPlan(plan, nil); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}()
-			}
-
-			buf := make([]tuple.Tuple, chunk)
-			var seq int
-			var hist metrics.LatencyHist
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := range buf {
-					buf[j] = tuple.New(tuple.Key(seq%keyDomain), nil)
-					seq++
-				}
-				t0 := time.Now()
-				st.FeedBatch(buf)
-				hist.Observe(time.Since(t0))
-				// Drain periodically (outside the histogram) so the
-				// measurement is feed-path stall, not steady-state
-				// queue saturation.
-				if i%8 == 7 {
-					st.Barrier()
-				}
-			}
-			b.StopTimer()
-			close(stop)
-			wg.Wait()
-			st.Barrier()
-			b.ReportMetric(hist.QuantileUs(0.5), "p50-µs")
-			b.ReportMetric(hist.QuantileUs(0.99), "p99-µs")
 		})
 	}
 }

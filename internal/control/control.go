@@ -11,7 +11,7 @@
 //	1 │ the interval's snapshot, │────────────▶│ check → the snapshot     │
 //	  │ whole, as the report     │   (×1)      │ Policy.Decide → Commands │ 2
 //	  │                          │ PlanAnnounce│                          │
-//	4 │ migrate per key, live    │◀────────────│ Rebalance{Plan}          │ 3
+//	4 │ migrate per key, sealed  │◀────────────│ Rebalance{Plan}          │ 3
 //	  │  └▶ StateTransfer (×Δ)   │────────────▶│   or ScaleOut / ScaleIn  │
 //	5 │ Ack when applied         │────────────▶│   as Resize{±1}          │
 //	  │                          │   Resume    │                          │
@@ -21,9 +21,10 @@
 // Policies (rebalance controllers, autoscalers) are pure deciders:
 // they consume one interval's snapshot plus the stage context Env and
 // emit typed Commands. A single per-stage Executor applies every
-// command against the engine — Rebalance through the stage's live
-// migration (Stage.ApplyPlan), ScaleOut/ScaleIn through the engine's
-// generalized ResizeStage — and every step of every command crosses a
+// command against the engine, on the stage sealed by the interval's
+// close — Rebalance through the stage's key migration
+// (Stage.ApplyPlan), ScaleOut/ScaleIn through the engine's generalized
+// ResizeStage — and every step of every command crosses a
 // Conn as a protocol message. In process the Conn is a loopback
 // (channel-passed messages); a multi-process deployment only swaps it
 // for cluster.Conn, the framed codec over a socket, and the tests pin
@@ -51,14 +52,14 @@ import (
 type Command interface{ isCommand() }
 
 // Rebalance applies a migration plan (new routing table A′ plus the
-// migration set Δ(F, F′)) through the stage's live migration.
+// migration set Δ(F, F′)) through the stage's key migration.
 type Rebalance struct{ Plan *balance.Plan }
 
 // ScaleOut adds one task instance to the stage (the hash ring grows;
 // only keys on the new instance's arcs migrate).
 type ScaleOut struct{}
 
-// ScaleIn retires the stage's last task instance live: the ring
+// ScaleIn retires the stage's last task instance: the ring
 // shrinks, the retiring task drains, and its keys' windowed state and
 // statistics migrate to the surviving instances.
 type ScaleIn struct{}

@@ -33,7 +33,7 @@ func NewExecutor(e *engine.Engine, si int, conn Conn) *Executor {
 
 // RunRound drives one interval's control round: report the interval's
 // statistics (step 1), then serve the controller's command stream —
-// PlanAnnounce applies through the stage's live migration, Resize
+// PlanAnnounce applies through the stage's key migration, Resize
 // through the engine's elastic actuator, each migration reported as a
 // StateTransfer and each command Acked — until Resume closes the round.
 // The return value summarizes what was applied, in the shape the engine

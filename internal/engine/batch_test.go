@@ -2,12 +2,9 @@ package engine
 
 import (
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/balance"
-	"repro/internal/route"
 	"repro/internal/state"
 	"repro/internal/tuple"
 )
@@ -95,16 +92,16 @@ func TestFeedBatchOnShuffleAndPKGStages(t *testing.T) {
 }
 
 // TestFeedBatchConcurrentWithApplyPlanLive is the -race stress test of
-// the batched feeder against live migration: a feeder goroutine drives
-// FeedBatch while a controller goroutine applies a live plan. No tuple
-// may be lost, and migrated keys must end up exactly at their planned
-// destinations.
+// the batched feeder around a migration: a feeder goroutine drives
+// FeedBatch for an interval, the stage closes, a plan moves every third
+// key, and the feeder drives a second interval. No tuple may be lost,
+// and migrated keys must end up exactly at their planned destinations.
 func TestFeedBatchConcurrentWithApplyPlanLive(t *testing.T) {
 	const (
 		nd        = 4
 		keyDomain = 100
 		batchSize = 256
-		batches   = 40
+		batches   = 20 // per interval
 	)
 	var processed atomic.Int64
 	st := NewStage("live-batch", nd, func(int) Operator {
@@ -112,7 +109,7 @@ func TestFeedBatchConcurrentWithApplyPlanLive(t *testing.T) {
 			ctx.Store.Add(tp.Key, state.Entry{Value: tp.Value, Size: tp.StateSize})
 			processed.Add(1)
 		})
-	}, 2, newAsgRouter(nd))
+	}, 3, newAsgRouter(nd))
 	defer st.Stop()
 
 	// Preload every key so migration has state to move.
@@ -123,57 +120,37 @@ func TestFeedBatchConcurrentWithApplyPlanLive(t *testing.T) {
 	st.FeedBatch(pre)
 	st.Barrier()
 
-	// Plan: every third key moves one instance over.
-	asg := st.AssignmentRouter().Assignment()
-	tab := route.NewTable()
-	plan := &balance.Plan{Table: tab, MoveDest: map[tuple.Key]int{}}
-	for k := tuple.Key(0); k < keyDomain; k += 3 {
-		dst := (asg.Dest(k) + 1) % nd
-		tab.Put(k, dst)
-		plan.Moved = append(plan.Moved, k)
-		plan.MoveDest[k] = dst
-	}
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		buf := make([]tuple.Tuple, batchSize)
-		for b := 0; b < batches; b++ {
-			for i := range buf {
-				buf[i] = tuple.New(tuple.Key((b*batchSize+i)%keyDomain), b)
-			}
-			st.FeedBatch(buf)
+	var seq atomic.Uint64
+	draw := func(dst []tuple.Tuple) int {
+		for i := range dst {
+			n := seq.Add(1) - 1
+			dst[i] = tuple.New(tuple.Key(n%keyDomain), n)
 		}
-	}()
-	st.ApplyPlan(plan, nil)
-	wg.Wait()
-	st.Barrier()
+		return len(dst)
+	}
+	feed := func() { feedConcurrently(st, draw, 1, batches, batchSize) }
+	stressInterval(t, 0, feed, st)
+	plan := stripePlan(st, 0, 3, keyDomain)
+	if _, err := st.ApplyPlan(plan, nil); err != nil {
+		t.Fatalf("ApplyPlan: %v", err)
+	}
+	stressInterval(t, 1, feed, st)
 
 	// No tuple lost across the migration.
-	want := int64(len(pre) + batches*batchSize)
+	want := int64(len(pre) + 2*batches*batchSize)
 	if got := processed.Load(); got != want {
-		t.Fatalf("processed %d of %d tuples across live migration", got, want)
+		t.Fatalf("processed %d of %d tuples across the migration", got, want)
 	}
 	// Post-migration destinations: state lives exactly at the planned
 	// home, and fresh batches route there.
 	cur := st.AssignmentRouter().Assignment()
 	for _, k := range plan.Moved {
-		home := cur.Dest(k)
-		if home != plan.MoveDest[k] {
+		if home := cur.Dest(k); home != plan.MoveDest[k] {
 			t.Fatalf("key %d routes to %d, plan said %d", k, home, plan.MoveDest[k])
 		}
-		for d := 0; d < nd; d++ {
-			if d != home && st.StoreOf(d).Size(k) != 0 {
-				t.Fatalf("key %d leaked state on instance %d", k, d)
-			}
-		}
 	}
-	var total int64
-	for d := 0; d < nd; d++ {
-		total += st.StoreOf(d).TotalSize()
-	}
-	if total != want {
+	checkOneOwner(t, st, nil, "after the second interval")
+	if total := liveStateTotal(st); total != want {
 		t.Fatalf("total state %d, want %d (tuple loss or duplication)", total, want)
 	}
 }

@@ -134,7 +134,7 @@ func BenchmarkFeedBatchSplit(b *testing.B) {
 }
 
 // BenchmarkMigrateKey moves one key's window back and forth between two
-// idle tasks through the live sequencer: the per-key cost of a plan.
+// idle tasks through ApplyPlan: the per-key cost of a plan.
 func BenchmarkMigrateKey(b *testing.B) {
 	st := statefulStage(2, 1)
 	defer st.Stop()

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/balance"
@@ -63,6 +65,58 @@ func checkStateAccounting(t *testing.T, st *Stage, at string) {
 			t.Fatalf("%s: task %d TotalSize = %d, Σ Size(k) = %d", at, d, got, sum)
 		}
 	}
+}
+
+// stressInterval drives one interval of the feed → close → actuate
+// schedule the stress tests run: open every stage of the pipeline, feed
+// (concurrent feeders), close the stages in order — each close streams
+// the stage's residual emissions downstream before the next one closes
+// — and end every stage's interval, checking one owner per key against
+// each snapshot. The caller actuates on the sealed stages afterwards.
+func stressInterval(t *testing.T, interval int64, feed func(), stages ...*Stage) {
+	t.Helper()
+	for _, st := range stages {
+		st.StartInterval(interval)
+	}
+	feed()
+	for _, st := range stages {
+		st.CloseInterval()
+	}
+	for si, st := range stages {
+		checkOneOwner(t, st, st.EndInterval(interval), fmt.Sprintf("stage %d, interval %d", si, interval))
+	}
+}
+
+// feedConcurrently runs feeders goroutines, each pushing chunks batches
+// of chunk tuples drawn from its share of draw (ShardSpout) into in,
+// and returns when all of them are done.
+func feedConcurrently(in *Stage, draw SpoutBatch, feeders, chunks, chunk int) {
+	var wg sync.WaitGroup
+	for _, sb := range ShardSpout(draw, feeders) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := make([]tuple.Tuple, chunk)
+			for range chunks {
+				in.FeedBatch(buf[:sb(buf)])
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// stripePlan moves every step-th key of [first, domain) one instance
+// over from its current destination, on top of the stage's table.
+func stripePlan(st *Stage, first, step, domain tuple.Key) *balance.Plan {
+	asg := st.AssignmentRouter().Assignment()
+	plan := &balance.Plan{Table: asg.Table().Clone(), MoveDest: map[tuple.Key]int{}}
+	for k := first; k < domain; k += step {
+		dst := (asg.Dest(k) + 1) % st.Instances()
+		plan.Table.Put(k, dst)
+		plan.Moved = append(plan.Moved, k)
+		plan.MoveDest[k] = dst
+	}
+	return plan
 }
 
 // TestStateVolumeConservedAcrossActuations: a live rebalance, a

@@ -100,7 +100,7 @@ const emitChunk = 1024
 type Rebalance struct {
 	Plan  *balance.Plan
 	Moved int64
-	// ScaledOut and ScaledIn count instance additions and live
+	// ScaledOut and ScaledIn count instance additions and
 	// retirements applied this interval end.
 	ScaledOut int
 	ScaledIn  int
@@ -122,8 +122,8 @@ type Engine struct {
 	SpoutB SpoutBatch
 	// SpoutShards, when set (len == Cfg.Feeders), gives each feeder
 	// goroutine its own partitioned draw source — e.g. the workload
-	// generators' Shard(n) results via AdaptShards. When unset and
-	// Cfg.Feeders > 1, the engine wraps the single spout in a mutex
+	// generators' Shard(n) draw functions, each a SpoutBatch. When unset
+	// and Cfg.Feeders > 1, the engine wraps the single spout in a mutex
 	// sharder (ShardSpout), which preserves the drawn multiset exactly.
 	SpoutShards []SpoutBatch
 	Stages      []*Stage
@@ -490,14 +490,15 @@ func StepModel(p ModelParams, backlog, backlogT, migPenalty, cost, tuples []int6
 }
 
 // ResizeStage changes stage si's instance set by delta (+1 scale-out,
-// −1 live scale-in) — the generalized elastic actuator (any stage, both
+// −1 scale-in) — the generalized elastic actuator (any stage, both
 // directions) behind the unified control plane's ScaleOut/ScaleIn
-// commands. The stage reshapes its own model arrays. Capacity per task
-// stays fixed: resizing changes headroom, not per-instance speed. obs,
-// when non-nil, observes every key migration. Returns an error — with
-// no state touched — on an invalid delta or a stage whose router cannot
-// resize (no assignment router, non-ring hasher, retiring the only
-// instance), and the stage's state-wire failure (ApplyPlan).
+// commands, run between intervals like every actuation. The stage
+// reshapes its own model arrays. Capacity per task stays fixed:
+// resizing changes headroom, not per-instance speed. obs, when non-nil,
+// observes every key migration. Returns an error — with no state
+// touched — on an invalid delta, an open stage or a stage whose router
+// cannot resize (no assignment router, non-ring hasher, retiring the
+// only instance), and the stage's state-wire failure (ApplyPlan).
 func (e *Engine) ResizeStage(si, delta int, obs MigrationObserver) (int64, error) {
 	switch delta {
 	case 1:

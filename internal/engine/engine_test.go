@@ -26,15 +26,17 @@ func statefulStage(nd, w int) *Stage {
 // operator state at barriers.
 func (s *Stage) CtxOf(d int) *TaskCtx { return s.tasks[d].ctx }
 
-// HandoffOverflow returns the cumulative count of tuples parked beyond
-// a migrating key's soft handoff bound.
-func (s *Stage) HandoffOverflow() int64 { return s.handoffOverflow.Load() }
+// SplitPinned returns the cumulative count of rebalance-plan moves the
+// stage refused because their key was split at apply time (the plan's
+// table entry is pinned to the key's home instead) — the stage-level
+// mirror of the controller's SplitPinned guard counter.
+func (s *Stage) SplitPinned() int64 { return s.splitPinned }
 
 // Router returns the stage's input router.
 func (s *Stage) Router() Router { return s.router }
 
 // StateWire reports whether serialized-state migration is selected.
-func (s *Stage) StateWire() bool { return s.stateWire.Load() }
+func (s *Stage) StateWire() bool { return s.stateWire }
 
 func TestStageRoutesByAssignment(t *testing.T) {
 	st := statefulStage(4, 1)

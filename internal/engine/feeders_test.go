@@ -1,12 +1,9 @@
 package engine
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/balance"
-	"repro/internal/route"
 	"repro/internal/state"
 	"repro/internal/tuple"
 	"repro/internal/workload"
@@ -15,7 +12,8 @@ import (
 // Tests of the fanned-out emission plane: Cfg.Feeders > 1 must change
 // cost, not semantics — the drawn multiset, per-interval metrics and
 // harvest snapshots stay identical to the serial single-feeder run,
-// and concurrent feeders must survive live migration under -race.
+// and concurrent feeders must compose with migration between intervals
+// under -race.
 
 // countingOp accumulates the per-key tuple multiset an instance
 // processed, so tests can compare what actually flowed.
@@ -39,6 +37,17 @@ func mergedCounts(fleet []*countingOp) map[tuple.Key]int64 {
 	return m
 }
 
+// adaptShards converts plain sharded draw functions — the shape the
+// workload generators' Shard methods return — into SpoutBatch values
+// for Engine.SpoutShards.
+func adaptShards(fns []func(dst []tuple.Tuple) int) []SpoutBatch {
+	out := make([]SpoutBatch, len(fns))
+	for i, f := range fns {
+		out[i] = f
+	}
+	return out
+}
+
 // mkFeederEngine builds a 6-instance engine over a seeded Zipf draw
 // with the given feeder count, returning the engine and its fleet.
 func mkFeederEngine(feeders int, shards bool) (*Engine, []*countingOp) {
@@ -55,7 +64,7 @@ func mkFeederEngine(feeders int, shards bool) (*Engine, []*countingOp) {
 	e := NewBatch(gen.NextBatch, cfg, st)
 	if shards {
 		e.SpoutB = nil
-		e.SpoutShards = AdaptShards(gen.Shard(feeders))
+		e.SpoutShards = adaptShards(gen.Shard(feeders))
 	}
 	return e, fleet
 }
@@ -126,16 +135,17 @@ func TestParallelFeedersShardCountMismatchPanics(t *testing.T) {
 }
 
 // TestConcurrentFeedersWithApplyPlanLive is the -race stress test of
-// the fanned-out feeder fleet against live migration: four feeder
-// goroutines drive FeedBatch through shard draws while a controller
-// goroutine applies a live plan mid-interval. No tuple may be lost and
-// migrated keys must land exactly at their planned destinations.
+// the fanned-out feeder fleet around a migration: four feeder
+// goroutines drive FeedBatch through shard draws for an interval, the
+// stage closes, a plan moves every third key, and the fleet feeds a
+// second interval. No tuple may be lost and migrated keys must land
+// exactly at their planned destinations.
 func TestConcurrentFeedersWithApplyPlanLive(t *testing.T) {
 	const (
 		nd        = 4
 		feeders   = 4
 		keyDomain = 100
-		perFeeder = 8000
+		chunks    = 16 // per feeder per interval
 		chunk     = 256
 	)
 	var processed atomic.Int64
@@ -144,7 +154,7 @@ func TestConcurrentFeedersWithApplyPlanLive(t *testing.T) {
 			ctx.Store.Add(tp.Key, state.Entry{Value: tp.Value, Size: tp.StateSize})
 			processed.Add(1)
 		})
-	}, 2, newAsgRouter(nd))
+	}, 3, newAsgRouter(nd))
 	defer st.Stop()
 
 	// Preload every key so migration has state to move.
@@ -155,69 +165,36 @@ func TestConcurrentFeedersWithApplyPlanLive(t *testing.T) {
 	st.FeedBatch(pre)
 	st.Barrier()
 
-	// Plan: every third key moves one instance over.
-	asg := st.AssignmentRouter().Assignment()
-	tab := route.NewTable()
-	plan := &balance.Plan{Table: tab, MoveDest: map[tuple.Key]int{}}
-	for k := tuple.Key(0); k < keyDomain; k += 3 {
-		dst := (asg.Dest(k) + 1) % nd
-		tab.Put(k, dst)
-		plan.Moved = append(plan.Moved, k)
-		plan.MoveDest[k] = dst
-	}
-
 	// Four feeders drawing disjoint shares of one shard-split sequence,
 	// exactly the emission shape of Cfg.Feeders = 4.
 	var seq atomic.Uint64
-	shards := ShardSpout(func(dst []tuple.Tuple) int {
+	draw := func(dst []tuple.Tuple) int {
 		for i := range dst {
 			n := seq.Add(1) - 1
 			dst[i] = tuple.New(tuple.Key(n%keyDomain), n)
 		}
 		return len(dst)
-	}, feeders)
-	var wg sync.WaitGroup
-	for f := 0; f < feeders; f++ {
-		wg.Add(1)
-		go func(sb SpoutBatch) {
-			defer wg.Done()
-			buf := make([]tuple.Tuple, chunk)
-			for j := 0; j < perFeeder; {
-				c := perFeeder - j
-				if c > chunk {
-					c = chunk
-				}
-				got := sb(buf[:c])
-				st.FeedBatch(buf[:got])
-				j += got
-			}
-		}(shards[f])
 	}
-	st.ApplyPlan(plan, nil)
-	wg.Wait()
-	st.Barrier()
+	feed := func() { feedConcurrently(st, draw, feeders, chunks, chunk) }
+	stressInterval(t, 0, feed, st)
+	plan := stripePlan(st, 0, 3, keyDomain)
+	if _, err := st.ApplyPlan(plan, nil); err != nil {
+		t.Fatalf("ApplyPlan: %v", err)
+	}
+	stressInterval(t, 1, feed, st)
 
-	want := int64(len(pre) + feeders*perFeeder)
+	want := int64(len(pre) + 2*feeders*chunks*chunk)
 	if got := processed.Load(); got != want {
-		t.Fatalf("processed %d of %d tuples across live migration", got, want)
+		t.Fatalf("processed %d of %d tuples across the migration", got, want)
 	}
 	cur := st.AssignmentRouter().Assignment()
 	for _, k := range plan.Moved {
-		home := cur.Dest(k)
-		if home != plan.MoveDest[k] {
+		if home := cur.Dest(k); home != plan.MoveDest[k] {
 			t.Fatalf("key %d routes to %d, plan said %d", k, home, plan.MoveDest[k])
 		}
-		for d := 0; d < nd; d++ {
-			if d != home && st.StoreOf(d).Size(k) != 0 {
-				t.Fatalf("key %d leaked state on instance %d", k, d)
-			}
-		}
 	}
-	var total int64
-	for d := 0; d < nd; d++ {
-		total += st.StoreOf(d).TotalSize()
-	}
-	if total != want {
+	checkOneOwner(t, st, nil, "after the second interval")
+	if total := liveStateTotal(st); total != want {
 		t.Fatalf("total state %d, want %d (tuple loss or duplication)", total, want)
 	}
 }

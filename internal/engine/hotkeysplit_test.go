@@ -1,10 +1,9 @@
 package engine
 
 import (
-	"sync"
+	"fmt"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/balance"
 	"repro/internal/state"
@@ -15,8 +14,8 @@ import (
 // Tests of hot-key splitting: split-routed tuples must fan out across
 // the replica set, fold back into the home task at interval close with
 // exact tracker/state/operator accounting, pin split keys against
-// rebalance plans, and survive split churn concurrent with continuous
-// rebalancing under live traffic (run under -race by the suite).
+// rebalance plans, and survive split churn and rebalancing between
+// intervals fed by concurrent feeders (run under -race by the suite).
 
 // splitCountOp counts per key like countingOp and implements the
 // SplitFolder contract: the replica delta is the tuple count, folded
@@ -35,12 +34,12 @@ func (s *splitCountOp) SplitMerge(ctx *TaskCtx, k tuple.Key, delta, freq, mem in
 	ctx.Store.Add(k, state.Entry{Value: delta, Size: mem})
 }
 
-func splitCountStage(nd int) (*Stage, []*splitCountOp) {
+func splitCountStage(nd, w int) (*Stage, []*splitCountOp) {
 	fleet := make([]*splitCountOp, nd)
 	st := NewStage("hk", nd, func(id int) Operator {
 		fleet[id] = &splitCountOp{countingOp{counts: make(map[tuple.Key]int64)}}
 		return fleet[id]
-	}, 2, newAsgRouter(nd))
+	}, w, newAsgRouter(nd))
 	return st, fleet
 }
 
@@ -50,7 +49,7 @@ func splitCountStage(nd int) (*Stage, []*splitCountOp) {
 // exactly as fed.
 func TestSplitFoldsBackExactly(t *testing.T) {
 	const nd = 4
-	st, fleet := splitCountStage(nd)
+	st, fleet := splitCountStage(nd, 2)
 	defer st.Stop()
 	hot := tuple.Key(7)
 	if err := st.ApplySplitSet([]stats.HotKey{{Key: hot, Fan: 3}}); err != nil {
@@ -114,7 +113,7 @@ func TestSplitFoldsBackExactly(t *testing.T) {
 // with each receiving ⌊n/fan⌋ or ⌈n/fan⌉ of them.
 func TestSplitBatchSpreadsEvenly(t *testing.T) {
 	const nd, fan = 5, 3
-	st, _ := splitCountStage(nd)
+	st, _ := splitCountStage(nd, 2)
 	defer st.Stop()
 	hot := tuple.Key(11)
 	if err := st.ApplySplitSet([]stats.HotKey{{Key: hot, Fan: fan}}); err != nil {
@@ -160,11 +159,11 @@ func TestSplitBatchSpreadsEvenly(t *testing.T) {
 	}
 }
 
-// TestSplitRetireExtractsResidue pins the swap-grace-extract path: a
-// key leaving the split set mid-interval has its unfolded replica
-// residue merged home immediately, not lost.
+// TestSplitRetireExtractsResidue pins the swap-then-extract path: a
+// key leaving the split set before its cells were folded has its
+// replica residue merged home immediately, not lost.
 func TestSplitRetireExtractsResidue(t *testing.T) {
-	st, fleet := splitCountStage(4)
+	st, fleet := splitCountStage(4, 2)
 	defer st.Stop()
 	hot := tuple.Key(3)
 	if err := st.ApplySplitSet([]stats.HotKey{{Key: hot, Fan: 4}}); err != nil {
@@ -202,7 +201,7 @@ func TestSplitRetireExtractsResidue(t *testing.T) {
 // stripped (counted in SplitPinned) and the key's routing left at its
 // home, while the plan's other moves apply normally.
 func TestSplitPinsKeysAgainstPlans(t *testing.T) {
-	st, _ := splitCountStage(4)
+	st, _ := splitCountStage(4, 2)
 	defer st.Stop()
 	for k := tuple.Key(0); k < 20; k++ {
 		st.Feed(tuple.New(k, nil))
@@ -239,21 +238,22 @@ func TestSplitPinsKeysAgainstPlans(t *testing.T) {
 }
 
 // TestSplitStressWithContinuousRebalance is the -race stress of split
-// churn composed with live migration: four feeders emit a viral-key
-// mix while a controller goroutine alternates rebalance plans (some
-// deliberately targeting split keys) with split-set changes — arm,
-// fan growth, retire. Every tuple must be counted exactly once and
-// every key's state must end at its routed home.
+// churn composed with migration: each interval four feeders emit a
+// viral-key mix, and between intervals the split set changes — arm,
+// fan growth, retire — and a rebalance plan (every round also trying to
+// move the split keys themselves, which the guard must pin) is applied.
+// Every tuple must be counted exactly once and every key's state must
+// end at its routed home.
 func TestSplitStressWithContinuousRebalance(t *testing.T) {
 	const (
 		nd        = 4
 		feeders   = 4
 		keyDomain = 60
 		chunk     = 64
-		minChunks = 8
+		chunks    = 8 // per feeder per interval
 		rounds    = 16
 	)
-	st, fleet := splitCountStage(nd)
+	st, fleet := splitCountStage(nd, rounds+2) // a window longer than the run
 	defer st.Stop()
 
 	// Preload so plans migrate real state.
@@ -264,49 +264,15 @@ func TestSplitStressWithContinuousRebalance(t *testing.T) {
 	st.FeedBatch(pre)
 	st.Barrier()
 
-	// Controller: alternate split-set changes (split keys 0 and 1 at
-	// varying fans, then retire) with plans rotating a stripe of the
-	// domain — including, every round, an attempt to move the split
-	// keys themselves, which the guard must pin.
 	splitSets := [][]stats.HotKey{
 		{{Key: 0, Fan: 2}},
 		{{Key: 0, Fan: 3}, {Key: 1, Fan: 2}},
 		{{Key: 1, Fan: 4}},
 		nil,
 	}
-	stop := make(chan struct{})
-	var ctlWg sync.WaitGroup
-	ctlWg.Add(1)
-	go func() {
-		defer ctlWg.Done()
-		defer close(stop)
-		for i := 0; i < rounds; i++ {
-			if err := st.ApplySplitSet(splitSets[i%len(splitSets)]); err != nil {
-				t.Errorf("ApplySplitSet: %v", err)
-				return
-			}
-			asg := st.AssignmentRouter().Assignment()
-			tab := asg.Table().Clone()
-			plan := &balance.Plan{Table: tab, MoveDest: map[tuple.Key]int{}}
-			for k := tuple.Key(i % 5); k < keyDomain; k += 5 {
-				dst := (asg.Dest(k) + 1) % nd
-				tab.Put(k, dst)
-				plan.Moved = append(plan.Moved, k)
-				plan.MoveDest[k] = dst
-			}
-			if _, err := st.ApplyPlan(plan, nil); err != nil {
-				t.Errorf("ApplyPlan: %v", err)
-				return
-			}
-			if i%4 == 3 {
-				st.foldSplits() // exercise the mid-churn fold too
-			}
-		}
-	}()
-
 	// Feeders: every other tuple hits the viral keys 0/1.
 	var seq atomic.Uint64
-	shards := ShardSpout(func(dst []tuple.Tuple) int {
+	draw := func(dst []tuple.Tuple) int {
 		for i := range dst {
 			n := seq.Add(1) - 1
 			k := tuple.Key(n % keyDomain)
@@ -316,40 +282,29 @@ func TestSplitStressWithContinuousRebalance(t *testing.T) {
 			dst[i] = tuple.New(k, n)
 		}
 		return len(dst)
-	}, feeders)
-	var wg sync.WaitGroup
-	for f := 0; f < feeders; f++ {
-		wg.Add(1)
-		go func(sb SpoutBatch) {
-			defer wg.Done()
-			buf := make([]tuple.Tuple, chunk)
-			for j := 0; ; j++ {
-				if j >= minChunks {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-				}
-				got := sb(buf[:chunk])
-				st.FeedBatch(buf[:got])
-				time.Sleep(time.Millisecond)
-			}
-		}(shards[f])
 	}
-	ctlWg.Wait()
-	wg.Wait()
-	if t.Failed() {
-		return
+	for i := range rounds {
+		stressInterval(t, int64(i), func() {
+			feedConcurrently(st, draw, feeders, chunks, chunk)
+			if i%4 == 3 {
+				st.foldSplits() // exercise the mid-interval fold too
+				feedConcurrently(st, draw, feeders, chunks, chunk)
+			}
+		}, st)
+		if err := st.ApplySplitSet(splitSets[i%len(splitSets)]); err != nil {
+			t.Fatalf("ApplySplitSet: %v", err)
+		}
+		if _, err := st.ApplyPlan(stripePlan(st, tuple.Key(i%5), 5, keyDomain), nil); err != nil {
+			t.Fatalf("ApplyPlan: %v", err)
+		}
+		checkOneOwner(t, st, nil, fmt.Sprintf("after round %d", i))
 	}
 
-	// Drain and fold everything back.
-	st.Barrier()
+	// Fold everything back.
 	if err := st.ApplySplitSet(nil); err != nil {
 		t.Fatal(err)
 	}
-	st.CloseInterval()
-	st.Barrier() // the harvest queued behind the close writes the stores
+	st.Barrier()
 
 	fedPerKey := make(map[tuple.Key]int64)
 	for i := range pre {
@@ -379,23 +334,11 @@ func TestSplitStressWithContinuousRebalance(t *testing.T) {
 	}
 
 	// Placement: all state at each key's routed home, volumes exact.
-	cur := st.AssignmentRouter().Assignment()
-	var totalState int64
-	for k := tuple.Key(0); k < keyDomain; k++ {
-		home := cur.Dest(k)
-		for d := 0; d < nd; d++ {
-			sz := st.StoreOf(d).Size(k)
-			totalState += sz
-			if d != home && sz != 0 {
-				t.Fatalf("key %d leaked %d state units on instance %d (home %d)", k, sz, d, home)
-			}
-		}
-	}
-	if want := int64(len(pre)) + total; totalState != want {
-		t.Fatalf("total state %d, want %d", totalState, want)
-	}
 	checkOneOwner(t, st, nil, "after the plans")
-	checkOneOwner(t, st, st.EndInterval(0), "after the close")
+	if got, want := liveStateTotal(st), int64(len(pre))+total; got != want {
+		t.Fatalf("total state %d, want %d", got, want)
+	}
+	checkOneOwner(t, st, st.EndInterval(rounds), "after the close")
 }
 
 // TestPublishedSplitKernelMatchesReference pins the feeder's one-probe
@@ -405,7 +348,7 @@ func TestSplitStressWithContinuousRebalance(t *testing.T) {
 // relies on: every split's Home is F(k).
 func TestPublishedSplitKernelMatchesReference(t *testing.T) {
 	const nd, domain = 8, 300
-	st, _ := splitCountStage(nd)
+	st, _ := splitCountStage(nd, 2)
 	defer st.Stop()
 	check := func(step string) {
 		t.Helper()
@@ -476,7 +419,7 @@ func TestPublishedSplitKernelMatchesReference(t *testing.T) {
 // second one, and an EndInterval with no close before it harvests on
 // its own.
 func TestCloseQueuesOneHarvest(t *testing.T) {
-	st, _ := splitCountStage(4)
+	st, _ := splitCountStage(4, 2)
 	defer st.Stop()
 	hot := tuple.Key(9)
 	if err := st.ApplySplitSet([]stats.HotKey{{Key: hot, Fan: 4}}); err != nil {

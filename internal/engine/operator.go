@@ -1,15 +1,15 @@
 // Package engine is the distributed-stream-processing substrate the
 // reproduced paper ran on Storm: operators parallelized into task
 // instances, key-partitioned edges, per-interval statistics reporting
-// and the live key migration that carries out Fig. 5's rebalance.
+// and the key migration that carries out Fig. 5's rebalance.
 //
 // Execution model. Every task instance is a goroutine consuming a
 // channel of messages (tuples or control thunks), exactly one goroutine
 // per instance, so operator state is goroutine-confined and lock-free.
 // Time is divided into logical intervals (the paper used 10 s): the
 // engine feeds each interval's tuples through the running tasks, then
-// runs a barrier, at which point statistics are harvested and the
-// controller may rebalance. Tuple routing, operator logic, state
+// closes it, at which point statistics are harvested and the controller
+// may rebalance: state only moves between intervals, on a sealed stage. Tuple routing, operator logic, state
 // accumulation and migration are all real; only *performance* (task
 // service capacity, queueing) is modelled in simulated cost units so
 // results are deterministic and hardware-independent (see README.md).

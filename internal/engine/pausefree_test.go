@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/balance"
 	"repro/internal/route"
@@ -16,16 +14,16 @@ import (
 	"repro/internal/workload"
 )
 
-// Tests of live migration: at hook time the generation-stamped sequencer
-// must be bit-identical to a direct move on an idle stage, and it must
-// survive continuous plan application under live traffic with zero
-// tuple loss and no double-delivery (run under -race by the suite).
+// Tests of key migration: ApplyPlan's batched per-task barrier rounds
+// must be bit-identical to a direct key-by-key move, and a plan applied
+// between every pair of intervals fed by concurrent feeders must lose and
+// duplicate nothing (run under -race by the suite).
 
 // refApplyPlan is the reference ApplyPlan is pinned against: the direct
 // move on an idle stage — each migrating key's window extracted from its
 // owner and injected at its destination, tracker history carried along,
 // the transfer charged to both ends, then the plan's table installed.
-// No arming, no generations, no grace period, no handoff buffers.
+// No task barriers, no per-task batching, no state codec.
 func refApplyPlan(s *Stage, plan *balance.Plan) int64 {
 	ar := s.AssignmentRouter()
 	old := ar.Assignment()
@@ -55,7 +53,7 @@ func refApplyPlan(s *Stage, plan *balance.Plan) int64 {
 
 // TestPauseFreeMatchesPausingOracle pins ApplyPlan's hook-time
 // equivalence: the same spout and the same randomized plan schedule,
-// applied once through the live sequencer and once through refApplyPlan,
+// applied once through ApplyPlan and once through refApplyPlan,
 // produce bit-identical interval series, final harvest
 // snapshots, routing tables and state placement.
 func TestPauseFreeMatchesPausingOracle(t *testing.T) {
@@ -142,8 +140,8 @@ func TestPauseFreeMatchesPausingOracle(t *testing.T) {
 			t.Fatalf("instance %d state: reference %d, live %d", d, a, b)
 		}
 	}
-	if lst.AssignmentRouter().Assignment().Gen() == 0 {
-		t.Fatal("the live run never advanced the routing generation")
+	if len(ltab) == 0 {
+		t.Fatal("the live run never published a plan")
 	}
 }
 
@@ -158,33 +156,36 @@ func (f *forwardCountOp) Process(ctx *TaskCtx, tp tuple.Tuple) {
 	ctx.Emit(tp)
 }
 
-// TestPauseFreeStressContinuousPlans is the -race stress of the
-// generation protocol end to end: four feeder goroutines emit into a
-// pipelined two-stage topology while a
-// controller goroutine applies rebalance plans continuously to both
-// stages. Every tuple must be processed exactly once per stage — zero
-// loss, no double-delivery — and every migrated key's state must sit
-// exactly at its final planned home.
+// TestPauseFreeStressContinuousPlans is the -race stress of plan
+// application end to end: each interval four feeder goroutines emit into
+// a pipelined two-stage topology, the stages close in order, and a
+// rebalance plan is applied to one of them, alternating. Every tuple
+// must be processed exactly once per stage — zero loss, no
+// double-delivery — and every key's state must sit exactly at its final
+// home.
 func TestPauseFreeStressContinuousPlans(t *testing.T) {
 	const (
-		nd          = 4
-		feeders     = 4
-		keyDomain   = 100
-		chunk       = 64
-		minChunks   = 8  // each feeder emits at least this many chunks
-		plansTarget = 12 // controller applies exactly this many plans
+		nd        = 4
+		feeders   = 4
+		keyDomain = 100
+		chunk     = 64
+		chunks    = 8  // per feeder per interval
+		plans     = 12 // one per interval
 	)
+	// A window longer than the run: every fed tuple's state is still
+	// live at the end.
+	const window = plans + 2
 	fleet0 := make([]*forwardCountOp, nd)
 	st0 := NewStage("pf-up", nd, func(id int) Operator {
 		fleet0[id] = &forwardCountOp{countingOp{counts: make(map[tuple.Key]int64)}}
 		return fleet0[id]
-	}, 2, newAsgRouter(nd))
+	}, window, newAsgRouter(nd))
 	defer st0.Stop()
 	fleet1 := make([]*countingOp, nd)
 	st1 := NewStage("pf-down", nd, func(id int) Operator {
 		fleet1[id] = &countingOp{counts: make(map[tuple.Key]int64)}
 		return fleet1[id]
-	}, 2, newAsgRouter(nd))
+	}, window, newAsgRouter(nd))
 	defer st1.Stop()
 	st0.SetDownstream(st1)
 
@@ -197,82 +198,25 @@ func TestPauseFreeStressContinuousPlans(t *testing.T) {
 	st0.Barrier()
 	st1.Barrier()
 
-	// Controller goroutine: rotate a different seventh of the key
-	// domain one instance over, alternating stages, for plansTarget
-	// plans; feeders keep emitting until it is done.
-	stop := make(chan struct{})
-	var ctlWg sync.WaitGroup
-	ctlWg.Add(1)
-	go func() {
-		defer ctlWg.Done()
-		defer close(stop)
-		for i := 0; i < plansTarget; i++ {
-			st := st0
-			if i%2 == 1 {
-				st = st1
-			}
-			asg := st.AssignmentRouter().Assignment()
-			tab := asg.Table().Clone()
-			plan := &balance.Plan{Table: tab, MoveDest: map[tuple.Key]int{}}
-			for k := tuple.Key(i % 7); k < keyDomain; k += 7 {
-				dst := (asg.Dest(k) + 1) % nd
-				tab.Put(k, dst)
-				plan.Moved = append(plan.Moved, k)
-				plan.MoveDest[k] = dst
-			}
-			if _, err := st.ApplyPlan(plan, nil); err != nil {
-				t.Errorf("ApplyPlan: %v", err)
-				return
-			}
-		}
-	}()
-
-	// Four feeders drawing disjoint shares of one shard-split sequence.
+	// Four feeders drawing disjoint shares of one sequence; after each
+	// interval a different seventh of the key domain rotates one
+	// instance over, alternating stages.
 	var seq atomic.Uint64
-	shards := ShardSpout(func(dst []tuple.Tuple) int {
+	draw := func(dst []tuple.Tuple) int {
 		for i := range dst {
 			n := seq.Add(1) - 1
 			dst[i] = tuple.New(tuple.Key(n%keyDomain), n)
 		}
 		return len(dst)
-	}, feeders)
-	var wg sync.WaitGroup
-	for f := 0; f < feeders; f++ {
-		wg.Add(1)
-		go func(sb SpoutBatch) {
-			defer wg.Done()
-			buf := make([]tuple.Tuple, chunk)
-			for j := 0; ; j++ {
-				if j >= minChunks {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-				}
-				got := sb(buf[:chunk])
-				st0.FeedBatch(buf[:got])
-				// Pace the offered load below saturation: a saturated
-				// 4096-deep task queue would make every migration
-				// barrier wait behind a full queue drain, turning the
-				// stress into a minutes-long slog under -race without
-				// sharpening it.
-				time.Sleep(time.Millisecond)
-			}
-		}(shards[f])
 	}
-	ctlWg.Wait()
-	wg.Wait()
-	if t.Failed() {
-		return
+	for i := range plans {
+		stressInterval(t, int64(i), func() { feedConcurrently(st0, draw, feeders, chunks, chunk) }, st0, st1)
+		st := []*Stage{st0, st1}[i%2]
+		if _, err := st.ApplyPlan(stripePlan(st, tuple.Key(i%7), 7, keyDomain), nil); err != nil {
+			t.Fatalf("ApplyPlan: %v", err)
+		}
+		checkOneOwner(t, st, nil, fmt.Sprintf("after plan %d", i))
 	}
-
-	// Drain: finish stage 0, flush its residual emissions downstream,
-	// then finish stage 1.
-	st0.Barrier()
-	st0.CloseInterval()
-	st0.Barrier() // the harvest queued behind the close writes the stores
-	st1.Barrier()
 
 	fedPerKey := make(map[tuple.Key]int64)
 	for i := range pre {
@@ -306,48 +250,34 @@ func TestPauseFreeStressContinuousPlans(t *testing.T) {
 	// both stages, and volumes add up to the fed totals.
 	for si, st := range []*Stage{st0, st1} {
 		checkOneOwner(t, st, nil, fmt.Sprintf("stage %d after the plans", si))
-		checkOneOwner(t, st, st.EndInterval(0), fmt.Sprintf("stage %d after the close", si))
-		cur := st.AssignmentRouter().Assignment()
-		var totalState int64
-		for k := tuple.Key(0); k < keyDomain; k++ {
-			home := cur.Dest(k)
-			for d := 0; d < nd; d++ {
-				sz := st.StoreOf(d).Size(k)
-				totalState += sz
-				if d != home && sz != 0 {
-					t.Fatalf("stage %d key %d leaked %d state units on instance %d (home %d)", si, k, sz, d, home)
-				}
-			}
-		}
-		want := int64(len(pre)) + total
-		if totalState != want {
-			t.Fatalf("stage %d total state %d, want %d", si, totalState, want)
+		if got, want := liveStateTotal(st), int64(len(pre))+total; got != want {
+			t.Fatalf("stage %d total state %d, want %d", si, got, want)
 		}
 	}
 }
 
 // TestPlanTasksSendAndReceive pins a plan whose tasks both send and
 // receive — k1 A→B, k2 B→A, k3 A→C, so A and B each extract before they
-// inject — applied back and forth under four concurrent feeders. The
-// first application runs on an idle stage against an exact per-key
-// reference; the rest race the feeders. Every tuple must be counted
-// exactly once, every key's state must sit at F′(k), the observer must
-// see the moves in plan order, and MigPenalty must charge each move's
-// state to both its ends.
+// inject — applied back and forth between intervals fed by four
+// concurrent feeders. Every application is checked against the exact
+// per-key sizes its sources held; every tuple must be counted exactly
+// once, every key's state must sit at F′(k), the observer must see the
+// moves in plan order, and MigPenalty must charge each move's state to
+// both its ends.
 func TestPlanTasksSendAndReceive(t *testing.T) {
 	const (
 		nd        = 4
 		feeders   = 4
 		keyDomain = 60
 		chunk     = 64
-		minChunks = 8
+		chunks    = 8 // per feeder per interval
 		rounds    = 8
 	)
 	fleet := make([]*countingOp, nd)
 	st := NewStage("sr", nd, func(id int) Operator {
 		fleet[id] = &countingOp{counts: make(map[tuple.Key]int64)}
 		return fleet[id]
-	}, 2, newAsgRouter(nd))
+	}, rounds+2, newAsgRouter(nd)) // a window longer than the run
 	defer st.Stop()
 
 	// A homes k1 and k3, B homes k2, C is a third instance.
@@ -368,11 +298,14 @@ func TestPlanTasksSendAndReceive(t *testing.T) {
 	forward := []move{{k1, A, B}, {k2, B, A}, {k3, A, C}}
 	backward := []move{{k1, B, A}, {k2, A, B}, {k3, C, A}}
 
-	// apply runs one direction of the plan and checks what only the
-	// applying goroutine can see: observer order, MigPenalty against the
-	// per-key sizes (want, or the observed sizes when want is nil), and
-	// the returned volume.
-	apply := func(moves []move, want map[tuple.Key]int64) {
+	// apply runs one direction of the plan on the sealed stage and checks
+	// observer order, the moved sizes and MigPenalty against the per-key
+	// sizes the sources held, and the returned volume.
+	apply := func(moves []move) {
+		want := make(map[tuple.Key]int64)
+		for _, mv := range moves {
+			want[mv.k] = st.StoreOf(mv.src).Size(mv.k)
+		}
 		cur := st.AssignmentRouter().Assignment()
 		tab := cur.Table().Clone()
 		plan := &balance.Plan{Table: tab, MoveDest: map[tuple.Key]int{}}
@@ -396,9 +329,6 @@ func TestPlanTasksSendAndReceive(t *testing.T) {
 			t.Errorf("observer saw %v, plan order is %v", seen, moves)
 			return
 		}
-		if want == nil {
-			want = sizes
-		}
 		penalty := make([]int64, nd)
 		var total int64
 		for _, mv := range moves {
@@ -417,7 +347,8 @@ func TestPlanTasksSendAndReceive(t *testing.T) {
 		}
 	}
 
-	// Preload distinct state per key, then the idle round.
+	// Preload distinct state per key, then apply the plan back and forth,
+	// once before the first interval and once after every interval.
 	pre := make([]tuple.Tuple, 0, 4*keyDomain)
 	for k := tuple.Key(0); k < keyDomain; k++ {
 		for i := 0; i <= int(k%4); i++ {
@@ -426,63 +357,27 @@ func TestPlanTasksSendAndReceive(t *testing.T) {
 	}
 	st.FeedBatch(pre)
 	st.Barrier()
-	want := make(map[tuple.Key]int64)
-	for _, mv := range forward {
-		want[mv.k] = st.StoreOf(mv.src).Size(mv.k)
-	}
-	apply(forward, want)
-	if t.Failed() {
-		return
-	}
-	checkOneOwner(t, st, nil, "after the idle plan")
-
-	stop := make(chan struct{})
-	var ctlWg sync.WaitGroup
-	ctlWg.Add(1)
-	go func() {
-		defer ctlWg.Done()
-		defer close(stop)
-		for i := 0; i < rounds && !t.Failed(); i++ {
-			if i%2 == 0 {
-				apply(backward, nil)
-			} else {
-				apply(forward, nil)
-			}
-		}
-	}()
+	apply(forward)
+	checkOneOwner(t, st, nil, "after the first plan")
 	var seq atomic.Uint64
-	shards := ShardSpout(func(dst []tuple.Tuple) int {
+	draw := func(dst []tuple.Tuple) int {
 		for i := range dst {
 			n := seq.Add(1) - 1
 			dst[i] = tuple.New(tuple.Key(n%keyDomain), n)
 		}
 		return len(dst)
-	}, feeders)
-	var wg sync.WaitGroup
-	for f := 0; f < feeders; f++ {
-		wg.Add(1)
-		go func(sb SpoutBatch) {
-			defer wg.Done()
-			buf := make([]tuple.Tuple, chunk)
-			for j := 0; ; j++ {
-				if j >= minChunks {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-				}
-				st.FeedBatch(buf[:sb(buf[:chunk])])
-				time.Sleep(time.Millisecond)
-			}
-		}(shards[f])
 	}
-	ctlWg.Wait()
-	wg.Wait()
+	for i := 0; i < rounds && !t.Failed(); i++ {
+		stressInterval(t, int64(i), func() { feedConcurrently(st, draw, feeders, chunks, chunk) }, st)
+		if i%2 == 0 {
+			apply(backward)
+		} else {
+			apply(forward)
+		}
+	}
 	if t.Failed() {
 		return
 	}
-	st.Barrier()
 
 	fed := make(map[tuple.Key]int64)
 	var wantState int64
@@ -517,5 +412,4 @@ func TestPlanTasksSendAndReceive(t *testing.T) {
 		t.Fatalf("total state %d, want %d", state, wantState)
 	}
 	checkOneOwner(t, st, nil, "after the plans")
-	checkOneOwner(t, st, st.EndInterval(0), "after the close")
 }

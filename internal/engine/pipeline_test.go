@@ -2,12 +2,9 @@ package engine
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/balance"
-	"repro/internal/route"
 	"repro/internal/state"
 	"repro/internal/tuple"
 	"repro/internal/workload"
@@ -17,8 +14,8 @@ import (
 // with processing must change cost, not semantics — the downstream
 // multiset, per-interval metrics, harvest snapshots and backpressure
 // behavior stay identical to a store-and-forward run, and
-// task-goroutine flushes must survive live migration of the downstream
-// stage under -race.
+// task-goroutine flushes must compose with a migration of the
+// downstream stage between intervals under -race.
 
 // holdOp keeps every tuple of the interval and emits them all at the
 // interval flush.
@@ -208,16 +205,18 @@ func TestEmitTickStampedAtEmission(t *testing.T) {
 }
 
 // TestPipelineConcurrentWithApplyPlanLive is the -race stress test of
-// streaming transfer against live migration: upstream tasks flush
-// emissions into the downstream stage from their own goroutines while
-// a controller goroutine applies a live plan to that stage. No tuple
-// may be lost — flushes for paused keys must be held and replayed —
-// and migrated keys must land exactly at their planned destinations.
+// streaming transfer around a migration: for an interval, four feeders
+// drive the upstream stage while its tasks flush emissions into the
+// downstream stage from their own goroutines; the cascading close
+// drains both, a plan moves every third key of the downstream stage,
+// and a second interval streams through. No tuple may be lost and
+// migrated keys must land exactly at their planned destinations.
 func TestPipelineConcurrentWithApplyPlanLive(t *testing.T) {
 	const (
 		nd        = 4
+		feeders   = 4
 		keyDomain = 120
-		total     = 24000
+		chunks    = 12 // per feeder per interval
 		chunk     = 256
 	)
 	fwd := OperatorFunc(func(ctx *TaskCtx, tp tuple.Tuple) { ctx.Emit(tp) })
@@ -229,10 +228,9 @@ func TestPipelineConcurrentWithApplyPlanLive(t *testing.T) {
 			ctx.Store.Add(tp.Key, state.Entry{Value: tp.Value, Size: tp.StateSize})
 			processed.Add(1)
 		})
-	}, 2, newAsgRouter(nd))
+	}, 3, newAsgRouter(nd))
 	defer s1.Stop()
 	s0.SetDownstream(s1)
-	s0.StartInterval(0)
 
 	// Preload the downstream stage so migration has state to move.
 	pre := make([]tuple.Tuple, 2*keyDomain)
@@ -242,61 +240,34 @@ func TestPipelineConcurrentWithApplyPlanLive(t *testing.T) {
 	s1.FeedBatch(pre)
 	s1.Barrier()
 
-	// Plan: every third key moves one instance over on the downstream
-	// stage, mid-stream.
-	asg := s1.AssignmentRouter().Assignment()
-	tab := route.NewTable()
-	plan := &balance.Plan{Table: tab, MoveDest: map[tuple.Key]int{}}
-	for k := tuple.Key(0); k < keyDomain; k += 3 {
-		dst := (asg.Dest(k) + 1) % nd
-		tab.Put(k, dst)
-		plan.Moved = append(plan.Moved, k)
-		plan.MoveDest[k] = dst
-	}
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		buf := make([]tuple.Tuple, chunk)
-		for j := 0; j < total; {
-			c := total - j
-			if c > chunk {
-				c = chunk
-			}
-			for i := 0; i < c; i++ {
-				buf[i] = tuple.New(tuple.Key((j+i)%keyDomain), j+i)
-			}
-			s0.FeedBatch(buf[:c])
-			j += c
+	var seq atomic.Uint64
+	draw := func(dst []tuple.Tuple) int {
+		for i := range dst {
+			n := seq.Add(1) - 1
+			dst[i] = tuple.New(tuple.Key(n%keyDomain), n)
 		}
-	}()
-	s1.ApplyPlan(plan, nil)
-	wg.Wait()
-	s0.CloseInterval() // residual task buffers stream downstream
-	s1.Barrier()
+		return len(dst)
+	}
+	feed := func() { feedConcurrently(s0, draw, feeders, chunks, chunk) }
+	stressInterval(t, 0, feed, s0, s1)
+	plan := stripePlan(s1, 0, 3, keyDomain)
+	if _, err := s1.ApplyPlan(plan, nil); err != nil {
+		t.Fatalf("ApplyPlan: %v", err)
+	}
+	stressInterval(t, 1, feed, s0, s1)
 
-	want := int64(len(pre) + total)
+	want := int64(len(pre) + 2*feeders*chunks*chunk)
 	if got := processed.Load(); got != want {
-		t.Fatalf("downstream processed %d of %d tuples across live migration", got, want)
+		t.Fatalf("downstream processed %d of %d tuples across the migration", got, want)
 	}
 	cur := s1.AssignmentRouter().Assignment()
 	for _, k := range plan.Moved {
-		home := cur.Dest(k)
-		if home != plan.MoveDest[k] {
+		if home := cur.Dest(k); home != plan.MoveDest[k] {
 			t.Fatalf("key %d routes to %d, plan said %d", k, home, plan.MoveDest[k])
 		}
-		for d := 0; d < nd; d++ {
-			if d != home && s1.StoreOf(d).Size(k) != 0 {
-				t.Fatalf("key %d leaked state on instance %d", k, d)
-			}
-		}
 	}
-	var totalState int64
-	for d := 0; d < nd; d++ {
-		totalState += s1.StoreOf(d).TotalSize()
-	}
-	if totalState != want {
-		t.Fatalf("downstream state %d, want %d (tuple loss or duplication)", totalState, want)
+	checkOneOwner(t, s1, nil, "after the second interval")
+	if total := liveStateTotal(s1); total != want {
+		t.Fatalf("downstream state %d, want %d (tuple loss or duplication)", total, want)
 	}
 }

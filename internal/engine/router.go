@@ -40,15 +40,10 @@ func (r *AssignmentRouter) Instances() int { return r.cur.Load().Instances() }
 func (r *AssignmentRouter) Assignment() *route.Assignment { return r.cur.Load() }
 
 // Swap atomically installs a new assignment (step 7 of Fig. 5 — the
-// Resume signal carries F′ to the upstream tasks). The incoming
-// assignment is stamped with the successor generation before the store,
-// so wait-free feeders observing the new pointer also observe the new
-// generation — the Doppel wfmutex idiom of a version counter published
-// in the same atomic word as the data it versions.
-func (r *AssignmentRouter) Swap(a *route.Assignment) {
-	a.StampGen(r.cur.Load().Gen() + 1)
-	r.cur.Store(a)
-}
+// Resume signal carries F′ to the upstream tasks). Feeders that load
+// the pointer afterwards route under a; the stage only swaps while it
+// is sealed, so none is mid-batch.
+func (r *AssignmentRouter) Swap(a *route.Assignment) { r.cur.Store(a) }
 
 // PKGRouter adapts the partial-key-grouping baseline.
 type PKGRouter struct{ R *pkgpart.Router }

@@ -2,9 +2,9 @@ package engine
 
 // Hot-key splitting: the stage-side half of the dynamic per-key
 // replication protocol. A split key's tuples fan out round-robin
-// across a replica set on the wait-free feed path (route.SplitTable,
-// published through the same generation-stamped atomic pointer as the
-// routing assignment); replicas reduce them into commutative delta
+// across a replica set on the feed path (route.SplitTable, published
+// with the routing assignment it rides on); replicas reduce them into
+// commutative delta
 // cells (task.absorbSplit); and foldSplits drains the cells back into
 // the key's home task before statistics harvest and interval flush, so
 // every observable — interval series, snapshots, routing tables, final
@@ -12,11 +12,10 @@ package engine
 // is physical: the hot key's work actually executes on Fan goroutines
 // instead of one.
 //
-// Split transitions ride the live-migration machinery: publishing a
-// split set is arm-then-publish (cells armed over the task FIFOs before
-// the generation swap, exactly like handoff buffers), and retiring one
-// extracts only after publish's grace period (the old generation's
-// epoch counter proves no feeder can still pick a retired replica).
+// A split set changes only on a sealed stage, like every actuation:
+// publishing one arms the new replicas' cells over the task FIFOs and
+// swaps the assignment, and retiring one drains the dropped replicas'
+// cells into the home task — no feeder can still pick a retired replica.
 
 import (
 	"fmt"
@@ -32,21 +31,24 @@ import (
 // given fan, keys absent fold back into their home task for good.
 // Each key's home and replica ring are resolved from the assignment
 // live at apply time, so an announcement composes correctly with a
-// rebalance plan applied earlier in the same control round. Safe to
-// call from a controller goroutine concurrent with feeding.
+// rebalance plan applied earlier in the same control round. Like every
+// actuation it runs on a sealed stage, at controller-hook time; an open
+// stage or one without an assignment router returns an error and keeps
+// its split set.
 func (s *Stage) ApplySplitSet(set []stats.HotKey) error {
-	ar := s.AssignmentRouter()
-	if ar == nil {
+	if err := s.sealed("apply a split set"); err != nil {
+		return err
+	}
+	if s.ar == nil {
 		return fmt.Errorf("engine: stage %q has no assignment router; cannot split keys", s.Name)
 	}
-	s.migMu.Lock()
-	defer s.migMu.Unlock()
-	s.applySplitSetLocked(set, ar)
+	s.setSplits(set)
 	return nil
 }
 
-func (s *Stage) applySplitSetLocked(set []stats.HotKey, ar *AssignmentRouter) {
-	old := ar.Assignment()
+// setSplits is ApplySplitSet on a sealed assignment-routed stage.
+func (s *Stage) setSplits(set []stats.HotKey) {
+	old := s.ar.Assignment()
 	oldSt := old.Splits()
 	nd := len(s.tasks)
 
@@ -104,16 +106,13 @@ func (s *Stage) applySplitSetLocked(set []stats.HotKey, ar *AssignmentRouter) {
 		}
 	}
 
-	// Publish: same table and hasher, new split set, generation g+1.
-	// The grace period runs even for an add-only set (see publish).
+	// Publish: same table and hasher, new split set.
 	next := route.NewAssignment(old.Table(), old.Hasher())
 	next.SetSplits(nst)
-	s.publish(next)
+	s.ar.Swap(next)
 
 	// Retirements: keys leaving the set (and any replica dropped from a
-	// surviving key's ring) must have their cells extracted — the grace
-	// period above proved no old-generation feeder can still pick a
-	// retired replica.
+	// surviving key's ring) must have their cells extracted.
 	type retirement struct {
 		k    tuple.Key
 		home int
@@ -175,8 +174,6 @@ func (s *Stage) foldSplits() {
 	if ar == nil {
 		return
 	}
-	s.migMu.Lock()
-	defer s.migMu.Unlock()
 	st := ar.Assignment().Splits()
 	if st == nil {
 		return
@@ -260,12 +257,6 @@ func (s *Stage) SplitKeys() []tuple.Key {
 	}
 	return st.Keys()
 }
-
-// SplitPinned returns the cumulative count of rebalance-plan moves the
-// stage refused because their key was split at apply time (the plan's
-// table entry is pinned to the key's home instead) — the stage-level
-// mirror of the controller's SplitPinned guard counter.
-func (s *Stage) SplitPinned() int64 { return s.splitPinned.Load() }
 
 func containsDest(reps []int, d int) bool {
 	for _, r := range reps {

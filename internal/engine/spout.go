@@ -47,17 +47,6 @@ func ShardSpout(sb SpoutBatch, n int) []SpoutBatch {
 	return out
 }
 
-// AdaptShards converts plain sharded draw functions — the shape the
-// workload generators' Shard methods return — into SpoutBatch values
-// for Engine.SpoutShards.
-func AdaptShards(fns []func(dst []tuple.Tuple) int) []SpoutBatch {
-	out := make([]SpoutBatch, len(fns))
-	for i, f := range fns {
-		out[i] = f
-	}
-	return out
-}
-
 // batchSpout resolves the engine's draw source, wrapping a legacy
 // per-tuple Spout when only that is configured.
 func (e *Engine) batchSpout() SpoutBatch {

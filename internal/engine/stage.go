@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -15,17 +14,11 @@ import (
 	"repro/internal/tuple"
 )
 
-// handoffSoftCap bounds a destination task's per-migrating-key handoff
-// buffer: beyond it, arrivals are still kept (correctness) but counted
-// as overflow on the stage, so a migration outliving its buffers is
-// observable instead of silent. One queue depth of headroom per key is
-// far beyond what a per-key transfer window accumulates in practice.
-const handoffSoftCap = taskQueueDepth
-
 // Stage is one logical operator: ND task instances behind a Router.
-// The engine feeds tuples from a single goroutine; task goroutines
-// process them concurrently; barriers synchronize interval boundaries
-// and rebalance operations.
+// Feeders push tuples in with FeedBatch while the interval is open;
+// task goroutines process them concurrently; barriers synchronize the
+// interval close. Actuations — plans, resizes, split sets — run only on
+// a closed stage, on the goroutine that drives its intervals.
 type Stage struct {
 	Name   string
 	tasks  []*task
@@ -34,40 +27,20 @@ type Stage struct {
 	opFn   func(id int) Operator // factory, kept for scale-out
 
 	// ar is the router as an *AssignmentRouter, nil for any other scheme
-	// (PKG, shuffle): resolved once at construction, it selects the feed
-	// path. An assignment-routed stage feeds wait-free under generation
-	// stamps and migrates live (see applyMovesLive); any other stage
-	// routes under mu and cannot migrate at all.
+	// (PKG, shuffle): resolved once at construction, it selects how
+	// FeedBatch resolves destinations and whether the stage can migrate.
 	ar *AssignmentRouter
-	// mu serializes the mutexed feed path's routing and arrival
-	// accounting (stateful routers are not concurrency-safe) and guards
-	// MigPenalty against a migration sequencer running off the driver
-	// goroutine.
+	// mu serializes FeedBatch's Route loop on a PKG or shuffle stage:
+	// those routers keep state and are not safe for concurrent feeders.
 	mu sync.Mutex
 
-	// Live-migration state. genInflight is a two-slot epoch counter
-	// indexed by assignment generation parity: a feed call increments
-	// the slot of the generation it routed under before sending and
-	// decrements after, so the grace period publish waits out — the
-	// *old* generation's slot reaching zero — proves every tuple routed
-	// under the pre-swap assignment is in its task queue, without
-	// feeders ever taking a lock. Two slots are enough only because
-	// every publication waits out the generation it replaces: that is
-	// publish's job, and nothing else may swap the assignment. migMu
-	// serializes migration sequencers (plan application, scale-out/in
-	// state moves, split-set changes); it is never touched by the feed
-	// path. handoffOverflow counts tuples parked beyond handoffSoftCap
-	// across all destination buffers.
-	genInflight     [2]atomic.Int64
-	migMu           sync.Mutex
-	handoffOverflow atomic.Int64
+	// open is true between StartInterval and CloseInterval, while
+	// feeders may be running: every actuation (plan, resize, split set)
+	// refuses an open stage, so state only moves between intervals.
+	open bool
 	// splitPinned counts rebalance-plan moves refused because their key
 	// was split at apply time (see ApplyPlan's guard).
-	splitPinned atomic.Int64
-
-	// FeedBatch partition scratch of the mutexed path, guarded by mu.
-	scratchDst []int
-	scratchOff []int
+	splitPinned int64
 
 	// Per-interval arrival accounting (cost units / tuples per task),
 	// reset at EndInterval; feeds the performance model.
@@ -105,13 +78,14 @@ type Stage struct {
 	// the destination injects — the cross-process migration path, also
 	// selectable in process so its equivalence with the in-memory
 	// reference stays pinned by test.
-	stateWire atomic.Bool
+	stateWire bool
 
 	stopped bool
 }
 
 // NewStage builds a stage with nd instances running op(id), a state
-// window of w intervals, and the given router.
+// window of w intervals, and the given router. The stage starts sealed:
+// StartInterval opens it.
 func NewStage(name string, nd int, op func(id int) Operator, w int, router Router) *Stage {
 	s := &Stage{
 		Name:          name,
@@ -126,7 +100,7 @@ func NewStage(name string, nd int, op func(id int) Operator, w int, router Route
 	}
 	s.ar, _ = router.(*AssignmentRouter)
 	for i := 0; i < nd; i++ {
-		s.tasks = append(s.tasks, newTask(i, op(i), w, s, 0))
+		s.tasks = append(s.tasks, newTask(i, op(i), w, 0))
 	}
 	return s
 }
@@ -144,31 +118,9 @@ func (s *Stage) Feed(t tuple.Tuple) {
 	s.FeedBatch([]tuple.Tuple{t})
 }
 
-// enterGen is the wait-free feed entry: it pins the caller to the
-// current assignment's generation epoch. The seqlock-style dance — load the assignment, raise the generation's
-// inflight slot, re-check the pointer — guarantees that once a swap is
-// published and the old slot drains to zero, no feed call can still be
-// routing under the old assignment (a racer that loaded it pre-swap
-// either raised the slot before the drain began, or fails the
-// re-check and retries on the new generation). Feeders never block:
-// the loop retries only across a concurrent swap, which migMu makes
-// rare and brief.
-func (s *Stage) enterGen(ar *AssignmentRouter) (*route.Assignment, int) {
-	for {
-		a := ar.Assignment()
-		slot := int(a.Gen() & 1)
-		s.genInflight[slot].Add(1)
-		if ar.Assignment() == a {
-			return a, slot
-		}
-		s.genInflight[slot].Add(-1)
-	}
-}
-
-// liveScratch is feedBatchLive's partition scratch: per-call state from
-// a pool instead of the mu-guarded per-stage fields, since concurrent
-// feeders serialize on nothing.
-type liveScratch struct {
+// feedScratch is FeedBatch's partition scratch: per-call state from a
+// pool, so concurrent feeders share nothing but the arrival counters.
+type feedScratch struct {
 	dst    []int
 	bounds []int
 	off    []int
@@ -178,30 +130,43 @@ type liveScratch struct {
 	pos    []int32  // the batch's split tuples, by index
 }
 
-var liveScratchPool = sync.Pool{New: func() any { return new(liveScratch) }}
+var feedScratchPool = sync.Pool{New: func() any { return new(feedScratch) }}
 
-// feedBatchLive is FeedBatch on an assignment-routed stage: the same
-// partition-into-pooled-buffers scheme as the mutexed path, minus the
-// mutex — route under the pinned generation, account arrivals
-// atomically, send with the generation stamp, release the epoch. The
-// epoch slot is held across the channel sends, so when the migration
-// sequencer observes the old generation's slot at zero, every tuple
-// routed under the old assignment is already in its task's queue — the
-// property the per-key extraction barriers build on. A split key's
-// tuple is physically sent to the next round-robin replica while its
-// arrival stays charged to the home destination F(k), so arrival
-// accounting (and everything modeled from it) reconstructs the unsplit
-// run.
-func (s *Stage) feedBatchLive(ar *AssignmentRouter, ts []tuple.Tuple) {
-	a, slot := s.enterGen(ar)
+// FeedBatch routes a whole batch of tuples into the stage: destinations
+// are resolved for the whole batch, tuples are partitioned into
+// per-destination slices, and each task receives at most one channel
+// message — amortizing the routing indirection and the channel
+// operations across hundreds of tuples. Tuples are copied out of ts, so
+// the caller may reuse the slice immediately. Any number of feeders may
+// call it concurrently: an assignment-routed stage resolves through the
+// immutable current assignment (Assignment.DestTuples) without a lock,
+// any other router (PKG, shuffle) is stateful and routes under mu, and
+// arrivals are counted atomically. A split key's tuple is physically
+// sent to the next round-robin replica while its arrival stays charged
+// to the home destination F(k), so arrival accounting (and everything
+// modeled from it) reconstructs the unsplit run.
+func (s *Stage) FeedBatch(ts []tuple.Tuple) {
+	if len(ts) == 0 {
+		return
+	}
 	nd := len(s.tasks)
-	sc := liveScratchPool.Get().(*liveScratch)
+	sc := feedScratchPool.Get().(*feedScratch)
 	if cap(sc.dst) < len(ts) {
 		sc.dst = make([]int, len(ts))
 	}
 	dst := sc.dst[:len(ts)]
-	a.DestTuples(ts, dst)
-	st := a.Splits()
+	var st *route.SplitTable
+	if s.ar != nil {
+		a := s.ar.Assignment()
+		a.DestTuples(ts, dst)
+		st = a.Splits()
+	} else {
+		s.mu.Lock()
+		for i := range ts {
+			dst[i] = s.router.Route(ts[i])
+		}
+		s.mu.Unlock()
+	}
 	if st != nil {
 		// Hot keys present: DestTuples marked each split tuple ^j, j its
 		// key's position in st. Charge every arrival at its home — F(k),
@@ -258,9 +223,7 @@ func (s *Stage) feedBatchLive(ar *AssignmentRouter, ts []tuple.Tuple) {
 		sc.bounds = make([]int, nd+1)
 	}
 	bounds := sc.bounds[:nd+1]
-	for i := range bounds {
-		bounds[i] = 0
-	}
+	clear(bounds)
 	active := 0
 	for _, d := range dst {
 		bounds[d+1]++
@@ -274,6 +237,9 @@ func (s *Stage) feedBatchLive(ar *AssignmentRouter, ts []tuple.Tuple) {
 		}
 		bounds[d+1] += bounds[d]
 	}
+	// Carve contiguous per-destination regions out of a recycled backing
+	// array; the tasks hand it back to the pool once the last subslice is
+	// processed, so steady state allocates nothing per batch.
 	bb := batchBufPool.Get().(*batchBuf)
 	if cap(bb.data) < len(ts) {
 		bb.data = make([]tuple.Tuple, len(ts))
@@ -292,9 +258,7 @@ func (s *Stage) feedBatchLive(ar *AssignmentRouter, ts []tuple.Tuple) {
 		sc.cost = make([]int64, nd)
 	}
 	cost := sc.cost[:nd]
-	for i := range cost {
-		cost[i] = 0
-	}
+	clear(cost)
 	if st == nil {
 		for i := range ts {
 			d := dst[i]
@@ -310,89 +274,16 @@ func (s *Stage) feedBatchLive(ar *AssignmentRouter, ts []tuple.Tuple) {
 			off[d]++
 		}
 	}
-	gen := a.Gen()
+	// A full task queue exerts backpressure on this feeder alone.
 	for d := 0; d < nd; d++ {
 		if lo, hi := bounds[d], bounds[d+1]; hi > lo {
 			if st == nil {
 				atomic.AddInt64(&s.arrivedCost[d], cost[d])
 			}
-			s.tasks[d].sendBatch(buf[lo:hi:hi], bb, gen)
+			s.tasks[d].sendBatch(buf[lo:hi:hi], bb)
 		}
 	}
-	liveScratchPool.Put(sc)
-	s.genInflight[slot].Add(-1)
-}
-
-// FeedBatch routes a whole batch of tuples into the stage: destinations
-// are resolved through the batch routing path, tuples are partitioned
-// into per-destination slices, and each task receives at most one
-// channel message — amortizing the routing indirection and the channel
-// operations across hundreds of tuples. Tuples are copied out of ts, so
-// the caller may reuse the slice immediately. An assignment-routed stage
-// takes the wait-free path; any other router (PKG, shuffle) is stateful
-// and routes under the stage mutex.
-func (s *Stage) FeedBatch(ts []tuple.Tuple) {
-	if len(ts) == 0 {
-		return
-	}
-	if s.ar != nil {
-		s.feedBatchLive(s.ar, ts)
-		return
-	}
-	s.mu.Lock()
-	nd := len(s.tasks)
-	if cap(s.scratchDst) < len(ts) {
-		s.scratchDst = make([]int, len(ts))
-	}
-	dst := s.scratchDst[:len(ts)]
-	for i := range ts {
-		dst[i] = s.router.Route(ts[i])
-	}
-
-	// Count per destination (into bounds[d+1]). bounds is a per-call
-	// allocation because it is read after the lock is released, where
-	// the scratch fields are no longer ours.
-	bounds := make([]int, nd+1)
-	active := 0
-	for _, d := range dst {
-		bounds[d+1]++
-	}
-	for d := 0; d < nd; d++ {
-		if bounds[d+1] > 0 {
-			active++
-			s.arrivedTuples[d] += int64(bounds[d+1])
-		}
-		bounds[d+1] += bounds[d]
-	}
-	// Carve contiguous per-destination regions out of a recycled
-	// backing array; the tasks hand it back to the pool once the last
-	// subslice is processed, so steady state allocates nothing per
-	// batch.
-	bb := batchBufPool.Get().(*batchBuf)
-	if cap(bb.data) < len(ts) {
-		bb.data = make([]tuple.Tuple, len(ts))
-	}
-	bb.refs.Store(int32(active))
-	buf := bb.data[:len(ts)]
-	if cap(s.scratchOff) < nd {
-		s.scratchOff = make([]int, nd)
-	}
-	off := s.scratchOff[:nd]
-	copy(off, bounds[:nd])
-	for i := range ts {
-		d := dst[i]
-		buf[off[d]] = ts[i]
-		off[d]++
-		s.arrivedCost[d] += ts[i].Cost
-	}
-	s.mu.Unlock()
-	// Channel sends outside the lock: a full task queue must exert
-	// backpressure on this feeder without blocking the others.
-	for d := 0; d < nd; d++ {
-		if lo, hi := bounds[d], bounds[d+1]; hi > lo {
-			s.tasks[d].sendBatch(buf[lo:hi:hi], bb, 0)
-		}
-	}
+	feedScratchPool.Put(sc)
 }
 
 // Barrier waits until every task has drained its queue.
@@ -433,7 +324,7 @@ func (s *Stage) SetSink(sink BatchSink) {
 // copy is injected, exactly as a cross-process migration would arrive.
 // Off (the default) moves state by reference — the pinned equivalence
 // oracle. Must be called while the stage is idle.
-func (s *Stage) SetStateWire(on bool) { s.stateWire.Store(on) }
+func (s *Stage) SetStateWire(on bool) { s.stateWire = on }
 
 // serializeTransfer round-trips x through the state codec, so the
 // destination injects a decoded copy and x.payload rides in the key's
@@ -451,18 +342,22 @@ func (s *Stage) serializeTransfer(x *transfer) error {
 	return fmt.Errorf("engine: stage %q: key %d: %w", s.Name, x.m.Key, err)
 }
 
-// StartInterval publishes the interval index tasks stamp on emitted
-// tuples (tuple.EmitTick at emission time). Must be called while tasks
-// are idle; the engine does so before each interval's emission, and
-// the subsequent channel sends give tasks the happens-before edge.
+// StartInterval opens the stage for interval and publishes the index
+// tasks stamp on emitted tuples (tuple.EmitTick at emission time). Must
+// be called while tasks are idle; the engine does so before each
+// interval's emission, and the subsequent channel sends give tasks the
+// happens-before edge. Until CloseInterval seals the stage again, every
+// actuation returns an error.
 func (s *Stage) StartInterval(interval int64) {
+	s.open = true
 	s.curTick = interval
 	for _, t := range s.tasks {
 		t.ctx.emitTick = interval
 	}
 }
 
-// CloseInterval is the interval close: every task runs its
+// CloseInterval is the interval close — it seals the stage, so the
+// actuations the control round issues next may run: every task runs its
 // operator's FlushInterval hook (when implemented) and flushes its
 // residual emission buffer downstream, on its own goroutine, after
 // draining its queue — the per-stage step of the engine's cascading
@@ -475,6 +370,7 @@ func (s *Stage) StartInterval(interval int64) {
 // interval's statistics, so a second close before that EndInterval
 // queues no second harvest.
 func (s *Stage) CloseInterval() {
+	s.open = false
 	// Fold split replicas home first: FlushInterval hooks (and the
 	// harvest after them) must see canonical state. The fold's merge
 	// thunks are FIFO-ordered ahead of the close thunks below.
@@ -593,23 +489,20 @@ type transfer struct {
 // ApplyPlan executes a rebalance plan — move each migrating key's
 // windowed state and statistics from its current owner to the planned
 // destination and publish the plan's table as the new assignment —
-// through the live-migration sequencer (applyMovesLive). It is safe
-// while traffic is flowing and from a goroutine other than the
-// feeder: the feed path never pauses, and keys outside Δ(F, F′) keep
-// processing throughout. At hook time (between EndInterval and the next
-// Feed) the tasks are idle, the handoff buffers stay empty and the
-// grace period is instantaneous, so the effect is a direct move. obs,
-// when non-nil, observes every key migration. Returns the total state
-// volume moved, or an error (no state touched) on a stage without an
-// assignment router, or the plan applied with applyMovesLive's error.
+// through applyMoves. Like every actuation it runs on a sealed stage
+// (after CloseInterval, before the next StartInterval: controller-hook
+// time), on the goroutine that drives the stage's intervals. obs, when
+// non-nil, observes every key migration. Returns the total state volume
+// moved; an error with no state touched on an open stage or one without
+// an assignment router; or the plan applied with applyMoves' error.
 func (s *Stage) ApplyPlan(plan *balance.Plan, obs MigrationObserver) (int64, error) {
-	ar := s.ar
-	if ar == nil {
+	if err := s.sealed("apply a plan"); err != nil {
+		return 0, err
+	}
+	if s.ar == nil {
 		return 0, fmt.Errorf("engine: stage %q has no assignment router; cannot apply plan", s.Name)
 	}
-	s.migMu.Lock()
-	defer s.migMu.Unlock()
-	old := ar.Assignment()
+	old := s.ar.Assignment()
 	st := old.Splits()
 	tbl := plan.Table.Clone()
 	if st != nil {
@@ -628,7 +521,7 @@ func (s *Stage) ApplyPlan(plan *balance.Plan, obs MigrationObserver) (int64, err
 			if cur == sp.Home {
 				return
 			}
-			s.splitPinned.Add(1)
+			s.splitPinned++
 			if hash.Hash(sp.Key) == sp.Home {
 				tbl.Delete(sp.Key)
 			} else {
@@ -642,13 +535,23 @@ func (s *Stage) ApplyPlan(plan *balance.Plan, obs MigrationObserver) (int64, err
 	return s.actuate(next, plan.Moved, obs)
 }
 
-// actuate is the one way F changes: install next as the stage's live
+// sealed returns an error naming the stage and the refused actuation
+// while the stage is open (between StartInterval and CloseInterval).
+// Every actuation checks it before touching anything.
+func (s *Stage) sealed(what string) error {
+	if s.open {
+		return fmt.Errorf("engine: stage %q is open (interval %d): cannot %s before CloseInterval", s.Name, s.curTick, what)
+	}
+	return nil
+}
+
+// actuate is the one way F changes: install next as the stage's
 // assignment and move every key in keys whose destination differs
-// between the current assignment and next — Δ(F, F′) — through the
-// live-migration sequencer. keys are unique and in move order, which is
-// the order observers see the transfers in. A rebalance plan, a
-// scale-out and a scale-in are each a different next and key set, with
-// task creation or retirement around the call. The caller holds migMu.
+// between the current assignment and next — Δ(F, F′) — through
+// applyMoves. keys are unique and in move order, which is the order
+// observers see the transfers in. A rebalance plan, a scale-out and a
+// scale-in are each a different next and key set, with task creation or
+// retirement around the call.
 func (s *Stage) actuate(next *route.Assignment, keys []tuple.Key, obs MigrationObserver) (int64, error) {
 	old := s.ar.Assignment()
 	moves := make([]keyMove, 0, len(keys))
@@ -657,111 +560,54 @@ func (s *Stage) actuate(next *route.Assignment, keys []tuple.Key, obs MigrationO
 			moves = append(moves, keyMove{k: k, src: src, dst: dst})
 		}
 	}
-	return s.applyMovesLive(next, moves, obs)
+	return s.applyMoves(next, moves, obs)
 }
 
-// publish installs next as the stage's live assignment and waits out
-// the generation it replaces: when it returns, every feed call that
-// routed under the old assignment has finished its channel sends, so
-// each task's queue holds all of its old-generation tuples. Every swap
-// goes through here, whether or not the caller has anything to extract
-// afterwards: genInflight has two slots, indexed by generation parity,
-// and a feeder still pinned under generation g when g+2 is published
-// would be counted in the slot g+2's own feeders use — the sequencer
-// for g+2 → g+3 would then wait on the other slot and extract a key
-// while that feeder is about to enqueue its tuple at the old owner.
-// Only the sequencer waits, never a feeder; with idle tasks the slot is
-// already zero. The caller holds migMu.
-func (s *Stage) publish(next *route.Assignment) {
-	s.ar.Swap(next)
-	oldSlot := int((next.Gen() - 1) & 1)
-	for s.genInflight[oldSlot].Load() != 0 {
-		runtime.Gosched()
-	}
-}
-
-// applyMovesLive is the live-migration sequencer: Fig. 5's steps 3–7
-// without a feed pause. The caller holds migMu (one migration at a time
-// per stage); feeders keep running wait-free throughout. The sequence:
+// applyMoves is Fig. 5's steps 3–7 on a sealed stage: every task's
+// queue holds only tuples routed under the current assignment, so a
+// barrier behind them sees each window complete.
 //
-//  1. Arm: enqueue a control thunk at every destination task opening
-//     empty handoff buffers for the keys it will receive. The thunks
-//     sit in the FIFO input queues *before* the swap below, so they
-//     execute before any tuple routed under the new generation.
-//  2. Swap: publish the new assignment with generation g+1. From this
-//     instant feeders route migrating keys straight to their
-//     destinations, where they park in the handoff buffers.
-//  3. Grace period (publish): wait until genInflight[g&1] reaches zero
-//     — every feed call that routed under generation g has finished
-//     its channel sends, so each source task's queue holds all of its
-//     old-generation tuples.
-//  4. Extract, one barrier per source task, all sources concurrently:
-//     FIFO-ordered after every old-generation tuple, so each window is
-//     complete, the thunk extracts the windowed state and tracker
-//     history of all the task's outgoing keys and marks them rerouted
-//     (any straggler is forwarded by generation check, not processed).
-//     The driver then serializes the states in move order.
-//  5. Inject, one barrier per destination task, all concurrently: the
-//     thunk injects each incoming key's state and replays its handoff
-//     buffer in arrival order. No tuple is lost or double-processed:
-//     each lives either before the extraction point at the source or
-//     after the injection point at the destination.
-//  6. Account in move order: migration penalties and observer calls.
-//  7. Cleanup: retire the straggler guards (by step 3 no matching
-//     tuple can remain in flight; the guard exists for paths outside
-//     the epoch accounting).
+//  1. Extract, one barrier per source task, all sources concurrently:
+//     FIFO-ordered after every queued tuple, the thunk takes the
+//     windowed state and tracker history of all the task's outgoing
+//     keys in one pass over its directory. The driver then serializes
+//     the states in move order (state-wire mode).
+//  2. Inject, one barrier per destination task, all concurrently.
+//  3. Swap: publish next, so the next interval's feeders route Δ(F, F′)
+//     to the new owners.
+//  4. Account in move order: migration penalties and observer calls.
 //
 // A plan costs two barrier rounds however many keys it moves; a task
 // that both sends and receives extracts all before it injects any.
 // Returns the migrated state volume, and in state-wire mode the first
 // key whose state failed to encode: it moved by reference, to exactly
 // one owner, but could not have crossed a process boundary.
-func (s *Stage) applyMovesLive(next *route.Assignment, moves []keyMove, obs MigrationObserver) (int64, error) {
+func (s *Stage) applyMoves(next *route.Assignment, moves []keyMove, obs MigrationObserver) (int64, error) {
 	perSrc := make([][]int, len(s.tasks)) // move indices, in move order
 	perDst := make([][]int, len(s.tasks))
 	for i, mv := range moves {
 		perSrc[mv.src] = append(perSrc[mv.src], i)
 		perDst[mv.dst] = append(perDst[mv.dst], i)
 	}
-	s.eachTask(perDst, false, func(t *task, _ *TaskCtx, idx []int) {
-		if t.handoff == nil {
-			t.handoff = make(map[tuple.Key][]tuple.Tuple)
-		}
-		for _, i := range idx {
-			if _, ok := t.handoff[moves[i].k]; !ok {
-				t.handoff[moves[i].k] = nil
-			}
-		}
-	})
-	s.publish(next)
-	newGen := next.Gen()
 	xs := make([]transfer, len(moves))
-	s.eachTask(perSrc, true, func(t *task, ctx *TaskCtx, idx []int) {
+	s.eachTask(perSrc, func(ctx *TaskCtx, idx []int) {
 		keys := make([]tuple.Key, len(idx))
 		for j, i := range idx {
 			keys[j] = moves[i].k
 		}
-		// One pass over the directory's records takes every outgoing
-		// key's state and statistics.
 		ctx.Store.Dir().Move(keys, func(j int, m state.Migrated, mem int64) {
 			xs[idx[j]].m, xs[idx[j]].mem = m, mem
 		})
-		if t.reroute == nil {
-			t.reroute = make(map[tuple.Key]uint64)
-		}
-		for _, k := range keys {
-			t.reroute[k] = newGen
-		}
 	})
 	var err error
-	if s.stateWire.Load() {
+	if s.stateWire {
 		for i := range xs {
 			if e := s.serializeTransfer(&xs[i]); err == nil {
 				err = e
 			}
 		}
 	}
-	s.eachTask(perDst, true, func(t *task, ctx *TaskCtx, idx []int) {
+	s.eachTask(perDst, func(ctx *TaskCtx, idx []int) {
 		for _, i := range idx {
 			k, x := moves[i].k, &xs[i]
 			if x.m.Size > 0 {
@@ -770,46 +616,31 @@ func (s *Stage) applyMovesLive(next *route.Assignment, moves []keyMove, obs Migr
 			if x.mem > 0 {
 				ctx.Tracker.AdoptKey(k, x.mem)
 			}
-			t.replayHandoff(ctx, k)
 		}
 	})
+	s.ar.Swap(next)
 	var moved int64
-	s.mu.Lock()
 	for i, mv := range moves {
 		s.MigPenalty[mv.src] += xs[i].m.Size
 		s.MigPenalty[mv.dst] += xs[i].m.Size
 		moved += xs[i].m.Size
 	}
-	s.mu.Unlock()
 	if obs != nil {
 		for i, mv := range moves {
 			obs(mv.k, mv.src, mv.dst, xs[i].m.Size, xs[i].payload)
 		}
 	}
-	s.eachTask(perSrc, false, func(t *task, _ *TaskCtx, idx []int) {
-		for _, i := range idx {
-			delete(t.reroute, moves[i].k)
-		}
-	})
 	return moved, err
 }
 
-// eachTask queues one control thunk on every task d that perTask[d]
-// names moves for, running fn on that task's moves (in order); with
-// wait it returns once every task has run its thunk, all tasks
-// concurrently.
-func (s *Stage) eachTask(perTask [][]int, wait bool, fn func(t *task, ctx *TaskCtx, idx []int)) {
+// eachTask runs fn on every task d that perTask[d] names moves for, on
+// that task's goroutine with that task's moves (in order), all tasks
+// concurrently, and returns once every thunk has run.
+func (s *Stage) eachTask(perTask [][]int, fn func(ctx *TaskCtx, idx []int)) {
 	var dones []chan struct{}
 	for d, idx := range perTask {
-		if len(idx) == 0 {
-			continue
-		}
-		t := s.tasks[d]
-		thunk := func(ctx *TaskCtx) { fn(t, ctx, idx) }
-		if wait {
-			dones = append(dones, t.barrierAsync(thunk))
-		} else {
-			t.in <- message{ctrl: thunk}
+		if len(idx) > 0 {
+			dones = append(dones, s.tasks[d].barrierAsync(func(ctx *TaskCtx) { fn(ctx, idx) }))
 		}
 	}
 	for _, d := range dones {
@@ -857,28 +688,30 @@ func (s *Stage) resizeRing(what string) (*hashring.Ring, error) {
 // processing stays correct; rebalancing toward θmax is then the
 // controller's job on subsequent intervals (the Fig. 15 scenario). obs,
 // when non-nil, observes every key migration. Returns the migrated
-// volume, or an error (no state touched) when the stage's router cannot
-// scale, or the move applied with applyMovesLive's error.
+// volume, or an error (no state touched) on an open stage or when the
+// stage's router cannot scale, or the move applied with applyMoves'
+// error.
 func (s *Stage) ScaleOut(obs MigrationObserver) (int64, error) {
+	if err := s.sealed("scale out"); err != nil {
+		return 0, err
+	}
 	ring, err := s.resizeRing("scale-out")
 	if err != nil {
 		return 0, err
 	}
-	s.migMu.Lock()
-	defer s.migMu.Unlock()
 	// Fold back and retire every split before the ring changes: replica
 	// rings are anchored to the pre-resize instance count. The detector
 	// re-splits on the next interval's evidence.
-	s.applySplitSetLocked(nil, s.ar)
+	s.setSplits(nil)
 
-	// The new instance joins the running interval: it takes its store
-	// clock from task 0 (every store closes in step; the barrier orders
-	// the read after the task's last close) and inherits the sink and
-	// emission tick its siblings got at wiring / StartInterval time.
+	// The new instance takes its store clock from task 0 (every store
+	// closes in step; the barrier orders the read after the task's last
+	// close) and inherits the sink and emission tick its siblings got at
+	// wiring / StartInterval time.
 	var clock int64
 	s.tasks[0].barrier(func(ctx *TaskCtx) { clock = ctx.Store.Interval() })
 	id := len(s.tasks)
-	nt := newTask(id, s.opFn(id), s.window, s, clock)
+	nt := newTask(id, s.opFn(id), s.window, clock)
 	nt.ctx.sink = s.down
 	nt.ctx.emitTick = s.curTick
 	s.tasks = append(s.tasks, nt)
@@ -893,7 +726,7 @@ func (s *Stage) ScaleOut(obs MigrationObserver) (int64, error) {
 	return s.actuate(next, s.LiveKeys(), obs)
 }
 
-// ScaleIn retires the stage's last task instance live — the mirror of
+// ScaleIn retires the stage's last task instance — the mirror of
 // ScaleOut and the actuator the paper's §VII future work calls for:
 // the retiring task is drained, the consistent-hash ring shrinks (only
 // the retiring instance's arcs move; survivors keep theirs), routing
@@ -907,12 +740,15 @@ func (s *Stage) ScaleOut(obs MigrationObserver) (int64, error) {
 // is ~0), while its accumulated send-side migration penalty retires with
 // it — the decommissioned instance has no future intervals to charge.
 //
-// Must be called while tasks are idle (between EndInterval and the
-// next Feed — controller-hook time). obs, when non-nil, observes every
-// key migration. Returns the migrated volume, or an error (no state
-// touched) when the stage cannot retire an instance, or the move
-// applied with applyMovesLive's error.
+// Like every actuation it runs on a sealed stage, at controller-hook
+// time. obs, when non-nil, observes every key migration. Returns the
+// migrated volume, or an error (no state touched) on an open stage or
+// when the stage cannot retire an instance, or the move applied with
+// applyMoves' error.
 func (s *Stage) ScaleIn(obs MigrationObserver) (int64, error) {
+	if err := s.sealed("scale in"); err != nil {
+		return 0, err
+	}
 	ring, err := s.resizeRing("scale-in")
 	if err != nil {
 		return 0, err
@@ -920,11 +756,9 @@ func (s *Stage) ScaleIn(obs MigrationObserver) (int64, error) {
 	if len(s.tasks) < 2 {
 		return 0, fmt.Errorf("engine: stage %q cannot retire its only instance", s.Name)
 	}
-	s.migMu.Lock()
-	defer s.migMu.Unlock()
 	// As in scale-out: the split set folds back before the ring shrinks
 	// (a replica ring could otherwise reference the retiring instance).
-	s.applySplitSetLocked(nil, s.ar)
+	s.setSplits(nil)
 	rid := len(s.tasks) - 1
 	retiring := s.tasks[rid]
 
@@ -951,8 +785,9 @@ func (s *Stage) ScaleIn(obs MigrationObserver) (int64, error) {
 	moved, err := s.actuate(route.NewAssignment(nt, ring.Shrink()), keys, obs)
 
 	// Retire the instance and shrink the per-task bookkeeping. Arrival
-	// accounting was reset by EndInterval; any residual (non-hook-time
-	// callers) folds into the last survivor like the model backlog.
+	// accounting was reset by EndInterval; any residual (a scale-in
+	// between CloseInterval and EndInterval) folds into the last
+	// survivor like the model backlog.
 	retiring.stop()
 	s.tasks = s.tasks[:rid]
 	s.arrivedCost[rid-1] += s.arrivedCost[rid]

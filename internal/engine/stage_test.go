@@ -1,10 +1,14 @@
 package engine
 
 import (
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/balance"
 	"repro/internal/route"
+	"repro/internal/stats"
 	"repro/internal/tuple"
 )
 
@@ -252,5 +256,104 @@ func TestAssignmentRouterSwap(t *testing.T) {
 	ar.Swap(route.NewAssignment(tab, old.Hasher()))
 	if ar.Route(tuple.New(5, nil)) != 1 {
 		t.Fatal("swapped assignment not in effect")
+	}
+}
+
+func TestApplyPlanLiveOnShuffleStageErrors(t *testing.T) {
+	st := NewStage("s", 2, func(int) Operator { return Discard }, 1, NewShuffleRouter(2))
+	defer st.Stop()
+	if _, err := st.ApplyPlan(&balance.Plan{}, nil); err == nil {
+		t.Fatal("ApplyPlan on shuffle stage did not error")
+	}
+}
+
+// TestActuationRefusesAnOpenStage: between StartInterval and
+// CloseInterval every actuation — a plan, a split set, a resize either
+// way — returns an error naming the stage and touches nothing: the
+// instance count, the assignment, the live keys, every task's store and
+// the migration penalties stay as they were. After CloseInterval the
+// same call succeeds.
+func TestActuationRefusesAnOpenStage(t *testing.T) {
+	const nd, keys = 4, 100
+	plan := func(st *Stage) *balance.Plan {
+		asg := st.AssignmentRouter().Assignment()
+		p := &balance.Plan{Table: route.NewTable(), MoveDest: map[tuple.Key]int{}}
+		for k := tuple.Key(0); k < keys; k += 3 {
+			dst := (asg.Dest(k) + 1) % nd
+			p.Table.Put(k, dst)
+			p.Moved = append(p.Moved, k)
+			p.MoveDest[k] = dst
+		}
+		return p
+	}
+	for _, tc := range []struct {
+		name string
+		act  func(e *Engine, st *Stage) error
+	}{
+		{"ApplyPlan", func(_ *Engine, st *Stage) error {
+			_, err := st.ApplyPlan(plan(st), nil)
+			return err
+		}},
+		{"ApplySplitSet", func(_ *Engine, st *Stage) error {
+			return st.ApplySplitSet([]stats.HotKey{{Key: 1, Fan: 2}, {Key: 2, Fan: 3}})
+		}},
+		{"ResizeStage+1", func(e *Engine, _ *Stage) error {
+			_, err := e.ResizeStage(0, +1, nil)
+			return err
+		}},
+		{"ResizeStage-1", func(e *Engine, _ *Stage) error {
+			_, err := e.ResizeStage(0, -1, nil)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := NewStage("open-stage", nd, func(int) Operator { return StatefulCount }, 2, newAsgRouter(nd))
+			e := NewBatch(nil, DefaultConfig(), st)
+			defer e.Stop()
+			ts := make([]tuple.Tuple, 3*keys)
+			for i := range ts {
+				ts[i] = tuple.New(tuple.Key(i%keys), nil)
+			}
+			st.FeedBatch(ts)
+			st.MigPenalty[1] = 7
+			st.StartInterval(1)
+			st.FeedBatch(ts)
+			st.Barrier()
+
+			sizes := func() []int64 {
+				out := make([]int64, st.Instances())
+				for d := range out {
+					out[d] = st.StoreOf(d).TotalSize()
+				}
+				return out
+			}
+			n, asg, live, sz, pen := st.Instances(), st.AssignmentRouter().Assignment(), st.LiveKeys(), sizes(), slices.Clone(st.MigPenalty)
+
+			err := tc.act(e, st)
+			if err == nil || !strings.Contains(err.Error(), `"open-stage"`) {
+				t.Fatalf("actuation on an open stage returned %v, want an error naming the stage", err)
+			}
+			st.Barrier()
+			if got := st.Instances(); got != n {
+				t.Fatalf("instances %d → %d", n, got)
+			}
+			if st.AssignmentRouter().Assignment() != asg {
+				t.Fatal("the assignment was swapped")
+			}
+			if got := st.LiveKeys(); !slices.Equal(got, live) {
+				t.Fatalf("live keys changed: %d → %d", len(live), len(got))
+			}
+			if got := sizes(); !slices.Equal(got, sz) {
+				t.Fatalf("per-task store sizes %v → %v", sz, got)
+			}
+			if !slices.Equal(st.MigPenalty, pen) {
+				t.Fatalf("MigPenalty %v → %v", pen, st.MigPenalty)
+			}
+
+			st.CloseInterval()
+			if err := tc.act(e, st); err != nil {
+				t.Fatalf("actuation on the sealed stage: %v", err)
+			}
+		})
 	}
 }

@@ -1,12 +1,11 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/balance"
 	"repro/internal/stats"
@@ -150,31 +149,32 @@ func TestStateWireMatchesInMemory(t *testing.T) {
 }
 
 // TestStateWireLiveFeeders is the -race stress of serialized-state
-// migration under live traffic: four feeders emit into a pipelined
-// two-stage topology with StateWire on while a controller
-// applies rebalance plans continuously. Zero loss, no double-delivery,
-// exact final placement, no state-wire error — the serializer runs
-// inside migration barriers with feeders pounding both stages.
+// migration around concurrent feeders: each interval four feeders emit
+// into a pipelined two-stage topology with StateWire on, the stages
+// close, and a rebalance plan is applied to one of them, alternating.
+// Zero loss, no double-delivery, exact final placement, no state-wire
+// error — the serializer runs between intervals fed at full fan-out.
 func TestStateWireLiveFeeders(t *testing.T) {
 	const (
-		nd          = 4
-		feeders     = 4
-		keyDomain   = 100
-		chunk       = 64
-		minChunks   = 8
-		plansTarget = 8
+		nd        = 4
+		feeders   = 4
+		keyDomain = 100
+		chunk     = 64
+		chunks    = 8 // per feeder per interval
+		plans     = 8 // one per interval
 	)
+	const window = plans + 2 // longer than the run
 	fleet0 := make([]*forwardCountOp, nd)
 	st0 := NewStage("sw-up", nd, func(id int) Operator {
 		fleet0[id] = &forwardCountOp{countingOp{counts: make(map[tuple.Key]int64)}}
 		return fleet0[id]
-	}, 2, newAsgRouter(nd))
+	}, window, newAsgRouter(nd))
 	defer st0.Stop()
 	fleet1 := make([]*countingOp, nd)
 	st1 := NewStage("sw-down", nd, func(id int) Operator {
 		fleet1[id] = &countingOp{counts: make(map[tuple.Key]int64)}
 		return fleet1[id]
-	}, 2, newAsgRouter(nd))
+	}, window, newAsgRouter(nd))
 	defer st1.Stop()
 	st0.SetDownstream(st1)
 	for _, st := range []*Stage{st0, st1} {
@@ -189,80 +189,28 @@ func TestStateWireLiveFeeders(t *testing.T) {
 	st0.Barrier()
 	st1.Barrier()
 
-	var payloads atomic.Int64
+	payloads := 0
 	obs := func(k tuple.Key, from, to int, size int64, payload []byte) {
 		if payload != nil {
-			payloads.Add(1)
+			payloads++
 		}
 	}
-
-	stop := make(chan struct{})
-	var ctlWg sync.WaitGroup
-	ctlWg.Add(1)
-	go func() {
-		defer ctlWg.Done()
-		defer close(stop)
-		for i := 0; i < plansTarget; i++ {
-			st := st0
-			if i%2 == 1 {
-				st = st1
-			}
-			asg := st.AssignmentRouter().Assignment()
-			tab := asg.Table().Clone()
-			plan := &balance.Plan{Table: tab, MoveDest: map[tuple.Key]int{}}
-			for k := tuple.Key(i % 5); k < keyDomain; k += 5 {
-				dst := (asg.Dest(k) + 1) % nd
-				tab.Put(k, dst)
-				plan.Moved = append(plan.Moved, k)
-				plan.MoveDest[k] = dst
-			}
-			if _, err := st.ApplyPlan(plan, obs); err != nil {
-				t.Errorf("ApplyPlan: %v", err)
-				return
-			}
-		}
-	}()
-
 	var seq atomic.Uint64
-	shards := ShardSpout(func(dst []tuple.Tuple) int {
+	draw := func(dst []tuple.Tuple) int {
 		for i := range dst {
 			n := seq.Add(1) - 1
 			dst[i] = tuple.New(tuple.Key(n%keyDomain), int64(n))
 		}
 		return len(dst)
-	}, feeders)
-	var wg sync.WaitGroup
-	for f := 0; f < feeders; f++ {
-		wg.Add(1)
-		go func(sb SpoutBatch) {
-			defer wg.Done()
-			buf := make([]tuple.Tuple, chunk)
-			for j := 0; ; j++ {
-				if j >= minChunks {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-				}
-				got := sb(buf[:chunk])
-				st0.FeedBatch(buf[:got])
-				time.Sleep(time.Millisecond)
-			}
-		}(shards[f])
 	}
-	ctlWg.Wait()
-	wg.Wait()
-	if t.Failed() {
-		return
+	for i := range plans {
+		stressInterval(t, int64(i), func() { feedConcurrently(st0, draw, feeders, chunks, chunk) }, st0, st1)
+		st := []*Stage{st0, st1}[i%2]
+		if _, err := st.ApplyPlan(stripePlan(st, tuple.Key(i%5), 5, keyDomain), obs); err != nil {
+			t.Fatalf("ApplyPlan: %v", err)
+		}
 	}
-
-	st0.Barrier()
-	st0.CloseInterval()
-	st0.Barrier() // the harvest queued behind the close writes the stores
-	st1.Barrier()
-
-	if payloads.Load() == 0 {
+	if payloads == 0 {
 		t.Fatal("no migration carried a serialized payload; the stress is vacuous")
 	}
 
@@ -290,20 +238,9 @@ func TestStateWireLiveFeeders(t *testing.T) {
 		}
 	}
 	for si, st := range []*Stage{st0, st1} {
-		cur := st.AssignmentRouter().Assignment()
-		var totalState int64
-		for k := tuple.Key(0); k < keyDomain; k++ {
-			home := cur.Dest(k)
-			for d := 0; d < nd; d++ {
-				sz := st.StoreOf(d).Size(k)
-				totalState += sz
-				if d != home && sz != 0 {
-					t.Fatalf("stage %d key %d leaked %d state units on instance %d (home %d)", si, k, sz, d, home)
-				}
-			}
-		}
-		if want := int64(len(pre)) + total; totalState != want {
-			t.Fatalf("stage %d total state %d, want %d", si, totalState, want)
+		checkOneOwner(t, st, nil, fmt.Sprintf("stage %d after the plans", si))
+		if got, want := liveStateTotal(st), int64(len(pre))+total; got != want {
+			t.Fatalf("stage %d total state %d, want %d", si, got, want)
 		}
 	}
 }

@@ -30,42 +30,20 @@ var batchBufPool = sync.Pool{New: func() any { return new(batchBuf) }}
 type message struct {
 	ts   []tuple.Tuple // tuple batch; ownership passes to the task
 	buf  *batchBuf     // shared backing of ts, refcounted for recycling
-	gen  uint64        // routing generation the sender resolved under (0 on the mutexed path)
 	ctrl func(*TaskCtx)
 	done chan struct{}
 }
 
 // task is one running instance: a goroutine draining its input channel.
 type task struct {
-	id    int
-	in    chan message
-	ctx   *TaskCtx
-	op    Operator
-	opB   BatchOperator // non-nil when op implements the batch extension
-	stage *Stage        // owning stage, for straggler re-feeds during a migration
-	wg    sync.WaitGroup
+	id  int
+	in  chan message
+	ctx *TaskCtx
+	op  Operator
+	opB BatchOperator // non-nil when op implements the batch extension
+	wg  sync.WaitGroup
 
-	// Live-migration state, touched only on the task goroutine
-	// (armed/cleared via ctrl thunks, consulted by the processing loop).
-	//
-	// handoff holds per-migrating-key buffers on a *destination* task:
-	// between the generation swap (which routes the key here) and the
-	// arrival of its windowed state, tuples are parked instead of
-	// processed, then replayed in arrival order once the state is
-	// injected — so nothing is processed against missing state and
-	// nothing is reordered.
-	//
-	// reroute marks keys extracted *away* from this task, with the
-	// generation at which they left: a tuple still stamped with an
-	// older generation is a straggler routed under the pre-swap
-	// assignment and is forwarded through the stage's current router
-	// instead of being processed against state that is no longer here.
-	// Entries are retired by the migration's cleanup thunk once no
-	// old-generation tuple can remain in flight.
-	handoff map[tuple.Key][]tuple.Tuple
-	reroute map[tuple.Key]uint64
-
-	// Hot-key split state, likewise confined to the task goroutine.
+	// Hot-key split state, confined to the task goroutine.
 	// split holds one commutative delta cell per split key this task
 	// replicates — a few, so a slice scanned per tuple: tuples for those
 	// keys are absorbed into the cell (operator delta + arrival sums)
@@ -117,12 +95,12 @@ func (t *task) cell(k tuple.Key) *splitCell {
 // exercise real channel backpressure under pathological skew.
 const taskQueueDepth = 4096
 
-// newTask starts instance id of stage on a key directory of its own,
+// newTask starts instance id on a key directory of its own,
 // whose two faces are the task's store and tracker. interval is the
 // stage's clock — the number of intervals its siblings' directories
 // have closed, 0 for a new stage — so a task added by scale-out keeps
 // the same window they do.
-func newTask(id int, op Operator, window int, stage *Stage, interval int64) *task {
+func newTask(id int, op Operator, window int, interval int64) *task {
 	opB, _ := op.(BatchOperator)
 	folder, _ := op.(SplitFolder)
 	dir := state.NewDir(window, interval)
@@ -132,7 +110,6 @@ func newTask(id int, op Operator, window int, stage *Stage, interval int64) *tas
 		op:     op,
 		opB:    opB,
 		folder: folder,
-		stage:  stage,
 		ctx: &TaskCtx{
 			ID:      id,
 			Store:   dir.Store(),
@@ -155,10 +132,7 @@ func (t *task) loop() {
 			}
 		default:
 			ts := m.ts
-			if len(t.handoff)+len(t.reroute) != 0 {
-				ts = t.divert(ts, m.gen)
-			}
-			if len(t.split) != 0 && len(ts) > 0 {
+			if len(t.split) != 0 {
 				ts = t.absorbSplit(ts)
 			}
 			if len(ts) > 0 {
@@ -177,46 +151,6 @@ func (t *task) loop() {
 			}
 		}
 	}
-}
-
-// divert is the live-migration slow path, entered only while a
-// migration has keys armed or rerouted on this task. It compacts ts in
-// place to the tuples this task should process now: tuples for armed
-// keys are parked in their handoff buffer (replayed after state
-// injection), tuples for keys that migrated away are forwarded through
-// the stage's current router — the generation check that makes
-// old-generation stragglers land on the key's new owner instead of
-// being processed against extracted state. Runs on the task goroutine;
-// handoff/reroute need no locks.
-func (t *task) divert(ts []tuple.Tuple, gen uint64) []tuple.Tuple {
-	keep := ts[:0]
-	var fwd []tuple.Tuple
-	for i := range ts {
-		k := ts[i].Key
-		if buf, ok := t.handoff[k]; ok {
-			t.bufferHandoff(buf, ts[i])
-			continue
-		}
-		if left, ok := t.reroute[k]; ok && gen < left {
-			fwd = append(fwd, ts[i])
-			continue
-		} else if ok {
-			// A tuple stamped at or after the generation that moved k
-			// away cannot have been routed here by that assignment;
-			// forward it too rather than process against absent state.
-			fwd = append(fwd, ts[i])
-			continue
-		}
-		keep = append(keep, ts[i])
-	}
-	if len(fwd) > 0 {
-		// Re-feed through the stage: the current assignment routes these
-		// keys to their post-migration owner (never back here — reroute
-		// entries are cleared before any assignment could move the key
-		// home again, so forwarding cannot cycle).
-		t.stage.FeedBatch(fwd)
-	}
-	return keep
 }
 
 // absorbSplit is the hot-key replica path, entered only while this
@@ -273,61 +207,12 @@ func (t *task) retireSplit(k tuple.Key) (c splitCell) {
 	return c
 }
 
-// bufferHandoff parks one tuple in key k's handoff buffer. The buffer
-// is bounded softly: beyond handoffSoftCap the overflow is counted on
-// the stage (observable backpressure signal) but the tuple is still
-// kept — dropping would lose data, and blocking on the task goroutine
-// would deadlock against the state-injection thunk queued behind us.
-func (t *task) bufferHandoff(buf []tuple.Tuple, tp tuple.Tuple) {
-	if len(buf) >= handoffSoftCap {
-		t.stage.handoffOverflow.Add(1)
-	}
-	t.handoff[tp.Key] = append(buf, tp)
-}
-
-// replayHandoff drains and retires key k's handoff buffer through the
-// operator, in arrival order, with full tracker and processed-work
-// accounting — the tuples the destination parked while the key's state
-// was still in flight. Must run on the task goroutine (the migration
-// sequencer invokes it from the state-injection barrier thunk).
-func (t *task) replayHandoff(ctx *TaskCtx, k tuple.Key) {
-	buf, ok := t.handoff[k]
-	if !ok {
-		return
-	}
-	delete(t.handoff, k)
-	if len(buf) == 0 {
-		return
-	}
-	// A replayed key may have become split while its state was in
-	// flight (a non-split key's migration and a split announcement can
-	// land in the same control round): absorb instead of processing so
-	// the replica contract holds for the parked tuples too.
-	if c := t.cell(k); c != nil {
-		for i := range buf {
-			t.absorbOne(c, buf[i])
-		}
-		return
-	}
-	if t.opB != nil {
-		t.opB.ProcessBatch(ctx, buf)
-	} else {
-		for i := range buf {
-			t.op.Process(ctx, buf[i])
-		}
-	}
-	ctx.ProcessedCost += ctx.Tracker.ObserveBatch(buf)
-	ctx.ProcessedTuples += int64(len(buf))
-}
-
 // sendBatch enqueues a batch; the slice must not be touched by the
 // sender afterwards (ownership transfers to the task goroutine). buf,
 // when non-nil, is the recycled backing array the batch was carved
-// from; the task decrements its refcount after processing. gen is the
-// routing generation the sender resolved the batch under (0 on the
-// mutexed path of stages that never migrate).
-func (t *task) sendBatch(ts []tuple.Tuple, buf *batchBuf, gen uint64) {
-	t.in <- message{ts: ts, buf: buf, gen: gen}
+// from; the task decrements its refcount after processing.
+func (t *task) sendBatch(ts []tuple.Tuple, buf *batchBuf) {
+	t.in <- message{ts: ts, buf: buf}
 }
 
 // barrier runs fn on the task goroutine and waits for it; fn == nil is

@@ -131,9 +131,9 @@ func (d *Detector) Observe(totalLoad, totalCapacity int64) Action {
 // control.Policy that feeds the detector with each interval's total
 // offered load and answers sustained trends with elastic commands —
 // ScaleOut under sustained overload, ScaleIn under sustained idleness,
-// both applied live by the stage's control.Executor (scale-in drains
-// the retiring instance and migrates its keys' windowed state back to
-// the survivors). Run it on the same per-stage loop as the short-term
+// both applied between intervals by the stage's control.Executor
+// (scale-in drains the retiring instance and migrates its keys'
+// windowed state back to the survivors). Run it on the same per-stage loop as the short-term
 // rebalance controller (topology.WithPolicy after WithAlgorithm): the
 // loop runs policies in order, so the rebalancer handles fluctuations
 // each interval before the detector judges the long-term trend.

@@ -106,7 +106,8 @@ type RouteEntry struct {
 
 // PlanAnnounce is steps 3–4: the new assignment function F′ (as the
 // explicit table A′; the hash part is shared configuration) and the
-// migration set Δ(F, F′); the stage migrates the keys in Moved live.
+// migration set Δ(F, F′); the stage migrates the keys in Moved before
+// the next interval opens.
 // Algorithm and GenTime carry the planner's identity and wall-clock
 // planning latency for reporting (the PlanMs metric).
 type PlanAnnounce struct {

@@ -181,15 +181,9 @@ type Assignment struct {
 	// tests — so the batch paths inline its lookup instead of calling
 	// through the Hasher interface per tuple.
 	ring *hashring.Ring
-	// gen is the publication generation: a counter the publishing
-	// router stamps before the atomic pointer swap that makes this
-	// assignment live, so feeders can tag every routed batch with the
-	// routing epoch it was resolved under — the wait-free migration
-	// protocol's double-delivery guard. 0 until stamped.
-	gen uint64
 	// splits is the hot-key split set published alongside the table
 	// through the same atomic pointer, so feeders resolve split routing
-	// and ring routing from one wait-free load. nil means no key is
+	// and ring routing from one atomic load. nil means no key is
 	// split — the cold path costs a single nil check per batch.
 	splits *SplitTable
 }
@@ -280,16 +274,12 @@ func (a *Assignment) DestTuples(ts []tuple.Tuple, dsts []int) {
 // HashDest evaluates the hash half h(k) regardless of the table.
 func (a *Assignment) HashDest(k tuple.Key) int { return a.hash.Hash(k) }
 
-// Gen returns the publication generation stamped by the router that
-// made this assignment live (0 for assignments never published).
-func (a *Assignment) Gen() uint64 { return a.gen }
-
 // Splits returns the hot-key split set carried by this assignment, or
 // nil when no key is split.
 func (a *Assignment) Splits() *SplitTable { return a.splits }
 
 // SetSplits attaches a split set and freezes it into the index
-// DestTuples probes. Like StampGen it may only be called before the
+// DestTuples probes. It may only be called before the
 // atomic store that publishes the assignment; an empty table is
 // normalized to nil so the feed path's cold check stays a nil test.
 func (a *Assignment) SetSplits(st *SplitTable) {
@@ -302,12 +292,6 @@ func (a *Assignment) SetSplits(st *SplitTable) {
 		a.probe = newTableIndex(a.table.m, st)
 	}
 }
-
-// StampGen records the publication generation. It is called exactly
-// once by the publishing router, before the atomic store that makes
-// the assignment visible to feeders — never after publication, which
-// would race with wait-free readers.
-func (a *Assignment) StampGen(g uint64) { a.gen = g }
 
 // Table returns the underlying routing table (callers must not mutate).
 func (a *Assignment) Table() *Table { return a.table }

@@ -20,8 +20,9 @@ type Split struct {
 	Home     int
 	Replicas []int
 	// ctr is the round-robin cursor. It is the only mutable word on the
-	// split-routing path and is deliberately shared across assignment
-	// generations (the cursor is a scheduling hint, not an observable).
+	// split-routing path and is deliberately shared across the
+	// assignments a Split survives into (the cursor is a scheduling hint,
+	// not an observable).
 	ctr atomic.Uint64
 }
 
@@ -53,7 +54,7 @@ func (s *Split) Fan() int { return len(s.Replicas) }
 // SplitTable is the set of currently split keys. Like Table it is an
 // immutable snapshot once published through an Assignment; transitions
 // install a fresh table via the same atomic pointer swap that
-// publishes routing generations. A split set holds a few keys
+// publishes a new routing assignment. A split set holds a few keys
 // (topology.HotKeySplit's maxKeys), so it is an array in ascending key
 // order; the feed path finds a tuple's split through the assignment's
 // probe index (Assignment.SetSplits), not here.

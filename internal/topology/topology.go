@@ -28,13 +28,12 @@
 //	sys := spec.BuildLocal()
 //
 // Stages stream to each other (stage s+1 consumes while stage s is
-// still processing). Assignment-routed stages migrate live
-// (generation-stamped routing, no feed pause; see
-// engine.Stage.ApplyPlan). Every stage may carry its own control loop —
+// still processing). Assignment-routed stages migrate keys between
+// intervals, on the sealed stage (see engine.Stage.ApplyPlan). Every stage may carry its own control loop —
 // the builder assembles the stage's policies (the algorithm-derived
 // rebalance controller plus any WithPolicy additions, e.g.
 // longterm.AutoScaler) into one control.Loop per managed stage, applying
-// rebalance, scale-out and live scale-in commands over protocol
+// rebalance, scale-out and scale-in commands over protocol
 // messages on the in-process loopback.
 package topology
 
@@ -278,7 +277,7 @@ func Target() StageOption { return func(s *StageSpec) { s.Target = true } }
 // and splits at most maxKeys keys across replica sets whenever a
 // single key's interval cost reaches threshold × the per-task service
 // capacity, folding each key back once it cools. Split-key tuples fan
-// out round-robin on the wait-free feed path; replicas hold commutative
+// out round-robin on the feed path; replicas hold commutative
 // deltas that fold into the key's home before every harvest, so all
 // observables stay bit-identical to an unsplit run. threshold ≤ 0
 // defaults to 1 (split when one key alone saturates a task). Composes

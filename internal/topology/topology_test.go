@@ -361,10 +361,10 @@ func TestStageNamedAndControllerNamed(t *testing.T) {
 	}
 }
 
-// TestPauseFreeDefaults pins which stages migrate live: exactly the
+// TestPauseFreeDefaults pins which stages can migrate: exactly the
 // assignment-routed ones, with no option involved — a plan applied to
-// one goes through the generation-stamped sequencer, and a stage on any
-// other router family (shuffle) refuses it.
+// one publishes a new assignment, and a stage on any other router
+// family (shuffle) refuses it.
 func TestPauseFreeDefaults(t *testing.T) {
 	op := func(int) engine.Operator { return engine.Discard }
 	def := topology.New().
@@ -373,11 +373,12 @@ func TestPauseFreeDefaults(t *testing.T) {
 		Build()
 	defer def.Stop()
 	plan := &balance.Plan{Table: route.NewTable(), MoveDest: map[tuple.Key]int{}}
+	before := def.Stage(0).AssignmentRouter().Assignment()
 	if _, err := def.Stage(0).ApplyPlan(plan, nil); err != nil {
 		t.Fatalf("assignment-routed stage refused a plan: %v", err)
 	}
-	if def.Stage(0).AssignmentRouter().Assignment().Gen() == 0 {
-		t.Fatal("the plan did not advance the routing generation")
+	if def.Stage(0).AssignmentRouter().Assignment() == before {
+		t.Fatal("the plan did not publish a new assignment")
 	}
 	if _, err := def.Stage(1).ApplyPlan(plan, nil); err == nil {
 		t.Fatal("shuffle stage accepted a plan")
