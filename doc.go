@@ -84,9 +84,8 @@
 // while stage s is still working, and the interval ends with a
 // cascading close (barrier stage s, flush residual emission buffers
 // downstream, close stage s+1). Backpressure scans every stage's
-// backlog and EmitTick is stamped at emission time. A store-and-forward
-// reference lives in the tests, which pin the interval series,
-// snapshots and routing tables equal.
+// backlog. A store-and-forward reference lives in the tests, which pin
+// the interval series, snapshots and routing tables equal.
 //
 // # Batched data plane
 //
@@ -113,7 +112,10 @@
 //   - a task's state.Store and stats.Tracker are two faces of one key
 //     directory (state.Dir): ObserveBatch finds each key's record where
 //     the operator's Add left it, and a new key allocates nothing but
-//     its entry run.
+//     its entry run. Only a stage with a snapshot hook observes: the
+//     task loop of any other stage skips ObserveBatch;
+//   - a tuple.Tuple is 64 bytes, one cache line, for the feed path's
+//     scatter copy, Emit's append and the decoder's rows.
 //
 // Batching changes cost, not semantics: routing decisions, interval
 // boundaries and the migration protocol are exactly those of the

@@ -10,8 +10,10 @@ import (
 )
 
 // Proto is the cluster session protocol version, validated on both
-// sides of every Hello/Welcome handshake. Version 8 speaks one encoding:
-// versions 6 and 7 sent the session messages as gob frames behind kind
+// sides of every Hello/Welcome handshake. Version 9's batch rows carry
+// no emit tick, and its sub-batch flags no bit for one; a version-8
+// engine chunk sets that bit, which version 9 refuses as unknown.
+// Version 8 speaks one encoding: versions 6 and 7 sent the session messages as gob frames behind kind
 // byte 0x00, now unknown, and migrated state as a gob stream. Version 7's
 // StageAssign says whether the stage is the recorded one, which decides
 // a PKG stage's latency floor; a version-6 worker would build it
@@ -23,7 +25,7 @@ import (
 // arrays for the coordinator to model instead. Version 4 introduced the
 // flagged batch sub-frame, whose rows carry only the fields that vary
 // inside their chunk. Older peers are refused.
-const Proto = 8
+const Proto = 9
 
 // handshakeTimeout bounds the Hello/Welcome exchange (and nothing
 // else: established connections block indefinitely — the interval

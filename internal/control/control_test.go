@@ -29,6 +29,11 @@ func mkEngine(seed int64) (*engine.Engine, *engine.Stage) {
 	return e, st
 }
 
+// noopHook is a snapshot hook that reads nothing: a stage observes
+// per-key statistics only while it has a hook, so a test that reads a
+// controller-less stage's snapshots registers this one.
+func noopHook(*engine.Engine, int, *stats.Snapshot) *engine.Rebalance { return nil }
+
 func mkController() *controller.Controller {
 	ctl := controller.New(balance.Mixed{}, balance.Config{ThetaMax: 0.08, TableMax: 3000, Beta: 1.5})
 	ctl.MinKeys = 32
@@ -151,6 +156,7 @@ func TestLoopMatchesDirectController(t *testing.T) {
 func TestSnapshotWireRoundTrip(t *testing.T) {
 	e, st := mkEngine(7)
 	defer e.Stop()
+	e.AddSnapshotHook(0, noopHook)
 	e.Run(3)
 	snap := e.LastSnapshots()[0]
 	if len(snap.Keys) == 0 {

@@ -300,6 +300,9 @@ func TestSteadyRoundAllocatesNoPopulation(t *testing.T) {
 	loop := control.NewLoop(e, 0, []control.Policy{ctl})
 	defer loop.Close()
 	hook := loop.Hook()
+	// The test calls the hook itself where EndStage would; registering
+	// it is what makes the stage observe per-key statistics.
+	e.AddSnapshotHook(0, hook)
 
 	batch := make([]tuple.Tuple, keys*2)
 	var seq uint64

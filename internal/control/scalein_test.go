@@ -157,6 +157,7 @@ func TestScaleInLoopbackEqualsWire(t *testing.T) {
 	lbScaler := &longterm.AutoScaler{Detector: longterm.NewDetector(), MinInstances: 2}
 	lb := buildScaleInTopology(lbFleet, lbScaler)
 	defer lb.Stop()
+	lb.Engine.AddSnapshotHook(0, noopHook) // the parse stage has no controller
 	lb.Run(30)
 
 	wFleet := &countingFleet{}
@@ -165,6 +166,7 @@ func TestScaleInLoopbackEqualsWire(t *testing.T) {
 	w := scaleInStages(wFleet)
 	defer w.Stop()
 	defer loopOver(w.Engine, 1, []control.Policy{wCtl, wScaler}, newFramedPair)()
+	w.Engine.AddSnapshotHook(0, noopHook)
 	w.Run(30)
 
 	sameSeries(t, "loopback-vs-wire", lb.Recorder().Series, w.Recorder().Series)

@@ -91,7 +91,7 @@ func DefaultConfig() Config {
 // stage lock, routing, channel and goroutine-switch costs across many
 // tuples (throughput keeps improving up to ~1k tuples per chunk),
 // small enough that a default interval still feeds in several chunks
-// and the scratch buffer stays modest (~72 KiB).
+// and the scratch buffer stays modest (64 KiB).
 const emitChunk = 1024
 
 // Rebalance reports what the controller hook did at an interval end:
@@ -182,6 +182,9 @@ func (e *Engine) init() *Engine {
 			}
 		}
 		e.capacity[i] = c
+		// Per-key statistics are read only by snapshot hooks:
+		// AddSnapshotHook turns them back on for the stages it serves.
+		s.setObserve(false)
 		// Operators stream to each other: every stage but the last
 		// emits into its successor. The last stage's sink is the
 		// caller's (a capture, a cluster data connection) and is left
@@ -216,12 +219,15 @@ func (e *Engine) SetStageCapacity(si int, c int64) {
 // (they run in registration order), so multi-stage topologies can put
 // an independent controller on every stage. Call before the first
 // RunInterval or between intervals; the hook list is read on the
-// driver goroutine only.
+// driver goroutine only. A stage observes per-key statistics only while
+// it has a hook: registering one turns observation on for stage si from
+// the next interval.
 func (e *Engine) AddSnapshotHook(si int, h SnapshotHook) {
 	if e.stageHooks == nil {
 		e.stageHooks = make([][]SnapshotHook, len(e.Stages))
 	}
 	e.stageHooks[si] = append(e.stageHooks[si], h)
+	e.Stages[si].setObserve(true)
 }
 
 // LastEmitted returns the post-throttle tuple count of the most recent
@@ -236,7 +242,10 @@ func (e *Engine) LastEmitted() int64 { return e.lastEmit }
 // a single-process run would.
 func (e *Engine) SetLastEmitted(n int64) { e.lastEmit = n }
 
-// LastSnapshots returns the previous interval's per-stage snapshots.
+// LastSnapshots returns the previous interval's per-stage snapshots. A
+// stage with no snapshot hook observes nothing, so its snapshot is empty:
+// a caller that reads a stage's statistics registers a hook for it, even
+// a no-op one.
 func (e *Engine) LastSnapshots() []*stats.Snapshot { return e.snapshots }
 
 // Run executes n intervals.
@@ -253,9 +262,6 @@ func (e *Engine) RunInterval() {
 	if e.stopped {
 		panic("engine: RunInterval after Stop")
 	}
-	// Publish the interval index every task stamps on emitted tuples.
-	// Tasks are idle here (the previous interval ended with barriers),
-	// and the emission sends below give them the happens-before edge.
 	for _, s := range e.Stages {
 		s.StartInterval(e.interval)
 	}

@@ -61,7 +61,7 @@ func mkFeederEngine(feeders int, shards bool) (*Engine, []*countingOp) {
 	cfg := DefaultConfig()
 	cfg.Budget = 10000
 	cfg.Feeders = feeders
-	e := NewBatch(gen.NextBatch, cfg, st)
+	e := observeAll(NewBatch(gen.NextBatch, cfg, st))
 	if shards {
 		e.SpoutB = nil
 		e.SpoutShards = adaptShards(gen.Shard(feeders))

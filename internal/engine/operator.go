@@ -52,21 +52,15 @@ type TaskCtx struct {
 	// in process, or a cluster data connection to its remote host. It is
 	// nil on a last stage nobody listens to.
 	sink BatchSink
-	// emitTick is the interval index stamped on emitted tuples,
-	// maintained by Stage.StartInterval.
-	emitTick int64
-	// ProcessedTuples and ProcessedCost account the work done this
-	// interval (reset at barriers).
-	ProcessedTuples int64
-	ProcessedCost   int64
+	// observe is the stage's observation setting (Stage.observe): while
+	// it is false the task feeds nothing to Tracker.
+	observe bool
 }
 
-// Emit sends a tuple to the next stage, stamped with the emitting
-// interval. A full chunk flushes straight into the downstream stage
-// from the emitting task's goroutine; the rest follows at the interval
-// close.
+// Emit sends a tuple to the next stage. A full chunk flushes straight
+// into the downstream stage from the emitting task's goroutine; the rest
+// follows at the interval close.
 func (c *TaskCtx) Emit(t tuple.Tuple) {
-	t.EmitTick = c.emitTick
 	c.out = append(c.out, t)
 	if c.sink != nil && len(c.out) >= emitChunk {
 		c.flushDown()

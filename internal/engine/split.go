@@ -164,7 +164,7 @@ func (s *Stage) setSplits(set []stats.HotKey) {
 // foldSplits drains every replica's delta cells and merges them into
 // each key's home task — the fold-back step of the split protocol,
 // run before interval flush and statistics harvest so the home task's
-// canonical state, tracker cell and processed-work accounting end the
+// canonical state and (on an observed stage) tracker cell end the
 // interval exactly as an unsplit run's would. The merges are queued,
 // not awaited: FIFO runs them before whatever the caller enqueues next
 // (the close, the harvest). Keys stay armed; a drained or never-fed
@@ -230,14 +230,14 @@ func (s *Stage) foldSplits() {
 }
 
 // mergeSplitCell applies one key's summed replica contribution on the
-// home task's goroutine: tracker and processed-work attribution (the
-// arrival side was charged to the home at feed time), then the
+// home task's goroutine: the tracker's attribution on an observed stage
+// (the arrival side was charged to the home at feed time), then the
 // operator's own fold. Plain integer adds end to end — commutative, so
 // replica and fold order never show in any observable.
 func mergeSplitCell(t *task, ctx *TaskCtx, k tuple.Key, c splitCell) {
-	ctx.Tracker.AbsorbKey(k, c.cost, c.freq, c.mem)
-	ctx.ProcessedCost += c.cost
-	ctx.ProcessedTuples += c.freq
+	if ctx.observe {
+		ctx.Tracker.AbsorbKey(k, c.cost, c.freq, c.mem)
+	}
 	if t.folder != nil {
 		t.folder.SplitMerge(ctx, k, c.delta, c.freq, c.mem)
 	}

@@ -116,21 +116,22 @@ func NewEmitter(sink BatchSink, sb SpoutBatch, shards []SpoutBatch, feeders int,
 	return em
 }
 
-// Emit feeds emitN tuples stamped with interval into the sink and
-// returns how many were actually drawn (fewer when a finite source
-// ends early). Dispatches between the serial path and the feeder
-// fan-out.
-func (em *Emitter) Emit(interval, emitN int64) int64 {
+// Emit feeds emitN tuples into the sink and returns how many were
+// actually drawn (fewer when a finite source ends early). Dispatches
+// between the serial path and the feeder fan-out. The first parameter
+// (the interval) is unused; it stays until the repository benchmark,
+// which passes it, stops passing it.
+func (em *Emitter) Emit(_, emitN int64) int64 {
 	if em.feeders > 1 {
-		return em.emitParallel(interval, emitN)
+		return em.emitParallel(emitN)
 	}
-	return em.emitSerial(interval, emitN)
+	return em.emitSerial(emitN)
 }
 
 // emitSerial is the single-feeder emission loop, byte-for-byte the
 // pre-fan-out engine behavior: one goroutine, one scratch buffer,
 // emitChunk-sized draws.
-func (em *Emitter) emitSerial(interval, emitN int64) int64 {
+func (em *Emitter) emitSerial(emitN int64) int64 {
 	sb := em.sb
 	if cap(em.scratch[0]) < emitChunk {
 		em.scratch[0] = make([]tuple.Tuple, emitChunk)
@@ -142,9 +143,6 @@ func (em *Emitter) emitSerial(interval, emitN int64) int64 {
 		}
 		buf := em.scratch[0][:c]
 		got := sb(buf)
-		for i := 0; i < got; i++ {
-			buf[i].EmitTick = interval
-		}
 		em.sink.FeedBatch(buf[:got])
 		j += int64(got)
 		if int64(got) < c {
@@ -162,7 +160,7 @@ func (em *Emitter) emitSerial(interval, emitN int64) int64 {
 // calls FeedBatch concurrently with the others — safe per the stage's
 // mu-guarded partition scratch and refcounted batch buffers (and the
 // cluster BatchConn's send mutex).
-func (em *Emitter) emitParallel(interval, emitN int64) int64 {
+func (em *Emitter) emitParallel(emitN int64) int64 {
 	feeders := em.feeders
 	var wg sync.WaitGroup
 	var total atomic.Int64
@@ -189,9 +187,6 @@ func (em *Emitter) emitParallel(interval, emitN int64) int64 {
 				}
 				buf := scratch[:c]
 				got := sb(buf)
-				for i := 0; i < got; i++ {
-					buf[i].EmitTick = interval
-				}
 				em.sink.FeedBatch(buf[:got])
 				j += int64(got)
 				total.Add(int64(got))

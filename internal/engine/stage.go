@@ -58,9 +58,11 @@ type Stage struct {
 
 	// down is the emission sink (nil on a last stage nobody listens
 	// to): the next stage in process, or a cluster data connection to
-	// its remote host. curTick is the current interval index. Both are
-	// propagated to tasks created later by ScaleOut.
+	// its remote host. observe is whether the tasks feed their trackers
+	// (see setObserve). Both are propagated to tasks created later by
+	// ScaleOut. curTick is the current interval index.
 	down    BatchSink
+	observe bool
 	curTick int64
 
 	// merged holds the merged runs of the last two closes; EndInterval
@@ -84,14 +86,16 @@ type Stage struct {
 }
 
 // NewStage builds a stage with nd instances running op(id), a state
-// window of w intervals, and the given router. The stage starts sealed:
-// StartInterval opens it.
+// window of w intervals, and the given router. The stage starts sealed
+// (StartInterval opens it) and observing per-key statistics; an Engine
+// turns observation off on a stage no snapshot hook reads.
 func NewStage(name string, nd int, op func(id int) Operator, w int, router Router) *Stage {
 	s := &Stage{
 		Name:          name,
 		router:        router,
 		window:        w,
 		opFn:          op,
+		observe:       true,
 		arrivedCost:   make([]int64, nd),
 		arrivedTuples: make([]int64, nd),
 		Backlog:       make([]int64, nd),
@@ -100,7 +104,7 @@ func NewStage(name string, nd int, op func(id int) Operator, w int, router Route
 	}
 	s.ar, _ = router.(*AssignmentRouter)
 	for i := 0; i < nd; i++ {
-		s.tasks = append(s.tasks, newTask(i, op(i), w, 0))
+		s.tasks = append(s.tasks, newTask(i, op(i), w, 0, s.observe))
 	}
 	return s
 }
@@ -342,17 +346,24 @@ func (s *Stage) serializeTransfer(x *transfer) error {
 	return fmt.Errorf("engine: stage %q: key %d: %w", s.Name, x.m.Key, err)
 }
 
-// StartInterval opens the stage for interval and publishes the index
-// tasks stamp on emitted tuples (tuple.EmitTick at emission time). Must
-// be called while tasks are idle; the engine does so before each
-// interval's emission, and the subsequent channel sends give tasks the
-// happens-before edge. Until CloseInterval seals the stage again, every
-// actuation returns an error.
+// StartInterval opens the stage for interval; the engine calls it
+// before each interval's emission. Until CloseInterval seals the stage
+// again, every actuation returns an error.
 func (s *Stage) StartInterval(interval int64) {
 	s.open = true
 	s.curTick = interval
+}
+
+// setObserve turns the tasks' per-key statistics on or off. An
+// unobserved task feeds its tracker nothing, so the stage's snapshots
+// are empty; its stores still close every interval, and its rows and
+// routing do not change. Must be called while tasks are idle (between
+// intervals): the next interval's channel sends give them the
+// happens-before edge.
+func (s *Stage) setObserve(on bool) {
+	s.observe = on
 	for _, t := range s.tasks {
-		t.ctx.emitTick = interval
+		t.ctx.observe = on
 	}
 }
 
@@ -419,8 +430,6 @@ func (s *Stage) queueHarvest(d int) {
 			}
 		}
 		h.runs[d] = run
-		ctx.ProcessedTuples = 0
-		ctx.ProcessedCost = 0
 	})
 }
 
@@ -440,7 +449,9 @@ func (s *Stage) ArrivedTuples() []int64 { return s.arrivedTuples }
 // interval-barrier cost is the slowest single task plus an O(n log ND)
 // merge. Destinations are taken from the task that actually observed
 // the key; hash destinations from the assignment router when present.
-// Arrival accounting is reset.
+// Arrival accounting is reset. An unobserved stage's tasks report no
+// keys (see setObserve), so its snapshot is empty; the harvest still
+// closes their stores' interval, so windowed state expires as ever.
 //
 // The merge copies into one of two buffers the stage alternates
 // between, so the snapshot never aliases a tracker's buffer and a steady
@@ -706,14 +717,13 @@ func (s *Stage) ScaleOut(obs MigrationObserver) (int64, error) {
 
 	// The new instance takes its store clock from task 0 (every store
 	// closes in step; the barrier orders the read after the task's last
-	// close) and inherits the sink and emission tick its siblings got at
-	// wiring / StartInterval time.
+	// close) and inherits the sink and the observation setting of its
+	// siblings.
 	var clock int64
 	s.tasks[0].barrier(func(ctx *TaskCtx) { clock = ctx.Store.Interval() })
 	id := len(s.tasks)
-	nt := newTask(id, s.opFn(id), s.window, clock)
+	nt := newTask(id, s.opFn(id), s.window, clock, s.observe)
 	nt.ctx.sink = s.down
-	nt.ctx.emitTick = s.curTick
 	s.tasks = append(s.tasks, nt)
 	s.arrivedCost = append(s.arrivedCost, 0)
 	s.arrivedTuples = append(s.arrivedTuples, 0)

@@ -212,7 +212,7 @@ func TestLastSnapshotsExposed(t *testing.T) {
 	st := statefulStage(2, 1)
 	cfg := DefaultConfig()
 	cfg.Budget = 100
-	e := New(func() tuple.Tuple { return tuple.New(5, nil) }, cfg, st)
+	e := observeAll(New(func() tuple.Tuple { return tuple.New(5, nil) }, cfg, st))
 	defer e.Stop()
 	e.RunInterval()
 	snaps := e.LastSnapshots()

@@ -56,10 +56,9 @@ type task struct {
 
 // splitCell accumulates one split key's replica-side contribution
 // since the last fold: the operator's commutative delta plus the
-// cost/frequency/state sums the home task's tracker and processed-work
-// accounting will absorb. Every sum is a plain integer, so folding
-// replicas in any order reconstructs exactly the cell an unsplit run
-// would have accumulated.
+// cost/frequency/state sums the home task's tracker will absorb. Every
+// sum is a plain integer, so folding replicas in any order reconstructs
+// exactly the cell an unsplit run would have accumulated.
 type splitCell struct {
 	key   tuple.Key
 	delta int64
@@ -99,8 +98,8 @@ const taskQueueDepth = 4096
 // whose two faces are the task's store and tracker. interval is the
 // stage's clock — the number of intervals its siblings' directories
 // have closed, 0 for a new stage — so a task added by scale-out keeps
-// the same window they do.
-func newTask(id int, op Operator, window int, interval int64) *task {
+// the same window they do. observe is the stage's observation setting.
+func newTask(id int, op Operator, window int, interval int64, observe bool) *task {
 	opB, _ := op.(BatchOperator)
 	folder, _ := op.(SplitFolder)
 	dir := state.NewDir(window, interval)
@@ -114,6 +113,7 @@ func newTask(id int, op Operator, window int, interval int64) *task {
 			ID:      id,
 			Store:   dir.Store(),
 			Tracker: stats.TrackerOf(dir),
+			observe: observe,
 		},
 	}
 	t.wg.Add(1)
@@ -143,8 +143,9 @@ func (t *task) loop() {
 						t.op.Process(t.ctx, ts[i])
 					}
 				}
-				t.ctx.ProcessedCost += t.ctx.Tracker.ObserveBatch(ts)
-				t.ctx.ProcessedTuples += int64(len(ts))
+				if t.ctx.observe {
+					t.ctx.Tracker.ObserveBatch(ts)
+				}
 			}
 			if m.buf != nil && m.buf.refs.Add(-1) == 0 {
 				batchBufPool.Put(m.buf)
@@ -157,9 +158,9 @@ func (t *task) loop() {
 // task replicates at least one split key. It compacts ts in place to
 // the tuples this task should process normally; tuples for split keys
 // are reduced into their delta cells — no operator state, no tracker
-// observation, no processed-work accounting here. Everything the home
-// task would have recorded is reconstructed from the cell sums at fold
-// time, so the replica stays invisible to every interval observable.
+// observation here. Everything the home task would have recorded is
+// reconstructed from the cell sums at fold time, so the replica stays
+// invisible to every interval observable.
 func (t *task) absorbSplit(ts []tuple.Tuple) []tuple.Tuple {
 	keep := ts[:0]
 	for i := range ts {

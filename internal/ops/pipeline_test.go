@@ -48,12 +48,20 @@ func refStoreAndForward(spout engine.Spout, cfg engine.Config, s0, s1 *engine.St
 }
 
 // newEngine assembles s0 → s1 under the streaming transfer, or under
-// the store-and-forward reference.
+// the store-and-forward reference, with a no-op snapshot hook on every
+// stage: a stage observes per-key statistics only while it has a hook,
+// and the equivalence tests compare every stage's.
 func newEngine(ref bool, spout engine.Spout, cfg engine.Config, s0, s1 *engine.Stage) *engine.Engine {
+	var e *engine.Engine
 	if ref {
-		return refStoreAndForward(spout, cfg, s0, s1)
+		e = refStoreAndForward(spout, cfg, s0, s1)
+	} else {
+		e = engine.New(spout, cfg, s0, s1)
 	}
-	return engine.New(spout, cfg, s0, s1)
+	for si := range e.Stages {
+		e.AddSnapshotHook(si, func(*engine.Engine, int, *stats.Snapshot) *engine.Rebalance { return nil })
+	}
+	return e
 }
 
 // topologySnapshots drops the reference's relay from the final

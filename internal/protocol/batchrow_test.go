@@ -28,7 +28,6 @@ func refRowAppend(dst []byte, ts []tuple.Tuple) []byte {
 		dst = binary.AppendVarint(dst, t.Cost)
 		dst = binary.AppendVarint(dst, t.StateSize)
 		dst = binary.AppendUvarint(dst, t.Seq)
-		dst = binary.AppendVarint(dst, t.EmitTick)
 		dst = binary.AppendUvarint(dst, uint64(len(t.Stream)))
 		dst = append(dst, t.Stream...)
 		var err error
@@ -81,9 +80,9 @@ func rowChunk(r *fuzzRNG, n int) []tuple.Tuple {
 			return []tuple.Key{tuple.Key(u()), tuple.Key(u())}
 		}
 	}
-	shared := r.intn(32) // bit f: field f is shared by the chunk
-	first := tuple.Tuple{Cost: s(), StateSize: s(), EmitTick: s(), Stream: stream()}
-	nilValues := shared&16 != 0
+	shared := r.intn(16) // bit f: field f is shared by the chunk
+	first := tuple.Tuple{Cost: s(), StateSize: s(), Stream: stream()}
+	nilValues := shared&8 != 0
 	ts := make([]tuple.Tuple, n)
 	for i := range ts {
 		t := first
@@ -95,9 +94,6 @@ func rowChunk(r *fuzzRNG, n int) []tuple.Tuple {
 			t.StateSize = s()
 		}
 		if shared&4 == 0 {
-			t.EmitTick = s()
-		}
-		if shared&8 == 0 {
 			t.Stream = stream()
 		}
 		if !nilValues {
@@ -241,7 +237,7 @@ func TestBatchRowTruncation(t *testing.T) {
 	mixed, _ := randomFrame(r, 5)
 	chunk := make([]tuple.Tuple, 40)
 	for i := range chunk {
-		chunk[i] = tuple.Tuple{Key: tuple.Key(r.next() >> (r.next() % 64)), Cost: 1, StateSize: 1, Seq: uint64(i * i * i), EmitTick: 3}
+		chunk[i] = tuple.Tuple{Key: tuple.Key(r.next() >> (r.next() % 64)), Cost: 1, StateSize: 1, Seq: uint64(i * i * i)}
 	}
 	engine, err := AppendBatchChunk(AppendBatchHeader(nil), chunk)
 	if err != nil {

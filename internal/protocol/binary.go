@@ -40,22 +40,23 @@ import (
 // equivalence pins depend on):
 //
 //	batch    := nsub(4,BE) sub*
-//	sub      := ntuples(4,BE) flags(1) [cost] [state] [tick] [streamlen stream] row{ntuples}
-//	row      := key seq [cost] [state] [tick] [streamlen stream] [value]
+//	sub      := ntuples(4,BE) flags(1) [cost] [state] [streamlen stream] row{ntuples}
+//	row      := key seq [cost] [state] [streamlen stream] [value]
 //
 // A row is one tuple, so decode is one pass that touches every tuple
 // once (encode first scans a chunk for its flags), and a row carries
 // only what varies inside its chunk. The flags byte says what the
 // encoder found constant: a field every tuple of the chunk shares
-// (cost, state size, emit tick, stream) is written once in the
-// sub-batch header instead of in every row; a chunk of nil values
-// leaves the value out of its rows; a chunk whose seqs never decrease
-// sends each seq as the delta from the row before. The engine's own
-// chunks — cost 1, state 1, one emit tick, one stream, nil values,
-// rising seqs — are a key and a one-byte delta per tuple, and no chunk
-// is more than the flags byte longer than a row that carried every
-// field. Fields are varint-packed: keys and seqs as
-// uvarints, costs, state sizes and emit ticks as zigzag varints. The
+// (cost, state size, stream) is written once in the sub-batch header
+// instead of in every row; a chunk of nil values leaves the value out
+// of its rows; a chunk whose seqs never decrease sends each seq as the
+// delta from the row before. Flag bit 0x04 hoisted an emit tick up to
+// protocol 8; it is now unknown, and a sub-batch setting it is
+// malformed. The engine's own chunks — cost 1, state 1, one stream,
+// nil values, rising seqs — are a key and a one-byte delta per tuple,
+// and no chunk is more than the flags byte longer than a row that
+// carried every field. Fields are varint-packed: keys and seqs as
+// uvarints, costs and state sizes as zigzag varints. The
 // stream is a length-prefixed string; the value is tuple.AppendValue's
 // one-byte type tag and body (nil, int64, int, uint64, float64, string,
 // []byte, tuple.Key, []tuple.Key). A value of any other type is an
@@ -112,19 +113,20 @@ const batchHeaderLen = 5
 // flags).
 const subHeaderLen = 5
 
-// Sub-batch flag bits. The first four hoist a field every tuple of the
-// chunk shares into the sub-batch header; subNil drops the value from
-// every row; subSeqDelta makes a row's seq the delta from the previous
-// row's (the first row's from zero).
+// Sub-batch flag bits. subCost, subState and subStream hoist a field
+// every tuple of the chunk shares into the sub-batch header; subNil
+// drops the value from every row; subSeqDelta makes a row's seq the
+// delta from the previous row's (the first row's from zero). Bit 0x04,
+// the emit tick's up to protocol 8, is unknown.
 const (
 	subCost byte = 1 << iota
 	subState
-	subTick
+	_
 	subStream
 	subNil
 	subSeqDelta
 
-	subKnown = subCost | subState | subTick | subStream | subNil | subSeqDelta
+	subKnown = subCost | subState | subStream | subNil | subSeqDelta
 )
 
 // ErrBinaryFrame tags every decode failure of the binary codec: a
@@ -212,9 +214,6 @@ func AppendBatchChunk(dst []byte, ts []tuple.Tuple) ([]byte, error) {
 	if flags&subState != 0 {
 		dst = appendSvarint(dst, h.StateSize)
 	}
-	if flags&subTick != 0 {
-		dst = appendSvarint(dst, h.EmitTick)
-	}
 	if flags&subStream != 0 {
 		dst = append(appendUvarint(dst, uint64(len(h.Stream))), h.Stream...)
 	}
@@ -234,9 +233,6 @@ func AppendBatchChunk(dst []byte, ts []tuple.Tuple) ([]byte, error) {
 		}
 		if flags&subState == 0 {
 			dst = appendSvarint(dst, t.StateSize)
-		}
-		if flags&subTick == 0 {
-			dst = appendSvarint(dst, t.EmitTick)
 		}
 		if flags&subStream == 0 {
 			dst = append(appendUvarint(dst, uint64(len(t.Stream))), t.Stream...)
@@ -268,9 +264,6 @@ func chunkFlags(ts []tuple.Tuple) byte {
 		if flags&subState != 0 && t.StateSize != h.StateSize {
 			flags &^= subState
 		}
-		if flags&subTick != 0 && t.EmitTick != h.EmitTick {
-			flags &^= subTick
-		}
 		if flags&subStream != 0 && t.Stream != h.Stream {
 			flags &^= subStream
 		}
@@ -290,7 +283,7 @@ const minRowLen = 2
 
 // rowReserve caps the tuples a sub-batch reserves before its rows
 // decode. The count is checked against minRowLen bytes a row, and a
-// decoded tuple is 36 times that, so the count alone must not size the
+// decoded tuple is 32 times that, so the count alone must not size the
 // buffer: rows past the reservation grow it as they decode.
 const rowReserve = 4096
 
@@ -311,9 +304,6 @@ func (c *Codec) decodeBatchChunk(cur *cursor, dst []tuple.Tuple) []tuple.Tuple {
 	}
 	if flags&subState != 0 {
 		h.StateSize = cur.Varint()
-	}
-	if flags&subTick != 0 {
-		h.EmitTick = cur.Varint()
 	}
 	if flags&subStream != 0 {
 		h.Stream = c.internStream(cur.Take(cur.Count(1)))
@@ -367,15 +357,12 @@ func (c *Codec) rows(cur *cursor, sub []tuple.Tuple, flags byte, h *tuple.Tuple,
 			prev = seq
 		}
 		t := &sub[i]
-		t.Key, t.Seq, t.Cost, t.StateSize, t.EmitTick, t.Stream = tuple.Key(key), seq, h.Cost, h.StateSize, h.EmitTick, h.Stream
+		t.Key, t.Seq, t.Cost, t.StateSize, t.Stream = tuple.Key(key), seq, h.Cost, h.StateSize, h.Stream
 		if flags&subCost == 0 {
 			t.Cost = cur.Varint()
 		}
 		if flags&subState == 0 {
 			t.StateSize = cur.Varint()
-		}
-		if flags&subTick == 0 {
-			t.EmitTick = cur.Varint()
 		}
 		if flags&subStream == 0 {
 			t.Stream = c.internStream(cur.Take(cur.Count(1)))

@@ -174,6 +174,7 @@ func TestBinaryHostileInputs(t *testing.T) {
 		"batch cut row":        batchCutRow,
 		"batch count boundary": batchCountBoundary,
 		"batch unknown flags":  batchUnknownFlags,
+		"batch tick flag":      batchTickFlag,
 		"batch header stream":  batchHeaderStream,
 		"batch cut at flags":   batchCutAtFlags,
 		"plan huge routes":     hostilePlanRoutes,
@@ -223,13 +224,17 @@ func TestBinaryHostileInputs(t *testing.T) {
 var (
 	// Two engine-shaped tuples (keys 5 and 300, seqs 7 and 9, every
 	// other field hoisted), cut before the second row's seq delta.
-	batchCutRow = []byte{kindBatch, 0, 0, 0, 1, 0, 0, 0, 2, subKnown, 2, 2, 0, 0, 5, 7, 0xac, 0x02}
+	batchCutRow = []byte{kindBatch, 0, 0, 0, 1, 0, 0, 0, 2, subKnown, 2, 2, 0, 5, 7, 0xac, 0x02}
 	// A tuple costs at least two bytes (its key and its seq), so the
 	// five bytes behind the header hold two rows: a count of three is
 	// refused before a row is decoded.
-	batchCountBoundary = []byte{kindBatch, 0, 0, 0, 1, 0, 0, 0, 3, subKnown, 2, 2, 0, 0, 1, 1, 2, 1, 7}
+	batchCountBoundary = []byte{kindBatch, 0, 0, 0, 1, 0, 0, 0, 3, subKnown, 2, 2, 0, 1, 1, 2, 1, 7}
 	// A flag bit this codec does not know.
 	batchUnknownFlags = []byte{kindBatch, 0, 0, 0, 1, 0, 0, 0, 1, 0x40, 1, 1}
+	// The two tuples of batchCutRow, whole, as a protocol-8 encoder sent
+	// them: every flag set, bit 0x04 hoisting an emit tick of 0. The bit
+	// is unknown now.
+	batchTickFlag = []byte{kindBatch, 0, 0, 0, 1, 0, 0, 0, 2, 0x3f, 2, 2, 0, 0, 5, 7, 0xac, 0x02, 0x02}
 	// A hoisted stream whose length runs past the frame.
 	batchHeaderStream = []byte{kindBatch, 0, 0, 0, 1, 0, 0, 0, 1, subStream, 9, 'R', 1, 1}
 	// Flags that hoist fields the frame ends before.
@@ -294,6 +299,7 @@ func TestBatchFrameChecks(t *testing.T) {
 	for frame, want := range map[*[]byte]string{
 		&batchCutRow:        "truncated row 1 of 2",
 		&batchUnknownFlags:  "unknown sub-batch flags 0x40",
+		&batchTickFlag:      "unknown sub-batch flags 0x3f",
 		&batchHeaderStream:  "count 9 of 1-byte elements exceeds 3 remaining bytes",
 		&batchCutAtFlags:    "bad uvarint",
 		&batchCountBoundary: "tuple count 3 exceeds frame",
@@ -317,7 +323,7 @@ func mustBatchFrame(t *testing.T) []byte {
 }
 
 // benchBatch builds a realistic steady-state batch of one shape, every
-// tuple of small key, cost 1, state 1, one emit tick and a rising seq.
+// tuple of small key, cost 1, state 1 and a rising seq.
 // An engine batch is the cluster edge's own (one stream, nil values):
 // a key and a seq delta a row. An app batch is an application edge's
 // (one stream, a small int64 value on every tuple): key, seq and value
@@ -331,7 +337,7 @@ func benchBatch(n int, shape string) []tuple.Tuple {
 	for i := range ts {
 		ts[i] = tuple.Tuple{
 			Key: tuple.Key(r.next() % 4096), Cost: 1, StateSize: 1,
-			Seq: uint64(i), EmitTick: 7,
+			Seq: uint64(i),
 		}
 		switch {
 		case shape == "engine":

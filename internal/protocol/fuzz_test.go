@@ -141,7 +141,7 @@ func buildMessage(seed uint64, kind, n int) *Message {
 			for i := 0; i < n%64; i++ {
 				b.Tuples = append(b.Tuples, tuple.Tuple{
 					Key: tuple.Key(r.next()), Cost: int64(r.intn(16) + 1),
-					StateSize: int64(r.intn(16)), Seq: r.next(), EmitTick: int64(r.intn(1000)),
+					StateSize: int64(r.intn(16)), Seq: r.next(),
 				})
 			}
 			b.Bounds = append(b.Bounds, len(b.Tuples))
@@ -202,8 +202,7 @@ func buildMessage(seed uint64, kind, n int) *Message {
 			t := tuple.Tuple{
 				Key: tuple.Key(r.next()), Cost: int64(r.intn(16) + 1),
 				StateSize: int64(r.intn(16)), Seq: r.next(),
-				EmitTick: int64(r.intn(1000)),
-				Stream:   map[int]string{0: "", 1: "counts"}[r.intn(2)],
+				Stream: map[int]string{0: "", 1: "counts"}[r.intn(2)],
 			}
 			switch r.intn(3) {
 			case 0: // nil payload
@@ -359,6 +358,7 @@ func FuzzBinaryHostile(f *testing.F) {
 	f.Add(batchCutRow)
 	f.Add(batchCountBoundary)
 	f.Add(batchUnknownFlags)
+	f.Add(batchTickFlag)
 	f.Add(batchHeaderStream)
 	f.Add(batchCutAtFlags)
 	f.Add(harvestedCutRow)
@@ -433,6 +433,7 @@ func TestHostileBatchSeedsCommitted(t *testing.T) {
 		"seed-cut-row":                      batchCutRow,
 		"seed-count-boundary":               batchCountBoundary,
 		"seed-unknown-flags":                batchUnknownFlags,
+		"seed-tick-flag":                    batchTickFlag,
 		"seed-header-stream-past-frame":     batchHeaderStream,
 		"seed-cut-after-flags":              batchCutAtFlags,
 		"seed-harvested-cut-row":            harvestedCutRow,

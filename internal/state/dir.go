@@ -513,11 +513,10 @@ func (d *Dir) stat(k tuple.Key) *rec {
 }
 
 // ObserveBatch charges every tuple's cost and state size to its key in
-// the interval in progress and returns the batch's total cost — the
-// statistics face's per-tuple path: the key's slot, then the record its
-// hint names, which the operator's Add has usually just touched.
-func (d *Dir) ObserveBatch(ts []tuple.Tuple) int64 {
-	var total int64
+// the interval in progress — the statistics face's per-tuple path: the
+// key's slot, then the record its hint names, which the operator's Add
+// has usually just touched.
+func (d *Dir) ObserveBatch(ts []tuple.Tuple) {
 	slots, mask, c, base := d.slots, d.mask, d.lists[d.cur], d.base
 	for i := range ts {
 		// The probe and the hint check inline; a miss takes stat.
@@ -543,9 +542,7 @@ func (d *Dir) ObserveBatch(ts []tuple.Tuple) int64 {
 		r.cost += ts[i].Cost
 		r.freq++
 		r.mem += ts[i].StateSize
-		total += ts[i].Cost
 	}
-	return total
 }
 
 // AbsorbKey folds an already-aggregated (cost, freq, mem) contribution

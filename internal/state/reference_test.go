@@ -260,14 +260,11 @@ func (t *refTracker) ObserveKey(k tuple.Key, cost, state int64) {
 	c.mem += state
 }
 
-// ObserveBatch folds a batch tuple by tuple and returns its total cost.
-func (t *refTracker) ObserveBatch(ts []tuple.Tuple) int64 {
-	var total int64
+// ObserveBatch folds a batch tuple by tuple.
+func (t *refTracker) ObserveBatch(ts []tuple.Tuple) {
 	for i := range ts {
 		t.ObserveKey(ts[i].Key, ts[i].Cost, ts[i].StateSize)
-		total += ts[i].Cost
 	}
-	return total
 }
 
 // AbsorbKey folds an already-aggregated (cost, freq, mem) contribution

@@ -42,16 +42,13 @@ func (t *refTracker) touch(k tuple.Key) *KeyStat {
 	return c
 }
 
-func (t *refTracker) ObserveBatch(ts []tuple.Tuple) int64 {
-	var total int64
+func (t *refTracker) ObserveBatch(ts []tuple.Tuple) {
 	for _, tp := range ts {
 		c := t.touch(tp.Key)
 		c.Cost += tp.Cost
 		c.Freq++
 		c.Mem += tp.StateSize
-		total += tp.Cost
 	}
-	return total
 }
 
 // AbsorbKey adds an aggregated contribution; an all-zero one touches

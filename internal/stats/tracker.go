@@ -40,10 +40,8 @@ func (t *Tracker) Window() int { return t.d.Window() }
 
 // ObserveBatch folds a whole batch of tuples into the current interval
 // with one call, the entry point the engine's task loop uses so tracker
-// accounting is amortized across every tuple of a channel message. It
-// returns the batch's total cost, already read during the single pass,
-// so callers charging processed-cost accounting need no second pass.
-func (t *Tracker) ObserveBatch(ts []tuple.Tuple) int64 { return t.d.ObserveBatch(ts) }
+// accounting is amortized across every tuple of a channel message.
+func (t *Tracker) ObserveBatch(ts []tuple.Tuple) { t.d.ObserveBatch(ts) }
 
 // AbsorbKey folds an already-aggregated (cost, freq, mem) contribution
 // into k's current interval. The hot-key fold-back path uses it to

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/ops"
+	"repro/internal/stats"
 	"repro/internal/tuple"
 	"repro/internal/workload"
 )
@@ -16,6 +18,15 @@ import (
 // aggregates. Swept across Zipf skews from cold (θ=0.8, the detector
 // never fires) to viral (θ=1.5, multiple keys split), on both the
 // word-count topology and the PartialCount→MergeCount pipeline.
+
+// observe registers a no-op snapshot hook on every stage of sys: a
+// stage observes per-key statistics only while it has a hook, and the
+// split-off run has none to compare against the splitter's.
+func observe(sys *System) {
+	for si := range sys.Engine.Stages {
+		sys.Engine.AddSnapshotHook(si, func(*engine.Engine, int, *stats.Snapshot) *engine.Rebalance { return nil })
+	}
+}
 
 func sameRuns(t *testing.T, label string, off, on *System, nd int) {
 	t.Helper()
@@ -76,6 +87,7 @@ func TestHotKeySplitEquivalenceWordCount(t *testing.T) {
 				}
 				sys := New(SpoutBatch(gen.NextBatch), Budget(budget)).
 					Stage("wc", fleet.Factory, sOpts...).Build()
+				observe(sys)
 				sys.Run(intervals)
 				sys.Stop()
 				return sys, fleet
@@ -119,6 +131,7 @@ func TestHotKeySplitEquivalencePKGPair(t *testing.T) {
 					Stage("partial", pf.Factory, sOpts...).
 					Stage("merge", mf.Factory, Instances(3)).
 					Build()
+				observe(sys)
 				sys.Run(intervals)
 				sys.Stop()
 				return sys, pf, mf

@@ -24,6 +24,11 @@ import (
 // hand-wired forms below replicate what the examples did before the
 // builder existed, with the controller on the stage directly.
 
+// noopHook is a snapshot hook that reads nothing: a stage observes
+// per-key statistics only while it has a hook, so a test that compares
+// a controller-less stage's snapshots registers this one on both sides.
+func noopHook(*engine.Engine, int, *stats.Snapshot) *engine.Rebalance { return nil }
+
 // directHook is the direct path the builder's control loop is pinned
 // against: the controller decides and applies on the stage itself, no
 // protocol.
@@ -157,6 +162,7 @@ func TestBuilderQ5MatchesHandWired(t *testing.T) {
 	hwCtl := controller.New(balance.Mixed{}, balance.Config{ThetaMax: 0.08, TableMax: 3000, Beta: 1.5})
 	hwCtl.MinKeys = 32
 	hw.AddSnapshotHook(0, directHook(hwCtl))
+	hw.AddSnapshotHook(1, noopHook)
 	hw.AdvanceWorkload = func(i int64) {
 		if i%3 == 0 {
 			hwGen.Advance()
@@ -184,6 +190,7 @@ func TestBuilderQ5MatchesHandWired(t *testing.T) {
 	).Stage("q5agg", bAggs.Factory,
 		topology.Instances(2), topology.Window(2),
 	).Build()
+	sys.Engine.AddSnapshotHook(1, noopHook)
 	sys.Run(intervals)
 	sys.Stop()
 
@@ -226,6 +233,9 @@ func TestBuilderPKGMatchesHandWired(t *testing.T) {
 		Budget: 1100, MaxPendingFactor: 2, MigrationFactor: 0.5, LatencyFloorMs: 10}, h0, h1)
 	base := int64(1100 / 3)
 	hw.SetStageCapacity(0, int64(float64(base)/topology.PKGOverhead))
+	for si := range hw.Stages {
+		hw.AddSnapshotHook(si, noopHook)
+	}
 	hw.Run(intervals)
 	hw.Stop()
 
@@ -241,6 +251,9 @@ func TestBuilderPKGMatchesHandWired(t *testing.T) {
 	).Stage("merge", bMerges.Factory,
 		topology.Instances(2),
 	).Build()
+	for si := range sys.Engine.Stages {
+		sys.Engine.AddSnapshotHook(si, noopHook)
+	}
 	sys.Run(intervals)
 	sys.Stop()
 

@@ -40,10 +40,11 @@ func KeyOf(s string) Key {
 // simulated CPU cost c charged when the tuple is processed; StateSize is
 // the memory s the tuple contributes to the key's windowed state.
 //
-// Field order is deliberate: Key, Cost and StateSize — the fields the
-// data plane (routing, arrival accounting, statistics) touches per
-// tuple — sit in the first 24 bytes so hot-path scans over tuple
-// batches read one cache line per tuple as often as possible.
+// A Tuple is 64 bytes, one cache line, and every data-plane copy (the
+// feed path's scatter, an Emit, a decoded row) moves all of it: a field
+// is added only when something reads it. Key, Cost and StateSize — the
+// fields routing, arrival accounting and statistics touch per tuple —
+// come first.
 type Tuple struct {
 	Key       Key
 	Cost      int64
@@ -55,9 +56,6 @@ type Tuple struct {
 	// Seq is a generator-assigned sequence number, used for latency
 	// accounting and deterministic replay.
 	Seq uint64
-	// EmitTick is the interval index at which the tuple entered the
-	// system; the engine uses it to compute queueing latency.
-	EmitTick int64
 }
 
 // New returns a unit-cost, unit-state tuple for key k carrying v.

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestKeyOfDeterministic(t *testing.T) {
@@ -68,5 +69,14 @@ func TestStringIncludesFields(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Fatalf("String() = %q missing %q", s, want)
 		}
+	}
+}
+
+// TestTupleIsOneCacheLine pins the tuple at 64 bytes: every data-plane
+// copy (the feed path's scatter, an Emit, a decoded row) moves the whole
+// struct, so a new field is paid on every one of them.
+func TestTupleIsOneCacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(Tuple{}); n != 64 {
+		t.Fatalf("unsafe.Sizeof(Tuple{}) = %d, want 64", n)
 	}
 }

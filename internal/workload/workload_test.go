@@ -516,7 +516,7 @@ func TestNextBatchMatchesSequentialNext(t *testing.T) {
 		for iv, n := range []int{257, 1, 0, 4096} {
 			buf := make([]tuple.Tuple, n)
 			for i := range buf {
-				buf[i] = tuple.Tuple{Key: 99, Value: "stale", Stream: "x", EmitTick: 9}
+				buf[i] = tuple.Tuple{Key: 99, Value: "stale", Stream: "x"}
 			}
 			if got := bat.batch(buf); got != n {
 				t.Fatalf("%s: NextBatch returned %d, want %d", seq.name, got, n)
