@@ -64,9 +64,11 @@ bench-control:
 	$(GO) test -run '^$$' -bench 'ControlRound|EngineInterval|WireCodec' -benchmem -benchtime 1s ./internal/control/
 
 ## bench-wire: the receive path's micro-benchmarks. TupleBatchCodec is
-## one 256-tuple batch through Send and Recv per chunk shape (engine,
-## app, scalar, composite; every row but composite must report
-## 0 allocs/op in both directions); DestTuples is the
+## one 256-tuple batch through Send and Recv per chunk shape (engine;
+## fallback, the engine chunk with its last tuple breaking a hoist, so
+## the encoder's one pass is wasted and the chunk written again; app,
+## scalar, composite; every row but composite must report 0 allocs/op
+## in both directions); DestTuples is the
 ## feeder's routing kernel on warm 1 024-tuple Zipf chunks with an empty
 ## routing table, a 32-entry one, a split set beside it, and the hotkey
 ## shape (one key at 40 % split beside 80 entries) (ns/tuple);

@@ -114,8 +114,10 @@
 //     the operator's Add left it, and a new key allocates nothing but
 //     its entry run. Only a stage with a snapshot hook observes: the
 //     task loop of any other stage skips ObserveBatch;
-//   - a tuple.Tuple is 64 bytes, one cache line, for the feed path's
-//     scatter copy, Emit's append and the decoder's rows.
+//   - a tuple.Tuple is 48 bytes (key, cost, state size, value, seq)
+//     for the feed path's scatter copy, Emit's append and the decoder's
+//     rows, and the batch encoder writes the engine's own chunks in one
+//     pass.
 //
 // Batching changes cost, not semantics: routing decisions, interval
 // boundaries and the migration protocol are exactly those of the

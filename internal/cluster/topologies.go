@@ -45,9 +45,7 @@ func (c *countOp) Process(ctx *engine.TaskCtx, t tuple.Tuple) {
 
 func (c *countOp) FlushInterval(ctx *engine.TaskCtx) {
 	for k, n := range c.interval {
-		out := tuple.New(k, n)
-		out.Stream = "counts"
-		ctx.Emit(out)
+		ctx.Emit(tuple.New(k, n))
 		delete(c.interval, k)
 	}
 }

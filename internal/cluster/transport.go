@@ -10,9 +10,11 @@ import (
 )
 
 // Proto is the cluster session protocol version, validated on both
-// sides of every Hello/Welcome handshake. Version 9's batch rows carry
-// no emit tick, and its sub-batch flags no bit for one; a version-8
-// engine chunk sets that bit, which version 9 refuses as unknown.
+// sides of every Hello/Welcome handshake. Version 10's batch rows carry
+// no stream label, and its sub-batch flags no bit for one; a version-9
+// engine chunk sets that bit (0x08), which version 10 refuses as
+// unknown. Version 9's batch rows carry no emit tick, and its sub-batch
+// flags no bit for one; a version-8 engine chunk sets that bit.
 // Version 8 speaks one encoding: versions 6 and 7 sent the session messages as gob frames behind kind
 // byte 0x00, now unknown, and migrated state as a gob stream. Version 7's
 // StageAssign says whether the stage is the recorded one, which decides
@@ -25,7 +27,7 @@ import (
 // arrays for the coordinator to model instead. Version 4 introduced the
 // flagged batch sub-frame, whose rows carry only the fields that vary
 // inside their chunk. Older peers are refused.
-const Proto = 9
+const Proto = 10
 
 // handshakeTimeout bounds the Hello/Welcome exchange (and nothing
 // else: established connections block indefinitely — the interval

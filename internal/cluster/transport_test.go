@@ -176,8 +176,8 @@ func TestBatchConnConcurrentFeed(t *testing.T) {
 }
 
 // TestHandshakeProtoMismatch refuses a newer peer and the older versions
-// alike: a version-8 peer hoists an emit tick under a sub-batch flag
-// this version does not know, a version-7 peer sends its session messages as gob frames and
+// alike: a version-9 peer hoists a stream label and a version-8 peer an
+// emit tick under a sub-batch flag this version does not know, a version-7 peer sends its session messages as gob frames and
 // its migrated state as a gob stream, a version-6 worker would build a
 // PKG target without its latency floor, a version-5 peer opens with a
 // gob-stream Hello and negotiates the binary wire after it, a version-4
@@ -193,7 +193,7 @@ func TestHandshakeProtoMismatch(t *testing.T) {
 		t.Fatalf("listen: %v", err)
 	}
 	defer ln.Close()
-	for _, proto := range []int{Proto + 1, 8, 7, 6, 5, 4, 3, 2} {
+	for _, proto := range []int{Proto + 1, 9, 8, 7, 6, 5, 4, 3, 2} {
 		go func() {
 			// A raw framed client announcing the wrong protocol version.
 			nc, err := net.Dial("tcp", ln.Addr())

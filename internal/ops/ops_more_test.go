@@ -102,12 +102,8 @@ func TestQ5JoinBuffersBothStreams(t *testing.T) {
 	st := engine.NewStage("q5", 1, func(int) engine.Operator { return j }, 2, asgRouter(1))
 	defer st.Stop()
 
-	o := tuple.New(1, workload.Order{OrderKey: 1, CustKey: 1})
-	o.Stream = "O"
-	li := tuple.New(1, workload.Lineitem{OrderKey: 1, SuppKey: 1, ExtendedPrice: 100})
-	li.Stream = "L"
-	st.Feed(o)
-	st.Feed(li)
+	st.Feed(tuple.New(1, workload.Order{OrderKey: 1, CustKey: 1}))
+	st.Feed(tuple.New(1, workload.Lineitem{OrderKey: 1, SuppKey: 1, ExtendedPrice: 100}))
 	st.Barrier()
 	// Both rows buffered under orderkey 1.
 	if got := st.StoreOf(0).Size(1); got == 0 {
@@ -115,9 +111,7 @@ func TestQ5JoinBuffersBothStreams(t *testing.T) {
 	}
 	// Whether the pair joined depends on the region filter; emitting a
 	// second matching lineitem must probe the buffered order either way.
-	li2 := tuple.New(1, workload.Lineitem{OrderKey: 1, SuppKey: 2, ExtendedPrice: 50})
-	li2.Stream = "L"
-	st.Feed(li2)
+	st.Feed(tuple.New(1, workload.Lineitem{OrderKey: 1, SuppKey: 2, ExtendedPrice: 50}))
 	st.Barrier()
 	entries := st.StoreOf(0).Entries(1)
 	if len(entries) != 3 {

@@ -59,9 +59,7 @@ func (p *PartialCount) SplitMerge(ctx *engine.TaskCtx, k tuple.Key, delta, freq,
 // touched key, then reset.
 func (p *PartialCount) FlushInterval(ctx *engine.TaskCtx) {
 	for k, v := range p.partial {
-		out := tuple.New(k, v)
-		out.Stream = "partial"
-		ctx.Emit(out)
+		ctx.Emit(tuple.New(k, v))
 		p.Published++
 		delete(p.partial, k)
 	}

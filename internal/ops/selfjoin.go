@@ -32,9 +32,7 @@ func (j *SelfJoin) Process(ctx *engine.TaskCtx, t tuple.Tuple) {
 	j.Matches += int64(len(probes))
 	if j.EmitPairs {
 		for range probes {
-			out := tuple.New(t.Key, t.Value)
-			out.Stream = "J"
-			ctx.Emit(out)
+			ctx.Emit(tuple.New(t.Key, t.Value))
 		}
 	}
 	ctx.Store.Add(t.Key, state.Entry{Value: t.Value, Size: t.StateSize})

@@ -74,9 +74,7 @@ func (q *Q5Join) join(ctx *engine.TaskCtx, o workload.Order, li workload.Lineite
 		return
 	}
 	rev := li.ExtendedPrice * (1 - li.Discount)
-	out := tuple.New(tuple.Key(sn), rev)
-	out.Stream = "q5"
-	ctx.Emit(out)
+	ctx.Emit(tuple.New(tuple.Key(sn), rev))
 	q.Joined++
 }
 

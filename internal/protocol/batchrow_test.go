@@ -28,8 +28,6 @@ func refRowAppend(dst []byte, ts []tuple.Tuple) []byte {
 		dst = binary.AppendVarint(dst, t.Cost)
 		dst = binary.AppendVarint(dst, t.StateSize)
 		dst = binary.AppendUvarint(dst, t.Seq)
-		dst = binary.AppendUvarint(dst, uint64(len(t.Stream)))
-		dst = append(dst, t.Stream...)
 		var err error
 		if dst, err = tuple.AppendValue(dst, t.Value); err != nil {
 			panic(err)
@@ -38,15 +36,172 @@ func refRowAppend(dst []byte, ts []tuple.Tuple) []byte {
 	return dst
 }
 
+// refTwoPassAppend is the sub-batch encoder AppendBatchChunk's one pass
+// replaced: scan the whole chunk for its flags, then write it. It
+// survives as the byte reference — whichever way AppendBatchChunk takes
+// a chunk, it must write these bytes — and shares no code with it.
+func refTwoPassAppend(dst []byte, ts []tuple.Tuple) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(ts)))
+	if len(ts) == 0 {
+		return append(dst, 0)
+	}
+	h, flags := ts[0], subKnown
+	for i, t := range ts {
+		if t.Cost != h.Cost {
+			flags &^= subCost
+		}
+		if t.StateSize != h.StateSize {
+			flags &^= subState
+		}
+		if t.Value != nil {
+			flags &^= subNil
+		}
+		if i > 0 && t.Seq < ts[i-1].Seq {
+			flags &^= subSeqDelta
+		}
+	}
+	dst = append(dst, flags)
+	if flags&subCost != 0 {
+		dst = binary.AppendVarint(dst, h.Cost)
+	}
+	if flags&subState != 0 {
+		dst = binary.AppendVarint(dst, h.StateSize)
+	}
+	var prev uint64
+	for _, t := range ts {
+		seq := t.Seq
+		if flags&subSeqDelta != 0 {
+			seq, prev = t.Seq-prev, t.Seq
+		}
+		dst = binary.AppendUvarint(binary.AppendUvarint(dst, uint64(t.Key)), seq)
+		if flags&subCost == 0 {
+			dst = binary.AppendVarint(dst, t.Cost)
+		}
+		if flags&subState == 0 {
+			dst = binary.AppendVarint(dst, t.StateSize)
+		}
+		if flags&subNil == 0 {
+			var err error
+			if dst, err = tuple.AppendValue(dst, t.Value); err != nil {
+				panic(err)
+			}
+		}
+	}
+	return dst
+}
+
+// The hoists the one-pass encoder checks, and where in a chunk the
+// tuple breaking one sits.
+var (
+	hoists    = []string{"none", "cost", "state", "value", "seq"}
+	positions = []string{"first", "middle", "last"}
+)
+
+// breakChunk draws an engine-shaped chunk of n tuples — one cost and one
+// state size (from the varint edges as often as not), nil values, seqs
+// that never decrease — in which the tuple at position breaks hoist: a
+// cost or state size of its own, a non-nil value, or a seq below the
+// one before it (first: above the one after it). It reports whether the
+// break took effect: a one-tuple chunk cannot break a cost, state size
+// or seq.
+func breakChunk(r *fuzzRNG, n int, hoist, position string) ([]tuple.Tuple, bool) {
+	s := func() int64 {
+		if r.intn(2) == 0 {
+			v := varintEdges[r.intn(len(varintEdges))]
+			return int64(v>>1) ^ -int64(v&1)
+		}
+		return 1
+	}
+	cost, size := s(), s()
+	seq := 1<<20 + r.next()%(1<<61) // room to fall below, none to wrap
+	ts := make([]tuple.Tuple, n)
+	for i := range ts {
+		ts[i] = tuple.Tuple{Key: tuple.Key(varintEdges[r.intn(len(varintEdges))] >> r.intn(64)), Cost: cost, StateSize: size, Seq: seq}
+		seq += []uint64{0, 1, 1, 1, 0x7f, 0x80, 0x4000, 1 << 40}[r.intn(8)]
+	}
+	if n == 0 || hoist == "none" {
+		return ts, false
+	}
+	j := map[string]int{"first": 0, "middle": n / 2, "last": n - 1}[position]
+	t := &ts[j]
+	switch hoist {
+	case "cost":
+		t.Cost += 1 + int64(r.intn(1000))
+	case "state":
+		t.StateSize -= 1 + int64(r.intn(1000))
+	case "value":
+		t.Value = []any{int64(-7), "payload", []tuple.Key{1, 1 << 40}, 2.5, uint64(0)}[r.intn(5)]
+		return ts, true
+	case "seq":
+		switch {
+		case n == 1:
+		case j == 0:
+			t.Seq = ts[1].Seq + 1 + uint64(r.intn(1000))
+		default:
+			t.Seq = ts[j-1].Seq - 1 - uint64(r.intn(1000))
+		}
+	}
+	return ts, n > 1
+}
+
+// TestOnePassMatchesTwoPass pins the one-pass encoder to the two-pass
+// reference: engine-shaped chunks of 1–1024 tuples, each with one tuple
+// (first, in the middle or last) breaking one hoist, or none, encode to
+// the reference's bytes, set every flag exactly when no break took
+// effect, and decode to their input. Every hoist is broken at every
+// position.
+func TestOnePassMatchesTwoPass(t *testing.T) {
+	r := &fuzzRNG{s: 0x1a55}
+	drawn := map[string]int{}
+	for round := 0; round < 1500; round++ {
+		n := 1 + r.intn(1024)
+		if r.intn(2) == 0 {
+			n = 1 + r.intn(8)
+		}
+		hoist, position := hoists[r.intn(len(hoists))], positions[r.intn(len(positions))]
+		ts, broken := breakChunk(r, n, hoist, position)
+		what := fmt.Sprintf("round %d: %d tuples, %s broken %s", round, n, hoist, position)
+		drawn[hoist+" "+position]++
+
+		got, err := AppendBatchChunk([]byte{0xee}, ts)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if want := refTwoPassAppend([]byte{0xee}, ts); !bytes.Equal(got, want) {
+			t.Fatalf("%s: one pass wrote\n % x\nthe two-pass reference\n % x", what, got, want)
+		}
+		if flags := got[subHeaderLen]; (flags == subKnown) == broken {
+			t.Fatalf("%s: flags %#x, break took effect: %v", what, flags, broken)
+		}
+
+		frame := append(AppendBatchHeader(nil), got[1:]...)
+		PatchBatchHeader(frame, 1)
+		m, err := NewFramedCodec(readerOnly{bytes.NewReader(framed(frame))}).Recv()
+		if err != nil {
+			t.Fatalf("%s: Recv: %v", what, err)
+		}
+		if !sameTuples(ts, m.Batch.Tuples) {
+			t.Fatalf("%s: decoded\n %+v\nwant\n %+v", what, m.Batch.Tuples, ts)
+		}
+	}
+	for _, h := range hoists {
+		for _, p := range positions {
+			if drawn[h+" "+p] == 0 {
+				t.Fatalf("%s never broken %s", h, p)
+			}
+		}
+	}
+}
+
 // varintEdges sit on both sides of every encoded-length boundary the
 // inlined one- and two-byte cases decide.
 var varintEdges = []uint64{0, 1, 0x7f, 0x80, 0x3fff, 0x4000, 1<<63 - 1, 1 << 63, math.MaxUint64}
 
 // rowChunk draws one chunk of n tuples. Each field is, per chunk, either
 // shared by every tuple or drawn per tuple — from the varint edges or
-// small steady-state values, a stream label on some, every value tag in
-// turn — and the seqs either never decrease or are drawn at random, so
-// every flag is drawn both set and clear.
+// small steady-state values, every value tag in turn — and the seqs
+// either never decrease or are drawn at random, so every flag is drawn
+// both set and clear.
 func rowChunk(r *fuzzRNG, n int) []tuple.Tuple {
 	u := func() uint64 {
 		if r.intn(3) == 0 {
@@ -57,7 +212,6 @@ func rowChunk(r *fuzzRNG, n int) []tuple.Tuple {
 	// Signed fields: the same edges as zigzag images, so min-int64 and
 	// ±0x40 (where a zigzag varint grows a byte) are drawn.
 	s := func() int64 { v := u(); return int64(v>>1) ^ -int64(v&1) }
-	stream := func() string { return []string{"", "", "counts", "R", string(make([]byte, 200))}[r.intn(5)] }
 	value := func() any {
 		switch r.intn(9) {
 		case 0:
@@ -80,9 +234,9 @@ func rowChunk(r *fuzzRNG, n int) []tuple.Tuple {
 			return []tuple.Key{tuple.Key(u()), tuple.Key(u())}
 		}
 	}
-	shared := r.intn(16) // bit f: field f is shared by the chunk
-	first := tuple.Tuple{Cost: s(), StateSize: s(), Stream: stream()}
-	nilValues := shared&8 != 0
+	shared := r.intn(8) // bit f: field f is shared by the chunk
+	first := tuple.Tuple{Cost: s(), StateSize: s()}
+	nilValues := shared&4 != 0
 	ts := make([]tuple.Tuple, n)
 	for i := range ts {
 		t := first
@@ -92,9 +246,6 @@ func rowChunk(r *fuzzRNG, n int) []tuple.Tuple {
 		}
 		if shared&2 == 0 {
 			t.StateSize = s()
-		}
-		if shared&4 == 0 {
-			t.Stream = stream()
 		}
 		if !nilValues {
 			t.Value = value()
@@ -151,11 +302,11 @@ func framed(payload []byte) []byte {
 
 // TestBatchRowRoundTrip is the flagged layout's model test: random
 // frames of 1–40 chunks, each mixing shared and varying fields, over
-// every value tag, non-empty streams, rising and unordered seqs and the
-// varint edges, decode to their input; no chunk is more than its flags
-// byte longer than the every-field row, and one that hoists a field is
-// not longer at all; and the frames reach the callback decoder and Recv
-// as the same chunk sequence. Every flag is drawn set and clear.
+// every value tag, rising and unordered seqs and the varint edges,
+// decode to their input; no chunk is more than its flags byte longer
+// than the every-field row, and one that hoists a field is not longer
+// at all; and the frames reach the callback decoder and Recv as the
+// same chunk sequence. Every flag is drawn set and clear.
 func TestBatchRowRoundTrip(t *testing.T) {
 	r := &fuzzRNG{s: 0x70a5}
 	var set, cleared byte
@@ -278,7 +429,7 @@ func truncate(t *testing.T, frame []byte) {
 }
 
 // TestHostileCountReservesLittle: a tuple count is checked only against
-// minRowLen bytes a row, a 36th of a decoded tuple, so a 64 KiB frame can
+// minRowLen bytes a row, a 24th of a decoded tuple, so a 64 KiB frame can
 // claim some 32 000 rows. Claiming them — or every row a 32-bit count
 // names — over rows that do not decode must fail as ErrBinaryFrame
 // having allocated well under what the count would size. So must a
@@ -329,9 +480,9 @@ func TestHostileCountReservesLittle(t *testing.T) {
 }
 
 // TestScalarWireAllocatesNothing pins the steady state of both
-// directions: a scalar batch (nil and small-int64 values, interned
-// stream labels) is sent, received and streamed to a feed without one
-// allocation once the retained buffers have grown.
+// directions: a scalar batch (nil and small-int64 values) is sent,
+// received and streamed to a feed without one allocation once the
+// retained buffers have grown.
 func TestScalarWireAllocatesNothing(t *testing.T) {
 	msg := &Message{Batch: &TupleBatch{Tuples: benchBatch(256, "scalar")}}
 	var buf bytes.Buffer

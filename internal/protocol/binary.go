@@ -40,27 +40,26 @@ import (
 // equivalence pins depend on):
 //
 //	batch    := nsub(4,BE) sub*
-//	sub      := ntuples(4,BE) flags(1) [cost] [state] [streamlen stream] row{ntuples}
-//	row      := key seq [cost] [state] [streamlen stream] [value]
+//	sub      := ntuples(4,BE) flags(1) [cost] [state] row{ntuples}
+//	row      := key seq [cost] [state] [value]
 //
 // A row is one tuple, so decode is one pass that touches every tuple
-// once (encode first scans a chunk for its flags), and a row carries
-// only what varies inside its chunk. The flags byte says what the
-// encoder found constant: a field every tuple of the chunk shares
-// (cost, state size, stream) is written once in the sub-batch header
-// instead of in every row; a chunk of nil values leaves the value out
-// of its rows; a chunk whose seqs never decrease sends each seq as the
-// delta from the row before. Flag bit 0x04 hoisted an emit tick up to
-// protocol 8; it is now unknown, and a sub-batch setting it is
-// malformed. The engine's own chunks — cost 1, state 1, one stream,
-// nil values, rising seqs — are a key and a one-byte delta per tuple,
-// and no chunk is more than the flags byte longer than a row that
-// carried every field. Fields are varint-packed: keys and seqs as
-// uvarints, costs and state sizes as zigzag varints. The
-// stream is a length-prefixed string; the value is tuple.AppendValue's
-// one-byte type tag and body (nil, int64, int, uint64, float64, string,
-// []byte, tuple.Key, []tuple.Key). A value of any other type is an
-// encode error naming it.
+// once, and a row carries only what varies inside its chunk. The flags
+// byte says what the encoder found constant: a field every tuple of the
+// chunk shares (cost, state size) is written once in the sub-batch
+// header instead of in every row; a chunk of nil values leaves the value
+// out of its rows; a chunk whose seqs never decrease sends each seq as
+// the delta from the row before. Flag bit 0x04 hoisted an emit tick up
+// to protocol 8 and bit 0x08 a stream label up to protocol 9; both are
+// now unknown, and a sub-batch setting either is malformed. The
+// engine's own chunks — cost 1, state 1, nil values, rising seqs — are
+// a key and a one-byte delta per tuple, written in one pass
+// (AppendBatchChunk), and no chunk is more than the flags byte longer
+// than a row that carried every field. Fields are varint-packed: keys and seqs
+// as uvarints, costs and state sizes as zigzag varints; the value is
+// tuple.AppendValue's one-byte type tag and body (nil, int64, int,
+// uint64, float64, string, []byte, tuple.Key, []tuple.Key). A value of
+// any other type is an encode error naming it.
 //
 //	plan     := interval algo gentime table moved
 //	table, moved := n (key dest){n}
@@ -113,20 +112,21 @@ const batchHeaderLen = 5
 // flags).
 const subHeaderLen = 5
 
-// Sub-batch flag bits. subCost, subState and subStream hoist a field
-// every tuple of the chunk shares into the sub-batch header; subNil
-// drops the value from every row; subSeqDelta makes a row's seq the
-// delta from the previous row's (the first row's from zero). Bit 0x04,
-// the emit tick's up to protocol 8, is unknown.
+// Sub-batch flag bits. subCost and subState hoist a field every tuple
+// of the chunk shares into the sub-batch header; subNil drops the value
+// from every row; subSeqDelta makes a row's seq the delta from the
+// previous row's (the first row's from zero). Bits 0x04 (the emit tick's
+// up to protocol 8) and 0x08 (the stream label's up to protocol 9) are
+// unknown.
 const (
 	subCost byte = 1 << iota
 	subState
 	_
-	subStream
+	_
 	subNil
 	subSeqDelta
 
-	subKnown = subCost | subState | subStream | subNil | subSeqDelta
+	subKnown = subCost | subState | subNil | subSeqDelta
 )
 
 // ErrBinaryFrame tags every decode failure of the binary codec: a
@@ -200,12 +200,38 @@ func PatchBatchHeader(frame []byte, nsub int) {
 // then one varint-packed row per tuple of what the flags leave varying.
 // It touches no shared codec state, so senders encode concurrently
 // outside any connection lock and serialize only the socket write.
+//
+// A chunk whose first value is nil is written in one pass as the
+// engine's own chunks are, every flag set: the first tuple's cost and
+// state size hoisted, each row checked against them (and for a nil
+// value and a seq no lower than the last) as it is written. The first
+// tuple that breaks a hoist cuts the sub-batch back to its count, and
+// the chunk is scanned for its flags (chunkFlags) and written again, so
+// the bytes never depend on which way a chunk went.
 func AppendBatchChunk(dst []byte, ts []tuple.Tuple) ([]byte, error) {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(ts)))
 	if len(ts) == 0 {
 		return append(dst, 0), nil
 	}
 	h := &ts[0]
+	if h.Value == nil {
+		start := len(dst)
+		dst = appendSvarint(appendSvarint(append(dst, subKnown), h.Cost), h.StateSize)
+		var prev uint64
+		i := 0
+		for ; i < len(ts); i++ {
+			t := &ts[i]
+			if t.Cost != h.Cost || t.StateSize != h.StateSize || t.Value != nil || t.Seq < prev {
+				break
+			}
+			dst = appendUvarint(appendUvarint(dst, uint64(t.Key)), t.Seq-prev)
+			prev = t.Seq
+		}
+		if i == len(ts) {
+			return dst, nil
+		}
+		dst = dst[:start]
+	}
 	flags := chunkFlags(ts)
 	dst = append(dst, flags)
 	if flags&subCost != 0 {
@@ -213,9 +239,6 @@ func AppendBatchChunk(dst []byte, ts []tuple.Tuple) ([]byte, error) {
 	}
 	if flags&subState != 0 {
 		dst = appendSvarint(dst, h.StateSize)
-	}
-	if flags&subStream != 0 {
-		dst = append(appendUvarint(dst, uint64(len(h.Stream))), h.Stream...)
 	}
 	var prev uint64
 	var err error
@@ -233,9 +256,6 @@ func AppendBatchChunk(dst []byte, ts []tuple.Tuple) ([]byte, error) {
 		}
 		if flags&subState == 0 {
 			dst = appendSvarint(dst, t.StateSize)
-		}
-		if flags&subStream == 0 {
-			dst = append(appendUvarint(dst, uint64(len(t.Stream))), t.Stream...)
 		}
 		if flags&subNil != 0 {
 			continue
@@ -264,9 +284,6 @@ func chunkFlags(ts []tuple.Tuple) byte {
 		if flags&subState != 0 && t.StateSize != h.StateSize {
 			flags &^= subState
 		}
-		if flags&subStream != 0 && t.Stream != h.Stream {
-			flags &^= subStream
-		}
 		if flags&subNil != 0 && t.Value != nil {
 			flags &^= subNil
 		}
@@ -283,7 +300,7 @@ const minRowLen = 2
 
 // rowReserve caps the tuples a sub-batch reserves before its rows
 // decode. The count is checked against minRowLen bytes a row, and a
-// decoded tuple is 32 times that, so the count alone must not size the
+// decoded tuple is 24 times that, so the count alone must not size the
 // buffer: rows past the reservation grow it as they decode.
 const rowReserve = 4096
 
@@ -291,7 +308,7 @@ const rowReserve = 4096
 // the grown slice; the caller checks cur.Err. Tuples land in
 // codec-retained storage; every field of every appended tuple is
 // written, so no zeroing is needed.
-func (c *Codec) decodeBatchChunk(cur *cursor, dst []tuple.Tuple) []tuple.Tuple {
+func decodeBatchChunk(cur *cursor, dst []tuple.Tuple) []tuple.Tuple {
 	nt := cur.u32()
 	flags := cur.Byte()
 	if flags&^subKnown != 0 {
@@ -305,9 +322,6 @@ func (c *Codec) decodeBatchChunk(cur *cursor, dst []tuple.Tuple) []tuple.Tuple {
 	if flags&subState != 0 {
 		h.StateSize = cur.Varint()
 	}
-	if flags&subStream != 0 {
-		h.Stream = c.internStream(cur.Take(cur.Count(1)))
-	}
 	// Reject hostile counts before decoding a row.
 	if nt > cur.Rem()/minRowLen {
 		cur.Fail("tuple count %d exceeds frame", nt)
@@ -319,7 +333,7 @@ func (c *Codec) decodeBatchChunk(cur *cursor, dst []tuple.Tuple) []tuple.Tuple {
 		dst = slices.Grow(dst, n)
 		sub := dst[len(dst) : len(dst)+n]
 		dst = dst[:len(dst)+n]
-		prev = c.rows(cur, sub, flags, &h, prev, done, nt)
+		prev = rows(cur, sub, flags, &h, prev, done, nt)
 		done += n
 	}
 	return dst
@@ -332,7 +346,7 @@ func (c *Codec) decodeBatchChunk(cur *cursor, dst []tuple.Tuple) []tuple.Tuple {
 // is past the compiler's inlining budget): the engine chunk's round trip
 // in BenchmarkTupleBatchCodec is a fifth faster for it. What else a row
 // carries goes through the cursor.
-func (c *Codec) rows(cur *cursor, sub []tuple.Tuple, flags byte, h *tuple.Tuple, prev uint64, rows0, nt int) uint64 {
+func rows(cur *cursor, sub []tuple.Tuple, flags byte, h *tuple.Tuple, prev uint64, rows0, nt int) uint64 {
 	p := cur.P
 	for i := range sub {
 		var key, seq uint64
@@ -357,15 +371,12 @@ func (c *Codec) rows(cur *cursor, sub []tuple.Tuple, flags byte, h *tuple.Tuple,
 			prev = seq
 		}
 		t := &sub[i]
-		t.Key, t.Seq, t.Cost, t.StateSize, t.Stream = tuple.Key(key), seq, h.Cost, h.StateSize, h.Stream
+		t.Key, t.Seq, t.Cost, t.StateSize = tuple.Key(key), seq, h.Cost, h.StateSize
 		if flags&subCost == 0 {
 			t.Cost = cur.Varint()
 		}
 		if flags&subState == 0 {
 			t.StateSize = cur.Varint()
-		}
-		if flags&subStream == 0 {
-			t.Stream = c.internStream(cur.Take(cur.Count(1)))
 		}
 		t.Value = nil
 		if flags&subNil == 0 {
@@ -376,27 +387,6 @@ func (c *Codec) rows(cur *cursor, sub []tuple.Tuple, flags byte, h *tuple.Tuple,
 		}
 	}
 	return prev
-}
-
-// internStream maps a decoded stream label to a shared string. Stream
-// names are drawn from a tiny fixed vocabulary ("", "counts", "R", …),
-// so a small cache removes the per-tuple string allocation; the cache
-// is bounded so hostile input cannot grow it without limit.
-func (c *Codec) internStream(b []byte) string {
-	if len(b) == 0 {
-		return ""
-	}
-	if s, ok := c.strs[string(b)]; ok {
-		return s
-	}
-	s := string(b)
-	if c.strs == nil {
-		c.strs = make(map[string]string, 8)
-	}
-	if len(c.strs) < 256 {
-		c.strs[s] = s
-	}
-	return s
 }
 
 // decodeBatchFrame decodes a batch frame body chunk by chunk into the
@@ -417,7 +407,7 @@ func (c *Codec) decodeBatchFrame(cur *cursor, feed func([]tuple.Tuple)) {
 	tup := c.tup[:0]
 	bounds := c.bounds[:0]
 	for i := 0; i < nsub; i++ {
-		if tup = c.decodeBatchChunk(cur, tup); cur.Err != nil {
+		if tup = decodeBatchChunk(cur, tup); cur.Err != nil {
 			break
 		}
 		if feed != nil {

@@ -176,6 +176,7 @@ func TestBinaryHostileInputs(t *testing.T) {
 		"batch unknown flags":  batchUnknownFlags,
 		"batch tick flag":      batchTickFlag,
 		"batch header stream":  batchHeaderStream,
+		"batch stream flag":    batchStreamFlag,
 		"batch cut at flags":   batchCutAtFlags,
 		"plan huge routes":     hostilePlanRoutes,
 		"plan cut route":       {kindPlan, 2, 0, 0, 1, 7},
@@ -224,19 +225,24 @@ func TestBinaryHostileInputs(t *testing.T) {
 var (
 	// Two engine-shaped tuples (keys 5 and 300, seqs 7 and 9, every
 	// other field hoisted), cut before the second row's seq delta.
-	batchCutRow = []byte{kindBatch, 0, 0, 0, 1, 0, 0, 0, 2, subKnown, 2, 2, 0, 5, 7, 0xac, 0x02}
+	batchCutRow = []byte{kindBatch, 0, 0, 0, 1, 0, 0, 0, 2, subKnown, 2, 2, 5, 7, 0xac, 0x02}
 	// A tuple costs at least two bytes (its key and its seq), so the
 	// five bytes behind the header hold two rows: a count of three is
 	// refused before a row is decoded.
-	batchCountBoundary = []byte{kindBatch, 0, 0, 0, 1, 0, 0, 0, 3, subKnown, 2, 2, 0, 1, 1, 2, 1, 7}
+	batchCountBoundary = []byte{kindBatch, 0, 0, 0, 1, 0, 0, 0, 3, subKnown, 2, 2, 1, 1, 2, 1, 7}
 	// A flag bit this codec does not know.
 	batchUnknownFlags = []byte{kindBatch, 0, 0, 0, 1, 0, 0, 0, 1, 0x40, 1, 1}
 	// The two tuples of batchCutRow, whole, as a protocol-8 encoder sent
 	// them: every flag set, bit 0x04 hoisting an emit tick of 0. The bit
 	// is unknown now.
 	batchTickFlag = []byte{kindBatch, 0, 0, 0, 1, 0, 0, 0, 2, 0x3f, 2, 2, 0, 0, 5, 7, 0xac, 0x02, 0x02}
-	// A hoisted stream whose length runs past the frame.
-	batchHeaderStream = []byte{kindBatch, 0, 0, 0, 1, 0, 0, 0, 1, subStream, 9, 'R', 1, 1}
+	// The two tuples of batchCutRow, whole, as a protocol-9 encoder sent
+	// them: every flag set, bit 0x08 hoisting an empty stream label. The
+	// bit is unknown now.
+	batchStreamFlag = []byte{kindBatch, 0, 0, 0, 1, 0, 0, 0, 2, 0x3b, 2, 2, 0, 5, 7, 0xac, 0x02, 0x02}
+	// A protocol-9 hoisted stream (bit 0x08) whose length runs past the
+	// frame: its flag is refused before the length is read.
+	batchHeaderStream = []byte{kindBatch, 0, 0, 0, 1, 0, 0, 0, 1, 0x08, 9, 'R', 1, 1}
 	// Flags that hoist fields the frame ends before.
 	batchCutAtFlags = []byte{kindBatch, 0, 0, 0, 1, 0, 0, 0, 1, subKnown}
 )
@@ -300,7 +306,8 @@ func TestBatchFrameChecks(t *testing.T) {
 		&batchCutRow:        "truncated row 1 of 2",
 		&batchUnknownFlags:  "unknown sub-batch flags 0x40",
 		&batchTickFlag:      "unknown sub-batch flags 0x3f",
-		&batchHeaderStream:  "count 9 of 1-byte elements exceeds 3 remaining bytes",
+		&batchStreamFlag:    "unknown sub-batch flags 0x3b",
+		&batchHeaderStream:  "unknown sub-batch flags 0x8",
 		&batchCutAtFlags:    "bad uvarint",
 		&batchCountBoundary: "tuple count 3 exceeds frame",
 	} {
@@ -324,11 +331,13 @@ func mustBatchFrame(t *testing.T) []byte {
 
 // benchBatch builds a realistic steady-state batch of one shape, every
 // tuple of small key, cost 1, state 1 and a rising seq.
-// An engine batch is the cluster edge's own (one stream, nil values):
-// a key and a seq delta a row. An app batch is an application edge's
-// (one stream, a small int64 value on every tuple): key, seq and value
-// vary. Scalar batches mix two streams and nil with small-int64 values
-// (the count→topk edge), so a zero-alloc decode is possible; composite
+// An engine batch is the cluster edge's own (nil values): a key and a
+// seq delta a row, written in one pass. A fallback batch is an engine
+// batch whose last tuple costs 2, so the encoder gives up its one pass
+// at the last row and writes the chunk again. An app batch is an
+// application edge's (a small int64 value on every tuple): key, seq and
+// value vary. Scalar batches mix nil with small-int64 values (the
+// count→topk edge), so a zero-alloc decode is possible; composite
 // batches add []tuple.Key values (the parse→count edge), which
 // inherently allocate one slice per value on decode.
 func benchBatch(n int, shape string) []tuple.Tuple {
@@ -341,11 +350,11 @@ func benchBatch(n int, shape string) []tuple.Tuple {
 		}
 		switch {
 		case shape == "engine":
-		case shape == "app":
-			ts[i].Stream = "counts"
-			ts[i].Value = int64(r.next() % 100)
-		case i%2 == 0:
-			ts[i].Stream = "counts"
+		case shape == "fallback":
+			if i == n-1 {
+				ts[i].Cost = 2
+			}
+		case shape == "app", i%2 == 0:
 			ts[i].Value = int64(r.next() % 100)
 		case shape == "composite":
 			ts[i].Value = []tuple.Key{tuple.Key(r.next() % 4096), tuple.Key(r.next() % 4096)}
@@ -413,7 +422,7 @@ func BenchmarkTupleBatchCodec(b *testing.B) {
 		})
 	}
 
-	for _, shape := range []string{"engine", "app", "scalar", "composite"} {
+	for _, shape := range []string{"engine", "fallback", "app", "scalar", "composite"} {
 		msg := &Message{Batch: &TupleBatch{Tuples: benchBatch(batchSize, shape)}}
 		b.Run(shape, func(b *testing.B) { bench(b, msg) })
 	}

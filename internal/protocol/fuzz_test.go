@@ -135,15 +135,12 @@ func buildMessage(seed uint64, kind, n int) *Message {
 		return &Message{Split: ann}
 	case 7:
 		// A coalesced frame: several FeedBatch chunks behind Bounds (two
-		// or more, so the binary wire hands the Bounds back).
+		// or more, so the binary wire hands the Bounds back), engine-shaped
+		// but for one tuple in some that breaks a hoist (breakChunk).
 		b := &TupleBatch{}
 		for chunk := 0; chunk < 2+r.intn(3); chunk++ {
-			for i := 0; i < n%64; i++ {
-				b.Tuples = append(b.Tuples, tuple.Tuple{
-					Key: tuple.Key(r.next()), Cost: int64(r.intn(16) + 1),
-					StateSize: int64(r.intn(16)), Seq: r.next(),
-				})
-			}
+			ts, _ := breakChunk(r, n%64, hoists[r.intn(len(hoists))], positions[r.intn(len(positions))])
+			b.Tuples = append(b.Tuples, ts...)
 			b.Bounds = append(b.Bounds, len(b.Tuples))
 		}
 		return &Message{Batch: b}
@@ -202,7 +199,6 @@ func buildMessage(seed uint64, kind, n int) *Message {
 			t := tuple.Tuple{
 				Key: tuple.Key(r.next()), Cost: int64(r.intn(16) + 1),
 				StateSize: int64(r.intn(16)), Seq: r.next(),
-				Stream: map[int]string{0: "", 1: "counts"}[r.intn(2)],
 			}
 			switch r.intn(3) {
 			case 0: // nil payload
@@ -359,6 +355,7 @@ func FuzzBinaryHostile(f *testing.F) {
 	f.Add(batchCountBoundary)
 	f.Add(batchUnknownFlags)
 	f.Add(batchTickFlag)
+	f.Add(batchStreamFlag)
 	f.Add(batchHeaderStream)
 	f.Add(batchCutAtFlags)
 	f.Add(harvestedCutRow)
@@ -434,6 +431,7 @@ func TestHostileBatchSeedsCommitted(t *testing.T) {
 		"seed-count-boundary":               batchCountBoundary,
 		"seed-unknown-flags":                batchUnknownFlags,
 		"seed-tick-flag":                    batchTickFlag,
+		"seed-stream-flag":                  batchStreamFlag,
 		"seed-header-stream-past-frame":     batchHeaderStream,
 		"seed-cut-after-flags":              batchCutAtFlags,
 		"seed-harvested-cut-row":            harvestedCutRow,

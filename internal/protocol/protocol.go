@@ -416,12 +416,10 @@ type Codec struct {
 
 	// bin is the retained encode scratch; tup/bounds are the retained
 	// decode storage that successive hot-path batches reuse (the
-	// receive-side mirror of the engine's pooled feed buffers); strs
-	// interns stream labels.
+	// receive-side mirror of the engine's pooled feed buffers).
 	bin    []byte
 	tup    []tuple.Tuple
 	bounds []int
-	strs   map[string]string
 
 	// Retained hot-path message envelopes: Recv returns pointers into
 	// these for TupleBatch/Flush/StateTransfer, valid until the next

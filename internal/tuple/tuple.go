@@ -40,19 +40,18 @@ func KeyOf(s string) Key {
 // simulated CPU cost c charged when the tuple is processed; StateSize is
 // the memory s the tuple contributes to the key's windowed state.
 //
-// A Tuple is 64 bytes, one cache line, and every data-plane copy (the
-// feed path's scatter, an Emit, a decoded row) moves all of it: a field
-// is added only when something reads it. Key, Cost and StateSize — the
-// fields routing, arrival accounting and statistics touch per tuple —
-// come first.
+// A Tuple is 48 bytes — Key, Cost, StateSize, Value, Seq — and every
+// data-plane copy (the feed path's scatter, an Emit, a decoded row)
+// moves all of it: a field is added only when something reads it. Key,
+// Cost and StateSize — the fields routing, arrival accounting and
+// statistics touch per tuple — come first. A multi-input operator tells
+// its inputs apart by the type of Value (the Q5 join switches on it),
+// not by a per-tuple label.
 type Tuple struct {
 	Key       Key
 	Cost      int64
 	StateSize int64
 	Value     any
-	// Stream tags the logical stream the tuple belongs to, used by
-	// multi-input operators such as joins (e.g. "R" and "S").
-	Stream string
 	// Seq is a generator-assigned sequence number, used for latency
 	// accounting and deterministic replay.
 	Seq uint64
@@ -77,5 +76,5 @@ func (t Tuple) WithState(s int64) Tuple {
 
 // String implements fmt.Stringer for debugging output.
 func (t Tuple) String() string {
-	return fmt.Sprintf("tuple{k=%d v=%v c=%d s=%d stream=%q}", t.Key, t.Value, t.Cost, t.StateSize, t.Stream)
+	return fmt.Sprintf("tuple{k=%d v=%v c=%d s=%d}", t.Key, t.Value, t.Cost, t.StateSize)
 }

@@ -72,11 +72,11 @@ func TestStringIncludesFields(t *testing.T) {
 	}
 }
 
-// TestTupleIsOneCacheLine pins the tuple at 64 bytes: every data-plane
-// copy (the feed path's scatter, an Emit, a decoded row) moves the whole
+// TestTupleIs48Bytes pins the tuple at 48 bytes: every data-plane copy
+// (the feed path's scatter, an Emit, a decoded row) moves the whole
 // struct, so a new field is paid on every one of them.
-func TestTupleIsOneCacheLine(t *testing.T) {
-	if n := unsafe.Sizeof(Tuple{}); n != 64 {
-		t.Fatalf("unsafe.Sizeof(Tuple{}) = %d, want 64", n)
+func TestTupleIs48Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Tuple{}); n != 48 {
+		t.Fatalf("unsafe.Sizeof(Tuple{}) = %d, want 48", n)
 	}
 }

@@ -10,16 +10,15 @@ import (
 // tupleCount is a multiset fingerprint of a tuple draw: everything the
 // data plane observes about a tuple except its draw position.
 type tupleCount struct {
-	key    tuple.Key
-	cost   int64
-	state  int64
-	stream string
+	key   tuple.Key
+	cost  int64
+	state int64
 }
 
 func countTuples(ts []tuple.Tuple) map[tupleCount]int {
 	m := make(map[tupleCount]int)
 	for _, t := range ts {
-		m[tupleCount{t.Key, t.Cost, t.StateSize, t.Stream}]++
+		m[tupleCount{t.Key, t.Cost, t.StateSize}]++
 	}
 	return m
 }

@@ -75,7 +75,6 @@ func (s *Stock) Next() tuple.Tuple {
 	s.seq++
 	t := tuple.New(k, fmt.Sprintf("trade-%d", s.seq))
 	t.Seq = s.seq
-	t.Stream = "T"
 	return t
 }
 

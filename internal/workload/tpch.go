@@ -158,7 +158,6 @@ func (t *TPCH) Next() tuple.Tuple {
 		ok := t.liveOrders[rank-1]
 		o := Order{OrderKey: ok, CustKey: int64(t.custDist.Rank(t.rng)), DateTick: t.tick}
 		tp := tuple.New(tuple.Key(ok), o)
-		tp.Stream = "O"
 		tp.Seq = t.seq
 		return tp
 	}
@@ -171,7 +170,6 @@ func (t *TPCH) Next() tuple.Tuple {
 		Discount:      t.rng.Float64() * 0.1,
 	}
 	tp := tuple.New(tuple.Key(ok), li)
-	tp.Stream = "L"
 	tp.Seq = t.seq
 	tp.StateSize = 2 // lineitems are wider than orders in the window
 	return tp

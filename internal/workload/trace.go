@@ -14,11 +14,13 @@ import (
 // system can be evaluated against real traces (the role the paper's
 // proprietary Social and Stock feeds played). The format is
 //
-//	key,cost,state,stream
+//	key,cost,state
 //
-// with cost/state/stream optional (defaulting to 1, 1 and ""). Keys
-// are either unsigned integers or arbitrary strings (hashed through
-// tuple.KeyOf). Traces can loop to extend short recordings.
+// with cost and state optional (both defaulting to 1). Keys are either
+// unsigned integers or arbitrary strings (hashed through tuple.KeyOf).
+// A fourth column, the stream label older traces carry, is read and
+// ignored, so they still load. Traces can loop to extend short
+// recordings.
 type Trace struct {
 	tuples []tuple.Tuple
 	// Loop restarts the trace at the end instead of returning ok=false.
@@ -64,9 +66,6 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 				return nil, fmt.Errorf("workload: trace line %d: bad state size %q", line, rec[2])
 			}
 			t.StateSize = s
-		}
-		if len(rec) > 3 {
-			t.Stream = rec[3]
 		}
 		tr.tuples = append(tr.tuples, t)
 	}
@@ -119,7 +118,6 @@ func WriteTrace(w io.Writer, tuples []tuple.Tuple) error {
 			strconv.FormatUint(uint64(t.Key), 10),
 			strconv.FormatInt(t.Cost, 10),
 			strconv.FormatInt(t.StateSize, 10),
-			t.Stream,
 		}
 		if err := cw.Write(rec); err != nil {
 			return err

@@ -9,7 +9,7 @@ import (
 )
 
 func TestReadTraceFull(t *testing.T) {
-	in := "42,3,2,R\n7,1,1,S\nAAPL,5,4,T\n"
+	in := "42,3,2\n7,1,1\nAAPL,5,4\n"
 	tr, err := ReadTrace(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
@@ -18,7 +18,7 @@ func TestReadTraceFull(t *testing.T) {
 		t.Fatalf("Len = %d", tr.Len())
 	}
 	a, ok := tr.Next()
-	if !ok || a.Key != 42 || a.Cost != 3 || a.StateSize != 2 || a.Stream != "R" {
+	if !ok || a.Key != 42 || a.Cost != 3 || a.StateSize != 2 {
 		t.Fatalf("first tuple = %+v", a)
 	}
 	_, _ = tr.Next()
@@ -31,13 +31,28 @@ func TestReadTraceFull(t *testing.T) {
 	}
 }
 
+// TestReadTraceLegacyStreamColumn: a trace written with the stream
+// label older traces carried in a fourth column still loads, the label
+// ignored.
+func TestReadTraceLegacyStreamColumn(t *testing.T) {
+	tr, err := ReadTrace(strings.NewReader("42,3,2,R\n7,,,S\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := tr.Next()
+	b, _ := tr.Next()
+	if a.Key != 42 || a.Cost != 3 || a.StateSize != 2 || b.Key != 7 || b.Cost != 1 || b.StateSize != 1 {
+		t.Fatalf("legacy rows = %+v, %+v", a, b)
+	}
+}
+
 func TestReadTraceDefaults(t *testing.T) {
 	tr, err := ReadTrace(strings.NewReader("5\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	tp, _ := tr.Next()
-	if tp.Cost != 1 || tp.StateSize != 1 || tp.Stream != "" {
+	if tp.Cost != 1 || tp.StateSize != 1 {
 		t.Fatalf("defaults = %+v", tp)
 	}
 }
@@ -99,10 +114,12 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		tuple.New(1, nil).WithCost(2).WithState(3),
 		tuple.New(99, nil),
 	}
-	in[0].Stream = "X"
 	var buf bytes.Buffer
 	if err := WriteTrace(&buf, in); err != nil {
 		t.Fatal(err)
+	}
+	if got := buf.String(); got != "1,2,3\n99,1,1\n" {
+		t.Fatalf("WriteTrace wrote %q, want three columns a row", got)
 	}
 	tr, err := ReadTrace(&buf)
 	if err != nil {
@@ -110,7 +127,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 	a, _ := tr.Next()
 	b, _ := tr.Next()
-	if a.Key != 1 || a.Cost != 2 || a.StateSize != 3 || a.Stream != "X" {
+	if a.Key != 1 || a.Cost != 2 || a.StateSize != 3 {
 		t.Fatalf("round trip lost fields: %+v", a)
 	}
 	if b.Key != 99 || b.Cost != 1 {

@@ -350,14 +350,8 @@ func TestTPCHDimensionsAndFacts(t *testing.T) {
 		switch tp.Value.(type) {
 		case Order:
 			orders++
-			if tp.Stream != "O" {
-				t.Fatal("order tuple not tagged O")
-			}
 		case Lineitem:
 			lineitems++
-			if tp.Stream != "L" {
-				t.Fatal("lineitem tuple not tagged L")
-			}
 			li := tp.Value.(Lineitem)
 			if tuple.Key(li.OrderKey) != tp.Key {
 				t.Fatal("lineitem not keyed by orderkey")
@@ -516,7 +510,7 @@ func TestNextBatchMatchesSequentialNext(t *testing.T) {
 		for iv, n := range []int{257, 1, 0, 4096} {
 			buf := make([]tuple.Tuple, n)
 			for i := range buf {
-				buf[i] = tuple.Tuple{Key: 99, Value: "stale", Stream: "x"}
+				buf[i] = tuple.Tuple{Key: 99, Value: "stale", Seq: 1 << 62}
 			}
 			if got := bat.batch(buf); got != n {
 				t.Fatalf("%s: NextBatch returned %d, want %d", seq.name, got, n)
