@@ -81,8 +81,10 @@ bench-wire:
 	$(GO) test -run '^$$' -bench 'DestTuples' -benchmem -benchtime $(BENCHTIME) ./internal/route/
 	$(GO) test -run '^$$' -bench 'ClusterWire' -benchmem -benchtime $(BENCHTIME) ./internal/cluster/
 
-## bench-engine: the engine's interval micro-benchmarks. FeedBatchSplit
-## is FeedBatch at the hotkey workload's shape (8 tasks, an 80-entry
+## bench-engine: the engine's interval micro-benchmarks. FeedBatch feeds
+## 1 024-tuple batches into an assignment-routed and a PKG stage (the
+## sender's own load estimate); FeedBatchSplit is FeedBatch at the
+## hotkey workload's shape (8 tasks, an 80-entry
 ## table, one key at 40 % split 4 ways); MigratePlan applies a 12-key
 ## plan over 8 idle tasks, MigrateKey a one-key plan over 2;
 ## TaskInterval is whole intervals of the tasks' store and tracker work

@@ -64,10 +64,11 @@
 // Both ends of the interval loop are parallel. Emission fans out to
 // Config.Feeders goroutines, each drawing a disjoint, deterministic
 // share of the spout sequence (workload Shard / engine.ShardSpout)
-// and feeding the stage concurrently — the emitted multiset is
-// identical to a serial run, and so is every exhibit metric on
-// key-partitioned stages (order-dependent routers like PKG and
-// shuffle instead observe the feeders' interleaving).
+// and feeding the stage concurrently through its own engine.Port —
+// the emitted multiset is identical to a serial run, and so is every
+// exhibit metric on key-partitioned stages (a PKG feeder routes on its
+// own load estimate, and a shuffle stage's totals stay exact while
+// which tuple lands where follows the interleaving).
 // Statistics harvest runs on all task goroutines concurrently, queued
 // behind each task's close, each producing a sorted run that the driver
 // combines with a k-way merge (stats.MergeRuns) into the planner
@@ -79,7 +80,7 @@
 // # Streaming interval pipeline
 //
 // Stages stream to each other: each upstream task flushes its emitted
-// tuples into the downstream stage's FeedBatch in emitChunk-sized
+// tuples into its own Port on the downstream stage in emitChunk-sized
 // batches from its own goroutine, so stage s+1 consumes and processes
 // while stage s is still working, and the interval ends with a
 // cascading close (barrier stage s, flush residual emission buffers
@@ -95,11 +96,13 @@
 //
 //   - the engine draws tuples through a batch spout (engine.SpoutBatch,
 //     workload NextBatch methods) into a reusable scratch buffer;
-//   - engine.Stage.FeedBatch partitions a whole batch into
-//     per-destination slices against one atomic load of the routing
-//     assignment (no lock; a stage on a stateful router — PKG,
-//     shuffle — routes under one lock acquisition instead) and sends each task at most one channel
-//     message per batch, carved from a refcount-recycled buffer;
+//   - engine.Port.FeedBatch (each sender holds its own Port;
+//     Stage.FeedBatch is the stage's own) partitions a whole batch
+//     into per-destination slices against one atomic load of the
+//     routing assignment — or the sender's own PKG estimate, or one
+//     atomic claim of shuffle positions; no lock — and sends each task
+//     at most one channel message per batch, carved from a
+//     refcount-recycled buffer;
 //   - route.Assignment.DestBatch/DestTuples resolve destinations in
 //     one pass, each key probing the frozen routing table and going to
 //     the ring only on a miss, with the empty-table test and interface

@@ -323,7 +323,9 @@ func (w *Worker) serveData(c *Conn, hello *protocol.Hello) {
 	if c.Welcome(hello.Stage) != nil {
 		return
 	}
-	feed := st.FeedBatch
+	// The connection is one sender: its own Port, so on a PKG stage its
+	// own load estimate, however many upstream tasks share the wire.
+	feed := st.NewPort().FeedBatch
 	for {
 		// Replay the sender's FeedBatch call sequence: a coalesced frame
 		// carries its chunk boundaries, and feeding chunk by chunk keeps

@@ -22,10 +22,10 @@ func newStage(nd int) *engine.Stage {
 // interval and returns the snapshot.
 func feedSkewed(st *engine.Stage, hot tuple.Key, hotN, bgKeys int) *stats.Snapshot {
 	for i := 0; i < hotN; i++ {
-		st.Feed(tuple.New(hot, nil))
+		st.FeedBatch([]tuple.Tuple{tuple.New(hot, nil)})
 	}
 	for i := 0; i < bgKeys; i++ {
-		st.Feed(tuple.New(tuple.Key(1000+i), nil))
+		st.FeedBatch([]tuple.Tuple{tuple.New(tuple.Key(1000+i), nil)})
 	}
 	st.Barrier()
 	return st.EndInterval(0)
@@ -37,7 +37,7 @@ func TestControllerSkipsBalancedLoad(t *testing.T) {
 	c := New(balance.Mixed{}, balance.Config{ThetaMax: 0.5, Beta: 1.5})
 	// Uniform load across many keys: no plan expected at θmax = 0.5.
 	for i := 0; i < 1000; i++ {
-		st.Feed(tuple.New(tuple.Key(i), nil))
+		st.FeedBatch([]tuple.Tuple{tuple.New(tuple.Key(i), nil)})
 	}
 	st.Barrier()
 	snap := st.EndInterval(0)
@@ -247,7 +247,7 @@ func TestStalePlanDroppedAfterScaleIn(t *testing.T) {
 	// Interval 1: the pending plan lands — computed for 3 instances,
 	// released against 2. It must be dropped, not applied.
 	for i := 0; i < 300; i++ {
-		st.Feed(tuple.New(tuple.Key(1000+i), nil))
+		st.FeedBatch([]tuple.Tuple{tuple.New(tuple.Key(1000+i), nil)})
 	}
 	st.Barrier()
 	snap1 := st.EndInterval(1)

@@ -1,13 +1,17 @@
 package engine
 
 import (
+	"maps"
 	"math/rand"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/pkgpart"
 	"repro/internal/state"
 	"repro/internal/tuple"
+	"repro/internal/workload"
 )
 
 // Tests of the batched data plane: FeedBatch must be observationally
@@ -28,7 +32,7 @@ func TestFeedBatchMatchesFeedPerTuple(t *testing.T) {
 		ts[i] = tuple.New(tuple.Key(rng.Intn(300)), i).WithCost(int64(1 + i%3))
 	}
 	for _, tp := range ts {
-		single.Feed(tp)
+		single.FeedBatch([]tuple.Tuple{tp})
 	}
 	// Feed the same sequence in uneven batch sizes, including empty.
 	batched.FeedBatch(nil)
@@ -82,19 +86,126 @@ func TestFeedBatchMatchesFeedPerTuple(t *testing.T) {
 }
 
 func TestFeedBatchOnShuffleAndPKGStages(t *testing.T) {
-	// Non-assignment routers take the per-tuple routing fallback inside
-	// FeedBatch; counts must still balance.
-	st := NewStage("sh", 3, func(int) Operator { return Discard }, 1, NewShuffleRouter(3))
-	defer st.Stop()
+	// A shuffle stage claims each batch's round-robin positions with one
+	// atomic add on its shared position, so its per-instance totals are
+	// exact for any number of senders. A PKG stage routes on each
+	// sender's own load estimate: a sender's decisions depend on its own
+	// batches alone — exactly those of a pkgpart.Router fed the same.
+	const nd, rounds = 4, 5
 	batch := make([]tuple.Tuple, 300)
 	for i := range batch {
 		batch[i] = tuple.New(tuple.Key(i), nil)
+		if i%3 == 0 {
+			batch[i].Key = 7 // a hot key PKG splits over its two candidates
+		}
 	}
-	st.FeedBatch(batch)
-	st.Barrier()
-	for d := 0; d < 3; d++ {
-		if got := st.ArrivedTuples()[d]; got != 100 {
-			t.Fatalf("shuffle instance %d got %d of 300", d, got)
+	// chunks cuts batch into chunks of 1, 2, …, 24 tuples.
+	var chunks [][]tuple.Tuple
+	for lo, n := 0, 1; lo < len(batch); lo, n = lo+n, n+1 {
+		chunks = append(chunks, batch[lo:lo+n])
+	}
+	// feed drives rounds passes over chunks into each sender, all
+	// senders concurrently.
+	feed := func(st *Stage, senders ...BatchSink) []int64 {
+		var wg sync.WaitGroup
+		for _, sink := range senders {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for range rounds {
+					for _, c := range chunks {
+						sink.FeedBatch(c)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		st.Barrier()
+		return st.ArrivedTuples()
+	}
+	ref := pkgpart.NewRouter(nd)
+	want := make([]int64, nd)
+	dst := make([]int, len(batch))
+	for range rounds {
+		for _, c := range chunks {
+			ref.DestTuples(c, dst)
+			for _, d := range dst[:len(c)] {
+				want[d]++
+			}
+		}
+	}
+	for _, senders := range []int{1, 2} {
+		stage := func(r Router) (*Stage, []BatchSink) {
+			st := NewStage("s", nd, func(int) Operator { return Discard }, 1, r)
+			t.Cleanup(st.Stop)
+			if senders == 1 {
+				return st, []BatchSink{st} // the stage's own handle
+			}
+			return st, []BatchSink{st.NewPort(), st.NewPort()}
+		}
+		st, sinks := stage(NewShuffleRouter(nd))
+		for d, got := range feed(st, sinks...) {
+			if w := int64(senders * rounds * len(batch) / nd); got != w {
+				t.Fatalf("%d sender(s): shuffle instance %d got %d tuples, want %d", senders, d, got, w)
+			}
+		}
+		st, sinks = stage(NewPKGRouter(nd))
+		for d, got := range feed(st, sinks...) {
+			if w := int64(senders) * want[d]; got != w {
+				t.Fatalf("%d sender(s): PKG instance %d got %d tuples, want %d (%d per sender's own estimate)", senders, d, got, w, want[d])
+			}
+		}
+	}
+}
+
+// TestPKGSendersDeterministic feeds a PKG stage from a 3-task upstream
+// stage. Each upstream task routes its emissions on its own load
+// estimate, so the PKG stage's per-instance arrivals and stores are a
+// function of the input alone, however the tasks' flushes interleave:
+// two runs agree exactly.
+func TestPKGSendersDeterministic(t *testing.T) {
+	const nd, intervals = 4, 3
+	run := func() (arrived [][]int64, stores []map[tuple.Key]int64) {
+		up := NewStage("up", 3, func(int) Operator {
+			return OperatorFunc(func(ctx *TaskCtx, tp tuple.Tuple) { ctx.Emit(tp) })
+		}, 1, newAsgRouter(3))
+		down := NewStage("pkg", nd, func(int) Operator { return StatefulCount }, intervals+1, NewPKGRouter(nd))
+		defer up.Stop()
+		defer down.Stop()
+		up.SetDownstream(down)
+		gen := workload.NewZipfStream(1000, 1.2, 0, 0, 5)
+		buf := make([]tuple.Tuple, emitChunk)
+		for i := range int64(intervals) {
+			up.StartInterval(i)
+			down.StartInterval(i)
+			for range 16 {
+				up.FeedBatch(buf[:gen.NextBatch(buf)])
+			}
+			up.CloseInterval()
+			down.CloseInterval()
+			arrived = append(arrived, slices.Clone(down.ArrivedTuples()))
+			up.EndInterval(i)
+			down.EndInterval(i)
+		}
+		for d := range nd {
+			m := make(map[tuple.Key]int64)
+			for _, k := range down.StoreOf(d).Keys() {
+				m[k] = down.StoreOf(d).Size(k)
+			}
+			stores = append(stores, m)
+		}
+		return arrived, stores
+	}
+	a1, s1 := run()
+	a2, s2 := run()
+	for i := range a1 {
+		if !slices.Equal(a1[i], a2[i]) {
+			t.Fatalf("interval %d: PKG arrivals %v, then %v", i, a1[i], a2[i])
+		}
+	}
+	for d := range s1 {
+		if !maps.Equal(s1[d], s2[d]) {
+			t.Fatalf("instance %d: stores differ between runs (%d and %d keys)", d, len(s1[d]), len(s2[d]))
 		}
 	}
 }

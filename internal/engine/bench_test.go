@@ -15,10 +15,12 @@ import (
 func BenchmarkStageFeedHash(b *testing.B) {
 	st := statefulStage(10, 1)
 	defer st.Stop()
+	one := make([]tuple.Tuple, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.Feed(tuple.New(tuple.Key(i), nil))
+		one[0] = tuple.New(tuple.Key(i), nil)
+		st.FeedBatch(one)
 	}
 	b.StopTimer()
 	st.Barrier()
@@ -42,10 +44,10 @@ func BenchmarkEngineInterval(b *testing.B) {
 }
 
 // feedBenchStage builds a routing-focused stage (Discard operator) so
-// the Feed-vs-FeedBatch comparison measures the data plane — lock,
+// the per-tuple-vs-batched comparison measures the data plane —
 // routing, channel, tracker — rather than operator state growth.
-func feedBenchStage(nd int) *Stage {
-	return NewStage("bench", nd, func(int) Operator { return Discard }, 1, newAsgRouter(nd))
+func feedBenchStage(nd int, r Router) *Stage {
+	return NewStage("bench", nd, func(int) Operator { return Discard }, 1, r)
 }
 
 // benchKeys cycles a bounded key set so tracker maps stay a fixed size
@@ -59,38 +61,51 @@ func benchKeys(n int) []tuple.Tuple {
 }
 
 // BenchmarkFeedPerTuple is the per-tuple baseline BenchmarkFeedBatch is
-// measured against: identical workload, one Feed call per tuple.
+// measured against: identical workload, one FeedBatch call per tuple.
 func BenchmarkFeedPerTuple(b *testing.B) {
-	st := feedBenchStage(10)
+	st := feedBenchStage(10, newAsgRouter(10))
 	defer st.Stop()
 	ts := benchKeys(4096)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.Feed(ts[i%len(ts)])
+		j := i % len(ts)
+		st.FeedBatch(ts[j : j+1])
 	}
 	b.StopTimer()
 	st.Barrier()
 }
 
 // BenchmarkFeedBatch drives the same workload through the batched data
-// plane in engine-sized chunks; ns/op stays per-tuple comparable.
+// plane in engine-sized chunks; ns/op stays per-tuple comparable. The
+// assignment shape routes through the lock-free assignment kernel, the
+// pkg shape through the sender's own PKG load estimate.
 func BenchmarkFeedBatch(b *testing.B) {
-	st := feedBenchStage(10)
-	defer st.Stop()
-	const batch = emitChunk
-	ts := benchKeys(4096)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n += batch {
-		off := n % len(ts)
-		if off+batch > len(ts) {
-			off = 0
-		}
-		st.FeedBatch(ts[off : off+batch])
+	for _, bc := range []struct {
+		name   string
+		router func(nd int) Router
+	}{
+		{"assignment", func(nd int) Router { return newAsgRouter(nd) }},
+		{"pkg", func(nd int) Router { return NewPKGRouter(nd) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			st := feedBenchStage(10, bc.router(10))
+			defer st.Stop()
+			const batch = emitChunk
+			ts := benchKeys(4096)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n += batch {
+				off := n % len(ts)
+				if off+batch > len(ts) {
+					off = 0
+				}
+				st.FeedBatch(ts[off : off+batch])
+			}
+			b.StopTimer()
+			st.Barrier()
+		})
 	}
-	b.StopTimer()
-	st.Barrier()
 }
 
 // BenchmarkFeedBatchSplit is BenchmarkFeedBatch at the repository
@@ -100,7 +115,7 @@ func BenchmarkFeedBatch(b *testing.B) {
 // absorption.
 func BenchmarkFeedBatchSplit(b *testing.B) {
 	const nd, hot = 8, tuple.Key(4095)
-	st := feedBenchStage(nd)
+	st := feedBenchStage(nd, newAsgRouter(nd))
 	defer st.Stop()
 	asg := st.AssignmentRouter().Assignment()
 	plan := &balance.Plan{Table: route.NewTable(), MoveDest: map[tuple.Key]int{}}
@@ -139,7 +154,7 @@ func BenchmarkMigrateKey(b *testing.B) {
 	st := statefulStage(2, 1)
 	defer st.Stop()
 	k := tuple.Key(1)
-	st.Feed(tuple.New(k, nil))
+	st.FeedBatch([]tuple.Tuple{tuple.New(k, nil)})
 	st.Barrier()
 	dst := 1 - st.AssignmentRouter().Assignment().Dest(k)
 	plan := &balance.Plan{Table: route.NewTable(), Moved: []tuple.Key{k}, MoveDest: map[tuple.Key]int{}}
@@ -165,7 +180,7 @@ func BenchmarkMigratePlan(b *testing.B) {
 	keys := make([]tuple.Key, nkeys)
 	for i := range keys {
 		keys[i] = tuple.Key(i * 97)
-		st.Feed(tuple.New(keys[i], nil))
+		st.FeedBatch([]tuple.Tuple{tuple.New(keys[i], nil)})
 	}
 	st.Barrier()
 	plan := &balance.Plan{Table: route.NewTable(), Moved: keys, MoveDest: map[tuple.Key]int{}}

@@ -88,19 +88,19 @@ func stressInterval(t *testing.T, interval int64, feed func(), stages ...*Stage)
 }
 
 // feedConcurrently runs feeders goroutines, each pushing chunks batches
-// of chunk tuples drawn from its share of draw (ShardSpout) into in,
-// and returns when all of them are done.
+// of chunk tuples drawn from its share of draw (ShardSpout) into its
+// own Port on in, and returns when all of them are done.
 func feedConcurrently(in *Stage, draw SpoutBatch, feeders, chunks, chunk int) {
 	var wg sync.WaitGroup
 	for _, sb := range ShardSpout(draw, feeders) {
 		wg.Add(1)
-		go func() {
+		go func(p *Port) {
 			defer wg.Done()
 			buf := make([]tuple.Tuple, chunk)
 			for range chunks {
-				in.FeedBatch(buf[:sb(buf)])
+				p.FeedBatch(buf[:sb(buf)])
 			}
-		}()
+		}(in.NewPort())
 	}
 	wg.Wait()
 }
@@ -136,7 +136,7 @@ func TestStateVolumeConservedAcrossActuations(t *testing.T) {
 	interval := int64(0)
 	run := func(keys int) {
 		for k := 0; k < keys; k++ {
-			st.Feed(tuple.New(tuple.Key(k), nil).WithState(int64(1 + k%4)))
+			st.FeedBatch([]tuple.Tuple{tuple.New(tuple.Key(k), nil).WithState(int64(1 + k%4))})
 		}
 		st.Barrier()
 		snap := st.EndInterval(interval)

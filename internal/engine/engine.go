@@ -70,11 +70,13 @@ type Config struct {
 	// behavior — draw sequence, chunking, metrics — is exactly that of
 	// the single-feeder engine. With N > 1 the per-interval budget is
 	// split across N feeders before the fan-out; each feeder owns a
-	// private scratch buffer and calls Stage.FeedBatch concurrently.
-	// The drawn multiset is preserved exactly; per-tuple destinations
-	// (and so all metrics) are preserved for key-partitioned routers,
-	// while order-dependent routers (PKG, shuffle) observe the feeders'
-	// nondeterministic interleaving.
+	// private scratch buffer and its own Port on the first stage, and
+	// feeds concurrently. The drawn multiset is preserved exactly;
+	// per-tuple destinations (and so all metrics) are preserved for
+	// key-partitioned routers. A shuffle stage's per-instance totals
+	// stay exact, but which tuple lands where follows the feeders'
+	// interleaving; on a PKG stage each feeder routes on its own load
+	// estimate over whichever segments of the draw it gets.
 	Feeders int
 }
 
@@ -88,7 +90,7 @@ func DefaultConfig() Config {
 }
 
 // emitChunk is the spout batch size: large enough to amortize the
-// stage lock, routing, channel and goroutine-switch costs across many
+// routing, channel and goroutine-switch costs across many
 // tuples (throughput keeps improving up to ~1k tuples per chunk),
 // small enough that a default interval still feeds in several chunks
 // and the scratch buffer stays modest (64 KiB).

@@ -56,7 +56,7 @@ func TestStageRoutesByAssignment(t *testing.T) {
 	defer st.Stop()
 	asg := st.AssignmentRouter().Assignment()
 	for k := tuple.Key(0); k < 200; k++ {
-		st.Feed(tuple.New(k, nil))
+		st.FeedBatch([]tuple.Tuple{tuple.New(k, nil)})
 	}
 	st.Barrier()
 	for k := tuple.Key(0); k < 200; k++ {
@@ -71,7 +71,7 @@ func TestStageArrivalAccounting(t *testing.T) {
 	st := statefulStage(2, 1)
 	defer st.Stop()
 	for i := 0; i < 100; i++ {
-		st.Feed(tuple.New(tuple.Key(i), nil).WithCost(2))
+		st.FeedBatch([]tuple.Tuple{tuple.New(tuple.Key(i), nil).WithCost(2)})
 	}
 	st.Barrier()
 	var cost, n int64
@@ -88,7 +88,7 @@ func TestEndIntervalSnapshot(t *testing.T) {
 	st := statefulStage(3, 2)
 	defer st.Stop()
 	for i := 0; i < 300; i++ {
-		st.Feed(tuple.New(tuple.Key(i%30), nil))
+		st.FeedBatch([]tuple.Tuple{tuple.New(tuple.Key(i%30), nil)})
 	}
 	st.Barrier()
 	snap := st.EndInterval(0)
@@ -123,7 +123,7 @@ func TestApplyPlanMigratesState(t *testing.T) {
 	defer st.Stop()
 	k := tuple.Key(42)
 	for i := 0; i < 10; i++ {
-		st.Feed(tuple.New(k, i))
+		st.FeedBatch([]tuple.Tuple{tuple.New(k, i)})
 	}
 	st.Barrier()
 	st.EndInterval(0)
@@ -152,7 +152,7 @@ func TestApplyPlanMigratesState(t *testing.T) {
 		t.Fatalf("dest state = %d, want 10", st.StoreOf(dst).Size(k))
 	}
 	// New tuples follow the new assignment.
-	st.Feed(tuple.New(k, "post"))
+	st.FeedBatch([]tuple.Tuple{tuple.New(k, "post")})
 	st.Barrier()
 	if st.StoreOf(dst).Size(k) != 11 {
 		t.Fatal("post-migration tuple did not follow routing table")
@@ -167,7 +167,7 @@ func TestScaleOutPreservesStateAndCorrectness(t *testing.T) {
 	st := statefulStage(3, 2)
 	defer st.Stop()
 	for i := 0; i < 500; i++ {
-		st.Feed(tuple.New(tuple.Key(i%100), nil))
+		st.FeedBatch([]tuple.Tuple{tuple.New(tuple.Key(i%100), nil)})
 	}
 	st.Barrier()
 	st.EndInterval(0)
@@ -301,7 +301,7 @@ func TestEngineOnSnapshotHookSeesLoad(t *testing.T) {
 func TestDiscardAndStatefulCountOperators(t *testing.T) {
 	st := NewStage("d", 1, func(int) Operator { return Discard }, 1, newAsgRouter(1))
 	defer st.Stop()
-	st.Feed(tuple.New(1, nil))
+	st.FeedBatch([]tuple.Tuple{tuple.New(1, nil)})
 	st.Barrier()
 	if st.StoreOf(0).TotalSize() != 0 {
 		t.Fatal("Discard kept state")
@@ -323,7 +323,7 @@ func TestTaskCtxEmit(t *testing.T) {
 func TestStatefulCountKeepsWindowState(t *testing.T) {
 	st := NewStage("c", 1, func(int) Operator { return StatefulCount }, 2, newAsgRouter(1))
 	defer st.Stop()
-	st.Feed(tuple.New(5, "x").WithState(3))
+	st.FeedBatch([]tuple.Tuple{tuple.New(5, "x").WithState(3)})
 	st.Barrier()
 	if got := st.StoreOf(0).Size(5); got != 3 {
 		t.Fatalf("state size = %d, want 3", got)

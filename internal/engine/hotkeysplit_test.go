@@ -61,8 +61,8 @@ func TestSplitFoldsBackExactly(t *testing.T) {
 
 	const n = 600
 	for i := 0; i < n; i++ {
-		st.Feed(tuple.New(hot, i))
-		st.Feed(tuple.New(tuple.Key(i%50)+100, i))
+		st.FeedBatch([]tuple.Tuple{tuple.New(hot, i)})
+		st.FeedBatch([]tuple.Tuple{tuple.New(tuple.Key(i%50)+100, i)})
 	}
 	st.Barrier()
 
@@ -171,7 +171,7 @@ func TestSplitRetireExtractsResidue(t *testing.T) {
 	}
 	const n = 400
 	for i := 0; i < n; i++ {
-		st.Feed(tuple.New(hot, i))
+		st.FeedBatch([]tuple.Tuple{tuple.New(hot, i)})
 	}
 	st.Barrier()
 	// Unsplit without an interval close in between: retirement must
@@ -204,7 +204,7 @@ func TestSplitPinsKeysAgainstPlans(t *testing.T) {
 	st, _ := splitCountStage(4, 2)
 	defer st.Stop()
 	for k := tuple.Key(0); k < 20; k++ {
-		st.Feed(tuple.New(k, nil))
+		st.FeedBatch([]tuple.Tuple{tuple.New(k, nil)})
 	}
 	st.Barrier()
 
@@ -432,8 +432,8 @@ func TestCloseQueuesOneHarvest(t *testing.T) {
 		return n
 	}
 	for i := 0; i < 100; i++ {
-		st.Feed(tuple.New(hot, i))
-		st.Feed(tuple.New(tuple.Key(i%10), i))
+		st.FeedBatch([]tuple.Tuple{tuple.New(hot, i)})
+		st.FeedBatch([]tuple.Tuple{tuple.New(tuple.Key(i%10), i)})
 	}
 	st.CloseInterval()
 	st.CloseInterval()
@@ -441,7 +441,7 @@ func TestCloseQueuesOneHarvest(t *testing.T) {
 		t.Fatalf("closed twice: harvested %d tuples, fed 200", got)
 	}
 	for i := 0; i < 50; i++ {
-		st.Feed(tuple.New(hot, i))
+		st.FeedBatch([]tuple.Tuple{tuple.New(hot, i)})
 	}
 	if got := freq(st.EndInterval(1)); got != 50 {
 		t.Fatalf("no close: harvested %d tuples, fed 50", got)

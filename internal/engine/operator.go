@@ -22,11 +22,12 @@ import (
 )
 
 // BatchSink consumes batches of tuples: the downstream end of a
-// pipeline edge. In-process it is the next *Stage; across a process
-// boundary it is a cluster data connection streaming the same batches
-// to the next stage's host. FeedBatch must copy what it keeps — the
-// caller reuses the slice immediately — and must tolerate concurrent
-// callers.
+// pipeline edge. In-process it is a sender's Port on the next stage;
+// across a process boundary it is a cluster data connection streaming
+// the same batches to the next stage's host. FeedBatch must copy what
+// it keeps — the caller reuses the slice immediately. A Port serves one
+// sender; a sink shared by several senders, such as a cluster
+// BatchConn, must tolerate concurrent callers.
 type BatchSink interface {
 	FeedBatch(ts []tuple.Tuple)
 }
@@ -48,9 +49,9 @@ type TaskCtx struct {
 	// past one chunk. Without a sink it collects the interval's
 	// emissions until the close discards them.
 	out []tuple.Tuple
-	// sink is the downstream edge emissions flush into — the next stage
-	// in process, or a cluster data connection to its remote host. It is
-	// nil on a last stage nobody listens to.
+	// sink is the downstream edge emissions flush into — the task's own
+	// Port on the next stage in process, or a cluster data connection to
+	// its remote host. It is nil on a last stage nobody listens to.
 	sink BatchSink
 	// observe is the stage's observation setting (Stage.observe): while
 	// it is false the task feeds nothing to Tracker.

@@ -8,12 +8,16 @@ import (
 	"repro/internal/tuple"
 )
 
-// Router picks the destination instance for each tuple on a stage's
-// input edge. Implementations correspond to the partitioning schemes
-// compared in §V.
+// Router is a stage's partitioning scheme on its input edge, one of the
+// schemes compared in §V: *AssignmentRouter, PKGRouter or
+// *ShuffleRouter. A sender resolves a batch's destinations through its
+// own Port (Stage.NewPort), which carries whatever the scheme keeps per
+// sender.
 type Router interface {
-	Route(t tuple.Tuple) int
-	Instances() int
+	// dests writes the destination of every tuple of ts into dst for
+	// sender p and returns the split table the destinations are marked
+	// against (nil: none is).
+	dests(p *Port, ts []tuple.Tuple, dst []int) *route.SplitTable
 }
 
 // AssignmentRouter is the paper's mixed routing: an atomically swappable
@@ -30,11 +34,14 @@ func NewAssignmentRouter(a *route.Assignment) *AssignmentRouter {
 	return r
 }
 
-// Route implements Router.
-func (r *AssignmentRouter) Route(t tuple.Tuple) int { return r.cur.Load().Dest(t.Key) }
-
-// Instances implements Router.
-func (r *AssignmentRouter) Instances() int { return r.cur.Load().Instances() }
+// dests resolves through the immutable current assignment, so senders
+// share it without a lock; a split tuple comes back marked (see
+// route.Assignment.DestTuples).
+func (r *AssignmentRouter) dests(_ *Port, ts []tuple.Tuple, dst []int) *route.SplitTable {
+	a := r.cur.Load()
+	a.DestTuples(ts, dst)
+	return a.Splits()
+}
 
 // Assignment returns the active assignment.
 func (r *AssignmentRouter) Assignment() *route.Assignment { return r.cur.Load() }
@@ -45,14 +52,23 @@ func (r *AssignmentRouter) Assignment() *route.Assignment { return r.cur.Load() 
 // is sealed, so none is mid-batch.
 func (r *AssignmentRouter) Swap(a *route.Assignment) { r.cur.Store(a) }
 
-// PKGRouter adapts the partial-key-grouping baseline.
-type PKGRouter struct{ R *pkgpart.Router }
+// PKGRouter is the partial-key-grouping baseline over int(r)
+// instances. As in the published algorithm every sender routes on its
+// own load estimate: each Port holds its own pkgpart.Router, and
+// senders never coordinate.
+type PKGRouter int
 
-// Route implements Router.
-func (p PKGRouter) Route(t tuple.Tuple) int { return p.R.Route(t) }
+// NewPKGRouter builds a PKG scheme over nd instances.
+func NewPKGRouter(nd int) PKGRouter { return PKGRouter(nd) }
 
-// Instances implements Router.
-func (p PKGRouter) Instances() int { return p.R.Instances() }
+// dests routes ts on p's estimate, which p's first batch creates.
+func (r PKGRouter) dests(p *Port, ts []tuple.Tuple, dst []int) *route.SplitTable {
+	if p.pkg == nil {
+		p.pkg = pkgpart.NewRouter(int(r))
+	}
+	p.pkg.DestTuples(ts, dst)
+	return nil
+}
 
 // ShuffleRouter is the "Ideal" upper bound of Fig. 13: round-robin,
 // key-oblivious (and therefore unusable for stateful operators — it
@@ -65,14 +81,19 @@ type ShuffleRouter struct {
 // NewShuffleRouter builds an nd-way round-robin router.
 func NewShuffleRouter(nd int) *ShuffleRouter { return &ShuffleRouter{nd: nd} }
 
-// Route implements Router. The round-robin starts at instance 0:
-// AddUint64 returns the post-increment value, so the pre-increment
-// counter is recovered by subtracting one — otherwise the first wrap
-// would serve instance 0 one tuple short.
-func (s *ShuffleRouter) Route(t tuple.Tuple) int {
-	n := atomic.AddUint64(&s.next, 1) - 1
-	return int(n % uint64(s.nd))
+// dests claims the batch's len(ts) round-robin positions with one
+// atomic add on the stage's shared position, so every sender's batch is
+// a contiguous run and the per-destination totals are exact for any
+// number of senders. The round-robin starts at instance 0: AddUint64
+// returns the post-add value.
+func (s *ShuffleRouter) dests(_ *Port, ts []tuple.Tuple, dst []int) *route.SplitTable {
+	n := uint64(len(ts))
+	d := int((atomic.AddUint64(&s.next, n) - n) % uint64(s.nd))
+	for i := range dst {
+		dst[i] = d
+		if d++; d == s.nd {
+			d = 0
+		}
+	}
+	return nil
 }
-
-// Instances implements Router.
-func (s *ShuffleRouter) Instances() int { return s.nd }

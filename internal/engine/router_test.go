@@ -1,44 +1,52 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/pkgpart"
 	"repro/internal/tuple"
 )
 
-func TestRouterInstanceCounts(t *testing.T) {
-	if got := newAsgRouter(7).Instances(); got != 7 {
-		t.Fatalf("AssignmentRouter.Instances = %d", got)
-	}
-	if got := (PKGRouter{R: pkgpart.NewRouter(5)}).Instances(); got != 5 {
-		t.Fatalf("PKGRouter.Instances = %d", got)
-	}
-	if got := NewShuffleRouter(3).Instances(); got != 3 {
-		t.Fatalf("ShuffleRouter.Instances = %d", got)
-	}
-}
-
 func TestShuffleRouterStartsAtZero(t *testing.T) {
 	// Round-robin must begin at instance 0 and wrap exactly: the old
 	// post-increment routing started at 1, shorting instance 0 on the
-	// first wrap.
-	r := NewShuffleRouter(3)
+	// first wrap. One tuple per batch and one batch of all give the
+	// same sequence.
 	want := []int{0, 1, 2, 0, 1, 2, 0}
-	for i, w := range want {
-		if got := r.Route(tuple.New(tuple.Key(i), nil)); got != w {
-			t.Fatalf("shuffle draw %d routed to %d, want %d (sequence %v)", i, got, w, want)
-		}
+	ts := make([]tuple.Tuple, len(want))
+	r := NewShuffleRouter(3)
+	got := make([]int, len(want))
+	for i := range ts {
+		r.dests(nil, ts[i:i+1], got[i:i+1])
+	}
+	whole := make([]int, len(want))
+	NewShuffleRouter(3).dests(nil, ts, whole)
+	if !slices.Equal(got, want) || !slices.Equal(whole, want) {
+		t.Fatalf("shuffle sequence %v one by one, %v in one batch, want %v", got, whole, want)
 	}
 }
 
 func TestPKGRouterRoutesWithinRange(t *testing.T) {
-	r := PKGRouter{R: pkgpart.NewRouter(4)}
-	for i := 0; i < 200; i++ {
-		d := r.Route(tuple.New(tuple.Key(i%9), nil))
-		if d < 0 || d >= 4 {
-			t.Fatalf("PKG routed to %d", d)
+	// Every tuple goes to one of its key's two candidates, and each
+	// sender routes on its own estimate: two ports fed the same batch
+	// make the same decisions.
+	r := NewPKGRouter(4)
+	ts := make([]tuple.Tuple, 200)
+	for i := range ts {
+		ts[i] = tuple.New(tuple.Key(i%9), nil)
+	}
+	a, b := make([]int, len(ts)), make([]int, len(ts))
+	r.dests(&Port{}, ts, a)
+	r.dests(&Port{}, ts, b)
+	cand := pkgpart.NewRouter(4)
+	for i, tp := range ts {
+		if d1, d2 := cand.Candidates(tp.Key); a[i] != d1 && a[i] != d2 {
+			t.Fatalf("key %d routed to %d, candidates %d/%d", tp.Key, a[i], d1, d2)
 		}
+	}
+	if !slices.Equal(a, b) {
+		t.Fatal("two fresh senders routed the same batch differently")
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // and closes it.
 func feedInterval(st *Stage, interval int64, keys int) {
 	for k := 0; k < keys; k++ {
-		st.Feed(tuple.New(tuple.Key(k), nil))
+		st.FeedBatch([]tuple.Tuple{tuple.New(tuple.Key(k), nil)})
 	}
 	st.Barrier()
 	st.EndInterval(interval)
@@ -131,7 +131,7 @@ func TestStageScaleInCarriesTrackerHistory(t *testing.T) {
 	// the tracker adoption — and every report must come from a
 	// survivor.
 	for k := 0; k < keys; k++ {
-		st.Feed(tuple.New(tuple.Key(k), nil))
+		st.FeedBatch([]tuple.Tuple{tuple.New(tuple.Key(k), nil)})
 	}
 	st.Barrier()
 	snap := st.EndInterval(1)

@@ -9,11 +9,11 @@ import (
 
 // This file is the emission plane: the serial single-feeder path and
 // the Cfg.Feeders fan-out that splits each interval's budget across N
-// spout goroutines. The stage side (FeedBatch) already tolerates
-// concurrent callers; what the fan-out adds is N private scratch
-// buffers and a partitioned draw, so routing, partitioning and channel
-// sends — the bulk of emission cost — run in parallel while the draw
-// itself stays a deterministic single sequence.
+// spout goroutines. What the fan-out adds is, per feeder, a private
+// scratch buffer, a sender's own Port on the stage and a partitioned
+// draw, so routing, partitioning and channel sends — the bulk of
+// emission cost — run in parallel while the draw itself stays a
+// deterministic single sequence.
 
 // ShardSpout splits one batch spout across n shards sharing a mutex:
 // each shard call atomically claims the next len(dst) draws of the
@@ -84,118 +84,87 @@ func (e *Engine) emit(emitN int64) int64 {
 // boundaries (and hence shuffle routing and arrival accounting)
 // bit-identical.
 type Emitter struct {
-	sink    BatchSink
-	feeders int
-	sb      SpoutBatch
+	// Feeder f draws through shards[f] into scratch[f] and feeds
+	// sinks[f]; a serial emitter is feeder 0 alone.
 	shards  []SpoutBatch
+	sinks   []BatchSink
 	scratch [][]tuple.Tuple
 }
 
 // NewEmitter builds an emission plane over sink. feeders ≤ 1 selects
-// the serial path; with feeders > 1, shards (len == feeders) gives
-// each feeder its own partitioned draw source, or nil wraps sb in a
-// mutex sharder (ShardSpout), preserving the drawn multiset exactly.
-// The last parameter is unused; it stays until the repository
-// benchmark, which passes false, stops passing it.
+// the serial path, which feeds sink itself; with feeders > 1, shards
+// (len == feeders) gives each feeder its own partitioned draw source,
+// or nil wraps sb in a mutex sharder (ShardSpout), preserving the drawn
+// multiset exactly, and each feeder holds its own sender's handle on
+// sink (a Port, when sink is a stage). The last parameter is unused; it
+// stays until the repository benchmark, which passes false, stops
+// passing it.
 func NewEmitter(sink BatchSink, sb SpoutBatch, shards []SpoutBatch, feeders int, _ bool) *Emitter {
-	if feeders < 1 {
-		feeders = 1
+	if feeders <= 1 {
+		return &Emitter{shards: []SpoutBatch{sb}, sinks: []BatchSink{sink}, scratch: make([][]tuple.Tuple, 1)}
 	}
-	em := &Emitter{sink: sink, sb: sb, feeders: feeders}
-	if feeders > 1 {
-		if len(shards) > 0 {
-			if len(shards) != feeders {
-				panic("engine: len(SpoutShards) must equal Cfg.Feeders")
-			}
-			em.shards = shards
-		} else {
-			em.shards = ShardSpout(sb, feeders)
-		}
+	if len(shards) == 0 {
+		shards = ShardSpout(sb, feeders)
+	} else if len(shards) != feeders {
+		panic("engine: len(SpoutShards) must equal Cfg.Feeders")
 	}
-	em.scratch = make([][]tuple.Tuple, feeders)
+	em := &Emitter{shards: shards, sinks: make([]BatchSink, feeders), scratch: make([][]tuple.Tuple, feeders)}
+	for f := range em.sinks {
+		em.sinks[f] = senderOf(sink)
+	}
 	return em
 }
 
 // Emit feeds emitN tuples into the sink and returns how many were
-// actually drawn (fewer when a finite source ends early). Dispatches
-// between the serial path and the feeder fan-out. The first parameter
-// (the interval) is unused; it stays until the repository benchmark,
-// which passes it, stops passing it.
+// actually drawn (fewer when a finite source ends early). A serial
+// emitter runs its one feeder on the caller's goroutine. Otherwise the
+// budget is split into per-feeder quotas before the fan-out (throttling
+// has already shaped emitN), so each feeder goroutine knows its share
+// up front and needs no mid-interval coordination beyond the draw
+// itself; the feeders' ports share no routing state but a shuffle
+// stage's position, claimed a batch at a time, and the stage's atomic
+// arrival counters. The first parameter (the interval) is unused; it
+// stays until the repository benchmark, which passes it, stops passing
+// it.
 func (em *Emitter) Emit(_, emitN int64) int64 {
-	if em.feeders > 1 {
-		return em.emitParallel(emitN)
+	feeders := int64(len(em.shards))
+	if feeders == 1 {
+		return em.feed(0, emitN)
 	}
-	return em.emitSerial(emitN)
-}
-
-// emitSerial is the single-feeder emission loop, byte-for-byte the
-// pre-fan-out engine behavior: one goroutine, one scratch buffer,
-// emitChunk-sized draws.
-func (em *Emitter) emitSerial(emitN int64) int64 {
-	sb := em.sb
-	if cap(em.scratch[0]) < emitChunk {
-		em.scratch[0] = make([]tuple.Tuple, emitChunk)
-	}
-	for j := int64(0); j < emitN; {
-		c := emitN - j
-		if c > emitChunk {
-			c = emitChunk
-		}
-		buf := em.scratch[0][:c]
-		got := sb(buf)
-		em.sink.FeedBatch(buf[:got])
-		j += int64(got)
-		if int64(got) < c {
-			return j
-		}
-	}
-	return emitN
-}
-
-// emitParallel fans emission out to the feeder goroutines. The budget
-// is split into per-feeder quotas before the fan-out (throttling has
-// already shaped emitN), so each feeder knows its share up front and
-// the fan-out needs no mid-interval coordination beyond the draw
-// itself. Feeder f draws through its shard into its own scratch and
-// calls FeedBatch concurrently with the others — safe per the stage's
-// mu-guarded partition scratch and refcounted batch buffers (and the
-// cluster BatchConn's send mutex).
-func (em *Emitter) emitParallel(emitN int64) int64 {
-	feeders := em.feeders
 	var wg sync.WaitGroup
 	var total atomic.Int64
-	quota := emitN / int64(feeders)
-	rem := emitN % int64(feeders)
-	for f := 0; f < feeders; f++ {
-		q := quota
-		if int64(f) < rem {
+	for f := range feeders {
+		q := emitN / feeders
+		if f < emitN%feeders {
 			q++
 		}
-		if q == 0 {
-			continue
+		if q > 0 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				total.Add(em.feed(int(f), q))
+			}()
 		}
-		if cap(em.scratch[f]) < emitChunk {
-			em.scratch[f] = make([]tuple.Tuple, emitChunk)
-		}
-		wg.Add(1)
-		go func(sb SpoutBatch, scratch []tuple.Tuple, q int64) {
-			defer wg.Done()
-			for j := int64(0); j < q; {
-				c := q - j
-				if c > emitChunk {
-					c = emitChunk
-				}
-				buf := scratch[:c]
-				got := sb(buf)
-				em.sink.FeedBatch(buf[:got])
-				j += int64(got)
-				total.Add(int64(got))
-				if int64(got) < c {
-					return
-				}
-			}
-		}(em.shards[f], em.scratch[f], q)
 	}
 	wg.Wait()
 	return total.Load()
+}
+
+// feed is feeder f's loop: q tuples drawn through its shard into its
+// scratch and fed to its sink in emitChunk-sized batches. Returns how
+// many were drawn (fewer when the source ends early).
+func (em *Emitter) feed(f int, q int64) int64 {
+	if cap(em.scratch[f]) < emitChunk {
+		em.scratch[f] = make([]tuple.Tuple, emitChunk)
+	}
+	for j := int64(0); j < q; {
+		buf := em.scratch[f][:min(q-j, emitChunk)]
+		got := em.shards[f](buf)
+		em.sinks[f].FeedBatch(buf[:got])
+		j += int64(got)
+		if got < len(buf) {
+			return j
+		}
+	}
+	return q
 }

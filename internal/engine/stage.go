@@ -3,11 +3,11 @@ package engine
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/balance"
 	"repro/internal/hashring"
+	"repro/internal/pkgpart"
 	"repro/internal/route"
 	"repro/internal/state"
 	"repro/internal/stats"
@@ -15,7 +15,7 @@ import (
 )
 
 // Stage is one logical operator: ND task instances behind a Router.
-// Feeders push tuples in with FeedBatch while the interval is open;
+// Senders push tuples in through their Ports while the interval is open;
 // task goroutines process them concurrently; barriers synchronize the
 // interval close. Actuations — plans, resizes, split sets — run only on
 // a closed stage, on the goroutine that drives its intervals.
@@ -27,12 +27,11 @@ type Stage struct {
 	opFn   func(id int) Operator // factory, kept for scale-out
 
 	// ar is the router as an *AssignmentRouter, nil for any other scheme
-	// (PKG, shuffle): resolved once at construction, it selects how
-	// FeedBatch resolves destinations and whether the stage can migrate.
+	// (PKG, shuffle): resolved once at construction, it says whether the
+	// stage can migrate.
 	ar *AssignmentRouter
-	// mu serializes FeedBatch's Route loop on a PKG or shuffle stage:
-	// those routers keep state and are not safe for concurrent feeders.
-	mu sync.Mutex
+	// port is the stage's own sender handle, behind FeedBatch.
+	port *Port
 
 	// open is true between StartInterval and CloseInterval, while
 	// feeders may be running: every actuation (plan, resize, split set)
@@ -103,6 +102,7 @@ func NewStage(name string, nd int, op func(id int) Operator, w int, router Route
 		backlogT:      make([]int64, nd),
 	}
 	s.ar, _ = router.(*AssignmentRouter)
+	s.port = s.NewPort()
 	for i := 0; i < nd; i++ {
 		s.tasks = append(s.tasks, newTask(i, op(i), w, 0, s.observe))
 	}
@@ -116,15 +116,15 @@ func (s *Stage) Instances() int { return len(s.tasks) }
 // when the stage uses a different scheme (PKG, shuffle).
 func (s *Stage) AssignmentRouter() *AssignmentRouter { return s.ar }
 
-// Feed routes one tuple into the stage: FeedBatch of one, for tests
-// and fine-grained callers.
-func (s *Stage) Feed(t tuple.Tuple) {
-	s.FeedBatch([]tuple.Tuple{t})
-}
-
-// feedScratch is FeedBatch's partition scratch: per-call state from a
-// pool, so concurrent feeders share nothing but the arrival counters.
-type feedScratch struct {
+// Port is one sender's handle on a stage: its partition scratch and, on
+// a PKG stage, its own load estimate. Every sender holds its own — the
+// engine's feeders, each upstream task, each inbound cluster data
+// connection — so senders share nothing but the stage's arrival
+// counters and, on a shuffle stage, its round-robin position. A Port
+// serves one goroutine at a time.
+type Port struct {
+	s      *Stage
+	pkg    *pkgpart.Router // the sender's PKG load estimate (PKGRouter.dests)
 	dst    []int
 	bounds []int
 	off    []int
@@ -134,43 +134,45 @@ type feedScratch struct {
 	pos    []int32  // the batch's split tuples, by index
 }
 
-var feedScratchPool = sync.Pool{New: func() any { return new(feedScratch) }}
+// NewPort returns a new sender's handle on the stage.
+func (s *Stage) NewPort() *Port { return &Port{s: s} }
+
+// senderOf returns a new sender's handle on sink: its own Port when sink
+// is a stage, else sink itself (a cluster BatchConn serializes its
+// callers).
+func senderOf(sink BatchSink) BatchSink {
+	if next, ok := sink.(*Stage); ok {
+		return next.NewPort()
+	}
+	return sink
+}
+
+// FeedBatch routes a batch through the stage's own Port: the handle of
+// its single spout-side sender. Every other sender holds its own Port.
+func (s *Stage) FeedBatch(ts []tuple.Tuple) { s.port.FeedBatch(ts) }
 
 // FeedBatch routes a whole batch of tuples into the stage: destinations
-// are resolved for the whole batch, tuples are partitioned into
-// per-destination slices, and each task receives at most one channel
-// message — amortizing the routing indirection and the channel
-// operations across hundreds of tuples. Tuples are copied out of ts, so
-// the caller may reuse the slice immediately. Any number of feeders may
-// call it concurrently: an assignment-routed stage resolves through the
-// immutable current assignment (Assignment.DestTuples) without a lock,
-// any other router (PKG, shuffle) is stateful and routes under mu, and
-// arrivals are counted atomically. A split key's tuple is physically
-// sent to the next round-robin replica while its arrival stays charged
-// to the home destination F(k), so arrival accounting (and everything
-// modeled from it) reconstructs the unsplit run.
-func (s *Stage) FeedBatch(ts []tuple.Tuple) {
+// are resolved for the whole batch by the stage's Router, tuples are
+// partitioned into per-destination slices, and each task receives at
+// most one channel message — amortizing the routing indirection and the
+// channel operations across hundreds of tuples. Tuples are copied out of
+// ts, so the caller may reuse the slice immediately. Ports of one stage
+// may feed concurrently: routing takes no lock and arrivals are counted
+// atomically. A split key's tuple is physically sent to the next
+// round-robin replica while its arrival stays charged to the home
+// destination F(k), so arrival accounting (and everything modeled from
+// it) reconstructs the unsplit run.
+func (p *Port) FeedBatch(ts []tuple.Tuple) {
 	if len(ts) == 0 {
 		return
 	}
+	s := p.s
 	nd := len(s.tasks)
-	sc := feedScratchPool.Get().(*feedScratch)
-	if cap(sc.dst) < len(ts) {
-		sc.dst = make([]int, len(ts))
+	if cap(p.dst) < len(ts) {
+		p.dst = make([]int, len(ts))
 	}
-	dst := sc.dst[:len(ts)]
-	var st *route.SplitTable
-	if s.ar != nil {
-		a := s.ar.Assignment()
-		a.DestTuples(ts, dst)
-		st = a.Splits()
-	} else {
-		s.mu.Lock()
-		for i := range ts {
-			dst[i] = s.router.Route(ts[i])
-		}
-		s.mu.Unlock()
-	}
+	dst := p.dst[:len(ts)]
+	st := s.router.dests(p, ts, dst)
 	if st != nil {
 		// Hot keys present: DestTuples marked each split tuple ^j, j its
 		// key's position in st. Charge every arrival at its home — F(k),
@@ -180,20 +182,20 @@ func (s *Stage) FeedBatch(ts []tuple.Tuple) {
 		// tuples to their positions' replicas, in tuple order. Cold
 		// batches never enter this block: one nil test per batch.
 		ns := st.Len()
-		if cap(sc.cost) < nd {
-			sc.cost = make([]int64, nd)
+		if cap(p.cost) < nd {
+			p.cost = make([]int64, nd)
 		}
-		if cap(sc.tup) < nd {
-			sc.tup = make([]int64, nd)
+		if cap(p.tup) < nd {
+			p.tup = make([]int64, nd)
 		}
-		if cap(sc.claim) < ns {
-			sc.claim = make([]uint64, ns)
+		if cap(p.claim) < ns {
+			p.claim = make([]uint64, ns)
 		}
-		cost, tup, claim := sc.cost[:nd], sc.tup[:nd], sc.claim[:ns]
+		cost, tup, claim := p.cost[:nd], p.tup[:nd], p.claim[:ns]
 		clear(cost)
 		clear(tup)
 		clear(claim)
-		pos := sc.pos[:0]
+		pos := p.pos[:0]
 		for i := range ts {
 			d := dst[i]
 			if d < 0 {
@@ -215,7 +217,7 @@ func (s *Stage) FeedBatch(ts []tuple.Tuple) {
 			dst[i] = reps[claim[j]%uint64(len(reps))]
 			claim[j]++
 		}
-		sc.pos = pos
+		p.pos = pos
 		for d := 0; d < nd; d++ {
 			if tup[d] > 0 {
 				atomic.AddInt64(&s.arrivedTuples[d], tup[d])
@@ -223,10 +225,10 @@ func (s *Stage) FeedBatch(ts []tuple.Tuple) {
 			}
 		}
 	}
-	if cap(sc.bounds) < nd+1 {
-		sc.bounds = make([]int, nd+1)
+	if cap(p.bounds) < nd+1 {
+		p.bounds = make([]int, nd+1)
 	}
-	bounds := sc.bounds[:nd+1]
+	bounds := p.bounds[:nd+1]
 	clear(bounds)
 	active := 0
 	for _, d := range dst {
@@ -250,18 +252,18 @@ func (s *Stage) FeedBatch(ts []tuple.Tuple) {
 	}
 	bb.refs.Store(int32(active))
 	buf := bb.data[:len(ts)]
-	if cap(sc.off) < nd {
-		sc.off = make([]int, nd)
+	if cap(p.off) < nd {
+		p.off = make([]int, nd)
 	}
-	off := sc.off[:nd]
+	off := p.off[:nd]
 	copy(off, bounds[:nd])
 	// Accumulate arrival cost per destination locally and publish one
 	// atomic add per active destination below — an atomic RMW per tuple
 	// here would cost more than the whole routing scatter.
-	if cap(sc.cost) < nd {
-		sc.cost = make([]int64, nd)
+	if cap(p.cost) < nd {
+		p.cost = make([]int64, nd)
 	}
-	cost := sc.cost[:nd]
+	cost := p.cost[:nd]
 	clear(cost)
 	if st == nil {
 		for i := range ts {
@@ -287,7 +289,6 @@ func (s *Stage) FeedBatch(ts []tuple.Tuple) {
 			s.tasks[d].sendBatch(buf[lo:hi:hi], bb)
 		}
 	}
-	feedScratchPool.Put(sc)
 }
 
 // Barrier waits until every task has drained its queue.
@@ -298,7 +299,7 @@ func (s *Stage) Barrier() {
 }
 
 // SetDownstream wires (or, with nil, unwires) the stage's emission
-// sink: every task's Emit streams into next.FeedBatch in
+// sink: every task's Emit streams into its own Port on next in
 // emitChunk-sized batches from the task's own goroutine. Must be called
 // while tasks are idle; the engine does so for every stage but the last
 // when it is assembled.
@@ -315,11 +316,13 @@ func (s *Stage) SetDownstream(next *Stage) {
 // SetSink wires the stage's emissions into an arbitrary
 // BatchSink — the generalization of SetDownstream the cluster runtime
 // uses to point a stage's output at a data connection crossing a
-// process boundary. Must be called while tasks are idle.
+// process boundary. Each task, ScaleOut's included, emits through its
+// own sender's handle on sink (senderOf). Must be called while tasks
+// are idle.
 func (s *Stage) SetSink(sink BatchSink) {
 	s.down = sink
 	for _, t := range s.tasks {
-		t.ctx.sink = sink
+		t.ctx.sink = senderOf(sink)
 	}
 }
 
@@ -723,7 +726,7 @@ func (s *Stage) ScaleOut(obs MigrationObserver) (int64, error) {
 	s.tasks[0].barrier(func(ctx *TaskCtx) { clock = ctx.Store.Interval() })
 	id := len(s.tasks)
 	nt := newTask(id, s.opFn(id), s.window, clock, s.observe)
-	nt.ctx.sink = s.down
+	nt.ctx.sink = senderOf(s.down)
 	s.tasks = append(s.tasks, nt)
 	s.arrivedCost = append(s.arrivedCost, 0)
 	s.arrivedTuples = append(s.arrivedTuples, 0)

@@ -44,7 +44,7 @@ func TestFlushOpsRunsOnIntervalFlushers(t *testing.T) {
 	defer st.Stop()
 	var out captureSink
 	st.SetSink(&out)
-	st.Feed(tuple.New(1, nil))
+	st.FeedBatch([]tuple.Tuple{tuple.New(1, nil)})
 	st.CloseInterval()
 	if op.flushed != 1 {
 		t.Fatalf("flushed %d times, want 1", op.flushed)
@@ -236,10 +236,17 @@ func TestAdvanceWorkloadCalledPerInterval(t *testing.T) {
 }
 
 func TestShuffleRouterRoundRobin(t *testing.T) {
+	// Batches of 1..7 tuples, each claiming its positions at once, wrap
+	// the round-robin at every offset.
 	r := NewShuffleRouter(3)
 	counts := make([]int, 3)
-	for i := 0; i < 300; i++ {
-		counts[r.Route(tuple.New(7, nil))]++
+	dst := make([]int, 7)
+	for n, size := 0, 1; n < 300; n, size = n+size, size%7+1 {
+		size = min(size, 300-n)
+		r.dests(nil, make([]tuple.Tuple, size), dst[:size])
+		for _, d := range dst[:size] {
+			counts[d]++
+		}
 	}
 	for d, c := range counts {
 		if c != 100 {
@@ -254,7 +261,7 @@ func TestAssignmentRouterSwap(t *testing.T) {
 	tab := route.NewTable()
 	tab.Put(5, 1)
 	ar.Swap(route.NewAssignment(tab, old.Hasher()))
-	if ar.Route(tuple.New(5, nil)) != 1 {
+	if ar.Assignment().Dest(5) != 1 {
 		t.Fatal("swapped assignment not in effect")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/engine"
-	"repro/internal/pkgpart"
 	"repro/internal/state"
 	"repro/internal/tuple"
 	"repro/internal/workload"
@@ -15,12 +14,12 @@ import (
 func TestPartialCountPublishesOncePerKeyPerInterval(t *testing.T) {
 	parts := NewPartialCountFleet()
 	st := engine.NewStage("partial", 1, parts.Factory, 1,
-		engine.PKGRouter{R: pkgpart.NewRouter(1)})
+		engine.NewPKGRouter(1))
 	defer st.Stop()
 	var sink captureSink
 	st.SetSink(&sink)
 	for i := 0; i < 100; i++ {
-		st.Feed(tuple.New(tuple.Key(i%4), nil))
+		st.FeedBatch([]tuple.Tuple{tuple.New(tuple.Key(i%4), nil)})
 	}
 	st.CloseInterval()
 	out := sink.take()
@@ -86,7 +85,7 @@ func TestSelfJoinStateSizeTracksTrades(t *testing.T) {
 	st := engine.NewStage("join", 1, fleet.Factory, 2, asgRouter(1))
 	defer st.Stop()
 	for i := 0; i < 7; i++ {
-		st.Feed(tuple.New(3, i).WithState(2))
+		st.FeedBatch([]tuple.Tuple{tuple.New(3, i).WithState(2)})
 	}
 	st.Barrier()
 	if got := st.StoreOf(0).Size(3); got != 14 {
@@ -102,8 +101,8 @@ func TestQ5JoinBuffersBothStreams(t *testing.T) {
 	st := engine.NewStage("q5", 1, func(int) engine.Operator { return j }, 2, asgRouter(1))
 	defer st.Stop()
 
-	st.Feed(tuple.New(1, workload.Order{OrderKey: 1, CustKey: 1}))
-	st.Feed(tuple.New(1, workload.Lineitem{OrderKey: 1, SuppKey: 1, ExtendedPrice: 100}))
+	st.FeedBatch([]tuple.Tuple{tuple.New(1, workload.Order{OrderKey: 1, CustKey: 1})})
+	st.FeedBatch([]tuple.Tuple{tuple.New(1, workload.Lineitem{OrderKey: 1, SuppKey: 1, ExtendedPrice: 100})})
 	st.Barrier()
 	// Both rows buffered under orderkey 1.
 	if got := st.StoreOf(0).Size(1); got == 0 {
@@ -111,7 +110,7 @@ func TestQ5JoinBuffersBothStreams(t *testing.T) {
 	}
 	// Whether the pair joined depends on the region filter; emitting a
 	// second matching lineitem must probe the buffered order either way.
-	st.Feed(tuple.New(1, workload.Lineitem{OrderKey: 1, SuppKey: 2, ExtendedPrice: 50}))
+	st.FeedBatch([]tuple.Tuple{tuple.New(1, workload.Lineitem{OrderKey: 1, SuppKey: 2, ExtendedPrice: 50})})
 	st.Barrier()
 	entries := st.StoreOf(0).Entries(1)
 	if len(entries) != 3 {

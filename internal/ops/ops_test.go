@@ -8,7 +8,6 @@ import (
 	"repro/internal/controller"
 	"repro/internal/engine"
 	"repro/internal/hashring"
-	"repro/internal/pkgpart"
 	"repro/internal/route"
 	"repro/internal/stats"
 	"repro/internal/tuple"
@@ -54,7 +53,7 @@ func TestWordCountCountsPerKey(t *testing.T) {
 	st := engine.NewStage("wc", 2, fleet.Factory, 1, asgRouter(2))
 	defer st.Stop()
 	for i := 0; i < 90; i++ {
-		st.Feed(tuple.New(tuple.Key(i%3), "w"))
+		st.FeedBatch([]tuple.Tuple{tuple.New(tuple.Key(i%3), "w")})
 	}
 	st.Barrier()
 	for k := tuple.Key(0); k < 3; k++ {
@@ -70,7 +69,7 @@ func TestWordCountCorrectAcrossMigration(t *testing.T) {
 	defer st.Stop()
 	hot := tuple.Key(5)
 	for i := 0; i < 100; i++ {
-		st.Feed(tuple.New(hot, "w"))
+		st.FeedBatch([]tuple.Tuple{tuple.New(hot, "w")})
 	}
 	st.Barrier()
 	st.EndInterval(0)
@@ -81,7 +80,7 @@ func TestWordCountCorrectAcrossMigration(t *testing.T) {
 	tab.Put(hot, dst)
 	st.ApplyPlan(&balance.Plan{Table: tab, Moved: []tuple.Key{hot}, MoveDest: map[tuple.Key]int{hot: dst}}, nil)
 	for i := 0; i < 50; i++ {
-		st.Feed(tuple.New(hot, "w"))
+		st.FeedBatch([]tuple.Tuple{tuple.New(hot, "w")})
 	}
 	st.Barrier()
 	if got := fleet.TotalCount(hot); got != 150 {
@@ -102,7 +101,7 @@ func TestSelfJoinMatchCount(t *testing.T) {
 	st := engine.NewStage("join", 1, fleet.Factory, 3, asgRouter(1))
 	defer st.Stop()
 	for i := 0; i < 10; i++ {
-		st.Feed(tuple.New(1, i))
+		st.FeedBatch([]tuple.Tuple{tuple.New(1, i)})
 	}
 	st.Barrier()
 	if got := fleet.TotalMatches(); got != 45 {
@@ -114,11 +113,11 @@ func TestSelfJoinWindowLimitsMatches(t *testing.T) {
 	fleet := NewSelfJoinFleet(false)
 	st := engine.NewStage("join", 1, fleet.Factory, 1, asgRouter(1))
 	defer st.Stop()
-	st.Feed(tuple.New(1, "a"))
+	st.FeedBatch([]tuple.Tuple{tuple.New(1, "a")})
 	st.Barrier()
 	st.EndInterval(0)
 	st.EndInterval(1) // the first tuple falls out of the w=1 window
-	st.Feed(tuple.New(1, "b"))
+	st.FeedBatch([]tuple.Tuple{tuple.New(1, "b")})
 	st.Barrier()
 	if got := fleet.TotalMatches(); got != 0 {
 		t.Fatalf("matches across expired window = %d, want 0", got)
@@ -131,9 +130,9 @@ func TestSelfJoinEmitsPairs(t *testing.T) {
 	defer st.Stop()
 	var sink captureSink
 	st.SetSink(&sink)
-	st.Feed(tuple.New(1, "a"))
-	st.Feed(tuple.New(1, "b"))
-	st.Feed(tuple.New(1, "c"))
+	st.FeedBatch([]tuple.Tuple{tuple.New(1, "a")})
+	st.FeedBatch([]tuple.Tuple{tuple.New(1, "b")})
+	st.FeedBatch([]tuple.Tuple{tuple.New(1, "c")})
 	st.CloseInterval()
 	out := sink.take()
 	if len(out) != 3 { // 0 + 1 + 2
@@ -148,7 +147,7 @@ func TestPKGPartialMergePipelineCorrectness(t *testing.T) {
 	parts := NewPartialCountFleet()
 	merges := NewMergeCountFleet()
 	s0 := engine.NewStage("partial", 3, parts.Factory, 1,
-		engine.PKGRouter{R: pkgpart.NewRouter(3)})
+		engine.NewPKGRouter(3))
 	s1 := engine.NewStage("merge", 2, merges.Factory, 1, asgRouter(2))
 	var n uint64
 	e := engine.New(func() tuple.Tuple {
@@ -162,24 +161,15 @@ func TestPKGPartialMergePipelineCorrectness(t *testing.T) {
 			t.Fatalf("merged count(%d) = %d, want 300", k, got)
 		}
 	}
-	// The hot-key split actually happened: some key must appear on two
-	// partial instances.
-	split := false
-	for k := tuple.Key(0); k < 7; k++ {
-		owners := 0
-		for _, op := range parts.Instances {
-			_ = op
-		}
-		d1, d2 := pkgpart.NewRouter(3).Candidates(k)
-		if d1 != d2 {
-			owners = 2
-		}
-		if owners == 2 {
-			split = true
-		}
+	// The hot-key split actually happened: a key counted on two partial
+	// instances in one interval publishes two partials, so the fleet
+	// publishes more than one partial per key per interval.
+	var published int64
+	for _, op := range parts.Instances {
+		published += op.Published
 	}
-	if !split {
-		t.Fatal("no key had two candidates")
+	if published <= 7*3 {
+		t.Fatalf("%d partials over 3 intervals of 7 keys: no key was split", published)
 	}
 }
 
@@ -221,7 +211,7 @@ func TestQ5JoinRegionFilter(t *testing.T) {
 	var sink captureSink
 	st.SetSink(&sink)
 	for i := 0; i < 5000; i++ {
-		st.Feed(gen.Next())
+		st.FeedBatch([]tuple.Tuple{gen.Next()})
 	}
 	st.CloseInterval()
 	for _, o := range sink.take() {

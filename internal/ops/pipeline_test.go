@@ -8,7 +8,6 @@ import (
 	"repro/internal/controller"
 	"repro/internal/engine"
 	"repro/internal/metrics"
-	"repro/internal/pkgpart"
 	"repro/internal/stats"
 	"repro/internal/tuple"
 	"repro/internal/workload"
@@ -174,7 +173,7 @@ func runPKG(ref bool, n int) (*engine.Engine, *MergeCountFleet) {
 	parts := NewPartialCountFleet()
 	merges := NewMergeCountFleet()
 	s0 := engine.NewStage("partial", 3, parts.Factory, 1,
-		engine.PKGRouter{R: pkgpart.NewRouter(3)})
+		engine.NewPKGRouter(3))
 	s1 := engine.NewStage("merge", 2, merges.Factory, 1, asgRouter(2))
 	var seq uint64
 	e := newEngine(ref, func() tuple.Tuple {

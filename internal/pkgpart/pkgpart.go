@@ -32,9 +32,6 @@ func NewRouter(nd int) *Router {
 	return &Router{nd: nd, loads: make([]int64, nd), seedA: 0x9e3779b97f4a7c15, seedB: 0xc2b2ae3d27d4eb4f}
 }
 
-// Instances returns the downstream instance count.
-func (r *Router) Instances() int { return r.nd }
-
 // Candidates returns the key's two candidate instances d1, d2.
 func (r *Router) Candidates(k tuple.Key) (int, int) {
 	h1 := mix(uint64(k) ^ r.seedA)
@@ -61,14 +58,11 @@ func (r *Router) Route(t tuple.Tuple) int {
 	return d
 }
 
-// Loads exposes the sender-local load estimates (for tests).
-func (r *Router) Loads() []int64 { return r.loads }
-
-// Reset clears the local load estimates (e.g. at interval boundaries so
-// stale history does not dominate the two-choices decision).
-func (r *Router) Reset() {
-	for i := range r.loads {
-		r.loads[i] = 0
+// DestTuples routes every tuple of ts in order, writing its instance
+// into dst: a batch of Route calls, one sender's view.
+func (r *Router) DestTuples(ts []tuple.Tuple, dst []int) {
+	for i := range ts {
+		dst[i] = r.Route(ts[i])
 	}
 }
 
@@ -115,6 +109,3 @@ func (m *Merger) Flush() int {
 
 // Result returns the merged total for key k.
 func (m *Merger) Result(k tuple.Key) int64 { return m.flushed[k] }
-
-// Pending returns the number of keys awaiting a merge.
-func (m *Merger) Pending() int { return len(m.partial) }

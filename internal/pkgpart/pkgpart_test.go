@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/tuple"
+	"repro/internal/workload"
 )
 
 func TestCandidatesDistinctAndStable(t *testing.T) {
@@ -41,7 +42,7 @@ func TestTwoChoicesBalancesHotKey(t *testing.T) {
 		r.Route(tuple.New(hot, nil))
 	}
 	d1, d2 := r.Candidates(hot)
-	l1, l2 := r.Loads()[d1], r.Loads()[d2]
+	l1, l2 := r.loads[d1], r.loads[d2]
 	if l1+l2 != 10000 {
 		t.Fatalf("hot key load %d+%d, want 10000 total", l1, l2)
 	}
@@ -66,7 +67,7 @@ func TestTwoChoicesBalancesSkewedStream(t *testing.T) {
 		r.Route(tuple.New(k, nil))
 	}
 	var max, sum int64
-	for _, l := range r.Loads() {
+	for _, l := range r.loads {
 		if l > max {
 			max = l
 		}
@@ -75,17 +76,6 @@ func TestTwoChoicesBalancesSkewedStream(t *testing.T) {
 	avg := float64(sum) / 5
 	if float64(max)/avg > 1.1 {
 		t.Fatalf("PKG skew %v, want ≤ 1.1", float64(max)/avg)
-	}
-}
-
-func TestRouterReset(t *testing.T) {
-	r := NewRouter(3)
-	r.Route(tuple.New(1, nil))
-	r.Reset()
-	for _, l := range r.Loads() {
-		if l != 0 {
-			t.Fatal("Reset did not clear loads")
-		}
 	}
 }
 
@@ -103,8 +93,8 @@ func TestMergerCombinesPartials(t *testing.T) {
 	m.Add(1, 5)
 	m.Add(1, 7)
 	m.Add(2, 3)
-	if m.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2", m.Pending())
+	if len(m.partial) != 2 {
+		t.Fatalf("pending = %d, want 2", len(m.partial))
 	}
 	if n := m.Flush(); n != 2 {
 		t.Fatalf("Flush merged %d keys, want 2", n)
@@ -112,7 +102,7 @@ func TestMergerCombinesPartials(t *testing.T) {
 	if m.Result(1) != 12 || m.Result(2) != 3 {
 		t.Fatalf("Results = %d/%d, want 12/3", m.Result(1), m.Result(2))
 	}
-	if m.Pending() != 0 {
+	if len(m.partial) != 0 {
 		t.Fatal("Flush left pending partials")
 	}
 	// Second period accumulates on top.
@@ -124,4 +114,60 @@ func TestMergerCombinesPartials(t *testing.T) {
 	if m.FlushedKeys != 3 {
 		t.Fatalf("FlushedKeys = %d, want 3", m.FlushedKeys)
 	}
+}
+
+// TestLocalEstimatesMatchOneSender pins the property Nasir et al.'s
+// algorithm rests on: senders route on local load estimates and never
+// coordinate, yet k of them balance as well as one. One Zipf stream
+// (10⁵ keys, 10⁶ tuples) is dealt to k = 2, 4 and 8 routers in
+// 1 024-tuple chunks; the imbalance of the instances' combined loads
+// (max/mean − 1) stays within localMargin of one router's on the same
+// stream. The largest gap over these cases is 0.0009 (z = 1.01,
+// nd = 20, k = 8); the margin leaves three times that.
+func TestLocalEstimatesMatchOneSender(t *testing.T) {
+	const keys, tuples, chunk, localMargin = 100_000, 1_000_000, 1024, 0.003
+	stream := make([]tuple.Tuple, tuples)
+	for _, z := range []float64{1.01, 1.5, 2.0} {
+		workload.NewZipfStream(keys, z, 0, 0, 1).NextBatch(stream)
+		for _, nd := range []int{5, 10, 20} {
+			one := imbalance(dealt(stream, nd, 1, chunk))
+			for _, k := range []int{2, 4, 8} {
+				gap := imbalance(dealt(stream, nd, k, chunk)) - one
+				t.Logf("z %.2f nd %2d k %d: one sender %.4f, gap %+.4f", z, nd, k, one, gap)
+				if gap > localMargin {
+					t.Errorf("z %.2f nd %d: %d senders' imbalance is %.4f above one sender's %.4f", z, nd, k, gap, one)
+				}
+			}
+		}
+	}
+}
+
+// dealt routes ts through k routers over nd instances, chunk c to
+// router c mod k, and returns the instances' combined loads.
+func dealt(ts []tuple.Tuple, nd, k, chunk int) []int64 {
+	rs := make([]*Router, k)
+	for i := range rs {
+		rs[i] = NewRouter(nd)
+	}
+	dst := make([]int, chunk)
+	for c, lo := 0, 0; lo < len(ts); c, lo = c+1, lo+chunk {
+		rs[c%k].DestTuples(ts[lo:min(lo+chunk, len(ts))], dst)
+	}
+	total := make([]int64, nd)
+	for _, r := range rs {
+		for d, l := range r.loads {
+			total[d] += l
+		}
+	}
+	return total
+}
+
+// imbalance is max/mean − 1 over loads.
+func imbalance(loads []int64) float64 {
+	var hi, sum int64
+	for _, l := range loads {
+		hi = max(hi, l)
+		sum += l
+	}
+	return float64(hi)*float64(len(loads))/float64(sum) - 1
 }

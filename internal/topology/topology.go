@@ -49,7 +49,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/hashring"
 	"repro/internal/metrics"
-	"repro/internal/pkgpart"
 	"repro/internal/readj"
 	"repro/internal/route"
 	"repro/internal/tuple"
@@ -149,7 +148,7 @@ func plannerFor(alg Algorithm, compactR int64, readjSigma float64) (balance.Plan
 func routerFor(alg Algorithm, nd int) engine.Router {
 	switch alg {
 	case AlgPKG:
-		return engine.PKGRouter{R: pkgpart.NewRouter(nd)}
+		return engine.NewPKGRouter(nd)
 	case AlgIdeal:
 		return engine.NewShuffleRouter(nd)
 	default:

@@ -9,7 +9,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/ops"
-	"repro/internal/pkgpart"
 	"repro/internal/route"
 	"repro/internal/stats"
 	"repro/internal/topology"
@@ -212,7 +211,7 @@ func TestBuilderQ5MatchesHandWired(t *testing.T) {
 // the stage's instance count, the PKGOverhead capacity shave and, as
 // the target, the merge-period latency floor), the IntervalFlusher
 // emission path, and a keyed merge stage — bit-identical to
-// hand-wiring engine.PKGRouter over pkgpart with the same model.
+// hand-wiring engine.NewPKGRouter with the same model.
 func TestBuilderPKGMatchesHandWired(t *testing.T) {
 	const intervals = 5
 	mkSpout := func() engine.Spout {
@@ -226,7 +225,7 @@ func TestBuilderPKGMatchesHandWired(t *testing.T) {
 	hwParts := ops.NewPartialCountFleet()
 	hwMerges := ops.NewMergeCountFleet()
 	h0 := engine.NewStage("partial", 3, hwParts.Factory, 1,
-		engine.PKGRouter{R: pkgpart.NewRouter(3)})
+		engine.NewPKGRouter(3))
 	h1 := engine.NewStage("merge", 2, hwMerges.Factory, 1,
 		engine.NewAssignmentRouter(topology.NewAssignment(2)))
 	hw := engine.New(mkSpout(), engine.Config{
@@ -557,7 +556,7 @@ func TestWindowPropagatesToStores(t *testing.T) {
 	}
 	// State observed in interval 0 must survive 4 intervals.
 	k := tuple.Key(7)
-	st.Feed(tuple.New(k, nil))
+	st.FeedBatch([]tuple.Tuple{tuple.New(k, nil)})
 	st.Barrier()
 	d, _ := sys.Dest(0, k)
 	sys.Run(3)
