@@ -90,8 +90,11 @@ bench-wire:
 ## TaskInterval is whole intervals of the tasks' store and tracker work
 ## at pipe-local's shape (4 tasks) and variance's (8), 128-tuple slices
 ## round-robin across the tasks so their working sets compete for the
-## caches, reporting add, observe and close ns per tuple. BENCHTIME=1x
-## (CI) only checks that they still build and run.
+## caches, reporting add, observe and close ns per tuple; their entries
+## carry no value, so the store only counts them (packed keys, no entry
+## run), and a third row, pipe-local's shape with a value in every entry
+## (ops.WordCount's, ops.SelfJoin's), times the path that keeps runs.
+## BENCHTIME=1x (CI) only checks that they still build and run.
 bench-engine:
 	$(GO) test -run '^$$' -bench 'FeedBatch|Migrate|TaskInterval' -benchmem -benchtime $(BENCHTIME) ./internal/engine/
 

@@ -200,34 +200,38 @@ func BenchmarkMigratePlan(b *testing.B) {
 }
 
 // sizeOp is the repository benchmark's counting operator reduced to its
-// store traffic: one Add of the tuple's state size per tuple.
-type sizeOp struct{}
+// store traffic: one Add of the tuple's state size per tuple, with value
+// in the entry (nil for the counting operator; ops.WordCount and
+// ops.SelfJoin store one, so their keys keep entry runs).
+type sizeOp struct{ value any }
 
-func (sizeOp) Process(ctx *TaskCtx, t tuple.Tuple) {
-	ctx.Store.Add(t.Key, state.Entry{Size: t.StateSize})
+func (o sizeOp) Process(ctx *TaskCtx, t tuple.Tuple) {
+	ctx.Store.Add(t.Key, state.Entry{Value: o.value, Size: t.StateSize})
 }
 
-func (sizeOp) ProcessBatch(ctx *TaskCtx, ts []tuple.Tuple) {
+func (o sizeOp) ProcessBatch(ctx *TaskCtx, ts []tuple.Tuple) {
 	for i := range ts {
-		ctx.Store.Add(ts[i].Key, state.Entry{Size: ts[i].StateSize})
+		ctx.Store.Add(ts[i].Key, state.Entry{Value: o.value, Size: ts[i].StateSize})
 	}
 }
 
 // taskShape is one BENCHMARK.json workload's per-task share: each of nd
 // tasks re-draws `touched` of its `keys` keys every interval and sees
-// `tuples` tuples over them.
+// `tuples` tuples over them, stored by sizeOp{value}.
 type taskShape struct {
 	name                         string
 	nd, keys, touched, tuples, w int
+	value                        any
 }
 
 // The two shapes the repository benchmark runs: pipe-local's 40 tuples
 // on every key with w = 1 over 4 tasks, and variance's ~1 400 of a
 // task's 12 500 keys re-drawn every interval at 1.8 tuples per key with
-// w = 5 over 8.
+// w = 5 over 8; and pipe-local's shape with values in the entries.
 var taskShapes = []taskShape{
 	{name: "pipe_4x250x40_w1", nd: 4, keys: 250, touched: 250, tuples: 10000, w: 1},
 	{name: "variance_8x1400of12500x1.8_w5", nd: 8, keys: 12500, touched: 1400, tuples: 2520, w: 5},
+	{name: "pipe_4x250x40_w1_boxed", nd: 4, keys: 250, touched: 250, tuples: 10000, w: 1, value: int64(1)},
 }
 
 // draw pre-generates a ring of intervals: ring[i][d] is task d's tuples
@@ -261,13 +265,16 @@ func (sh taskShape) draw(seed int64) [][][]tuple.Tuple {
 // each slice through the operator's Adds and then the tracker's
 // ObserveBatch, as the task loop does, on one goroutine; then the
 // stage's close (the harvest on every task and the merge). One op is one
-// interval; add, observe and close are reported per tuple of it.
+// interval; add, observe and close are reported per tuple of it. The
+// boxed row stores values, so its keys keep entry runs where the other
+// rows' keys are packed (counted, no run).
 func BenchmarkTaskInterval(b *testing.B) {
 	const slice = 128
 	for _, sh := range taskShapes {
 		b.Run(sh.name, func(b *testing.B) {
+			op := sizeOp{sh.value}
 			ring := sh.draw(1)
-			st := NewStage("bench", sh.nd, func(int) Operator { return sizeOp{} }, sh.w, newAsgRouter(sh.nd))
+			st := NewStage("bench", sh.nd, func(int) Operator { return op }, sh.w, newAsgRouter(sh.nd))
 			defer st.Stop()
 			var iv int64
 			run := func(in [][]tuple.Tuple) (add, obs, end time.Duration) {
@@ -275,7 +282,7 @@ func BenchmarkTaskInterval(b *testing.B) {
 					for d, t := range st.tasks {
 						chunk := in[d][lo:min(lo+slice, sh.tuples)]
 						t0 := time.Now()
-						sizeOp{}.ProcessBatch(t.ctx, chunk)
+						op.ProcessBatch(t.ctx, chunk)
 						t1 := time.Now()
 						t.ctx.Tracker.ObserveBatch(chunk)
 						add += t1.Sub(t0)

@@ -2,6 +2,7 @@ package state
 
 import (
 	"cmp"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -56,6 +57,14 @@ type Dir struct {
 // transfers arrive — but the one its slot's hint names, which the close
 // counts so a first touch need not reach this line; the key lives while
 // it has either.
+//
+// A packed key — one whose n live entries all lack a value and share
+// one size — holds no run: head is −n and the entries are only counted,
+// each of size (sealed+pend)/n, which is exact as sealed+pend = n·size.
+// len(run)−head is then n, so the position arithmetic (front, pop,
+// hasState) is the same for both forms. A key packs only from empty,
+// and gets its run (unpack) when an Add breaks the form or something
+// reads its entries: Store.Entries, or a removal taking its buckets.
 type keyRec struct {
 	run    []Entry
 	ent    uint32
@@ -74,6 +83,27 @@ const (
 
 // hasState reports whether the key holds a live bucket (none is empty).
 func (kr *keyRec) hasState() bool { return int(kr.head) < len(kr.run) }
+
+// packed reports whether the key's live entries are counted, not stored.
+func (kr *keyRec) packed() bool { return kr.head < 0 }
+
+// packs reports whether a value-less entry of size s keeps the key, which
+// holds no run, packed: its n live entries (none, or a packed key's) are
+// all of size s. With |s| < 2³² and n < 2³¹, n·s cannot overflow, so the
+// test is exact; other sizes never pack.
+func (kr *keyRec) packs(s int64) bool {
+	return s > -1<<32 && s < 1<<32 && kr.head > math.MinInt32 && -int64(kr.head)*s == kr.sealed+kr.pend
+}
+
+// unpack gives a packed key its run: n value-less entries of its size.
+func (d *Dir) unpack(kr *keyRec) {
+	n := int(-kr.head)
+	run, e := d.runs.get(n)[:n], Entry{Size: (kr.sealed + kr.pend) / int64(n)}
+	for i := range run {
+		run[i] = e
+	}
+	kr.run, kr.head = run, 0
+}
 
 // rec is one (key, interval) record: a bucket's place in the key's run
 // (start, n entries, size; the open bucket's are filled in at the
@@ -380,13 +410,14 @@ func (d *Dir) reserve(kr *keyRec, n int) {
 	d.runs.put(old)
 }
 
-// front reports whether r is the key's oldest live bucket.
+// front reports whether r is the key's oldest live bucket (packed or not).
 func (kr *keyRec) front(r *rec) bool {
 	return r.start == kr.ent-uint32(len(kr.run)-int(kr.head))
 }
 
 // pop expires the key's front bucket r, zeroing its entries if they may
-// hold values; a key left without a live bucket gives its run back.
+// hold values (a packed key's head counts up towards 0); a key left
+// without a live bucket gives its run back.
 func (d *Dir) pop(kr *keyRec, r *rec) {
 	end := int(kr.head) + int(r.n)
 	if kr.bits&kBoxed != 0 {
@@ -617,6 +648,9 @@ func (d *Dir) remove(keys []tuple.Key, strip uint8, fn func(i int, m Migrated, m
 	for i, k := range keys {
 		if idx := d.find(k); idx >= 0 {
 			sel[idx], claimed = int32(i+1), true
+			if strip&fBucket != 0 && d.keys[idx].packed() {
+				d.unpack(&d.keys[idx]) // its buckets leave as entries
+			}
 		}
 	}
 	// One pass claims the records and drops the dead ones of every list

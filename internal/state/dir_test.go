@@ -3,6 +3,7 @@ package state
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/tuple"
 )
@@ -81,5 +82,12 @@ func TestKeyTableKeyZeroAndGrow(t *testing.T) {
 	}
 	if got := d.keys[d.idx(0)].win; got != 0 {
 		t.Fatalf("deleted key 0 resurrected with count %d", got)
+	}
+}
+
+// A key record is one cache line: packing a key must not grow it.
+func TestKeyRecIsOneLine(t *testing.T) {
+	if n := unsafe.Sizeof(keyRec{}); n != 64 {
+		t.Fatalf("keyRec is %d bytes, want 64", n)
 	}
 }

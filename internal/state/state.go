@@ -15,11 +15,16 @@
 // of key records. A key record holds the key, its entry run — the
 // entries of every retained bucket, oldest bucket first, contiguous —
 // its window sum S(k, w) and the running counters of the bucket still
-// open. Adding an entry appends to the run and touches nothing else;
-// expiring a bucket advances the run's head past its entries (zeroing
-// them if they carry values, so a recycled run never pins an operator's
-// values). A key allocates nothing but its run, which comes from and
-// returns to a pool of runs by capacity.
+// open. Most keys hold no run: while a key's live entries all lack a
+// value and share one size (a counting operator's), the key is packed
+// and its record only counts them, so such an Add moves the key's
+// counters and touches nothing else. A key gets its run when an entry
+// breaks that form or something reads its entries (Store.Entries, a
+// migration); from then on adding an entry appends to the run, until
+// the run empties. Expiring a bucket advances the run's head past its
+// entries (zeroing them if they carry values, so a recycled run never
+// pins an operator's values). A key allocates nothing but its run,
+// which comes from and returns to a pool of runs by capacity.
 //
 // Each (key, interval) pair has one record in a ring of w+1
 // per-interval lists: that interval's cost, frequency and state size
@@ -48,7 +53,9 @@ import (
 )
 
 // Entry is one unit of state: an operator-defined value with an
-// explicit size in state units (the paper's s_i(k) contribution).
+// explicit size in state units (the paper's s_i(k) contribution). The
+// store keeps a key's value-less entries of one size as a count, and
+// makes the Entry values only when they are read or migrated.
 type Entry struct {
 	Value any
 	Size  int64
@@ -73,7 +80,10 @@ func (s *Store) Window() int { return s.window }
 func (s *Store) Interval() int64 { return s.interval }
 
 // Add appends an entry to key k's current-interval bucket. An Add to
-// the open bucket touches the key's slot, its record and its run.
+// the open bucket touches the key's slot and its record; a value-less
+// entry of a packed key's size (or to a key with no live entry) is only
+// counted, any other one is appended to the key's run, which it then
+// gets if it was packed.
 func (s *Store) Add(k tuple.Key, e Entry) {
 	d := s.Dir()
 	si, idx := d.acquire(k)
@@ -81,13 +91,20 @@ func (s *Store) Add(k tuple.Key, e Entry) {
 	if kr.bits&kOpen == 0 {
 		d.open(k, si, idx)
 	}
-	if len(kr.run) == cap(kr.run) {
-		d.reserve(kr, 1)
+	if e.Value == nil && kr.run == nil && kr.packs(e.Size) {
+		kr.head--
+	} else {
+		if kr.packed() {
+			d.unpack(kr)
+		}
+		if len(kr.run) == cap(kr.run) {
+			d.reserve(kr, 1)
+		}
+		if e.Value != nil {
+			kr.bits |= kBoxed
+		}
+		kr.run = append(kr.run, e)
 	}
-	if e.Value != nil {
-		kr.bits |= kBoxed
-	}
-	kr.run = append(kr.run, e)
 	kr.ent++
 	kr.pend += e.Size
 	d.total += e.Size
@@ -97,12 +114,16 @@ func (s *Store) Add(k tuple.Key, e Entry) {
 // is a read-only view into the store, valid until the next call on the
 // store: an operator that probes a key's window and then adds to it
 // (ops.SelfJoin, ops.Q5Join) must finish reading before it calls Add.
+// A packed key gets its run here, so the view exists only once read.
 func (s *Store) Entries(k tuple.Key) []Entry {
 	idx := s.Dir().find(k)
 	if idx < 0 {
 		return nil
 	}
 	kr := &s.keys[idx]
+	if kr.packed() {
+		s.Dir().unpack(kr)
+	}
 	return kr.run[kr.head:len(kr.run):len(kr.run)]
 }
 

@@ -1,7 +1,11 @@
 package state
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -203,5 +207,107 @@ func TestIntervalCounter(t *testing.T) {
 	s.EndInterval()
 	if s.Interval() != 2 {
 		t.Fatalf("Interval = %d, want 2", s.Interval())
+	}
+}
+
+// TestValuelessKeysKeepNoRun: a key fed value-less entries of one size
+// holds no entry run and allocates nothing across closes; reading it,
+// extracting it and encoding the extract give exactly what the
+// map-based reference gives for the same calls, and an entry with a
+// value or of another size leaves exactly the reference's entries.
+func TestValuelessKeysKeepNoRun(t *testing.T) {
+	const w = 3
+	d, ref := NewDir(w, 0), newRefStore(w)
+	s := d.Store()
+	keys := []tuple.Key{1, 2, 3, 4}
+	run := func(k tuple.Key) []Entry { return s.keys[s.Dir().find(k)].run }
+	add := func(add func(tuple.Key, Entry), end func()) func() {
+		return func() {
+			for _, k := range keys {
+				for j := 0; j < 5; j++ {
+					add(k, Entry{Size: 1})
+				}
+			}
+			end()
+		}
+	}
+	interval, refInterval := add(s.Add, func() { d.Close() }), add(ref.Add, ref.EndInterval)
+	for i := 0; i < w+3; i++ {
+		interval()
+		refInterval()
+		for _, k := range keys {
+			if run(k) != nil {
+				t.Fatalf("interval %d: key %d holds a run of %d entries", i, k, len(run(k)))
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(20, interval); n != 0 {
+		t.Fatalf("%v allocations per interval of packed keys, want 0", n)
+	}
+	for i := 0; i < 21; i++ { // AllocsPerRun's warm-up run and its 20
+		refInterval()
+	}
+	if s.Interval() != ref.interval {
+		t.Fatalf("clock %d, reference %d", s.Interval(), ref.interval)
+	}
+	for _, k := range keys {
+		if s.Size(k) != ref.Size(k) || s.Size(k) != int64(5*w) {
+			t.Fatalf("Size(%d) = %d, reference %d", k, s.Size(k), ref.Size(k))
+		}
+	}
+	if got, want := s.Entries(1), ref.Entries(1); !slices.Equal(got, want) || run(1) == nil {
+		t.Fatalf("Entries(1) = %v, reference %v", got, want)
+	}
+	m, rm := s.Extract(2), ref.Extract(2)
+	if !reflect.DeepEqual(m, rm) {
+		t.Fatalf("Extract(2) = %+v, reference %+v", m, rm)
+	}
+	p, err := Codec{}.Encode(m, 9)
+	rp, rerr := Codec{}.Encode(rm, 9)
+	if err != nil || rerr != nil || !bytes.Equal(p, rp) {
+		t.Fatalf("payload %x (%v), reference %x (%v)", p, err, rp, rerr)
+	}
+	for _, e := range []struct {
+		k tuple.Key
+		e Entry
+	}{{3, Entry{Value: "boxed", Size: 1}}, {4, Entry{Size: 2}}} {
+		s.Add(e.k, e.e)
+		ref.Add(e.k, e.e)
+		if got, want := s.Entries(e.k), ref.Entries(e.k); !slices.Equal(got, want) || len(got) != 5*w+1 {
+			t.Fatalf("Entries(%d) after adding %+v = %v, reference %v", e.k, e.e, got, want)
+		}
+	}
+}
+
+// TestLargeSizesNeverPackWrongly: entry sizes whose multiples overflow
+// int64 must not be taken for the size a key already packs — nor make
+// the count disagree with the sum — and keep exactly the reference's
+// entries.
+func TestLargeSizesNeverPackWrongly(t *testing.T) {
+	half := int64(math.MaxInt64/2 + 1) // 2⁶², four of which wrap to 0
+	for _, sizes := range [][]int64{
+		{half, half, half},
+		{math.MaxInt64 / 2, math.MaxInt64 / 2},
+		{0, 0, 0, 0, half},
+		{1, 1, math.MinInt64 + 1}, // 2·(MinInt64+1) wraps to 2
+		{-half, -half, -half, -half, 7},
+		{1 << 32, 1 << 32},
+		{1<<32 - 1, 1<<32 - 1, 1<<32 - 1},
+	} {
+		s, ref := NewStore(2), newRefStore(2)
+		for i, size := range sizes {
+			s.Add(1, Entry{Size: size})
+			ref.Add(1, Entry{Size: size})
+			if i == len(sizes)/2 {
+				s.EndInterval()
+				ref.EndInterval()
+			}
+		}
+		if s.Size(1) != ref.Size(1) {
+			t.Fatalf("sizes %v: Size = %d, reference %d", sizes, s.Size(1), ref.Size(1))
+		}
+		if got, want := s.Entries(1), ref.Entries(1); !slices.Equal(got, want) {
+			t.Fatalf("sizes %v: Entries = %v, reference %v", sizes, got, want)
+		}
 	}
 }
