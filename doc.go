@@ -146,16 +146,25 @@
 // per-stage contention detector (stats.HotKeyDetector: bounded top-k
 // heap over the tracker, entry at threshold × per-task capacity,
 // hysteresis exit) whose split set travels as a SplitAnnounce protocol
-// message. A split key's tuples fan round-robin across a replica set;
-// replicas absorb commutative deltas through the engine.SplitFolder
+// message. A split key's tuples fan round-robin across a replica set,
+// each charged on arrival to the replica that runs it, so the queueing
+// model, Skewness and MaxTheta measure what each task processed.
+// Replicas absorb commutative deltas through the engine.SplitFolder
 // contract (SplitAbsorb on the replica, SplitMerge at the home) and
 // every cell folds back into the key's home task at interval close —
-// before snapshots, metrics or downstream flushes — so all observables
-// are pinned bit-identical to the unsplit run. Split keys are pinned
-// against rebalance plans (controller guardSplit + stage backstop,
-// both counting SplitPinned) and transitions run at the interval
-// barrier like every actuation. examples/viralkey demonstrates a flash crowd; the
-// repository benchmark's hotkey workload measures it.
+// before snapshots or downstream flushes — so snapshots, routing
+// tables, per-instance state and final aggregates are pinned
+// bit-identical to the unsplit run. The load report carries the split
+// set with fans, and the rebalance controller plans around it: the
+// planner sees every other key over each instance's pinned share of
+// the split keys (cost/fan on each replica), the trigger reads the same
+// loads, and while one instance's pinned share alone is past Lmax no
+// key-granular plan can meet θmax, so the controller holds (HeldSplit).
+// Split keys keep their routing entries; the controller's guardSplit
+// and the stage's backstop are checks whose SplitPinned counters stay
+// 0. Transitions run at the interval barrier like every actuation.
+// examples/viralkey demonstrates a flash crowd; the repository
+// benchmark's hotkey workload measures it.
 //
 // See README.md for the architecture tour; per-exhibit interpretation
 // against the published shapes lives with the runners in

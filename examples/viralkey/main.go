@@ -4,8 +4,10 @@
 // because a key is the atomic unit of routing. The detector splits the
 // viral key across a replica set (tuples fan out round-robin, replicas
 // hold commutative deltas), the rebalancer keeps working around it
-// (split keys are pinned to their home), and when the crowd moves on
-// the key folds back — counts exactly as if it had never been split.
+// (it plans the other keys against the load the split key puts on each
+// replica, and holds while that load alone is past its bound), and when
+// the crowd moves on the key folds back — counts exactly as if it had
+// never been split.
 //
 //	go run ./examples/viralkey
 package main
@@ -68,9 +70,8 @@ func main() {
 		}
 		sys.Run(1)
 		m := sys.Recorder().Series[i]
-		split := st.SplitKeys()
 		tag := "-"
-		if len(split) > 0 {
+		if split := st.Splits(); len(split) > 0 {
 			tag = fmt.Sprint(split)
 		}
 		fmt.Printf("%8d  %7d  %10.0f  %5.2f  %s\n",
@@ -82,8 +83,8 @@ func main() {
 	fmt.Println()
 	fmt.Printf("split announcements: %d  max concurrently split: %d\n",
 		sp.Announced, sp.MaxActive)
-	fmt.Printf("rebalances: %d  plan moves pinned by the split guard: %d\n",
-		ctl.Rebalances(), ctl.SplitPinned)
+	fmt.Printf("rebalances: %d  intervals held around the split: %d  plan moves pinned by the split guard: %d\n",
+		ctl.Rebalances(), ctl.HeldSplit, ctl.SplitPinned)
 
 	// Exactness: after the final fold the fleet's aggregate for the viral
 	// key equals what the spout fed — splitting is invisible to the

@@ -75,7 +75,8 @@ func (st *planState) release() {
 }
 
 // load resets the working assignment to the snapshot's: every key on
-// its recorded destination, the candidate set empty. The γ cache
+// its recorded destination over the snapshot's pinned loads, the
+// candidate set empty. The γ cache
 // survives, so Mixed's later trials do not recompute it.
 func (st *planState) load(snap *stats.Snapshot, cfg Config) {
 	st.nd, st.keys, st.beta = snap.ND, snap.Keys, cfg.Beta
@@ -83,6 +84,10 @@ func (st *planState) load(snap *stats.Snapshot, cfg Config) {
 	clear(st.loads)
 	st.cur = slices.Grow(st.cur[:0], len(st.keys))[:len(st.keys)]
 	st.total = 0
+	for d, p := range snap.Pinned {
+		st.loads[d] = p
+		st.total += p
+	}
 	for i := range st.keys {
 		ks := &st.keys[i]
 		st.cur[i] = int32(ks.Dest)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -45,6 +46,16 @@ func (p scriptedResize) Decide(env control.Env, snap *stats.Snapshot) []control.
 	return nil
 }
 
+// splitLog is a policy that records the split set each round's Env
+// carries to the count stage's policies: what its controller planned
+// around.
+type splitLog struct{ rounds *[][]control.SplitSpec }
+
+func (l splitLog) Decide(env control.Env, _ *stats.Snapshot) []control.Command {
+	*l.rounds = append(*l.rounds, append([]control.SplitSpec(nil), env.Split...))
+	return nil
+}
+
 // testSpec returns a fresh socialpipe spec with the scripted
 // elasticity attached to the count stage. Fresh per call: the
 // generator state lives in the Spec's closures.
@@ -65,9 +76,12 @@ type distributedRun struct {
 	series     []metrics.Interval
 	snaps      []*stats.Snapshot // count-stage wire snapshots, one per round
 	rebalances int
-	planner    string            // the count stage controller's planner, if any
-	splits     int               // split-set changes the count stage's splitter announced
-	table      map[tuple.Key]int // nil unless the count stage is assignment-routed
+	planner    string                // the count stage controller's planner, if any
+	splitEnv   [][]control.SplitSpec // the split set each count-stage round's Env carried
+	held       int                   // its intervals held around the split (HeldSplit)
+	pinned     int                   // its plan moves of split keys stripped (SplitPinned)
+	splits     int                   // split-set changes the count stage's splitter announced
+	table      map[tuple.Key]int     // nil unless the count stage is assignment-routed
 	stores     []storeSnap
 	processed  []int64
 	stats      []string // byte-table connection names
@@ -88,6 +102,8 @@ func runDistributed(t *testing.T, network string, nWorkers int, mutate ...func(*
 	for _, m := range mutate {
 		m(spec)
 	}
+	var splitEnv [][]control.SplitSpec
+	spec.Stages[1].Policies = append(spec.Stages[1].Policies, splitLog{&splitEnv})
 	addr := "127.0.0.1:0"
 	if network == "unix" {
 		addr = filepath.Join(t.TempDir(), "coord.sock")
@@ -132,7 +148,7 @@ func runDistributed(t *testing.T, network string, nWorkers int, mutate ...func(*
 	r := &distributedRun{rebalances: c.Rebalances()}
 	r.series = append(r.series, c.Recorder().Series...)
 	if ctl := c.Controller(1); ctl != nil {
-		r.planner = ctl.Planner.Name()
+		r.planner, r.held, r.pinned = ctl.Planner.Name(), ctl.HeldSplit, ctl.SplitPinned
 	}
 	for _, p := range c.policies[1] {
 		if sp, ok := p.(*controller.Splitter); ok {
@@ -169,6 +185,7 @@ func runDistributed(t *testing.T, network string, nWorkers int, mutate ...func(*
 	mu.Lock()
 	r.snaps = snaps
 	mu.Unlock()
+	r.splitEnv = splitEnv
 	return r
 }
 
@@ -181,6 +198,8 @@ func runLocal(t *testing.T, mutate ...func(*Spec)) *distributedRun {
 	for _, m := range mutate {
 		m(spec)
 	}
+	var splitEnv [][]control.SplitSpec
+	spec.Stages[1].Policies = append(spec.Stages[1].Policies, splitLog{&splitEnv})
 	sys := spec.BuildLocal()
 	defer sys.Stop()
 
@@ -193,10 +212,10 @@ func runLocal(t *testing.T, mutate ...func(*Spec)) *distributedRun {
 
 	sys.Run(testIntervals)
 
-	r := &distributedRun{rebalances: sys.Rebalances(), snaps: snaps}
+	r := &distributedRun{rebalances: sys.Rebalances(), snaps: snaps, splitEnv: splitEnv}
 	r.series = append(r.series, sys.Recorder().Series...)
 	if ctl := sys.Controller(1); ctl != nil {
-		r.planner = ctl.Planner.Name()
+		r.planner, r.held, r.pinned = ctl.Planner.Name(), ctl.HeldSplit, ctl.SplitPinned
 	}
 	if sp := sys.Splitter(1); sp != nil {
 		r.splits = sp.Announced
@@ -262,11 +281,22 @@ func compareRuns(t *testing.T, name string, got, want *distributedRun) {
 		}
 	}
 
+	if len(got.splitEnv) != len(want.splitEnv) {
+		t.Fatalf("%s: %d count-stage rounds decided, want %d", name, len(got.splitEnv), len(want.splitEnv))
+	}
+	for i := range want.splitEnv {
+		if !slices.Equal(got.splitEnv[i], want.splitEnv[i]) {
+			t.Fatalf("%s: round %d planned around split set %v, want %v", name, i, got.splitEnv[i], want.splitEnv[i])
+		}
+	}
 	if got.rebalances != want.rebalances {
 		t.Errorf("%s: %d rebalances, want %d", name, got.rebalances, want.rebalances)
 	}
 	if got.planner != want.planner || got.splits != want.splits {
 		t.Errorf("%s: planner %q with %d split announcements, want %q with %d", name, got.planner, got.splits, want.planner, want.splits)
+	}
+	if got.held != want.held || got.pinned != 0 || want.pinned != 0 {
+		t.Errorf("%s: %d holds around the split and %d split-key moves stripped, want %d and 0 (locally %d)", name, got.held, got.pinned, want.held, want.pinned)
 	}
 	if (got.table == nil) != (want.table == nil) {
 		t.Fatalf("%s: routing table present %v, want %v", name, got.table != nil, want.table != nil)
@@ -419,8 +449,9 @@ func TestDownstreamThrottleMatchesLocal(t *testing.T) {
 // used to refuse, each bit-identical to BuildLocal on series, snapshots,
 // tables and stores over 3 workers: the count stage under AlgPKG (the
 // latency floor shows in LatencyMs, the capacity shave in the
-// throttle), under HotKeySplit, and with a WithPlanner override; and
-// the whole pipeline with throttling off.
+// throttle), under HotKeySplit (over unix and tcp, with the split set
+// each round's controller planned around pinned too), and with a
+// WithPlanner override; and the whole pipeline with throttling off.
 func TestDistributedRunsWholeDeclaration(t *testing.T) {
 	budget := testSpec(t).Budget
 	emittedBelow := func(r *distributedRun) bool {
@@ -460,7 +491,12 @@ func TestDistributedRunsWholeDeclaration(t *testing.T) {
 			if r.splits == 0 {
 				return "no key was split"
 			}
-			return ""
+			for _, set := range r.splitEnv {
+				if len(set) > 0 {
+					return ""
+				}
+			}
+			return "no round planned around a split key"
 		}},
 		{"planner", func(s *Spec) {
 			s.Stages[1].Planner = balance.MinTable{}
@@ -486,8 +522,16 @@ func TestDistributedRunsWholeDeclaration(t *testing.T) {
 			if msg := row.check(local); msg != "" {
 				t.Fatalf("local: %s", msg)
 			}
-			dist := runDistributed(t, "unix", 3, row.mutate)
-			compareRuns(t, row.name, dist, local)
+			networks := []string{"unix"}
+			if row.name == "hotkeysplit" {
+				// The split set crosses the wire with its fans in every
+				// report: pin the report on both transports.
+				networks = append(networks, "tcp")
+			}
+			for _, network := range networks {
+				dist := runDistributed(t, network, 3, row.mutate)
+				compareRuns(t, row.name+"/"+network, dist, local)
+			}
 		})
 	}
 }

@@ -10,7 +10,9 @@ import (
 )
 
 // Proto is the cluster session protocol version, validated on both
-// sides of every Hello/Welcome handshake. Version 10's batch rows carry
+// sides of every Hello/Welcome handshake. Version 11's load report
+// carries each split key with its fan, as (key, fan) pairs; version 10's
+// carried the split keys alone. Version 10's batch rows carry
 // no stream label, and its sub-batch flags no bit for one; a version-9
 // engine chunk sets that bit (0x08), which version 10 refuses as
 // unknown. Version 9's batch rows carry no emit tick, and its sub-batch
@@ -27,7 +29,7 @@ import (
 // arrays for the coordinator to model instead. Version 4 introduced the
 // flagged batch sub-frame, whose rows carry only the fields that vary
 // inside their chunk. Older peers are refused.
-const Proto = 10
+const Proto = 11
 
 // handshakeTimeout bounds the Hello/Welcome exchange (and nothing
 // else: established connections block indefinitely — the interval

@@ -193,7 +193,7 @@ func TestHandshakeProtoMismatch(t *testing.T) {
 		t.Fatalf("listen: %v", err)
 	}
 	defer ln.Close()
-	for _, proto := range []int{Proto + 1, 9, 8, 7, 6, 5, 4, 3, 2} {
+	for _, proto := range []int{Proto + 1, 10, 9, 8, 7, 6, 5, 4, 3, 2} {
 		go func() {
 			// A raw framed client announcing the wrong protocol version.
 			nc, err := net.Dial("tcp", ln.Addr())

@@ -59,7 +59,7 @@ func (p Planner) Plan(snap *stats.Snapshot, cfg balance.Config) *balance.Plan {
 	n := int64(0)
 	var plan *balance.Plan
 	for t := 0; t < trials; t++ {
-		vp := newVplan(sp, snap.ND, cfg)
+		vp := newVplan(sp, cfg)
 		vp.clean(sp, n)
 		vp.prepare()
 		vp.assignAll()
@@ -78,9 +78,14 @@ func (p Planner) Plan(snap *stats.Snapshot, cfg balance.Config) *balance.Plan {
 	return plan
 }
 
-func newVplan(sp *Space, nd int, cfg balance.Config) *vplan {
+func newVplan(sp *Space, cfg balance.Config) *vplan {
+	nd := sp.snap.ND
 	vp := &vplan{nd: nd, loads: make([]int64, nd), beta: cfg.Beta}
 	var total int64
+	for d, p := range sp.snap.Pinned {
+		vp.loads[d] = p
+		total += p
+	}
 	for _, v := range sp.Vectors {
 		u := &unit{vec: v, dest: v.Cur, count: v.Count}
 		vp.units = append(vp.units, u)
@@ -273,6 +278,7 @@ func materialize(sp *Space, vp *vplan, cfg balance.Config) *balance.Plan {
 		MoveDest: make(map[tuple.Key]int),
 		Loads:    make([]int64, vp.nd),
 	}
+	copy(plan.Loads, sp.snap.Pinned)
 	// Group units per vector.
 	perVec := make(map[*Vector][]*unit, len(sp.Vectors))
 	for _, u := range vp.units {

@@ -14,7 +14,7 @@ import (
 func vplanFixture(nd int, rows ...[5]int64) (*Space, *vplan) {
 	snap := mkSnap(nd, rows...)
 	sp := Build(snap, 1)
-	vp := newVplan(sp, nd, balance.Config{ThetaMax: 0, Beta: 1})
+	vp := newVplan(sp, balance.Config{ThetaMax: 0, Beta: 1})
 	return sp, vp
 }
 
@@ -90,7 +90,7 @@ func TestMaterializePrefersStayingPut(t *testing.T) {
 		[5]int64{4, 1, 3, 0, 0},
 	)
 	sp := Build(snap, 1)
-	vp := newVplan(sp, 2, balance.Config{ThetaMax: 0, Beta: 1})
+	vp := newVplan(sp, balance.Config{ThetaMax: 0, Beta: 1})
 	vp.detach(vp.units[0], 4)
 	vp.lmax = 2
 	vp.assignAll()

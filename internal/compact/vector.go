@@ -95,9 +95,11 @@ func Build(snap *stats.Snapshot, R int64) *Space {
 func (sp *Space) Size() int { return len(sp.Vectors) }
 
 // EstimatedLoads returns per-instance loads computed from discretized
-// costs under the snapshot's current destinations.
+// costs under the snapshot's current destinations, over its pinned
+// loads.
 func (sp *Space) EstimatedLoads() []int64 {
 	loads := make([]int64, sp.snap.ND)
+	copy(loads, sp.snap.Pinned)
 	for i, ks := range sp.snap.Keys {
 		loads[ks.Dest] += sp.estCost[i]
 	}

@@ -108,11 +108,11 @@ type Env struct {
 	// gate ScaleOut/ScaleIn on it, so "applied" histories never count
 	// a command the executor would have to reject.
 	Resizable bool
-	// SplitKeys lists the stage's currently split hot keys (ascending,
-	// nil when none). The rebalance guard pins these keys to their home
-	// so a plan never tries to migrate a key whose state is spread
-	// across replicas mid-interval.
-	SplitKeys []tuple.Key
+	// Split is the stage's current split set with fans (ascending key
+	// order, nil when none). The rebalance controller plans around it:
+	// a split key is never a move candidate, its cost is spread over the
+	// replicas it runs on, and its routing-table entry is kept.
+	Split []SplitSpec
 }
 
 // Policy consumes one interval's merged statistics snapshot plus the

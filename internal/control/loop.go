@@ -50,7 +50,7 @@ func (x *Executor) RunRound(snap *stats.Snapshot) *engine.Rebalance {
 		Tasks: st.Instances(), Capacity: x.e.CapacityOf(x.si),
 		Emitted: x.e.LastEmitted(), Budget: x.e.Cfg.Budget,
 		Routable: st.AssignmentRouter() != nil, Resizable: x.resizable(),
-		Split: st.SplitKeys(),
+		Split: splitEntries(st.Splits()),
 	}}) != nil {
 		return nil
 	}
@@ -134,6 +134,18 @@ func (x *Executor) Hook() engine.SnapshotHook {
 		}
 		return x.RunRound(snap)
 	}
+}
+
+// splitEntries is a stage's split set as a report carries it.
+func splitEntries(set []stats.HotKey) []protocol.SplitEntry {
+	if len(set) == 0 {
+		return nil
+	}
+	es := make([]protocol.SplitEntry, len(set))
+	for i, hk := range set {
+		es[i] = protocol.SplitEntry{Key: hk.Key, Fan: hk.Fan}
+	}
+	return es
 }
 
 // planFits reports whether every destination a plan announce

@@ -139,7 +139,9 @@ func (s *Server) recvRound() (Env, *stats.Snapshot, bool) {
 		Budget:    r.Budget,
 		Routable:  r.Routable,
 		Resizable: r.Resizable,
-		SplitKeys: r.Split,
+	}
+	for _, e := range r.Split {
+		env.Split = append(env.Split, SplitSpec{Key: e.Key, Fan: e.Fan})
 	}
 	return env, snap, true
 }

@@ -10,11 +10,14 @@
 package controller
 
 import (
+	"cmp"
+	"slices"
 	"time"
 
 	"repro/internal/balance"
 	"repro/internal/control"
 	"repro/internal/engine"
+	"repro/internal/route"
 	"repro/internal/stats"
 	"repro/internal/tuple"
 )
@@ -49,10 +52,14 @@ type Controller struct {
 	// longer all exist).
 	DroppedStale int
 	// SplitPinned counts plan moves stripped because their key was
-	// split at decision time: a split key's state is spread across its
-	// replica set mid-interval, so the plan must leave it pinned to its
-	// home until the detector folds it back.
+	// split at decision time. The planner plans without the split keys,
+	// so it stays 0; it counts a planner that broke that contract.
 	SplitPinned int
+	// HeldSplit counts intervals held because one instance's share of
+	// the split keys alone exceeds Lmax: no key-granular plan can meet
+	// θmax there, so planning would only churn keys. The splitter is
+	// the policy that can act on it.
+	HeldSplit int
 
 	// applied counts the plans handed on for application. The plans
 	// themselves are not kept: a controller that plans every interval
@@ -61,6 +68,9 @@ type Controller struct {
 	applied      int
 	pending      *balance.Plan
 	pendingDelay int
+	// view is the recycled key buffer of the split-aware planning view
+	// (splitView): a planner's Plan never aliases its snapshot.
+	view []stats.KeyStat
 }
 
 // New builds a controller with the given planner and config.
@@ -78,9 +88,9 @@ func (c *Controller) trigger() float64 {
 
 // decide is the policy core shared by Decide and Maybe: judge the
 // snapshot (step 2) and return the plan to apply this interval, or nil
-// to hold. It advances the pending-plan staleness state, so it must be
-// called exactly once per interval.
-func (c *Controller) decide(routable bool, snap *stats.Snapshot) *balance.Plan {
+// to hold. split is the stage's split set. It advances the pending-plan
+// staleness state, so it must be called exactly once per interval.
+func (c *Controller) decide(routable bool, snap *stats.Snapshot, split []control.SplitSpec) *balance.Plan {
 	if !routable || len(snap.Keys) == 0 {
 		return nil
 	}
@@ -103,16 +113,32 @@ func (c *Controller) decide(routable bool, snap *stats.Snapshot) *balance.Plan {
 			return nil
 		}
 		c.DeferredApplies++
+		c.guardSplit(plan, split, snap)
 		return plan
 	}
 	if c.MinKeys > 0 && len(snap.Keys) < c.MinKeys {
 		return nil
 	}
-	if stats.MaxTheta(snap.Loads()) <= c.trigger() {
+	view := snap
+	var loads []int64
+	if len(split) > 0 {
+		view = c.splitView(snap, split)
+		loads = view.Loads()
+		lmax := (1 + c.Cfg.ThetaMax) * float64(snap.TotalCost()) / float64(snap.ND)
+		for _, p := range view.Pinned {
+			if float64(p) > lmax {
+				c.HeldSplit++
+				return nil
+			}
+		}
+	} else {
+		loads = snap.Loads()
+	}
+	if stats.MaxTheta(loads) <= c.trigger() {
 		c.SkippedBalanced++
 		return nil
 	}
-	plan := c.Planner.Plan(snap, c.Cfg)
+	plan := c.Planner.Plan(view, c.Cfg)
 	if c.IntervalDuration > 0 && plan.GenTime > c.IntervalDuration {
 		delay := int(plan.GenTime / c.IntervalDuration)
 		c.pending = plan
@@ -122,7 +148,42 @@ func (c *Controller) decide(routable bool, snap *stats.Snapshot) *balance.Plan {
 		}
 		return nil
 	}
+	c.guardSplit(plan, split, snap)
 	return plan
+}
+
+// splitView is the snapshot a planner sees while keys are split: every
+// key but the split ones, over per-instance pinned loads that spread
+// each split key's cost evenly over the replicas it runs on — the ring
+// route.Replicas gives from its home, the split key's snapshot
+// destination. The keys live in a buffer the controller recycles.
+func (c *Controller) splitView(snap *stats.Snapshot, split []control.SplitSpec) *stats.Snapshot {
+	view := &stats.Snapshot{Interval: snap.Interval, ND: snap.ND, Pinned: make([]int64, snap.ND)}
+	keys := c.view[:0]
+	for i := range snap.Keys {
+		ks := &snap.Keys[i]
+		j, ok := findSplit(split, ks.Key)
+		if !ok {
+			keys = append(keys, *ks)
+			continue
+		}
+		reps := route.Replicas(ks.Dest, split[j].Fan, snap.ND)
+		share, rest := ks.Cost/int64(len(reps)), ks.Cost%int64(len(reps))
+		for r, d := range reps {
+			view.Pinned[d] += share
+			if int64(r) < rest {
+				view.Pinned[d]++
+			}
+		}
+	}
+	c.view = keys
+	view.Keys = keys
+	return view
+}
+
+// findSplit returns k's position in a split set in ascending key order.
+func findSplit(split []control.SplitSpec, k tuple.Key) (int, bool) {
+	return slices.BinarySearchFunc(split, k, func(sp control.SplitSpec, k tuple.Key) int { return cmp.Compare(sp.Key, k) })
 }
 
 // maxPlanDest returns the largest destination index a plan references
@@ -150,34 +211,29 @@ func maxPlanDest(plan *balance.Plan) int {
 // counted as applied at decision time — the executor's application is
 // unconditional, so decision and application histories coincide.
 func (c *Controller) Decide(env control.Env, snap *stats.Snapshot) []control.Command {
-	plan := c.decide(env.Routable, snap)
+	plan := c.decide(env.Routable, snap, env.Split)
 	if plan == nil {
 		return nil
 	}
-	c.guardSplit(plan, env.SplitKeys, snap)
 	c.applied++
 	return []control.Command{control.Rebalance{Plan: plan}}
 }
 
-// guardSplit pins every currently split key to its home destination:
-// its migration entry is stripped (counted in SplitPinned) and its
-// routing-table entry rewritten so F(k) still lands on the home — as a
-// hash fallback where possible, as an explicit entry otherwise. The
-// stage applies the same guard at plan time (Stage.SplitPinned); this
-// controller-side pass keeps the announced plan honest, so wire
-// observers never see a migration that will be refused.
-func (c *Controller) guardSplit(plan *balance.Plan, split []tuple.Key, snap *stats.Snapshot) {
+// guardSplit keeps every split key where it is: a move of one is
+// stripped and counted in SplitPinned — the planner plans without the
+// split keys, so this is a check that stays 0 — and the key's
+// routing-table entry is restored, since a planner builds A′ from the
+// keys it saw. F(k) still lands on the home, as a hash fallback where
+// possible and as an explicit entry otherwise, so the stage's own guard
+// (Stage.ApplyPlan) finds nothing to pin.
+func (c *Controller) guardSplit(plan *balance.Plan, split []control.SplitSpec, snap *stats.Snapshot) {
 	if len(split) == 0 {
 		return
-	}
-	splitSet := make(map[tuple.Key]bool, len(split))
-	for _, k := range split {
-		splitSet[k] = true
 	}
 	if len(plan.Moved) > 0 {
 		kept := plan.Moved[:0]
 		for _, k := range plan.Moved {
-			if splitSet[k] {
+			if _, ok := findSplit(split, k); ok {
 				delete(plan.MoveDest, k)
 				c.SplitPinned++
 				continue
@@ -193,7 +249,7 @@ func (c *Controller) guardSplit(plan *balance.Plan, split []tuple.Key, snap *sta
 	// home — the plan guard keeps that invariant) and hash h(k).
 	for i := range snap.Keys {
 		ks := &snap.Keys[i]
-		if !splitSet[ks.Key] {
+		if _, ok := findSplit(split, ks.Key); !ok {
 			continue
 		}
 		if ks.Hash == ks.Dest {
@@ -211,7 +267,11 @@ func (c *Controller) guardSplit(plan *balance.Plan, split []tuple.Key, snap *sta
 // control loop is pinned against: a test that wants it registers a
 // closure over Maybe with engine.AddSnapshotHook.
 func (c *Controller) Maybe(stage *engine.Stage, snap *stats.Snapshot) *engine.Rebalance {
-	plan := c.decide(stage.AssignmentRouter() != nil, snap)
+	var split []control.SplitSpec
+	for _, hk := range stage.Splits() {
+		split = append(split, control.SplitSpec{Key: hk.Key, Fan: hk.Fan})
+	}
+	plan := c.decide(stage.AssignmentRouter() != nil, snap, split)
 	if plan == nil {
 		return nil
 	}

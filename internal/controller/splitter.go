@@ -14,9 +14,10 @@ import (
 // per interval and zero commands.
 //
 // Run it alongside (typically after) the rebalance Controller on the
-// same control loop: the Controller's guardSplit pass and the stage's
-// own plan guard keep the two policies composable — a split key is
-// pinned to its home, everything else rebalances normally.
+// same control loop: the Controller plans the other keys around the
+// split set the report carries — a split key stays at its home, its
+// load spread over its replicas — and holds while one replica's share
+// alone is past Lmax, which only this policy can act on.
 type Splitter struct {
 	// Det decides which keys are split and at what fan. Required.
 	Det *stats.HotKeyDetector

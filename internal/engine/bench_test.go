@@ -111,8 +111,8 @@ func BenchmarkFeedBatch(b *testing.B) {
 // BenchmarkFeedBatchSplit is BenchmarkFeedBatch at the repository
 // benchmark's hotkey shape: 8 tasks, an 80-entry routing table, and one
 // key carrying 40 % of the tuples, split 4 ways — the split feed path
-// (one probe, home charge, slot claim, remap) plus the replicas'
-// absorption.
+// (one probe, slot claim, remap, each tuple charged to its replica)
+// plus the replicas' absorption.
 func BenchmarkFeedBatchSplit(b *testing.B) {
 	const nd, hot = 8, tuple.Key(4095)
 	st := feedBenchStage(nd, newAsgRouter(nd))

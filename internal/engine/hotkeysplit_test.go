@@ -2,10 +2,12 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/balance"
+	"repro/internal/route"
 	"repro/internal/state"
 	"repro/internal/stats"
 	"repro/internal/tuple"
@@ -43,6 +45,47 @@ func splitCountStage(nd, w int) (*Stage, []*splitCountOp) {
 	return st, fleet
 }
 
+// TestSplitChargesReplicas pins the feed's arrival accounting under a
+// split: a split key's tuples are charged, cost and count, to the
+// replicas they are sent to — round-robin over the ring from its home —
+// and every other key's to its destination, batch sizes whatever.
+func TestSplitChargesReplicas(t *testing.T) {
+	const nd, fan, hot = 5, 3, tuple.Key(7)
+	st, _ := splitCountStage(nd, 2)
+	defer st.Stop()
+	if err := st.ApplySplitSet([]stats.HotKey{{Key: hot, Fan: fan}}); err != nil {
+		t.Fatal(err)
+	}
+	asg := st.AssignmentRouter().Assignment()
+	wantCost, wantTuples := make([]int64, nd), make([]int64, nd)
+	reps := route.Replicas(asg.Dest(hot), fan, nd)
+	var batch []tuple.Tuple
+	sent := 0
+	for i := 0; i < 600; i++ {
+		tp := tuple.New(hot, i).WithCost(3)
+		if i%4 == 3 {
+			tp = tuple.New(tuple.Key(100+i%40), i).WithCost(2)
+			wantCost[asg.Dest(tp.Key)] += 2
+			wantTuples[asg.Dest(tp.Key)]++
+		} else {
+			d := reps[sent%fan]
+			sent++
+			wantCost[d] += 3
+			wantTuples[d]++
+		}
+		batch = append(batch, tp)
+		if len(batch) == 1+i%13 {
+			st.FeedBatch(batch)
+			batch = batch[:0]
+		}
+	}
+	st.FeedBatch(batch)
+	st.Barrier()
+	if !slices.Equal(st.ArrivedCost(), wantCost) || !slices.Equal(st.ArrivedTuples(), wantTuples) {
+		t.Fatalf("arrivals cost %v, tuples %v; want %v, %v", st.ArrivedCost(), st.ArrivedTuples(), wantCost, wantTuples)
+	}
+}
+
 // TestSplitFoldsBackExactly pins the fold-back accounting: a split
 // key's tuples absorbed on replicas land, after CloseInterval, on the
 // home task only — operator count, windowed state and tracker cell all
@@ -55,8 +98,8 @@ func TestSplitFoldsBackExactly(t *testing.T) {
 	if err := st.ApplySplitSet([]stats.HotKey{{Key: hot, Fan: 3}}); err != nil {
 		t.Fatal(err)
 	}
-	if ks := st.SplitKeys(); len(ks) != 1 || ks[0] != hot {
-		t.Fatalf("SplitKeys = %v, want [%d]", ks, hot)
+	if set := st.Splits(); len(set) != 1 || set[0] != (stats.HotKey{Key: hot, Fan: 3}) {
+		t.Fatalf("Splits = %v, want [{%d 3}]", set, hot)
 	}
 
 	const n = 600
@@ -179,8 +222,8 @@ func TestSplitRetireExtractsResidue(t *testing.T) {
 	if err := st.ApplySplitSet(nil); err != nil {
 		t.Fatal(err)
 	}
-	if ks := st.SplitKeys(); ks != nil {
-		t.Fatalf("SplitKeys = %v after full retire", ks)
+	if set := st.Splits(); set != nil {
+		t.Fatalf("Splits = %v after full retire", set)
 	}
 	st.Barrier()
 	var total int64
@@ -344,8 +387,8 @@ func TestSplitStressWithContinuousRebalance(t *testing.T) {
 // TestPublishedSplitKernelMatchesReference pins the feeder's one-probe
 // kernel on the assignments the stage itself publishes — by
 // ApplySplitSet and by ApplyPlan with a split set riding along —
-// against per-tuple Dest plus SplitTable.Index, and the home charge it
-// relies on: every split's Home is F(k).
+// against per-tuple Dest plus SplitTable.Index, and the anchor the
+// fold relies on: every split's Home is F(k).
 func TestPublishedSplitKernelMatchesReference(t *testing.T) {
 	const nd, domain = 8, 300
 	st, _ := splitCountStage(nd, 2)

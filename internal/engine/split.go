@@ -3,14 +3,14 @@ package engine
 // Hot-key splitting: the stage-side half of the dynamic per-key
 // replication protocol. A split key's tuples fan out round-robin
 // across a replica set on the feed path (route.SplitTable, published
-// with the routing assignment it rides on); replicas reduce them into
-// commutative delta
+// with the routing assignment it rides on), each charged on arrival to
+// the replica that runs it; replicas reduce them into commutative delta
 // cells (task.absorbSplit); and foldSplits drains the cells back into
 // the key's home task before statistics harvest and interval flush, so
-// every observable — interval series, snapshots, routing tables, final
-// aggregates — is bit-identical to an unsplit run. The throughput win
-// is physical: the hot key's work actually executes on Fan goroutines
-// instead of one.
+// the key's snapshot entry, routing, state and final aggregates are
+// bit-identical to an unsplit run's. The arrival accounting, and the
+// queueing model and skewness read from it, show the split: the hot
+// key's work actually executes on Fan goroutines instead of one.
 //
 // A split set changes only on a sealed stage, like every actuation:
 // publishing one arms the new replicas' cells over the task FIFOs and
@@ -59,24 +59,16 @@ func (s *Stage) setSplits(set []stats.HotKey) {
 	var nst *route.SplitTable
 	if nd >= 2 {
 		for _, hk := range set {
-			home := old.Dest(hk.Key)
-			fan := hk.Fan
-			if fan < 2 {
-				fan = 2
-			}
-			if fan > nd {
-				fan = nd
-			}
 			if nst == nil {
 				nst = route.NewSplitTable()
 			}
+			sp := route.NewSplit(hk.Key, old.Dest(hk.Key), hk.Fan, nd)
 			if oldSt != nil {
-				if sp, ok := oldSt.Lookup(hk.Key); ok && sp.Home == home && sp.Fan() == fan {
-					nst.Put(sp)
-					continue
+				if o, ok := oldSt.Lookup(hk.Key); ok && o.Home == sp.Home && o.Fan() == sp.Fan() {
+					sp = o
 				}
 			}
-			nst.Put(route.NewSplit(hk.Key, home, fan, nd))
+			nst.Put(sp)
 		}
 	}
 	if oldSt == nil && nst == nil {
@@ -231,9 +223,10 @@ func (s *Stage) foldSplits() {
 
 // mergeSplitCell applies one key's summed replica contribution on the
 // home task's goroutine: the tracker's attribution on an observed stage
-// (the arrival side was charged to the home at feed time), then the
-// operator's own fold. Plain integer adds end to end — commutative, so
-// replica and fold order never show in any observable.
+// (the key's statistics live at its home, wherever its tuples ran), then
+// the operator's own fold. Plain integer adds end to end — commutative,
+// so replica and fold order never show in the key's entry or state. The
+// arrivals were charged at feed time to the replicas that ran them.
 func mergeSplitCell(t *task, ctx *TaskCtx, k tuple.Key, c splitCell) {
 	if ctx.observe {
 		ctx.Tracker.AbsorbKey(k, c.cost, c.freq, c.mem)
@@ -243,10 +236,11 @@ func mergeSplitCell(t *task, ctx *TaskCtx, k tuple.Key, c splitCell) {
 	}
 }
 
-// SplitKeys returns the currently split keys in ascending order (nil
-// when none). The control plane stamps them into load reports so the
-// controller's plan guard sees the live set.
-func (s *Stage) SplitKeys() []tuple.Key {
+// Splits returns the current split set — each split key with the fan
+// it runs at — in ascending key order (nil when none). The control plane
+// stamps it into load reports, so the controller plans around the
+// instances the split keys occupy.
+func (s *Stage) Splits() []stats.HotKey {
 	ar := s.AssignmentRouter()
 	if ar == nil {
 		return nil
@@ -255,7 +249,11 @@ func (s *Stage) SplitKeys() []tuple.Key {
 	if st == nil {
 		return nil
 	}
-	return st.Keys()
+	set := make([]stats.HotKey, 0, st.Len())
+	st.Each(func(sp *route.Split) {
+		set = append(set, stats.HotKey{Key: sp.Key, Fan: sp.Fan()})
+	})
+	return set
 }
 
 func containsDest(reps []int, d int) bool {

@@ -11,9 +11,9 @@ import (
 // TestControllerGuardLeavesStagePinsIdle runs the hot-key detector
 // beside a rebalancing controller under viral skew — topology's
 // TestHotKeySplitComposesWithRebalance — and pins the guard
-// bookkeeping: the controller strips every move of a split key before
-// its plan reaches the stage, so the stage-level backstop
-// (Stage.ApplyPlan's pin) never fires.
+// bookkeeping: the controller plans without the split keys and keeps
+// their routing entries, so neither its own check (SplitPinned) nor the
+// stage-level backstop (Stage.ApplyPlan's pin) ever fires.
 func TestControllerGuardLeavesStagePinsIdle(t *testing.T) {
 	const budget = 8000
 	gen := workload.NewZipfStream(1200, 1.4, 0.3, budget, 47)
@@ -29,6 +29,9 @@ func TestControllerGuardLeavesStagePinsIdle(t *testing.T) {
 		t.Fatal("detector never engaged under θ=1.4")
 	}
 	if got := sys.Stage(0).SplitPinned(); got != 0 {
-		t.Fatalf("stage pinned %d moves the controller's guard should have stripped", got)
+		t.Fatalf("stage pinned %d moves of split keys", got)
+	}
+	if got := sys.Controller(0).SplitPinned; got != 0 {
+		t.Fatalf("the controller stripped %d planned moves of split keys", got)
 	}
 }

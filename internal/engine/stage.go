@@ -129,7 +129,6 @@ type Port struct {
 	bounds []int
 	off    []int
 	cost   []int64
-	tup    []int64
 	claim  []uint64 // per split key: its tuples in the batch, then its next round-robin position
 	pos    []int32  // the batch's split tuples, by index
 }
@@ -158,10 +157,10 @@ func (s *Stage) FeedBatch(ts []tuple.Tuple) { s.port.FeedBatch(ts) }
 // channel operations across hundreds of tuples. Tuples are copied out of
 // ts, so the caller may reuse the slice immediately. Ports of one stage
 // may feed concurrently: routing takes no lock and arrivals are counted
-// atomically. A split key's tuple is physically sent to the next
-// round-robin replica while its arrival stays charged to the home
-// destination F(k), so arrival accounting (and everything modeled from
-// it) reconstructs the unsplit run.
+// atomically. A split key's tuple is sent to the next round-robin
+// replica and, like every tuple, charged to the task it is sent to, so
+// the arrival accounting (and everything modeled from it) measures what
+// each task processes.
 func (p *Port) FeedBatch(ts []tuple.Tuple) {
 	if len(ts) == 0 {
 		return
@@ -172,39 +171,25 @@ func (p *Port) FeedBatch(ts []tuple.Tuple) {
 		p.dst = make([]int, len(ts))
 	}
 	dst := p.dst[:len(ts)]
-	st := s.router.dests(p, ts, dst)
-	if st != nil {
+	if st := s.router.dests(p, ts, dst); st != nil {
 		// Hot keys present: DestTuples marked each split tuple ^j, j its
-		// key's position in st. Charge every arrival at its home — F(k),
-		// which for a split key is Split.Home — recording where the split
-		// tuples sit, then claim each split key's round-robin positions
-		// for the batch with one atomic add and remap only the recorded
-		// tuples to their positions' replicas, in tuple order. Cold
-		// batches never enter this block: one nil test per batch.
+		// key's position in st. Record where the split tuples sit, claim
+		// each split key's round-robin positions for the batch with one
+		// atomic add, and remap only the recorded tuples to their
+		// positions' replicas, in tuple order. Cold batches never enter
+		// this block: one nil test per batch.
 		ns := st.Len()
-		if cap(p.cost) < nd {
-			p.cost = make([]int64, nd)
-		}
-		if cap(p.tup) < nd {
-			p.tup = make([]int64, nd)
-		}
 		if cap(p.claim) < ns {
 			p.claim = make([]uint64, ns)
 		}
-		cost, tup, claim := p.cost[:nd], p.tup[:nd], p.claim[:ns]
-		clear(cost)
-		clear(tup)
+		claim := p.claim[:ns]
 		clear(claim)
 		pos := p.pos[:0]
-		for i := range ts {
-			d := dst[i]
+		for i, d := range dst {
 			if d < 0 {
 				claim[^d]++
 				pos = append(pos, int32(i))
-				d = st.At(^d).Home
 			}
-			cost[d] += ts[i].Cost
-			tup[d]++
 		}
 		for j, n := range claim {
 			if n > 0 {
@@ -218,12 +203,6 @@ func (p *Port) FeedBatch(ts []tuple.Tuple) {
 			claim[j]++
 		}
 		p.pos = pos
-		for d := 0; d < nd; d++ {
-			if tup[d] > 0 {
-				atomic.AddInt64(&s.arrivedTuples[d], tup[d])
-				atomic.AddInt64(&s.arrivedCost[d], cost[d])
-			}
-		}
 	}
 	if cap(p.bounds) < nd+1 {
 		p.bounds = make([]int, nd+1)
@@ -237,9 +216,7 @@ func (p *Port) FeedBatch(ts []tuple.Tuple) {
 	for d := 0; d < nd; d++ {
 		if bounds[d+1] > 0 {
 			active++
-			if st == nil {
-				atomic.AddInt64(&s.arrivedTuples[d], int64(bounds[d+1]))
-			}
+			atomic.AddInt64(&s.arrivedTuples[d], int64(bounds[d+1]))
 		}
 		bounds[d+1] += bounds[d]
 	}
@@ -265,27 +242,16 @@ func (p *Port) FeedBatch(ts []tuple.Tuple) {
 	}
 	cost := p.cost[:nd]
 	clear(cost)
-	if st == nil {
-		for i := range ts {
-			d := dst[i]
-			buf[off[d]] = ts[i]
-			off[d]++
-			cost[d] += ts[i].Cost
-		}
-	} else {
-		// Cost was already accounted (by home) in the split pass above.
-		for i := range ts {
-			d := dst[i]
-			buf[off[d]] = ts[i]
-			off[d]++
-		}
+	for i := range ts {
+		d := dst[i]
+		buf[off[d]] = ts[i]
+		off[d]++
+		cost[d] += ts[i].Cost
 	}
 	// A full task queue exerts backpressure on this feeder alone.
 	for d := 0; d < nd; d++ {
 		if lo, hi := bounds[d], bounds[d+1]; hi > lo {
-			if st == nil {
-				atomic.AddInt64(&s.arrivedCost[d], cost[d])
-			}
+			atomic.AddInt64(&s.arrivedCost[d], cost[d])
 			s.tasks[d].sendBatch(buf[lo:hi:hi], bb)
 		}
 	}
@@ -520,9 +486,9 @@ func (s *Stage) ApplyPlan(plan *balance.Plan, obs MigrationObserver) (int64, err
 	st := old.Splits()
 	tbl := plan.Table.Clone()
 	if st != nil {
-		// A split key cannot migrate: its replica ring and home-charged
-		// accounting are anchored to Home. The controller strips such
-		// moves before planning around them (controller.SplitPinned);
+		// A split key cannot migrate: its replica ring, statistics and
+		// state are anchored to Home. The controller plans without split
+		// keys and keeps their table entries (controller.SplitPinned);
 		// this is the stage-level backstop for raw callers — patch the
 		// incoming table so F(k) keeps resolving to the split home (which
 		// makes the key's move a no-op below), and count every pin.

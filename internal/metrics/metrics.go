@@ -18,9 +18,11 @@ type Interval struct {
 	Throughput float64
 	// LatencyMs is the arrival-weighted mean processing latency.
 	LatencyMs float64
-	// Skewness is max L(d) / L̄ of the interval's arrived load.
+	// Skewness is max L(d) / L̄ of the interval's arrived load: the cost
+	// each task was sent, a split key's tuples charged to the replicas
+	// that run them.
 	Skewness float64
-	// MaxTheta is max_d |L(d)−L̄|/L̄.
+	// MaxTheta is max_d |L(d)−L̄|/L̄ of the same load.
 	MaxTheta float64
 	// MigrationPct is this interval's migrated state as a percentage of
 	// total live state (zero when no rebalance ran).
@@ -61,56 +63,6 @@ func (r *Recorder) MeanThroughput() float64 {
 // MeanLatency averages latency over all intervals.
 func (r *Recorder) MeanLatency() float64 {
 	return r.mean(func(m Interval) float64 { return m.LatencyMs })
-}
-
-// MeanSkewness averages the skewness metric.
-func (r *Recorder) MeanSkewness() float64 {
-	return r.mean(func(m Interval) float64 { return m.Skewness })
-}
-
-// MeanMigrationPct averages migration cost over the intervals where a
-// rebalance actually ran (the paper reports cost per adjustment).
-func (r *Recorder) MeanMigrationPct() float64 {
-	var s float64
-	var n int
-	for _, m := range r.Series {
-		if m.Rebalanced {
-			s += m.MigrationPct
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return s / float64(n)
-}
-
-// MeanPlanMs averages plan-generation time over rebalance intervals.
-func (r *Recorder) MeanPlanMs() float64 {
-	var s float64
-	var n int
-	for _, m := range r.Series {
-		if m.Rebalanced {
-			s += m.PlanMs
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return s / float64(n)
-}
-
-// RecoveryIntervals returns how many intervals after `from` it took for
-// throughput to reach frac·target — the Fig. 15 "time to rebalance
-// after scale-out" measure. Returns -1 if never reached.
-func (r *Recorder) RecoveryIntervals(from int, target, frac float64) int {
-	for i := from; i < len(r.Series); i++ {
-		if r.Series[i].Throughput >= frac*target {
-			return i - from
-		}
-	}
-	return -1
 }
 
 func (r *Recorder) mean(f func(Interval) float64) float64 {

@@ -111,3 +111,56 @@ func TestF(t *testing.T) {
 		}
 	}
 }
+
+// The summaries below are only this package's tests' to read: the
+// exhibits and the benchmark summarize their series themselves.
+
+// MeanSkewness averages the skewness metric.
+func (r *Recorder) MeanSkewness() float64 {
+	return r.mean(func(m Interval) float64 { return m.Skewness })
+}
+
+// MeanMigrationPct averages migration cost over the intervals where a
+// rebalance actually ran (the paper reports cost per adjustment).
+func (r *Recorder) MeanMigrationPct() float64 {
+	var s float64
+	var n int
+	for _, m := range r.Series {
+		if m.Rebalanced {
+			s += m.MigrationPct
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return s / float64(n)
+}
+
+// MeanPlanMs averages plan-generation time over rebalance intervals.
+func (r *Recorder) MeanPlanMs() float64 {
+	var s float64
+	var n int
+	for _, m := range r.Series {
+		if m.Rebalanced {
+			s += m.PlanMs
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return s / float64(n)
+}
+
+// RecoveryIntervals returns how many intervals after `from` it took for
+// throughput to reach frac·target — the Fig. 15 "time to rebalance
+// after scale-out" measure. Returns -1 if never reached.
+func (r *Recorder) RecoveryIntervals(from int, target, frac float64) int {
+	for i := from; i < len(r.Series); i++ {
+		if r.Series[i].Throughput >= frac*target {
+			return i - from
+		}
+	}
+	return -1
+}

@@ -479,7 +479,7 @@ func appendReport(dst []byte, r *LoadReport) []byte {
 	}
 	dst = append(dst, flags)
 	dst = appendReportKeys(dst, r.Keys)
-	dst = tuple.AppendKeys(dst, r.Split)
+	dst = appendPairs(dst, r.Split, splitPair)
 	dst = appendSvarint(dst, int64(r.Tasks))
 	dst = appendSvarint(dst, r.Capacity)
 	dst = appendSvarint(dst, r.Emitted)
@@ -501,7 +501,7 @@ func (c *Codec) decodeReport(cur *cursor) *LoadReport {
 	c.mergedN++
 	*buf = cur.reportKeys((*buf)[:0])
 	r.Keys = *buf
-	r.Split = cur.Keys()
+	r.Split = pairs(cur, mkSplit)
 	r.Tasks = int(cur.Varint())
 	r.Capacity = cur.Varint()
 	r.Emitted = cur.Varint()

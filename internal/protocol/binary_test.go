@@ -437,6 +437,7 @@ func mergedReport() *LoadReport {
 			{Key: 1, Cost: 5, Freq: 5, Mem: 7, Dest: 0, Hash: 0},
 			{Key: 8, Cost: 5, Freq: 5, Mem: 0, Dest: 1, Hash: 1},
 		},
+		Split: []SplitEntry{{Key: 4, Fan: 2}, {Key: 8, Fan: 3}},
 	}
 }
 
@@ -444,10 +445,11 @@ func mergedReport() *LoadReport {
 // survive: an entry count the frame cannot hold (the decoder's to
 // refuse), then well-formed frames whose run names an instance the
 // stage does not have, a negative one, entries out of canonical order,
-// and an instance count past MaxTasks with no entries, which a
-// controller would size its load vector by (CheckMerged's to refuse).
+// an instance count past MaxTasks with no entries, which a controller
+// would size its load vector by, a split key fanned past the stage's
+// instances and a split set out of key order (CheckMerged's to refuse).
 // The fuzz corpus under testdata/fuzz/FuzzBinaryHostile carries the same
-// five.
+// seven.
 func hostileMergedReports() [][]byte {
 	frame := func(mutate func(*LoadReport)) []byte {
 		r := mergedReport()
@@ -460,6 +462,8 @@ func hostileMergedReports() [][]byte {
 		frame(func(r *LoadReport) { r.Keys[2].Dest = -1 }),
 		frame(func(r *LoadReport) { r.Keys[0], r.Keys[1] = r.Keys[1], r.Keys[0] }),
 		frame(func(r *LoadReport) { r.Keys, r.Tasks = nil, 1<<40 }),
+		frame(func(r *LoadReport) { r.Split[1].Fan = 4 }),
+		frame(func(r *LoadReport) { r.Split[0], r.Split[1] = r.Split[1], r.Split[0] }),
 	}
 }
 

@@ -80,7 +80,7 @@ func buildMessage(seed uint64, kind, n int) *Message {
 			Routable: r.intn(2) == 0, Resizable: r.intn(2) == 0,
 		}
 		for i := 0; i < r.intn(n+1); i++ {
-			rep.Split = append(rep.Split, tuple.Key(r.next()))
+			rep.Split = append(rep.Split, SplitEntry{Key: tuple.Key(r.next()), Fan: r.intn(16) + 2})
 		}
 		for i := 0; i < n; i++ {
 			rep.Keys = append(rep.Keys, stats.KeyStat{
@@ -237,6 +237,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			f.Add(uint64(kind*31+n), kind, n)
 		}
 	}
+	f.Add(uint64(1), 0, 5) // a report whose split set carries three (key, fan) pairs
 	f.Fuzz(func(t *testing.T, seed uint64, kind, n int) {
 		if n < 0 {
 			n = -n
@@ -407,8 +408,8 @@ func FuzzBinaryHostile(f *testing.F) {
 	})
 }
 
-// TestHostileBatchSeedsCommitted keeps the batch, harvest and
-// instance-count seeds of the fuzz corpus equal to the frames
+// TestHostileBatchSeedsCommitted keeps the batch, harvest and report
+// seeds of the fuzz corpus equal to the frames
 // binary_test.go names, and the cut
 // row equal to what the encoder writes for its two tuples, one byte
 // short — so a layout change that breaks one fails here instead of
@@ -436,7 +437,12 @@ func TestHostileBatchSeedsCommitted(t *testing.T) {
 		"seed-cut-after-flags":              batchCutAtFlags,
 		"seed-harvested-cut-row":            harvestedCutRow,
 		"seed-harvested-backlog-past-frame": harvestedBacklogPastFrame,
+		"seed-merged-dest-past-tasks":       hostileMergedReports()[1],
+		"seed-merged-dest-negative":         hostileMergedReports()[2],
+		"seed-merged-out-of-order":          hostileMergedReports()[3],
 		"seed-report-huge-tasks":            hostileMergedReports()[4],
+		"seed-report-split-fan-past-tasks":  hostileMergedReports()[5],
+		"seed-report-split-out-of-order":    hostileMergedReports()[6],
 		"seed-assign-huge-name":             hostileAssignName,
 		"seed-stats-huge-count":             hostileStatsCount,
 		"seed-state-window":                 stateWindowFrame(),

@@ -65,10 +65,11 @@ type LoadReport struct {
 	Budget    int64
 	Routable  bool
 	Resizable bool
-	// Split lists the stage's currently split hot keys (ascending), so
-	// the controller's plan guard sees the live set without a second
-	// channel.
-	Split []tuple.Key
+	// Split is the stage's current split set, each key with the fan it
+	// runs at, in ascending key order — the pairs SplitAnnounce carries —
+	// so the controller plans around the instances the split keys occupy
+	// without a second channel.
+	Split []SplitEntry
 }
 
 // MaxTasks bounds a report's instance count. A controller sizes its load
@@ -80,12 +81,21 @@ const MaxTasks = 1 << 16
 
 // CheckMerged validates a report as outside input: the instance count is
 // in [0, MaxTasks], every entry's destination names one of the stage's
-// Tasks instances and the entries are in canonical snapshot order. A
-// controller that skipped this would index its load vector with whatever
-// a peer sent.
+// Tasks instances and the entries are in canonical snapshot order, and
+// the split set is in ascending key order with every fan in [2, Tasks].
+// A controller that skipped this would index its load vector with
+// whatever a peer sent.
 func (r *LoadReport) CheckMerged() error {
 	if r.Tasks < 0 || r.Tasks > MaxTasks {
 		return fmt.Errorf("protocol: report names %d instances (at most %d)", r.Tasks, MaxTasks)
+	}
+	for i, e := range r.Split {
+		if e.Fan < 2 || e.Fan > r.Tasks {
+			return fmt.Errorf("protocol: report splits key %d %d ways over %d instances", e.Key, e.Fan, r.Tasks)
+		}
+		if i > 0 && e.Key <= r.Split[i-1].Key {
+			return fmt.Errorf("protocol: report split entry %d is out of order", i)
+		}
 	}
 	for i := range r.Keys {
 		if d := r.Keys[i].Dest; d < 0 || d >= r.Tasks {

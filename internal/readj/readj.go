@@ -54,6 +54,10 @@ func (p Planner) Plan(snap *stats.Snapshot, cfg balance.Config) *balance.Plan {
 	keys := make([]keyView, len(snap.Keys))
 	loads := make([]int64, nd)
 	var total int64
+	for d, p := range snap.Pinned {
+		loads[d] = p
+		total += p
+	}
 	for i, ks := range snap.Keys {
 		keys[i] = keyView{key: ks.Key, cost: ks.Cost, mem: ks.Mem, orig: ks.Dest, hash: ks.Hash, cur: ks.Dest}
 		loads[ks.Dest] += ks.Cost

@@ -9,12 +9,13 @@ import (
 )
 
 // Split is one hot key's replica set: the key fans out round-robin
-// across Replicas on the feed path while every observable (arrival
-// accounting, statistics, snapshots) stays charged to Home, the
-// destination the assignment function F(k) resolves to. Home is always
-// a member of Replicas, so the unsplit routing decision is one of the
-// split ones — folding the replicas' commutative deltas back into Home
-// at interval close reconstructs the unsplit run exactly.
+// across Replicas on the feed path, and each tuple's arrival is charged
+// to the replica it runs on. Statistics and state stay anchored at Home,
+// the destination the assignment function F(k) resolves to: Home is
+// always a member of Replicas, so the unsplit routing decision is one of
+// the split ones, and folding the replicas' commutative deltas back into
+// Home at interval close leaves the key's snapshot entry and state as an
+// unsplit run's.
 type Split struct {
 	Key      tuple.Key
 	Home     int
@@ -26,20 +27,23 @@ type Split struct {
 	ctr atomic.Uint64
 }
 
-// NewSplit builds a split for k fanning out over fan consecutive
-// instances starting at home (mod nd). fan is clamped to [2, nd].
+// NewSplit builds a split for k over Replicas(home, fan, nd).
 func NewSplit(k tuple.Key, home, fan, nd int) *Split {
-	if fan < 2 {
-		fan = 2
-	}
-	if fan > nd {
-		fan = nd
-	}
+	return &Split{Key: k, Home: home, Replicas: Replicas(home, fan, nd)}
+}
+
+// Replicas returns the replica ring of a key split fan ways from home
+// over nd instances: (home+i) mod nd for i < fan, with fan clamped to
+// [2, nd]. The stage routes a split key over this ring, and a
+// controller spreading the key's load over the instances it runs on
+// reads the same one.
+func Replicas(home, fan, nd int) []int {
+	fan = min(max(fan, 2), nd)
 	reps := make([]int, fan)
 	for i := range reps {
 		reps[i] = (home + i) % nd
 	}
-	return &Split{Key: k, Home: home, Replicas: reps}
+	return reps
 }
 
 // Claim reserves n consecutive round-robin slots and returns the first:
@@ -99,15 +103,6 @@ func (t *SplitTable) Lookup(k tuple.Key) (*Split, bool) {
 
 // Len returns the number of split keys.
 func (t *SplitTable) Len() int { return len(t.splits) }
-
-// Keys returns the split keys in ascending order.
-func (t *SplitTable) Keys() []tuple.Key {
-	ks := make([]tuple.Key, len(t.splits))
-	for i, s := range t.splits {
-		ks[i] = s.Key
-	}
-	return ks
-}
 
 // Each calls fn for every split in ascending key order.
 func (t *SplitTable) Each(fn func(*Split)) {

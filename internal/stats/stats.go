@@ -59,12 +59,18 @@ type Snapshot struct {
 	Interval int64
 	ND       int
 	Keys     []KeyStat
+	// Pinned, when non-nil, holds ND per-instance loads no plan can
+	// move: the shares of split keys that run on replica sets and are
+	// not among Keys. Loads and every planner count an instance's load
+	// from its Pinned entry up, so L̄ and Lmax include them.
+	Pinned []int64
 }
 
 // Loads returns L(d) for every instance under the snapshot's recorded
-// destinations.
+// destinations, Pinned included.
 func (s *Snapshot) Loads() []int64 {
 	loads := make([]int64, s.ND)
+	copy(loads, s.Pinned)
 	for _, ks := range s.Keys {
 		loads[ks.Dest] += ks.Cost
 	}
@@ -90,12 +96,16 @@ func (s *Snapshot) TotalMem() int64 {
 	return t
 }
 
-// AvgLoad returns L̄ = Σ L(d) / ND.
+// AvgLoad returns L̄ = Σ L(d) / ND, Pinned included.
 func (s *Snapshot) AvgLoad() float64 {
 	if s.ND == 0 {
 		return 0
 	}
-	return float64(s.TotalCost()) / float64(s.ND)
+	t := s.TotalCost()
+	for _, p := range s.Pinned {
+		t += p
+	}
+	return float64(t) / float64(s.ND)
 }
 
 // Clone deep-copies the snapshot so planners can mutate destinations
@@ -103,6 +113,9 @@ func (s *Snapshot) AvgLoad() float64 {
 func (s *Snapshot) Clone() *Snapshot {
 	c := &Snapshot{Interval: s.Interval, ND: s.ND, Keys: make([]KeyStat, len(s.Keys))}
 	copy(c.Keys, s.Keys)
+	if s.Pinned != nil {
+		c.Pinned = append([]int64(nil), s.Pinned...)
+	}
 	return c
 }
 
