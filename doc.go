@@ -44,16 +44,18 @@
 // Per-stage control runs through one command path (internal/control):
 // controllers and autoscalers are control.Policy implementations that
 // consume interval snapshots and emit typed commands — Rebalance,
-// ScaleOut, ScaleIn — applied by a single per-stage Executor whose
-// every step crosses the transport as a protocol message (LoadReport,
-// PlanAnnounce, Resize, StateTransfer, Ack, Resume). In process the
+// ScaleOut, ScaleIn, SetSplit — applied by a single per-stage Executor.
+// A round crosses the transport as two protocol messages: the
+// executor's LoadReport and one Commands reply listing the round's
+// PlanAnnounce, Resize and SplitAnnounce entries in order (empty when
+// the round holds). Keys migrate inside the stage's host. In process the
 // transport is a loopback; across processes it is the cluster's framed
 // codec over a socket (internal/cluster), and the tests pin the two
 // equivalent by running the rounds over a framed pipe.
 // ScaleIn is a real actuator (engine.Stage.ScaleIn — drain the
 // retiring task, shrink the hash ring, migrate its keys' windowed
 // state and statistics to the survivors live), the mirror of ScaleOut;
-// engine.ResizeStage(si, ±1, obs) resizes any stage, not just the
+// engine.ResizeStage(si, ±1) resizes any stage, not just the
 // target.
 // Attach extra policies per stage with topology.WithPolicy (the §VII
 // composition: a Mixed rebalancer for short-term fluctuations plus

@@ -46,7 +46,7 @@ func main() {
 	sys.Run(pre)
 	report(0, pre)
 
-	moved, err := sys.Engine.ResizeStage(0, +1, nil)
+	moved, err := sys.Engine.ResizeStage(0, +1)
 	if err != nil {
 		fmt.Printf("scale-out failed: %v\n", err)
 		os.Exit(1)

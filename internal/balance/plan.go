@@ -6,8 +6,8 @@
 //
 // All planners are pure functions over a stats.Snapshot: they never
 // touch live engine state and never write to the snapshot. The engine
-// applies the returned Plan through the controller's
-// pause/migrate/resume protocol.
+// applies the returned Plan on the stage sealed at the interval
+// barrier (engine.Stage.ApplyPlan).
 //
 // # Planner state
 //

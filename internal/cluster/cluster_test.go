@@ -451,7 +451,8 @@ func TestDownstreamThrottleMatchesLocal(t *testing.T) {
 // latency floor shows in LatencyMs, the capacity shave in the
 // throttle), under HotKeySplit (over unix and tcp, with the split set
 // each round's controller planned around pinned too), and with a
-// WithPlanner override; and the whole pipeline with throttling off.
+// planner set on the StageSpec; and the whole pipeline with throttling
+// off.
 func TestDistributedRunsWholeDeclaration(t *testing.T) {
 	budget := testSpec(t).Budget
 	emittedBelow := func(r *distributedRun) bool {

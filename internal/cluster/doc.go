@@ -28,9 +28,12 @@
 //   - control connections (one per stage, dialed by the hosting
 //     worker): the stage's control.Executor answers a coordinator-side
 //     control.Server — exactly the Fig. 5 rounds the single-process
-//     loops run, serialized over the socket, with migrated state
-//     crossing as state.Codec payloads in StateTransfer messages (a
-//     value outside the wire's value tags ends the worker's session);
+//     loops run, serialized over the socket: one LoadReport out, one
+//     Commands back. Migrated state stays on the worker hosting the
+//     stage, so no state crosses the control connection; a stage in
+//     state-wire mode still round-trips each moved key through
+//     state.Codec, and a value outside the wire's value tags ends the
+//     worker's session;
 //   - data connections (spout → stage 0, stage si → stage si+1 across
 //     process boundaries): TupleBatch streams into the remote stage's
 //     FeedBatch, with Flush echoes as delivery barriers.
@@ -52,6 +55,7 @@
 // own (Spec is topology.Spec): the coordinator resolves it and
 // assembles each stage's policies, and each worker builds its stage,
 // with the same functions BuildLocal calls, so every builder option —
-// PKG's capacity shave and latency floor, HotKeySplit, WithPlanner —
+// PKG's capacity shave and latency floor, HotKeySplit, an explicit
+// StageSpec.Planner —
 // runs over the wire.
 package cluster

@@ -176,7 +176,10 @@ func TestBatchConnConcurrentFeed(t *testing.T) {
 }
 
 // TestHandshakeProtoMismatch refuses a newer peer and the older versions
-// alike: a version-9 peer hoists a stream label and a version-8 peer an
+// alike: a version-11 peer runs its control round as a frame per
+// command, per migrated key and per acknowledgement, a version-10 peer
+// reports split keys without their fans, a version-9 peer hoists a
+// stream label and a version-8 peer an
 // emit tick under a sub-batch flag this version does not know, a version-7 peer sends its session messages as gob frames and
 // its migrated state as a gob stream, a version-6 worker would build a
 // PKG target without its latency floor, a version-5 peer opens with a
@@ -193,7 +196,7 @@ func TestHandshakeProtoMismatch(t *testing.T) {
 		t.Fatalf("listen: %v", err)
 	}
 	defer ln.Close()
-	for _, proto := range []int{Proto + 1, 10, 9, 8, 7, 6, 5, 4, 3, 2} {
+	for _, proto := range []int{Proto + 1, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2} {
 		go func() {
 			// A raw framed client announcing the wrong protocol version.
 			nc, err := net.Dial("tcp", ln.Addr())

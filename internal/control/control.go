@@ -9,13 +9,11 @@
 //	         stage side (Executor)            controller side (Loop server)
 //	  ┌──────────────────────────┐  LoadReport ┌──────────────────────────┐
 //	1 │ the interval's snapshot, │────────────▶│ check → the snapshot     │
-//	  │ whole, as the report     │   (×1)      │ Policy.Decide → Commands │ 2
-//	  │                          │ PlanAnnounce│                          │
-//	4 │ migrate per key, sealed  │◀────────────│ Rebalance{Plan}          │ 3
-//	  │  └▶ StateTransfer (×Δ)   │────────────▶│   or ScaleOut / ScaleIn  │
-//	5 │ Ack when applied         │────────────▶│   as Resize{±1}          │
-//	  │                          │   Resume    │                          │
-//	7 │ resume normal processing │◀────────────│ round closed             │ 6
+//	  │ whole, as the report     │    (×1)     │ Policy.Decide → Commands │ 2
+//	  │                          │  Commands   │                          │
+//	4 │ apply the list in order  │◀────────────│ [Rebalance{Plan} |       │ 3
+//	  │ on the sealed stage;     │    (×1)     │  Resize{±1} | SetSplit]* │
+//	5 │ the next interval opens  │             │ round closed             │
 //	  └──────────────────────────┘             └──────────────────────────┘
 //
 // Policies (rebalance controllers, autoscalers) are pure deciders:
@@ -24,9 +22,12 @@
 // command against the engine, on the stage sealed by the interval's
 // close — Rebalance through the stage's key migration
 // (Stage.ApplyPlan), ScaleOut/ScaleIn through the engine's generalized
-// ResizeStage — and every step of every command crosses a
-// Conn as a protocol message. In process the Conn is a loopback
-// (channel-passed messages); a multi-process deployment only swaps it
+// ResizeStage, SetSplit through the stage's split set — and a round
+// crosses a Conn as two protocol messages: the report and one Commands
+// reply carrying the whole ordered list (an empty one when the round
+// holds). Key state migrates inside the stage's host, so nothing per key
+// crosses. In process the Conn is a loopback (channel-passed messages);
+// a multi-process deployment only swaps it
 // for cluster.Conn, the framed codec over a socket, and the tests pin
 // the two equivalent by running a round over a framed pipe.
 //

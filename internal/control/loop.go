@@ -8,7 +8,6 @@ import (
 	"repro/internal/hashring"
 	"repro/internal/protocol"
 	"repro/internal/stats"
-	"repro/internal/tuple"
 )
 
 // Executor is the stage-side half of the control loop: the single
@@ -32,12 +31,12 @@ func NewExecutor(e *engine.Engine, si int, conn Conn) *Executor {
 }
 
 // RunRound drives one interval's control round: report the interval's
-// statistics (step 1), then serve the controller's command stream —
-// PlanAnnounce applies through the stage's key migration, Resize
-// through the engine's elastic actuator, each migration reported as a
-// StateTransfer and each command Acked — until Resume closes the round.
-// The return value summarizes what was applied, in the shape the engine
-// records (nil when the round held, or the transport is gone).
+// statistics (step 1), receive the controller's one Commands reply and
+// apply its list in order — PlanAnnounce through the stage's key
+// migration, Resize through the engine's elastic actuator, SplitAnnounce
+// through the stage's split set. The return value summarizes what was
+// applied, in the shape the engine records (nil when the round held,
+// the transport is gone, or the reply was not a Commands).
 //
 // The round's report is the snapshot itself: one LoadReport whose Keys
 // are snap.Keys, which must therefore stay untouched until the round
@@ -54,24 +53,24 @@ func (x *Executor) RunRound(snap *stats.Snapshot) *engine.Rebalance {
 	}}) != nil {
 		return nil
 	}
+	m, err := x.conn.Recv()
+	if err != nil || m.Commands == nil {
+		// Anything but the reply where the reply belongs breaks the
+		// protocol: the round holds rather than wedge the driver.
+		return nil
+	}
 	var reb *engine.Rebalance
-	for {
-		m, err := x.conn.Recv()
-		if err != nil {
-			return reb
-		}
+	for _, c := range m.Commands.List {
 		switch {
-		case m.Plan != nil:
+		case c.Plan != nil:
 			// Inapplicable commands are rejected as holds, not
 			// panics: the executor may serve a remote controller, and
-			// a malformed command must not crash the driver. The Ack
-			// still flows so the round stays in step.
-			if st.AssignmentRouter() == nil || !planFits(m.Plan, st.Instances()) {
-				x.ack(m.Plan.Interval)
+			// a malformed command must not crash the driver.
+			if st.AssignmentRouter() == nil || !planFits(c.Plan, st.Instances()) {
 				break
 			}
-			plan := protocol.PlanFromAnnounce(m.Plan)
-			moved, err := st.ApplyPlan(plan, x.transferObserver())
+			plan := protocol.PlanFromAnnounce(c.Plan)
+			moved, err := st.ApplyPlan(plan)
 			x.err = cmp.Or(x.err, err)
 			if reb == nil {
 				reb = &engine.Rebalance{}
@@ -79,14 +78,12 @@ func (x *Executor) RunRound(snap *stats.Snapshot) *engine.Rebalance {
 			if reb.Plan == nil {
 				reb.Plan, reb.Moved = plan, moved
 			}
-			x.ack(m.Plan.Interval)
-		case m.ResizeCmd != nil:
-			delta := m.ResizeCmd.Delta
+		case c.Resize != nil:
+			delta := c.Resize.Delta
 			if !x.canResize(delta) {
-				x.ack(m.ResizeCmd.Interval)
 				break
 			}
-			_, err := x.e.ResizeStage(x.si, delta, x.transferObserver())
+			_, err := x.e.ResizeStage(x.si, delta)
 			x.err = cmp.Or(x.err, err)
 			if reb == nil {
 				reb = &engine.Rebalance{}
@@ -96,26 +93,19 @@ func (x *Executor) RunRound(snap *stats.Snapshot) *engine.Rebalance {
 			} else {
 				reb.ScaledIn++
 			}
-			x.ack(m.ResizeCmd.Interval)
-		case m.Split != nil:
+		case c.Split != nil:
 			// Reject-as-hold mirrors the plan path: ApplySplitSet refuses
 			// a stage without an assignment router. Nothing is recorded
 			// in reb — a split is a routing-layer change, not a
 			// migration.
-			set := make([]stats.HotKey, 0, len(m.Split.Set))
-			for _, e := range m.Split.Set {
+			set := make([]stats.HotKey, 0, len(c.Split.Set))
+			for _, e := range c.Split.Set {
 				set = append(set, stats.HotKey{Key: e.Key, Fan: e.Fan})
 			}
 			_ = st.ApplySplitSet(set)
-			x.ack(m.Split.Interval)
-		case m.Resume != nil:
-			return reb
-		default:
-			// Protocol violation: bail out of the round rather than
-			// wedge the driver goroutine.
-			return reb
 		}
 	}
+	return reb
 }
 
 // Err returns the first error an actuation returned: past the guards, a
@@ -193,28 +183,6 @@ func (x *Executor) canResize(delta int) bool {
 		return false
 	}
 	return delta == 1 || x.e.Stages[x.si].Instances() > 1
-}
-
-// transferObserver emits one StateTransfer per key migration (step 5
-// as a wire event). With the stage in serialized-state mode the
-// message carries the key's encoded windowed state in Payload — the
-// actual bytes a remote host would decode; otherwise the state moved
-// by reference inside the engine and the message is the accounting
-// record alone. Send failures are ignored — the migration already
-// happened, and the round's Ack (or its absence) is what the
-// controller acts on.
-func (x *Executor) transferObserver() engine.MigrationObserver {
-	return func(k tuple.Key, from, to int, size int64, payload []byte) {
-		_ = x.conn.Send(&protocol.Message{State: &protocol.StateTransfer{
-			Key: k, From: from, To: to, Size: size, Payload: payload,
-		}})
-	}
-}
-
-// ack confirms the current command finished (step 6). TaskID carries
-// the stage index: the executor acks on behalf of the whole stage.
-func (x *Executor) ack(interval int64) {
-	_ = x.conn.Send(&protocol.Message{Ack: &protocol.Ack{TaskID: x.si, Interval: interval}})
 }
 
 // Loop wires a complete per-stage control loop in one process: the

@@ -2,8 +2,10 @@ package control_test
 
 import (
 	"encoding/binary"
+	"maps"
 	"net"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"unsafe"
@@ -13,6 +15,7 @@ import (
 	"repro/internal/controller"
 	"repro/internal/engine"
 	"repro/internal/protocol"
+	"repro/internal/route"
 	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/tuple"
@@ -162,8 +165,8 @@ func TestHostileMergedReportEndsRound(t *testing.T) {
 		if err := agent.Send(&protocol.Message{Report: valid()}); err != nil {
 			t.Fatal(err)
 		}
-		if m, err := agent.Recv(); err != nil || m.Resume == nil {
-			t.Fatalf("%s: valid round answered %v, %v", pname, m, err)
+		if m, err := agent.Recv(); err != nil || m.Commands == nil || len(m.Commands.List) != 0 {
+			t.Fatalf("%s: valid round answered %v, %v; want an empty Commands", pname, m, err)
 		}
 		agent.Close()
 		srv.Close()
@@ -209,24 +212,13 @@ func TestHostileMergedReportEndsRound(t *testing.T) {
 	}
 }
 
-// commandOnce emits one resize command in its first round and holds
-// afterwards.
-type commandOnce struct{ done bool }
-
-func (p *commandOnce) Decide(control.Env, *stats.Snapshot) []control.Command {
-	if p.done {
-		return nil
-	}
-	p.done = true
-	return []control.Command{control.ScaleOut{}}
-}
-
-// TestSecondReportInsideRoundEndsIt: a round is one report. A peer that
-// answers a command with another Report — where only StateTransfers and
-// the Ack belong — gets hung up on: its next Recv fails, nobody waits
-// for a reply that will not come. The executor holds the same line from
-// its side: a Report arriving where a command or Resume belongs ends its
-// round.
+// TestSecondReportInsideRoundEndsIt: a round is one Report and one
+// Commands, and anything else in either place ends it. A peer that sends
+// the controller side something other than a Report where the round's
+// report belongs — a Commands of its own, a session Ack — gets hung up
+// on: its next Recv fails, nobody waits for a reply that will not come.
+// The executor holds the same line from its side: a Report or a session
+// message arriving where the Commands belongs ends its round as a hold.
 func TestSecondReportInsideRoundEndsIt(t *testing.T) {
 	report := func() *protocol.Message {
 		return &protocol.Message{Report: &protocol.LoadReport{
@@ -234,44 +226,142 @@ func TestSecondReportInsideRoundEndsIt(t *testing.T) {
 			Keys: []stats.KeyStat{{Key: 1, Cost: 9, Dest: 1, Hash: 1}},
 		}}
 	}
+	strays := map[string]*protocol.Message{
+		"report":   report(),
+		"ack":      {Ack: &protocol.Ack{TaskID: 0, Interval: 1}},
+		"start":    {Start: &protocol.StartInterval{Interval: 2}},
+		"commands": {Commands: &protocol.Commands{Interval: 1}},
+	}
 	for name, pair := range map[string]func() (control.Conn, control.Conn){
 		"loopback":    control.NewLoopbackPair,
 		"framed pipe": newFramedPair,
 	} {
-		agent, ctrl := pair()
-		srv := control.NewServer(ctrl, []control.Policy{&commandOnce{}})
-		srv.Start()
-		if err := agent.Send(report()); err != nil {
-			t.Fatal(err)
+		for sname, stray := range strays {
+			if stray.Report != nil {
+				continue // a Report is what the controller side expects
+			}
+			agent, ctrl := pair()
+			pol := &countingPolicy{}
+			srv := control.NewServer(ctrl, []control.Policy{pol})
+			srv.Start()
+			_ = agent.Send(stray) // may fail once the server has hung up
+			if m, err := agent.Recv(); err == nil {
+				t.Fatalf("%s: a %s in the report's place was answered with %s", name, sname, m.Kind())
+			}
+			srv.Close()
+			agent.Close()
+			if pol.rounds.Load() != 0 {
+				t.Fatalf("%s: a %s in the report's place reached a policy", name, sname)
+			}
 		}
-		if m, err := agent.Recv(); err != nil || m.ResizeCmd == nil {
-			t.Fatalf("%s: the round's command arrived as %v, %v", name, m, err)
-		}
-		_ = agent.Send(report()) // may fail once the server has hung up
-		if m, err := agent.Recv(); err == nil {
-			t.Fatalf("%s: a second report inside the round was answered with %s", name, m.Kind())
-		}
-		srv.Close()
-		agent.Close()
 
-		// The executor's side: the controller answers the round's report
-		// with a Report of its own.
-		e, _ := mkEngine(5)
-		agent, ctrl = pair()
+		for sname, stray := range strays {
+			if stray.Commands != nil {
+				continue // the reply itself
+			}
+			e, st := mkEngine(5)
+			agent, ctrl := pair()
+			x := control.NewExecutor(e, 0, agent)
+			returned := make(chan *engine.Rebalance, 1)
+			go func() { returned <- x.RunRound(&stats.Snapshot{Interval: 1, ND: 8}) }()
+			if m, err := ctrl.Recv(); err != nil || m.Report == nil {
+				t.Fatalf("%s: the executor opened its round with %v, %v", name, m, err)
+			}
+			if err := ctrl.Send(stray); err != nil {
+				t.Fatal(err)
+			}
+			if reb := <-returned; reb != nil || st.Instances() != 8 {
+				t.Fatalf("%s: a round answered by a %s applied %+v", name, sname, reb)
+			}
+			ctrl.Close()
+			agent.Close()
+			e.Stop()
+		}
+	}
+}
+
+// countingConn counts the messages sent through a Conn, by kind.
+type countingConn struct {
+	control.Conn
+	mu   sync.Mutex
+	sent map[string]int
+}
+
+func (c *countingConn) Send(m *protocol.Message) error {
+	c.mu.Lock()
+	c.sent[m.Kind()]++
+	c.mu.Unlock()
+	return c.Conn.Send(m)
+}
+
+func (c *countingConn) counts() map[string]int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return maps.Clone(c.sent)
+}
+
+// oneOfEach commands a plan, a scale-out and a split in its first round
+// and holds afterwards.
+type oneOfEach struct{ rounds int }
+
+func (p *oneOfEach) Decide(env control.Env, snap *stats.Snapshot) []control.Command {
+	p.rounds++
+	if p.rounds > 1 || len(snap.Keys) < 2 {
+		return nil
+	}
+	moved := snap.Keys[1]
+	dst := (moved.Dest + 1) % env.Tasks
+	plan := &balance.Plan{Table: route.NewTable(), Moved: []tuple.Key{moved.Key}, MoveDest: map[tuple.Key]int{moved.Key: dst}}
+	plan.Table.Put(moved.Key, dst)
+	return []control.Command{
+		control.Rebalance{Plan: plan},
+		control.ScaleOut{},
+		control.SetSplit{Set: []control.SplitSpec{{Key: snap.Keys[0].Key, Fan: 2}}},
+	}
+}
+
+// TestRoundIsOneReportAndOneCommands pins the round's shape on both
+// transports: a round carrying a plan, a resize and a split, and a held
+// round, are each exactly one Report from the stage side and one
+// Commands from the controller side — one frame each way on the wire.
+func TestRoundIsOneReportAndOneCommands(t *testing.T) {
+	for name, pair := range map[string]func() (control.Conn, control.Conn){
+		"loopback":    control.NewLoopbackPair,
+		"framed pipe": newFramedPair,
+	} {
+		e, st := mkEngine(17)
+		agentConn, ctrlConn := pair()
+		agent := &countingConn{Conn: agentConn, sent: map[string]int{}}
+		ctrl := &countingConn{Conn: ctrlConn, sent: map[string]int{}}
 		x := control.NewExecutor(e, 0, agent)
-		returned := make(chan *engine.Rebalance, 1)
-		go func() { returned <- x.RunRound(&stats.Snapshot{Interval: 1, ND: 8}) }()
-		if m, err := ctrl.Recv(); err != nil || m.Report == nil {
-			t.Fatalf("%s: the executor opened its round with %v, %v", name, m, err)
+		srv := control.NewServer(ctrl, []control.Policy{&oneOfEach{}})
+		srv.Start()
+		e.AddSnapshotHook(0, x.Hook())
+
+		for round := 1; round <= 2; round++ {
+			e.Run(1)
+			if got, want := agent.counts(), map[string]int{"report": round}; !maps.Equal(got, want) {
+				t.Fatalf("%s, round %d: the stage side sent %v, want %v", name, round, got, want)
+			}
+			if got, want := ctrl.counts(), map[string]int{"commands": round}; !maps.Equal(got, want) {
+				t.Fatalf("%s, round %d: the controller side sent %v, want %v", name, round, got, want)
+			}
+			if f, ok := agentConn.(framedConn); ok {
+				if sent, rcvd := f.SentMsgs(), f.RecvMsgs(); sent != int64(round) || rcvd != int64(round) {
+					t.Fatalf("%s, round %d: the stage side's wire carried %d frames out and %d in", name, round, sent, rcvd)
+				}
+			}
 		}
-		if err := ctrl.Send(report()); err != nil {
-			t.Fatal(err)
+		// The first round applied all three commands; the second held.
+		series := e.Recorder.Series
+		if !series[0].Rebalanced || series[0].ScaleOuts != 1 || series[1].Rebalanced || series[1].ScaleOuts != 0 {
+			t.Fatalf("%s: series %+v, want the first round commanded and the second held", name, series)
 		}
-		if reb := <-returned; reb != nil {
-			t.Fatalf("%s: a round broken by a stray report applied %+v", name, reb)
+		if st.Instances() != 9 || len(st.Splits()) != 1 {
+			t.Fatalf("%s: %d instances and split set %v after the commanded round", name, st.Instances(), st.Splits())
 		}
-		ctrl.Close()
 		agent.Close()
+		srv.Close()
 		e.Stop()
 	}
 }

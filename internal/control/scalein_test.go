@@ -209,7 +209,7 @@ func (rebalanceAlways) Decide(env control.Env, _ *stats.Snapshot) []control.Comm
 // TestExecutorRejectsInapplicableCommands pins the reject-as-hold
 // contract: commands a stage cannot apply — scale-in at one instance,
 // a rebalance on a router-less stage, a Resize with a bad delta — are
-// acked and ignored, never panics on the driver goroutine.
+// ignored, never panics on the driver goroutine.
 func TestExecutorRejectsInapplicableCommands(t *testing.T) {
 	// ScaleIn against a single-instance stage: held, engine keeps running.
 	one := engine.NewStage("one", 1, func(int) engine.Operator { return engine.Discard }, 1,
@@ -250,19 +250,14 @@ func TestExecutorRejectsInapplicableCommands(t *testing.T) {
 		if m, err := ctrl.Recv(); err != nil || m.Report == nil { // the round's one report
 			return
 		}
-		ctrl.Send(&protocol.Message{ResizeCmd: &protocol.Resize{Interval: 0, Delta: 5}})
-		if m, err := ctrl.Recv(); err != nil || m.Ack == nil {
-			return
-		}
-		ctrl.Send(&protocol.Message{Plan: &protocol.PlanAnnounce{
-			Interval: 0,
-			Table:    []protocol.RouteEntry{{Key: 1, Dest: 7}},
-			Moved:    []protocol.RouteEntry{{Key: 1, Dest: 7}},
-		}})
-		if m, err := ctrl.Recv(); err != nil || m.Ack == nil {
-			return
-		}
-		ctrl.Send(&protocol.Message{Resume: &protocol.Resume{Interval: 0}})
+		ctrl.Send(&protocol.Message{Commands: &protocol.Commands{List: []protocol.Command{
+			{Resize: &protocol.Resize{Interval: 0, Delta: 5}},
+			{Plan: &protocol.PlanAnnounce{
+				Interval: 0,
+				Table:    []protocol.RouteEntry{{Key: 1, Dest: 7}},
+				Moved:    []protocol.RouteEntry{{Key: 1, Dest: 7}},
+			}},
+		}}})
 	}()
 	e3.Run(1)
 	if reb := x.RunRound(e3.LastSnapshots()[0]); reb != nil {

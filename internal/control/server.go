@@ -18,10 +18,10 @@ type Server struct {
 	conn     Conn
 	policies []Policy
 	// OnRound, when set, observes every completed round's stage context
-	// and snapshot after the policies ran and the round was
-	// resumed-or-commanded. The cluster coordinator records these to pin
-	// distributed snapshots against the single-process run. Called on
-	// the server goroutine; set before Start.
+	// and snapshot after the policies ran and the round's reply was
+	// sent. The cluster coordinator records these to pin distributed
+	// snapshots against the single-process run. Called on the server
+	// goroutine; set before Start.
 	OnRound func(Env, *stats.Snapshot)
 	wg      sync.WaitGroup
 	once    sync.Once
@@ -52,12 +52,11 @@ func (s *Server) Close() {
 
 // serve is the controller side: for every round it receives the
 // round's report, checks it, takes the snapshot and stage context from
-// it, asks each policy to decide, streams the resulting commands to the
-// executor (draining the per-command StateTransfer/Ack replies), and
-// closes the round with Resume. It exits when the transport closes or a
-// peer breaks the protocol, and closes the transport on its way out so
-// the peer's round ends with an error instead of waiting for a reply
-// that will not come.
+// it, asks each policy to decide, and answers with one Commands message
+// carrying every command in order (none for a held round). It exits when
+// the transport closes or a peer breaks the protocol, and closes the
+// transport on its way out so the peer's round ends with an error
+// instead of waiting for a reply that will not come.
 func (s *Server) serve() {
 	defer s.wg.Done()
 	defer s.conn.Close()
@@ -66,52 +65,38 @@ func (s *Server) serve() {
 		if !ok {
 			return
 		}
-		var cmds []Command
+		reply := &protocol.Commands{Interval: env.Interval}
 		for _, p := range s.policies {
-			cmds = append(cmds, p.Decide(env, snap)...)
-		}
-		for _, c := range cmds {
-			var msg *protocol.Message
-			switch c := c.(type) {
-			case Rebalance:
-				msg = &protocol.Message{Plan: protocol.AnnounceFromPlan(env.Interval, c.Plan)}
-			case ScaleOut:
-				msg = &protocol.Message{ResizeCmd: &protocol.Resize{Interval: env.Interval, Delta: 1}}
-			case ScaleIn:
-				msg = &protocol.Message{ResizeCmd: &protocol.Resize{Interval: env.Interval, Delta: -1}}
-			case SetSplit:
-				ann := &protocol.SplitAnnounce{Interval: env.Interval}
-				for _, sp := range c.Set {
-					ann.Set = append(ann.Set, protocol.SplitEntry{Key: sp.Key, Fan: sp.Fan})
-				}
-				msg = &protocol.Message{Split: ann}
-			default:
-				continue
-			}
-			if s.conn.Send(msg) != nil {
-				return
-			}
-			// Drain the command's transfer stream up to its Ack.
-			for {
-				m, err := s.conn.Recv()
-				if err != nil {
-					return
-				}
-				if m.Ack != nil {
-					break
-				}
-				if m.State == nil {
-					return // protocol violation
-				}
+			for _, c := range p.Decide(env, snap) {
+				reply.List = appendCommand(reply.List, env.Interval, c)
 			}
 		}
-		if s.conn.Send(&protocol.Message{Resume: &protocol.Resume{Interval: env.Interval}}) != nil {
+		if s.conn.Send(&protocol.Message{Commands: reply}) != nil {
 			return
 		}
 		if s.OnRound != nil {
 			s.OnRound(env, snap)
 		}
 	}
+}
+
+// appendCommand appends c's wire form to list.
+func appendCommand(list []protocol.Command, interval int64, c Command) []protocol.Command {
+	switch c := c.(type) {
+	case Rebalance:
+		return append(list, protocol.Command{Plan: protocol.AnnounceFromPlan(interval, c.Plan)})
+	case ScaleOut:
+		return append(list, protocol.Command{Resize: &protocol.Resize{Interval: interval, Delta: 1}})
+	case ScaleIn:
+		return append(list, protocol.Command{Resize: &protocol.Resize{Interval: interval, Delta: -1}})
+	case SetSplit:
+		ann := &protocol.SplitAnnounce{Interval: interval}
+		for _, sp := range c.Set {
+			ann.Set = append(ann.Set, protocol.SplitEntry{Key: sp.Key, Fan: sp.Fan})
+		}
+		return append(list, protocol.Command{Split: ann})
+	}
+	return list
 }
 
 // recvRound receives one round's report — a round is one Recv — and

@@ -62,10 +62,10 @@ func (c *chanConn) Close() error {
 	return nil
 }
 
-// loopbackBuffer sizes each loopback direction: deep enough that a
-// full round (per-task reports, command, transfers, ack, resume) never
-// context-switches on queue capacity for ordinary stages.
-const loopbackBuffer = 64
+// loopbackBuffer sizes each loopback direction: a round sends one
+// message each way (the report, the reply), so neither send waits on
+// its receiver.
+const loopbackBuffer = 1
 
 // NewLoopbackPair returns two connected in-process Conns: messages
 // Sent on one arrive at the other's Recv as the same pointer values,

@@ -284,7 +284,7 @@ func (c *Controller) Maybe(stage *engine.Stage, snap *stats.Snapshot) *engine.Re
 // yields a hold — c.decide already gates on routability, so the error
 // leg is unreachable in practice.
 func (c *Controller) apply(stage *engine.Stage, plan *balance.Plan) *engine.Rebalance {
-	moved, err := stage.ApplyPlan(plan, nil)
+	moved, err := stage.ApplyPlan(plan)
 	if err != nil {
 		return nil
 	}

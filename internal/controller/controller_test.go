@@ -242,7 +242,7 @@ func TestStalePlanDroppedAfterScaleIn(t *testing.T) {
 		t.Fatal("slow plan applied immediately")
 	}
 	// The instance set shrinks while the plan is in generation.
-	st.ScaleIn(nil)
+	st.ScaleIn()
 
 	// Interval 1: the pending plan lands — computed for 3 instances,
 	// released against 2. It must be dropped, not applied.

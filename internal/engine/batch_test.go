@@ -250,7 +250,7 @@ func TestFeedBatchConcurrentWithApplyPlanLive(t *testing.T) {
 	feed := func() { feedConcurrently(st, draw, 1, batches, batchSize) }
 	stressInterval(t, 0, feed, st)
 	plan := stripePlan(st, 0, 3, keyDomain)
-	if _, err := st.ApplyPlan(plan, nil); err != nil {
+	if _, err := st.ApplyPlan(plan); err != nil {
 		t.Fatalf("ApplyPlan: %v", err)
 	}
 	stressInterval(t, 1, feed, st)

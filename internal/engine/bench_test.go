@@ -122,7 +122,7 @@ func BenchmarkFeedBatchSplit(b *testing.B) {
 	for k := tuple.Key(0); plan.Table.Len() < 80; k += 7 {
 		plan.Table.Put(k, (asg.Dest(k)+1)%nd)
 	}
-	if _, err := st.ApplyPlan(plan, nil); err != nil {
+	if _, err := st.ApplyPlan(plan); err != nil {
 		b.Fatal(err)
 	}
 	if err := st.ApplySplitSet([]stats.HotKey{{Key: hot, Fan: 4}}); err != nil {
@@ -163,7 +163,7 @@ func BenchmarkMigrateKey(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		plan.Table.Put(k, dst)
 		plan.MoveDest[k] = dst
-		if _, err := st.ApplyPlan(plan, nil); err != nil {
+		if _, err := st.ApplyPlan(plan); err != nil {
 			b.Fatal(err)
 		}
 		dst = 1 - dst
@@ -193,7 +193,7 @@ func BenchmarkMigratePlan(b *testing.B) {
 			plan.Table.Put(k, dst)
 			plan.MoveDest[k] = dst
 		}
-		if _, err := st.ApplyPlan(plan, nil); err != nil {
+		if _, err := st.ApplyPlan(plan); err != nil {
 			b.Fatal(err)
 		}
 	}

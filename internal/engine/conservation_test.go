@@ -144,13 +144,13 @@ func TestStateVolumeConservedAcrossActuations(t *testing.T) {
 		checkStateAccounting(t, st, "after close")
 		checkOneOwner(t, st, snap, "after close")
 	}
-	conserved := func(what string, act func(MigrationObserver) (int64, error)) {
+	conserved := func(what string, act func() (int64, error)) {
 		t.Helper()
 		before := liveStateTotal(st)
 		if before == 0 {
 			t.Fatalf("%s: no live state; the test is vacuous", what)
 		}
-		if _, err := act(nil); err != nil {
+		if _, err := act(); err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
 		st.Barrier()
@@ -163,7 +163,7 @@ func TestStateVolumeConservedAcrossActuations(t *testing.T) {
 
 	run(400)
 	run(150) // keys 150..399 idle: their buckets start expiring below
-	conserved("ApplyPlan", func(obs MigrationObserver) (int64, error) {
+	conserved("ApplyPlan", func() (int64, error) {
 		asg := st.AssignmentRouter().Assignment()
 		plan := &balance.Plan{Table: route.NewTable(), MoveDest: map[tuple.Key]int{}}
 		for k := tuple.Key(0); k < 400; k += 5 {
@@ -172,7 +172,7 @@ func TestStateVolumeConservedAcrossActuations(t *testing.T) {
 			plan.Moved = append(plan.Moved, k)
 			plan.MoveDest[k] = dst
 		}
-		return st.ApplyPlan(plan, obs)
+		return st.ApplyPlan(plan)
 	})
 	run(400)
 	run(0)

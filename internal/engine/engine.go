@@ -502,17 +502,17 @@ func StepModel(p ModelParams, backlog, backlogT, migPenalty, cost, tuples []int6
 // directions) behind the unified control plane's ScaleOut/ScaleIn
 // commands, run between intervals like every actuation. The stage
 // reshapes its own model arrays. Capacity per task stays fixed:
-// resizing changes headroom, not per-instance speed. obs, when non-nil,
-// observes every key migration. Returns an error — with no state
-// touched — on an invalid delta, an open stage or a stage whose router
-// cannot resize (no assignment router, non-ring hasher, retiring the
-// only instance), and the stage's state-wire failure (ApplyPlan).
-func (e *Engine) ResizeStage(si, delta int, obs MigrationObserver) (int64, error) {
+// resizing changes headroom, not per-instance speed. Returns the
+// migrated volume; an error — with no state touched — on an invalid
+// delta, an open stage or a stage whose router cannot resize (no
+// assignment router, non-ring hasher, retiring the only instance); and
+// the stage's state-wire failure (ApplyPlan).
+func (e *Engine) ResizeStage(si, delta int) (int64, error) {
 	switch delta {
 	case 1:
-		return e.Stages[si].ScaleOut(obs)
+		return e.Stages[si].ScaleOut()
 	case -1:
-		return e.Stages[si].ScaleIn(obs)
+		return e.Stages[si].ScaleIn()
 	default:
 		return 0, fmt.Errorf("engine: ResizeStage delta must be ±1 (got %d)", delta)
 	}

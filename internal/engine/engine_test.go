@@ -138,7 +138,7 @@ func TestApplyPlanMigratesState(t *testing.T) {
 		Moved:    []tuple.Key{k},
 		MoveDest: map[tuple.Key]int{k: dst},
 	}
-	moved, err := st.ApplyPlan(plan, nil)
+	moved, err := st.ApplyPlan(plan)
 	if err != nil {
 		t.Fatalf("ApplyPlan: %v", err)
 	}
@@ -175,7 +175,7 @@ func TestScaleOutPreservesStateAndCorrectness(t *testing.T) {
 	for d := 0; d < 3; d++ {
 		before += st.StoreOf(d).TotalSize()
 	}
-	moved, err := st.ScaleOut(nil)
+	moved, err := st.ScaleOut()
 	if err != nil {
 		t.Fatalf("ScaleOut: %v", err)
 	}

@@ -178,7 +178,7 @@ func TestConcurrentFeedersWithApplyPlanLive(t *testing.T) {
 	feed := func() { feedConcurrently(st, draw, feeders, chunks, chunk) }
 	stressInterval(t, 0, feed, st)
 	plan := stripePlan(st, 0, 3, keyDomain)
-	if _, err := st.ApplyPlan(plan, nil); err != nil {
+	if _, err := st.ApplyPlan(plan); err != nil {
 		t.Fatalf("ApplyPlan: %v", err)
 	}
 	stressInterval(t, 1, feed, st)

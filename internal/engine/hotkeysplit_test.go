@@ -265,7 +265,7 @@ func TestSplitPinsKeysAgainstPlans(t *testing.T) {
 		plan.Moved = append(plan.Moved, k)
 		plan.MoveDest[k] = dst
 	}
-	if _, err := st.ApplyPlan(plan, nil); err != nil {
+	if _, err := st.ApplyPlan(plan); err != nil {
 		t.Fatal(err)
 	}
 	if st.SplitPinned() != 1 {
@@ -337,7 +337,7 @@ func TestSplitStressWithContinuousRebalance(t *testing.T) {
 		if err := st.ApplySplitSet(splitSets[i%len(splitSets)]); err != nil {
 			t.Fatalf("ApplySplitSet: %v", err)
 		}
-		if _, err := st.ApplyPlan(stripePlan(st, tuple.Key(i%5), 5, keyDomain), nil); err != nil {
+		if _, err := st.ApplyPlan(stripePlan(st, tuple.Key(i%5), 5, keyDomain)); err != nil {
 			t.Fatalf("ApplyPlan: %v", err)
 		}
 		checkOneOwner(t, st, nil, fmt.Sprintf("after round %d", i))
@@ -430,7 +430,7 @@ func TestPublishedSplitKernelMatchesReference(t *testing.T) {
 			p.Moved = append(p.Moved, k)
 			p.MoveDest[k] = dst
 		}
-		if _, err := st.ApplyPlan(p, nil); err != nil {
+		if _, err := st.ApplyPlan(p); err != nil {
 			t.Fatal(err)
 		}
 	}

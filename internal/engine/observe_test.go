@@ -41,7 +41,7 @@ func runGate(t *testing.T, hookAt, resize, intervals int) *gateRun {
 		r.snaps = append(r.snaps, len(r.e.LastSnapshots()[0].Keys))
 		if i == 2 && resize != 0 {
 			r.before = st.LiveKeys()
-			moved, err := r.e.ResizeStage(0, resize, nil)
+			moved, err := r.e.ResizeStage(0, resize)
 			if err != nil {
 				t.Fatalf("ResizeStage(%+d): %v", resize, err)
 			}

@@ -92,7 +92,7 @@ func TestPauseFreeMatchesPausingOracle(t *testing.T) {
 			if !live {
 				return &Rebalance{Plan: plan, Moved: refApplyPlan(stage, plan)}
 			}
-			moved, err := stage.ApplyPlan(plan, nil)
+			moved, err := stage.ApplyPlan(plan)
 			if err != nil {
 				t.Fatalf("ApplyPlan: %v", err)
 			}
@@ -212,7 +212,7 @@ func TestPauseFreeStressContinuousPlans(t *testing.T) {
 	for i := range plans {
 		stressInterval(t, int64(i), func() { feedConcurrently(st0, draw, feeders, chunks, chunk) }, st0, st1)
 		st := []*Stage{st0, st1}[i%2]
-		if _, err := st.ApplyPlan(stripePlan(st, tuple.Key(i%7), 7, keyDomain), nil); err != nil {
+		if _, err := st.ApplyPlan(stripePlan(st, tuple.Key(i%7), 7, keyDomain)); err != nil {
 			t.Fatalf("ApplyPlan: %v", err)
 		}
 		checkOneOwner(t, st, nil, fmt.Sprintf("after plan %d", i))
@@ -261,9 +261,8 @@ func TestPauseFreeStressContinuousPlans(t *testing.T) {
 // inject — applied back and forth between intervals fed by four
 // concurrent feeders. Every application is checked against the exact
 // per-key sizes its sources held; every tuple must be counted exactly
-// once, every key's state must sit at F′(k), the observer must see the
-// moves in plan order, and MigPenalty must charge each move's state to
-// both its ends.
+// once, every key's state must sit at F′(k) and nowhere else, and
+// MigPenalty must charge each move's state to both its ends.
 func TestPlanTasksSendAndReceive(t *testing.T) {
 	const (
 		nd        = 4
@@ -299,8 +298,8 @@ func TestPlanTasksSendAndReceive(t *testing.T) {
 	backward := []move{{k1, B, A}, {k2, A, B}, {k3, C, A}}
 
 	// apply runs one direction of the plan on the sealed stage and checks
-	// observer order, the moved sizes and MigPenalty against the per-key
-	// sizes the sources held, and the returned volume.
+	// where each key's state landed, MigPenalty and the returned volume
+	// against the per-key sizes the sources held.
 	apply := func(moves []move) {
 		want := make(map[tuple.Key]int64)
 		for _, mv := range moves {
@@ -315,25 +314,19 @@ func TestPlanTasksSendAndReceive(t *testing.T) {
 			plan.MoveDest[mv.k] = mv.dst
 		}
 		clear(st.MigPenalty)
-		var seen []move
-		sizes := make(map[tuple.Key]int64)
-		moved, err := st.ApplyPlan(plan, func(k tuple.Key, from, to int, size int64, _ []byte) {
-			seen = append(seen, move{k, from, to})
-			sizes[k] = size
-		})
+		moved, err := st.ApplyPlan(plan)
 		if err != nil {
 			t.Errorf("ApplyPlan: %v", err)
-			return
-		}
-		if !slices.Equal(seen, moves) {
-			t.Errorf("observer saw %v, plan order is %v", seen, moves)
 			return
 		}
 		penalty := make([]int64, nd)
 		var total int64
 		for _, mv := range moves {
-			if sizes[mv.k] != want[mv.k] {
-				t.Errorf("key %d moved %d state units, want %d", mv.k, sizes[mv.k], want[mv.k])
+			if got := st.StoreOf(mv.dst).Size(mv.k); got != want[mv.k] {
+				t.Errorf("key %d holds %d state units on %d, its source held %d", mv.k, got, mv.dst, want[mv.k])
+			}
+			if got := st.StoreOf(mv.src).Size(mv.k); got != 0 {
+				t.Errorf("key %d left %d state units on its source %d", mv.k, got, mv.src)
 			}
 			penalty[mv.src] += want[mv.k]
 			penalty[mv.dst] += want[mv.k]

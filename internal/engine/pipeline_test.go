@@ -224,7 +224,7 @@ func TestPipelineConcurrentWithApplyPlanLive(t *testing.T) {
 	feed := func() { feedConcurrently(s0, draw, feeders, chunks, chunk) }
 	stressInterval(t, 0, feed, s0, s1)
 	plan := stripePlan(s1, 0, 3, keyDomain)
-	if _, err := s1.ApplyPlan(plan, nil); err != nil {
+	if _, err := s1.ApplyPlan(plan); err != nil {
 		t.Fatalf("ApplyPlan: %v", err)
 	}
 	stressInterval(t, 1, feed, s0, s1)

@@ -46,10 +46,10 @@ func (r *AssignmentRouter) dests(_ *Port, ts []tuple.Tuple, dst []int) *route.Sp
 // Assignment returns the active assignment.
 func (r *AssignmentRouter) Assignment() *route.Assignment { return r.cur.Load() }
 
-// Swap atomically installs a new assignment (step 7 of Fig. 5 — the
-// Resume signal carries F′ to the upstream tasks). Feeders that load
-// the pointer afterwards route under a; the stage only swaps while it
-// is sealed, so none is mid-batch.
+// Swap atomically installs a new assignment (step 7 of Fig. 5: F′
+// reaches the upstream feeders when the next interval opens). Feeders
+// that load the pointer afterwards route under a; the stage only swaps
+// while it is sealed, so none is mid-batch.
 func (r *AssignmentRouter) Swap(a *route.Assignment) { r.cur.Store(a) }
 
 // PKGRouter is the partial-key-grouping baseline over int(r)

@@ -73,7 +73,7 @@ func TestEngineScaleOutTarget(t *testing.T) {
 	}, cfg, st)
 	defer e.Stop()
 	e.Run(2)
-	moved, err := e.ResizeStage(e.Target, +1, nil)
+	moved, err := e.ResizeStage(e.Target, +1)
 	if err != nil {
 		t.Fatalf("ResizeStage(Target, +1): %v", err)
 	}

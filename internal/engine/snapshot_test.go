@@ -49,7 +49,7 @@ func TestSnapshotLifetime(t *testing.T) {
 			plan.Moved = append(plan.Moved, ks.Key)
 			plan.MoveDest[ks.Key] = dst
 		}
-		if _, err := st.ApplyPlan(plan, nil); err != nil {
+		if _, err := st.ApplyPlan(plan); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(snap, cp) {

@@ -300,15 +300,15 @@ func (s *Stage) SetSink(sink BatchSink) {
 func (s *Stage) SetStateWire(on bool) { s.stateWire = on }
 
 // serializeTransfer round-trips x through the state codec, so the
-// destination injects a decoded copy and x.payload rides in the key's
-// StateTransfer. On an error x keeps the source's references.
+// destination injects a decoded copy. On an error x keeps the source's
+// references.
 func (s *Stage) serializeTransfer(x *transfer) error {
 	p, err := state.Codec{}.Encode(x.m, x.mem)
 	if err == nil {
 		var m state.Migrated
 		var mem int64
 		if m, mem, err = (state.Codec{}).Decode(p); err == nil {
-			x.m, x.mem, x.payload = m, mem, p
+			x.m, x.mem = m, mem
 			return nil
 		}
 	}
@@ -459,11 +459,10 @@ type keyMove struct {
 	src, dst int
 }
 
-// transfer is one key move's state in flight (payload: state-wire mode).
+// transfer is one key move's state in flight.
 type transfer struct {
-	m       state.Migrated
-	mem     int64
-	payload []byte
+	m   state.Migrated
+	mem int64
 }
 
 // ApplyPlan executes a rebalance plan — move each migrating key's
@@ -471,11 +470,11 @@ type transfer struct {
 // destination and publish the plan's table as the new assignment —
 // through applyMoves. Like every actuation it runs on a sealed stage
 // (after CloseInterval, before the next StartInterval: controller-hook
-// time), on the goroutine that drives the stage's intervals. obs, when
-// non-nil, observes every key migration. Returns the total state volume
-// moved; an error with no state touched on an open stage or one without
-// an assignment router; or the plan applied with applyMoves' error.
-func (s *Stage) ApplyPlan(plan *balance.Plan, obs MigrationObserver) (int64, error) {
+// time), on the goroutine that drives the stage's intervals. Returns
+// the total state volume moved; an error with no state touched on an
+// open stage or one without an assignment router; or the plan applied
+// with applyMoves' error.
+func (s *Stage) ApplyPlan(plan *balance.Plan) (int64, error) {
 	if err := s.sealed("apply a plan"); err != nil {
 		return 0, err
 	}
@@ -512,7 +511,7 @@ func (s *Stage) ApplyPlan(plan *balance.Plan, obs MigrationObserver) (int64, err
 	next := route.NewAssignment(tbl, old.Hasher())
 	// The split set rides across plan publications untouched.
 	next.SetSplits(st)
-	return s.actuate(next, plan.Moved, obs)
+	return s.actuate(next, plan.Moved)
 }
 
 // sealed returns an error naming the stage and the refused actuation
@@ -528,11 +527,10 @@ func (s *Stage) sealed(what string) error {
 // actuate is the one way F changes: install next as the stage's
 // assignment and move every key in keys whose destination differs
 // between the current assignment and next — Δ(F, F′) — through
-// applyMoves. keys are unique and in move order, which is the order
-// observers see the transfers in. A rebalance plan, a scale-out and a
-// scale-in are each a different next and key set, with task creation or
-// retirement around the call.
-func (s *Stage) actuate(next *route.Assignment, keys []tuple.Key, obs MigrationObserver) (int64, error) {
+// applyMoves. keys are unique and in move order. A rebalance plan, a
+// scale-out and a scale-in are each a different next and key set, with
+// task creation or retirement around the call.
+func (s *Stage) actuate(next *route.Assignment, keys []tuple.Key) (int64, error) {
 	old := s.ar.Assignment()
 	moves := make([]keyMove, 0, len(keys))
 	for _, k := range keys {
@@ -540,7 +538,7 @@ func (s *Stage) actuate(next *route.Assignment, keys []tuple.Key, obs MigrationO
 			moves = append(moves, keyMove{k: k, src: src, dst: dst})
 		}
 	}
-	return s.applyMoves(next, moves, obs)
+	return s.applyMoves(next, moves)
 }
 
 // applyMoves is Fig. 5's steps 3–7 on a sealed stage: every task's
@@ -555,14 +553,14 @@ func (s *Stage) actuate(next *route.Assignment, keys []tuple.Key, obs MigrationO
 //  2. Inject, one barrier per destination task, all concurrently.
 //  3. Swap: publish next, so the next interval's feeders route Δ(F, F′)
 //     to the new owners.
-//  4. Account in move order: migration penalties and observer calls.
+//  4. Account in move order: migration penalties and the moved volume.
 //
 // A plan costs two barrier rounds however many keys it moves; a task
 // that both sends and receives extracts all before it injects any.
 // Returns the migrated state volume, and in state-wire mode the first
 // key whose state failed to encode: it moved by reference, to exactly
 // one owner, but could not have crossed a process boundary.
-func (s *Stage) applyMoves(next *route.Assignment, moves []keyMove, obs MigrationObserver) (int64, error) {
+func (s *Stage) applyMoves(next *route.Assignment, moves []keyMove) (int64, error) {
 	perSrc := make([][]int, len(s.tasks)) // move indices, in move order
 	perDst := make([][]int, len(s.tasks))
 	for i, mv := range moves {
@@ -605,11 +603,6 @@ func (s *Stage) applyMoves(next *route.Assignment, moves []keyMove, obs Migratio
 		s.MigPenalty[mv.dst] += xs[i].m.Size
 		moved += xs[i].m.Size
 	}
-	if obs != nil {
-		for i, mv := range moves {
-			obs(mv.k, mv.src, mv.dst, xs[i].m.Size, xs[i].payload)
-		}
-	}
 	return moved, err
 }
 
@@ -627,17 +620,6 @@ func (s *Stage) eachTask(perTask [][]int, fn func(ctx *TaskCtx, idx []int)) {
 		<-d
 	}
 }
-
-// MigrationObserver is notified of every key migration an actuation
-// performs (plan application, scale-out, scale-in): key, source task,
-// destination task, the migrated state volume, and — in state-wire
-// mode — the serialized window that crossed the codec (nil otherwise,
-// and for a key whose state failed to encode).
-// The control plane's executor uses it to emit one
-// protocol.StateTransfer per migration — step 5 of Fig. 5 as an
-// observable wire event, carrying the real payload when migration runs
-// serialized.
-type MigrationObserver = func(k tuple.Key, from, to int, size int64, payload []byte)
 
 // LiveKeys returns the keys holding state on any task, ascending.
 func (s *Stage) LiveKeys() []tuple.Key {
@@ -666,12 +648,11 @@ func (s *Stage) resizeRing(what string) (*hashring.Ring, error) {
 // ring. Keys whose overall destination F(k) changes under the new ring
 // have their state migrated immediately, in ascending key order, so
 // processing stays correct; rebalancing toward θmax is then the
-// controller's job on subsequent intervals (the Fig. 15 scenario). obs,
-// when non-nil, observes every key migration. Returns the migrated
-// volume, or an error (no state touched) on an open stage or when the
-// stage's router cannot scale, or the move applied with applyMoves'
-// error.
-func (s *Stage) ScaleOut(obs MigrationObserver) (int64, error) {
+// controller's job on subsequent intervals (the Fig. 15 scenario).
+// Returns the migrated volume, or an error (no state touched) on an
+// open stage or when the stage's router cannot scale, or the move
+// applied with applyMoves' error.
+func (s *Stage) ScaleOut() (int64, error) {
 	if err := s.sealed("scale out"); err != nil {
 		return 0, err
 	}
@@ -702,7 +683,7 @@ func (s *Stage) ScaleOut(obs MigrationObserver) (int64, error) {
 
 	// Keep the routing table; only keys on the new instance's arcs move.
 	next := route.NewAssignment(s.ar.Assignment().Table().Clone(), ring.Grow())
-	return s.actuate(next, s.LiveKeys(), obs)
+	return s.actuate(next, s.LiveKeys())
 }
 
 // ScaleIn retires the stage's last task instance — the mirror of
@@ -720,11 +701,10 @@ func (s *Stage) ScaleOut(obs MigrationObserver) (int64, error) {
 // it — the decommissioned instance has no future intervals to charge.
 //
 // Like every actuation it runs on a sealed stage, at controller-hook
-// time. obs, when non-nil, observes every key migration. Returns the
-// migrated volume, or an error (no state touched) on an open stage or
-// when the stage cannot retire an instance, or the move applied with
-// applyMoves' error.
-func (s *Stage) ScaleIn(obs MigrationObserver) (int64, error) {
+// time. Returns the migrated volume, or an error (no state touched) on
+// an open stage or when the stage cannot retire an instance, or the
+// move applied with applyMoves' error.
+func (s *Stage) ScaleIn() (int64, error) {
 	if err := s.sealed("scale in"); err != nil {
 		return 0, err
 	}
@@ -761,7 +741,7 @@ func (s *Stage) ScaleIn(obs MigrationObserver) (int64, error) {
 			nt.Delete(k)
 		}
 	}
-	moved, err := s.actuate(route.NewAssignment(nt, ring.Shrink()), keys, obs)
+	moved, err := s.actuate(route.NewAssignment(nt, ring.Shrink()), keys)
 
 	// Retire the instance and shrink the per-task bookkeeping. Arrival
 	// accounting was reset by EndInterval; any residual (a scale-in

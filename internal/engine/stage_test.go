@@ -115,7 +115,7 @@ func TestRunIntervalAfterStopPanics(t *testing.T) {
 func TestApplyPlanWithoutAssignmentRouterErrors(t *testing.T) {
 	st := NewStage("s", 2, func(int) Operator { return Discard }, 1, NewShuffleRouter(2))
 	defer st.Stop()
-	if _, err := st.ApplyPlan(nil, nil); err == nil {
+	if _, err := st.ApplyPlan(nil); err == nil {
 		t.Fatal("ApplyPlan on shuffle stage did not error")
 	}
 }
@@ -125,7 +125,7 @@ func TestScaleOutWithoutRingErrors(t *testing.T) {
 	r := NewAssignmentRouter(route.NewAssignment(route.NewTable(), route.ModHasher(2)))
 	st := NewStage("s", 2, func(int) Operator { return Discard }, 1, r)
 	defer st.Stop()
-	if _, err := st.ScaleOut(nil); err == nil {
+	if _, err := st.ScaleOut(); err == nil {
 		t.Fatal("ScaleOut without a ring did not error")
 	}
 	if st.Instances() != 2 {
@@ -269,7 +269,7 @@ func TestAssignmentRouterSwap(t *testing.T) {
 func TestApplyPlanLiveOnShuffleStageErrors(t *testing.T) {
 	st := NewStage("s", 2, func(int) Operator { return Discard }, 1, NewShuffleRouter(2))
 	defer st.Stop()
-	if _, err := st.ApplyPlan(&balance.Plan{}, nil); err == nil {
+	if _, err := st.ApplyPlan(&balance.Plan{}); err == nil {
 		t.Fatal("ApplyPlan on shuffle stage did not error")
 	}
 }
@@ -298,18 +298,18 @@ func TestActuationRefusesAnOpenStage(t *testing.T) {
 		act  func(e *Engine, st *Stage) error
 	}{
 		{"ApplyPlan", func(_ *Engine, st *Stage) error {
-			_, err := st.ApplyPlan(plan(st), nil)
+			_, err := st.ApplyPlan(plan(st))
 			return err
 		}},
 		{"ApplySplitSet", func(_ *Engine, st *Stage) error {
 			return st.ApplySplitSet([]stats.HotKey{{Key: 1, Fan: 2}, {Key: 2, Fan: 3}})
 		}},
 		{"ResizeStage+1", func(e *Engine, _ *Stage) error {
-			_, err := e.ResizeStage(0, +1, nil)
+			_, err := e.ResizeStage(0, +1)
 			return err
 		}},
 		{"ResizeStage-1", func(e *Engine, _ *Stage) error {
-			_, err := e.ResizeStage(0, -1, nil)
+			_, err := e.ResizeStage(0, -1)
 			return err
 		}},
 	} {

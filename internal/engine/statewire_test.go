@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -24,8 +25,8 @@ import (
 // serialized-state migration and once through the in-memory reference,
 // and requires identical interval series, harvest snapshots, routing
 // tables and state placement. The wire run must actually serialize:
-// at least one observed migration carries a non-nil payload, and no
-// ApplyPlan or ResizeStage returns a state-wire error.
+// its actuations move state (every moved key crosses the codec in that
+// mode), and no ApplyPlan or ResizeStage returns a state-wire error.
 func TestStateWireMatchesInMemory(t *testing.T) {
 	run := func(wire bool) (*Engine, *Stage, int64) {
 		gen := workload.NewZipfStream(1500, 0.9, 0, 8000, 53)
@@ -37,12 +38,7 @@ func TestStateWireMatchesInMemory(t *testing.T) {
 		if st.StateWire() != wire {
 			t.Fatalf("stage state-wire = %v, want %v", st.StateWire(), wire)
 		}
-		var payloads int64
-		obs := func(k tuple.Key, from, to int, size int64, payload []byte) {
-			if payload != nil {
-				payloads++
-			}
-		}
+		var migrated int64
 		rng := rand.New(rand.NewSource(131))
 		round := 0
 		e.AddSnapshotHook(0, func(e *Engine, si int, snap *stats.Snapshot) *Rebalance {
@@ -55,9 +51,11 @@ func TestStateWireMatchesInMemory(t *testing.T) {
 				if round == 6 {
 					delta = -1
 				}
-				if _, err := e.ResizeStage(si, delta, obs); err != nil {
+				moved, err := e.ResizeStage(si, delta)
+				if err != nil {
 					t.Fatalf("ResizeStage(%d): %v", delta, err)
 				}
+				migrated += moved
 				reb := &Rebalance{}
 				if delta > 0 {
 					reb.ScaledOut = 1
@@ -85,26 +83,24 @@ func TestStateWireMatchesInMemory(t *testing.T) {
 			if len(plan.Moved) == 0 {
 				return nil
 			}
-			moved, err := stage.ApplyPlan(plan, obs)
+			moved, err := stage.ApplyPlan(plan)
 			if err != nil {
 				t.Fatalf("ApplyPlan(wire=%v): %v", wire, err)
 			}
+			migrated += moved
 			return &Rebalance{Plan: plan, Moved: moved}
 		})
 		e.Run(8)
-		return e, st, payloads
+		return e, st, migrated
 	}
 
-	ref, rst, refPayloads := run(false)
+	ref, rst, refMigrated := run(false)
 	defer ref.Stop()
-	wired, wst, wirePayloads := run(true)
+	wired, wst, wireMigrated := run(true)
 	defer wired.Stop()
 
-	if refPayloads != 0 {
-		t.Fatalf("reference run observed %d serialized payloads, want 0", refPayloads)
-	}
-	if wirePayloads == 0 {
-		t.Fatal("wire run observed no serialized payloads; the equivalence is vacuous")
+	if wireMigrated == 0 || wireMigrated != refMigrated {
+		t.Fatalf("wire run migrated %d state units, in-memory %d; the equivalence needs moved state", wireMigrated, refMigrated)
 	}
 
 	for i := range ref.Recorder.Series {
@@ -189,12 +185,7 @@ func TestStateWireLiveFeeders(t *testing.T) {
 	st0.Barrier()
 	st1.Barrier()
 
-	payloads := 0
-	obs := func(k tuple.Key, from, to int, size int64, payload []byte) {
-		if payload != nil {
-			payloads++
-		}
-	}
+	var migrated int64
 	var seq atomic.Uint64
 	draw := func(dst []tuple.Tuple) int {
 		for i := range dst {
@@ -206,12 +197,14 @@ func TestStateWireLiveFeeders(t *testing.T) {
 	for i := range plans {
 		stressInterval(t, int64(i), func() { feedConcurrently(st0, draw, feeders, chunks, chunk) }, st0, st1)
 		st := []*Stage{st0, st1}[i%2]
-		if _, err := st.ApplyPlan(stripePlan(st, tuple.Key(i%5), 5, keyDomain), obs); err != nil {
+		moved, err := st.ApplyPlan(stripePlan(st, tuple.Key(i%5), 5, keyDomain))
+		if err != nil {
 			t.Fatalf("ApplyPlan: %v", err)
 		}
+		migrated += moved
 	}
-	if payloads == 0 {
-		t.Fatal("no migration carried a serialized payload; the stress is vacuous")
+	if migrated == 0 {
+		t.Fatal("no migration moved state through the codec; the stress is vacuous")
 	}
 
 	fedPerKey := make(map[tuple.Key]int64)
@@ -251,14 +244,15 @@ type unencodable struct{ N int }
 // TestStateWireEncodeFailure: a plan that moves a key whose state holds
 // a value outside the value tags is applied all the same — the key's
 // state lands on its destination by reference, once, beside a key that
-// crossed the codec — and ApplyPlan returns an error naming the stage,
-// the key and the value's type.
+// crossed the codec and arrives as a decoded copy — and ApplyPlan
+// returns an error naming the stage, the key and the value's type.
 func TestStateWireEncodeFailure(t *testing.T) {
 	st := statefulStage(4, 2)
 	defer st.Stop()
 	st.SetStateWire(true)
+	fed7, fed3 := []tuple.Key{1, 2}, []tuple.Key{3, 4}
 	st.FeedBatch([]tuple.Tuple{
-		tuple.New(7, unencodable{N: 1}), tuple.New(7, int64(2)), tuple.New(3, int64(3)), tuple.New(3, "x"),
+		tuple.New(7, unencodable{N: 1}), tuple.New(7, fed7), tuple.New(3, int64(3)), tuple.New(3, fed3),
 	})
 	st.Barrier()
 	asg := st.AssignmentRouter().Assignment()
@@ -269,10 +263,7 @@ func TestStateWireEncodeFailure(t *testing.T) {
 		plan.Moved = append(plan.Moved, k)
 		plan.MoveDest[k] = dst
 	}
-	payloads := map[tuple.Key][]byte{}
-	moved, err := st.ApplyPlan(plan, func(k tuple.Key, from, to int, size int64, payload []byte) {
-		payloads[k] = payload
-	})
+	moved, err := st.ApplyPlan(plan)
 	if err == nil {
 		t.Fatal("a key holding an unencodable value migrated without an error")
 	}
@@ -281,8 +272,8 @@ func TestStateWireEncodeFailure(t *testing.T) {
 			t.Fatalf("error %q does not name %s", err, want)
 		}
 	}
-	if moved != 4 || payloads[7] != nil || payloads[3] == nil {
-		t.Fatalf("moved %d units, payloads %v; want 4, key 7 by reference and key 3 encoded", moved, payloads)
+	if moved != 4 {
+		t.Fatalf("moved %d units, want 4", moved)
 	}
 	checkOneOwner(t, st, nil, "after the failed encode")
 	for _, k := range []tuple.Key{7, 3} {
@@ -292,5 +283,14 @@ func TestStateWireEncodeFailure(t *testing.T) {
 	}
 	if got := st.StoreOf(plan.MoveDest[7]).Entries(7)[0].Value; got != (unencodable{N: 1}) {
 		t.Fatalf("key 7's first entry arrived as %#v", got)
+	}
+	// Key 7 moved by reference: its slice is the one fed. Key 3 crossed
+	// the codec: an equal slice in new storage.
+	if got := st.StoreOf(plan.MoveDest[7]).Entries(7)[1].Value.([]tuple.Key); &got[0] != &fed7[0] {
+		t.Fatal("key 7's state was copied; an unencodable key moves by reference")
+	}
+	got3 := st.StoreOf(plan.MoveDest[3]).Entries(3)[1].Value.([]tuple.Key)
+	if !slices.Equal(got3, fed3) || &got3[0] == &fed3[0] {
+		t.Fatalf("key 3 arrived as %v at %p, want a decoded copy of %v", got3, &got3[0], fed3)
 	}
 }

@@ -63,7 +63,7 @@ func runCluster(t *testing.T, spec *topology.Spec, intervals int) []metrics.Inte
 
 // TestFig14aOverCluster regenerates Fig. 14(a) with every system
 // deployed on a cluster — Storm, Readj with its tuned planner
-// (WithPlanner), Mixed, PKG with its capacity shave and latency floor,
+// (StageSpec.Planner), Mixed, PKG with its capacity shave and latency floor,
 // and MinTable — and requires the committed golden byte for byte.
 func TestFig14aOverCluster(t *testing.T) {
 	if testing.Short() {

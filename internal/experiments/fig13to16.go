@@ -282,7 +282,7 @@ func Fig15() *Result {
 		sys := buildSpec(se.spec).BuildLocal()
 		sys.Run(pre)
 		if se.grow {
-			sys.Engine.ResizeStage(0, +1, nil)
+			sys.Engine.ResizeStage(0, +1)
 		}
 		sys.Run(post)
 		for _, m := range sys.Recorder().Series {

@@ -78,7 +78,7 @@ func TestWordCountCorrectAcrossMigration(t *testing.T) {
 	dst := 1 - src
 	tab := route.NewTable()
 	tab.Put(hot, dst)
-	st.ApplyPlan(&balance.Plan{Table: tab, Moved: []tuple.Key{hot}, MoveDest: map[tuple.Key]int{hot: dst}}, nil)
+	st.ApplyPlan(&balance.Plan{Table: tab, Moved: []tuple.Key{hot}, MoveDest: map[tuple.Key]int{hot: dst}})
 	for i := 0; i < 50; i++ {
 		st.FeedBatch([]tuple.Tuple{tuple.New(hot, "w")})
 	}

@@ -521,8 +521,7 @@ func TestScalarWireAllocatesNothing(t *testing.T) {
 // behind 0x00, the gob frame of versions 6 and 7.
 func TestControlRoundSendsNoGob(t *testing.T) {
 	want := map[string]byte{
-		"report": kindReport, "plan": kindPlan, "resize": kindResize, "state": kindState,
-		"ack": kindAck, "resume": kindResume, "split": kindSplit, "batch": kindBatch,
+		"report": kindReport, "commands": kindCommands, "ack": kindAck, "batch": kindBatch,
 		"hello": kindHello, "welcome": kindWelcome, "assign": kindAssign, "start": kindStart,
 		"close": kindClose, "harvest": kindHarvestReq, "harvested": kindHarvestDone,
 		"flush": kindFlush, "shutdown": kindShutdown, "stats": kindStats,

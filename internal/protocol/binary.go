@@ -15,23 +15,25 @@ import (
 // The wire format, spoken by every Codec from its first byte: a
 // hand-rolled, zero-reflection codec for every message a steady-state
 // interval sends — the data plane (TupleBatch, Flush), the interval
-// drive (StartInterval, CloseStage, HarvestReq, HarvestDone) and the
-// whole control round (LoadReport, PlanAnnounce, Resize, SplitAnnounce,
-// StateTransfer, Ack, Resume) — and for what is sent once per session
-// (the Hello/Welcome handshake, placement, shutdown and its stats). It
-// is the only encoding the cluster speaks: any peer that connects can
-// send the handshake, so it is decoded like every other frame.
+// drive (StartInterval, CloseStage, HarvestReq, HarvestDone, Ack) and
+// the whole control round (LoadReport, Commands) — and for what is sent
+// once per session (the Hello/Welcome handshake, placement, shutdown and
+// its stats). It is the only encoding the cluster speaks: any peer that
+// connects can send the handshake, so it is decoded like every other
+// frame.
 //
 // Every frame (inside the 4-byte length framing of framing.go) begins
 // with one kind byte:
 //
 //	frame    := len(4,BE) kind payload
-//	kind     := 0x01 batch | 0x02 flush | 0x03 report
-//	          | 0x04 ack | 0x05 resume
+//	kind     := 0x01 batch | 0x02 flush | 0x03 report | 0x04 ack
 //	          | 0x06 start | 0x07 close | 0x08 harvest | 0x09 harvested
-//	          | 0x0a plan | 0x0b resize | 0x0c split | 0x0d state
 //	          | 0x0e hello | 0x0f welcome | 0x10 assign | 0x11 shutdown
-//	          | 0x12 stats
+//	          | 0x12 stats | 0x13 commands
+//
+// Kinds 0x05 (resume) and 0x0d (state transfer) belong to protocols up
+// to 11 and are unknown now. Plan, resize and split (0x0a–0x0c) are the
+// kinds of a commands list's entries and are unknown as frames.
 //
 // A batch frame coalesces one or more FeedBatch-sized chunks; the
 // sub-batch boundaries are preserved so the receiver replays the exact
@@ -61,11 +63,12 @@ import (
 // uint64, float64, string, []byte, tuple.Key, []tuple.Key). A value of
 // any other type is an encode error naming it.
 //
+//	commands := interval n command{n}
+//	command  := 0x0a plan | 0x0b resize | 0x0c split
 //	plan     := interval algo gentime table moved
 //	table, moved := n (key dest){n}
 //	resize   := interval delta
 //	split    := interval n (key fan){n}
-//	state    := key from to size paylen payload
 //	hello    := proto role worker stage dataaddr
 //	welcome  := proto id
 //	assign   := stage instances window capacity budget downstage flags
@@ -87,7 +90,7 @@ const (
 	kindFlush
 	kindReport
 	kindAck
-	kindResume
+	_ // resume, up to protocol 11
 	kindStart
 	kindClose
 	kindHarvestReq
@@ -95,13 +98,18 @@ const (
 	kindPlan
 	kindResize
 	kindSplit
-	kindState
+	_ // state transfer, up to protocol 11
 	kindHello
 	kindWelcome
 	kindAssign
 	kindShutdown
 	kindStats
+	kindCommands
 )
+
+// minCommandLen is the least a commands list's entry takes on the wire:
+// its kind byte and two varints (a resize, or a split with no entries).
+const minCommandLen = 3
 
 // batchHeaderLen is the fixed-width batch frame header: the kind byte
 // plus a 4-byte big-endian sub-batch count, patched in place when the
@@ -604,6 +612,54 @@ func splitPair(e SplitEntry) (tuple.Key, int) { return e.Key, e.Fan }
 func mkRoute(k tuple.Key, d int) RouteEntry   { return RouteEntry{Key: k, Dest: d} }
 func mkSplit(k tuple.Key, f int) SplitEntry   { return SplitEntry{Key: k, Fan: f} }
 
+// appendCommands encodes a round's reply: the interval, then each
+// command behind its own kind byte.
+func appendCommands(dst []byte, cs *Commands) ([]byte, error) {
+	dst = appendUvarint(appendSvarints(dst, kindCommands, cs.Interval), uint64(len(cs.List)))
+	for i, c := range cs.List {
+		switch {
+		case c.Plan != nil:
+			dst = appendPlan(dst, c.Plan)
+		case c.Resize != nil:
+			dst = appendSvarints(dst, kindResize, c.Resize.Interval, int64(c.Resize.Delta))
+		case c.Split != nil:
+			dst = appendPairs(appendSvarints(dst, kindSplit, c.Split.Interval), c.Split.Set, splitPair)
+		default:
+			return nil, fmt.Errorf("protocol: refusing to send empty command %d", i)
+		}
+	}
+	return dst, nil
+}
+
+// decodeCommands checks the list's count against the frame before it
+// allocates, and refuses an entry of any kind but plan, resize and
+// split.
+func decodeCommands(cur *cursor) *Commands {
+	cs := &Commands{Interval: cur.Varint()}
+	n := cur.Count(minCommandLen)
+	if n == 0 {
+		return cs
+	}
+	cs.List = make([]Command, n)
+	for i := range cs.List {
+		c := &cs.List[i]
+		switch kind := cur.Byte(); kind {
+		case kindPlan:
+			c.Plan = decodePlan(cur)
+		case kindResize:
+			c.Resize = &Resize{Interval: cur.Varint(), Delta: int(cur.Varint())}
+		case kindSplit:
+			c.Split = &SplitAnnounce{Interval: cur.Varint(), Set: pairs(cur, mkSplit)}
+		default:
+			cur.Fail("command %d of %d has kind %#x", i, n, kind)
+		}
+		if cur.Err != nil {
+			return cs
+		}
+	}
+	return cs
+}
+
 func appendPlan(dst []byte, a *PlanAnnounce) []byte {
 	dst = appendString(appendSvarint(append(dst, kindPlan), a.Interval), a.Algorithm)
 	dst = appendSvarint(dst, int64(a.GenTime))
@@ -618,31 +674,6 @@ func decodePlan(cur *cursor) *PlanAnnounce {
 	a.Table = pairs(cur, mkRoute)
 	a.Moved = pairs(cur, mkRoute)
 	return a
-}
-
-func appendState(dst []byte, s *StateTransfer) []byte {
-	dst = appendUvarint(append(dst, kindState), uint64(s.Key))
-	dst = appendSvarint(dst, int64(s.From))
-	dst = appendSvarint(dst, int64(s.To))
-	dst = appendSvarint(dst, s.Size)
-	dst = appendUvarint(dst, uint64(len(s.Payload)))
-	return append(dst, s.Payload...)
-}
-
-// decodeState decodes into the retained envelope: a plan's transfers
-// arrive one frame per moved key, and the controller side only counts
-// them. Payload aliases the frame.
-func (c *Codec) decodeState(cur *cursor) *StateTransfer {
-	s := &c.hotState
-	s.Key = tuple.Key(cur.Uvarint())
-	s.From = int(cur.Varint())
-	s.To = int(cur.Varint())
-	s.Size = cur.Varint()
-	s.Payload = nil
-	if n := cur.Count(1); n > 0 {
-		s.Payload = cur.Take(n)
-	}
-	return s
 }
 
 // appendMessage appends one message's frame to b, into the codec's
@@ -676,10 +707,10 @@ func appendMessage(b []byte, m *Message) ([]byte, error) {
 		b = binary.BigEndian.AppendUint64(append(b, kindFlush), m.FlushReq.Seq)
 	case m.Report != nil:
 		b = appendReport(b, m.Report)
+	case m.Commands != nil:
+		return appendCommands(b, m.Commands)
 	case m.Ack != nil:
 		b = appendSvarints(b, kindAck, int64(m.Ack.TaskID), m.Ack.Interval)
-	case m.Resume != nil:
-		b = appendSvarints(b, kindResume, m.Resume.Interval)
 	case m.Start != nil:
 		b = appendSvarints(b, kindStart, m.Start.Interval, m.Start.Emit)
 	case m.Close != nil:
@@ -688,15 +719,6 @@ func appendMessage(b []byte, m *Message) ([]byte, error) {
 		b = appendSvarints(b, kindHarvestReq, int64(m.Harvest.Stage), m.Harvest.Interval, m.Harvest.Emit)
 	case m.Harvested != nil:
 		b = appendHarvestDone(b, m.Harvested)
-	case m.Plan != nil:
-		b = appendPlan(b, m.Plan)
-	case m.ResizeCmd != nil:
-		b = appendSvarints(b, kindResize, m.ResizeCmd.Interval, int64(m.ResizeCmd.Delta))
-	case m.Split != nil:
-		b = appendSvarint(append(b, kindSplit), m.Split.Interval)
-		b = appendPairs(b, m.Split.Set, splitPair)
-	case m.State != nil:
-		b = appendState(b, m.State)
 	case m.Hello != nil:
 		h := m.Hello
 		b = appendString(appendString(appendSvarints(b, kindHello, int64(h.Proto)), h.Role), h.Worker)
@@ -774,7 +796,7 @@ func appendSvarints(dst []byte, kind byte, vs ...int64) []byte {
 
 // recvFrame reads one frame and dispatches on its kind byte; with a
 // feed it hands a batch frame's chunks to it (decodeBatchFrame) and
-// returns the batch empty. Batch, Flush and StateTransfer messages reuse
+// returns the batch empty. Batch and Flush messages reuse
 // codec-owned storage — tuples decode into a pooled retained slice,
 // mirroring the engine's recycled feed buffers — and are invalidated by
 // the next Recv on this codec; the rest are freshly allocated, except a
@@ -794,14 +816,12 @@ func (c *Codec) recvFrame(feed func([]tuple.Tuple)) (*Message, error) {
 	case kindFlush:
 		c.hotFlush.Seq = cur.U64()
 		*m = Message{FlushReq: &c.hotFlush}
-	case kindState:
-		*m = Message{State: c.decodeState(cur)}
 	case kindReport:
 		m = &Message{Report: c.decodeReport(cur)}
+	case kindCommands:
+		m = &Message{Commands: decodeCommands(cur)}
 	case kindAck:
 		m = &Message{Ack: &Ack{TaskID: int(cur.Varint()), Interval: cur.Varint()}}
-	case kindResume:
-		m = &Message{Resume: &Resume{Interval: cur.Varint()}}
 	case kindStart:
 		m = &Message{Start: &StartInterval{Interval: cur.Varint(), Emit: cur.Varint()}}
 	case kindClose:
@@ -810,12 +830,6 @@ func (c *Codec) recvFrame(feed func([]tuple.Tuple)) (*Message, error) {
 		m = &Message{Harvest: &HarvestReq{Stage: int(cur.Varint()), Interval: cur.Varint(), Emit: cur.Varint()}}
 	case kindHarvestDone:
 		m = &Message{Harvested: decodeHarvestDone(cur)}
-	case kindPlan:
-		m = &Message{Plan: decodePlan(cur)}
-	case kindResize:
-		m = &Message{ResizeCmd: &Resize{Interval: cur.Varint(), Delta: int(cur.Varint())}}
-	case kindSplit:
-		m = &Message{Split: &SplitAnnounce{Interval: cur.Varint(), Set: pairs(cur, mkSplit)}}
 	case kindHello:
 		m = &Message{Hello: &Hello{Proto: int(cur.Varint()), Role: cur.str(), Worker: cur.str(), Stage: int(cur.Varint()), DataAddr: cur.str()}}
 	case kindWelcome:

@@ -178,12 +178,25 @@ func TestBinaryHostileInputs(t *testing.T) {
 		"batch header stream":  batchHeaderStream,
 		"batch stream flag":    batchStreamFlag,
 		"batch cut at flags":   batchCutAtFlags,
-		"plan huge routes":     hostilePlanRoutes,
-		"plan cut route":       {kindPlan, 2, 0, 0, 1, 7},
-		"resize trailing":      {kindResize, 2, 2, 9},
-		"split huge set":       {kindSplit, 2, 0x7f, 1, 4},
+		// A round's commands travel inside one commands frame.
+		"plan huge routes":      hostilePlanRoutes,
+		"plan cut route":        {kindCommands, 2, 1, kindPlan, 2, 0, 0, 1, 7},
+		"resize trailing":       {kindCommands, 2, 1, kindResize, 2, 2, 9},
+		"split huge set":        {kindCommands, 2, 1, kindSplit, 2, 0x7f, 1, 4},
+		"commands huge count":   commandsHugeCount,
+		"commands cut entry":    commandsCutEntry,
+		"commands nested":       commandsNested,
+		"commands ack entry":    commandsAckEntry,
+		"commands report entry": commandsReportEntry,
+		"commands state entry":  commandsStateEntry,
+		// A command is no frame of its own.
+		"plan frame":   {kindPlan, 2, 0, 0, 0, 0},
+		"resize frame": {kindResize, 2, 2},
+		"split frame":  {kindSplit, 2, 0},
+		// Kinds 0x0d (state transfer) and 0x05 (resume) are retired.
 		"state huge payload":   hostileStatePayload,
-		"state trailing":       {kindState, 1, 0, 2, 8, 1, 0xaa, 0xbb},
+		"state trailing":       {0x0d, 1, 0, 2, 8, 1, 0xaa, 0xbb},
+		"resume trailing":      {0x05, 2, 9},
 		"batch trailing bytes": append(mustBatchFrame(t), 0xaa),
 		"batch bad value tag":  {kindBatch, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 2, 2, 2, 2, 0, 0x6f},
 		"flush short":          {kindFlush, 1, 2, 3},
@@ -194,7 +207,6 @@ func TestBinaryHostileInputs(t *testing.T) {
 		// One entry in six bytes, but a two-byte hash leaves no destination.
 		"merged cut row":      {kindReport, 4, 0, 1, 7, 2, 2, 2, 0x80, 0x01},
 		"ack cut":             {kindAck, 2},
-		"resume trailing":     {kindResume, 2, 9},
 		"start cut":           {kindStart, 2},
 		"close trailing":      {kindClose, 2, 9},
 		"harvest cut":         {kindHarvestReq, 2, 4},
@@ -247,13 +259,52 @@ var (
 	batchCutAtFlags = []byte{kindBatch, 0, 0, 0, 1, 0, 0, 0, 1, subKnown}
 )
 
-// The hostile frames of the control round's kinds (the fuzz corpus
-// carries the same two): a plan whose route count the frame cannot hold,
-// a state transfer whose payload length runs past the frame.
+// The hostile commands frames the fuzz corpus carries too. Each is the
+// reply to interval 1.
 var (
-	hostilePlanRoutes   = []byte{kindPlan, 2, 0, 0, 0xff, 0xff, 0x03, 1, 2, 3, 4}
-	hostileStatePayload = []byte{kindState, 1, 0, 2, 8, 0x40, 0xaa, 0xbb}
+	// One plan whose route count the frame cannot hold.
+	hostilePlanRoutes = []byte{kindCommands, 2, 1, kindPlan, 2, 0, 0, 0xff, 0xff, 0x03, 1, 2, 3, 4}
+	// A list of 2^21-1 commands behind three bytes: refused before the
+	// list is allocated.
+	commandsHugeCount = []byte{kindCommands, 2, 0xff, 0xff, 0x7f, kindResize, 2, 2}
+	// Two resizes promised, the second cut inside its delta.
+	commandsCutEntry = []byte{kindCommands, 2, 2, kindResize, 2, 2, kindResize, 2, 0x80}
+	// A commands list inside a commands list.
+	commandsNested = []byte{kindCommands, 2, 1, kindCommands, 2, 0}
+	// A session Ack where a command belongs.
+	commandsAckEntry = []byte{kindCommands, 2, 1, kindAck, 2, 2}
+	// An empty LoadReport where a command belongs.
+	commandsReportEntry = []byte{kindCommands, 2, 1, kindReport, 2, 0, 0, 0, 0, 0, 0, 0}
+	// A protocol-11 state transfer (kind 0x0d) where a command belongs.
+	commandsStateEntry = []byte{kindCommands, 2, 1, 0x0d, 1, 0, 2, 8, 0}
 )
+
+// hostileStatePayload is a protocol-11 state transfer (kind 0x0d, now
+// retired) whose payload length runs past the frame.
+var hostileStatePayload = []byte{0x0d, 1, 0, 2, 8, 0x40, 0xaa, 0xbb}
+
+// TestCommandsHostileBounds pins which check refuses each hostile
+// commands frame: the count bound before the list is allocated, the
+// truncated entry, the entry kinds a list may not hold.
+func TestCommandsHostileBounds(t *testing.T) {
+	for _, tc := range []struct {
+		payload []byte
+		want    string
+	}{
+		{commandsHugeCount, "count 2097151 of 3-byte elements exceeds 3 remaining bytes"},
+		{commandsCutEntry, "bad uvarint"},
+		{commandsNested, "command 0 of 1 has kind 0x13"},
+		{commandsAckEntry, "command 0 of 1 has kind 0x4"},
+		{commandsReportEntry, "command 0 of 1 has kind 0x3"},
+		{commandsStateEntry, "command 0 of 1 has kind 0xd"},
+		{hostilePlanRoutes, "count 65535 of 2-byte elements"},
+	} {
+		c := NewFramedCodec(readerOnly{bytes.NewReader(framed(tc.payload))})
+		if _, err := c.Recv(); !errors.Is(err, ErrBinaryFrame) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("% x: err = %v, want %q", tc.payload, err, tc.want)
+		}
+	}
+}
 
 // The hostile session frames the fuzz corpus carries too: a StageAssign
 // whose name claims 2^32 bytes (its six integers and flags zero), and a

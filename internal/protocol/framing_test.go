@@ -15,7 +15,7 @@ import (
 func TestFramedShutdownMarker(t *testing.T) {
 	var wire bytes.Buffer
 	c := NewFramedCodec(&wire)
-	want := &Message{Resume: &Resume{Interval: 7}}
+	want := &Message{Ack: &Ack{TaskID: 2, Interval: 7}}
 	if err := c.Send(want); err != nil {
 		t.Fatalf("send: %v", err)
 	}
@@ -28,7 +28,7 @@ func TestFramedShutdownMarker(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recv before marker: %v", err)
 	}
-	if got.Resume == nil || got.Resume.Interval != 7 {
+	if got.Ack == nil || *got.Ack != *want.Ack {
 		t.Fatalf("recv: %#v", got)
 	}
 	if _, err := rc.Recv(); err != io.EOF {
@@ -63,7 +63,7 @@ func TestFramedCleanCloseWithoutMarker(t *testing.T) {
 func TestFramedTruncation(t *testing.T) {
 	var wire bytes.Buffer
 	c := NewFramedCodec(&wire)
-	if err := c.Send(&Message{Resume: &Resume{Interval: 9}}); err != nil {
+	if err := c.Send(&Message{Ack: &Ack{TaskID: 2, Interval: 9}}); err != nil {
 		t.Fatalf("send: %v", err)
 	}
 	full := wire.Bytes()

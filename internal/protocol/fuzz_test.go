@@ -12,29 +12,9 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/state"
 	"repro/internal/stats"
 	"repro/internal/tuple"
 )
-
-// windowPayload builds a real serialized window via state.Codec: a
-// store filled deterministically from the rng, one key extracted and
-// encoded — the exact bytes a cross-process migration ships.
-func windowPayload(r *fuzzRNG, n int) []byte {
-	st := state.NewStore(r.intn(3) + 1)
-	k := tuple.Key(r.next()%64 + 1)
-	for it := 0; it < r.intn(4)+1; it++ {
-		for e := 0; e < n%16; e++ {
-			st.Add(k, state.Entry{Value: int64(r.next() % 1e6), Size: int64(r.intn(8) + 1)})
-		}
-		st.EndInterval()
-	}
-	p, err := state.Codec{}.Encode(st.Extract(k), int64(r.next()%1e6))
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
 
 // fuzzRNG is a tiny deterministic splitmix64 over the fuzz input, so
 // one (seed, shape) pair expands into arbitrary message contents
@@ -71,6 +51,31 @@ func buildMessage(seed uint64, kind, n int) *Message {
 		}
 		return out
 	}
+	plan := func(c int) *PlanAnnounce {
+		return &PlanAnnounce{
+			Interval: int64(r.intn(1000)),
+			Table:    entries(c),
+			Moved:    entries(r.intn(c + 1)),
+			Algorithm: map[int]string{
+				0: "", 1: "Mixed", 2: "MinTable",
+			}[r.intn(3)],
+			GenTime: time.Duration(r.next() % uint64(time.Second)),
+		}
+	}
+	resize := func() *Resize {
+		delta := 1
+		if r.intn(2) == 0 {
+			delta = -1
+		}
+		return &Resize{Interval: int64(r.intn(1000)), Delta: delta}
+	}
+	split := func(c int) *SplitAnnounce {
+		ann := &SplitAnnounce{Interval: int64(r.intn(1000))}
+		for i := 0; i < c; i++ {
+			ann.Set = append(ann.Set, SplitEntry{Key: tuple.Key(r.next()), Fan: r.intn(16) + 2})
+		}
+		return ann
+	}
 	switch kind % 19 {
 	case 0:
 		rep := &LoadReport{
@@ -90,49 +95,34 @@ func buildMessage(seed uint64, kind, n int) *Message {
 		}
 		return &Message{Report: rep}
 	case 1:
-		return &Message{Plan: &PlanAnnounce{
-			Interval: int64(r.intn(1000)),
-			Table:    entries(n),
-			Moved:    entries(r.intn(n + 1)),
-			Algorithm: map[int]string{
-				0: "", 1: "Mixed", 2: "MinTable",
-			}[r.intn(3)],
-			GenTime: time.Duration(r.next() % uint64(time.Second)),
-		}}
+		// A commanded round: one plan.
+		return &Message{Commands: &Commands{Interval: int64(r.intn(1000)), List: []Command{{Plan: plan(n)}}}}
 	case 2:
-		delta := 1
-		if r.intn(2) == 0 {
-			delta = -1
-		}
-		return &Message{ResizeCmd: &Resize{Interval: int64(r.intn(1000)), Delta: delta}}
+		// A held round: the empty list.
+		return &Message{Commands: &Commands{Interval: int64(r.intn(1000))}}
 	case 3:
-		var payload []byte
-		if n > 0 {
-			if r.intn(2) == 0 {
-				// A real serialized window, as the cross-process
-				// migration path ships: buckets of tagged entries.
-				payload = windowPayload(r, n)
-			} else {
-				payload = make([]byte, n%4096)
-				for i := range payload {
-					payload[i] = byte(r.next())
-				}
+		// A mixed list of up to seven commands, empty when n%8 is 0.
+		cs := &Commands{Interval: int64(r.intn(1000))}
+		for i := 0; i < n%8; i++ {
+			switch r.intn(3) {
+			case 0:
+				cs.List = append(cs.List, Command{Plan: plan(r.intn(n + 1))})
+			case 1:
+				cs.List = append(cs.List, Command{Resize: resize()})
+			default:
+				cs.List = append(cs.List, Command{Split: split(r.intn(n%64 + 1))})
 			}
 		}
-		return &Message{State: &StateTransfer{
-			Key: tuple.Key(r.next()), From: r.intn(64), To: r.intn(64),
-			Size: int64(r.intn(1e6)), Payload: payload,
-		}}
+		return &Message{Commands: cs}
 	case 4:
 		return &Message{Ack: &Ack{TaskID: r.intn(64), Interval: int64(r.intn(1000))}}
 	case 5:
-		return &Message{Resume: &Resume{Interval: int64(r.intn(1000))}}
+		// One command of each kind, in the order the policies emit them.
+		return &Message{Commands: &Commands{Interval: int64(r.intn(1000)), List: []Command{
+			{Plan: plan(n)}, {Resize: resize()}, {Split: split(n % 64)},
+		}}}
 	case 6:
-		ann := &SplitAnnounce{Interval: int64(r.intn(1000))}
-		for i := 0; i < n%64; i++ {
-			ann.Set = append(ann.Set, SplitEntry{Key: tuple.Key(r.next()), Fan: r.intn(16) + 2})
-		}
-		return &Message{Split: ann}
+		return &Message{Commands: &Commands{Interval: int64(r.intn(1000)), List: []Command{{Split: split(n % 64)}}}}
 	case 7:
 		// A coalesced frame: several FeedBatch chunks behind Bounds (two
 		// or more, so the binary wire hands the Bounds back), engine-shaped
@@ -338,9 +328,10 @@ func FuzzFramedTruncation(f *testing.F) {
 // FuzzBinaryHostile hands the binary decoder a raw attacker-controlled
 // frame payload: whatever the bytes, Recv must return a message or an
 // error — never panic, never attempt an allocation sized from an
-// unvalidated count — and so must state.Codec on a state frame's
-// payload. Seeds cover a valid frame of every kind plus known-hostile
-// shapes (giant counts, cut rows, bad tags).
+// unvalidated count. Seeds cover a valid frame of every kind plus
+// known-hostile shapes (giant counts, cut rows, bad tags, commands
+// lists holding what a list may not). The state codec's own hostile
+// payloads are internal/state's FuzzCodecDecode.
 func FuzzBinaryHostile(f *testing.F) {
 	for _, kind := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 15, 16} {
 		var wire bytes.Buffer
@@ -363,6 +354,12 @@ func FuzzBinaryHostile(f *testing.F) {
 	f.Add(harvestedBacklogPastFrame)
 	f.Add(hostilePlanRoutes)
 	f.Add(hostileStatePayload)
+	f.Add(commandsHugeCount)
+	f.Add(commandsCutEntry)
+	f.Add(commandsNested)
+	f.Add(commandsAckEntry)
+	f.Add(commandsReportEntry)
+	f.Add(commandsStateEntry)
 	f.Add([]byte{kindReport, 0x80})
 	for _, hostile := range hostileMergedReports() {
 		f.Add(hostile)
@@ -380,8 +377,6 @@ func FuzzBinaryHostile(f *testing.F) {
 	}
 	f.Add(hostileAssignName)
 	f.Add(hostileStatsCount)
-	f.Add(stateWindowFrame())
-	f.Add(hostileStateBuckets)
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		if len(payload) > maxFrame {
 			return
@@ -395,8 +390,12 @@ func FuzzBinaryHostile(f *testing.F) {
 			if m.Kind() == "empty" {
 				t.Fatalf("hostile payload decoded to an empty message")
 			}
-			if m.State != nil {
-				_, _, _ = state.Codec{}.Decode(m.State.Payload)
+			if m.Commands != nil {
+				for _, c := range m.Commands.List {
+					if c.Plan != nil {
+						PlanFromAnnounce(c.Plan)
+					}
+				}
 			}
 			if m.Report != nil && m.Report.CheckMerged() == nil {
 				// What the check passes a controller sizes its load
@@ -408,8 +407,8 @@ func FuzzBinaryHostile(f *testing.F) {
 	})
 }
 
-// TestHostileBatchSeedsCommitted keeps the batch, harvest and report
-// seeds of the fuzz corpus equal to the frames
+// TestHostileBatchSeedsCommitted keeps the batch, harvest, report and
+// commands seeds of the fuzz corpus equal to the frames
 // binary_test.go names, and the cut
 // row equal to what the encoder writes for its two tuples, one byte
 // short — so a layout change that breaks one fails here instead of
@@ -445,8 +444,14 @@ func TestHostileBatchSeedsCommitted(t *testing.T) {
 		"seed-report-split-out-of-order":    hostileMergedReports()[6],
 		"seed-assign-huge-name":             hostileAssignName,
 		"seed-stats-huge-count":             hostileStatsCount,
-		"seed-state-window":                 stateWindowFrame(),
-		"seed-state-huge-buckets":           hostileStateBuckets,
+		"seed-commands-plan-huge-routes":    hostilePlanRoutes,
+		"seed-commands-huge-count":          commandsHugeCount,
+		"seed-commands-cut-entry":           commandsCutEntry,
+		"seed-commands-nested":              commandsNested,
+		"seed-commands-ack-entry":           commandsAckEntry,
+		"seed-commands-report-entry":        commandsReportEntry,
+		"seed-commands-state-entry":         commandsStateEntry,
+		"seed-state-huge-payload":           hostileStatePayload,
 	} {
 		b, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzBinaryHostile", name))
 		if err != nil {
@@ -467,25 +472,6 @@ type readerOnly struct{ r io.Reader }
 func (ro readerOnly) Read(p []byte) (int, error)  { return ro.r.Read(p) }
 func (ro readerOnly) Write(p []byte) (int, error) { return len(p), nil }
 
-// stateWindowFrame is a state frame carrying a real two-bucket window
-// (state.Codec), the seed the corpus's state payloads grow from.
-func stateWindowFrame() []byte {
-	st := state.NewStore(2)
-	st.Add(9, state.Entry{Value: int64(5), Size: 2})
-	st.Add(9, state.Entry{Value: "w", Size: 1})
-	st.EndInterval()
-	st.Add(9, state.Entry{Value: []tuple.Key{1, 2}, Size: 3})
-	p, err := state.Codec{}.Encode(st.Extract(9), 6)
-	if err != nil {
-		panic(err)
-	}
-	return appendState(nil, &StateTransfer{Key: 9, From: 0, To: 1, Size: 6, Payload: p})
-}
-
-// hostileStateBuckets is a state frame whose payload claims 2^32
-// buckets after its key, size and memory.
-var hostileStateBuckets = []byte{kindState, 9, 0, 2, 12, 11, 9, 12, 12, 0x80, 0x80, 0x80, 0x80, 0x10, 1, 2, 3}
-
 // normalize maps nil slices to empty ones where the decoder hands back
 // retained storage, which is empty but not nil once it has grown, or
 // leaves an empty list out.
@@ -497,13 +483,6 @@ func normalize(m *Message) *Message {
 			r.Keys = []stats.KeyStat{}
 		}
 		c.Report = &r
-	}
-	if c.State != nil {
-		s := *c.State
-		if len(s.Payload) == 0 {
-			s.Payload = []byte{}
-		}
-		c.State = &s
 	}
 	if c.Batch != nil {
 		b := *c.Batch

@@ -1,31 +1,34 @@
 // Package protocol defines the wire messages of the elastic control
-// workflow — the rebalance sequence of Fig. 5 plus the resize commands
-// of the unified control plane — and a codec for exchanging them over
-// any net.Conn-like transport: a hand-rolled binary wire (binary.go:
-// kind-dispatched frames, a zero-reflection encoding for every message —
-// tuple batches as one row per tuple carrying only the fields that vary
-// inside its chunk — and the only encoding the cluster speaks). The
-// in-process engine speaks this protocol through internal/control's
-// loopback transport; the same bytes flow over a real network boundary
-// (the Codec-over-pipe transport is pinned equivalent), so a
-// multi-process deployment can speak it unchanged:
+// workflow — the rebalance round of Fig. 5 plus the resize and split
+// commands of the unified control plane — and a codec for exchanging
+// them over any net.Conn-like transport: a hand-rolled binary wire
+// (binary.go: kind-dispatched frames, a zero-reflection encoding for
+// every message — tuple batches as one row per tuple carrying only the
+// fields that vary inside its chunk — and the only encoding the cluster
+// speaks). The in-process engine speaks this protocol through
+// internal/control's loopback transport; the same bytes flow over a real
+// network boundary (the Codec-over-pipe transport is pinned equivalent),
+// so a multi-process deployment can speak it unchanged:
 //
-//	task       → controller  : LoadReport        (step 1)
-//	controller → upstream    : PlanAnnounce      (steps 3–4)
-//	                           or Resize           (elastic command)
-//	source     → destination : StateTransfer     (step 5)
-//	task       → controller  : Ack               (step 6)
-//	controller → upstream    : Resume            (step 7)
+//	stage      → controller  : LoadReport        (step 1)
+//	controller → stage       : Commands          (steps 3–4)
+//	                           [PlanAnnounce | Resize | SplitAnnounce]*
 //
-// A round is one LoadReport: the snapshot is the report. The stage side
-// hands over the merged, KeyStatLess-ordered run its interval close
-// produced, each entry carrying its destination — by reference over the
-// loopback, as one more column on the wire — so nothing is split per
-// task on one side and merged back on the other. What arrives is outside
-// input: the controller side runs CheckMerged before any policy sees the
-// snapshot. A decoded report's Keys alias storage the codec recycles and
-// stay intact until the second following report, the stage snapshot's
-// own lifetime.
+// A round is these two messages. The stage applies the list in order
+// on a stage sealed at the interval barrier — state migrates inside
+// the stage's host (steps 5–6) — and the next interval's start resumes
+// it (step 7), so no per-key transfer, acknowledgement or resume signal
+// crosses the wire. A held round is an empty list.
+//
+// The report is the snapshot. The stage side hands over the merged,
+// KeyStatLess-ordered run its interval close produced, each entry
+// carrying its destination — by reference over the loopback, as one
+// more column on the wire — so nothing is split per task on one side
+// and merged back on the other. What arrives is outside input: the
+// controller side runs CheckMerged before any policy sees the snapshot.
+// A decoded report's Keys alias storage the codec recycles and stay
+// intact until the second following report, the stage snapshot's own
+// lifetime.
 package protocol
 
 import (
@@ -130,8 +133,8 @@ type PlanAnnounce struct {
 
 // Resize is the elastic command of the unified control plane: change
 // the stage's instance set by Delta (+1 scale-out, −1 scale-in). The
-// receiving side grows or drains-and-retires accordingly, reports each
-// resulting key migration as a StateTransfer, and Acks.
+// receiving side grows or drains-and-retires accordingly, migrating the
+// keys whose destination changes.
 type Resize struct {
 	Interval int64
 	Delta    int
@@ -149,34 +152,33 @@ type SplitEntry struct {
 
 // SplitAnnounce publishes the complete hot-key split set for the
 // interval: keys present become (or stay) split, keys absent fold
-// back. Like every command it is Acked when applied (or rejected as a
-// hold) so the round stays in step.
+// back.
 type SplitAnnounce struct {
 	Interval int64
 	Set      []SplitEntry
 }
 
-// StateTransfer is step 5: one key's serialized windowed state moving
-// between task instances. In-process transports move the state itself
-// by reference and send this message as the accounting record (Payload
-// empty, Size the migrated volume); a cross-process deployment carries
-// the serialized window in Payload.
-type StateTransfer struct {
-	Key      tuple.Key
-	From, To int
-	Size     int64
-	Payload  []byte
+// Commands answers a LoadReport and closes the round: the policies'
+// commands for Interval, in the order they emitted them. An empty List
+// holds the round.
+type Commands struct {
+	Interval int64
+	List     []Command
 }
 
-// Ack is step 6: a task confirms it finished its part of the plan.
+// Command is one entry of a Commands list: exactly one field is
+// non-nil.
+type Command struct {
+	Plan   *PlanAnnounce
+	Resize *Resize
+	Split  *SplitAnnounce
+}
+
+// Ack is a session message only: a worker confirms a StageAssign,
+// StartInterval or CloseStage with it. TaskID names the stage (−1 for a
+// start, which covers every stage the worker hosts).
 type Ack struct {
 	TaskID   int
-	Interval int64
-}
-
-// Resume is step 7: it closes a control round. After Resume the stage
-// side returns to normal processing until the next interval's report.
-type Resume struct {
 	Interval int64
 }
 
@@ -336,16 +338,12 @@ type Stats struct {
 
 // Message is the envelope union; exactly one field is non-nil.
 type Message struct {
-	Report    *LoadReport
-	Plan      *PlanAnnounce
-	ResizeCmd *Resize
-	Split     *SplitAnnounce
-	State     *StateTransfer
-	Ack       *Ack
-	Resume    *Resume
+	Report   *LoadReport
+	Commands *Commands
 
 	// Cluster session messages (handshake, placement, interval drive,
 	// data plane) — spoken only by internal/cluster's socket transport.
+	Ack       *Ack
 	Hello     *Hello
 	Welcome   *Welcome
 	Assign    *StageAssign
@@ -364,18 +362,10 @@ func (m *Message) Kind() string {
 	switch {
 	case m.Report != nil:
 		return "report"
-	case m.Plan != nil:
-		return "plan"
-	case m.ResizeCmd != nil:
-		return "resize"
-	case m.Split != nil:
-		return "split"
-	case m.State != nil:
-		return "state"
+	case m.Commands != nil:
+		return "commands"
 	case m.Ack != nil:
 		return "ack"
-	case m.Resume != nil:
-		return "resume"
 	case m.Hello != nil:
 		return "hello"
 	case m.Welcome != nil:
@@ -432,14 +422,13 @@ type Codec struct {
 	bounds []int
 
 	// Retained hot-path message envelopes: Recv returns pointers into
-	// these for TupleBatch/Flush/StateTransfer, valid until the next
-	// Recv — exactly the aliasing contract BatchConn and the worker's
-	// data loop already live by. The other control messages are freshly
-	// allocated, except a report's run (merged, below).
+	// these for TupleBatch/Flush, valid until the next Recv — exactly
+	// the aliasing contract BatchConn and the worker's data loop already
+	// live by. The other messages are freshly allocated, except a
+	// report's run (merged, below).
 	hotMsg   Message
 	hotBatch TupleBatch
 	hotFlush Flush
-	hotState StateTransfer
 
 	// merged are the two buffers reports decode their run into
 	// alternately (see decodeReport).
@@ -457,7 +446,7 @@ func (c *Codec) Send(m *Message) error {
 	return c.SendFrame(b)
 }
 
-// Recv decodes the next message. Batch, FlushReq and State results alias
+// Recv decodes the next message. Batch and FlushReq results alias
 // codec-owned storage and are valid until the next Recv, and a report's
 // Keys until the second following report; everything else is freshly
 // allocated.
@@ -538,8 +527,8 @@ func AnnounceFromPlan(interval int64, plan *balance.Plan) *PlanAnnounce {
 // wire form: the routing table A′, the migration set with destinations,
 // and the reporting metadata. Planner-side estimates (Loads, MaxTheta,
 // Feasible, MigrationCost) do not cross the wire — application needs
-// none of them, and the stage side re-derives actual migration volume
-// from the transfers it performs.
+// none of them, and the stage side measures the migrated volume as it
+// moves the keys.
 func PlanFromAnnounce(a *PlanAnnounce) *balance.Plan {
 	p := &balance.Plan{
 		Algorithm: a.Algorithm,

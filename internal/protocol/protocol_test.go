@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"fmt"
 	"net"
 	"reflect"
 	"sync"
@@ -67,10 +68,12 @@ func TestCodecRoundTripAllKinds(t *testing.T) {
 
 	round := []*Message{
 		{Report: &LoadReport{Interval: 7, Tasks: 3, Keys: []stats.KeyStat{{Key: 1, Cost: 5, Freq: 3, Mem: 9, Dest: 2}}}},
-		{Plan: &PlanAnnounce{Interval: 7, Table: []RouteEntry{{Key: 1, Dest: 3}}, Moved: []RouteEntry{{Key: 1, Dest: 3}}}},
-		{State: &StateTransfer{Key: 1, From: 0, To: 3, Size: 9, Payload: []byte("window")}},
-		{Ack: &Ack{TaskID: 3, Interval: 7}},
-		{Resume: &Resume{Interval: 7}},
+		{Commands: &Commands{Interval: 7, List: []Command{
+			{Plan: &PlanAnnounce{Interval: 7, Table: []RouteEntry{{Key: 1, Dest: 3}}, Moved: []RouteEntry{{Key: 1, Dest: 3}}}},
+			{Resize: &Resize{Interval: 7, Delta: 1}},
+			{Split: &SplitAnnounce{Interval: 7, Set: []SplitEntry{{Key: 1, Fan: 2}}}},
+		}}},
+		{Commands: &Commands{Interval: 8}},
 	}
 	wg = sendAsync(ca, a, round...)
 	for _, want := range round {
@@ -79,18 +82,23 @@ func TestCodecRoundTripAllKinds(t *testing.T) {
 	wg.Wait()
 }
 
-// TestFullProtocolExchange drives the complete Fig. 5 sequence between
-// a controller goroutine and two task goroutines over real pipes: the
-// tasks report, the controller plans with the real Mixed planner,
-// announces, the source task ships state, acks flow, resume closes the
-// round.
+// TestFullProtocolExchange drives the complete Fig. 5 round between a
+// controller goroutine and two task goroutines over real pipes: the
+// tasks report, the controller plans with the real Mixed planner and
+// answers each task with one Commands carrying the plan, and the tasks
+// hand the moved keys' state to each other inside their host, as a
+// sealed stage does. Each task's wire carries exactly its report out and
+// the reply in.
 func TestFullProtocolExchange(t *testing.T) {
 	const interval = 3
 	type taskState struct {
-		id     int
-		stats  map[tuple.Key]stats.KeyStat
-		owned  map[tuple.Key][]byte
-		paused map[tuple.Key]bool
+		id    int
+		stats map[tuple.Key]stats.KeyStat
+		owned map[tuple.Key][]byte
+	}
+	type handoff struct {
+		key   tuple.Key
+		state []byte
 	}
 	// Task 0 is overloaded with five medium keys; task 1 nearly idle.
 	t0stats := map[tuple.Key]stats.KeyStat{}
@@ -100,27 +108,26 @@ func TestFullProtocolExchange(t *testing.T) {
 		t0owned[k] = []byte("state-" + string(rune('a'+k-10)))
 	}
 	tasks := []*taskState{
-		{id: 0, stats: t0stats, owned: t0owned, paused: map[tuple.Key]bool{}},
+		{id: 0, stats: t0stats, owned: t0owned},
 		{id: 1, stats: map[tuple.Key]stats.KeyStat{
 			15: {Cost: 20, Freq: 20, Mem: 2},
-		}, owned: map[tuple.Key][]byte{15: []byte("x")}, paused: map[tuple.Key]bool{}},
+		}, owned: map[tuple.Key][]byte{15: []byte("x")}},
 	}
 
-	// Pipes: controller ↔ each task, plus a task0 → task1 data channel.
+	// Pipes: controller ↔ each task. State moves 0 → 1 in process.
 	c0, t0 := net.Pipe()
 	c1, t1 := net.Pipe()
-	d01a, d01b := net.Pipe()
 	defer func() {
-		for _, c := range []net.Conn{c0, t0, c1, t1, d01a, d01b} {
+		for _, c := range []net.Conn{c0, t0, c1, t1} {
 			c.Close()
 		}
 	}()
+	moves := make(chan handoff, len(t0owned))
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 
-	// Task goroutines.
-	runTask := func(ts *taskState, conn net.Conn, peerSend, peerRecv *Codec) {
+	runTask := func(ts *taskState, conn net.Conn) {
 		defer wg.Done()
 		c := NewFramedCodec(conn)
 		// Step 1: report. Each toy task is its own reporter, so its run
@@ -135,58 +142,36 @@ func TestFullProtocolExchange(t *testing.T) {
 			errs <- err
 			return
 		}
-		// Steps 3–4: receive plan, pause moved keys.
+		// Steps 3–4: the round's one reply.
 		m, err := c.Recv()
 		if err != nil {
 			errs <- err
 			return
 		}
-		for _, mv := range m.Plan.Moved {
-			ts.paused[mv.Key] = true
-			// Step 5: ship state we own that must leave.
-			if payload, ok := ts.owned[mv.Key]; ok && mv.Dest != ts.id && peerSend != nil {
-				err := peerSend.Send(&Message{State: &StateTransfer{
-					Key: mv.Key, From: ts.id, To: mv.Dest,
-					Size: int64(len(payload)), Payload: payload,
-				}})
-				if err != nil {
-					errs <- err
-					return
-				}
-				delete(ts.owned, mv.Key)
-			}
-			// Receive state arriving for us.
-			if mv.Dest == ts.id && peerRecv != nil {
-				sm, err := peerRecv.Recv()
-				if err != nil {
-					errs <- err
-					return
-				}
-				// A received payload aliases the codec's frame buffer.
-				ts.owned[sm.State.Key] = append([]byte(nil), sm.State.Payload...)
-			}
-		}
-		// Step 6: ack.
-		if err := c.Send(&Message{Ack: &Ack{TaskID: ts.id, Interval: interval}}); err != nil {
-			errs <- err
-			return
-		}
-		// Step 7: resume.
-		m, err = c.Recv()
-		if err != nil {
-			errs <- err
-			return
-		}
-		if m.Kind() != "resume" {
+		if m.Commands == nil || len(m.Commands.List) != 1 || m.Commands.List[0].Plan == nil {
 			errs <- errKind{m.Kind()}
 			return
 		}
-		ts.paused = map[tuple.Key]bool{}
+		// Steps 5–6: the source hands each moved key's state over, the
+		// destination takes it, in plan order.
+		for _, mv := range m.Commands.List[0].Plan.Moved {
+			if payload, ok := ts.owned[mv.Key]; ok && mv.Dest != ts.id {
+				moves <- handoff{mv.Key, payload}
+				delete(ts.owned, mv.Key)
+			}
+			if mv.Dest == ts.id {
+				h := <-moves
+				ts.owned[h.key] = h.state
+			}
+		}
+		if c.SentMsgs() != 1 || c.RecvMsgs() != 1 {
+			errs <- fmt.Errorf("task %d: the round took %d messages out and %d in", ts.id, c.SentMsgs(), c.RecvMsgs())
+		}
 	}
 
 	wg.Add(2)
-	go runTask(tasks[0], t0, NewFramedCodec(d01a), nil)
-	go runTask(tasks[1], t1, nil, NewFramedCodec(d01b))
+	go runTask(tasks[0], t0)
+	go runTask(tasks[1], t1)
 
 	// Controller.
 	cc := []*Codec{NewFramedCodec(c0), NewFramedCodec(c1)}
@@ -206,27 +191,9 @@ func TestFullProtocolExchange(t *testing.T) {
 	if len(plan.Moved) == 0 {
 		t.Fatal("planner did not move the hot key")
 	}
-	ann := &PlanAnnounce{Interval: interval}
-	plan.Table.Each(func(k tuple.Key, d int) { ann.Table = append(ann.Table, RouteEntry{k, d}) })
-	for _, k := range plan.Moved {
-		ann.Moved = append(ann.Moved, RouteEntry{k, plan.MoveDest[k]})
-	}
+	ann := AnnounceFromPlan(interval, plan)
 	for _, c := range cc {
-		if err := c.Send(&Message{Plan: ann}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, c := range cc {
-		m, err := c.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Kind() != "ack" {
-			t.Fatalf("expected ack, got %s", m.Kind())
-		}
-	}
-	for _, c := range cc {
-		if err := c.Send(&Message{Resume: &Resume{Interval: interval}}); err != nil {
+		if err := c.Send(&Message{Commands: &Commands{Interval: interval, List: []Command{{Plan: ann}}}}); err != nil {
 			t.Fatal(err)
 		}
 	}

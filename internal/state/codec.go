@@ -8,9 +8,10 @@ import (
 )
 
 // Codec serializes a key's extracted windowed state for migration
-// across a process boundary: the payload that rides in
-// protocol.StateTransfer.Payload when source and destination tasks do
-// not share an address space. Alongside the store window it carries
+// across a process boundary: the payload a key's state would travel as
+// when source and destination tasks do not share an address space (a
+// stage in state-wire mode, engine.Stage.SetStateWire, round-trips every
+// migrated key through it). Alongside the store window it carries
 // the key's tracked windowed-memory figure, so the destination's
 // statistics tracker adopts the key with the same Mem the source
 // reported — keeping cross-process load reports bit-identical to the

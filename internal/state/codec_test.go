@@ -1,7 +1,12 @@
 package state
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/tuple"
@@ -134,6 +139,82 @@ func TestCodecCorruptPayload(t *testing.T) {
 	for _, cut := range []int{0, 1, len(p) / 2, len(p) - 1} {
 		if _, _, err := c.Decode(p[:cut]); err == nil {
 			t.Fatalf("decoding %d-byte prefix of %d succeeded", cut, len(p))
+		}
+	}
+}
+
+// windowPayload is a real two-bucket window of three tagged values
+// (int64, string, []tuple.Key) as Encode writes it: the seed the
+// corpus's payloads grow from.
+func windowPayload() []byte {
+	st := NewStore(2)
+	st.Add(9, Entry{Value: int64(5), Size: 2})
+	st.Add(9, Entry{Value: "w", Size: 1})
+	st.EndInterval()
+	st.Add(9, Entry{Value: []tuple.Key{1, 2}, Size: 3})
+	p, err := Codec{}.Encode(st.Extract(9), 6)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// The hostile payloads the corpus under testdata/fuzz/FuzzCodecDecode
+// carries too.
+var (
+	// Key 9, size 6, memory 6, then a bucket count of 2^32 behind three
+	// bytes.
+	hostileBuckets = []byte{9, 12, 12, 0x80, 0x80, 0x80, 0x80, 0x10, 1, 2, 3}
+	// A key varint that never ends.
+	cutKey = []byte{0xaa, 0xbb}
+)
+
+// FuzzCodecDecode hands Decode an arbitrary payload, as a migration
+// arriving from another host would: it must return a window or an
+// error — never panic, never size an allocation by an unchecked count —
+// and a window it returns must encode, to bytes that decode and encode
+// again unchanged.
+func FuzzCodecDecode(f *testing.F) {
+	f.Add(windowPayload())
+	f.Add(hostileBuckets)
+	f.Add(cutKey)
+	f.Fuzz(func(t *testing.T, p []byte) {
+		m, mem, err := Codec{}.Decode(p)
+		if err != nil {
+			return
+		}
+		p1, err := Codec{}.Encode(m, mem)
+		if err != nil {
+			t.Fatalf("a decoded window does not encode: %v", err)
+		}
+		m2, mem2, err := Codec{}.Decode(p1)
+		if err != nil {
+			t.Fatalf("a re-encoded window does not decode: %v", err)
+		}
+		p2, err := Codec{}.Encode(m2, mem2)
+		if err != nil || !bytes.Equal(p1, p2) {
+			t.Fatalf("re-encoding changed the window:\n % x\n % x (%v)", p1, p2, err)
+		}
+	})
+}
+
+// TestCodecSeedsCommitted keeps the committed corpus equal to the
+// payloads named here, so a layout change that breaks one fails here
+// instead of leaving a seed that no longer reaches its check.
+func TestCodecSeedsCommitted(t *testing.T) {
+	for name, want := range map[string][]byte{
+		"seed-state-window":       windowPayload(),
+		"seed-state-huge-buckets": hostileBuckets,
+		"seed-state-huge-payload": cutKey,
+	} {
+		b, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzCodecDecode", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, lit, _ := strings.Cut(strings.TrimSpace(string(b)), "\n")
+		got, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+		if err != nil || got != string(want) {
+			t.Fatalf("%s holds %q (%v), want %q", name, got, err, want)
 		}
 	}
 }

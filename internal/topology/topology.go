@@ -247,10 +247,6 @@ func Window(w int) StageOption { return func(s *StageSpec) { s.Window = w } }
 // table) and no controller is created.
 func WithAlgorithm(a Algorithm) StageOption { return func(s *StageSpec) { s.Algorithm = a } }
 
-// WithPlanner installs an explicit rebalance planner for the stage's
-// controller, overriding the algorithm-derived one.
-func WithPlanner(p balance.Planner) StageOption { return func(s *StageSpec) { s.Planner = p } }
-
 // Theta sets the stage controller's imbalance tolerance θmax.
 // Default 0.08.
 func Theta(x float64) StageOption { return func(s *StageSpec) { s.Theta = x } }

@@ -386,13 +386,13 @@ func TestPauseFreeDefaults(t *testing.T) {
 	defer def.Stop()
 	plan := &balance.Plan{Table: route.NewTable(), MoveDest: map[tuple.Key]int{}}
 	before := def.Stage(0).AssignmentRouter().Assignment()
-	if _, err := def.Stage(0).ApplyPlan(plan, nil); err != nil {
+	if _, err := def.Stage(0).ApplyPlan(plan); err != nil {
 		t.Fatalf("assignment-routed stage refused a plan: %v", err)
 	}
 	if def.Stage(0).AssignmentRouter().Assignment() == before {
 		t.Fatal("the plan did not publish a new assignment")
 	}
-	if _, err := def.Stage(1).ApplyPlan(plan, nil); err == nil {
+	if _, err := def.Stage(1).ApplyPlan(plan); err == nil {
 		t.Fatal("shuffle stage accepted a plan")
 	}
 }
