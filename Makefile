@@ -59,9 +59,11 @@ bench-e2e:
 ## the controller on the stage directly, behind the loopback loop, and
 ## behind the framed pipe. WireCodec isolates the report frame's
 ## per-message cost (the retained buffers keep allocs/msg flat as report
-## populations grow).
+## populations grow). BENCHTIME=1x (CI) only checks that they still build
+## and run.
+BENCHTIME ?= 1s
 bench-control:
-	$(GO) test -run '^$$' -bench 'ControlRound|EngineInterval|WireCodec' -benchmem -benchtime 1s ./internal/control/
+	$(GO) test -run '^$$' -bench 'ControlRound|EngineInterval|WireCodec' -benchmem -benchtime $(BENCHTIME) ./internal/control/
 
 ## bench-wire: the receive path's micro-benchmarks. TupleBatchCodec is
 ## one 256-tuple batch through Send and Recv per chunk shape (engine;
@@ -75,7 +77,6 @@ bench-control:
 ## ClusterWire is whole intervals of a 2-stage topology on two workers
 ## over a unix socket. BENCHTIME=1x (CI) only checks that they still
 ## build, run and allocate nothing.
-BENCHTIME ?= 1s
 bench-wire:
 	$(GO) test -run '^$$' -bench 'TupleBatchCodec' -benchmem -benchtime $(BENCHTIME) ./internal/protocol/
 	$(GO) test -run '^$$' -bench 'DestTuples' -benchmem -benchtime $(BENCHTIME) ./internal/route/

@@ -105,7 +105,7 @@
 //     atomic claim of shuffle positions; no lock — and sends each task
 //     at most one channel message per batch, carved from a
 //     refcount-recycled buffer;
-//   - route.Assignment.DestBatch/DestTuples resolve destinations in
+//   - route.Assignment.DestTuples resolves destinations in
 //     one pass, each key probing the frozen routing table and going to
 //     the ring only on a miss, with the empty-table test and interface
 //     dispatch hoisted out of the per-tuple loop; with hot keys split,

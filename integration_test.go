@@ -159,8 +159,7 @@ func TestShortAndLongTermComposed(t *testing.T) {
 		t.Fatal("autoscaler history records no applied scale-in")
 	}
 	for _, k := range st.LiveKeys() {
-		d, ok := sys.Dest(0, k)
-		if !ok || d >= shrunk {
+		if d := st.AssignmentRouter().Assignment().Dest(k); d >= shrunk {
 			t.Fatalf("key %d routed to retired instance %d of %d", k, d, shrunk)
 		}
 	}

@@ -481,6 +481,11 @@ func TestRoutedOrderSortsBySmallestMemory(t *testing.T) {
 	}
 }
 
+// DefaultConfig mirrors the bold defaults of Tab. II.
+func DefaultConfig() Config {
+	return Config{ThetaMax: 0.08, TableMax: 3000, Beta: 1.5, MaxTrials: 32}
+}
+
 func TestDefaultConfigMatchesTableII(t *testing.T) {
 	c := DefaultConfig()
 	if c.ThetaMax != 0.08 || c.TableMax != 3000 || c.Beta != 1.5 {

@@ -51,11 +51,6 @@ type Config struct {
 	MaxTrials int
 }
 
-// DefaultConfig mirrors the bold defaults of Tab. II.
-func DefaultConfig() Config {
-	return Config{ThetaMax: 0.08, TableMax: 3000, Beta: 1.5, MaxTrials: 32}
-}
-
 // Plan is the outcome of one planner run: the new routing table A′, the
 // migration set Δ(F, F′) and the cost/balance accounting the evaluation
 // section reports.

@@ -131,13 +131,6 @@ func (b *BatchConn) Flush() error {
 	return nil
 }
 
-// Err returns the latched transport error, if any.
-func (b *BatchConn) Err() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.err
-}
-
 // Stat returns the underlying connection's byte counters.
 func (b *BatchConn) Stat() protocol.ConnStat { return b.c.Stat() }
 

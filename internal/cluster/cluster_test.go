@@ -8,7 +8,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -46,13 +45,17 @@ func (p scriptedResize) Decide(env control.Env, snap *stats.Snapshot) []control.
 	return nil
 }
 
-// splitLog is a policy that records the split set each round's Env
-// carries to the count stage's policies: what its controller planned
-// around.
-type splitLog struct{ rounds *[][]control.SplitSpec }
+// roundLog is the count stage's last policy: each round it records the
+// snapshot the stage's policies decided on and the split set its Env
+// carried, what the controller planned around. Policies run where the
+// stage is planned — on a cluster's coordinator — so both runs record
+// at the same post-round point.
+type roundLog struct{ r *distributedRun }
 
-func (l splitLog) Decide(env control.Env, _ *stats.Snapshot) []control.Command {
-	*l.rounds = append(*l.rounds, append([]control.SplitSpec(nil), env.Split...))
+func (l roundLog) Decide(env control.Env, snap *stats.Snapshot) []control.Command {
+	// A copy: the round's keys live in a buffer the next close recycles.
+	l.r.snaps = append(l.r.snaps, snap.Clone())
+	l.r.splitEnv = append(l.r.splitEnv, append([]control.SplitSpec(nil), env.Split...))
 	return nil
 }
 
@@ -102,8 +105,8 @@ func runDistributed(t *testing.T, network string, nWorkers int, mutate ...func(*
 	for _, m := range mutate {
 		m(spec)
 	}
-	var splitEnv [][]control.SplitSpec
-	spec.Stages[1].Policies = append(spec.Stages[1].Policies, splitLog{&splitEnv})
+	r := &distributedRun{}
+	spec.Stages[1].Policies = append(spec.Stages[1].Policies, roundLog{r})
 	addr := "127.0.0.1:0"
 	if network == "unix" {
 		addr = filepath.Join(t.TempDir(), "coord.sock")
@@ -112,15 +115,6 @@ func runDistributed(t *testing.T, network string, nWorkers int, mutate ...func(*
 	if err != nil {
 		t.Fatalf("coordinator: %v", err)
 	}
-
-	var mu sync.Mutex
-	var snaps []*stats.Snapshot
-	c.OnRound(1, func(env control.Env, snap *stats.Snapshot) {
-		mu.Lock()
-		// A copy: the round's keys live in a buffer the codec recycles.
-		snaps = append(snaps, snap.Clone())
-		mu.Unlock()
-	})
 
 	workers := make([]*Worker, nWorkers)
 	errs := make(chan error, nWorkers)
@@ -145,9 +139,9 @@ func runDistributed(t *testing.T, network string, nWorkers int, mutate ...func(*
 	}
 
 	// Capture worker-side state while the stages are still alive.
-	r := &distributedRun{rebalances: c.Rebalances()}
+	r.rebalances = c.Rebalances()
 	r.series = append(r.series, c.Recorder().Series...)
-	if ctl := c.Controller(1); ctl != nil {
+	if ctl := c.ctls[1]; ctl != nil {
 		r.planner, r.held, r.pinned = ctl.Planner.Name(), ctl.HeldSplit, ctl.SplitPinned
 	}
 	for _, p := range c.policies[1] {
@@ -182,10 +176,6 @@ func runDistributed(t *testing.T, network string, nWorkers int, mutate ...func(*
 		}
 	}
 
-	mu.Lock()
-	r.snaps = snaps
-	mu.Unlock()
-	r.splitEnv = splitEnv
 	return r
 }
 
@@ -198,21 +188,13 @@ func runLocal(t *testing.T, mutate ...func(*Spec)) *distributedRun {
 	for _, m := range mutate {
 		m(spec)
 	}
-	var splitEnv [][]control.SplitSpec
-	spec.Stages[1].Policies = append(spec.Stages[1].Policies, splitLog{&splitEnv})
+	r := &distributedRun{}
+	spec.Stages[1].Policies = append(spec.Stages[1].Policies, roundLog{r})
 	sys := spec.BuildLocal()
 	defer sys.Stop()
-
-	var snaps []*stats.Snapshot
-	sys.Engine.AddSnapshotHook(1, func(e *engine.Engine, si int, snap *stats.Snapshot) *engine.Rebalance {
-		cp := &stats.Snapshot{Interval: snap.Interval, ND: snap.ND, Keys: append([]stats.KeyStat(nil), snap.Keys...)}
-		snaps = append(snaps, cp)
-		return nil
-	})
-
 	sys.Run(testIntervals)
 
-	r := &distributedRun{rebalances: sys.Rebalances(), snaps: snaps, splitEnv: splitEnv}
+	r.rebalances = sys.Rebalances()
 	r.series = append(r.series, sys.Recorder().Series...)
 	if ctl := sys.Controller(1); ctl != nil {
 		r.planner, r.held, r.pinned = ctl.Planner.Name(), ctl.HeldSplit, ctl.SplitPinned
@@ -233,7 +215,7 @@ func (r *distributedRun) captureStage(count *engine.Stage) {
 	}
 	for d := 0; d < count.Instances(); d++ {
 		st := count.StoreOf(d)
-		r.stores = append(r.stores, storeSnap{total: st.TotalSize(), keys: st.KeyCount()})
+		r.stores = append(r.stores, storeSnap{total: st.TotalSize(), keys: len(st.Keys())})
 	}
 }
 
@@ -543,7 +525,7 @@ func TestDistributedRunsWholeDeclaration(t *testing.T) {
 // operator its binary never registered, or a stage shape no declaration
 // resolves to, ends its session naming it instead of building it.
 func TestInvalidDeclarationRefused(t *testing.T) {
-	op := func(int) engine.Operator { return engine.Discard }
+	op := func(int) engine.Operator { return engine.OperatorFunc(func(*engine.TaskCtx, tuple.Tuple) {}) }
 	rows := []struct {
 		name    string
 		mutate  func(*Spec)

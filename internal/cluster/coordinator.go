@@ -10,7 +10,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/protocol"
-	"repro/internal/stats"
 )
 
 // registerTimeout bounds how long Deploy waits for the worker fleet to
@@ -48,7 +47,6 @@ type Coordinator struct {
 
 	policies [][]control.Policy
 	ctls     []*controller.Controller
-	onRound  []func(control.Env, *stats.Snapshot)
 
 	placement []int
 	capacity  []int64
@@ -82,7 +80,6 @@ func NewCoordinator(spec *Spec, network, addr string) (*Coordinator, error) {
 	n := len(r.Stages)
 	c.policies = make([][]control.Policy, n)
 	c.ctls = make([]*controller.Controller, n)
-	c.onRound = make([]func(control.Env, *stats.Snapshot), n)
 	c.servers = make([]*control.Server, n)
 	c.ctlConns = make([]*Conn, n)
 	for si := range r.Stages {
@@ -96,16 +93,6 @@ func NewCoordinator(spec *Spec, network, addr string) (*Coordinator, error) {
 // Addr returns the listener's dialable address — what workers pass as
 // their coordinator endpoint.
 func (c *Coordinator) Addr() string { return c.ln.Addr() }
-
-// OnRound registers an observer for stage si's completed control
-// rounds (reassembled snapshot plus stage context), called on the
-// stage's server goroutine. Must be set before Deploy — the server is
-// created when the stage's worker dials in.
-func (c *Coordinator) OnRound(si int, fn func(control.Env, *stats.Snapshot)) {
-	c.mu.Lock()
-	c.onRound[si] = fn
-	c.mu.Unlock()
-}
 
 // accept classifies inbound connections by their Hello role: workers
 // register (welcomed with their fleet index), control connections are
@@ -147,7 +134,6 @@ func (c *Coordinator) accept() {
 				continue
 			}
 			srv := control.NewServer(conn, c.policies[si])
-			srv.OnRound = c.onRound[si]
 			c.servers[si] = srv
 			c.ctlConns[si] = conn
 			srv.Start()
@@ -349,10 +335,6 @@ func (c *Coordinator) RunInterval() error {
 // Recorder exposes the target stage's per-interval metric series —
 // the same rows a single-process run's engine.Recorder accumulates.
 func (c *Coordinator) Recorder() *metrics.Recorder { return c.rec }
-
-// Controller returns stage si's coordinator-side rebalance controller,
-// or nil for planner-less stages.
-func (c *Coordinator) Controller(si int) *controller.Controller { return c.ctls[si] }
 
 // Rebalances sums applied plans across every controller-managed stage.
 func (c *Coordinator) Rebalances() int {

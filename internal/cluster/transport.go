@@ -10,9 +10,12 @@ import (
 )
 
 // Proto is the cluster session protocol version, validated on both
-// sides of every Hello/Welcome handshake. Version 12's control round
-// is one exchange: the LoadReport, answered by one Commands frame
-// listing the round's plans, resizes and splits; version 11 sent each
+// sides of every Hello/Welcome handshake. Version 13's Commands entries
+// carry no interval of their own: the list's interval, the reported
+// one, is theirs; every version-12 plan, resize and split entry repeated
+// it. Version 12's control round is one exchange: the LoadReport,
+// answered by one Commands frame listing the round's plans, resizes and
+// splits; version 11 sent each
 // command as a frame of its own, a state-transfer frame per migrated
 // key, an Ack per command and a closing Resume. Version 11's load report
 // carries each split key with its fan, as (key, fan) pairs; version 10's
@@ -33,7 +36,7 @@ import (
 // arrays for the coordinator to model instead. Version 4 introduced the
 // flagged batch sub-frame, whose rows carry only the fields that vary
 // inside their chunk. Older peers are refused.
-const Proto = 12
+const Proto = 13
 
 // handshakeTimeout bounds the Hello/Welcome exchange (and nothing
 // else: established connections block indefinitely — the interval

@@ -196,7 +196,7 @@ func TestHandshakeProtoMismatch(t *testing.T) {
 		t.Fatalf("listen: %v", err)
 	}
 	defer ln.Close()
-	for _, proto := range []int{Proto + 1, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2} {
+	for _, proto := range []int{Proto + 1, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2} {
 		go func() {
 			// A raw framed client announcing the wrong protocol version.
 			nc, err := net.Dial("tcp", ln.Addr())
@@ -316,9 +316,15 @@ func flushEcho(t *testing.T, c *Conn, got *[][]tuple.Tuple, done chan<- struct{}
 		}
 		switch {
 		case m.Batch != nil:
-			m.Batch.Chunks(func(ts []tuple.Tuple) {
-				*got = append(*got, append([]tuple.Tuple(nil), ts...))
-			})
+			b, start := m.Batch, 0
+			bounds := b.Bounds // a batch of one chunk carries none
+			if len(bounds) == 0 {
+				bounds = []int{len(b.Tuples)}
+			}
+			for _, end := range bounds {
+				*got = append(*got, append([]tuple.Tuple(nil), b.Tuples[start:end]...))
+				start = end
+			}
 		case m.FlushReq != nil:
 			if c.Send(&protocol.Message{FlushReq: m.FlushReq}) != nil {
 				return

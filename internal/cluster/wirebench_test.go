@@ -77,5 +77,5 @@ func registerWireBenchOps() {
 			ctx.Emit(tuple.New(t.Key, nil))
 		})
 	})
-	RegisterOp("wirebench/sink", func(int) engine.Operator { return engine.Discard })
+	RegisterOp("wirebench/sink", func(int) engine.Operator { return engine.OperatorFunc(func(*engine.TaskCtx, tuple.Tuple) {}) })
 }

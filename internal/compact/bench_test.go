@@ -43,7 +43,7 @@ func BenchmarkBuildVectors(b *testing.B) {
 
 func BenchmarkCompactPlan(b *testing.B) {
 	snap := benchSnap(50000)
-	cfg := balance.DefaultConfig()
+	cfg := balance.Config{ThetaMax: 0.08, TableMax: 3000, Beta: 1.5, MaxTrials: 32}
 	for _, R := range []int64{1, 8, 64} {
 		b.Run(fmt.Sprintf("R=%d", R), func(b *testing.B) {
 			b.ReportAllocs()

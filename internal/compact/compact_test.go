@@ -48,11 +48,11 @@ func TestDiscretizerPaperExampleZeroDeviation(t *testing.T) {
 	wantPhi := []int64{8, 4, 4, 2, 2, 2, 1, 1, 1, 1}
 	for i, x := range xs {
 		if got := d.Map(x); got != wantPhi[i] {
-			t.Fatalf("φ(x%d=%d) = %d, want %d (δ so far %d)", i+1, x, got, wantPhi[i], d.Delta())
+			t.Fatalf("φ(x%d=%d) = %d, want %d (δ so far %d)", i+1, x, got, wantPhi[i], d.delta)
 		}
 	}
-	if d.Delta() != 0 {
-		t.Fatalf("total deviation = %d, want 0 (Theorem 3)", d.Delta())
+	if d.delta != 0 {
+		t.Fatalf("total deviation = %d, want 0 (Theorem 3)", d.delta)
 	}
 }
 
@@ -71,7 +71,7 @@ func TestDiscretizerDeviationStaysBounded(t *testing.T) {
 		R := int64(1) << rng.Intn(6)
 		d := NewDiscretizer(xs[0], R)
 		maxGap := int64(0)
-		reps := d.Reps()
+		reps := d.reps
 		for i := 1; i < len(reps); i++ {
 			if g := reps[i-1] - reps[i]; g > maxGap {
 				maxGap = g
@@ -79,8 +79,8 @@ func TestDiscretizerDeviationStaysBounded(t *testing.T) {
 		}
 		for _, x := range xs {
 			d.Map(x)
-			if d.Delta() > maxGap || d.Delta() < -maxGap {
-				t.Fatalf("trial %d: |δ| = %d exceeds max representative gap %d", trial, d.Delta(), maxGap)
+			if d.delta > maxGap || d.delta < -maxGap {
+				t.Fatalf("trial %d: |δ| = %d exceeds max representative gap %d", trial, d.delta, maxGap)
 			}
 		}
 	}
@@ -139,8 +139,8 @@ func TestBuildGroupsEqualKeys(t *testing.T) {
 		[5]int64{3, 4, 4, 2, 0},
 	)
 	sp := Build(snap, 1)
-	if sp.Size() != 2 {
-		t.Fatalf("|Kc| = %d, want 2", sp.Size())
+	if len(sp.Vectors) != 2 {
+		t.Fatalf("|Kc| = %d, want 2", len(sp.Vectors))
 	}
 	var found bool
 	for _, v := range sp.Vectors {
@@ -164,9 +164,9 @@ func TestSpaceShrinksWithLargerR(t *testing.T) {
 		})
 	}
 	stats.SortByCostDesc(snap.Keys)
-	s1 := Build(snap, 1).Size()
-	s8 := Build(snap, 8).Size()
-	s64 := Build(snap, 64).Size()
+	s1 := len(Build(snap, 1).Vectors)
+	s8 := len(Build(snap, 8).Vectors)
+	s64 := len(Build(snap, 64).Vectors)
 	if !(s64 <= s8 && s8 <= s1) {
 		t.Fatalf("|Kc| not shrinking with R: R1=%d R8=%d R64=%d", s1, s8, s64)
 	}
@@ -278,8 +278,8 @@ func TestCompactPlannerFasterSpaceThanKeys(t *testing.T) {
 	}
 	stats.SortByCostDesc(snap.Keys)
 	sp := Build(snap, 8)
-	if sp.Size() > len(snap.Keys)/10 {
-		t.Fatalf("|Kc| = %d not ≪ |K| = %d", sp.Size(), len(snap.Keys))
+	if len(sp.Vectors) > len(snap.Keys)/10 {
+		t.Fatalf("|Kc| = %d not ≪ |K| = %d", len(sp.Vectors), len(snap.Keys))
 	}
 }
 

@@ -59,12 +59,6 @@ func NewDiscretizer(max, R int64) *Discretizer {
 	return &Discretizer{reps: Representatives(max, R)}
 }
 
-// Reps exposes the representative ladder (for tests and reporting).
-func (d *Discretizer) Reps() []int64 { return d.reps }
-
-// Delta returns the current accumulated deviation.
-func (d *Discretizer) Delta() int64 { return d.delta }
-
 // Map returns φ(x) for the next value in the non-increasing stream.
 // Values below 1 are clamped to 1 (the paper normalizes the smallest
 // value to at least 1).

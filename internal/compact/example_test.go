@@ -12,11 +12,13 @@ func ExampleDiscretizer() {
 	xs := []int64{8, 6, 3, 2, 2, 1, 1, 1, 1, 1}
 	d := compact.NewDiscretizer(8, 4)
 	phis := make([]int64, len(xs))
+	var deviation int64 // Σ x − φ(x)
 	for i, x := range xs {
 		phis[i] = d.Map(x)
+		deviation += x - phis[i]
 	}
 	fmt.Println(phis)
-	fmt.Printf("total deviation: %d\n", d.Delta())
+	fmt.Printf("total deviation: %d\n", deviation)
 	// Output:
 	// [8 4 4 2 2 2 1 1 1 1]
 	// total deviation: 0

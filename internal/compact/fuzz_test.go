@@ -22,7 +22,7 @@ func FuzzDiscretizerDeviationBounded(f *testing.F) {
 		}
 		sort.Slice(xs, func(a, b int) bool { return xs[a] > xs[b] })
 		d := NewDiscretizer(xs[0], R)
-		reps := d.Reps()
+		reps := d.reps
 		// Ladder sanity: strictly decreasing, ends at 1, covers max.
 		for i := 1; i < len(reps); i++ {
 			if reps[i-1] <= reps[i] {
@@ -55,8 +55,8 @@ func FuzzDiscretizerDeviationBounded(f *testing.F) {
 				t.Fatalf("φ(%d) = %d is not a representative", x, phi)
 			}
 			// The accumulated deviation stays within one ladder gap.
-			if d.Delta() > maxGap || d.Delta() < -maxGap {
-				t.Fatalf("|δ| = %d exceeds max gap %d", d.Delta(), maxGap)
+			if d.delta > maxGap || d.delta < -maxGap {
+				t.Fatalf("|δ| = %d exceeds max gap %d", d.delta, maxGap)
 			}
 		}
 	})

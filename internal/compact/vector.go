@@ -91,9 +91,6 @@ func Build(snap *stats.Snapshot, R int64) *Space {
 	return sp
 }
 
-// Size returns |Kc|, the number of distinct vectors.
-func (sp *Space) Size() int { return len(sp.Vectors) }
-
 // EstimatedLoads returns per-instance loads computed from discretized
 // costs under the snapshot's current destinations, over its pinned
 // loads.

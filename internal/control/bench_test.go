@@ -112,9 +112,9 @@ func BenchmarkControlRound(b *testing.B) {
 	const nd = 8
 	for _, transport := range []string{"loopback", "framed-pipe"} {
 		b.Run(transport, func(b *testing.B) {
-			st := engine.NewStage("bench", nd, func(int) engine.Operator { return engine.Discard }, 1,
+			st := engine.NewStage("bench", nd, func(int) engine.Operator { return engine.OperatorFunc(func(*engine.TaskCtx, tuple.Tuple) {}) }, 1,
 				engine.NewAssignmentRouter(topology.NewAssignment(nd)))
-			e := engine.New(func() tuple.Tuple { return tuple.New(0, nil) }, engine.DefaultConfig(), st)
+			e := engine.NewBatch(engine.BatchSpout(func() tuple.Tuple { return tuple.New(0, nil) }), engine.DefaultConfig(), st)
 			defer e.Stop()
 			planner := &timedPlanner{inner: balance.Mixed{}}
 			pair := control.NewLoopbackPair
@@ -124,7 +124,7 @@ func BenchmarkControlRound(b *testing.B) {
 			agent, ctrl := pair()
 			defer agent.Close()
 			x := control.NewExecutor(e, 0, agent)
-			srv := control.NewServer(ctrl, []control.Policy{controller.New(planner, balance.DefaultConfig())})
+			srv := control.NewServer(ctrl, []control.Policy{controller.New(planner, balance.Config{ThetaMax: 0.08, TableMax: 3000, Beta: 1.5, MaxTrials: 32})})
 			srv.Start()
 			defer srv.Close()
 			rounds := roundRuns(st.AssignmentRouter().Assignment(), 8)

@@ -23,16 +23,26 @@ func mkEngine(seed int64) (*engine.Engine, *engine.Stage) {
 		engine.NewAssignmentRouter(topology.NewAssignment(8)))
 	cfg := engine.DefaultConfig()
 	cfg.Budget = 8000
-	e := engine.New(gen.Next, cfg, st)
+	e := engine.NewBatch(engine.BatchSpout(gen.Next), cfg, st)
 	ar := st.AssignmentRouter()
 	e.AdvanceWorkload = func(int64) { gen.Advance(ar.Assignment()) }
 	return e, st
 }
 
-// noopHook is a snapshot hook that reads nothing: a stage observes
-// per-key statistics only while it has a hook, so a test that reads a
-// controller-less stage's snapshots registers this one.
-func noopHook(*engine.Engine, int, *stats.Snapshot) *engine.Rebalance { return nil }
+// lastSnapshots registers a hook on every stage of e that keeps the
+// stage's latest snapshot in the returned slice: a stage observes
+// per-key statistics only while it has a hook, so this is also how a
+// test reads a controller-less stage's snapshots.
+func lastSnapshots(e *engine.Engine) []*stats.Snapshot {
+	last := make([]*stats.Snapshot, len(e.Stages))
+	for si := range e.Stages {
+		e.AddSnapshotHook(si, func(_ *engine.Engine, si int, snap *stats.Snapshot) *engine.Rebalance {
+			last[si] = snap
+			return nil
+		})
+	}
+	return last
+}
 
 func mkController() *controller.Controller {
 	ctl := controller.New(balance.Mixed{}, balance.Config{ThetaMax: 0.08, TableMax: 3000, Beta: 1.5})
@@ -115,6 +125,7 @@ func TestLoopMatchesDirectController(t *testing.T) {
 			defer eDirect.Stop()
 			ctlDirect := mkController()
 			eDirect.AddSnapshotHook(0, directHook(ctlDirect))
+			directSnaps := lastSnapshots(eDirect)
 
 			eLoop, stLoop := mkEngine(101)
 			defer eLoop.Stop()
@@ -126,12 +137,13 @@ func TestLoopMatchesDirectController(t *testing.T) {
 				defer loop.Close()
 				eLoop.AddSnapshotHook(0, loop.Hook())
 			}
+			loopSnaps := lastSnapshots(eLoop)
 
 			eDirect.Run(20)
 			eLoop.Run(20)
 
 			sameSeries(t, transport, eDirect.Recorder.Series, eLoop.Recorder.Series)
-			sameSnapshots(t, transport, eDirect.LastSnapshots(), eLoop.LastSnapshots())
+			sameSnapshots(t, transport, directSnaps, loopSnaps)
 			sameTables(t, transport, stDirect, stLoop)
 			if ctlDirect.Rebalances() != ctlLoop.Rebalances() {
 				t.Fatalf("rebalances %d vs %d", ctlDirect.Rebalances(), ctlLoop.Rebalances())
@@ -156,9 +168,9 @@ func TestLoopMatchesDirectController(t *testing.T) {
 func TestSnapshotWireRoundTrip(t *testing.T) {
 	e, st := mkEngine(7)
 	defer e.Stop()
-	e.AddSnapshotHook(0, noopHook)
+	snaps := lastSnapshots(e)
 	e.Run(3)
-	snap := e.LastSnapshots()[0]
+	snap := snaps[0]
 	if len(snap.Keys) == 0 {
 		t.Fatal("empty oracle snapshot")
 	}

@@ -36,7 +36,8 @@ func NewExecutor(e *engine.Engine, si int, conn Conn) *Executor {
 // migration, Resize through the engine's elastic actuator, SplitAnnounce
 // through the stage's split set. The return value summarizes what was
 // applied, in the shape the engine records (nil when the round held,
-// the transport is gone, or the reply was not a Commands).
+// the transport is gone, or the reply was not a Commands for the
+// reported interval).
 //
 // The round's report is the snapshot itself: one LoadReport whose Keys
 // are snap.Keys, which must therefore stay untouched until the round
@@ -54,9 +55,10 @@ func (x *Executor) RunRound(snap *stats.Snapshot) *engine.Rebalance {
 		return nil
 	}
 	m, err := x.conn.Recv()
-	if err != nil || m.Commands == nil {
-		// Anything but the reply where the reply belongs breaks the
-		// protocol: the round holds rather than wedge the driver.
+	if err != nil || m.Commands == nil || m.Commands.Interval != snap.Interval {
+		// Anything but the reply to this report where the reply belongs
+		// breaks the protocol: the round holds rather than wedge the
+		// driver.
 		return nil
 	}
 	var reb *engine.Rebalance

@@ -157,7 +157,7 @@ func TestScaleInLoopbackEqualsWire(t *testing.T) {
 	lbScaler := &longterm.AutoScaler{Detector: longterm.NewDetector(), MinInstances: 2}
 	lb := buildScaleInTopology(lbFleet, lbScaler)
 	defer lb.Stop()
-	lb.Engine.AddSnapshotHook(0, noopHook) // the parse stage has no controller
+	lbSnaps := lastSnapshots(lb.Engine)
 	lb.Run(30)
 
 	wFleet := &countingFleet{}
@@ -166,11 +166,11 @@ func TestScaleInLoopbackEqualsWire(t *testing.T) {
 	w := scaleInStages(wFleet)
 	defer w.Stop()
 	defer loopOver(w.Engine, 1, []control.Policy{wCtl, wScaler}, newFramedPair)()
-	w.Engine.AddSnapshotHook(0, noopHook)
+	wSnaps := lastSnapshots(w.Engine)
 	w.Run(30)
 
 	sameSeries(t, "loopback-vs-wire", lb.Recorder().Series, w.Recorder().Series)
-	sameSnapshots(t, "loopback-vs-wire", lb.Engine.LastSnapshots(), w.Engine.LastSnapshots())
+	sameSnapshots(t, "loopback-vs-wire", lbSnaps, wSnaps)
 	sameTables(t, "loopback-vs-wire", lb.StageNamed("count"), w.StageNamed("count"))
 	if a, b := lb.StageNamed("count").Instances(), w.StageNamed("count").Instances(); a != b {
 		t.Fatalf("instance counts diverged: %d vs %d", a, b)
@@ -212,9 +212,9 @@ func (rebalanceAlways) Decide(env control.Env, _ *stats.Snapshot) []control.Comm
 // ignored, never panics on the driver goroutine.
 func TestExecutorRejectsInapplicableCommands(t *testing.T) {
 	// ScaleIn against a single-instance stage: held, engine keeps running.
-	one := engine.NewStage("one", 1, func(int) engine.Operator { return engine.Discard }, 1,
+	one := engine.NewStage("one", 1, func(int) engine.Operator { return engine.OperatorFunc(func(*engine.TaskCtx, tuple.Tuple) {}) }, 1,
 		engine.NewAssignmentRouter(topology.NewAssignment(1)))
-	e1 := engine.New(func() tuple.Tuple { return tuple.New(1, nil) }, engine.Config{Budget: 50}, one)
+	e1 := engine.NewBatch(engine.BatchSpout(func() tuple.Tuple { return tuple.New(1, nil) }), engine.Config{Budget: 50}, one)
 	defer e1.Stop()
 	l1 := control.NewLoop(e1, 0, []control.Policy{scaleInAlways{}})
 	defer l1.Close()
@@ -225,9 +225,9 @@ func TestExecutorRejectsInapplicableCommands(t *testing.T) {
 	}
 
 	// Rebalance against a shuffle stage: held.
-	sh := engine.NewStage("sh", 2, func(int) engine.Operator { return engine.Discard }, 1,
+	sh := engine.NewStage("sh", 2, func(int) engine.Operator { return engine.OperatorFunc(func(*engine.TaskCtx, tuple.Tuple) {}) }, 1,
 		engine.NewShuffleRouter(2))
-	e2 := engine.New(func() tuple.Tuple { return tuple.New(1, nil) }, engine.Config{Budget: 50}, sh)
+	e2 := engine.NewBatch(engine.BatchSpout(func() tuple.Tuple { return tuple.New(1, nil) }), engine.Config{Budget: 50}, sh)
 	defer e2.Stop()
 	l2 := control.NewLoop(e2, 0, []control.Policy{rebalanceAlways{}, scaleInAlways{}})
 	defer l2.Close()
@@ -239,28 +239,28 @@ func TestExecutorRejectsInapplicableCommands(t *testing.T) {
 
 	// A raw remote controller sending a garbage Resize delta and a
 	// plan targeting a nonexistent instance: both held.
-	st3 := engine.NewStage("op", 2, func(int) engine.Operator { return engine.Discard }, 1,
+	st3 := engine.NewStage("op", 2, func(int) engine.Operator { return engine.OperatorFunc(func(*engine.TaskCtx, tuple.Tuple) {}) }, 1,
 		engine.NewAssignmentRouter(topology.NewAssignment(2)))
-	e3 := engine.New(func() tuple.Tuple { return tuple.New(1, nil) }, engine.Config{Budget: 50}, st3)
+	e3 := engine.NewBatch(engine.BatchSpout(func() tuple.Tuple { return tuple.New(1, nil) }), engine.Config{Budget: 50}, st3)
 	defer e3.Stop()
 	agent, ctrl := control.NewLoopbackPair()
 	defer agent.Close()
 	x := control.NewExecutor(e3, 0, agent)
+	snaps3 := lastSnapshots(e3)
 	go func() {
 		if m, err := ctrl.Recv(); err != nil || m.Report == nil { // the round's one report
 			return
 		}
 		ctrl.Send(&protocol.Message{Commands: &protocol.Commands{List: []protocol.Command{
-			{Resize: &protocol.Resize{Interval: 0, Delta: 5}},
+			{Resize: &protocol.Resize{Delta: 5}},
 			{Plan: &protocol.PlanAnnounce{
-				Interval: 0,
-				Table:    []protocol.RouteEntry{{Key: 1, Dest: 7}},
-				Moved:    []protocol.RouteEntry{{Key: 1, Dest: 7}},
+				Table: []protocol.RouteEntry{{Key: 1, Dest: 7}},
+				Moved: []protocol.RouteEntry{{Key: 1, Dest: 7}},
 			}},
 		}}})
 	}()
 	e3.Run(1)
-	if reb := x.RunRound(e3.LastSnapshots()[0]); reb != nil {
+	if reb := x.RunRound(snaps3[0]); reb != nil {
 		t.Fatalf("garbage commands applied: %+v", reb)
 	}
 	if st3.Instances() != 2 {

@@ -17,14 +17,8 @@ import (
 type Server struct {
 	conn     Conn
 	policies []Policy
-	// OnRound, when set, observes every completed round's stage context
-	// and snapshot after the policies ran and the round's reply was
-	// sent. The cluster coordinator records these to pin distributed
-	// snapshots against the single-process run. Called on the server
-	// goroutine; set before Start.
-	OnRound func(Env, *stats.Snapshot)
-	wg      sync.WaitGroup
-	once    sync.Once
+	wg       sync.WaitGroup
+	once     sync.Once
 }
 
 // NewServer builds a policy server answering on conn. Call Start to
@@ -68,29 +62,26 @@ func (s *Server) serve() {
 		reply := &protocol.Commands{Interval: env.Interval}
 		for _, p := range s.policies {
 			for _, c := range p.Decide(env, snap) {
-				reply.List = appendCommand(reply.List, env.Interval, c)
+				reply.List = appendCommand(reply.List, c)
 			}
 		}
 		if s.conn.Send(&protocol.Message{Commands: reply}) != nil {
 			return
 		}
-		if s.OnRound != nil {
-			s.OnRound(env, snap)
-		}
 	}
 }
 
 // appendCommand appends c's wire form to list.
-func appendCommand(list []protocol.Command, interval int64, c Command) []protocol.Command {
+func appendCommand(list []protocol.Command, c Command) []protocol.Command {
 	switch c := c.(type) {
 	case Rebalance:
-		return append(list, protocol.Command{Plan: protocol.AnnounceFromPlan(interval, c.Plan)})
+		return append(list, protocol.Command{Plan: protocol.AnnounceFromPlan(c.Plan)})
 	case ScaleOut:
-		return append(list, protocol.Command{Resize: &protocol.Resize{Interval: interval, Delta: 1}})
+		return append(list, protocol.Command{Resize: &protocol.Resize{Delta: 1}})
 	case ScaleIn:
-		return append(list, protocol.Command{Resize: &protocol.Resize{Interval: interval, Delta: -1}})
+		return append(list, protocol.Command{Resize: &protocol.Resize{Delta: -1}})
 	case SetSplit:
-		ann := &protocol.SplitAnnounce{Interval: interval}
+		ann := &protocol.SplitAnnounce{}
 		for _, sp := range c.Set {
 			ann.Set = append(ann.Set, protocol.SplitEntry{Key: sp.Key, Fan: sp.Fan})
 		}

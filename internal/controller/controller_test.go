@@ -66,7 +66,7 @@ func TestControllerRebalancesSkew(t *testing.T) {
 	}
 	// The hot key's state must now live at its planned destination.
 	if d, ok := r.Plan.MoveDest[7]; ok {
-		if st.StoreOf(d).Size(7) == 0 {
+		if len(st.StoreOf(d).Entries(7)) == 0 {
 			t.Fatal("hot key state not at planned destination")
 		}
 	}
@@ -108,7 +108,7 @@ func directHook(c *Controller) engine.SnapshotHook {
 func TestControllerHookTargetsOnlyTargetStage(t *testing.T) {
 	s0, s1 := newStage(2), newStage(2)
 	c := New(balance.Mixed{}, balance.Config{ThetaMax: 0.08, Beta: 1.5})
-	e := engine.New(func() tuple.Tuple { return tuple.New(1, nil) },
+	e := engine.NewBatch(engine.BatchSpout(func() tuple.Tuple { return tuple.New(1, nil) }),
 		engine.Config{Budget: 100, MaxPendingFactor: 2, MigrationFactor: 1}, s0, s1)
 	defer e.Stop()
 	var seen []int
@@ -136,13 +136,13 @@ func TestControllerEndToEndReducesSkew(t *testing.T) {
 		cfg := engine.Config{Budget: 2000, MaxPendingFactor: 2, MigrationFactor: 1}
 		var n uint64
 		// 10 hot keys cover most of the load.
-		e := engine.New(func() tuple.Tuple {
+		e := engine.NewBatch(engine.BatchSpout(func() tuple.Tuple {
 			n++
 			if n%10 < 7 {
 				return tuple.New(tuple.Key(n%10), nil)
 			}
 			return tuple.New(tuple.Key(100+n%500), nil)
-		}, cfg, st)
+		}), cfg, st)
 		defer e.Stop()
 		if withController {
 			c := New(balance.Mixed{}, balance.Config{ThetaMax: 0.08, Beta: 1.5})

@@ -29,7 +29,7 @@ func TestFeedBatchMatchesFeedPerTuple(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ts := make([]tuple.Tuple, n)
 	for i := range ts {
-		ts[i] = tuple.New(tuple.Key(rng.Intn(300)), i).WithCost(int64(1 + i%3))
+		ts[i] = tuple.Tuple{Key: tuple.Key(rng.Intn(300)), Value: i, Cost: int64(1 + i%3), StateSize: 1}
 	}
 	for _, tp := range ts {
 		single.FeedBatch([]tuple.Tuple{tp})
@@ -78,7 +78,7 @@ func TestFeedBatchMatchesFeedPerTuple(t *testing.T) {
 	// Per-key state must live on identical instances with identical size.
 	for k := tuple.Key(0); k < 300; k++ {
 		for d := 0; d < nd; d++ {
-			if a, b := single.StoreOf(d).Size(k), batched.StoreOf(d).Size(k); a != b {
+			if a, b := sizeOf(single.StoreOf(d), k), sizeOf(batched.StoreOf(d), k); a != b {
 				t.Fatalf("key %d instance %d state %d ≠ %d", k, d, a, b)
 			}
 		}
@@ -190,7 +190,7 @@ func TestPKGSendersDeterministic(t *testing.T) {
 		for d := range nd {
 			m := make(map[tuple.Key]int64)
 			for _, k := range down.StoreOf(d).Keys() {
-				m[k] = down.StoreOf(d).Size(k)
+				m[k] = sizeOf(down.StoreOf(d), k)
 			}
 			stores = append(stores, m)
 		}
@@ -271,36 +271,5 @@ func TestFeedBatchConcurrentWithApplyPlanLive(t *testing.T) {
 	checkOneOwner(t, st, nil, "after the second interval")
 	if total := liveStateTotal(st); total != want {
 		t.Fatalf("total state %d, want %d (tuple loss or duplication)", total, want)
-	}
-}
-
-func TestEngineBatchSpoutMatchesLegacySpout(t *testing.T) {
-	// The same generator sequence driven through NewBatch and through
-	// the legacy per-tuple spout adapter must produce identical interval
-	// metrics — the batched emission path changes cost, not semantics.
-	mk := func(batch bool) *Engine {
-		var n uint64
-		draw := func() tuple.Tuple {
-			n++
-			return tuple.New(tuple.Key(n%777), nil)
-		}
-		st := statefulStage(4, 1)
-		cfg := DefaultConfig()
-		cfg.Budget = 5000
-		if batch {
-			return NewBatch(BatchSpout(draw), cfg, st)
-		}
-		return New(draw, cfg, st)
-	}
-	a, b := mk(false), mk(true)
-	defer a.Stop()
-	defer b.Stop()
-	a.Run(3)
-	b.Run(3)
-	for i := 0; i < 3; i++ {
-		ma, mb := a.Recorder.Series[i], b.Recorder.Series[i]
-		if ma.Throughput != mb.Throughput || ma.LatencyMs != mb.LatencyMs || ma.Skewness != mb.Skewness {
-			t.Fatalf("interval %d metrics diverge: %+v ≠ %+v", i, ma, mb)
-		}
 	}
 }

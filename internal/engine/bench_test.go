@@ -31,10 +31,10 @@ func BenchmarkEngineInterval(b *testing.B) {
 	st := statefulStage(10, 1)
 	cfg := DefaultConfig()
 	cfg.Budget = 10000
-	e := New(func() tuple.Tuple {
+	e := NewBatch(BatchSpout(func() tuple.Tuple {
 		n++
 		return tuple.New(tuple.Key(n%10000), nil)
-	}, cfg, st)
+	}), cfg, st)
 	defer e.Stop()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -59,7 +59,7 @@ func checkStateAccounting(t *testing.T, st *Stage, at string) {
 		store := st.StoreOf(d)
 		var sum int64
 		for _, k := range store.Keys() {
-			sum += store.Size(k)
+			sum += sizeOf(store, k)
 		}
 		if got := store.TotalSize(); got != sum {
 			t.Fatalf("%s: task %d TotalSize = %d, Σ Size(k) = %d", at, d, got, sum)
@@ -136,7 +136,7 @@ func TestStateVolumeConservedAcrossActuations(t *testing.T) {
 	interval := int64(0)
 	run := func(keys int) {
 		for k := 0; k < keys; k++ {
-			st.FeedBatch([]tuple.Tuple{tuple.New(tuple.Key(k), nil).WithState(int64(1 + k%4))})
+			st.FeedBatch([]tuple.Tuple{{Key: tuple.Key(k), Cost: 1, StateSize: int64(1 + k%4)}})
 		}
 		st.Barrier()
 		snap := st.EndInterval(interval)

@@ -117,10 +117,9 @@ type SnapshotHook = func(e *Engine, stageIdx int, snap *stats.Snapshot) *Rebalan
 
 // Engine runs a pipeline of stages over logical intervals.
 type Engine struct {
-	Spout Spout
-	// SpoutB, when set, is preferred over Spout: tuples are drawn
-	// through the batch API straight into the engine's reusable scratch
-	// buffer. When only Spout is set it is wrapped by BatchSpout.
+	// SpoutB draws tuples through the batch API straight into the
+	// engine's reusable scratch buffer (BatchSpout adapts a per-tuple
+	// Spout).
 	SpoutB SpoutBatch
 	// SpoutShards, when set (len == Cfg.Feeders), gives each feeder
 	// goroutine its own partitioned draw source — e.g. the workload
@@ -144,11 +143,10 @@ type Engine struct {
 	// first registration.
 	stageHooks [][]SnapshotHook
 
-	interval  int64
-	capacity  []int64 // per stage
-	lastEmit  int64
-	stopped   bool
-	snapshots []*stats.Snapshot // last interval's, per stage (for tests)
+	interval int64
+	capacity []int64 // per stage
+	lastEmit int64
+	stopped  bool
 	// emitter is the emission plane (spout draw → chunked FeedBatch into
 	// stage 0), built lazily on the first interval so spout fields may
 	// be assigned any time before.
@@ -156,12 +154,6 @@ type Engine struct {
 	// throttleBacklog is the reusable per-stage backlog view handed to
 	// ThrottleBudget each interval.
 	throttleBacklog [][]int64
-}
-
-// New assembles an engine over the given stages.
-func New(spout Spout, cfg Config, stages ...*Stage) *Engine {
-	e := &Engine{Spout: spout, Stages: stages, Cfg: cfg, Recorder: &metrics.Recorder{}}
-	return e.init()
 }
 
 // NewBatch assembles an engine drawing tuples through a batch-capable
@@ -174,7 +166,6 @@ func NewBatch(spout SpoutBatch, cfg Config, stages ...*Stage) *Engine {
 func (e *Engine) init() *Engine {
 	cfg, stages := e.Cfg, e.Stages
 	e.capacity = make([]int64, len(stages))
-	e.snapshots = make([]*stats.Snapshot, len(stages))
 	for i, s := range stages {
 		c := cfg.Capacity
 		if c == 0 {
@@ -197,9 +188,6 @@ func (e *Engine) init() *Engine {
 	}
 	return e
 }
-
-// Interval returns the number of completed intervals.
-func (e *Engine) Interval() int64 { return e.interval }
 
 // CapacityOf returns stage si's per-task service capacity in cost
 // units per interval.
@@ -243,12 +231,6 @@ func (e *Engine) LastEmitted() int64 { return e.lastEmit }
 // still carry Emitted so a remote controller judges demand exactly as
 // a single-process run would.
 func (e *Engine) SetLastEmitted(n int64) { e.lastEmit = n }
-
-// LastSnapshots returns the previous interval's per-stage snapshots. A
-// stage with no snapshot hook observes nothing, so its snapshot is empty:
-// a caller that reads a stage's statistics registers a hook for it, even
-// a no-op one.
-func (e *Engine) LastSnapshots() []*stats.Snapshot { return e.snapshots }
 
 // Run executes n intervals.
 func (e *Engine) Run(n int) {
@@ -304,9 +286,7 @@ func (e *Engine) RunInterval() {
 		s.CloseInterval()
 	}
 
-	// End the interval stage by stage. A fresh snapshot slice per
-	// interval: callers may keep the previous LastSnapshots.
-	e.snapshots = make([]*stats.Snapshot, len(e.Stages))
+	// End the interval stage by stage.
 	for si := range e.Stages {
 		if m := e.EndStage(si, e.interval); si == e.Target {
 			e.Recorder.Add(m)
@@ -333,7 +313,6 @@ func (e *Engine) EndStage(si int, interval int64) metrics.Interval {
 	cost := append([]int64(nil), s.ArrivedCost()...)
 	tuples := append([]int64(nil), s.ArrivedTuples()...)
 	snap := s.EndInterval(interval) // resets the arrival accounting
-	e.snapshots[si] = snap
 
 	// Pre-rebalance live state volume for migration percentage.
 	var liveState int64

@@ -20,6 +20,30 @@ func statefulStage(nd, w int) *Stage {
 	return NewStage("s", nd, func(int) Operator { return StatefulCount }, w, newAsgRouter(nd))
 }
 
+// Discard is an Operator that consumes tuples, charging their cost to
+// the task but keeping no state — a stand-in sink for routing-focused
+// tests. It implements BatchOperator, so a batch costs no per-tuple
+// dispatch at all.
+var Discard Operator = discardOp{}
+
+type discardOp struct{}
+
+func (discardOp) Process(ctx *TaskCtx, t tuple.Tuple)         {}
+func (discardOp) ProcessBatch(ctx *TaskCtx, ts []tuple.Tuple) {}
+
+// Discard keeps no state, so its split delta is trivially zero.
+func (discardOp) SplitAbsorb(t tuple.Tuple) int64                              { return 0 }
+func (discardOp) SplitMerge(ctx *TaskCtx, k tuple.Key, delta, freq, mem int64) {}
+
+// sizeOf returns S(k, w), key k's live state size in s.
+func sizeOf(s *state.Store, k tuple.Key) int64 {
+	var n int64
+	for _, e := range s.Entries(k) {
+		n += e.Size
+	}
+	return n
+}
+
 // Stage accessors only this package's tests read.
 
 // CtxOf returns task d's execution context, for tests that inspect
@@ -27,16 +51,21 @@ func statefulStage(nd, w int) *Stage {
 func (s *Stage) CtxOf(d int) *TaskCtx { return s.tasks[d].ctx }
 
 // noopHook is a snapshot hook that reads nothing: an engine's stage
-// observes per-key statistics only while it has a hook, so a test that
-// compares a controller-less stage's snapshots registers this one.
+// observes per-key statistics only while it has a hook.
 func noopHook(*Engine, int, *stats.Snapshot) *Rebalance { return nil }
 
-// observeAll registers noopHook on every stage of e and returns e.
-func observeAll(e *Engine) *Engine {
+// observeAll registers a hook on every stage of e that keeps the stage's
+// latest snapshot in the returned slice, so a test can compare the
+// snapshots of a controller-less stage.
+func observeAll(e *Engine) []*stats.Snapshot {
+	last := make([]*stats.Snapshot, len(e.Stages))
 	for si := range e.Stages {
-		e.AddSnapshotHook(si, noopHook)
+		e.AddSnapshotHook(si, func(_ *Engine, si int, snap *stats.Snapshot) *Rebalance {
+			last[si] = snap
+			return nil
+		})
 	}
-	return e
+	return last
 }
 
 // SplitPinned returns the cumulative count of rebalance-plan moves the
@@ -61,7 +90,7 @@ func TestStageRoutesByAssignment(t *testing.T) {
 	st.Barrier()
 	for k := tuple.Key(0); k < 200; k++ {
 		want := asg.Dest(k)
-		if got := st.StoreOf(want).Size(k); got != 1 {
+		if got := sizeOf(st.StoreOf(want), k); got != 1 {
 			t.Fatalf("key %d state on instance %d = %d, want 1", k, want, got)
 		}
 	}
@@ -71,7 +100,7 @@ func TestStageArrivalAccounting(t *testing.T) {
 	st := statefulStage(2, 1)
 	defer st.Stop()
 	for i := 0; i < 100; i++ {
-		st.FeedBatch([]tuple.Tuple{tuple.New(tuple.Key(i), nil).WithCost(2)})
+		st.FeedBatch([]tuple.Tuple{{Key: tuple.Key(i), Cost: 2, StateSize: 1}})
 	}
 	st.Barrier()
 	var cost, n int64
@@ -145,16 +174,16 @@ func TestApplyPlanMigratesState(t *testing.T) {
 	if moved != 10 {
 		t.Fatalf("ApplyPlan moved %d state units, want 10", moved)
 	}
-	if st.StoreOf(src).Size(k) != 0 {
+	if sizeOf(st.StoreOf(src), k) != 0 {
 		t.Fatal("source retains state after migration")
 	}
-	if st.StoreOf(dst).Size(k) != 10 {
-		t.Fatalf("dest state = %d, want 10", st.StoreOf(dst).Size(k))
+	if sizeOf(st.StoreOf(dst), k) != 10 {
+		t.Fatalf("dest state = %d, want 10", sizeOf(st.StoreOf(dst), k))
 	}
 	// New tuples follow the new assignment.
 	st.FeedBatch([]tuple.Tuple{tuple.New(k, "post")})
 	st.Barrier()
-	if st.StoreOf(dst).Size(k) != 11 {
+	if sizeOf(st.StoreOf(dst), k) != 11 {
 		t.Fatal("post-migration tuple did not follow routing table")
 	}
 	// Migration penalty charged to both endpoints.
@@ -197,7 +226,7 @@ func TestScaleOutPreservesStateAndCorrectness(t *testing.T) {
 	for k := tuple.Key(0); k < 100; k++ {
 		home := asg.Dest(k)
 		for d := 0; d < 4; d++ {
-			if d != home && st.StoreOf(d).Size(k) != 0 {
+			if d != home && sizeOf(st.StoreOf(d), k) != 0 {
 				t.Fatalf("key %d has state on %d but routes to %d", k, d, home)
 			}
 		}
@@ -212,7 +241,7 @@ func TestEngineThroughputBalancedVsSkewed(t *testing.T) {
 		st := statefulStage(4, 1)
 		cfg := DefaultConfig()
 		cfg.Budget = 4000
-		return New(spout, cfg, st)
+		return NewBatch(BatchSpout(spout), cfg, st)
 	}
 	var u uint64
 	uniform := mkEngine(func() tuple.Tuple {
@@ -247,7 +276,7 @@ func TestEngineSkewnessMetric(t *testing.T) {
 	st := statefulStage(2, 1)
 	cfg := DefaultConfig()
 	cfg.Budget = 1000
-	e := New(func() tuple.Tuple { return tuple.New(3, nil) }, cfg, st)
+	e := NewBatch(BatchSpout(func() tuple.Tuple { return tuple.New(3, nil) }), cfg, st)
 	defer e.Stop()
 	e.Run(1)
 	if got := e.Recorder.Series[0].Skewness; got != 2 {
@@ -266,10 +295,10 @@ func TestEngineMultiStagePipeline(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Budget = 500
 	var n uint64
-	e := New(func() tuple.Tuple {
+	e := NewBatch(BatchSpout(func() tuple.Tuple {
 		n++
 		return tuple.New(tuple.Key(n%50), nil)
-	}, cfg, s0, s1)
+	}), cfg, s0, s1)
 	defer e.Stop()
 	e.Run(1)
 	var total int64
@@ -286,7 +315,7 @@ func TestEngineOnSnapshotHookSeesLoad(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Budget = 100
 	var sawKeys int
-	e := New(func() tuple.Tuple { return tuple.New(tuple.Key(rand.Intn(10)), nil) }, cfg, st)
+	e := NewBatch(BatchSpout(func() tuple.Tuple { return tuple.New(tuple.Key(rand.Intn(10)), nil) }), cfg, st)
 	defer e.Stop()
 	e.AddSnapshotHook(0, func(_ *Engine, si int, snap *stats.Snapshot) *Rebalance {
 		sawKeys = len(snap.Keys)
@@ -323,9 +352,9 @@ func TestTaskCtxEmit(t *testing.T) {
 func TestStatefulCountKeepsWindowState(t *testing.T) {
 	st := NewStage("c", 1, func(int) Operator { return StatefulCount }, 2, newAsgRouter(1))
 	defer st.Stop()
-	st.FeedBatch([]tuple.Tuple{tuple.New(5, "x").WithState(3)})
+	st.FeedBatch([]tuple.Tuple{{Key: 5, Value: "x", Cost: 1, StateSize: 3}})
 	st.Barrier()
-	if got := st.StoreOf(0).Size(5); got != 3 {
+	if got := sizeOf(st.StoreOf(0), 5); got != 3 {
 		t.Fatalf("state size = %d, want 3", got)
 	}
 	_ = state.Entry{} // keep import for clarity of intent

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/state"
+	"repro/internal/stats"
 	"repro/internal/tuple"
 	"repro/internal/workload"
 )
@@ -50,7 +51,7 @@ func adaptShards(fns []func(dst []tuple.Tuple) int) []SpoutBatch {
 
 // mkFeederEngine builds a 6-instance engine over a seeded Zipf draw
 // with the given feeder count, returning the engine and its fleet.
-func mkFeederEngine(feeders int, shards bool) (*Engine, []*countingOp) {
+func mkFeederEngine(feeders int, shards bool) (*Engine, []*stats.Snapshot, []*countingOp) {
 	const nd = 6
 	gen := workload.NewZipfStream(2000, 0.9, 0, 10000, 23)
 	fleet := make([]*countingOp, nd)
@@ -61,12 +62,12 @@ func mkFeederEngine(feeders int, shards bool) (*Engine, []*countingOp) {
 	cfg := DefaultConfig()
 	cfg.Budget = 10000
 	cfg.Feeders = feeders
-	e := observeAll(NewBatch(gen.NextBatch, cfg, st))
+	e := NewBatch(gen.NextBatch, cfg, st)
 	if shards {
 		e.SpoutB = nil
 		e.SpoutShards = adaptShards(gen.Shard(feeders))
 	}
-	return e, fleet
+	return e, observeAll(e), fleet
 }
 
 // TestParallelFeedersMatchSerial pins the tentpole determinism claim:
@@ -76,7 +77,7 @@ func mkFeederEngine(feeders int, shards bool) (*Engine, []*countingOp) {
 // the engine's internal mutex sharder and for generator-provided
 // SpoutShards.
 func TestParallelFeedersMatchSerial(t *testing.T) {
-	serial, serialFleet := mkFeederEngine(1, false)
+	serial, serialSnaps, serialFleet := mkFeederEngine(1, false)
 	defer serial.Stop()
 	serial.Run(5)
 
@@ -88,7 +89,7 @@ func TestParallelFeedersMatchSerial(t *testing.T) {
 		{"generator-shards", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			par, parFleet := mkFeederEngine(4, tc.shards)
+			par, parSnaps, parFleet := mkFeederEngine(4, tc.shards)
 			defer par.Stop()
 			par.Run(5)
 
@@ -107,7 +108,7 @@ func TestParallelFeedersMatchSerial(t *testing.T) {
 					t.Fatalf("key %d processed %d times with 4 feeders, %d serially", k, got[k], n)
 				}
 			}
-			ss, sp := serial.LastSnapshots()[0], par.LastSnapshots()[0]
+			ss, sp := serialSnaps[0], parSnaps[0]
 			if len(ss.Keys) != len(sp.Keys) {
 				t.Fatalf("snapshot sizes %d ≠ %d", len(sp.Keys), len(ss.Keys))
 			}
@@ -123,7 +124,7 @@ func TestParallelFeedersMatchSerial(t *testing.T) {
 // TestParallelFeedersShardCountMismatchPanics pins the SpoutShards
 // wiring contract.
 func TestParallelFeedersShardCountMismatchPanics(t *testing.T) {
-	e, _ := mkFeederEngine(4, false)
+	e, _, _ := mkFeederEngine(4, false)
 	defer e.Stop()
 	e.SpoutShards = make([]SpoutBatch, 3)
 	defer func() {

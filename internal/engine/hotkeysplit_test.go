@@ -62,9 +62,9 @@ func TestSplitChargesReplicas(t *testing.T) {
 	var batch []tuple.Tuple
 	sent := 0
 	for i := 0; i < 600; i++ {
-		tp := tuple.New(hot, i).WithCost(3)
+		tp := tuple.Tuple{Key: hot, Value: i, Cost: 3, StateSize: 1}
 		if i%4 == 3 {
-			tp = tuple.New(tuple.Key(100+i%40), i).WithCost(2)
+			tp = tuple.Tuple{Key: tuple.Key(100 + i%40), Value: i, Cost: 2, StateSize: 1}
 			wantCost[asg.Dest(tp.Key)] += 2
 			wantTuples[asg.Dest(tp.Key)]++
 		} else {
@@ -134,7 +134,7 @@ func TestSplitFoldsBackExactly(t *testing.T) {
 		if d == home {
 			want = n
 		}
-		if got := st.StoreOf(d).Size(hot); got != want {
+		if got := sizeOf(st.StoreOf(d), hot); got != want {
 			t.Fatalf("instance %d holds %d state units for split key, want %d", d, got, want)
 		}
 	}
@@ -234,7 +234,7 @@ func TestSplitRetireExtractsResidue(t *testing.T) {
 		t.Fatalf("count %d after retire, fed %d", total, n)
 	}
 	home := st.AssignmentRouter().Assignment().Dest(hot)
-	if got := st.StoreOf(home).Size(hot); got != n {
+	if got := sizeOf(st.StoreOf(home), hot); got != n {
 		t.Fatalf("home state %d after retire, want %d", got, n)
 	}
 }

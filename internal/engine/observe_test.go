@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/stats"
 	"repro/internal/tuple"
 	"repro/internal/workload"
 )
@@ -21,9 +22,10 @@ type gateRun struct {
 	before, after []tuple.Key
 }
 
-// runGate drives intervals intervals of a 4-task stateful stage. The
-// no-op hook is registered before interval hookAt (never when hookAt is
-// negative); after interval 2 the stage is resized by resize (0: none).
+// runGate drives intervals intervals of a 4-task stateful stage. A hook
+// counting the snapshot's keys is registered before interval hookAt
+// (never when hookAt is negative); after interval 2 the stage is resized
+// by resize (0: none).
 func runGate(t *testing.T, hookAt, resize, intervals int) *gateRun {
 	t.Helper()
 	const nd, budget = 4, 4000
@@ -33,12 +35,16 @@ func runGate(t *testing.T, hookAt, resize, intervals int) *gateRun {
 	cfg.Budget = budget
 	r := &gateRun{e: NewBatch(gen.NextBatch, cfg, st), st: st}
 	t.Cleanup(r.e.Stop)
+	keys := 0
 	for i := 0; i < intervals; i++ {
 		if i == hookAt {
-			r.e.AddSnapshotHook(0, noopHook)
+			r.e.AddSnapshotHook(0, func(_ *Engine, _ int, snap *stats.Snapshot) *Rebalance {
+				keys = len(snap.Keys)
+				return nil
+			})
 		}
 		r.e.RunInterval()
-		r.snaps = append(r.snaps, len(r.e.LastSnapshots()[0].Keys))
+		r.snaps = append(r.snaps, keys)
 		if i == 2 && resize != 0 {
 			r.before = st.LiveKeys()
 			moved, err := r.e.ResizeStage(0, resize)
@@ -113,8 +119,8 @@ func TestObservationGate(t *testing.T) {
 					t.Fatalf("task %d stores keys %v, observed run %v", d, ka, kb)
 				}
 				for _, k := range ka {
-					if a.Size(k) != b.Size(k) {
-						t.Fatalf("task %d key %d: state %d, observed run %d", d, k, a.Size(k), b.Size(k))
+					if sizeOf(a, k) != sizeOf(b, k) {
+						t.Fatalf("task %d key %d: state %d, observed run %d", d, k, sizeOf(a, k), sizeOf(b, k))
 					}
 				}
 			}

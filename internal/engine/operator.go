@@ -124,8 +124,8 @@ type IntervalFlusher interface {
 // operator's state as if Process had run freq times with contributions
 // summing to delta and mem. Operators whose Process emits mid-interval
 // cannot satisfy that contract and must not implement SplitFolder;
-// interval-flush emitters (PartialCount) qualify because the fold
-// lands before FlushInterval.
+// interval-flush emitters qualify because the fold lands before
+// FlushInterval.
 type SplitFolder interface {
 	SplitAbsorb(t tuple.Tuple) int64
 	SplitMerge(ctx *TaskCtx, k tuple.Key, delta, freq, mem int64)
@@ -136,21 +136,6 @@ type OperatorFunc func(ctx *TaskCtx, t tuple.Tuple)
 
 // Process implements Operator.
 func (f OperatorFunc) Process(ctx *TaskCtx, t tuple.Tuple) { f(ctx, t) }
-
-// Discard is an Operator that consumes tuples, charging their cost to
-// the task but keeping no state — a stand-in sink for routing-focused
-// experiments. It implements BatchOperator, so a batch costs no
-// per-tuple dispatch at all.
-var Discard Operator = discardOp{}
-
-type discardOp struct{}
-
-func (discardOp) Process(ctx *TaskCtx, t tuple.Tuple)         {}
-func (discardOp) ProcessBatch(ctx *TaskCtx, ts []tuple.Tuple) {}
-
-// Discard keeps no state, so its split delta is trivially zero.
-func (discardOp) SplitAbsorb(t tuple.Tuple) int64                              { return 0 }
-func (discardOp) SplitMerge(ctx *TaskCtx, k tuple.Key, delta, freq, mem int64) {}
 
 // StatefulCount is a minimal stateful Operator: it appends each tuple
 // to the key's windowed state (size = t.StateSize), so state volumes

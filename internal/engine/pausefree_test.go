@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/balance"
 	"repro/internal/route"
+	"repro/internal/state"
 	"repro/internal/stats"
 	"repro/internal/tuple"
 	"repro/internal/workload"
@@ -34,9 +35,9 @@ func refApplyPlan(s *Stage, plan *balance.Plan) int64 {
 			continue
 		}
 		sc, dc := s.CtxOf(src), s.CtxOf(dst)
-		m := sc.Store.Extract(k)
-		mem := sc.Tracker.WindowedMem(k)
-		sc.Tracker.DropKey(k)
+		var m state.Migrated
+		var mem int64
+		sc.Store.Dir().Move([]tuple.Key{k}, func(_ int, x state.Migrated, xm int64) { m, mem = x, xm })
 		if m.Size > 0 {
 			dc.Store.Inject(m)
 		}
@@ -57,7 +58,7 @@ func refApplyPlan(s *Stage, plan *balance.Plan) int64 {
 // produce bit-identical interval series, final harvest
 // snapshots, routing tables and state placement.
 func TestPauseFreeMatchesPausingOracle(t *testing.T) {
-	run := func(live bool) (*Engine, *Stage) {
+	run := func(live bool) (*Engine, []*stats.Snapshot, *Stage) {
 		gen := workload.NewZipfStream(1500, 0.9, 0, 8000, 41)
 		st := statefulStage(4, 2)
 		cfg := DefaultConfig()
@@ -69,6 +70,7 @@ func TestPauseFreeMatchesPausingOracle(t *testing.T) {
 		// seeds yield identical schedules — the inductive step of the
 		// equivalence pin.
 		rng := rand.New(rand.NewSource(97))
+		snaps := observeAll(e)
 		e.AddSnapshotHook(0, func(e *Engine, si int, snap *stats.Snapshot) *Rebalance {
 			if len(snap.Keys) == 0 || rng.Intn(4) == 0 {
 				return nil
@@ -99,12 +101,12 @@ func TestPauseFreeMatchesPausingOracle(t *testing.T) {
 			return &Rebalance{Plan: plan, Moved: moved}
 		})
 		e.Run(8)
-		return e, st
+		return e, snaps, st
 	}
 
-	oracle, ost := run(false)
+	oracle, oracleSnaps, ost := run(false)
 	defer oracle.Stop()
-	live, lst := run(true)
+	live, liveSnaps, lst := run(true)
 	defer live.Stop()
 
 	for i := range oracle.Recorder.Series {
@@ -114,7 +116,7 @@ func TestPauseFreeMatchesPausingOracle(t *testing.T) {
 			t.Fatalf("interval %d diverges:\nreference %+v\nlive      %+v", i, a, b)
 		}
 	}
-	os, ls := oracle.LastSnapshots()[0], live.LastSnapshots()[0]
+	os, ls := oracleSnaps[0], liveSnaps[0]
 	if len(os.Keys) != len(ls.Keys) {
 		t.Fatalf("snapshot sizes %d ≠ %d", len(ls.Keys), len(os.Keys))
 	}
@@ -303,7 +305,7 @@ func TestPlanTasksSendAndReceive(t *testing.T) {
 	apply := func(moves []move) {
 		want := make(map[tuple.Key]int64)
 		for _, mv := range moves {
-			want[mv.k] = st.StoreOf(mv.src).Size(mv.k)
+			want[mv.k] = sizeOf(st.StoreOf(mv.src), mv.k)
 		}
 		cur := st.AssignmentRouter().Assignment()
 		tab := cur.Table().Clone()
@@ -322,10 +324,10 @@ func TestPlanTasksSendAndReceive(t *testing.T) {
 		penalty := make([]int64, nd)
 		var total int64
 		for _, mv := range moves {
-			if got := st.StoreOf(mv.dst).Size(mv.k); got != want[mv.k] {
+			if got := sizeOf(st.StoreOf(mv.dst), mv.k); got != want[mv.k] {
 				t.Errorf("key %d holds %d state units on %d, its source held %d", mv.k, got, mv.dst, want[mv.k])
 			}
-			if got := st.StoreOf(mv.src).Size(mv.k); got != 0 {
+			if got := sizeOf(st.StoreOf(mv.src), mv.k); got != 0 {
 				t.Errorf("key %d left %d state units on its source %d", mv.k, got, mv.src)
 			}
 			penalty[mv.src] += want[mv.k]
@@ -345,7 +347,7 @@ func TestPlanTasksSendAndReceive(t *testing.T) {
 	pre := make([]tuple.Tuple, 0, 4*keyDomain)
 	for k := tuple.Key(0); k < keyDomain; k++ {
 		for i := 0; i <= int(k%4); i++ {
-			pre = append(pre, tuple.New(k, nil).WithState(int64(1+k%3)))
+			pre = append(pre, tuple.Tuple{Key: k, Cost: 1, StateSize: int64(1 + k%3)})
 		}
 	}
 	st.FeedBatch(pre)
@@ -394,7 +396,7 @@ func TestPlanTasksSendAndReceive(t *testing.T) {
 	for k := tuple.Key(0); k < keyDomain; k++ {
 		home := cur.Dest(k)
 		for d := 0; d < nd; d++ {
-			sz := st.StoreOf(d).Size(k)
+			sz := sizeOf(st.StoreOf(d), k)
 			state += sz
 			if d != home && sz != 0 {
 				t.Fatalf("key %d left %d state units on instance %d (F′(k) = %d)", k, sz, d, home)

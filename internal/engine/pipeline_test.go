@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/state"
+	"repro/internal/stats"
 	"repro/internal/tuple"
 	"repro/internal/workload"
 )
@@ -57,7 +58,7 @@ func refStoreAndForward(spout SpoutBatch, cfg Config, stages ...*Stage) *Engine 
 // per key into windowed state; ref selects the store-and-forward
 // reference. Returns the engine, both stages and the downstream
 // counting fleet.
-func mkTwoStageEngine(ref bool) (*Engine, *Stage, *Stage, []*countingOp) {
+func mkTwoStageEngine(ref bool) (*Engine, []*stats.Snapshot, []*countingOp) {
 	const nd = 4
 	gen := workload.NewZipfStream(1500, 0.9, 0, 8000, 29)
 	fwd := OperatorFunc(func(ctx *TaskCtx, tp tuple.Tuple) {
@@ -71,10 +72,13 @@ func mkTwoStageEngine(ref bool) (*Engine, *Stage, *Stage, []*countingOp) {
 	}, 2, newAsgRouter(nd))
 	cfg := DefaultConfig()
 	cfg.Budget = 8000
+	var e *Engine
 	if ref {
-		return observeAll(refStoreAndForward(gen.NextBatch, cfg, s0, s1)), s0, s1, fleet
+		e = refStoreAndForward(gen.NextBatch, cfg, s0, s1)
+	} else {
+		e = NewBatch(gen.NextBatch, cfg, s0, s1)
 	}
-	return observeAll(NewBatch(gen.NextBatch, cfg, s0, s1)), s0, s1, fleet
+	return e, observeAll(e), fleet
 }
 
 // TestPipelineMatchesStoreAndForward pins the equivalence claim: under
@@ -82,11 +86,11 @@ func mkTwoStageEngine(ref bool) (*Engine, *Stage, *Stage, []*countingOp) {
 // snapshots of both stages and the downstream tuple multiset equal the
 // store-and-forward reference over identical seeds.
 func TestPipelineMatchesStoreAndForward(t *testing.T) {
-	sf, _, _, sfFleet := mkTwoStageEngine(true)
+	sf, sfSnaps, sfFleet := mkTwoStageEngine(true)
 	defer sf.Stop()
 	sf.Run(5)
 
-	pl, _, _, plFleet := mkTwoStageEngine(false)
+	pl, plSnaps, plFleet := mkTwoStageEngine(false)
 	defer pl.Stop()
 	pl.Run(5)
 
@@ -97,7 +101,7 @@ func TestPipelineMatchesStoreAndForward(t *testing.T) {
 		}
 	}
 	for si := 0; si < 2; si++ {
-		sa, sb := sf.LastSnapshots()[2*si], pl.LastSnapshots()[si]
+		sa, sb := sfSnaps[2*si], plSnaps[si]
 		if len(sa.Keys) != len(sb.Keys) {
 			t.Fatalf("stage %d snapshot sizes %d ≠ %d", si, len(sb.Keys), len(sa.Keys))
 		}
@@ -130,10 +134,10 @@ func TestBackpressureScansAllStages(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Budget = 1000 // capacity 1000 per stage, pending threshold 500
 		var n uint64
-		e := New(func() tuple.Tuple {
+		e := NewBatch(BatchSpout(func() tuple.Tuple {
 			n++
 			return tuple.New(tuple.Key(n%50), nil)
-		}, cfg, s0, s1)
+		}), cfg, s0, s1)
 		return e, s1
 	}
 	e, s1 := mk()
@@ -164,10 +168,10 @@ func TestBackpressureSingleStageUnchanged(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Budget = 1000
 		var n uint64
-		e := New(func() tuple.Tuple {
+		e := NewBatch(BatchSpout(func() tuple.Tuple {
 			n++
 			return tuple.New(tuple.Key(n%50), nil)
-		}, cfg, st)
+		}), cfg, st)
 		st.Backlog[0] = tc.backlog
 		e.RunInterval()
 		e.Stop()

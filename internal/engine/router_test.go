@@ -67,10 +67,10 @@ func TestEngineScaleOutTarget(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Budget = 3000
 	var n uint64
-	e := New(func() tuple.Tuple {
+	e := NewBatch(BatchSpout(func() tuple.Tuple {
 		n++
 		return tuple.New(tuple.Key(n%200), nil)
-	}, cfg, st)
+	}), cfg, st)
 	defer e.Stop()
 	e.Run(2)
 	moved, err := e.ResizeStage(e.Target, +1)
@@ -85,7 +85,7 @@ func TestEngineScaleOutTarget(t *testing.T) {
 	}
 	// The model keeps working at the new width.
 	e.Run(2)
-	if e.Recorder.Len() != 4 {
-		t.Fatalf("recorded %d intervals", e.Recorder.Len())
+	if len(e.Recorder.Series) != 4 {
+		t.Fatalf("recorded %d intervals", len(e.Recorder.Series))
 	}
 }

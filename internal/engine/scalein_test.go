@@ -68,7 +68,7 @@ func TestStageScaleInMigratesEverything(t *testing.T) {
 	for d := range survived {
 		survived[d] = make(map[tuple.Key]int64)
 		for _, k := range st.StoreOf(d).Keys() {
-			survived[d][k] = st.StoreOf(d).Size(k)
+			survived[d][k] = sizeOf(st.StoreOf(d), k)
 		}
 	}
 	moved, errScaleIn := st.ScaleIn()
@@ -84,7 +84,7 @@ func TestStageScaleInMigratesEverything(t *testing.T) {
 	}
 	for d, held := range survived {
 		for k, n := range held {
-			if got := st.StoreOf(d).Size(k); got < n {
+			if got := sizeOf(st.StoreOf(d), k); got < n {
 				t.Fatalf("key %d on survivor %d shrank from %d to %d units", k, d, n, got)
 			}
 		}
@@ -107,7 +107,7 @@ func TestStageScaleInMigratesEverything(t *testing.T) {
 		if d < 0 || d >= 2 {
 			t.Fatalf("key %d routes to %d after scale-in", k, d)
 		}
-		if got := st.StoreOf(d).Size(k); got == 0 {
+		if got := sizeOf(st.StoreOf(d), k); got == 0 {
 			t.Fatalf("key %d has no state at its post-scale-in home %d", k, d)
 		}
 	}
@@ -165,10 +165,10 @@ func TestEngineResizeStageRoundTrip(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Budget = 3000
 	var n uint64
-	e := New(func() tuple.Tuple {
+	e := NewBatch(BatchSpout(func() tuple.Tuple {
 		n++
 		return tuple.New(tuple.Key(n%200), nil)
-	}, cfg, st)
+	}), cfg, st)
 	defer e.Stop()
 	e.Run(2)
 	if moved, err := e.ResizeStage(0, +1); err != nil || moved == 0 {
@@ -182,8 +182,8 @@ func TestEngineResizeStageRoundTrip(t *testing.T) {
 		t.Fatalf("instances = %d after round trip", st.Instances())
 	}
 	e.Run(2)
-	if e.Recorder.Len() != 6 {
-		t.Fatalf("recorded %d intervals", e.Recorder.Len())
+	if len(e.Recorder.Series) != 6 {
+		t.Fatalf("recorded %d intervals", len(e.Recorder.Series))
 	}
 	for _, m := range e.Recorder.Series {
 		if m.Throughput <= 0 {

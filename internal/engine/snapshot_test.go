@@ -13,7 +13,7 @@ import (
 // TestSnapshotLifetime pins the rule the recycled merge buffers impose
 // and the control round relies on: the snapshot of close i is intact
 // while round i runs (plans applied, state migrated) and after close
-// i+1 — Engine.LastSnapshots' span — and a steady close allocates no new
+// i+1 — the span of a snapshot a hook kept — and a steady close allocates no new
 // buffer for it.
 func TestSnapshotLifetime(t *testing.T) {
 	st := statefulStage(4, 2)

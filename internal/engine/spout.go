@@ -47,30 +47,12 @@ func ShardSpout(sb SpoutBatch, n int) []SpoutBatch {
 	return out
 }
 
-// batchSpout resolves the engine's draw source, wrapping a legacy
-// per-tuple Spout when only that is configured.
-func (e *Engine) batchSpout() SpoutBatch {
-	if e.SpoutB != nil {
-		return e.SpoutB
-	}
-	if e.Spout == nil {
-		panic("engine: RunInterval with neither Spout nor SpoutB configured")
-	}
-	return BatchSpout(e.Spout)
-}
-
 // emit feeds emitN tuples of the current interval into stage 0 and
 // returns how many were actually drawn (fewer when a finite source
 // ends early).
 func (e *Engine) emit(emitN int64) int64 {
 	if e.emitter == nil {
-		// Generator-provided shards cover the parallel draw on their
-		// own; only resolve the unified spout when some path needs it.
-		var sb SpoutBatch
-		if e.Cfg.Feeders <= 1 || len(e.SpoutShards) == 0 {
-			sb = e.batchSpout()
-		}
-		e.emitter = NewEmitter(e.Stages[0], sb, e.SpoutShards, e.Cfg.Feeders, false)
+		e.emitter = NewEmitter(e.Stages[0], e.SpoutB, e.SpoutShards, e.Cfg.Feeders, false)
 	}
 	return e.emitter.Emit(e.interval, emitN)
 }

@@ -426,8 +426,8 @@ func (s *Stage) ArrivedTuples() []int64 { return s.arrivedTuples }
 // between, so the snapshot never aliases a tracker's buffer and a steady
 // close allocates nothing sized by the population. Its Keys are valid
 // until the close after next (the rule the tracker's runs follow): long
-// enough for the control round and Engine.LastSnapshots; whoever keeps a
-// snapshot longer takes a Clone.
+// enough for the control round and for a hook that reads it after the
+// next interval; whoever keeps a snapshot longer takes a Clone.
 func (s *Stage) EndInterval(interval int64) *stats.Snapshot {
 	if s.harvest == nil {
 		s.foldSplits()

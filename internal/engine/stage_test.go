@@ -78,10 +78,10 @@ func TestLastStageSinkSurvivesRunInterval(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Budget = 300
 	var n uint64
-	e := New(func() tuple.Tuple {
+	e := NewBatch(BatchSpout(func() tuple.Tuple {
 		n++
 		return tuple.New(tuple.Key(n%40), nil)
-	}, cfg, s0, s1)
+	}), cfg, s0, s1)
 	defer e.Stop()
 	e.Run(3)
 	if len(out.got) != 900 {
@@ -96,13 +96,13 @@ func TestStageStopIdempotent(t *testing.T) {
 }
 
 func TestEngineStopIdempotent(t *testing.T) {
-	e := New(func() tuple.Tuple { return tuple.New(1, nil) }, DefaultConfig(), statefulStage(1, 1))
+	e := NewBatch(BatchSpout(func() tuple.Tuple { return tuple.New(1, nil) }), DefaultConfig(), statefulStage(1, 1))
 	e.Stop()
 	e.Stop()
 }
 
 func TestRunIntervalAfterStopPanics(t *testing.T) {
-	e := New(func() tuple.Tuple { return tuple.New(1, nil) }, DefaultConfig(), statefulStage(1, 1))
+	e := NewBatch(BatchSpout(func() tuple.Tuple { return tuple.New(1, nil) }), DefaultConfig(), statefulStage(1, 1))
 	e.Stop()
 	defer func() {
 		if recover() == nil {
@@ -139,7 +139,7 @@ func TestThrottleFloor(t *testing.T) {
 	st := statefulStage(2, 1)
 	cfg := DefaultConfig()
 	cfg.Budget = 1000
-	e := New(func() tuple.Tuple { return tuple.New(7, nil) }, cfg, st)
+	e := NewBatch(BatchSpout(func() tuple.Tuple { return tuple.New(7, nil) }), cfg, st)
 	defer e.Stop()
 	e.Run(20)
 	last := e.Recorder.Series[19]
@@ -155,7 +155,7 @@ func TestLatencyGrowsWithBacklog(t *testing.T) {
 	st := statefulStage(2, 1)
 	cfg := DefaultConfig()
 	cfg.Budget = 1000
-	e := New(func() tuple.Tuple { return tuple.New(7, nil) }, cfg, st)
+	e := NewBatch(BatchSpout(func() tuple.Tuple { return tuple.New(7, nil) }), cfg, st)
 	defer e.Stop()
 	e.Run(2)
 	if e.Recorder.Series[1].LatencyMs <= e.Recorder.Series[0].LatencyMs {
@@ -169,7 +169,7 @@ func TestMigrationPenaltyConsumesCapacityOnce(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Budget = 1000
 	cfg.MigrationFactor = 1
-	e := New(func() tuple.Tuple { return tuple.New(tuple.Key(len(st.Backlog)), nil) }, cfg, st)
+	e := NewBatch(BatchSpout(func() tuple.Tuple { return tuple.New(tuple.Key(len(st.Backlog)), nil) }), cfg, st)
 	defer e.Stop()
 	st.MigPenalty[0] = 100
 	e.RunInterval()
@@ -182,7 +182,7 @@ func TestCapacityAccessors(t *testing.T) {
 	st := statefulStage(4, 1)
 	cfg := DefaultConfig()
 	cfg.Budget = 4000
-	e := New(func() tuple.Tuple { return tuple.New(1, nil) }, cfg, st)
+	e := NewBatch(BatchSpout(func() tuple.Tuple { return tuple.New(1, nil) }), cfg, st)
 	defer e.Stop()
 	if got := e.CapacityOf(0); got != 1000 {
 		t.Fatalf("CapacityOf = %d, want saturation 1000", got)
@@ -191,8 +191,8 @@ func TestCapacityAccessors(t *testing.T) {
 	if e.LastEmitted() != 4000 {
 		t.Fatalf("LastEmitted = %d", e.LastEmitted())
 	}
-	if e.Interval() != 1 {
-		t.Fatalf("Interval = %d", e.Interval())
+	if e.interval != 1 {
+		t.Fatalf("interval = %d", e.interval)
 	}
 }
 
@@ -201,23 +201,10 @@ func TestExplicitCapacityOverride(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Budget = 4000
 	cfg.Capacity = 99
-	e := New(func() tuple.Tuple { return tuple.New(1, nil) }, cfg, st)
+	e := NewBatch(BatchSpout(func() tuple.Tuple { return tuple.New(1, nil) }), cfg, st)
 	defer e.Stop()
 	if got := e.CapacityOf(0); got != 99 {
 		t.Fatalf("CapacityOf = %d, want explicit 99", got)
-	}
-}
-
-func TestLastSnapshotsExposed(t *testing.T) {
-	st := statefulStage(2, 1)
-	cfg := DefaultConfig()
-	cfg.Budget = 100
-	e := observeAll(New(func() tuple.Tuple { return tuple.New(5, nil) }, cfg, st))
-	defer e.Stop()
-	e.RunInterval()
-	snaps := e.LastSnapshots()
-	if len(snaps) != 1 || len(snaps[0].Keys) != 1 || snaps[0].Keys[0].Key != 5 {
-		t.Fatalf("LastSnapshots = %+v", snaps)
 	}
 }
 
@@ -225,7 +212,7 @@ func TestAdvanceWorkloadCalledPerInterval(t *testing.T) {
 	st := statefulStage(1, 1)
 	cfg := DefaultConfig()
 	cfg.Budget = 10
-	e := New(func() tuple.Tuple { return tuple.New(1, nil) }, cfg, st)
+	e := NewBatch(BatchSpout(func() tuple.Tuple { return tuple.New(1, nil) }), cfg, st)
 	defer e.Stop()
 	var calls []int64
 	e.AdvanceWorkload = func(i int64) { calls = append(calls, i) }

@@ -28,7 +28,7 @@ import (
 // its actuations move state (every moved key crosses the codec in that
 // mode), and no ApplyPlan or ResizeStage returns a state-wire error.
 func TestStateWireMatchesInMemory(t *testing.T) {
-	run := func(wire bool) (*Engine, *Stage, int64) {
+	run := func(wire bool) (*Engine, []*stats.Snapshot, *Stage, int64) {
 		gen := workload.NewZipfStream(1500, 0.9, 0, 8000, 53)
 		st := statefulStage(4, 2)
 		cfg := DefaultConfig()
@@ -41,6 +41,7 @@ func TestStateWireMatchesInMemory(t *testing.T) {
 		var migrated int64
 		rng := rand.New(rand.NewSource(131))
 		round := 0
+		snaps := observeAll(e)
 		e.AddSnapshotHook(0, func(e *Engine, si int, snap *stats.Snapshot) *Rebalance {
 			round++
 			stage := e.Stages[si]
@@ -91,12 +92,12 @@ func TestStateWireMatchesInMemory(t *testing.T) {
 			return &Rebalance{Plan: plan, Moved: moved}
 		})
 		e.Run(8)
-		return e, st, migrated
+		return e, snaps, st, migrated
 	}
 
-	ref, rst, refMigrated := run(false)
+	ref, refSnaps, rst, refMigrated := run(false)
 	defer ref.Stop()
-	wired, wst, wireMigrated := run(true)
+	wired, wiredSnaps, wst, wireMigrated := run(true)
 	defer wired.Stop()
 
 	if wireMigrated == 0 || wireMigrated != refMigrated {
@@ -110,7 +111,7 @@ func TestStateWireMatchesInMemory(t *testing.T) {
 			t.Fatalf("interval %d diverges:\nin-memory  %+v\nserialized %+v", i, a, b)
 		}
 	}
-	rs, ws := ref.LastSnapshots()[0], wired.LastSnapshots()[0]
+	rs, ws := refSnaps[0], wiredSnaps[0]
 	if len(rs.Keys) != len(ws.Keys) {
 		t.Fatalf("snapshot sizes %d ≠ %d", len(ws.Keys), len(rs.Keys))
 	}
@@ -138,7 +139,7 @@ func TestStateWireMatchesInMemory(t *testing.T) {
 		if a, b := rst.StoreOf(d).TotalSize(), wst.StoreOf(d).TotalSize(); a != b {
 			t.Fatalf("instance %d state: in-memory %d, serialized %d", d, a, b)
 		}
-		if a, b := rst.StoreOf(d).KeyCount(), wst.StoreOf(d).KeyCount(); a != b {
+		if a, b := len(rst.StoreOf(d).Keys()), len(wst.StoreOf(d).Keys()); a != b {
 			t.Fatalf("instance %d key count: in-memory %d, serialized %d", d, a, b)
 		}
 	}
@@ -277,7 +278,7 @@ func TestStateWireEncodeFailure(t *testing.T) {
 	}
 	checkOneOwner(t, st, nil, "after the failed encode")
 	for _, k := range []tuple.Key{7, 3} {
-		if got := st.StoreOf(plan.MoveDest[k]).Size(k); got != 2 {
+		if got := sizeOf(st.StoreOf(plan.MoveDest[k]), k); got != 2 {
 			t.Fatalf("key %d holds %d units on its destination, want 2", k, got)
 		}
 	}

@@ -178,19 +178,10 @@ func (r *Ring) scan(i int32, h uint64) int {
 	return ps[i].inst
 }
 
-// HashBatch resolves a whole batch of keys in one call, writing
-// dsts[i] = Hash(keys[i]). The mix+LUT fast path runs as a tight loop
-// with no per-key interface dispatch, which is what the batched
-// routing path (route.Assignment.DestBatch) wants.
-func (r *Ring) HashBatch(keys []tuple.Key, dsts []int) {
-	dsts = dsts[:len(keys)]
-	for i, k := range keys {
-		dsts[i] = r.Owner(mix(uint64(k)))
-	}
-}
-
-// HashTuples is HashBatch straight off a tuple slice: dsts[i] =
-// Hash(ts[i].Key) without a separate key-extraction pass.
+// HashTuples resolves a whole batch of tuples in one call, writing
+// dsts[i] = Hash(ts[i].Key). The mix+LUT fast path runs as a tight loop
+// with no per-key interface dispatch, which is what the batched routing
+// path (route.Assignment.DestTuples) wants.
 func (r *Ring) HashTuples(ts []tuple.Tuple, dsts []int) {
 	dsts = dsts[:len(ts)]
 	for i := range ts {

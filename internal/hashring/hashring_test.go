@@ -158,22 +158,14 @@ func TestCustomReplicas(t *testing.T) {
 func TestHashBatchFormsMatchHash(t *testing.T) {
 	r := New(7, 0)
 	const n = 5000
-	keys := make([]tuple.Key, n)
 	ts := make([]tuple.Tuple, n)
-	for i := range keys {
-		keys[i] = tuple.Key(i * 31)
-		ts[i].Key = keys[i]
+	for i := range ts {
+		ts[i].Key = tuple.Key(i * 31)
 	}
 	got := make([]int, n)
-	r.HashBatch(keys, got)
-	for i, k := range keys {
-		if want := r.Hash(k); got[i] != want {
-			t.Fatalf("HashBatch[%d] = %d, want %d", i, got[i], want)
-		}
-	}
 	r.HashTuples(ts, got)
-	for i, k := range keys {
-		if want := r.Hash(k); got[i] != want {
+	for i := range ts {
+		if want := r.Hash(ts[i].Key); got[i] != want {
 			t.Fatalf("HashTuples[%d] = %d, want %d", i, got[i], want)
 		}
 	}

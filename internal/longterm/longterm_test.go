@@ -105,7 +105,7 @@ func TestAutoScalerGrowsUnderSustainedShift(t *testing.T) {
 	cfg := engine.DefaultConfig()
 	cfg.Budget = rate
 	cfg.Capacity = 1000
-	e := engine.New(spout, cfg, st)
+	e := engine.NewBatch(engine.BatchSpout(spout), cfg, st)
 	defer e.Stop()
 
 	ctl := controller.New(balance.Mixed{}, balance.Config{ThetaMax: 0.08, TableMax: 3000, Beta: 1.5})
@@ -149,7 +149,7 @@ func TestAutoScalerAppliesScaleIn(t *testing.T) {
 	cfg := engine.DefaultConfig()
 	cfg.Budget = 400 // 10% utilization at capacity 1000
 	cfg.Capacity = 1000
-	e := engine.New(spout, cfg, st)
+	e := engine.NewBatch(engine.BatchSpout(spout), cfg, st)
 	defer e.Stop()
 
 	as := &AutoScaler{Detector: NewDetector(), MinInstances: 2}

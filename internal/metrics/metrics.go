@@ -52,9 +52,6 @@ type Recorder struct {
 // Add appends one interval.
 func (r *Recorder) Add(m Interval) { r.Series = append(r.Series, m) }
 
-// Len returns the number of recorded intervals.
-func (r *Recorder) Len() int { return len(r.Series) }
-
 // MeanThroughput averages throughput over all intervals.
 func (r *Recorder) MeanThroughput() float64 {
 	return r.mean(func(m Interval) float64 { return m.Throughput })

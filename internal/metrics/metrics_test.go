@@ -19,8 +19,8 @@ func TestRecorderMeans(t *testing.T) {
 	if got := r.MeanSkewness(); got < 1.299 || got > 1.301 {
 		t.Fatalf("MeanSkewness = %v", got)
 	}
-	if r.Len() != 2 {
-		t.Fatalf("Len = %d", r.Len())
+	if len(r.Series) != 2 {
+		t.Fatalf("%d intervals recorded", len(r.Series))
 	}
 }
 

@@ -21,7 +21,7 @@ var (
 )
 
 func newCtx(w int) *engine.TaskCtx {
-	return &engine.TaskCtx{Store: state.NewStore(w), Tracker: stats.NewTracker(w)}
+	return &engine.TaskCtx{Store: state.NewDir(w, 0).Store(), Tracker: stats.NewTracker(w)}
 }
 
 // TestProcessBatchMatchesPerTuple drives each stateful operator twice

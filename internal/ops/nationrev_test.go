@@ -55,7 +55,7 @@ func runQ5Feeders(ref bool, feeders int) map[int]int64 {
 	s0 := engine.NewStage("q5join", 4, joins.Factory, 2, asgRouter(4))
 	s1 := engine.NewStage("q5agg", 2, aggs.Factory, 2, asgRouter(2))
 	ecfg := engine.Config{Budget: 12000, MaxPendingFactor: 2, MigrationFactor: 1, Feeders: feeders}
-	e := newEngine(ref, gen.Next, ecfg, s0, s1)
+	e, _ := newEngine(ref, gen.Next, ecfg, s0, s1)
 	e.Run(4)
 	e.Stop()
 	out := make(map[int]int64)

@@ -52,7 +52,7 @@ func TestMergeCountIgnoresForeignValues(t *testing.T) {
 	ctx := &engine.TaskCtx{}
 	m.Process(ctx, tuple.New(1, "not-a-count"))
 	m.FlushInterval(ctx)
-	if got := m.M.Result(1); got != 0 {
+	if got := m.Result(1); got != 0 {
 		t.Fatalf("foreign value merged as %d", got)
 	}
 }
@@ -69,7 +69,7 @@ func TestWordCountFleetTotalsAcrossInstances(t *testing.T) {
 	f := NewWordCountFleet()
 	a := f.Factory(0).(*WordCount)
 	b := f.Factory(1).(*WordCount)
-	ctx := &engine.TaskCtx{Store: state.NewStore(1)}
+	ctx := &engine.TaskCtx{Store: state.NewDir(1, 0).Store()}
 	// Fleet totals must survive a key being counted on two instances
 	// over its lifetime (pre- and post-migration owners).
 	stub := tuple.New(5, "w")
@@ -85,10 +85,10 @@ func TestSelfJoinStateSizeTracksTrades(t *testing.T) {
 	st := engine.NewStage("join", 1, fleet.Factory, 2, asgRouter(1))
 	defer st.Stop()
 	for i := 0; i < 7; i++ {
-		st.FeedBatch([]tuple.Tuple{tuple.New(3, i).WithState(2)})
+		st.FeedBatch([]tuple.Tuple{{Key: 3, Value: i, Cost: 1, StateSize: 2}})
 	}
 	st.Barrier()
-	if got := st.StoreOf(0).Size(3); got != 14 {
+	if got := st.StoreOf(0).TotalSize(); got != 14 {
 		t.Fatalf("join window size = %d, want 14", got)
 	}
 }
@@ -105,7 +105,7 @@ func TestQ5JoinBuffersBothStreams(t *testing.T) {
 	st.FeedBatch([]tuple.Tuple{tuple.New(1, workload.Lineitem{OrderKey: 1, SuppKey: 1, ExtendedPrice: 100})})
 	st.Barrier()
 	// Both rows buffered under orderkey 1.
-	if got := st.StoreOf(0).Size(1); got == 0 {
+	if got := st.StoreOf(0).TotalSize(); got == 0 {
 		t.Fatal("join buffered nothing")
 	}
 	// Whether the pair joined depends on the region filter; emitting a

@@ -87,11 +87,11 @@ func TestWordCountCorrectAcrossMigration(t *testing.T) {
 		t.Fatalf("total across migration = %d, want 150", got)
 	}
 	// Windowed state followed the key.
-	if st.StoreOf(src).Size(hot) != 0 {
+	if st.StoreOf(src).TotalSize() != 0 {
 		t.Fatal("state left behind on source")
 	}
-	if st.StoreOf(dst).Size(hot) != 150 {
-		t.Fatalf("dest window = %d, want 150", st.StoreOf(dst).Size(hot))
+	if got := st.StoreOf(dst).TotalSize(); got != 150 {
+		t.Fatalf("dest window = %d, want 150", got)
 	}
 }
 
@@ -150,10 +150,10 @@ func TestPKGPartialMergePipelineCorrectness(t *testing.T) {
 		engine.NewPKGRouter(3))
 	s1 := engine.NewStage("merge", 2, merges.Factory, 1, asgRouter(2))
 	var n uint64
-	e := engine.New(func() tuple.Tuple {
+	e := engine.NewBatch(engine.BatchSpout(func() tuple.Tuple {
 		n++
 		return tuple.New(tuple.Key(n%7), nil)
-	}, engine.Config{Budget: 700, MaxPendingFactor: 2, MigrationFactor: 1}, s0, s1)
+	}), engine.Config{Budget: 700, MaxPendingFactor: 2, MigrationFactor: 1}, s0, s1)
 	defer e.Stop()
 	e.Run(3)
 	for k := tuple.Key(0); k < 7; k++ {
@@ -182,7 +182,7 @@ func TestQ5PipelineProducesRevenue(t *testing.T) {
 	aggs := NewNationRevenueFleet()
 	s0 := engine.NewStage("q5join", 4, joins.Factory, 2, asgRouter(4))
 	s1 := engine.NewStage("q5agg", 2, aggs.Factory, 2, asgRouter(2))
-	e := engine.New(gen.Next, engine.Config{Budget: 20000, MaxPendingFactor: 2, MigrationFactor: 1}, s0, s1)
+	e := engine.NewBatch(engine.BatchSpout(gen.Next), engine.Config{Budget: 20000, MaxPendingFactor: 2, MigrationFactor: 1}, s0, s1)
 	defer e.Stop()
 	e.Run(3)
 	if joins.TotalJoined() == 0 {
@@ -230,7 +230,7 @@ func TestQ5RebalanceKeepsResultsFlowing(t *testing.T) {
 	gen := workload.NewTPCH(cfg)
 	joins := NewQ5JoinFleet(gen, 2)
 	s0 := engine.NewStage("q5join", 4, joins.Factory, 2, asgRouter(4))
-	e := engine.New(gen.Next, engine.Config{Budget: 10000, MaxPendingFactor: 2, MigrationFactor: 1}, s0)
+	e := engine.NewBatch(engine.BatchSpout(gen.Next), engine.Config{Budget: 10000, MaxPendingFactor: 2, MigrationFactor: 1}, s0)
 	defer e.Stop()
 	ctl := controller.New(balance.Mixed{}, balance.Config{ThetaMax: 0.08, TableMax: 3000, Beta: 1.5})
 	e.AddSnapshotHook(0, directHook(ctl))

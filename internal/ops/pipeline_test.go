@@ -41,33 +41,36 @@ func (h *holdOp) FlushInterval(ctx *engine.TaskCtx) {
 // never shows in the throttle; s1 is Stages[2] of the returned engine.
 func refStoreAndForward(spout engine.Spout, cfg engine.Config, s0, s1 *engine.Stage) *engine.Engine {
 	hold := engine.NewStage("hold", 1, func(int) engine.Operator { return &holdOp{} }, 1, engine.NewShuffleRouter(1))
-	e := engine.New(spout, cfg, s0, hold, s1)
+	e := engine.NewBatch(engine.BatchSpout(spout), cfg, s0, hold, s1)
 	e.SetStageCapacity(1, math.MaxInt64/2)
 	return e
 }
 
 // newEngine assembles s0 → s1 under the streaming transfer, or under
-// the store-and-forward reference, with a no-op snapshot hook on every
-// stage: a stage observes per-key statistics only while it has a hook,
-// and the equivalence tests compare every stage's.
-func newEngine(ref bool, spout engine.Spout, cfg engine.Config, s0, s1 *engine.Stage) *engine.Engine {
+// the store-and-forward reference, with a snapshot hook on every stage
+// that keeps the stage's latest snapshot: a stage observes per-key
+// statistics only while it has a hook, and the equivalence tests
+// compare every stage's. The returned slice holds s0's and s1's.
+func newEngine(ref bool, spout engine.Spout, cfg engine.Config, s0, s1 *engine.Stage) (*engine.Engine, []*stats.Snapshot) {
 	var e *engine.Engine
 	if ref {
 		e = refStoreAndForward(spout, cfg, s0, s1)
 	} else {
-		e = engine.New(spout, cfg, s0, s1)
+		e = engine.NewBatch(engine.BatchSpout(spout), cfg, s0, s1)
 	}
+	last := make([]*stats.Snapshot, 2)
 	for si := range e.Stages {
-		e.AddSnapshotHook(si, func(*engine.Engine, int, *stats.Snapshot) *engine.Rebalance { return nil })
+		e.AddSnapshotHook(si, func(_ *engine.Engine, si int, snap *stats.Snapshot) *engine.Rebalance {
+			switch si {
+			case 0:
+				last[0] = snap
+			case len(e.Stages) - 1:
+				last[1] = snap
+			}
+			return nil
+		})
 	}
-	return e
-}
-
-// topologySnapshots drops the reference's relay from the final
-// snapshots, leaving the topology's own two stages.
-func topologySnapshots(e *engine.Engine) []*stats.Snapshot {
-	snaps := e.LastSnapshots()
-	return []*stats.Snapshot{snaps[0], snaps[len(snaps)-1]}
+	return e, last
 }
 
 // assertSeriesEqual compares two interval series field by field,
@@ -125,7 +128,7 @@ func assertTablesEqual(t *testing.T, sf, pl *engine.Stage) {
 // Mixed controller → per-nation revenue aggregation) for n intervals,
 // streaming or under the store-and-forward reference, and returns the
 // engine (stopped), the join stage and the join fleet.
-func runQ5(ref bool, n int) (*engine.Engine, *engine.Stage, *Q5JoinFleet) {
+func runQ5(ref bool, n int) (*engine.Engine, []*stats.Snapshot, *engine.Stage, *Q5JoinFleet) {
 	cfg := workload.DefaultTPCHConfig()
 	cfg.Customers, cfg.Suppliers, cfg.OrderPool = 2000, 200, 800
 	gen := workload.NewTPCH(cfg)
@@ -134,7 +137,7 @@ func runQ5(ref bool, n int) (*engine.Engine, *engine.Stage, *Q5JoinFleet) {
 	s0 := engine.NewStage("q5join", 4, joins.Factory, 2, asgRouter(4))
 	s1 := engine.NewStage("q5agg", 2, aggs.Factory, 2, asgRouter(2))
 	ecfg := engine.Config{Budget: 12000, MaxPendingFactor: 2, MigrationFactor: 1}
-	e := newEngine(ref, gen.Next, ecfg, s0, s1)
+	e, snaps := newEngine(ref, gen.Next, ecfg, s0, s1)
 	ctl := controller.New(balance.Mixed{}, balance.Config{ThetaMax: 0.08, TableMax: 3000, Beta: 1.5})
 	ctl.MinKeys = 32
 	e.AddSnapshotHook(0, directHook(ctl))
@@ -145,18 +148,18 @@ func runQ5(ref bool, n int) (*engine.Engine, *engine.Stage, *Q5JoinFleet) {
 	}
 	e.Run(n)
 	e.Stop()
-	return e, s0, joins
+	return e, snaps, s0, joins
 }
 
 // TestQ5PipelinedMatchesStoreAndForward pins the tentpole equivalence
 // on the 2-stage TPC-H Q5 topology, rebalancing and FK drift included.
 func TestQ5PipelinedMatchesStoreAndForward(t *testing.T) {
 	const intervals = 8
-	sf, sfJoin, sfFleet := runQ5(true, intervals)
-	pl, plJoin, plFleet := runQ5(false, intervals)
+	sf, sfSnaps, sfJoin, sfFleet := runQ5(true, intervals)
+	pl, plSnaps, plJoin, plFleet := runQ5(false, intervals)
 
 	assertSeriesEqual(t, sf.Recorder.Series, pl.Recorder.Series)
-	assertSnapshotsEqual(t, topologySnapshots(sf), topologySnapshots(pl))
+	assertSnapshotsEqual(t, sfSnaps, plSnaps)
 	assertTablesEqual(t, sfJoin, plJoin)
 	if a, b := sfFleet.TotalJoined(), plFleet.TotalJoined(); a != b {
 		t.Fatalf("join results diverge: store-and-forward %d, pipelined %d", a, b)
@@ -169,20 +172,20 @@ func TestQ5PipelinedMatchesStoreAndForward(t *testing.T) {
 // runPKG drives the 2-stage split-key counting topology (PKG-routed
 // partial counts flushing per interval → keyed merge) for n intervals
 // and returns the engine and the merge fleet.
-func runPKG(ref bool, n int) (*engine.Engine, *MergeCountFleet) {
+func runPKG(ref bool, n int) (*engine.Engine, []*stats.Snapshot, *MergeCountFleet) {
 	parts := NewPartialCountFleet()
 	merges := NewMergeCountFleet()
 	s0 := engine.NewStage("partial", 3, parts.Factory, 1,
 		engine.NewPKGRouter(3))
 	s1 := engine.NewStage("merge", 2, merges.Factory, 1, asgRouter(2))
 	var seq uint64
-	e := newEngine(ref, func() tuple.Tuple {
+	e, snaps := newEngine(ref, func() tuple.Tuple {
 		seq++
 		return tuple.New(tuple.Key(seq%11), nil)
 	}, engine.Config{Budget: 1100, MaxPendingFactor: 2, MigrationFactor: 1}, s0, s1)
 	e.Run(n)
 	e.Stop()
-	return e, merges
+	return e, snaps, merges
 }
 
 // TestPKGPipelinedMatchesStoreAndForward pins the tentpole equivalence
@@ -192,11 +195,11 @@ func runPKG(ref bool, n int) (*engine.Engine, *MergeCountFleet) {
 // merged totals — integer sums, order-independent — must agree exactly.
 func TestPKGPipelinedMatchesStoreAndForward(t *testing.T) {
 	const intervals = 5
-	sf, sfMerges := runPKG(true, intervals)
-	pl, plMerges := runPKG(false, intervals)
+	sf, sfSnaps, sfMerges := runPKG(true, intervals)
+	pl, plSnaps, plMerges := runPKG(false, intervals)
 
 	assertSeriesEqual(t, sf.Recorder.Series, pl.Recorder.Series)
-	assertSnapshotsEqual(t, topologySnapshots(sf), topologySnapshots(pl))
+	assertSnapshotsEqual(t, sfSnaps, plSnaps)
 	for k := tuple.Key(0); k < 11; k++ {
 		a, b := sfMerges.TotalCount(k), plMerges.TotalCount(k)
 		if a != b {

@@ -2,15 +2,13 @@ package ops
 
 import (
 	"repro/internal/engine"
-	"repro/internal/pkgpart"
 	"repro/internal/tuple"
 )
 
-// This file implements the split-key aggregation pair PKG requires
-// (Fig. 2(a) of the paper): an upstream partial-count operator whose
-// keys may be split across two instances, and a downstream merge
-// operator that recombines partials per key. The merge traffic and
-// merge work are the overhead the paper charges PKG for in Fig. 14.
+// The split-key aggregation pair PKG requires (Fig. 2(a) of the paper),
+// as the operators the PKG pipeline tests run: an upstream
+// partial-count operator whose keys may be split across two instances,
+// and a downstream merge operator that recombines partials per key.
 
 // PartialCount accumulates per-key counts locally and publishes
 // (key, partial) tuples downstream at every interval flush — the
@@ -41,20 +39,6 @@ func (p *PartialCount) ProcessBatch(ctx *engine.TaskCtx, ts []tuple.Tuple) {
 	}
 }
 
-// SplitAbsorb implements engine.SplitFolder: the partial count is an
-// occurrence sum, so the replica delta is the tuple count.
-func (p *PartialCount) SplitAbsorb(t tuple.Tuple) int64 { return 1 }
-
-// SplitMerge folds replica occurrences back into the home partial.
-// The fold runs before FlushInterval, so the emitted partials (and
-// Published) match an unsplit run exactly.
-func (p *PartialCount) SplitMerge(ctx *engine.TaskCtx, k tuple.Key, delta, freq, mem int64) {
-	if delta == 0 {
-		return
-	}
-	p.partial[k] += delta
-}
-
 // FlushInterval implements engine.IntervalFlusher: emit one partial per
 // touched key, then reset.
 func (p *PartialCount) FlushInterval(ctx *engine.TaskCtx) {
@@ -83,50 +67,40 @@ func (f *PartialCountFleet) Factory(id int) engine.Operator {
 }
 
 // MergeCount is the downstream merge operator: it folds partial counts
-// into the authoritative per-key totals via pkgpart.Merger.
+// into per-key totals once per interval (the period-p merge).
 type MergeCount struct {
-	M *pkgpart.Merger
+	partial, flushed map[tuple.Key]int64
 }
 
 // NewMergeCount builds one instance's operator.
-func NewMergeCount() *MergeCount { return &MergeCount{M: pkgpart.NewMerger()} }
+func NewMergeCount() *MergeCount {
+	return &MergeCount{partial: make(map[tuple.Key]int64), flushed: make(map[tuple.Key]int64)}
+}
 
 // Process implements engine.Operator.
 func (m *MergeCount) Process(ctx *engine.TaskCtx, t tuple.Tuple) {
 	v, _ := t.Value.(int64)
-	m.M.Add(t.Key, v)
+	m.partial[t.Key] += v
 }
 
-// ProcessBatch implements engine.BatchOperator: fold a whole message
-// of partials with the merger resolved once.
+// ProcessBatch implements engine.BatchOperator.
 func (m *MergeCount) ProcessBatch(ctx *engine.TaskCtx, ts []tuple.Tuple) {
-	mg := m.M
 	for i := range ts {
-		v, _ := ts[i].Value.(int64)
-		mg.Add(ts[i].Key, v)
+		m.Process(ctx, ts[i])
 	}
 }
 
-// SplitAbsorb implements engine.SplitFolder: partial tuples carry an
-// int64 count, and the merge is a per-key sum — the delta is the sum
-// of absorbed partial values.
-func (m *MergeCount) SplitAbsorb(t tuple.Tuple) int64 {
-	v, _ := t.Value.(int64)
-	return v
-}
-
-// SplitMerge folds the summed replica partials into the home merger.
-func (m *MergeCount) SplitMerge(ctx *engine.TaskCtx, k tuple.Key, delta, freq, mem int64) {
-	if freq == 0 {
-		return
-	}
-	m.M.Add(k, delta)
-}
-
-// FlushInterval implements engine.IntervalFlusher (period-p merge).
+// FlushInterval implements engine.IntervalFlusher: merge the period's
+// partials into the totals.
 func (m *MergeCount) FlushInterval(ctx *engine.TaskCtx) {
-	m.M.Flush()
+	for k, v := range m.partial {
+		m.flushed[k] += v
+		delete(m.partial, k)
+	}
 }
+
+// Result returns the merged total for key k.
+func (m *MergeCount) Result(k tuple.Key) int64 { return m.flushed[k] }
 
 // MergeCountFleet tracks instances.
 type MergeCountFleet struct {
@@ -149,7 +123,7 @@ func (f *MergeCountFleet) Factory(id int) engine.Operator {
 func (f *MergeCountFleet) TotalCount(k tuple.Key) int64 {
 	var s int64
 	for _, op := range f.Instances {
-		s += op.M.Result(k)
+		s += op.Result(k)
 	}
 	return s
 }

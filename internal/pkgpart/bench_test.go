@@ -13,14 +13,3 @@ func BenchmarkRoute(b *testing.B) {
 		r.Route(tuple.New(tuple.Key(i%1000), nil))
 	}
 }
-
-func BenchmarkMergerFlush(b *testing.B) {
-	m := NewMerger()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for k := 0; k < 100; k++ {
-			m.Add(tuple.Key(k), 1)
-		}
-		m.Flush()
-	}
-}

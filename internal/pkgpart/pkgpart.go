@@ -72,40 +72,3 @@ func mix(x uint64) uint64 {
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
 }
-
-// Merger models PKG's downstream partial-result combiner for key-based
-// aggregations: each upstream partial (key, value) pair lands in one of
-// the key's two slots; Flush combines and emits totals every period.
-// The merge work per flush is proportional to the number of live keys,
-// which is the extra computation the paper charges PKG for.
-type Merger struct {
-	partial map[tuple.Key]int64
-	// FlushedKeys counts key-merges performed, a proxy for merge cost.
-	FlushedKeys int64
-	flushed     map[tuple.Key]int64
-}
-
-// NewMerger returns an empty merger.
-func NewMerger() *Merger {
-	return &Merger{partial: make(map[tuple.Key]int64), flushed: make(map[tuple.Key]int64)}
-}
-
-// Add accumulates a partial count for key k.
-func (m *Merger) Add(k tuple.Key, v int64) {
-	m.partial[k] += v
-}
-
-// Flush merges all pending partials into the global result and returns
-// the number of keys merged this period.
-func (m *Merger) Flush() int {
-	n := len(m.partial)
-	for k, v := range m.partial {
-		m.flushed[k] += v
-		m.FlushedKeys++
-		delete(m.partial, k)
-	}
-	return n
-}
-
-// Result returns the merged total for key k.
-func (m *Merger) Result(k tuple.Key) int64 { return m.flushed[k] }

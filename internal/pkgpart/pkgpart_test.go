@@ -88,34 +88,6 @@ func TestSingleInstanceRouter(t *testing.T) {
 	}
 }
 
-func TestMergerCombinesPartials(t *testing.T) {
-	m := NewMerger()
-	m.Add(1, 5)
-	m.Add(1, 7)
-	m.Add(2, 3)
-	if len(m.partial) != 2 {
-		t.Fatalf("pending = %d, want 2", len(m.partial))
-	}
-	if n := m.Flush(); n != 2 {
-		t.Fatalf("Flush merged %d keys, want 2", n)
-	}
-	if m.Result(1) != 12 || m.Result(2) != 3 {
-		t.Fatalf("Results = %d/%d, want 12/3", m.Result(1), m.Result(2))
-	}
-	if len(m.partial) != 0 {
-		t.Fatal("Flush left pending partials")
-	}
-	// Second period accumulates on top.
-	m.Add(1, 1)
-	m.Flush()
-	if m.Result(1) != 13 {
-		t.Fatalf("Result after second flush = %d, want 13", m.Result(1))
-	}
-	if m.FlushedKeys != 3 {
-		t.Fatalf("FlushedKeys = %d, want 3", m.FlushedKeys)
-	}
-}
-
 // TestLocalEstimatesMatchOneSender pins the property Nasir et al.'s
 // algorithm rests on: senders route on local load estimates and never
 // coordinate, yet k of them balance as well as one. One Zipf stream

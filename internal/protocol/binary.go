@@ -108,8 +108,8 @@ const (
 )
 
 // minCommandLen is the least a commands list's entry takes on the wire:
-// its kind byte and two varints (a resize, or a split with no entries).
-const minCommandLen = 3
+// its kind byte and one varint (a resize, or a split with no entries).
+const minCommandLen = 2
 
 // batchHeaderLen is the fixed-width batch frame header: the kind byte
 // plus a 4-byte big-endian sub-batch count, patched in place when the
@@ -613,7 +613,8 @@ func mkRoute(k tuple.Key, d int) RouteEntry   { return RouteEntry{Key: k, Dest: 
 func mkSplit(k tuple.Key, f int) SplitEntry   { return SplitEntry{Key: k, Fan: f} }
 
 // appendCommands encodes a round's reply: the interval, then each
-// command behind its own kind byte.
+// command behind its own kind byte. The entries carry no interval of
+// their own; the list's is theirs.
 func appendCommands(dst []byte, cs *Commands) ([]byte, error) {
 	dst = appendUvarint(appendSvarints(dst, kindCommands, cs.Interval), uint64(len(cs.List)))
 	for i, c := range cs.List {
@@ -621,9 +622,9 @@ func appendCommands(dst []byte, cs *Commands) ([]byte, error) {
 		case c.Plan != nil:
 			dst = appendPlan(dst, c.Plan)
 		case c.Resize != nil:
-			dst = appendSvarints(dst, kindResize, c.Resize.Interval, int64(c.Resize.Delta))
+			dst = appendSvarint(append(dst, kindResize), int64(c.Resize.Delta))
 		case c.Split != nil:
-			dst = appendPairs(appendSvarints(dst, kindSplit, c.Split.Interval), c.Split.Set, splitPair)
+			dst = appendPairs(append(dst, kindSplit), c.Split.Set, splitPair)
 		default:
 			return nil, fmt.Errorf("protocol: refusing to send empty command %d", i)
 		}
@@ -647,9 +648,9 @@ func decodeCommands(cur *cursor) *Commands {
 		case kindPlan:
 			c.Plan = decodePlan(cur)
 		case kindResize:
-			c.Resize = &Resize{Interval: cur.Varint(), Delta: int(cur.Varint())}
+			c.Resize = &Resize{Delta: int(cur.Varint())}
 		case kindSplit:
-			c.Split = &SplitAnnounce{Interval: cur.Varint(), Set: pairs(cur, mkSplit)}
+			c.Split = &SplitAnnounce{Set: pairs(cur, mkSplit)}
 		default:
 			cur.Fail("command %d of %d has kind %#x", i, n, kind)
 		}
@@ -661,15 +662,14 @@ func decodeCommands(cur *cursor) *Commands {
 }
 
 func appendPlan(dst []byte, a *PlanAnnounce) []byte {
-	dst = appendString(appendSvarint(append(dst, kindPlan), a.Interval), a.Algorithm)
+	dst = appendString(append(dst, kindPlan), a.Algorithm)
 	dst = appendSvarint(dst, int64(a.GenTime))
 	dst = appendPairs(dst, a.Table, routePair)
 	return appendPairs(dst, a.Moved, routePair)
 }
 
 func decodePlan(cur *cursor) *PlanAnnounce {
-	a := &PlanAnnounce{Interval: cur.Varint()}
-	a.Algorithm = cur.str()
+	a := &PlanAnnounce{Algorithm: cur.str()}
 	a.GenTime = time.Duration(cur.Varint())
 	a.Table = pairs(cur, mkRoute)
 	a.Moved = pairs(cur, mkRoute)

@@ -13,6 +13,19 @@ import (
 	"repro/internal/tuple"
 )
 
+// Chunks calls fn once per FeedBatch chunk, in send order.
+func (b *TupleBatch) Chunks(fn func(ts []tuple.Tuple)) {
+	if len(b.Bounds) == 0 {
+		fn(b.Tuples)
+		return
+	}
+	start := 0
+	for _, end := range b.Bounds {
+		fn(b.Tuples[start:end])
+		start = end
+	}
+}
+
 // binaryPair returns a sender and receiver codec over one in-memory
 // stream.
 func binaryPair(buf *bytes.Buffer) (*Codec, *Codec) {
@@ -180,9 +193,9 @@ func TestBinaryHostileInputs(t *testing.T) {
 		"batch cut at flags":   batchCutAtFlags,
 		// A round's commands travel inside one commands frame.
 		"plan huge routes":      hostilePlanRoutes,
-		"plan cut route":        {kindCommands, 2, 1, kindPlan, 2, 0, 0, 1, 7},
-		"resize trailing":       {kindCommands, 2, 1, kindResize, 2, 2, 9},
-		"split huge set":        {kindCommands, 2, 1, kindSplit, 2, 0x7f, 1, 4},
+		"plan cut route":        {kindCommands, 2, 1, kindPlan, 0, 0, 1, 7},
+		"resize trailing":       {kindCommands, 2, 1, kindResize, 2, 9},
+		"split huge set":        {kindCommands, 2, 1, kindSplit, 0x7f, 1, 4},
 		"commands huge count":   commandsHugeCount,
 		"commands cut entry":    commandsCutEntry,
 		"commands nested":       commandsNested,
@@ -190,9 +203,9 @@ func TestBinaryHostileInputs(t *testing.T) {
 		"commands report entry": commandsReportEntry,
 		"commands state entry":  commandsStateEntry,
 		// A command is no frame of its own.
-		"plan frame":   {kindPlan, 2, 0, 0, 0, 0},
-		"resize frame": {kindResize, 2, 2},
-		"split frame":  {kindSplit, 2, 0},
+		"plan frame":   {kindPlan, 0, 0, 0, 0},
+		"resize frame": {kindResize, 2},
+		"split frame":  {kindSplit, 0},
 		// Kinds 0x0d (state transfer) and 0x05 (resume) are retired.
 		"state huge payload":   hostileStatePayload,
 		"state trailing":       {0x0d, 1, 0, 2, 8, 1, 0xaa, 0xbb},
@@ -260,15 +273,15 @@ var (
 )
 
 // The hostile commands frames the fuzz corpus carries too. Each is the
-// reply to interval 1.
+// reply to interval 1; its entries carry no interval of their own.
 var (
 	// One plan whose route count the frame cannot hold.
-	hostilePlanRoutes = []byte{kindCommands, 2, 1, kindPlan, 2, 0, 0, 0xff, 0xff, 0x03, 1, 2, 3, 4}
-	// A list of 2^21-1 commands behind three bytes: refused before the
+	hostilePlanRoutes = []byte{kindCommands, 2, 1, kindPlan, 0, 0, 0xff, 0xff, 0x03, 1, 2, 3, 4}
+	// A list of 2^21-1 commands behind two bytes: refused before the
 	// list is allocated.
-	commandsHugeCount = []byte{kindCommands, 2, 0xff, 0xff, 0x7f, kindResize, 2, 2}
+	commandsHugeCount = []byte{kindCommands, 2, 0xff, 0xff, 0x7f, kindResize, 2}
 	// Two resizes promised, the second cut inside its delta.
-	commandsCutEntry = []byte{kindCommands, 2, 2, kindResize, 2, 2, kindResize, 2, 0x80}
+	commandsCutEntry = []byte{kindCommands, 2, 2, kindResize, 2, kindResize, 0x80}
 	// A commands list inside a commands list.
 	commandsNested = []byte{kindCommands, 2, 1, kindCommands, 2, 0}
 	// A session Ack where a command belongs.
@@ -291,7 +304,7 @@ func TestCommandsHostileBounds(t *testing.T) {
 		payload []byte
 		want    string
 	}{
-		{commandsHugeCount, "count 2097151 of 3-byte elements exceeds 3 remaining bytes"},
+		{commandsHugeCount, "count 2097151 of 2-byte elements exceeds 2 remaining bytes"},
 		{commandsCutEntry, "bad uvarint"},
 		{commandsNested, "command 0 of 1 has kind 0x13"},
 		{commandsAckEntry, "command 0 of 1 has kind 0x4"},

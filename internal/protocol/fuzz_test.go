@@ -53,9 +53,8 @@ func buildMessage(seed uint64, kind, n int) *Message {
 	}
 	plan := func(c int) *PlanAnnounce {
 		return &PlanAnnounce{
-			Interval: int64(r.intn(1000)),
-			Table:    entries(c),
-			Moved:    entries(r.intn(c + 1)),
+			Table: entries(c),
+			Moved: entries(r.intn(c + 1)),
 			Algorithm: map[int]string{
 				0: "", 1: "Mixed", 2: "MinTable",
 			}[r.intn(3)],
@@ -67,10 +66,10 @@ func buildMessage(seed uint64, kind, n int) *Message {
 		if r.intn(2) == 0 {
 			delta = -1
 		}
-		return &Resize{Interval: int64(r.intn(1000)), Delta: delta}
+		return &Resize{Delta: delta}
 	}
 	split := func(c int) *SplitAnnounce {
-		ann := &SplitAnnounce{Interval: int64(r.intn(1000))}
+		ann := &SplitAnnounce{}
 		for i := 0; i < c; i++ {
 			ann.Set = append(ann.Set, SplitEntry{Key: tuple.Key(r.next()), Fan: r.intn(16) + 2})
 		}

@@ -124,7 +124,6 @@ type RouteEntry struct {
 // Algorithm and GenTime carry the planner's identity and wall-clock
 // planning latency for reporting (the PlanMs metric).
 type PlanAnnounce struct {
-	Interval  int64
 	Table     []RouteEntry
 	Moved     []RouteEntry // key → new destination
 	Algorithm string
@@ -136,8 +135,7 @@ type PlanAnnounce struct {
 // receiving side grows or drains-and-retires accordingly, migrating the
 // keys whose destination changes.
 type Resize struct {
-	Interval int64
-	Delta    int
+	Delta int
 }
 
 // SplitEntry is one hot key's split directive: replicate across Fan
@@ -154,13 +152,13 @@ type SplitEntry struct {
 // interval: keys present become (or stay) split, keys absent fold
 // back.
 type SplitAnnounce struct {
-	Interval int64
-	Set      []SplitEntry
+	Set []SplitEntry
 }
 
 // Commands answers a LoadReport and closes the round: the policies'
-// commands for Interval, in the order they emitted them. An empty List
-// holds the round.
+// commands for Interval, the reported interval, in the order they
+// emitted them. The entries share that interval. An empty List holds
+// the round, and so does a reply to any other interval.
 type Commands struct {
 	Interval int64
 	List     []Command
@@ -288,19 +286,6 @@ type HarvestDone struct {
 type TupleBatch struct {
 	Tuples []tuple.Tuple
 	Bounds []int
-}
-
-// Chunks calls fn once per FeedBatch chunk, in send order.
-func (b *TupleBatch) Chunks(fn func(ts []tuple.Tuple)) {
-	if len(b.Bounds) == 0 {
-		fn(b.Tuples)
-		return
-	}
-	start := 0
-	for _, end := range b.Bounds {
-		fn(b.Tuples[start:end])
-		start = end
-	}
 }
 
 // Flush is the data-plane barrier: the sender stamps a sequence
@@ -509,8 +494,8 @@ func (c *Codec) RecvMsgs() int64 { return c.rcvdMsgs.Load() }
 // AnnounceFromPlan marshals a planner result into its wire form: the
 // routing table in ascending key order, the migration set in plan
 // order (already sorted), and the reporting metadata.
-func AnnounceFromPlan(interval int64, plan *balance.Plan) *PlanAnnounce {
-	ann := &PlanAnnounce{Interval: interval, Algorithm: plan.Algorithm, GenTime: plan.GenTime}
+func AnnounceFromPlan(plan *balance.Plan) *PlanAnnounce {
+	ann := &PlanAnnounce{Algorithm: plan.Algorithm, GenTime: plan.GenTime}
 	if plan.Table != nil {
 		for _, k := range plan.Table.Keys() {
 			d, _ := plan.Table.Lookup(k)

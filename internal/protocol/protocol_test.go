@@ -69,9 +69,9 @@ func TestCodecRoundTripAllKinds(t *testing.T) {
 	round := []*Message{
 		{Report: &LoadReport{Interval: 7, Tasks: 3, Keys: []stats.KeyStat{{Key: 1, Cost: 5, Freq: 3, Mem: 9, Dest: 2}}}},
 		{Commands: &Commands{Interval: 7, List: []Command{
-			{Plan: &PlanAnnounce{Interval: 7, Table: []RouteEntry{{Key: 1, Dest: 3}}, Moved: []RouteEntry{{Key: 1, Dest: 3}}}},
-			{Resize: &Resize{Interval: 7, Delta: 1}},
-			{Split: &SplitAnnounce{Interval: 7, Set: []SplitEntry{{Key: 1, Fan: 2}}}},
+			{Plan: &PlanAnnounce{Table: []RouteEntry{{Key: 1, Dest: 3}}, Moved: []RouteEntry{{Key: 1, Dest: 3}}}},
+			{Resize: &Resize{Delta: 1}},
+			{Split: &SplitAnnounce{Set: []SplitEntry{{Key: 1, Fan: 2}}}},
 		}}},
 		{Commands: &Commands{Interval: 8}},
 	}
@@ -191,7 +191,7 @@ func TestFullProtocolExchange(t *testing.T) {
 	if len(plan.Moved) == 0 {
 		t.Fatal("planner did not move the hot key")
 	}
-	ann := AnnounceFromPlan(interval, plan)
+	ann := AnnounceFromPlan(plan)
 	for _, c := range cc {
 		if err := c.Send(&Message{Commands: &Commands{Interval: interval, List: []Command{{Plan: ann}}}}); err != nil {
 			t.Fatal(err)

@@ -28,7 +28,7 @@ func benchSnapshot(nk int) *stats.Snapshot {
 
 func BenchmarkReadjPlan10k(b *testing.B) {
 	snap := benchSnapshot(10000)
-	cfg := balance.DefaultConfig()
+	cfg := balance.Config{ThetaMax: 0.08, TableMax: 3000, Beta: 1.5, MaxTrials: 32}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Planner{Sigma: 0.1}.Plan(snap, cfg)
@@ -37,7 +37,7 @@ func BenchmarkReadjPlan10k(b *testing.B) {
 
 func BenchmarkReadjTune10k(b *testing.B) {
 	snap := benchSnapshot(10000)
-	cfg := balance.DefaultConfig()
+	cfg := balance.Config{ThetaMax: 0.08, TableMax: 3000, Beta: 1.5, MaxTrials: 32}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Tune(snap, cfg, nil)

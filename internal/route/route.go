@@ -213,37 +213,12 @@ func (a *Assignment) Dest(k tuple.Key) int {
 	return a.hash.Hash(k)
 }
 
-// DestBatch evaluates F over a whole batch, writing dsts[i] =
-// F(keys[i]) in one pass: each key probes the frozen table and goes to
-// the ring only on a miss, both inlined, with no interface dispatch per
-// key. Hoisting the empty-table test and the hasher indirection out of
-// the per-tuple call chain is what keeps routing off the profile when
-// the engine feeds tuples hundreds at a time.
-func (a *Assignment) DestBatch(keys []tuple.Key, dsts []int) {
-	dsts = dsts[:len(keys)]
-	switch {
-	case a.ring == nil:
-		for i, k := range keys {
-			dsts[i] = a.Dest(k)
-		}
-	case a.empty:
-		a.ring.HashBatch(keys, dsts)
-	default:
-		for i, k := range keys {
-			if d, ok := a.index.lookup(k); ok {
-				dsts[i] = d
-			} else {
-				dsts[i] = a.ring.Owner(hashring.Position(k))
-			}
-		}
-	}
-}
-
-// DestTuples is DestBatch straight off a tuple slice, with no separate
-// key-extraction pass — the form the engine's batched feeder uses:
-// dsts[i] = F(ts[i].Key), except that with a split set attached a split
-// key's tuple gets ^j, j being the key's position in the split set
-// (SplitTable.At), from the same single probe.
+// DestTuples evaluates F over a whole batch of tuples in one pass — the
+// form the engine's batched feeder uses: dsts[i] = F(ts[i].Key), except
+// that with a split set attached a split key's tuple gets ^j, j being
+// the key's position in the split set (SplitTable.At), from the same
+// single probe. Each key probes the frozen table and goes to the ring
+// only on a miss, both inlined, with no interface dispatch per key.
 func (a *Assignment) DestTuples(ts []tuple.Tuple, dsts []int) {
 	dsts = dsts[:len(ts)]
 	switch {
@@ -301,29 +276,3 @@ func (a *Assignment) Hasher() Hasher { return a.hash }
 
 // Instances returns ND, the number of downstream instances.
 func (a *Assignment) Instances() int { return a.hash.Instances() }
-
-// Delta computes Δ(F, F′) over the given key universe: the set of keys
-// whose destination differs between the two assignments (§II-A). Only
-// keys present in either routing table can differ when both assignments
-// share the same hasher, so the scan is restricted to that union rather
-// than the full key domain.
-func Delta(old, new *Assignment, extra []tuple.Key) []tuple.Key {
-	seen := make(map[tuple.Key]struct{})
-	var out []tuple.Key
-	check := func(k tuple.Key) {
-		if _, dup := seen[k]; dup {
-			return
-		}
-		seen[k] = struct{}{}
-		if old.Dest(k) != new.Dest(k) {
-			out = append(out, k)
-		}
-	}
-	old.table.Each(func(k tuple.Key, _ int) { check(k) })
-	new.table.Each(func(k tuple.Key, _ int) { check(k) })
-	for _, k := range extra {
-		check(k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}

@@ -2,6 +2,7 @@ package route
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -90,6 +91,31 @@ func TestTableCloneIsDeep(t *testing.T) {
 	}
 }
 
+// Delta computes Δ(F, F′) over the given key universe: the set of keys
+// whose destination differs between the two assignments (§II-A). Only
+// keys present in either routing table can differ when both assignments
+// share the same hasher, so the scan is restricted to that union rather
+// than the full key domain.
+func Delta(old, new *Assignment, extra []tuple.Key) []tuple.Key {
+	seen := make(map[tuple.Key]struct{})
+	var out []tuple.Key
+	check := func(k tuple.Key) {
+		if _, dup := seen[k]; dup {
+			return
+		}
+		seen[k] = struct{}{}
+		if old.Dest(k) != new.Dest(k) {
+			out = append(out, k)
+		}
+	}
+	old.table.Each(func(k tuple.Key, _ int) { check(k) })
+	new.table.Each(func(k tuple.Key, _ int) { check(k) })
+	for _, k := range extra {
+		check(k)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
 func TestDelta(t *testing.T) {
 	h := ModHasher(4)
 	oldTab := NewTable()
@@ -149,13 +175,13 @@ func TestInstances(t *testing.T) {
 	}
 }
 
-// TestDestBatchAndDestTuplesMatchDest pins both one-pass batch kernels
-// against per-key Dest: on a fixed table and on random ones of 0–500
-// entries, over the ring (the inlined probe-then-hash loop, or the
-// ring's own batch loop when the table is empty) and over a hasher that
-// is not a ring (the per-key fallback), at every batch size up to past a
-// chunk's length. Slots past the batch stay untouched.
-func TestDestBatchAndDestTuplesMatchDest(t *testing.T) {
+// TestDestTuplesMatchesDest pins the one-pass batch kernel against
+// per-key Dest: on a fixed table and on random ones of 0–500 entries,
+// over the ring (the inlined probe-then-hash loop, or the ring's own
+// batch loop when the table is empty) and over a hasher that is not a
+// ring (the per-key fallback), at every batch size up to past a chunk's
+// length. Slots past the batch stay untouched.
+func TestDestTuplesMatchesDest(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	const nd, maxBatch = 5, 300
 	fixed := NewTable()
@@ -170,44 +196,40 @@ func TestDestBatchAndDestTuplesMatchDest(t *testing.T) {
 		}
 		tables = append(tables, tab)
 	}
-	keys := make([]tuple.Key, maxBatch)
 	ts := make([]tuple.Tuple, maxBatch)
-	batch, tuples := make([]int, maxBatch), make([]int, maxBatch)
+	tuples := make([]int, maxBatch)
 	for _, tab := range tables {
 		for _, h := range []Hasher{hashring.New(nd, 0), ModHasher(nd)} {
 			a := NewAssignment(tab, h)
 			for n := 0; n <= maxBatch; n++ {
 				for i := 0; i < n; i++ {
-					keys[i] = tuple.Key(rng.Intn(2000))
-					ts[i] = tuple.New(keys[i], nil)
+					ts[i] = tuple.New(tuple.Key(rng.Intn(2000)), nil)
 				}
-				for i := range batch {
-					batch[i], tuples[i] = -1, -1
+				for i := range tuples {
+					tuples[i] = -1
 				}
-				a.DestBatch(keys[:n], batch)
 				a.DestTuples(ts[:n], tuples)
 				for i := 0; i < maxBatch; i++ {
 					want := -1
 					if i < n {
-						want = a.Dest(keys[i])
+						want = a.Dest(ts[i].Key)
 					}
-					if batch[i] != want || tuples[i] != want {
-						t.Fatalf("%d entries, %T, batch of %d, slot %d: DestBatch %d, DestTuples %d, want %d",
-							tab.Len(), h, n, i, batch[i], tuples[i], want)
+					if tuples[i] != want {
+						t.Fatalf("%d entries, %T, batch of %d, slot %d: DestTuples %d, want %d",
+							tab.Len(), h, n, i, tuples[i], want)
 					}
 				}
 			}
 		}
 	}
 	// Empty batches are no-ops.
-	NewAssignment(nil, ModHasher(3)).DestBatch(nil, nil)
 	NewAssignment(nil, ModHasher(3)).DestTuples(nil, nil)
 }
 
 // TestIndexMatchesTable pins the frozen index every per-tuple path
 // reads against the map it was built from, on random tables of 0, 1 and
 // Amax entries — with keys that agree in their low bits, the worst case
-// for a table indexed by them — through Dest, DestBatch and DestTuples,
+// for a table indexed by them — through Dest and DestTuples,
 // for keys in the table and not.
 func TestIndexMatchesTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
@@ -229,17 +251,16 @@ func TestIndexMatchesTable(t *testing.T) {
 					}
 					ts[i] = tuple.New(keys[i], nil)
 				}
-				batch, tuples := make([]int, len(keys)), make([]int, len(keys))
-				a.DestBatch(keys, batch)
+				tuples := make([]int, len(keys))
 				a.DestTuples(ts, tuples)
 				for i, k := range keys {
 					want, ok := tab.Lookup(k)
 					if !ok {
 						want = h.Hash(k)
 					}
-					if got := a.Dest(k); got != want || batch[i] != want || tuples[i] != want {
-						t.Fatalf("%d entries, stride %d, key %d (in table: %v): Dest %d, DestBatch %d, DestTuples %d, want %d",
-							entries, stride, k, ok, got, batch[i], tuples[i], want)
+					if got := a.Dest(k); got != want || tuples[i] != want {
+						t.Fatalf("%d entries, stride %d, key %d (in table: %v): Dest %d, DestTuples %d, want %d",
+							entries, stride, k, ok, got, tuples[i], want)
 					}
 				}
 			}
@@ -250,7 +271,7 @@ func TestIndexMatchesTable(t *testing.T) {
 // TestDestTuplesMarksSplits pins the one-probe split kernel against its
 // reference, per-key Dest plus SplitTable.Index: with a split set
 // attached, DestTuples writes ^j for a tuple of split key j and F(k) for
-// every other, while Dest and DestBatch keep resolving F(k) for all
+// every other, while Dest keeps resolving F(k) for all
 // keys. Random tables of 0, 1 and 80 entries, split keys inside and
 // outside the table, over the ring and over a hasher that is not one.
 func TestDestTuplesMarksSplits(t *testing.T) {
@@ -283,9 +304,8 @@ func TestDestTuplesMarksSplits(t *testing.T) {
 					}
 					ts[i] = tuple.New(keys[i], nil)
 				}
-				tuples, batch := make([]int, len(ts)), make([]int, len(ts))
+				tuples := make([]int, len(ts))
 				a.DestTuples(ts, tuples)
-				a.DestBatch(keys, batch)
 				for i, k := range keys {
 					f, ok := tab.Lookup(k)
 					if !ok {
@@ -295,9 +315,9 @@ func TestDestTuplesMarksSplits(t *testing.T) {
 					if j := st.Index(k); j >= 0 {
 						want = ^j
 					}
-					if tuples[i] != want || a.Dest(k) != f || batch[i] != f {
-						t.Fatalf("%d entries, %T, %d splits, key %d: DestTuples %d (want %d), Dest %d, DestBatch %d (want %d)",
-							entries, h, nsplit, k, tuples[i], want, a.Dest(k), batch[i], f)
+					if tuples[i] != want || a.Dest(k) != f {
+						t.Fatalf("%d entries, %T, %d splits, key %d: DestTuples %d (want %d), Dest %d (want %d)",
+							entries, h, nsplit, k, tuples[i], want, a.Dest(k), f)
 					}
 				}
 				// Detaching the set restores the plain kernel.

@@ -217,9 +217,6 @@ func NewDir(w int, interval int64) *Dir {
 // Store returns the directory's state face.
 func (d *Dir) Store() *Store { return (*Store)(d) }
 
-// Window returns w.
-func (d *Dir) Window() int { return d.window }
-
 // listOf returns the ring position of interval iv's list (a decoded
 // transfer may carry any interval, including a negative one).
 func (d *Dir) listOf(iv int64) int {
@@ -601,19 +598,6 @@ func (d *Dir) AdoptKey(k tuple.Key, mem int64) {
 	d.keys[idx].win += mem
 }
 
-// WindowedMem returns S(k, w) over the finished intervals in the window.
-func (d *Dir) WindowedMem(k tuple.Key) int64 {
-	if idx := d.find(k); idx >= 0 {
-		return d.keys[idx].win
-	}
-	return 0
-}
-
-// DropKey forgets k's statistics: its window sum and every statistics
-// record, so the key is neither reported nor listed until it is touched
-// or adopted again. Its buckets stay.
-func (d *Dir) DropKey(k tuple.Key) { d.remove([]tuple.Key{k}, statFlags, nil) }
-
 // Keys returns, ascending, every key with statistics: touched in the
 // interval in progress or recorded in a finished interval of the window.
 func (d *Dir) Keys() []tuple.Key {
@@ -630,7 +614,7 @@ func (d *Dir) Keys() []tuple.Key {
 }
 
 // Move removes distinct keys from both faces in one pass over the
-// records — Store.Extract, WindowedMem and DropKey for each — and hands
+// records — each key's buckets, window sum and statistics — and hands
 // fn each key's state and window sum, in keys order.
 func (d *Dir) Move(keys []tuple.Key, fn func(i int, m Migrated, mem int64)) {
 	d.remove(keys, bucketFlags|statFlags, fn)

@@ -63,18 +63,11 @@ type Entry struct {
 
 // Store is the state face of a task's key directory. It is confined
 // to the owning task goroutine; cross-task access happens only through
-// Extract/Inject at controller barriers.
+// Dir.Move/Inject at controller barriers.
 type Store Dir
-
-// NewStore creates a store with a retention window of w intervals
-// (w < 1 clamps to 1) on a directory of its own, its clock at 0.
-func NewStore(w int) *Store { return NewDir(w, 0).Store() }
 
 // Dir returns the directory the store is a face of.
 func (s *Store) Dir() *Dir { return (*Dir)(s) }
-
-// Window returns w.
-func (s *Store) Window() int { return s.window }
 
 // Interval returns the current interval index.
 func (s *Store) Interval() int64 { return s.interval }
@@ -127,22 +120,10 @@ func (s *Store) Entries(k tuple.Key) []Entry {
 	return kr.run[kr.head:len(kr.run):len(kr.run)]
 }
 
-// Size returns S(k, w): the key's live state size.
-func (s *Store) Size(k tuple.Key) int64 {
-	idx := s.Dir().find(k)
-	if idx < 0 {
-		return 0
-	}
-	return s.keys[idx].sealed + s.keys[idx].pend
-}
-
-// TotalSize returns the store-wide live state volume, Σ_k Size(k).
+// TotalSize returns the store-wide live state volume, Σ_k S(k, w).
 // Every bucket is evicted by the close that ends its window (or on
 // arrival, when injected already expired), so the figure is exact.
 func (s *Store) TotalSize() int64 { return s.total }
-
-// KeyCount returns the number of keys holding live state.
-func (s *Store) KeyCount() int { return s.live }
 
 // Keys returns every key currently holding live state, in unspecified
 // order. The controller uses it to compute hash-delta migrations when
@@ -157,11 +138,6 @@ func (s *Store) Keys() []tuple.Key {
 	return out
 }
 
-// EndInterval closes the interval: the directory's Close, whose
-// statistics a store alone has no use for. A task whose store and
-// tracker share a directory closes it once, through the tracker.
-func (s *Store) EndInterval() { s.Dir().Close() }
-
 // bucket is one interval's entries for one key in transit.
 type bucket struct {
 	interval int64
@@ -175,16 +151,6 @@ type Migrated struct {
 	Key     tuple.Key
 	Size    int64
 	buckets []bucket
-}
-
-// Extract removes and returns key k's entire windowed state. A key with
-// no state returns an empty Migrated (zero cost), matching the paper's
-// observation that moving stateless keys is free. The key's statistics
-// stay (Dir.Move takes both).
-func (s *Store) Extract(k tuple.Key) Migrated {
-	var m Migrated
-	s.Dir().remove([]tuple.Key{k}, bucketFlags, func(_ int, x Migrated, _ int64) { m = x })
-	return m
 }
 
 // Inject merges a migrated key state into this store. Intervals are

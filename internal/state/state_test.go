@@ -12,6 +12,49 @@ import (
 	"repro/internal/tuple"
 )
 
+// Accessors only this package's tests read.
+
+// NewStore creates a store with a retention window of w intervals
+// (w < 1 clamps to 1) on a directory of its own, its clock at 0.
+func NewStore(w int) *Store { return NewDir(w, 0).Store() }
+
+// Window returns w.
+func (s *Store) Window() int { return s.window }
+
+// Size returns S(k, w): the key's live state size.
+func (s *Store) Size(k tuple.Key) int64 {
+	idx := s.Dir().find(k)
+	if idx < 0 {
+		return 0
+	}
+	return s.keys[idx].sealed + s.keys[idx].pend
+}
+
+// KeyCount returns the number of keys holding live state.
+func (s *Store) KeyCount() int { return s.live }
+
+// EndInterval closes the interval, discarding the statistics.
+func (s *Store) EndInterval() { s.Dir().Close() }
+
+// Extract removes and returns key k's entire windowed state; its
+// statistics stay.
+func (s *Store) Extract(k tuple.Key) Migrated {
+	var m Migrated
+	s.Dir().remove([]tuple.Key{k}, bucketFlags, func(_ int, x Migrated, _ int64) { m = x })
+	return m
+}
+
+// WindowedMem returns S(k, w) over the finished intervals in the window.
+func (d *Dir) WindowedMem(k tuple.Key) int64 {
+	if idx := d.find(k); idx >= 0 {
+		return d.keys[idx].win
+	}
+	return 0
+}
+
+// DropKey forgets k's statistics; its buckets stay.
+func (d *Dir) DropKey(k tuple.Key) { d.remove([]tuple.Key{k}, statFlags, nil) }
+
 func TestAddAndEntries(t *testing.T) {
 	s := NewStore(2)
 	s.Add(1, Entry{Value: "a", Size: 2})

@@ -12,10 +12,10 @@ import (
 
 // TestTrackerMatchesReferenceModel drives a Tracker and the map-based
 // reference through the same random history — batches, split fold-backs,
-// migrations out (DropKey) and in (AdoptKey), including keys that leave
-// and come back inside one window — and requires every observable to
-// agree: S(k, w) for every key, Keys, and each close's run, which must
-// also come out in KeyStatLess order.
+// migrations out (state.Dir.Move) and in (AdoptKey), including keys
+// that leave and come back inside one window — and requires every
+// observable to agree: S(k, w) of every key moved out, Keys, and each
+// close's run, which must also come out in KeyStatLess order.
 func TestTrackerMatchesReferenceModel(t *testing.T) {
 	const keys = 40
 	for _, w := range []int{1, 3, 5} {
@@ -39,17 +39,14 @@ func TestTrackerMatchesReferenceModel(t *testing.T) {
 						tr.AbsorbKey(k, c, f, m)
 						ref.AbsorbKey(k, c, f, m)
 					case r < 10:
-						tr.DropKey(k)
+						if a, b := takeKey(tr, k), ref.WindowedMem(k); a != b {
+							t.Fatalf("%s: moved %d out with S = %d, reference %d", at, k, a, b)
+						}
 						ref.DropKey(k)
 					default:
 						m := int64(1 + rng.Intn(50))
 						tr.AdoptKey(k, m)
 						ref.AdoptKey(k, m)
-					}
-				}
-				for k := tuple.Key(0); k < keys; k++ {
-					if a, b := tr.WindowedMem(k), ref.WindowedMem(k); a != b {
-						t.Fatalf("%s: WindowedMem(%d) = %d, reference %d", at, k, a, b)
 					}
 				}
 				if a, b := tr.Keys(), ref.Keys(); !slices.Equal(a, b) {

@@ -96,18 +96,6 @@ func (s *Snapshot) TotalMem() int64 {
 	return t
 }
 
-// AvgLoad returns L̄ = Σ L(d) / ND, Pinned included.
-func (s *Snapshot) AvgLoad() float64 {
-	if s.ND == 0 {
-		return 0
-	}
-	t := s.TotalCost()
-	for _, p := range s.Pinned {
-		t += p
-	}
-	return float64(t) / float64(s.ND)
-}
-
 // Clone deep-copies the snapshot so planners can mutate destinations
 // while the caller retains the original.
 func (s *Snapshot) Clone() *Snapshot {

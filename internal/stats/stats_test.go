@@ -76,9 +76,6 @@ func TestSnapshotLoadsAndTotals(t *testing.T) {
 	if s.TotalCost() != 15 || s.TotalMem() != 7 {
 		t.Fatalf("totals = %d/%d, want 15/7", s.TotalCost(), s.TotalMem())
 	}
-	if got := s.AvgLoad(); math.Abs(got-5) > 1e-12 {
-		t.Fatalf("AvgLoad = %v, want 5", got)
-	}
 }
 
 func TestSnapshotClone(t *testing.T) {
@@ -156,11 +153,14 @@ func TestTrackerWindowEviction(t *testing.T) {
 	observe(tr, 1, 1, 5)
 	tr.EndInterval()
 	tr.EndInterval() // key 1 idle
-	if got := tr.WindowedMem(1); got != 5 {
-		t.Fatalf("after 1 idle interval S = %d, want 5 (still in window)", got)
+	if got := tr.Keys(); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("after 1 idle interval Keys = %v, want [1] (still in window)", got)
 	}
 	tr.EndInterval() // now evicted
-	if got := tr.WindowedMem(1); got != 0 {
+	if got := tr.Keys(); len(got) != 0 {
+		t.Fatalf("after 2 idle intervals Keys = %v, want none", got)
+	}
+	if got := takeKey(tr, 1); got != 0 {
 		t.Fatalf("after 2 idle intervals S = %d, want 0", got)
 	}
 }
@@ -170,13 +170,12 @@ func TestTrackerDropAndAdopt(t *testing.T) {
 	observe(src, 9, 4, 7)
 	src.EndInterval()
 	dst.EndInterval() // keep clocks aligned
-	mem := src.WindowedMem(9)
-	src.DropKey(9)
+	mem := takeKey(src, 9)
 	dst.AdoptKey(9, mem)
-	if got := src.WindowedMem(9); got != 0 {
-		t.Fatalf("source retains %d after DropKey", got)
+	if got := src.Keys(); len(got) != 0 {
+		t.Fatalf("source still lists %v after the move", got)
 	}
-	if got := dst.WindowedMem(9); got != 7 {
+	if got := takeKey(dst, 9); got != 7 {
 		t.Fatalf("destination adopted %d, want 7", got)
 	}
 }
@@ -191,10 +190,15 @@ func TestTrackerAdoptBeforeFirstInterval(t *testing.T) {
 }
 
 func TestTrackerWindowClamp(t *testing.T) {
-	if NewTracker(0).Window() != 1 {
-		t.Fatal("window 0 not clamped to 1")
-	}
-	if NewTracker(-3).Window() != 1 {
-		t.Fatal("negative window not clamped to 1")
+	for _, w := range []int{0, -3} {
+		tr := NewTracker(w)
+		observe(tr, 1, 1, 5)
+		if got := byKey(tr.EndInterval())[1].Mem; got != 5 {
+			t.Fatalf("window %d: S = %d after the key's own close, want 5", w, got)
+		}
+		tr.EndInterval()
+		if got := tr.Keys(); len(got) != 0 {
+			t.Fatalf("window %d not clamped to 1: Keys = %v after an idle close", w, got)
+		}
 	}
 }

@@ -35,9 +35,6 @@ func NewTracker(w int) *Tracker { return TrackerOf(state.NewDir(w, 0)) }
 // TrackerOf returns the statistics face of directory d.
 func TrackerOf(d *state.Dir) *Tracker { return &Tracker{d: d} }
 
-// Window returns w.
-func (t *Tracker) Window() int { return t.d.Window() }
-
 // ObserveBatch folds a whole batch of tuples into the current interval
 // with one call, the entry point the engine's task loop uses so tracker
 // accounting is amortized across every tuple of a channel message.
@@ -51,19 +48,11 @@ func (t *Tracker) ObserveBatch(ts []tuple.Tuple) { t.d.ObserveBatch(ts) }
 // accumulated tuple by tuple.
 func (t *Tracker) AbsorbKey(k tuple.Key, cost, freq, mem int64) { t.d.AbsorbKey(k, cost, freq, mem) }
 
-// DropKey forgets all history for k. The engine drops a key whose state
-// migrates away so the source task stops reporting it.
-func (t *Tracker) DropKey(k tuple.Key) { t.d.DropKey(k) }
-
 // AdoptKey seeds windowed memory for a key that just migrated in, so
 // S(k,w) remains continuous across migration. The memory is recorded in
 // the most recently finished interval (or the current one if none has
 // finished yet).
 func (t *Tracker) AdoptKey(k tuple.Key, mem int64) { t.d.AdoptKey(k, mem) }
-
-// WindowedMem returns S(k, w) = Σ_{j=i-w+1..i} s_j(k) over the finished
-// intervals currently in the window.
-func (t *Tracker) WindowedMem(k tuple.Key) int64 { return t.d.WindowedMem(k) }
 
 // Keys returns every key with any recorded history in ascending order:
 // current-interval observations or a record in a finished interval of

@@ -3,12 +3,21 @@ package stats
 import (
 	"testing"
 
+	"repro/internal/state"
 	"repro/internal/tuple"
 )
 
 // observe charges one tuple of cost and state size to key k.
 func observe(tr *Tracker, k tuple.Key, cost, state int64) {
 	tr.ObserveBatch([]tuple.Tuple{{Key: k, Cost: cost, StateSize: state}})
+}
+
+// takeKey migrates key k out of the tracker's directory the way a plan
+// moves it (state.Dir.Move) and returns its window sum S(k, w); the
+// key's statistics are gone from the tracker afterwards.
+func takeKey(tr *Tracker, k tuple.Key) (mem int64) {
+	tr.d.Move([]tuple.Key{k}, func(_ int, _ state.Migrated, m int64) { mem = m })
+	return mem
 }
 
 // Pinned: Keys() must not resurrect a key whose history has fully
@@ -36,9 +45,9 @@ func TestEndIntervalAfterDropAndRetouch(t *testing.T) {
 	tr := NewTracker(1)
 	observe(tr, 1, 5, 0)
 	observe(tr, 2, 6, 0)
-	tr.DropKey(1)
+	takeKey(tr, 1)
 	observe(tr, 1, 3, 0) // re-touched after the drop: counts once
-	tr.DropKey(2)        // gone for good
+	takeKey(tr, 2)       // gone for good
 	out := tr.EndInterval()
 	if len(out) != 1 || out[0].Key != 1 || out[0].Cost != 3 || out[0].Freq != 1 {
 		t.Fatalf("EndInterval = %v, want key 1 cost 3 freq 1 only", out)

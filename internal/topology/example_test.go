@@ -42,7 +42,7 @@ func Example_topology() {
 	defer sys.Stop()
 
 	sys.Run(3)
-	fmt.Println("stages:", sys.Stages())
+	fmt.Println("stages:", len(sys.Engine.Stages))
 	fmt.Println("tuples through both stages:", sunk.Load())
 	// Output:
 	// stages: 2

@@ -22,8 +22,37 @@ import (
 // those of the snapshot's loads with each split key spread over its
 // replica ring. Swept across Zipf skews from cold (θ=0.8, the detector
 // never fires) to viral (θ=1.5), on both the word-count topology and the
-// PartialCount→MergeCount pipeline. The throttle is off, so both runs
-// emit the same input whatever their backlogs.
+// partial-count→merge pipeline. The throttle is off, so both runs emit
+// the same input whatever their backlogs.
+
+// partialCount is the upstream half of PKG's split-key aggregation pair
+// (Fig. 2(a)): per-key counts published downstream as (key, partial) at
+// every interval flush. A split key's replica occurrences fold home
+// before the flush, so a split run publishes what an unsplit one does.
+type partialCount struct {
+	partial   map[tuple.Key]int64
+	published int64
+}
+
+func (p *partialCount) Process(_ *engine.TaskCtx, t tuple.Tuple) { p.partial[t.Key]++ }
+func (p *partialCount) SplitAbsorb(tuple.Tuple) int64            { return 1 }
+func (p *partialCount) SplitMerge(_ *engine.TaskCtx, k tuple.Key, delta, _, _ int64) {
+	if delta != 0 {
+		p.partial[k] += delta
+	}
+}
+func (p *partialCount) FlushInterval(ctx *engine.TaskCtx) {
+	for k, v := range p.partial {
+		ctx.Emit(tuple.New(k, v))
+		p.published++
+		delete(p.partial, k)
+	}
+}
+
+// mergeCount is the downstream half: it sums the partials per key.
+type mergeCount map[tuple.Key]int64
+
+func (m mergeCount) Process(_ *engine.TaskCtx, t tuple.Tuple) { m[t.Key] += t.Value.(int64) }
 
 // splitTrace is what a run's first stage reported each interval: the
 // harvest snapshot and the split set the control round left behind,
@@ -209,17 +238,22 @@ func TestHotKeySplitEquivalencePKGPair(t *testing.T) {
 	)
 	for _, theta := range []float64{0.8, 1.2, 1.5} {
 		t.Run(fmt.Sprintf("theta=%.1f", theta), func(t *testing.T) {
-			run := func(split bool) (*System, *ops.PartialCountFleet, *ops.MergeCountFleet, *splitTrace) {
+			run := func(split bool) (*System, []*partialCount, []mergeCount, *splitTrace) {
 				gen := workload.NewZipfStream(keyDomain, theta, 0, budget, 31)
-				pf := ops.NewPartialCountFleet()
-				mf := ops.NewMergeCountFleet()
+				pf, mf := make([]*partialCount, nd), make([]mergeCount, 3)
 				sOpts := []StageOption{Instances(nd)}
 				if split {
 					sOpts = append(sOpts, HotKeySplit(3, 1.0))
 				}
 				sys := New(SpoutBatch(gen.NextBatch), Budget(budget), MaxPending(0)).
-					Stage("partial", pf.Factory, sOpts...).
-					Stage("merge", mf.Factory, Instances(3)).
+					Stage("partial", func(id int) engine.Operator {
+						pf[id] = &partialCount{partial: map[tuple.Key]int64{}}
+						return pf[id]
+					}, sOpts...).
+					Stage("merge", func(id int) engine.Operator {
+						mf[id] = mergeCount{}
+						return mf[id]
+					}, Instances(3)).
 					Build()
 				tr := observe(sys)
 				sys.Run(intervals)
@@ -239,17 +273,21 @@ func TestHotKeySplitEquivalencePKGPair(t *testing.T) {
 				t.Fatalf("mean Skewness while split: split-on %.3f, not below split-off %.3f", onSkew, offSkew)
 			}
 			var offPub, onPub int64
-			for _, op := range offP.Instances {
-				offPub += op.Published
-			}
-			for _, op := range onP.Instances {
-				onPub += op.Published
+			for d := range offP {
+				offPub += offP[d].published
+				onPub += onP[d].published
 			}
 			if offPub != onPub {
 				t.Fatalf("partials published: split-off %d, split-on %d", offPub, onPub)
 			}
+			total := func(mf []mergeCount, k tuple.Key) (s int64) {
+				for _, m := range mf {
+					s += m[k]
+				}
+				return s
+			}
 			for k := tuple.Key(0); k < keyDomain; k++ {
-				if a, b := offM.TotalCount(k), onM.TotalCount(k); a != b {
+				if a, b := total(offM, k), total(onM, k); a != b {
 					t.Fatalf("key %d: merged total split-off %d, split-on %d", k, a, b)
 				}
 			}

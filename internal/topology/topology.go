@@ -51,7 +51,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/readj"
 	"repro/internal/route"
-	"repro/internal/tuple"
 )
 
 // Algorithm names a rebalance strategy (or split-key baseline) for one
@@ -195,10 +194,6 @@ func SpoutBatch(s engine.SpoutBatch) Option { return func(sp *Spec) { sp.SpoutB 
 // Budget sets the spout's per-interval tuple budget.
 func Budget(n int64) Option { return func(s *Spec) { s.Budget = n } }
 
-// Feeders sets the spout parallelism: how many goroutines emit each
-// interval's tuples concurrently (engine.Config.Feeders).
-func Feeders(n int) Option { return func(s *Spec) { s.Feeders = n } }
-
 // MaxPending sets the backpressure threshold factor
 // (engine.Config.MaxPendingFactor); 0 disables throttling.
 func MaxPending(f float64) Option {
@@ -331,9 +326,6 @@ func (s *System) Loop(si int) *control.Loop { return s.loops[si] }
 // Recorder exposes the target stage's per-interval metric series.
 func (s *System) Recorder() *metrics.Recorder { return s.Engine.Recorder }
 
-// Stages returns how many stages the topology has.
-func (s *System) Stages() int { return len(s.Engine.Stages) }
-
 // Stage returns stage si in pipeline order.
 func (s *System) Stage(si int) *engine.Stage { return s.Engine.Stages[si] }
 
@@ -374,16 +366,6 @@ func (s *System) Rebalances() int {
 		}
 	}
 	return n
-}
-
-// Dest evaluates stage si's live partition function for a key
-// (assignment-routed stages only).
-func (s *System) Dest(si int, k tuple.Key) (int, bool) {
-	ar := s.Engine.Stages[si].AssignmentRouter()
-	if ar == nil {
-		return 0, false
-	}
-	return ar.Assignment().Dest(k), true
 }
 
 // Intervals returns def unless the REPRO_INTERVALS environment

@@ -18,15 +18,25 @@ import (
 
 // Pinned equivalence: a topology the builder declares must behave
 // bit-identically to the same topology hand-wired from engine.NewStage,
-// engine.New and controller.New — interval metric series, final harvest
+// engine.NewBatch and controller.New — interval metric series, final harvest
 // snapshots and the controllers' routing tables all equal. The
 // hand-wired forms below replicate what the examples did before the
 // builder existed, with the controller on the stage directly.
 
-// noopHook is a snapshot hook that reads nothing: a stage observes
+// lastSnapshots registers a hook on every stage of e that keeps the
+// stage's latest snapshot in the returned slice: a stage observes
 // per-key statistics only while it has a hook, so a test that compares
-// a controller-less stage's snapshots registers this one on both sides.
-func noopHook(*engine.Engine, int, *stats.Snapshot) *engine.Rebalance { return nil }
+// a controller-less stage's snapshots registers this on both sides.
+func lastSnapshots(e *engine.Engine) []*stats.Snapshot {
+	last := make([]*stats.Snapshot, len(e.Stages))
+	for si := range e.Stages {
+		e.AddSnapshotHook(si, func(_ *engine.Engine, si int, snap *stats.Snapshot) *engine.Rebalance {
+			last[si] = snap
+			return nil
+		})
+	}
+	return last
+}
 
 // directHook is the direct path the builder's control loop is pinned
 // against: the controller decides and applies on the stage itself, no
@@ -92,7 +102,7 @@ func assertTablesEqual(t *testing.T, want, got *engine.Stage) {
 }
 
 // TestBuilderSingleStageMatchesHandWired pins the single-stage Mixed
-// system: builder output vs the engine.NewStage + engine.New +
+// system: builder output vs the engine.NewStage + engine.NewBatch +
 // controller.New wiring spelled out.
 func TestBuilderSingleStageMatchesHandWired(t *testing.T) {
 	const intervals = 10
@@ -105,10 +115,11 @@ func TestBuilderSingleStageMatchesHandWired(t *testing.T) {
 		engine.NewAssignmentRouter(topology.NewAssignment(6)))
 	hwCfg := engine.DefaultConfig()
 	hwCfg.Budget = 8000
-	hw := engine.New(hwGen.Next, hwCfg, hwStage)
+	hw := engine.NewBatch(engine.BatchSpout(hwGen.Next), hwCfg, hwStage)
 	hwCtl := controller.New(balance.Mixed{}, balance.Config{ThetaMax: 0.08, TableMax: 3000, Beta: 1.5})
 	hwCtl.MinKeys = 32
 	hw.AddSnapshotHook(0, directHook(hwCtl))
+	hwSnaps := lastSnapshots(hw)
 	hwAr := hwStage.AssignmentRouter()
 	hw.AdvanceWorkload = func(int64) { hwGen.Advance(hwAr.Assignment()) }
 	hw.Run(intervals)
@@ -122,13 +133,14 @@ func TestBuilderSingleStageMatchesHandWired(t *testing.T) {
 			topology.WithAlgorithm(topology.AlgMixed),
 			topology.Theta(0.08), topology.MinKeys(32)).
 		Build()
+	bSnaps := lastSnapshots(sys.Engine)
 	bAr := sys.Stage(0).AssignmentRouter()
 	sys.Engine.AdvanceWorkload = func(int64) { bGen.Advance(bAr.Assignment()) }
 	sys.Run(intervals)
 	sys.Stop()
 
 	assertSeriesEqual(t, hw.Recorder.Series, sys.Recorder().Series)
-	assertSnapshotsEqual(t, hw.LastSnapshots(), sys.Engine.LastSnapshots())
+	assertSnapshotsEqual(t, hwSnaps, bSnaps)
 	assertTablesEqual(t, hwStage, sys.Stage(0))
 	if hwCtl.Rebalances() == 0 || hwCtl.Rebalances() != sys.Controller(0).Rebalances() {
 		t.Fatalf("rebalances diverge (or none): hand-wired %d, builder %d",
@@ -137,7 +149,7 @@ func TestBuilderSingleStageMatchesHandWired(t *testing.T) {
 }
 
 // TestBuilderQ5MatchesHandWired pins the 2-stage TPC-H Q5 topology: the
-// builder's wiring must reproduce the hand-wired engine.New(…, s0, s1)
+// builder's wiring must reproduce the hand-wired engine.NewBatch(…, s0, s1)
 // run exactly, rebalancing and FK drift included.
 func TestBuilderQ5MatchesHandWired(t *testing.T) {
 	const intervals = 8
@@ -157,11 +169,11 @@ func TestBuilderQ5MatchesHandWired(t *testing.T) {
 		engine.NewAssignmentRouter(topology.NewAssignment(2)))
 	ecfg := engine.DefaultConfig()
 	ecfg.Budget = 12000
-	hw := engine.New(hwGen.Next, ecfg, s0, s1)
+	hw := engine.NewBatch(engine.BatchSpout(hwGen.Next), ecfg, s0, s1)
 	hwCtl := controller.New(balance.Mixed{}, balance.Config{ThetaMax: 0.08, TableMax: 3000, Beta: 1.5})
 	hwCtl.MinKeys = 32
 	hw.AddSnapshotHook(0, directHook(hwCtl))
-	hw.AddSnapshotHook(1, noopHook)
+	hwSnaps := lastSnapshots(hw)
 	hw.AdvanceWorkload = func(i int64) {
 		if i%3 == 0 {
 			hwGen.Advance()
@@ -189,12 +201,12 @@ func TestBuilderQ5MatchesHandWired(t *testing.T) {
 	).Stage("q5agg", bAggs.Factory,
 		topology.Instances(2), topology.Window(2),
 	).Build()
-	sys.Engine.AddSnapshotHook(1, noopHook)
+	bSnaps := lastSnapshots(sys.Engine)
 	sys.Run(intervals)
 	sys.Stop()
 
 	assertSeriesEqual(t, hw.Recorder.Series, sys.Recorder().Series)
-	assertSnapshotsEqual(t, hw.LastSnapshots(), sys.Engine.LastSnapshots())
+	assertSnapshotsEqual(t, hwSnaps, bSnaps)
 	assertTablesEqual(t, s0, sys.StageNamed("q5join"))
 	if a, b := hwJoins.TotalJoined(), bJoins.TotalJoined(); a != b || a == 0 {
 		t.Fatalf("join results diverge (or zero): hand-wired %d, builder %d", a, b)
@@ -206,12 +218,12 @@ func TestBuilderQ5MatchesHandWired(t *testing.T) {
 	}
 }
 
-// TestBuilderPKGMatchesHandWired pins the PKG partial→merge topology:
-// WithAlgorithm(AlgPKG) on the partial stage (split-key routing sized to
-// the stage's instance count, the PKGOverhead capacity shave and, as
-// the target, the merge-period latency floor), the IntervalFlusher
-// emission path, and a keyed merge stage — bit-identical to
-// hand-wiring engine.NewPKGRouter with the same model.
+// TestBuilderPKGMatchesHandWired pins the PKG split→count topology:
+// WithAlgorithm(AlgPKG) on the forwarding stage (split-key routing
+// sized to the stage's instance count, the PKGOverhead capacity shave
+// and, as the target, the merge-period latency floor) and a keyed count
+// stage behind it — bit-identical to hand-wiring engine.NewPKGRouter
+// with the same model.
 func TestBuilderPKGMatchesHandWired(t *testing.T) {
 	const intervals = 5
 	mkSpout := func() engine.Spout {
@@ -221,50 +233,46 @@ func TestBuilderPKGMatchesHandWired(t *testing.T) {
 			return tuple.New(tuple.Key(seq%11), nil)
 		}
 	}
+	fwd := func(int) engine.Operator {
+		return engine.OperatorFunc(func(ctx *engine.TaskCtx, tp tuple.Tuple) { ctx.Emit(tp) })
+	}
 
-	hwParts := ops.NewPartialCountFleet()
-	hwMerges := ops.NewMergeCountFleet()
-	h0 := engine.NewStage("partial", 3, hwParts.Factory, 1,
-		engine.NewPKGRouter(3))
-	h1 := engine.NewStage("merge", 2, hwMerges.Factory, 1,
+	hwCounts := ops.NewWordCountFleet()
+	h0 := engine.NewStage("split", 3, fwd, 1, engine.NewPKGRouter(3))
+	h1 := engine.NewStage("count", 2, hwCounts.Factory, 1,
 		engine.NewAssignmentRouter(topology.NewAssignment(2)))
-	hw := engine.New(mkSpout(), engine.Config{
+	hw := engine.NewBatch(engine.BatchSpout(mkSpout()), engine.Config{
 		Budget: 1100, MaxPendingFactor: 2, MigrationFactor: 0.5, LatencyFloorMs: 10}, h0, h1)
 	base := int64(1100 / 3)
 	hw.SetStageCapacity(0, int64(float64(base)/topology.PKGOverhead))
-	for si := range hw.Stages {
-		hw.AddSnapshotHook(si, noopHook)
-	}
+	hwSnaps := lastSnapshots(hw)
 	hw.Run(intervals)
 	hw.Stop()
 
-	bParts := ops.NewPartialCountFleet()
-	bMerges := ops.NewMergeCountFleet()
+	bCounts := ops.NewWordCountFleet()
 	sys := topology.New(
 		topology.Spout(mkSpout()),
 		topology.Budget(1100),
 		topology.MaxPending(2),
-	).Stage("partial", bParts.Factory,
+	).Stage("split", fwd,
 		topology.Instances(3),
 		topology.WithAlgorithm(topology.AlgPKG),
-	).Stage("merge", bMerges.Factory,
+	).Stage("count", bCounts.Factory,
 		topology.Instances(2),
 	).Build()
-	for si := range sys.Engine.Stages {
-		sys.Engine.AddSnapshotHook(si, noopHook)
-	}
+	bSnaps := lastSnapshots(sys.Engine)
 	sys.Run(intervals)
 	sys.Stop()
 
 	assertSeriesEqual(t, hw.Recorder.Series, sys.Recorder().Series)
-	assertSnapshotsEqual(t, hw.LastSnapshots(), sys.Engine.LastSnapshots())
+	assertSnapshotsEqual(t, hwSnaps, bSnaps)
 	for k := tuple.Key(0); k < 11; k++ {
-		a, b := hwMerges.TotalCount(k), bMerges.TotalCount(k)
+		a, b := hwCounts.TotalCount(k), bCounts.TotalCount(k)
 		if a != b {
-			t.Fatalf("merged count(%d) diverges: hand-wired %d, builder %d", k, a, b)
+			t.Fatalf("count(%d) diverges: hand-wired %d, builder %d", k, a, b)
 		}
 		if a != int64(intervals)*100 {
-			t.Fatalf("merged count(%d) = %d, want %d", k, a, int64(intervals)*100)
+			t.Fatalf("count(%d) = %d, want %d", k, a, int64(intervals)*100)
 		}
 	}
 }
@@ -274,7 +282,7 @@ func TestBuilderPKGMatchesHandWired(t *testing.T) {
 // other stages keep the Budget-derived default, and an AlgPKG stage
 // pays the PKGOverhead shave.
 func TestPerStageCapacityAndPKGShave(t *testing.T) {
-	op := func(int) engine.Operator { return engine.Discard }
+	op := func(int) engine.Operator { return engine.OperatorFunc(func(*engine.TaskCtx, tuple.Tuple) {}) }
 	sys := topology.New(topology.Budget(1000)).
 		Stage("a", op, topology.Instances(2), topology.Capacity(77)).
 		Stage("b", op, topology.Instances(2)).
@@ -320,7 +328,6 @@ func TestTwoControllersRebalanceBothStages(t *testing.T) {
 	sys := topology.New(
 		topology.Spout(gen.Next),
 		topology.Budget(8000),
-		topology.Feeders(2),
 	).Stage("upstream", fwd,
 		topology.Instances(5),
 		topology.WithAlgorithm(topology.AlgMixed),
@@ -331,6 +338,7 @@ func TestTwoControllersRebalanceBothStages(t *testing.T) {
 		topology.Theta(0.05), topology.MinKeys(16),
 	).Build()
 	defer sys.Stop()
+	sys.Engine.Cfg.Feeders = 2
 	ar := sys.Stage(0).AssignmentRouter()
 	sys.Engine.AdvanceWorkload = func(int64) { gen.Advance(ar.Assignment()) }
 
@@ -353,7 +361,7 @@ func TestTwoControllersRebalanceBothStages(t *testing.T) {
 
 // TestStageNamedAndControllerNamed covers the by-name accessors.
 func TestStageNamedAndControllerNamed(t *testing.T) {
-	op := func(int) engine.Operator { return engine.Discard }
+	op := func(int) engine.Operator { return engine.OperatorFunc(func(*engine.TaskCtx, tuple.Tuple) {}) }
 	sys := topology.New().
 		Stage("a", op, topology.Instances(2), topology.WithAlgorithm(topology.AlgMixed)).
 		Stage("b", op, topology.Instances(3)).
@@ -378,7 +386,7 @@ func TestStageNamedAndControllerNamed(t *testing.T) {
 // one publishes a new assignment, and a stage on any other router
 // family (shuffle) refuses it.
 func TestPauseFreeDefaults(t *testing.T) {
-	op := func(int) engine.Operator { return engine.Discard }
+	op := func(int) engine.Operator { return engine.OperatorFunc(func(*engine.TaskCtx, tuple.Tuple) {}) }
 	def := topology.New().
 		Stage("a", op, topology.Instances(2)).
 		Stage("sh", op, topology.Instances(2), topology.WithAlgorithm(topology.AlgIdeal)).
@@ -411,6 +419,20 @@ func countStage(gen *workload.ZipfStream, budget int64, opts ...topology.StageOp
 		Build()
 }
 
+// windowOf feeds stage 0 of sys one tuple of key k, which the spout
+// never draws, into the next interval and returns the stage's window:
+// how many closes, that interval's own included, its state outlives.
+func windowOf(sys *topology.System, k tuple.Key) int {
+	st := sys.Stage(0)
+	st.FeedBatch([]tuple.Tuple{tuple.New(k, nil)})
+	st.Barrier()
+	n := 0
+	for ; n < 10 && len(st.StoreOf(st.AssignmentRouter().Assignment().Dest(k)).Entries(k)) > 0; n++ {
+		sys.Run(1)
+	}
+	return n - 1
+}
+
 func TestDefaultsMatchTableII(t *testing.T) {
 	if topology.DefInstances != 10 || topology.DefWindow != 1 || topology.DefTheta != 0.08 ||
 		topology.DefTableMax != 3000 || topology.DefBeta != 1.5 || topology.DefBudget != 10000 {
@@ -419,7 +441,7 @@ func TestDefaultsMatchTableII(t *testing.T) {
 	sys := countStage(workload.NewZipfStream(100, 0.85, 0, 100, 1), 0,
 		topology.WithAlgorithm(topology.AlgMixed))
 	defer sys.Stop()
-	if nd, w := sys.Stage(0).Instances(), sys.Stage(0).StoreOf(0).Window(); nd != 10 || w != 1 {
+	if nd, w := sys.Stage(0).Instances(), windowOf(sys, 1000); nd != 10 || w != 1 {
 		t.Fatalf("default stage has %d instances, window %d", nd, w)
 	}
 	want := balance.Config{ThetaMax: 0.08, TableMax: 3000, Beta: 1.5}
@@ -477,11 +499,11 @@ func TestPKGAndIdealExposeNoPartitionFunction(t *testing.T) {
 	for _, alg := range []topology.Algorithm{topology.AlgPKG, topology.AlgIdeal} {
 		gen := workload.NewZipfStream(1000, 0.85, 0, 1000, 2)
 		sys := topology.New(topology.Spout(gen.Next), topology.Budget(1000)).
-			Stage("operator", func(int) engine.Operator { return engine.Discard },
+			Stage("operator", func(int) engine.Operator { return engine.OperatorFunc(func(*engine.TaskCtx, tuple.Tuple) {}) },
 				topology.Instances(4), topology.WithAlgorithm(alg)).
 			Build()
 		sys.Run(2)
-		if _, ok := sys.Dest(0, tuple.Key(1)); ok {
+		if sys.Stage(0).AssignmentRouter() != nil {
 			t.Fatalf("%s should not expose a key-deterministic destination", alg)
 		}
 		sys.Stop()
@@ -550,18 +572,8 @@ func TestWindowPropagatesToStores(t *testing.T) {
 	sys := countStage(workload.NewZipfStream(50, 0.85, 0, 100, 2), 100,
 		topology.Instances(2), topology.Window(4))
 	defer sys.Stop()
-	st := sys.Stage(0)
-	if w := st.StoreOf(0).Window(); w != 4 {
-		t.Fatalf("store window = %d, want 4", w)
-	}
-	// State observed in interval 0 must survive 4 intervals.
-	k := tuple.Key(7)
-	st.FeedBatch([]tuple.Tuple{tuple.New(k, nil)})
-	st.Barrier()
-	d, _ := sys.Dest(0, k)
-	sys.Run(3)
-	if st.StoreOf(d).Size(k) == 0 {
-		t.Fatal("windowed state evicted too early")
+	if w := windowOf(sys, 1000); w != 4 {
+		t.Fatalf("state survived %d intervals, want the window's 4", w)
 	}
 }
 
@@ -572,21 +584,24 @@ func TestWindowPropagatesToStores(t *testing.T) {
 // interval series — every exhibit-relevant metric — the final harvest
 // snapshot and the routing table the controller built, exactly.
 func TestFeedersPreserveExhibitMetrics(t *testing.T) {
-	run := func(feeders int) *topology.System {
+	run := func(feeders int) (*topology.System, []*stats.Snapshot) {
 		gen := workload.NewZipfStream(3000, 0.9, 1.0, 10000, 41)
-		sys := topology.New(topology.SpoutBatch(gen.NextBatch), topology.Budget(10000), topology.Feeders(feeders)).
+		sys := topology.New(topology.SpoutBatch(gen.NextBatch), topology.Budget(10000)).
 			Stage("operator", func(int) engine.Operator { return engine.StatefulCount },
 				topology.Instances(8), topology.Window(2),
 				topology.WithAlgorithm(topology.AlgMixed), topology.MinKeys(64)).
 			Build()
 		defer sys.Stop()
+		sys.Engine.Cfg.Feeders = feeders
+		snaps := lastSnapshots(sys.Engine)
 		ar := sys.Stage(0).AssignmentRouter()
 		sys.Engine.AdvanceWorkload = func(int64) { gen.Advance(ar.Assignment()) }
 		sys.Run(12)
-		return sys
+		return sys, snaps
 	}
-	serial, parallel := run(1), run(4)
+	serial, serialSnaps := run(1)
+	parallel, parallelSnaps := run(4)
 	assertSeriesEqual(t, serial.Recorder().Series, parallel.Recorder().Series)
-	assertSnapshotsEqual(t, serial.Engine.LastSnapshots(), parallel.Engine.LastSnapshots())
+	assertSnapshotsEqual(t, serialSnaps, parallelSnaps)
 	assertTablesEqual(t, serial.Stage(0), parallel.Stage(0))
 }

@@ -62,18 +62,6 @@ func New(k Key, v any) Tuple {
 	return Tuple{Key: k, Value: v, Cost: 1, StateSize: 1}
 }
 
-// WithCost returns a copy of t with the given service cost.
-func (t Tuple) WithCost(c int64) Tuple {
-	t.Cost = c
-	return t
-}
-
-// WithState returns a copy of t with the given state footprint.
-func (t Tuple) WithState(s int64) Tuple {
-	t.StateSize = s
-	return t
-}
-
 // String implements fmt.Stringer for debugging output.
 func (t Tuple) String() string {
 	return fmt.Sprintf("tuple{k=%d v=%v c=%d s=%d}", t.Key, t.Value, t.Cost, t.StateSize)

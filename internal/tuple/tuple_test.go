@@ -50,19 +50,6 @@ func TestNewDefaults(t *testing.T) {
 	}
 }
 
-func TestWithCostAndState(t *testing.T) {
-	tp := New(1, nil).WithCost(7).WithState(9)
-	if tp.Cost != 7 || tp.StateSize != 9 {
-		t.Fatalf("chained setters gave %d/%d, want 7/9", tp.Cost, tp.StateSize)
-	}
-	// Original is unaffected (value semantics).
-	orig := New(1, nil)
-	_ = orig.WithCost(99)
-	if orig.Cost != 1 {
-		t.Fatal("WithCost mutated the receiver")
-	}
-}
-
 func TestStringIncludesFields(t *testing.T) {
 	s := New(5, "x").String()
 	for _, want := range []string{"k=5", "v=x"} {

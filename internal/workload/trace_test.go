@@ -111,7 +111,7 @@ func TestTraceSpoutNeverEnds(t *testing.T) {
 
 func TestWriteReadRoundTrip(t *testing.T) {
 	in := []tuple.Tuple{
-		tuple.New(1, nil).WithCost(2).WithState(3),
+		{Key: 1, Cost: 2, StateSize: 3},
 		tuple.New(99, nil),
 	}
 	var buf bytes.Buffer
