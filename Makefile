@@ -87,7 +87,11 @@ bench-wire:
 ## sender's own load estimate); FeedBatchSplit is FeedBatch at the
 ## hotkey workload's shape (8 tasks, an 80-entry
 ## table, one key at 40 % split 4 ways); MigratePlan applies a 12-key
-## plan over 8 idle tasks, MigrateKey a one-key plan over 2;
+## plan over 8 idle tasks (hotkey_12keys_w1) and a 3-key plan over 8
+## tasks holding ~7 000 keys each in six interval lists
+## (variance_3of7000keys_w5, the variance workload's directories: what
+## extracting a moved key's records costs), MigrateKey a one-key plan
+## over 2;
 ## TaskInterval is whole intervals of the tasks' store and tracker work
 ## at pipe-local's shape (4 tasks) and variance's (8), 128-tuple slices
 ## round-robin across the tasks so their working sets compete for the

@@ -2,6 +2,7 @@ package balance
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -27,10 +28,13 @@ type planState struct {
 	// cur[i] is key i's working destination; -1 while it is in the
 	// candidate set.
 	cur []int32
-	// g[i] caches γ(k,w) once a ByGamma comparison has inspected key i
-	// (gammaUnset before). Empty until the plan's first such comparison,
-	// so ψ = ByCost plans never touch it.
-	g []float64
+	// pow[c] memoizes c^β, the numerator of γ(k,w), for each cost
+	// c < powMemo a ByGamma comparison has inspected (powUnset before);
+	// powBeta is the β it holds. Costs are tuple counts, so a plan's
+	// keys share few small costs, and the memo survives plans with the
+	// same β.
+	pow     []float64
+	powBeta float64
 	// byInst[d] holds indices of keys whose working destination is d.
 	// Entries go stale when keys move; scans revalidate against cur.
 	byInst  [][]int32
@@ -50,9 +54,13 @@ type planState struct {
 	noAdjust bool
 }
 
-// gammaUnset marks a γ slot no comparison has filled yet; γ itself is
-// never negative.
-const gammaUnset = -1
+// powMemo bounds the costs whose c^β the planner state memoizes;
+// powUnset marks a slot no comparison has filled yet (c^β is never
+// negative for c > 0).
+const (
+	powMemo  = 1024
+	powUnset = -1
+)
 
 // statePool recycles planner state across plans, so a controller that
 // plans every interval allocates nothing sized by the population. A
@@ -63,7 +71,6 @@ var statePool = sync.Pool{New: func() any { return new(planState) }}
 // use.
 func newState() *planState {
 	st := statePool.Get().(*planState)
-	st.g = st.g[:0]
 	st.noAdjust = false
 	return st
 }
@@ -76,10 +83,17 @@ func (st *planState) release() {
 
 // load resets the working assignment to the snapshot's: every key on
 // its recorded destination over the snapshot's pinned loads, the
-// candidate set empty. The γ cache
-// survives, so Mixed's later trials do not recompute it.
+// candidate set empty. The c^β memo survives unless β changed, so
+// Mixed's later trials and the next plan do not recompute it.
 func (st *planState) load(snap *stats.Snapshot, cfg Config) {
 	st.nd, st.keys, st.beta = snap.ND, snap.Keys, cfg.Beta
+	if len(st.pow) == 0 || math.Float64bits(st.powBeta) != math.Float64bits(cfg.Beta) {
+		st.pow = slices.Grow(st.pow[:0], powMemo)[:powMemo]
+		for c := range st.pow {
+			st.pow[c] = powUnset
+		}
+		st.powBeta = cfg.Beta
+	}
 	st.loads = slices.Grow(st.loads[:0], st.nd)[:st.nd]
 	clear(st.loads)
 	st.cur = slices.Grow(st.cur[:0], len(st.keys))[:len(st.keys)]
@@ -130,18 +144,20 @@ func (st *planState) index() {
 	st.indexed = true
 }
 
-// gamma returns key i's γ(k,w), computing it on first use.
+// gamma returns key i's γ(k,w), exactly as the gamma function computes
+// it, with c^β taken from the memo when the cost is small.
 func (st *planState) gamma(i int32) float64 {
-	if len(st.g) == 0 {
-		st.g = slices.Grow(st.g, len(st.keys))[:len(st.keys)]
-		for j := range st.g {
-			st.g[j] = gammaUnset
-		}
+	ks := &st.keys[i]
+	c := ks.Cost
+	if c <= 0 || c >= powMemo {
+		return gamma(c, ks.Mem, st.beta)
 	}
-	if st.g[i] == gammaUnset {
-		st.g[i] = gamma(st.keys[i].Cost, st.keys[i].Mem, st.beta)
+	p := st.pow[c]
+	if p == powUnset {
+		p = math.Pow(float64(c), st.beta)
+		st.pow[c] = p
 	}
-	return st.g[i]
+	return perMem(p, ks.Mem)
 }
 
 // less orders key a before key b under the criterion (descending

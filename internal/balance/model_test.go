@@ -238,3 +238,49 @@ func TestConcurrentPlannersShareThePool(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestConcurrentPlannersWithDifferentBeta runs Mixed planners with two
+// different β at once: each plan state memoizes c^β for the β it was
+// loaded with, so a state one planner returns to the pool and another
+// takes must not carry the first one's powers into the second's plan.
+// Every concurrent plan must equal the same plan made serially. Costs
+// reach past the memo's bound, so both ways of computing c^β run. Run
+// under -race in CI.
+func TestConcurrentPlannersWithDifferentBeta(t *testing.T) {
+	const rounds = 30
+	betas := []float64{0.5, 2.5}
+	rng := rand.New(rand.NewSource(7))
+	snaps := make([]*stats.Snapshot, rounds)
+	for i := range snaps {
+		s := modelSnapshot(rng, 2+rng.Intn(10), 50+rng.Intn(400))
+		for j := range s.Keys {
+			if j%5 == 0 {
+				s.Keys[j].Cost *= 30
+			}
+		}
+		stats.SortByCostDesc(s.Keys)
+		snaps[i] = s
+	}
+	cfgs := make([]Config, len(betas))
+	serial := make([][]*Plan, len(betas))
+	for b, beta := range betas {
+		cfgs[b] = Config{ThetaMax: 0.03, TableMax: 40, Beta: beta}
+		for _, s := range snaps {
+			serial[b] = append(serial[b], Mixed{}.Plan(s, cfgs[b]))
+		}
+	}
+	var wg sync.WaitGroup
+	for b := range betas {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, s := range snaps {
+				if err := samePlan(Mixed{}.Plan(s, cfgs[b]), serial[b][i]); err != nil {
+					t.Errorf("β=%v snapshot %d: %v", betas[b], i, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

@@ -12,8 +12,8 @@
 // # Planner state
 //
 // A plan reads the snapshot's records in place; what it adds per key is
-// a working destination and, for ψ = ByGamma, a γ slot filled when a
-// comparison first inspects the key. That state, the per-instance key
+// a working destination; γ is computed where a ψ = ByGamma comparison
+// needs it, from a memo of c^β per distinct small cost. That state, the per-instance key
 // lists and the heaps live in a planState recycled through a package
 // pool — across plans and across Mixed's trials — so steady planning
 // allocates nothing sized by the population; the Plan itself is new
@@ -105,14 +105,20 @@ func (p *Plan) MigrationPct(totalMem int64) float64 {
 // (§III-B). Keys with no recorded state get S treated as 1 so that
 // stateless keys are maximally attractive to move.
 func gamma(cost, mem int64, beta float64) float64 {
+	if cost <= 0 {
+		return 0
+	}
+	return perMem(math.Pow(float64(cost), beta), mem)
+}
+
+// perMem divides a key's c(k)^β by its S(k, w), counting no recorded
+// state as 1.
+func perMem(p float64, mem int64) float64 {
 	s := float64(mem)
 	if s < 1 {
 		s = 1
 	}
-	if cost <= 0 {
-		return 0
-	}
-	return math.Pow(float64(cost), beta) / s
+	return p / s
 }
 
 // Criterion orders candidate keys for Phase II selection and for the

@@ -170,33 +170,63 @@ func BenchmarkMigrateKey(b *testing.B) {
 	}
 }
 
-// BenchmarkMigratePlan applies a 12-key plan over 8 idle tasks — the
-// size of an average hotkey plan — moving every key one instance on
-// each time: the cost of a plan's barrier rounds.
+// BenchmarkMigratePlan applies a plan over 8 tasks, moving every key
+// one instance on each time. hotkey_12keys_w1 moves 12 keys of idle
+// tasks — the size of an average hotkey plan: the cost of a plan's
+// barrier rounds. variance_3of7000keys_w5 moves 3 keys of tasks that
+// hold ~7 000 keys each over the six interval lists of w = 5 — the
+// variance workload's directories and plan size: the cost of finding a
+// moved key's records among the task's.
 func BenchmarkMigratePlan(b *testing.B) {
-	const nd, nkeys = 8, 12
-	st := statefulStage(nd, 1)
-	defer st.Stop()
-	keys := make([]tuple.Key, nkeys)
-	for i := range keys {
-		keys[i] = tuple.Key(i * 97)
-		st.FeedBatch([]tuple.Tuple{tuple.New(keys[i], nil)})
-	}
-	st.Barrier()
-	plan := &balance.Plan{Table: route.NewTable(), Moved: keys, MoveDest: map[tuple.Key]int{}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		asg := st.AssignmentRouter().Assignment()
-		for _, k := range keys {
-			dst := (asg.Dest(k) + 1) % nd
-			plan.Table.Put(k, dst)
-			plan.MoveDest[k] = dst
-		}
-		if _, err := st.ApplyPlan(plan); err != nil {
-			b.Fatal(err)
+	const nd = 8
+	run := func(b *testing.B, st *Stage, keys []tuple.Key) {
+		plan := &balance.Plan{Table: route.NewTable(), Moved: keys, MoveDest: map[tuple.Key]int{}}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			asg := st.AssignmentRouter().Assignment()
+			for _, k := range keys {
+				dst := (asg.Dest(k) + 1) % nd
+				plan.Table.Put(k, dst)
+				plan.MoveDest[k] = dst
+			}
+			if _, err := st.ApplyPlan(plan); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
+	b.Run("hotkey_12keys_w1", func(b *testing.B) {
+		st := statefulStage(nd, 1)
+		defer st.Stop()
+		keys := make([]tuple.Key, 12)
+		for i := range keys {
+			keys[i] = tuple.Key(i * 97)
+			st.FeedBatch([]tuple.Tuple{tuple.New(keys[i], nil)})
+		}
+		st.Barrier()
+		run(b, st, keys)
+	})
+	b.Run("variance_3of7000keys_w5", func(b *testing.B) {
+		const w, perInterval = 5, nd * 1170
+		st := statefulStage(nd, w)
+		defer st.Stop()
+		// Six closed intervals of fresh keys, one record each: the
+		// variance workload's churn, where a key is rarely drawn twice
+		// in a window.
+		ts := make([]tuple.Tuple, perInterval)
+		for iv := int64(0); iv <= w; iv++ {
+			st.StartInterval(iv)
+			for i := range ts {
+				ts[i] = tuple.New(tuple.Key(iv*perInterval+int64(i)), nil)
+			}
+			st.FeedBatch(ts)
+			st.CloseInterval()
+			st.EndInterval(iv)
+		}
+		// Three keys of the last interval, the plan's usual pick.
+		last := tuple.Key(w * perInterval)
+		run(b, st, []tuple.Key{last + 1, last + 500, last + 1000})
+	})
 }
 
 // sizeOp is the repository benchmark's counting operator reduced to its

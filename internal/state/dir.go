@@ -40,8 +40,11 @@ type Dir struct {
 	future, held []rec
 	// base numbers the current list's first record in the running count
 	// of records ever appended to a current list (modulo 2³²), the
-	// numbering of the slots' cur hints.
-	base uint32
+	// numbering of the slots' cur hints; starts[li] is list li's base
+	// when it was current, so a hint also finds a first touch after its
+	// close (see hinted).
+	base   uint32
+	starts []uint32
 	// Recycled scratch of the close and of removals.
 	tallies []Tally
 	sel     []int32
@@ -58,6 +61,21 @@ type Dir struct {
 // counts so a first touch need not reach this line; the key lives while
 // it has either.
 //
+// lists, atList and atPos tell a removal where the key's records lie,
+// so that it need not read every list. The slot's hint names the key's
+// latest first touch (see Dir.hinted), and the close that counts a
+// first touch sets its list's bit (list mod 8) in the low byte of lists,
+// so a removal reads the lists of the others. A record push appends is named by atList and atPos
+// (position + 1; 0 for none) while they name no other live record of the
+// key — a key that migrated in usually has one — and otherwise sets its
+// list's bit in the high byte, as the close's arrivals from future do.
+// With at most 8 lists, a list leaving the window clears both its bits
+// on every key it holds a live record of; with more, lists share bits
+// and keep them until the key is released, and a removal reads a few
+// lists more than it needs. A stale hint or bit costs a read, never a
+// record: a removal claims a record only if it names the key and still
+// holds what is stripped.
+//
 // A packed key — one whose n live entries all lack a value and share
 // one size — holds no run: head is −n and the entries are only counted,
 // each of size (sealed+pend)/n, which is exact as sealed+pend = n·size.
@@ -70,7 +88,10 @@ type keyRec struct {
 	ent    uint32
 	head   int32
 	nrec   uint16
-	bits   uint8 // kOpen, kBoxed
+	bits   uint8  // kOpen, kBoxed
+	atList uint8  // with atPos, one record push appended
+	lists  uint16 // by bit: lists of closed first touches (low byte), of other records (high)
+	atPos  uint16
 	pend   int64 // the open bucket's size so far
 	sealed int64 // the other live buckets' size
 	win    int64
@@ -80,6 +101,10 @@ const (
 	kOpen  uint8 = 1 << iota // the newest bucket is the interval in progress's and takes the Adds
 	kBoxed                   // an entry since the run was claimed carried a Value: zero dead entries
 )
+
+// listBit is list li's bit in the low byte of a key record's lists; the
+// high byte's is listBit(li) << 8.
+func listBit(li int) uint16 { return 1 << (li & 7) }
 
 // hasState reports whether the key holds a live bucket (none is empty).
 func (kr *keyRec) hasState() bool { return int(kr.head) < len(kr.run) }
@@ -209,7 +234,7 @@ func NewDir(w int, interval int64) *Dir {
 	if w < 1 {
 		w = 1
 	}
-	d := &Dir{window: w, interval: interval, lists: make([][]rec, w+1)}
+	d := &Dir{window: w, interval: interval, lists: make([][]rec, w+1), starts: make([]uint32, w+1)}
 	d.cur = d.listOf(interval)
 	return d
 }
@@ -235,18 +260,44 @@ func keyHash(k tuple.Key) uint64 {
 
 // find returns k's record index, or -1.
 func (d *Dir) find(k tuple.Key) int32 {
+	_, idx := d.lookup(k)
+	return idx
+}
+
+// lookup returns k's slot and record index, or record index -1.
+func (d *Dir) lookup(k tuple.Key) (uint64, int32) {
 	if d.n == 0 {
-		return -1
+		return 0, -1
 	}
 	for i := keyHash(k) & d.mask; ; i = (i + 1) & d.mask {
-		sl := d.slots[i]
+		sl := &d.slots[i]
 		if sl.ref == 0 {
-			return -1
+			return 0, -1
 		}
 		if sl.key == k {
-			return sl.ref - 1
+			return i, sl.ref - 1
 		}
 	}
+}
+
+// hinted returns the list holding the record a slot's hint h numbers and
+// its position there, or list −1 (also when a removal has trimmed the
+// list's end since). A closed list's first touches are numbered from its
+// start up to the next list's; the current list's run on to its end.
+func (d *Dir) hinted(h uint32) (int, int) {
+	if p := h - d.base; p < uint32(len(d.lists[d.cur])) {
+		return d.cur, int(p)
+	}
+	for li, st := range d.starts {
+		next := d.starts[(li+1)%len(d.starts)]
+		if p := h - st; li != d.cur && p < next-st {
+			if int(p) >= len(d.lists[li]) {
+				break // a trimmed end
+			}
+			return li, int(p)
+		}
+	}
+	return -1, 0
 }
 
 // acquire returns k's slot and record index, claiming a key record
@@ -339,11 +390,31 @@ func (d *Dir) release(k tuple.Key, idx int32) {
 	d.free = append(d.free, idx)
 }
 
-// push appends r to list li, counting it on its key.
+// push appends r to list li, counting it on its key, and names it in
+// the key's atList and atPos if they name no live record, else sets the
+// list's bit in the key's high byte.
 func (d *Dir) push(li int, r rec) {
 	r.flags |= fCounted
+	kr := &d.keys[r.ref-1]
+	kr.nrec++
+	if n := len(d.lists[li]); n < 1<<16-1 && li < 1<<8 && d.pushed(kr, r.ref) == nil {
+		kr.atList, kr.atPos = uint8(li), uint16(n+1)
+	} else {
+		kr.lists |= listBit(li) << 8
+	}
 	d.lists[li] = append(d.lists[li], r)
-	d.keys[r.ref-1].nrec++
+}
+
+// pushed returns the live record of key ref (kr) that its atList and
+// atPos name, or nil.
+func (d *Dir) pushed(kr *keyRec, ref int32) *rec {
+	if kr.atPos == 0 {
+		return nil
+	}
+	if l := d.lists[kr.atList]; int(kr.atPos) <= len(l) && l[kr.atPos-1].ref == ref {
+		return &l[kr.atPos-1]
+	}
+	return nil
 }
 
 // curRec returns the record for the interval in progress of key k, in
@@ -441,12 +512,17 @@ func (d *Dir) pop(kr *keyRec, r *rec) {
 func (d *Dir) Close() []Tally {
 	leave := d.listOf(d.interval + 1)
 	l := d.lists[leave]
+	var gone uint16 // the leaving list's bits, unless lists share bits
+	if len(d.lists) <= 8 {
+		gone = listBit(leave) | listBit(leave)<<8
+	}
 	for i := range l {
 		r := &l[i]
 		if r.ref == 0 {
 			continue
 		}
 		kr := &d.keys[r.ref-1]
+		kr.lists &^= gone
 		if r.flags&fTracked != 0 {
 			kr.win -= r.mem
 		}
@@ -461,7 +537,7 @@ func (d *Dir) Close() []Tally {
 		}
 		d.drop(r.key, r.ref-1)
 	}
-	c := d.lists[d.cur]
+	c, curBit := d.lists[d.cur], listBit(d.cur)
 	tallies := d.tallies[:0]
 	for i := range c {
 		r := &c[i]
@@ -470,8 +546,10 @@ func (d *Dir) Close() []Tally {
 		}
 		kr := &d.keys[r.ref-1]
 		if r.flags&fCounted == 0 {
+			// A first touch: the slot's hint names it.
 			r.flags |= fCounted
 			kr.nrec++
+			kr.lists |= curBit
 		}
 		if r.flags&fOpen != 0 {
 			r.n, r.size = int32(kr.ent-r.start), kr.pend
@@ -489,6 +567,7 @@ func (d *Dir) Close() []Tally {
 	d.interval++
 	d.closes++
 	d.cur, d.base = leave, d.base+uint32(len(c))
+	d.starts[leave] = d.base
 	l = l[:0]
 	if len(d.future) > 0 {
 		keep := d.future[:0]
@@ -497,12 +576,14 @@ func (d *Dir) Close() []Tally {
 				keep = append(keep, r)
 				continue
 			}
-			if kr := &d.keys[r.ref-1]; r.start+uint32(r.n) == kr.ent {
+			kr := &d.keys[r.ref-1]
+			if r.start+uint32(r.n) == kr.ent {
 				// The key's newest bucket: it takes the interval's Adds.
 				r.flags |= fOpen
 				kr.bits, kr.pend = kr.bits|kOpen, r.size
 				kr.sealed -= r.size
 			}
+			kr.lists |= listBit(leave) << 8
 			l = append(l, r)
 		}
 		d.future = keep
@@ -594,8 +675,16 @@ func (d *Dir) AdoptKey(k tuple.Key, mem int64) {
 		return
 	}
 	_, idx := d.acquire(k)
-	d.push(d.listOf(d.interval-1), rec{ref: idx + 1, flags: fTracked, key: k, iv: d.interval - 1, mem: mem})
-	d.keys[idx].win += mem
+	kr, li := &d.keys[idx], d.listOf(d.interval-1)
+	kr.win += mem
+	if r := d.pushed(kr, idx+1); r != nil && int(kr.atList) == li {
+		// The bucket that arrived with the key, in that interval's list,
+		// carries the sum too: one record to find.
+		r.flags |= fTracked
+		r.mem += mem
+		return
+	}
+	d.push(li, rec{ref: idx + 1, flags: fTracked, key: k, iv: d.interval - 1, mem: mem})
 }
 
 // Keys returns, ascending, every key with statistics: touched in the
@@ -613,65 +702,92 @@ func (d *Dir) Keys() []tuple.Key {
 	return slices.Compact(out)
 }
 
-// Move removes distinct keys from both faces in one pass over the
-// records — each key's buckets, window sum and statistics — and hands
-// fn each key's state and window sum, in keys order.
+// Move removes distinct keys from both faces — each key's buckets,
+// window sum and statistics — reading only the records the keys' hints
+// and list bits lead to, and hands fn each key's state and window sum,
+// in keys order.
 func (d *Dir) Move(keys []tuple.Key, fn func(i int, m Migrated, mem int64)) {
 	d.remove(keys, bucketFlags|statFlags, fn)
 }
 
 // remove claims keys' buckets and/or statistics (strip: bucketFlags,
-// statFlags) in one pass over every list, then settles each key: its
-// buckets leave as a Migrated in run order, its window sum as mem, and
-// a key nothing names any more is released.
+// statFlags), then settles each key: its buckets leave as a Migrated in
+// run order, its window sum as mem, and a key nothing names any more is
+// released. It reads each key's latest first touch through its slot's
+// hint and the record its atList and atPos name, then once each list
+// some key's bits name, and the future and held lists when they hold
+// any. A claimed record left with nothing is marked dead where it lies:
+// a close skips it, and the list drops it when it leaves the window, or
+// now if it ends the list. Only future and held, which no close
+// empties, are compacted.
 func (d *Dir) remove(keys []tuple.Key, strip uint8, fn func(i int, m Migrated, mem int64)) {
 	if len(d.sel) < len(d.keys) {
 		d.sel = make([]int32, len(d.keys)+len(d.keys)/4)
 	}
-	sel, picks, claimed := d.sel, d.picks[:0], false
+	sel, picks := d.sel, d.picks[:0]
+	// scan names the lists to read whole, trim those whose dead end to
+	// drop.
+	var scan, trim uint16
+	claimed := false
 	for i, k := range keys {
-		if idx := d.find(k); idx >= 0 {
-			sel[idx], claimed = int32(i+1), true
-			if strip&fBucket != 0 && d.keys[idx].packed() {
-				d.unpack(&d.keys[idx]) // its buckets leave as entries
+		si, idx := d.lookup(k)
+		if idx < 0 {
+			continue
+		}
+		sel[idx], claimed = int32(i+1), true
+		kr := &d.keys[idx]
+		if strip&fBucket != 0 && kr.packed() {
+			d.unpack(kr) // its buckets leave as entries
+		}
+		lists := kr.lists
+		if li, p := d.hinted(d.slots[si].cur); li >= 0 && d.lists[li][p].ref == idx+1 {
+			// The key's only first touch in that list, which needs no
+			// reading unless it shares its bit.
+			picks = d.claim(&d.lists[li][p], strip, picks)
+			if len(d.lists) <= 8 {
+				lists &^= listBit(li)
+			}
+			trim |= listBit(li)
+		}
+		if r := d.pushed(kr, idx+1); r != nil {
+			picks = d.claim(r, strip, picks)
+			trim |= listBit(int(kr.atList))
+		}
+		scan |= lists | lists>>8
+	}
+	scan &= 0xff
+	for li, l := range d.lists {
+		if scan&listBit(li) == 0 {
+			continue
+		}
+		for j := range l {
+			if r := &l[j]; r.ref != 0 && sel[r.ref-1] != 0 {
+				picks = d.claim(r, strip, picks)
 			}
 		}
 	}
-	// One pass claims the records and drops the dead ones of every list
-	// — the current list's only from its end, as slot hints name its
-	// positions — so migrations between closes do not lengthen a list.
-	for li := -2; claimed && li < len(d.lists); li++ {
-		l := &d.future
-		if li == -1 {
-			l = &d.held
-		} else if li >= 0 {
-			l = &d.lists[li]
+	// Dead records at a list's end go (positions before them stay put,
+	// as hints number them), so migrations between closes — a key moved
+	// away and back, say — do not lengthen a list.
+	for li, l := range d.lists {
+		if (scan|trim)&listBit(li) != 0 {
+			n := len(l)
+			for n > 0 && l[n-1].ref == 0 {
+				n--
+			}
+			d.lists[li] = l[:n]
+		}
+	}
+	for _, l := range []*[]rec{&d.future, &d.held} {
+		if !claimed || len(*l) == 0 {
+			continue
 		}
 		for j := range *l {
-			r := &(*l)[j]
-			if r.ref == 0 || sel[r.ref-1] == 0 || r.flags&strip == 0 {
-				continue
-			}
-			kr := &d.keys[r.ref-1]
-			if r.flags&strip&fBucket != 0 {
-				picks = append(picks, pick{i: sel[r.ref-1] - 1, rel: r.start - (kr.ent - uint32(len(kr.run))), r: *r})
-				r.n, r.start, r.size = 0, 0, 0
-			}
-			if r.flags&strip&statFlags != 0 {
-				r.cost, r.freq, r.mem = 0, 0, 0
-			}
-			if r.flags &^= strip; r.flags&^fCounted == 0 {
-				if r.ref = 0; r.flags != 0 {
-					kr.nrec-- // a key left with none is released below
-				}
+			if r := &(*l)[j]; r.ref != 0 && sel[r.ref-1] != 0 {
+				picks = d.claim(r, strip, picks)
 			}
 		}
-		if li != d.cur {
-			*l = slices.DeleteFunc(*l, func(r rec) bool { return r.ref == 0 })
-		}
-		for n := len(*l); n > 0 && (*l)[n-1].ref == 0; n-- {
-			*l = (*l)[:n-1]
-		}
+		*l = slices.DeleteFunc(*l, func(r rec) bool { return r.ref == 0 })
 	}
 	slices.SortFunc(picks, func(a, b pick) int {
 		if c := cmp.Compare(a.i, b.i); c != 0 {
@@ -722,6 +838,30 @@ func (d *Dir) remove(keys []tuple.Key, strip uint8, fn func(i int, m Migrated, m
 			fn(i, m, mem)
 		}
 	}
+}
+
+// claim strips record r of a key being removed (sel names it) of strip,
+// noting a claimed bucket in picks, which it returns; a record left with
+// nothing is dead, and its key loses it from nrec. A record already
+// stripped is left as it is, so reading one twice claims it once.
+func (d *Dir) claim(r *rec, strip uint8, picks []pick) []pick {
+	if r.flags&strip == 0 {
+		return picks
+	}
+	kr := &d.keys[r.ref-1]
+	if r.flags&strip&fBucket != 0 {
+		picks = append(picks, pick{i: d.sel[r.ref-1] - 1, rel: r.start - (kr.ent - uint32(len(kr.run))), r: *r})
+		r.n, r.start, r.size = 0, 0, 0
+	}
+	if r.flags&strip&statFlags != 0 {
+		r.cost, r.freq, r.mem = 0, 0, 0
+	}
+	if r.flags &^= strip; r.flags&^fCounted == 0 {
+		if r.ref = 0; r.flags != 0 {
+			kr.nrec-- // a key left with none is released below
+		}
+	}
+	return picks
 }
 
 // inject merges a migrated key state into the directory; see

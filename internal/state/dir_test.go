@@ -1,7 +1,9 @@
 package state
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -89,5 +91,75 @@ func TestKeyTableKeyZeroAndGrow(t *testing.T) {
 func TestKeyRecIsOneLine(t *testing.T) {
 	if n := unsafe.Sizeof(keyRec{}); n != 64 {
 		t.Fatalf("keyRec is %d bytes, want 64", n)
+	}
+}
+
+// A key that moves out and back every interval leaves dead records in
+// the lists it passed through: the removal marks them dead where they
+// lie instead of compacting, and a list drops them when it leaves the
+// window. So no list grows past the background keys' records plus the
+// moving key's few per retained interval, and the key's entries stay
+// those of a key that never moved. (Its window sum does not: an adopted
+// sum sits in the last finished interval, see AdoptKey; the model tests
+// pin it.)
+func TestMovedKeyRecordsReclaimed(t *testing.T) {
+	const background, moving = 40, tuple.Key(1000)
+	for _, w := range []int{1, 5} {
+		a, b, still := NewDir(w, 0), NewDir(w, 0), NewDir(w, 0)
+		move := func(from, to *Dir) {
+			from.Move([]tuple.Key{moving}, func(_ int, m Migrated, mem int64) {
+				to.Store().Inject(m)
+				if mem > 0 {
+					to.AdoptKey(moving, mem)
+				}
+			})
+		}
+		add := func(d *Dir, k tuple.Key, size int64) {
+			d.Store().Add(k, Entry{Value: size, Size: size})
+			d.ObserveBatch([]tuple.Tuple{{Key: k, Cost: 1, StateSize: size}})
+		}
+		maxLen := 0
+		for iv := 0; iv < 100; iv++ {
+			for k := tuple.Key(0); k < background; k++ {
+				add(a, k, 1)
+				add(b, k, 1)
+			}
+			add(a, moving, int64(1+iv%3))
+			add(still, moving, int64(1+iv%3))
+			for _, d := range []*Dir{a, b, still} {
+				d.Close()
+			}
+			// Out and back at the interval barrier, as a plan and its
+			// reversal would move it.
+			move(a, b)
+			move(b, a)
+			for _, d := range []*Dir{a, b} {
+				for _, l := range d.lists {
+					maxLen = max(maxLen, len(l))
+				}
+			}
+			if got, want := a.Store().Entries(moving), still.Store().Entries(moving); !slices.Equal(got, want) {
+				t.Fatalf("w=%d interval %d: moved key's entries %v, unmoved %v", w, iv, got, want)
+			}
+			if b.find(moving) >= 0 {
+				t.Fatalf("w=%d interval %d: the key's record outlived its move back", w, iv)
+			}
+		}
+		if bound := background + 4*(w+1); maxLen > bound {
+			t.Fatalf("w=%d: a list reached %d records, bound %d", w, maxLen, bound)
+		}
+	}
+}
+
+// With more lists than a key record has list bits (w+1 > 8), lists
+// share bits: the directory must still agree with the reference models.
+func TestDirMatchesReferenceModelsWideWindow(t *testing.T) {
+	for _, uniform := range []bool{false, true} {
+		for seed := int64(1); seed <= 4; seed++ {
+			m := newModel(9, 24, uniform, seed%2 == 0, rand.New(rand.NewSource(seed*17)))
+			for op := 0; op < 4000; op++ {
+				m.dirStep(t, fmt.Sprintf("uniform=%v w=9 seed=%d op=%d", uniform, seed, op))
+			}
+		}
 	}
 }

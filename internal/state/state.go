@@ -36,8 +36,11 @@
 // more. So a close visits exactly two lists — O(keys touched this
 // interval and w intervals ago) — and allocates nothing once the
 // table, the lists and the pool have reached the working set's size.
-// A migration finds a key's buckets through one pass over the lists
-// (Dir.Move takes every key a task sends in one pass).
+// A migration reads only the moved keys' records: a key record notes
+// one record's list and position and, by bit, the lists that may hold
+// its others (Dir.Move takes every key a task sends at once). A claimed
+// record is marked dead where it lies, and its list drops it when it
+// leaves the window.
 //
 // Buckets stay in arrival order and expire from the front, as they
 // always have: a bucket injected with an interval ahead of the store's

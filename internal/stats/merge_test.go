@@ -125,3 +125,34 @@ func TestMergeRunsExtremeValues(t *testing.T) {
 		}
 	}
 }
+
+// A live record whose limbs are all ones at one end (the last record in
+// KeyStatLess order for the front tournament, the first for the back)
+// must still beat an exhausted run: here run 0's only record is such a
+// one and is reached after run 1 has run out.
+func TestMergeRunsExhaustedLosesToExtremeRecord(t *testing.T) {
+	const maxI, minI = int64(^uint64(0) >> 1), -int64(^uint64(0)>>1) - 1
+	last := KeyStat{Key: ^tuple.Key(0), Cost: minI, Dest: int(maxI)}
+	first := KeyStat{Key: 0, Cost: maxI, Dest: int(minI)}
+	for _, runs := range [][][]KeyStat{
+		{{last}, {{Key: 1, Cost: 5}, {Key: 2, Cost: 4}}},
+		{{first}, {{Key: 1, Cost: 5}, {Key: 2, Cost: 4}}},
+		{{first, last}, {{Key: 1, Cost: 5}, {Key: 2, Cost: 4}, {Key: 3, Cost: 3}}},
+		{{first}, {{Key: 1, Cost: 5}}, {last}},
+	} {
+		var concat []KeyStat
+		for _, r := range runs {
+			concat = append(concat, r...)
+		}
+		SortByCostDesc(concat)
+		got := MergeRuns(nil, runs)
+		if len(got) != len(concat) {
+			t.Fatalf("merged %d entries, want %d", len(got), len(concat))
+		}
+		for i := range concat {
+			if got[i] != concat[i] {
+				t.Fatalf("runs %v entry %d: merge %+v ≠ sort %+v", runs, i, got[i], concat[i])
+			}
+		}
+	}
+}

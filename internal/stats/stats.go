@@ -30,7 +30,6 @@ package stats
 
 import (
 	"cmp"
-	"math"
 	"math/bits"
 	"slices"
 
@@ -143,73 +142,44 @@ func SortByCostDesc(keys []KeyStat) {
 	slices.SortFunc(keys, compareKeyStats)
 }
 
-// mergeCursor is one run of a merge. It caches its head as three
-// unsigned limbs whose lexicographic order is KeyStatLess — the cost
-// complemented so that a higher cost sorts first, then the key, then
-// the destination — so a match is one 192-bit comparison. An exhausted
-// run holds the largest value there is and loses every match.
-type mergeCursor struct {
-	cost, key, dest uint64
-	run             []KeyStat
-}
+// mergeHead is one run's end in one tournament of a merge: the record
+// there as four unsigned limbs whose lexicographic order is the order
+// the tournament emits in, smallest first. They are a dead flag, then
+// KeyStatLess's cost (complemented, so that a higher cost sorts first),
+// key and destination; the back tournament complements the three value
+// limbs, so it emits largest first. An exhausted run sets the dead flag,
+// so it loses every match at either end — even to a live record whose
+// value limbs are all ones.
+type mergeHead struct{ dead, cost, key, dest uint64 }
 
-func (c *mergeCursor) load() {
-	if len(c.run) == 0 {
-		c.cost, c.key, c.dest = math.MaxUint64, math.MaxUint64, math.MaxUint64
-		return
-	}
-	h := &c.run[0]
+// load caches record h, a run's head for the front tournament (flip 0)
+// or its tail for the back one (flip all ones).
+func (c *mergeHead) load(h *KeyStat, flip uint64) {
 	// Flipping the sign bit orders int64 as uint64; the complement
 	// reverses it.
-	c.cost, c.key, c.dest = ^(uint64(h.Cost) ^ 1<<63), uint64(h.Key), uint64(h.Dest)^1<<63
+	c.dead, c.cost, c.key, c.dest = 0, ^(uint64(h.Cost)^1<<63)^flip, uint64(h.Key)^flip, uint64(h.Dest)^1<<63^flip
 }
 
-// beats is 1 when a's head precedes b's under KeyStatLess and 0
-// otherwise, as the borrow of a − b: no branch, because which of two
+// beats is 1 when a's record precedes b's in the tournament's order and
+// 0 otherwise, as the borrow of a − b: no branch, because which of two
 // runs wins a match is a coin flip the predictor loses half the time.
-func (a *mergeCursor) beats(b *mergeCursor) uint64 {
+func (a *mergeHead) beats(b *mergeHead) uint64 {
 	_, borrow := bits.Sub64(a.dest, b.dest, 0)
 	_, borrow = bits.Sub64(a.key, b.key, borrow)
 	_, borrow = bits.Sub64(a.cost, b.cost, borrow)
+	_, borrow = bits.Sub64(a.dead, b.dead, borrow)
 	return borrow
 }
 
-// MergeRuns k-way-merges per-task sorted runs (each ordered by
-// KeyStatLess) onto dst, which it returns — the harvest merge
-// Stage.EndInterval uses instead of re-sorting the concatenated runs.
-// The appended entries are exactly SortByCostDesc over the
-// concatenation. The merge is a tournament tree of losers: after the
-// winner's run advances, only the ⌈log₂ k⌉ matches on its path to the
-// root are replayed. The result never aliases a run: callers pass a
-// buffer they recycle (dst[:0]) and the merge allocates only to grow it
-// (and, past 16 runs, the tree).
-func MergeRuns(dst []KeyStat, runs [][]KeyStat) []KeyStat {
-	total := 0
-	var fixedRuns [16]mergeCursor
-	cs := fixedRuns[:0]
-	for _, r := range runs {
-		if len(r) > 0 {
-			total += len(r)
-			cs = append(cs, mergeCursor{run: r})
-			cs[len(cs)-1].load()
-		}
-	}
-	dst = slices.Grow(dst, total)
-	k := len(cs)
-	if k == 0 {
-		return dst
-	}
-	// losers[n], 1 ≤ n < k, is the run that lost the match at internal
-	// node n; run j's leaf is node k+j and losers[0] the overall winner.
-	// The tree is filled by entering the runs one at a time: a run waits
-	// at the first empty node on its way up and plays whoever arrives
-	// next, so every node ends up holding the loser of its two subtrees.
-	var fixedTree [16]int32
-	losers := fixedTree[:]
-	if k > len(fixedTree) {
-		losers = make([]int32, k)
-	}
-	for n := range losers[:k] {
+// buildLosers fills a tree of losers over the runs' heads: losers[n],
+// 1 ≤ n < k, is the run that lost the match at internal node n; run j's
+// leaf is node k+j and losers[0] the overall winner. The runs enter one
+// at a time: a run waits at the first empty node on its way up and
+// plays whoever arrives next, so every node ends up holding the loser
+// of its two subtrees.
+func buildLosers(hs []mergeHead, losers []int32) {
+	k := len(hs)
+	for n := range losers {
 		losers[n] = -1
 	}
 	for j := 0; j < k; j++ {
@@ -219,7 +189,7 @@ func MergeRuns(dst []KeyStat, runs [][]KeyStat) []KeyStat {
 				losers[n], w = w, -1
 				break
 			}
-			if cs[losers[n]].beats(&cs[w]) != 0 {
+			if hs[losers[n]].beats(&hs[w]) != 0 {
 				losers[n], w = w, losers[n]
 			}
 		}
@@ -227,20 +197,101 @@ func MergeRuns(dst []KeyStat, runs [][]KeyStat) []KeyStat {
 			losers[0] = w
 		}
 	}
-	for ; total > 0; total-- {
-		w := losers[0]
-		c := &cs[w]
-		dst = append(dst, c.run[0])
-		c.run = c.run[1:]
-		c.load()
-		for n := (k + int(w)) / 2; n >= 1; n /= 2 {
-			// The parked loser and the climbing winner trade places when
-			// the loser wins, by mask rather than by branch.
-			l := losers[n]
-			x := (l ^ w) & -int32(cs[l].beats(&cs[w]))
-			losers[n], w = l^x, w^x
+}
+
+// MergeRuns k-way-merges per-task sorted runs (each ordered by
+// KeyStatLess) onto dst, which it returns — the harvest merge
+// Stage.EndInterval uses instead of re-sorting the concatenated runs.
+// The appended entries are exactly SortByCostDesc over the
+// concatenation. Two tournament trees of losers run in one loop: the
+// front one takes the runs' heads smallest first and writes the first
+// half of the output, the back one their tails largest first and writes
+// the second half, so their two dependency chains overlap. After a
+// winner's run advances, only the ⌈log₂ k⌉ matches on its path to the
+// root are replayed. Each tournament reads its own end of every run and
+// stops at its half, so neither sees what the other took. The result
+// never aliases a run: callers pass a buffer they recycle (dst[:0]) and
+// the merge allocates only to grow it (and, past 16 runs, its state).
+func MergeRuns(dst []KeyStat, runs [][]KeyStat) []KeyStat {
+	const fixed = 16
+	var (
+		fixedRuns   [2][fixed][]KeyStat
+		fixedHeads  [2][fixed]mergeHead
+		fixedLosers [2][fixed]int32
+	)
+	total, fr := 0, fixedRuns[0][:0]
+	for _, r := range runs {
+		if len(r) > 0 {
+			total += len(r)
+			fr = append(fr, r)
 		}
-		losers[0] = w
+	}
+	k := len(fr)
+	if k == 0 {
+		return dst
+	}
+	br, fh, bh, fl, bl := fixedRuns[1][:0], fixedHeads[0][:0], fixedHeads[1][:0], fixedLosers[0][:0], fixedLosers[1][:0]
+	if k > fixed {
+		br, fh, bh, fl, bl = nil, nil, nil, nil, nil
+	}
+	// The front tournament's state is fr, fh, fl; the back one's br, bh,
+	// bl: each run's remaining records at that end, its cached head and
+	// the tree.
+	br = append(br, fr...)
+	fh, bh = slices.Grow(fh, k)[:k], slices.Grow(bh, k)[:k]
+	fl, bl = slices.Grow(fl, k)[:k], slices.Grow(bl, k)[:k]
+	for j, r := range fr {
+		fh[j].load(&r[0], 0)
+		bh[j].load(&r[len(r)-1], ^uint64(0))
+	}
+	buildLosers(fh, fl)
+	buildLosers(bh, bl)
+	n0 := len(dst)
+	dst = slices.Grow(dst, total)[:n0+total]
+	out := dst[n0:]
+	lo, hi := 0, total-1
+	for ; lo < hi; lo, hi = lo+1, hi-1 {
+		// One step of each tournament: the winner's record leaves its
+		// run, its head reloads (or dies), and the matches on its path
+		// to the root are replayed. The parked loser and the climbing
+		// winner trade places when the loser wins, by mask rather than
+		// by branch.
+		w := fl[0]
+		r := fr[w]
+		out[lo] = r[0]
+		if r = r[1:]; len(r) > 0 {
+			fh[w].load(&r[0], 0)
+		} else {
+			fh[w].dead = 1
+		}
+		fr[w] = r
+		for n := (k + int(w)) / 2; n >= 1; n /= 2 {
+			l := fl[n]
+			x := (l ^ w) & -int32(fh[l].beats(&fh[w]))
+			fl[n], w = l^x, w^x
+		}
+		fl[0] = w
+
+		v := bl[0]
+		r = br[v]
+		last := len(r) - 1
+		out[hi] = r[last]
+		if r = r[:last]; last > 0 {
+			bh[v].load(&r[last-1], ^uint64(0))
+		} else {
+			bh[v].dead = 1
+		}
+		br[v] = r
+		for n := (k + int(v)) / 2; n >= 1; n /= 2 {
+			l := bl[n]
+			x := (l ^ v) & -int32(bh[l].beats(&bh[v]))
+			bl[n], v = l^x, v^x
+		}
+		bl[0] = v
+	}
+	if lo == hi {
+		// An odd total: the middle record is the front's next.
+		out[lo] = fr[fl[0]][0]
 	}
 	return dst
 }
