@@ -204,9 +204,9 @@ func buildLosers(hs []mergeHead, losers []int32) {
 // Stage.EndInterval uses instead of re-sorting the concatenated runs.
 // The appended entries are exactly SortByCostDesc over the
 // concatenation. Two tournament trees of losers run in one loop: the
-// front one takes the runs' heads smallest first and writes the first
-// half of the output, the back one their tails largest first and writes
-// the second half, so their two dependency chains overlap. After a
+// front one takes the runs' heads in KeyStatLess order and writes the
+// first half of the output, the back one their tails in reverse order
+// and writes the second half, so their two dependency chains overlap. After a
 // winner's run advances, only the ⌈log₂ k⌉ matches on its path to the
 // root are replayed. Each tournament reads its own end of every run and
 // stops at its half, so neither sees what the other took. The result
