@@ -63,14 +63,13 @@
 //
 // # Parallel runtime
 //
-// Both ends of the interval loop are parallel. Emission fans out to
-// Config.Feeders goroutines, each drawing a disjoint, deterministic
-// share of the spout sequence (workload Shard / engine.ShardSpout)
-// and feeding the stage concurrently through its own engine.Port —
-// the emitted multiset is identical to a serial run, and so is every
-// exhibit metric on key-partitioned stages (a PKG feeder routes on its
-// own load estimate, and a shuffle stage's totals stay exact while
-// which tuple lands where follows the interleaving).
+// The spout draws and feeds stage 0 serially, on the driver's
+// goroutine (engine.Emitter). Every stage's tasks run on their own
+// goroutines, and each task sends into the next stage concurrently
+// through its own engine.Port, as does each inbound data connection of
+// a cluster worker (a PKG sender routes on its own load estimate, and a
+// shuffle stage's totals stay exact while which tuple lands where
+// follows the interleaving).
 // Statistics harvest runs on all task goroutines concurrently, queued
 // behind each task's close, each producing a sorted run that the driver
 // combines with a k-way merge (stats.MergeRuns) into the planner
@@ -96,8 +95,9 @@
 // overheads the paper's experiments would otherwise drown in are
 // amortized across hundreds of tuples:
 //
-//   - the engine draws tuples through a batch spout (engine.SpoutBatch,
-//     workload NextBatch methods) into a reusable scratch buffer;
+//   - the engine draws tuples through a batch spout (engine.SpoutBatch:
+//     the Zipf stream's NextBatch, or engine.BatchSpout over another
+//     generator's Next) into a reusable scratch buffer;
 //   - engine.Port.FeedBatch (each sender holds its own Port;
 //     Stage.FeedBatch is the stage's own) partitions a whole batch
 //     into per-destination slices against one atomic load of the

@@ -140,16 +140,16 @@ type Mixed struct {
 	Clean CleanPolicy
 }
 
+// MixedTrials bounds Mixed's cleaning retries, and those of
+// compact.Planner, which adapts its loop.
+const MixedTrials = 32
+
 // Name implements Planner.
 func (Mixed) Name() string { return "Mixed" }
 
 // Plan implements Planner.
 func (m Mixed) Plan(snap *stats.Snapshot, cfg Config) *Plan {
 	start := time.Now()
-	trials := cfg.MaxTrials
-	if trials <= 0 {
-		trials = 32
-	}
 	st := newState()
 	defer st.release()
 	// routed lists the keys occupying routing-table entries in the
@@ -159,7 +159,7 @@ func (m Mixed) Plan(snap *stats.Snapshot, cfg Config) *Plan {
 	var routed []int32
 	n := 0
 	var plan *Plan
-	for t := 0; t < trials; t++ {
+	for t := 0; t < MixedTrials; t++ {
 		plan = st.trial("Mixed", start, snap, cfg, routed[:n])
 		if cfg.TableMax <= 0 {
 			break

@@ -483,7 +483,7 @@ func TestRoutedOrderSortsBySmallestMemory(t *testing.T) {
 
 // DefaultConfig mirrors the bold defaults of Tab. II.
 func DefaultConfig() Config {
-	return Config{ThetaMax: 0.08, TableMax: 3000, Beta: 1.5, MaxTrials: 32}
+	return Config{ThetaMax: 0.08, TableMax: 3000, Beta: 1.5}
 }
 
 func TestDefaultConfigMatchesTableII(t *testing.T) {

@@ -58,7 +58,9 @@ func modelSnapshot(rng *rand.Rand, nd, nk int) *stats.Snapshot {
 
 func tableOf(t *route.Table) map[tuple.Key]int {
 	m := map[tuple.Key]int{}
-	t.Each(func(k tuple.Key, d int) { m[k] = d })
+	for _, k := range t.Keys() {
+		m[k], _ = t.Lookup(k)
+	}
 	return m
 }
 
@@ -97,37 +99,64 @@ func TestPlannersMatchReference(t *testing.T) {
 		Mixed{}, Mixed{Clean: CleanLargestMem}, Mixed{Clean: CleanByKey},
 		MixedBF{}, MixedBF{MaxTrials: 5},
 	}
-	rng := rand.New(rand.NewSource(19))
-	retried := 0
-	for trial := 0; trial < 400; trial++ {
-		nd := 1 + rng.Intn(16)
-		snap := modelSnapshot(rng, nd, rng.Intn(400))
+	retried, exhausted := 0, 0
+	check := func(trial int, snap *stats.Snapshot, cfg Config) {
+		t.Helper()
 		before := append([]stats.KeyStat(nil), snap.Keys...)
-		cfg := Config{
-			ThetaMax: float64(rng.Intn(30)) / 100,
-			TableMax: rng.Intn(3) * (1 + rng.Intn(40)),
-			Beta:     []float64{0.5, 1, 1.5, 2}[rng.Intn(4)],
-		}
-		if rng.Intn(4) == 0 {
-			cfg.MaxTrials = 1 + rng.Intn(3)
-		}
-		if cfg.TableMax > 0 && refPlan(MinMig{}, snap, cfg).Table.Len() > cfg.TableMax {
+		if _, trials, out := refMixed(snap, cfg, CleanSmallestMem); trials > 1 {
 			retried++ // Mixed's first trial overflows: it must clean and retry
+			if out {
+				exhausted++ // and it overflows on every trial
+			}
 		}
 		for _, p := range planners {
 			got, want := p.Plan(snap, cfg), refPlan(p, snap, cfg)
 			if err := samePlan(got, want); err != nil {
 				t.Fatalf("trial %d, %s %+v on %d keys × %d instances, %+v: %v",
-					trial, p.Name(), p, len(snap.Keys), nd, cfg, err)
+					trial, p.Name(), p, len(snap.Keys), snap.ND, cfg, err)
 			}
 		}
 		if !reflect.DeepEqual(before, snap.Keys) {
 			t.Fatalf("trial %d: a planner wrote to the snapshot", trial)
 		}
 	}
+	// Trial −1 overflows Amax by one entry on every one of Mixed's
+	// trials: each cleaned entry sends a unit back to the hash instance,
+	// and θmax = 0 makes the planner route a unit away again.
+	check(-1, exhaustingSnapshot(), Config{ThetaMax: 0, TableMax: 99, Beta: 1})
+	if exhausted != 1 {
+		t.Fatalf("the exhausting snapshot ended Mixed's loop before its %d trials", MixedTrials)
+	}
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 400; trial++ {
+		nd := 1 + rng.Intn(16)
+		snap := modelSnapshot(rng, nd, rng.Intn(400))
+		cfg := Config{
+			ThetaMax: float64(rng.Intn(30)) / 100,
+			TableMax: rng.Intn(3) * (1 + rng.Intn(40)),
+			Beta:     []float64{0.5, 1, 1.5, 2}[rng.Intn(4)],
+		}
+		check(trial, snap, cfg)
+	}
 	if retried < 20 {
 		t.Fatalf("only %d snapshots made Mixed retry; the trial loop is barely covered", retried)
 	}
+}
+
+// exhaustingSnapshot is two instances at equal load: 100 keys of cost 1
+// routed from their hash instance 0 to instance 1, and 100 more of cost
+// 1 on instance 0, all with hash 0.
+func exhaustingSnapshot() *stats.Snapshot {
+	s := &stats.Snapshot{ND: 2}
+	for i := range 200 {
+		ks := stats.KeyStat{Key: tuple.Key(i), Cost: 1, Freq: 1, Mem: 2}
+		if i < 100 {
+			ks.Dest, ks.Mem = 1, 1
+		}
+		s.Keys = append(s.Keys, ks)
+	}
+	stats.SortByCostDesc(s.Keys)
+	return s
 }
 
 // TestPlanOutlivesRecycledState pins that a Plan aliases nothing the

@@ -46,9 +46,6 @@ type Config struct {
 	TableMax int
 	// Beta is the migration-priority exponent β in γ(k,w) = c(k)^β / S(k,w).
 	Beta float64
-	// MaxTrials bounds the Mixed algorithm's cleaning retries; ≤ 0
-	// selects a sane default.
-	MaxTrials int
 }
 
 // Plan is the outcome of one planner run: the new routing table A′, the

@@ -413,6 +413,23 @@ func refTrial(name string, snap *stats.Snapshot, cfg Config, routed []int, n int
 	return st.finish(name, snap, time.Now(), cfg)
 }
 
+// refMixed is the reference Mixed loop. It returns the plan and how many
+// of the MixedTrials trials ran, and reports exhaustion: every trial
+// overflowed Amax although routed entries were still left to clean.
+func refMixed(snap *stats.Snapshot, cfg Config, clean CleanPolicy) (plan *Plan, trials int, exhausted bool) {
+	routed := refRoutedOrderBy(snap, clean)
+	n := 0
+	for t := 0; t < MixedTrials; t++ {
+		plan = refTrial("Mixed", snap, cfg, routed, n)
+		if cfg.TableMax <= 0 || plan.Table.Len() <= cfg.TableMax {
+			return plan, t + 1, false
+		}
+		exhausted = n < len(routed)
+		n = min(n+plan.Table.Len()-cfg.TableMax, len(routed))
+	}
+	return plan, MixedTrials, exhausted
+}
+
 // refPlan runs the reference implementation of planner p.
 func refPlan(p Planner, snap *stats.Snapshot, cfg Config) *Plan {
 	start := time.Now()
@@ -451,27 +468,7 @@ func refPlan(p Planner, snap *stats.Snapshot, cfg Config) *Plan {
 	case MinMig:
 		return refTrial("MinMig", snap, cfg, nil, 0)
 	case Mixed:
-		trials := cfg.MaxTrials
-		if trials <= 0 {
-			trials = 32
-		}
-		routed := refRoutedOrderBy(snap, p.Clean)
-		n := 0
-		var plan *Plan
-		for t := 0; t < trials; t++ {
-			plan = refTrial("Mixed", snap, cfg, routed, n)
-			if cfg.TableMax <= 0 {
-				break
-			}
-			over := plan.Table.Len() - cfg.TableMax
-			if over <= 0 {
-				break
-			}
-			n += over
-			if n > len(routed) {
-				n = len(routed)
-			}
-		}
+		plan, _, _ := refMixed(snap, cfg, p.Clean)
 		return plan
 	case MixedBF:
 		routed := refRoutedOrderBy(snap, CleanSmallestMem)

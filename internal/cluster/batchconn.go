@@ -54,8 +54,8 @@ func NewBatchConn(c *Conn) *BatchConn { return &BatchConn{c: c} }
 // FeedBatch sends one batch downstream. The tuples are fully encoded
 // before return, so the caller's slice is immediately reusable — the
 // same contract engine.Stage.FeedBatch gives its callers. Tolerates
-// concurrent callers (upstream task goroutines and spout feeders flush
-// into the same edge).
+// concurrent callers (upstream task goroutines flush into the same
+// edge).
 func (b *BatchConn) FeedBatch(ts []tuple.Tuple) {
 	if len(ts) == 0 {
 		return

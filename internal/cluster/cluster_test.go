@@ -210,8 +210,11 @@ func runLocal(t *testing.T, mutate ...func(*Spec)) *distributedRun {
 // by assignment) and its per-instance stores.
 func (r *distributedRun) captureStage(count *engine.Stage) {
 	if ar := count.AssignmentRouter(); ar != nil {
+		tab := ar.Assignment().Table()
 		r.table = map[tuple.Key]int{}
-		ar.Assignment().Table().Each(func(k tuple.Key, d int) { r.table[k] = d })
+		for _, k := range tab.Keys() {
+			r.table[k], _ = tab.Lookup(k)
+		}
 	}
 	for d := 0; d < count.Instances(); d++ {
 		st := count.StoreOf(d)
@@ -537,7 +540,6 @@ func TestInvalidDeclarationRefused(t *testing.T) {
 		{"unknown algorithm", func(s *Spec) { s.Stages[1].Algorithm = "bogus" }, `stage "count": topology: unknown algorithm "bogus"`, true},
 		{"unknown op", func(s *Spec) { s.Stages[2].Op = "social/none" }, `stage "topk": unknown operator "social/none"`, true},
 		{"factory only", func(s *Spec) { s.Stages[2].Op, s.Stages[2].Factory = "", op }, `stage "topk" has only an in-process operator factory`, false},
-		{"feeders", func(s *Spec) { s.Feeders = 2 }, "Feeders = 2", false},
 		{"negative instances", func(s *Spec) { s.Stages[1].Instances = -1 }, `stage "count": -1 instances`, true},
 		{"instances past MaxTasks", func(s *Spec) { s.Stages[2].Instances = protocol.MaxTasks + 1 }, `stage "topk": 65537 instances`, true},
 		{"negative window", func(s *Spec) { s.Stages[0].Window = -3 }, `stage "parse": a window of -3 intervals`, true},

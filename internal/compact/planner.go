@@ -52,13 +52,9 @@ func (p Planner) Plan(snap *stats.Snapshot, cfg balance.Config) *balance.Plan {
 		R = 1
 	}
 	sp := Build(snap, R)
-	trials := cfg.MaxTrials
-	if trials <= 0 {
-		trials = 32
-	}
 	n := int64(0)
 	var plan *balance.Plan
-	for t := 0; t < trials; t++ {
+	for t := 0; t < balance.MixedTrials; t++ {
 		vp := newVplan(sp, cfg)
 		vp.clean(sp, n)
 		vp.prepare()

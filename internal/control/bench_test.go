@@ -124,7 +124,7 @@ func BenchmarkControlRound(b *testing.B) {
 			agent, ctrl := pair()
 			defer agent.Close()
 			x := control.NewExecutor(e, 0, agent)
-			srv := control.NewServer(ctrl, []control.Policy{controller.New(planner, balance.Config{ThetaMax: 0.08, TableMax: 3000, Beta: 1.5, MaxTrials: 32})})
+			srv := control.NewServer(ctrl, []control.Policy{controller.New(planner, balance.Config{ThetaMax: 0.08, TableMax: 3000, Beta: 1.5})})
 			srv.Start()
 			defer srv.Close()
 			rounds := roundRuns(st.AssignmentRouter().Assignment(), 8)

@@ -144,9 +144,7 @@ func splitEntries(set []stats.HotKey) []protocol.SplitEntry {
 // references exists on the stage right now. A plan computed before a
 // same-round scale-in — or a malformed one from a remote controller —
 // can target a retired instance; applying it would index past the
-// task slice. The in-tree Controller drops such plans itself
-// (DroppedStale); this guard holds the line at the executor boundary
-// for everything else.
+// task slice, so the executor refuses it.
 func planFits(a *protocol.PlanAnnounce, instances int) bool {
 	for _, e := range a.Table {
 		if e.Dest < 0 || e.Dest >= instances {

@@ -97,7 +97,7 @@ func buildScaleInTopology(fleet *countingFleet, scaler *longterm.AutoScaler) *to
 // and every migrated key landing on a surviving instance.
 func TestScaleInLivePipelined(t *testing.T) {
 	fleet := &countingFleet{}
-	scaler := &longterm.AutoScaler{Detector: longterm.NewDetector(), MinInstances: 2}
+	scaler := &longterm.AutoScaler{Detector: longterm.NewDetector()}
 	sys := buildScaleInTopology(fleet, scaler)
 	defer sys.Stop()
 
@@ -108,8 +108,8 @@ func TestScaleInLivePipelined(t *testing.T) {
 	if scaler.ScaleIns == 0 {
 		t.Fatalf("no scale-in fired in %d idle intervals (util %.2f)", intervals, scaler.Detector.Utilization())
 	}
-	if got := count.Instances(); got >= 6 || got < 2 {
-		t.Fatalf("count stage at %d instances, want within [2, 6)", got)
+	if got := count.Instances(); got >= 6 || got < 1 {
+		t.Fatalf("count stage at %d instances, want within [1, 6)", got)
 	}
 
 	// Zero tuple loss: every tuple the spout emitted crossed both
@@ -154,14 +154,14 @@ func TestScaleInLivePipelined(t *testing.T) {
 // tables, identical applied histories.
 func TestScaleInLoopbackEqualsWire(t *testing.T) {
 	lbFleet := &countingFleet{}
-	lbScaler := &longterm.AutoScaler{Detector: longterm.NewDetector(), MinInstances: 2}
+	lbScaler := &longterm.AutoScaler{Detector: longterm.NewDetector()}
 	lb := buildScaleInTopology(lbFleet, lbScaler)
 	defer lb.Stop()
 	lbSnaps := lastSnapshots(lb.Engine)
 	lb.Run(30)
 
 	wFleet := &countingFleet{}
-	wScaler := &longterm.AutoScaler{Detector: longterm.NewDetector(), MinInstances: 2}
+	wScaler := &longterm.AutoScaler{Detector: longterm.NewDetector()}
 	wCtl := mkController() // the builder's controller for AlgMixed, Theta(0.08), MinKeys(32)
 	w := scaleInStages(wFleet)
 	defer w.Stop()

@@ -2,17 +2,17 @@
 // every interval boundary it receives the operator's merged statistics
 // (step 1), judges whether the imbalance warrants a new assignment
 // function (step 2), and runs the configured planner. As a
-// control.Policy it emits the resulting plan as a Rebalance command,
-// which the stage's control.Executor drives through the pause →
-// migrate → ack → resume sequence (steps 3–7) over protocol messages;
-// Maybe applies the same decision directly against the stage, the
-// reference the tests pin the control loop against.
+// control.Policy it emits the resulting plan as a Rebalance command:
+// the stage's control.Executor sends one LoadReport per round, the
+// server answers with one Commands message, and the executor applies
+// the plan at the sealed interval barrier (steps 3–7). Maybe applies
+// the same decision directly against the stage, the reference the
+// tests pin the control loop against.
 package controller
 
 import (
 	"cmp"
 	"slices"
-	"time"
 
 	"repro/internal/balance"
 	"repro/internal/control"
@@ -28,29 +28,12 @@ type Controller struct {
 	Planner balance.Planner
 	// Cfg carries θmax, Amax, β.
 	Cfg balance.Config
-	// Trigger is the imbalance level that provokes planning; 0 uses
-	// Cfg.ThetaMax (plan whenever the constraint is violated).
-	Trigger float64
 	// MinKeys suppresses planning until the snapshot has at least this
 	// many keys (warm-up guard); 0 means no guard.
 	MinKeys int
-	// IntervalDuration, when positive, models plan-generation latency:
-	// a plan whose GenTime exceeds it is applied ⌈GenTime/Interval⌉
-	// intervals late, against live state that has meanwhile drifted —
-	// the mechanism behind the paper's Fig. 15 observation that Readj's
-	// multi-minute planning delays recovery. Zero applies plans
-	// immediately (generation is instantaneous relative to the paper's
-	// 10 s intervals for the fast planners).
-	IntervalDuration time.Duration
 
 	// SkippedBalanced counts intervals where no plan was needed.
 	SkippedBalanced int
-	// DeferredApplies counts plans that arrived late.
-	DeferredApplies int
-	// DroppedStale counts late plans discarded because the instance
-	// set shrank while they were in generation (their destinations no
-	// longer all exist).
-	DroppedStale int
 	// SplitPinned counts plan moves stripped because their key was
 	// split at decision time. The planner plans without the split keys,
 	// so it stays 0; it counts a planner that broke that contract.
@@ -65,9 +48,7 @@ type Controller struct {
 	// themselves are not kept: a controller that plans every interval
 	// would pin every table and migration set for the life of the
 	// process.
-	applied      int
-	pending      *balance.Plan
-	pendingDelay int
+	applied int
 	// view is the recycled key buffer of the split-aware planning view
 	// (splitView): a planner's Plan never aliases its snapshot.
 	view []stats.KeyStat
@@ -78,43 +59,12 @@ func New(p balance.Planner, cfg balance.Config) *Controller {
 	return &Controller{Planner: p, Cfg: cfg}
 }
 
-// trigger returns the effective imbalance trigger.
-func (c *Controller) trigger() float64 {
-	if c.Trigger > 0 {
-		return c.Trigger
-	}
-	return c.Cfg.ThetaMax
-}
-
 // decide is the policy core shared by Decide and Maybe: judge the
 // snapshot (step 2) and return the plan to apply this interval, or nil
-// to hold. split is the stage's split set. It advances the pending-plan
-// staleness state, so it must be called exactly once per interval.
+// to hold. split is the stage's split set.
 func (c *Controller) decide(routable bool, snap *stats.Snapshot, split []control.SplitSpec) *balance.Plan {
 	if !routable || len(snap.Keys) == 0 {
 		return nil
-	}
-	// A plan still "in generation" from a previous interval lands now
-	// (possibly stale); no new planning happens while one is pending.
-	if c.pending != nil {
-		if c.pendingDelay > 0 {
-			c.pendingDelay--
-			return nil
-		}
-		plan := c.pending
-		c.pending = nil
-		// A plan generated before a scale-in may target instances that
-		// no longer exist; applying it would route keys (and migrate
-		// state) to retired tasks. Drop it — the next interval's
-		// snapshot replans against the current instance set. (Scale-out
-		// is harmless here: destinations only ever grow valid.)
-		if maxPlanDest(plan) >= snap.ND {
-			c.DroppedStale++
-			return nil
-		}
-		c.DeferredApplies++
-		c.guardSplit(plan, split, snap)
-		return plan
 	}
 	if c.MinKeys > 0 && len(snap.Keys) < c.MinKeys {
 		return nil
@@ -134,20 +84,11 @@ func (c *Controller) decide(routable bool, snap *stats.Snapshot, split []control
 	} else {
 		loads = snap.Loads()
 	}
-	if stats.MaxTheta(loads) <= c.trigger() {
+	if stats.MaxTheta(loads) <= c.Cfg.ThetaMax {
 		c.SkippedBalanced++
 		return nil
 	}
 	plan := c.Planner.Plan(view, c.Cfg)
-	if c.IntervalDuration > 0 && plan.GenTime > c.IntervalDuration {
-		delay := int(plan.GenTime / c.IntervalDuration)
-		c.pending = plan
-		c.pendingDelay = delay - 1
-		if c.pendingDelay < 0 {
-			c.pendingDelay = 0
-		}
-		return nil
-	}
 	c.guardSplit(plan, split, snap)
 	return plan
 }
@@ -184,26 +125,6 @@ func (c *Controller) splitView(snap *stats.Snapshot, split []control.SplitSpec) 
 // findSplit returns k's position in a split set in ascending key order.
 func findSplit(split []control.SplitSpec, k tuple.Key) (int, bool) {
 	return slices.BinarySearchFunc(split, k, func(sp control.SplitSpec, k tuple.Key) int { return cmp.Compare(sp.Key, k) })
-}
-
-// maxPlanDest returns the largest destination index a plan references
-// (routing-table entries and migration targets), or -1 for an empty
-// plan.
-func maxPlanDest(plan *balance.Plan) int {
-	max := -1
-	if plan.Table != nil {
-		plan.Table.Each(func(_ tuple.Key, d int) {
-			if d > max {
-				max = d
-			}
-		})
-	}
-	for _, d := range plan.MoveDest {
-		if d > max {
-			max = d
-		}
-	}
-	return max
 }
 
 // Decide implements control.Policy: judge one snapshot and emit the

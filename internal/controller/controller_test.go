@@ -1,8 +1,6 @@
 package controller
 
 import (
-	"time"
-
 	"testing"
 
 	"repro/internal/balance"
@@ -83,17 +81,6 @@ func TestControllerMinKeysGuard(t *testing.T) {
 	}
 }
 
-func TestControllerCustomTrigger(t *testing.T) {
-	st := newStage(2)
-	defer st.Stop()
-	c := New(balance.Mixed{}, balance.Config{ThetaMax: 0.01, Beta: 1.5})
-	c.Trigger = 10 // effectively never
-	snap := feedSkewed(st, 3, 500, 10)
-	if r := c.Maybe(st, snap); r != nil {
-		t.Fatal("custom trigger ignored")
-	}
-}
-
 // directHook is the direct path: the controller decides and applies on
 // the stage itself, registered like any other per-stage hook.
 func directHook(c *Controller) engine.SnapshotHook {
@@ -163,122 +150,5 @@ func TestControllerEndToEndReducesSkew(t *testing.T) {
 	}
 	if managed > 1.3 {
 		t.Fatalf("managed steady-state skew %.3f too high", managed)
-	}
-}
-
-// slowPlanner wraps a planner and inflates its reported generation
-// time, exercising the deferred-application path.
-type slowPlanner struct {
-	inner   balance.Planner
-	genTime time.Duration
-}
-
-func (s slowPlanner) Name() string { return "slow" }
-func (s slowPlanner) Plan(snap *stats.Snapshot, cfg balance.Config) *balance.Plan {
-	p := s.inner.Plan(snap, cfg)
-	p.GenTime = s.genTime
-	return p
-}
-
-func TestSlowPlannerAppliesLate(t *testing.T) {
-	st := newStage(2)
-	defer st.Stop()
-	c := New(slowPlanner{balance.Mixed{}, 25 * time.Millisecond}, balance.Config{ThetaMax: 0.08, Beta: 1.5})
-	c.IntervalDuration = 10 * time.Millisecond // plan takes 2.5 intervals
-
-	// Interval 0: imbalance detected, plan generated but deferred.
-	snap := feedSkewed(st, 7, 500, 100)
-	if r := c.Maybe(st, snap); r != nil {
-		t.Fatal("slow plan applied immediately")
-	}
-	// Interval 1: still generating.
-	snap1 := feedSkewed(st, 7, 500, 100)
-	if r := c.Maybe(st, snap1); r != nil {
-		t.Fatal("slow plan applied one interval early")
-	}
-	// Interval 2: plan lands.
-	snap2 := feedSkewed(st, 7, 500, 100)
-	r := c.Maybe(st, snap2)
-	if r == nil {
-		t.Fatal("deferred plan never applied")
-	}
-	if c.DeferredApplies != 1 {
-		t.Fatalf("DeferredApplies = %d, want 1", c.DeferredApplies)
-	}
-}
-
-// fixedPlanner always returns the same pre-built plan.
-type fixedPlanner struct{ p *balance.Plan }
-
-func (f fixedPlanner) Name() string { return f.p.Algorithm }
-func (f fixedPlanner) Plan(*stats.Snapshot, balance.Config) *balance.Plan {
-	return f.p
-}
-
-// TestStalePlanDroppedAfterScaleIn pins the elastic hazard: a plan
-// parked in generation before a scale-in may target instances that no
-// longer exist; releasing it unchecked would panic the driver (index
-// out of range in migrateKey) or install routes to a retired task. The
-// controller must drop it and replan from the next snapshot instead.
-func TestStalePlanDroppedAfterScaleIn(t *testing.T) {
-	st := newStage(3)
-	defer st.Stop()
-	// A fixed plan that routes the hot key to instance 2 — exactly the
-	// instance the scale-in below retires.
-	stale := &balance.Plan{
-		Algorithm: "fixed",
-		Table:     route.NewTable(),
-		Moved:     []tuple.Key{7},
-		MoveDest:  map[tuple.Key]int{7: 2},
-		GenTime:   15 * time.Millisecond,
-	}
-	stale.Table.Put(7, 2)
-	c := New(fixedPlanner{stale}, balance.Config{ThetaMax: 0.08, Beta: 1.5})
-	c.IntervalDuration = 10 * time.Millisecond // plans land one interval late
-
-	// Interval 0: imbalance detected at 3 instances; plan deferred.
-	snap := feedSkewed(st, 7, 500, 100)
-	if r := c.Maybe(st, snap); r != nil {
-		t.Fatal("slow plan applied immediately")
-	}
-	// The instance set shrinks while the plan is in generation.
-	st.ScaleIn()
-
-	// Interval 1: the pending plan lands — computed for 3 instances,
-	// released against 2. It must be dropped, not applied.
-	for i := 0; i < 300; i++ {
-		st.FeedBatch([]tuple.Tuple{tuple.New(tuple.Key(1000+i), nil)})
-	}
-	st.Barrier()
-	snap1 := st.EndInterval(1)
-	if r := c.Maybe(st, snap1); r != nil {
-		t.Fatalf("stale plan applied against the shrunk stage: %+v", r.Plan)
-	}
-	if c.DroppedStale != 1 {
-		t.Fatalf("DroppedStale = %d, want 1", c.DroppedStale)
-	}
-	if c.DeferredApplies != 0 {
-		t.Fatalf("DeferredApplies = %d for a dropped plan", c.DeferredApplies)
-	}
-	// No live key may route beyond the surviving instances.
-	ar := st.AssignmentRouter()
-	for _, k := range st.LiveKeys() {
-		if d := ar.Assignment().Dest(k); d >= 2 {
-			t.Fatalf("key %d routed to retired instance %d", k, d)
-		}
-	}
-}
-
-func TestFastPlannerAppliesImmediately(t *testing.T) {
-	st := newStage(2)
-	defer st.Stop()
-	c := New(balance.Mixed{}, balance.Config{ThetaMax: 0.08, Beta: 1.5})
-	c.IntervalDuration = time.Hour // everything is "fast" at this scale
-	snap := feedSkewed(st, 7, 500, 100)
-	if r := c.Maybe(st, snap); r == nil {
-		t.Fatal("fast plan deferred")
-	}
-	if c.DeferredApplies != 0 {
-		t.Fatal("fast path counted as deferred")
 	}
 }

@@ -88,17 +88,23 @@ func stressInterval(t *testing.T, interval int64, feed func(), stages ...*Stage)
 }
 
 // feedConcurrently runs feeders goroutines, each pushing chunks batches
-// of chunk tuples drawn from its share of draw (ShardSpout) into its
-// own Port on in, and returns when all of them are done.
+// of chunk tuples into its own Port on in, and returns when all of them
+// are done. The goroutines draw from draw under one mutex, each call
+// claiming the next chunk of its sequence, so together they feed
+// exactly its first feeders·chunks·chunk tuples.
 func feedConcurrently(in *Stage, draw SpoutBatch, feeders, chunks, chunk int) {
+	var mu sync.Mutex
 	var wg sync.WaitGroup
-	for _, sb := range ShardSpout(draw, feeders) {
+	for range feeders {
 		wg.Add(1)
 		go func(p *Port) {
 			defer wg.Done()
 			buf := make([]tuple.Tuple, chunk)
 			for range chunks {
-				p.FeedBatch(buf[:sb(buf)])
+				mu.Lock()
+				got := draw(buf)
+				mu.Unlock()
+				p.FeedBatch(buf[:got])
 			}
 		}(in.NewPort())
 	}

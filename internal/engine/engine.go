@@ -64,20 +64,6 @@ type Config struct {
 	// LatencyFloorMs is an additive latency term for schemes with extra
 	// coordination (PKG's merge period p).
 	LatencyFloorMs float64
-	// Feeders is the spout parallelism: how many goroutines emit each
-	// interval's tuples concurrently (the paper ran its spouts at
-	// parallelism 10). 0 or 1 selects the serial emission path, whose
-	// behavior — draw sequence, chunking, metrics — is exactly that of
-	// the single-feeder engine. With N > 1 the per-interval budget is
-	// split across N feeders before the fan-out; each feeder owns a
-	// private scratch buffer and its own Port on the first stage, and
-	// feeds concurrently. The drawn multiset is preserved exactly;
-	// per-tuple destinations (and so all metrics) are preserved for
-	// key-partitioned routers. A shuffle stage's per-instance totals
-	// stay exact, but which tuple lands where follows the feeders'
-	// interleaving; on a PKG stage each feeder routes on its own load
-	// estimate over whichever segments of the draw it gets.
-	Feeders int
 }
 
 // DefaultConfig returns the model used across the experiments. The
@@ -121,14 +107,8 @@ type Engine struct {
 	// engine's reusable scratch buffer (BatchSpout adapts a per-tuple
 	// Spout).
 	SpoutB SpoutBatch
-	// SpoutShards, when set (len == Cfg.Feeders), gives each feeder
-	// goroutine its own partitioned draw source — e.g. the workload
-	// generators' Shard(n) draw functions, each a SpoutBatch. When unset
-	// and Cfg.Feeders > 1, the engine wraps the single spout in a mutex
-	// sharder (ShardSpout), which preserves the drawn multiset exactly.
-	SpoutShards []SpoutBatch
-	Stages      []*Stage
-	Cfg         Config
+	Stages []*Stage
+	Cfg    Config
 	// Target selects the stage whose metrics are recorded (the operator
 	// under study; downstream stages still execute and consume).
 	Target   int
@@ -267,12 +247,10 @@ func (e *Engine) RunInterval() {
 	// Feed the pipeline. Emission runs through reusable scratch buffers
 	// in emitChunk-sized batches: the spout fills a scratch, the stage's
 	// FeedBatch copies the tuples into per-destination messages, and the
-	// scratch is immediately reusable for the next chunk. With
-	// Cfg.Feeders > 1 the budget is split across N feeder goroutines
-	// before the fan-out. Every downstream stage is consuming
-	// concurrently from the first chunk on — its tasks receive upstream
-	// flushes mid-interval — so the emission loop below drives the whole
-	// topology, not just stage 0.
+	// scratch is immediately reusable for the next chunk. Every
+	// downstream stage is consuming concurrently from the first chunk
+	// on — its tasks receive upstream flushes mid-interval — so the
+	// emission loop below drives the whole topology, not just stage 0.
 	if got := e.emit(emitN); got < emitN {
 		// The spout ended early (finite batch sources); record the true
 		// emission so the model and metrics charge what actually

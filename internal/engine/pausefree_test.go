@@ -125,10 +125,8 @@ func TestPauseFreeMatchesPausingOracle(t *testing.T) {
 			t.Fatalf("snapshot entry %d: reference %+v, live %+v", i, os.Keys[i], ls.Keys[i])
 		}
 	}
-	otab := map[tuple.Key]int{}
-	ost.AssignmentRouter().Assignment().Table().Each(func(k tuple.Key, d int) { otab[k] = d })
-	ltab := map[tuple.Key]int{}
-	lst.AssignmentRouter().Assignment().Table().Each(func(k tuple.Key, d int) { ltab[k] = d })
+	otab := tableMap(ost.AssignmentRouter().Assignment().Table())
+	ltab := tableMap(lst.AssignmentRouter().Assignment().Table())
 	if len(otab) != len(ltab) {
 		t.Fatalf("table sizes %d ≠ %d", len(ltab), len(otab))
 	}
@@ -407,4 +405,13 @@ func TestPlanTasksSendAndReceive(t *testing.T) {
 		t.Fatalf("total state %d, want %d", state, wantState)
 	}
 	checkOneOwner(t, st, nil, "after the plans")
+}
+
+// tableMap copies a routing table into a map.
+func tableMap(t *route.Table) map[tuple.Key]int {
+	m := map[tuple.Key]int{}
+	for _, k := range t.Keys() {
+		m[k], _ = t.Lookup(k)
+	}
+	return m
 }

@@ -118,8 +118,8 @@ func (s *Stage) AssignmentRouter() *AssignmentRouter { return s.ar }
 
 // Port is one sender's handle on a stage: its partition scratch and, on
 // a PKG stage, its own load estimate. Every sender holds its own — the
-// engine's feeders, each upstream task, each inbound cluster data
-// connection — so senders share nothing but the stage's arrival
+// spout's emitter (the stage's own, behind Stage.FeedBatch), each
+// upstream task, each inbound cluster data connection — so senders share nothing but the stage's arrival
 // counters and, on a shuffle stage, its round-robin position. A Port
 // serves one goroutine at a time.
 type Port struct {

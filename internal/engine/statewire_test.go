@@ -120,10 +120,8 @@ func TestStateWireMatchesInMemory(t *testing.T) {
 			t.Fatalf("snapshot entry %d: in-memory %+v, serialized %+v", i, rs.Keys[i], ws.Keys[i])
 		}
 	}
-	rtab := map[tuple.Key]int{}
-	rst.AssignmentRouter().Assignment().Table().Each(func(k tuple.Key, d int) { rtab[k] = d })
-	wtab := map[tuple.Key]int{}
-	wst.AssignmentRouter().Assignment().Table().Each(func(k tuple.Key, d int) { wtab[k] = d })
+	rtab := tableMap(rst.AssignmentRouter().Assignment().Table())
+	wtab := tableMap(wst.AssignmentRouter().Assignment().Table())
 	if len(rtab) != len(wtab) {
 		t.Fatalf("table sizes %d ≠ %d", len(wtab), len(rtab))
 	}

@@ -140,3 +140,58 @@ func TestFig20Fig21BetaShape(t *testing.T) {
 		t.Fatalf("β=2 migration (%v) not above β=1 (%v)", m2, m1)
 	}
 }
+
+// TestFig09Shape pins fig09's migration columns against its note: the
+// paper's "MinTable ≈ 3x Mixed" holds only at w = 5 (1.7–3.0x); at
+// w = 1 MinTable is 1.0–1.6x Mixed. MinTable never migrates less than
+// Mixed, and a window of 5 migrates less than one of 1 wherever either
+// migrates at all.
+func TestFig09Shape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exhibit regeneration skipped in -short")
+	}
+	r := exhibit(t, "fig09")
+	for i := range r.Rows {
+		mixed1, minTable1, mixed5, minTable5 := num(t, r, i, 3), num(t, r, i, 4), num(t, r, i, 5), num(t, r, i, 6)
+		for _, c := range []struct {
+			w               int
+			mixed, minTable float64
+			lo, hi          float64
+		}{{1, mixed1, minTable1, 1.0, 1.6}, {5, mixed5, minTable5, 1.6, 3.0}} {
+			if c.minTable < c.mixed {
+				t.Errorf("θ = %s, w = %d: MinTable migrates %v%%, below Mixed's %v%%", r.Rows[i][0], c.w, c.minTable, c.mixed)
+			}
+			if c.mixed > 0 {
+				if q := c.minTable / c.mixed; q < c.lo || q > c.hi {
+					t.Errorf("θ = %s, w = %d: MinTable/Mixed = %.2f, outside [%v, %v]", r.Rows[i][0], c.w, q, c.lo, c.hi)
+				}
+			}
+		}
+		for _, p := range []struct {
+			name   string
+			w1, w5 float64
+		}{{"Mixed", mixed1, mixed5}, {"MinTable", minTable1, minTable5}} {
+			if p.w1 > 0 && p.w5 >= p.w1 {
+				t.Errorf("θ = %s: %s migrates %v%% at w = 5, not below %v%% at w = 1", r.Rows[i][0], p.name, p.w5, p.w1)
+			}
+		}
+	}
+}
+
+// TestFig12Shape pins fig12's migration columns against its note:
+// Mixed migrates less than MinTable and Readj at every f. Its own
+// migration rises with f (0.53 → 4.41 %), so the paper's "grows
+// slowest" does not hold here; the plan-time half of the note is
+// wall-clock and not checked in this test.
+func TestFig12Shape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exhibit regeneration skipped in -short")
+	}
+	r := exhibit(t, "fig12")
+	for i := range r.Rows {
+		mixed, minTable, readj := num(t, r, i, 5), num(t, r, i, 6), num(t, r, i, 7)
+		if mixed >= minTable || mixed >= readj {
+			t.Errorf("f = %s: Mixed migrates %v%%, not below MinTable's %v%% and Readj's %v%%", r.Rows[i][0], mixed, minTable, readj)
+		}
+	}
+}

@@ -138,18 +138,13 @@ func (d *Detector) Observe(totalLoad, totalCapacity int64) Action {
 // loop runs policies in order, so the rebalancer handles fluctuations
 // each interval before the detector judges the long-term trend.
 type AutoScaler struct {
-	// Detector decides; Capacity overrides the per-task service
-	// capacity reported by the stage (0 uses the reported value).
+	// Detector decides against the per-task service capacity the stage
+	// reports.
 	Detector *Detector
-	Capacity int64
-	// MinInstances floors scale-in: the stage never shrinks below this
-	// many instances. 0 means the floor is 1 (a stage cannot retire its
-	// only instance).
-	MinInstances int
 
 	// History records every applied resize with its interval; a
-	// recommendation suppressed by resizability or the floor leaves no
-	// event.
+	// recommendation suppressed by resizability or the one-instance
+	// floor leaves no event.
 	History []Event
 	// ScaleOuts and ScaleIns count applied resizes.
 	ScaleOuts int
@@ -168,12 +163,8 @@ type Event struct {
 // on stages that cannot resize); commands are only emitted for
 // resizable stages (assignment routing over a consistent-hash ring —
 // exactly what the executor can apply), and scale-in additionally
-// respects the instance floor.
+// respects the one-instance floor.
 func (a *AutoScaler) Decide(env control.Env, snap *stats.Snapshot) []control.Command {
-	cap64 := a.Capacity
-	if cap64 == 0 {
-		cap64 = env.Capacity
-	}
 	// The snapshot records *admitted* load; when backpressure
 	// throttled the spout, true demand is higher by the throttle
 	// ratio. Without the correction a saturated system reports
@@ -183,13 +174,13 @@ func (a *AutoScaler) Decide(env control.Env, snap *stats.Snapshot) []control.Com
 	if env.Emitted > 0 && env.Budget > env.Emitted {
 		demand = demand * env.Budget / env.Emitted
 	}
-	act := a.Detector.Observe(demand, cap64*int64(env.Tasks))
+	act := a.Detector.Observe(demand, env.Capacity*int64(env.Tasks))
 	if act == Hold {
 		return nil
 	}
 	// History and counters record *applied* actions only (the summary
 	// says "applied"): a recommendation suppressed by resizability or
-	// the instance floor leaves no event behind.
+	// the one-instance floor leaves no event behind.
 	record := func() {
 		a.History = append(a.History, Event{Interval: env.Interval, Action: act, Util: a.Detector.Utilization()})
 	}
@@ -201,11 +192,8 @@ func (a *AutoScaler) Decide(env control.Env, snap *stats.Snapshot) []control.Com
 			return []control.Command{control.ScaleOut{}}
 		}
 	case ScaleIn:
-		floor := a.MinInstances
-		if floor < 1 {
-			floor = 1
-		}
-		if env.Resizable && env.Tasks > floor {
+		// A stage never retires its only instance.
+		if env.Resizable && env.Tasks > 1 {
 			record()
 			a.ScaleIns++
 			return []control.Command{control.ScaleIn{}}

@@ -152,7 +152,7 @@ func TestAutoScalerAppliesScaleIn(t *testing.T) {
 	e := engine.NewBatch(engine.BatchSpout(spout), cfg, st)
 	defer e.Stop()
 
-	as := &AutoScaler{Detector: NewDetector(), MinInstances: 2}
+	as := &AutoScaler{Detector: NewDetector()}
 	loop := control.NewLoop(e, 0, []control.Policy{as})
 	defer loop.Close()
 	e.AddSnapshotHook(0, loop.Hook())
@@ -160,8 +160,8 @@ func TestAutoScalerAppliesScaleIn(t *testing.T) {
 	if as.ScaleIns == 0 {
 		t.Fatal("sustained idleness never applied a scale-in")
 	}
-	if got := st.Instances(); got >= 4 || got < 2 {
-		t.Fatalf("instances = %d after scale-in (want within [2, 4))", got)
+	if got := st.Instances(); got >= 4 || got < 1 {
+		t.Fatalf("instances = %d after scale-in (want within [1, 4))", got)
 	}
 	ar := st.AssignmentRouter()
 	for _, k := range st.LiveKeys() {
@@ -177,11 +177,12 @@ func TestAutoScalerAppliesScaleIn(t *testing.T) {
 	}
 }
 
-// The MinInstances floor must hold even under permanent idleness.
+// A stage never retires its only instance, even under permanent
+// idleness.
 func TestAutoScalerRespectsInstanceFloor(t *testing.T) {
-	as := &AutoScaler{Detector: NewDetector(), MinInstances: 3}
-	env := control.Env{Interval: 0, Tasks: 3, Capacity: 1000, Routable: true, Resizable: true}
-	snap := &stats.Snapshot{ND: 3}
+	as := &AutoScaler{Detector: NewDetector()}
+	env := control.Env{Interval: 0, Tasks: 1, Capacity: 1000, Routable: true, Resizable: true}
+	snap := &stats.Snapshot{ND: 1}
 	for i := 0; i < 40; i++ {
 		env.Interval = int64(i)
 		snap.Keys = []stats.KeyStat{{Key: 1, Cost: 100, Dest: 0}}

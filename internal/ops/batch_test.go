@@ -33,7 +33,9 @@ func TestProcessBatchMatchesPerTuple(t *testing.T) {
 	mkTuples := func() []tuple.Tuple {
 		gen := workload.NewStock(50, 0.9, 3)
 		ts := make([]tuple.Tuple, 3000)
-		gen.NextBatch(ts)
+		for i := range ts {
+			ts[i] = gen.Next()
+		}
 		return ts
 	}
 	batches := func(ts []tuple.Tuple) [][]tuple.Tuple {
@@ -90,7 +92,9 @@ func TestProcessBatchMatchesPerTuple(t *testing.T) {
 	t.Run("q5join", func(t *testing.T) {
 		gen := workload.NewTPCH(workload.DefaultTPCHConfig())
 		ts := make([]tuple.Tuple, 3000)
-		gen.NextBatch(ts)
+		for i := range ts {
+			ts[i] = gen.Next()
+		}
 		single, batched := NewQ5Join(gen, 2), NewQ5Join(gen, 2)
 		cs, cb := newCtx(2), newCtx(2)
 		for _, tp := range ts {

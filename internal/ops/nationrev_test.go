@@ -10,8 +10,8 @@ import (
 
 // NationRevenue accumulates in integer micro-units precisely so that
 // the arrival order of the join stage's revenue contributions — which
-// pipelined transfer and multi-feeder emission both scramble — cannot
-// change the totals. These tests pin that contract.
+// pipelined transfer scrambles, its join tasks sending concurrently —
+// cannot change the totals. These tests pin that contract.
 
 // TestNationRevenueOrderInsensitive feeds the same revenue multiset in
 // two opposite orders straight into one instance: the totals must be
@@ -43,10 +43,10 @@ func TestNationRevenueOrderInsensitive(t *testing.T) {
 	}
 }
 
-// runQ5Feeders drives the 2-stage Q5 topology, streaming or under the
-// store-and-forward reference, at the given spout parallelism and
-// returns the aggregation fleet's per-nation totals in µ-units.
-func runQ5Feeders(ref bool, feeders int) map[int]int64 {
+// runQ5Revenue drives the 2-stage Q5 topology, streaming or under the
+// store-and-forward reference, and returns the aggregation fleet's
+// per-nation totals in µ-units.
+func runQ5Revenue(ref bool) map[int]int64 {
 	cfg := workload.DefaultTPCHConfig()
 	cfg.Customers, cfg.Suppliers, cfg.OrderPool = 2000, 200, 800
 	gen := workload.NewTPCH(cfg)
@@ -54,7 +54,7 @@ func runQ5Feeders(ref bool, feeders int) map[int]int64 {
 	aggs := NewNationRevenueFleet()
 	s0 := engine.NewStage("q5join", 4, joins.Factory, 2, asgRouter(4))
 	s1 := engine.NewStage("q5agg", 2, aggs.Factory, 2, asgRouter(2))
-	ecfg := engine.Config{Budget: 12000, MaxPendingFactor: 2, MigrationFactor: 1, Feeders: feeders}
+	ecfg := engine.Config{Budget: 12000, MaxPendingFactor: 2, MigrationFactor: 1}
 	e, _ := newEngine(ref, gen.Next, ecfg, s0, s1)
 	e.Run(4)
 	e.Stop()
@@ -70,12 +70,13 @@ func runQ5Feeders(ref bool, feeders int) map[int]int64 {
 }
 
 // TestNationRevenuePipelinedFeedersMatchStoreAndForward pins the
-// end-to-end guarantee: a streaming multi-feeder Q5 run reproduces the
-// serial store-and-forward reference's totals exactly, µ-unit for µ-unit, even
-// though the aggregation instances see the contributions in a
-// completely different order.
+// end-to-end guarantee: a streaming Q5 run, whose four join tasks feed
+// the aggregation stage concurrently, reproduces the store-and-forward
+// reference's totals exactly, µ-unit for µ-unit, even though the
+// aggregation instances see the contributions in a completely different
+// order.
 func TestNationRevenuePipelinedFeedersMatchStoreAndForward(t *testing.T) {
-	ref := runQ5Feeders(true, 1)
+	ref := runQ5Revenue(true)
 	var nonzero int
 	for _, v := range ref {
 		if v != 0 {
@@ -85,18 +86,10 @@ func TestNationRevenuePipelinedFeedersMatchStoreAndForward(t *testing.T) {
 	if nonzero == 0 {
 		t.Fatal("store-and-forward run produced no revenue; the pin is vacuous")
 	}
-	for _, mode := range []struct {
-		name    string
-		feeders int
-	}{
-		{"pipelined", 1},
-		{"pipelined+3feeders", 3},
-	} {
-		got := runQ5Feeders(false, mode.feeders)
-		for n, want := range ref {
-			if got[n] != want {
-				t.Fatalf("%s: nation %d revenue %d µ-units, store-and-forward %d", mode.name, n, got[n], want)
-			}
+	got := runQ5Revenue(false)
+	for n, want := range ref {
+		if got[n] != want {
+			t.Fatalf("nation %d revenue %d µ-units, store-and-forward %d", n, got[n], want)
 		}
 	}
 }

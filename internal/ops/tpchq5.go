@@ -109,12 +109,12 @@ func (f *Q5JoinFleet) TotalJoined() int64 {
 // RevenueUnit is the fixed-point resolution NationRevenue accumulates
 // at: one micro-currency-unit. Integer accumulation is exact and
 // therefore order-insensitive — float addition is not associative, and
-// under pipelined transfer (or Feeders > 1) the join tasks' revenue
-// contributions reach an aggregation instance in nondeterministic
-// order. Each contribution rounds to the grid once, at arrival, so the
-// only tolerance against an infinitely precise sum is ±0.5 µ-units per
-// joined row; totals are bit-identical across transfer modes, feeder
-// counts and migration histories (pinned by test).
+// under pipelined transfer the join tasks' revenue contributions reach
+// an aggregation instance in nondeterministic order. Each contribution
+// rounds to the grid once, at arrival, so the only tolerance against an
+// infinitely precise sum is ±0.5 µ-units per joined row; totals are
+// bit-identical across transfer modes and migration histories (pinned
+// by test).
 const RevenueUnit = 1e-6
 
 // NationRevenue is the stage-1 operator: GROUP BY n_name SUM(revenue),

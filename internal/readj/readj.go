@@ -30,9 +30,6 @@ import (
 // Tune helper mirrors that.
 type Planner struct {
 	Sigma float64
-	// MaxIters bounds the improvement loop; ≤ 0 selects a default
-	// proportional to the candidate count.
-	MaxIters int
 }
 
 // Name implements balance.Planner.
@@ -88,16 +85,12 @@ func (p Planner) Plan(snap *stats.Snapshot, cfg balance.Config) *balance.Plan {
 	}
 	sort.Slice(hot, func(a, b int) bool { return keys[hot[a]].cost > keys[hot[b]].cost })
 
-	maxIters := p.MaxIters
-	if maxIters <= 0 {
-		maxIters = 4*len(hot) + 64
-	}
-
 	// Improvement loop: each round scans every (hot key → instance) move
 	// and every hot-key pair swap, applying the single change that most
 	// reduces the maximum load. This O(|hot|²) pairing per round is the
-	// published algorithm's cost profile.
-	for iter := 0; iter < maxIters; iter++ {
+	// published algorithm's cost profile; the rounds are bounded in
+	// proportion to the candidate count.
+	for iter := 0; iter < 4*len(hot)+64; iter++ {
 		maxLoad := loads[0]
 		for _, l := range loads {
 			if l > maxLoad {

@@ -83,13 +83,6 @@ func (t *Table) Clone() *Table {
 	return c
 }
 
-// Each calls fn for every entry in unspecified order.
-func (t *Table) Each(fn func(k tuple.Key, d int)) {
-	for k, d := range t.m {
-		fn(k, d)
-	}
-}
-
 // tableIndex is a routing table frozen into an open-addressed array: the
 // per-tuple lookup is one multiply and, almost always, one slot — against
 // a Go map's hash call, bucket walk and tophash compare. Slots are at

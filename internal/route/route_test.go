@@ -108,8 +108,12 @@ func Delta(old, new *Assignment, extra []tuple.Key) []tuple.Key {
 			out = append(out, k)
 		}
 	}
-	old.table.Each(func(k tuple.Key, _ int) { check(k) })
-	new.table.Each(func(k tuple.Key, _ int) { check(k) })
+	for k := range old.table.m {
+		check(k)
+	}
+	for k := range new.table.m {
+		check(k)
+	}
 	for _, k := range extra {
 		check(k)
 	}

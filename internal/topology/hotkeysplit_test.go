@@ -160,10 +160,8 @@ func sameRuns(t *testing.T, label string, off, on *System, offTr, onTr *splitTra
 			t.Fatalf("%s: interval %d diverges:\nsplit-off %+v\nsplit-on  %+v", label, i, a, b)
 		}
 	}
-	otab := map[tuple.Key]int{}
-	off.Stage(0).AssignmentRouter().Assignment().Table().Each(func(k tuple.Key, d int) { otab[k] = d })
-	ltab := map[tuple.Key]int{}
-	on.Stage(0).AssignmentRouter().Assignment().Table().Each(func(k tuple.Key, d int) { ltab[k] = d })
+	otab := tableMap(off.Stage(0).AssignmentRouter().Assignment().Table())
+	ltab := tableMap(on.Stage(0).AssignmentRouter().Assignment().Table())
 	if len(otab) != len(ltab) {
 		t.Fatalf("%s: table sizes %d ≠ %d", label, len(ltab), len(otab))
 	}
@@ -339,4 +337,13 @@ func TestHotKeySplitComposesWithRebalance(t *testing.T) {
 	}
 	// The stage-level backstop's counter is pinned at 0 for the same run
 	// where it is visible: engine's TestControllerGuardLeavesStagePinsIdle.
+}
+
+// tableMap copies a routing table into a map.
+func tableMap(t *route.Table) map[tuple.Key]int {
+	m := map[tuple.Key]int{}
+	for _, k := range t.Keys() {
+		m[k], _ = t.Lookup(k)
+	}
+	return m
 }

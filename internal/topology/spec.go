@@ -29,9 +29,6 @@ type Spec struct {
 	Name string
 	// Budget is the spout's per-interval tuple budget. Default 10000.
 	Budget int64
-	// Feeders is the spout parallelism (engine.Config.Feeders). A
-	// cluster's spout is the coordinator's and serial.
-	Feeders int
 	// MaxPending is the backpressure threshold factor
 	// (engine.Config.MaxPendingFactor). Zero takes the default 0.5; a
 	// negative factor turns throttling off.
@@ -85,14 +82,11 @@ type StageSpec struct {
 // Resolve validates the declaration and returns a copy with every
 // default applied and exactly one stage marked Target, plus that
 // stage's index. remote is set for a declaration deployed on a cluster,
-// which builds every stage from its Op on a worker and draws the spout
-// serially on the coordinator. The error names the offending stage.
+// which builds every stage from its Op on a worker. The error names the
+// offending stage.
 func (s *Spec) Resolve(remote bool) (*Spec, int, error) {
 	if len(s.Stages) == 0 {
 		return nil, 0, fmt.Errorf("topology: no stages declared")
-	}
-	if remote && s.Feeders > 1 {
-		return nil, 0, fmt.Errorf("topology: Feeders = %d, but a cluster's spout is serial", s.Feeders)
 	}
 	r := *s
 	r.Stages = append([]StageSpec(nil), s.Stages...)
@@ -247,7 +241,6 @@ func (s *Spec) BuildLocal() *System {
 	}
 	ecfg := engine.DefaultConfig()
 	ecfg.Budget = r.Budget
-	ecfg.Feeders = r.Feeders
 	ecfg.MaxPendingFactor = r.MaxPending
 	ecfg.LatencyFloorMs = r.Stages[target].Model().LatencyFloorMs
 	e := engine.NewBatch(r.SpoutB, ecfg, stages...)

@@ -63,15 +63,6 @@ func (s *Social) Next() tuple.Tuple {
 	return t
 }
 
-// NextBatch fills dst with the next len(dst) feed words, identical in
-// sequence to successive Next calls. Always returns len(dst).
-func (s *Social) NextBatch(dst []tuple.Tuple) int {
-	for i := range dst {
-		dst[i] = s.Next()
-	}
-	return len(dst)
-}
-
 // Advance drifts the distribution slowly: DriftFrac·K random adjacent
 // rank swaps. Adjacent swaps change each key's frequency only
 // marginally — the "slowly changing" regime.

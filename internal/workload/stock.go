@@ -78,15 +78,6 @@ func (s *Stock) Next() tuple.Tuple {
 	return t
 }
 
-// NextBatch fills dst with the next len(dst) trades, identical in
-// sequence to successive Next calls. Always returns len(dst).
-func (s *Stock) NextBatch(dst []tuple.Tuple) int {
-	for i := range dst {
-		dst[i] = s.Next()
-	}
-	return len(dst)
-}
-
 // burstShare approximates the fraction of the tape the active bursts
 // occupy: each burst contributes BurstFactor times a mid-rank weight.
 func (s *Stock) burstShare() float64 {

@@ -174,12 +174,3 @@ func (t *TPCH) Next() tuple.Tuple {
 	tp.StateSize = 2 // lineitems are wider than orders in the window
 	return tp
 }
-
-// NextBatch fills dst with the next len(dst) fact tuples, identical in
-// sequence to successive Next calls. Always returns len(dst).
-func (t *TPCH) NextBatch(dst []tuple.Tuple) int {
-	for i := range dst {
-		dst[i] = t.Next()
-	}
-	return len(dst)
-}

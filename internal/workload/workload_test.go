@@ -153,7 +153,8 @@ func (s *Stock) ExpectedLoad(n int64) map[tuple.Key]int64 {
 }
 
 // generator is one workload family behind the draw and interval-boundary
-// calls the engine makes on it.
+// calls the engine makes on it. batch is nil for a family the engine
+// draws through Next (engine.BatchSpout).
 type generator struct {
 	name    string
 	next    func() tuple.Tuple
@@ -171,9 +172,9 @@ func newGenerators(seed int64) []generator {
 	tp := NewTPCH(cfg)
 	return []generator{
 		{"zipf", z.Next, z.NextBatch, func() { z.Advance(fixedAsg(4)) }},
-		{"social", so.Next, so.NextBatch, so.Advance},
-		{"stock", st.Next, st.NextBatch, st.Advance},
-		{"tpch", tp.Next, tp.NextBatch, tp.Advance},
+		{"social", so.Next, nil, so.Advance},
+		{"stock", st.Next, nil, st.Advance},
+		{"tpch", tp.Next, nil, tp.Advance},
 	}
 }
 
@@ -507,6 +508,9 @@ func TestNextBatchMatchesSequentialNext(t *testing.T) {
 	batches = append(batches, generator{"zipf-budget", nil, zb.NextBatch, zipfAdvance(zb)})
 	for g, seq := range seqs {
 		bat := batches[g]
+		if bat.batch == nil {
+			continue
+		}
 		for iv, n := range []int{257, 1, 0, 4096} {
 			buf := make([]tuple.Tuple, n)
 			for i := range buf {

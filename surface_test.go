@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"fmt"
 	"go/ast"
 	"go/build"
 	"go/importer"
@@ -12,6 +13,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -21,11 +23,6 @@ import (
 var testOnlyAllowed = map[string]string{
 	// The per-interval reference the control loop is pinned against.
 	"controller.Controller.Maybe": "reference path of the control round",
-	// Sharded spouts (ROADMAP item 3) will draw one shard per worker.
-	"workload.TPCH.Shard":       "kept for sharded spouts",
-	"workload.ZipfStream.Shard": "kept for sharded spouts",
-	"workload.Social.Shard":     "kept for sharded spouts",
-	"workload.Stock.Shard":      "kept for sharded spouts",
 	// A snapshot's keys are recycled two closes later; the tests of five
 	// packages that keep one across closes copy it with Clone.
 	"stats.Snapshot.Clone": "tests retain snapshots across closes",
@@ -39,6 +36,70 @@ var testOnlyAllowed = map[string]string{
 // embedded fields (a promoted selection names the field's members, not
 // the field), fields of anonymous struct types, and testOnlyAllowed.
 func TestNoTestOnlyExports(t *testing.T) {
+	s := loadSurface(t)
+	used := s.used()
+	ifaces := s.interfaces()
+	allowed := maps.Clone(testOnlyAllowed)
+	objs := s.internalExports()
+	for _, name := range slices.Sorted(maps.Keys(objs)) {
+		obj := objs[name]
+		if used[obj] || satisfiesInterface(obj, ifaces) {
+			continue
+		}
+		if _, ok := allowed[name]; ok {
+			delete(allowed, name)
+			continue
+		}
+		pos := s.fset.Position(obj.Pos())
+		t.Errorf("only tests use %s (%s:%d): delete it, or rewrite its tests over what production uses",
+			name, filepath.ToSlash(pos.Filename), pos.Line)
+	}
+	for name := range allowed {
+		t.Errorf("testOnlyAllowed names %s, which is gone or has a non-test use", name)
+	}
+}
+
+// TestNoTestOnlyKnobs fails on an exported field of a named struct type
+// of internal/ that non-test code reads but never writes: a knob only
+// tests turn, whose other values reach code production never runs. A
+// write is the target of an assignment, op-assignment, ++ or --, a key
+// or position of a composite literal, an operand of &, or a range
+// target. A field reached through an alias (cluster.Spec) is the one
+// field.
+func TestNoTestOnlyKnobs(t *testing.T) {
+	s := loadSurface(t)
+	used := s.used()
+	written := s.writtenFields()
+	objs := s.internalExports()
+	for _, name := range slices.Sorted(maps.Keys(objs)) {
+		obj := objs[name]
+		if v, ok := obj.(*types.Var); !ok || !v.IsField() || !used[obj] || written[obj] {
+			continue
+		}
+		pos := s.fset.Position(obj.Pos())
+		t.Errorf("non-test code reads %s (%s:%d) but only tests set it: make its one value the code",
+			name, filepath.ToSlash(pos.Filename), pos.Line)
+	}
+}
+
+var (
+	surfaceOnce sync.Once
+	surfaceLoad *surface
+	surfaceErr  error
+)
+
+// loadSurface type-checks every non-test file of the module once per
+// test binary.
+func loadSurface(t *testing.T) *surface {
+	t.Helper()
+	surfaceOnce.Do(func() { surfaceLoad, surfaceErr = newSurface() })
+	if surfaceErr != nil {
+		t.Fatal(surfaceErr)
+	}
+	return surfaceLoad
+}
+
+func newSurface() (*surface, error) {
 	// The standard library's cgo files would need the C toolchain; its
 	// pure-Go fallbacks declare the same API.
 	build.Default.CgoEnabled = false
@@ -63,58 +124,35 @@ func TestNoTestOnlyExports(t *testing.T) {
 			return nil
 		})
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 	}
-	paths := slices.Sorted(maps.Keys(s.dirs))
-	for _, p := range paths {
+	s.paths = slices.Sorted(maps.Keys(s.dirs))
+	for _, p := range s.paths {
 		if _, err := s.check(p); err != nil {
-			t.Fatalf("%s: %v", p, err)
+			return nil, fmt.Errorf("%s: %v", p, err)
 		}
 	}
-
-	used := map[types.Object]bool{}
-	for _, info := range s.infos {
-		for _, obj := range info.Uses {
-			used[origin(obj)] = true
-		}
-	}
-	ifaces := s.interfaces()
-	allowed := maps.Clone(testOnlyAllowed)
-	for _, p := range paths {
-		pkg := s.pkgs[p]
-		if pkg == nil || !strings.HasPrefix(p, "repro/internal/") {
-			continue
-		}
-		objs := exported(pkg)
-		for _, name := range slices.Sorted(maps.Keys(objs)) {
-			obj := objs[name]
-			if used[obj] || satisfiesInterface(obj, ifaces) {
-				continue
-			}
-			if _, ok := allowed[name]; ok {
-				delete(allowed, name)
-				continue
-			}
-			pos := fset.Position(obj.Pos())
-			t.Errorf("only tests use %s (%s:%d): delete it, or rewrite its tests over what production uses",
-				name, filepath.ToSlash(pos.Filename), pos.Line)
-		}
-	}
-	for name := range allowed {
-		t.Errorf("testOnlyAllowed names %s, which is gone or has a non-test use", name)
-	}
+	return s, nil
 }
 
 // surface type-checks the module's packages from source: module
 // packages from the walked directories, the standard library through a
 // source importer.
 type surface struct {
-	fset  *token.FileSet
-	std   types.ImporterFrom
-	dirs  map[string]string // import path → directory
-	pkgs  map[string]*types.Package
-	infos []*types.Info
+	fset    *token.FileSet
+	std     types.ImporterFrom
+	dirs    map[string]string // import path → directory
+	paths   []string          // the keys of dirs, sorted
+	pkgs    map[string]*types.Package
+	checked []checkedPkg
+}
+
+// checkedPkg is one type-checked package's files and what the checker
+// recorded about them.
+type checkedPkg struct {
+	files []*ast.File
+	info  *types.Info
 }
 
 func (s *surface) Import(path string) (*types.Package, error) {
@@ -160,7 +198,7 @@ func (s *surface) check(path string) (*types.Package, error) {
 		return nil, err
 	}
 	s.pkgs[path] = pkg
-	s.infos = append(s.infos, info)
+	s.checked = append(s.checked, checkedPkg{files, info})
 	return pkg, nil
 }
 
@@ -192,11 +230,93 @@ func (s *surface) interfaces() []*types.Interface {
 	for _, pkg := range s.pkgs {
 		visit(pkg)
 	}
-	for _, info := range s.infos {
-		for _, tv := range info.Types {
+	for _, c := range s.checked {
+		for _, tv := range c.info.Types {
 			if it, ok := tv.Type.(*types.Interface); ok && it.NumMethods() > 0 {
 				out = append(out, it)
 			}
+		}
+	}
+	return out
+}
+
+// internalExports maps the qualified name of each exported object of
+// the module's internal/ packages (exported) to the object.
+func (s *surface) internalExports() map[string]types.Object {
+	out := map[string]types.Object{}
+	for _, p := range s.paths {
+		if pkg := s.pkgs[p]; pkg != nil && strings.HasPrefix(p, "repro/internal/") {
+			maps.Copy(out, exported(pkg))
+		}
+	}
+	return out
+}
+
+// used returns every object the checked code uses.
+func (s *surface) used() map[types.Object]bool {
+	out := map[types.Object]bool{}
+	for _, c := range s.checked {
+		for _, obj := range c.info.Uses {
+			out[origin(obj)] = true
+		}
+	}
+	return out
+}
+
+// writtenFields returns the struct fields the checked code writes: the
+// target of an assignment or op-assignment, of ++ or --, or of a range
+// clause, a key or position of a composite literal, or an operand of &.
+func (s *surface) writtenFields() map[types.Object]bool {
+	out := map[types.Object]bool{}
+	for _, c := range s.checked {
+		field := func(e ast.Expr) {
+			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+				if v, ok := c.info.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
+					out[origin(v)] = true
+				}
+			}
+		}
+		for _, f := range c.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, l := range n.Lhs {
+						field(l)
+					}
+				case *ast.IncDecStmt:
+					field(n.X)
+				case *ast.RangeStmt:
+					if n.Key != nil {
+						field(n.Key)
+					}
+					if n.Value != nil {
+						field(n.Value)
+					}
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						field(n.X)
+					}
+				case *ast.CompositeLit:
+					typ := c.info.Types[n].Type
+					if p, ok := typ.Underlying().(*types.Pointer); ok {
+						typ = p.Elem() // an element of []*T{{…}} is typed *T
+					}
+					st, ok := typ.Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					for i, el := range n.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								out[origin(c.info.Uses[id])] = true
+							}
+						} else {
+							out[origin(st.Field(i))] = true
+						}
+					}
+				}
+				return true
+			})
 		}
 	}
 	return out
