@@ -22,7 +22,7 @@ func (Simple) Plan(snap *stats.Snapshot, cfg Config) *Plan {
 	start := time.Now()
 	st := newState()
 	defer st.release()
-	st.load(snap, cfg)
+	st.load(NewProblem(snap, cfg))
 	for i := range st.keys {
 		st.disassociate(int32(i))
 	}
@@ -33,7 +33,7 @@ func (Simple) Plan(snap *stats.Snapshot, cfg Config) *Plan {
 	for len(st.cand) > 0 {
 		st.forceAssign(st.popCand())
 	}
-	return st.finish("Simple", start, cfg)
+	return st.finish("Simple", start)
 }
 
 // --- LLFD as a standalone planner --------------------------------------
@@ -59,10 +59,10 @@ func (l LLFD) Plan(snap *stats.Snapshot, cfg Config) *Plan {
 	start := time.Now()
 	st := newState()
 	defer st.release()
-	st.load(snap, cfg)
+	st.load(NewProblem(snap, cfg))
 	st.noAdjust = l.NoAdjust
 	st.rebalance(l.Psi)
-	return st.finish("LLFD", start, cfg)
+	return st.finish("LLFD", start)
 }
 
 // --- MinTable (Algorithm 2) --------------------------------------------
@@ -81,13 +81,13 @@ func (MinTable) Plan(snap *stats.Snapshot, cfg Config) *Plan {
 	start := time.Now()
 	st := newState()
 	defer st.release()
-	st.load(snap, cfg)
+	st.load(NewProblem(snap, cfg))
 	// Phase I: move back all keys in A.
 	for i := range st.keys {
 		st.moveHome(int32(i))
 	}
 	st.rebalance(ByCost)
-	return st.finish("MinTable", start, cfg)
+	return st.finish("MinTable", start)
 }
 
 // --- MinMig (Algorithm 3) ----------------------------------------------
@@ -107,9 +107,9 @@ func (MinMig) Plan(snap *stats.Snapshot, cfg Config) *Plan {
 	start := time.Now()
 	st := newState()
 	defer st.release()
-	st.load(snap, cfg)
+	st.load(NewProblem(snap, cfg))
 	st.rebalance(ByGamma)
-	return st.finish("MinMig", start, cfg)
+	return st.finish("MinMig", start)
 }
 
 // --- Mixed (Algorithm 4) -----------------------------------------------
@@ -152,6 +152,7 @@ func (m Mixed) Plan(snap *stats.Snapshot, cfg Config) *Plan {
 	start := time.Now()
 	st := newState()
 	defer st.release()
+	pr := NewProblem(snap, cfg)
 	// routed lists the keys occupying routing-table entries in the
 	// cleaning criterion η's order (paper: smallest S(k,w) first). The
 	// first trial cleans nothing, so the list waits for the first
@@ -160,7 +161,7 @@ func (m Mixed) Plan(snap *stats.Snapshot, cfg Config) *Plan {
 	n := 0
 	var plan *Plan
 	for t := 0; t < MixedTrials; t++ {
-		plan = st.trial("Mixed", start, snap, cfg, routed[:n])
+		plan = st.trial("Mixed", start, pr, routed[:n])
 		if cfg.TableMax <= 0 {
 			break
 		}
@@ -212,9 +213,10 @@ func (bf MixedBF) Plan(snap *stats.Snapshot, cfg Config) *Plan {
 	if bf.MaxTrials > 0 && len(routed) > bf.MaxTrials {
 		stride = (len(routed) + bf.MaxTrials - 1) / bf.MaxTrials
 	}
+	pr := NewProblem(snap, cfg)
 	var best *Plan
 	for n := 0; n <= len(routed); n += stride {
-		if p := st.trial("MixedBF", start, snap, cfg, routed[:n]); better(p, best, cfg) {
+		if p := st.trial("MixedBF", start, pr, routed[:n]); better(p, best, cfg) {
 			best = p
 		}
 	}
@@ -248,13 +250,13 @@ func (st *planState) rebalance(psi Criterion) {
 }
 
 // trial is one Mixed trial on a recycled state: reset the working
-// assignment to the snapshot's, virtually move the cleaned keys back to
+// assignment to the problem's, virtually move the cleaned keys back to
 // their hash destinations, run MinMig's phases.
-func (st *planState) trial(name string, start time.Time, snap *stats.Snapshot, cfg Config, cleaned []int32) *Plan {
-	st.load(snap, cfg)
+func (st *planState) trial(name string, start time.Time, pr *Problem, cleaned []int32) *Plan {
+	st.load(pr)
 	for _, i := range cleaned {
 		st.moveHome(i)
 	}
 	st.rebalance(ByGamma)
-	return st.finish(name, start, cfg)
+	return st.finish(name, start)
 }

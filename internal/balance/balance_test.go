@@ -263,8 +263,8 @@ func TestMixedBFNeverWorseMigrationThanMixedWhenFeasible(t *testing.T) {
 		cfg := Config{ThetaMax: 0.1, TableMax: mt.TableSize() + 10, Beta: 1.5}
 		pm := Mixed{}.Plan(snap, cfg)
 		pb := MixedBF{}.Plan(snap, cfg)
-		if !pm.Feasible {
-			continue
+		if pm.OverloadTheta > cfg.ThetaMax+1e-9 || pm.TableSize() > cfg.TableMax {
+			continue // Mixed found no plan meeting both bounds of Eq. 3
 		}
 		if pb.MigrationCost > pm.MigrationCost {
 			t.Fatalf("trial %d: MixedBF migration %d > Mixed migration %d",
@@ -392,20 +392,29 @@ func TestSingleInstanceIsTrivialllyBalanced(t *testing.T) {
 
 func TestGammaOrderingUnderBeta(t *testing.T) {
 	// β=1: γ = c/S → key with cost 4/mem 4 ties cost 7/mem 7.
-	if g1, g2 := gamma(7, 7, 1), gamma(4, 4, 1); g1 != g2 {
+	if g1, g2 := Gamma(7, 7, 1), Gamma(4, 4, 1); g1 != g2 {
 		t.Fatalf("β=1: γ(7,7)=%v ≠ γ(4,4)=%v", g1, g2)
 	}
 	// β=0.5 favours the smaller key (paper's k2-vs-k1 example).
-	if g1, g2 := gamma(7, 7, 0.5), gamma(4, 4, 0.5); g1 >= g2 {
+	if g1, g2 := Gamma(7, 7, 0.5), Gamma(4, 4, 0.5); g1 >= g2 {
 		t.Fatalf("β=0.5: want γ(4,4) > γ(7,7), got %v vs %v", g2, g1)
 	}
 	// Larger β favours high-cost keys.
-	if g1, g2 := gamma(7, 7, 2), gamma(4, 4, 2); g1 <= g2 {
+	if g1, g2 := Gamma(7, 7, 2), Gamma(4, 4, 2); g1 <= g2 {
 		t.Fatalf("β=2: want γ(7,7) > γ(4,4), got %v vs %v", g1, g2)
 	}
 	// Zero mem is clamped, no division blow-up.
-	if g := gamma(5, 0, 1.5); g <= 0 {
+	if g := Gamma(5, 0, 1.5); g <= 0 {
 		t.Fatalf("γ with zero mem = %v, want positive", g)
+	}
+}
+
+func TestGammaClampsMem(t *testing.T) {
+	if g := Gamma(4, 0, 1); g != 4 {
+		t.Fatalf("γ(4, 0) = %v, want 4 (mem clamped to 1)", g)
+	}
+	if g := Gamma(0, 5, 1.5); g != 0 {
+		t.Fatalf("γ(0, 5) = %v, want 0", g)
 	}
 }
 

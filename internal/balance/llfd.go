@@ -7,9 +7,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/route"
 	"repro/internal/stats"
-	"repro/internal/tuple"
 )
 
 // planState is the mutable working set shared by every planner. The
@@ -18,13 +16,12 @@ import (
 // the per-instance key lists and the candidate heap C. Every slice is
 // kept across plans (see statePool) and grows on demand.
 type planState struct {
+	pr    *Problem
 	nd    int
 	keys  []stats.KeyStat // the snapshot's records; never written
 	beta  float64
 	loads []int64
-	total int64
-	avg   float64 // L̄ from the snapshot (fixed during planning)
-	lmax  float64 // Lmax = (1+θmax)·L̄
+	lmax  float64 // the problem's Lmax
 	// cur[i] is key i's working destination; -1 while it is in the
 	// candidate set.
 	cur []int32
@@ -77,39 +74,28 @@ func newState() *planState {
 
 // release returns the state to the pool.
 func (st *planState) release() {
-	st.keys = nil
+	st.pr, st.keys = nil, nil
 	statePool.Put(st)
 }
 
-// load resets the working assignment to the snapshot's: every key on
-// its recorded destination over the snapshot's pinned loads, the
-// candidate set empty. The c^β memo survives unless β changed, so
-// Mixed's later trials and the next plan do not recompute it.
-func (st *planState) load(snap *stats.Snapshot, cfg Config) {
-	st.nd, st.keys, st.beta = snap.ND, snap.Keys, cfg.Beta
-	if len(st.pow) == 0 || math.Float64bits(st.powBeta) != math.Float64bits(cfg.Beta) {
+// load resets the working assignment to the problem's: every key on
+// its recorded destination over the problem's loads, the candidate set
+// empty. The c^β memo survives unless β changed, so Mixed's later
+// trials and the next plan do not recompute it.
+func (st *planState) load(pr *Problem) {
+	st.pr, st.nd, st.keys, st.beta, st.lmax = pr, pr.snap.ND, pr.snap.Keys, pr.cfg.Beta, pr.Lmax
+	if len(st.pow) == 0 || math.Float64bits(st.powBeta) != math.Float64bits(st.beta) {
 		st.pow = slices.Grow(st.pow[:0], powMemo)[:powMemo]
 		for c := range st.pow {
 			st.pow[c] = powUnset
 		}
-		st.powBeta = cfg.Beta
+		st.powBeta = st.beta
 	}
-	st.loads = slices.Grow(st.loads[:0], st.nd)[:st.nd]
-	clear(st.loads)
+	st.loads = append(st.loads[:0], pr.Loads...)
 	st.cur = slices.Grow(st.cur[:0], len(st.keys))[:len(st.keys)]
-	st.total = 0
-	for d, p := range snap.Pinned {
-		st.loads[d] = p
-		st.total += p
-	}
 	for i := range st.keys {
-		ks := &st.keys[i]
-		st.cur[i] = int32(ks.Dest)
-		st.loads[ks.Dest] += ks.Cost
-		st.total += ks.Cost
+		st.cur[i] = int32(st.keys[i].Dest)
 	}
-	st.avg = float64(st.total) / float64(st.nd)
-	st.lmax = (1 + cfg.ThetaMax) * st.avg
 	st.cand = st.cand[:0]
 	st.ops = 0
 	st.indexed = false
@@ -144,13 +130,13 @@ func (st *planState) index() {
 	st.indexed = true
 }
 
-// gamma returns key i's γ(k,w), exactly as the gamma function computes
-// it, with c^β taken from the memo when the cost is small.
+// gamma returns key i's γ(k,w), exactly as Gamma computes it, with
+// c^β taken from the memo when the cost is small.
 func (st *planState) gamma(i int32) float64 {
 	ks := &st.keys[i]
 	c := ks.Cost
 	if c <= 0 || c >= powMemo {
-		return gamma(c, ks.Mem, st.beta)
+		return Gamma(c, ks.Mem, st.beta)
 	}
 	p := st.pow[c]
 	if p == powUnset {
@@ -430,33 +416,10 @@ func routedOrderBy(dst []int32, keys []stats.KeyStat, policy CleanPolicy) []int3
 	return dst
 }
 
-// finish converts the working state into a Plan. Nothing in the Plan
-// aliases the state.
-func (st *planState) finish(name string, started time.Time, cfg Config) *Plan {
-	p := &Plan{
-		Algorithm: name,
-		Table:     route.NewTable(),
-		MoveDest:  make(map[tuple.Key]int),
-		Loads:     append([]int64(nil), st.loads...),
-	}
-	for i := range st.keys {
-		ks, c := &st.keys[i], int(st.cur[i])
-		if c != ks.Hash {
-			p.Table.Put(ks.Key, c)
-		}
-		if c != ks.Dest {
-			p.Moved = append(p.Moved, ks.Key)
-			p.MoveDest[ks.Key] = c
-			p.MigrationCost += ks.Mem
-		}
-	}
-	slices.Sort(p.Moved)
-	p.MaxTheta = stats.MaxTheta(p.Loads)
-	p.OverloadTheta = stats.OverloadTheta(p.Loads)
-	p.Feasible = p.OverloadTheta <= cfg.ThetaMax+thetaSlack
-	if cfg.TableMax > 0 && p.Table.Len() > cfg.TableMax {
-		p.Feasible = false
-	}
+// finish summarizes the working assignment through the problem's
+// Finish, timed from started.
+func (st *planState) finish(name string, started time.Time) *Plan {
+	p := st.pr.Finish(name, st.cur)
 	p.GenTime = time.Since(started)
 	return p
 }

@@ -15,7 +15,7 @@ import (
 func stateFor(t *testing.T, snap *stats.Snapshot, cfg Config) *planState {
 	t.Helper()
 	st := new(planState)
-	st.load(snap, cfg)
+	st.load(NewProblem(snap, cfg))
 	st.index()
 	return st
 }

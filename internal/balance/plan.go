@@ -9,6 +9,17 @@
 // applies the returned Plan on the stage sealed at the interval
 // barrier (engine.Stage.ApplyPlan).
 //
+// # One problem, one summary
+//
+// Every planner, readj's and compact's included, follows the same flow.
+// NewProblem states the round's problem once from the (snapshot, config)
+// pair: the loads L(d) counted from the Pinned entries up, L̄ and the
+// load bound Lmax = (1+θmax)·L̄. The planner searches for final
+// destinations against it, and Problem.Finish turns those into the Plan:
+// A′, Δ with its migration cost M = Σ_{k∈Δ} S(k, w), the loads under F′
+// and their θ. The controller reads the same Problem for its hold and
+// its θ check, so no second L̄ or Lmax exists.
+//
 // # Planner state
 //
 // A plan reads the snapshot's records in place; what it adds per key is
@@ -27,6 +38,7 @@ package balance
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/route"
@@ -69,12 +81,9 @@ type Plan struct {
 	// (two-sided, as defined in §II-A; reported in figures).
 	MaxTheta float64
 	// OverloadTheta is max_d (L(d)−L̄)/L̄, the one-sided quantity the
-	// Lmax constraint bounds; feasibility is judged against it because
-	// underload can be unfixable by key placement alone.
+	// Lmax constraint bounds: underload can be unfixable by key
+	// placement alone.
 	OverloadTheta float64
-	// Feasible reports whether both constraints of Eq. 3 hold
-	// (overload ≤ θmax and |A′| ≤ Amax where Amax > 0).
-	Feasible bool
 	// GenTime is the wall-clock planning latency ("average generation
 	// time" in Figs. 8–12).
 	GenTime time.Duration
@@ -98,10 +107,10 @@ func (p *Plan) MigrationPct(totalMem int64) float64 {
 	return 100 * float64(p.MigrationCost) / float64(totalMem)
 }
 
-// gamma computes the migration priority index γ(k, w) = c(k)^β / S(k, w)
+// Gamma computes the migration priority index γ(k, w) = c(k)^β / S(k, w)
 // (§III-B). Keys with no recorded state get S treated as 1 so that
 // stateless keys are maximally attractive to move.
-func gamma(cost, mem int64, beta float64) float64 {
+func Gamma(cost, mem int64, beta float64) float64 {
 	if cost <= 0 {
 		return 0
 	}
@@ -137,6 +146,59 @@ type Planner interface {
 	Plan(snap *stats.Snapshot, cfg Config) *Plan
 }
 
-// thetaSlack absorbs integer-rounding: with integer costs, exact θmax
-// feasibility can be off by less than one tuple's weight.
-const thetaSlack = 1e-9
+// Problem is one rebalance round's instance of Eq. 3: the snapshot's
+// keys over its ND instances under a configuration, with the loads
+// under the snapshot's destinations and the bound they must meet.
+type Problem struct {
+	snap *stats.Snapshot
+	cfg  Config
+	// Loads is L(d) under the snapshot's recorded destinations, counted
+	// from the Pinned entries up.
+	Loads []int64
+	// Avg is L̄ = Σ_d L(d) / ND, and Lmax = (1+θmax)·L̄ the load bound.
+	Avg, Lmax float64
+}
+
+// NewProblem states the round's problem for a snapshot and a
+// configuration.
+func NewProblem(snap *stats.Snapshot, cfg Config) *Problem {
+	pr := &Problem{snap: snap, cfg: cfg, Loads: snap.Loads()}
+	var total int64
+	for _, l := range pr.Loads {
+		total += l
+	}
+	pr.Avg = float64(total) / float64(snap.ND)
+	pr.Lmax = (1 + cfg.ThetaMax) * pr.Avg
+	return pr
+}
+
+// Finish summarizes the plan that sends the snapshot's key i to
+// dest[i]: A′ holds every key off its hash destination, Δ (sorted)
+// every key off its recorded one with M = Σ_{k∈Δ} S(k, w), and the
+// loads and θ are those under dest from the Pinned entries up. The
+// Plan aliases neither dest nor the snapshot; GenTime is the caller's.
+func (pr *Problem) Finish(name string, dest []int32) *Plan {
+	p := &Plan{
+		Algorithm: name,
+		Table:     route.NewTable(),
+		MoveDest:  make(map[tuple.Key]int),
+		Loads:     make([]int64, pr.snap.ND),
+	}
+	copy(p.Loads, pr.snap.Pinned)
+	for i := range pr.snap.Keys {
+		ks, d := &pr.snap.Keys[i], int(dest[i])
+		p.Loads[d] += ks.Cost
+		if d != ks.Hash {
+			p.Table.Put(ks.Key, d)
+		}
+		if d != ks.Dest {
+			p.Moved = append(p.Moved, ks.Key)
+			p.MoveDest[ks.Key] = d
+			p.MigrationCost += ks.Mem
+		}
+	}
+	slices.Sort(p.Moved)
+	p.MaxTheta = stats.MaxTheta(p.Loads)
+	p.OverloadTheta = stats.OverloadTheta(p.Loads)
+	return p
+}

@@ -53,7 +53,7 @@ func refBuildState(snap *stats.Snapshot, cfg Config) *refState {
 			key:  ks.Key,
 			cost: ks.Cost,
 			mem:  ks.Mem,
-			g:    gamma(ks.Cost, ks.Mem, cfg.Beta),
+			g:    Gamma(ks.Cost, ks.Mem, cfg.Beta),
 			orig: ks.Dest,
 			hash: ks.Hash,
 			cur:  ks.Dest,
@@ -67,7 +67,7 @@ func refBuildState(snap *stats.Snapshot, cfg Config) *refState {
 }
 
 // finish converts the working state into a Plan.
-func (st *refState) finish(name string, snap *stats.Snapshot, started time.Time, cfg Config) *Plan {
+func (st *refState) finish(name string, snap *stats.Snapshot, started time.Time) *Plan {
 	p := &Plan{
 		Algorithm: name,
 		Table:     route.NewTable(),
@@ -88,10 +88,6 @@ func (st *refState) finish(name string, snap *stats.Snapshot, started time.Time,
 	sort.Slice(p.Moved, func(a, b int) bool { return p.Moved[a] < p.Moved[b] })
 	p.MaxTheta = stats.MaxTheta(p.Loads)
 	p.OverloadTheta = stats.OverloadTheta(p.Loads)
-	p.Feasible = p.OverloadTheta <= cfg.ThetaMax+thetaSlack
-	if cfg.TableMax > 0 && p.Table.Len() > cfg.TableMax {
-		p.Feasible = false
-	}
 	p.GenTime = time.Since(started)
 	return p
 }
@@ -410,7 +406,7 @@ func refTrial(name string, snap *stats.Snapshot, cfg Config, routed []int, n int
 	st.initInstanceIndex()
 	st.prepare(ByGamma)
 	st.runLLFD(ByGamma)
-	return st.finish(name, snap, time.Now(), cfg)
+	return st.finish(name, snap, time.Now())
 }
 
 // refMixed is the reference Mixed loop. It returns the plan and how many
@@ -443,14 +439,14 @@ func refPlan(p Planner, snap *stats.Snapshot, cfg Config) *Plan {
 		for st.cand.len() > 0 {
 			st.forceAssign(st.cand.pop(st))
 		}
-		return st.finish("Simple", snap, start, cfg)
+		return st.finish("Simple", snap, start)
 	case LLFD:
 		st := refBuildState(snap, cfg)
 		st.noAdjust = p.NoAdjust
 		st.initInstanceIndex()
 		st.prepare(p.Psi)
 		st.runLLFD(p.Psi)
-		return st.finish("LLFD", snap, start, cfg)
+		return st.finish("LLFD", snap, start)
 	case MinTable:
 		st := refBuildState(snap, cfg)
 		for i := range st.keys {
@@ -464,7 +460,7 @@ func refPlan(p Planner, snap *stats.Snapshot, cfg Config) *Plan {
 		st.initInstanceIndex()
 		st.prepare(ByCost)
 		st.runLLFD(ByCost)
-		return st.finish("MinTable", snap, start, cfg)
+		return st.finish("MinTable", snap, start)
 	case MinMig:
 		return refTrial("MinMig", snap, cfg, nil, 0)
 	case Mixed:

@@ -282,12 +282,3 @@ func TestCompactPlannerFasterSpaceThanKeys(t *testing.T) {
 		t.Fatalf("|Kc| = %d not ≪ |K| = %d", len(sp.Vectors), len(snap.Keys))
 	}
 }
-
-func TestGammaOfClampsMem(t *testing.T) {
-	if g := gammaOf(4, 0, 1); g != 4 {
-		t.Fatalf("γ(4, 0) = %v, want 4 (mem clamped to 1)", g)
-	}
-	if g := gammaOf(0, 5, 1.5); g != 0 {
-		t.Fatalf("γ(0, 5) = %v, want 0", g)
-	}
-}

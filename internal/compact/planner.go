@@ -5,9 +5,7 @@ import (
 	"time"
 
 	"repro/internal/balance"
-	"repro/internal/route"
 	"repro/internal/stats"
-	"repro/internal/tuple"
 )
 
 // Planner is the Mixed algorithm adapted to the compact representation
@@ -47,11 +45,8 @@ type vplan struct {
 // clean while the resulting table exceeds Amax.
 func (p Planner) Plan(snap *stats.Snapshot, cfg balance.Config) *balance.Plan {
 	start := time.Now()
-	R := p.R
-	if R < 1 {
-		R = 1
-	}
-	sp := Build(snap, R)
+	pr := balance.NewProblem(snap, cfg)
+	sp := Build(snap, max(p.R, 1))
 	n := int64(0)
 	var plan *balance.Plan
 	for t := 0; t < balance.MixedTrials; t++ {
@@ -59,7 +54,7 @@ func (p Planner) Plan(snap *stats.Snapshot, cfg balance.Config) *balance.Plan {
 		vp.clean(sp, n)
 		vp.prepare()
 		vp.assignAll()
-		plan = materialize(sp, vp, cfg)
+		plan = pr.Finish("CompactMixed", materialize(sp, vp))
 		if cfg.TableMax <= 0 {
 			break
 		}
@@ -69,11 +64,13 @@ func (p Planner) Plan(snap *stats.Snapshot, cfg balance.Config) *balance.Plan {
 		}
 		n += over
 	}
-	plan.Algorithm = "CompactMixed"
 	plan.GenTime = time.Since(start)
 	return plan
 }
 
+// newVplan starts a trial from the snapshot's assignment. Its loads
+// and Lmax are the vector space's, over discretized costs: they differ
+// from the Problem's, which count the keys' real costs.
 func newVplan(sp *Space, cfg balance.Config) *vplan {
 	nd := sp.snap.ND
 	vp := &vplan{nd: nd, loads: make([]int64, nd), beta: cfg.Beta}
@@ -263,18 +260,12 @@ func (vp *vplan) leastLoaded() int {
 }
 
 // materialize maps the vector-level result back onto real keys (§IV-A
-// Phase III adaptation): per vector, tally how many keys each
-// destination received; keys staying on the vector's current instance
-// are preferred (no migration), the remainder are picked in snapshot
-// order and added to Δ(F, F′). The routing table receives every key
-// whose final destination differs from its hash.
-func materialize(sp *Space, vp *vplan, cfg balance.Config) *balance.Plan {
-	plan := &balance.Plan{
-		Table:    route.NewTable(),
-		MoveDest: make(map[tuple.Key]int),
-		Loads:    make([]int64, vp.nd),
-	}
-	copy(plan.Loads, sp.snap.Pinned)
+// Phase III adaptation) and returns each snapshot key's final
+// destination: per vector, tally how many keys each destination
+// received; keys staying on the vector's current instance are preferred
+// (no migration), the remainder are picked in snapshot order.
+func materialize(sp *Space, vp *vplan) []int32 {
+	dest := make([]int32, len(sp.snap.Keys))
 	// Group units per vector.
 	perVec := make(map[*Vector][]*unit, len(sp.Vectors))
 	for _, u := range vp.units {
@@ -295,44 +286,20 @@ func materialize(sp *Space, vp *vplan, cfg balance.Config) *balance.Plan {
 		}
 		// Stable key order; give the "stay" destination first pick so
 		// migration is minimized within the vector.
-		rem := append([]int(nil), v.keyIdx...)
-		if wants[v.Cur] > 0 {
-			take := wants[v.Cur]
-			assignKeys(sp, plan, rem[:take], v.Cur)
-			rem = rem[take:]
-			delete(wants, v.Cur)
-		}
 		dests := make([]int, 0, len(wants))
 		for d := range wants {
-			dests = append(dests, d)
+			if d != v.Cur {
+				dests = append(dests, d)
+			}
 		}
 		sort.Ints(dests)
-		for _, d := range dests {
-			take := wants[d]
-			assignKeys(sp, plan, rem[:take], d)
-			rem = rem[take:]
+		rem := v.keyIdx
+		for _, d := range append([]int{v.Cur}, dests...) {
+			for _, i := range rem[:wants[d]] {
+				dest[i] = int32(d)
+			}
+			rem = rem[wants[d]:]
 		}
 	}
-	plan.MaxTheta = stats.MaxTheta(plan.Loads)
-	plan.OverloadTheta = stats.OverloadTheta(plan.Loads)
-	plan.Feasible = plan.OverloadTheta <= cfg.ThetaMax+1e-9 &&
-		(cfg.TableMax <= 0 || plan.Table.Len() <= cfg.TableMax)
-	sort.Slice(plan.Moved, func(a, b int) bool { return plan.Moved[a] < plan.Moved[b] })
-	return plan
-}
-
-// assignKeys finalizes destination d for the given snapshot key indices.
-func assignKeys(sp *Space, plan *balance.Plan, idxs []int, d int) {
-	for _, i := range idxs {
-		ks := sp.snap.Keys[i]
-		plan.Loads[d] += ks.Cost
-		if d != ks.Hash {
-			plan.Table.Put(ks.Key, d)
-		}
-		if d != ks.Dest {
-			plan.Moved = append(plan.Moved, ks.Key)
-			plan.MoveDest[ks.Key] = d
-			plan.MigrationCost += ks.Mem
-		}
-	}
+	return dest
 }

@@ -90,11 +90,12 @@ func TestMaterializePrefersStayingPut(t *testing.T) {
 		[5]int64{4, 1, 3, 0, 0},
 	)
 	sp := Build(snap, 1)
-	vp := newVplan(sp, balance.Config{ThetaMax: 0, Beta: 1})
+	cfg := balance.Config{ThetaMax: 0, Beta: 1}
+	vp := newVplan(sp, cfg)
 	vp.detach(vp.units[0], 4)
 	vp.lmax = 2
 	vp.assignAll()
-	plan := materialize(sp, vp, balance.Config{ThetaMax: 0, Beta: 1})
+	plan := balance.NewProblem(snap, cfg).Finish("CompactMixed", materialize(sp, vp))
 	if len(plan.Moved) != 2 {
 		t.Fatalf("moved %d keys, want 2 (stay-preference)", len(plan.Moved))
 	}

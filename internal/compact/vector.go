@@ -1,19 +1,18 @@
 package compact
 
 import (
-	"math"
 	"sort"
 
+	"repro/internal/balance"
 	"repro/internal/stats"
 )
 
-// Vector is the paper's 6-dimensional record (d′, d, dh, vc, vS, #):
-// Count keys that currently live on instance Cur, hash to instance
-// Hash, and each carry discretized cost Cost and windowed memory Mem.
-// Next is the planning destination d′; -1 encodes the paper's nil
-// (disassociated into the candidate set).
+// Vector is the paper's 6-dimensional record (d′, d, dh, vc, vS, #)
+// without d′: Count keys that currently live on instance Cur, hash to
+// instance Hash, and each carry discretized cost Cost and windowed
+// memory Mem. The planner keeps d′ per unit (a vector's share that
+// moves together).
 type Vector struct {
-	Next  int
 	Cur   int
 	Hash  int
 	Cost  int64
@@ -24,22 +23,19 @@ type Vector struct {
 	keyIdx []int
 }
 
-// Gamma returns the vector's migration priority γ = Cost^β / Mem using
-// the shared helper semantics (Mem < 1 treated as 1).
-func (v *Vector) Gamma(beta float64) float64 { return gammaOf(v.Cost, v.Mem, beta) }
+// Gamma returns the vector's migration priority γ = Cost^β / Mem, as
+// balance.Gamma computes it for a key.
+func (v *Vector) Gamma(beta float64) float64 { return balance.Gamma(v.Cost, v.Mem, beta) }
 
 // Space groups a snapshot's keys into the compact vector space Kc after
 // discretizing vc and vS with degree R.
 type Space struct {
 	Vectors []*Vector
-	// R is the degree of discretization used.
-	R int64
 	// snapshot retained for materialization.
 	snap *stats.Snapshot
-	// estCost[i] is the discretized cost of snapshot key i, estMem the
-	// discretized memory; kept for load-estimation-error reporting.
+	// estCost[i] is the discretized cost of snapshot key i, kept for
+	// load-estimation-error reporting.
 	estCost []int64
-	estMem  []int64
 }
 
 // Build folds the snapshot into vectors: keys agreeing on
@@ -64,13 +60,13 @@ func Build(snap *stats.Snapshot, R int64) *Space {
 		s := sig{cur: ks.Dest, hash: ks.Hash, c: ec[i], m: em[i]}
 		v := groups[s]
 		if v == nil {
-			v = &Vector{Next: ks.Dest, Cur: ks.Dest, Hash: ks.Hash, Cost: ec[i], Mem: em[i]}
+			v = &Vector{Cur: ks.Dest, Hash: ks.Hash, Cost: ec[i], Mem: em[i]}
 			groups[s] = v
 		}
 		v.Count++
 		v.keyIdx = append(v.keyIdx, i)
 	}
-	sp := &Space{R: R, snap: snap, estCost: ec, estMem: em}
+	sp := &Space{snap: snap, estCost: ec}
 	for _, v := range groups {
 		sp.Vectors = append(sp.Vectors, v)
 	}
@@ -123,16 +119,4 @@ func (sp *Space) LoadEstimationError() float64 {
 		}
 	}
 	return worst
-}
-
-// gammaOf computes γ = cost^β / mem with mem clamped to at least 1.
-func gammaOf(cost, mem int64, beta float64) float64 {
-	s := float64(mem)
-	if s < 1 {
-		s = 1
-	}
-	if cost <= 0 {
-		return 0
-	}
-	return math.Pow(float64(cost), beta) / s
 }

@@ -70,21 +70,17 @@ func (c *Controller) decide(routable bool, snap *stats.Snapshot, split []control
 		return nil
 	}
 	view := snap
-	var loads []int64
 	if len(split) > 0 {
 		view = c.splitView(snap, split)
-		loads = view.Loads()
-		lmax := (1 + c.Cfg.ThetaMax) * float64(snap.TotalCost()) / float64(snap.ND)
-		for _, p := range view.Pinned {
-			if float64(p) > lmax {
-				c.HeldSplit++
-				return nil
-			}
-		}
-	} else {
-		loads = snap.Loads()
 	}
-	if stats.MaxTheta(loads) <= c.Cfg.ThetaMax {
+	pr := balance.NewProblem(view, c.Cfg)
+	for _, p := range view.Pinned {
+		if float64(p) > pr.Lmax {
+			c.HeldSplit++
+			return nil
+		}
+	}
+	if stats.MaxTheta(pr.Loads) <= c.Cfg.ThetaMax {
 		c.SkippedBalanced++
 		return nil
 	}

@@ -105,6 +105,37 @@ func TestControllerGuardPinsSplitKeys(t *testing.T) {
 	}
 }
 
+// TestHeldSplitBoundaryIsProblemLmax pins the split hold to the
+// round's Problem: over four instances with θmax 0.5 and 1 600 of cost,
+// Lmax = 1.5 · 400 = 600. Split key 5 (fan 2, home 0) pins half its
+// cost on instances 0 and 1. At 1 200 each share is exactly Lmax and
+// the controller plans; one unit moved from the cold key onto the split
+// key (1 201 against 399) puts 601 on instance 0 and it holds.
+func TestHeldSplitBoundaryIsProblemLmax(t *testing.T) {
+	cfg := balance.Config{ThetaMax: 0.5}
+	env := control.Env{Routable: true, Split: []control.SplitSpec{{Key: 5, Fan: 2}}}
+	round := func(split, cold int64) (planned *stats.Snapshot, c *Controller) {
+		snap := &stats.Snapshot{ND: 4, Keys: []stats.KeyStat{
+			{Key: 5, Cost: split},
+			{Key: 7, Cost: cold},
+		}}
+		plan := &balance.Plan{Table: route.NewTable(), MoveDest: map[tuple.Key]int{}}
+		c = New(stubPlanner{plan, &planned}, cfg)
+		c.Decide(env, snap)
+		return planned, c
+	}
+	view, c := round(1200, 400)
+	if view == nil || c.HeldSplit != 0 {
+		t.Fatalf("pinned share at Lmax: planned %v, HeldSplit %d; want a plan", view != nil, c.HeldSplit)
+	}
+	if pr := balance.NewProblem(view, cfg); pr.Lmax != 600 || slices.Max(view.Pinned) != 600 {
+		t.Fatalf("Lmax %v, pinned %v; want both at 600", pr.Lmax, view.Pinned)
+	}
+	if view, c = round(1201, 399); view != nil || c.HeldSplit != 1 {
+		t.Fatalf("pinned share one unit above Lmax: planned %v, HeldSplit %d; want a counted hold", view != nil, c.HeldSplit)
+	}
+}
+
 // TestSplitterEmitsOnChangeOnly pins the policy's announce discipline:
 // one SetSplit when the set changes, silence while it holds, and a
 // final empty SetSplit when the key cools past the hysteresis exit.

@@ -11,14 +11,6 @@ import (
 	"repro/internal/tuple"
 )
 
-// readjPlanner adapts readj at a fixed σ to the sweep harness.
-type readjPlanner struct{ sigma float64 }
-
-func (p readjPlanner) Name() string { return "Readj" }
-func (p readjPlanner) Plan(s *stats.Snapshot, cfg balance.Config) *balance.Plan {
-	return readj.Planner{Sigma: p.sigma}.Plan(s, cfg)
-}
-
 // Ablations of the reproduction's design choices. These go beyond
 // the paper's own exhibits: each isolates one mechanism (the Adjust
 // repair, the cleaning criterion η, the selection criterion ψ, the
@@ -139,8 +131,8 @@ func AblPsi() *Result {
 		name string
 		p    balance.Planner
 	}{
-		{"cost (MinTable-style)", psiPlanner{balance.ByCost}},
-		{"gamma (MinMig/Mixed)", psiPlanner{balance.ByGamma}},
+		{"cost (MinTable-style)", balance.LLFD{Psi: balance.ByCost}},
+		{"gamma (MinMig/Mixed)", balance.LLFD{Psi: balance.ByGamma}},
 	} {
 		sim := newPlanSim(20000, defZ, defF, defND, 3, 73)
 		cfg := balance.Config{ThetaMax: defTheta, Beta: defBeta}
@@ -149,21 +141,6 @@ func AblPsi() *Result {
 		r.Rows = append(r.Rows, []string{c.name, f2(pm.MigPct), fmt.Sprintf("%.4f", pm.MaxTheta)})
 	}
 	return r
-}
-
-// psiPlanner is MinMig's no-cleaning workflow under an explicit ψ.
-type psiPlanner struct{ psi balance.Criterion }
-
-// Name implements balance.Planner.
-func (p psiPlanner) Name() string { return "psi-ablation" }
-
-// Plan implements balance.Planner.
-func (p psiPlanner) Plan(s *stats.Snapshot, cfg balance.Config) *balance.Plan {
-	if p.psi == balance.ByCost {
-		// MinMig's workflow with MinTable's ψ ≡ LLFD directly.
-		return balance.LLFD{Psi: balance.ByCost}.Plan(s, cfg)
-	}
-	return balance.MinMig{}.Plan(s, cfg)
 }
 
 // AblDiscretize reproduces the Fig. 6 comparison as an ablation: the
@@ -227,7 +204,7 @@ func AblSigma() *Result {
 	}
 	for _, sigma := range []float64{0.005, 0.01, 0.05, 0.1, 0.2, 0.5} {
 		sim := newPlanSim(20000, defZ, defF, defND, 1, 83)
-		p := readjPlanner{sigma}
+		p := readj.Planner{Sigma: sigma}
 		runPlanner(sim, p, defCfg(), 1)
 		pm := runPlanner(sim, p, defCfg(), sweepRounds)
 		r.Rows = append(r.Rows, []string{

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/balance"
 	"repro/internal/compact"
@@ -191,5 +190,3 @@ func (p plannerFunc) Plan(s *stats.Snapshot, cfg balance.Config) *balance.Plan {
 }
 
 func f2(x float64) string { return fmt.Sprintf("%.2f", x) }
-
-var _ = time.Duration(0)

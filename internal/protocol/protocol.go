@@ -511,7 +511,7 @@ func AnnounceFromPlan(plan *balance.Plan) *PlanAnnounce {
 // PlanFromAnnounce reconstructs the applicable part of a plan from its
 // wire form: the routing table A′, the migration set with destinations,
 // and the reporting metadata. Planner-side estimates (Loads, MaxTheta,
-// Feasible, MigrationCost) do not cross the wire — application needs
+// OverloadTheta, MigrationCost) do not cross the wire — application needs
 // none of them, and the stage side measures the migrated volume as it
 // moves the keys.
 func PlanFromAnnounce(a *PlanAnnounce) *balance.Plan {

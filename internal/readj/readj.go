@@ -15,19 +15,18 @@
 package readj
 
 import (
+	"slices"
 	"sort"
 	"time"
 
 	"repro/internal/balance"
-	"repro/internal/route"
 	"repro/internal/stats"
-	"repro/internal/tuple"
 )
 
 // Planner runs the Readj heuristic. Sigma is the hot-key threshold: a
 // key participates in moves/swaps when c(k) ≥ Sigma·L̄. The paper tunes
-// σ per experiment by binary search; SigmaCandidates in this package's
-// Tune helper mirrors that.
+// σ per experiment; Tune walks a fixed ladder of σ values and keeps the
+// best plan.
 type Planner struct {
 	Sigma float64
 }
@@ -35,55 +34,39 @@ type Planner struct {
 // Name implements balance.Planner.
 func (p Planner) Name() string { return "Readj" }
 
-type keyView struct {
-	key  tuple.Key
-	cost int64
-	mem  int64
-	orig int
-	hash int
-	cur  int
-}
-
-// Plan implements balance.Planner.
+// Plan implements balance.Planner. The problem is this plan's own, so
+// the search moves load on its Loads in place; cur[i] is key i's
+// working destination.
 func (p Planner) Plan(snap *stats.Snapshot, cfg balance.Config) *balance.Plan {
 	start := time.Now()
-	nd := snap.ND
-	keys := make([]keyView, len(snap.Keys))
-	loads := make([]int64, nd)
-	var total int64
-	for d, p := range snap.Pinned {
-		loads[d] = p
-		total += p
+	pr := balance.NewProblem(snap, cfg)
+	keys, loads, lmax := snap.Keys, pr.Loads, pr.Lmax
+	cur := make([]int32, len(keys))
+	for i := range keys {
+		cur[i] = int32(keys[i].Dest)
 	}
-	for i, ks := range snap.Keys {
-		keys[i] = keyView{key: ks.Key, cost: ks.Cost, mem: ks.Mem, orig: ks.Dest, hash: ks.Hash, cur: ks.Dest}
-		loads[ks.Dest] += ks.Cost
-		total += ks.Cost
-	}
-	avg := float64(total) / float64(nd)
-	lmax := (1 + cfg.ThetaMax) * avg
 
 	// Step 1: restore routed keys to their hash destination whenever the
 	// receiving instance stays within Lmax — Readj's bias toward a small
 	// routing table.
 	for i := range keys {
 		k := &keys[i]
-		if k.cur != k.hash && float64(loads[k.hash])+float64(k.cost) <= lmax {
-			loads[k.cur] -= k.cost
-			loads[k.hash] += k.cost
-			k.cur = k.hash
+		if int(cur[i]) != k.Hash && float64(loads[k.Hash])+float64(k.Cost) <= lmax {
+			loads[cur[i]] -= k.Cost
+			loads[k.Hash] += k.Cost
+			cur[i] = int32(k.Hash)
 		}
 	}
 
 	// Hot-key candidate set: c(k) ≥ σ·L̄.
-	thresh := p.Sigma * avg
+	thresh := p.Sigma * pr.Avg
 	var hot []int
 	for i := range keys {
-		if float64(keys[i].cost) >= thresh {
+		if float64(keys[i].Cost) >= thresh {
 			hot = append(hot, i)
 		}
 	}
-	sort.Slice(hot, func(a, b int) bool { return keys[hot[a]].cost > keys[hot[b]].cost })
+	sort.Slice(hot, func(a, b int) bool { return keys[hot[a]].Cost > keys[hot[b]].Cost })
 
 	// Improvement loop: each round scans every (hot key → instance) move
 	// and every hot-key pair swap, applying the single change that most
@@ -91,12 +74,7 @@ func (p Planner) Plan(snap *stats.Snapshot, cfg balance.Config) *balance.Plan {
 	// published algorithm's cost profile; the rounds are bounded in
 	// proportion to the candidate count.
 	for iter := 0; iter < 4*len(hot)+64; iter++ {
-		maxLoad := loads[0]
-		for _, l := range loads {
-			if l > maxLoad {
-				maxLoad = l
-			}
-		}
+		maxLoad := slices.Max(loads)
 		if float64(maxLoad) <= lmax {
 			break
 		}
@@ -106,42 +84,34 @@ func (p Planner) Plan(snap *stats.Snapshot, cfg balance.Config) *balance.Plan {
 		bestSwapA, bestSwapB := -1, -1
 		// Single moves.
 		for _, i := range hot {
-			k := &keys[i]
-			if loads[k.cur] != maxLoad {
+			src, cost := int(cur[i]), keys[i].Cost
+			if loads[src] != maxLoad {
 				continue
 			}
-			for d := 0; d < nd; d++ {
-				if d == k.cur {
+			for d := range loads {
+				if d == src {
 					continue
 				}
-				newSrc := loads[k.cur] - k.cost
-				newDst := loads[d] + k.cost
-				newMax := max64(newSrc, newDst)
-				if gain := maxLoad - newMax; gain > bestGain {
+				if gain := maxLoad - max(loads[src]-cost, loads[d]+cost); gain > bestGain {
 					bestGain, bestMove, bestDest = gain, i, d
 					bestSwapA, bestSwapB = -1, -1
 				}
 			}
 		}
 		// Pairwise swaps.
-		for ai := 0; ai < len(hot); ai++ {
-			a := &keys[hot[ai]]
-			if loads[a.cur] != maxLoad {
+		for _, a := range hot {
+			if loads[cur[a]] != maxLoad {
 				continue
 			}
-			for bi := 0; bi < len(hot); bi++ {
-				b := &keys[hot[bi]]
-				if b.cur == a.cur || b.cost >= a.cost {
+			for _, b := range hot {
+				if cur[b] == cur[a] || keys[b].Cost >= keys[a].Cost {
 					continue
 				}
-				diff := a.cost - b.cost
-				newSrc := loads[a.cur] - diff
-				newDst := loads[b.cur] + diff
-				newMax := max64(newSrc, newDst)
-				if gain := maxLoad - newMax; gain > bestGain {
+				diff := keys[a].Cost - keys[b].Cost
+				if gain := maxLoad - max(loads[cur[a]]-diff, loads[cur[b]]+diff); gain > bestGain {
 					bestGain = gain
 					bestMove, bestDest = -1, -1
-					bestSwapA, bestSwapB = hot[ai], hot[bi]
+					bestSwapA, bestSwapB = a, b
 				}
 			}
 		}
@@ -149,41 +119,20 @@ func (p Planner) Plan(snap *stats.Snapshot, cfg balance.Config) *balance.Plan {
 			break // no improving move among hot keys
 		}
 		if bestMove >= 0 {
-			k := &keys[bestMove]
-			loads[k.cur] -= k.cost
-			loads[bestDest] += k.cost
-			k.cur = bestDest
+			loads[cur[bestMove]] -= keys[bestMove].Cost
+			loads[bestDest] += keys[bestMove].Cost
+			cur[bestMove] = int32(bestDest)
 		} else {
-			a, b := &keys[bestSwapA], &keys[bestSwapB]
-			loads[a.cur] -= a.cost
-			loads[b.cur] -= b.cost
-			a.cur, b.cur = b.cur, a.cur
-			loads[a.cur] += a.cost
-			loads[b.cur] += b.cost
+			a, b := bestSwapA, bestSwapB
+			loads[cur[a]] -= keys[a].Cost
+			loads[cur[b]] -= keys[b].Cost
+			cur[a], cur[b] = cur[b], cur[a]
+			loads[cur[a]] += keys[a].Cost
+			loads[cur[b]] += keys[b].Cost
 		}
 	}
 
-	plan := &balance.Plan{
-		Algorithm: "Readj",
-		Table:     route.NewTable(),
-		MoveDest:  make(map[tuple.Key]int),
-		Loads:     loads,
-	}
-	for i := range keys {
-		k := &keys[i]
-		if k.cur != k.hash {
-			plan.Table.Put(k.key, k.cur)
-		}
-		if k.cur != k.orig {
-			plan.Moved = append(plan.Moved, k.key)
-			plan.MoveDest[k.key] = k.cur
-			plan.MigrationCost += k.mem
-		}
-	}
-	sort.Slice(plan.Moved, func(a, b int) bool { return plan.Moved[a] < plan.Moved[b] })
-	plan.MaxTheta = stats.MaxTheta(loads)
-	plan.OverloadTheta = stats.OverloadTheta(loads)
-	plan.Feasible = plan.OverloadTheta <= cfg.ThetaMax+1e-9
+	plan := pr.Finish("Readj", cur)
 	plan.GenTime = time.Since(start)
 	return plan
 }
@@ -206,11 +155,4 @@ func Tune(snap *stats.Snapshot, cfg balance.Config, sigmas []float64) *balance.P
 	}
 	best.GenTime = time.Since(start)
 	return best
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -65,8 +65,9 @@ func TestReadjFailsOnSkewedGranularity(t *testing.T) {
 		rows = append(rows, [5]int64{i, 1, 1, 0, 0})
 	}
 	snap := mk(2, rows...)
-	plan := Planner{Sigma: 0.5}.Plan(snap, balance.Config{ThetaMax: 0.02, Beta: 1})
-	if plan.Feasible {
+	cfg := balance.Config{ThetaMax: 0.02, Beta: 1}
+	plan := Planner{Sigma: 0.5}.Plan(snap, cfg)
+	if plan.OverloadTheta <= cfg.ThetaMax+1e-9 {
 		t.Fatalf("Readj(σ=0.5) claimed feasibility on pathological granularity (θ=%v)", plan.OverloadTheta)
 	}
 }
