@@ -52,11 +52,12 @@ bench-e2e:
 ## bench-control: the control path's micro-benchmarks. ControlRound is
 ## one commanded round at the repository benchmark's variance shape
 ## (~11 000 keys re-drawn per round over 8 instances, a Mixed plan every
-## round) from the trackers' sorted runs to the applied plan, over the
-## loopback and over a framed pipe (the codec a cluster control
-## connection speaks): ns/op, allocations, and ns per harvested key split
+## round) from the trackers' sorted runs to the applied plan, in process
+## (a direct call, control.NewLoop) and over a framed pipe (the codec a
+## cluster control connection speaks): ns/op, allocations, and ns per
+## harvested key split
 ## into merge / plan / report. EngineInterval is a whole interval with
-## the controller on the stage directly, behind the loopback loop, and
+## the controller on the stage directly, behind the in-process loop, and
 ## behind the framed pipe. WireCodec isolates the report frame's
 ## per-message cost (the retained buffers keep allocs/msg flat as report
 ## populations grow). BENCHTIME=1x (CI) only checks that they still build

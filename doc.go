@@ -49,7 +49,8 @@
 // executor's LoadReport and one Commands reply listing the round's
 // PlanAnnounce, Resize and SplitAnnounce entries in order (empty when
 // the round holds). Keys migrate inside the stage's host. In process the
-// transport is a loopback; across processes it is the cluster's framed
+// round is a direct call into the policy server on the driver's
+// goroutine; across processes it is the cluster's framed
 // codec over a socket (internal/cluster), and the tests pin the two
 // equivalent by running the rounds over a framed pipe.
 // ScaleIn is a real actuator (engine.Stage.ScaleIn — drain the

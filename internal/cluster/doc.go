@@ -1,7 +1,7 @@
 // Package cluster is the distributed runtime: it hosts the engine's
 // pipeline stages in separate OS processes connected by real sockets,
 // speaking the same protocol messages the in-process control loops are
-// pinned on — the final link of the loopback ≡ pipe ≡ socket chain.
+// pinned on — the final link of the local ≡ pipe ≡ socket chain.
 //
 // A deployment is one coordinator process and N worker processes
 // (cmd/coordinator, cmd/worker). The coordinator owns the topology

@@ -21,9 +21,9 @@ import (
 
 // BenchmarkEngineInterval quantifies what the control plane adds to a
 // whole engine interval (10k tuples through a Mixed-managed stage):
-// "direct" drives the controller on the stage with no protocol, "loop"
-// the command path over the in-process loopback and "wire" over the
-// framed pipe. The direct-vs-loop delta is the honest price of speaking
+// "direct" drives the controller on the stage with no protocol, "local"
+// the command path in process (control.NewLoop) and "wire" over the
+// framed pipe. The direct-vs-local delta is the honest price of speaking
 // the protocol every interval.
 func BenchmarkEngineInterval(b *testing.B) {
 	run := func(b *testing.B, wiring string) {
@@ -37,17 +37,15 @@ func BenchmarkEngineInterval(b *testing.B) {
 		switch wiring {
 		case "direct":
 			e.AddSnapshotHook(0, directHook(ctl))
-		case "loop":
-			loop := control.NewLoop(e, 0, []control.Policy{ctl})
-			defer loop.Close()
-			e.AddSnapshotHook(0, loop.Hook())
+		case "local":
+			localLoop(e, 0, []control.Policy{ctl})
 		case "wire":
-			defer loopOver(e, 0, []control.Policy{ctl}, newFramedPair)()
+			defer framedLoop(e, 0, []control.Policy{ctl})()
 		}
 		b.ResetTimer()
 		e.Run(b.N)
 	}
-	for _, wiring := range []string{"direct", "loop", "wire"} {
+	for _, wiring := range []string{"direct", "local", "wire"} {
 		b.Run(wiring, func(b *testing.B) { run(b, wiring) })
 	}
 }
@@ -81,9 +79,10 @@ func roundRuns(asg *route.Assignment, n int) [][][]stats.KeyStat {
 	return rounds
 }
 
-// timedPlanner accumulates the time spent planning. Plan runs on the
-// policy server's goroutine while the driver waits inside the round, so
-// the driver may read the sum between rounds.
+// timedPlanner accumulates the time spent planning. Plan runs inside the
+// round — on the driver's goroutine in process, on the policy server's
+// while the driver waits over the wire — so the driver may read the sum
+// between rounds.
 type timedPlanner struct {
 	inner balance.Planner
 	spent time.Duration
@@ -103,30 +102,30 @@ func (p *timedPlanner) Plan(snap *stats.Snapshot, cfg balance.Config) *balance.P
 // BenchmarkControlRound measures the interval's control path at the
 // repository benchmark's variance shape — ~11 000 keys re-drawn every
 // round over 8 instances, a Mixed plan in every round — from the
-// trackers' sorted runs to the applied plan, over the loopback and over
-// the framed pipe the cluster speaks. Besides ns/op and the allocations
+// trackers' sorted runs to the applied plan, in process and over the
+// framed pipe the cluster speaks. Besides ns/op and the allocations
 // it reports nanoseconds per harvested key, split into the merge of the
 // runs, the planner, and the report path around them (transport,
 // validation, decide, announce, apply). Run via `make bench-control`.
 func BenchmarkControlRound(b *testing.B) {
 	const nd = 8
-	for _, transport := range []string{"loopback", "framed-pipe"} {
+	for _, transport := range []string{"local", "framed-pipe"} {
 		b.Run(transport, func(b *testing.B) {
 			st := engine.NewStage("bench", nd, func(int) engine.Operator { return engine.OperatorFunc(func(*engine.TaskCtx, tuple.Tuple) {}) }, 1,
 				engine.NewAssignmentRouter(topology.NewAssignment(nd)))
 			e := engine.NewBatch(engine.BatchSpout(func() tuple.Tuple { return tuple.New(0, nil) }), engine.DefaultConfig(), st)
 			defer e.Stop()
 			planner := &timedPlanner{inner: balance.Mixed{}}
-			pair := control.NewLoopbackPair
+			policies := []control.Policy{controller.New(planner, balance.Config{ThetaMax: 0.08, TableMax: 3000, Beta: 1.5})}
+			x := control.NewLoop(e, 0, policies)
 			if transport == "framed-pipe" {
-				pair = newFramedPair
+				agent, ctrl := newFramedPair()
+				defer agent.Close()
+				x = control.NewExecutor(e, 0, agent)
+				srv := control.NewServer(ctrl, policies)
+				srv.Start()
+				defer srv.Close()
 			}
-			agent, ctrl := pair()
-			defer agent.Close()
-			x := control.NewExecutor(e, 0, agent)
-			srv := control.NewServer(ctrl, []control.Policy{controller.New(planner, balance.Config{ThetaMax: 0.08, TableMax: 3000, Beta: 1.5})})
-			srv.Start()
-			defer srv.Close()
 			rounds := roundRuns(st.AssignmentRouter().Assignment(), 8)
 			// The stage's own arrangement: two merge buffers, alternating.
 			var merged [2][]stats.KeyStat

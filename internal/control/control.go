@@ -6,7 +6,7 @@
 // describes and §VII's future work calls for (one mechanism covering
 // both short-term fluctuations and long-term shifts, cf. DRS):
 //
-//	         stage side (Executor)            controller side (Loop server)
+//	         stage side (Executor)            controller side (Server.answer)
 //	  ┌──────────────────────────┐  LoadReport ┌──────────────────────────┐
 //	1 │ the interval's snapshot, │────────────▶│ check → the snapshot     │
 //	  │ whole, as the report     │    (×1)     │ Policy.Decide → Commands │ 2
@@ -26,18 +26,20 @@
 // crosses a Conn as two protocol messages: the report and one Commands
 // reply carrying the whole ordered list (an empty one when the round
 // holds). Key state migrates inside the stage's host, so nothing per key
-// crosses. In process the Conn is a loopback (channel-passed messages);
-// a multi-process deployment only swaps it
-// for cluster.Conn, the framed codec over a socket, and the tests pin
-// the two equivalent by running a round over a framed pipe.
+// crosses. In process a round is a function call (NewLoop): the
+// executor's Send runs the server's round logic on the driver's
+// goroutine and its Recv returns the reply. A multi-process deployment
+// swaps that Conn for cluster.Conn, the framed codec over a socket, with
+// a Server goroutine answering on the far end; the tests pin the two
+// equivalent by running a round over a framed pipe.
 //
-// Step 1 is one LoadReport whose run is the snapshot's own (the
-// loopback passes the pointer; a wire adds a destination column and
-// decodes into a buffer the codec recycles). The server validates it as
-// outside input — destinations inside the stage, canonical order —
-// before any policy sees it; a report that fails, like any other break
-// of the protocol, makes the server hang up, so the executor's round
-// returns as a hold instead of wedging the driver. The snapshot a policy
+// Step 1 is one LoadReport whose run is the snapshot's own (passed by
+// pointer in process; a wire adds a destination column and decodes into
+// a buffer the codec recycles). The server validates it as outside
+// input — destinations inside the stage, canonical order — before any
+// policy sees it; a report that fails, like any other break of the
+// protocol, goes unanswered (a socket server hangs up), so the
+// executor's round returns as a hold instead of wedging the driver. The snapshot a policy
 // is handed lives until the round after next; one that keeps it longer
 // clones it.
 package control
@@ -120,7 +122,8 @@ type Env struct {
 // stage context and returns the commands to apply, in order. A nil or
 // empty return means hold. Implementations keep their own trigger
 // state (EWMA, patience, pending plans) across calls; Decide is called
-// once per interval per stage, always from the same goroutine.
+// once per interval per stage, always from the same goroutine (the
+// driver's in process, the Server's over a socket).
 type Policy interface {
 	Decide(env Env, snap *stats.Snapshot) []Command
 }

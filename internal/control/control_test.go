@@ -119,7 +119,7 @@ func sameSnapshots(t *testing.T, label string, a, b []*stats.Snapshot) {
 // Maybe-on-the-stage path bit-identically — interval series, final
 // snapshots, routing tables and applied-plan history.
 func TestLoopMatchesDirectController(t *testing.T) {
-	for _, transport := range []string{"loopback", "wire"} {
+	for _, transport := range []string{"local", "wire"} {
 		t.Run(transport, func(t *testing.T) {
 			eDirect, stDirect := mkEngine(101)
 			defer eDirect.Stop()
@@ -131,11 +131,9 @@ func TestLoopMatchesDirectController(t *testing.T) {
 			defer eLoop.Stop()
 			ctlLoop := mkController()
 			if transport == "wire" {
-				defer loopOver(eLoop, 0, []control.Policy{ctlLoop}, newFramedPair)()
+				defer framedLoop(eLoop, 0, []control.Policy{ctlLoop})()
 			} else {
-				loop := control.NewLoop(eLoop, 0, []control.Policy{ctlLoop})
-				defer loop.Close()
-				eLoop.AddSnapshotHook(0, loop.Hook())
+				localLoop(eLoop, 0, []control.Policy{ctlLoop})
 			}
 			loopSnaps := lastSnapshots(eLoop)
 

@@ -2,7 +2,6 @@ package control
 
 import (
 	"cmp"
-	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/hashring"
@@ -23,9 +22,9 @@ type Executor struct {
 }
 
 // NewExecutor binds an executor to stage si of e, speaking over conn.
-// Most callers want NewLoop, which wires both halves; a standalone
-// executor serves a remote controller (anything answering on conn with
-// the protocol's command messages).
+// In one process NewLoop wires it to the policies directly; an executor
+// over a socket serves a remote controller (anything answering on conn
+// with the protocol's command messages).
 func NewExecutor(e *engine.Engine, si int, conn Conn) *Executor {
 	return &Executor{e: e, si: si, conn: conn}
 }
@@ -44,7 +43,7 @@ func NewExecutor(e *engine.Engine, si int, conn Conn) *Executor {
 // returns (the stage's snapshot does, by its lifetime rule).
 func (x *Executor) RunRound(snap *stats.Snapshot) *engine.Rebalance {
 	st := x.e.Stages[x.si]
-	// The merged run goes out as it is, by reference on the loopback.
+	// The merged run goes out as it is, by reference in process.
 	if x.conn.Send(&protocol.Message{Report: &protocol.LoadReport{
 		Interval: snap.Interval, Keys: snap.Keys,
 		Tasks: st.Instances(), Capacity: x.e.CapacityOf(x.si),
@@ -185,37 +184,12 @@ func (x *Executor) canResize(delta int) bool {
 	return delta == 1 || x.e.Stages[x.si].Instances() > 1
 }
 
-// Loop wires a complete per-stage control loop in one process: the
-// stage-side Executor, the controller-side policy Server on its own
-// goroutine, and the loopback Conn pair between them. Register Hook
-// with the engine's per-stage snapshot fan-out; Close tears the server
-// down.
-type Loop struct {
-	x    *Executor
-	srv  *Server
-	once sync.Once
-}
-
-// NewLoop builds the control loop for stage si of e, running the given
-// policies in order on the controller side, and starts the policy
-// server. The caller owns the returned loop and must Close it.
-func NewLoop(e *engine.Engine, si int, policies []Policy) *Loop {
-	agent, ctrl := NewLoopbackPair()
-	l := &Loop{x: NewExecutor(e, si, agent), srv: NewServer(ctrl, policies)}
-	l.srv.Start()
-	return l
-}
-
-// Hook is the loop's executor hook (Executor.Hook): register it with
-// engine.AddSnapshotHook(si, loop.Hook()).
-func (l *Loop) Hook() engine.SnapshotHook { return l.x.Hook() }
-
-// Close shuts the transport down and waits for the policy server to
-// exit, so policy state is safe to read afterwards. Safe to call more
-// than once.
-func (l *Loop) Close() {
-	l.once.Do(func() {
-		l.x.conn.Close()
-		l.srv.Close()
-	})
+// NewLoop builds the control loop for stage si of e in one process:
+// an Executor whose Conn answers each report with the policy Server's
+// round logic, running the given policies in order on the driver's
+// goroutine. Register its Hook with engine.AddSnapshotHook(si, ...).
+// There is nothing to close, and policy state may be read between
+// rounds.
+func NewLoop(e *engine.Engine, si int, policies []Policy) *Executor {
+	return NewExecutor(e, si, &localConn{srv: &Server{policies: policies}})
 }

@@ -1,6 +1,7 @@
 package control_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"maps"
 	"net"
@@ -37,21 +38,26 @@ func newFramedPair() (control.Conn, control.Conn) {
 	return framedConn{Codec: protocol.NewFramedCodec(a), c: a}, framedConn{Codec: protocol.NewFramedCodec(b), c: b}
 }
 
-// loopOver wires stage si's control loop the way control.NewLoop does,
-// but over the given transport, registers it with the engine and
-// returns its teardown.
-func loopOver(e *engine.Engine, si int, policies []control.Policy, pair func() (control.Conn, control.Conn)) (stop func()) {
-	agent, ctrl := pair()
+// framedLoop wires stage si's control loop the way a cluster does — an
+// executor and a policy server on its own goroutine, over the framed
+// pipe — registers it with the engine and returns its teardown.
+func framedLoop(e *engine.Engine, si int, policies []control.Policy) (stop func()) {
+	agent, ctrl := newFramedPair()
 	x := control.NewExecutor(e, si, agent)
 	srv := control.NewServer(ctrl, policies)
 	srv.Start()
-	e.AddSnapshotHook(si, func(_ *engine.Engine, _ int, snap *stats.Snapshot) *engine.Rebalance {
-		return x.RunRound(snap)
-	})
+	e.AddSnapshotHook(si, x.Hook())
 	return func() {
 		agent.Close()
 		srv.Close()
 	}
+}
+
+// localLoop wires stage si's control loop in process (control.NewLoop)
+// and registers it with the engine; it has nothing to tear down.
+func localLoop(e *engine.Engine, si int, policies []control.Policy) (stop func()) {
+	e.AddSnapshotHook(si, control.NewLoop(e, si, policies).Hook())
+	return func() {}
 }
 
 // eagerController plans on the slightest imbalance: every round past
@@ -64,8 +70,8 @@ func eagerController() *controller.Controller {
 
 // TestRoundEquivalenceEveryTransport pins the round's report on
 // every path a round can take — the direct hook (no protocol at all),
-// the loopback (the report is the snapshot, by reference) and the framed
-// socket wire — with a plan in every round: identical
+// the local call (the report is the snapshot, by reference) and the
+// framed socket wire — with a plan in every round: identical
 // series, identical snapshots on the deciding side round by round,
 // identical routing tables and plan counts.
 func TestRoundEquivalenceEveryTransport(t *testing.T) {
@@ -77,10 +83,10 @@ func TestRoundEquivalenceEveryTransport(t *testing.T) {
 		snaps []*stats.Snapshot // what the policy decided on, copied
 		last  []*stats.Snapshot
 	}
-	run := func(pair func() (control.Conn, control.Conn)) outcome {
+	run := func(wire func(*engine.Engine, int, []control.Policy) func()) outcome {
 		e, st := mkEngine(211)
 		o := outcome{e: e, st: st, ctl: eagerController(), last: lastSnapshots(e)}
-		if pair == nil {
+		if wire == nil {
 			e.AddSnapshotHook(0, func(e *engine.Engine, si int, snap *stats.Snapshot) *engine.Rebalance {
 				o.snaps = append(o.snaps, snap.Clone())
 				return o.ctl.Maybe(e.Stages[si], snap)
@@ -89,7 +95,7 @@ func TestRoundEquivalenceEveryTransport(t *testing.T) {
 			return o
 		}
 		seen := &capturePolicy{inner: o.ctl}
-		stop := loopOver(e, 0, []control.Policy{seen}, pair)
+		stop := wire(e, 0, []control.Policy{seen})
 		e.Run(intervals)
 		stop()
 		o.snaps = seen.snaps
@@ -100,11 +106,11 @@ func TestRoundEquivalenceEveryTransport(t *testing.T) {
 	if got := direct.ctl.Rebalances(); got < intervals-2 {
 		t.Fatalf("the direct run planned in %d of %d rounds; the pin needs a plan every round", got, intervals)
 	}
-	for name, pair := range map[string]func() (control.Conn, control.Conn){
-		"loopback":    control.NewLoopbackPair,
-		"framed pipe": newFramedPair,
+	for name, wire := range map[string]func(*engine.Engine, int, []control.Policy) func(){
+		"local":       localLoop,
+		"framed pipe": framedLoop,
 	} {
-		o := run(pair)
+		o := run(wire)
 		sameSeries(t, name, direct.e.Recorder.Series, o.e.Recorder.Series)
 		sameSnapshots(t, name+" last", direct.last, o.last)
 		sameSnapshots(t, name+" decided-on", direct.snaps, o.snaps)
@@ -130,10 +136,10 @@ func (p *countingPolicy) Decide(_ control.Env, snap *stats.Snapshot) []control.C
 // must not trust — a destination past the stage's instances,
 // a negative one, entries out of canonical order, an instance count a
 // load vector must not be sized by, an entry count the frame cannot
-// hold — over the loopback and the framed wire. Each ends the round with
-// an error on the sender's side: no policy sees the snapshot, nothing
-// sizes or indexes a load vector by it, the server does not panic and
-// nobody waits forever.
+// hold — over the framed wire (the local call runs the same check).
+// Each ends the round with an error on the sender's side: no policy sees
+// the snapshot, nothing sizes or indexes a load vector by it, the server
+// does not panic and nobody waits forever.
 func TestHostileMergedReportEndsRound(t *testing.T) {
 	valid := func() *protocol.LoadReport {
 		return &protocol.LoadReport{
@@ -152,54 +158,48 @@ func TestHostileMergedReportEndsRound(t *testing.T) {
 		"no instances":                   func(r *protocol.LoadReport) { r.Tasks = 0 },
 		"instances past MaxTasks":        func(r *protocol.LoadReport) { r.Tasks = 1 << 40 },
 	}
-	pairs := map[string]func() (control.Conn, control.Conn){
-		"loopback":    control.NewLoopbackPair,
-		"framed pipe": newFramedPair,
+	// The valid report is served: the cases below fail on their mutation
+	// alone.
+	agent, ctrl := newFramedPair()
+	pol := &countingPolicy{}
+	srv := control.NewServer(ctrl, []control.Policy{pol})
+	srv.Start()
+	if err := agent.Send(&protocol.Message{Report: valid()}); err != nil {
+		t.Fatal(err)
 	}
-	for pname, pair := range pairs {
-		// The valid report is served: the cases below fail on their
-		// mutation alone.
-		agent, ctrl := pair()
+	if m, err := agent.Recv(); err != nil || m.Commands == nil || len(m.Commands.List) != 0 {
+		t.Fatalf("valid round answered %v, %v; want an empty Commands", m, err)
+	}
+	agent.Close()
+	srv.Close()
+	if pol.rounds.Load() != 1 {
+		t.Fatalf("valid round reached %d policies", pol.rounds.Load())
+	}
+
+	for name, mutate := range hostile {
+		agent, ctrl := newFramedPair()
 		pol := &countingPolicy{}
 		srv := control.NewServer(ctrl, []control.Policy{pol})
 		srv.Start()
-		if err := agent.Send(&protocol.Message{Report: valid()}); err != nil {
-			t.Fatal(err)
+		r := valid()
+		mutate(r)
+		// The send itself may fail once the server has hung up.
+		_ = agent.Send(&protocol.Message{Report: r})
+		if m, err := agent.Recv(); err == nil {
+			t.Fatalf("%s: round answered with %s", name, m.Kind())
 		}
-		if m, err := agent.Recv(); err != nil || m.Commands == nil || len(m.Commands.List) != 0 {
-			t.Fatalf("%s: valid round answered %v, %v; want an empty Commands", pname, m, err)
-		}
-		agent.Close()
 		srv.Close()
-		if pol.rounds.Load() != 1 {
-			t.Fatalf("%s: valid round reached %d policies", pname, pol.rounds.Load())
-		}
-
-		for name, mutate := range hostile {
-			agent, ctrl := pair()
-			pol := &countingPolicy{}
-			srv := control.NewServer(ctrl, []control.Policy{pol})
-			srv.Start()
-			r := valid()
-			mutate(r)
-			// The send itself may fail once the server has hung up.
-			_ = agent.Send(&protocol.Message{Report: r})
-			if m, err := agent.Recv(); err == nil {
-				t.Fatalf("%s, %s: round answered with %s", pname, name, m.Kind())
-			}
-			srv.Close()
-			agent.Close()
-			if pol.rounds.Load() != 0 {
-				t.Fatalf("%s, %s: a policy saw the snapshot", pname, name)
-			}
+		agent.Close()
+		if pol.rounds.Load() != 0 {
+			t.Fatalf("%s: a policy saw the snapshot", name)
 		}
 	}
 
 	// A count the frame cannot hold never becomes a report: raw bytes on
 	// the wire (kind 3 is a report; interval, flags, then the count).
 	a, b := net.Pipe()
-	pol := &countingPolicy{}
-	srv := control.NewServer(framedConn{Codec: protocol.NewFramedCodec(b), c: b}, []control.Policy{pol})
+	pol = &countingPolicy{}
+	srv = control.NewServer(framedConn{Codec: protocol.NewFramedCodec(b), c: b}, []control.Policy{pol})
 	srv.Start()
 	frame := []byte{3, 4, 0, 0xff, 0xff, 0x7f}
 	go a.Write(append(binary.BigEndian.AppendUint32(nil, uint32(len(frame))), frame...))
@@ -214,12 +214,13 @@ func TestHostileMergedReportEndsRound(t *testing.T) {
 }
 
 // TestSecondReportInsideRoundEndsIt: a round is one Report and one
-// Commands, and anything else in either place ends it. A peer that sends
+// Commands, and anything else in either place ends it, over the framed
+// wire (the local call runs the same round logic). A peer that sends
 // the controller side something other than a Report where the round's
 // report belongs — a Commands of its own, a session Ack — gets hung up
 // on: its next Recv fails, nobody waits for a reply that will not come.
 // The executor holds the same line from its side: a Report, a session
-// message, or a Commands answering another interval's report arriving
+// message, a Commands answering another interval's report, or a hang-up
 // where the round's Commands belongs ends its round as a hold.
 func TestSecondReportInsideRoundEndsIt(t *testing.T) {
 	report := func() *protocol.Message {
@@ -237,52 +238,50 @@ func TestSecondReportInsideRoundEndsIt(t *testing.T) {
 		"stale commands": {Commands: &protocol.Commands{Interval: 0, List: []protocol.Command{
 			{Resize: &protocol.Resize{Delta: 1}},
 		}}},
+		"hang-up": nil, // the controller side closes instead of answering
 	}
-	for name, pair := range map[string]func() (control.Conn, control.Conn){
-		"loopback":    control.NewLoopbackPair,
-		"framed pipe": newFramedPair,
-	} {
-		for sname, stray := range strays {
-			if stray.Report != nil {
-				continue // a Report is what the controller side expects
-			}
-			agent, ctrl := pair()
-			pol := &countingPolicy{}
-			srv := control.NewServer(ctrl, []control.Policy{pol})
-			srv.Start()
-			_ = agent.Send(stray) // may fail once the server has hung up
-			if m, err := agent.Recv(); err == nil {
-				t.Fatalf("%s: a %s in the report's place was answered with %s", name, sname, m.Kind())
-			}
-			srv.Close()
-			agent.Close()
-			if pol.rounds.Load() != 0 {
-				t.Fatalf("%s: a %s in the report's place reached a policy", name, sname)
-			}
+	for sname, stray := range strays {
+		if stray == nil || stray.Report != nil {
+			continue // a Report is what the controller side expects
 		}
+		agent, ctrl := newFramedPair()
+		pol := &countingPolicy{}
+		srv := control.NewServer(ctrl, []control.Policy{pol})
+		srv.Start()
+		_ = agent.Send(stray) // may fail once the server has hung up
+		if m, err := agent.Recv(); err == nil {
+			t.Fatalf("a %s in the report's place was answered with %s", sname, m.Kind())
+		}
+		srv.Close()
+		agent.Close()
+		if pol.rounds.Load() != 0 {
+			t.Fatalf("a %s in the report's place reached a policy", sname)
+		}
+	}
 
-		for sname, stray := range strays {
-			if stray.Commands != nil && stray.Commands.Interval == 1 {
-				continue // the reply itself
-			}
-			e, st := mkEngine(5)
-			agent, ctrl := pair()
-			x := control.NewExecutor(e, 0, agent)
-			returned := make(chan *engine.Rebalance, 1)
-			go func() { returned <- x.RunRound(&stats.Snapshot{Interval: 1, ND: 8}) }()
-			if m, err := ctrl.Recv(); err != nil || m.Report == nil {
-				t.Fatalf("%s: the executor opened its round with %v, %v", name, m, err)
-			}
-			if err := ctrl.Send(stray); err != nil {
-				t.Fatal(err)
-			}
-			if reb := <-returned; reb != nil || st.Instances() != 8 {
-				t.Fatalf("%s: a round answered by a %s applied %+v", name, sname, reb)
-			}
-			ctrl.Close()
-			agent.Close()
-			e.Stop()
+	for sname, stray := range strays {
+		if stray != nil && stray.Commands != nil && stray.Commands.Interval == 1 {
+			continue // the reply itself
 		}
+		e, st := mkEngine(5)
+		agent, ctrl := newFramedPair()
+		x := control.NewExecutor(e, 0, agent)
+		returned := make(chan *engine.Rebalance, 1)
+		go func() { returned <- x.RunRound(&stats.Snapshot{Interval: 1, ND: 8}) }()
+		if m, err := ctrl.Recv(); err != nil || m.Report == nil {
+			t.Fatalf("the executor opened its round with %v, %v", m, err)
+		}
+		if stray == nil {
+			ctrl.Close()
+		} else if err := ctrl.Send(stray); err != nil {
+			t.Fatal(err)
+		}
+		if reb := <-returned; reb != nil || st.Instances() != 8 {
+			t.Fatalf("a round answered by a %s applied %+v", sname, reb)
+		}
+		ctrl.Close()
+		agent.Close()
+		e.Stop()
 	}
 }
 
@@ -328,34 +327,44 @@ func (p *oneOfEach) Decide(env control.Env, snap *stats.Snapshot) []control.Comm
 
 // TestRoundIsOneReportAndOneCommands pins the round's shape on both
 // transports: a round carrying a plan, a resize and a split, and a held
-// round, are each exactly one Report from the stage side and one
-// Commands from the controller side — one frame each way on the wire.
+// round, each reach the policies once and apply one reply. On the wire
+// each is exactly one Report from the stage side and one Commands from
+// the controller side — one frame each way.
 func TestRoundIsOneReportAndOneCommands(t *testing.T) {
-	for name, pair := range map[string]func() (control.Conn, control.Conn){
-		"loopback":    control.NewLoopbackPair,
-		"framed pipe": newFramedPair,
-	} {
+	for _, name := range []string{"local", "framed pipe"} {
 		e, st := mkEngine(17)
-		agentConn, ctrlConn := pair()
-		agent := &countingConn{Conn: agentConn, sent: map[string]int{}}
-		ctrl := &countingConn{Conn: ctrlConn, sent: map[string]int{}}
-		x := control.NewExecutor(e, 0, agent)
-		srv := control.NewServer(ctrl, []control.Policy{&oneOfEach{}})
-		srv.Start()
-		e.AddSnapshotHook(0, x.Hook())
+		pol := &oneOfEach{}
+		var agent, ctrl *countingConn // the framed pipe's two ends
+		if name == "local" {
+			e.AddSnapshotHook(0, control.NewLoop(e, 0, []control.Policy{pol}).Hook())
+		} else {
+			a, c := newFramedPair()
+			agent = &countingConn{Conn: a, sent: map[string]int{}}
+			ctrl = &countingConn{Conn: c, sent: map[string]int{}}
+			srv := control.NewServer(ctrl, []control.Policy{pol})
+			srv.Start()
+			defer srv.Close()
+			defer agent.Close()
+			e.AddSnapshotHook(0, control.NewExecutor(e, 0, agent).Hook())
+		}
 
 		for round := 1; round <= 2; round++ {
 			e.Run(1)
+			if pol.rounds != round {
+				t.Fatalf("%s, round %d: the policies decided %d times", name, round, pol.rounds)
+			}
+			if agent == nil {
+				continue
+			}
 			if got, want := agent.counts(), map[string]int{"report": round}; !maps.Equal(got, want) {
 				t.Fatalf("%s, round %d: the stage side sent %v, want %v", name, round, got, want)
 			}
 			if got, want := ctrl.counts(), map[string]int{"commands": round}; !maps.Equal(got, want) {
 				t.Fatalf("%s, round %d: the controller side sent %v, want %v", name, round, got, want)
 			}
-			if f, ok := agentConn.(framedConn); ok {
-				if sent, rcvd := f.SentMsgs(), f.RecvMsgs(); sent != int64(round) || rcvd != int64(round) {
-					t.Fatalf("%s, round %d: the stage side's wire carried %d frames out and %d in", name, round, sent, rcvd)
-				}
+			f := agent.Conn.(framedConn)
+			if sent, rcvd := f.SentMsgs(), f.RecvMsgs(); sent != int64(round) || rcvd != int64(round) {
+				t.Fatalf("%s, round %d: the stage side's wire carried %d frames out and %d in", name, round, sent, rcvd)
 			}
 		}
 		// The first round applied all three commands; the second held.
@@ -366,9 +375,52 @@ func TestRoundIsOneReportAndOneCommands(t *testing.T) {
 		if st.Instances() != 9 || len(st.Splits()) != 1 {
 			t.Fatalf("%s: %d instances and split set %v after the commanded round", name, st.Instances(), st.Splits())
 		}
-		agent.Close()
-		srv.Close()
 		e.Stop()
+	}
+}
+
+// callerPolicy counts its rounds in a plain field and records whether
+// every one of them was decided on the goroutine of the test that
+// runs the engine.
+type callerPolicy struct {
+	rounds    int
+	offCaller int
+}
+
+func (p *callerPolicy) Decide(control.Env, *stats.Snapshot) []control.Command {
+	p.rounds++
+	buf := make([]byte, 1<<16)
+	if !bytes.Contains(buf[:runtime.Stack(buf, false)], []byte("control_test.TestLocalRoundIsACall(")) {
+		p.offCaller++
+	}
+	return nil
+}
+
+// TestLocalRoundIsACall pins the in-process loop as a function call:
+// control.NewLoop and the intervals it serves start no goroutine beyond
+// the engine's tasks, every policy decides on the goroutine that runs
+// the engine, and policy state is read between Run calls with nothing
+// closed.
+func TestLocalRoundIsACall(t *testing.T) {
+	e, _ := mkEngine(29)
+	defer e.Stop()
+	before := runtime.NumGoroutine()
+	ctl, pol := eagerController(), &callerPolicy{}
+	localLoop(e, 0, []control.Policy{ctl, pol})
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("NewLoop started %d goroutines", n-before)
+	}
+	for run, want := range []int{4, 8} {
+		e.Run(4)
+		if n := runtime.NumGoroutine(); n > before {
+			t.Fatalf("run %d: %d goroutines beyond the engine's", run, n-before)
+		}
+		if pol.rounds != want || pol.offCaller != 0 {
+			t.Fatalf("run %d: %d rounds, %d decided off the caller's goroutine; want %d, 0", run, pol.rounds, pol.offCaller, want)
+		}
+	}
+	if ctl.Rebalances() == 0 {
+		t.Fatal("the eager controller never planned")
 	}
 }
 
@@ -393,9 +445,7 @@ func TestSteadyRoundAllocatesNoPopulation(t *testing.T) {
 	// while the plans — and the routing table they accumulate — stay small
 	// next to the population, as they are there.
 	ctl := controller.New(balance.Mixed{}, balance.Config{ThetaMax: 0.08, TableMax: 3000, Beta: 1.5})
-	loop := control.NewLoop(e, 0, []control.Policy{ctl})
-	defer loop.Close()
-	hook := loop.Hook()
+	hook := control.NewLoop(e, 0, []control.Policy{ctl}).Hook()
 	// The test calls the hook itself where EndStage would; registering
 	// it is what makes the stage observe per-key statistics.
 	e.AddSnapshotHook(0, hook)

@@ -147,44 +147,44 @@ func TestScaleInLivePipelined(t *testing.T) {
 	}
 }
 
-// TestScaleInLoopbackEqualsWire pins the two transports against each
-// other on the full elastic scenario — the builder's loopback loop
+// TestScaleInLocalEqualsWire pins the two transports against each
+// other on the full elastic scenario — the builder's in-process loop
 // against the same policies hand-wired over the framed pipe:
 // identical series, identical final instance counts, identical routing
 // tables, identical applied histories.
-func TestScaleInLoopbackEqualsWire(t *testing.T) {
-	lbFleet := &countingFleet{}
-	lbScaler := &longterm.AutoScaler{Detector: longterm.NewDetector()}
-	lb := buildScaleInTopology(lbFleet, lbScaler)
-	defer lb.Stop()
-	lbSnaps := lastSnapshots(lb.Engine)
-	lb.Run(30)
+func TestScaleInLocalEqualsWire(t *testing.T) {
+	locFleet := &countingFleet{}
+	locScaler := &longterm.AutoScaler{Detector: longterm.NewDetector()}
+	loc := buildScaleInTopology(locFleet, locScaler)
+	defer loc.Stop()
+	locSnaps := lastSnapshots(loc.Engine)
+	loc.Run(30)
 
 	wFleet := &countingFleet{}
 	wScaler := &longterm.AutoScaler{Detector: longterm.NewDetector()}
 	wCtl := mkController() // the builder's controller for AlgMixed, Theta(0.08), MinKeys(32)
 	w := scaleInStages(wFleet)
 	defer w.Stop()
-	defer loopOver(w.Engine, 1, []control.Policy{wCtl, wScaler}, newFramedPair)()
+	defer framedLoop(w.Engine, 1, []control.Policy{wCtl, wScaler})()
 	wSnaps := lastSnapshots(w.Engine)
 	w.Run(30)
 
-	sameSeries(t, "loopback-vs-wire", lb.Recorder().Series, w.Recorder().Series)
-	sameSnapshots(t, "loopback-vs-wire", lbSnaps, wSnaps)
-	sameTables(t, "loopback-vs-wire", lb.StageNamed("count"), w.StageNamed("count"))
-	if a, b := lb.StageNamed("count").Instances(), w.StageNamed("count").Instances(); a != b {
+	sameSeries(t, "local-vs-wire", loc.Recorder().Series, w.Recorder().Series)
+	sameSnapshots(t, "local-vs-wire", locSnaps, wSnaps)
+	sameTables(t, "local-vs-wire", loc.StageNamed("count"), w.StageNamed("count"))
+	if a, b := loc.StageNamed("count").Instances(), w.StageNamed("count").Instances(); a != b {
 		t.Fatalf("instance counts diverged: %d vs %d", a, b)
 	}
-	if lbScaler.ScaleIns == 0 || lbScaler.ScaleIns != wScaler.ScaleIns || lbScaler.ScaleOuts != wScaler.ScaleOuts {
+	if locScaler.ScaleIns == 0 || locScaler.ScaleIns != wScaler.ScaleIns || locScaler.ScaleOuts != wScaler.ScaleOuts {
 		t.Fatalf("scale histories diverged: in %d/%d out %d/%d",
-			lbScaler.ScaleIns, wScaler.ScaleIns, lbScaler.ScaleOuts, wScaler.ScaleOuts)
+			locScaler.ScaleIns, wScaler.ScaleIns, locScaler.ScaleOuts, wScaler.ScaleOuts)
 	}
-	if a, b := lb.Rebalances(), wCtl.Rebalances(); a != b {
+	if a, b := loc.Rebalances(), wCtl.Rebalances(); a != b {
 		t.Fatalf("rebalance counts diverged: %d vs %d", a, b)
 	}
-	lb.StageNamed("count").Barrier()
+	loc.StageNamed("count").Barrier()
 	w.StageNamed("count").Barrier()
-	if a, b := lbFleet.total(), wFleet.total(); a != b {
+	if a, b := locFleet.total(), wFleet.total(); a != b {
 		t.Fatalf("counted totals diverged: %d vs %d", a, b)
 	}
 }
@@ -206,6 +206,18 @@ func (rebalanceAlways) Decide(env control.Env, _ *stats.Snapshot) []control.Comm
 	return []control.Command{control.Rebalance{Plan: plan}}
 }
 
+// scriptedConn is a remote controller reduced to its reply: every round
+// is answered with the same Commands.
+type scriptedConn struct{ reply *protocol.Commands }
+
+func (scriptedConn) Send(*protocol.Message) error { return nil }
+
+func (c scriptedConn) Recv() (*protocol.Message, error) {
+	return &protocol.Message{Commands: c.reply}, nil
+}
+
+func (scriptedConn) Close() error { return nil }
+
 // TestExecutorRejectsInapplicableCommands pins the reject-as-hold
 // contract: commands a stage cannot apply — scale-in at one instance,
 // a rebalance on a router-less stage, a Resize with a bad delta — are
@@ -216,9 +228,7 @@ func TestExecutorRejectsInapplicableCommands(t *testing.T) {
 		engine.NewAssignmentRouter(topology.NewAssignment(1)))
 	e1 := engine.NewBatch(engine.BatchSpout(func() tuple.Tuple { return tuple.New(1, nil) }), engine.Config{Budget: 50}, one)
 	defer e1.Stop()
-	l1 := control.NewLoop(e1, 0, []control.Policy{scaleInAlways{}})
-	defer l1.Close()
-	e1.AddSnapshotHook(0, l1.Hook())
+	e1.AddSnapshotHook(0, control.NewLoop(e1, 0, []control.Policy{scaleInAlways{}}).Hook())
 	e1.Run(3)
 	if one.Instances() != 1 {
 		t.Fatalf("single-instance stage resized to %d", one.Instances())
@@ -229,9 +239,7 @@ func TestExecutorRejectsInapplicableCommands(t *testing.T) {
 		engine.NewShuffleRouter(2))
 	e2 := engine.NewBatch(engine.BatchSpout(func() tuple.Tuple { return tuple.New(1, nil) }), engine.Config{Budget: 50}, sh)
 	defer e2.Stop()
-	l2 := control.NewLoop(e2, 0, []control.Policy{rebalanceAlways{}, scaleInAlways{}})
-	defer l2.Close()
-	e2.AddSnapshotHook(0, l2.Hook())
+	e2.AddSnapshotHook(0, control.NewLoop(e2, 0, []control.Policy{rebalanceAlways{}, scaleInAlways{}}).Hook())
 	e2.Run(3)
 	if sh.Instances() != 2 {
 		t.Fatalf("shuffle stage resized to %d", sh.Instances())
@@ -243,22 +251,14 @@ func TestExecutorRejectsInapplicableCommands(t *testing.T) {
 		engine.NewAssignmentRouter(topology.NewAssignment(2)))
 	e3 := engine.NewBatch(engine.BatchSpout(func() tuple.Tuple { return tuple.New(1, nil) }), engine.Config{Budget: 50}, st3)
 	defer e3.Stop()
-	agent, ctrl := control.NewLoopbackPair()
-	defer agent.Close()
-	x := control.NewExecutor(e3, 0, agent)
+	x := control.NewExecutor(e3, 0, scriptedConn{&protocol.Commands{List: []protocol.Command{
+		{Resize: &protocol.Resize{Delta: 5}},
+		{Plan: &protocol.PlanAnnounce{
+			Table: []protocol.RouteEntry{{Key: 1, Dest: 7}},
+			Moved: []protocol.RouteEntry{{Key: 1, Dest: 7}},
+		}},
+	}}})
 	snaps3 := lastSnapshots(e3)
-	go func() {
-		if m, err := ctrl.Recv(); err != nil || m.Report == nil { // the round's one report
-			return
-		}
-		ctrl.Send(&protocol.Message{Commands: &protocol.Commands{List: []protocol.Command{
-			{Resize: &protocol.Resize{Delta: 5}},
-			{Plan: &protocol.PlanAnnounce{
-				Table: []protocol.RouteEntry{{Key: 1, Dest: 7}},
-				Moved: []protocol.RouteEntry{{Key: 1, Dest: 7}},
-			}},
-		}}})
-	}()
 	e3.Run(1)
 	if reb := x.RunRound(snaps3[0]); reb != nil {
 		t.Fatalf("garbage commands applied: %+v", reb)
@@ -268,23 +268,5 @@ func TestExecutorRejectsInapplicableCommands(t *testing.T) {
 	}
 	if d := st3.AssignmentRouter().Assignment().Dest(1); d >= 2 {
 		t.Fatalf("out-of-range plan installed: key 1 -> %d", d)
-	}
-}
-
-// TestLoopClosedMidRunHolds verifies a dead transport degrades to
-// hold: the engine keeps running intervals, the hook returns nil, no
-// goroutine wedges.
-func TestLoopClosedMidRunHolds(t *testing.T) {
-	e, _ := mkEngine(55)
-	defer e.Stop()
-	ctl := mkController()
-	loop := control.NewLoop(e, 0, []control.Policy{ctl})
-	e.AddSnapshotHook(0, loop.Hook())
-	e.Run(3)
-	loop.Close()
-	before := ctl.Rebalances()
-	e.Run(5) // rounds against a closed transport must no-op
-	if got := ctl.Rebalances(); got != before {
-		t.Fatalf("closed loop still applied plans (%d -> %d)", before, got)
 	}
 }

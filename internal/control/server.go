@@ -8,12 +8,11 @@ import (
 )
 
 // Server is the controller side of the per-stage control loop, detached
-// from any particular transport: it answers an Executor over a Conn —
-// the in-process loopback or a cluster socket — running
-// the given policies each round. Loop composes one with an Executor for
-// the single-process case; the cluster coordinator runs one per remote
-// stage, which is how the distributed control plane reuses the exact
-// protocol logic the loopback pins.
+// from any particular transport: it answers an Executor's reports,
+// running the given policies each round. The cluster coordinator runs
+// one per remote stage over a socket (Start, Close); in one process
+// NewLoop calls the same round logic directly from the executor's
+// Send, so both paths share every check and the one Commands reply.
 type Server struct {
 	conn     Conn
 	policies []Policy
@@ -44,28 +43,20 @@ func (s *Server) Close() {
 	})
 }
 
-// serve is the controller side: for every round it receives the
-// round's report, checks it, takes the snapshot and stage context from
-// it, asks each policy to decide, and answers with one Commands message
-// carrying every command in order (none for a held round). It exits when
-// the transport closes or a peer breaks the protocol, and closes the
+// serve is the socket loop: it answers every round's report and exits
+// when the transport closes or a peer breaks the protocol, closing the
 // transport on its way out so the peer's round ends with an error
 // instead of waiting for a reply that will not come.
 func (s *Server) serve() {
 	defer s.wg.Done()
 	defer s.conn.Close()
 	for {
-		env, snap, ok := s.recvRound()
-		if !ok {
+		m, err := s.conn.Recv()
+		if err != nil {
 			return
 		}
-		reply := &protocol.Commands{Interval: env.Interval}
-		for _, p := range s.policies {
-			for _, c := range p.Decide(env, snap) {
-				reply.List = appendCommand(reply.List, c)
-			}
-		}
-		if s.conn.Send(&protocol.Message{Commands: reply}) != nil {
+		reply, ok := s.answer(m)
+		if !ok || s.conn.Send(reply) != nil {
 			return
 		}
 	}
@@ -90,21 +81,18 @@ func appendCommand(list []protocol.Command, c Command) []protocol.Command {
 	return list
 }
 
-// recvRound receives one round's report — a round is one Recv — and
-// takes the snapshot and stage context from it. Once CheckMerged has
-// passed it, the report's run becomes the snapshot's keys as it stands,
-// valid as long as the transport keeps it (the stage's own buffer on the
-// loopback, the codec's on a socket: until the round after next either
-// way). Anything else in a report's place, or a report that fails the
-// check, ends the serve loop.
-func (s *Server) recvRound() (Env, *stats.Snapshot, bool) {
-	m, err := s.conn.Recv()
-	if err != nil || m.Report == nil {
-		return Env{}, nil, false
-	}
+// answer is one round: it checks the round's report, takes the
+// snapshot and stage context from it, asks each policy to decide, and
+// returns one Commands message carrying every command in order (none
+// for a held round). Once CheckMerged has passed the report, its run
+// becomes the snapshot's keys as it stands, valid as long as the sender
+// keeps it (the stage's own buffer in process, the codec's on a socket:
+// until the round after next either way). Anything else in a report's
+// place, or a report that fails the check, is not answered (ok false).
+func (s *Server) answer(m *protocol.Message) (reply *protocol.Message, ok bool) {
 	r := m.Report
-	if r.CheckMerged() != nil {
-		return Env{}, nil, false
+	if r == nil || r.CheckMerged() != nil {
+		return nil, false
 	}
 	snap := &stats.Snapshot{Interval: r.Interval, ND: r.Tasks, Keys: r.Keys}
 	env := Env{
@@ -119,5 +107,11 @@ func (s *Server) recvRound() (Env, *stats.Snapshot, bool) {
 	for _, e := range r.Split {
 		env.Split = append(env.Split, SplitSpec{Key: e.Key, Fan: e.Fan})
 	}
-	return env, snap, true
+	cmds := &protocol.Commands{Interval: env.Interval}
+	for _, p := range s.policies {
+		for _, c := range p.Decide(env, snap) {
+			cmds.List = appendCommand(cmds.List, c)
+		}
+	}
+	return &protocol.Message{Commands: cmds}, true
 }

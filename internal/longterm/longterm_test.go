@@ -92,7 +92,7 @@ func TestActionString(t *testing.T) {
 
 // End to end: a workload that doubles permanently must grow the
 // operator; the autoscaler keeps the short-term controller running.
-// Both policies ride one control loop over the loopback transport.
+// Both policies ride one in-process control loop.
 func TestAutoScalerGrowsUnderSustainedShift(t *testing.T) {
 	var n uint64
 	rate := int64(7000) // 87.5% of the 8×1000 capacity: comfortably steady
@@ -111,9 +111,7 @@ func TestAutoScalerGrowsUnderSustainedShift(t *testing.T) {
 	ctl := controller.New(balance.Mixed{}, balance.Config{ThetaMax: 0.08, TableMax: 3000, Beta: 1.5})
 	ctl.MinKeys = 16
 	as := &AutoScaler{Detector: NewDetector()}
-	loop := control.NewLoop(e, 0, []control.Policy{ctl, as})
-	defer loop.Close()
-	e.AddSnapshotHook(0, loop.Hook())
+	e.AddSnapshotHook(0, control.NewLoop(e, 0, []control.Policy{ctl, as}).Hook())
 
 	e.Run(8) // steady: no action expected
 	if as.ScaleOuts != 0 {
@@ -153,9 +151,7 @@ func TestAutoScalerAppliesScaleIn(t *testing.T) {
 	defer e.Stop()
 
 	as := &AutoScaler{Detector: NewDetector()}
-	loop := control.NewLoop(e, 0, []control.Policy{as})
-	defer loop.Close()
-	e.AddSnapshotHook(0, loop.Hook())
+	e.AddSnapshotHook(0, control.NewLoop(e, 0, []control.Policy{as}).Hook())
 	e.Run(30)
 	if as.ScaleIns == 0 {
 		t.Fatal("sustained idleness never applied a scale-in")

@@ -217,7 +217,7 @@ func buildMessage(seed uint64, kind, n int) *Message {
 // FuzzCodecRoundTrip drives arbitrary messages of every kind through
 // the framed codec and requires the decoded value to reproduce the
 // original exactly — the property the wire transport's equivalence
-// with the loopback rests on. Seeds cover every kind at empty,
+// with the in-process call rests on. Seeds cover every kind at empty,
 // single-entry and many-entry sizes (empty routing tables, multi-entry
 // Moved sets, reports with an empty run included).
 func FuzzCodecRoundTrip(f *testing.F) {

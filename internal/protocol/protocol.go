@@ -6,9 +6,10 @@
 // every message — tuple batches as one row per tuple carrying only the
 // fields that vary inside its chunk — and the only encoding the cluster
 // speaks). The in-process engine speaks this protocol through
-// internal/control's loopback transport; the same bytes flow over a real
-// network boundary (the Codec-over-pipe transport is pinned equivalent),
-// so a multi-process deployment can speak it unchanged:
+// internal/control's local call (messages passed by pointer); the same
+// bytes flow over a real network boundary (the Codec-over-pipe
+// transport is pinned equivalent), so a multi-process deployment can
+// speak it unchanged:
 //
 //	stage      → controller  : LoadReport        (step 1)
 //	controller → stage       : Commands          (steps 3–4)
@@ -22,7 +23,7 @@
 //
 // The report is the snapshot. The stage side hands over the merged,
 // KeyStatLess-ordered run its interval close produced, each entry
-// carrying its destination — by reference over the loopback, as one
+// carrying its destination — by reference in process, as one
 // more column on the wire — so nothing is split per task on one side
 // and merged back on the other. What arrives is outside input: the
 // controller side runs CheckMerged before any policy sees the snapshot.

@@ -251,7 +251,7 @@ func (s *Spec) BuildLocal() *System {
 		Engine:    e,
 		ctls:      make([]*controller.Controller, len(stages)),
 		splitters: make([]*controller.Splitter, len(stages)),
-		loops:     make([]*control.Loop, len(stages)),
+		loops:     make([]*control.Executor, len(stages)),
 		byName:    make(map[string]int, len(stages)),
 	}
 	for si := range r.Stages {

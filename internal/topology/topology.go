@@ -32,9 +32,9 @@
 // intervals, on the sealed stage (see engine.Stage.ApplyPlan). Every stage may carry its own control loop —
 // the builder assembles the stage's policies (the algorithm-derived
 // rebalance controller plus any WithPolicy additions, e.g.
-// longterm.AutoScaler) into one control.Loop per managed stage, applying
-// rebalance, scale-out and scale-in commands over protocol
-// messages on the in-process loopback.
+// longterm.AutoScaler) into one control.NewLoop executor per managed
+// stage, applying rebalance, scale-out and scale-in commands as protocol
+// messages passed by a direct call on the driver's goroutine.
 package topology
 
 import (
@@ -297,7 +297,7 @@ type System struct {
 	Engine    *engine.Engine
 	ctls      []*controller.Controller
 	splitters []*controller.Splitter // per stage; nil unless HotKeySplit
-	loops     []*control.Loop        // per stage; nil for stages without policies
+	loops     []*control.Executor    // per stage; nil for stages without policies
 	byName    map[string]int
 }
 
@@ -308,20 +308,14 @@ func (b *Builder) Build() *System { return b.spec.BuildLocal() }
 // Run executes n intervals.
 func (s *System) Run(n int) { s.Engine.Run(n) }
 
-// Stop tears down the engine goroutines and the per-stage control
-// loops (policy state is safe to read after Stop returns).
-func (s *System) Stop() {
-	s.Engine.Stop()
-	for _, l := range s.loops {
-		if l != nil {
-			l.Close()
-		}
-	}
-}
+// Stop tears down the engine goroutines. The control loops run on the
+// driver's goroutine, so policy state is safe to read between Run calls
+// and needs no teardown.
+func (s *System) Stop() { s.Engine.Stop() }
 
-// Loop returns stage si's control loop, or nil for stages without
-// policies.
-func (s *System) Loop(si int) *control.Loop { return s.loops[si] }
+// Loop returns stage si's control loop executor (control.NewLoop), or
+// nil for stages without policies.
+func (s *System) Loop(si int) *control.Executor { return s.loops[si] }
 
 // Recorder exposes the target stage's per-interval metric series.
 func (s *System) Recorder() *metrics.Recorder { return s.Engine.Recorder }
