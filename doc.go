@@ -164,8 +164,10 @@
 // loads, and while one instance's pinned share alone is past Lmax no
 // key-granular plan can meet θmax, so the controller holds (HeldSplit).
 // Split keys keep their routing entries; the controller's guardSplit
-// and the stage's backstop are checks whose SplitPinned counters stay
-// 0. Transitions run at the interval barrier like every actuation.
+// is a check whose SplitPinned counter stays 0, and the stage's
+// backstop pins a raw caller's entry back to the home. Transitions run
+// at the interval barrier like every actuation, and fold every cell
+// home before the replica sets change.
 // examples/viralkey demonstrates a flash crowd; the repository
 // benchmark's hotkey workload measures it.
 //

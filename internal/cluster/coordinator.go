@@ -19,7 +19,6 @@ const registerTimeout = 30 * time.Second
 // workerSess is one registered worker: its session connection and the
 // data-plane address its stages accept tuple batches on.
 type workerSess struct {
-	id       int
 	name     string
 	conn     *Conn
 	dataAddr string
@@ -42,7 +41,6 @@ type Coordinator struct {
 	workers  []*workerSess
 	servers  []*control.Server // per stage; nil without policies
 	ctlConns []*Conn           // per stage; control sockets, for the byte table
-	accErr   error
 	acceptWG sync.WaitGroup
 
 	policies [][]control.Policy
@@ -109,7 +107,7 @@ func (c *Coordinator) accept() {
 		case "worker":
 			c.mu.Lock()
 			id := len(c.workers)
-			w := &workerSess{id: id, name: hello.Worker, conn: conn, dataAddr: hello.DataAddr}
+			w := &workerSess{name: hello.Worker, conn: conn, dataAddr: hello.DataAddr}
 			conn.SetName(fmt.Sprintf("session %s", hello.Worker))
 			if err := conn.Welcome(id); err != nil {
 				conn.Close()

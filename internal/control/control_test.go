@@ -149,10 +149,6 @@ func TestLoopMatchesDirectController(t *testing.T) {
 			if ctlDirect.Rebalances() == 0 {
 				t.Fatal("oracle run never rebalanced; the pin is vacuous")
 			}
-			if ctlDirect.SkippedBalanced != ctlLoop.SkippedBalanced {
-				t.Fatalf("decision counters differ: skipped %d/%d",
-					ctlDirect.SkippedBalanced, ctlLoop.SkippedBalanced)
-			}
 		})
 	}
 }

@@ -32,8 +32,6 @@ type Controller struct {
 	// many keys (warm-up guard); 0 means no guard.
 	MinKeys int
 
-	// SkippedBalanced counts intervals where no plan was needed.
-	SkippedBalanced int
 	// SplitPinned counts plan moves stripped because their key was
 	// split at decision time. The planner plans without the split keys,
 	// so it stays 0; it counts a planner that broke that contract.
@@ -81,7 +79,6 @@ func (c *Controller) decide(routable bool, snap *stats.Snapshot, split []control
 		}
 	}
 	if stats.MaxTheta(pr.Loads) <= c.Cfg.ThetaMax {
-		c.SkippedBalanced++
 		return nil
 	}
 	plan := c.Planner.Plan(view, c.Cfg)

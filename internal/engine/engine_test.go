@@ -68,12 +68,6 @@ func observeAll(e *Engine) []*stats.Snapshot {
 	return last
 }
 
-// SplitPinned returns the cumulative count of rebalance-plan moves the
-// stage refused because their key was split at apply time (the plan's
-// table entry is pinned to the key's home instead) — the stage-level
-// mirror of the controller's SplitPinned guard counter.
-func (s *Stage) SplitPinned() int64 { return s.splitPinned }
-
 // Router returns the stage's input router.
 func (s *Stage) Router() Router { return s.router }
 

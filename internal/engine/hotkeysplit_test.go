@@ -185,7 +185,7 @@ func TestSplitBatchSpreadsEvenly(t *testing.T) {
 		for d := range after {
 			got := after[d] - before[d]
 			sum += got
-			if !containsDest(sp.Replicas, d) {
+			if !slices.Contains(sp.Replicas, d) {
 				if got != 0 {
 					t.Fatalf("batch of %d: instance %d outside the replicas %v absorbed %d", n, d, sp.Replicas, got)
 				}
@@ -202,47 +202,60 @@ func TestSplitBatchSpreadsEvenly(t *testing.T) {
 	}
 }
 
-// TestSplitRetireExtractsResidue pins the swap-then-extract path: a
-// key leaving the split set before its cells were folded has its
-// replica residue merged home immediately, not lost.
-func TestSplitRetireExtractsResidue(t *testing.T) {
-	st, fleet := splitCountStage(4, 2)
-	defer st.Stop()
-	hot := tuple.Key(3)
-	if err := st.ApplySplitSet([]stats.HotKey{{Key: hot, Fan: 4}}); err != nil {
-		t.Fatal(err)
-	}
-	const n = 400
-	for i := 0; i < n; i++ {
-		st.FeedBatch([]tuple.Tuple{tuple.New(hot, i)})
-	}
-	st.Barrier()
-	// Unsplit without an interval close in between: retirement must
-	// extract the cells.
-	if err := st.ApplySplitSet(nil); err != nil {
-		t.Fatal(err)
-	}
-	if set := st.Splits(); set != nil {
-		t.Fatalf("Splits = %v after full retire", set)
-	}
-	st.Barrier()
-	var total int64
-	for _, op := range fleet {
-		total += op.counts[hot]
-	}
-	if total != n {
-		t.Fatalf("count %d after retire, fed %d", total, n)
-	}
-	home := st.AssignmentRouter().Assignment().Dest(hot)
-	if got := sizeOf(st.StoreOf(home), hot); got != n {
-		t.Fatalf("home state %d after retire, want %d", got, n)
+// TestSplitRetireFoldsResidueFirst pins the fold-first transition: a
+// key whose split set changes before its cells were folded — unsplit,
+// or re-announced at a smaller fan — has every replica's residue merged
+// home by the change itself, not lost and not counted twice.
+func TestSplitRetireFoldsResidueFirst(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		next []stats.HotKey
+	}{
+		{"unsplit", nil},
+		{"fan shrink", []stats.HotKey{{Key: 3, Fan: 2}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, fleet := splitCountStage(4, 2)
+			defer st.Stop()
+			hot := tuple.Key(3)
+			if err := st.ApplySplitSet([]stats.HotKey{{Key: hot, Fan: 4}}); err != nil {
+				t.Fatal(err)
+			}
+			const n = 400
+			for i := 0; i < n; i++ {
+				st.FeedBatch([]tuple.Tuple{tuple.New(hot, i)})
+			}
+			st.Barrier()
+			// Change the set without an interval close in between: the
+			// change must fold the cells.
+			if err := st.ApplySplitSet(tc.next); err != nil {
+				t.Fatal(err)
+			}
+			if set := st.Splits(); !slices.Equal(set, tc.next) {
+				t.Fatalf("Splits = %v, want %v", set, tc.next)
+			}
+			st.Barrier()
+			home := st.AssignmentRouter().Assignment().Dest(hot)
+			for d, op := range fleet {
+				want := int64(0)
+				if d == home {
+					want = n
+				}
+				if got := op.counts[hot]; got != want {
+					t.Fatalf("instance %d counted %d after the change, want %d", d, got, want)
+				}
+			}
+			if got := sizeOf(st.StoreOf(home), hot); got != n {
+				t.Fatalf("home state %d after the change, want %d", got, n)
+			}
+		})
 	}
 }
 
 // TestSplitPinsKeysAgainstPlans pins the stage-level plan guard: a
 // rebalance plan that tries to migrate a split key has that move
-// stripped (counted in SplitPinned) and the key's routing left at its
-// home, while the plan's other moves apply normally.
+// stripped and the key's routing left at its home, while the plan's
+// other moves apply normally.
 func TestSplitPinsKeysAgainstPlans(t *testing.T) {
 	st, _ := splitCountStage(4, 2)
 	defer st.Stop()
@@ -268,9 +281,6 @@ func TestSplitPinsKeysAgainstPlans(t *testing.T) {
 	if _, err := st.ApplyPlan(plan); err != nil {
 		t.Fatal(err)
 	}
-	if st.SplitPinned() != 1 {
-		t.Fatalf("SplitPinned = %d, want 1", st.SplitPinned())
-	}
 	cur := st.AssignmentRouter().Assignment()
 	if cur.Dest(hot) != home {
 		t.Fatalf("split key moved from %d to %d despite guard", home, cur.Dest(hot))
@@ -282,7 +292,7 @@ func TestSplitPinsKeysAgainstPlans(t *testing.T) {
 
 // TestSplitStressWithContinuousRebalance is the -race stress of split
 // churn composed with migration: each interval four feeders emit a
-// viral-key mix, and between intervals the split set changes — arm,
+// viral-key mix, and between intervals the split set changes — split,
 // fan growth, retire — and a rebalance plan (every round also trying to
 // move the split keys themselves, which the guard must pin) is applied.
 // Every tuple must be counted exactly once and every key's state must
@@ -442,9 +452,10 @@ func TestPublishedSplitKernelMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("split set")
+	home := st.AssignmentRouter().Assignment().Dest(4)
 	plan(1) // moves key 4 too: pinned to its home
-	if st.SplitPinned() != 1 {
-		t.Fatalf("SplitPinned = %d, want 1", st.SplitPinned())
+	if got := st.AssignmentRouter().Assignment().Dest(4); got != home {
+		t.Fatalf("plan moved split key 4 from %d to %d", home, got)
 	}
 	check("plan with splits")
 	if err := st.ApplySplitSet([]stats.HotKey{{Key: 6, Fan: 3}}); err != nil {

@@ -34,8 +34,6 @@ type BatchSink interface {
 
 // TaskCtx is the per-instance execution context handed to operators.
 type TaskCtx struct {
-	// ID is the task instance id within its operator (0..ND-1).
-	ID int
 	// Store is the instance's windowed state store: the state face of
 	// the task's key directory.
 	Store *state.Store

@@ -12,10 +12,10 @@ package engine
 // queueing model and skewness read from it, show the split: the hot
 // key's work actually executes on Fan goroutines instead of one.
 //
-// A split set changes only on a sealed stage, like every actuation:
-// publishing one arms the new replicas' cells over the task FIFOs and
-// swaps the assignment, and retiring one drains the dropped replicas'
-// cells into the home task — no feeder can still pick a retired replica.
+// A split set changes only on a sealed stage, like every actuation, and
+// like a phase boundary it reconciles first: every cell folds home and
+// every queue drains, each replica then starts from a zero cell per key
+// it serves under the new set, and the assignment swaps.
 
 import (
 	"fmt"
@@ -53,9 +53,9 @@ func (s *Stage) setSplits(set []stats.HotKey) {
 	nd := len(s.tasks)
 
 	// Build the next split table. Unchanged entries keep their Split
-	// object (round-robin cursor and armed replicas survive); new or
-	// fan-grown entries get a fresh replica ring anchored at the key's
-	// current home.
+	// object, so the round-robin cursor survives; new or fan-changed
+	// entries get a fresh replica ring anchored at the key's current
+	// home.
 	var nst *route.SplitTable
 	if nd >= 2 {
 		for _, hk := range set {
@@ -75,82 +75,28 @@ func (s *Stage) setSplits(set []stats.HotKey) {
 		return
 	}
 
-	// Arm delta cells on every replica not already armed for its key —
-	// fire-and-forget thunks queued ahead of the swap, so FIFO makes
-	// the cells exist before the first split-routed tuple is dequeued.
+	// Fold every cell home and drain every queue: no replica holds
+	// residue and the tasks are idle, so the driver may rewrite their
+	// cells (the next message it sends orders the write before the
+	// task's reads). Each replica then starts from a zero cell per key
+	// it serves under the new set.
+	s.foldSplits()
+	s.Barrier()
+	for _, t := range s.tasks {
+		t.split = t.split[:0]
+	}
 	if nst != nil {
-		armPer := make(map[int][]tuple.Key)
 		nst.Each(func(sp *route.Split) {
-			var oldReps []int
-			if oldSt != nil {
-				if o, ok := oldSt.Lookup(sp.Key); ok {
-					oldReps = o.Replicas
-				}
-			}
 			for _, d := range sp.Replicas {
-				if !containsDest(oldReps, d) {
-					armPer[d] = append(armPer[d], sp.Key)
-				}
+				s.tasks[d].split = append(s.tasks[d].split, splitCell{key: sp.Key})
 			}
 		})
-		for d, keys := range armPer {
-			s.tasks[d].armSplit(keys)
-		}
 	}
 
 	// Publish: same table and hasher, new split set.
 	next := route.NewAssignment(old.Table(), old.Hasher())
 	next.SetSplits(nst)
 	s.ar.Swap(next)
-
-	// Retirements: keys leaving the set (and any replica dropped from a
-	// surviving key's ring) must have their cells extracted.
-	type retirement struct {
-		k    tuple.Key
-		home int
-		reps []int // replicas to extract from (full set when unsplitting)
-	}
-	var rets []retirement
-	if oldSt != nil {
-		oldSt.Each(func(sp *route.Split) {
-			var newReps []int
-			if nst != nil {
-				if n, ok := nst.Lookup(sp.Key); ok {
-					newReps = n.Replicas
-				}
-			}
-			var drop []int
-			for _, d := range sp.Replicas {
-				if !containsDest(newReps, d) {
-					drop = append(drop, d)
-				}
-			}
-			if len(drop) > 0 {
-				rets = append(rets, retirement{k: sp.Key, home: sp.Home, reps: drop})
-			}
-		})
-	}
-	if len(rets) == 0 {
-		return
-	}
-	sort.Slice(rets, func(i, j int) bool { return rets[i].k < rets[j].k })
-	for _, r := range rets {
-		var sum splitCell
-		for _, d := range r.reps {
-			t := s.tasks[d]
-			t.barrier(func(*TaskCtx) {
-				c := t.retireSplit(r.k)
-				sum.add(&c)
-			})
-		}
-		if sum.zero() {
-			continue
-		}
-		home := s.tasks[r.home]
-		home.barrier(func(ctx *TaskCtx) {
-			mergeSplitCell(home, ctx, r.k, sum)
-		})
-	}
 }
 
 // foldSplits drains every replica's delta cells and merges them into
@@ -159,7 +105,7 @@ func (s *Stage) setSplits(set []stats.HotKey) {
 // canonical state and (on an observed stage) tracker cell end the
 // interval exactly as an unsplit run's would. The merges are queued,
 // not awaited: FIFO runs them before whatever the caller enqueues next
-// (the close, the harvest). Keys stay armed; a drained or never-fed
+// (the close, the harvest). Cells stay in place; a drained or never-fed
 // cell contributes nothing, so a second fold is harmless.
 func (s *Stage) foldSplits() {
 	ar := s.AssignmentRouter()
@@ -254,13 +200,4 @@ func (s *Stage) Splits() []stats.HotKey {
 		set = append(set, stats.HotKey{Key: sp.Key, Fan: sp.Fan()})
 	})
 	return set
-}
-
-func containsDest(reps []int, d int) bool {
-	for _, r := range reps {
-		if r == d {
-			return true
-		}
-	}
-	return false
 }

@@ -37,9 +37,6 @@ type Stage struct {
 	// feeders may be running: every actuation (plan, resize, split set)
 	// refuses an open stage, so state only moves between intervals.
 	open bool
-	// splitPinned counts rebalance-plan moves refused because their key
-	// was split at apply time (see ApplyPlan's guard).
-	splitPinned int64
 
 	// Per-interval arrival accounting (cost units / tuples per task),
 	// reset at EndInterval; feeds the performance model.
@@ -104,7 +101,7 @@ func NewStage(name string, nd int, op func(id int) Operator, w int, router Route
 	s.ar, _ = router.(*AssignmentRouter)
 	s.port = s.NewPort()
 	for i := 0; i < nd; i++ {
-		s.tasks = append(s.tasks, newTask(i, op(i), w, 0, s.observe))
+		s.tasks = append(s.tasks, newTask(op(i), w, 0, s.observe))
 	}
 	return s
 }
@@ -490,7 +487,7 @@ func (s *Stage) ApplyPlan(plan *balance.Plan) (int64, error) {
 		// keys and keeps their table entries (controller.SplitPinned);
 		// this is the stage-level backstop for raw callers — patch the
 		// incoming table so F(k) keeps resolving to the split home (which
-		// makes the key's move a no-op below), and count every pin.
+		// makes the key's move a no-op below).
 		hash := old.Hasher()
 		st.Each(func(sp *route.Split) {
 			cur := hash.Hash(sp.Key)
@@ -500,7 +497,6 @@ func (s *Stage) ApplyPlan(plan *balance.Plan) (int64, error) {
 			if cur == sp.Home {
 				return
 			}
-			s.splitPinned++
 			if hash.Hash(sp.Key) == sp.Home {
 				tbl.Delete(sp.Key)
 			} else {
@@ -672,7 +668,7 @@ func (s *Stage) ScaleOut() (int64, error) {
 	var clock int64
 	s.tasks[0].barrier(func(ctx *TaskCtx) { clock = ctx.Store.Interval() })
 	id := len(s.tasks)
-	nt := newTask(id, s.opFn(id), s.window, clock, s.observe)
+	nt := newTask(s.opFn(id), s.window, clock, s.observe)
 	nt.ctx.sink = senderOf(s.down)
 	s.tasks = append(s.tasks, nt)
 	s.arrivedCost = append(s.arrivedCost, 0)

@@ -36,14 +36,14 @@ type message struct {
 
 // task is one running instance: a goroutine draining its input channel.
 type task struct {
-	id  int
 	in  chan message
 	ctx *TaskCtx
 	op  Operator
 	opB BatchOperator // non-nil when op implements the batch extension
 	wg  sync.WaitGroup
 
-	// Hot-key split state, confined to the task goroutine.
+	// Hot-key split state, confined to the task goroutine but for
+	// Stage.setSplits, which rewrites split behind a barrier.
 	// split holds one commutative delta cell per split key this task
 	// replicates — a few, so a slice scanned per tuple: tuples for those
 	// keys are absorbed into the cell (operator delta + arrival sums)
@@ -94,23 +94,21 @@ func (t *task) cell(k tuple.Key) *splitCell {
 // exercise real channel backpressure under pathological skew.
 const taskQueueDepth = 4096
 
-// newTask starts instance id on a key directory of its own,
+// newTask starts an instance running op on a key directory of its own,
 // whose two faces are the task's store and tracker. interval is the
 // stage's clock — the number of intervals its siblings' directories
 // have closed, 0 for a new stage — so a task added by scale-out keeps
 // the same window they do. observe is the stage's observation setting.
-func newTask(id int, op Operator, window int, interval int64, observe bool) *task {
+func newTask(op Operator, window int, interval int64, observe bool) *task {
 	opB, _ := op.(BatchOperator)
 	folder, _ := op.(SplitFolder)
 	dir := state.NewDir(window, interval)
 	t := &task{
-		id:     id,
 		in:     make(chan message, taskQueueDepth),
 		op:     op,
 		opB:    opB,
 		folder: folder,
 		ctx: &TaskCtx{
-			ID:      id,
 			Store:   dir.Store(),
 			Tracker: stats.TrackerOf(dir),
 			observe: observe,
@@ -181,31 +179,6 @@ func (t *task) absorbOne(c *splitCell, tp tuple.Tuple) {
 	c.cost += tp.Cost
 	c.freq++
 	c.mem += tp.StateSize
-}
-
-// armSplit enqueues the control thunk that opens delta cells for keys
-// on this (replica) task. It is called *before* the assignment swap
-// that publishes the split, so channel FIFO guarantees the cells exist
-// before the first split-routed tuple is dequeued.
-// Already-armed keys keep their cell (fan growth re-arms survivors).
-func (t *task) armSplit(keys []tuple.Key) {
-	t.in <- message{ctrl: func(*TaskCtx) {
-		for _, k := range keys {
-			if t.cell(k) == nil {
-				t.split = append(t.split, splitCell{key: k})
-			}
-		}
-	}}
-}
-
-// retireSplit removes key k's delta cell and returns what it held.
-func (t *task) retireSplit(k tuple.Key) (c splitCell) {
-	if p := t.cell(k); p != nil {
-		c = *p
-		*p = t.split[len(t.split)-1]
-		t.split = t.split[:len(t.split)-1]
-	}
-	return c
 }
 
 // sendBatch enqueues a batch; the slice must not be touched by the

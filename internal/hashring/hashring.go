@@ -189,17 +189,6 @@ func (r *Ring) HashTuples(ts []tuple.Tuple, dsts []int) {
 	}
 }
 
-// searchHash is the exact ring lookup, kept as the reference the LUT is
-// tested against: binary search for the first point with hash ≥ h,
-// wrapping.
-func (r *Ring) searchHash(h uint64) int {
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	if i == len(r.points) {
-		i = 0
-	}
-	return r.points[i].inst
-}
-
 // mix is a 64-bit finalizer (splitmix64) giving a well-distributed
 // position on the circle for sequential integer inputs.
 func mix(x uint64) uint64 {

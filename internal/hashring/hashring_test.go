@@ -2,6 +2,7 @@ package hashring
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -169,4 +170,15 @@ func TestHashBatchFormsMatchHash(t *testing.T) {
 			t.Fatalf("HashTuples[%d] = %d, want %d", i, got[i], want)
 		}
 	}
+}
+
+// searchHash is the exact ring lookup, kept as the reference the LUT is
+// tested against: binary search for the first point with hash ≥ h,
+// wrapping.
+func (r *Ring) searchHash(h uint64) int {
+	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	if i == len(r.points) {
+		i = 0
+	}
+	return r.points[i].inst
 }

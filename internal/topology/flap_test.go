@@ -43,8 +43,8 @@ func TestRebalancerDoesNotFlapAroundSplit(t *testing.T) {
 				}
 			}
 			ctl := sys.Controller(0)
-			t.Logf("planned in %d of %d intervals after warm-up; held %d, balanced %d, max split %d",
-				plans, intervals-warm, ctl.HeldSplit, ctl.SkippedBalanced, sys.Splitter(0).MaxActive)
+			t.Logf("planned in %d of %d intervals after warm-up; held %d, max split %d",
+				plans, intervals-warm, ctl.HeldSplit, sys.Splitter(0).MaxActive)
 			if ctl.SplitPinned != 0 {
 				t.Fatalf("the controller stripped %d planned moves of split keys", ctl.SplitPinned)
 			}

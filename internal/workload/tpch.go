@@ -22,29 +22,25 @@ var Regions = []string{"AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"}
 // NationsPerRegion is 5 in TPC-H (25 nations across 5 regions).
 const NationsPerRegion = 5
 
-// Customer is a dimension row.
+// Customer is a dimension row: customer c_custkey is
+// TPCH.Customers[c_custkey-1], so the key itself is not stored.
 type Customer struct {
-	CustKey   int64
 	NationKey int
 }
 
-// Supplier is a dimension row.
+// Supplier is a dimension row, indexed as Customer is.
 type Supplier struct {
-	SuppKey   int64
 	NationKey int
 }
 
-// Order is a streamed fact row.
+// Order is a streamed fact row. Its o_orderkey is the tuple's key, the
+// join key Q5 partitions on.
 type Order struct {
-	OrderKey int64
-	CustKey  int64
-	// DateTick stands in for o_orderdate: the interval index.
-	DateTick int64
+	CustKey int64
 }
 
-// Lineitem is a streamed fact row.
+// Lineitem is a streamed fact row, keyed by its l_orderkey as Order is.
 type Lineitem struct {
-	OrderKey      int64
 	SuppKey       int64
 	ExtendedPrice float64
 	Discount      float64
@@ -65,7 +61,6 @@ type TPCH struct {
 	// LineitemsPerOrder controls the fact-stream mix.
 	LineitemsPerOrder int
 	nextOrderKey      int64
-	tick              int64
 	seq               uint64
 	// liveOrders maps rank → orderkey so lineitem FKs reference real,
 	// recently generated orders.
@@ -101,10 +96,10 @@ func NewTPCH(cfg TPCHConfig) *TPCH {
 		liveOrders:        make([]int64, cfg.OrderPool),
 	}
 	for i := 0; i < cfg.Customers; i++ {
-		t.Customers = append(t.Customers, Customer{CustKey: int64(i + 1), NationKey: rng.Intn(len(Regions) * NationsPerRegion)})
+		t.Customers = append(t.Customers, Customer{NationKey: rng.Intn(len(Regions) * NationsPerRegion)})
 	}
 	for i := 0; i < cfg.Suppliers; i++ {
-		t.Suppliers = append(t.Suppliers, Supplier{SuppKey: int64(i + 1), NationKey: rng.Intn(len(Regions) * NationsPerRegion)})
+		t.Suppliers = append(t.Suppliers, Supplier{NationKey: rng.Intn(len(Regions) * NationsPerRegion)})
 	}
 	for i := range t.liveOrders {
 		t.liveOrders[i] = t.newOrderKey()
@@ -134,7 +129,6 @@ func RegionOfNation(nationKey int) int { return nationKey / NationsPerRegion }
 // pool, shifting which orderkeys are hot — the distribution change the
 // Fig. 16 experiment triggers every 15 minutes with f = 1.
 func (t *TPCH) Advance() {
-	t.tick++
 	// Recycle the hottest tenth of the pool so the hot join keys move.
 	n := len(t.liveOrders) / 10
 	for i := 0; i < n; i++ {
@@ -156,7 +150,7 @@ func (t *TPCH) Next() tuple.Tuple {
 	if cycle == 0 {
 		rank := t.orderDist.Rank(t.rng)
 		ok := t.liveOrders[rank-1]
-		o := Order{OrderKey: ok, CustKey: int64(t.custDist.Rank(t.rng)), DateTick: t.tick}
+		o := Order{CustKey: int64(t.custDist.Rank(t.rng))}
 		tp := tuple.New(tuple.Key(ok), o)
 		tp.Seq = t.seq
 		return tp
@@ -164,7 +158,6 @@ func (t *TPCH) Next() tuple.Tuple {
 	rank := t.orderDist.Rank(t.rng)
 	ok := t.liveOrders[rank-1]
 	li := Lineitem{
-		OrderKey:      ok,
 		SuppKey:       int64(t.suppDist.Rank(t.rng)),
 		ExtendedPrice: 100 + t.rng.Float64()*900,
 		Discount:      t.rng.Float64() * 0.1,

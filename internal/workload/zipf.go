@@ -16,7 +16,6 @@ import (
 // (the paper sweeps z ∈ [0, 1], where stdlib requires s > 1).
 type Zipf struct {
 	K   int
-	Z   float64
 	cdf []float64 // cdf[i] = P(rank ≤ i+1)
 	// guide[j] is the first index whose cdf reaches j/M, for the M =
 	// len(guide)-1 equal slices of [0, 1]: a draw u in slice j can only
@@ -46,7 +45,7 @@ func NewZipf(k int, z float64) *Zipf {
 	if k < 1 {
 		panic("workload: Zipf needs K ≥ 1")
 	}
-	d := &Zipf{K: k, Z: z, cdf: make([]float64, k)}
+	d := &Zipf{K: k, cdf: make([]float64, k)}
 	var sum float64
 	for i := 0; i < k; i++ {
 		sum += 1 / math.Pow(float64(i+1), z)

@@ -82,6 +82,44 @@ func TestNoTestOnlyKnobs(t *testing.T) {
 	}
 }
 
+// writeOnlyAllowed names the exported fields of internal/ that stay
+// although non-test code only writes them, each with its reason.
+var writeOnlyAllowed = map[string]string{
+	// A label for whoever reads the declaration; the benchmark module's
+	// pipe spec sets it, so it goes with the next change to bench/.
+	"topology.Spec.Name": "set by bench/'s spec",
+}
+
+// TestNoTestOnlyReads fails on an exported field of a named struct type
+// of internal/ that non-test code writes but never reads: what fills it
+// is work only tests look at. A write is as TestNoTestOnlyKnobs counts
+// one, an operand of & aside; an op-assignment, ++ or -- writes without
+// reading. A field read only through reflection (fmt's %v, an encoder)
+// looks write-only here: keep such a field on writeOnlyAllowed.
+func TestNoTestOnlyReads(t *testing.T) {
+	s := loadSurface(t)
+	written := s.writtenFields()
+	read := s.readFields()
+	allowed := maps.Clone(writeOnlyAllowed)
+	objs := s.internalExports()
+	for _, name := range slices.Sorted(maps.Keys(objs)) {
+		obj := objs[name]
+		if v, ok := obj.(*types.Var); !ok || !v.IsField() || !written[obj] || read[obj] {
+			continue
+		}
+		if _, ok := allowed[name]; ok {
+			delete(allowed, name)
+			continue
+		}
+		pos := s.fset.Position(obj.Pos())
+		t.Errorf("non-test code writes %s (%s:%d) but only tests read it: delete it with what fills it",
+			name, filepath.ToSlash(pos.Filename), pos.Line)
+	}
+	for name := range allowed {
+		t.Errorf("writeOnlyAllowed names %s, which is gone or has a non-test read", name)
+	}
+}
+
 var (
 	surfaceOnce sync.Once
 	surfaceLoad *surface
@@ -269,57 +307,87 @@ func (s *surface) used() map[types.Object]bool {
 func (s *surface) writtenFields() map[types.Object]bool {
 	out := map[types.Object]bool{}
 	for _, c := range s.checked {
-		field := func(e ast.Expr) {
-			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
-				if v, ok := c.info.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
-					out[origin(v)] = true
-				}
+		c.fieldWrites(func(_ *ast.Ident, f types.Object, _ bool) { out[f] = true })
+	}
+	return out
+}
+
+// readFields returns the struct fields the checked code reads: every
+// use of a field but the writes fieldWrites reports, an operand of &
+// excepted (what takes a field's address may read it through the
+// pointer).
+func (s *surface) readFields() map[types.Object]bool {
+	out := map[types.Object]bool{}
+	for _, c := range s.checked {
+		writes := map[*ast.Ident]bool{}
+		c.fieldWrites(func(id *ast.Ident, _ types.Object, addr bool) {
+			if id != nil && !addr {
+				writes[id] = true
 			}
-		}
-		for _, f := range c.files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.AssignStmt:
-					for _, l := range n.Lhs {
-						field(l)
-					}
-				case *ast.IncDecStmt:
-					field(n.X)
-				case *ast.RangeStmt:
-					if n.Key != nil {
-						field(n.Key)
-					}
-					if n.Value != nil {
-						field(n.Value)
-					}
-				case *ast.UnaryExpr:
-					if n.Op == token.AND {
-						field(n.X)
-					}
-				case *ast.CompositeLit:
-					typ := c.info.Types[n].Type
-					if p, ok := typ.Underlying().(*types.Pointer); ok {
-						typ = p.Elem() // an element of []*T{{…}} is typed *T
-					}
-					st, ok := typ.Underlying().(*types.Struct)
-					if !ok {
-						break
-					}
-					for i, el := range n.Elts {
-						if kv, ok := el.(*ast.KeyValueExpr); ok {
-							if id, ok := kv.Key.(*ast.Ident); ok {
-								out[origin(c.info.Uses[id])] = true
-							}
-						} else {
-							out[origin(st.Field(i))] = true
-						}
-					}
-				}
-				return true
-			})
+		})
+		for id, obj := range c.info.Uses {
+			if v, ok := obj.(*types.Var); ok && v.IsField() && !writes[id] {
+				out[origin(v)] = true
+			}
 		}
 	}
 	return out
+}
+
+// fieldWrites calls fn for every write of a struct field in c's files
+// (see writtenFields) with the field, its identifier at the write (nil
+// at a position of a composite literal) and whether the write is an
+// operand of &.
+func (c checkedPkg) fieldWrites(fn func(id *ast.Ident, f types.Object, addr bool)) {
+	field := func(e ast.Expr, addr bool) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			if v, ok := c.info.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
+				fn(sel.Sel, origin(v), addr)
+			}
+		}
+	}
+	for _, f := range c.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, l := range n.Lhs {
+					field(l, false)
+				}
+			case *ast.IncDecStmt:
+				field(n.X, false)
+			case *ast.RangeStmt:
+				if n.Key != nil {
+					field(n.Key, false)
+				}
+				if n.Value != nil {
+					field(n.Value, false)
+				}
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					field(n.X, true)
+				}
+			case *ast.CompositeLit:
+				typ := c.info.Types[n].Type
+				if p, ok := typ.Underlying().(*types.Pointer); ok {
+					typ = p.Elem() // an element of []*T{{…}} is typed *T
+				}
+				st, ok := typ.Underlying().(*types.Struct)
+				if !ok {
+					break
+				}
+				for i, el := range n.Elts {
+					if kv, ok := el.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							fn(id, origin(c.info.Uses[id]), false)
+						}
+					} else {
+						fn(nil, origin(st.Field(i)), false)
+					}
+				}
+			}
+			return true
+		})
+	}
 }
 
 // satisfiesInterface reports whether obj is a method that one of ifaces
