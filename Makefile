@@ -54,7 +54,7 @@ bench-e2e:
 ## (~11 000 keys re-drawn per round over 8 instances, a Mixed plan every
 ## round) from the trackers' sorted runs to the applied plan, in process
 ## (a direct call, control.NewLoop) and over a framed pipe (the codec a
-## cluster control connection speaks): ns/op, allocations, and ns per
+## cluster worker's session speaks): ns/op, allocations, and ns per
 ## harvested key split
 ## into merge / plan / report. EngineInterval is a whole interval with
 ## the controller on the stage directly, behind the in-process loop, and

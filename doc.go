@@ -49,9 +49,10 @@
 // executor's LoadReport and one Commands reply listing the round's
 // PlanAnnounce, Resize and SplitAnnounce entries in order (empty when
 // the round holds). Keys migrate inside the stage's host. In process the
-// round is a direct call into the policy server on the driver's
-// goroutine; across processes it is the cluster's framed
-// codec over a socket (internal/cluster), and the tests pin the two
+// round is a direct call into control.Answer on the driver's
+// goroutine; across processes it rides the worker's session, the
+// cluster's framed codec over a socket (internal/cluster), answered by
+// the same function on the coordinator, and the tests pin the two
 // equivalent by running the rounds over a framed pipe.
 // ScaleIn is a real actuator (engine.Stage.ScaleIn — drain the
 // retiring task, shrink the hash ring, migrate its keys' windowed

@@ -240,7 +240,7 @@ func TestSteadyPlanningAllocatesNoPopulation(t *testing.T) {
 }
 
 // TestConcurrentPlannersShareThePool plans from several goroutines at
-// once, as the policy servers of a multi-stage topology do: each takes
+// once, as several engines in one process may: each takes
 // its own state from the shared pool, so every plan still equals the
 // reference's. Run under -race in CI.
 func TestConcurrentPlannersShareThePool(t *testing.T) {

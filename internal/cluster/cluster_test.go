@@ -170,6 +170,10 @@ func runDistributed(t *testing.T, network string, nWorkers int, mutate ...func(*
 			}
 		}
 	}
+	slices.Sort(r.stats) // inbound data connections are listed as accepted
+	if want := byteTableNames(nWorkers, len(spec.Stages)); !slices.Equal(r.stats, want) {
+		t.Errorf("byte table lists %q, want %q", r.stats, want)
+	}
 	for i := range workers {
 		if err := <-errs; err != nil {
 			t.Fatalf("worker %d exited: %v", i, err)
@@ -177,6 +181,29 @@ func runDistributed(t *testing.T, network string, nWorkers int, mutate ...func(*
 	}
 
 	return r
+}
+
+// byteTableNames is the byte table a pipeline of nStages over nWorkers
+// lists, sorted owner/connection names: the coordinator's spout edge and
+// its end of every worker session, each worker's end of its session,
+// and both ends of every data edge (stage si+1 is fed from stage si's
+// host, co-located or not) — and no other connection.
+func byteTableNames(nWorkers, nStages int) []string {
+	host := func(si int) int { return si % nWorkers }
+	names := []string{
+		"coordinator/data spout→s0",
+		fmt.Sprintf("w%d/data coordinator→s0", host(0)),
+	}
+	for i := 0; i < nWorkers; i++ {
+		names = append(names, fmt.Sprintf("coordinator/session w%d", i), fmt.Sprintf("w%d/session", i))
+	}
+	for si := 1; si < nStages; si++ {
+		names = append(names,
+			fmt.Sprintf("w%d/data s%d→s%d", host(si-1), si-1, si),
+			fmt.Sprintf("w%d/data w%d→s%d", host(si), host(si-1), si))
+	}
+	slices.Sort(names)
+	return names
 }
 
 // runLocal is the pinned single-process reference: the same Spec

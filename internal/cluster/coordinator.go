@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/protocol"
+	"repro/internal/stats"
 )
 
 // registerTimeout bounds how long Deploy waits for the worker fleet to
@@ -39,12 +42,15 @@ type Coordinator struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	workers  []*workerSess
-	servers  []*control.Server // per stage; nil without policies
-	ctlConns []*Conn           // per stage; control sockets, for the byte table
 	acceptWG sync.WaitGroup
 
 	policies [][]control.Policy
 	ctls     []*controller.Controller
+	// keys holds each controlled stage's last two reported runs,
+	// alternating by interval: the snapshot a policy is handed lives
+	// until the stage's round after next, however many stages share the
+	// session codec that decoded it.
+	keys [][2][]stats.KeyStat
 
 	placement []int
 	capacity  []int64
@@ -59,8 +65,8 @@ type Coordinator struct {
 
 // NewCoordinator validates and resolves the declaration
 // (Spec.Resolve), then opens the coordinator's listener (network "tcp"
-// or "unix") and starts accepting worker registrations and control
-// connections in the background. An invalid declaration is an error
+// or "unix") and starts accepting worker registrations in the
+// background. An invalid declaration is an error
 // before anything listens. Each stage's policies are assembled here
 // (StageSpec.BuildPolicies), so the caller can read controllers after
 // the run.
@@ -78,8 +84,7 @@ func NewCoordinator(spec *Spec, network, addr string) (*Coordinator, error) {
 	n := len(r.Stages)
 	c.policies = make([][]control.Policy, n)
 	c.ctls = make([]*controller.Controller, n)
-	c.servers = make([]*control.Server, n)
-	c.ctlConns = make([]*Conn, n)
+	c.keys = make([][2][]stats.KeyStat, n)
 	for si := range r.Stages {
 		c.policies[si], c.ctls[si], _ = r.Stages[si].BuildPolicies()
 	}
@@ -92,10 +97,8 @@ func NewCoordinator(spec *Spec, network, addr string) (*Coordinator, error) {
 // their coordinator endpoint.
 func (c *Coordinator) Addr() string { return c.ln.Addr() }
 
-// accept classifies inbound connections by their Hello role: workers
-// register (welcomed with their fleet index), control connections are
-// matched to their stage's policy server and started. Exits when the
-// listener closes.
+// accept registers workers, welcoming each with its fleet index; any
+// other Hello role is refused. Exits when the listener closes.
 func (c *Coordinator) accept() {
 	defer c.acceptWG.Done()
 	for {
@@ -103,42 +106,22 @@ func (c *Coordinator) accept() {
 		if err != nil {
 			return // listener closed
 		}
-		switch hello.Role {
-		case "worker":
-			c.mu.Lock()
-			id := len(c.workers)
-			w := &workerSess{name: hello.Worker, conn: conn, dataAddr: hello.DataAddr}
-			conn.SetName(fmt.Sprintf("session %s", hello.Worker))
-			if err := conn.Welcome(id); err != nil {
-				conn.Close()
-				c.mu.Unlock()
-				continue
-			}
-			c.workers = append(c.workers, w)
-			c.cond.Broadcast()
-			c.mu.Unlock()
-		case "control":
-			si := hello.Stage
-			c.mu.Lock()
-			if si < 0 || si >= len(c.policies) || len(c.policies[si]) == 0 || c.servers[si] != nil {
-				c.mu.Unlock()
-				conn.Close()
-				continue
-			}
-			conn.SetName(fmt.Sprintf("control s%d", si))
-			if err := conn.Welcome(si); err != nil {
-				conn.Close()
-				c.mu.Unlock()
-				continue
-			}
-			srv := control.NewServer(conn, c.policies[si])
-			c.servers[si] = srv
-			c.ctlConns[si] = conn
-			srv.Start()
-			c.mu.Unlock()
-		default:
+		if hello.Role != "worker" {
 			conn.Close()
+			continue
 		}
+		c.mu.Lock()
+		id := len(c.workers)
+		w := &workerSess{name: hello.Worker, conn: conn, dataAddr: hello.DataAddr}
+		conn.SetName(fmt.Sprintf("session %s", hello.Worker))
+		if err := conn.Welcome(id); err != nil {
+			conn.Close()
+			c.mu.Unlock()
+			continue
+		}
+		c.workers = append(c.workers, w)
+		c.cond.Broadcast()
+		c.mu.Unlock()
 	}
 }
 
@@ -268,9 +251,13 @@ func (c *Coordinator) Run(n int) error {
 //     stage and flushes its downstream connection before acking, which
 //     is the cascading close over sockets;
 //  5. HarvestReq per stage in order: the worker ends the stage's
-//     interval (engine.EndStage, with the control round against this
-//     coordinator's policy server) and ships back the row and backlog;
-//     the target stage's row is recorded.
+//     interval (engine.EndStage) and answers with a HarvestDone
+//     carrying the row and backlog; when this coordinator holds the
+//     stage's policies, the stage's control round runs on the session
+//     in between (round). The target stage's row is recorded.
+//
+// Any break of that sequence ends the interval with an error naming the
+// worker, the stage and the interval.
 func (c *Coordinator) RunInterval() error {
 	workers := c.workers
 	emitN := engine.ThrottleBudget(c.spec.Budget, c.spec.MaxPending, c.capacity, c.backlog)
@@ -289,33 +276,38 @@ func (c *Coordinator) RunInterval() error {
 		emitN = got // finite source ended early; charge the true emission
 	}
 	if err := c.spout.Flush(); err != nil {
-		return fmt.Errorf("cluster: spout flush: %w", err)
+		return fmt.Errorf("cluster: interval %d: spout flush: %w", c.interval, err)
 	}
 
 	for si := range c.spec.Stages {
 		w := workers[c.placement[si]]
-		if err := w.conn.Send(&protocol.Message{Close: &protocol.CloseStage{Stage: si}}); err != nil {
-			return fmt.Errorf("cluster: close stage %d: %w", si, err)
+		err := w.conn.Send(&protocol.Message{Close: &protocol.CloseStage{Stage: si}})
+		if err == nil {
+			err = c.recvAck(w)
 		}
-		if err := c.recvAck(w); err != nil {
-			return fmt.Errorf("cluster: close stage %d: %w", si, err)
+		if err != nil {
+			return c.stageErr(w, si, "close", err)
 		}
 	}
 
 	var row metrics.Interval
 	for si := range c.spec.Stages {
 		w := workers[c.placement[si]]
-		if err := w.conn.Send(&protocol.Message{Harvest: &protocol.HarvestReq{Stage: si, Interval: c.interval, Emit: emitN}}); err != nil {
-			return fmt.Errorf("cluster: harvest stage %d: %w", si, err)
+		err := w.conn.Send(&protocol.Message{Harvest: &protocol.HarvestReq{Stage: si, Interval: c.interval, Emit: emitN}})
+		var m *protocol.Message
+		if err == nil {
+			m, err = c.recv(w)
 		}
-		m, err := c.recv(w)
+		if err == nil && len(c.policies[si]) > 0 {
+			m, err = c.round(w, si, m)
+		}
+		if err == nil && (m.Harvested == nil || m.Harvested.Stage != si) {
+			err = fmt.Errorf("unexpected reply %s", m.Kind())
+		}
 		if err != nil {
-			return fmt.Errorf("cluster: harvest stage %d: %w", si, err)
+			return c.stageErr(w, si, "harvest", err)
 		}
 		hd := m.Harvested
-		if hd == nil || hd.Stage != si {
-			return fmt.Errorf("cluster: harvest stage %d: unexpected reply %s", si, m.Kind())
-		}
 		c.backlog[si] = hd.Backlog
 		c.processed[si] = hd.Processed
 		if si == c.target {
@@ -328,6 +320,53 @@ func (c *Coordinator) RunInterval() error {
 		c.spec.Advance(c.interval)
 	}
 	return nil
+}
+
+// stageErr names a failed step of stage si's interval: the worker, the
+// stage, the interval and the step.
+func (c *Coordinator) stageErr(w *workerSess, si int, step string, err error) error {
+	return fmt.Errorf("cluster: worker %s, stage %d, interval %d: %s: %w", w.name, si, c.interval, step, err)
+}
+
+// round answers stage si's control round, whose report m opens, on w's
+// session, and returns the message after the reply — the stage's
+// HarvestDone, if the worker keeps step. The report is outside input:
+// it is accepted only for the interval being harvested, naming the
+// instance count the stage last shipped (its backlog's length; the
+// declared instances before the first harvest), and past
+// control.Answer's CheckMerged; a second report, or anything else in
+// its place, is an error.
+func (c *Coordinator) round(w *workerSess, si int, m *protocol.Message) (*protocol.Message, error) {
+	r := m.Report
+	if r == nil {
+		return nil, fmt.Errorf("%s where the control round's report belongs", m.Kind())
+	}
+	tasks := len(c.backlog[si])
+	if tasks == 0 {
+		tasks = c.spec.Stages[si].Instances
+	}
+	if r.Interval != c.interval {
+		return nil, fmt.Errorf("a report of interval %d", r.Interval)
+	}
+	if r.Tasks != tasks {
+		return nil, fmt.Errorf("a report naming %d instances, the stage runs %d", r.Tasks, tasks)
+	}
+	// The codec reuses its buffer for the session's next report, which
+	// may be another stage's: the stage's own pair keeps the run.
+	buf := &c.keys[si][c.interval&1]
+	*buf = append((*buf)[:0], r.Keys...)
+	r.Keys = *buf
+	reply, err := control.Answer(c.policies[si], m)
+	if err != nil {
+		return nil, err
+	}
+	if err := w.conn.Send(reply); err != nil {
+		return nil, err
+	}
+	if m, err = c.recv(w); err == nil && m.Report != nil {
+		err = errors.New("a second report in one round")
+	}
+	return m, err
 }
 
 // Recorder exposes the target stage's per-interval metric series —
@@ -352,59 +391,34 @@ func (c *Coordinator) Placement() []int { return append([]int(nil), c.placement.
 // the last harvest — the zero-loss account.
 func (c *Coordinator) Processed(si int) int64 { return c.processed[si] }
 
-// Shutdown ends the session: Bye to every worker (collecting their
-// per-connection byte counters), then closes the control servers, the
-// spout and the listener. The returned Stats — one per worker, plus
-// one synthesized for the coordinator's own dialed connections — feed
-// the shutdown byte table.
+// Shutdown ends the session: it stops accepting, closes the spout,
+// then says Bye to every worker, collecting their per-connection byte
+// counters. The returned Stats — the coordinator's own ends first (the
+// spout and every worker session), then one per worker — feed the
+// shutdown byte table.
 func (c *Coordinator) Shutdown() ([]*protocol.Stats, error) {
-	var all []*protocol.Stats
+	c.ln.Close()
+	c.acceptWG.Wait() // c.workers is final from here
+	own := &protocol.Stats{Worker: "coordinator"}
+	all := []*protocol.Stats{own}
 	var firstErr error
-	// The accept loop registers control connections under mu, and a
-	// session cut short has no control round behind it to order them.
-	c.mu.Lock()
-	ctlConns := append([]*Conn(nil), c.ctlConns...)
-	servers := append([]*control.Server(nil), c.servers...)
-	c.mu.Unlock()
-	// Own connections first: the spout data plane and the per-stage
-	// control sockets (counted from the coordinator's side).
 	if c.spout != nil {
-		own := &protocol.Stats{Worker: "coordinator"}
 		own.Conns = append(own.Conns, c.spout.Stat())
-		for si, cc := range ctlConns {
-			if cc != nil {
-				s := cc.Stat()
-				s.Name = fmt.Sprintf("control s%d (%s)", si, c.spec.Stages[si].Name)
-				own.Conns = append(own.Conns, s)
-			}
-		}
-		all = append(all, own)
 		c.spout.Close()
 	}
 	for _, w := range c.workers {
-		if err := w.conn.Send(&protocol.Message{Bye: &protocol.Shutdown{Reason: "run complete"}}); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			w.conn.Close()
-			continue
-		}
-		m, err := w.conn.Recv()
-		if err != nil && firstErr == nil {
-			firstErr = err
+		err := w.conn.Send(&protocol.Message{Bye: &protocol.Shutdown{Reason: "run complete"}})
+		var m *protocol.Message
+		if err == nil {
+			m, err = w.conn.Recv()
 		}
 		if err == nil && m.ConnStats != nil {
 			all = append(all, m.ConnStats)
 		}
+		firstErr = cmp.Or(firstErr, err)
+		own.Conns = append(own.Conns, w.conn.Stat())
 		w.conn.Close()
 	}
-	for _, srv := range servers {
-		if srv != nil {
-			srv.Close()
-		}
-	}
-	c.ln.Close()
-	c.acceptWG.Wait()
 	return all, firstErr
 }
 

@@ -13,7 +13,7 @@
 // stage count yields a valid cluster and the placement needs no
 // negotiation protocol.
 //
-// Three connection kinds tie the processes together, all built on the
+// Two connection kinds tie the processes together, both built on the
 // length-framed protocol.NewFramedCodec over TCP or unix sockets and
 // opening with a Hello/Welcome handshake that checks the protocol
 // version (Proto). Every connection speaks the hand-rolled binary codec
@@ -24,16 +24,16 @@
 //   - the worker session (one per worker, dialed at startup): stage
 //     assignments, interval StartInterval/CloseStage/HarvestReq drive
 //     (a HarvestDone answers with the stage's finished metrics row and
-//     backlog), shutdown and the final byte-count Stats;
-//   - control connections (one per stage, dialed by the hosting
-//     worker): the stage's control.Executor answers a coordinator-side
-//     control.Server — exactly the Fig. 5 rounds the single-process
-//     loops run, serialized over the socket: one LoadReport out, one
-//     Commands back. Migrated state stays on the worker hosting the
-//     stage, so no state crosses the control connection; a stage in
-//     state-wire mode still round-trips each moved key through
-//     state.Codec, and a value outside the wire's value tags ends the
-//     worker's session;
+//     backlog), shutdown and the final byte-count Stats. A stage with
+//     coordinator-side policies runs its control round on the session,
+//     between its HarvestReq and HarvestDone: the stage's
+//     control.Executor sends one LoadReport, and the coordinator
+//     validates it and answers with control.Answer's one Commands —
+//     exactly the Fig. 5 round the single-process loops run, serialized
+//     over the socket. Migrated state stays on the worker hosting the
+//     stage, so no state crosses the session; a stage in state-wire
+//     mode still round-trips each moved key through state.Codec, and a
+//     value outside the wire's value tags ends the worker's session;
 //   - data connections (spout → stage 0, stage si → stage si+1 across
 //     process boundaries): TupleBatch streams into the remote stage's
 //     FeedBatch, with Flush echoes as delivery barriers.

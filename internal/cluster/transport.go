@@ -10,33 +10,11 @@ import (
 )
 
 // Proto is the cluster session protocol version, validated on both
-// sides of every Hello/Welcome handshake. Version 13's Commands entries
-// carry no interval of their own: the list's interval, the reported
-// one, is theirs; every version-12 plan, resize and split entry repeated
-// it. Version 12's control round is one exchange: the LoadReport,
-// answered by one Commands frame listing the round's plans, resizes and
-// splits; version 11 sent each
-// command as a frame of its own, a state-transfer frame per migrated
-// key, an Ack per command and a closing Resume. Version 11's load report
-// carries each split key with its fan, as (key, fan) pairs; version 10's
-// carried the split keys alone. Version 10's batch rows carry
-// no stream label, and its sub-batch flags no bit for one; a version-9
-// engine chunk sets that bit (0x08), which version 10 refuses as
-// unknown. Version 9's batch rows carry no emit tick, and its sub-batch
-// flags no bit for one; a version-8 engine chunk sets that bit.
-// Version 8 speaks one encoding: versions 6 and 7 sent the session messages as gob frames behind kind
-// byte 0x00, now unknown, and migrated state as a gob stream. Version 7's
-// StageAssign says whether the stage is the recorded one, which decides
-// a PKG stage's latency floor; a version-6 worker would build it
-// without. Version 6 speaks the binary wire from the first byte, where
-// every earlier version sent its Hello as a gob stream and then
-// negotiated the binary wire.
-// Version 5 is the harvest reply that carries the stage's finished
-// metrics row and post-model backlog; a version-4 peer ships arrival
-// arrays for the coordinator to model instead. Version 4 introduced the
-// flagged batch sub-frame, whose rows carry only the fields that vary
-// inside their chunk. Older peers are refused.
-const Proto = 13
+// sides of every Hello/Welcome handshake. Version 14 runs each stage's
+// control round on its worker's session, between the stage's HarvestReq
+// and HarvestDone, where version 13 dialed a control connection per
+// stage; older peers are refused.
+const Proto = 14
 
 // handshakeTimeout bounds the Hello/Welcome exchange (and nothing
 // else: established connections block indefinitely — the interval
@@ -45,9 +23,8 @@ const handshakeTimeout = 10 * time.Second
 
 // Conn is one established cluster connection: the framed codec over a
 // TCP or unix socket, with per-direction byte counters and a
-// clean-shutdown close. It satisfies control.Conn, so a coordinator's
-// control.Server and a worker's control.Executor speak over it
-// unchanged.
+// clean-shutdown close. It satisfies control.Conn: a worker's
+// control.Executor runs its stage's rounds over the worker's session.
 type Conn struct {
 	*protocol.Codec
 	c    net.Conn
@@ -176,8 +153,8 @@ func (l *Listener) Accept() (*Conn, *protocol.Hello, error) {
 }
 
 // Welcome completes an accepted handshake, assigning the connection an
-// id (workers get their registration index; control and data
-// connections echo their stage).
+// id (workers get their registration index; data connections echo
+// their stage).
 func (c *Conn) Welcome(id int) error {
 	return c.Send(&protocol.Message{Welcome: &protocol.Welcome{Proto: Proto, ID: id}})
 }

@@ -176,7 +176,9 @@ func TestBatchConnConcurrentFeed(t *testing.T) {
 }
 
 // TestHandshakeProtoMismatch refuses a newer peer and the older versions
-// alike: a version-11 peer runs its control round as a frame per
+// alike: a version-13 worker dials a control connection per stage, a
+// version-12 peer repeats the interval in every command, a version-11
+// peer runs its control round as a frame per
 // command, per migrated key and per acknowledgement, a version-10 peer
 // reports split keys without their fans, a version-9 peer hoists a
 // stream label and a version-8 peer an
@@ -196,7 +198,7 @@ func TestHandshakeProtoMismatch(t *testing.T) {
 		t.Fatalf("listen: %v", err)
 	}
 	defer ln.Close()
-	for _, proto := range []int{Proto + 1, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2} {
+	for _, proto := range []int{Proto + 1, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2} {
 		go func() {
 			// A raw framed client announcing the wrong protocol version.
 			nc, err := net.Dial("tcp", ln.Addr())

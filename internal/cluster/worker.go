@@ -16,16 +16,13 @@ import (
 
 // hostedStage is one pipeline stage living on this worker: the stage
 // itself wrapped in a single-stage engine (which ends its intervals and
-// carries its control round as a snapshot hook), plus the stage's
-// wiring — the downstream data connection (nil for the last stage) and
-// the control connection (nil for stages without coordinator-side
-// policies).
+// carries its control round, over the worker's session, as a snapshot
+// hook), plus its downstream data connection (nil for the last stage).
 type hostedStage struct {
 	si   int
 	st   *engine.Stage
 	eng  *engine.Engine
-	ctrl *Conn
-	exec *control.Executor // the control round's actuator; nil when ctrl is
+	exec *control.Executor // the control round's actuator; nil without coordinator-side policies
 	down *BatchConn
 	// processed accumulates the stage's arrived-tuple total across
 	// intervals — the zero-loss account HarvestDone reports.
@@ -38,7 +35,6 @@ type hostedStage struct {
 type Worker struct {
 	name    string
 	network string
-	coord   string
 
 	session *Conn
 	dataLn  *Listener
@@ -58,7 +54,7 @@ type Worker struct {
 // "127.0.0.1:0" for tcp, a socket path for unix) and registers. The
 // returned worker is idle until Run.
 func NewWorker(network, coord, dataAddr, name string) (*Worker, error) {
-	w := &Worker{name: name, network: network, coord: coord, stages: map[int]*hostedStage{}}
+	w := &Worker{name: name, network: network, stages: map[int]*hostedStage{}}
 	w.cond = sync.NewCond(&w.mu)
 	ln, err := Listen(network, dataAddr)
 	if err != nil {
@@ -177,11 +173,12 @@ func (w *Worker) stage(si int) *hostedStage {
 }
 
 // assign builds one stage with the topology builder's own per-stage
-// constructor (StageSpec.NewStage and Model), then wires its data and
-// control planes. The stage lives inside its own single-stage engine:
-// the executor's actuation surface (capacity, resize, last-emitted) and
-// the interval end (EndStage), detached from the emission and close
-// that the coordinator drives. An operator this binary has not
+// constructor (StageSpec.NewStage and Model), then wires its data
+// plane and, when the coordinator holds policies for it, its control
+// round over the session. The stage lives inside its own single-stage
+// engine: the executor's actuation surface (capacity, resize,
+// last-emitted) and the interval end (EndStage), detached from the
+// emission and close that the coordinator drives. An operator this binary has not
 // registered ends the session with an error naming it.
 func (w *Worker) assign(a *protocol.StageAssign) error {
 	spec := topology.StageSpec{
@@ -212,15 +209,7 @@ func (w *Worker) assign(a *protocol.StageAssign) error {
 		st.SetSink(h.down)
 	}
 	if a.Control {
-		cc, _, err := Dial(w.network, w.coord, &protocol.Hello{
-			Role: "control", Worker: w.name, Stage: a.Stage,
-		})
-		if err != nil {
-			st.Stop()
-			return fmt.Errorf("cluster: worker %s: stage %d: dial control: %w", w.name, a.Stage, err)
-		}
-		cc.SetName(fmt.Sprintf("control s%d", a.Stage))
-		h.ctrl, h.exec = cc, control.NewExecutor(eng, 0, cc)
+		h.exec = control.NewExecutor(eng, 0, w.session)
 		eng.AddSnapshotHook(0, h.exec.Hook())
 	}
 	w.mu.Lock()
@@ -264,8 +253,8 @@ func (w *Worker) Stage(si int) *engine.Stage {
 }
 
 // stats assembles the worker's per-connection byte counters: the
-// session itself, each stage's control and downstream data
-// connections, and every accepted inbound data connection.
+// session itself, each stage's downstream data connection, and every
+// accepted inbound data connection.
 func (w *Worker) stats() *protocol.Stats {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -277,11 +266,7 @@ func (w *Worker) stats() *protocol.Stats {
 	}
 	sort.Ints(sis)
 	for _, si := range sis {
-		h := w.stages[si]
-		if h.ctrl != nil {
-			s.Conns = append(s.Conns, h.ctrl.Stat())
-		}
-		if h.down != nil {
+		if h := w.stages[si]; h.down != nil {
 			s.Conns = append(s.Conns, h.down.Stat())
 		}
 	}
@@ -406,9 +391,6 @@ func (w *Worker) teardown() {
 	for _, h := range stages {
 		if h.down != nil {
 			h.down.Close()
-		}
-		if h.ctrl != nil {
-			h.ctrl.Close()
 		}
 	}
 	w.dataLn.Close()

@@ -80,9 +80,9 @@ func roundRuns(asg *route.Assignment, n int) [][][]stats.KeyStat {
 }
 
 // timedPlanner accumulates the time spent planning. Plan runs inside the
-// round — on the driver's goroutine in process, on the policy server's
-// while the driver waits over the wire — so the driver may read the sum
-// between rounds.
+// round — on the driver's goroutine in process, on the answering
+// goroutine while the driver waits over the wire — so the driver may
+// read the sum between rounds.
 type timedPlanner struct {
 	inner balance.Planner
 	spent time.Duration
@@ -122,9 +122,7 @@ func BenchmarkControlRound(b *testing.B) {
 				agent, ctrl := newFramedPair()
 				defer agent.Close()
 				x = control.NewExecutor(e, 0, agent)
-				srv := control.NewServer(ctrl, policies)
-				srv.Start()
-				defer srv.Close()
+				defer serve(ctrl, policies)()
 			}
 			rounds := roundRuns(st.AssignmentRouter().Assignment(), 8)
 			// The stage's own arrangement: two merge buffers, alternating.

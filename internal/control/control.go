@@ -6,7 +6,7 @@
 // describes and §VII's future work calls for (one mechanism covering
 // both short-term fluctuations and long-term shifts, cf. DRS):
 //
-//	         stage side (Executor)            controller side (Server.answer)
+//	         stage side (Executor)            controller side (Answer)
 //	  ┌──────────────────────────┐  LoadReport ┌──────────────────────────┐
 //	1 │ the interval's snapshot, │────────────▶│ check → the snapshot     │
 //	  │ whole, as the report     │    (×1)     │ Policy.Decide → Commands │ 2
@@ -27,21 +27,23 @@
 // reply carrying the whole ordered list (an empty one when the round
 // holds). Key state migrates inside the stage's host, so nothing per key
 // crosses. In process a round is a function call (NewLoop): the
-// executor's Send runs the server's round logic on the driver's
-// goroutine and its Recv returns the reply. A multi-process deployment
-// swaps that Conn for cluster.Conn, the framed codec over a socket, with
-// a Server goroutine answering on the far end; the tests pin the two
-// equivalent by running a round over a framed pipe.
+// executor's Send runs Answer on the driver's goroutine and its Recv
+// returns the reply. In a cluster the executor speaks over its worker's
+// session (cluster.Conn, the framed codec over a socket) and the
+// coordinator answers with the same Answer between the stage's
+// HarvestReq and HarvestDone; the tests pin the two equivalent by
+// running a round over a framed pipe.
 //
 // Step 1 is one LoadReport whose run is the snapshot's own (passed by
 // pointer in process; a wire adds a destination column and decodes into
-// a buffer the codec recycles). The server validates it as outside
-// input — destinations inside the stage, canonical order — before any
-// policy sees it; a report that fails, like any other break of the
-// protocol, goes unanswered (a socket server hangs up), so the
-// executor's round returns as a hold instead of wedging the driver. The snapshot a policy
-// is handed lives until the round after next; one that keeps it longer
-// clones it.
+// a buffer the codec recycles). Answer validates it as outside input —
+// destinations inside the stage, canonical order — before any policy
+// sees it; a report that fails, like any other break of the protocol,
+// is an error on the controller side (a cluster's RunInterval returns
+// it), and an executor whose round loses step holds and latches the
+// error (Executor.Err) instead of wedging the driver. The snapshot a
+// policy is handed lives until the round after next; one that keeps it
+// longer clones it.
 package control
 
 import (
@@ -123,7 +125,7 @@ type Env struct {
 // empty return means hold. Implementations keep their own trigger
 // state (EWMA, patience, pending plans) across calls; Decide is called
 // once per interval per stage, always from the same goroutine (the
-// driver's in process, the Server's over a socket).
+// driver's in process, the coordinator's in a cluster).
 type Policy interface {
 	Decide(env Env, snap *stats.Snapshot) []Command
 }

@@ -2,6 +2,7 @@ package control
 
 import (
 	"cmp"
+	"fmt"
 
 	"repro/internal/engine"
 	"repro/internal/hashring"
@@ -18,13 +19,12 @@ type Executor struct {
 	e    *engine.Engine
 	si   int
 	conn Conn
-	err  error // the first actuation error (Err)
+	err  error // the round's first error (Err)
 }
 
 // NewExecutor binds an executor to stage si of e, speaking over conn.
-// In one process NewLoop wires it to the policies directly; an executor
-// over a socket serves a remote controller (anything answering on conn
-// with the protocol's command messages).
+// In one process NewLoop wires it to the policies directly; a cluster
+// worker runs it over its session, which the coordinator answers.
 func NewExecutor(e *engine.Engine, si int, conn Conn) *Executor {
 	return &Executor{e: e, si: si, conn: conn}
 }
@@ -34,9 +34,10 @@ func NewExecutor(e *engine.Engine, si int, conn Conn) *Executor {
 // apply its list in order — PlanAnnounce through the stage's key
 // migration, Resize through the engine's elastic actuator, SplitAnnounce
 // through the stage's split set. The return value summarizes what was
-// applied, in the shape the engine records (nil when the round held,
-// the transport is gone, or the reply was not a Commands for the
-// reported interval).
+// applied, in the shape the engine records (nil when the round held).
+// A round that loses step — the transport fails, or the reply is not a
+// Commands for the reported interval — holds and latches its error
+// (Err), so the driver is never wedged and the break is not silent.
 //
 // The round's report is the snapshot itself: one LoadReport whose Keys
 // are snap.Keys, which must therefore stay untouched until the round
@@ -44,20 +45,22 @@ func NewExecutor(e *engine.Engine, si int, conn Conn) *Executor {
 func (x *Executor) RunRound(snap *stats.Snapshot) *engine.Rebalance {
 	st := x.e.Stages[x.si]
 	// The merged run goes out as it is, by reference in process.
-	if x.conn.Send(&protocol.Message{Report: &protocol.LoadReport{
+	err := x.conn.Send(&protocol.Message{Report: &protocol.LoadReport{
 		Interval: snap.Interval, Keys: snap.Keys,
 		Tasks: st.Instances(), Capacity: x.e.CapacityOf(x.si),
 		Emitted: x.e.LastEmitted(), Budget: x.e.Cfg.Budget,
 		Routable: st.AssignmentRouter() != nil, Resizable: x.resizable(),
 		Split: splitEntries(st.Splits()),
-	}}) != nil {
-		return nil
+	}})
+	var m *protocol.Message
+	if err == nil {
+		m, err = x.conn.Recv()
 	}
-	m, err := x.conn.Recv()
-	if err != nil || m.Commands == nil || m.Commands.Interval != snap.Interval {
-		// Anything but the reply to this report where the reply belongs
-		// breaks the protocol: the round holds rather than wedge the
-		// driver.
+	if err == nil && (m.Commands == nil || m.Commands.Interval != snap.Interval) {
+		err = fmt.Errorf("a %s answered the report", m.Kind())
+	}
+	if err != nil {
+		x.err = cmp.Or(x.err, fmt.Errorf("control: round of interval %d: %w", snap.Interval, err))
 		return nil
 	}
 	var reb *engine.Rebalance
@@ -109,9 +112,10 @@ func (x *Executor) RunRound(snap *stats.Snapshot) *engine.Rebalance {
 	return reb
 }
 
-// Err returns the first error an actuation returned: past the guards, a
-// key whose state failed to encode (engine.Stage.ApplyPlan), though the
-// command applied and the round stayed in step. A worker ends on it.
+// Err returns the round's first error: a round that lost step, or an
+// actuation that failed past the guards — a key whose state failed to
+// encode (engine.Stage.ApplyPlan), though the command applied and the
+// round stayed in step. A worker ends on it.
 func (x *Executor) Err() error { return x.err }
 
 // Hook adapts the executor to the engine's snapshot fan-out: register
@@ -185,11 +189,10 @@ func (x *Executor) canResize(delta int) bool {
 }
 
 // NewLoop builds the control loop for stage si of e in one process:
-// an Executor whose Conn answers each report with the policy Server's
-// round logic, running the given policies in order on the driver's
-// goroutine. Register its Hook with engine.AddSnapshotHook(si, ...).
-// There is nothing to close, and policy state may be read between
-// rounds.
+// an Executor whose Conn answers each report with Answer, running the
+// given policies in order on the driver's goroutine. Register its Hook
+// with engine.AddSnapshotHook(si, ...). There is nothing to close, and
+// policy state may be read between rounds.
 func NewLoop(e *engine.Engine, si int, policies []Policy) *Executor {
-	return NewExecutor(e, si, &localConn{srv: &Server{policies: policies}})
+	return NewExecutor(e, si, &localConn{policies: policies})
 }

@@ -31,25 +31,59 @@ type framedConn struct {
 
 func (f framedConn) Close() error { return f.c.Close() }
 
-// newFramedPair returns the two ends of a control connection over a
+// closer is a test's end of a round's transport: a control.Conn the
+// test also hangs up.
+type closer interface {
+	control.Conn
+	Close() error
+}
+
+// newFramedPair returns the two ends of a control round over a
 // synchronous in-memory pipe, every message fully serialized.
-func newFramedPair() (control.Conn, control.Conn) {
+func newFramedPair() (framedConn, framedConn) {
 	a, b := net.Pipe()
 	return framedConn{Codec: protocol.NewFramedCodec(a), c: a}, framedConn{Codec: protocol.NewFramedCodec(b), c: b}
 }
 
-// framedLoop wires stage si's control loop the way a cluster does — an
-// executor and a policy server on its own goroutine, over the framed
-// pipe — registers it with the engine and returns its teardown.
+// serve answers rounds on conn with control.Answer on a goroutine of
+// its own, as a controller across a socket does, until the transport
+// closes or the peer breaks the protocol; it hangs up on its way out,
+// so the peer's round ends with an error instead of waiting for a reply
+// that will not come. stop closes conn and waits for the goroutine, so
+// policy state is safe to read afterwards.
+func serve(conn closer, policies []control.Policy) (stop func()) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer conn.Close()
+		for {
+			m, err := conn.Recv()
+			if err != nil {
+				return
+			}
+			reply, err := control.Answer(policies, m)
+			if err != nil || conn.Send(reply) != nil {
+				return
+			}
+		}
+	}()
+	return func() {
+		conn.Close()
+		<-done
+	}
+}
+
+// framedLoop wires stage si's control loop over the framed pipe — an
+// executor, and the policies answering on a goroutine of their own —
+// registers it with the engine and returns its teardown.
 func framedLoop(e *engine.Engine, si int, policies []control.Policy) (stop func()) {
 	agent, ctrl := newFramedPair()
 	x := control.NewExecutor(e, si, agent)
-	srv := control.NewServer(ctrl, policies)
-	srv.Start()
+	stopServe := serve(ctrl, policies)
 	e.AddSnapshotHook(si, x.Hook())
 	return func() {
 		agent.Close()
-		srv.Close()
+		stopServe()
 	}
 }
 
@@ -136,10 +170,11 @@ func (p *countingPolicy) Decide(_ control.Env, snap *stats.Snapshot) []control.C
 // must not trust — a destination past the stage's instances,
 // a negative one, entries out of canonical order, an instance count a
 // load vector must not be sized by, an entry count the frame cannot
-// hold — over the framed wire (the local call runs the same check).
-// Each ends the round with an error on the sender's side: no policy sees
-// the snapshot, nothing sizes or indexes a load vector by it, the server
-// does not panic and nobody waits forever.
+// hold — to control.Answer and over the framed wire. Answer returns an
+// error for each, and over the wire the round ends with an error on the
+// sender's side: no policy sees the snapshot, nothing sizes or indexes a
+// load vector by it, the controller side does not panic and nobody
+// waits forever.
 func TestHostileMergedReportEndsRound(t *testing.T) {
 	valid := func() *protocol.LoadReport {
 		return &protocol.LoadReport{
@@ -162,8 +197,7 @@ func TestHostileMergedReportEndsRound(t *testing.T) {
 	// alone.
 	agent, ctrl := newFramedPair()
 	pol := &countingPolicy{}
-	srv := control.NewServer(ctrl, []control.Policy{pol})
-	srv.Start()
+	stop := serve(ctrl, []control.Policy{pol})
 	if err := agent.Send(&protocol.Message{Report: valid()}); err != nil {
 		t.Fatal(err)
 	}
@@ -171,24 +205,26 @@ func TestHostileMergedReportEndsRound(t *testing.T) {
 		t.Fatalf("valid round answered %v, %v; want an empty Commands", m, err)
 	}
 	agent.Close()
-	srv.Close()
+	stop()
 	if pol.rounds.Load() != 1 {
 		t.Fatalf("valid round reached %d policies", pol.rounds.Load())
 	}
 
 	for name, mutate := range hostile {
-		agent, ctrl := newFramedPair()
 		pol := &countingPolicy{}
-		srv := control.NewServer(ctrl, []control.Policy{pol})
-		srv.Start()
 		r := valid()
 		mutate(r)
-		// The send itself may fail once the server has hung up.
+		if m, err := control.Answer([]control.Policy{pol}, &protocol.Message{Report: r}); err == nil {
+			t.Fatalf("%s: Answer replied %s", name, m.Kind())
+		}
+		agent, ctrl := newFramedPair()
+		stop := serve(ctrl, []control.Policy{pol})
+		// The send itself may fail once the controller side has hung up.
 		_ = agent.Send(&protocol.Message{Report: r})
 		if m, err := agent.Recv(); err == nil {
 			t.Fatalf("%s: round answered with %s", name, m.Kind())
 		}
-		srv.Close()
+		stop()
 		agent.Close()
 		if pol.rounds.Load() != 0 {
 			t.Fatalf("%s: a policy saw the snapshot", name)
@@ -199,14 +235,13 @@ func TestHostileMergedReportEndsRound(t *testing.T) {
 	// the wire (kind 3 is a report; interval, flags, then the count).
 	a, b := net.Pipe()
 	pol = &countingPolicy{}
-	srv = control.NewServer(framedConn{Codec: protocol.NewFramedCodec(b), c: b}, []control.Policy{pol})
-	srv.Start()
+	stop = serve(framedConn{Codec: protocol.NewFramedCodec(b), c: b}, []control.Policy{pol})
 	frame := []byte{3, 4, 0, 0xff, 0xff, 0x7f}
 	go a.Write(append(binary.BigEndian.AppendUint32(nil, uint32(len(frame))), frame...))
 	if _, err := a.Read(make([]byte, 1)); err == nil {
 		t.Fatal("a report with a count past its frame was answered")
 	}
-	srv.Close()
+	stop()
 	a.Close()
 	if pol.rounds.Load() != 0 {
 		t.Fatal("a policy saw a report with a count past its frame")
@@ -215,13 +250,14 @@ func TestHostileMergedReportEndsRound(t *testing.T) {
 
 // TestSecondReportInsideRoundEndsIt: a round is one Report and one
 // Commands, and anything else in either place ends it, over the framed
-// wire (the local call runs the same round logic). A peer that sends
-// the controller side something other than a Report where the round's
-// report belongs — a Commands of its own, a session Ack — gets hung up
-// on: its next Recv fails, nobody waits for a reply that will not come.
-// The executor holds the same line from its side: a Report, a session
-// message, a Commands answering another interval's report, or a hang-up
-// where the round's Commands belongs ends its round as a hold.
+// wire. Something other than a Report where the round's report belongs
+// — a Commands of its own, a session Ack — is an error from
+// control.Answer, and over the wire the peer gets hung up on: its next
+// Recv fails, nobody waits for a reply that will not come. The executor
+// holds the same line from its side: a Report, a session message, a
+// Commands answering another interval's report, or a hang-up where the
+// round's Commands belongs ends its round as a hold, with the break
+// latched in Err.
 func TestSecondReportInsideRoundEndsIt(t *testing.T) {
 	report := func() *protocol.Message {
 		return &protocol.Message{Report: &protocol.LoadReport{
@@ -244,15 +280,17 @@ func TestSecondReportInsideRoundEndsIt(t *testing.T) {
 		if stray == nil || stray.Report != nil {
 			continue // a Report is what the controller side expects
 		}
-		agent, ctrl := newFramedPair()
 		pol := &countingPolicy{}
-		srv := control.NewServer(ctrl, []control.Policy{pol})
-		srv.Start()
-		_ = agent.Send(stray) // may fail once the server has hung up
+		if m, err := control.Answer([]control.Policy{pol}, stray); err == nil {
+			t.Fatalf("Answer replied to a %s in the report's place with %s", sname, m.Kind())
+		}
+		agent, ctrl := newFramedPair()
+		stop := serve(ctrl, []control.Policy{pol})
+		_ = agent.Send(stray) // may fail once the controller side has hung up
 		if m, err := agent.Recv(); err == nil {
 			t.Fatalf("a %s in the report's place was answered with %s", sname, m.Kind())
 		}
-		srv.Close()
+		stop()
 		agent.Close()
 		if pol.rounds.Load() != 0 {
 			t.Fatalf("a %s in the report's place reached a policy", sname)
@@ -279,6 +317,9 @@ func TestSecondReportInsideRoundEndsIt(t *testing.T) {
 		if reb := <-returned; reb != nil || st.Instances() != 8 {
 			t.Fatalf("a round answered by a %s applied %+v", sname, reb)
 		}
+		if x.Err() == nil {
+			t.Fatalf("a round answered by a %s left no error", sname)
+		}
 		ctrl.Close()
 		agent.Close()
 		e.Stop()
@@ -287,7 +328,7 @@ func TestSecondReportInsideRoundEndsIt(t *testing.T) {
 
 // countingConn counts the messages sent through a Conn, by kind.
 type countingConn struct {
-	control.Conn
+	closer
 	mu   sync.Mutex
 	sent map[string]int
 }
@@ -296,7 +337,7 @@ func (c *countingConn) Send(m *protocol.Message) error {
 	c.mu.Lock()
 	c.sent[m.Kind()]++
 	c.mu.Unlock()
-	return c.Conn.Send(m)
+	return c.closer.Send(m)
 }
 
 func (c *countingConn) counts() map[string]int {
@@ -339,11 +380,9 @@ func TestRoundIsOneReportAndOneCommands(t *testing.T) {
 			e.AddSnapshotHook(0, control.NewLoop(e, 0, []control.Policy{pol}).Hook())
 		} else {
 			a, c := newFramedPair()
-			agent = &countingConn{Conn: a, sent: map[string]int{}}
-			ctrl = &countingConn{Conn: c, sent: map[string]int{}}
-			srv := control.NewServer(ctrl, []control.Policy{pol})
-			srv.Start()
-			defer srv.Close()
+			agent = &countingConn{closer: a, sent: map[string]int{}}
+			ctrl = &countingConn{closer: c, sent: map[string]int{}}
+			defer serve(ctrl, []control.Policy{pol})()
 			defer agent.Close()
 			e.AddSnapshotHook(0, control.NewExecutor(e, 0, agent).Hook())
 		}
@@ -362,7 +401,7 @@ func TestRoundIsOneReportAndOneCommands(t *testing.T) {
 			if got, want := ctrl.counts(), map[string]int{"commands": round}; !maps.Equal(got, want) {
 				t.Fatalf("%s, round %d: the controller side sent %v, want %v", name, round, got, want)
 			}
-			f := agent.Conn.(framedConn)
+			f := agent.closer.(framedConn)
 			if sent, rcvd := f.SentMsgs(), f.RecvMsgs(); sent != int64(round) || rcvd != int64(round) {
 				t.Fatalf("%s, round %d: the stage side's wire carried %d frames out and %d in", name, round, sent, rcvd)
 			}

@@ -29,7 +29,9 @@
 // controller side runs CheckMerged before any policy sees the snapshot.
 // A decoded report's Keys alias storage the codec recycles and stay
 // intact until the second following report, the stage snapshot's own
-// lifetime.
+// lifetime when the codec carries one stage's rounds; a receiver whose
+// codec carries several stages' (a cluster coordinator's session with a
+// worker) keeps each stage's runs itself.
 package protocol
 
 import (
@@ -184,9 +186,8 @@ type Ack struct {
 // Hello opens every cluster connection: the dialing side identifies
 // itself and its intent before any other traffic. Role is "worker"
 // (a worker process registering with the coordinator; DataAddr names
-// the address its data-plane listener accepts tuple batches on),
-// "control" (a per-stage control-loop connection; Stage identifies
-// which), or "data" (a data-plane batch stream into Stage).
+// the address its data-plane listener accepts tuple batches on) or
+// "data" (a data-plane batch stream into Stage).
 type Hello struct {
 	Proto    int
 	Role     string
@@ -220,8 +221,8 @@ type StageAssign struct {
 	Capacity  int64
 	Target    bool
 	Budget    int64
-	// Control tells the worker to dial a per-stage control connection
-	// back to the coordinator (set when the stage has coordinator-side
+	// Control tells the worker to run the stage's control round on its
+	// session at every harvest (set when the stage has coordinator-side
 	// policies; planner-less stages skip the control plane entirely).
 	Control    bool
 	Downstream string
@@ -249,11 +250,11 @@ type CloseStage struct {
 
 // HarvestReq asks the worker hosting Stage to end the interval:
 // harvest statistics, run the stage's control round against the
-// coordinator (over the stage's control connection), and answer with
-// HarvestDone. Emit is the interval's true post-draw emission — it can
-// be lower than StartInterval.Emit when a finite source ended
-// mid-interval — so the round's load reports carry the exact Emitted a
-// single-process run would.
+// coordinator (its LoadReport and the coordinator's Commands, on the
+// same session), and answer with HarvestDone. Emit is the interval's
+// true post-draw emission — it can be lower than StartInterval.Emit
+// when a finite source ended mid-interval — so the round's load reports
+// carry the exact Emitted a single-process run would.
 type HarvestReq struct {
 	Stage    int
 	Interval int64
